@@ -68,10 +68,11 @@
 //	curl -N localhost:8080/v1/jobs/job-000001/events
 //
 // Ground-truth persistence is write-ahead-logged: every trial's entry is
-// appended durably (to <gt>.wal) the moment it lands, and the log is
-// compacted into the snapshot after jobs, every -gt-compact-every records,
-// on the -gt-snapshot-interval ticker and at shutdown. A crash loses at
-// most the un-synced tail of one append; a legacy (pre-WAL)
+// appended and fsynced (to <gt>.wal) the moment it lands — so a job that
+// reports done has its contributions durable — and the log is compacted
+// into the snapshot after jobs, every -gt-compact-every records, on the
+// -gt-snapshot-interval ticker, after an import and at shutdown. A crash
+// loses at most the un-synced tail of one append; a legacy (pre-WAL)
 // groundtruth.json loads unchanged.
 //
 // On SIGINT/SIGTERM the HTTP server drains, running jobs are cancelled at

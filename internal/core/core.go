@@ -136,10 +136,9 @@ func (c *Controller) metric(p probeResult) float64 {
 	return p.duration
 }
 
-// state returns (creating if needed) the per-trial state.
-func (c *Controller) state(trialID int) *trialState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// stateLocked returns (creating if needed) the per-trial state. Callers
+// hold c.mu.
+func (c *Controller) stateLocked(trialID int) *trialState {
 	st, ok := c.trials[trialID]
 	if !ok {
 		st = &trialState{phase: phaseProfiling}
@@ -172,9 +171,9 @@ func (c *Controller) ObserverFor(trialID int) trainer.EpochObserver {
 // onEpoch advances the state machine. The returned configuration (if any)
 // applies from the next epoch onward.
 func (c *Controller) onEpoch(trialID int, s trainer.EpochStats) *params.SysConfig {
-	st := c.state(trialID)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	st := c.stateLocked(trialID)
 
 	st.epochsRun++
 	st.measured = append(st.measured, probeResult{sys: s.Sys, duration: s.Duration, energyJ: s.EnergyJ})
@@ -278,7 +277,7 @@ func (c *Controller) Finish(trialID int, _ *trainer.Result) {
 		delete(c.trials, trialID)
 	}
 	var entry *gt.Entry
-	if ok && st.features != nil && comparedConfigs(st.measured) >= 2 {
+	if ok && st.features != nil && comparedConfigs(st.measured) {
 		// Only trials with comparative evidence (at least two distinct
 		// configurations measured) contribute: a trial that only ever ran
 		// the start configuration knows nothing about what is *best* and
@@ -306,13 +305,15 @@ func (c *Controller) Finish(trialID int, _ *trainer.Result) {
 	}
 }
 
-// comparedConfigs counts the distinct system configurations measured.
-func comparedConfigs(measured []probeResult) int {
-	seen := make(map[params.SysConfig]bool, len(measured))
+// comparedConfigs reports whether at least two distinct system
+// configurations were measured.
+func comparedConfigs(measured []probeResult) bool {
 	for _, m := range measured {
-		seen[m.sys] = true
+		if m.sys != measured[0].sys {
+			return true
+		}
 	}
-	return len(seen)
+	return false
 }
 
 // PipeTune wraps a tune.Runner with the pipelined system-tuning middleware.
@@ -396,20 +397,27 @@ func (p *PipeTune) Bootstrap(workloads []workload.Workload, seed uint64) error {
 			h := params.DefaultHyper()
 			h.Epochs = 1
 			h.BatchSize = batch
+			// The first probe run is the profiled one: its single epoch's
+			// observation becomes the entry's features.
 			var features []float64
+			profiler := trainer.ObserverFunc(func(_ uint64, _ workload.Workload, _ params.Hyper, s trainer.EpochStats) *params.SysConfig {
+				features = s.Profile.Features()
+				return nil
+			})
 			best := probeResult{}
 			haveBest := false
 			mean := 0.0
 			for ci, sys := range p.Probes {
-				res, err := p.Runner.Trainer.Run(w, h, sys, seed+uint64(wi*1000+bi*100+ci), nil)
+				var obs trainer.EpochObserver
+				if ci == 0 {
+					obs = profiler
+				}
+				res, err := p.Runner.Trainer.Run(w, h, sys, seed+uint64(wi*1000+bi*100+ci), obs)
 				if err != nil {
 					return fmt.Errorf("core: bootstrap %s at %v: %w", w.Name(), sys, err)
 				}
 				epoch := res.Epochs[len(res.Epochs)-1]
 				m := probeResult{sys: sys, duration: epoch.Duration, energyJ: epoch.EnergyJ}
-				if features == nil {
-					features = epoch.Profile.Features()
-				}
 				mean += p.metricOf(m)
 				if !haveBest || p.metricOf(m) < p.metricOf(best) {
 					best = m

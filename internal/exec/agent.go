@@ -277,10 +277,6 @@ func (a *Agent) runAssignment(ctx context.Context, endSession context.CancelFunc
 		req.Error = err.Error()
 	default:
 		req.Result = res
-		req.Profiles = make([][]float64, len(res.Epochs))
-		for i := range res.Epochs {
-			req.Profiles[i] = res.Epochs[i].Profile
-		}
 	}
 	path := fmt.Sprintf("/v1/workers/%s/leases/%s/complete", workerID, asg.LeaseID)
 	for attempt := 0; attempt < 3; attempt++ {

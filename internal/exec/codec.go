@@ -473,8 +473,9 @@ func encodeEpochFrame(w *wirebuf, leaseID string, attempt int, s *trainer.EpochS
 }
 
 // decodeEpochFrame decodes an observation. The lease id is returned as a
-// payload view (valid until the next read); the profile is freshly
-// allocated because the daemon-side observer retains it.
+// payload view (valid until the next read); the profile is a fresh copy
+// handed to the daemon-side observer, which may use it for the duration of
+// its callback and keeps only what it derives from it.
 func decodeEpochFrame(p []byte) (leaseID []byte, attempt int, s trainer.EpochStats, err error) {
 	r := wireReader{b: p}
 	leaseID = r.strView()
@@ -595,9 +596,11 @@ func completeHeader(p []byte) (leaseID []byte, err error) {
 
 // appendResultDelta ships only what the daemon cannot recompute:
 // FinalSys, and per epoch the flags, a sys config when it changed,
-// duration, loss, accuracy, energy and the PMU profile. Workload, Hyper,
-// EndTime, total Duration, total EnergyJ and final Accuracy are all
-// reconstructed from the lease and the epoch stream (see file comment).
+// duration, loss, accuracy and energy. Workload, Hyper, EndTime, total
+// Duration, total EnergyJ and final Accuracy are all reconstructed from
+// the lease and the epoch stream (see file comment). The per-epoch profile
+// slot is kept for codec v4 compatibility and is zero-length: a result
+// carries no PMU profile (Epoch frames do).
 func appendResultDelta(w *wirebuf, res *trainer.Result, baseSys params.SysConfig) {
 	appendSys(w, res.FinalSys)
 	w.uvarint(uint64(len(res.Epochs)))

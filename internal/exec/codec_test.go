@@ -225,17 +225,39 @@ func TestResultDeltaRoundTrip(t *testing.T) {
 
 // TestResultDeltaRealTrial round-trips an actual trainer.Run result —
 // the invariants the codec replays must be the trainer's, not just the
-// test generator's.
+// test generator's. The trial is observed, as a streamed PipeTune trial
+// is: every epoch's profile travels in its Epoch frame, and the Complete
+// frame of the 9-epoch result carries none — it is smaller than the
+// profiles alone would have been.
 func TestResultDeltaRealTrial(t *testing.T) {
 	tr := smallTrainer()
 	asg := realTrials(tr, 1)[0]
-	want, err := tr.Run(asg.Workload, asg.Hyper, asg.Sys, asg.Seed, nil)
+	asg.Hyper.Epochs = 9
+	epochFrames := 0
+	obs := trainer.ObserverFunc(func(_ uint64, _ workload.Workload, _ params.Hyper, s trainer.EpochStats) *params.SysConfig {
+		wb := getWirebuf()
+		defer putWirebuf(wb)
+		encodeEpochFrame(wb, "ls-000001", 1, &s)
+		_, _, got, err := decodeEpochFrame(wb.b)
+		if err != nil || len(got.Profile) != perf.NumEvents || !reflect.DeepEqual(got, s) {
+			t.Errorf("epoch %d: frame lost the observation (err %v, %d events)", s.Epoch, err, len(got.Profile))
+		}
+		epochFrames++
+		return nil
+	})
+	want, err := tr.Run(asg.Workload, asg.Hyper, asg.Sys, asg.Seed, obs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if epochFrames != asg.Hyper.Epochs {
+		t.Fatalf("streamed %d epoch frames, want %d", epochFrames, asg.Hyper.Epochs)
 	}
 	wb := getWirebuf()
 	defer putWirebuf(wb)
 	encodeComplete(wb, "ls-000001", 1, completeOK, "", want, asg.Sys)
+	if limit := asg.Hyper.Epochs * perf.NumEvents * 8; len(wb.b) >= limit {
+		t.Fatalf("complete frame is %d B; the profiles it must not carry are %d B", len(wb.b), limit)
+	}
 	_, _, _, _, got, err := decodeComplete(wb.b, asg.Workload, asg.Hyper, asg.Sys)
 	if err != nil {
 		t.Fatal(err)

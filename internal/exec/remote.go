@@ -538,7 +538,7 @@ func (r *Remote) epochLocked(workerID string, l *lease, attempt int, s trainer.E
 func (r *Remote) Complete(workerID, leaseID string, req CompleteRequest) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.commitLocked(workerID, r.leases[leaseID], req.Attempt, req.result(), req.Error, req.Abandoned)
+	return r.commitLocked(workerID, r.leases[leaseID], req.Attempt, req.Result, req.Error, req.Abandoned)
 }
 
 // streamComplete is Complete for the binary wire (alloc-free lease

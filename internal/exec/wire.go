@@ -174,12 +174,10 @@ type EpochDirective struct {
 type CompleteRequest struct {
 	Attempt int `json:"attempt"`
 	// Result is the finished trial body; nil when Error or Abandoned is
-	// set.
+	// set. A result carries no PMU profiles (they are epoch-boundary
+	// observations, streamed in EpochReports), so the library serialisation
+	// is already bit-identical to a result computed in-process.
 	Result *trainer.Result `json:"result,omitempty"`
-	// Profiles carries the per-epoch PMU profiles in Result.Epochs order
-	// (the library serialisation strips them), so a committed result is
-	// bit-identical to one computed in-process.
-	Profiles [][]float64 `json:"profiles,omitempty"`
 	// Error reports a worker-side trial failure: the trial itself is
 	// broken and the job should fail.
 	Error string `json:"error,omitempty"`
@@ -188,20 +186,6 @@ type CompleteRequest struct {
 	// the lease for another worker instead of waiting for this worker's
 	// eviction.
 	Abandoned bool `json:"abandoned,omitempty"`
-}
-
-// result reassembles the committed trainer result, reattaching profiles.
-func (cr CompleteRequest) result() *trainer.Result {
-	res := cr.Result
-	if res == nil {
-		return nil
-	}
-	for i := range res.Epochs {
-		if i < len(cr.Profiles) {
-			res.Epochs[i].Profile = perf.Profile(cr.Profiles[i])
-		}
-	}
-	return res
 }
 
 // WorkerStatus is one worker's row in the fleet status.

@@ -21,8 +21,8 @@ type ReuseRow struct {
 	EpochsTrained uint64 `json:"epochsTrained"`
 	EpochsSaved   uint64 `json:"epochsSaved"`
 	// TrialsPerSec is measured wall-clock throughput — the one
-	// non-footprinted column (hardware-dependent; BENCH_trainer.json
-	// records a reference run).
+	// non-footprinted column (hardware-dependent; cmd/bench reports the
+	// reference figures as trainer.trial_hit_ms and trials_per_s).
 	TrialsPerSec float64 `json:"trialsPerSec"`
 }
 

@@ -25,6 +25,8 @@
 package gt
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -32,6 +34,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 
 	"pipetune/internal/kmeans"
 	"pipetune/internal/params"
@@ -179,9 +182,37 @@ type snapshot struct {
 	Seq     uint64  `json:"seq,omitempty"`
 }
 
-// saveEntries encodes entries in the legacy-compatible snapshot format.
+// saveEntries encodes entries in the legacy-compatible snapshot format —
+// byte for byte what json.NewEncoder(w).Encode(snapshot{entries, seq})
+// writes — but entry by entry: encoding the database as one value builds,
+// and leaves in encoding/json's buffer pool, an O(entries) buffer per
+// compaction.
 func saveEntries(w io.Writer, entries []Entry, seq uint64) error {
-	return json.NewEncoder(w).Encode(snapshot{Entries: entries, Seq: seq})
+	bw := bufio.NewWriter(w)
+	if entries == nil {
+		bw.WriteString(`{"entries":null`)
+	} else {
+		bw.WriteString(`{"entries":[`)
+		var one bytes.Buffer // one entry at a time, reused
+		enc := json.NewEncoder(&one)
+		for i := range entries {
+			one.Reset()
+			if err := enc.Encode(&entries[i]); err != nil {
+				return err
+			}
+			if i > 0 {
+				bw.WriteByte(',')
+			}
+			bw.Write(one.Bytes()[:one.Len()-1]) // minus Encode's line terminator
+		}
+		bw.WriteByte(']')
+	}
+	if seq != 0 {
+		bw.WriteString(`,"seq":`)
+		bw.WriteString(strconv.FormatUint(seq, 10))
+	}
+	bw.WriteString("}\n")
+	return bw.Flush()
 }
 
 // loadSnapshot decodes a snapshot (legacy or WAL-era).

@@ -2,6 +2,7 @@ package gt
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"math/rand"
 	"os"
@@ -143,6 +144,32 @@ func TestPersistentSkipsRecordsBelowSnapshotSeq(t *testing.T) {
 	}
 	if !reflect.DeepEqual(p2.Entries(), want) {
 		t.Fatal("recovered entries diverged")
+	}
+}
+
+// TestSaveEntriesMatchesStructEncoding pins the streamed snapshot writer
+// to the format it replaced, byte for byte: one json.Encoder.Encode of the
+// whole snapshot struct — nil, empty and populated databases, with and
+// without a sequence watermark.
+func TestSaveEntriesMatchesStructEncoding(t *testing.T) {
+	populated := make([]Entry, 9)
+	for i := range populated {
+		populated[i] = gtEntry(i)
+	}
+	populated[4].Features = nil
+	for _, entries := range [][]Entry{nil, {}, populated[:1], populated} {
+		for _, seq := range []uint64{0, 1, 1 << 40} {
+			var got, want bytes.Buffer
+			if err := saveEntries(&got, entries, seq); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.NewEncoder(&want).Encode(snapshot{Entries: entries, Seq: seq}); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%d entries, seq %d:\n got %s\nwant %s", len(entries), seq, got.Bytes(), want.Bytes())
+			}
+		}
 	}
 }
 

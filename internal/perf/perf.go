@@ -71,13 +71,17 @@ func EventIndex(name string) int {
 	return -1
 }
 
-// Fixed-counter events: common Intel PMUs dedicate fixed counters to
-// cycles, instructions and reference/bus cycles; these never multiplex.
-var fixedEvents = map[int]bool{
-	EventIndexMust("cpu-cycles"):   true,
-	EventIndexMust("instructions"): true,
-	EventIndexMust("bus-cycles"):   true,
-}
+// fixedCounters is the number of events with a dedicated counter: common
+// Intel PMUs dedicate fixed counters to cycles, instructions and
+// reference/bus cycles; these never multiplex.
+const fixedCounters = 3
+
+var fixedEvents = func() (fixed [NumEvents]bool) {
+	for _, name := range [fixedCounters]string{"cpu-cycles", "instructions", "bus-cycles"} {
+		fixed[EventIndexMust(name)] = true
+	}
+	return fixed
+}()
 
 // EventIndexMust is EventIndex for known-good names; it panics on a typo,
 // which is a programming error caught by the package tests.
@@ -92,6 +96,9 @@ func EventIndexMust(name string) int {
 // GenericCounters is the number of programmable counters available for the
 // remaining events; they share hardware via time multiplexing (§5.3).
 const GenericCounters = 2
+
+// muxShare is the fraction of each window a multiplexed event is scheduled.
+const muxShare = float64(GenericCounters) / float64(NumEvents-fixedCounters)
 
 // Phase distinguishes the initiation phase from training epochs; Figure 2
 // shows them with visibly different event mixes.
@@ -124,7 +131,7 @@ func (p Profile) Features() []float64 {
 // eventTraits holds the per-event generative parameters, derived once from
 // a fixed seed so every Sampler agrees on the event model.
 type eventTraits struct {
-	logBase     float64 // base log10 rate at reference cycles
+	base        float64 // base rate at reference cycles
 	wCompute    float64 // sensitivity to compute intensity
 	wMemory     float64 // sensitivity to memory intensity
 	wBranch     float64 // sensitivity to branch intensity
@@ -148,19 +155,20 @@ func NewSampler() *Sampler {
 			wMemory:  r.Range(-0.5, 0.5),
 			wBranch:  r.Range(-0.5, 0.5),
 		}
+		var logBase float64 // base log10 rate
 		lower := strings.ToLower(name)
 		switch {
 		case strings.Contains(lower, "miss") || strings.Contains(lower, "bubble") ||
 			strings.Contains(lower, "abort") || strings.Contains(lower, "conflict"):
-			et.logBase = r.Range(3.5, 5.5)
+			logBase = r.Range(3.5, 5.5)
 			et.missLike = true
 		case strings.Contains(lower, "cycles") || strings.Contains(lower, "slots") ||
 			strings.Contains(lower, "msr"):
-			et.logBase = r.Range(7.5, 9.0)
+			logBase = r.Range(7.5, 9.0)
 		case strings.Contains(lower, "instructions"):
-			et.logBase = r.Range(8.0, 9.0)
+			logBase = r.Range(8.0, 9.0)
 		default:
-			et.logBase = r.Range(5.5, 7.5)
+			logBase = r.Range(5.5, 7.5)
 		}
 		switch {
 		case strings.Contains(lower, "branch"):
@@ -174,8 +182,9 @@ func NewSampler() *Sampler {
 			et.wCompute += 1.2
 		}
 		if strings.Contains(lower, "smi") { // system-management interrupts: rare
-			et.logBase = r.Range(0.5, 1.5)
+			logBase = r.Range(0.5, 1.5)
 		}
+		et.base = math.Pow(10, logBase)
 		table[i] = et
 	}
 	return &Sampler{table: table, model: costmodel.Default()}
@@ -191,87 +200,113 @@ func MultiplexScale(raw, timeEnabled, timeRunning float64) float64 {
 	return raw * timeEnabled / timeRunning
 }
 
-// trueRate computes the noiseless events/second for event i.
-func (s *Sampler) trueRate(i int, tr workload.Traits, h params.Hyper, sys params.SysConfig, phase Phase) float64 {
-	et := s.table[i]
+// validate checks the inputs every observation of an epoch shares.
+func validate(h params.Hyper, sys params.SysConfig, phase Phase) error {
+	if phase != PhaseInit && phase != PhaseTrain {
+		return fmt.Errorf("perf: invalid phase %d", phase)
+	}
+	if err := h.Validate(); err != nil {
+		return fmt.Errorf("perf: %w", err)
+	}
+	if err := sys.Validate(); err != nil {
+		return fmt.Errorf("perf: %w", err)
+	}
+	return nil
+}
+
+// trueRates computes the noiseless events/second of all 58 events. They
+// depend only on (tr, h, sys, phase), so one evaluation serves every
+// one-second sample of an epoch.
+func (s *Sampler) trueRates(tr workload.Traits, h params.Hyper, sys params.SysConfig, phase Phase) (rates [NumEvents]float64) {
 	// Active cycles scale with cores; utilisation drops during the
 	// sync-heavy regimes the cost model identifies.
-	bd, err := s.model.EpochBreakdown(tr, h, sys)
 	util := 0.7
-	if err == nil {
+	if bd, err := s.model.EpochBreakdown(tr, h, sys); err == nil {
 		util = 0.45 + 0.55*bd.ComputeFraction()
 	}
 	cyclesScale := float64(sys.Cores) / 8.0 * util
 
-	mix := math.Exp(et.wCompute*(tr.ComputeIntensity-0.5) +
-		et.wMemory*(tr.MemoryIntensity-0.5) +
-		et.wBranch*(tr.BranchIntensity-0.5))
+	// Larger batches improve locality: fewer misses per second. The effect
+	// is kept an order of magnitude below the inter-family differences so
+	// configuration changes perturb a workload's signature without moving
+	// it across family clusters.
+	locality := math.Pow(32/float64(h.BatchSize), 0.05)
 
-	rate := math.Pow(10, et.logBase) * cyclesScale * mix
-
-	if et.missLike {
-		// Larger batches improve locality: fewer misses per second. The
-		// effect is kept an order of magnitude below the inter-family
-		// differences so configuration changes perturb a workload's
-		// signature without moving it across family clusters.
-		rate *= math.Pow(32/float64(h.BatchSize), 0.05)
+	// Memory-hierarchy events respond to spill pressure.
+	spill := 1.0
+	if required := costmodel.MemoryRequiredGB(tr, h); float64(sys.MemoryGB) < required {
+		shortfall := (required - float64(sys.MemoryGB)) / required
+		spill = 1 + 0.4*shortfall
 	}
-	if et.memoryClass {
-		required := costmodel.MemoryRequiredGB(tr, h)
-		if float64(sys.MemoryGB) < required {
-			shortfall := (required - float64(sys.MemoryGB)) / required
-			rate *= 1 + 0.4*shortfall
+
+	for i, et := range s.table {
+		mix := math.Exp(et.wCompute*(tr.ComputeIntensity-0.5) +
+			et.wMemory*(tr.MemoryIntensity-0.5) +
+			et.wBranch*(tr.BranchIntensity-0.5))
+		rate := et.base * cyclesScale * mix
+		if et.missLike {
+			rate *= locality
 		}
-	}
-	if phase == PhaseInit {
-		// Initiation is I/O- and allocation-heavy: memory events up,
-		// compute events down (the distinct "Init." column of Figure 2).
 		if et.memoryClass {
-			rate *= 1.8
-		} else {
-			rate *= 0.5
+			rate *= spill
 		}
+		if phase == PhaseInit {
+			// Initiation is I/O- and allocation-heavy: memory events up,
+			// compute events down (the distinct "Init." column of Figure 2).
+			if et.memoryClass {
+				rate *= 1.8
+			} else {
+				rate *= 0.5
+			}
+		}
+		rates[i] = rate
 	}
-	return rate
+	return rates
+}
+
+// observe draws one 1-second observation of event i at the given noiseless
+// rate: fixed-counter events carry only ~0.5% measurement noise, while
+// generic events are observed for a 2/55 share of the window and rescaled,
+// leaving a few percent of estimation error. The draw sequence — one Jitter
+// for a fixed counter, two for a multiplexed event — is part of the
+// simulation's reproducibility contract.
+func observe(r *xrand.Source, i int, rate float64) float64 {
+	if fixedEvents[i] {
+		return r.Jitter(rate, 0.005)
+	}
+	// The event is scheduled for muxShare of the window; the count observed
+	// during that slice is rescaled to the full window.
+	timeEnabled := 1.0
+	timeRunning := muxShare * r.Jitter(1, 0.10) // scheduling slack
+	raw := rate * timeRunning * r.Jitter(1, 0.02)
+	return MultiplexScale(raw, timeEnabled, timeRunning)
 }
 
 // Sample returns one 1-second observation of all 58 events, including
-// multiplexing estimation error: fixed-counter events carry only ~0.5%
-// measurement noise, while generic events are observed for a 2/55 share of
-// the window and rescaled, leaving a few percent of estimation error.
+// multiplexing estimation error (see observe). It is the reference
+// EpochProfile is defined against: an epoch profile is the mean of
+// consecutive Samples.
 func (s *Sampler) Sample(r *xrand.Source, tr workload.Traits, h params.Hyper, sys params.SysConfig, phase Phase) (Profile, error) {
-	if phase != PhaseInit && phase != PhaseTrain {
-		return nil, fmt.Errorf("perf: invalid phase %d", phase)
+	if err := validate(h, sys, phase); err != nil {
+		return nil, err
 	}
-	if err := h.Validate(); err != nil {
-		return nil, fmt.Errorf("perf: %w", err)
-	}
-	if err := sys.Validate(); err != nil {
-		return nil, fmt.Errorf("perf: %w", err)
-	}
-	multiplexed := NumEvents - len(fixedEvents)
-	share := float64(GenericCounters) / float64(multiplexed)
 	out := make(Profile, NumEvents)
-	for i := range out {
-		rate := s.trueRate(i, tr, h, sys, phase)
-		if fixedEvents[i] {
-			out[i] = r.Jitter(rate, 0.005)
-			continue
-		}
-		// The event is scheduled for `share` of the window; the count
-		// observed during that slice is rescaled to the full window.
-		timeEnabled := 1.0
-		timeRunning := share * r.Jitter(1, 0.10) // scheduling slack
-		raw := rate * timeRunning * r.Jitter(1, 0.02)
-		out[i] = MultiplexScale(raw, timeEnabled, timeRunning)
+	for i, rate := range s.trueRates(tr, h, sys, phase) {
+		out[i] = observe(r, i, rate)
 	}
 	return out, nil
 }
 
 // EpochProfile averages per-second samples across an epoch window of the
 // given duration (minimum one sample), exactly as §5.3 stores "the average
-// of results during each epoch's time window".
+// of results during each epoch's time window". It is bit-identical to, and
+// consumes the same draws as, the mean of that many Samples, but validates
+// and evaluates the noiseless rates once per epoch rather than once per
+// sample.
 func (s *Sampler) EpochProfile(r *xrand.Source, tr workload.Traits, h params.Hyper, sys params.SysConfig, phase Phase, epochSeconds float64) (Profile, error) {
+	if err := validate(h, sys, phase); err != nil {
+		return nil, err
+	}
 	n := int(epochSeconds)
 	if n < 1 {
 		n = 1
@@ -282,14 +317,13 @@ func (s *Sampler) EpochProfile(r *xrand.Source, tr workload.Traits, h params.Hyp
 	if n > 30 {
 		n = 30
 	}
+	rates := s.trueRates(tr, h, sys, phase)
 	sum := make(Profile, NumEvents)
 	for k := 0; k < n; k++ {
-		smp, err := s.Sample(r, tr, h, sys, phase)
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range smp {
-			sum[i] += v
+		for i, rate := range rates {
+			// The conversion rounds the observation like Sample's store
+			// does, so no platform fuses it into the accumulation.
+			sum[i] += float64(observe(r, i, rate))
 		}
 	}
 	for i := range sum {

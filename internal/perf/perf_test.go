@@ -215,6 +215,16 @@ func TestSampleValidation(t *testing.T) {
 	if _, err := s.Sample(xrand.New(1), tr, params.DefaultHyper(), params.SysConfig{}, PhaseTrain); err == nil {
 		t.Fatal("invalid sysconfig accepted")
 	}
+	// EpochProfile validates for itself (once per epoch, not per sample).
+	if _, err := s.EpochProfile(xrand.New(1), tr, params.DefaultHyper(), params.DefaultSysConfig(), Phase(0), 10); err == nil {
+		t.Fatal("EpochProfile: invalid phase accepted")
+	}
+	if _, err := s.EpochProfile(xrand.New(1), tr, bad, params.DefaultSysConfig(), PhaseTrain, 10); err == nil {
+		t.Fatal("EpochProfile: invalid hyper accepted")
+	}
+	if _, err := s.EpochProfile(xrand.New(1), tr, params.DefaultHyper(), params.SysConfig{}, PhaseTrain, 10); err == nil {
+		t.Fatal("EpochProfile: invalid sysconfig accepted")
+	}
 }
 
 func TestFeaturesAreLogScaledAndCentred(t *testing.T) {

@@ -61,10 +61,12 @@ type Config struct {
 	QueueDepth int
 	// GTPath, when non-empty, persists the shared ground-truth database:
 	// restored at New (snapshot + write-ahead-log replay; legacy JSON
-	// snapshots load unchanged), logged append-only as jobs feed it, and
-	// compacted into a fresh snapshot after every job that grew it, at
-	// SnapshotInterval ticks, when the WAL passes CompactEvery records,
-	// and again at Shutdown.
+	// snapshots load unchanged) and logged append-only as jobs feed it:
+	// every Add is fsynced to the WAL before it returns, so a job that
+	// reports done has its contributions durable already. The log is
+	// compacted into a fresh snapshot after every job that grew it, when
+	// it passes CompactEvery records, at SnapshotInterval ticks, after an
+	// import and at Shutdown.
 	GTPath string
 	// CompactEvery folds the write-ahead log into a snapshot once it
 	// holds this many records (default 256; <= 0 uses the default).
@@ -465,9 +467,10 @@ func (s *Service) runJob(jb *job) {
 		res, err = s.cfg.System.RunBaselineCtx(ctx, spec)
 	}
 	cancel()
-	// Snapshot before the job turns terminal: a client that observes
-	// "done" may rely on the job's ground-truth contributions being
-	// durable already.
+	// Fold the job's log records into the snapshot before it turns
+	// terminal. Not for durability — every Add was fsynced to the WAL
+	// before it returned, so "done" already implies durable — but so that
+	// recovery never replays more than the running jobs' records.
 	s.snapshotGT()
 	if err == nil && res != nil {
 		s.recordSched(res)

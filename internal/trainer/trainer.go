@@ -5,7 +5,7 @@
 //   - genuine SGD learning progress (loss/accuracy) from package nn,
 //   - simulated epoch duration from package costmodel,
 //   - energy from package energy (power series recorded to the tsdb),
-//   - a 58-event PMU profile from package perf.
+//   - a 58-event PMU profile from package perf, for observed trials.
 //
 // Crucially for PipeTune, the trainer exposes an EpochObserver invoked at
 // every epoch boundary which may change the system configuration for the
@@ -46,7 +46,10 @@ type EpochStats struct {
 	TrainLoss float64          `json:"trainLoss"`
 	Accuracy  float64          `json:"accuracy"` // test accuracy after this epoch
 	EnergyJ   float64          `json:"energyJ"`
-	Profile   perf.Profile     `json:"-"`
+	// Profile is the epoch's PMU observation. It exists only in the
+	// EpochStats handed to an EpochObserver and is valid for the duration
+	// of that callback; a Result's Epochs carry none.
+	Profile perf.Profile `json:"-"`
 }
 
 // Result is the outcome of a full trial.
@@ -466,9 +469,17 @@ func (r *Runner) RunWithCacheKey(w workload.Workload, h params.Hyper, sys params
 		}
 	}
 
-	res := &Result{Workload: w, Hyper: h, FinalSys: sys}
+	res := &Result{Workload: w, Hyper: h, FinalSys: sys, Epochs: make([]EpochStats, 0, h.Epochs+1)}
 	clock := 0.0
 
+	// runPhase simulates one phase, appends it to the result and returns
+	// the stats an observer is handed. A PMU profile is an epoch-boundary
+	// observation, not a result: it is sampled only when someone observes
+	// the trial, rides in the returned stats alone, and is never retained.
+	// perfRng feeds nothing else, so an unobserved trial that skips its
+	// draws is otherwise bit-identical; an observed one draws in every
+	// phase (the unseen init phase included), keeping its stream position
+	// and therefore every profile its observer sees unchanged.
 	runPhase := func(epoch int, init bool, trainLoss, acc float64) (EpochStats, error) {
 		var duration float64
 		var computeFrac float64
@@ -489,13 +500,17 @@ func (r *Runner) RunWithCacheKey(w workload.Workload, h params.Hyper, sys params
 		duration = costmodel.WithLoad(duration, load)
 		clock += duration
 
-		phase := perf.PhaseTrain
-		if init {
-			phase = perf.PhaseInit
-		}
-		profile, err := r.Sampler.EpochProfile(perfRng, tr, h, sys, phase, duration)
-		if err != nil {
-			return EpochStats{}, err
+		var profile perf.Profile
+		if obs != nil {
+			phase := perf.PhaseTrain
+			if init {
+				phase = perf.PhaseInit
+			}
+			var err error
+			profile, err = r.Sampler.EpochProfile(perfRng, tr, h, sys, phase, duration)
+			if err != nil {
+				return EpochStats{}, err
+			}
 		}
 		series, err := r.Power.Series(powerRng, sys, computeFrac, duration)
 		if err != nil {
@@ -512,19 +527,18 @@ func (r *Runner) RunWithCacheKey(w workload.Workload, h params.Hyper, sys params
 			TrainLoss: trainLoss,
 			Accuracy:  acc,
 			EnergyJ:   joules,
-			Profile:   profile,
 		}
 		r.record(seed, w, s, series)
+		res.Epochs = append(res.Epochs, s)
+		res.EnergyJ += joules
+		s.Profile = profile
 		return s, nil
 	}
 
 	// Init phase (Figure 2's "Init." column).
-	initStats, err := runPhase(0, true, 0, 0)
-	if err != nil {
+	if _, err := runPhase(0, true, 0, 0); err != nil {
 		return nil, fmt.Errorf("trainer: init phase: %w", err)
 	}
-	res.Epochs = append(res.Epochs, initStats)
-	res.EnergyJ += initStats.EnergyJ
 
 	for epoch := 1; epoch <= h.Epochs; epoch++ {
 		p, err := epochValues(epoch)
@@ -535,8 +549,6 @@ func (r *Runner) RunWithCacheKey(w workload.Workload, h params.Hyper, sys params
 		if err != nil {
 			return nil, fmt.Errorf("trainer: epoch %d: %w", epoch, err)
 		}
-		res.Epochs = append(res.Epochs, s)
-		res.EnergyJ += s.EnergyJ
 		res.Accuracy = p.Acc
 
 		if obs != nil {

@@ -1,6 +1,7 @@
 package trainer
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -26,12 +27,26 @@ func fastHyper() params.Hyper {
 	return h
 }
 
+// TestRunProducesEpochs also pins the profile rule: a PMU profile is an
+// epoch-boundary observation — an observer sees all 58 events on every
+// epoch, and the result the trial returns retains none of them.
 func TestRunProducesEpochs(t *testing.T) {
 	r := fastRunner()
 	h := fastHyper()
-	res, err := r.Run(lenetMNIST, h, params.DefaultSysConfig(), 1, nil)
+	var observed []int
+	obs := ObserverFunc(func(_ uint64, _ workload.Workload, _ params.Hyper, s EpochStats) *params.SysConfig {
+		if len(s.Profile) != perf.NumEvents {
+			t.Errorf("epoch %d: observer handed a %d-event profile, want %d", s.Epoch, len(s.Profile), perf.NumEvents)
+		}
+		observed = append(observed, s.Epoch)
+		return nil
+	})
+	res, err := r.Run(lenetMNIST, h, params.DefaultSysConfig(), 1, obs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(observed, []int{1, 2, 3}) {
+		t.Fatalf("observer saw epochs %v, want [1 2 3]", observed)
 	}
 	// init + 3 epochs
 	if len(res.Epochs) != 4 {
@@ -47,8 +62,10 @@ func TestRunProducesEpochs(t *testing.T) {
 		if e.Duration <= 0 || e.EnergyJ <= 0 {
 			t.Fatalf("epoch %d has non-positive duration/energy: %+v", e.Epoch, e)
 		}
-		if len(e.Profile) != perf.NumEvents {
-			t.Fatalf("epoch %d profile has %d events", e.Epoch, len(e.Profile))
+	}
+	for _, e := range res.Epochs {
+		if e.Profile != nil {
+			t.Fatalf("epoch %d: result retains a %d-event profile", e.Epoch, len(e.Profile))
 		}
 	}
 	if res.Accuracy <= 0.2 {
@@ -56,6 +73,36 @@ func TestRunProducesEpochs(t *testing.T) {
 	}
 	if res.Duration <= 0 {
 		t.Fatal("zero total duration")
+	}
+
+	// Observing never changes what a trial returns: the profile draws come
+	// from a stream nothing else reads.
+	unobserved, err := fastRunner().Run(lenetMNIST, h, params.DefaultSysConfig(), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, unobserved) {
+		t.Fatal("an unobserved trial's result differs from the observed one")
+	}
+}
+
+// TestCacheHitTrialAllocs is the hard gate on the simulation half: a
+// replayed (cache-hit), unobserved trial samples no PMU profile, so what
+// it allocates is the result, the RNG streams and one power series per
+// phase — not a vector per one-second sample.
+func TestCacheHitTrialAllocs(t *testing.T) {
+	r := cachedRunner(0)
+	h := fastHyper()
+	sys := params.DefaultSysConfig()
+	key := r.PrefixKey(lenetMNIST, h, 5)
+	run := func() {
+		if _, err := r.RunWithCacheKey(lenetMNIST, h, sys, 5, nil, key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // miss: trains and fills the cache
+	if allocs := testing.AllocsPerRun(50, run); allocs > 20 {
+		t.Fatalf("cache-hit trial allocates %.0f objects, gate is 20", allocs)
 	}
 }
 
