@@ -158,7 +158,9 @@ type JobStatus struct {
 	PredictedDuration float64 `json:"predictedDuration,omitempty"`
 	// Result is set once State is "done" — on single-job surfaces (GET
 	// /v1/jobs/{id}, DELETE). The list endpoint returns summaries without
-	// results: fetch the job by ID for its trial history.
+	// results: fetch the job by ID for its trial history. It must stay the
+	// struct's last field: the service serves a done job by splicing its
+	// stored result document in at the end of the header's encoding.
 	Result *JobResult `json:"result,omitempty"`
 }
 

@@ -533,6 +533,9 @@ func TestKernelTrainingParity(t *testing.T) {
 			if StateDigest(wantState) != StateDigest(gotState) {
 				t.Fatalf("%s p=%d: state digests differ", sh.name, p)
 			}
+			if net.StateSize() != len(gotState) {
+				t.Fatalf("%s p=%d: StateSize %d, captured %d bytes", sh.name, p, net.StateSize(), len(gotState))
+			}
 		}
 	}
 }

@@ -30,6 +30,22 @@ const (
 	stateNoParam byte = 3 // ReLU, Tanh: presence recorded, no payload
 )
 
+// StateSize is the exact number of bytes CaptureState appends, so a
+// caller that retains the capture can allocate it once with no slack.
+func (n *Network) StateSize() int {
+	size := 1 + 4 // version, layer count
+	for _, l := range n.layers {
+		size++ // kind tag
+		switch l := l.(type) {
+		case *Dense:
+			size += 4 + 8*len(l.w) + 4 + 8*len(l.b)
+		case *Dropout:
+			size += 4 * 8
+		}
+	}
+	return size
+}
+
 // CaptureState appends the network's mutable training state to buf and
 // returns the extended slice.
 func (n *Network) CaptureState(buf []byte) []byte {

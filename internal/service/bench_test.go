@@ -15,8 +15,9 @@ import (
 
 // BenchmarkServiceThroughput drives the full API path in-process — HTTP
 // submit, status polling, result fetch — over a shared System, reporting
-// jobs/sec and the p50/p99 status-poll latency. The measured baseline is
-// recorded in BENCH_service.json at the repo root.
+// jobs/sec and the p50/p99 status-poll latency. The reference numbers for
+// the same path are jobs_per_s, status_read_p50_ms and
+// service.http_status_ms from `go run ./cmd/bench`.
 func BenchmarkServiceThroughput(b *testing.B) {
 	sys, err := pipetune.New(pipetune.WithSeed(42), pipetune.WithCorpusSize(64, 32))
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -84,13 +85,34 @@ func (s *Service) handleList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.Jobs())
 }
 
+// handleJob serves one job. A done job's body is byte for byte what
+// writeJSON would encode for the status with its Result attached: Result
+// is api.JobStatus's last field, so that is the small header's encoding
+// with the stored document spliced in before the closing brace.
 func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
-	st, err := s.Job(r.PathValue("id"))
+	st, doc, err := s.lookup(r.PathValue("id"))
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	if doc == nil {
+		writeJSON(w, http.StatusOK, st)
+		return
+	}
+	in := inflaters.Get().(*inflater)
+	defer inflaters.Put(in)
+	result, err := in.inflate(doc)
+	head, herr := json.Marshal(st)
+	if err := errors.Join(err, herr); err != nil {
+		writeErr(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(head[:len(head)-1])
+	_, _ = io.WriteString(w, `,"result":`)
+	_, _ = w.Write(result)
+	_, _ = io.WriteString(w, "}\n")
 }
 
 func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {

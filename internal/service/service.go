@@ -24,7 +24,10 @@
 package service
 
 import (
+	"bytes"
+	"compress/flate"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -133,6 +136,12 @@ type subscriber struct {
 }
 
 // job is the registry's unit: request, state machine, result, event log.
+//
+// A finished job is an immutable document: doc is a done job's result
+// rendered once, at the terminal transition (deflated json.Marshal bytes,
+// what the API nests in api.JobStatus), in place of a *tune.JobResult
+// graph several times the size. It is never written once set, so readers
+// copy the slice header under Service.mu and inflate outside it.
 type job struct {
 	id        string
 	req       api.JobRequest
@@ -145,7 +154,7 @@ type job struct {
 	started   time.Time
 	finished  time.Time
 	errMsg    string
-	result    *tune.JobResult
+	doc       []byte
 	trials    int
 	cancel    context.CancelFunc // non-nil while running
 	events    []api.Event        // replay log for late subscribers
@@ -163,6 +172,12 @@ type Service struct {
 	baseCtx  context.Context
 	stop     context.CancelFunc
 	shutdown sync.Once
+
+	// The daemon's one deflater (≈ 1 MB of tables at any level, so
+	// finishing jobs share it); renderMu is never held together with mu.
+	renderMu  sync.Mutex
+	renderBuf bytes.Buffer
+	deflater  *flate.Writer
 
 	mu     sync.Mutex
 	disp   *dispatcher // tenant-aware job queue; all methods under mu
@@ -255,6 +270,7 @@ func New(cfg Config) (*Service, error) {
 		return nil, err
 	}
 	s.disp = disp
+	s.deflater, _ = flate.NewWriter(nil, resultLevel) // a valid constant level cannot fail
 	s.baseCtx, s.stop = context.WithCancel(context.Background())
 	if cfg.GTPath != "" {
 		ps, err := gt.OpenPersistent(cfg.GTPath, s.gt, gt.PersistOptions{
@@ -412,7 +428,7 @@ func (s *Service) Submit(req api.JobRequest) (api.JobStatus, error) {
 	}
 	s.jobs[jb.id] = jb
 	s.order = append(s.order, jb.id)
-	st := s.statusLocked(jb, false)
+	st := s.statusLocked(jb)
 	s.mu.Unlock()
 	s.cfg.Logf("service: %s queued (%s %s tenant=%s)", jb.id, mode, req.Workload, tenant)
 	return st, nil
@@ -472,15 +488,17 @@ func (s *Service) runJob(jb *job) {
 	// before it returned, so "done" already implies durable — but so that
 	// recovery never replays more than the running jobs' records.
 	s.snapshotGT()
+	var doc []byte
 	if err == nil && res != nil {
 		s.recordSched(res)
+		doc, err = s.render(res)
 	}
 
 	s.mu.Lock()
 	jb.cancel = nil
 	switch {
 	case err == nil:
-		jb.result = res
+		jb.doc = doc
 		s.finishLocked(jb, api.StateDone, "")
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		s.finishLocked(jb, api.StateCancelled, "")
@@ -491,6 +509,74 @@ func (s *Service) runJob(jb *job) {
 	s.mu.Unlock()
 
 	s.cfg.Logf("service: %s %s", jb.id, state)
+}
+
+// resultLevel is the deflate level of a retained result, measured on the
+// Table 3 catalog (≈ 36 KB of JSON per 22-trial job): level 6 keeps
+// ≈ 4.6 KB for 0.40 ms per job, BestSpeed ≈ 5.7 KB for 0.16 ms, level 9
+// ≈ 4.5 KB for 0.52 ms — paid once, then retained and read many times.
+const resultLevel = flate.DefaultCompression // level 6
+
+// render turns a finished job's result into its document, outside s.mu.
+func (s *Service) render(res *tune.JobResult) ([]byte, error) {
+	raw, err := json.Marshal(res)
+	if err != nil {
+		return nil, fmt.Errorf("service: render result: %w", err)
+	}
+	s.renderMu.Lock()
+	defer s.renderMu.Unlock()
+	s.renderBuf.Reset()
+	s.deflater.Reset(&s.renderBuf)
+	_, _ = s.deflater.Write(raw) // renderBuf cannot fail a write
+	_ = s.deflater.Close()
+	return bytes.Clone(s.renderBuf.Bytes()), nil
+}
+
+// inflater is the pooled read side of a document: a flate reader and the
+// buffer it fills, so a read allocates nothing the size of the result.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser
+	out bytes.Buffer
+}
+
+var inflaters = sync.Pool{New: func() any {
+	in := new(inflater)
+	in.fr = flate.NewReader(&in.src)
+	return in
+}}
+
+// inflate returns the JSON of doc, valid until in goes back to the pool —
+// in full or not at all: a corrupt document is never half a response.
+func (in *inflater) inflate(doc []byte) ([]byte, error) {
+	in.src.Reset(doc)
+	in.out.Reset()
+	_ = in.fr.(flate.Resetter).Reset(&in.src, nil) // flate's Reset never fails
+	if _, err := in.out.ReadFrom(in.fr); err != nil {
+		return nil, fmt.Errorf("service: stored result unreadable: %v", err)
+	}
+	return in.out.Bytes(), nil
+}
+
+// withResult attaches a done job's result (doc is nil for any other) by
+// decoding the document into a graph of the caller's own: no two callers
+// share memory, so none can corrupt what a later one reads.
+func withResult(st api.JobStatus, doc []byte) (api.JobStatus, error) {
+	if doc == nil {
+		return st, nil
+	}
+	in := inflaters.Get().(*inflater)
+	defer inflaters.Put(in)
+	raw, err := in.inflate(doc)
+	if err != nil {
+		return st, err
+	}
+	res := new(tune.JobResult)
+	if err := json.Unmarshal(raw, res); err != nil {
+		return st, fmt.Errorf("service: stored result unreadable: %v", err)
+	}
+	st.Result = res
+	return st, nil
 }
 
 // recordSched publishes a finished job's placement and spot-recovery
@@ -565,6 +651,9 @@ func (s *Service) finishLocked(jb *job, state api.JobState, errMsg string) {
 	jb.errMsg = errMsg
 	jb.finished = time.Now().UTC()
 	s.appendEventLocked(jb, api.Event{Type: api.EventState, JobID: jb.id, State: state, Error: errMsg})
+	// The replay log is final: an exact-size copy gives back the append
+	// slack (up to 2×) the job would otherwise carry while it is retained.
+	jb.events = append(make([]api.Event, 0, len(jb.events)), jb.events...)
 	for sub := range jb.subs {
 		close(sub.ch)
 		delete(jb.subs, sub)
@@ -679,12 +768,11 @@ func (s *Service) Subscribe(id string) (*Subscription, error) {
 	return su, nil
 }
 
-// statusLocked renders a job's API view. withResult controls whether a
-// done job's result is attached (as a deep copy — see below): single-job
-// surfaces carry it, the list endpoint stays a summary so listing 1024
-// retained jobs does not copy every trial history under s.mu. Callers
-// hold s.mu.
-func (s *Service) statusLocked(jb *job, withResult bool) api.JobStatus {
+// statusLocked renders a job's API view without its result — a handful of
+// small fields, all that is ever copied under s.mu. Single-job surfaces
+// attach a done job's result outside the lock (withResult, or the HTTP
+// handler's splice of the stored document). Callers hold s.mu.
+func (s *Service) statusLocked(jb *job) api.JobStatus {
 	st := api.JobStatus{
 		ID:                jb.id,
 		State:             jb.state,
@@ -709,24 +797,27 @@ func (s *Service) statusLocked(jb *job, withResult bool) api.JobStatus {
 		t := jb.finished
 		st.Finished = &t
 	}
-	if withResult && jb.state == api.StateDone {
-		// Deep copy: the registry keeps mutating-capable ownership of the
-		// result (and hands it to every caller), so sharing the pointer
-		// would let one API consumer corrupt what all later ones read.
-		st.Result = jb.result.Clone()
-	}
 	return st
 }
 
-// Job returns one job's status (with result once done).
-func (s *Service) Job(id string) (api.JobStatus, error) {
+// lookup returns one job's status and, once it is done, its document.
+func (s *Service) lookup(id string) (api.JobStatus, []byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	jb, ok := s.jobs[id]
 	if !ok {
-		return api.JobStatus{}, ErrNotFound
+		return api.JobStatus{}, nil, ErrNotFound
 	}
-	return s.statusLocked(jb, true), nil
+	return s.statusLocked(jb), jb.doc, nil
+}
+
+// Job returns one job's status (with result once done).
+func (s *Service) Job(id string) (api.JobStatus, error) {
+	st, doc, err := s.lookup(id)
+	if err != nil {
+		return st, err
+	}
+	return withResult(st, doc)
 }
 
 // Jobs lists every job in submission order.
@@ -735,7 +826,7 @@ func (s *Service) Jobs() []api.JobStatus {
 	defer s.mu.Unlock()
 	out := make([]api.JobStatus, 0, len(s.order))
 	for _, id := range s.order {
-		out = append(out, s.statusLocked(s.jobs[id], false))
+		out = append(out, s.statusLocked(s.jobs[id]))
 	}
 	return out
 }
@@ -753,12 +844,16 @@ func (s *Service) Cancel(id string) (api.JobStatus, error) {
 	}
 	switch {
 	case jb.state.Terminal():
-		st := s.statusLocked(jb, true)
+		st, doc := s.statusLocked(jb), jb.doc
 		s.mu.Unlock()
-		return st, ErrTerminal
+		st, err := withResult(st, doc)
+		if err == nil {
+			err = ErrTerminal
+		}
+		return st, err
 	case jb.state == api.StateQueued:
 		s.finishLocked(jb, api.StateCancelled, "")
-		st := s.statusLocked(jb, true)
+		st := s.statusLocked(jb)
 		s.mu.Unlock()
 		s.cfg.Logf("service: %s cancelled while queued", id)
 		return st, nil
@@ -766,7 +861,7 @@ func (s *Service) Cancel(id string) (api.JobStatus, error) {
 		if jb.cancel != nil {
 			jb.cancel()
 		}
-		st := s.statusLocked(jb, true)
+		st := s.statusLocked(jb)
 		s.mu.Unlock()
 		return st, nil
 	}

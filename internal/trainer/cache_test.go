@@ -133,6 +133,29 @@ func TestTrialCacheCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestCheckpointBlobsAreExactSize pins what makes the byte cap strict in
+// resident bytes, not only in accounted ones: size() charges len(data),
+// so a retained blob must carry no capacity beyond it.
+func TestCheckpointBlobsAreExactSize(t *testing.T) {
+	sys := params.DefaultSysConfig()
+	for _, w := range workload.Catalog() {
+		cr := cachedRunner(0)
+		h := fastHyper()
+		h.Epochs = 1
+		mustRun(t, cr, w, h, sys, 11, nil)
+		h.Epochs = 2 // resumes from the epoch-1 checkpoint, replaces it
+		mustRun(t, cr, w, h, sys, 11, nil)
+		for key, e := range cr.Cache.entries {
+			if len(e.ckpt.data) == 0 {
+				t.Fatalf("%s: entry %q has no checkpoint", w.Name(), key)
+			}
+			if cap(e.ckpt.data) != len(e.ckpt.data) {
+				t.Errorf("%s: checkpoint blob len %d, cap %d", w.Name(), len(e.ckpt.data), cap(e.ckpt.data))
+			}
+		}
+	}
+}
+
 // TestTrialCacheEviction pins the byte-cap discipline: a cache far too
 // small for its working set evicts LRU entries and never exceeds the cap.
 func TestTrialCacheEviction(t *testing.T) {

@@ -346,9 +346,11 @@ const ckptVersion = 1
 const ckptHeaderLen = 1 + 4*8
 
 // captureCheckpoint serializes the state a resumed run needs: the shuffle
-// RNG stream position and the network's mutable training state.
+// RNG stream position and the network's mutable training state. The blob
+// is allocated once at its exact size: the trial cache retains it and
+// charges len(data) against its byte cap, so cap(data) must not exceed it.
 func captureCheckpoint(net *nn.Network, shuffle *xrand.Source) []byte {
-	buf := make([]byte, 0, 1024)
+	buf := make([]byte, 0, ckptHeaderLen+net.StateSize())
 	buf = append(buf, ckptVersion)
 	for _, v := range shuffle.State() {
 		buf = binary.LittleEndian.AppendUint64(buf, v)
