@@ -171,28 +171,33 @@ func newRemoteMetrics(reg *metrics.Registry) *remoteMetrics {
 
 // ingestSeriesLocked folds one worker's cumulative snapshot into the
 // fleet aggregates. Callers hold r.mu; w is the active registration
-// the snapshot arrived on.
+// the snapshot arrived on. The series move together in one registry
+// Update: readers pair them (trials against epoch observations is how
+// a scraper tells that a worker's trials have all been delivered), so a
+// scrape must never show the new trial count beside the old sketches.
 func (r *Remote) ingestSeriesLocked(w *workerEntry, cur WorkerSeries) {
 	prev := w.series
 	name := w.name
 	if name == "" {
 		name = w.id
 	}
-	if d := cur.Trials - prev.Trials; cur.Trials > prev.Trials {
-		r.met.workerTrials.With(name).Add(d)
-	}
-	if d := cur.Epochs - prev.Epochs; cur.Epochs > prev.Epochs {
-		r.met.workerEpochs.With(name).Add(d)
-	}
-	if d := cur.EncodeErrors - prev.EncodeErrors; cur.EncodeErrors > prev.EncodeErrors {
-		r.met.workerErrors.With(name, "encode").Add(d)
-	}
-	if d := cur.DecodeErrors - prev.DecodeErrors; cur.DecodeErrors > prev.DecodeErrors {
-		r.met.workerErrors.With(name, "decode").Add(d)
-	}
-	r.met.workerTrialSeconds.With(name).Merge(cur.TrialSeconds.Delta(prev.TrialSeconds))
-	r.met.workerTrainEpochSeconds.With(name).Merge(cur.TrainEpochSeconds.Delta(prev.TrainEpochSeconds))
-	r.met.workerEvalSeconds.With(name).Merge(cur.EvalSeconds.Delta(prev.EvalSeconds))
+	r.met.reg.Update(func() {
+		if d := cur.Trials - prev.Trials; cur.Trials > prev.Trials {
+			r.met.workerTrials.With(name).Add(d)
+		}
+		if d := cur.Epochs - prev.Epochs; cur.Epochs > prev.Epochs {
+			r.met.workerEpochs.With(name).Add(d)
+		}
+		if d := cur.EncodeErrors - prev.EncodeErrors; cur.EncodeErrors > prev.EncodeErrors {
+			r.met.workerErrors.With(name, "encode").Add(d)
+		}
+		if d := cur.DecodeErrors - prev.DecodeErrors; cur.DecodeErrors > prev.DecodeErrors {
+			r.met.workerErrors.With(name, "decode").Add(d)
+		}
+		r.met.workerTrialSeconds.With(name).Merge(cur.TrialSeconds.Delta(prev.TrialSeconds))
+		r.met.workerTrainEpochSeconds.With(name).Merge(cur.TrainEpochSeconds.Delta(prev.TrainEpochSeconds))
+		r.met.workerEvalSeconds.With(name).Merge(cur.EvalSeconds.Delta(prev.EvalSeconds))
+	})
 	w.series = cur
 }
 

@@ -1,8 +1,11 @@
 package exec
 
 import (
+	"bytes"
 	"context"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -130,6 +133,83 @@ func TestIngestWorkerSeriesDeltas(t *testing.T) {
 	// Unknown workers are rejected.
 	if err := r.IngestWorkerSeries("nope", snap(1, 1)); err == nil {
 		t.Fatal("unknown worker must be rejected")
+	}
+}
+
+// TestIngestIsAtomicToScrapes hammers heartbeat ingests against both
+// scrape forms. Every shipped snapshot has exactly one epoch observation
+// per trial, so a scrape that shows a worker's trial count beside a
+// different epoch-observation count caught an ingest half-applied — the
+// torn read that let a scraper using trials as its "all delivered"
+// barrier see epochs arrive late.
+func TestIngestIsAtomicToScrapes(t *testing.T) {
+	r := newTestRemote(t, nil)
+	reg := r.MetricsRegistry()
+	resp, err := r.Register(RegisterRequest{Name: "w1", Capacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const beats = 3000
+	done := make(chan error, 1)
+	go func() {
+		epochs := metrics.NewDistribution()
+		for n := uint64(1); n <= beats; n++ {
+			epochs.Observe(0.01)
+			s := WorkerSeries{Trials: n, Epochs: n, TrainEpochSeconds: epochs.Snapshot()}
+			if err := r.IngestWorkerSeries(resp.WorkerID, s); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	textValue := func(text, series string) uint64 {
+		_, rest, ok := strings.Cut(text, series+" ")
+		if !ok {
+			return 0
+		}
+		line, _, _ := strings.Cut(rest, "\n")
+		v, err := strconv.ParseUint(line, 10, 64)
+		if err != nil {
+			t.Fatalf("%s: %v", series, err)
+		}
+		return v
+	}
+	for scrapes := 0; ; scrapes++ {
+		var trials, epochs uint64
+		if scrapes%2 == 0 {
+			for _, f := range reg.Snapshot().Families {
+				for _, smp := range f.Samples {
+					switch f.Name {
+					case "pipetune_worker_trials_total":
+						trials += uint64(smp.Value)
+					case "pipetune_worker_train_epoch_seconds":
+						epochs += smp.Count
+					}
+				}
+			}
+		} else {
+			var buf bytes.Buffer
+			if err := reg.WritePrometheus(&buf); err != nil {
+				t.Fatal(err)
+			}
+			trials = textValue(buf.String(), `pipetune_worker_trials_total{worker="w1"}`)
+			epochs = textValue(buf.String(), `pipetune_worker_train_epoch_seconds_count{worker="w1"}`)
+		}
+		if trials != epochs {
+			t.Fatalf("scrape %d: %d trials beside %d epoch observations", scrapes, trials, epochs)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if trials = sumCounterFamily(t, reg, "pipetune_worker_trials_total"); trials != beats {
+				t.Fatalf("%d trials ingested, want %d", trials, beats)
+			}
+			return
+		default:
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package metrics
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -44,7 +44,7 @@ func escapeHelp(v string) string {
 
 // writeLabels renders {k="v",...}; extra appends one synthetic pair
 // (the summary quantile label).
-func writeLabels(w *bufio.Writer, names, values []string, extraName, extraValue string) {
+func writeLabels(w *bytes.Buffer, names, values []string, extraName, extraValue string) {
 	if len(names) == 0 && extraName == "" {
 		return
 	}
@@ -72,19 +72,30 @@ func writeLabels(w *bufio.Writer, names, values []string, extraName, extraValue 
 	w.WriteByte('}')
 }
 
-func writeFloat(w *bufio.Writer, v float64) {
+func writeFloat(w *bytes.Buffer, v float64) {
 	w.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
 }
 
 // WritePrometheus renders the registry in Prometheus text exposition
 // format (version 0.0.4): families sorted by name, each with HELP and
 // TYPE lines; series within a family sorted by label values;
-// distributions as summaries with quantile/_sum/_count series.
+// distributions as summaries with quantile/_sum/_count series. The
+// text is rendered in memory first: a pass torn by a multi-series
+// Update is discarded and redone (see consistent), never half-sent.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	bw := bufio.NewWriter(w)
+	var bw bytes.Buffer
+	r.consistent(func() {
+		bw.Reset()
+		r.writePrometheus(&bw)
+	})
+	_, err := w.Write(bw.Bytes())
+	return err
+}
+
+func (r *Registry) writePrometheus(bw *bytes.Buffer) {
 	for _, f := range r.sortedFamilies() {
 		fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
@@ -125,7 +136,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			}
 		}
 	}
-	return bw.Flush()
 }
 
 // Handler serves the text exposition at GET.
@@ -165,12 +175,18 @@ type RegistrySnapshot struct {
 
 // Snapshot captures every family and series. Families and series come
 // out in exposition order (sorted), so consecutive snapshots diff
-// cleanly.
+// cleanly, and no multi-series Update is half-visible in one.
 func (r *Registry) Snapshot() RegistrySnapshot {
 	var snap RegistrySnapshot
 	if r == nil {
 		return snap
 	}
+	r.consistent(func() { snap = r.snapshot() })
+	return snap
+}
+
+func (r *Registry) snapshot() RegistrySnapshot {
+	var snap RegistrySnapshot
 	for _, f := range r.sortedFamilies() {
 		fam := Family{Name: f.name, Help: f.help, Kind: f.kind.String()}
 		for _, c := range f.sortedChildren() {

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -168,12 +169,61 @@ type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
 	maxCard  int
+
+	// seq is odd while an Update is in flight and updMu serialises
+	// Updates; together they make a multi-series update atomic with
+	// respect to a scrape (see Update and consistent).
+	seq   atomic.Uint64
+	updMu sync.Mutex
 }
 
 // NewRegistry returns an empty registry with the default cardinality
 // budget.
 func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family), maxCard: DefaultMaxCardinality}
+}
+
+// Update runs fn, a group of writes to several series that a scrape
+// must show all of or none of — a worker's trial count and the sketches
+// shipped with it, which readers pair up. Writes to a single series need
+// no Update and take no lock; fn must not call Update, Snapshot or
+// WritePrometheus on the same registry.
+func (r *Registry) Update(fn func()) {
+	if r == nil {
+		fn()
+		return
+	}
+	r.updMu.Lock()
+	defer r.updMu.Unlock()
+	r.seq.Add(1)
+	defer r.seq.Add(1)
+	fn()
+}
+
+// tornWalks is how many times a scrape retries optimistically before it
+// makes Updates wait for it.
+const tornWalks = 3
+
+// consistent runs walk — one scrape's pass over every series, which must
+// start its output afresh each time it is called — so that no Update
+// overlaps the pass it keeps. It first walks without a lock and keeps
+// the pass if the sequence counter was even and unchanged around it, so
+// a scrape never delays the execution plane's heartbeat ingest; only
+// after tornWalks overlapped passes (ingests arriving faster than a walk
+// takes) does it hold Updates off for one walk.
+func (r *Registry) consistent(walk func()) {
+	for i := 0; i < tornWalks; i++ {
+		if v := r.seq.Load(); v&1 == 0 {
+			walk()
+			if r.seq.Load() == v {
+				return
+			}
+		}
+		runtime.Gosched()
+	}
+	r.updMu.Lock()
+	defer r.updMu.Unlock()
+	walk()
 }
 
 // family is one named metric: help text, kind, label schema and its

@@ -301,3 +301,62 @@ func BenchmarkWritePrometheus(b *testing.B) {
 		_ = r.WritePrometheus(&sb)
 	}
 }
+
+// TestUpdateIsAtomicToScrapes pins Update's contract in the registry
+// itself, with writers so dense that scrapes mostly end in the
+// pessimistic fallback: two series that only ever move together inside
+// an Update never differ in a snapshot or an exposition, while a
+// single-series writer outside any Update is neither blocked nor lost.
+func TestUpdateIsAtomicToScrapes(t *testing.T) {
+	r := NewRegistry()
+	a := r.Counter("test_pair_a_total", "First of a pair.")
+	b := r.Distribution("test_pair_b_seconds", "Second of a pair.")
+	solo := r.Counter("test_solo_total", "Written outside Update.")
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r.Update(func() {
+					a.Inc()
+					b.Observe(0.5)
+				})
+				solo.Inc()
+			}
+		}()
+	}
+	for i := 0; i < 300; i++ {
+		var av, bv uint64
+		for _, f := range r.Snapshot().Families {
+			switch f.Name {
+			case "test_pair_a_total":
+				av = uint64(f.Samples[0].Value)
+			case "test_pair_b_seconds":
+				bv = f.Samples[0].Count
+			}
+		}
+		if av != bv {
+			t.Fatalf("snapshot %d: pair torn, %d vs %d", i, av, bv)
+		}
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		values := lintExposition(t, sb.String())
+		if values["test_pair_a_total"] != values["test_pair_b_seconds_count"] {
+			t.Fatalf("exposition %d: pair torn, %v vs %v", i, values["test_pair_a_total"], values["test_pair_b_seconds_count"])
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if a.Value() != b.Count() || solo.Value() != a.Value() {
+		t.Fatalf("after the hammer: a=%d b=%d solo=%d, want all equal", a.Value(), b.Count(), solo.Value())
+	}
+}

@@ -1,0 +1,106 @@
+package nn
+
+import "math"
+
+// term is one non-zero contribution to an accumulate call: the scalar v
+// and the element offset of the row of w it scales. The layout (16
+// bytes, v first) is read by accumAsm.
+type term struct {
+	v   float64
+	off int
+}
+
+const (
+	// maxTerms bounds one accumulate call's term list, which lives in a
+	// fixed-size stack scratch (1 KiB). A power of two: the compaction
+	// loop masks its write index with maxTerms-1.
+	maxTerms = 64
+	// panelElems sizes the k-chunk: the rows of w one chunk touches
+	// (chunk × row stride float64s, 24 KiB) stay in L1 while every
+	// output row of the shard accumulates them.
+	panelElems = 3072
+)
+
+// accumGeneric computes o[j] += Σ_t ts[t].v · w[ts[t].off+j], t
+// ascending, holding four o[j] in locals across all terms. Per element
+// it is the straight loop's sequence of one rounded multiply and one
+// rounded add per term — the float64 conversion forbids the fused
+// multiply-add some targets would otherwise emit — so it is the
+// reference accumAsm is compared with, and the only path off amd64.
+func accumGeneric(o, w []float64, ts []term) {
+	j := 0
+	for ; j+4 <= len(o); j += 4 {
+		a0, a1, a2, a3 := o[j], o[j+1], o[j+2], o[j+3]
+		for _, t := range ts {
+			r := w[t.off+j : t.off+j+4]
+			a0 += float64(t.v * r[0])
+			a1 += float64(t.v * r[1])
+			a2 += float64(t.v * r[2])
+			a3 += float64(t.v * r[3])
+		}
+		o[j], o[j+1], o[j+2], o[j+3] = a0, a1, a2, a3
+	}
+	for ; j < len(o); j++ {
+		a := o[j]
+		for _, t := range ts {
+			a += float64(t.v * w[t.off+j])
+		}
+		o[j] = a
+	}
+}
+
+// compact writes the non-zero ones of the cnt values a[0], a[ak],
+// a[2·ak], … to ts in order, each with the offset of its row of w (off,
+// off+ws, …), and returns how many it kept. It always writes and
+// advances only past a non-zero: bits<<1 is zero exactly for ±0, and
+// (b|-b)>>63 is its "non-zero" bit without a data-dependent branch —
+// post-ReLU and dropped-out rows are 50–75 % zeros, unpredictably placed.
+//
+// Its own function so the loop's live values stay in registers, and ts
+// a slice rather than the array's pointer: indexing through the pointer
+// nil-checks with a load of ts[0] every iteration, which the stores to
+// ts[0] (until the first non-zero) make a memory-ordering hazard that
+// doubled the loop's cost on sparse rows.
+//
+//go:noinline
+func compact(ts []term, a []float64, ak, cnt, off, ws int) int {
+	ts = ts[:maxTerms]
+	nt := 0
+	for i := 0; cnt > 0; cnt-- {
+		v := a[i]
+		i += ak
+		ts[nt&(maxTerms-1)] = term{v, off}
+		off += ws
+		b := math.Float64bits(v) << 1
+		nt += int((b | -b) >> 63)
+	}
+	return nt
+}
+
+// accumRows is the one loop nest behind Dense forward, dx and gw. For
+// every output row r in [lo, hi) it computes
+//
+//	o[r*os+j] += Σ_k a[r*ar+k*ak] · w[k*ws+j]    j in [0, n), k in [0, kn) ascending
+//
+// skipping the terms whose a is ±0 (NaN is kept — the rule the straight
+// loops' `== 0 → continue` had; see Dense.Backward for why skipping is
+// bit-exact). The k range is cut into chunks whose w panel fits L1; per
+// (chunk, row) the non-zero terms are compacted once, branch-free, into
+// a stack list and handed to accum, which keeps o's columns in
+// registers across the list. Chunks ascend, so every o element still
+// sees its terms in ascending k: the result is bit-identical to the
+// per-term axpy nests this replaces, at any chunk size.
+func accumRows(o []float64, os, n int, a []float64, ar, ak, kn int, w []float64, ws, lo, hi int) {
+	if n == 0 {
+		return
+	}
+	kc := min(max(panelElems/ws, 8), maxTerms)
+	var ts [maxTerms]term
+	for k0 := 0; k0 < kn; k0 += kc {
+		k1 := min(k0+kc, kn)
+		for r := lo; r < hi; r++ {
+			nt := compact(ts[:], a[r*ar+k0*ak:], ak, k1-k0, k0*ws, ws)
+			accum(o[r*os:r*os+n], w, ts[:nt])
+		}
+	}
+}

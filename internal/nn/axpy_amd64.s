@@ -1,3 +1,5 @@
+//go:build amd64 && !noasm
+
 // Packed compute kernels. Each lane performs exactly the scalar
 // operation sequence of the portable Go loops — multiply-then-add for
 // axpy (never FMA), compare-then-mask for ReLU — and every output

@@ -1,9 +1,12 @@
-//go:build !amd64
+//go:build !amd64 || noasm
 
 package nn
 
-// Non-amd64 platforms use the portable loops (bit-identical to the
-// assembly kernels by construction).
+// Off amd64, and on it under the noasm tag (how CI runs the parity
+// suites over this file), the kernels are the portable loops —
+// bit-identical to the assembly by construction.
+
+func accum(o, w []float64, ts []term) { accumGeneric(o, w, ts) }
 
 func axpy(o, w []float64, a float64) { axpyGeneric(o, w, a) }
 

@@ -48,24 +48,45 @@ func BenchmarkEvaluate(b *testing.B) {
 	}
 }
 
-// BenchmarkKernels times the blocked Dense kernels in isolation at the
-// zoo's dominant shapes (LeNet first layer, CNN embedding layer).
+// BenchmarkKernels times the Dense kernels in isolation at the zoo's
+// dominant shapes: the LeNet first layer, the widest CNN embedding
+// layer, the text models' first layer on real News20 rows (bag-of-words
+// counts, ≈ 97 % zeros: compaction, not arithmetic, is what it costs),
+// and a batch-1024 backward, the top of the batch-size grid, where g no
+// longer fits L1 and gw depends on the k-tiling.
 func BenchmarkKernels(b *testing.B) {
+	news, _, err := dataset.Generate(workload.Workload{Model: workload.CNN, Dataset: workload.News20}, 1,
+		dataset.Config{TrainSize: 256, TestSize: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
 	shapes := []struct {
 		name          string
 		rows, in, out int
+		set           *dataset.Set // input rows; nil draws them dense from [-1, 1)
 	}{
-		{"dense-fwd-32x64x48", 32, 64, 48},
-		{"dense-fwd-32x128x300", 32, 128, 300},
+		{"dense-fwd-32x64x48", 32, 64, 48, nil},
+		{"dense-fwd-32x128x300", 32, 128, 300, nil},
+		{"dense-fwd-256x128x100-news20", 256, news.Dim, 100, news},
+		{"dense-fwd-1024x64x48", 1024, 64, 48, nil},
 	}
 	for _, sh := range shapes {
-		b.Run(sh.name, func(b *testing.B) {
-			r := xrand.New(1)
-			d := NewDense(sh.in, sh.out, r)
+		input := func(r *xrand.Source) *Batch {
 			x := &Batch{Data: make([]float64, sh.rows*sh.in), Rows: sh.rows, Cols: sh.in}
 			for i := range x.Data {
 				x.Data[i] = r.Range(-1, 1)
 			}
+			if sh.set != nil {
+				for s := 0; s < sh.rows; s++ {
+					copy(x.Row(s), sh.set.Samples[s].Features)
+				}
+			}
+			return x
+		}
+		b.Run(sh.name, func(b *testing.B) {
+			r := xrand.New(1)
+			d := NewDense(sh.in, sh.out, r)
+			x := input(r)
 			d.Forward(x, true)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -75,11 +96,8 @@ func BenchmarkKernels(b *testing.B) {
 		b.Run(sh.name[:6]+"bwd"+sh.name[9:], func(b *testing.B) {
 			r := xrand.New(1)
 			d := NewDense(sh.in, sh.out, r)
-			x := &Batch{Data: make([]float64, sh.rows*sh.in), Rows: sh.rows, Cols: sh.in}
+			x := input(r)
 			g := &Batch{Data: make([]float64, sh.rows*sh.out), Rows: sh.rows, Cols: sh.out}
-			for i := range x.Data {
-				x.Data[i] = r.Range(-1, 1)
-			}
 			for i := range g.Data {
 				g.Data[i] = r.Range(-1, 1)
 			}

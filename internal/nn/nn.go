@@ -16,8 +16,9 @@
 //
 // Compute kernels: every tensor lives in one contiguous row-major
 // []float64 (Batch), every layer owns pre-sized scratch arenas reused
-// across batches and epochs, and the hot loops are written as blocked,
-// unrolled kernels — so the train/eval steady state allocates nothing.
+// across batches and epochs, and the dense layers run on one
+// register-accumulating kernel (accum.go) — so the train/eval steady
+// state allocates nothing.
 // The float64 operation sequence of every result element is kept exactly
 // as the naive reference implementation produced it (see
 // reference_test.go), because downstream planes — the trial prefix
@@ -85,32 +86,24 @@ func (b *Batch) resize(rows, cols int) {
 // preallocation in Build.
 const evalChunk = 256
 
-// sampleBlock is the row-block width of the blocked Dense forward kernel:
-// one weight row is streamed through up to this many samples before the
-// next is touched, so the weight matrix is read once per block instead of
-// once per sample. Blocking only reorders *which independent output
-// element* is computed when — each element's own accumulation order over
-// inputs is unchanged, keeping results bit-identical to the straight
-// loops.
-const sampleBlock = 16
-
 // axpyGeneric computes o[j] += xi * w[j] for all j, unrolled 4-wide.
 // Every o[j] is an independent accumulator, so unrolling changes no
 // per-element addition order: results are bit-identical to the straight
-// loop. On amd64 the axpy entry point dispatches to packed SSE2/AVX
-// kernels with the same per-element operation sequence (axpy_amd64.s);
-// elsewhere axpy is this function.
+// loop (the float64 conversions keep a target with FMA from fusing the
+// rounded product away). On amd64 the axpy entry point dispatches to
+// packed SSE2/AVX kernels with the same per-element operation sequence
+// (axpy_amd64.s); elsewhere axpy is this function.
 func axpyGeneric(o, w []float64, xi float64) {
 	w = w[:len(o)]
 	j := 0
 	for ; j+4 <= len(o); j += 4 {
-		o[j] += xi * w[j]
-		o[j+1] += xi * w[j+1]
-		o[j+2] += xi * w[j+2]
-		o[j+3] += xi * w[j+3]
+		o[j] += float64(xi * w[j])
+		o[j+1] += float64(xi * w[j+1])
+		o[j+2] += float64(xi * w[j+2])
+		o[j+3] += float64(xi * w[j+3])
 	}
 	for ; j < len(o); j++ {
-		o[j] += xi * w[j]
+		o[j] += float64(xi * w[j])
 	}
 }
 
@@ -225,37 +218,16 @@ func (d *Dense) Forward(x *Batch, _ bool) *Batch {
 	return &d.out
 }
 
-// forwardRows computes o[s] = b + x[s]·w for samples [lo, hi), blocked so
-// each weight row is streamed through a block of samples. Zero inputs are
-// skipped (the text workloads are sparse); per output element the
-// additions run in ascending input order starting from the bias, exactly
-// as the reference did.
+// forwardRows computes o[s] = b + x[s]·w for samples [lo, hi): per output
+// element the additions run in ascending input order starting from the
+// bias, exactly as the reference did. Zero inputs are skipped (the text
+// workloads are sparse).
 func (d *Dense) forwardRows(lo, hi int) {
-	out, cols := d.Out, d.x.Cols
-	xd := d.x.Data
-	// Block-local row headers live on the stack: the inner loop touches
-	// each output row once per input without re-slicing the arena.
-	var rows [sampleBlock][]float64
-	for s0 := lo; s0 < hi; s0 += sampleBlock {
-		s1 := s0 + sampleBlock
-		if s1 > hi {
-			s1 = hi
-		}
-		for s := s0; s < s1; s++ {
-			rows[s-s0] = d.out.Row(s)
-			copy(rows[s-s0], d.b)
-		}
-		for i := 0; i < cols; i++ {
-			wRow := d.w[i*out : (i+1)*out]
-			for s := s0; s < s1; s++ {
-				xi := xd[s*cols+i]
-				if xi == 0 {
-					continue
-				}
-				axpy(rows[s-s0], wRow, xi)
-			}
-		}
+	for s := lo; s < hi; s++ {
+		copy(d.out.Row(s), d.b)
 	}
+	cols := d.x.Cols
+	accumRows(d.out.Data, d.Out, d.Out, d.x.Data, cols, 1, cols, d.w, d.Out, lo, hi)
 }
 
 // Backward implements Layer.
@@ -299,49 +271,28 @@ func (d *Dense) Backward(grad *Batch) *Batch {
 		// parallelism degree.
 		d.k.rows(grad.Rows, d.bwdx)
 	}
-	out := d.Out
+	// gw[i] = Σ_s x[s][i]·g[s]: the same nest with x read by column, so a
+	// gradient row is written once per sample chunk, not once per sample.
+	cols := d.x.Cols
+	accumRows(d.gw, d.Out, d.Out, d.x.Data, 1, cols, grad.Rows, grad.Data, grad.Cols, 0, cols)
 	for s := 0; s < grad.Rows; s++ {
-		g := d.g.Row(s)
-		row := d.x.Row(s)
-		for i, xi := range row {
-			if xi == 0 {
-				continue
-			}
-			axpy(d.gw[i*out:(i+1)*out], g, xi)
-		}
-		for j, gj := range g {
+		for j, gj := range grad.Row(s) {
 			d.gb[j] += gj
 		}
 	}
 	return &d.dx
 }
 
-// backwardRows computes dx[s][i] = w[i]·g[s] for samples [lo, hi) as a
-// sweep of axpy rows over the transposed weights: dx[s] accumulates
-// wt[j]·g[s][j] in ascending j, so each dx[s][i] sums its terms in
-// exactly the reference's single-accumulator order — but on the packed
-// throughput-bound kernel instead of a latency-bound dot chain, and
-// skipping the (post-ReLU, frequently zero) gradient entries outright.
+// backwardRows computes dx[s][i] = w[i]·g[s] for samples [lo, hi) as
+// dx[s] = Σ_j g[s][j]·wt[j] over the transposed weights, so each dx[s][i]
+// sums its terms in exactly the reference's single-accumulator order —
+// on the throughput-bound kernel instead of a latency-bound dot chain,
+// and skipping the (post-ReLU, frequently zero) gradient entries.
 func (d *Dense) backwardRows(lo, hi int) {
 	in := d.In
-	active := d.x.Cols // input rows narrower than In contribute zeros
-	if active > in {
-		active = in
-	}
-	for s := lo; s < hi; s++ {
-		g := d.g.Row(s)
-		dxRow := d.dx.Row(s)
-		for i := range dxRow {
-			dxRow[i] = 0
-		}
-		dst := dxRow[:active]
-		for j, gj := range g {
-			if gj == 0 {
-				continue
-			}
-			axpy(dst, d.wt[j*in:j*in+active], gj)
-		}
-	}
+	active := min(d.x.Cols, in) // input rows narrower than In contribute zeros
+	clear(d.dx.Data[lo*in : hi*in])
+	accumRows(d.dx.Data, in, active, d.g.Data, d.g.Cols, 1, d.g.Cols, d.wt, in, lo, hi)
 }
 
 // Update implements Layer. w[i] -= lr*gw[i] is computed as

@@ -453,9 +453,10 @@ func randomLabels(r *xrand.Source, rows, classes int) []int {
 	return labels
 }
 
-// parityShapes exercises the blocked kernels' edge tiles: dims that are
-// not multiples of the 4-wide unroll or the 16-row sample block, batch of
-// one, and a wide layer that overflows L1 the way the CNN embedding does.
+// parityShapes exercises the kernels' edge tiles: dims that are not
+// multiples of any column-block width, batch of one, a wide layer that
+// overflows L1 the way the CNN embedding does (short k-chunks), and
+// narrow layers whose In and batch cross the longest k-chunk.
 var parityShapes = []struct {
 	name  string
 	rows  int
@@ -482,6 +483,14 @@ var parityShapes = []struct {
 	{"wide", 33, []layerSpec{
 		{kind: "dense", in: 128, out: 301}, {kind: "tanh"},
 		{kind: "dense", in: 301, out: 20},
+	}},
+	// Narrow rows give the longest k-chunk (maxTerms): In and the batch
+	// both cross it, in forward, gw and dx.
+	{"chunk-crossing", 2*maxTerms + 3, []layerSpec{
+		{kind: "dense", in: 3*maxTerms + 5, out: 24}, {kind: "relu"},
+		{kind: "dropout", rate: 0.5},
+		{kind: "dense", in: 24, out: maxTerms + 7}, {kind: "relu"},
+		{kind: "dense", in: maxTerms + 7, out: 6},
 	}},
 }
 
@@ -591,28 +600,79 @@ func TestKernelEpochParity(t *testing.T) {
 // the claim: the same seed at different degrees must evolve the same
 // bits, not just agree with the reference.
 func TestParallelismDoesNotChangeResults(t *testing.T) {
-	specs := []layerSpec{
-		{kind: "dense", in: 19, out: 11}, {kind: "relu"},
-		{kind: "dropout", rate: 0.4},
-		{kind: "dense", in: 11, out: 5},
-	}
-	var states [][]byte
-	for _, p := range []int{1, 2, 3, 8} {
-		_, net := buildPair(31, specs)
-		net.SetParallelism(p)
-		data := xrand.New(13)
-		for step := 0; step < 6; step++ {
-			x := randomBatch(data, 21, 19)
-			labels := randomLabels(data, 21, 5)
-			if _, err := net.TrainBatch(FromRows(x), labels, 0.1); err != nil {
-				t.Fatal(err)
+	for _, sh := range []struct{ rows, in, hidden, classes int }{
+		{21, 19, 11, 5},
+		{maxTerms + 9, 2*maxTerms + 1, maxTerms + 3, 5}, // shards and k-chunks both split
+	} {
+		specs := []layerSpec{
+			{kind: "dense", in: sh.in, out: sh.hidden}, {kind: "relu"},
+			{kind: "dropout", rate: 0.4},
+			{kind: "dense", in: sh.hidden, out: sh.classes},
+		}
+		var states [][]byte
+		for _, p := range []int{1, 2, 3, 8} {
+			_, net := buildPair(31, specs)
+			net.SetParallelism(p)
+			data := xrand.New(13)
+			for step := 0; step < 6; step++ {
+				x := randomBatch(data, sh.rows, sh.in)
+				labels := randomLabels(data, sh.rows, sh.classes)
+				if _, err := net.TrainBatch(FromRows(x), labels, 0.1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			states = append(states, net.CaptureState(nil))
+		}
+		for i := 1; i < len(states); i++ {
+			if !bytes.Equal(states[0], states[i]) {
+				t.Fatalf("rows=%d in=%d: parallelism degree changed trained state bits (degree set %d)", sh.rows, sh.in, i)
 			}
 		}
-		states = append(states, net.CaptureState(nil))
 	}
-	for i := 1; i < len(states); i++ {
-		if !bytes.Equal(states[0], states[i]) {
-			t.Fatalf("parallelism degree changed trained state bits (degree set %d)", i)
+}
+
+// TestDenseMatchesReference compares one Dense layer — outputs, dx, gw
+// and gb — with the reference bit for bit, standalone so that dx runs
+// (a network skips it on its first layer), on shapes where In, Out and
+// the batch cross a k-chunk and where the input rows are narrower than
+// In (dx's padded tail must come out +0).
+func TestDenseMatchesReference(t *testing.T) {
+	for _, sh := range []struct{ rows, cols, in, out int }{
+		{1, 3, 3, 2},
+		{5, 7, 7, 13},
+		{maxTerms + 6, 2*maxTerms + 3, 2*maxTerms + 3, 24}, // In and batch cross the longest chunk
+		{9, 40, 40, 3*maxTerms + 11},                       // Out crosses it in dx
+		{33, 100, 128, 301},                                // short chunks, x.Cols < In
+		{2*maxTerms + 1, 50, 64, 48},                       // long chunks, x.Cols < In
+	} {
+		for _, p := range parityDegrees {
+			ref := newRefDense(sh.in, sh.out, xrand.New(17))
+			d := NewDense(sh.in, sh.out, xrand.New(17))
+			d.setKernel(&kern{par: p})
+			data := xrand.New(5)
+			x := randomBatch(data, sh.rows, sh.cols)
+			g := randomBatch(data, sh.rows, sh.out)
+			wantOut := ref.Forward(x, true)
+			gotOut := d.Forward(FromRows(x), true)
+			wantDx := ref.Backward(g)
+			gotDx := d.Backward(FromRows(g))
+			same := func(what string, got, want []float64) {
+				t.Helper()
+				if len(got) != len(want) {
+					t.Fatalf("%+v p=%d %s: %d values, want %d", sh, p, what, len(got), len(want))
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%+v p=%d %s[%d] = %v, want %v (bitwise)", sh, p, what, i, got[i], want[i])
+					}
+				}
+			}
+			for s := 0; s < sh.rows; s++ {
+				same("out", gotOut.Row(s), wantOut[s])
+				same("dx", gotDx.Row(s), wantDx[s])
+			}
+			same("gw", d.gw, ref.gw)
+			same("gb", d.gb, ref.gb)
 		}
 	}
 }
@@ -657,6 +717,93 @@ func TestAxpyMatchesGeneric(t *testing.T) {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("n=%d a=%v: axpy[%d]=%x, generic=%x", n, a, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 				}
+			}
+		}
+	}
+}
+
+// TestAccumMatchesGeneric pins the accumulate kernel — the assembly on
+// amd64, and its portable twin everywhere — bit for bit against the
+// straight term-by-term loop the kernel replaced, over every width that
+// hits a column-block tail, every term count up to past a full chunk,
+// packed and padded row strides, unaligned row offsets, and terms that
+// are ±0, NaN, ±Inf or denormal (the kernel itself skips nothing: the
+// zero-skip is accumRows' business). Where both sides are NaN the
+// payload is not compared: which operand's payload an SSE add or
+// multiply of two NaNs keeps depends on operand order, which Go does not
+// fix for the portable loops.
+func TestAccumMatchesGeneric(t *testing.T) {
+	r := xrand.New(7)
+	special := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, -2.7e-310, 1.9e280}
+	for n := 0; n <= 301; n++ {
+		for _, pad := range []int{0, 1, 5} {
+			stride := n + pad
+			for nt := 0; nt <= 70; nt++ {
+				if n > 70 && nt > 9 && (n*31+nt)%23 != 0 {
+					continue // wide × long: a sample of the grid is plenty
+				}
+				lead := (n + nt) % 4 // rows start at every alignment mod 32 bytes
+				w := make([]float64, lead+nt*stride+n)
+				for i := range w {
+					w[i] = r.Range(-2, 2)
+				}
+				ts := make([]term, nt)
+				for k := range ts {
+					ts[k] = term{v: r.Range(-2, 2), off: lead + k*stride}
+					if r.Float64() < 0.15 {
+						ts[k].v = special[r.Intn(len(special))]
+					}
+				}
+				want := make([]float64, n)
+				for i := range want {
+					want[i] = r.Range(-2, 2)
+				}
+				gotAsm := append([]float64(nil), want...)
+				gotGen := append([]float64(nil), want...)
+				for _, tm := range ts {
+					for j := range want {
+						want[j] += float64(tm.v * w[tm.off+j])
+					}
+				}
+				accum(gotAsm, w, ts)
+				accumGeneric(gotGen, w, ts)
+				for name, got := range map[string][]float64{"accum": gotAsm, "accumGeneric": gotGen} {
+					for j, g := range got {
+						if math.Float64bits(g) != math.Float64bits(want[j]) && !(math.IsNaN(g) && math.IsNaN(want[j])) {
+							t.Fatalf("n=%d stride=%d terms=%d: %s[%d] = %x, straight loop %x", n, stride, nt, name, j, math.Float64bits(g), math.Float64bits(want[j]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCompactKeepsNaNDropsZeros pins the term rule accumRows feeds the
+// kernel with: ±0 is dropped, everything else — NaN, ±Inf, denormals —
+// is kept, in order, with its row's offset, at unit and non-unit stride.
+func TestCompactKeepsNaNDropsZeros(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	vals := []float64{0, 1.5, negZero, math.NaN(), 0, 0, math.Inf(-1), 5e-324, negZero, -3}
+	for _, ak := range []int{1, 3} {
+		a := make([]float64, len(vals)*ak)
+		for i, v := range vals {
+			a[i*ak] = v
+		}
+		var ts [maxTerms]term
+		nt := compact(ts[:], a, ak, len(vals), 100, 7)
+		var want []term
+		for i, v := range vals {
+			if v != 0 {
+				want = append(want, term{v, 100 + 7*i})
+			}
+		}
+		if nt != len(want) {
+			t.Fatalf("stride %d: kept %d terms, want %d", ak, nt, len(want))
+		}
+		for i, w := range want {
+			if math.Float64bits(ts[i].v) != math.Float64bits(w.v) || ts[i].off != w.off {
+				t.Fatalf("stride %d: term %d = %+v, want %+v", ak, i, ts[i], w)
 			}
 		}
 	}
