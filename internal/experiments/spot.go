@@ -70,9 +70,11 @@ const spotRevocationsPerHour = 4.0
 // bought on the spot market at a 70% discount — under the cost-aware
 // `cheapest` placement policy with the trial prefix cache enabled. Spot
 // nodes are revoked by a deterministic Poisson process; interrupted
-// trials requeue and resume from their deepest cached checkpoint, so the
-// spot fleet pays for some retraining and replacement-node outages but
-// never loses a finished epoch twice. The result demonstrates the
+// trials requeue and resume from the last epoch they completed (the
+// simulated cluster checkpoints per epoch; the trial cache supplies the
+// depth that was actually trained), so the spot fleet pays for some
+// retraining and replacement-node outages but never loses a finished
+// epoch twice. The result demonstrates the
 // heterogeneous cluster plane's economic claim: the spot fleet's bill
 // (fleet hourly rate × makespan) is strictly lower while the makespan
 // stays within a small inflation factor — and both runs find the same
@@ -92,8 +94,8 @@ func SpotSavings(cfg Config) (*SpotSavingsResult, error) {
 			return SpotRow{}, err
 		}
 		tr := newTrainer(cfg)
-		// Checkpoints live in the trial prefix cache; without it every
-		// revoked attempt would retrain from scratch.
+		// Salvage is bounded by the depth the trial prefix cache holds;
+		// without it every revoked attempt would retrain from scratch.
 		tr.Cache = trainer.NewTrialCache(0)
 		runner := tune.NewRunner(tr, fleet)
 		runner.Policy = sched.Cheapest()

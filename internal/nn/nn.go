@@ -463,8 +463,8 @@ func (d *Dropout) prealloc(rows, cols int) int {
 
 // Forward implements Layer. The mask draw is one RNG call per element in
 // row-major order and runs serially regardless of the parallelism degree:
-// the dropout stream's draw sequence is part of a trial's identity (it is
-// checkpointed by CaptureState), so it must not depend on scheduling.
+// the dropout stream's draw sequence is part of a trial's identity, so it
+// must not depend on scheduling.
 func (d *Dropout) Forward(x *Batch, train bool) *Batch {
 	if !train || d.Rate <= 0 {
 		d.active = false

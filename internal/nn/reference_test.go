@@ -359,9 +359,51 @@ func (n *refNetwork) Evaluate(set *dataset.Set) (accuracy, loss float64) {
 	return float64(correct) / float64(set.Len()), totalLoss / float64(set.Len())
 }
 
-// refCaptureState mirrors Network.CaptureState for the reference stack,
-// byte for byte, so checkpoint compatibility of the kernels can be
-// asserted on the serialized form directly.
+// The parity tests' weight fingerprint: the state SGD evolves — Dense
+// weights and biases, each Dropout layer's private RNG stream — and
+// nothing else, as fixed-width little-endian bytes (float64s as IEEE-754
+// bit patterns). Activation layers keep only per-batch scratch and
+// contribute a bare tag.
+const (
+	stateVersion byte = 1
+	stateDense   byte = 1
+	stateDropout byte = 2
+	stateNoParam byte = 3 // ReLU, Tanh
+)
+
+// CaptureState appends the network's mutable training state to buf and
+// returns the extended slice.
+func (n *Network) CaptureState(buf []byte) []byte {
+	buf = append(buf, stateVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(n.layers)))
+	for _, l := range n.layers {
+		switch l := l.(type) {
+		case *Dense:
+			buf = append(buf, stateDense)
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(l.w)))
+			for _, v := range l.w {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+			}
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(l.b)))
+			for _, v := range l.b {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+			}
+		case *Dropout:
+			buf = append(buf, stateDropout)
+			s := l.r.State()
+			for _, v := range s {
+				buf = binary.LittleEndian.AppendUint64(buf, v)
+			}
+		default:
+			buf = append(buf, stateNoParam)
+		}
+	}
+	return buf
+}
+
+// CaptureState mirrors Network.CaptureState for the reference stack, byte
+// for byte, so the kernels' trained state can be compared on the
+// serialized form directly.
 func (n *refNetwork) CaptureState(buf []byte) []byte {
 	buf = append(buf, stateVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(n.layers)))
@@ -538,12 +580,6 @@ func TestKernelTrainingParity(t *testing.T) {
 			gotState := net.CaptureState(nil)
 			if !bytes.Equal(wantState, gotState) {
 				t.Fatalf("%s p=%d: trained state diverged from reference", sh.name, p)
-			}
-			if StateDigest(wantState) != StateDigest(gotState) {
-				t.Fatalf("%s p=%d: state digests differ", sh.name, p)
-			}
-			if net.StateSize() != len(gotState) {
-				t.Fatalf("%s p=%d: StateSize %d, captured %d bytes", sh.name, p, net.StateSize(), len(gotState))
 			}
 		}
 	}

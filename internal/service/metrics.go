@@ -57,7 +57,7 @@ func newSvcMetrics(reg *metrics.Registry) *svcMetrics {
 		revocations: reg.Counter("sched_revocations_total",
 			"Spot revocations that interrupted a running trial."),
 		salvaged: reg.Counter("sched_epochs_salvaged_total",
-			"Epochs checkpoint resumes spared revoked trials from retraining."),
+			"Epochs the simulated cluster's per-epoch checkpoints spared revoked trials from retraining (bounded by the depth the trial cache holds)."),
 	}
 }
 

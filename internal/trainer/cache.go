@@ -4,40 +4,35 @@ package trainer
 // ground-truth store), exploiting that SGD progress depends only on
 // (workload, corpus, training-relevant hyperparameters, seed) — never on
 // the system configuration a trial happens to run under (Li et al.,
-// "Exploiting Reuse in Pipeline-Aware Hyperparameter Tuning"). Two
-// mechanisms share one keyed entry:
+// "Exploiting Reuse in Pipeline-Aware Hyperparameter Tuning").
 //
-//   - the *trajectory cache*: the full per-epoch (loss, accuracy)
-//     sequence plus the final network digest. A trial whose prefix was
-//     already trained to at least its epoch budget replays the cached
-//     curve and skips nn.TrainEpoch/Evaluate entirely — the sys-sweep
-//     case, where Algorithm 1 explores many system configurations per
-//     hyperparameter point.
-//   - the *epoch checkpoint store*: the serialized network + shuffle-RNG
-//     state after the deepest trained epoch. A trial sharing the hyper
-//     prefix but wanting more epochs (a successive-halving rung
-//     promotion, a larger Epochs setting) resumes from the checkpoint
-//     instead of epoch 0.
+// An entry is what every hit reads: the prefix key and the per-epoch
+// (loss, accuracy) trajectory as deep as the prefix was ever trained —
+// 16 bytes per epoch. A trial whose prefix is cached to at least its
+// epoch budget replays the curve and skips nn.TrainEpoch/Evaluate
+// entirely (the sys-sweep case, where Algorithm 1 explores many system
+// configurations per hyperparameter point); a deeper request is an
+// ordinary miss that trains from epoch 0 and replaces the trajectory.
+// No network state is retained: nothing this system runs would resume it
+// (see DESIGN.md, "What an entry holds").
 //
-// Replayed and resumed results are bit-identical to from-scratch runs:
-// trajectories store the exact float64s, checkpoints restore the exact
-// RNG and weight state, and the trainer's RNG streams for training and
+// Replayed results are bit-identical to from-scratch runs: trajectories
+// store the exact float64s and the trainer's RNG streams for training and
 // simulation are split independently. Memory is bounded by a strict byte
-// cap with whole-entry LRU eviction, and a singleflight collapses
-// concurrent identical prefixes into one training run.
+// cap with LRU eviction, and a singleflight collapses concurrent
+// identical prefixes into one training run.
 
 import (
-	"container/list"
 	"strconv"
 	"sync"
+	"unsafe"
 
 	"pipetune/internal/metrics"
-	"pipetune/internal/nn"
 )
 
-// DefaultCacheBytes is the default trial-cache budget: enough for
-// thousands of trajectories plus the handful of hot checkpoints a
-// tuning job's rung structure produces.
+// DefaultCacheBytes is the default trial-cache budget. An entry costs a
+// few hundred bytes, so this holds the prefixes of roughly ten thousand
+// tuning jobs.
 const DefaultCacheBytes int64 = 64 << 20
 
 // TrajPoint is one epoch's learning outcome — exactly the two numbers
@@ -47,40 +42,36 @@ type TrajPoint struct {
 	Acc  float64
 }
 
-// checkpoint is a serialized (network, shuffle-RNG) snapshot after epoch.
-type checkpoint struct {
-	epoch  int
-	data   []byte
-	digest uint64
-}
-
-// cacheEntry is one prefix key's cached state: the trajectory as deep as
-// it has ever been trained and the deepest checkpoint.
+// cacheEntry is one prefix key's trajectory, linked into the LRU ring.
 type cacheEntry struct {
-	key   string
-	elem  *list.Element
-	traj  []TrajPoint // immutable once published; replaced, never appended
-	ckpt  checkpoint
-	bytes int64
+	key        string
+	traj       []TrajPoint // immutable once published; replaced, never appended
+	prev, next *cacheEntry
 }
 
-// entryOverhead approximates the bookkeeping bytes an entry costs beyond
-// its key, trajectory and checkpoint payloads.
-const entryOverhead = 128
+// allocBytes rounds a small allocation up to the 16-byte granularity of
+// the runtime's size classes.
+func allocBytes(n int) int64 { return (int64(n) + 15) &^ 15 }
 
+// mapSlotBytes is an entry's share of the index map: a string→pointer
+// slot plus its control byte (25 B) at the runtime map's load, which
+// swings between 7/16 and 7/8 across growths — 29 to 57 B, taken near
+// the middle.
+const mapSlotBytes = 48
+
+// size is the heap the entry occupies, which is what the cap bounds: the
+// entry struct, its index slot, the key bytes and the trajectory.
 func (e *cacheEntry) size() int64 {
-	return entryOverhead + int64(len(e.key)) + 16*int64(len(e.traj)) + int64(len(e.ckpt.data))
+	return allocBytes(int(unsafe.Sizeof(*e))) + mapSlotBytes + allocBytes(len(e.key)) + allocBytes(16*cap(e.traj))
 }
 
 // CacheStats is a point-in-time counter snapshot, for tests, the reuse
 // experiment and operators without a metrics registry.
 type CacheStats struct {
-	// TrajectoryHits replayed a fully cached learning curve;
-	// CheckpointHits resumed from a cached epoch snapshot; FlightHits
-	// waited on a concurrent identical prefix instead of training;
-	// Misses trained from scratch.
+	// TrajectoryHits replayed a cached learning curve; FlightHits waited
+	// on a concurrent identical prefix instead of training; Misses
+	// trained from scratch.
 	TrajectoryHits uint64
-	CheckpointHits uint64
 	FlightHits     uint64
 	Misses         uint64
 	// EpochsSaved counts epochs of SGD the cache avoided; EpochsTrained
@@ -106,15 +97,15 @@ type cacheInstruments struct {
 	savedDist   *metrics.Distribution // epochs saved per hit
 }
 
-// TrialCache memoises learning trajectories and epoch checkpoints under
-// a byte budget. Safe for concurrent use; one cache is typically shared
-// by every trial a daemon (or a worker process) runs.
+// TrialCache memoises learning trajectories under a byte budget. Safe
+// for concurrent use; one cache is typically shared by every trial a
+// daemon (or a worker process) runs.
 type TrialCache struct {
 	max int64
 
 	mu      sync.Mutex
 	bytes   int64
-	lru     *list.List // front = coldest
+	lru     cacheEntry // ring sentinel: lru.next is coldest, lru.prev hottest
 	entries map[string]*cacheEntry
 	stats   CacheStats
 	met     cacheInstruments
@@ -128,11 +119,9 @@ func NewTrialCache(maxBytes int64) *TrialCache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultCacheBytes
 	}
-	return &TrialCache{
-		max:     maxBytes,
-		lru:     list.New(),
-		entries: make(map[string]*cacheEntry),
-	}
+	c := &TrialCache{max: maxBytes, entries: make(map[string]*cacheEntry)}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
 // Cap returns the configured byte budget.
@@ -148,25 +137,14 @@ func (c *TrialCache) Stats() CacheStats {
 	return s
 }
 
-// Digest returns the cached final-network digest for a key, if present.
-func (c *TrialCache) Digest(key string) (uint64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e := c.entries[key]; e != nil && e.ckpt.epoch > 0 {
-		return e.ckpt.digest, true
-	}
-	return 0, false
-}
-
-// CheckpointDepth returns the deepest checkpointed epoch stored for a key
-// (0 when the key is absent or holds no checkpoint). The spot-recovery
-// path uses it to decide how many epochs a revoked trial's replacement
-// attempt can skip.
-func (c *TrialCache) CheckpointDepth(key string) int {
+// Depth returns how many epochs of trajectory are cached for a key (0
+// when absent). The spot-recovery path uses it to decide how many epochs
+// a revoked trial's replacement attempt can skip.
+func (c *TrialCache) Depth(key string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e := c.entries[key]; e != nil {
-		return e.ckpt.epoch
+		return len(e.traj)
 	}
 	return 0
 }
@@ -179,7 +157,7 @@ func (c *TrialCache) InstrumentMetrics(reg *metrics.Registry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.met = cacheInstruments{
-		hits:        reg.CounterVec("trainer_trial_cache_hits_total", "Trial prefix cache hits by kind (trajectory replay, checkpoint resume, singleflight wait).", "kind"),
+		hits:        reg.CounterVec("trainer_trial_cache_hits_total", "Trial prefix cache hits by kind (trajectory replay, singleflight wait).", "kind"),
 		misses:      reg.Counter("trainer_trial_cache_misses_total", "Trial prefixes trained from scratch."),
 		epochsSaved: reg.Counter("trainer_trial_cache_epochs_saved_total", "Epochs of SGD avoided by the prefix cache."),
 		evictions:   reg.Counter("trainer_trial_cache_evictions_total", "Cache entries evicted to stay under the byte cap."),
@@ -197,8 +175,6 @@ func (c *TrialCache) hitLocked(kind string, saved int) {
 	switch kind {
 	case "trajectory":
 		c.stats.TrajectoryHits++
-	case "checkpoint":
-		c.stats.CheckpointHits++
 	case "singleflight":
 		c.stats.FlightHits++
 	}
@@ -208,12 +184,23 @@ func (c *TrialCache) hitLocked(kind string, saved int) {
 	c.met.savedDist.Observe(float64(saved))
 }
 
-// trainFunc computes the trajectory suffix from start (exclusive) to the
-// requested depth: pts holds epochs start+1..depth in order and ckptData
-// the serialized (network, shuffle-RNG) state after the last of them.
-// ckpt is the snapshot to resume from when start > 0, nil for a
-// from-scratch run.
-type trainFunc func(start int, ckpt []byte) (pts []TrajPoint, ckptData []byte, err error)
+// trainFunc trains a prefix from scratch to the requested depth and
+// returns its per-epoch trajectory.
+type trainFunc func() ([]TrajPoint, error)
+
+// unlink removes e from the LRU ring. Callers hold c.mu.
+func (e *cacheEntry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+// touchLocked makes e the hottest entry (linking it if it is new).
+func (c *TrialCache) touchLocked(e *cacheEntry) {
+	if e.prev != nil {
+		e.unlink()
+	}
+	e.prev, e.next = c.lru.prev, &c.lru
+	e.prev.next, c.lru.prev = e, e
+}
 
 // lookup returns the cached trajectory prefix when it is at least epochs
 // deep. The returned slice is immutable shared state — read-only.
@@ -224,85 +211,53 @@ func (c *TrialCache) lookup(key string, epochs int) ([]TrajPoint, bool) {
 	if e == nil || len(e.traj) < epochs {
 		return nil, false
 	}
-	c.lru.MoveToBack(e.elem)
+	c.touchLocked(e)
 	c.hitLocked("trajectory", epochs)
 	return e.traj[:epochs], true
 }
 
-// resumePoint finds the deepest usable checkpoint for a run to epochs:
-// the trajectory prefix it covers, its epoch and a private copy of its
-// data. A miss returns (nil, 0, nil). Counting happens here — exactly
-// one of {checkpoint hit, miss} per actual training run.
-func (c *TrialCache) resumePoint(key string, epochs int) (prefix []TrajPoint, start int, ckpt []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.entries[key]
-	if e != nil && e.ckpt.epoch > 0 && e.ckpt.epoch <= epochs && len(e.traj) >= e.ckpt.epoch {
-		c.lru.MoveToBack(e.elem)
-		start = e.ckpt.epoch
-		prefix = e.traj[:start]
-		ckpt = append([]byte(nil), e.ckpt.data...)
-		c.hitLocked("checkpoint", start)
-		return prefix, start, ckpt
-	}
-	c.stats.Misses++
-	c.met.misses.Inc()
-	return nil, 0, nil
-}
-
-// merge publishes a training run's outcome: the full trajectory (prefix
-// + freshly trained suffix) and, when deeper than what is stored, the
-// new checkpoint. Returns the full trajectory for the caller.
-func (c *TrialCache) merge(key string, prefix, pts []TrajPoint, ckptEpoch int, ckptData []byte) []TrajPoint {
-	full := make([]TrajPoint, 0, len(prefix)+len(pts))
-	full = append(full, prefix...)
-	full = append(full, pts...)
-
+// publish stores a freshly trained trajectory under key, replacing a
+// shallower one (a concurrent deeper run's result is kept).
+func (c *TrialCache) publish(key string, pts []TrajPoint) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.EpochsTrained += uint64(len(pts))
 	e := c.entries[key]
 	if e == nil {
 		e = &cacheEntry{key: key}
-		e.elem = c.lru.PushBack(e)
 		c.entries[key] = e
+	} else {
+		c.bytes -= e.size()
 	}
-	old := e.bytes
-	if len(full) > len(e.traj) {
-		e.traj = full
+	if len(pts) > len(e.traj) {
+		e.traj = pts
 	}
-	if ckptEpoch > e.ckpt.epoch {
-		e.ckpt = checkpoint{epoch: ckptEpoch, data: ckptData, digest: nn.StateDigest(ckptData)}
-	}
-	e.bytes = e.size()
-	c.bytes += e.bytes - old
-	c.lru.MoveToBack(e.elem)
+	c.bytes += e.size()
+	c.touchLocked(e)
 	c.evictLocked()
 	c.met.bytes.Set(float64(c.bytes))
 	c.met.entries.Set(float64(len(c.entries)))
-	return full
 }
 
-// evictLocked drops coldest-first whole entries until the cache fits its
+// evictLocked drops coldest-first entries until the cache fits its
 // budget. The freshly touched entry is not exempt: a single entry larger
 // than the cap is evicted too, keeping residency under the cap always
 // (such a prefix simply retrains every time).
 func (c *TrialCache) evictLocked() {
-	for c.bytes > c.max && c.lru.Len() > 0 {
-		front := c.lru.Front()
-		e := front.Value.(*cacheEntry)
-		c.lru.Remove(front)
+	for c.bytes > c.max && c.lru.next != &c.lru {
+		e := c.lru.next
+		e.unlink()
 		delete(c.entries, e.key)
-		c.bytes -= e.bytes
+		c.bytes -= e.size()
 		c.stats.Evictions++
 		c.met.evictions.Inc()
 	}
 }
 
 // trajectory returns the (loss, accuracy) sequence for epochs 1..epochs
-// under the prefix key, training (via train) only the suffix the cache
-// cannot supply. Concurrent callers with the same key and depth share
-// one training run. Errors are never cached.
+// under the prefix key, calling train only when the cached prefix is
+// absent or shallower. Concurrent callers with the same key and depth
+// share one training run. Errors are never cached.
 func (c *TrialCache) trajectory(key string, epochs int, train trainFunc) ([]TrajPoint, error) {
 	if pts, ok := c.lookup(key, epochs); ok {
 		return pts, nil
@@ -314,12 +269,16 @@ func (c *TrialCache) trajectory(key string, epochs int, train trainFunc) ([]Traj
 		if pts, ok := c.lookup(key, epochs); ok {
 			return pts, nil
 		}
-		prefix, start, ckpt := c.resumePoint(key, epochs)
-		pts, ckptData, err := train(start, ckpt)
+		c.mu.Lock()
+		c.stats.Misses++
+		c.met.misses.Inc()
+		c.mu.Unlock()
+		pts, err := train()
 		if err != nil {
 			return nil, err
 		}
-		return c.merge(key, prefix, pts, epochs, ckptData), nil
+		c.publish(key, pts)
+		return pts, nil
 	})
 	if err != nil {
 		return nil, err

@@ -3,7 +3,9 @@ package trainer
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pipetune/internal/metrics"
@@ -17,6 +19,22 @@ func cachedRunner(maxBytes int64) *Runner {
 	r := fastRunner()
 	r.Cache = NewTrialCache(maxBytes)
 	return r
+}
+
+// sameError asserts the cached and uncached paths fail alike: there is one
+// training path and one simulation loop, so a trial error must carry the
+// same wrapped text whether or not a cache sits in front of them.
+func sameError(t *testing.T, what string, plainErr, cachedErr error, want string) {
+	t.Helper()
+	if plainErr == nil || cachedErr == nil {
+		t.Fatalf("%s: errors = (%v, %v), want both non-nil", what, plainErr, cachedErr)
+	}
+	if plainErr.Error() != cachedErr.Error() {
+		t.Fatalf("%s: uncached error %q, cached error %q", what, plainErr, cachedErr)
+	}
+	if !strings.Contains(plainErr.Error(), want) {
+		t.Fatalf("%s: error %q does not mention %q", what, plainErr, want)
+	}
 }
 
 // mustRun fails the test on a trial error.
@@ -33,7 +51,8 @@ func mustRun(t testing.TB, r *Runner, w workload.Workload, h params.Hyper, sys p
 // every workload in the Table 3 catalog, a cached trial — cold (miss,
 // trained through the cache) and warm (trajectory replay) — equals the
 // uncached trial in every field, including the simulated durations,
-// energies and PMU profiles.
+// energies and PMU profiles. A failing simulation phase surfaces the same
+// wrapped error on both paths.
 func TestTrialCacheParityCatalog(t *testing.T) {
 	sys := params.DefaultSysConfig()
 	for _, w := range workload.Catalog() {
@@ -53,6 +72,13 @@ func TestTrialCacheParityCatalog(t *testing.T) {
 		if st.Misses != 1 || st.TrajectoryHits != 1 {
 			t.Fatalf("%s: stats = %+v, want 1 miss + 1 trajectory hit", w.Name(), st)
 		}
+		// A cost model with a negative sync term yields a negative epoch
+		// duration, which the power series rejects inside runPhase.
+		bad, badCached := fastRunner(), cachedRunner(0)
+		bad.Cost.SyncScale, badCached.Cost.SyncScale = -1e12, -1e12
+		_, plainErr := bad.Run(w, h, sys, 11, nil)
+		_, cachedErr := badCached.Run(w, h, sys, 11, nil)
+		sameError(t, w.Name(), plainErr, cachedErr, "trainer: epoch 1: energy:")
 	}
 }
 
@@ -85,12 +111,22 @@ func TestTrialCacheParityWithObserver(t *testing.T) {
 	if want := uint64(h.Epochs * (len(sweep) - 1)); st.EpochsSaved != want {
 		t.Fatalf("epochs saved = %d, want %d", st.EpochsSaved, want)
 	}
+	// An observer handing back an invalid configuration fails the trial
+	// identically on both paths — a warm cache included.
+	invalid := ObserverFunc(func(uint64, workload.Workload, params.Hyper, EpochStats) *params.SysConfig {
+		return &params.SysConfig{}
+	})
+	_, plainErr := fastRunner().Run(lenetMNIST, h, sweep[0], 21, invalid)
+	_, cachedErr := cr.Run(lenetMNIST, h, sweep[0], 21, invalid)
+	sameError(t, "invalid observer config", plainErr, cachedErr, "trainer: observer returned invalid config:")
 }
 
-// TestTrialCacheCheckpointResume proves resume-from-checkpoint equals
-// from-scratch at every split epoch: training k epochs and then resuming
-// to E must be bit-identical to training E epochs straight through.
-func TestTrialCacheCheckpointResume(t *testing.T) {
+// TestDeeperRequestRetrainsAndExtends pins the contract for a request
+// deeper than the cached prefix, at every split k of an n-epoch run: it is
+// an ordinary miss that trains from epoch 0, equals a from-scratch run bit
+// for bit, and replaces the trajectory — after which the shallow request
+// is served from the prefix without training.
+func TestDeeperRequestRetrainsAndExtends(t *testing.T) {
 	const full = 5
 	h := fastHyper()
 	sys := params.DefaultSysConfig()
@@ -100,59 +136,101 @@ func TestTrialCacheCheckpointResume(t *testing.T) {
 		cr := cachedRunner(0)
 		short := h
 		short.Epochs = k
-		mustRun(t, cr, lenetMNIST, short, sys, 33, nil)
-		resumed := mustRun(t, cr, lenetMNIST, h, sys, 33, nil)
-		if !reflect.DeepEqual(plain, resumed) {
-			t.Fatalf("split at epoch %d: resumed run differs from straight-through", k)
+		shallow := mustRun(t, cr, lenetMNIST, short, sys, 33, nil)
+		deep := mustRun(t, cr, lenetMNIST, h, sys, 33, nil)
+		if !reflect.DeepEqual(plain, deep) {
+			t.Fatalf("split at epoch %d: deeper run differs from straight-through", k)
 		}
 		st := cr.Cache.Stats()
-		if st.CheckpointHits != 1 {
-			t.Fatalf("split at epoch %d: %d checkpoint hits, want 1", k, st.CheckpointHits)
+		if st.Misses != 2 || st.TrajectoryHits != 0 || st.EpochsSaved != 0 {
+			t.Fatalf("split at epoch %d: stats = %+v, want 2 misses and no hits", k, st)
 		}
-		if st.EpochsSaved != uint64(k) {
-			t.Fatalf("split at epoch %d: saved %d epochs, want %d", k, st.EpochsSaved, k)
+		if st.EpochsTrained != uint64(k+full) {
+			t.Fatalf("split at epoch %d: trained %d epochs, want %d", k, st.EpochsTrained, k+full)
 		}
-		if st.EpochsTrained != uint64(full) {
-			t.Fatalf("split at epoch %d: trained %d epochs, want %d", k, st.EpochsTrained, full)
+		if st.Entries != 1 {
+			t.Fatalf("split at epoch %d: %d entries, want the one replaced trajectory", k, st.Entries)
 		}
-	}
-	// The resumed and straight-through networks must converge to the same
-	// weights: same final checkpoint digest.
-	straight := cachedRunner(0)
-	mustRun(t, straight, lenetMNIST, h, sys, 33, nil)
-	split := cachedRunner(0)
-	short := h
-	short.Epochs = 2
-	mustRun(t, split, lenetMNIST, short, sys, 33, nil)
-	mustRun(t, split, lenetMNIST, h, sys, 33, nil)
-	key := straight.PrefixKey(lenetMNIST, h, 33)
-	a, okA := straight.Cache.Digest(key)
-	b, okB := split.Cache.Digest(key)
-	if !okA || !okB || a != b {
-		t.Fatalf("final network digests diverge: %x (%v) vs %x (%v)", a, okA, b, okB)
+		again := mustRun(t, cr, lenetMNIST, short, sys, 33, nil)
+		if !reflect.DeepEqual(shallow, again) {
+			t.Fatalf("split at epoch %d: prefix replay differs from the shallow run", k)
+		}
+		st = cr.Cache.Stats()
+		if st.TrajectoryHits != 1 || st.Misses != 2 || st.EpochsTrained != uint64(k+full) {
+			t.Fatalf("split at epoch %d: stats = %+v, want a trajectory hit that trained nothing", k, st)
+		}
 	}
 }
 
-// TestCheckpointBlobsAreExactSize pins what makes the byte cap strict in
-// resident bytes, not only in accounted ones: size() charges len(data),
-// so a retained blob must carry no capacity beyond it.
-func TestCheckpointBlobsAreExactSize(t *testing.T) {
+// TestDepthIsTrajectoryDepth pins spot salvage's input: Depth is the
+// deepest budget ever trained under a key, and 0 once the entry is gone.
+func TestDepthIsTrajectoryDepth(t *testing.T) {
+	cr := cachedRunner(0)
 	sys := params.DefaultSysConfig()
-	for _, w := range workload.Catalog() {
-		cr := cachedRunner(0)
-		h := fastHyper()
-		h.Epochs = 1
-		mustRun(t, cr, w, h, sys, 11, nil)
-		h.Epochs = 2 // resumes from the epoch-1 checkpoint, replaces it
-		mustRun(t, cr, w, h, sys, 11, nil)
-		for key, e := range cr.Cache.entries {
-			if len(e.ckpt.data) == 0 {
-				t.Fatalf("%s: entry %q has no checkpoint", w.Name(), key)
-			}
-			if cap(e.ckpt.data) != len(e.ckpt.data) {
-				t.Errorf("%s: checkpoint blob len %d, cap %d", w.Name(), len(e.ckpt.data), cap(e.ckpt.data))
-			}
+	h := fastHyper()
+	key := cr.PrefixKey(lenetMNIST, h, 5)
+	if d := cr.Cache.Depth(key); d != 0 {
+		t.Fatalf("depth of an absent key = %d, want 0", d)
+	}
+	for _, step := range []struct{ epochs, want int }{{2, 2}, {4, 4}, {1, 4}, {3, 4}} {
+		h.Epochs = step.epochs
+		mustRun(t, cr, lenetMNIST, h, sys, 5, nil)
+		if d := cr.Cache.Depth(key); d != step.want {
+			t.Fatalf("after a %d-epoch run: depth %d, want %d", step.epochs, d, step.want)
 		}
+	}
+	small := cachedRunner(1) // evicts every entry on insert
+	h.Epochs = 2
+	mustRun(t, small, lenetMNIST, h, sys, 5, nil)
+	if d := small.Cache.Depth(key); d != 0 {
+		t.Fatalf("depth after eviction = %d, want 0", d)
+	}
+}
+
+// heapAlloc reads the live heap after a full collection.
+func heapAlloc() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestCacheBytesMatchHeap pins the byte accounting to the heap the
+// entries really occupy — struct, index slot, key and trajectory — so
+// the cap bounds resident memory, not an estimate of it; and that
+// residency never exceeds the cap while evicting.
+func TestCacheBytesMatchHeap(t *testing.T) {
+	const n = 60000
+	r := fastRunner()
+	h := fastHyper()
+	insert := func(c *TrialCache, i int) {
+		key := r.PrefixKey(lenetMNIST, h, uint64(i)<<32|0x9e3779b9) // realistic key length
+		c.publish(key, make([]TrajPoint, 4))
+	}
+	before := heapAlloc()
+	c := NewTrialCache(0)
+	for i := 0; i < n; i++ {
+		insert(c, i)
+	}
+	held := float64(heapAlloc() - before)
+	st := c.Stats()
+	if st.Entries != n {
+		t.Fatalf("%d entries resident, want %d", st.Entries, n)
+	}
+	if ratio := float64(st.Bytes) / held; ratio < 0.9 || ratio > 1.1 {
+		t.Fatalf("accounted %d bytes for %.0f bytes of heap (ratio %.3f, want within 10%%)", st.Bytes, held, ratio)
+	}
+	runtime.KeepAlive(c)
+
+	small := NewTrialCache(st.Bytes / 8)
+	for i := 0; i < n; i++ {
+		insert(small, i)
+		if b := small.Stats().Bytes; b > small.Cap() {
+			t.Fatalf("insert %d: resident %d bytes exceeds cap %d", i, b, small.Cap())
+		}
+	}
+	if st := small.Stats(); st.Evictions == 0 || st.Entries == 0 {
+		t.Fatalf("stats = %+v, want a partly evicted cache", st)
 	}
 }
 
@@ -219,7 +297,7 @@ func TestTrialCacheChurnRace(t *testing.T) {
 	if st.Bytes > c.Cap() {
 		t.Fatalf("resident %d bytes exceeds cap %d under churn", st.Bytes, c.Cap())
 	}
-	total := st.TrajectoryHits + st.CheckpointHits + st.FlightHits + st.Misses
+	total := st.TrajectoryHits + st.FlightHits + st.Misses
 	if total == 0 {
 		t.Fatal("no cache traffic recorded")
 	}
@@ -232,15 +310,15 @@ func TestTrialCacheSingleflight(t *testing.T) {
 	release := make(chan struct{})
 	const n = 4
 	var wg sync.WaitGroup
-	var trained sync.Map
+	var trained atomic.Int32
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pts, err := c.trajectory("k", 2, func(start int, _ []byte) ([]TrajPoint, []byte, error) {
+			pts, err := c.trajectory("k", 2, func() ([]TrajPoint, error) {
 				<-release // hold the flight open until all callers queued
-				trained.Store(start, true)
-				return []TrajPoint{{Loss: 1}, {Loss: 0.5}}, []byte{1, 2, 3}, nil
+				trained.Add(1)
+				return []TrajPoint{{Loss: 1}, {Loss: 0.5}}, nil
 			})
 			if err != nil || len(pts) != 2 {
 				t.Errorf("trajectory: %v (%d pts)", err, len(pts))
@@ -266,9 +344,7 @@ func TestTrialCacheSingleflight(t *testing.T) {
 	if st.FlightHits+st.TrajectoryHits != n-1 {
 		t.Fatalf("stats = %+v: %d callers should have shared or replayed", st, n-1)
 	}
-	count := 0
-	trained.Range(func(any, any) bool { count++; return true })
-	if count != 1 {
+	if count := trained.Load(); count != 1 {
 		t.Fatalf("train ran %d times, want 1", count)
 	}
 }
@@ -369,11 +445,9 @@ func TestTSDBWriteErrorsCounted(t *testing.T) {
 	}
 }
 
-// BenchmarkTrialCache is the acceptance benchmark: the two reuse shapes
-// the cache exists for, each cached and uncached. sys-sweep replays one
-// trained prefix across many system configurations (Algorithm 1's inner
-// loop); rung-promotion resumes a short trial's checkpoint into a longer
-// one (HyperBand budget growth).
+// BenchmarkTrialCache is the acceptance benchmark for the reuse shape the
+// cache exists for, cached and uncached: sys-sweep replays one trained
+// prefix across many system configurations (Algorithm 1's inner loop).
 func BenchmarkTrialCache(b *testing.B) {
 	sys := []params.SysConfig{{Cores: 4, MemoryGB: 8}, {Cores: 8, MemoryGB: 16}, {Cores: 12, MemoryGB: 24}, {Cores: 16, MemoryGB: 32}}
 	sweep := func(b *testing.B, r *Runner) {
@@ -395,26 +469,6 @@ func BenchmarkTrialCache(b *testing.B) {
 			b.ReportMetric(float64(st.EpochsSaved), "epochs-saved")
 		}
 	}
-	promote := func(b *testing.B, fresh func() *Runner) {
-		short := fastHyper()
-		short.Epochs = 2
-		full := fastHyper()
-		full.Epochs = 6
-		trials := 0
-		for i := 0; i < b.N; i++ {
-			r := fresh()
-			if _, err := r.Run(lenetMNIST, short, sys[0], 17, nil); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := r.Run(lenetMNIST, full, sys[0], 17, nil); err != nil {
-				b.Fatal(err)
-			}
-			trials += 2
-		}
-		b.ReportMetric(float64(trials)/b.Elapsed().Seconds(), "trials/sec")
-	}
 	b.Run("sys-sweep/uncached", func(b *testing.B) { sweep(b, fastRunner()) })
 	b.Run("sys-sweep/cached", func(b *testing.B) { sweep(b, cachedRunner(0)) })
-	b.Run("rung-promotion/uncached", func(b *testing.B) { promote(b, fastRunner) })
-	b.Run("rung-promotion/cached", func(b *testing.B) { promote(b, func() *Runner { return cachedRunner(0) }) })
 }

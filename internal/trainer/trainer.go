@@ -14,7 +14,6 @@
 package trainer
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -120,10 +119,9 @@ type Runner struct {
 
 	// Cache, when non-nil, is the trial prefix cache: trials sharing a
 	// training prefix (same workload, corpus, training-relevant hyper
-	// fields and seed — SysConfig never enters the key) replay or resume
-	// cached SGD instead of recomputing it, bit-identically. Attach
-	// before running trials; share one cache across all trials of a
-	// process.
+	// fields and seed — SysConfig never enters the key) replay cached
+	// SGD instead of recomputing it, bit-identically. Attach before
+	// running trials; share one cache across all trials of a process.
 	Cache *TrialCache
 
 	// Parallelism bounds deterministic intra-trial parallelism in the nn
@@ -281,8 +279,8 @@ func (r *Runner) record(trialSeed uint64, w workload.Workload, s EpochStats, ser
 // depends on — the workload (model and dataset), the corpus (sizes and
 // DataSeed), the training-relevant Hyper fields (batch size, learning
 // rate, dropout, embedding dim; float64s as exact bit patterns) and the
-// trial seed. Epochs is deliberately excluded (it is the prefix axis the
-// cache extends along), and so are SysConfig, Load and the cost/power
+// trial seed. Epochs is deliberately excluded (a shallow request is a
+// prefix of a deep one), and so are SysConfig, Load and the cost/power
 // models — they shape the simulation, never the learning curve.
 func (r *Runner) PrefixKey(w workload.Workload, h params.Hyper, seed uint64) string {
 	b := make([]byte, 0, 96)
@@ -339,39 +337,6 @@ func (r *Runner) evaluate(net *nn.Network, set *dataset.Set) (float64, float64, 
 	return acc, loss, err
 }
 
-// ckptVersion versions the checkpoint blob layout.
-const ckptVersion = 1
-
-// ckptHeaderLen is the version byte plus the shuffle RNG's 4×u64 state.
-const ckptHeaderLen = 1 + 4*8
-
-// captureCheckpoint serializes the state a resumed run needs: the shuffle
-// RNG stream position and the network's mutable training state. The blob
-// is allocated once at its exact size: the trial cache retains it and
-// charges len(data) against its byte cap, so cap(data) must not exceed it.
-func captureCheckpoint(net *nn.Network, shuffle *xrand.Source) []byte {
-	buf := make([]byte, 0, ckptHeaderLen+net.StateSize())
-	buf = append(buf, ckptVersion)
-	for _, v := range shuffle.State() {
-		buf = binary.LittleEndian.AppendUint64(buf, v)
-	}
-	return net.CaptureState(buf)
-}
-
-// restoreCheckpoint applies a captured checkpoint to a freshly built
-// network and its shuffle RNG.
-func restoreCheckpoint(data []byte, net *nn.Network, shuffle *xrand.Source) error {
-	if len(data) < ckptHeaderLen || data[0] != ckptVersion {
-		return errors.New("invalid checkpoint blob")
-	}
-	var st [4]uint64
-	for i := range st {
-		st[i] = binary.LittleEndian.Uint64(data[1+8*i:])
-	}
-	shuffle.SetState(st)
-	return net.RestoreState(data[ckptHeaderLen:])
-}
-
 // Run executes one trial of w with hyperparameters h, starting from system
 // configuration sys. The observer (optional) can re-configure the system at
 // each epoch boundary. All randomness derives from seed.
@@ -405,70 +370,49 @@ func (r *Runner) RunWithCacheKey(w workload.Workload, h params.Hyper, sys params
 
 	// The RNG split order is load-bearing: training streams (netRng,
 	// shuffleRng) come before and are independent of the simulation
-	// streams (perfRng, powerRng), so the prefix cache may replay or
-	// resume SGD without touching the simulated profile/power draws —
-	// the replayed result stays bit-identical to an uncached run.
+	// streams (perfRng, powerRng), so the prefix cache may replay SGD
+	// without touching the simulated profile/power draws — the replayed
+	// result stays bit-identical to an uncached run.
 	rng := xrand.New(seed)
 	netRng := rng.Split()
 	shuffleRng := rng.Split()
 	perfRng := rng.Split()
 	powerRng := rng.Split()
 
-	// epochValues supplies epoch e's (loss, accuracy). Uncached, it is
-	// the literal pre-cache training step, run lazily inside the
-	// simulation loop; cached, the whole trajectory is resolved up front
-	// (replayed, resumed from a checkpoint, or trained and stored) and
-	// the loop just reads it.
-	var epochValues func(epoch int) (TrajPoint, error)
-	trainSuffix := func(start int, ckpt []byte) ([]TrajPoint, []byte, error) {
+	// train is the one training path: h.Epochs of real SGD from epoch 0,
+	// each followed by a test-set evaluation. With a cache attached it
+	// runs only on a miss; the simulation loop below reads the resolved
+	// trajectory either way.
+	train := func() ([]TrajPoint, error) {
 		net, err := r.buildNet(w, cp, h, netRng)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if start > 0 {
-			if err := restoreCheckpoint(ckpt, net, shuffleRng); err != nil {
-				return nil, nil, fmt.Errorf("trainer: resume at epoch %d: %w", start, err)
-			}
-		}
-		pts := make([]TrajPoint, 0, h.Epochs-start)
-		for epoch := start + 1; epoch <= h.Epochs; epoch++ {
+		pts := make([]TrajPoint, 0, h.Epochs)
+		for epoch := 1; epoch <= h.Epochs; epoch++ {
 			loss, err := r.trainEpoch(net, cp.train, h, shuffleRng)
 			if err != nil {
-				return nil, nil, fmt.Errorf("trainer: epoch %d: %w", epoch, err)
+				return nil, fmt.Errorf("trainer: epoch %d: %w", epoch, err)
 			}
 			acc, _, err := r.evaluate(net, cp.test)
 			if err != nil {
-				return nil, nil, fmt.Errorf("trainer: epoch %d eval: %w", epoch, err)
+				return nil, fmt.Errorf("trainer: epoch %d eval: %w", epoch, err)
 			}
 			pts = append(pts, TrajPoint{Loss: loss, Acc: acc})
 		}
-		return pts, captureCheckpoint(net, shuffleRng), nil
+		return pts, nil
 	}
+	var pts []TrajPoint
 	if c := r.Cache; c != nil {
 		if cacheKey == "" {
 			cacheKey = r.PrefixKey(w, h, seed)
 		}
-		pts, err := c.trajectory(cacheKey, h.Epochs, trainSuffix)
-		if err != nil {
-			return nil, err
-		}
-		epochValues = func(epoch int) (TrajPoint, error) { return pts[epoch-1], nil }
+		pts, err = c.trajectory(cacheKey, h.Epochs, train)
 	} else {
-		net, err := r.buildNet(w, cp, h, netRng)
-		if err != nil {
-			return nil, err
-		}
-		epochValues = func(epoch int) (TrajPoint, error) {
-			loss, err := r.trainEpoch(net, cp.train, h, shuffleRng)
-			if err != nil {
-				return TrajPoint{}, fmt.Errorf("trainer: epoch %d: %w", epoch, err)
-			}
-			acc, _, err := r.evaluate(net, cp.test)
-			if err != nil {
-				return TrajPoint{}, fmt.Errorf("trainer: epoch %d eval: %w", epoch, err)
-			}
-			return TrajPoint{Loss: loss, Acc: acc}, nil
-		}
+		pts, err = train()
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Result{Workload: w, Hyper: h, FinalSys: sys, Epochs: make([]EpochStats, 0, h.Epochs+1)}
@@ -543,10 +487,7 @@ func (r *Runner) RunWithCacheKey(w workload.Workload, h params.Hyper, sys params
 	}
 
 	for epoch := 1; epoch <= h.Epochs; epoch++ {
-		p, err := epochValues(epoch)
-		if err != nil {
-			return nil, err
-		}
+		p := pts[epoch-1]
 		s, err := runPhase(epoch, false, p.Loss, p.Acc)
 		if err != nil {
 			return nil, fmt.Errorf("trainer: epoch %d: %w", epoch, err)

@@ -462,10 +462,10 @@ func resumeSpec(res *trainer.Result, startSys params.SysConfig, salv int) sched.
 // evictHandler builds one trial's sched.EvictHandler. The closure tracks
 // the attempt's current resume point so a second revocation measures
 // progress on the shortened timeline, and consults the trainer's prefix
-// cache for the deepest checkpoint available under the trial's key — the
-// compute-then-simulate split means the body (and its checkpoints) already
-// exist when the simulated revocation fires, so the binding constraint is
-// the epoch the interrupted attempt had actually reached.
+// cache for the depth trained under the trial's key. The simulated cluster
+// checkpoints every epoch; the compute-then-simulate split means the body
+// is already trained when the simulated revocation fires, so the binding
+// constraint is the epoch the interrupted attempt had actually reached.
 func (r *Runner) evictHandler(rec *TrialRecord, key string) sched.EvictHandler {
 	res := rec.Result
 	salvaged := 0 // current attempt's resume point (epochs skipped)
@@ -487,7 +487,7 @@ func (r *Runner) evictHandler(rec *TrialRecord, key string) sched.EvictHandler {
 		}
 		depth := 0
 		if key != "" && r.Trainer.Cache != nil {
-			depth = r.Trainer.Cache.CheckpointDepth(key)
+			depth = r.Trainer.Cache.Depth(key)
 		}
 		salv := completed
 		if depth < salv {

@@ -68,21 +68,10 @@ func (r *Source) Split() *Source {
 	return New(seed)
 }
 
-// State returns the full 256-bit generator state. Together with SetState
-// it lets a caller checkpoint a stream mid-flight and later resume it
-// exactly where it left off — the trainer's prefix cache relies on this
-// to replay SGD bit-identically from a saved epoch boundary.
+// State returns the full 256-bit generator state: a stream's position,
+// comparable across sources (the nn parity suites fingerprint dropout
+// streams with it).
 func (r *Source) State() [4]uint64 { return r.s }
-
-// SetState restores a state previously captured with State. The all-zero
-// state is invalid for xoshiro and is rejected by keeping the current
-// state instead (it can never be produced by State on a valid source).
-func (r *Source) SetState(s [4]uint64) {
-	if s[0]|s[1]|s[2]|s[3] == 0 {
-		return
-	}
-	r.s = s
-}
 
 // Int63 returns a non-negative 63-bit integer.
 func (r *Source) Int63() int64 {

@@ -288,11 +288,12 @@ func WithLoad(load float64) Option {
 // WithTrialCache attaches a trial prefix cache to the System's trainer:
 // trials sharing a training prefix — same workload, corpus, training-
 // relevant hyperparameters and seed; the system configuration never
-// enters the key — replay or resume cached SGD instead of recomputing
-// it, bit-identically. The cache is bounded to maxBytes of resident
-// trajectory and checkpoint state (<= 0 selects the default budget) with
-// LRU eviction. Remote execution backends propagate the budget to
-// workers, which keep worker-local caches under the same keys.
+// enters the key — replay the cached learning trajectory instead of
+// recomputing SGD, bit-identically. The cache is bounded to maxBytes of
+// resident trajectories, a few hundred bytes per prefix (<= 0 selects
+// the default budget), with LRU eviction. Remote execution backends
+// propagate the budget to workers, which keep worker-local caches under
+// the same keys.
 func WithTrialCache(maxBytes int64) Option {
 	return func(s *System) { s.trainer.Cache = trainer.NewTrialCache(maxBytes) }
 }
@@ -302,9 +303,9 @@ func WithTrialCache(maxBytes int64) Option {
 // per-sample-independent work across up to n goroutines. Results are
 // bit-identical at every degree — cross-sample accumulations stay
 // serial in sample order — so the knob trades wall-clock for cores
-// without perturbing trials, cache keys or checkpoints. n <= 1 keeps
-// the hot loop single-threaded. Remote execution backends ship the
-// degree to workers with each assignment.
+// without perturbing trials or cache keys. n <= 1 keeps the hot loop
+// single-threaded. Remote execution backends ship the degree to workers
+// with each assignment.
 func WithTrainParallelism(n int) Option {
 	return func(s *System) { s.trainer.Parallelism = n }
 }

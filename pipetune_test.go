@@ -97,11 +97,42 @@ func TestTrialCacheJobParity(t *testing.T) {
 		t.Error("PipeTune JobResult JSON differs with the trial cache enabled")
 	}
 	st := cached.TrainerCacheStats()
-	if st.TrajectoryHits+st.CheckpointHits+st.FlightHits == 0 {
+	if st.TrajectoryHits+st.FlightHits == 0 {
 		t.Fatalf("cache recorded no reuse across the two jobs: %+v", st)
 	}
 	if st.EpochsSaved == 0 {
 		t.Fatalf("cache saved no epochs: %+v", st)
+	}
+}
+
+// TestRecurringSpecsStayTiny is the regression guard for what the trial
+// cache retains: the end-to-end benchmark's recurring working set — the
+// Table 3 catalog under two job seeds, each as tune-v1 and PipeTune — is
+// 308 distinct training prefixes, and holding all of them costs well
+// under 256 KiB because an entry is a key and a 16 B/epoch trajectory.
+func TestRecurringSpecsStayTiny(t *testing.T) {
+	s := fastSystem(t, WithCorpusSize(64, 32), WithTrialCache(0))
+	for _, w := range Catalog() {
+		for seed := uint64(1); seed <= 2; seed++ {
+			spec := s.JobSpec(w)
+			spec.Seed = seed
+			if _, err := s.RunBaseline(spec); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.RunPipeTune(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st := s.TrainerCacheStats()
+	if st.Entries != 308 || st.Evictions != 0 {
+		t.Fatalf("stats = %+v, want 308 resident prefixes and no evictions", st)
+	}
+	if st.Bytes >= 256<<10 {
+		t.Fatalf("308 prefixes account %d bytes, want < 256 KiB", st.Bytes)
+	}
+	if st.TrajectoryHits == 0 {
+		t.Fatalf("PipeTune twins replayed nothing: %+v", st)
 	}
 }
 
