@@ -16,25 +16,17 @@
 //	GET    /healthz             liveness + queue depths    -> Health
 //
 // When the daemon runs the remote execution backend (-exec-backend=
-// remote) it additionally serves the worker-facing work API that
-// pipetune-worker processes speak — registration, trial leases, epoch
-// streaming, result commit, heartbeats — plus an operator-facing fleet
-// surface:
+// remote) it additionally serves the upgrade that turns a
+// pipetune-worker's connection into the framed work stream (grants,
+// epoch observations, result commits and heartbeats are frames, not
+// JSON — internal/exec owns that protocol) plus an operator-facing
+// fleet surface:
 //
-//	POST   /v1/workers                              register -> WorkerRegisterResponse
-//	POST   /v1/workers/{id}/heartbeat               liveness
-//	POST   /v1/workers/{id}/lease                   lease a trial -> WorkerAssignment | 204
-//	POST   /v1/workers/{id}/leases/{lease}/epoch    epoch report  -> WorkerEpochDirective
-//	POST   /v1/workers/{id}/leases/{lease}/complete result commit (at most once)
-//	POST   /v1/stream                               upgrade to the framed binary stream
-//	GET    /v1/fleet                                fleet status  -> FleetStatus
+//	POST   /v1/stream           worker stream upgrade (101)
+//	GET    /v1/fleet            fleet status               -> FleetStatus
 //
-// The JSON work routes and the binary stream upgrade are the same
-// protocol over two wires; -exec-wire selects which the daemon mounts
-// (FleetStatus.Wire reports the wire kind in force), and results are
-// byte-identical either way. Worker routes require "Authorization:
-// Bearer <token>" when the daemon was started with -worker-token;
-// /v1/fleet stays open like /healthz.
+// The upgrade requires "Authorization: Bearer <token>" when the daemon
+// was started with -worker-token; /v1/fleet stays open like /healthz.
 //
 // Job results are the library's own tune.JobResult serialisation, so a
 // result fetched over HTTP is bit-identical to one produced by calling
@@ -240,24 +232,9 @@ type ImportResult struct {
 	Stats GroundTruthStats `json:"stats"`
 }
 
-// Worker wire types: the work API spoken between the daemon's remote
-// execution backend and pipetune-worker processes, plus the fleet
-// status surface. They alias the execution plane's own definitions —
-// internal/exec owns the protocol.
+// Aliases of other layers' own definitions, so each surface has one
+// owner.
 type (
-	// WorkerRegisterRequest is the body of POST /v1/workers.
-	WorkerRegisterRequest = exec.RegisterRequest
-	// WorkerRegisterResponse assigns a worker its fleet identity.
-	WorkerRegisterResponse = exec.RegisterResponse
-	// WorkerAssignment is one leased trial.
-	WorkerAssignment = exec.Assignment
-	// WorkerEpochReport streams one epoch-boundary observation back.
-	WorkerEpochReport = exec.EpochReport
-	// WorkerEpochDirective is the daemon's reply: an optional system
-	// reconfiguration (PipeTune's pipelined tuning) or a revocation.
-	WorkerEpochDirective = exec.EpochDirective
-	// WorkerCompleteRequest commits a finished trial at most once.
-	WorkerCompleteRequest = exec.CompleteRequest
 	// FleetStatus is the execution plane's health surface (GET /v1/fleet
 	// and Health.Fleet).
 	FleetStatus = exec.FleetStatus

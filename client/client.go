@@ -296,8 +296,7 @@ func (c *Client) Health(ctx context.Context) (api.Health, error) {
 }
 
 // Fleet reports the remote execution plane: registered workers, lease
-// depths, the wire protocol in force (json, binary or json+binary) and
-// drain state. Daemons on the local backend answer 404.
+// depths and drain state. Daemons on the local backend answer 404.
 func (c *Client) Fleet(ctx context.Context) (api.FleetStatus, error) {
 	var fs api.FleetStatus
 	err := c.do(ctx, http.MethodGet, "/v1/fleet", nil, &fs, true)

@@ -1,27 +1,21 @@
-// Command pipetune-worker is a trial-execution worker: it registers
-// with a pipetuned daemon running -exec-backend=remote, leases trial
-// bodies over the work API, computes them on a local trainer substrate
-// reproducing the daemon's configuration (so results are bit-identical
-// to an in-process run), streams per-epoch observations back — which is
-// how PipeTune's pipelined system tuning keeps firing mid-trial — and
-// heartbeats.
+// Command pipetune-worker is a trial-execution worker: it holds one
+// persistent framed stream to a pipetuned daemon running
+// -exec-backend=remote, is granted trial bodies in batches, computes
+// them on a local trainer substrate reproducing the daemon's
+// configuration (so results are bit-identical to an in-process run),
+// streams per-epoch observations back — which is how PipeTune's
+// pipelined system tuning keeps firing mid-trial — commits
+// delta-encoded results and heartbeats.
 //
 // Usage:
 //
 //	pipetune-worker -server http://daemon:8080 [-token secret]
 //	                [-capacity 1] [-heartbeat 0] [-name host]
-//	                [-wire binary]
 //
 // Capacity is how many trial bodies compute concurrently; start more
 // processes (on more machines) to scale the fleet out — the daemon
 // requeues leases from any worker that dies, so workers are fully
 // disposable. -heartbeat 0 adopts the daemon's advertised cadence.
-//
-// -wire selects the work protocol and must match what the daemon's
-// -exec-wire mounts: binary (default) holds one framed stream over
-// which leases are granted in batches and results are delta-encoded;
-// json long-polls the HTTP/JSON compat API. Results are byte-identical
-// either way.
 //
 // The worker holds no durable state: killing it outright (SIGKILL, a
 // crashed machine) loses nothing — the daemon reassigns its leases
@@ -60,13 +54,9 @@ func run() error {
 		capacityFlag = flag.Int("capacity", 1, "trial bodies computed concurrently")
 		beatFlag     = flag.Duration("heartbeat", 0, "heartbeat cadence (0 = daemon-advertised)")
 		nameFlag     = flag.String("name", "", "worker label in fleet status (default: hostname)")
-		wireFlag     = flag.String("wire", exec.WireBinary, "work protocol: binary (framed stream) or json (long-poll compat)")
 		trainParFlag = flag.Int("train-parallelism", 0, "default deterministic kernel parallelism for trial compute when the daemon ships none (bit-identical at every degree; <=1 = serial)")
 	)
 	flag.Parse()
-	if *wireFlag != exec.WireJSON && *wireFlag != exec.WireBinary {
-		return fmt.Errorf("unknown -wire %q (want binary or json)", *wireFlag)
-	}
 
 	logger := log.New(os.Stderr, "pipetune-worker: ", log.LstdFlags)
 	agent := exec.NewAgent(exec.AgentConfig{
@@ -75,14 +65,13 @@ func run() error {
 		Name:             *nameFlag,
 		Capacity:         *capacityFlag,
 		Heartbeat:        *beatFlag,
-		Wire:             *wireFlag,
 		Logf:             logger.Printf,
 		TrainParallelism: *trainParFlag,
 	})
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	logger.Printf("joining fleet at %s (capacity %d, wire %s)", *serverFlag, *capacityFlag, *wireFlag)
+	logger.Printf("joining fleet at %s (capacity %d)", *serverFlag, *capacityFlag)
 	start := time.Now()
 	err := agent.Run(ctx)
 	if errors.Is(err, context.Canceled) {

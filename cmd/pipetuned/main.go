@@ -7,11 +7,11 @@
 // Usage:
 //
 //	pipetuned [-addr :8080] [-workers 2] [-seed 1] [-gt groundtruth.json]
-//	          [-gt-store sharded] [-gt-compact-every 256]
-//	          [-gt-snapshot-interval 0] [-queue 64] [-bootstrap]
+//	          [-gt-compact-every 256] [-gt-snapshot-interval 0]
+//	          [-queue 64] [-bootstrap]
 //	          [-scheduler fifo] [-job-policy fifo]
 //	          [-tenant-weight name=w ...]
-//	          [-exec-backend local] [-exec-wire binary] [-worker-token secret]
+//	          [-exec-backend local] [-worker-token secret]
 //	          [-worker-heartbeat 2s] [-worker-evict-after 3]
 //	          [-metrics-enabled] [-metrics-mirror-interval 10s]
 //	          [-pprof-addr localhost:6060]
@@ -19,24 +19,17 @@
 // Trial execution is a pluggable plane: the default -exec-backend=local
 // computes every trial body on an in-process pool, while
 // -exec-backend=remote fans trial bodies out to a fleet of
-// pipetune-worker processes that register with this daemon, lease
-// trials over the work API, stream per-epoch observations back (so
-// PipeTune's pipelined system tuning still fires mid-trial) and
-// heartbeat. A worker silent for -worker-evict-after heartbeats is
+// pipetune-worker processes that each hold one persistent framed stream
+// to this daemon (POST /v1/stream, upgraded): lease grants arrive in
+// batches, per-epoch observations stream back (so PipeTune's pipelined
+// system tuning still fires mid-trial), results are delta-encoded, and
+// the worker heartbeats. A worker silent for -worker-evict-after heartbeats is
 // evicted and its leases requeued; results commit at most once. Scale
 // out by simply starting more workers:
 //
 //	pipetuned -exec-backend=remote -worker-token s3cret
 //	pipetune-worker -server http://localhost:8080 -token s3cret -capacity 4
 //	pipetune-worker -server http://localhost:8080 -token s3cret -capacity 4
-//
-// Workers speak one of two wire protocols, selected by -exec-wire: the
-// default binary is a persistent framed stream per worker (batched
-// lease grants, pipelined epoch frames, delta-encoded results — the
-// low-overhead production wire); json is the long-poll HTTP/JSON compat
-// wire; both mounts the two side by side during a fleet migration. Both
-// wires produce byte-identical results. The worker picks its side with
-// the matching -wire flag.
 //
 // -pprof-addr serves net/http/pprof on a separate listener (off by
 // default) for profiling the live daemon without exposing the profiling
@@ -49,7 +42,7 @@
 // and mirrored into an in-memory time-series database every
 // -metrics-mirror-interval. Remote workers ship their local series
 // (trial compute time, epochs, stream codec errors) piggybacked on the
-// heartbeats they already send; both wires carry them.
+// heartbeats they already send.
 // -metrics-enabled=false turns the whole plane off.
 //
 // Job dispatch across tenants is policy-driven: the default -job-policy
@@ -201,11 +194,9 @@ func run() error {
 		queueFlag     = flag.Int("queue", 64, "max queued jobs")
 		seedFlag      = flag.Uint64("seed", 1, "master seed for jobs that do not set one")
 		gtFlag        = flag.String("gt", "groundtruth.json", "ground-truth snapshot path (empty disables persistence; the WAL lives alongside at <path>.wal)")
-		gtStoreFlag   = flag.String("gt-store", "sharded", "ground-truth store: sharded (lock-free lookups, per-family shards) or monolith (the classic single-model database)")
 		gtCompactFlag = flag.Int("gt-compact-every", 256, "compact the ground-truth WAL into a snapshot every N records")
 		gtSnapFlag    = flag.Duration("gt-snapshot-interval", 0, "also compact on this interval (0 disables the ticker)")
 		schedFlag     = flag.String("scheduler", pipetune.SchedFIFO, "trial placement policy: fifo, sjf, backfill, cheapest or perf-per-dollar")
-		placeFlag     = flag.String("placement", "", "alias of -scheduler under its cost-aware name (takes precedence when set)")
 		classesFlag   = flag.String("node-classes", "", "heterogeneous cluster: 'ec2' (the paper's three EC2 shapes, one node each) or a comma-separated list of name:count:cores:memGB[:speed[:hourlyUSD]]")
 		spotFlag      = flag.Float64("spot-fraction", 0, "fraction of each node class bought as revocable spot capacity (only with -node-classes; ec2 applies it per shape)")
 		revRateFlag   = flag.Float64("spot-revocations-per-hour", 0.5, "per-node Poisson revocation rate for spot capacity")
@@ -213,7 +204,6 @@ func run() error {
 		bootstrapFlag = flag.Bool("bootstrap", false, "warm-start the ground truth by profiling the Table 3 catalog")
 		drainFlag     = flag.Duration("drain", httpserve.DefaultShutdownTimeout, "graceful-shutdown drain timeout (HTTP and in-flight remote trials)")
 		execFlag      = flag.String("exec-backend", "local", "trial execution backend: local (in-process pool) or remote (pipetune-worker fleet)")
-		wireFlag      = flag.String("exec-wire", exec.WireBinary, "work protocol for remote workers: binary (framed stream), json (long-poll compat) or both")
 		tokenFlag     = flag.String("worker-token", "", "shared bearer token pipetune-worker processes must present (empty = open)")
 		beatFlag      = flag.Duration("worker-heartbeat", 2*time.Second, "heartbeat cadence expected from workers")
 		evictFlag     = flag.Int("worker-evict-after", 3, "consecutive missed heartbeats before a worker is evicted and its leases requeued")
@@ -229,24 +219,6 @@ func run() error {
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "pipetuned: ", log.LstdFlags)
-	var store pipetune.GroundTruthStore
-	switch *gtStoreFlag {
-	case "sharded":
-		store = gt.NewSharded(gt.DefaultConfig(), *seedFlag)
-	case "monolith":
-		store = gt.NewMonolith(gt.DefaultConfig(), *seedFlag)
-	default:
-		return fmt.Errorf("unknown -gt-store %q (want sharded or monolith)", *gtStoreFlag)
-	}
-	var wire string
-	switch *wireFlag {
-	case exec.WireJSON, exec.WireBinary:
-		wire = *wireFlag
-	case "both":
-		wire = "" // an empty RemoteConfig.Wire mounts both protocols
-	default:
-		return fmt.Errorf("unknown -exec-wire %q (want binary, json or both)", *wireFlag)
-	}
 	// One registry for every layer: the service, the admission queue, the
 	// ground-truth store and the execution plane all publish into it, so
 	// a single /metrics scrape sees the whole daemon.
@@ -264,21 +236,16 @@ func run() error {
 			HeartbeatInterval: *beatFlag,
 			MissedHeartbeats:  *evictFlag,
 			Token:             *tokenFlag,
-			Wire:              wire,
 			Metrics:           reg,
 			Logf:              logger.Printf,
 		})
 	default:
 		return fmt.Errorf("unknown -exec-backend %q (want local or remote)", *execFlag)
 	}
-	policy := *schedFlag
-	if *placeFlag != "" {
-		policy = *placeFlag
-	}
 	opts := []pipetune.Option{
 		pipetune.WithSeed(*seedFlag),
-		pipetune.WithScheduler(policy),
-		pipetune.WithGroundTruthStore(store),
+		pipetune.WithScheduler(*schedFlag),
+		pipetune.WithGroundTruthStore(gt.NewSharded(gt.DefaultConfig(), *seedFlag)),
 	}
 	if *classesFlag != "" {
 		classes, err := parseNodeClasses(*classesFlag, *spotFlag, *revRateFlag)
@@ -351,17 +318,16 @@ func run() error {
 
 	srv := &http.Server{Addr: *addrFlag, Handler: svc.Handler()}
 	// Stop the executor BEFORE the listener closes (preShutdown), not via
-	// http.Server.RegisterOnShutdown, for two reasons: remote workers
-	// must still reach the work API to commit in-flight trials during the
-	// execution-plane drain (Shutdown closes listeners before its hooks
-	// run), and open SSE streams only end when their job turns terminal,
-	// so cancelling jobs must precede the HTTP drain or streaming clients
-	// would stall it until the timeout every time.
+	// http.Server.RegisterOnShutdown (Shutdown closes listeners before
+	// its hooks run): open SSE streams only end when their job turns
+	// terminal, so cancelling jobs and draining the execution plane must
+	// precede the HTTP drain or streaming clients would stall it until
+	// the timeout every time.
 	err = httpserve.ListenAndServe(context.Background(), srv, *drainFlag, func(addr net.Addr) {
-		logger.Printf("serving the tuning API on %s (%d workers, job-policy=%s, exec-backend=%s, gt=%s store=%s)", addr, *workersFlag, *jobPolicyFlag, *execFlag, orNone(*gtFlag), *gtStoreFlag)
+		logger.Printf("serving the tuning API on %s (%d workers, job-policy=%s, exec-backend=%s, gt=%s)", addr, *workersFlag, *jobPolicyFlag, *execFlag, orNone(*gtFlag))
 		logger.Printf("try  curl -s -X POST localhost%s/v1/jobs -d '{\"workload\":\"lenet/mnist\"}'", httpserve.Port(addr))
 		if remote != nil {
-			logger.Printf("awaiting workers (wire=%s): pipetune-worker -server http://localhost%s", *wireFlag, httpserve.Port(addr))
+			logger.Printf("awaiting workers: pipetune-worker -server http://localhost%s", httpserve.Port(addr))
 		}
 	}, svc.Shutdown)
 	// Idempotent backstop for the listener-error path, where Serve's

@@ -78,12 +78,11 @@ func startDaemon(t *testing.T, bin string, args ...string) (string, *exec.Cmd) {
 	}
 }
 
-// startWorker launches one pipetune-worker against the daemon, speaking
-// the given wire protocol.
-func startWorker(t *testing.T, bin, serverURL, token, wire string) *exec.Cmd {
+// startWorker launches one pipetune-worker against the daemon.
+func startWorker(t *testing.T, bin, serverURL, token string) *exec.Cmd {
 	t.Helper()
 	cmd := exec.Command(bin,
-		"-server", serverURL, "-token", token, "-wire", wire,
+		"-server", serverURL, "-token", token,
 		"-capacity", "2", "-heartbeat", "50ms")
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
@@ -108,13 +107,11 @@ func resultJSON(t *testing.T, st api.JobStatus) string {
 	return string(b)
 }
 
-// TestRemoteE2E is the multi-process acceptance smoke, run once per
-// wire protocol: a real pipetuned daemon with -exec-backend=remote, two
-// real pipetune-worker processes, one job through the HTTP API; one
-// worker is SIGKILLed mid-job; the job must complete with a result
-// byte-identical to a -exec-backend=local daemon's — the same reference
-// bytes for both wires, so the subtests also prove json/binary parity
-// across process boundaries.
+// TestRemoteE2E is the multi-process acceptance smoke: a real pipetuned
+// daemon with -exec-backend=remote, two real pipetune-worker processes,
+// one job through the HTTP API; one worker is SIGKILLed mid-job; the job
+// must complete with a result byte-identical to a -exec-backend=local
+// daemon's.
 func TestRemoteE2E(t *testing.T) {
 	if os.Getenv("PIPETUNE_E2E") == "" {
 		t.Skip("multi-process e2e: set PIPETUNE_E2E=1 to run")
@@ -137,25 +134,16 @@ func TestRemoteE2E(t *testing.T) {
 	}
 	want := resultJSON(t, localFinal)
 
-	for _, wire := range []string{"json", "binary"} {
-		t.Run(wire, func(t *testing.T) {
-			remoteE2E(t, ctx, daemonBin, workerBin, wire, req, want)
-		})
-	}
-}
-
-// remoteE2E runs the SIGKILL-a-worker scenario on one wire protocol.
-func remoteE2E(t *testing.T, ctx context.Context, daemonBin, workerBin, wire string, req api.JobRequest, want string) {
 	// The remote fleet: daemon + two workers, aggressive eviction so the
 	// kill below recovers quickly.
 	const token = "e2e-s3cret"
 	remoteAddr, _ := startDaemon(t, daemonBin,
-		"-exec-backend", "remote", "-exec-wire", wire, "-worker-token", token,
+		"-exec-backend", "remote", "-worker-token", token,
 		"-worker-heartbeat", "100ms", "-worker-evict-after", "2")
 	remoteURL := "http://" + remoteAddr
 	remoteCl := client.New(remoteURL)
-	w1 := startWorker(t, workerBin, remoteURL, token, wire)
-	startWorker(t, workerBin, remoteURL, token, wire)
+	w1 := startWorker(t, workerBin, remoteURL, token)
+	startWorker(t, workerBin, remoteURL, token)
 
 	// Both workers registered?
 	deadline := time.Now().Add(30 * time.Second)
@@ -170,7 +158,7 @@ func remoteE2E(t *testing.T, ctx context.Context, daemonBin, workerBin, wire str
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	st, err := remoteCl.Submit(ctx, req)
+	st, err = remoteCl.Submit(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,17 +186,13 @@ func remoteE2E(t *testing.T, ctx context.Context, daemonBin, workerBin, wire str
 	}
 	got := resultJSON(t, remoteFinal)
 	if got != want {
-		t.Fatalf("%s-wire remote-fleet result diverges from the local daemon's", wire)
+		t.Fatal("remote-fleet result diverges from the local daemon's")
 	}
 
-	// The daemon's fleet surface must show the casualty, the work and the
-	// wire protocol in force.
+	// The daemon's fleet surface must show the casualty and the work.
 	fs, err := remoteCl.Fleet(ctx)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if fs.Wire != wire {
-		t.Fatalf("fleet wire = %q, want %q", fs.Wire, wire)
 	}
 	evicted := false
 	for _, w := range fs.Workers {
@@ -229,6 +213,6 @@ func remoteE2E(t *testing.T, ctx context.Context, daemonBin, workerBin, wire str
 	if health.ExecBackend != "remote" || health.Fleet == nil {
 		t.Fatalf("healthz: backend %q fleet %v", health.ExecBackend, health.Fleet != nil)
 	}
-	fmt.Printf("e2e: %s-wire remote result matches local (%d bytes), %d trials on the fleet, eviction recovered\n",
-		wire, len(got), fs.CompletedTrials)
+	fmt.Printf("e2e: remote result matches local (%d bytes), %d trials on the fleet, eviction recovered\n",
+		len(got), fs.CompletedTrials)
 }

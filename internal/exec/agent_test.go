@@ -3,28 +3,22 @@ package exec
 import (
 	"context"
 	"errors"
+	"net"
 	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
-
-	"pipetune/internal/params"
-	"pipetune/internal/trainer"
-	"pipetune/internal/workload"
 )
 
 // startFleet boots a Remote behind a real HTTP server plus n in-process
-// Agents speaking the real wire protocol — the full remote stack in one
-// test binary. Agents speak cfg.Wire ("" = the JSON wire; the daemon
-// mounts both unless cfg.Wire restricts it).
+// Agents speaking the real protocol — the full remote stack in one test
+// binary.
 func startFleet(t *testing.T, n int, cfg RemoteConfig) (*Remote, context.CancelFunc) {
 	t.Helper()
 	if cfg.HeartbeatInterval == 0 {
 		cfg.HeartbeatInterval = 50 * time.Millisecond
-	}
-	if cfg.LeaseWait == 0 {
-		cfg.LeaseWait = 50 * time.Millisecond
 	}
 	r := NewRemote(cfg)
 	srv := httptest.NewServer(r.Handler())
@@ -36,7 +30,6 @@ func startFleet(t *testing.T, n int, cfg RemoteConfig) (*Remote, context.CancelF
 			Token:    cfg.Token,
 			Name:     "test-agent",
 			Capacity: 2,
-			Wire:     cfg.Wire,
 		})
 		wg.Add(1)
 		go func() {
@@ -53,68 +46,21 @@ func startFleet(t *testing.T, n int, cfg RemoteConfig) (*Remote, context.CancelF
 	return r, cancel
 }
 
-// TestAgentComputesRemoteTrialsBitIdentically runs real trial bodies
-// through the full HTTP stack — register, lease, epoch streaming,
-// commit — and requires results bit-identical to the local backend's.
-func TestAgentComputesRemoteTrialsBitIdentically(t *testing.T) {
-	r, _ := startFleet(t, 2, RemoteConfig{})
-
-	tr := smallTrainer()
-	trials := realTrials(tr, 4)
-	// Trial 1 carries an observer that switches the system configuration
-	// after epoch 1 — the pipelined-tuning path must survive the wire.
-	var obsMu sync.Mutex
-	var remoteSeen []trainer.EpochStats
-	switched := params.SysConfig{Cores: 16, MemoryGB: 32}
-	mkObserver := func(sink *[]trainer.EpochStats) trainer.EpochObserver {
-		return trainer.ObserverFunc(func(_ uint64, _ workload.Workload, _ params.Hyper, s trainer.EpochStats) *params.SysConfig {
-			obsMu.Lock()
-			*sink = append(*sink, s)
-			obsMu.Unlock()
-			if s.Epoch == 1 {
-				return &switched
-			}
-			return nil
-		})
-	}
-	trials[1].Observer = mkObserver(&remoteSeen)
-
-	results, errs := r.Run(context.Background(), trials, 0)
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("remote trial %d: %v", i, err)
+// waitFor polls cond until it holds, failing the test after 5s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if !time.Now().Before(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
-	}
-
-	var localSeen []trainer.EpochStats
-	localTrials := realTrials(smallTrainer(), 4)
-	localTrials[1].Observer = mkObserver(&localSeen)
-	want, werrs := NewLocal(smallTrainer()).Run(context.Background(), localTrials, 2)
-	for i, err := range werrs {
-		if err != nil {
-			t.Fatalf("local trial %d: %v", i, err)
-		}
-	}
-
-	for i := range trials {
-		if !reflect.DeepEqual(results[i], want[i]) {
-			t.Fatalf("remote trial %d diverges from local backend", i)
-		}
-	}
-	if results[1].FinalSys != switched {
-		t.Fatalf("observer switch lost over the wire: FinalSys %v, want %v", results[1].FinalSys, switched)
-	}
-	if !reflect.DeepEqual(remoteSeen, localSeen) {
-		t.Fatalf("observer saw different epochs remotely:\n remote %d epochs\n local  %d epochs", len(remoteSeen), len(localSeen))
-	}
-	fs := r.Fleet()
-	if fs.CompletedTrials != 4 {
-		t.Fatalf("fleet completed %d trials, want 4", fs.CompletedTrials)
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 
-// TestAgentTokenAuth pins the shared-token gate: a wrong token is
-// rejected with a terminal error, the right one is admitted.
+// TestAgentTokenAuth pins the agent's side of the shared-token gate: a
+// rejected token is terminal (Run returns ErrBadToken instead of
+// retrying forever), the right one is admitted.
 func TestAgentTokenAuth(t *testing.T) {
 	r := NewRemote(RemoteConfig{Token: "s3cret", HeartbeatInterval: 50 * time.Millisecond})
 	t.Cleanup(r.Close)
@@ -131,75 +77,107 @@ func TestAgentTokenAuth(t *testing.T) {
 	good := NewAgent(AgentConfig{Server: srv.URL, Token: "s3cret"})
 	done := make(chan error, 1)
 	go func() { done <- good.Run(ctx) }()
-	deadline := time.Now().Add(2 * time.Second)
-	for len(r.Fleet().Workers) == 0 {
-		if !time.Now().Before(deadline) {
-			t.Fatal("correctly-tokened agent never registered")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, "the correctly-tokened agent to register", func() bool { return len(r.Fleet().Workers) == 1 })
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("agent exit: %v, want context.Canceled", err)
 	}
 }
 
-// TestAgentSurvivesEvictionAndReRegisters kills the connection story
-// end to end: an agent that misses the eviction window re-registers and
-// keeps serving, and trials requeued from its dead registration still
-// complete.
+// partitionListener hands out connections whose inbound side the test
+// can freeze: bytes that arrive while frozen are held, not delivered,
+// until the connection is closed — a worker that is connected but
+// partitioned. Outbound (daemon → worker) traffic is untouched.
+type partitionListener struct {
+	net.Listener
+	frozen atomic.Bool
+}
+
+func (l *partitionListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &partitionConn{Conn: c, l: l, closed: make(chan struct{})}, nil
+}
+
+type partitionConn struct {
+	net.Conn
+	l         *partitionListener
+	closed    chan struct{}
+	closeOnce sync.Once
+}
+
+func (c *partitionConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if c.l.frozen.Load() {
+		<-c.closed
+	}
+	return n, err
+}
+
+func (c *partitionConn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// TestAgentSurvivesEvictionAndReRegisters is the partition story end to
+// end: the reaper evicts a connected-but-silent worker holding a lease
+// (on the injected clock), eviction severs its stream, the agent
+// reconnects under a new worker id, and the requeued lease completes on
+// its second attempt with the bits a direct run produces.
 func TestAgentSurvivesEvictionAndReRegisters(t *testing.T) {
 	clock := newTestClock()
 	r := NewRemote(RemoteConfig{
 		HeartbeatInterval: 50 * time.Millisecond,
 		MissedHeartbeats:  2,
-		LeaseWait:         20 * time.Millisecond,
+		Logf:              t.Logf,
 		now:               clock.Now,
 	})
 	t.Cleanup(r.Close)
-	srv := httptest.NewServer(r.Handler())
+	srv := httptest.NewUnstartedServer(r.Handler())
+	ln := &partitionListener{Listener: srv.Listener}
+	srv.Listener = ln
+	srv.Start()
 	t.Cleanup(srv.Close)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	agent := NewAgent(AgentConfig{Server: srv.URL, Capacity: 1})
 	go func() { _ = agent.Run(ctx) }()
+	waitFor(t, "registration", func() bool { return len(r.Fleet().Workers) == 1 })
 
-	waitFor := func(cond func() bool, what string) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for !cond() {
-			if !time.Now().Before(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	waitFor(func() bool { return len(r.Fleet().Workers) == 1 }, "registration")
+	// Partition, then submit: the grant reaches the worker, but nothing
+	// it sends back — heartbeats, the commit — reaches the daemon, so
+	// the lease cannot complete on this registration.
+	ln.frozen.Store(true)
+	tr := smallTrainer()
+	trials := realTrials(tr, 1)
+	ran := runAsync(context.Background(), r, trials)
+	waitFor(t, "the partitioned worker to hold the lease", func() bool { return r.Fleet().LeasedTrials == 1 })
 
-	// Push the fake clock past the eviction horizon: the agent (whose
-	// real-time heartbeats cannot move the fake clock) is evicted, then
-	// re-registers on its next 404.
 	clock.Advance(time.Second)
 	r.evictStale()
-	waitFor(func() bool {
-		fs := r.Fleet()
-		active := 0
-		for _, w := range fs.Workers {
-			if w.State == "active" {
-				active++
-			}
-		}
-		return active == 1 && len(fs.Workers) == 2
-	}, "re-registration after eviction")
-
-	// The re-registered agent still computes trials.
-	tr := smallTrainer()
-	results, errs := r.Run(context.Background(), realTrials(tr, 1), 0)
-	if errs[0] != nil {
-		t.Fatalf("trial after re-registration: %v", errs[0])
+	if fs := r.Fleet(); fs.RequeuedTrials != 1 || fs.PendingTrials != 1 || fs.Workers[0].State != "evicted" {
+		t.Fatalf("after the reaper scan: %+v", fs)
 	}
-	if results[0] == nil {
-		t.Fatal("no result after re-registration")
+	ln.frozen.Store(false) // heal: the agent's reconnect gets through
+
+	out := <-ran
+	if out.errs[0] != nil {
+		t.Fatalf("trial after re-registration: %v", out.errs[0])
+	}
+	want, err := smallTrainer().Run(trials[0].Workload, trials[0].Hyper, trials[0].Sys, trials[0].Seed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out.results[0], want) {
+		t.Fatal("requeued lease's result diverges from a direct run")
+	}
+	// Attempt 1 never committed and attempt 2 did, under a new id.
+	fs := r.Fleet()
+	if len(fs.Workers) != 2 || fs.Workers[0].TrialsDone != 0 ||
+		fs.Workers[1].State != "active" || fs.Workers[1].TrialsDone != 1 || fs.RequeuedTrials != 1 {
+		t.Fatalf("fleet after recovery: %+v", fs)
 	}
 }

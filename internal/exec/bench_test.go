@@ -52,49 +52,41 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // BenchmarkExecBackends prices the execution plane: the same 8-trial
 // batch of real lenet/mnist bodies (2 epochs, 96/48 corpus) computed on
 // the local in-process pool versus remote fleets of 1, 2 and 4
-// in-process agents on each wire protocol — the long-poll HTTP/JSON
-// compat wire and the framed binary stream. On a single-CPU box the
-// remote rows measure protocol overhead (lease/grant + epoch + commit
-// traffic per trial); the throughput *scaling* claim is the
-// deterministic experiments.ScaleOut trace, which is CPU-independent.
-// Each remote row also reports bytes-on-the-wire per trial, counted at
-// the accepted-connection level so HTTP framing (or stream framing)
-// overhead is included.
+// in-process agents. On a single-CPU box the remote rows measure
+// protocol overhead (grant + epoch + commit traffic per trial); the
+// throughput *scaling* claim is the deterministic experiments.ScaleOut
+// trace, which is CPU-independent. Each remote row also reports
+// bytes-on-the-wire per trial, counted at the accepted-connection level
+// so the upgrade and frame headers are included.
 func BenchmarkExecBackends(b *testing.B) {
 	b.Run("local", func(b *testing.B) {
 		benchBackend(b, NewLocal(smallTrainer()), nil)
 	})
-	for _, wire := range []string{WireJSON, WireBinary} {
-		for _, agents := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("remote-%s-%dw", wire, agents), func(b *testing.B) {
-				r := NewRemote(RemoteConfig{
-					HeartbeatInterval: 200 * time.Millisecond,
-					LeaseWait:         100 * time.Millisecond,
-					Wire:              wire,
-				})
-				defer r.Close()
-				var wireBytes atomic.Int64
-				srv := httptest.NewUnstartedServer(r.Handler())
-				srv.Listener = countingListener{srv.Listener, &wireBytes}
-				srv.Start()
-				defer srv.Close()
-				ctx, cancel := context.WithCancel(context.Background())
-				var wg sync.WaitGroup
-				defer func() { // stop the agents, then reap them
-					cancel()
-					wg.Wait()
+	for _, agents := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("remote-%dw", agents), func(b *testing.B) {
+			r := NewRemote(RemoteConfig{HeartbeatInterval: 200 * time.Millisecond})
+			defer r.Close()
+			var wireBytes atomic.Int64
+			srv := httptest.NewUnstartedServer(r.Handler())
+			srv.Listener = countingListener{srv.Listener, &wireBytes}
+			srv.Start()
+			defer srv.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			var wg sync.WaitGroup
+			defer func() { // stop the agents, then reap them
+				cancel()
+				wg.Wait()
+			}()
+			for i := 0; i < agents; i++ {
+				agent := NewAgent(AgentConfig{Server: srv.URL, Capacity: 2})
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_ = agent.Run(ctx)
 				}()
-				for i := 0; i < agents; i++ {
-					agent := NewAgent(AgentConfig{Server: srv.URL, Capacity: 2, Wire: wire})
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						_ = agent.Run(ctx)
-					}()
-				}
-				benchBackend(b, r, &wireBytes)
-			})
-		}
+			}
+			benchBackend(b, r, &wireBytes)
+		})
 	}
 }
 

@@ -22,7 +22,7 @@ func cachedSmallTrainer() *trainer.Runner {
 // cache's bit-identity guarantee: with the trial prefix cache enabled —
 // daemon-derived CacheKey on every trial, CacheBytes in the shipped
 // TrainerConfig so workers keep warm worker-local caches — the local
-// backend, the JSON fleet and the binary fleet must all reproduce the
+// backend and a worker fleet across the wire must both reproduce the
 // uncached local results byte for byte across the Table 3 catalog. Every
 // workload appears twice (same prefix, different system configuration:
 // the sys-sweep replay shape), so the second trial exercises a cache hit
@@ -73,24 +73,16 @@ func TestCacheCrossWireCatalogParity(t *testing.T) {
 	localCached := cachedSmallTrainer()
 	gotLocal := run(NewLocal(localCached), localCached)
 
-	jsonDaemon := cachedSmallTrainer()
-	jsonFleet, _ := startFleet(t, 2, RemoteConfig{Wire: WireJSON})
-	gotJSON := run(jsonFleet, jsonDaemon)
-
-	binDaemon := cachedSmallTrainer()
-	binFleet, _ := startFleet(t, 2, RemoteConfig{Wire: WireBinary})
-	gotBin := run(binFleet, binDaemon)
+	fleet, _ := startFleet(t, 2, RemoteConfig{})
+	gotFleet := run(fleet, cachedSmallTrainer())
 
 	for i := range plain {
 		w := cat[i/2%len(cat)]
 		if gotLocal[i] != plain[i] {
 			t.Errorf("trial %d (%s): cached local diverges from uncached", i, w.Name())
 		}
-		if gotJSON[i] != plain[i] {
-			t.Errorf("trial %d (%s): cached json wire diverges from uncached local", i, w.Name())
-		}
-		if gotBin[i] != plain[i] {
-			t.Errorf("trial %d (%s): cached binary wire diverges from uncached local", i, w.Name())
+		if gotFleet[i] != plain[i] {
+			t.Errorf("trial %d (%s): cached fleet diverges from uncached local", i, w.Name())
 		}
 	}
 	// The local cache must have actually been exercised: each workload's

@@ -1,7 +1,7 @@
 package exec
 
-// This file is the binary work protocol's codec: the frame discipline and
-// the per-message encodings exchanged over one persistent stream between
+// This file is the work protocol's codec: the frame discipline and the
+// per-message encodings exchanged over one persistent stream between
 // the daemon's Remote backend and a pipetune-worker agent (the stream
 // halves live in stream.go and streamagent.go).
 //
@@ -23,7 +23,7 @@ package exec
 // small counts, length-prefixed strings — appended field by field into a
 // pooled buffer. No reflection, no intermediate maps, no encoding/json.
 // Floats travel as raw bit patterns, so a decoded value is the encoded
-// value, bit for bit — the cross-wire parity suite depends on it.
+// value, bit for bit — remote-equals-local bit-identity depends on it.
 //
 // Results are delta-encoded against state both ends already share. The
 // daemon holds the lease's trial (workload, hyperparameters, starting
@@ -55,14 +55,9 @@ import (
 	"pipetune/internal/workload"
 )
 
-// Wire kinds selectable on pipetuned (-exec-wire) and pipetune-worker
-// (-wire). The binary stream is the default in both commands; JSON is the
-// long-poll compatibility wire. An empty RemoteConfig.Wire mounts both,
-// so mixed fleets (and the cross-wire parity suite) can share one daemon.
-const (
-	WireJSON   = "json"
-	WireBinary = "binary"
-)
+// WireBinary is accepted and ignored; the stream is the only wire;
+// delete with the next benchmark PR.
+const WireBinary = "binary"
 
 // streamUpgradeProto names the protocol in the HTTP Upgrade handshake
 // that turns POST /v1/stream into a raw framed stream.
@@ -332,20 +327,21 @@ func decodeHello(p []byte) (name string, capacity int, err error) {
 	return name, capacity, r.finish()
 }
 
-func encodeWelcome(w *wirebuf, resp RegisterResponse) {
-	w.str(resp.WorkerID)
-	w.f64(resp.HeartbeatSeconds)
-	w.f64(resp.LeaseWaitSeconds)
+// The Welcome frame's third f64 was the long-poll bound of a retired
+// wire: written 0, read and discarded, so the layout (and codecVersion)
+// did not move when it went.
+func encodeWelcome(w *wirebuf, workerID string, heartbeatSeconds float64) {
+	w.str(workerID)
+	w.f64(heartbeatSeconds)
+	w.f64(0)
 }
 
-func decodeWelcome(p []byte) (RegisterResponse, error) {
+func decodeWelcome(p []byte) (workerID string, heartbeatSeconds float64, err error) {
 	r := wireReader{b: p}
-	resp := RegisterResponse{
-		WorkerID:         r.str(),
-		HeartbeatSeconds: r.f64(),
-		LeaseWaitSeconds: r.f64(),
-	}
-	return resp, r.finish()
+	workerID = r.str()
+	heartbeatSeconds = r.f64()
+	_ = r.f64()
+	return workerID, heartbeatSeconds, r.finish()
 }
 
 // --- Grant -----------------------------------------------------------

@@ -277,7 +277,7 @@ func fuzzSeedFrames(t testing.TB) [][]byte {
 	return [][]byte{
 		encodeFrameBytes(t, frameHello, func(w *wirebuf) { encodeHello(w, "worker-a", 4) }),
 		encodeFrameBytes(t, frameWelcome, func(w *wirebuf) {
-			encodeWelcome(w, RegisterResponse{WorkerID: "w-000001", HeartbeatSeconds: 2, LeaseWaitSeconds: 5})
+			encodeWelcome(w, "w-000001", 2)
 		}),
 		encodeFrameBytes(t, frameHeartbeat, func(*wirebuf) {}),
 		encodeFrameBytes(t, frameGrant, func(w *wirebuf) {
@@ -321,7 +321,7 @@ func FuzzFrameDecode(f *testing.F) {
 		// accepted. Decoders are exercised regardless of the type byte:
 		// a mismatched decoder must also fail safe.
 		_, _, _ = decodeHello(p)
-		_, _ = decodeWelcome(p)
+		_, _, _ = decodeWelcome(p)
 		_, _ = decodeGrant(p)
 		_, _, _, _ = decodeEpochFrame(p)
 		_, _, _, _, _ = decodeDirective(p)

@@ -11,8 +11,8 @@
 //     default everywhere (library callers, tests, pipetuned without
 //     flags).
 //   - Remote fans trial bodies out to a fleet of pipetune-worker
-//     processes that register with the daemon, lease trials over an
-//     HTTP/JSON work API, stream per-epoch observations back (so
+//     processes that each hold one framed stream to the daemon, are
+//     granted trials over it, stream per-epoch observations back (so
 //     PipeTune's pipelined system tuning and the scheduler's resize
 //     events still fire mid-trial) and heartbeat. A lost worker's leases
 //     are requeued and results commit at most once.

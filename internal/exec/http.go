@@ -2,71 +2,34 @@ package exec
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"net/http"
-	"strconv"
-	"time"
 )
 
-// Handler serves the worker-facing work API (mounted by the pipetuned
-// service next to the job API):
+// Handler serves the execution plane's HTTP surface (mounted by the
+// pipetuned service next to the job API):
 //
-//	POST /v1/workers                             register        -> RegisterResponse
-//	POST /v1/workers/{id}/heartbeat              liveness
-//	POST /v1/workers/{id}/lease?waitMs=N         lease a trial   -> Assignment | 204
-//	POST /v1/workers/{id}/leases/{lease}/epoch   epoch report    -> EpochDirective
-//	POST /v1/workers/{id}/leases/{lease}/complete result commit
-//	POST /v1/stream                              binary stream upgrade (101)
-//	GET  /v1/fleet                               fleet status    -> FleetStatus
+//	POST /v1/stream   worker stream upgrade (101)
+//	GET  /v1/fleet    fleet status -> FleetStatus
 //
-// RemoteConfig.Wire gates the mounts: "json" serves only the long-poll
-// routes, "binary" only the stream upgrade, "" both. When
-// RemoteConfig.Token is set, every worker-facing route requires
+// When RemoteConfig.Token is set, the stream upgrade requires
 // "Authorization: Bearer <token>"; GET /v1/fleet is operator-facing and
 // stays open, like /healthz.
 func (r *Remote) Handler() http.Handler {
 	mux := http.NewServeMux()
-	if r.cfg.Wire == "" || r.cfg.Wire == WireJSON {
-		mux.HandleFunc("POST /v1/workers", r.authed(r.jsonWire(r.handleRegister)))
-		mux.HandleFunc("POST /v1/workers/{id}/heartbeat", r.authed(r.jsonWire(r.handleHeartbeat)))
-		mux.HandleFunc("POST /v1/workers/{id}/lease", r.authed(r.jsonWire(r.handleLease)))
-		mux.HandleFunc("POST /v1/workers/{id}/leases/{lease}/epoch", r.authed(r.jsonWire(r.handleEpoch)))
-		mux.HandleFunc("POST /v1/workers/{id}/leases/{lease}/complete", r.authed(r.jsonWire(r.handleComplete)))
-	}
-	if r.cfg.Wire == "" || r.cfg.Wire == WireBinary {
-		mux.HandleFunc("POST /v1/stream", r.authed(r.handleStream))
-	}
+	mux.HandleFunc("POST /v1/stream", r.authed(r.handleStream))
 	mux.HandleFunc("GET /v1/fleet", r.handleFleet)
 	return mux
 }
 
-// wireError is the JSON error body of non-2xx work-API responses.
+// wireError is the JSON error body of non-2xx responses.
 type wireError struct {
 	Error string `json:"error"`
 }
 
-func writeWireJSON(w http.ResponseWriter, code int, v any) {
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeWireErr maps execution-plane errors onto status codes: an unknown
-// worker is 404 (re-register), a revoked lease 409 (drop the trial),
-// draining 503.
-func writeWireErr(w http.ResponseWriter, err error) {
-	code := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, ErrUnknownWorker):
-		code = http.StatusNotFound
-	case errors.Is(err, ErrLeaseRevoked):
-		code = http.StatusConflict
-	case errors.Is(err, ErrDraining):
-		code = http.StatusServiceUnavailable
-	}
-	writeWireJSON(w, code, wireError{Error: err.Error()})
 }
 
 // authed enforces the shared worker token when one is configured.
@@ -77,134 +40,13 @@ func (r *Remote) authed(h http.HandlerFunc) http.HandlerFunc {
 	want := "Bearer " + r.cfg.Token
 	return func(w http.ResponseWriter, req *http.Request) {
 		if req.Header.Get("Authorization") != want {
-			writeWireJSON(w, http.StatusUnauthorized, wireError{Error: "exec: missing or invalid worker token"})
+			writeJSON(w, http.StatusUnauthorized, wireError{Error: "exec: missing or invalid worker token"})
 			return
 		}
 		h(w, req)
 	}
 }
 
-func (r *Remote) handleRegister(w http.ResponseWriter, req *http.Request) {
-	var body RegisterRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		writeWireJSON(w, http.StatusBadRequest, wireError{Error: fmt.Sprintf("exec: decode register: %v", err)})
-		return
-	}
-	resp, err := r.Register(body)
-	if err != nil {
-		writeWireErr(w, err)
-		return
-	}
-	writeWireJSON(w, http.StatusOK, resp)
-}
-
-func (r *Remote) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
-	// The body is optional: workers that collect telemetry piggyback a
-	// cumulative snapshot on the beat — the JSON twin of the binary
-	// wire's Stats frame. An empty body is a plain liveness beat.
-	var body HeartbeatRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil && !errors.Is(err, io.EOF) {
-		writeWireJSON(w, http.StatusBadRequest, wireError{Error: fmt.Sprintf("exec: decode heartbeat: %v", err)})
-		return
-	}
-	id := req.PathValue("id")
-	if body.Series != nil {
-		if err := r.IngestWorkerSeries(id, *body.Series); err != nil {
-			writeWireErr(w, err)
-			return
-		}
-	} else if err := r.Heartbeat(id); err != nil {
-		writeWireErr(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (r *Remote) handleLease(w http.ResponseWriter, req *http.Request) {
-	var wait time.Duration
-	if ms, err := strconv.Atoi(req.URL.Query().Get("waitMs")); err == nil && ms > 0 {
-		wait = time.Duration(ms) * time.Millisecond
-	}
-	asg, err := r.NextLease(req.PathValue("id"), wait)
-	if err != nil {
-		writeWireErr(w, err)
-		return
-	}
-	if asg == nil {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	writeWireJSON(w, http.StatusOK, asg)
-}
-
-func (r *Remote) handleEpoch(w http.ResponseWriter, req *http.Request) {
-	var rep EpochReport
-	if err := json.NewDecoder(req.Body).Decode(&rep); err != nil {
-		writeWireJSON(w, http.StatusBadRequest, wireError{Error: fmt.Sprintf("exec: decode epoch report: %v", err)})
-		return
-	}
-	dir, err := r.ReportEpoch(req.PathValue("id"), req.PathValue("lease"), rep)
-	if err != nil {
-		writeWireErr(w, err)
-		return
-	}
-	writeWireJSON(w, http.StatusOK, dir)
-}
-
-func (r *Remote) handleComplete(w http.ResponseWriter, req *http.Request) {
-	var body CompleteRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		writeWireJSON(w, http.StatusBadRequest, wireError{Error: fmt.Sprintf("exec: decode complete: %v", err)})
-		return
-	}
-	if err := r.Complete(req.PathValue("id"), req.PathValue("lease"), body); err != nil {
-		writeWireErr(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
 func (r *Remote) handleFleet(w http.ResponseWriter, _ *http.Request) {
-	writeWireJSON(w, http.StatusOK, r.Fleet())
-}
-
-// jsonWire wraps a long-poll route with per-wire traffic accounting: one
-// rx "frame" per request and one tx "frame" per response (the JSON
-// wire's unit of exchange), plus the body bytes actually read and
-// written. The binary stream counts its frames in serveStream instead.
-func (r *Remote) jsonWire(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		cr := &countingReader{rc: req.Body}
-		req.Body = cr
-		cw := &countingWriter{ResponseWriter: w}
-		h(cw, req)
-		r.met.jsonRxFrames.Inc()
-		r.met.jsonTxFrames.Inc()
-		r.met.jsonRxBytes.Add(cr.n)
-		r.met.jsonTxBytes.Add(cw.n)
-	}
-}
-
-type countingReader struct {
-	rc io.ReadCloser
-	n  uint64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.rc.Read(p)
-	c.n += uint64(n)
-	return n, err
-}
-
-func (c *countingReader) Close() error { return c.rc.Close() }
-
-type countingWriter struct {
-	http.ResponseWriter
-	n uint64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.ResponseWriter.Write(p)
-	c.n += uint64(n)
-	return n, err
+	writeJSON(w, http.StatusOK, r.Fleet())
 }

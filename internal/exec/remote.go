@@ -39,17 +39,11 @@ type RemoteConfig struct {
 	// MissedHeartbeats is K: a worker silent for K consecutive intervals
 	// is evicted and its leases requeued (default 3).
 	MissedHeartbeats int
-	// LeaseWait bounds the long poll of one lease request (default 5s).
-	LeaseWait time.Duration
-	// Token, when non-empty, is the bearer token every worker-facing
-	// HTTP call must present (Authorization: Bearer <token>).
+	// Token, when non-empty, is the bearer token the stream upgrade
+	// must present (Authorization: Bearer <token>).
 	Token string
-	// Wire selects which work protocols the Handler mounts: WireJSON
-	// (the long-poll HTTP/JSON API), WireBinary (the persistent framed
-	// stream), or "" for both — mixed fleets and migrations talk to one
-	// daemon. The wire does not change semantics: results, eviction,
-	// requeue and drain behave identically (the parity suite proves it
-	// byte for byte).
+	// Wire is accepted and ignored; the stream is the only wire; delete
+	// with the next benchmark PR.
 	Wire string
 	// Logf receives operational log lines (nil = silent).
 	Logf func(format string, args ...any)
@@ -71,9 +65,6 @@ func (c RemoteConfig) withDefaults() RemoteConfig {
 	}
 	if c.MissedHeartbeats <= 0 {
 		c.MissedHeartbeats = 3
-	}
-	if c.LeaseWait <= 0 {
-		c.LeaseWait = 5 * time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -109,11 +100,10 @@ type lease struct {
 	result  *trainer.Result
 	err     error
 	done    chan struct{} // closed when the lease turns terminal
-	// lastEpoch/lastDirective dedupe the epoch stream: the agent
-	// redelivers a report whose response was lost, and the observer must
-	// see each epoch exactly once or its state machine diverges from an
-	// in-process run. Reset on requeue (a new attempt replays from
-	// epoch one).
+	// lastEpoch/lastDirective dedupe the epoch stream: a peer may
+	// redeliver a report, and the observer must see each epoch exactly
+	// once or its state machine diverges from an in-process run. Reset
+	// on requeue (a new attempt replays from epoch one).
 	lastEpoch     int
 	lastDirective EpochDirective
 	// cancelled marks a leased trial whose job gave up: the worker may
@@ -150,10 +140,10 @@ type workerEntry struct {
 	lastBeat time.Time
 	inflight map[string]*lease
 	done     int
-	// closeStream, when set, severs the worker's binary stream connection.
+	// closeStream, when set, severs the worker's stream connection.
 	// Eviction calls it so a worker evicted by the reaper (alive but
 	// partitioned) does not keep a half-dead stream open; the stream's
-	// reader unblocks and the session ends. Nil for JSON-wire workers.
+	// reader unblocks and the session ends.
 	closeStream func()
 	// series is the last heartbeat-shipped cumulative telemetry
 	// snapshot from this registration; the next snapshot is diffed
@@ -162,10 +152,10 @@ type workerEntry struct {
 }
 
 // Remote is the fleet execution backend: trials submitted by Run are
-// queued as leases; registered pipetune-worker processes pull them over
-// the work API, stream epoch observations back, and commit results
-// exactly once. A worker that stops heartbeating is evicted and its
-// leases requeued, so a job survives losing workers mid-trial.
+// queued as leases; registered pipetune-worker processes are granted
+// them over their stream, report epoch observations back, and commit
+// results exactly once. A worker that stops heartbeating is evicted and
+// its leases requeued, so a job survives losing workers mid-trial.
 //
 // Remote is the daemon-side half of the protocol; the worker-side half
 // is Agent. All methods are safe for concurrent use.
@@ -317,9 +307,7 @@ func (r *Remote) removePendingLocked(l *lease) {
 }
 
 // leaseName formats the old "ls-%06d" id without fmt's
-// reflection-driven allocations (three per Sprintf on this path — the
-// hottest daemon-side allocation the pprof pass surfaced outside the
-// JSON codec itself).
+// reflection-driven allocations (three per Sprintf on this path).
 func leaseName(n int) string { return paddedID('l', 's', n) }
 
 // workerName formats "w-%06d" ids the same way.
@@ -343,8 +331,8 @@ func paddedID(a, b byte, n int) string {
 }
 
 // terminalizeLocked moves a lease to its terminal state and releases its
-// worker slot. Callers hold r.mu. The broadcast wakes stream granters
-// (and parked long polls) whose worker just gained a free slot.
+// worker slot. Callers hold r.mu. The broadcast wakes the granters
+// whose worker just gained a free slot.
 func (r *Remote) terminalizeLocked(l *lease, res *trainer.Result, err error) {
 	if l.terminal() {
 		return
@@ -369,31 +357,27 @@ func (r *Remote) terminalizeLocked(l *lease, res *trainer.Result, err error) {
 // Register admits a worker to the fleet and assigns its id. Workers may
 // register while the backend drains — they will simply receive no
 // leases.
-func (r *Remote) Register(req RegisterRequest) (RegisterResponse, error) {
-	if req.Capacity < 1 {
-		req.Capacity = 1
+func (r *Remote) Register(name string, capacity int) (workerID string, err error) {
+	if capacity < 1 {
+		capacity = 1
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return RegisterResponse{}, ErrDraining
+		return "", ErrDraining
 	}
 	r.nextWorker++
 	w := &workerEntry{
 		id:       workerName(r.nextWorker),
-		name:     req.Name,
-		capacity: req.Capacity,
+		name:     name,
+		capacity: capacity,
 		state:    workerActive,
 		lastBeat: r.cfg.now(),
 		inflight: make(map[string]*lease),
 	}
 	r.workers[w.id] = w
 	r.cfg.Logf("exec: worker %s (%q, capacity %d) registered", w.id, w.name, w.capacity)
-	return RegisterResponse{
-		WorkerID:         w.id,
-		HeartbeatSeconds: r.cfg.HeartbeatInterval.Seconds(),
-		LeaseWaitSeconds: r.cfg.LeaseWait.Seconds(),
-	}, nil
+	return w.id, nil
 }
 
 // Heartbeat records worker liveness. An unknown or evicted worker gets
@@ -410,90 +394,37 @@ func (r *Remote) Heartbeat(workerID string) error {
 	return nil
 }
 
-// NextLease hands the worker its next trial, long-polling up to wait
-// (capped by the configured LeaseWait) when the queue is empty. A nil
-// assignment with nil error means "no work right now — poll again";
-// ErrDraining (HTTP 503) tells the worker to back off instead, so a
-// draining daemon is not hammered by instant re-polls. Any work-API
-// call refreshes the worker's heartbeat: a worker parked in a long poll
-// is evidently alive.
-func (r *Remote) NextLease(workerID string, wait time.Duration) (*Assignment, error) {
-	if wait <= 0 || wait > r.cfg.LeaseWait {
-		wait = r.cfg.LeaseWait
+// claimLocked moves up to limit pending leases, bounded by the worker's
+// free slots, onto w and returns them (a view of the queue's old head,
+// valid until r.mu is released). Non-blocking: an empty claim means no
+// work or no slot right now. Callers hold r.mu and have checked that w
+// is active and the plane is neither draining nor closed.
+func (r *Remote) claimLocked(w *workerEntry, limit int) []*lease {
+	n := min(limit, w.capacity-len(w.inflight), len(r.pending))
+	if n <= 0 {
+		return nil
 	}
-	deadline := time.Now().Add(wait)
-	// sync.Cond has no timed wait; an AfterFunc broadcast bounds the
-	// poll instead.
-	wake := time.AfterFunc(wait, func() {
-		r.mu.Lock()
-		r.cond.Broadcast()
-		r.mu.Unlock()
-	})
-	defer wake.Stop()
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for {
-		w := r.workers[workerID]
-		if w == nil || w.state != workerActive {
-			return nil, ErrUnknownWorker
-		}
-		w.lastBeat = r.cfg.now()
-		if r.closed || r.draining {
-			return nil, ErrDraining // shutdown issues no new leases
-		}
-		if len(r.pending) > 0 && len(w.inflight) < w.capacity {
-			l := r.pending[0]
-			r.pending = r.pending[1:]
-			l.state = leaseLeased
-			l.worker = w.id
-			w.inflight[l.id] = l
-			asg := &Assignment{
-				LeaseID:      l.id,
-				Attempt:      l.attempt,
-				TrialID:      l.trial.ID,
-				Workload:     l.trial.Workload,
-				Hyper:        l.trial.Hyper,
-				Sys:          l.trial.Sys,
-				Seed:         l.trial.Seed,
-				StreamEpochs: l.trial.Observer != nil,
-				Trainer:      l.trial.Trainer,
-				CacheKey:     l.trial.CacheKey,
-				Class:        l.trial.Class,
-			}
-			r.met.leaseGrants.Inc()
-			return asg, nil
-		}
-		if !time.Now().Before(deadline) {
-			return nil, nil
-		}
-		r.cond.Wait()
+	claim := r.pending[:n:n]
+	r.pending = r.pending[n:]
+	for _, l := range claim {
+		l.state = leaseLeased
+		l.worker = w.id
+		w.inflight[l.id] = l
 	}
+	r.met.leaseGrants.Add(uint64(n))
+	return claim
 }
 
 // ReportEpoch relays one epoch-boundary observation to the trial's
 // observer (PipeTune's pipelined controller, running daemon-side) and
 // returns its directive. A revoked directive tells the worker to abandon
-// the trial.
-func (r *Remote) ReportEpoch(workerID, leaseID string, rep EpochReport) (EpochDirective, error) {
+// the trial. The lease id arrives as a view into the frame buffer, and
+// indexing the map through string(leaseID) lets the compiler skip the
+// string allocation.
+func (r *Remote) ReportEpoch(workerID string, leaseID []byte, attempt int, s trainer.EpochStats) (EpochDirective, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.epochLocked(workerID, r.leases[leaseID], rep.Attempt, rep.Epoch.Stats())
-}
-
-// streamReportEpoch is ReportEpoch for the binary wire: the lease id
-// arrives as a view into the frame buffer, and indexing the map through
-// string(leaseID) lets the compiler skip the string allocation.
-func (r *Remote) streamReportEpoch(workerID string, leaseID []byte, attempt int, s trainer.EpochStats) (EpochDirective, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.epochLocked(workerID, r.leases[string(leaseID)], attempt, s)
-}
-
-// epochLocked validates and delivers one epoch observation; both wires
-// funnel through it so dedupe, staleness and observer semantics cannot
-// diverge. Callers hold r.mu.
-func (r *Remote) epochLocked(workerID string, l *lease, attempt int, s trainer.EpochStats) (EpochDirective, error) {
+	l := r.leases[string(leaseID)]
 	w := r.workers[workerID]
 	if w == nil || w.state != workerActive {
 		return EpochDirective{Revoked: true}, ErrUnknownWorker
@@ -505,12 +436,12 @@ func (r *Remote) epochLocked(workerID string, l *lease, attempt int, s trainer.E
 	if l.trial.Observer == nil {
 		return EpochDirective{}, nil
 	}
-	// The agent redelivers a report whose response was lost: answer a
-	// duplicate from the cache instead of advancing the observer twice.
-	// A report OLDER than the last delivered epoch is a network-delayed
-	// straggler whose retry was already processed — dropped entirely
-	// (empty directive, no observer call): delivering it would feed the
-	// controller an out-of-order observation.
+	// These are checks on bytes a remote peer controls. A redelivered
+	// report is answered from the cache instead of advancing the
+	// observer twice. A report OLDER than the last delivered epoch is a
+	// straggler — dropped entirely (empty directive, no observer call):
+	// delivering it would feed the controller an out-of-order
+	// observation.
 	if s.Epoch == l.lastEpoch {
 		return l.lastDirective, nil
 	}
@@ -534,24 +465,12 @@ func (r *Remote) epochLocked(workerID string, l *lease, attempt int, s trainer.E
 // Complete commits a finished trial body — at most once: the lease must
 // still be assigned to this worker at this attempt. Evicted-and-requeued
 // leases, cancelled jobs and duplicate commits all land in
-// ErrLeaseRevoked, and the stale result is discarded.
-func (r *Remote) Complete(workerID, leaseID string, req CompleteRequest) error {
+// ErrLeaseRevoked, and the stale result is discarded. leaseID is a frame
+// view, as in ReportEpoch.
+func (r *Remote) Complete(workerID string, leaseID []byte, attempt int, res *trainer.Result, errMsg string, abandoned bool) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.commitLocked(workerID, r.leases[leaseID], req.Attempt, req.Result, req.Error, req.Abandoned)
-}
-
-// streamComplete is Complete for the binary wire (alloc-free lease
-// lookup, result already reconstructed by the codec).
-func (r *Remote) streamComplete(workerID string, leaseID []byte, attempt int, res *trainer.Result, errMsg string, abandoned bool) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.commitLocked(workerID, r.leases[string(leaseID)], attempt, res, errMsg, abandoned)
-}
-
-// commitLocked is the at-most-once commit shared by both wires. Callers
-// hold r.mu.
-func (r *Remote) commitLocked(workerID string, l *lease, attempt int, res *trainer.Result, errMsg string, abandoned bool) error {
+	l := r.leases[string(leaseID)]
 	w := r.workers[workerID]
 	if w == nil || w.state != workerActive {
 		return ErrUnknownWorker
@@ -669,8 +588,8 @@ func (r *Remote) evictLocked(w *workerEntry, why string) {
 	w.state = workerEvicted
 	r.met.evictions.Inc()
 	if w.closeStream != nil {
-		// Sever the binary stream: the session's reader unblocks and the
-		// worker re-registers, exactly like a JSON worker's 404.
+		// Sever the stream: the session's reader unblocks and the worker
+		// reconnects under a new id.
 		w.closeStream()
 		w.closeStream = nil
 	}
@@ -772,7 +691,7 @@ func (r *Remote) Close() {
 			}
 		}
 		r.pending = nil
-		// Sever every binary stream so blocked session readers unwind;
+		// Sever every stream so blocked session readers unwind;
 		// their workers' reconnect attempts are refused while closed.
 		for _, w := range r.workers {
 			if w.closeStream != nil {
@@ -785,16 +704,6 @@ func (r *Remote) Close() {
 	}
 	r.mu.Unlock()
 	<-r.reaperDone
-}
-
-// wireLabel names the mounted work protocol(s) for fleet status.
-func (r *Remote) wireLabel() string {
-	switch r.cfg.Wire {
-	case WireJSON, WireBinary:
-		return r.cfg.Wire
-	default:
-		return WireJSON + "+" + WireBinary
-	}
 }
 
 // SetClusterStatus records the simulated cluster's node-class composition
@@ -815,7 +724,6 @@ func (r *Remote) Fleet() FleetStatus {
 	defer r.mu.Unlock()
 	fs := FleetStatus{
 		Backend:         "remote",
-		Wire:            r.wireLabel(),
 		Draining:        r.draining,
 		PendingTrials:   len(r.pending),
 		LeasedTrials:    r.leasedCountLocked(),

@@ -35,13 +35,12 @@ func (c *testClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// newTestRemote builds a backend on a fake clock with fast polling.
+// newTestRemote builds a backend on a fake clock with a fast reaper.
 func newTestRemote(t *testing.T, clock *testClock) *Remote {
 	t.Helper()
 	cfg := RemoteConfig{
 		HeartbeatInterval: 50 * time.Millisecond,
 		MissedHeartbeats:  3,
-		LeaseWait:         20 * time.Millisecond,
 	}
 	if clock != nil {
 		cfg.now = clock.Now
@@ -94,30 +93,78 @@ func runAsync(ctx context.Context, r *Remote, trials []Trial) <-chan runOutcome 
 	return ch
 }
 
-// lease pulls the next assignment, failing the test on error.
+// tryLease claims one lease for the worker the way its granter would
+// (claimLocked, same state checks), without blocking: nil means no work
+// or no free slot right now.
+func tryLease(r *Remote, workerID string) (*Assignment, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return tryLeaseLocked(r, workerID)
+}
+
+func tryLeaseLocked(r *Remote, workerID string) (*Assignment, error) {
+	w := r.workers[workerID]
+	if w == nil || w.state != workerActive {
+		return nil, ErrUnknownWorker
+	}
+	if r.draining || r.closed {
+		return nil, ErrDraining
+	}
+	claim := r.claimLocked(w, 1)
+	if len(claim) == 0 {
+		return nil, nil
+	}
+	l := claim[0]
+	return &Assignment{LeaseID: l.id, Attempt: l.attempt, TrialID: l.trial.ID, StreamEpochs: l.trial.Observer != nil}, nil
+}
+
+// leaseOne is tryLease parked on r.cond until work arrives, failing the
+// test on error or after 5s.
 func leaseOne(t *testing.T, r *Remote, workerID string) *Assignment {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		asg, err := r.NextLease(workerID, 20*time.Millisecond)
+	expired := false
+	wake := time.AfterFunc(5*time.Second, func() {
+		r.mu.Lock()
+		expired = true
+		r.cond.Broadcast()
+		r.mu.Unlock()
+	})
+	defer wake.Stop()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for {
+		asg, err := tryLeaseLocked(r, workerID)
 		if err != nil {
-			t.Fatalf("NextLease(%s): %v", workerID, err)
+			t.Fatalf("lease for %s: %v", workerID, err)
 		}
 		if asg != nil {
 			return asg
 		}
+		if expired {
+			t.Fatalf("lease for %s: no assignment before deadline", workerID)
+		}
+		r.cond.Wait()
 	}
-	t.Fatalf("NextLease(%s): no assignment before deadline", workerID)
-	return nil
 }
 
-func register(t *testing.T, r *Remote, name string, capacity int) RegisterResponse {
+// register admits a worker and returns its id.
+func register(t *testing.T, r *Remote, name string, capacity int) string {
 	t.Helper()
-	reg, err := r.Register(RegisterRequest{Name: name, Capacity: capacity})
+	id, err := r.Register(name, capacity)
 	if err != nil {
 		t.Fatalf("register %s: %v", name, err)
 	}
-	return reg
+	return id
+}
+
+// commit and reportEpoch drive the two inbound lease operations with the
+// frame-view lease id the stream dispatcher passes.
+func commit(r *Remote, workerID string, asg *Assignment, attempt int, res *trainer.Result) error {
+	return r.Complete(workerID, []byte(asg.LeaseID), attempt, res, "", false)
+}
+
+func reportEpoch(r *Remote, workerID string, asg *Assignment, attempt, epoch int) (EpochDirective, error) {
+	return r.ReportEpoch(workerID, []byte(asg.LeaseID), attempt, trainer.EpochStats{Epoch: epoch})
 }
 
 func TestRemoteLeaseLifecycle(t *testing.T) {
@@ -126,13 +173,11 @@ func TestRemoteLeaseLifecycle(t *testing.T) {
 
 	w := register(t, r, "w1", 1)
 	for i := 0; i < 2; i++ {
-		asg := leaseOne(t, r, w.WorkerID)
+		asg := leaseOne(t, r, w)
 		if asg.Attempt != 1 {
 			t.Fatalf("fresh lease attempt = %d, want 1", asg.Attempt)
 		}
-		if err := r.Complete(w.WorkerID, asg.LeaseID, CompleteRequest{
-			Attempt: asg.Attempt, Result: fakeResult(float64(asg.TrialID + 1)),
-		}); err != nil {
+		if err := commit(r, w, asg, asg.Attempt, fakeResult(float64(asg.TrialID+1))); err != nil {
 			t.Fatalf("complete %s: %v", asg.LeaseID, err)
 		}
 	}
@@ -160,18 +205,18 @@ func TestRemoteCapacityBound(t *testing.T) {
 	done := runAsync(context.Background(), r, mkTrials(3))
 
 	w := register(t, r, "w1", 2)
-	a1 := leaseOne(t, r, w.WorkerID)
-	a2 := leaseOne(t, r, w.WorkerID)
-	if asg, err := r.NextLease(w.WorkerID, time.Millisecond); err != nil || asg != nil {
+	a1 := leaseOne(t, r, w)
+	a2 := leaseOne(t, r, w)
+	if asg, err := tryLease(r, w); err != nil || asg != nil {
 		t.Fatalf("third lease on capacity-2 worker: asg=%v err=%v, want none", asg, err)
 	}
 	for _, asg := range []*Assignment{a1, a2} {
-		if err := r.Complete(w.WorkerID, asg.LeaseID, CompleteRequest{Attempt: asg.Attempt, Result: fakeResult(1)}); err != nil {
+		if err := commit(r, w, asg, asg.Attempt, fakeResult(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	a3 := leaseOne(t, r, w.WorkerID)
-	if err := r.Complete(w.WorkerID, a3.LeaseID, CompleteRequest{Attempt: a3.Attempt, Result: fakeResult(1)}); err != nil {
+	a3 := leaseOne(t, r, w)
+	if err := commit(r, w, a3, a3.Attempt, fakeResult(1)); err != nil {
 		t.Fatal(err)
 	}
 	<-done
@@ -192,7 +237,7 @@ func TestRemoteEvictionRequeuesMidTrial(t *testing.T) {
 	done := runAsync(context.Background(), r, trials)
 
 	w1 := register(t, r, "dies", 1)
-	asg1 := leaseOne(t, r, w1.WorkerID)
+	asg1 := leaseOne(t, r, w1)
 
 	// w1 goes silent: three missed 50ms heartbeats pass on the fake
 	// clock, and the next reaper scan evicts it.
@@ -211,21 +256,21 @@ func TestRemoteEvictionRequeuesMidTrial(t *testing.T) {
 
 	// The replacement picks the lease up at the next attempt.
 	w2 := register(t, r, "survives", 1)
-	asg2 := leaseOne(t, r, w2.WorkerID)
+	asg2 := leaseOne(t, r, w2)
 	if asg2.LeaseID != asg1.LeaseID || asg2.Attempt != 2 {
 		t.Fatalf("requeued lease = %s attempt %d, want %s attempt 2", asg2.LeaseID, asg2.Attempt, asg1.LeaseID)
 	}
 
 	// The dead worker wakes up and tries to commit its stale copy.
-	if err := r.Complete(w1.WorkerID, asg1.LeaseID, CompleteRequest{Attempt: asg1.Attempt, Result: fakeResult(99)}); !errors.Is(err, ErrUnknownWorker) {
+	if err := commit(r, w1, asg1, asg1.Attempt, fakeResult(99)); !errors.Is(err, ErrUnknownWorker) {
 		t.Fatalf("evicted worker's commit: %v, want ErrUnknownWorker", err)
 	}
 	// Even a still-active worker with the stale attempt is rejected.
-	if err := r.Complete(w2.WorkerID, asg2.LeaseID, CompleteRequest{Attempt: 1, Result: fakeResult(99)}); !errors.Is(err, ErrLeaseRevoked) {
+	if err := commit(r, w2, asg2, 1, fakeResult(99)); !errors.Is(err, ErrLeaseRevoked) {
 		t.Fatalf("stale-attempt commit: %v, want ErrLeaseRevoked", err)
 	}
 
-	if err := r.Complete(w2.WorkerID, asg2.LeaseID, CompleteRequest{Attempt: 2, Result: fakeResult(7)}); err != nil {
+	if err := commit(r, w2, asg2, 2, fakeResult(7)); err != nil {
 		t.Fatal(err)
 	}
 	out := <-done
@@ -244,11 +289,11 @@ func TestRemoteDuplicateCommit(t *testing.T) {
 	r := newTestRemote(t, nil)
 	done := runAsync(context.Background(), r, mkTrials(1))
 	w := register(t, r, "w1", 1)
-	asg := leaseOne(t, r, w.WorkerID)
-	if err := r.Complete(w.WorkerID, asg.LeaseID, CompleteRequest{Attempt: 1, Result: fakeResult(1)}); err != nil {
+	asg := leaseOne(t, r, w)
+	if err := commit(r, w, asg, 1, fakeResult(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Complete(w.WorkerID, asg.LeaseID, CompleteRequest{Attempt: 1, Result: fakeResult(2)}); !errors.Is(err, ErrLeaseRevoked) {
+	if err := commit(r, w, asg, 1, fakeResult(2)); !errors.Is(err, ErrLeaseRevoked) {
 		t.Fatalf("duplicate commit: %v, want ErrLeaseRevoked", err)
 	}
 	out := <-done
@@ -274,11 +319,11 @@ func TestRemoteObserverStreaming(t *testing.T) {
 	done := runAsync(context.Background(), r, trials)
 
 	w := register(t, r, "w1", 1)
-	asg := leaseOne(t, r, w.WorkerID)
+	asg := leaseOne(t, r, w)
 	if !asg.StreamEpochs {
 		t.Fatal("observed trial not marked StreamEpochs")
 	}
-	dir, err := r.ReportEpoch(w.WorkerID, asg.LeaseID, EpochReport{Attempt: 1, Epoch: WireEpoch(trainer.EpochStats{Epoch: 1})})
+	dir, err := reportEpoch(r, w, asg, 1, 1)
 	if err != nil || dir.Revoked {
 		t.Fatalf("epoch 1 report: dir=%+v err=%v", dir, err)
 	}
@@ -287,19 +332,19 @@ func TestRemoteObserverStreaming(t *testing.T) {
 	}
 	// A redelivered report (the agent retries when a response is lost)
 	// answers from the cache: the observer must not advance twice.
-	dup, err := r.ReportEpoch(w.WorkerID, asg.LeaseID, EpochReport{Attempt: 1, Epoch: WireEpoch(trainer.EpochStats{Epoch: 1})})
+	dup, err := reportEpoch(r, w, asg, 1, 1)
 	if err != nil || dup.Sys == nil || *dup.Sys != next {
 		t.Fatalf("duplicate epoch 1 report: dir=%+v err=%v, want cached directive", dup, err)
 	}
-	dir, err = r.ReportEpoch(w.WorkerID, asg.LeaseID, EpochReport{Attempt: 1, Epoch: WireEpoch(trainer.EpochStats{Epoch: 2})})
+	dir, err = reportEpoch(r, w, asg, 1, 2)
 	if err != nil || dir.Revoked || dir.Sys != nil {
 		t.Fatalf("epoch 2 report: dir=%+v err=%v", dir, err)
 	}
 	// A stale attempt's report is answered with a revocation, not relayed.
-	if dir, _ := r.ReportEpoch(w.WorkerID, asg.LeaseID, EpochReport{Attempt: 99, Epoch: WireEpoch(trainer.EpochStats{Epoch: 3})}); !dir.Revoked {
+	if dir, _ := reportEpoch(r, w, asg, 99, 3); !dir.Revoked {
 		t.Fatalf("stale report not revoked: %+v", dir)
 	}
-	if err := r.Complete(w.WorkerID, asg.LeaseID, CompleteRequest{Attempt: 1, Result: fakeResult(1)}); err != nil {
+	if err := commit(r, w, asg, 1, fakeResult(1)); err != nil {
 		t.Fatal(err)
 	}
 	<-done
@@ -319,8 +364,8 @@ func TestRemoteDrain(t *testing.T) {
 	done := runAsync(context.Background(), r, mkTrials(3))
 
 	w := register(t, r, "w1", 2)
-	asgA := leaseOne(t, r, w.WorkerID)
-	asgB := leaseOne(t, r, w.WorkerID) // trial 2 stays pending
+	asgA := leaseOne(t, r, w)
+	asgB := leaseOne(t, r, w) // trial 2 stays pending
 
 	drained := make(chan struct{})
 	go func() {
@@ -331,7 +376,7 @@ func TestRemoteDrain(t *testing.T) {
 	// In-flight work may still commit during the drain window...
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if err := r.Complete(w.WorkerID, asgA.LeaseID, CompleteRequest{Attempt: 1, Result: fakeResult(1)}); err == nil {
+		if err := commit(r, w, asgA, 1, fakeResult(1)); err == nil {
 			break
 		} else if !time.Now().Before(deadline) {
 			t.Fatalf("in-flight commit during drain never succeeded: %v", err)
@@ -352,9 +397,8 @@ func TestRemoteDrain(t *testing.T) {
 	if !errors.Is(out.errs[2], ErrDraining) {
 		t.Fatalf("pending trial at drain: %v, want ErrDraining", out.errs[2])
 	}
-	// No leases are issued once draining — and the worker is told to
-	// back off (503) rather than invited to re-poll instantly.
-	if asg, err := r.NextLease(w.WorkerID, time.Millisecond); !errors.Is(err, ErrDraining) || asg != nil {
+	// No leases are issued once draining.
+	if asg, err := tryLease(r, w); !errors.Is(err, ErrDraining) || asg != nil {
 		t.Fatalf("lease while draining: asg=%v err=%v, want ErrDraining", asg, err)
 	}
 	// New batches are refused outright.
@@ -375,13 +419,13 @@ func TestRemoteRunCancellation(t *testing.T) {
 	done := runAsync(ctx, r, mkTrials(2))
 
 	w := register(t, r, "w1", 1)
-	asg := leaseOne(t, r, w.WorkerID)
+	asg := leaseOne(t, r, w)
 	cancel()
 	// The in-flight trial keeps streaming and may still commit.
-	if dir, err := r.ReportEpoch(w.WorkerID, asg.LeaseID, EpochReport{Attempt: 1, Epoch: WireEpoch(trainer.EpochStats{Epoch: 1})}); err != nil || dir.Revoked {
+	if dir, err := reportEpoch(r, w, asg, 1, 1); err != nil || dir.Revoked {
 		t.Fatalf("cancelled-but-computing lease's epoch report: dir=%+v err=%v", dir, err)
 	}
-	if err := r.Complete(w.WorkerID, asg.LeaseID, CompleteRequest{Attempt: 1, Result: fakeResult(5)}); err != nil {
+	if err := commit(r, w, asg, 1, fakeResult(5)); err != nil {
 		t.Fatalf("salvage commit after cancel: %v", err)
 	}
 	out := <-done
@@ -404,7 +448,7 @@ func TestRemoteCancelledLeaseFailsInsteadOfRequeueing(t *testing.T) {
 	done := runAsync(ctx, r, mkTrials(1))
 
 	w := register(t, r, "w1", 1)
-	asg := leaseOne(t, r, w.WorkerID)
+	asg := leaseOne(t, r, w)
 	cancel()
 	// Wait for Run's abandon to mark the lease before evicting; an
 	// eviction racing ahead of the cancellation requeues first and the
@@ -448,8 +492,8 @@ func TestRemoteAbandonedCommitRequeues(t *testing.T) {
 	done := runAsync(context.Background(), r, trials)
 
 	w1 := register(t, r, "gives-up", 1)
-	asg1 := leaseOne(t, r, w1.WorkerID)
-	if err := r.Complete(w1.WorkerID, asg1.LeaseID, CompleteRequest{Attempt: 1, Abandoned: true}); err != nil {
+	asg1 := leaseOne(t, r, w1)
+	if err := r.Complete(w1, []byte(asg1.LeaseID), 1, nil, "", true); err != nil {
 		t.Fatalf("abandon commit: %v", err)
 	}
 	if resets != 1 {
@@ -462,11 +506,11 @@ func TestRemoteAbandonedCommitRequeues(t *testing.T) {
 	// The abandoning worker stays active (it is healthy, just lost one
 	// trial) and could even take the lease back at the next attempt.
 	w2 := register(t, r, "finisher", 1)
-	asg2 := leaseOne(t, r, w2.WorkerID)
+	asg2 := leaseOne(t, r, w2)
 	if asg2.LeaseID != asg1.LeaseID || asg2.Attempt != 2 {
 		t.Fatalf("requeued lease = %s attempt %d, want %s attempt 2", asg2.LeaseID, asg2.Attempt, asg1.LeaseID)
 	}
-	if err := r.Complete(w2.WorkerID, asg2.LeaseID, CompleteRequest{Attempt: 2, Result: fakeResult(3)}); err != nil {
+	if err := commit(r, w2, asg2, 2, fakeResult(3)); err != nil {
 		t.Fatal(err)
 	}
 	out := <-done
@@ -481,8 +525,8 @@ func TestRemoteWorkerError(t *testing.T) {
 	r := newTestRemote(t, nil)
 	done := runAsync(context.Background(), r, mkTrials(1))
 	w := register(t, r, "w1", 1)
-	asg := leaseOne(t, r, w.WorkerID)
-	if err := r.Complete(w.WorkerID, asg.LeaseID, CompleteRequest{Attempt: 1, Error: "boom"}); err != nil {
+	asg := leaseOne(t, r, w)
+	if err := r.Complete(w, []byte(asg.LeaseID), 1, nil, "boom", false); err != nil {
 		t.Fatal(err)
 	}
 	out := <-done
@@ -513,7 +557,7 @@ func TestRemoteConcurrentLeaseCompleteHeartbeat(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			reg, err := r.Register(RegisterRequest{Name: fmt.Sprintf("w%d", i), Capacity: 2})
+			reg, err := r.Register(fmt.Sprintf("w%d", i), 2)
 			if err != nil {
 				return
 			}
@@ -523,23 +567,23 @@ func TestRemoteConcurrentLeaseCompleteHeartbeat(t *testing.T) {
 					return
 				default:
 				}
-				asg, err := r.NextLease(reg.WorkerID, 5*time.Millisecond)
+				asg, err := tryLease(r, reg)
 				if err != nil {
 					// Evicted by the churn goroutine: re-register.
-					reg, err = r.Register(RegisterRequest{Name: fmt.Sprintf("w%d", i), Capacity: 2})
+					reg, err = r.Register(fmt.Sprintf("w%d", i), 2)
 					if err != nil {
 						return
 					}
 					continue
 				}
-				_ = r.Heartbeat(reg.WorkerID)
+				_ = r.Heartbeat(reg)
 				if asg == nil {
 					continue
 				}
-				if _, err := r.ReportEpoch(reg.WorkerID, asg.LeaseID, EpochReport{Attempt: asg.Attempt, Epoch: WireEpoch(trainer.EpochStats{Epoch: 1})}); err != nil {
+				if _, err := reportEpoch(r, reg, asg, asg.Attempt, 1); err != nil {
 					continue
 				}
-				if err := r.Complete(reg.WorkerID, asg.LeaseID, CompleteRequest{Attempt: asg.Attempt, Result: fakeResult(1)}); err == nil {
+				if err := commit(r, reg, asg, asg.Attempt, fakeResult(1)); err == nil {
 					committed.Add(1)
 				}
 			}
@@ -594,7 +638,7 @@ func TestRemoteEvictedRegistryBounded(t *testing.T) {
 		reg := register(t, r, fmt.Sprintf("flappy-%d", i), 1)
 		clock.Advance(time.Second)
 		r.evictStale()
-		if err := r.Heartbeat(reg.WorkerID); !errors.Is(err, ErrUnknownWorker) {
+		if err := r.Heartbeat(reg); !errors.Is(err, ErrUnknownWorker) {
 			t.Fatalf("worker %d not evicted: %v", i, err)
 		}
 	}
@@ -618,12 +662,20 @@ func TestRemotePoisonTrialFailsAfterAttemptCap(t *testing.T) {
 			t.Fatalf("lease still being reissued after %d evictions", i)
 		}
 		w := register(t, r, fmt.Sprintf("victim-%d", i), 1)
-		asg, err := r.NextLease(w.WorkerID, time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if asg == nil {
-			break // lease no longer reissued: the cap fired
+		// Requeues are synchronous with the eviction, so after the first
+		// lease (which waits for Run to queue the trial) a non-blocking
+		// claim sees the reissued lease or none at all.
+		var asg *Assignment
+		if i == 0 {
+			asg = leaseOne(t, r, w)
+		} else {
+			var err error
+			if asg, err = tryLease(r, w); err != nil {
+				t.Fatal(err)
+			}
+			if asg == nil {
+				break // lease no longer reissued: the cap fired
+			}
 		}
 		if asg.Attempt != i+1 {
 			t.Fatalf("eviction %d: attempt %d, want %d", i, asg.Attempt, i+1)
@@ -650,19 +702,19 @@ func TestRemoteStaleEpochReportIgnored(t *testing.T) {
 	})
 	done := runAsync(context.Background(), r, trials)
 	w := register(t, r, "w1", 1)
-	asg := leaseOne(t, r, w.WorkerID)
+	asg := leaseOne(t, r, w)
 	for _, ep := range []int{1, 2} {
-		if _, err := r.ReportEpoch(w.WorkerID, asg.LeaseID, EpochReport{Attempt: 1, Epoch: WireEpoch(trainer.EpochStats{Epoch: ep})}); err != nil {
+		if _, err := reportEpoch(r, w, asg, 1, ep); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// The delayed straggler for epoch 1 arrives after epoch 2 was
 	// processed: dropped, empty directive, observer untouched.
-	dir, err := r.ReportEpoch(w.WorkerID, asg.LeaseID, EpochReport{Attempt: 1, Epoch: WireEpoch(trainer.EpochStats{Epoch: 1})})
+	dir, err := reportEpoch(r, w, asg, 1, 1)
 	if err != nil || dir.Revoked || dir.Sys != nil {
 		t.Fatalf("stale epoch report: dir=%+v err=%v, want empty directive", dir, err)
 	}
-	if err := r.Complete(w.WorkerID, asg.LeaseID, CompleteRequest{Attempt: 1, Result: fakeResult(1)}); err != nil {
+	if err := commit(r, w, asg, 1, fakeResult(1)); err != nil {
 		t.Fatal(err)
 	}
 	<-done

@@ -7,41 +7,33 @@ import (
 )
 
 // WorkerSeries is a worker's cumulative local telemetry, piggybacked
-// on existing heartbeat traffic rather than scraped: the binary wire
-// appends a Stats frame after each heartbeat frame, the JSON wire
-// carries it as the (previously empty) heartbeat request body. Values
-// are cumulative per worker session — the daemon diffs consecutive
-// snapshots from one registration and folds the delta into its own
-// registry, so fleet-wide aggregates survive re-registration without
-// double counting. The tail between a worker's last heartbeat and its
-// death is lost by design (at most one beat interval of telemetry).
+// on existing heartbeat traffic rather than scraped: the worker appends
+// a Stats frame after each heartbeat frame. Values are cumulative per
+// worker session — the daemon diffs consecutive snapshots from one
+// registration and folds the delta into its own registry, so fleet-wide
+// aggregates survive re-registration without double counting. The tail
+// between a worker's last heartbeat and its death is lost by design (at
+// most one beat interval of telemetry).
 type WorkerSeries struct {
 	// Trials counts trial bodies computed (successfully or not);
 	// Epochs counts the epoch records those bodies produced.
-	Trials uint64 `json:"trials"`
-	Epochs uint64 `json:"epochs"`
+	Trials uint64
+	Epochs uint64
 	// TrialSeconds is the sketch of per-trial wall compute time; its
 	// Sum is total compute seconds, so epochs/sec falls out as
 	// Epochs / TrialSeconds.Sum.
-	TrialSeconds metrics.DistSnapshot `json:"trialSeconds"`
+	TrialSeconds metrics.DistSnapshot
 	// TrainEpochSeconds and EvalSeconds sketch the nn kernel wall
 	// times inside those trials (one observation per real SGD epoch /
 	// test-set evaluation), so fleet dashboards see the same
 	// nn_train_epoch_seconds pipeline the local trainer registry
 	// exposes.
-	TrainEpochSeconds metrics.DistSnapshot `json:"trainEpochSeconds"`
-	EvalSeconds       metrics.DistSnapshot `json:"evalSeconds"`
-	// EncodeErrors / DecodeErrors count wire codec and transport
-	// failures observed worker-side (frame or JSON encode/send vs
-	// decode/receive).
-	EncodeErrors uint64 `json:"encodeErrors,omitempty"`
-	DecodeErrors uint64 `json:"decodeErrors,omitempty"`
-}
-
-// HeartbeatRequest is the JSON-wire heartbeat body. Empty bodies
-// remain valid (older workers send none), so the field is a pointer.
-type HeartbeatRequest struct {
-	Series *WorkerSeries `json:"series,omitempty"`
+	TrainEpochSeconds metrics.DistSnapshot
+	EvalSeconds       metrics.DistSnapshot
+	// EncodeErrors / DecodeErrors count codec and transport failures
+	// observed worker-side (frame encode/send vs decode/receive).
+	EncodeErrors uint64
+	DecodeErrors uint64
 }
 
 // workerStats is the worker-side collector behind WorkerSeries: one
@@ -117,11 +109,9 @@ type remoteMetrics struct {
 	completed   *metrics.Counter
 	commits     *metrics.CounterVec // outcome: committed|failed|abandoned|empty
 
-	// Wire traffic, pre-resolved per (wire, dir).
-	binRxFrames, binTxFrames   *metrics.Counter
-	binRxBytes, binTxBytes     *metrics.Counter
-	jsonRxFrames, jsonTxFrames *metrics.Counter
-	jsonRxBytes, jsonTxBytes   *metrics.Counter
+	// Stream traffic, pre-resolved per direction.
+	binRxFrames, binTxFrames *metrics.Counter
+	binRxBytes, binTxBytes   *metrics.Counter
 
 	// Fleet-wide worker series, labelled by worker name.
 	workerTrials            *metrics.CounterVec
@@ -136,7 +126,7 @@ func newRemoteMetrics(reg *metrics.Registry) *remoteMetrics {
 	m := &remoteMetrics{
 		reg: reg,
 		leaseGrants: reg.Counter("pipetune_exec_lease_grants_total",
-			"Trial leases granted to workers (both wires)."),
+			"Trial leases granted to workers."),
 		evictions: reg.Counter("pipetune_exec_evictions_total",
 			"Workers evicted for missed heartbeats, stream loss or corrupt frames."),
 		requeues: reg.Counter("pipetune_exec_requeues_total",
@@ -159,13 +149,11 @@ func newRemoteMetrics(reg *metrics.Registry) *remoteMetrics {
 			"Per-evaluation nn kernel wall time, by worker (heartbeat-shipped sketch).", "worker"),
 	}
 	bytes := reg.CounterVec("pipetune_exec_wire_bytes_total",
-		"Wire payload bytes by protocol and direction (daemon view).", "wire", "dir")
+		"Stream bytes by direction (daemon view).", "wire", "dir")
 	frames := reg.CounterVec("pipetune_exec_wire_frames_total",
-		"Wire frames (binary) or requests/responses (json) by direction.", "wire", "dir")
+		"Stream frames by direction.", "wire", "dir")
 	m.binRxFrames, m.binTxFrames = frames.With("binary", "rx"), frames.With("binary", "tx")
 	m.binRxBytes, m.binTxBytes = bytes.With("binary", "rx"), bytes.With("binary", "tx")
-	m.jsonRxFrames, m.jsonTxFrames = frames.With("json", "rx"), frames.With("json", "tx")
-	m.jsonRxBytes, m.jsonTxBytes = bytes.With("json", "rx"), bytes.With("json", "tx")
 	return m
 }
 
@@ -201,9 +189,8 @@ func (r *Remote) ingestSeriesLocked(w *workerEntry, cur WorkerSeries) {
 	w.series = cur
 }
 
-// IngestWorkerSeries records a heartbeat-shipped snapshot from an
-// active worker (JSON wire entry point; the binary wire dispatches the
-// Stats frame to the same ingestion).
+// IngestWorkerSeries records a heartbeat-shipped snapshot (a Stats
+// frame) from an active worker.
 func (r *Remote) IngestWorkerSeries(workerID string, s WorkerSeries) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

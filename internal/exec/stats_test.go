@@ -7,12 +7,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"pipetune/internal/metrics"
 )
 
-// TestStatsFrameRoundTrip pins the binary Stats frame codec: a populated
+// TestStatsFrameRoundTrip pins the Stats frame codec: a populated
 // snapshot (sketch buckets included) survives encode/decode exactly.
 func TestStatsFrameRoundTrip(t *testing.T) {
 	st := newWorkerStats()
@@ -78,10 +77,7 @@ func sumSummaryCount(t *testing.T, reg *metrics.Registry, name string) uint64 {
 func TestIngestWorkerSeriesDeltas(t *testing.T) {
 	r := newTestRemote(t, nil)
 	reg := r.MetricsRegistry()
-	resp, err := r.Register(RegisterRequest{Name: "w1", Capacity: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w1 := register(t, r, "w1", 1)
 
 	snap := func(trials, epochs uint64, secs ...float64) WorkerSeries {
 		d := metrics.NewDistribution()
@@ -91,10 +87,10 @@ func TestIngestWorkerSeriesDeltas(t *testing.T) {
 		return WorkerSeries{Trials: trials, Epochs: epochs, TrialSeconds: d.Snapshot()}
 	}
 
-	if err := r.IngestWorkerSeries(resp.WorkerID, snap(2, 4, 0.1, 0.2)); err != nil {
+	if err := r.IngestWorkerSeries(w1, snap(2, 4, 0.1, 0.2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.IngestWorkerSeries(resp.WorkerID, snap(3, 6, 0.1, 0.2, 0.3)); err != nil {
+	if err := r.IngestWorkerSeries(w1, snap(3, 6, 0.1, 0.2, 0.3)); err != nil {
 		t.Fatal(err)
 	}
 	if got := sumCounterFamily(t, reg, "pipetune_worker_trials_total"); got != 3 {
@@ -109,7 +105,7 @@ func TestIngestWorkerSeriesDeltas(t *testing.T) {
 
 	// A regressed snapshot (e.g. duplicated delivery of an older beat)
 	// must not subtract or re-add.
-	if err := r.IngestWorkerSeries(resp.WorkerID, snap(1, 2, 0.1)); err != nil {
+	if err := r.IngestWorkerSeries(w1, snap(1, 2, 0.1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := sumCounterFamily(t, reg, "pipetune_worker_trials_total"); got != 3 {
@@ -118,12 +114,8 @@ func TestIngestWorkerSeriesDeltas(t *testing.T) {
 
 	// Re-registration: same name, fresh session, cumulative restart at
 	// zero. The fleet aggregate must only grow by the new session's work.
-	r.evictWorker(resp.WorkerID, "test")
-	resp2, err := r.Register(RegisterRequest{Name: "w1", Capacity: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.IngestWorkerSeries(resp2.WorkerID, snap(2, 4, 0.5, 0.6)); err != nil {
+	r.evictWorker(w1, "test")
+	if err := r.IngestWorkerSeries(register(t, r, "w1", 1), snap(2, 4, 0.5, 0.6)); err != nil {
 		t.Fatal(err)
 	}
 	if got := sumCounterFamily(t, reg, "pipetune_worker_trials_total"); got != 5 {
@@ -145,10 +137,7 @@ func TestIngestWorkerSeriesDeltas(t *testing.T) {
 func TestIngestIsAtomicToScrapes(t *testing.T) {
 	r := newTestRemote(t, nil)
 	reg := r.MetricsRegistry()
-	resp, err := r.Register(RegisterRequest{Name: "w1", Capacity: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w1 := register(t, r, "w1", 1)
 	const beats = 3000
 	done := make(chan error, 1)
 	go func() {
@@ -156,7 +145,7 @@ func TestIngestIsAtomicToScrapes(t *testing.T) {
 		for n := uint64(1); n <= beats; n++ {
 			epochs.Observe(0.01)
 			s := WorkerSeries{Trials: n, Epochs: n, TrainEpochSeconds: epochs.Snapshot()}
-			if err := r.IngestWorkerSeries(resp.WorkerID, s); err != nil {
+			if err := r.IngestWorkerSeries(w1, s); err != nil {
 				done <- err
 				return
 			}
@@ -213,88 +202,49 @@ func TestIngestIsAtomicToScrapes(t *testing.T) {
 	}
 }
 
-// TestWorkerSeriesCrossWireParity runs the same trial set over the JSON
-// and binary wires and requires the heartbeat-shipped fleet aggregates
-// to converge to identical values: same trials, same epochs, same
-// observation counts, same total compute seconds modulo wall-clock
-// difference (compared as counts only).
-func TestWorkerSeriesCrossWireParity(t *testing.T) {
-	type agg struct {
-		trials, epochs, obs uint64
-	}
-	runWire := func(wire string) agg {
-		r, _ := startFleet(t, 2, RemoteConfig{Wire: wire})
-		trials := realTrials(smallTrainer(), 4)
-		_, errs := r.Run(context.Background(), trials, 0)
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("%s wire trial %d: %v", wire, i, err)
-			}
-		}
-		reg := r.MetricsRegistry()
-		deadline := time.Now().Add(5 * time.Second)
-		var a agg
-		for {
-			a = agg{
-				trials: sumCounterFamily(t, reg, "pipetune_worker_trials_total"),
-				epochs: sumCounterFamily(t, reg, "pipetune_worker_epochs_total"),
-				obs:    sumSummaryCount(t, reg, "pipetune_worker_trial_seconds"),
-			}
-			if a.trials == 4 && a.obs == 4 {
-				return a
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s wire: aggregates never converged: %+v", wire, a)
-			}
-			time.Sleep(10 * time.Millisecond)
+// TestWorkerSeriesShipOverStream runs real trials on a real fleet and
+// requires the heartbeat-shipped aggregates to converge on what was
+// computed: every trial, one compute-time observation per trial, and
+// their epochs.
+func TestWorkerSeriesShipOverStream(t *testing.T) {
+	r, _ := startFleet(t, 2, RemoteConfig{})
+	_, errs := r.Run(context.Background(), realTrials(smallTrainer(), 4), 0)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("trial %d: %v", i, err)
 		}
 	}
-	j := runWire(WireJSON)
-	b := runWire(WireBinary)
-	if j != b {
-		t.Fatalf("wire aggregates diverge: json %+v, binary %+v", j, b)
-	}
-	if j.epochs == 0 {
+	reg := r.MetricsRegistry()
+	waitFor(t, "the fleet aggregates to converge", func() bool {
+		return sumCounterFamily(t, reg, "pipetune_worker_trials_total") == 4 &&
+			sumSummaryCount(t, reg, "pipetune_worker_trial_seconds") == 4
+	})
+	if sumCounterFamily(t, reg, "pipetune_worker_epochs_total") == 0 {
 		t.Fatal("epoch aggregate never shipped")
 	}
 }
 
-// TestWireTrafficCounters checks that running work over each wire lands
-// rx/tx frame and byte counts under the right wire label — and only
-// that label.
+// TestWireTrafficCounters checks that running work lands rx/tx frame and
+// byte counts in the wire="binary" series operators already scrape.
 func TestWireTrafficCounters(t *testing.T) {
-	counts := func(reg *metrics.Registry, wire string) (frames, bytes uint64) {
-		for _, f := range reg.Snapshot().Families {
-			for _, s := range f.Samples {
-				if s.Labels["wire"] != wire {
-					continue
-				}
-				switch f.Name {
-				case "pipetune_exec_wire_frames_total":
-					frames += uint64(s.Value)
-				case "pipetune_exec_wire_bytes_total":
-					bytes += uint64(s.Value)
-				}
+	r, _ := startFleet(t, 1, RemoteConfig{})
+	if _, errs := r.Run(context.Background(), realTrials(smallTrainer(), 2), 0); errs[0] != nil || errs[1] != nil {
+		t.Fatalf("run failed: %v", errs)
+	}
+	counted := map[string]float64{} // "family dir" -> total
+	for _, f := range r.MetricsRegistry().Snapshot().Families {
+		for _, s := range f.Samples {
+			if s.Labels["wire"] == "binary" {
+				counted[f.Name+" "+s.Labels["dir"]] += s.Value
 			}
 		}
-		return frames, bytes
 	}
-	for _, wire := range []string{WireJSON, WireBinary} {
-		r, _ := startFleet(t, 1, RemoteConfig{Wire: wire})
-		trials := realTrials(smallTrainer(), 2)
-		if _, errs := r.Run(context.Background(), trials, 0); errs[0] != nil || errs[1] != nil {
-			t.Fatalf("%s wire run failed: %v", wire, errs)
-		}
-		frames, bytes := counts(r.MetricsRegistry(), wire)
-		if frames == 0 || bytes == 0 {
-			t.Fatalf("%s wire counted no traffic (frames=%d bytes=%d)", wire, frames, bytes)
-		}
-		other := WireBinary
-		if wire == WireBinary {
-			other = WireJSON
-		}
-		if of, ob := counts(r.MetricsRegistry(), other); of != 0 || ob != 0 {
-			t.Fatalf("%s-only fleet counted %s traffic (frames=%d bytes=%d)", wire, other, of, ob)
+	for _, series := range []string{
+		"pipetune_exec_wire_frames_total rx", "pipetune_exec_wire_frames_total tx",
+		"pipetune_exec_wire_bytes_total rx", "pipetune_exec_wire_bytes_total tx",
+	} {
+		if counted[series] == 0 {
+			t.Fatalf("%s counted no traffic under wire=\"binary\": %v", series, counted)
 		}
 	}
 }
@@ -302,7 +252,7 @@ func TestWireTrafficCounters(t *testing.T) {
 // TestFleetStatusFromRegistry pins the satellite invariant that
 // FleetStatus derives its trial counters from the metrics registry.
 func TestFleetStatusFromRegistry(t *testing.T) {
-	r, _ := startFleet(t, 1, RemoteConfig{Wire: WireBinary})
+	r, _ := startFleet(t, 1, RemoteConfig{})
 	trials := realTrials(smallTrainer(), 2)
 	if _, errs := r.Run(context.Background(), trials, 0); errs[0] != nil || errs[1] != nil {
 		t.Fatalf("run failed: %v", errs)

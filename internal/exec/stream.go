@@ -1,13 +1,12 @@
 package exec
 
-// Daemon-side half of the binary work protocol. One POST /v1/stream per
-// worker is upgraded (HTTP 101 + connection hijack) into a persistent
-// framed stream that replaces every long-poll round trip of the JSON
-// wire:
+// Daemon-side half of the work protocol. One POST /v1/stream per worker
+// is upgraded (HTTP 101 + connection hijack) into a persistent framed
+// stream:
 //
 //   - the *granter* goroutine pushes lease batches the moment the worker
-//     has free slots and the queue has work — no poll latency, and one
-//     Grant frame carries up to (capacity − inflight) assignments;
+//     has free slots and the queue has work, and one Grant frame carries
+//     up to (capacity − inflight) assignments;
 //   - the session *reader* dispatches the worker's frames: Heartbeat
 //     refreshes liveness, Epoch observations go to the trial's observer
 //     (whose Directive is written straight back, keeping pipelined
@@ -19,12 +18,11 @@ package exec
 // needs no receive-window machinery — a Grant frame always fits the
 // slots it already advertised.
 //
-// Failure semantics are identical to the JSON wire, only faster: a dead
-// connection, a torn frame, or a CRC mismatch all end the session and
-// evict the worker through the same requeue path a missed-heartbeat
-// eviction takes; and when the reaper evicts a stream worker (alive but
-// partitioned), eviction severs the connection so the session cannot
-// linger half-dead.
+// Failure semantics: a dead connection, a torn frame, or a CRC mismatch
+// all end the session and evict the worker through the same requeue
+// path a missed-heartbeat eviction takes; and when the reaper evicts a
+// worker (alive but partitioned), eviction severs the connection so the
+// session cannot linger half-dead.
 
 import (
 	"bufio"
@@ -43,22 +41,22 @@ import (
 // to present the magic and Hello frame before the daemon drops it.
 const streamHandshakeTimeout = 10 * time.Second
 
-// handleStream upgrades POST /v1/stream into a framed binary stream.
+// handleStream upgrades POST /v1/stream into a framed stream.
 // Token auth ran in the authed wrapper, over plain HTTP, before the
 // upgrade — a worker with a bad token gets an ordinary 401.
 func (r *Remote) handleStream(w http.ResponseWriter, req *http.Request) {
 	if req.Header.Get("Upgrade") != streamUpgradeProto {
-		writeWireJSON(w, http.StatusBadRequest, wireError{Error: "exec: stream requires Upgrade: " + streamUpgradeProto})
+		writeJSON(w, http.StatusBadRequest, wireError{Error: "exec: stream requires Upgrade: " + streamUpgradeProto})
 		return
 	}
 	hj, ok := w.(http.Hijacker)
 	if !ok {
-		writeWireJSON(w, http.StatusInternalServerError, wireError{Error: "exec: connection cannot be hijacked"})
+		writeJSON(w, http.StatusInternalServerError, wireError{Error: "exec: connection cannot be hijacked"})
 		return
 	}
 	conn, rw, err := hj.Hijack()
 	if err != nil {
-		writeWireJSON(w, http.StatusInternalServerError, wireError{Error: fmt.Sprintf("exec: hijack: %v", err)})
+		writeJSON(w, http.StatusInternalServerError, wireError{Error: fmt.Sprintf("exec: hijack: %v", err)})
 		return
 	}
 	// The server's read/write deadlines (if any) outlive the hijack;
@@ -96,17 +94,16 @@ func (r *Remote) serveStream(conn net.Conn, br *bufio.Reader) {
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 
-	resp, err := r.Register(RegisterRequest{Name: name, Capacity: capacity})
+	workerID, err := r.Register(name, capacity)
 	if err != nil {
 		return // closed: the dropped conn tells the worker to back off
 	}
-	workerID := resp.WorkerID
 	if !r.bindStream(workerID, func() { conn.Close() }) {
 		return
 	}
 	fw := &frameWriter{w: conn, txFrames: r.met.binTxFrames, txBytes: r.met.binTxBytes}
 	wb := getWirebuf()
-	encodeWelcome(wb, resp)
+	encodeWelcome(wb, workerID, r.cfg.HeartbeatInterval.Seconds())
 	err = fw.send(frameWelcome, wb.b)
 	putWirebuf(wb)
 	if err != nil {
@@ -164,7 +161,7 @@ func (r *Remote) dispatchFrame(fw *frameWriter, workerID string, ft byte, p []by
 		if err != nil {
 			return fmt.Errorf("corrupt epoch frame: %v", err)
 		}
-		dir, err := r.streamReportEpoch(workerID, leaseID, attempt, stats)
+		dir, err := r.ReportEpoch(workerID, leaseID, attempt, stats)
 		if err != nil {
 			return fmt.Errorf("epoch report rejected: %v", err)
 		}
@@ -192,10 +189,10 @@ func (r *Remote) dispatchFrame(fw *frameWriter, workerID string, ft byte, p []by
 		code := ackCommitted
 		if !known {
 			// The lease is already terminal and forgotten — a duplicate
-			// or post-cancellation commit. Same outcome as the JSON 409.
+			// or post-cancellation commit.
 			code = ackSuperseded
 		} else {
-			switch err := r.streamComplete(workerID, leaseID, attempt, res, errMsg, status == completeAbandoned); {
+			switch err := r.Complete(workerID, leaseID, attempt, res, errMsg, status == completeAbandoned); {
 			case errors.Is(err, ErrLeaseRevoked):
 				code = ackSuperseded
 			case errors.Is(err, ErrUnknownWorker):
@@ -228,7 +225,6 @@ func (r *Remote) dispatchFrame(fw *frameWriter, workerID string, ft byte, p []by
 // under the lock — trial fields are immutable while leased — written
 // outside it).
 func (r *Remote) grantLoop(fw *frameWriter, workerID string) {
-	var claim []*lease // reused claim scratch: zero steady-state allocs
 	drainSent := false
 	r.mu.Lock()
 	for {
@@ -253,23 +249,11 @@ func (r *Remote) grantLoop(fw *frameWriter, workerID string) {
 			r.mu.Lock()
 			continue
 		}
-		n := w.capacity - len(w.inflight)
-		if len(r.pending) == 0 || n <= 0 {
+		claim := r.claimLocked(w, w.capacity)
+		if len(claim) == 0 {
 			r.cond.Wait()
 			continue
 		}
-		if n > len(r.pending) {
-			n = len(r.pending)
-		}
-		claim = claim[:0]
-		for _, l := range r.pending[:n] {
-			l.state = leaseLeased
-			l.worker = w.id
-			w.inflight[l.id] = l
-			claim = append(claim, l)
-		}
-		r.pending = r.pending[n:]
-		r.met.leaseGrants.Add(uint64(len(claim)))
 		wb := getWirebuf()
 		wb.uvarint(uint64(len(claim)))
 		for _, l := range claim {

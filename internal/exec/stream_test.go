@@ -1,9 +1,11 @@
 package exec
 
 import (
+	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sync"
@@ -15,13 +17,12 @@ import (
 	"pipetune/internal/workload"
 )
 
-// TestStreamFleetBitIdentical is the binary-wire twin of the JSON
-// agent's bit-identity test: real trial bodies through the hijacked
-// stream — handshake, batched grants, epoch frames, directive relays,
-// delta-encoded commits — must reproduce the local backend exactly,
-// including a mid-trial system switch by the observer.
+// TestStreamFleetBitIdentical runs real trial bodies through the full
+// stack — handshake, batched grants, epoch frames, directive relays,
+// delta-encoded commits — and requires them to reproduce the local
+// backend exactly, including a mid-trial system switch by the observer.
 func TestStreamFleetBitIdentical(t *testing.T) {
-	r, _ := startFleet(t, 2, RemoteConfig{Wire: WireBinary})
+	r, _ := startFleet(t, 2, RemoteConfig{})
 
 	tr := smallTrainer()
 	trials := realTrials(tr, 4)
@@ -73,100 +74,77 @@ func TestStreamFleetBitIdentical(t *testing.T) {
 	if fs.CompletedTrials != 4 {
 		t.Fatalf("fleet completed %d trials, want 4", fs.CompletedTrials)
 	}
-	if fs.Wire != WireBinary {
-		t.Fatalf("fleet wire = %q, want %q", fs.Wire, WireBinary)
-	}
-}
-
-// TestCrossWireCatalogParity sweeps the full Table 3 catalog across both
-// wires: for every workload, the JSON fleet, the binary fleet and the
-// local backend must produce byte-identical results (compared through
-// the same JSON serialisation JobResults use).
-func TestCrossWireCatalogParity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("catalog parity runs full trial compute; CI races it in the execution-plane step")
-	}
-	trialsFor := func(tr *trainer.Runner) []Trial {
-		cat := workload.Catalog()
-		h := params.DefaultHyper()
-		h.Epochs = 1
-		out := make([]Trial, len(cat))
-		for i, w := range cat {
-			out[i] = Trial{
-				ID: i, Workload: w, Hyper: h, Sys: params.DefaultSysConfig(),
-				Seed: uint64(5000 + i), Trainer: CaptureTrainerConfig(tr),
-			}
-		}
-		return out
-	}
-	marshal := func(res []*trainer.Result) []string {
-		out := make([]string, len(res))
-		for i, r := range res {
-			b, err := json.Marshal(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[i] = string(b)
-		}
-		return out
-	}
-	run := func(b Backend) []string {
-		trials := trialsFor(smallTrainer())
-		res, errs := b.Run(context.Background(), trials, 2)
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("%s trial %d (%s): %v", b.Name(), i, trials[i].Workload.Name(), err)
-			}
-		}
-		return marshal(res)
-	}
-
-	want := run(NewLocal(smallTrainer()))
-	jsonFleet, _ := startFleet(t, 2, RemoteConfig{Wire: WireJSON})
-	binFleet, _ := startFleet(t, 2, RemoteConfig{Wire: WireBinary})
-	gotJSON := run(jsonFleet)
-	gotBin := run(binFleet)
-	cat := workload.Catalog()
-	for i := range want {
-		if gotJSON[i] != want[i] {
-			t.Errorf("%s: json wire diverges from local", cat[i].Name())
-		}
-		if gotBin[i] != want[i] {
-			t.Errorf("%s: binary wire diverges from local", cat[i].Name())
-		}
-	}
 }
 
 // TestStreamTokenAuth pins auth on the upgrade path: the 401 happens in
-// plain HTTP before any hijack, so a bad token is terminal for the agent
-// and a good one streams normally.
+// plain HTTP, before any hijack. A request with the right token gets as
+// far as the upgrade check (400: no Upgrade header), a request without
+// it does not.
 func TestStreamTokenAuth(t *testing.T) {
-	r := NewRemote(RemoteConfig{Token: "s3cret", Wire: WireBinary, HeartbeatInterval: 50 * time.Millisecond})
+	r := NewRemote(RemoteConfig{Token: "s3cret"})
 	t.Cleanup(r.Close)
 	srv := httptest.NewServer(r.Handler())
 	t.Cleanup(srv.Close)
-
-	bad := NewAgent(AgentConfig{Server: srv.URL, Token: "wrong", Wire: WireBinary})
-	if err := bad.Run(context.Background()); !errors.Is(err, ErrBadToken) {
-		t.Fatalf("wrong token: %v, want ErrBadToken", err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	good := NewAgent(AgentConfig{Server: srv.URL, Token: "s3cret", Wire: WireBinary})
-	done := make(chan error, 1)
-	go func() { done <- good.Run(ctx) }()
-	deadline := time.Now().Add(2 * time.Second)
-	for len(r.Fleet().Workers) == 0 {
-		if !time.Now().Before(deadline) {
-			t.Fatal("correctly-tokened stream agent never registered")
+	for token, want := range map[string]int{"": http.StatusUnauthorized, "wrong": http.StatusUnauthorized, "s3cret": http.StatusBadRequest} {
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/stream", nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
+		if token != "" {
+			req.Header.Set("Authorization", "Bearer "+token)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("POST /v1/stream with token %q: %d, want %d", token, resp.StatusCode, want)
+		}
 	}
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("agent exit: %v, want context.Canceled", err)
+}
+
+// handWorker is a hand-driven stream client: it handshakes like a real
+// worker and then does exactly what the test tells it to.
+type handWorker struct {
+	conn    net.Conn
+	br      *bufio.Reader
+	fw      *frameWriter
+	scratch []byte
+}
+
+func dialHandWorker(t *testing.T, serverURL, name string, capacity int) *handWorker {
+	t.Helper()
+	a := NewAgent(AgentConfig{Server: serverURL, Name: name, Capacity: capacity})
+	conn, br, err := a.dialStream(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { conn.Close() })
+	if _, err := conn.Write([]byte(streamMagic)); err != nil {
+		t.Fatal(err)
+	}
+	w := &handWorker{conn: conn, br: br, fw: &frameWriter{w: conn}}
+	wb := getWirebuf()
+	encodeHello(wb, name, capacity)
+	err = w.fw.send(frameHello, wb.b)
+	putWirebuf(wb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.expect(t, frameWelcome)
+	return w
+}
+
+// expect reads the next frame and requires its type; the payload is
+// valid until the next call.
+func (w *handWorker) expect(t *testing.T, want byte) []byte {
+	t.Helper()
+	ft, p, err := readFrame(w.br, &w.scratch)
+	if err != nil || ft != want {
+		t.Fatalf("frame type %d err %v, want type %d", ft, err, want)
+	}
+	return p
 }
 
 // TestCorruptFrameEvictsAndRequeues is the failure-path half of the
@@ -177,81 +155,35 @@ func TestStreamTokenAuth(t *testing.T) {
 func TestCorruptFrameEvictsAndRequeues(t *testing.T) {
 	// A huge missed-heartbeat budget: the corrupt frame, not the reaper,
 	// must be what evicts the misbehaving worker.
-	r := NewRemote(RemoteConfig{Wire: WireBinary, HeartbeatInterval: 50 * time.Millisecond, MissedHeartbeats: 100, Logf: t.Logf})
+	r := NewRemote(RemoteConfig{HeartbeatInterval: 50 * time.Millisecond, MissedHeartbeats: 100, Logf: t.Logf})
 	t.Cleanup(r.Close)
 	srv := httptest.NewServer(r.Handler())
 	t.Cleanup(srv.Close)
-
-	// A hand-driven stream client: handshake like a real worker, then
-	// misbehave.
-	a := NewAgent(AgentConfig{Server: srv.URL, Name: "corrupt", Capacity: 1})
-	conn, br, err := a.dialStream(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	if _, err := conn.Write([]byte(streamMagic)); err != nil {
-		t.Fatal(err)
-	}
-	fw := &frameWriter{w: conn}
-	wb := getWirebuf()
-	encodeHello(wb, "corrupt", 1)
-	if err := fw.send(frameHello, wb.b); err != nil {
-		t.Fatal(err)
-	}
-	putWirebuf(wb)
-	var scratch []byte
-	ft, _, err := readFrame(br, &scratch)
-	if err != nil || ft != frameWelcome {
-		t.Fatalf("handshake: ft %d err %v", ft, err)
-	}
+	w := dialHandWorker(t, srv.URL, "corrupt", 1)
 
 	// Submit one trial; the corrupt worker is the only worker, so the
 	// grant lands on it.
 	tr := smallTrainer()
-	type runOut struct {
-		res  []*trainer.Result
-		errs []error
-	}
-	ran := make(chan runOut, 1)
-	go func() {
-		res, errs := r.Run(context.Background(), realTrials(tr, 1), 0)
-		ran <- runOut{res, errs}
-	}()
-	if ft, _, err := readFrame(br, &scratch); err != nil || ft != frameGrant {
-		t.Fatalf("grant: ft %d err %v", ft, err)
-	}
+	ran := runAsync(context.Background(), r, realTrials(tr, 1))
+	w.expect(t, frameGrant)
 
 	// Send a frame whose CRC does not match its payload.
 	bad := encodeFrameBytes(t, frameEpoch, func(w *wirebuf) { w.str("ls-000001") })
 	bad[len(bad)-1] ^= 0xFF
-	if _, err := conn.Write(bad); err != nil {
+	if _, err := w.conn.Write(bad); err != nil {
 		t.Fatal(err)
 	}
 
 	// The daemon must evict the corrupt worker and requeue its lease...
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	waitFor(t, "the corrupt worker's eviction", func() bool {
 		fs := r.Fleet()
-		evicted := 0
-		for _, w := range fs.Workers {
-			if w.State == "evicted" {
-				evicted++
-			}
-		}
-		if evicted == 1 && fs.RequeuedTrials >= 1 {
-			break
-		}
-		if !time.Now().Before(deadline) {
-			t.Fatalf("corrupt worker never evicted: %+v", fs)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		return fs.Workers[0].State == "evicted" && fs.RequeuedTrials >= 1
+	})
 
 	// ...and a healthy worker picks it up and completes the job.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	healthy := NewAgent(AgentConfig{Server: srv.URL, Name: "healthy", Capacity: 1, Wire: WireBinary})
+	healthy := NewAgent(AgentConfig{Server: srv.URL, Name: "healthy", Capacity: 1})
 	go func() { _ = healthy.Run(ctx) }()
 	select {
 	case out := <-ran:
@@ -262,7 +194,7 @@ func TestCorruptFrameEvictsAndRequeues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(out.res[0], want) {
+		if !reflect.DeepEqual(out.results[0], want) {
 			t.Fatal("post-eviction result diverges from a direct run")
 		}
 	case <-time.After(30 * time.Second):
@@ -270,60 +202,62 @@ func TestCorruptFrameEvictsAndRequeues(t *testing.T) {
 	}
 }
 
-// TestStreamDrainFailsPendingCommitsInflight pins drain semantics on the
-// binary wire: at drain start, pending leases fail instantly with
-// ErrDraining while the in-flight one gets its drain window to commit —
-// identical to the JSON wire's contract.
+// TestStreamDrainFailsPendingCommitsInflight pins drain semantics: at
+// drain start, pending leases fail instantly with ErrDraining, the
+// worker is told once (a Drain frame), and the in-flight lease gets its
+// drain window to commit. The worker is hand-driven so the lease is
+// held exactly across the drain — no real trial can finish early.
 func TestStreamDrainFailsPendingCommitsInflight(t *testing.T) {
-	r := NewRemote(RemoteConfig{Wire: WireBinary, HeartbeatInterval: 50 * time.Millisecond, MissedHeartbeats: 100, Logf: t.Logf})
+	r := NewRemote(RemoteConfig{HeartbeatInterval: 50 * time.Millisecond, MissedHeartbeats: 100, Logf: t.Logf})
 	t.Cleanup(r.Close)
 	srv := httptest.NewServer(r.Handler())
 	t.Cleanup(srv.Close)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	agent := NewAgent(AgentConfig{Server: srv.URL, Capacity: 1, Wire: WireBinary})
-	go func() { _ = agent.Run(ctx) }()
+	w := dialHandWorker(t, srv.URL, "holds-one", 1)
 
 	tr := smallTrainer()
 	trials := realTrials(tr, 4) // 1 leased (capacity 1) + 3 pending
-	type runOut struct {
-		res  []*trainer.Result
-		errs []error
+	ran := runAsync(context.Background(), r, trials)
+	asgs, err := decodeGrant(w.expect(t, frameGrant))
+	if err != nil || len(asgs) != 1 {
+		t.Fatalf("grant: %d assignments, err %v; want 1", len(asgs), err)
 	}
-	ran := make(chan runOut, 1)
+	asg := asgs[0]
+	if fs := r.Fleet(); fs.LeasedTrials != 1 || fs.PendingTrials != 3 {
+		t.Fatalf("before drain: %+v, want 1 leased + 3 pending", fs)
+	}
+
+	drained := make(chan struct{})
 	go func() {
-		res, errs := r.Run(context.Background(), trials, 0)
-		ran <- runOut{res, errs}
+		r.Drain(30 * time.Second)
+		close(drained)
 	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		fs := r.Fleet()
-		if fs.LeasedTrials == 1 && fs.PendingTrials == 3 {
-			break
-		}
-		if !time.Now().Before(deadline) {
-			t.Fatalf("worker never reached 1 leased + 3 pending: %+v", fs)
-		}
-		time.Sleep(2 * time.Millisecond)
+	w.expect(t, frameDrain)
+
+	res, err := runBody(tr, asg, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	r.Drain(30 * time.Second)
+	wb := getWirebuf()
+	encodeComplete(wb, asg.LeaseID, asg.Attempt, completeOK, "", res, asg.Sys)
+	err = w.fw.send(frameComplete, wb.b)
+	putWirebuf(wb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, code, err := decodeAck(w.expect(t, frameAck)); err != nil || code != ackCommitted {
+		t.Fatalf("in-flight commit during drain: ack %d err %v, want committed", code, err)
+	}
+	<-drained
+
 	out := <-ran
-	completed, drained := 0, 0
 	for i := range trials {
 		switch {
-		case out.errs[i] == nil && out.res[i] != nil:
-			completed++
-		case errors.Is(out.errs[i], ErrDraining):
-			drained++
-		default:
-			t.Fatalf("trial %d: unexpected outcome res=%v err=%v", i, out.res[i], out.errs[i])
+		case i == asg.TrialID:
+			if out.errs[i] != nil || !reflect.DeepEqual(out.results[i], res) {
+				t.Fatalf("in-flight trial %d: res=%v err=%v, want the committed result", i, out.results[i], out.errs[i])
+			}
+		case !errors.Is(out.errs[i], ErrDraining):
+			t.Fatalf("pending trial %d: %v, want ErrDraining", i, out.errs[i])
 		}
-	}
-	// The leased trial commits inside the drain window; every pending
-	// trial fails instantly. (The leased trial may in principle finish in
-	// the instant between the fleet snapshot and Drain, pulling another
-	// lease — hence >=1/<=3 instead of exactly 1/3.)
-	if completed < 1 || drained < 2 || completed+drained != 4 {
-		t.Fatalf("drain outcome: %d completed, %d drained; want >=1 committed, rest drained", completed, drained)
 	}
 }

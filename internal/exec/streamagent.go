@@ -1,21 +1,19 @@
 package exec
 
-// Worker-side half of the binary work protocol. One stream session
-// replaces the JSON agent's register/heartbeat/long-poll/commit HTTP
-// round trips: the agent dials the daemon, upgrades POST /v1/stream,
+// Worker-side half of the work protocol. One stream session is one
+// registration: the agent dials the daemon, upgrades POST /v1/stream,
 // and then
 //
 //   - a *reader* goroutine dispatches daemon frames — Grants feed a work
 //     channel, Directives and Acks are routed to the slot waiting on
 //     them;
-//   - `capacity` *slot* goroutines compute trial bodies (sharing
-//     runBody and the trainer cache with the JSON agent, so trial
-//     results are produced by literally the same code on both wires);
+//   - `capacity` *slot* goroutines compute trial bodies (runBody, on the
+//     agent's cached trainers);
 //   - a *heartbeat* goroutine ticks liveness frames.
 //
-// A torn connection ends the session exactly like a JSON 404: the agent
-// re-registers by reconnecting, and the daemon has already requeued
-// whatever this registration held.
+// A torn connection ends the session: Agent.Run reconnects under a new
+// worker id, and the daemon has already requeued whatever this
+// registration held.
 
 import (
 	"bufio"
@@ -34,32 +32,8 @@ import (
 )
 
 // streamRPCTimeout bounds how long a slot waits for the daemon's answer
-// to an epoch report or a commit before treating the lease as lost —
-// the stream analogue of the JSON paths' per-request timeouts.
+// to an epoch report or a commit before treating the lease as lost.
 const streamRPCTimeout = 15 * time.Second
-
-// runBinary serves the binary wire until ctx ends or the daemon rejects
-// the token; transport failures and evictions reconnect, like the JSON
-// loop's re-registration.
-func (a *Agent) runBinary(ctx context.Context) error {
-	for {
-		err := a.streamSession(ctx)
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if errors.Is(err, ErrBadToken) {
-			return err
-		}
-		if err != nil {
-			a.cfg.Logf("worker: stream session ended: %v (reconnecting)", err)
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(500 * time.Millisecond):
-		}
-	}
-}
 
 // streamWaiter parks one slot goroutine on the daemon's reply to a
 // specific (lease, attempt) — and, for directives, a specific epoch, so
@@ -139,16 +113,16 @@ func (a *Agent) streamSession(ctx context.Context) error {
 	if ft != frameWelcome {
 		return fmt.Errorf("exec: stream handshake: unexpected frame type %d", ft)
 	}
-	reg, err := decodeWelcome(p)
+	workerID, beatSeconds, err := decodeWelcome(p)
 	if err != nil {
 		return fmt.Errorf("exec: stream handshake: %w", err)
 	}
 	_ = conn.SetDeadline(time.Time{})
-	a.cfg.Logf("worker: registered as %s with %s over the binary stream (capacity %d)", reg.WorkerID, a.cfg.Server, a.cfg.Capacity)
+	a.cfg.Logf("worker: registered as %s with %s (capacity %d)", workerID, a.cfg.Server, a.cfg.Capacity)
 
 	hb := a.cfg.Heartbeat
 	if hb <= 0 {
-		hb = time.Duration(reg.HeartbeatSeconds * float64(time.Second))
+		hb = time.Duration(beatSeconds * float64(time.Second))
 	}
 	if hb <= 0 {
 		hb = 2 * time.Second
@@ -188,17 +162,16 @@ func (a *Agent) streamSession(ctx context.Context) error {
 	return s.deadErr
 }
 
-// dialStream connects and upgrades POST /v1/stream. The binary wire
-// speaks plain TCP after the upgrade, so only http:// servers are
-// supported (matching every current deployment; a TLS wire would
-// layer in here).
+// dialStream connects and upgrades POST /v1/stream. The stream speaks
+// plain TCP after the upgrade, so only http:// servers are supported
+// (matching every current deployment; a TLS wire would layer in here).
 func (a *Agent) dialStream(ctx context.Context) (net.Conn, *bufio.Reader, error) {
 	u, err := url.Parse(a.cfg.Server)
 	if err != nil {
 		return nil, nil, fmt.Errorf("exec: server url: %w", err)
 	}
 	if u.Scheme != "http" {
-		return nil, nil, fmt.Errorf("exec: binary wire requires an http:// server url, got %q", a.cfg.Server)
+		return nil, nil, fmt.Errorf("exec: the worker stream requires an http:// server url, got %q", a.cfg.Server)
 	}
 	host := u.Host
 	if u.Port() == "" {
@@ -353,9 +326,11 @@ func (s *streamSession) park(leaseID string, w *streamWaiter) func() {
 	}
 }
 
-// runAssignment computes one leased trial body and commits the result —
-// the stream twin of the JSON agent's runAssignment, sharing runBody
-// and the trainer cache so the computed bytes cannot differ.
+// runAssignment computes one leased trial body and commits the result.
+// A lease the worker cannot finish or report is never left dangling:
+// abandonment is committed to the daemon (which requeues the trial
+// immediately), and if even that goes unacknowledged the session ends so
+// the registration stops heartbeating and eviction requeues the lease.
 func (s *streamSession) runAssignment(ctx context.Context, asg Assignment) {
 	tr := s.a.trainerFor(asg.Trainer)
 	revoked := false
@@ -367,10 +342,10 @@ func (s *streamSession) runAssignment(ctx context.Context, asg Assignment) {
 			}
 			dir, ok := s.reportEpoch(asg, st)
 			if !ok || dir.Revoked {
-				// Lease void or daemon unreachable: finish the remaining
-				// epochs on the current configuration and let the commit
-				// be rejected (same contract as the JSON wire — the
-				// trainer cannot be interrupted mid-trial).
+				// Lease void or daemon unreachable: the trainer cannot be
+				// interrupted mid-trial, so finish the remaining epochs
+				// on the current configuration and let the commit be
+				// rejected. The authoritative attempt runs elsewhere.
 				revoked = true
 				return nil
 			}
@@ -387,6 +362,10 @@ func (s *streamSession) runAssignment(ctx context.Context, asg Assignment) {
 	status, errMsg := completeOK, ""
 	switch {
 	case revoked:
+		// The epoch stream tore (or the daemon revoked the lease): this
+		// worker's copy is void, but the daemon must learn the trial
+		// needs another worker NOW — a still-heartbeating worker would
+		// otherwise hold the lease forever.
 		s.a.cfg.Logf("worker: lease %s attempt %d abandoned mid-trial", asg.LeaseID, asg.Attempt)
 		status, res = completeAbandoned, nil
 	case err != nil:
@@ -424,8 +403,7 @@ func (s *streamSession) reportEpoch(asg Assignment, st trainer.EpochStats) (Epoc
 
 // commit sends the at-most-once result commit and waits for its Ack. An
 // unacknowledged commit kills the session, so the registration stops
-// heartbeating and eviction requeues the lease — the stream analogue of
-// the JSON agent's endSession fallback.
+// heartbeating and eviction requeues the lease.
 func (s *streamSession) commit(ctx context.Context, asg Assignment, status byte, errMsg string, res *trainer.Result) {
 	w := &streamWaiter{attempt: asg.Attempt, ack: make(chan byte, 1)}
 	unpark := s.park(asg.LeaseID, w)

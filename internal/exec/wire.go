@@ -6,36 +6,35 @@ import (
 	"pipetune/internal/cluster"
 	"pipetune/internal/dataset"
 	"pipetune/internal/params"
-	"pipetune/internal/perf"
 	"pipetune/internal/trainer"
 	"pipetune/internal/workload"
 )
 
-// This file defines the worker wire protocol: the JSON bodies exchanged
-// between the daemon's Remote backend and pipetune-worker processes.
-// Package api re-exports these types for external consumers; they live
-// here so the protocol owner needs no import of the api layer.
+// This file defines the work protocol's value types — what a Grant,
+// Directive or fleet snapshot means once codec.go has decoded it.
+// Package api re-exports the fleet surface for external consumers; the
+// types live here so the protocol owner needs no import of the api layer.
 
 // TrainerConfig ships the submitting process's trainer-substrate knobs so
 // a worker reproduces trial bodies bit-identically: the corpus sizing,
 // the contention multiplier and the corpus seed are the only configurable
 // inputs of the (otherwise fully calibrated, deterministic) trainer.
 type TrainerConfig struct {
-	TrainSize int     `json:"trainSize"`
-	TestSize  int     `json:"testSize"`
-	Load      float64 `json:"load"`
-	DataSeed  uint64  `json:"dataSeed"`
+	TrainSize int
+	TestSize  int
+	Load      float64
+	DataSeed  uint64
 	// CacheBytes > 0 tells the worker to keep a worker-local trial prefix
 	// cache of that byte budget, mirroring the daemon's. Zero disables
 	// caching on the worker.
-	CacheBytes int64 `json:"cacheBytes,omitempty"`
+	CacheBytes int64
 	// Parallelism is the submitter's deterministic intra-trial kernel
 	// parallelism degree, shipped so remote fleets run trials with the
 	// same configuration the daemon would use locally. It never changes
 	// trial bits (the nn kernels are bit-identical at every degree) —
 	// only how many goroutines each trial's compute may use. Zero lets
 	// the worker apply its own -train-parallelism default.
-	Parallelism int `json:"trainParallelism,omitempty"`
+	Parallelism int
 }
 
 // CaptureTrainerConfig extracts the wire-portable configuration of a
@@ -76,29 +75,6 @@ func (tc TrainerConfig) NewRunner() *trainer.Runner {
 	return tr
 }
 
-// RegisterRequest is the body of POST /v1/workers: a worker joining the
-// fleet.
-type RegisterRequest struct {
-	// Name is the worker's self-chosen label (hostname by default);
-	// surfaced in fleet status, not required to be unique.
-	Name string `json:"name"`
-	// Capacity is how many trial bodies the worker computes concurrently.
-	Capacity int `json:"capacity"`
-}
-
-// RegisterResponse assigns the worker its identity and cadence.
-type RegisterResponse struct {
-	// WorkerID is the fleet-unique id all further calls use.
-	WorkerID string `json:"workerId"`
-	// HeartbeatSeconds is the beat cadence the server expects; a worker
-	// silent for MissedHeartbeats of these intervals is evicted and its
-	// leases requeued.
-	HeartbeatSeconds float64 `json:"heartbeatSeconds"`
-	// LeaseWaitSeconds bounds the server-side long poll of a lease
-	// request; a worker should re-poll when a request returns no work.
-	LeaseWaitSeconds float64 `json:"leaseWaitSeconds"`
-}
-
 // Assignment is one leased trial: everything a worker needs to compute
 // the trial body, plus the lease coordinates every follow-up call must
 // echo.
@@ -107,55 +83,28 @@ type Assignment struct {
 	// Both must be echoed on epoch reports and completion — a mismatch
 	// means the lease was requeued to another worker and this worker's
 	// copy is void (at-most-once commit).
-	LeaseID string `json:"leaseId"`
-	Attempt int    `json:"attempt"`
+	LeaseID string
+	Attempt int
 	// TrialID is the searcher's trial id (diagnostic only on the worker).
-	TrialID  int               `json:"trialId"`
-	Workload workload.Workload `json:"workload"`
-	Hyper    params.Hyper      `json:"hyper"`
-	Sys      params.SysConfig  `json:"sys"`
-	Seed     uint64            `json:"seed"`
+	TrialID  int
+	Workload workload.Workload
+	Hyper    params.Hyper
+	Sys      params.SysConfig
+	Seed     uint64
 	// StreamEpochs tells the worker to report every epoch boundary and
 	// apply the returned configuration switches — the wire form of
 	// PipeTune's pipelined system tuning. False for baseline trials,
 	// whose system configuration is fixed.
-	StreamEpochs bool `json:"streamEpochs,omitempty"`
+	StreamEpochs bool
 	// Trainer reproduces the daemon's trainer substrate on the worker.
-	Trainer TrainerConfig `json:"trainer"`
+	Trainer TrainerConfig
 	// CacheKey is the daemon-derived trial prefix cache key hint for the
 	// worker's local cache; empty when the daemon runs uncached.
-	CacheKey string `json:"cacheKey,omitempty"`
+	CacheKey string
 	// Class is the daemon's preferred node class for the trial (cost-aware
 	// placement hint on heterogeneous clusters); empty on single-class
 	// clusters.
-	Class string `json:"class,omitempty"`
-}
-
-// EpochWire is one epoch-boundary observation on the wire. The embedded
-// stats marshal with their library tags; the PMU profile — excluded from
-// the library's JSON — is carried explicitly because the daemon-side
-// observer (PipeTune's controller) clusters on it.
-type EpochWire struct {
-	trainer.EpochStats
-	Profile []float64 `json:"profile,omitempty"`
-}
-
-// WireEpoch packs epoch stats for transport.
-func WireEpoch(s trainer.EpochStats) EpochWire {
-	return EpochWire{EpochStats: s, Profile: s.Profile}
-}
-
-// Stats unpacks the observation, reattaching the profile.
-func (e EpochWire) Stats() trainer.EpochStats {
-	s := e.EpochStats
-	s.Profile = perf.Profile(e.Profile)
-	return s
-}
-
-// EpochReport is the body of POST .../leases/{lease}/epoch.
-type EpochReport struct {
-	Attempt int       `json:"attempt"`
-	Epoch   EpochWire `json:"epoch"`
+	Class string
 }
 
 // EpochDirective is the daemon's reply to an epoch report.
@@ -163,29 +112,10 @@ type EpochDirective struct {
 	// Sys, when non-nil, switches the trial's system configuration from
 	// the next epoch on (the observer's decision: a ground-truth hit, the
 	// next probe, or the settled winner).
-	Sys *params.SysConfig `json:"sys,omitempty"`
+	Sys *params.SysConfig
 	// Revoked tells the worker its lease is void (evicted and requeued,
 	// or the job was cancelled): abandon the trial, do not report again.
-	Revoked bool `json:"revoked,omitempty"`
-}
-
-// CompleteRequest is the body of POST .../leases/{lease}/complete: the
-// at-most-once result commit.
-type CompleteRequest struct {
-	Attempt int `json:"attempt"`
-	// Result is the finished trial body; nil when Error or Abandoned is
-	// set. A result carries no PMU profiles (they are epoch-boundary
-	// observations, streamed in EpochReports), so the library serialisation
-	// is already bit-identical to a result computed in-process.
-	Result *trainer.Result `json:"result,omitempty"`
-	// Error reports a worker-side trial failure: the trial itself is
-	// broken and the job should fail.
-	Error string `json:"error,omitempty"`
-	// Abandoned reports that this worker cannot finish the trial through
-	// no fault of the trial (its epoch stream tore): the daemon requeues
-	// the lease for another worker instead of waiting for this worker's
-	// eviction.
-	Abandoned bool `json:"abandoned,omitempty"`
+	Revoked bool
 }
 
 // WorkerStatus is one worker's row in the fleet status.
@@ -206,9 +136,6 @@ type WorkerStatus struct {
 type FleetStatus struct {
 	// Backend names the active execution backend ("local", "remote").
 	Backend string `json:"backend"`
-	// Wire names the mounted work protocol(s): "json", "binary", or
-	// "json+binary" when the daemon accepts both.
-	Wire string `json:"wire,omitempty"`
 	// Draining is true once shutdown stopped lease issuance.
 	Draining bool `json:"draining,omitempty"`
 	// PendingTrials are queued unleased; LeasedTrials are on workers now.

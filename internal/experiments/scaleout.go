@@ -69,7 +69,8 @@ func (r *ScaleOutResult) Table() *Table {
 // with a backlog far deeper than any fleet's slot count, N workers
 // drain it in 1/N the time — the ~N× trial-throughput claim of the
 // remote backend, stated as an exact schedule rather than a wall-clock
-// benchmark (BENCH_exec.json records the real asynchronous plane).
+// benchmark (cmd/bench's exec.remote_overhead_us prices the real
+// asynchronous plane).
 func ScaleOut(cfg Config) (*ScaleOutResult, error) {
 	const slotsPerWorker = 2
 	w := workload.Workload{Model: workload.LeNet5, Dataset: workload.MNIST}

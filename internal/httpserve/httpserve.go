@@ -29,8 +29,9 @@ const DefaultShutdownTimeout = 5 * time.Second
 //
 // preShutdown hooks run after the stop signal but BEFORE the listener
 // closes, each to completion. This is the slot for application drains
-// that still need the listener: pipetuned's execution-plane drain lets
-// remote workers commit in-flight trials over the still-open work API —
+// that must finish before the HTTP drain starts: pipetuned cancels its
+// jobs and drains the execution plane here, which is what ends the open
+// SSE streams the HTTP drain would otherwise wait out —
 // http.Server.RegisterOnShutdown cannot provide that, because Shutdown
 // closes listeners before (and concurrently with) its hooks.
 func Serve(ctx context.Context, srv *http.Server, ln net.Listener, shutdownTimeout time.Duration, preShutdown ...func()) error {

@@ -14,9 +14,9 @@ import (
 )
 
 // Handler returns the daemon's HTTP API (see package api for the
-// surface). With a remote execution plane configured, the worker-facing
-// work API (registration, leases, epoch streaming, commits, fleet
-// status) is mounted next to the job API on the same listener.
+// surface). With a remote execution plane configured, the worker stream
+// upgrade and the fleet status are mounted next to the job API on the
+// same listener.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -36,8 +36,6 @@ func (s *Service) Handler() http.Handler {
 	}
 	if s.cfg.Remote != nil {
 		wh := s.cfg.Remote.Handler()
-		mux.Handle("/v1/workers", wh)
-		mux.Handle("/v1/workers/", wh)
 		mux.Handle("POST /v1/stream", wh)
 		mux.Handle("GET /v1/fleet", wh)
 	}

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -22,18 +23,10 @@ import (
 // production defaults (2s × 3) encode. Tests that need eviction pass a
 // tighter missed count and shrink the trial instead.
 func newRemoteServer(t *testing.T, cfg Config, missedHeartbeats int) (*Service, *client.Client, *exec.Remote) {
-	return newRemoteServerWire(t, cfg, missedHeartbeats, "")
-}
-
-// newRemoteServerWire is newRemoteServer with an explicit wire protocol
-// restriction ("" mounts both wires).
-func newRemoteServerWire(t *testing.T, cfg Config, missedHeartbeats int, wire string) (*Service, *client.Client, *exec.Remote) {
 	t.Helper()
 	remote := exec.NewRemote(exec.RemoteConfig{
 		HeartbeatInterval: 150 * time.Millisecond,
 		MissedHeartbeats:  missedHeartbeats,
-		LeaseWait:         100 * time.Millisecond,
-		Wire:              wire,
 		Logf:              t.Logf,
 	})
 	cfg.Remote = remote
@@ -47,19 +40,12 @@ func newRemoteServerWire(t *testing.T, cfg Config, missedHeartbeats int, wire st
 // startAgent runs an in-process worker agent against the service's
 // base URL; the returned cancel kills it (the process-crash stand-in).
 func startAgent(t *testing.T, baseURL string, capacity int) context.CancelFunc {
-	return startAgentWire(t, baseURL, capacity, "")
-}
-
-// startAgentWire is startAgent speaking an explicit wire protocol
-// ("" = the JSON long-poll wire, exec.WireBinary = the framed stream).
-func startAgentWire(t *testing.T, baseURL string, capacity int, wire string) context.CancelFunc {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	agent := exec.NewAgent(exec.AgentConfig{
 		Server:   baseURL,
 		Name:     "test-agent",
 		Capacity: capacity,
-		Wire:     wire,
 	})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -138,15 +124,13 @@ func TestRemoteBackendMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestCrossWireJobParity is the transport-parity acceptance criterion at
-// the service layer: the same job run on a JSON-wire fleet and a
-// binary-stream fleet must produce JobResult JSON byte-identical to each
-// other and to the local backend. Each fleet is wire-restricted, so the
-// test also pins the -exec-wire gating (an agent on the matching wire
-// connects; the fleet snapshot reports the wire kind).
+// TestCrossWireJobParity is job parity across the wire at the service
+// layer: the same two-epoch job run by a worker fleet must produce
+// JobResult JSON byte-identical to the local backend's. The one subtest
+// keeps the ID it had when there was a second wire beside it.
 func TestCrossWireJobParity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("cross-wire parity runs full trial compute on two fleets; CI races it in the execution-plane step")
+		t.Skip("parity runs full trial compute; CI races it in the execution-plane step")
 	}
 	req := smallReq("lenet/mnist")
 	req.Epochs = 2
@@ -158,36 +142,29 @@ func TestCrossWireJobParity(t *testing.T) {
 	}
 	wantJSON := resultJSON(t, want)
 
-	for _, wire := range []string{exec.WireJSON, exec.WireBinary} {
-		t.Run(wire, func(t *testing.T) {
-			_, remoteCl, remote := newRemoteServerWire(t, Config{}, 20, wire)
-			startAgentWire(t, remoteCl.BaseURL, 2, wire)
-			startAgentWire(t, remoteCl.BaseURL, 2, wire)
+	t.Run("binary", func(t *testing.T) {
+		_, remoteCl, remote := newRemoteServer(t, Config{}, 20)
+		startAgent(t, remoteCl.BaseURL, 2)
+		startAgent(t, remoteCl.BaseURL, 2)
 
-			got := runOne(t, remoteCl, req)
-			if got.State != api.StateDone {
-				t.Fatalf("%s-wire job ended %v (%s)", wire, got.State, got.Error)
-			}
-			if resultJSON(t, got) != wantJSON {
-				t.Fatalf("%s-wire JobResult diverges from the local backend's", wire)
-			}
-			fs := remote.Fleet()
-			if fs.Wire != wire {
-				t.Fatalf("fleet wire = %q, want %q", fs.Wire, wire)
-			}
-			if fs.CompletedTrials == 0 {
-				t.Fatalf("%s-wire fleet completed no trials", wire)
-			}
-		})
-	}
+		got := runOne(t, remoteCl, req)
+		if got.State != api.StateDone {
+			t.Fatalf("fleet job ended %v (%s)", got.State, got.Error)
+		}
+		if resultJSON(t, got) != wantJSON {
+			t.Fatal("fleet JobResult diverges from the local backend's")
+		}
+		if remote.Fleet().CompletedTrials == 0 {
+			t.Fatal("fleet completed no trials")
+		}
+	})
 }
 
-// TestRemoteJobSurvivesWorkerDeath is the end-to-end crash regression,
-// run once per wire protocol: one of two workers dies mid-job, the
-// daemon evicts it and requeues its leases, and the job still completes
-// — with the exact result a healthy run produces. On the JSON wire the
-// death is detected by missed heartbeats; on the binary wire the severed
-// stream itself triggers the eviction.
+// TestRemoteJobSurvivesWorkerDeath is the end-to-end crash regression:
+// one of two workers dies mid-job, the severed stream evicts it and
+// requeues its leases, and the job still completes — with the exact
+// result a healthy run produces. The one subtest keeps the ID it had
+// when there was a second wire beside it.
 func TestRemoteJobSurvivesWorkerDeath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("worker-death recovery runs full trial compute; CI races it in the execution-plane step")
@@ -201,16 +178,14 @@ func TestRemoteJobSurvivesWorkerDeath(t *testing.T) {
 	_, localCl := newServer(t, Config{})
 	want := runOne(t, localCl, req)
 
-	for _, wire := range []string{exec.WireJSON, exec.WireBinary} {
-		t.Run(wire, func(t *testing.T) {
-			testWorkerDeath(t, wire, req, resultJSON(t, want))
-		})
-	}
+	t.Run("binary", func(t *testing.T) {
+		testWorkerDeath(t, req, resultJSON(t, want))
+	})
 }
 
-func testWorkerDeath(t *testing.T, wire string, req api.JobRequest, want string) {
-	_, remoteCl, remote := newRemoteServerWire(t, Config{}, 6, wire)
-	killFirst := startAgentWire(t, remoteCl.BaseURL, 1, wire)
+func testWorkerDeath(t *testing.T, req api.JobRequest, want string) {
+	_, remoteCl, remote := newRemoteServer(t, Config{}, 6)
+	killFirst := startAgent(t, remoteCl.BaseURL, 1)
 
 	ctx := context.Background()
 	st, err := remoteCl.Submit(ctx, req)
@@ -226,7 +201,7 @@ func testWorkerDeath(t *testing.T, wire string, req api.JobRequest, want string)
 		time.Sleep(2 * time.Millisecond)
 	}
 	killFirst()
-	startAgentWire(t, remoteCl.BaseURL, 2, wire)
+	startAgent(t, remoteCl.BaseURL, 2)
 
 	final, err := remoteCl.Wait(ctx, st.ID, 20*time.Millisecond)
 	if err != nil {
@@ -247,6 +222,31 @@ func testWorkerDeath(t *testing.T, wire string, req api.JobRequest, want string)
 	}
 	if evicted == 0 {
 		t.Fatalf("no worker recorded as evicted: %+v", fs.Workers)
+	}
+}
+
+// TestRetiredWorkerRoutes pins the single wire at the daemon's mux: the
+// five long-poll worker routes of the retired JSON protocol are gone,
+// and the stream upgrade still answers 401 without the token.
+func TestRetiredWorkerRoutes(t *testing.T) {
+	remote := exec.NewRemote(exec.RemoteConfig{Token: "s3cret"})
+	_, cl := newServer(t, Config{Remote: remote})
+	for path, want := range map[string]int{
+		"/v1/workers":                                    http.StatusNotFound,
+		"/v1/workers/w-000001/lease":                     http.StatusNotFound,
+		"/v1/workers/w-000001/heartbeat":                 http.StatusNotFound,
+		"/v1/workers/w-000001/leases/ls-000001/epoch":    http.StatusNotFound,
+		"/v1/workers/w-000001/leases/ls-000001/complete": http.StatusNotFound,
+		"/v1/stream": http.StatusUnauthorized,
+	} {
+		resp, err := http.Post(cl.BaseURL+path, "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("POST %s: %d, want %d", path, resp.StatusCode, want)
+		}
 	}
 }
 

@@ -96,7 +96,7 @@ type Config struct {
 	SubscriberBuffer int
 	// Remote, when non-nil, is the remote execution plane the daemon
 	// fronts: the service wires it into the System's tuner, mounts the
-	// worker-facing work API next to the job API, reports fleet state in
+	// worker stream upgrade next to the job API, reports fleet state in
 	// /healthz, and drains leases on shutdown. Nil keeps the local
 	// in-process execution backend.
 	Remote *exec.Remote
