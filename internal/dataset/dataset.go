@@ -22,27 +22,106 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"pipetune/internal/workload"
 	"pipetune/internal/xrand"
 )
 
-// Sample is one labelled feature vector.
-type Sample struct {
-	Features []float64
-	Label    int
-}
-
-// Set is an in-memory dataset split.
+// Set is one immutable dataset split in flat storage: every label in one
+// slice and every feature in one backing array, laid out in whichever of
+// two forms is smaller for the data the split actually holds.
+//
+//   - Row-major dense (dense != nil): row i is dense[i*Dim : (i+1)*Dim].
+//   - CSR (dense == nil): row i's stored values are vals[k] at column
+//     cols[k] for k in [rowStart[i], rowStart[i+1]); every other element
+//     is +0.
+//
+// Only a +0 (all bits zero) is ever left out, so Row reproduces the
+// generated floats bit for bit — -0, NaN and the infinities are values.
+// The layout is chosen by newSet from the data alone, never from the
+// dataset's name. Name, Dim and NumClasses are read-only after Generate.
 type Set struct {
 	Name       string
 	Dim        int
 	NumClasses int
-	Samples    []Sample
+
+	labels   []int32
+	dense    []float64
+	vals     []float64
+	cols     []uint16
+	rowStart []uint32
+}
+
+// maxDim is the widest row a split may have: CSR column indices are uint16.
+const maxDim = math.MaxUint16
+
+// newSet freezes n = len(labels) rows of dim row-major features into a Set,
+// taking ownership of both slices. It counts the elements that are not +0
+// and stores the split as CSR when that is smaller than the dense block it
+// was handed; the dense block is otherwise kept as is.
+func newSet(name string, dim, classes int, labels []int32, features []float64) (*Set, error) {
+	if dim <= 0 || dim > maxDim {
+		return nil, fmt.Errorf("dataset: %s: dim %d outside [1, %d]", name, dim, maxDim)
+	}
+	if len(features) != len(labels)*dim {
+		return nil, fmt.Errorf("dataset: %s: %d features for %d rows of %d", name, len(features), len(labels), dim)
+	}
+	s := &Set{Name: name, Dim: dim, NumClasses: classes, labels: labels}
+	nnz := 0
+	for _, f := range features {
+		if math.Float64bits(f) != 0 {
+			nnz++
+		}
+	}
+	// rowStart holds uint32 offsets into vals, so a split with more stored
+	// values than that stays dense whatever its density.
+	const valBytes, colBytes, startBytes = 8, 2, 4
+	if uint64(nnz) > math.MaxUint32 || nnz*(valBytes+colBytes)+(len(labels)+1)*startBytes >= len(features)*valBytes {
+		s.dense = features
+		return s, nil
+	}
+	s.vals = make([]float64, 0, nnz)
+	s.cols = make([]uint16, 0, nnz)
+	s.rowStart = make([]uint32, len(labels)+1)
+	for i := range labels {
+		for c, f := range features[i*dim : (i+1)*dim] {
+			if math.Float64bits(f) != 0 {
+				s.vals = append(s.vals, f)
+				s.cols = append(s.cols, uint16(c))
+			}
+		}
+		s.rowStart[i+1] = uint32(len(s.vals))
+	}
+	return s, nil
 }
 
 // Len returns the number of samples.
-func (s *Set) Len() int { return len(s.Samples) }
+func (s *Set) Len() int { return len(s.labels) }
+
+// Label returns sample i's class.
+func (s *Set) Label(i int) int { return int(s.labels[i]) }
+
+// Row expands sample i's features into dst, which must be Dim long.
+func (s *Set) Row(i int, dst []float64) {
+	if s.dense != nil {
+		copy(dst, s.dense[i*s.Dim:(i+1)*s.Dim])
+		return
+	}
+	clear(dst)
+	for k := s.rowStart[i]; k < s.rowStart[i+1]; k++ {
+		dst[s.cols[k]] = s.vals[k]
+	}
+}
+
+// Bytes returns the heap the split occupies, derived from the parts it
+// stores: the struct, the name and the five backing arrays.
+func (s *Set) Bytes() int64 {
+	return int64(unsafe.Sizeof(*s)) + int64(len(s.Name)) +
+		4*int64(len(s.labels)+len(s.rowStart)) +
+		8*int64(len(s.dense)+len(s.vals)) +
+		2*int64(len(s.cols))
+}
 
 // Config controls synthetic corpus size. The defaults are deliberately much
 // smaller than Table 3's file counts: learning dynamics need only enough
@@ -81,14 +160,44 @@ func Generate(w workload.Workload, seed uint64, cfg Config) (train, test *Set, e
 	default:
 		return nil, nil, fmt.Errorf("dataset: unknown dataset %v", w.Dataset)
 	}
-	train = g.split(w.Dataset.String()+"/train", cfg.TrainSize)
-	test = g.split(w.Dataset.String()+"/test", cfg.TestSize)
+	if train, err = split(g, r, w.Dataset.String()+"/train", cfg.TrainSize); err != nil {
+		return nil, nil, err
+	}
+	if test, err = split(g, r, w.Dataset.String()+"/test", cfg.TestSize); err != nil {
+		return nil, nil, err
+	}
 	return train, test, nil
 }
 
 // generator produces labelled samples from a fixed class structure.
 type generator interface {
-	split(name string, n int) *Set
+	// shape returns the feature width and the number of classes.
+	shape() (dim, classes int)
+	// fill draws one sample of class label from r into f, which arrives
+	// zeroed.
+	fill(r *xrand.Source, f []float64, label int)
+}
+
+// split draws n class-balanced samples from g into one row-major block,
+// shuffles them with r — swapping whole rows, so the draw sequence and the
+// resulting order are those of shuffling a slice of samples — and freezes
+// the block into a Set.
+func split(g generator, r *xrand.Source, name string, n int) (*Set, error) {
+	dim, classes := g.shape()
+	labels := make([]int32, n)
+	features := make([]float64, n*dim)
+	for i := range labels {
+		labels[i] = int32(i % classes) // balanced classes
+		g.fill(r, features[i*dim:(i+1)*dim], i%classes)
+	}
+	r.Shuffle(n, func(i, j int) {
+		labels[i], labels[j] = labels[j], labels[i]
+		a, b := features[i*dim:(i+1)*dim], features[j*dim:(j+1)*dim]
+		for d := range a {
+			a[d], b[d] = b[d], a[d]
+		}
+	})
+	return newSet(name, dim, classes, labels, features)
 }
 
 // prototypeGenerator draws samples as class prototype + isotropic noise:
@@ -96,7 +205,6 @@ type generator interface {
 // distance; noise controls intra-class spread. Lower separation/noise
 // ratios make the task harder.
 type prototypeGenerator struct {
-	r          *xrand.Source
 	classes    int
 	dim        int
 	noise      float64
@@ -104,7 +212,7 @@ type prototypeGenerator struct {
 }
 
 func newPrototypeGenerator(r *xrand.Source, classes, dim int, separation, noise float64) *prototypeGenerator {
-	g := &prototypeGenerator{r: r, classes: classes, dim: dim, noise: noise}
+	g := &prototypeGenerator{classes: classes, dim: dim, noise: noise}
 	g.prototypes = make([][]float64, classes)
 	for c := range g.prototypes {
 		p := make([]float64, dim)
@@ -116,19 +224,13 @@ func newPrototypeGenerator(r *xrand.Source, classes, dim int, separation, noise 
 	return g
 }
 
-func (g *prototypeGenerator) split(name string, n int) *Set {
-	set := &Set{Name: name, Dim: g.dim, NumClasses: g.classes, Samples: make([]Sample, n)}
-	for i := 0; i < n; i++ {
-		label := i % g.classes // balanced classes
-		f := make([]float64, g.dim)
-		proto := g.prototypes[label]
-		for d := range f {
-			f[d] = proto[d] + g.r.NormFloat64()*g.noise
-		}
-		set.Samples[i] = Sample{Features: f, Label: label}
+func (g *prototypeGenerator) shape() (dim, classes int) { return g.dim, g.classes }
+
+func (g *prototypeGenerator) fill(r *xrand.Source, f []float64, label int) {
+	proto := g.prototypes[label]
+	for d := range f {
+		f[d] = proto[d] + r.NormFloat64()*g.noise
 	}
-	shuffle(g.r, set.Samples)
-	return set
 }
 
 // bagOfWordsGenerator models News20-style text: each topic has a Zipf-ish
@@ -136,14 +238,13 @@ func (g *prototypeGenerator) split(name string, n int) *Set {
 // (log1p-scaled). Topics share common stop-words, creating realistic
 // overlap that rewards model capacity (embedding width).
 type bagOfWordsGenerator struct {
-	r        *xrand.Source
 	classes  int
 	vocab    int
 	topicPri [][]float64
 }
 
 func newBagOfWordsGenerator(r *xrand.Source, classes, vocab int) *bagOfWordsGenerator {
-	g := &bagOfWordsGenerator{r: r, classes: classes, vocab: vocab}
+	g := &bagOfWordsGenerator{classes: classes, vocab: vocab}
 	g.topicPri = make([][]float64, classes)
 	// First tenth of the vocabulary is shared "stop words".
 	stop := vocab / 10
@@ -159,48 +260,41 @@ func newBagOfWordsGenerator(r *xrand.Source, classes, vocab int) *bagOfWordsGene
 			p[v] = 3.0
 		}
 		for k := 0; k < vocab/8; k++ {
-			p[stop+g.r.Intn(vocab-stop)] += 0.8
+			p[stop+r.Intn(vocab-stop)] += 0.8
 		}
 		g.topicPri[c] = p
 	}
 	return g
 }
 
-func (g *bagOfWordsGenerator) split(name string, n int) *Set {
-	set := &Set{Name: name, Dim: g.vocab, NumClasses: g.classes, Samples: make([]Sample, n)}
-	for i := 0; i < n; i++ {
-		label := i % g.classes
-		pri := g.topicPri[label]
-		f := make([]float64, g.vocab)
-		// Draw ~vocab/4 word occurrences weighted by topic priority.
-		draws := g.vocab / 4
-		for d := 0; d < draws; d++ {
-			v := g.r.Intn(g.vocab)
-			if g.r.Float64() < pri[v]/3.0 {
-				f[v]++
-			}
+func (g *bagOfWordsGenerator) shape() (dim, classes int) { return g.vocab, g.classes }
+
+func (g *bagOfWordsGenerator) fill(r *xrand.Source, f []float64, label int) {
+	pri := g.topicPri[label]
+	// Draw ~vocab/4 word occurrences weighted by topic priority.
+	draws := g.vocab / 4
+	for d := 0; d < draws; d++ {
+		v := r.Intn(g.vocab)
+		if r.Float64() < pri[v]/3.0 {
+			f[v]++
 		}
-		for v := range f {
-			f[v] = math.Log1p(f[v])
-		}
-		set.Samples[i] = Sample{Features: f, Label: label}
 	}
-	shuffle(g.r, set.Samples)
-	return set
+	for v := range f {
+		f[v] = math.Log1p(f[v])
+	}
 }
 
 // kernelStateGenerator models the Rodinia Type-III tasks: low-dimensional
 // numeric states (grid residuals, frontier sizes, centroid spreads)
 // labelled by operating regime. Moderate difficulty, tiny dimensionality.
 type kernelStateGenerator struct {
-	r       *xrand.Source
 	classes int
 	dim     int
 	centers [][]float64
 }
 
 func newKernelStateGenerator(r *xrand.Source, classes, dim int) *kernelStateGenerator {
-	g := &kernelStateGenerator{r: r, classes: classes, dim: dim}
+	g := &kernelStateGenerator{classes: classes, dim: dim}
 	g.centers = make([][]float64, classes)
 	for c := range g.centers {
 		center := make([]float64, dim)
@@ -212,40 +306,12 @@ func newKernelStateGenerator(r *xrand.Source, classes, dim int) *kernelStateGene
 	return g
 }
 
-func (g *kernelStateGenerator) split(name string, n int) *Set {
-	set := &Set{Name: name, Dim: g.dim, NumClasses: g.classes, Samples: make([]Sample, n)}
-	for i := 0; i < n; i++ {
-		label := i % g.classes
-		f := make([]float64, g.dim)
-		for d := range f {
-			f[d] = g.centers[label][d] + g.r.NormFloat64()*0.6
-		}
-		set.Samples[i] = Sample{Features: f, Label: label}
-	}
-	shuffle(g.r, set.Samples)
-	return set
-}
+func (g *kernelStateGenerator) shape() (dim, classes int) { return g.dim, g.classes }
 
-func shuffle(r *xrand.Source, s []Sample) {
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-}
-
-// Batches splits indices [0,n) into contiguous minibatches of size b after
-// applying the permutation perm (pass nil for identity order). The final
-// batch may be short. Prefer EachBatch on hot paths: Batches materialises
-// the batch list, allocating its [][]int header (plus an identity index
-// slice when perm is nil) on every call.
-func Batches(n, b int, perm []int) [][]int {
-	if b <= 0 || n <= 0 {
-		return nil
+func (g *kernelStateGenerator) fill(r *xrand.Source, f []float64, label int) {
+	for d := range f {
+		f[d] = g.centers[label][d] + r.NormFloat64()*0.6
 	}
-	idx := identity(n, perm)
-	out := make([][]int, 0, (n+b-1)/b)
-	EachBatch(n, b, idx, func(batch []int) error {
-		out = append(out, batch)
-		return nil
-	})
-	return out
 }
 
 // EachBatch invokes fn on each contiguous minibatch of perm — indices

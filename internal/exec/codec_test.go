@@ -27,7 +27,7 @@ func sampleAssignment() Assignment {
 		Seed:         0xdeadbeefcafe,
 		StreamEpochs: true,
 		Trainer:      TrainerConfig{TrainSize: 96, TestSize: 48, Load: 1.5, DataSeed: 0x0da7a5eed, CacheBytes: 32 << 20, Parallelism: 4},
-		CacheKey:     "v1|0/0|229351022/96/48|32/3fa999999999999a/3fc999999999999a/64|2a",
+		CacheKey:     "v2|1/0|229351022/96/48|32/3fa999999999999a/3fc999999999999a/64|2a",
 		Class:        "m5.12xlarge-spot",
 	}
 }

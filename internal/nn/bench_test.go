@@ -78,7 +78,7 @@ func BenchmarkKernels(b *testing.B) {
 			}
 			if sh.set != nil {
 				for s := 0; s < sh.rows; s++ {
-					copy(x.Row(s), sh.set.Samples[s].Features)
+					sh.set.Row(s, x.Row(s))
 				}
 			}
 			return x
@@ -128,8 +128,8 @@ func TestTrainHotPathAllocs(t *testing.T) {
 		x := &Batch{Data: make([]float64, 32*train.Dim), Rows: 32, Cols: train.Dim}
 		labels := make([]int, 32)
 		for i := range labels {
-			copy(x.Row(i), train.Samples[i].Features)
-			labels[i] = train.Samples[i].Label
+			train.Row(i, x.Row(i))
+			labels[i] = train.Label(i)
 		}
 		// Warm up: first calls bind kernel closures and start the pool.
 		for i := 0; i < 3; i++ {

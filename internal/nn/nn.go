@@ -680,10 +680,7 @@ func (n *Network) TrainBatch(x *Batch, labels []int, lr float64) (float64, error
 	return loss, nil
 }
 
-// gather copies the indexed samples into the network's input arena.
-// Feature rows shorter than the set's dimension are zero-padded (zero
-// inputs are inert in both directions: forward skips them and their
-// weight gradient is exactly zero).
+// gather expands the indexed samples into the network's input arena.
 func (n *Network) gather(set *dataset.Set, idx []int) {
 	n.in.resize(len(idx), set.Dim)
 	if cap(n.labels) < len(idx) {
@@ -691,13 +688,8 @@ func (n *Network) gather(set *dataset.Set, idx []int) {
 	}
 	n.labels = n.labels[:len(idx)]
 	for i, sIdx := range idx {
-		s := &set.Samples[sIdx]
-		dst := n.in.Row(i)
-		c := copy(dst, s.Features)
-		for ; c < len(dst); c++ {
-			dst[c] = 0
-		}
-		n.labels[i] = s.Label
+		set.Row(sIdx, n.in.Row(i))
+		n.labels[i] = set.Label(sIdx)
 	}
 }
 
@@ -710,13 +702,8 @@ func (n *Network) gatherRange(set *dataset.Set, start, end int) {
 	}
 	n.labels = n.labels[:end-start]
 	for i := start; i < end; i++ {
-		s := &set.Samples[i]
-		dst := n.in.Row(i - start)
-		c := copy(dst, s.Features)
-		for ; c < len(dst); c++ {
-			dst[c] = 0
-		}
-		n.labels[i-start] = s.Label
+		set.Row(i, n.in.Row(i-start))
+		n.labels[i-start] = set.Label(i)
 	}
 }
 
@@ -812,6 +799,36 @@ func (n *Network) argmaxRows(lo, hi int) {
 	}
 }
 
+// Arch names a layer stack Build can construct. Several models may share
+// one: the three Rodinia kernels all train the same small classifier, so
+// anything that identifies a trained network — the trial prefix cache key —
+// names the Arch, not the model.
+type Arch int
+
+const (
+	ArchUnknown Arch = iota
+	ArchLeNet5
+	ArchTextCNN
+	ArchTextLSTM
+	ArchKernel
+)
+
+// ArchOf returns the layer stack Build constructs for m; Build switches on
+// it, so the two cannot drift.
+func ArchOf(m workload.Model) Arch {
+	switch m {
+	case workload.LeNet5:
+		return ArchLeNet5
+	case workload.CNN:
+		return ArchTextCNN
+	case workload.LSTM:
+		return ArchTextLSTM
+	case workload.Jacobi, workload.SPKMeans, workload.BFS:
+		return ArchKernel
+	}
+	return ArchUnknown
+}
+
 // Build constructs the architecture for the given model per the paper's
 // zoo: LeNet5 (compact CNN stand-in), CNN and LSTM text classifiers whose
 // first hidden width is the tunable embedding dimension (§7.1.3 item 3),
@@ -827,8 +844,8 @@ func Build(m workload.Model, inputDim, classes int, h params.Hyper, r *xrand.Sou
 	}
 	emb := h.EmbeddingDim
 	var net *Network
-	switch m {
-	case workload.LeNet5:
+	switch ArchOf(m) {
+	case ArchLeNet5:
 		net = NewNetwork(
 			NewDense(inputDim, 48, r),
 			&ReLU{},
@@ -837,7 +854,7 @@ func Build(m workload.Model, inputDim, classes int, h params.Hyper, r *xrand.Sou
 			&ReLU{},
 			NewDense(24, classes, r),
 		)
-	case workload.CNN:
+	case ArchTextCNN:
 		net = NewNetwork(
 			NewDense(inputDim, emb, r),
 			&ReLU{},
@@ -846,7 +863,7 @@ func Build(m workload.Model, inputDim, classes int, h params.Hyper, r *xrand.Sou
 			&ReLU{},
 			NewDense(48, classes, r),
 		)
-	case workload.LSTM:
+	case ArchTextLSTM:
 		net = NewNetwork(
 			NewDense(inputDim, emb, r),
 			&Tanh{},
@@ -855,7 +872,7 @@ func Build(m workload.Model, inputDim, classes int, h params.Hyper, r *xrand.Sou
 			&Tanh{},
 			NewDense(emb/2+1, classes, r),
 		)
-	case workload.Jacobi, workload.SPKMeans, workload.BFS:
+	case ArchKernel:
 		net = NewNetwork(
 			NewDense(inputDim, 16, r),
 			&ReLU{},

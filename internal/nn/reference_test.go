@@ -306,15 +306,23 @@ func (n *refNetwork) TrainBatch(x refBatch, labels []int, lr float64) (float64, 
 	return loss, nil
 }
 
+// denseRow returns sample i's features as a fresh slice.
+func denseRow(set *dataset.Set, i int) []float64 {
+	f := make([]float64, set.Dim)
+	set.Row(i, f)
+	return f
+}
+
 func (n *refNetwork) TrainEpoch(set *dataset.Set, batchSize int, lr float64, r *xrand.Source) (float64, error) {
 	perm := r.Perm(set.Len())
 	total, batches := 0.0, 0
-	for _, idx := range dataset.Batches(set.Len(), batchSize, perm) {
+	for start := 0; start < len(perm); start += batchSize {
+		idx := perm[start:min(start+batchSize, len(perm))]
 		x := make(refBatch, len(idx))
 		labels := make([]int, len(idx))
 		for i, sIdx := range idx {
-			x[i] = set.Samples[sIdx].Features
-			labels[i] = set.Samples[sIdx].Label
+			x[i] = denseRow(set, sIdx)
+			labels[i] = set.Label(sIdx)
 		}
 		loss, err := n.TrainBatch(x, labels, lr)
 		if err != nil {
@@ -338,8 +346,8 @@ func (n *refNetwork) Evaluate(set *dataset.Set) (accuracy, loss float64) {
 		x := make(refBatch, end-start)
 		labels := make([]int, end-start)
 		for i := start; i < end; i++ {
-			x[i-start] = set.Samples[i].Features
-			labels[i-start] = set.Samples[i].Label
+			x[i-start] = denseRow(set, i)
+			labels[i-start] = set.Label(i)
 		}
 		logits := n.Forward(x, false)
 		l, _ := refSoftmaxXE(logits, labels)

@@ -234,6 +234,67 @@ func TestCacheBytesMatchHeap(t *testing.T) {
 	}
 }
 
+// TestCorpusBytesMatchHeap pins the corpus owner's accounting the way
+// TestCacheBytesMatchHeap pins the cache's: generating all four datasets at
+// the default sizes moves the live heap by what the trainer_corpus_bytes
+// gauge — the sum of every split's Bytes() — says it holds.
+func TestCorpusBytesMatchHeap(t *testing.T) {
+	r := NewRunner()
+	reg := metrics.NewRegistry()
+	r.InstrumentMetrics(reg)
+	gauge := reg.Gauge("trainer_corpus_bytes", "")
+	if v := gauge.Value(); v != 0 {
+		t.Fatalf("gauge reads %v before any corpus exists", v)
+	}
+	before := heapAlloc()
+	want := int64(0)
+	for _, ds := range []workload.Dataset{workload.MNIST, workload.FashionMNIST, workload.News20, workload.Rodinia} {
+		cp, err := r.corpus(workload.Workload{Dataset: ds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += cp.train.Bytes() + cp.test.Bytes()
+	}
+	held := float64(heapAlloc() - before)
+	if got := int64(gauge.Value()); got != want {
+		t.Fatalf("gauge reads %d bytes, the splits sum to %d", got, want)
+	}
+	if ratio := float64(want) / held; ratio < 0.9 || ratio > 1.1 {
+		t.Fatalf("accounted %d bytes for %.0f bytes of heap (ratio %.3f, want within 10%%)", want, held, ratio)
+	}
+	runtime.KeepAlive(r)
+}
+
+// TestPrefixKeyNamesTheNetwork: the three Rodinia kernels train one and the
+// same classifier on one corpus, so they share a training prefix — a second
+// kernel's trial is a cache hit that still reports its own workload — while
+// models that build different networks on a shared corpus do not.
+func TestPrefixKeyNamesTheNetwork(t *testing.T) {
+	r := cachedRunner(0)
+	h := fastHyper()
+	sys := params.DefaultSysConfig()
+	rodinia := func(m workload.Model) workload.Workload {
+		return workload.Workload{Model: m, Dataset: workload.Rodinia}
+	}
+	jacobi, bfs := rodinia(workload.Jacobi), rodinia(workload.BFS)
+	if a, b := r.PrefixKey(jacobi, h, 3), r.PrefixKey(bfs, h, 3); a != b {
+		t.Fatalf("jacobi and bfs keyed apart: %q vs %q", a, b)
+	}
+	cnn := workload.Workload{Model: workload.CNN, Dataset: workload.News20}
+	lstm := workload.Workload{Model: workload.LSTM, Dataset: workload.News20}
+	if a, b := r.PrefixKey(cnn, h, 3), r.PrefixKey(lstm, h, 3); a == b {
+		t.Fatalf("cnn and lstm share key %q", a)
+	}
+	mustRun(t, r, jacobi, h, sys, 3, nil)
+	got := mustRun(t, r, bfs, h, sys, 3, nil)
+	if st := r.Cache.Stats(); st.Misses != 1 {
+		t.Fatalf("stats = %+v, want the second kernel's trial to hit", st)
+	}
+	if want := mustRun(t, fastRunner(), bfs, h, sys, 3, nil); !reflect.DeepEqual(got, want) {
+		t.Fatal("bfs replayed from jacobi's prefix differs from an uncached bfs run")
+	}
+}
+
 // TestTrialCacheEviction pins the byte-cap discipline: a cache far too
 // small for its working set evicts LRU entries and never exceeds the cap.
 func TestTrialCacheEviction(t *testing.T) {

@@ -134,6 +134,8 @@ type Runner struct {
 
 	mu            sync.Mutex
 	cache         map[string]*corpusPair
+	corpusBytes   int64          // sum of Set.Bytes over cache
+	corpusGauge   *metrics.Gauge // trainer_corpus_bytes; mirrors corpusBytes
 	corpusFlights flightGroup
 	corpusGens    atomic.Uint64 // distinct corpus syntheses (singleflight test hook)
 	tsdbErrs      atomic.Pointer[metrics.Counter]
@@ -193,6 +195,8 @@ func (r *Runner) corpus(w workload.Workload) (*corpusPair, error) {
 		cp = &corpusPair{train: train, test: test}
 		r.mu.Lock()
 		r.cache[key] = cp
+		r.corpusBytes += train.Bytes() + test.Bytes()
+		r.corpusGauge.Set(float64(r.corpusBytes))
 		r.mu.Unlock()
 		return cp, nil
 	})
@@ -203,9 +207,9 @@ func (r *Runner) corpus(w workload.Workload) (*corpusPair, error) {
 }
 
 // InstrumentMetrics registers the trainer's instruments on reg: the tsdb
-// write-error counter and, when a trial prefix cache is attached, its
-// hit/miss/residency families. Call before running trials. A nil
-// registry (metrics disabled) keeps every update a no-op.
+// write-error counter, the resident corpus bytes and, when a trial prefix
+// cache is attached, its hit/miss/residency families. Call before running
+// trials. A nil registry (metrics disabled) keeps every update a no-op.
 func (r *Runner) InstrumentMetrics(reg *metrics.Registry) {
 	r.tsdbErrs.Store(reg.Counter("trainer_tsdb_write_errors_total", "Epoch summaries and power points the trainer failed to write to the tsdb."))
 	r.epochSeconds.Store(reg.Distribution("nn_train_epoch_seconds", "Wall-clock seconds per nn training epoch (real SGD compute, not the simulated epoch duration)."))
@@ -215,6 +219,10 @@ func (r *Runner) InstrumentMetrics(reg *metrics.Registry) {
 		p = 1
 	}
 	reg.Gauge("nn_parallelism", "Configured deterministic intra-trial kernel parallelism degree.").Set(float64(p))
+	r.mu.Lock()
+	r.corpusGauge = reg.Gauge("trainer_corpus_bytes", "Bytes resident in the generated corpora, derived from the parts each split stores.")
+	r.corpusGauge.Set(float64(r.corpusBytes))
+	r.mu.Unlock()
 	if r.Cache != nil {
 		r.Cache.InstrumentMetrics(reg)
 	}
@@ -276,16 +284,18 @@ func (r *Runner) record(trialSeed uint64, w workload.Workload, s EpochStats, ser
 }
 
 // PrefixKey derives the trial prefix cache key: every input SGD progress
-// depends on — the workload (model and dataset), the corpus (sizes and
-// DataSeed), the training-relevant Hyper fields (batch size, learning
-// rate, dropout, embedding dim; float64s as exact bit patterns) and the
-// trial seed. Epochs is deliberately excluded (a shallow request is a
-// prefix of a deep one), and so are SysConfig, Load and the cost/power
-// models — they shape the simulation, never the learning curve.
+// depends on — the network nn.Build constructs for the model (its Arch:
+// the three Rodinia kernels train one and the same classifier, so they
+// share a prefix), the dataset, the corpus (sizes and DataSeed), the
+// training-relevant Hyper fields (batch size, learning rate, dropout,
+// embedding dim; float64s as exact bit patterns) and the trial seed. Epochs
+// is deliberately excluded (a shallow request is a prefix of a deep one),
+// and so are SysConfig, Load and the cost/power models — they shape the
+// simulation, never the learning curve.
 func (r *Runner) PrefixKey(w workload.Workload, h params.Hyper, seed uint64) string {
 	b := make([]byte, 0, 96)
-	b = append(b, "v1|"...)
-	b = strconv.AppendInt(b, int64(w.Model), 10)
+	b = append(b, "v2|"...)
+	b = strconv.AppendInt(b, int64(nn.ArchOf(w.Model)), 10)
 	b = append(b, '/')
 	b = strconv.AppendInt(b, int64(w.Dataset), 10)
 	b = append(b, '|')
