@@ -32,11 +32,9 @@ func BenchmarkFigure1(b *testing.B) {
 
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure2(benchConfig())
-		if err != nil {
+		if _, err := experiments.Figure2(benchConfig()); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.EpochStability(), "epoch-cv")
 	}
 }
 
@@ -114,41 +112,17 @@ func BenchmarkFigure8(b *testing.B) {
 	}
 }
 
-func BenchmarkFigure9(b *testing.B) {
+// Figures 9 and 10 plot the same three runs (Tune V1, Tune V2, PipeTune,
+// in that order).
+func BenchmarkFigure9and10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Figure9and10(benchConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
-		v1, err := res.Curve("Tune V1")
-		if err != nil {
-			b.Fatal(err)
-		}
-		pt, err := res.Curve("PipeTune")
-		if err != nil {
-			b.Fatal(err)
-		}
-		target := 0.9 * pt.BestAccuracy
-		b.ReportMetric(v1.TimeToAccuracy(target)/pt.TimeToAccuracy(target), "convergence-speedup-x")
-	}
-}
-
-func BenchmarkFigure10(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure9and10(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		v1, err := res.Curve("Tune V1")
-		if err != nil {
-			b.Fatal(err)
-		}
-		pt, err := res.Curve("PipeTune")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(pt.MeanTrialDuration(), "pipetune-mean-trial-s")
-		b.ReportMetric(v1.MeanTrialDuration()/pt.MeanTrialDuration(), "trial-speedup-x")
+		v1, pt := res.Curves[0], res.Curves[2]
+		b.ReportMetric(pt.BestAccuracy*100, "pipetune-best-accuracy-pct")
+		b.ReportMetric(v1.TuningTime/pt.TuningTime, "tuning-speedup-x")
 	}
 }
 

@@ -13,7 +13,7 @@
 //	          [-tenant-weight name=w ...]
 //	          [-exec-backend local] [-worker-token secret]
 //	          [-worker-heartbeat 2s] [-worker-evict-after 3]
-//	          [-metrics-enabled] [-metrics-mirror-interval 10s]
+//	          [-metrics-enabled]
 //	          [-pprof-addr localhost:6060]
 //
 // Trial execution is a pluggable plane: the default -exec-backend=local
@@ -38,11 +38,9 @@
 // The observability plane is on by default: every layer (admission
 // queue, job dispatch, ground-truth store and WAL, execution plane,
 // worker fleet) publishes into one shared metrics registry, exposed as
-// Prometheus text at GET /metrics and as typed JSON at GET /v1/metrics,
-// and mirrored into an in-memory time-series database every
-// -metrics-mirror-interval. Remote workers ship their local series
-// (trial compute time, epochs, stream codec errors) piggybacked on the
-// heartbeats they already send.
+// Prometheus text at GET /metrics and as typed JSON at GET /v1/metrics.
+// Remote workers ship their local series (trial compute time, epochs,
+// stream codec errors) piggybacked on the heartbeats they already send.
 // -metrics-enabled=false turns the whole plane off.
 //
 // Job dispatch across tenants is policy-driven: the default -job-policy
@@ -91,12 +89,10 @@ import (
 	"pipetune"
 	"pipetune/internal/cluster"
 	"pipetune/internal/exec"
-	"pipetune/internal/gt"
 	"pipetune/internal/httpserve"
 	"pipetune/internal/metrics"
 	"pipetune/internal/service"
 	"pipetune/internal/trainer"
-	"pipetune/internal/tsdb"
 )
 
 // weightFlags collects repeatable -tenant-weight name=w flags.
@@ -209,7 +205,6 @@ func run() error {
 		evictFlag     = flag.Int("worker-evict-after", 3, "consecutive missed heartbeats before a worker is evicted and its leases requeued")
 		pprofFlag     = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 		metricsFlag   = flag.Bool("metrics-enabled", true, "publish the metrics registry at GET /metrics (Prometheus text) and GET /v1/metrics (typed JSON)")
-		mirrorFlag    = flag.Duration("metrics-mirror-interval", 10*time.Second, "cadence of the registry mirror into the in-memory time-series DB")
 		cacheFlag     = flag.Bool("trial-cache", false, "enable the trial prefix cache: trials sharing a training prefix replay or resume cached SGD bit-identically (remote workers keep local caches of the same budget)")
 		cacheBytes    = flag.Int64("trial-cache-bytes", trainer.DefaultCacheBytes, "trial prefix cache byte budget (LRU-evicted; only with -trial-cache)")
 		trainParFlag  = flag.Int("train-parallelism", 0, "deterministic intra-trial kernel parallelism: shard each trial's compute across up to N goroutines, bit-identically to serial (<=1 = serial; shipped to remote workers)")
@@ -223,10 +218,8 @@ func run() error {
 	// ground-truth store and the execution plane all publish into it, so
 	// a single /metrics scrape sees the whole daemon.
 	var reg *metrics.Registry
-	var metricsDB *tsdb.DB
 	if *metricsFlag {
 		reg = metrics.NewRegistry()
-		metricsDB = tsdb.New()
 	}
 	var remote *exec.Remote
 	switch *execFlag {
@@ -245,7 +238,6 @@ func run() error {
 	opts := []pipetune.Option{
 		pipetune.WithSeed(*seedFlag),
 		pipetune.WithScheduler(*schedFlag),
-		pipetune.WithGroundTruthStore(gt.NewSharded(gt.DefaultConfig(), *seedFlag)),
 	}
 	if *classesFlag != "" {
 		classes, err := parseNodeClasses(*classesFlag, *spotFlag, *revRateFlag)
@@ -265,21 +257,19 @@ func run() error {
 		return err
 	}
 	svc, err := service.New(service.Config{
-		System:                sys,
-		Workers:               *workersFlag,
-		QueueDepth:            *queueFlag,
-		GTPath:                *gtFlag,
-		CompactEvery:          *gtCompactFlag,
-		SnapshotInterval:      *gtSnapFlag,
-		JobPolicy:             *jobPolicyFlag,
-		TenantWeights:         weights,
-		Remote:                remote,
-		DrainTimeout:          *drainFlag,
-		Metrics:               reg,
-		MetricsDB:             metricsDB,
-		MetricsMirrorInterval: *mirrorFlag,
-		DisableMetrics:        !*metricsFlag,
-		Logf:                  logger.Printf,
+		System:           sys,
+		Workers:          *workersFlag,
+		QueueDepth:       *queueFlag,
+		GTPath:           *gtFlag,
+		CompactEvery:     *gtCompactFlag,
+		SnapshotInterval: *gtSnapFlag,
+		JobPolicy:        *jobPolicyFlag,
+		TenantWeights:    weights,
+		Remote:           remote,
+		DrainTimeout:     *drainFlag,
+		Metrics:          reg,
+		DisableMetrics:   !*metricsFlag,
+		Logf:             logger.Printf,
 	})
 	if err != nil {
 		return err

@@ -174,17 +174,6 @@ func (q *Queue) Len() int { return q.size }
 // Full reports whether a Push would return ErrFull.
 func (q *Queue) Full() bool { return q.cfg.Capacity > 0 && q.size >= q.cfg.Capacity }
 
-// Depths returns the per-tenant queued-job counts.
-func (q *Queue) Depths() map[string]int {
-	out := make(map[string]int, len(q.tenants))
-	for name, tq := range q.tenants {
-		if len(tq.items) > 0 {
-			out[name] = len(tq.items)
-		}
-	}
-	return out
-}
-
 // Push enqueues a job, assigning its submission sequence. It returns
 // ErrFull when the queue is at capacity.
 func (q *Queue) Push(j Job) error {

@@ -110,8 +110,8 @@ func TestEC2FleetComposition(t *testing.T) {
 		t.Fatalf("spot/on-demand = %d/%d, want 3/3", spot, onDemand)
 	}
 	rates := c.SpotRevocationRates()
-	if len(rates) != c.NumNodes() {
-		t.Fatalf("%d rates for %d nodes", len(rates), c.NumNodes())
+	if len(rates) != len(c.nodes) {
+		t.Fatalf("%d rates for %d nodes", len(rates), len(c.nodes))
 	}
 	for i, r := range rates {
 		want := 0.0

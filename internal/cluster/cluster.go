@@ -205,9 +205,6 @@ func SingleNode() *Cluster {
 	return c
 }
 
-// NumNodes returns the node count.
-func (c *Cluster) NumNodes() int { return len(c.nodes) }
-
 // Classes returns the cluster's node classes in declaration order.
 func (c *Cluster) Classes() []NodeClass {
 	out := make([]NodeClass, len(c.classes))
@@ -287,15 +284,6 @@ func (c *Cluster) Clone() *Cluster {
 		out.nodes[i].class = c.nodes[i].class
 	}
 	return out
-}
-
-// TotalCores returns the cluster-wide core capacity.
-func (c *Cluster) TotalCores() int {
-	total := 0
-	for _, n := range c.nodes {
-		total += n.spec.Cores
-	}
-	return total
 }
 
 // FreeCores returns currently unallocated cores across the cluster.

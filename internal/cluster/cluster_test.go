@@ -20,12 +20,12 @@ func TestNewValidation(t *testing.T) {
 
 func TestPaperClusters(t *testing.T) {
 	p := Paper()
-	if p.NumNodes() != 4 || p.TotalCores() != 128 {
-		t.Fatalf("paper cluster = %d nodes, %d cores; want 4 nodes, 128 cores", p.NumNodes(), p.TotalCores())
+	if len(p.nodes) != 4 || p.FreeCores() != 128 {
+		t.Fatalf("paper cluster = %d nodes, %d cores; want 4 nodes, 128 cores", len(p.nodes), p.FreeCores())
 	}
 	s := SingleNode()
-	if s.NumNodes() != 1 || s.TotalCores() != 8 {
-		t.Fatalf("single node = %d nodes, %d cores", s.NumNodes(), s.TotalCores())
+	if len(s.nodes) != 1 || s.FreeCores() != 8 {
+		t.Fatalf("single node = %d nodes, %d cores", len(s.nodes), s.FreeCores())
 	}
 }
 

@@ -333,10 +333,9 @@ type PipeTune struct {
 	Policy sched.Policy
 }
 
-// New creates a PipeTune middleware with an empty ground-truth database —
-// the sharded store, the concurrency-safe default for the service's shared
-// cross-job database (internal/gt documents the design; NewGroundTruth
-// still builds the classic monolith for callers that want it).
+// New creates a PipeTune middleware with an empty ground-truth database:
+// the sharded store, safe for the service's shared cross-job use
+// (internal/gt documents the design).
 func New(runner *tune.Runner, seed uint64) *PipeTune {
 	return &PipeTune{
 		Runner:   runner,

@@ -6,9 +6,8 @@
 //
 // The package provides the power model (idle + per-active-core dynamic +
 // memory draw, with lower draw during synchronisation phases), a 1 Hz
-// sample-series generator, and an HTTP PDU simulator plus client so the
-// exact measurement path — HTTP poll, 1 W quantisation, integration — is
-// exercised end to end.
+// sample-series generator, and an HTTP PDU simulator (cmd/pdusim serves
+// it) reporting at the unit's 1 W quantisation.
 package energy
 
 import (
@@ -193,36 +192,4 @@ func (p *PDU) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// Connection-level failure; nothing further to do.
 		return
 	}
-}
-
-// Client polls a PDU over HTTP, as the paper's harness polls the LINDY unit.
-type Client struct {
-	BaseURL string
-	HTTP    *http.Client
-}
-
-// NewClient returns a client for the PDU at baseURL.
-func NewClient(baseURL string) *Client {
-	return &Client{BaseURL: baseURL, HTTP: http.DefaultClient}
-}
-
-// ReadPower fetches one measurement. outlet -1 requests the aggregate.
-func (c *Client) ReadPower(outlet int) (float64, error) {
-	url := c.BaseURL + "/power"
-	if outlet >= 0 {
-		url += "?outlet=" + strconv.Itoa(outlet)
-	}
-	resp, err := c.HTTP.Get(url)
-	if err != nil {
-		return 0, fmt.Errorf("energy: poll PDU: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("energy: PDU returned status %d", resp.StatusCode)
-	}
-	var pr powerResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		return 0, fmt.Errorf("energy: decode PDU response: %w", err)
-	}
-	return float64(pr.Watts), nil
 }

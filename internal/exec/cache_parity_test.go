@@ -18,7 +18,7 @@ func cachedSmallTrainer() *trainer.Runner {
 	return tr
 }
 
-// TestCacheCrossWireCatalogParity is the execution-plane half of the
+// TestCacheRemoteCatalogParity is the execution-plane half of the
 // cache's bit-identity guarantee: with the trial prefix cache enabled —
 // daemon-derived CacheKey on every trial, CacheBytes in the shipped
 // TrainerConfig so workers keep warm worker-local caches — the local
@@ -27,7 +27,7 @@ func cachedSmallTrainer() *trainer.Runner {
 // workload appears twice (same prefix, different system configuration:
 // the sys-sweep replay shape), so the second trial exercises a cache hit
 // on whichever process trained the first.
-func TestCacheCrossWireCatalogParity(t *testing.T) {
+func TestCacheRemoteCatalogParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("catalog parity runs full trial compute; CI races it in the execution-plane step")
 	}

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"math"
-
 	"pipetune/internal/core"
 	"pipetune/internal/tune"
 	"pipetune/internal/workload"
@@ -18,43 +15,9 @@ type ConvergenceCurve struct {
 	BestAccuracy float64 `json:"bestAccuracy"`
 }
 
-// TimeToAccuracy returns the earliest simulated time at which the best-so-
-// far accuracy reached target, or +Inf if it never did.
-func (c *ConvergenceCurve) TimeToAccuracy(target float64) float64 {
-	for _, p := range c.Points {
-		if p.BestAccuracy >= target {
-			return p.Time
-		}
-	}
-	return math.Inf(1)
-}
-
-// MeanTrialDuration averages the per-trial training durations (Figure 10's
-// y axis).
-func (c *ConvergenceCurve) MeanTrialDuration() float64 {
-	if len(c.Points) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range c.Points {
-		sum += p.TrialDuration
-	}
-	return sum / float64(len(c.Points))
-}
-
 // ConvergenceResult holds Figures 9 and 10 (they plot the same three runs).
 type ConvergenceResult struct {
 	Curves []ConvergenceCurve `json:"curves"`
-}
-
-// Curve returns the named system's curve.
-func (r *ConvergenceResult) Curve(system string) (*ConvergenceCurve, error) {
-	for i := range r.Curves {
-		if r.Curves[i].System == system {
-			return &r.Curves[i], nil
-		}
-	}
-	return nil, fmt.Errorf("experiments: no curve for %q", system)
 }
 
 // Figure9and10 regenerates Figures 9 and 10: accuracy convergence and

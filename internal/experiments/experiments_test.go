@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"pipetune/internal/dataset"
 	"pipetune/internal/perf"
 	"pipetune/internal/sched"
+	"pipetune/internal/stats"
 	"pipetune/internal/workload"
 )
 
@@ -68,8 +70,23 @@ func TestFigure2RepetitiveEpochs(t *testing.T) {
 	if len(res.Phases) != 6 {
 		t.Fatalf("figure 2 has %d phases, want init + 5 epochs", len(res.Phases))
 	}
-	// Figure 2's key observation: events repeat across epochs.
-	if cv := res.EpochStability(); cv > 0.10 {
+	// Figure 2's key observation: events repeat across epochs — the mean
+	// coefficient of variation over the training epochs (init excluded)
+	// is small.
+	totalCV, n := 0.0, 0
+	for _, row := range res.Cells {
+		m := stats.Mean(row[1:])
+		if m <= 0 {
+			continue
+		}
+		ss := 0.0
+		for _, v := range row[1:] {
+			ss += (v - m) * (v - m)
+		}
+		totalCV += math.Sqrt(ss/float64(len(row)-1)) / m
+		n++
+	}
+	if cv := totalCV / float64(n); cv > 0.10 {
 		t.Fatalf("epoch-to-epoch variation %.3f too high for 'repetitive behaviour'", cv)
 	}
 	// Init column must differ from the training epochs.
@@ -270,28 +287,34 @@ func TestFigures9And10Convergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := res.Curve("Tune V1")
-	if err != nil {
-		t.Fatal(err)
+	if len(res.Curves) != 3 || res.Curves[0].System != "Tune V1" || res.Curves[1].System != "Tune V2" || res.Curves[2].System != "PipeTune" {
+		t.Fatalf("curves = %+v, want Tune V1, Tune V2, PipeTune", res.Curves)
 	}
-	v2, err := res.Curve("Tune V2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err := res.Curve("PipeTune")
-	if err != nil {
-		t.Fatal(err)
-	}
+	v1, v2, pt := res.Curves[0], res.Curves[1], res.Curves[2]
 	// Figure 9: PipeTune reaches a common accuracy level first.
 	target := 0.9 * minF(v1.BestAccuracy, v2.BestAccuracy, pt.BestAccuracy)
-	tPT, tV1, tV2 := pt.TimeToAccuracy(target), v1.TimeToAccuracy(target), v2.TimeToAccuracy(target)
+	timeTo := func(c ConvergenceCurve) float64 {
+		for _, p := range c.Points {
+			if p.BestAccuracy >= target {
+				return p.Time
+			}
+		}
+		return math.Inf(1)
+	}
+	tPT, tV1, tV2 := timeTo(pt), timeTo(v1), timeTo(v2)
 	if !(tPT <= tV1 && tPT <= tV2) {
 		t.Fatalf("PipeTune (%.0f s) not fastest to %.2f accuracy (V1 %.0f, V2 %.0f)", tPT, target, tV1, tV2)
 	}
 	// Figure 10: PipeTune's trials are the shortest on average.
-	if pt.MeanTrialDuration() >= v1.MeanTrialDuration() {
-		t.Fatalf("PipeTune mean trial %.0f s not below V1 %.0f s",
-			pt.MeanTrialDuration(), v1.MeanTrialDuration())
+	meanTrial := func(c ConvergenceCurve) float64 {
+		sum := 0.0
+		for _, p := range c.Points {
+			sum += p.TrialDuration
+		}
+		return sum / float64(len(c.Points))
+	}
+	if meanTrial(pt) >= meanTrial(v1) {
+		t.Fatalf("PipeTune mean trial %.0f s not below V1 %.0f s", meanTrial(pt), meanTrial(v1))
 	}
 	// PipeTune finishes tuning before V1 and V2.
 	if pt.TuningTime >= v1.TuningTime || pt.TuningTime >= v2.TuningTime {

@@ -125,26 +125,6 @@ func Figure2(cfg Config) (*Figure2Result, error) {
 	return res, nil
 }
 
-// EpochStability returns the mean coefficient of variation of event rates
-// across training epochs (excluding init) — Figure 2's "repetitive
-// behaviour" quantified. Small values mean highly repetitive epochs.
-func (r *Figure2Result) EpochStability() float64 {
-	totalCV, n := 0.0, 0
-	for _, row := range r.Cells {
-		epochs := row[1:]
-		m := stats.Mean(epochs)
-		if m <= 0 {
-			continue
-		}
-		totalCV += stats.StdDev(epochs) / m
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return totalCV / float64(n)
-}
-
 // Table renders a compact view (order-of-magnitude buckets, as the paper's
 // colour scale does).
 func (r *Figure2Result) Table() *Table {

@@ -27,14 +27,6 @@ func benchEntry(family, i int) Entry {
 	}
 }
 
-// benchStores builds a fresh instance of each implementation.
-func benchStores() map[string]Store {
-	return map[string]Store{
-		"monolith": NewMonolith(DefaultConfig(), 1),
-		"sharded":  NewSharded(DefaultConfig(), 1),
-	}
-}
-
 // populate seeds the store with families×perFamily entries and warms the
 // models so lookup benchmarks measure the steady state.
 func populate(b *testing.B, s Store, families, perFamily int) {
@@ -55,37 +47,34 @@ func populate(b *testing.B, s Store, families, perFamily int) {
 // refactor: the epoch hot path under the service's real duty cycle —
 // parallel reuse lookups across workload families while completed trials
 // keep feeding entries in (1 add per 128 operations, roughly one trial
-// completion per ~20 trials' worth of epoch lookups). The monolith
-// serialises everything through one mutex and holds it across a full
-// k-means refit on every add, so every concurrent lookup stalls behind
-// it; the sharded store's lookups are lock-free and adds touch only one
-// shard. Run with -cpu 1,2,4,8 to see the divergence grow.
+// completion per ~20 trials' worth of epoch lookups). Lookups are
+// lock-free and adds touch only one shard; run with -cpu 1,2,4,8. The
+// "sharded" sub-benchmark is the row BENCH_gt.json records.
 func BenchmarkGTLookupParallel(b *testing.B) {
 	const families, perFamily = 8, 32
-	for name, s := range benchStores() {
-		b.Run(name, func(b *testing.B) {
-			populate(b, s, families, perFamily)
-			queries := make([][]float64, families)
-			for f := 0; f < families; f++ {
-				queries[f] = benchFeatures(f, perFamily+1)
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i, adds := 0, 0
-				for pb.Next() {
-					if i%128 == 127 {
-						// Adds cycle families too: trials complete
-						// across all tenants, not just one.
-						_ = s.Add(benchEntry(adds%families, adds))
-						adds++
-					} else {
-						s.Lookup(queries[i%families])
-					}
-					i++
+	b.Run("sharded", func(b *testing.B) {
+		s := NewSharded(DefaultConfig(), 1)
+		populate(b, s, families, perFamily)
+		queries := make([][]float64, families)
+		for f := 0; f < families; f++ {
+			queries[f] = benchFeatures(f, perFamily+1)
+		}
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			i, adds := 0, 0
+			for pb.Next() {
+				if i%128 == 127 {
+					// Adds cycle families too: trials complete
+					// across all tenants, not just one.
+					_ = s.Add(benchEntry(adds%families, adds))
+					adds++
+				} else {
+					s.Lookup(queries[i%families])
 				}
-			})
+				i++
+			}
 		})
-	}
+	})
 }
 
 // BenchmarkGTLookupPure is the read-only counterpart: lookups against a
@@ -94,50 +83,42 @@ func BenchmarkGTLookupParallel(b *testing.B) {
 // growth; see BenchmarkGTLookupParallel for the regime that matters.
 func BenchmarkGTLookupPure(b *testing.B) {
 	const families, perFamily = 8, 32
-	for name, s := range benchStores() {
-		b.Run(name, func(b *testing.B) {
-			populate(b, s, families, perFamily)
-			queries := make([][]float64, families)
-			for f := 0; f < families; f++ {
-				queries[f] = benchFeatures(f, perFamily+1)
+	b.Run("sharded", func(b *testing.B) {
+		s := NewSharded(DefaultConfig(), 1)
+		populate(b, s, families, perFamily)
+		queries := make([][]float64, families)
+		for f := 0; f < families; f++ {
+			queries[f] = benchFeatures(f, perFamily+1)
+		}
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			i := 0
+			for pb.Next() {
+				s.Lookup(queries[i%families])
+				i++
 			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					s.Lookup(queries[i%families])
-					i++
-				}
-			})
 		})
-	}
+	})
 }
 
-// BenchmarkGTAddThroughput measures the trial-completion feed: the
-// monolith pays a full k-means refit inside every Add, the sharded store
-// an O(1) routed append (refits deferred to the next lookup).
+// BenchmarkGTAddThroughput measures the trial-completion feed: an O(1)
+// routed append (refits deferred to the next lookup).
 func BenchmarkGTAddThroughput(b *testing.B) {
 	const families = 8
-	for name, mk := range map[string]func() Store{
-		"monolith": func() Store { return NewMonolith(DefaultConfig(), 1) },
-		"sharded":  func() Store { return NewSharded(DefaultConfig(), 1) },
-	} {
-		b.Run(name, func(b *testing.B) {
-			s := mk()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Bound the refit cost's dependence on history so long
-				// bench runs measure steady-state adds, not an
-				// ever-growing database.
-				if i%2048 == 0 && i > 0 {
-					b.StopTimer()
-					s = mk()
-					b.StartTimer()
-				}
-				if err := s.Add(benchEntry(i%families, i)); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("sharded", func(b *testing.B) {
+		s := NewSharded(DefaultConfig(), 1)
+		for i := 0; i < b.N; i++ {
+			// Bound the deferred refits' dependence on history so long
+			// bench runs measure steady-state adds, not an ever-growing
+			// database.
+			if i%2048 == 0 && i > 0 {
+				b.StopTimer()
+				s = NewSharded(DefaultConfig(), 1)
+				b.StartTimer()
 			}
-		})
-	}
+			if err := s.Add(benchEntry(i%families, i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -3,20 +3,15 @@
 // job already ran (§7.4) — carved out of internal/core and rebuilt for the
 // tuning service's concurrency profile.
 //
-// Two Store implementations share one contract:
-//
-//   - Monolith is the original design: one mutex, eager model refit on
-//     every Add, whole-database JSON snapshots. It is kept as the
-//     conservative reference implementation (and the benchmark baseline).
-//   - Sharded partitions the database by profile cluster: entries route to
-//     the shard whose centroid is nearest (a shard splits in two by
-//     2-means once it outgrows Config.SplitSize), each shard maintains an
-//     independently fitted similarity model behind an atomic copy-on-write
-//     snapshot, and model refits are deferred behind a revision watermark —
-//     Add is O(1) append, and the first Lookup that observes a stale
-//     watermark pays the refit. Lookups on the epoch hot path take no
-//     exclusive lock, so concurrent jobs on different workload families
-//     never contend.
+// Sharded, the Store implementation, partitions the database by profile
+// cluster: entries route to the shard whose centroid is nearest (a shard
+// splits in two by 2-means once it outgrows Config.SplitSize), each shard
+// maintains an independently fitted similarity model behind an atomic
+// copy-on-write snapshot, and model refits are deferred behind a revision
+// watermark — Add is O(1) append, and the first Lookup that observes a
+// stale watermark pays the refit. Lookups on the epoch hot path take no
+// exclusive lock, so concurrent jobs on different workload families never
+// contend.
 //
 // Persistence is layered on top by Persistent: an append-only WAL plus a
 // periodically compacted snapshot replace the old whole-file JSON rewrites,
@@ -85,11 +80,6 @@ type Config struct {
 	// MinEntries is the history size (per shard, for the sharded store)
 	// below which every lookup misses (no reliable model yet).
 	MinEntries int
-	// Similarity overrides the technique with a fixed instance (§5.4's
-	// pluggability). Only the Monolith can use a fixed instance — the
-	// sharded store refits copy-on-write model snapshots and needs
-	// NewSimilarity instead.
-	Similarity Similarity
 	// NewSimilarity, when set, constructs a fresh similarity instance per
 	// model refit (the sharded store fits each snapshot on a new instance
 	// so readers of the previous snapshot are never disturbed). seed is
@@ -99,8 +89,7 @@ type Config struct {
 	NewSimilarity func(seed uint64) Similarity
 	// SplitSize is the shard occupancy (in entries) at which the sharded
 	// store attempts to split a shard in two by 2-means. Larger values mean
-	// coarser shards and behaviour closer to the monolith's single global
-	// model.
+	// coarser shards and behaviour closer to a single global model.
 	SplitSize int
 	// MaxShards bounds the shard count; once reached, shards only grow.
 	MaxShards int
@@ -119,8 +108,8 @@ func DefaultConfig() Config {
 
 // Info is a rich snapshot of a store's state, for stats endpoints.
 type Info struct {
-	// Store names the implementation ("monolith", "sharded"; the
-	// persistence layer passes its inner store's name through).
+	// Store names the implementation ("sharded"; the persistence layer
+	// passes its inner store's name through).
 	Store string
 	// Entries, Hits and Misses mirror Len and Stats.
 	Entries int
@@ -133,7 +122,7 @@ type Info struct {
 	// entries; a lower value means refits are pending behind the watermark
 	// (the sharded store defers them until a lookup needs the shard).
 	ModelRev uint64
-	// Shards is the shard count (1 for the monolith).
+	// Shards is the shard count.
 	Shards int
 	// Similarity names the active technique.
 	Similarity string
@@ -142,8 +131,9 @@ type Info struct {
 	WALRecords int
 }
 
-// Store is the ground-truth database contract shared by every
-// implementation. Implementations must be safe for concurrent use.
+// Store is the ground-truth database contract: Sharded implements it and
+// Persistent wraps any implementation of it. Implementations must be safe
+// for concurrent use.
 type Store interface {
 	// Add stores an entry. Implementations may defer model maintenance;
 	// a subsequent Lookup must observe a model at least as new as this
@@ -224,41 +214,6 @@ func loadSnapshot(r io.Reader) (snapshot, error) {
 	return snap, nil
 }
 
-// SaveFile persists a store to path atomically: the snapshot is written to
-// a temporary file in the same directory, synced, and renamed over the
-// target. A crash mid-write therefore never leaves a half-written snapshot
-// at path. It returns the revision the snapshot captured.
-func SaveFile(s Store, path string) (rev uint64, err error) {
-	// Rev is read BEFORE the entries, so under concurrent appends the
-	// returned revision may slightly predate the snapshot's contents —
-	// the safe direction for skip-writes watermarks: a caller comparing
-	// it against Rev() later may take one redundant snapshot, never skip
-	// a needed one. Disk I/O happens outside any lock.
-	rev = s.Rev()
-	entries := s.Entries()
-	if err := writeFileAtomic(path, func(w io.Writer) error {
-		return saveEntries(w, entries, 0)
-	}); err != nil {
-		return 0, fmt.Errorf("gt: save: %w", err)
-	}
-	return rev, nil
-}
-
-// LoadFile restores a store from a SaveFile (or legacy) snapshot. A
-// missing file is not an error — the store simply stays empty (first boot
-// with a fresh state directory).
-func LoadFile(s Store, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("gt: load: %w", err)
-	}
-	defer f.Close()
-	return s.Load(f)
-}
-
 // writeFileAtomic writes via a temp file in the target's directory, syncs
 // and renames, so readers observe either the old complete file or the new
 // one.
@@ -288,7 +243,6 @@ func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
 // groupBest computes, per similarity group, the configuration that won
 // most often among the group's members (ties broken towards the lower mean
 // relative-advantage metric, then lexicographically for determinism).
-// Shared by every store implementation.
 func groupBest(entries []Entry, sim Similarity) []params.SysConfig {
 	best := make([]params.SysConfig, sim.Groups())
 	for c := range best {

@@ -60,10 +60,9 @@ func familyEntry(family, i, nFamilies int) Entry {
 	}
 }
 
-// eachStore runs a subtest against a fresh instance of every Store
-// implementation.
+// eachStore runs the Store contract suite's subtest against a fresh
+// instance of the implementation.
 func eachStore(t *testing.T, fn func(t *testing.T, s Store)) {
 	t.Helper()
-	t.Run("monolith", func(t *testing.T) { fn(t, NewMonolith(DefaultConfig(), 1)) })
 	t.Run("sharded", func(t *testing.T) { fn(t, NewSharded(DefaultConfig(), 1)) })
 }

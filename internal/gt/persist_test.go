@@ -78,40 +78,38 @@ func TestPersistentCompaction(t *testing.T) {
 	}
 }
 
+// legacySnapshot is a pre-WAL groundtruth.json as an old deployment left
+// it on disk: entries only, no seq, no log beside it.
+const legacySnapshot = `{"entries":[` +
+	`{"features":[0,0,0,1],"bestSys":{"cores":4,"memoryGB":8},"metric":0.5},` +
+	`{"features":[1,1,1,1],"bestSys":{"cores":8,"memoryGB":8},"metric":0.51},` +
+	`{"features":[2,2,2,1],"bestSys":{"cores":16,"memoryGB":8},"metric":0.52},` +
+	`{"features":[3,3,0,1],"bestSys":{"cores":4,"memoryGB":32},"metric":0.53}]}` + "\n"
+
 // TestPersistentLoadsLegacySnapshot points the persistence layer at a
-// pre-refactor groundtruth.json (written by the old SaveFile: entries
-// only, no seq, no WAL) — the migration path. It must load fully and then
-// operate normally.
+// pre-WAL groundtruth.json — the migration path. It must load fully and
+// then operate normally.
 func TestPersistentLoadsLegacySnapshot(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "gt.json")
-	legacy := NewMonolith(DefaultConfig(), 1)
-	for i := 0; i < 8; i++ {
-		if err := legacy.Add(gtEntry(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := legacy.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(legacySnapshot), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	p := openTestPersistent(t, path, PersistOptions{CompactEvery: 4})
 	defer p.Close()
-	if !reflect.DeepEqual(p.Entries(), legacy.Entries()) {
-		t.Fatalf("legacy snapshot loaded %d entries, want %d", p.Len(), legacy.Len())
+	want := []Entry{gtEntry(0), gtEntry(1), gtEntry(2), gtEntry(3)}
+	if !reflect.DeepEqual(p.Entries(), want) {
+		t.Fatalf("legacy snapshot loaded %+v, want %+v", p.Entries(), want)
 	}
 	// The store keeps working (and WAL-ing) on top of migrated state.
-	for i := 8; i < 14; i++ {
+	for i := 4; i < 10; i++ {
 		if err := p.Add(gtEntry(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if p.Len() != 14 {
-		t.Fatalf("adds after migration: len=%d, want 14", p.Len())
+	if p.Len() != 10 {
+		t.Fatalf("adds after migration: len=%d, want 10", p.Len())
 	}
 }
 

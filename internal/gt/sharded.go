@@ -104,14 +104,8 @@ type shardModel struct {
 	best   []params.SysConfig
 }
 
-// NewSharded creates an empty sharded store. A fixed Config.Similarity
-// instance cannot back the sharded store (concurrent per-shard refits
-// would race on its internal state — use Config.NewSimilarity); passing
-// one panics rather than silently fitting k-means instead.
+// NewSharded creates an empty sharded store.
 func NewSharded(cfg Config, seed uint64) *Sharded {
-	if cfg.Similarity != nil && cfg.NewSimilarity == nil {
-		panic("gt: Sharded needs Config.NewSimilarity (a factory); Config.Similarity (a fixed instance) only works with the Monolith")
-	}
 	if cfg.SplitSize <= 0 {
 		cfg.SplitSize = DefaultConfig().SplitSize
 	}
@@ -530,9 +524,8 @@ func (s *Sharded) Entries() []Entry {
 // re-routing the entries in order (so a Load reproduces the layout the
 // same insertion sequence would have produced live) and then swapped in
 // under the write lock. An Add racing with the swap either lands before
-// it — and is discarded with the rest of the old contents, exactly like
-// an Add serialised before Monolith.Replace — or observes its shard
-// retired and re-routes into the new table.
+// it — and is discarded with the rest of the old contents — or observes
+// its shard retired and re-routes into the new table.
 func (s *Sharded) Replace(entries []Entry) error {
 	for _, e := range entries {
 		if err := e.validate(); err != nil {

@@ -94,32 +94,25 @@ func TestNearestNeighborSimilarityDegenerate(t *testing.T) {
 	}
 }
 
-// TestStoreWithNearestNeighbor exercises §5.4's pluggability on both
-// stores: the monolith takes a fixed instance, the sharded store a
-// factory.
+// TestStoreWithNearestNeighbor exercises §5.4's pluggability: the store
+// fits whatever technique Config.NewSimilarity constructs.
 func TestStoreWithNearestNeighbor(t *testing.T) {
-	cfgMono := DefaultConfig()
-	cfgMono.Similarity = NewNearestNeighborSimilarity(3.0)
-	cfgShard := DefaultConfig()
-	cfgShard.NewSimilarity = func(uint64) Similarity { return NewNearestNeighborSimilarity(3.0) }
-	for name, s := range map[string]Store{
-		"monolith": NewMonolith(cfgMono, 1),
-		"sharded":  NewSharded(cfgShard, 1),
-	} {
-		t.Run(name, func(t *testing.T) {
-			if s.SimilarityName() != "nearest-neighbor" {
-				t.Fatalf("similarity = %q", s.SimilarityName())
+	cfg := DefaultConfig()
+	cfg.NewSimilarity = func(uint64) Similarity { return NewNearestNeighborSimilarity(3.0) }
+	s := NewSharded(cfg, 1)
+	t.Run("sharded", func(t *testing.T) {
+		if s.SimilarityName() != "nearest-neighbor" {
+			t.Fatalf("similarity = %q", s.SimilarityName())
+		}
+		best := params.SysConfig{Cores: 4, MemoryGB: 32}
+		for i := 0; i < 4; i++ {
+			if err := s.Add(Entry{Features: featuresOf(t, lenetMNIST, uint64(i)), BestSys: best, Metric: 0.8}); err != nil {
+				t.Fatal(err)
 			}
-			best := params.SysConfig{Cores: 4, MemoryGB: 32}
-			for i := 0; i < 4; i++ {
-				if err := s.Add(Entry{Features: featuresOf(t, lenetMNIST, uint64(i)), BestSys: best, Metric: 0.8}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			cfgGot, ok := s.Lookup(featuresOf(t, lenetMNIST, 77))
-			if !ok || cfgGot != best {
-				t.Fatalf("k-NN lookup = (%v, %v), want (%v, true)", cfgGot, ok, best)
-			}
-		})
-	}
+		}
+		cfgGot, ok := s.Lookup(featuresOf(t, lenetMNIST, 77))
+		if !ok || cfgGot != best {
+			t.Fatalf("k-NN lookup = (%v, %v), want (%v, true)", cfgGot, ok, best)
+		}
+	})
 }

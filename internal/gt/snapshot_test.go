@@ -1,7 +1,10 @@
 package gt
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,13 +14,10 @@ import (
 
 // TestStoreConcurrentAddSaveLoad hammers one database from many
 // goroutines — adders (concurrent jobs feeding trials), lookups and
-// snapshotters — then verifies a final SaveFile/LoadFile round-trip
-// reproduces the entries exactly. Runs against both implementations.
+// snapshotters — then verifies a final Save/Load round-trip reproduces
+// the entries exactly.
 func TestStoreConcurrentAddSaveLoad(t *testing.T) {
 	eachStore(t, func(t *testing.T, s Store) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "gt.json")
-
 		const (
 			adders   = 8
 			perAdder = 25
@@ -35,8 +35,8 @@ func TestStoreConcurrentAddSaveLoad(t *testing.T) {
 					// Interleave the operations concurrent jobs perform.
 					s.Lookup([]float64{float64(i), 1, 2, 3})
 					if i%5 == 0 {
-						if _, err := SaveFile(s, path); err != nil {
-							t.Errorf("SaveFile: %v", err)
+						if err := s.Save(io.Discard); err != nil {
+							t.Errorf("Save: %v", err)
 							return
 						}
 					}
@@ -48,15 +48,12 @@ func TestStoreConcurrentAddSaveLoad(t *testing.T) {
 			t.Fatalf("lost entries under concurrency: %d, want %d", got, adders*perAdder)
 		}
 
-		rev, err := SaveFile(s, path)
-		if err != nil {
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if rev != s.Rev() {
-			t.Errorf("final snapshot rev %d != database rev %d", rev, s.Rev())
-		}
-		restored := restoredPeer(s, 1)
-		if err := LoadFile(restored, path); err != nil {
+		restored := NewSharded(DefaultConfig(), 1)
+		if err := restored.Load(&buf); err != nil {
 			t.Fatal(err)
 		}
 		if restored.Len() != s.Len() {
@@ -69,34 +66,31 @@ func TestStoreConcurrentAddSaveLoad(t *testing.T) {
 }
 
 // TestSnapshotNeverHalfWritten verifies the write-to-temp + rename
-// protocol: while writers continuously snapshot a mutating database,
-// every read of the target path parses as complete JSON — a reader can
+// protocol: while a writer compacts a growing database on every Add,
+// every read of the snapshot path parses as complete JSON — a reader can
 // never observe a partially written snapshot.
 func TestSnapshotNeverHalfWritten(t *testing.T) {
-	s := NewMonolith(DefaultConfig(), 1)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "gt.json")
-	if _, err := SaveFile(s, path); err != nil {
+	p := openTestPersistent(t, path, PersistOptions{CompactEvery: 1})
+	defer p.Close()
+	if err := p.Add(gtEntry(0)); err != nil { // the first compaction creates the file
 		t.Fatal(err)
 	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // writer: grow + snapshot in a tight loop
+	go func() { // writer: grow + compact in a tight loop
 		defer wg.Done()
-		for i := 0; ; i++ {
+		for i := 1; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if err := s.Add(gtEntry(i)); err != nil {
+			if err := p.Add(gtEntry(i)); err != nil {
 				t.Errorf("Add: %v", err)
-				return
-			}
-			if _, err := SaveFile(s, path); err != nil {
-				t.Errorf("SaveFile: %v", err)
 				return
 			}
 		}
@@ -126,67 +120,66 @@ func TestSnapshotNeverHalfWritten(t *testing.T) {
 	}
 }
 
-// TestSaveFileFailureLeavesTargetIntact points SaveFile at an unwritable
-// location and checks the existing snapshot is untouched.
+// TestSaveFileFailureLeavesTargetIntact fails an atomic write two ways —
+// the encoder errors after emitting half a snapshot, and the target
+// directory does not exist — and checks the existing snapshot is
+// untouched and no temp file is left behind.
 func TestSaveFileFailureLeavesTargetIntact(t *testing.T) {
-	s := NewMonolith(DefaultConfig(), 1)
-	if err := s.Add(gtEntry(1)); err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "gt.json")
-	if _, err := SaveFile(s, path); err != nil {
+	p := openTestPersistent(t, path, PersistOptions{})
+	if err := p.Add(gtEntry(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil { // the final compaction writes path
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SaveFile(s, filepath.Join(dir, "missing", "gt.json")); err == nil {
-		t.Fatal("SaveFile into a missing directory succeeded")
+
+	failed := errors.New("encoder failed")
+	err = writeFileAtomic(path, func(w io.Writer) error {
+		if _, err := w.Write(before[:len(before)/2]); err != nil {
+			return err
+		}
+		return failed
+	})
+	if !errors.Is(err, failed) {
+		t.Fatalf("failing write returned %v", err)
 	}
+	if err := writeFileAtomic(filepath.Join(dir, "missing", "gt.json"), func(io.Writer) error { return nil }); err == nil {
+		t.Fatal("atomic write into a missing directory succeeded")
+	}
+
 	after, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(before) != string(after) {
-		t.Error("failed SaveFile disturbed the existing snapshot")
+		t.Error("failed write disturbed the existing snapshot")
+	}
+	matches, err := filepath.Glob(filepath.Join(dir, "*.tmp-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(matches) != 0 {
+		t.Errorf("failed write left temp files behind: %v", matches)
 	}
 }
 
 // TestLoadFileMissing verifies first-boot semantics: a missing snapshot
-// is not an error and leaves the database empty.
+// (and log) is not an error and leaves the database empty.
 func TestLoadFileMissing(t *testing.T) {
 	eachStore(t, func(t *testing.T, s Store) {
-		if err := LoadFile(s, filepath.Join(t.TempDir(), "absent.json")); err != nil {
+		p, err := OpenPersistent(filepath.Join(t.TempDir(), "absent.json"), s, PersistOptions{})
+		if err != nil {
 			t.Fatalf("missing snapshot: %v", err)
 		}
-		if s.Len() != 0 {
-			t.Fatalf("empty boot has %d entries", s.Len())
+		defer p.Close()
+		if p.Len() != 0 {
+			t.Fatalf("empty boot has %d entries", p.Len())
 		}
 	})
-}
-
-// BenchmarkGroundTruthSaveFile measures the atomic snapshot cost at a
-// realistic database size.
-func BenchmarkGroundTruthSaveFile(b *testing.B) {
-	s := NewMonolith(DefaultConfig(), 1)
-	for i := 0; i < 256; i++ {
-		if err := s.Add(gtEntry(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	path := filepath.Join(b.TempDir(), "gt.json")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SaveFile(s, path); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	fi, err := os.Stat(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(fi.Size()), "bytes/snapshot")
 }

@@ -3,7 +3,6 @@ package gt
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -67,17 +66,6 @@ func TestStoreAddValidation(t *testing.T) {
 	})
 }
 
-// restoredPeer builds an empty store of the same implementation.
-func restoredPeer(s Store, seed uint64) Store {
-	switch s.(type) {
-	case *Monolith:
-		return NewMonolith(DefaultConfig(), seed)
-	case *Sharded:
-		return NewSharded(DefaultConfig(), seed)
-	}
-	panic(fmt.Sprintf("unknown store %T", s))
-}
-
 func TestStoreSaveLoad(t *testing.T) {
 	eachStore(t, func(t *testing.T, s Store) {
 		for i := 0; i < 4; i++ {
@@ -88,7 +76,7 @@ func TestStoreSaveLoad(t *testing.T) {
 		if err := s.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		restored := restoredPeer(s, 2)
+		restored := NewSharded(DefaultConfig(), 2)
 		if err := restored.Load(&buf); err != nil {
 			t.Fatal(err)
 		}
@@ -108,8 +96,7 @@ func TestStoreSaveLoad(t *testing.T) {
 	})
 }
 
-// TestStoreLoadLegacyFormat feeds both stores a pre-refactor snapshot
-// (the exact JSON shape core.GroundTruth.Save used to write — entries
+// TestStoreLoadLegacyFormat feeds the store a pre-WAL snapshot (entries
 // only, no seq field): migration requires it to load unchanged.
 func TestStoreLoadLegacyFormat(t *testing.T) {
 	legacy := `{"entries":[` +

@@ -26,10 +26,8 @@
 //     values are all OverflowLabel. A tenant flood degrades precision,
 //     never memory.
 //
-// The registry renders Prometheus text exposition (WritePrometheus), a
-// typed JSON snapshot (Snapshot), and mirrors into internal/tsdb on a
-// cadence (Mirror) so range queries work over operational telemetry
-// exactly as they do over trial telemetry.
+// The registry renders Prometheus text exposition (WritePrometheus) and a
+// typed JSON snapshot (Snapshot).
 package metrics
 
 import (

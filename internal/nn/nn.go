@@ -49,21 +49,6 @@ type Batch struct {
 	Cols int
 }
 
-// FromRows builds a Batch by copying the given rows (all must have equal
-// length). It is a construction convenience for tests and callers with
-// row-sliced data; the hot path gathers directly into reused arenas.
-func FromRows(rows [][]float64) *Batch {
-	b := &Batch{Rows: len(rows)}
-	if len(rows) > 0 {
-		b.Cols = len(rows[0])
-	}
-	b.Data = make([]float64, b.Rows*b.Cols)
-	for s, row := range rows {
-		copy(b.Row(s), row)
-	}
-	return b
-}
-
 // Row returns sample s's feature vector, aliasing the batch buffer.
 func (b *Batch) Row(s int) []float64 {
 	return b.Data[s*b.Cols : (s+1)*b.Cols]
@@ -148,8 +133,6 @@ type Layer interface {
 	Backward(grad *Batch) *Batch
 	// Update applies one SGD step with the given learning rate.
 	Update(lr float64)
-	// ParamCount returns the number of trainable parameters.
-	ParamCount() int
 }
 
 // arenaLayer lets Build pre-size a layer's arenas for the largest batch
@@ -304,9 +287,6 @@ func (d *Dense) Update(lr float64) {
 	axpy(d.b, d.gb, -lr)
 }
 
-// ParamCount implements Layer.
-func (d *Dense) ParamCount() int { return d.In*d.Out + d.Out }
-
 // ReLU is the rectified linear activation. Backward keys off the cached
 // output (y > 0 exactly when the input was > 0), which removes the old
 // separate mask buffer — and with it the stale-columns edge case an empty
@@ -363,9 +343,6 @@ func (a *ReLU) backwardRows(lo, hi int) {
 
 // Update implements Layer (no parameters).
 func (a *ReLU) Update(float64) {}
-
-// ParamCount implements Layer.
-func (a *ReLU) ParamCount() int { return 0 }
 
 // Tanh is the hyperbolic-tangent activation (used by the LSTM stand-in).
 type Tanh struct {
@@ -427,9 +404,6 @@ func (a *Tanh) backwardRows(lo, hi int) {
 
 // Update implements Layer (no parameters).
 func (a *Tanh) Update(float64) {}
-
-// ParamCount implements Layer.
-func (a *Tanh) ParamCount() int { return 0 }
 
 // Dropout implements inverted dropout: active only in training mode, where
 // each unit is zeroed with probability Rate and survivors are scaled by
@@ -512,9 +486,6 @@ func (d *Dropout) backwardRows(lo, hi int) {
 // Update implements Layer (no parameters).
 func (d *Dropout) Update(float64) {}
 
-// ParamCount implements Layer.
-func (d *Dropout) ParamCount() int { return 0 }
-
 // Network is a sequential stack of layers with a softmax cross-entropy head.
 // It owns the cross-layer scratch (gathered minibatch, shuffle
 // permutation, softmax gradients, argmax buffer) so a trial's steady
@@ -590,15 +561,6 @@ func (n *Network) prealloc(rows, cols int) {
 		}
 	}
 	n.smx.resize(rows, cols)
-}
-
-// ParamCount returns the total number of trainable parameters.
-func (n *Network) ParamCount() int {
-	total := 0
-	for _, l := range n.layers {
-		total += l.ParamCount()
-	}
-	return total
 }
 
 // Forward runs the stack and returns the logits. The result aliases the

@@ -13,17 +13,34 @@ import (
 func TestDenseForwardShape(t *testing.T) {
 	r := xrand.New(1)
 	d := NewDense(3, 2, r)
-	out := d.Forward(FromRows([][]float64{{1, 2, 3}, {4, 5, 6}}), false)
+	out := d.Forward(fromRows([][]float64{{1, 2, 3}, {4, 5, 6}}), false)
 	if out.Rows != 2 || out.Cols != 2 {
 		t.Fatalf("output shape %dx%d, want 2x2", out.Rows, out.Cols)
 	}
 }
 
-func TestDenseParamCount(t *testing.T) {
-	d := NewDense(10, 5, xrand.New(1))
-	if d.ParamCount() != 55 {
-		t.Fatalf("ParamCount = %d, want 55", d.ParamCount())
+// fromRows builds a Batch by copying the given rows (all of equal length).
+func fromRows(rows [][]float64) *Batch {
+	b := &Batch{Rows: len(rows)}
+	if len(rows) > 0 {
+		b.Cols = len(rows[0])
 	}
+	b.Data = make([]float64, b.Rows*b.Cols)
+	for s, row := range rows {
+		copy(b.Row(s), row)
+	}
+	return b
+}
+
+// paramCount is the network's number of trainable parameters.
+func paramCount(n *Network) int {
+	total := 0
+	for _, l := range n.layers {
+		if d, ok := l.(*Dense); ok {
+			total += len(d.w) + len(d.b)
+		}
+	}
+	return total
 }
 
 // numericalGrad perturbs one weight and measures the loss change.
@@ -54,7 +71,7 @@ func gradientCheck(t *testing.T, parallelism int) {
 	net := NewNetwork(d1, &Tanh{}, d2)
 	net.SetParallelism(parallelism)
 
-	x := FromRows([][]float64{{0.5, -0.2, 0.8, 0.1}, {-0.4, 0.9, -0.1, 0.3}})
+	x := fromRows([][]float64{{0.5, -0.2, 0.8, 0.1}, {-0.4, 0.9, -0.1, 0.3}})
 	labels := []int{0, 2}
 
 	// Compute analytic gradients without updating.
@@ -89,11 +106,11 @@ func TestGradientCheck(t *testing.T) {
 
 func TestReLUForwardBackward(t *testing.T) {
 	a := &ReLU{}
-	out := a.Forward(FromRows([][]float64{{-1, 0, 2}}), true)
+	out := a.Forward(fromRows([][]float64{{-1, 0, 2}}), true)
 	if out.Row(0)[0] != 0 || out.Row(0)[1] != 0 || out.Row(0)[2] != 2 {
 		t.Fatalf("ReLU forward = %v", out.Row(0))
 	}
-	back := a.Backward(FromRows([][]float64{{5, 5, 5}}))
+	back := a.Backward(fromRows([][]float64{{5, 5, 5}}))
 	if back.Row(0)[0] != 0 || back.Row(0)[1] != 0 || back.Row(0)[2] != 5 {
 		t.Fatalf("ReLU backward = %v", back.Row(0))
 	}
@@ -101,7 +118,7 @@ func TestReLUForwardBackward(t *testing.T) {
 
 func TestTanhBounds(t *testing.T) {
 	a := &Tanh{}
-	out := a.Forward(FromRows([][]float64{{-100, 0, 100}}), true)
+	out := a.Forward(fromRows([][]float64{{-100, 0, 100}}), true)
 	o := out.Row(0)
 	if o[0] > -0.99 || math.Abs(o[1]) > 1e-12 || o[2] < 0.99 {
 		t.Fatalf("Tanh forward = %v", o)
@@ -110,7 +127,7 @@ func TestTanhBounds(t *testing.T) {
 
 func TestDropoutEvalIsIdentity(t *testing.T) {
 	d := NewDropout(0.5, xrand.New(1))
-	in := FromRows([][]float64{{1, 2, 3, 4}})
+	in := fromRows([][]float64{{1, 2, 3, 4}})
 	out := d.Forward(in, false)
 	if out != in {
 		t.Fatal("inactive dropout should pass the batch through unchanged")
@@ -123,7 +140,7 @@ func TestDropoutTrainZeroesAndScales(t *testing.T) {
 	for i := range in {
 		in[i] = 1
 	}
-	out := d.Forward(FromRows([][]float64{in}), true)
+	out := d.Forward(fromRows([][]float64{in}), true)
 	zeros, scaled := 0, 0
 	for _, v := range out.Row(0) {
 		switch {
@@ -149,7 +166,7 @@ func TestDropoutExpectationPreserved(t *testing.T) {
 	for i := range in {
 		in[i] = 1
 	}
-	out := d.Forward(FromRows([][]float64{in}), true)
+	out := d.Forward(fromRows([][]float64{in}), true)
 	sum := 0.0
 	for _, v := range out.Row(0) {
 		sum += v
@@ -163,7 +180,7 @@ func TestDropoutExpectationPreserved(t *testing.T) {
 func TestSoftmaxXEKnownValues(t *testing.T) {
 	// Uniform logits over 4 classes: loss = ln(4).
 	n := NewNetwork()
-	loss, grad := n.softmaxXE(FromRows([][]float64{{0, 0, 0, 0}}), []int{1})
+	loss, grad := n.softmaxXE(fromRows([][]float64{{0, 0, 0, 0}}), []int{1})
 	if math.Abs(loss-math.Log(4)) > 1e-9 {
 		t.Fatalf("loss = %v, want ln4", loss)
 	}
@@ -183,7 +200,7 @@ func TestSoftmaxXEKnownValues(t *testing.T) {
 func TestTrainBatchReducesLossOnFixedBatch(t *testing.T) {
 	r := xrand.New(11)
 	net := NewNetwork(NewDense(4, 8, r), &ReLU{}, NewDense(8, 2, r))
-	x := FromRows([][]float64{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1}})
+	x := fromRows([][]float64{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1}})
 	labels := []int{0, 0, 1, 1}
 	first, err := net.TrainBatch(x, labels, 0.5)
 	if err != nil {
@@ -209,7 +226,7 @@ func TestTrainBatchRejectsBadInput(t *testing.T) {
 	if _, err := net.TrainBatch(nil, nil, 0.1); err == nil {
 		t.Fatal("empty batch accepted")
 	}
-	if _, err := net.TrainBatch(FromRows([][]float64{{1, 2}}), []int{0, 1}, 0.1); err == nil {
+	if _, err := net.TrainBatch(fromRows([][]float64{{1, 2}}), []int{0, 1}, 0.1); err == nil {
 		t.Fatal("mismatched labels accepted")
 	}
 }
@@ -290,7 +307,7 @@ func TestBuildAllModels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build(%v): %v", m, err)
 		}
-		if net.ParamCount() <= 0 {
+		if paramCount(net) <= 0 {
 			t.Fatalf("Build(%v) has no parameters", m)
 		}
 	}
@@ -326,9 +343,9 @@ func TestEmbeddingDimControlsCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if big.ParamCount() <= small.ParamCount() {
+	if paramCount(big) <= paramCount(small) {
 		t.Fatalf("embedding 300 params %d should exceed embedding 50 params %d",
-			big.ParamCount(), small.ParamCount())
+			paramCount(big), paramCount(small))
 	}
 }
 

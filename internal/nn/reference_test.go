@@ -27,7 +27,6 @@ type refLayer interface {
 	Forward(x refBatch, train bool) refBatch
 	Backward(grad refBatch) refBatch
 	Update(lr float64)
-	ParamCount() int
 }
 
 type refDense struct {
@@ -112,8 +111,6 @@ func (d *refDense) Update(lr float64) {
 	}
 }
 
-func (d *refDense) ParamCount() int { return d.In*d.Out + d.Out }
-
 type refReLU struct {
 	mask []bool
 	cols int
@@ -160,8 +157,6 @@ func (a *refReLU) Backward(grad refBatch) refBatch {
 
 func (a *refReLU) Update(float64) {}
 
-func (a *refReLU) ParamCount() int { return 0 }
-
 type refTanh struct {
 	y refBatch
 }
@@ -193,8 +188,6 @@ func (a *refTanh) Backward(grad refBatch) refBatch {
 }
 
 func (a *refTanh) Update(float64) {}
-
-func (a *refTanh) ParamCount() int { return 0 }
 
 type refDropout struct {
 	Rate float64
@@ -245,8 +238,6 @@ func (d *refDropout) Backward(grad refBatch) refBatch {
 }
 
 func (d *refDropout) Update(float64) {}
-
-func (d *refDropout) ParamCount() int { return 0 }
 
 type refNetwork struct {
 	layers []refLayer
@@ -553,7 +544,7 @@ func TestKernelForwardParity(t *testing.T) {
 			net.SetParallelism(p)
 			x := randomBatch(xrand.New(99), sh.rows, sh.specs[0].in)
 			want := ref.Forward(x, false)
-			got := net.Forward(FromRows(x), false)
+			got := net.Forward(fromRows(x), false)
 			for s := range want {
 				for j, w := range want[s] {
 					if g := got.Row(s)[j]; g != w {
@@ -576,7 +567,7 @@ func TestKernelTrainingParity(t *testing.T) {
 				x := randomBatch(data, sh.rows, sh.specs[0].in)
 				labels := randomLabels(data, sh.rows, classes)
 				want, _ := ref.TrainBatch(x, labels, 0.05)
-				got, err := net.TrainBatch(FromRows(x), labels, 0.05)
+				got, err := net.TrainBatch(fromRows(x), labels, 0.05)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -661,7 +652,7 @@ func TestParallelismDoesNotChangeResults(t *testing.T) {
 			for step := 0; step < 6; step++ {
 				x := randomBatch(data, sh.rows, sh.in)
 				labels := randomLabels(data, sh.rows, sh.classes)
-				if _, err := net.TrainBatch(FromRows(x), labels, 0.1); err != nil {
+				if _, err := net.TrainBatch(fromRows(x), labels, 0.1); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -697,9 +688,9 @@ func TestDenseMatchesReference(t *testing.T) {
 			x := randomBatch(data, sh.rows, sh.cols)
 			g := randomBatch(data, sh.rows, sh.out)
 			wantOut := ref.Forward(x, true)
-			gotOut := d.Forward(FromRows(x), true)
+			gotOut := d.Forward(fromRows(x), true)
 			wantDx := ref.Backward(g)
-			gotDx := d.Backward(FromRows(g))
+			gotDx := d.Backward(fromRows(g))
 			same := func(what string, got, want []float64) {
 				t.Helper()
 				if len(got) != len(want) {
@@ -731,7 +722,7 @@ func TestEmptyBatchThenNonEmpty(t *testing.T) {
 	})
 	empty := &Batch{}
 	net.Forward(empty, false) // must not panic or corrupt layer scratch
-	x := FromRows(refBatch{{1, -2, 3, 0.5}, {0, 1, -1, 2}})
+	x := fromRows(refBatch{{1, -2, 3, 0.5}, {0, 1, -1, 2}})
 	if _, err := net.TrainBatch(x, []int{0, 2}, 0.1); err != nil {
 		t.Fatal(err)
 	}

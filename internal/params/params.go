@@ -227,15 +227,6 @@ func (s Space) At(i int) Assignment {
 	return a
 }
 
-// Grid materialises every point of the space.
-func (s Space) Grid() []Assignment {
-	out := make([]Assignment, 0, s.Size())
-	for i := 0; i < s.Size(); i++ {
-		out = append(out, s.At(i))
-	}
-	return out
-}
-
 // Sample draws one uniform random point.
 func (s Space) Sample(r *xrand.Source) Assignment {
 	a := make(Assignment, len(s))

@@ -100,12 +100,9 @@ func TestSpaceSizeAndGrid(t *testing.T) {
 	if s.Size() != 6 {
 		t.Fatalf("Size = %d, want 6", s.Size())
 	}
-	grid := s.Grid()
-	if len(grid) != 6 {
-		t.Fatalf("Grid len = %d", len(grid))
-	}
 	seen := make(map[string]bool)
-	for _, a := range grid {
+	for i := 0; i < s.Size(); i++ {
+		a := s.At(i)
 		if seen[a.Key()] {
 			t.Fatalf("duplicate grid point %v", a)
 		}
@@ -172,13 +169,15 @@ func TestConcat(t *testing.T) {
 }
 
 func TestPaperSpacesProduceValidConfigs(t *testing.T) {
-	for _, a := range PaperHyperSpace().Grid() {
+	for hs, i := PaperHyperSpace(), 0; i < hs.Size(); i++ {
+		a := hs.At(i)
 		h := a.ApplyHyper(DefaultHyper())
 		if err := h.Validate(); err != nil {
 			t.Fatalf("grid point %v gives invalid hyper: %v", a, err)
 		}
 	}
-	for _, a := range PaperSystemSpace().Grid() {
+	for ss, i := PaperSystemSpace(), 0; i < ss.Size(); i++ {
+		a := ss.At(i)
 		s := a.ApplySys(DefaultSysConfig())
 		if err := s.Validate(); err != nil {
 			t.Fatalf("grid point %v gives invalid sysconfig: %v", a, err)

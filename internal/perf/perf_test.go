@@ -185,17 +185,23 @@ func TestFixedCountersLessNoisyThanMultiplexed(t *testing.T) {
 	const n = 200
 	fixedIdx := EventIndexMust("instructions")
 	muxIdx := EventIndexMust("LLC-loads")
-	var fixedW, muxW stats.Welford
+	var fixed, mux []float64
 	for k := 0; k < n; k++ {
 		smp, err := s.Sample(r, tr, params.DefaultHyper(), params.DefaultSysConfig(), PhaseTrain)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fixedW.Add(smp[fixedIdx])
-		muxW.Add(smp[muxIdx])
+		fixed = append(fixed, smp[fixedIdx])
+		mux = append(mux, smp[muxIdx])
 	}
-	fixedCV := fixedW.StdDev() / fixedW.Mean()
-	muxCV := muxW.StdDev() / muxW.Mean()
+	cv := func(xs []float64) float64 { // coefficient of variation
+		m, ss := stats.Mean(xs), 0.0
+		for _, x := range xs {
+			ss += (x - m) * (x - m)
+		}
+		return math.Sqrt(ss/float64(len(xs))) / m
+	}
+	fixedCV, muxCV := cv(fixed), cv(mux)
 	if fixedCV >= muxCV {
 		t.Fatalf("fixed-counter CV %v should be below multiplexed CV %v", fixedCV, muxCV)
 	}

@@ -13,8 +13,8 @@ type NodeCap struct {
 }
 
 // ClassCap is one node class's scheduling-relevant metadata: the axes the
-// cost-aware policies price placements on. A classless pool (NewPool)
-// behaves as one anonymous class with speed 1 and price 0.
+// cost-aware policies price placements on. A classless pool behaves as one
+// anonymous class with speed 1 and price 0.
 type ClassCap struct {
 	Name string `json:"name"`
 	// Spot marks revocable capacity subject to the engine's revocation
@@ -39,14 +39,9 @@ type Pool struct {
 	caps      []NodeCap
 	usedCores []int
 	usedMem   []int
-	classes   []ClassCap // nil = classless (legacy NewPool)
+	classes   []ClassCap // nil = classless
 	nodeClass []int      // per-node class index; nil when classless
 	down      []bool     // revoked spot nodes awaiting replacement
-}
-
-// NewPool builds an empty classless pool over the given node shapes.
-func NewPool(caps []NodeCap) (*Pool, error) {
-	return NewPoolClasses(caps, nil, nil)
 }
 
 // NewPoolClasses builds an empty pool with per-node class membership:
@@ -93,9 +88,6 @@ func NewPoolClasses(caps []NodeCap, nodeClass []int, classes []ClassCap) (*Pool,
 	}
 	return p, nil
 }
-
-// NumNodes returns the node count.
-func (p *Pool) NumNodes() int { return len(p.caps) }
 
 // NumClasses returns the class count (0 for classless pools).
 func (p *Pool) NumClasses() int { return len(p.classes) }

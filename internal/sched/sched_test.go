@@ -16,7 +16,7 @@ func testPool(t *testing.T, nodes, cores, mem int) *Pool {
 	for i := range caps {
 		caps[i] = NodeCap{Cores: cores, MemoryGB: mem}
 	}
-	p, err := NewPool(caps)
+	p, err := NewPoolClasses(caps, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestHealthAndFleetReportClusterComposition(t *testing.T) {
 	}
 	sys := newSystem(t,
 		pipetune.WithClusterClasses(classes...),
-		pipetune.WithPlacementPolicy(pipetune.SchedCheapest))
+		pipetune.WithScheduler(pipetune.SchedCheapest))
 	// GET /v1/fleet is the remote execution plane's surface, so mount one.
 	_, cl, _ := newRemoteServer(t, Config{System: sys}, 3)
 	ctx := context.Background()
@@ -91,7 +91,7 @@ func TestSchedMetricsRecorded(t *testing.T) {
 	}
 	sys := newSystem(t,
 		pipetune.WithClusterClasses(classes...),
-		pipetune.WithPlacementPolicy(pipetune.SchedCheapest))
+		pipetune.WithScheduler(pipetune.SchedCheapest))
 	svc, err := New(Config{System: sys})
 	if err != nil {
 		t.Fatal(err)

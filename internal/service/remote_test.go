@@ -88,19 +88,16 @@ func runOne(t *testing.T, cl *client.Client, req api.JobRequest) api.JobStatus {
 	return final
 }
 
-// TestRemoteBackendMatchesLocal is the acceptance-criteria equality: a
-// job computed by a two-worker remote fleet returns a JobResult
-// bit-identical to the same job on the local in-process backend.
+// TestRemoteBackendMatchesLocal is the acceptance-criteria equality: jobs
+// computed by a two-worker remote fleet return JobResults bit-identical to
+// the same jobs on the local in-process backend — the three-epoch request
+// first, then a two-epoch one that finds both daemons' ground truth
+// already fed by it.
 func TestRemoteBackendMatchesLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("remote equality runs full trial compute; CI races it in the execution-plane step")
 	}
 	_, localCl := newServer(t, Config{})
-	want := runOne(t, localCl, smallReq("lenet/mnist"))
-	if want.State != api.StateDone {
-		t.Fatalf("local job ended %v (%s)", want.State, want.Error)
-	}
-
 	// A generous eviction horizon: this test exercises equality, not
 	// failover, and must never falsely evict a busy worker.
 	_, remoteCl, remote := newRemoteServer(t, Config{}, 20)
@@ -108,63 +105,34 @@ func TestRemoteBackendMatchesLocal(t *testing.T) {
 	startAgent(t, srvURL, 2)
 	startAgent(t, srvURL, 2)
 
-	got := runOne(t, remoteCl, smallReq("lenet/mnist"))
-	if got.State != api.StateDone {
-		t.Fatalf("remote job ended %v (%s)", got.State, got.Error)
-	}
-	if resultJSON(t, got) != resultJSON(t, want) {
-		t.Fatal("remote-fleet JobResult diverges from the local backend's")
-	}
-	fs := remote.Fleet()
-	if fs.CompletedTrials == 0 {
-		t.Fatal("fleet completed no trials — the job did not actually run remotely")
-	}
-	if len(fs.Workers) < 2 {
-		t.Fatalf("fleet saw %d workers, want 2", len(fs.Workers))
-	}
-}
-
-// TestCrossWireJobParity is job parity across the wire at the service
-// layer: the same two-epoch job run by a worker fleet must produce
-// JobResult JSON byte-identical to the local backend's. The one subtest
-// keeps the ID it had when there was a second wire beside it.
-func TestCrossWireJobParity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("parity runs full trial compute; CI races it in the execution-plane step")
-	}
-	req := smallReq("lenet/mnist")
-	req.Epochs = 2
-
-	_, localCl := newServer(t, Config{})
-	want := runOne(t, localCl, req)
-	if want.State != api.StateDone {
-		t.Fatalf("local job ended %v (%s)", want.State, want.Error)
-	}
-	wantJSON := resultJSON(t, want)
-
-	t.Run("binary", func(t *testing.T) {
-		_, remoteCl, remote := newRemoteServer(t, Config{}, 20)
-		startAgent(t, remoteCl.BaseURL, 2)
-		startAgent(t, remoteCl.BaseURL, 2)
-
+	twoEpochs := smallReq("lenet/mnist")
+	twoEpochs.Epochs = 2
+	for _, req := range []api.JobRequest{smallReq("lenet/mnist"), twoEpochs} {
+		want := runOne(t, localCl, req)
+		if want.State != api.StateDone {
+			t.Fatalf("local %d-epoch job ended %v (%s)", req.Epochs, want.State, want.Error)
+		}
+		done := remote.Fleet().CompletedTrials
 		got := runOne(t, remoteCl, req)
 		if got.State != api.StateDone {
-			t.Fatalf("fleet job ended %v (%s)", got.State, got.Error)
+			t.Fatalf("remote %d-epoch job ended %v (%s)", req.Epochs, got.State, got.Error)
 		}
-		if resultJSON(t, got) != wantJSON {
-			t.Fatal("fleet JobResult diverges from the local backend's")
+		if resultJSON(t, got) != resultJSON(t, want) {
+			t.Fatalf("remote-fleet JobResult of the %d-epoch job diverges from the local backend's", req.Epochs)
 		}
-		if remote.Fleet().CompletedTrials == 0 {
-			t.Fatal("fleet completed no trials")
+		if remote.Fleet().CompletedTrials == done {
+			t.Fatalf("fleet completed no trials — the %d-epoch job did not actually run remotely", req.Epochs)
 		}
-	})
+	}
+	if fs := remote.Fleet(); len(fs.Workers) < 2 {
+		t.Fatalf("fleet saw %d workers, want 2", len(fs.Workers))
+	}
 }
 
 // TestRemoteJobSurvivesWorkerDeath is the end-to-end crash regression:
 // one of two workers dies mid-job, the severed stream evicts it and
 // requeues its leases, and the job still completes — with the exact
-// result a healthy run produces. The one subtest keeps the ID it had
-// when there was a second wire beside it.
+// result a healthy run produces.
 func TestRemoteJobSurvivesWorkerDeath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("worker-death recovery runs full trial compute; CI races it in the execution-plane step")
@@ -176,14 +144,8 @@ func TestRemoteJobSurvivesWorkerDeath(t *testing.T) {
 	req.Epochs = 1
 
 	_, localCl := newServer(t, Config{})
-	want := runOne(t, localCl, req)
+	want := resultJSON(t, runOne(t, localCl, req))
 
-	t.Run("binary", func(t *testing.T) {
-		testWorkerDeath(t, req, resultJSON(t, want))
-	})
-}
-
-func testWorkerDeath(t *testing.T, req api.JobRequest, want string) {
 	_, remoteCl, remote := newRemoteServer(t, Config{}, 6)
 	killFirst := startAgent(t, remoteCl.BaseURL, 1)
 

@@ -40,7 +40,6 @@ import (
 	"pipetune/internal/gt"
 	"pipetune/internal/metrics"
 	"pipetune/internal/trainer"
-	"pipetune/internal/tsdb"
 	"pipetune/internal/tune"
 )
 
@@ -109,13 +108,6 @@ type Config struct {
 	// land on the same /metrics page) and otherwise creates a private
 	// one. Ignored when DisableMetrics is set.
 	Metrics *metrics.Registry
-	// MetricsDB, when non-nil, receives a periodic mirror of every
-	// registry series as tsdb points (measurement = family name, tags =
-	// labels) every MetricsMirrorInterval (default 10s). The DB stays
-	// caller-owned: the service only writes and trims it.
-	MetricsDB *tsdb.DB
-	// MetricsMirrorInterval is the mirror cadence (default 10s).
-	MetricsMirrorInterval time.Duration
 	// DisableMetrics turns the observability plane off: no instruments
 	// register, hot paths run their nil-receiver no-op branches, and the
 	// /metrics endpoints are not mounted. /healthz then reports zero
@@ -167,7 +159,6 @@ type Service struct {
 	gt       gt.Store       // the store every job reads and feeds
 	persist  *gt.Persistent // non-nil when GTPath is set; == gt then
 	met      *svcMetrics    // nil-handle instruments when metrics are disabled
-	mirror   *metrics.Mirror
 	wg       sync.WaitGroup
 	baseCtx  context.Context
 	stop     context.CancelFunc
@@ -233,9 +224,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 10 * time.Second
 	}
-	if cfg.MetricsMirrorInterval <= 0 {
-		cfg.MetricsMirrorInterval = 10 * time.Second
-	}
 	if cfg.DisableMetrics {
 		cfg.Metrics = nil
 	} else if cfg.Metrics == nil {
@@ -299,14 +287,10 @@ func New(cfg Config) (*Service, error) {
 		if in, ok := s.gt.(gt.Instrumentable); ok {
 			in.InstrumentMetrics(cfg.Metrics)
 		}
-		// The trainer substrate publishes too: tsdb write errors and,
-		// when the trial prefix cache is enabled, its hit/miss/residency
-		// families.
+		// The trainer substrate publishes too: kernel wall times, corpus
+		// bytes and, when the trial prefix cache is enabled, its
+		// hit/miss/residency families.
 		cfg.System.InstrumentTrainer(cfg.Metrics)
-		if cfg.MetricsDB != nil {
-			s.mirror = &metrics.Mirror{Registry: cfg.Metrics, DB: cfg.MetricsDB, Interval: cfg.MetricsMirrorInterval}
-			s.mirror.Start()
-		}
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -1004,9 +988,6 @@ func (s *Service) Shutdown() {
 		s.stop()        // interrupt running jobs and the snapshot ticker
 		s.wg.Wait()     // workers finish their current (now cancelled) jobs
 		s.drainQueued() // jobs still queued become cancelled
-		if s.mirror != nil {
-			s.mirror.Stop() // final sample lands the terminal state in the DB
-		}
 		if s.cfg.Remote != nil {
 			s.cfg.Remote.Close() // stop the reaper; late worker calls get errors
 		}

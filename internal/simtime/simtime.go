@@ -26,14 +26,6 @@ type Clock struct {
 // Now returns the current virtual time in seconds.
 func (c *Clock) Now() float64 { return c.now }
 
-// Advance moves the clock forward by d seconds. Negative advances are
-// ignored: virtual time never flows backwards.
-func (c *Clock) Advance(d float64) {
-	if d > 0 {
-		c.now += d
-	}
-}
-
 // Set jumps the clock to t if t is in the future.
 func (c *Clock) Set(t float64) {
 	if t > c.now {
@@ -90,30 +82,12 @@ func NewEngine() *Engine {
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.clock.Now() }
 
-// Pending returns the number of events still queued.
-func (e *Engine) Pending() int { return len(e.queue) }
-
-// Schedule queues fn to run after delay seconds of virtual time. Negative
-// delays are clamped to zero (the event runs "now", after already-queued
-// events at the current time).
-func (e *Engine) Schedule(delay float64, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.ScheduleAt(e.clock.Now()+delay, fn)
-}
-
-// ScheduleAt queues fn at absolute virtual time t. Times in the past are
-// clamped to the current time.
-func (e *Engine) ScheduleAt(t float64, fn func()) {
-	e.ScheduleAtPrio(t, 0, fn)
-}
-
 // ScheduleAtPrio queues fn at absolute virtual time t within an ordering
 // class: when several events share an instant, lower prio dispatches first
 // (FIFO within a class). Queueing simulators use this to process departures
 // (prio < 0, freeing resources) before same-instant arrivals (prio 0), the
 // convention that keeps admission decisions independent of insertion order.
+// Times in the past are clamped to the current time.
 func (e *Engine) ScheduleAtPrio(t float64, prio int, fn func()) {
 	if t < e.clock.Now() {
 		t = e.clock.Now()

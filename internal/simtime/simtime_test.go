@@ -6,14 +6,9 @@ import (
 
 func TestClockAdvance(t *testing.T) {
 	var c Clock
-	c.Advance(5)
-	c.Advance(2.5)
+	c.Set(7.5)
 	if c.Now() != 7.5 {
 		t.Fatalf("clock = %v, want 7.5", c.Now())
-	}
-	c.Advance(-3)
-	if c.Now() != 7.5 {
-		t.Fatalf("negative advance moved clock to %v", c.Now())
 	}
 	c.Set(4)
 	if c.Now() != 7.5 {
@@ -28,9 +23,9 @@ func TestClockAdvance(t *testing.T) {
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(3, func() { order = append(order, 3) })
-	e.Schedule(1, func() { order = append(order, 1) })
-	e.Schedule(2, func() { order = append(order, 2) })
+	e.ScheduleAtPrio(3, 0, func() { order = append(order, 3) })
+	e.ScheduleAtPrio(1, 0, func() { order = append(order, 1) })
+	e.ScheduleAtPrio(2, 0, func() { order = append(order, 2) })
 	if err := e.RunAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -45,9 +40,9 @@ func TestEngineOrdering(t *testing.T) {
 func TestEngineFIFOTieBreak(t *testing.T) {
 	e := NewEngine()
 	var order []string
-	e.Schedule(1, func() { order = append(order, "a") })
-	e.Schedule(1, func() { order = append(order, "b") })
-	e.Schedule(1, func() { order = append(order, "c") })
+	e.ScheduleAtPrio(1, 0, func() { order = append(order, "a") })
+	e.ScheduleAtPrio(1, 0, func() { order = append(order, "b") })
+	e.ScheduleAtPrio(1, 0, func() { order = append(order, "c") })
 	if err := e.RunAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +54,9 @@ func TestEngineFIFOTieBreak(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var times []float64
-	e.Schedule(1, func() {
+	e.ScheduleAtPrio(1, 0, func() {
 		times = append(times, e.Now())
-		e.Schedule(2, func() { times = append(times, e.Now()) })
+		e.ScheduleAtPrio(e.Now()+2, 0, func() { times = append(times, e.Now()) })
 	})
 	if err := e.RunAll(); err != nil {
 		t.Fatal(err)
@@ -74,8 +69,8 @@ func TestEngineNestedScheduling(t *testing.T) {
 func TestEngineHorizon(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	e.Schedule(1, func() { fired++ })
-	e.Schedule(10, func() { fired++ })
+	e.ScheduleAtPrio(1, 0, func() { fired++ })
+	e.ScheduleAtPrio(10, 0, func() { fired++ })
 	if err := e.Run(5); err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +80,8 @@ func TestEngineHorizon(t *testing.T) {
 	if e.Now() != 5 {
 		t.Fatalf("clock after horizon = %v, want 5", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
+	if len(e.queue) != 1 {
+		t.Fatalf("pending = %d, want 1", len(e.queue))
 	}
 	// Resuming past the horizon dispatches the rest.
 	if err := e.RunAll(); err != nil {
@@ -100,11 +95,11 @@ func TestEngineHorizon(t *testing.T) {
 func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	e.Schedule(1, func() {
+	e.ScheduleAtPrio(1, 0, func() {
 		fired++
 		e.Stop()
 	})
-	e.Schedule(2, func() { fired++ })
+	e.ScheduleAtPrio(2, 0, func() { fired++ })
 	if err := e.RunAll(); err != ErrStopped {
 		t.Fatalf("err = %v, want ErrStopped", err)
 	}
@@ -113,30 +108,11 @@ func TestEngineStop(t *testing.T) {
 	}
 }
 
-func TestNegativeDelayClamped(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	e.Schedule(5, func() {
-		e.Schedule(-10, func() {
-			if e.Now() != 5 {
-				t.Errorf("clamped event ran at %v, want 5", e.Now())
-			}
-			ran = true
-		})
-	})
-	if err := e.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("clamped event never ran")
-	}
-}
-
 func TestScheduleAtPastClamped(t *testing.T) {
 	e := NewEngine()
 	var at float64 = -1
-	e.Schedule(3, func() {
-		e.ScheduleAt(1, func() { at = e.Now() })
+	e.ScheduleAtPrio(3, 0, func() {
+		e.ScheduleAtPrio(1, 0, func() { at = e.Now() })
 	})
 	if err := e.RunAll(); err != nil {
 		t.Fatal(err)
@@ -152,7 +128,7 @@ func TestManyEventsDeterministic(t *testing.T) {
 		var out []float64
 		for i := 0; i < 500; i++ {
 			d := float64((i * 7919) % 101)
-			e.Schedule(d, func() { out = append(out, e.Now()) })
+			e.ScheduleAtPrio(d, 0, func() { out = append(out, e.Now()) })
 		}
 		if err := e.RunAll(); err != nil {
 			t.Fatal(err)
@@ -176,7 +152,7 @@ func TestManyEventsDeterministic(t *testing.T) {
 func TestScheduleAtPrioOrdersSameInstant(t *testing.T) {
 	e := NewEngine()
 	var order []string
-	e.ScheduleAt(10, func() { order = append(order, "arrival") })
+	e.ScheduleAtPrio(10, 0, func() { order = append(order, "arrival") })
 	e.ScheduleAtPrio(10, -1, func() { order = append(order, "completion") })
 	e.ScheduleAtPrio(10, -2, func() { order = append(order, "resize") })
 	e.ScheduleAtPrio(10, -1, func() { order = append(order, "completion2") })

@@ -1,5 +1,5 @@
 // Package stats provides the small numerical toolkit shared by the
-// simulators and the experiment harness: running moments, percentiles,
+// simulators and the experiment harness: means, percentiles,
 // trapezoidal integration (used for energy estimation, §3.2 of the paper)
 // and simple vector operations used by the profiling pipeline.
 package stats
@@ -23,49 +23,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs (0 for n < 2).
-func StdDev(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(n))
-}
-
-// Min returns the minimum of xs. It returns ErrEmpty for empty input.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the maximum of xs. It returns ErrEmpty for empty input.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
@@ -96,28 +53,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
-// Trapezoid integrates y over x using the trapezoidal rule. This is exactly
-// the estimator the paper uses for cluster energy: power samples collected
-// every second, integrated over the training window. The two slices must
-// have equal length; fewer than two points integrate to 0.
-func Trapezoid(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, errors.New("stats: trapezoid inputs have different lengths")
-	}
-	if len(x) < 2 {
-		return 0, nil
-	}
-	total := 0.0
-	for i := 1; i < len(x); i++ {
-		dx := x[i] - x[i-1]
-		if dx < 0 {
-			return 0, errors.New("stats: trapezoid x values must be non-decreasing")
-		}
-		total += dx * (y[i] + y[i-1]) / 2
-	}
-	return total, nil
-}
-
 // TrapezoidUniform integrates evenly spaced samples with spacing dx.
 func TrapezoidUniform(y []float64, dx float64) float64 {
 	if len(y) < 2 {
@@ -130,39 +65,6 @@ func TrapezoidUniform(y []float64, dx float64) float64 {
 	return total
 }
 
-// Welford accumulates a running mean and variance in one pass. The zero
-// value is ready to use.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	delta := x - w.mean
-	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
-}
-
-// N returns the number of observations added.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 if no observations).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the running population variance (0 if n < 2).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
 // EuclideanDistance returns the L2 distance between equal-length vectors.
 func EuclideanDistance(a, b []float64) (float64, error) {
 	if len(a) != len(b) {
@@ -174,19 +76,6 @@ func EuclideanDistance(a, b []float64) (float64, error) {
 		sum += d * d
 	}
 	return math.Sqrt(sum), nil
-}
-
-// Normalize scales xs in place so that it has zero mean and unit standard
-// deviation. Constant vectors are left centred at zero.
-func Normalize(xs []float64) {
-	m := Mean(xs)
-	sd := StdDev(xs)
-	for i := range xs {
-		xs[i] -= m
-		if sd > 0 {
-			xs[i] /= sd
-		}
-	}
 }
 
 // Log1pScale maps each value through log1p, compressing the many-orders-of-
@@ -211,13 +100,4 @@ func RelDiffPercent(value, baseline float64) float64 {
 		return 0
 	}
 	return (value - baseline) / baseline * 100
-}
-
-// Speedup returns baseline/value (how many times faster value is than the
-// baseline). A zero value yields +Inf, matching the intuitive reading.
-func Speedup(baseline, value float64) float64 {
-	if value == 0 {
-		return math.Inf(1)
-	}
-	return baseline / value
 }

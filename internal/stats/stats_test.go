@@ -2,10 +2,9 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
-
-	"pipetune/internal/xrand"
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -28,33 +27,6 @@ func TestMean(t *testing.T) {
 				t.Fatalf("Mean(%v) = %v, want %v", tc.in, got, tc.want)
 			}
 		})
-	}
-}
-
-func TestStdDev(t *testing.T) {
-	if got := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}); !almostEqual(got, 2, 1e-12) {
-		t.Fatalf("StdDev = %v, want 2", got)
-	}
-	if got := StdDev([]float64{1}); got != 0 {
-		t.Fatalf("StdDev of singleton = %v, want 0", got)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 0}
-	mn, err := Min(xs)
-	if err != nil || mn != -1 {
-		t.Fatalf("Min = %v, %v", mn, err)
-	}
-	mx, err := Max(xs)
-	if err != nil || mx != 7 {
-		t.Fatalf("Max = %v, %v", mx, err)
-	}
-	if _, err := Min(nil); err != ErrEmpty {
-		t.Fatalf("Min(nil) err = %v, want ErrEmpty", err)
-	}
-	if _, err := Max(nil); err != ErrEmpty {
-		t.Fatalf("Max(nil) err = %v, want ErrEmpty", err)
 	}
 }
 
@@ -97,14 +69,12 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 
 func TestTrapezoid(t *testing.T) {
 	// Integral of y = x from 0 to 4 is 8; trapezoid is exact for linear.
-	x := []float64{0, 1, 2, 3, 4}
 	y := []float64{0, 1, 2, 3, 4}
-	got, err := Trapezoid(x, y)
-	if err != nil {
-		t.Fatal(err)
+	if got := TrapezoidUniform(y, 1); !almostEqual(got, 8, 1e-12) {
+		t.Fatalf("TrapezoidUniform = %v, want 8", got)
 	}
-	if !almostEqual(got, 8, 1e-12) {
-		t.Fatalf("Trapezoid = %v, want 8", got)
+	if got := TrapezoidUniform([]float64{5}, 1); got != 0 {
+		t.Fatalf("single point integral = %v, want 0", got)
 	}
 }
 
@@ -120,45 +90,6 @@ func TestTrapezoidConstantPower(t *testing.T) {
 	}
 }
 
-func TestTrapezoidErrors(t *testing.T) {
-	if _, err := Trapezoid([]float64{0, 1}, []float64{1}); err == nil {
-		t.Fatal("length mismatch not rejected")
-	}
-	if _, err := Trapezoid([]float64{1, 0}, []float64{1, 1}); err == nil {
-		t.Fatal("decreasing x not rejected")
-	}
-	got, err := Trapezoid([]float64{1}, []float64{5})
-	if err != nil || got != 0 {
-		t.Fatalf("single point integral = %v, %v; want 0, nil", got, err)
-	}
-}
-
-func TestWelfordMatchesBatch(t *testing.T) {
-	r := xrand.New(99)
-	xs := make([]float64, 1000)
-	var w Welford
-	for i := range xs {
-		xs[i] = r.NormFloat64()*3 + 10
-		w.Add(xs[i])
-	}
-	if !almostEqual(w.Mean(), Mean(xs), 1e-9) {
-		t.Fatalf("Welford mean %v != batch mean %v", w.Mean(), Mean(xs))
-	}
-	if !almostEqual(w.StdDev(), StdDev(xs), 1e-9) {
-		t.Fatalf("Welford std %v != batch std %v", w.StdDev(), StdDev(xs))
-	}
-	if w.N() != len(xs) {
-		t.Fatalf("Welford N = %d, want %d", w.N(), len(xs))
-	}
-}
-
-func TestWelfordZeroValue(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 || w.N() != 0 {
-		t.Fatal("zero-value Welford not neutral")
-	}
-}
-
 func TestEuclideanDistance(t *testing.T) {
 	d, err := EuclideanDistance([]float64{0, 0}, []float64{3, 4})
 	if err != nil || !almostEqual(d, 5, 1e-12) {
@@ -166,25 +97,6 @@ func TestEuclideanDistance(t *testing.T) {
 	}
 	if _, err := EuclideanDistance([]float64{1}, []float64{1, 2}); err == nil {
 		t.Fatal("length mismatch not rejected")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	Normalize(xs)
-	if !almostEqual(Mean(xs), 0, 1e-12) {
-		t.Fatalf("normalized mean = %v", Mean(xs))
-	}
-	if !almostEqual(StdDev(xs), 1, 1e-12) {
-		t.Fatalf("normalized std = %v", StdDev(xs))
-	}
-
-	constant := []float64{7, 7, 7}
-	Normalize(constant)
-	for _, v := range constant {
-		if v != 0 {
-			t.Fatalf("constant vector normalized to %v, want zeros", constant)
-		}
 	}
 }
 
@@ -210,15 +122,6 @@ func TestRelDiffPercent(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	if got := Speedup(200, 100); !almostEqual(got, 2, 1e-12) {
-		t.Fatalf("Speedup = %v, want 2", got)
-	}
-	if got := Speedup(1, 0); !math.IsInf(got, 1) {
-		t.Fatalf("Speedup with zero value = %v, want +Inf", got)
-	}
-}
-
 // Property: mean lies within [min, max] of the sample.
 func TestQuickMeanBounded(t *testing.T) {
 	f := func(raw []float64) bool {
@@ -232,9 +135,7 @@ func TestQuickMeanBounded(t *testing.T) {
 			return true
 		}
 		m := Mean(xs)
-		mn, _ := Min(xs)
-		mx, _ := Max(xs)
-		return m >= mn-1e-6 && m <= mx+1e-6
+		return m >= slices.Min(xs)-1e-6 && m <= slices.Max(xs)+1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -252,27 +153,6 @@ func TestQuickTrapezoidSign(t *testing.T) {
 			}
 		}
 		return TrapezoidUniform(y, 1) >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Welford matches batch stats for arbitrary bounded inputs.
-func TestQuickWelfordConsistent(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) && math.Abs(v) < 1e6 {
-				xs = append(xs, v)
-			}
-		}
-		var w Welford
-		for _, x := range xs {
-			w.Add(x)
-		}
-		return almostEqual(w.Mean(), Mean(xs), 1e-6) &&
-			almostEqual(w.StdDev(), StdDev(xs), 1e-6)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

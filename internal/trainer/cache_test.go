@@ -10,7 +10,6 @@ import (
 
 	"pipetune/internal/metrics"
 	"pipetune/internal/params"
-	"pipetune/internal/tsdb"
 	"pipetune/internal/workload"
 )
 
@@ -476,34 +475,6 @@ func labelSuffix(labels map[string]string) string {
 		return "{kind=" + v + "}"
 	}
 	return ""
-}
-
-// TestTSDBWriteErrorsCounted pins satellite (b): record's discarded tsdb
-// write errors land on trainer_tsdb_write_errors_total. The in-memory
-// tsdb cannot fail a well-formed write, so the error path is driven
-// through the counter seam: uninstrumented it reads zero and stays
-// nil-safe, instrumented the increments surface through both the
-// accessor and the registry.
-func TestTSDBWriteErrorsCounted(t *testing.T) {
-	r := fastRunner()
-	r.DB = tsdb.New()
-	h := fastHyper()
-	h.Epochs = 1
-	// Uninstrumented: record's error path must be a nil-safe no-op.
-	r.tsdbErrs.Load().Inc()
-	if got := r.TSDBWriteErrors(); got != 0 {
-		t.Fatalf("uninstrumented counter reads %d, want 0", got)
-	}
-	reg := metrics.NewRegistry()
-	r.InstrumentMetrics(reg)
-	mustRun(t, r, lenetMNIST, h, params.DefaultSysConfig(), 2, nil)
-	if got := r.TSDBWriteErrors(); got != 0 {
-		t.Fatalf("successful writes counted as errors: %d", got)
-	}
-	r.tsdbErrs.Load().Inc() // the exact call record makes on a failed write
-	if got := r.TSDBWriteErrors(); got != 1 {
-		t.Fatalf("counter = %d after one discarded write, want 1", got)
-	}
 }
 
 // BenchmarkTrialCache is the acceptance benchmark for the reuse shape the

@@ -4,7 +4,7 @@
 //
 //   - genuine SGD learning progress (loss/accuracy) from package nn,
 //   - simulated epoch duration from package costmodel,
-//   - energy from package energy (power series recorded to the tsdb),
+//   - energy from package energy (a 1 Hz power series, integrated),
 //   - a 58-event PMU profile from package perf, for observed trials.
 //
 // Crucially for PipeTune, the trainer exposes an EpochObserver invoked at
@@ -29,7 +29,6 @@ import (
 	"pipetune/internal/nn"
 	"pipetune/internal/params"
 	"pipetune/internal/perf"
-	"pipetune/internal/tsdb"
 	"pipetune/internal/workload"
 	"pipetune/internal/xrand"
 )
@@ -96,17 +95,12 @@ func (f ObserverFunc) OnEpochEnd(seed uint64, w workload.Workload, h params.Hype
 }
 
 // Runner executes trials. It is safe for concurrent use: per-trial state is
-// local, and the dataset cache and tsdb are lock-protected.
+// local, and the dataset cache is lock-protected.
 type Runner struct {
 	Cost    costmodel.Model
 	Power   energy.PowerModel
 	Sampler *perf.Sampler
 	Data    dataset.Config
-
-	// DB, when non-nil, receives 1 Hz power samples ("power") and
-	// per-epoch profile summaries ("epochs") exactly like the paper's
-	// InfluxDB backend.
-	DB *tsdb.DB
 
 	// Load is the contention multiplier applied to every epoch duration
 	// (1 = dedicated resources; >1 = co-located jobs, Figure 5's setup).
@@ -138,7 +132,6 @@ type Runner struct {
 	corpusGauge   *metrics.Gauge // trainer_corpus_bytes; mirrors corpusBytes
 	corpusFlights flightGroup
 	corpusGens    atomic.Uint64 // distinct corpus syntheses (singleflight test hook)
-	tsdbErrs      atomic.Pointer[metrics.Counter]
 	epochSeconds  atomic.Pointer[metrics.Distribution]
 	evalSeconds   atomic.Pointer[metrics.Distribution]
 }
@@ -206,12 +199,11 @@ func (r *Runner) corpus(w workload.Workload) (*corpusPair, error) {
 	return v.(*corpusPair), nil
 }
 
-// InstrumentMetrics registers the trainer's instruments on reg: the tsdb
-// write-error counter, the resident corpus bytes and, when a trial prefix
+// InstrumentMetrics registers the trainer's instruments on reg: the kernel
+// wall-time sketches, the resident corpus bytes and, when a trial prefix
 // cache is attached, its hit/miss/residency families. Call before running
 // trials. A nil registry (metrics disabled) keeps every update a no-op.
 func (r *Runner) InstrumentMetrics(reg *metrics.Registry) {
-	r.tsdbErrs.Store(reg.Counter("trainer_tsdb_write_errors_total", "Epoch summaries and power points the trainer failed to write to the tsdb."))
 	r.epochSeconds.Store(reg.Distribution("nn_train_epoch_seconds", "Wall-clock seconds per nn training epoch (real SGD compute, not the simulated epoch duration)."))
 	r.evalSeconds.Store(reg.Distribution("nn_eval_seconds", "Wall-clock seconds per nn test-set evaluation."))
 	p := r.Parallelism
@@ -236,51 +228,6 @@ func (r *Runner) InstrumentMetrics(reg *metrics.Registry) {
 func (r *Runner) InstrumentKernels(epoch, eval *metrics.Distribution) {
 	r.epochSeconds.Store(epoch)
 	r.evalSeconds.Store(eval)
-}
-
-// TSDBWriteErrors returns the count of discarded tsdb writes observed
-// since InstrumentMetrics; zero when uninstrumented.
-func (r *Runner) TSDBWriteErrors() uint64 {
-	if c := r.tsdbErrs.Load(); c != nil {
-		return c.Value()
-	}
-	return 0
-}
-
-// record writes an epoch's power series and summary to the tsdb, tagged by
-// trial, mirroring the InfluxDB layout of §6.
-func (r *Runner) record(trialSeed uint64, w workload.Workload, s EpochStats, series []float64) {
-	if r.DB == nil {
-		return
-	}
-	tags := map[string]string{
-		"trial":    strconv.FormatUint(trialSeed, 10),
-		"workload": w.Name(),
-	}
-	start := s.EndTime - s.Duration
-	for i, watts := range series {
-		if err := r.DB.Write("power", tsdb.Point{
-			Time:   start + float64(i),
-			Tags:   tags,
-			Fields: map[string]float64{"watts": watts},
-		}); err != nil {
-			r.tsdbErrs.Load().Inc()
-		}
-	}
-	if err := r.DB.Write("epochs", tsdb.Point{
-		Time: s.EndTime,
-		Tags: tags,
-		Fields: map[string]float64{
-			"epoch":    float64(s.Epoch),
-			"duration": s.Duration,
-			"accuracy": s.Accuracy,
-			"energyJ":  s.EnergyJ,
-			"cores":    float64(s.Sys.Cores),
-			"memoryGB": float64(s.Sys.MemoryGB),
-		},
-	}); err != nil {
-		r.tsdbErrs.Load().Inc()
-	}
 }
 
 // PrefixKey derives the trial prefix cache key: every input SGD progress
@@ -484,7 +431,6 @@ func (r *Runner) RunWithCacheKey(w workload.Workload, h params.Hyper, sys params
 			Accuracy:  acc,
 			EnergyJ:   joules,
 		}
-		r.record(seed, w, s, series)
 		res.Epochs = append(res.Epochs, s)
 		res.EnergyJ += joules
 		s.Profile = profile

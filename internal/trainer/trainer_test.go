@@ -8,7 +8,6 @@ import (
 	"pipetune/internal/dataset"
 	"pipetune/internal/params"
 	"pipetune/internal/perf"
-	"pipetune/internal/tsdb"
 	"pipetune/internal/workload"
 )
 
@@ -238,30 +237,6 @@ func TestLoadSlowsTrialDown(t *testing.T) {
 	}
 }
 
-func TestRecordsToTSDB(t *testing.T) {
-	r := fastRunner()
-	r.DB = tsdb.New()
-	res, err := r.Run(lenetMNIST, fastHyper(), params.DefaultSysConfig(), 11, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.DB.Len("power") == 0 {
-		t.Fatal("no power samples recorded")
-	}
-	if got := r.DB.Len("epochs"); got != len(res.Epochs) {
-		t.Fatalf("recorded %d epoch summaries, want %d", got, len(res.Epochs))
-	}
-	// Per-epoch mean power should be recoverable from the DB, as the
-	// paper queries InfluxDB for per-window aggregates.
-	mean, err := r.DB.MeanField("power", "watts", tsdb.Query{To: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mean < 50 || mean > 200 {
-		t.Fatalf("mean recorded power %v W implausible", mean)
-	}
-}
-
 func TestValidationErrors(t *testing.T) {
 	r := fastRunner()
 	bad := fastHyper()
@@ -300,7 +275,6 @@ func TestPredictDuration(t *testing.T) {
 
 func TestConcurrentTrialsShareRunner(t *testing.T) {
 	r := fastRunner()
-	r.DB = tsdb.New()
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for i := 0; i < 8; i++ {

@@ -116,14 +116,6 @@ func (m Mode) String() string {
 // factory builds HyperBand, the paper's choice.
 type SearcherFactory func(space params.Space, r *xrand.Source) (search.Searcher, error)
 
-// DefaultSearcher returns the HyperBand factory used throughout the
-// evaluation (§6), with R=9 and eta=3.
-func DefaultSearcher() SearcherFactory {
-	return func(space params.Space, r *xrand.Source) (search.Searcher, error) {
-		return search.NewHyperBand(space, 9, 3, r)
-	}
-}
-
 // JobSpec describes one HPT job (Figure 6's "hyperparameter tuning input").
 type JobSpec struct {
 	Workload    workload.Workload

@@ -153,7 +153,8 @@ type System struct {
 	tuner    *tune.Runner
 	pipetune *core.PipeTune
 	seed     uint64
-	err      error // first option error; surfaced by New
+	gtConfig gt.Config // of the default store New builds when no option supplies one
+	err      error     // first option error; surfaced by New
 }
 
 // Option customises a System.
@@ -254,21 +255,11 @@ func WithScheduler(policy string) Option {
 	}
 }
 
-// WithPlacementPolicy is WithScheduler under its cost-aware name: it
-// selects how trials are placed on the cluster, including which node
-// class they land on when the policy is class-aware.
-func WithPlacementPolicy(policy string) Option { return WithScheduler(policy) }
-
 // fail records the first option error.
 func (s *System) fail(err error) {
 	if s.err == nil {
 		s.err = err
 	}
-}
-
-// WithSingleNode switches to the paper's single-node Type-III testbed.
-func WithSingleNode() Option {
-	return func(s *System) { s.cluster = cluster.SingleNode() }
 }
 
 // WithCorpusSize controls the synthetic corpus size (train/test samples).
@@ -330,14 +321,14 @@ func WithEnergyObjective() Option {
 // WithNearestNeighborSimilarity swaps the ground truth's similarity
 // function from the paper's default k-means to per-profile nearest
 // neighbour (§5.4 notes the function is pluggable). threshold scales the
-// mean nearest-neighbour distance that bounds confident matches.
+// mean nearest-neighbour distance that bounds confident matches. It
+// configures the store New builds; a store handed in through
+// WithGroundTruthStore keeps its own technique.
 func WithNearestNeighborSimilarity(threshold float64) Option {
 	return func(s *System) {
-		cfg := gt.DefaultConfig()
-		cfg.NewSimilarity = func(uint64) gt.Similarity {
+		s.gtConfig.NewSimilarity = func(uint64) gt.Similarity {
 			return gt.NewNearestNeighborSimilarity(threshold)
 		}
-		s.pipetune.GT = gt.NewSharded(cfg, s.seed)
 	}
 }
 
@@ -346,16 +337,6 @@ func WithNearestNeighborSimilarity(threshold float64) Option {
 // bit-identical) or a remote pipetune-worker fleet (exec.Remote).
 type ExecBackend = exec.Backend
 
-// WithExecBackend selects where trial bodies compute. A nil backend
-// keeps the default local pool.
-func WithExecBackend(b ExecBackend) Option {
-	return func(s *System) {
-		if b != nil {
-			s.tuner.Exec = b
-		}
-	}
-}
-
 // SetExecBackend swaps the execution backend after construction. The
 // service layer uses this to wire the remote worker fleet once it is
 // constructed; it must not be called concurrently with runs. A nil
@@ -363,13 +344,13 @@ func WithExecBackend(b ExecBackend) Option {
 func (s *System) SetExecBackend(b ExecBackend) { s.tuner.Exec = b }
 
 // GroundTruthStore is the pluggable ground-truth database behind
-// PipeTune's cross-job reuse (§5.4): the default sharded store, the
-// classic monolith, or the daemon's WAL-backed persistent wrapper.
+// PipeTune's cross-job reuse (§5.4): the default sharded store or the
+// daemon's WAL-backed persistent wrapper around it.
 type GroundTruthStore = gt.Store
 
 // WithGroundTruthStore replaces the System's ground-truth store — e.g. a
-// pre-warmed store shared across Systems, the classic monolithic
-// implementation, or a custom Store. A nil store fails pipetune.New.
+// pre-warmed store shared across Systems, or a custom Store. A nil store
+// fails pipetune.New.
 func WithGroundTruthStore(store GroundTruthStore) Option {
 	return func(s *System) {
 		if store == nil {
@@ -383,15 +364,14 @@ func WithGroundTruthStore(store GroundTruthStore) Option {
 // New builds a wired System.
 func New(opts ...Option) (*System, error) {
 	s := &System{
-		trainer: trainer.NewRunner(),
-		cluster: cluster.Paper(),
-		seed:    1,
+		trainer:  trainer.NewRunner(),
+		cluster:  cluster.Paper(),
+		seed:     1,
+		gtConfig: gt.DefaultConfig(),
 	}
-	// Order matters: construct PipeTune after defaults so that options can
-	// override both. Run options twice is unnecessary — options that touch
-	// pipetune fields are applied after construction below.
 	s.tuner = tune.NewRunner(s.trainer, s.cluster)
 	s.pipetune = core.New(s.tuner, s.seed)
+	s.pipetune.GT = nil // built below, once the options have fixed the seed
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -401,7 +381,7 @@ func New(opts ...Option) (*System, error) {
 	// Re-wire in case the cluster was swapped by an option.
 	s.tuner.Cluster = s.cluster
 	if s.pipetune.GT == nil {
-		return nil, errors.New("pipetune: ground truth not initialised")
+		s.pipetune.GT = gt.NewSharded(s.gtConfig, s.seed)
 	}
 	return s, nil
 }
@@ -484,10 +464,10 @@ func (s *System) SetGroundTruthStore(store GroundTruthStore) {
 }
 
 // InstrumentTrainer registers the trainer substrate's metric families on
-// reg: the tsdb write-error counter and, when WithTrialCache is enabled,
-// the prefix cache's hit/miss/residency series. The service layer wires
-// this when metrics are enabled; library callers may too. Call before
-// running jobs.
+// reg: kernel wall times, resident corpus bytes and, when WithTrialCache
+// is enabled, the prefix cache's hit/miss/residency series. The service
+// layer wires this when metrics are enabled; library callers may too.
+// Call before running jobs.
 func (s *System) InstrumentTrainer(reg *metrics.Registry) { s.trainer.InstrumentMetrics(reg) }
 
 // TrainerCacheStats snapshots the trial prefix cache's counters; the zero
@@ -520,7 +500,7 @@ func (s *System) ClusterClasses() []cluster.ClassStatus {
 func (s *System) SpotCounts() (spot, onDemand int) { return s.cluster.SpotCounts() }
 
 // PlacementPolicyName names the trial placement policy in force
-// (WithScheduler / WithPlacementPolicy; "fifo" by default).
+// (WithScheduler; "fifo" by default).
 func (s *System) PlacementPolicyName() string {
 	if s.tuner.Policy == nil {
 		return sched.NameFIFO
