@@ -1,0 +1,160 @@
+package pipetune
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"sort"
+	"sync"
+	"testing"
+)
+
+// trainingDigest is cmd/bench's digest of what a job trained: per trial,
+// by ID, the hyperparameters and every epoch's loss and accuracy bits.
+// System configurations, durations and energy — the simulation half, which
+// PipeTune steers — are left out.
+func trainingDigest(res *JobResult) string {
+	trials := append([]TrialRecord(nil), res.Trials...)
+	sort.Slice(trials, func(i, j int) bool { return trials[i].ID < trials[j].ID })
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, t := range trials {
+		put(uint64(t.ID))
+		put(uint64(t.Hyper.BatchSize))
+		put(math.Float64bits(t.Hyper.LearningRate))
+		put(math.Float64bits(t.Hyper.Dropout))
+		put(uint64(t.Hyper.EmbeddingDim))
+		put(uint64(t.Hyper.Epochs))
+		put(uint64(len(t.Result.Epochs)))
+		for _, e := range t.Result.Epochs {
+			put(math.Float64bits(e.TrainLoss))
+			put(math.Float64bits(e.Accuracy))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// catalogRun is one spec of the end-to-end benchmark's recurring working
+// set (Table 3 catalog × job seeds 1, 2) run through the library the way
+// the benchmark daemon runs it: Tune V1, then PipeTune on a ground truth
+// that starts empty and is shared by all fourteen (cold), then — after all
+// fourteen — PipeTune again on what they taught it (warm).
+type catalogRun struct {
+	key            string // the golden file's: "workload|seed"
+	v1, cold, warm *JobResult
+}
+
+// catalogRuns trains the working set once for every test that reads it:
+// only the Tune V1 jobs run SGD, the PipeTune passes replay their prefixes
+// from the trial cache.
+var catalogRuns = sync.OnceValues(func() ([]catalogRun, error) {
+	// The benchmark daemon's System: master seed 1, trial cache on.
+	s, err := New(WithSeed(1), WithTrialCache(64<<20))
+	if err != nil {
+		return nil, err
+	}
+	var runs []catalogRun
+	var specs []JobSpec
+	for _, w := range Catalog() {
+		for seed := uint64(1); seed <= 2; seed++ {
+			spec := s.JobSpec(w)
+			spec.Seed = seed
+			run := catalogRun{key: fmt.Sprintf("%s|%d", w.Name(), seed)}
+			if run.v1, err = s.RunBaseline(spec); err != nil {
+				return nil, err
+			}
+			if run.cold, err = s.RunPipeTune(spec); err != nil {
+				return nil, err
+			}
+			runs, specs = append(runs, run), append(specs, spec)
+		}
+	}
+	for i, spec := range specs {
+		if runs[i].warm, err = s.RunPipeTune(spec); err != nil {
+			return nil, err
+		}
+	}
+	return runs, nil
+})
+
+// TestCatalogMatchesBenchGolden holds the library path to the digests the
+// end-to-end benchmark checks through the daemon: every Tune V1 JobResult
+// is the golden's bytes, and Tune V1 and PipeTune train the golden's
+// trajectories — whatever PipeTune does to system configurations, trial
+// IDs, hyperparameters, seeds and learning curves do not move.
+func TestCatalogMatchesBenchGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains the catalog at the daemon's default corpus size")
+	}
+	data, err := os.ReadFile("cmd/bench/testdata/golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]struct {
+		Training string `json:"training"`
+		V1Result string `json:"v1Result"`
+	}
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	runs, err := catalogRuns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range runs {
+		want, ok := golden[run.key]
+		if !ok {
+			t.Fatalf("golden has no entry %s", run.key)
+		}
+		body, err := json.Marshal(run.v1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(body); hex.EncodeToString(sum[:]) != want.V1Result {
+			t.Errorf("%s: Tune V1 JobResult bytes differ from the golden", run.key)
+		}
+		for system, res := range map[string]*JobResult{"Tune V1": run.v1, "cold PipeTune": run.cold, "warm PipeTune": run.warm} {
+			if got := trainingDigest(res); got != want.Training {
+				t.Errorf("%s: %s trained %s, golden %s", run.key, system, got[:12], want.Training[:12])
+			}
+		}
+	}
+}
+
+// TestSimTuningRatioGate pins the magnitude of the paper's headline, where
+// the experiment suites pin its direction: Σ PipeTune ÷ Σ Tune V1 tuning
+// time over the working set — what cmd/bench reports as sim_tuning_ratio,
+// cold on fresh-remote and warm on the recurring workloads, minus the
+// daemon and its concurrency. Local backend, one fresh store, fixed seeds,
+// simulated time: the two numbers reproduce to the bit, and a change that
+// moves the headline moves them here, on purpose.
+func TestSimTuningRatioGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains the catalog at the daemon's default corpus size")
+	}
+	const wantCold, wantWarm = 0.8639, 0.8506
+	runs, err := catalogRuns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v1, cold, warm float64
+	for _, run := range runs {
+		v1 += run.v1.TuningTime
+		cold += run.cold.TuningTime
+		warm += run.warm.TuningTime
+	}
+	if got := cold / v1; math.Abs(got-wantCold) > 5e-5 {
+		t.Errorf("cold Σ PipeTune ÷ Σ Tune V1 = %.4f, checked in %.4f", got, wantCold)
+	}
+	if got := warm / v1; math.Abs(got-wantWarm) > 5e-5 {
+		t.Errorf("warm Σ PipeTune ÷ Σ Tune V1 = %.4f, checked in %.4f", got, wantWarm)
+	}
+}

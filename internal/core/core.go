@@ -7,7 +7,8 @@
 //	train(...)            -> tune.Runner executes the trial; the trainer
 //	                         invokes the Controller at each epoch boundary
 //	                         (the asynchronous tuneSystem call).
-//	getProfile(job)       -> the trial's first-epoch 58-event PMU profile.
+//	getProfile(job)       -> the 58-event PMU profile of the first epoch the
+//	                         configuration runs, on the base configuration.
 //	getSimilarity(profile)-> GroundTruth.Lookup: k-means over historical
 //	                         profiles; a hit within the inertia-derived
 //	                         radius returns that cluster's known-best
@@ -18,9 +19,24 @@
 //	                         of configurations, §5.2) and applies it for
 //	                         the remaining epochs.
 //
+// The state machine belongs to a hyperparameter configuration, not to a
+// trial. On the paper's substrate a configuration HyperBand promotes is
+// the same trial resumed; here it is a new trial with a new ID, so the
+// per-job Controller keeps every finished trial's tuning under the
+// hyperparameters it trained (epoch budget aside) and a later trial of
+// the same job with the same hyperparameters continues it: it starts on
+// the configuration the predecessor's next epoch would have run on,
+// neither profiles nor looks up again, validates a ground-truth answer
+// the predecessor never ran against the predecessor's baseline, and
+// resumes an unfinished probe sequence at the next unmeasured
+// configuration (after asking the ground truth once more). A requeued
+// trial (Restart) is reset to the state it started from, not to blank.
+//
 // Completed trials feed their profile and winning configuration back into
 // the ground-truth database, which re-clusters — so later jobs with
 // similar profiles skip probing entirely (§7.4's "unseen jobs" economy).
+// A trial feeds it only what it measured beyond what it inherited, always
+// with the features profiled on the base configuration.
 package core
 
 import (
@@ -73,7 +89,7 @@ func DefaultProbeConfigs() []params.SysConfig {
 	}
 }
 
-// trialPhase is the per-trial state machine of Algorithm 1.
+// trialPhase is the per-configuration state machine of Algorithm 1.
 type trialPhase int
 
 const (
@@ -89,33 +105,94 @@ type probeResult struct {
 	energyJ  float64
 }
 
-// trialState tracks one trial's pipelined tuning.
+// trialState is the pipelined tuning of one hyperparameter configuration.
+// It starts blank with the configuration's first trial and is handed on,
+// by Finish and ObserverFor, to every later trial of the same job that
+// trains the same hyperparameters.
 type trialState struct {
-	phase     trialPhase
-	features  []float64
-	probeIdx  int
+	phase trialPhase
+	// features is the profile of the first epoch the configuration ever
+	// ran, on the job's base system configuration — the distribution every
+	// stored ground-truth entry was sampled on. Successors never re-profile.
+	features []float64
+	// measured holds every epoch the configuration has run, oldest first;
+	// the first `inherited` of them were measured by earlier trials.
 	measured  []probeResult
+	inherited int
 	applied   params.SysConfig
 	fromGT    bool
 	validated bool
-	baseline  float64 // metric of the profiling epoch (on the start config)
-	epochsRun int
+	baseline  float64 // metric of the profiling epoch
+	// probeEpochs counts the epochs the configuration has spent probing,
+	// over all its trials (MaxProbeEpochs bounds it).
+	probeEpochs int
+	// next is the system configuration the next epoch runs on: a
+	// successor's start configuration.
+	next params.SysConfig
+	// counts is the share of the Counts of the trial advancing this copy.
+	counts Counts
+}
+
+// clone copies the state for a trial to advance; the measurement list gets
+// its own backing array, features are immutable and stay shared.
+func (st *trialState) clone() *trialState {
+	cp := *st
+	cp.measured = append([]probeResult(nil), st.measured...)
+	return &cp
+}
+
+// Counts says where the epochs of the trials a Controller has finished
+// went, and what they asked the ground truth.
+type Counts struct {
+	Trials        int `json:"trials"`
+	Inheriting    int `json:"inheriting"`    // trials that continued an earlier trial's tuning
+	ProfileEpochs int `json:"profileEpochs"` // first epochs on the base configuration
+	ProbeEpochs   int `json:"probeEpochs"`
+	AppliedEpochs int `json:"appliedEpochs"` // epochs on a settled or ground-truth configuration
+	Lookups       int `json:"lookups"`
+	Hits          int `json:"hits"`
+}
+
+func (c *Counts) add(o Counts) {
+	c.Trials += o.Trials
+	c.Inheriting += o.Inheriting
+	c.ProfileEpochs += o.ProfileEpochs
+	c.ProbeEpochs += o.ProbeEpochs
+	c.AppliedEpochs += o.AppliedEpochs
+	c.Lookups += o.Lookups
+	c.Hits += o.Hits
+}
+
+// liveTrial is one running trial: the immutable state it started from
+// (what Restart replays) and the copy its epochs advance.
+type liveTrial struct {
+	key   params.Hyper
+	start *trialState
+	st    *trialState
 }
 
 // Controller coordinates pipelined system-parameter tuning for the trials
-// of one or more HPT jobs. It implements the paper's tuneSystem (Algorithm
-// 1, lines 6-17) as a trainer.EpochObserver per trial.
+// of one HPT job. It implements the paper's tuneSystem (Algorithm 1, lines
+// 6-17) as a trainer.EpochObserver per trial, and keeps every finished
+// trial's tuning under the hyperparameters it trained, so a configuration
+// HyperBand promotes to a longer rung — a new trial with a new ID —
+// continues where its previous rung stopped.
 type Controller struct {
 	GT       gt.Store
 	Probes   []params.SysConfig
 	Optimize OptimizeFor
 
-	// MaxProbeEpochs bounds how many epochs a single trial may spend
-	// probing (0 = no bound beyond the probe list length).
+	// MaxProbeEpochs bounds how many epochs a single configuration may
+	// spend probing (0 = no bound beyond the probe list length).
 	MaxProbeEpochs int
 
 	mu     sync.Mutex
-	trials map[int]*trialState
+	trials map[int]*liveTrial
+	// finished is keyed by what a HyperBand survivor shares with its
+	// previous rung: the applied hyperparameters with Epochs, the rung's
+	// budget, zeroed. Values are immutable.
+	finished map[params.Hyper]*trialState
+	counts   Counts
 }
 
 // NewController creates a controller with the default probe grid.
@@ -124,7 +201,8 @@ func NewController(store gt.Store) *Controller {
 		GT:       store,
 		Probes:   DefaultProbeConfigs(),
 		Optimize: MinimizeDuration,
-		trials:   make(map[int]*trialState),
+		trials:   make(map[int]*liveTrial),
+		finished: make(map[params.Hyper]*trialState),
 	}
 }
 
@@ -136,36 +214,80 @@ func (c *Controller) metric(p probeResult) float64 {
 	return p.duration
 }
 
-// stateLocked returns (creating if needed) the per-trial state. Callers
-// hold c.mu.
-func (c *Controller) stateLocked(trialID int) *trialState {
-	st, ok := c.trials[trialID]
-	if !ok {
-		st = &trialState{phase: phaseProfiling}
-		c.trials[trialID] = st
-	}
-	return st
+// Counts returns the totals over the trials finished so far.
+func (c *Controller) Counts() Counts {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.counts
 }
 
-// Restart discards a trial's pipelined-tuning state so its body can be
-// re-run from epoch one (a remote lease requeued after worker eviction):
-// the replay re-profiles, re-queries the ground truth and re-probes from
-// scratch, exactly as the first attempt did. Ground-truth adds only
-// happen between searcher batches, so within a batch the replay observes
-// the same database state and reproduces the original attempt
-// bit-identically.
+// Restart resets a trial to the state it started from so its body can be
+// re-run from epoch one (a remote lease requeued after worker eviction).
+// That state — blank, or the predecessor's finished tuning, including the
+// answer to a mid-probe successor's renewed ground-truth question — was
+// fixed with the start configuration when the batch was built, so an
+// inheriting replay is handed the same directives as the first attempt.
+// A blank trial's replay asks the ground truth again after its profile
+// epoch: within one job the answer is the same (this job adds only
+// between batches), beside a concurrent job on the shared store it may
+// not be, and the replay then follows the newer answer.
 func (c *Controller) Restart(trialID int) {
 	c.mu.Lock()
-	delete(c.trials, trialID)
+	if lt, ok := c.trials[trialID]; ok {
+		lt.st = lt.start.clone()
+	}
 	c.mu.Unlock()
 }
 
-// ObserverFor returns the epoch observer for one trial; pass this to
-// tune.JobSpec.TrialObserver.
-func (c *Controller) ObserverFor(trialID int) trainer.EpochObserver {
-	return trainer.ObserverFunc(func(_ uint64, _ workload.Workload, _ params.Hyper, s trainer.EpochStats) *params.SysConfig {
+// ObserverFor registers one trial and returns its epoch observer and the
+// system configuration its first epoch runs on; pass this to
+// tune.JobSpec.TrialObserver. A trial whose hyperparameters no finished
+// trial of the job trained starts blank on sys. Any other continues that
+// trial's state machine: it starts on the configuration the predecessor's
+// next epoch would have run on and neither profiles nor looks up again —
+// except after a predecessor that ended still probing, where the ground
+// truth (which has learned from the job's other trials since) is asked
+// once more, here, with the inherited features.
+func (c *Controller) ObserverFor(trialID int, h params.Hyper, sys params.SysConfig) (trainer.EpochObserver, params.SysConfig) {
+	h.Epochs = 0
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	start := &trialState{phase: phaseProfiling, next: sys, counts: Counts{Trials: 1}}
+	if prev, ok := c.finished[h]; ok {
+		start = prev.clone()
+		start.inherited = len(start.measured)
+		start.counts = Counts{Trials: 1, Inheriting: 1}
+		if start.phase == phaseProbing {
+			if cfg, ok := c.lookupLocked(start); ok {
+				start.applyGT(cfg)
+			}
+		}
+	}
+	c.trials[trialID] = &liveTrial{key: h, start: start, st: start.clone()}
+	obs := trainer.ObserverFunc(func(_ uint64, _ workload.Workload, _ params.Hyper, s trainer.EpochStats) *params.SysConfig {
 		return c.onEpoch(trialID, s)
 	})
+	return obs, start.next
+}
+
+// lookupLocked asks the ground truth about st's profile and counts the
+// question. Callers hold c.mu.
+func (c *Controller) lookupLocked(st *trialState) (params.SysConfig, bool) {
+	cfg, ok := c.GT.Lookup(st.features)
+	st.counts.Lookups++
+	if ok {
+		st.counts.Hits++
+	}
+	return cfg, ok
+}
+
+// applyGT applies a ground-truth answer from the next epoch on; the first
+// epoch that runs on it validates it.
+func (st *trialState) applyGT(cfg params.SysConfig) {
+	st.phase = phaseApplied
+	st.applied, st.next = cfg, cfg
+	st.fromGT = true
+	st.validated = false
 }
 
 // onEpoch advances the state machine. The returned configuration (if any)
@@ -173,84 +295,89 @@ func (c *Controller) ObserverFor(trialID int) trainer.EpochObserver {
 func (c *Controller) onEpoch(trialID int, s trainer.EpochStats) *params.SysConfig {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := c.stateLocked(trialID)
-
-	st.epochsRun++
+	lt, ok := c.trials[trialID]
+	if !ok {
+		return nil // already finished: nothing left to steer
+	}
+	st := lt.st
 	st.measured = append(st.measured, probeResult{sys: s.Sys, duration: s.Duration, energyJ: s.EnergyJ})
+	next := c.advanceLocked(st, s)
+	st.next = s.Sys
+	if next != nil {
+		st.next = *next
+	}
+	return next
+}
 
+// advanceLocked is one step of Algorithm 1 on the epoch just appended to
+// st.measured. Callers hold c.mu.
+func (c *Controller) advanceLocked(st *trialState, s trainer.EpochStats) *params.SysConfig {
 	switch st.phase {
 	case phaseProfiling:
 		// Line 7-8: profile the first epoch, query the similarity
 		// function.
+		st.counts.ProfileEpochs++
 		st.features = s.Profile.Features()
 		st.baseline = c.metric(st.measured[0])
-		if cfg, ok := c.GT.Lookup(st.features); ok {
+		if cfg, ok := c.lookupLocked(st); ok {
 			// Line 9-10: within the confidence threshold — apply the
 			// known-best configuration, no probing needed.
-			st.phase = phaseApplied
-			st.applied = cfg
-			st.fromGT = true
+			st.applyGT(cfg)
 			return &cfg
 		}
 		// Line 11-15: start probing.
 		st.phase = phaseProbing
-		st.probeIdx = 0
-		if next := c.nextProbeLocked(st, s.Sys); next != nil {
-			return next
-		}
-		// Nothing to probe: settle immediately.
-		return c.settleLocked(st)
+		return c.probeOrSettleLocked(st)
 	case phaseProbing:
-		if c.MaxProbeEpochs > 0 && st.epochsRun-1 >= c.MaxProbeEpochs {
+		st.counts.ProbeEpochs++
+		st.probeEpochs++
+		if c.MaxProbeEpochs > 0 && st.probeEpochs >= c.MaxProbeEpochs {
 			return c.settleLocked(st)
 		}
-		if next := c.nextProbeLocked(st, s.Sys); next != nil {
-			return next
-		}
-		// Line 16-17: all probes measured — pick the best and apply it.
-		return c.settleLocked(st)
+		return c.probeOrSettleLocked(st)
 	default:
+		st.counts.AppliedEpochs++
 		// Reliability guard on ground-truth reuse: the first epoch after
 		// applying a cluster's configuration validates it against the
-		// trial's own baseline. Cluster-level configurations are hyper-
-		// parameter-agnostic, so a config that was best for the cluster's
-		// typical trials can regress an atypical one (e.g. a much larger
-		// batch size); in that case fall back to probing — the §5.6 rule
-		// of distrusting low-reliability predictions, applied online.
+		// configuration's own baseline (for a successor, the predecessor's
+		// profiling epoch: same workload, same hyperparameters). Cluster-
+		// level configurations are hyperparameter-agnostic, so a config
+		// that was best for the cluster's typical trials can regress an
+		// atypical one (e.g. a much larger batch size); in that case fall
+		// back to probing — the §5.6 rule of distrusting low-reliability
+		// predictions, applied online.
 		if st.fromGT && !st.validated {
 			st.validated = true
 			if c.metric(st.measured[len(st.measured)-1]) > st.baseline*1.10 {
 				st.phase = phaseProbing
 				st.fromGT = false
-				if next := c.nextProbeLocked(st, s.Sys); next != nil {
-					return next
-				}
-				return c.settleLocked(st)
+				return c.probeOrSettleLocked(st)
 			}
 		}
 		return nil
 	}
 }
 
-// nextProbeLocked returns the next unmeasured probe configuration, skipping
-// any equal to configurations already measured. Callers hold c.mu.
-func (c *Controller) nextProbeLocked(st *trialState, current params.SysConfig) *params.SysConfig {
-	for st.probeIdx < len(c.Probes) {
-		cfg := c.Probes[st.probeIdx]
-		st.probeIdx++
-		seen := false
-		for _, m := range st.measured {
-			if m.sys == cfg {
-				seen = true
-				break
-			}
+// probeOrSettleLocked returns the first probe configuration nobody has
+// measured for this configuration yet (line 11-15) or, once the grid is
+// exhausted, settles (line 16-17). Callers hold c.mu.
+func (c *Controller) probeOrSettleLocked(st *trialState) *params.SysConfig {
+	for _, cfg := range c.Probes {
+		if !measuredIn(st.measured, cfg) {
+			return &cfg
 		}
-		if cfg == current || seen {
-			continue
-		}
-		return &cfg
 	}
-	return nil
+	return c.settleLocked(st)
+}
+
+// measuredIn reports whether sys is among the measurements.
+func measuredIn(measured []probeResult, sys params.SysConfig) bool {
+	for _, m := range measured {
+		if m.sys == sys {
+			return true
+		}
+	}
+	return false
 }
 
 // settleLocked picks the best measured configuration ("find best config in
@@ -268,20 +395,28 @@ func (c *Controller) settleLocked(st *trialState) *params.SysConfig {
 }
 
 // Finish must be called when a trial completes (wire it to
-// tune.JobSpec.OnTrialDone). It feeds the trial's outcome into the
-// ground-truth database and releases the per-trial state.
+// tune.JobSpec.OnTrialDone). It keeps the trial's tuning for the job's
+// later trials of the same hyperparameters and feeds the ground-truth
+// database what the trial learned.
 func (c *Controller) Finish(trialID int, _ *trainer.Result) {
 	c.mu.Lock()
-	st, ok := c.trials[trialID]
-	if ok {
-		delete(c.trials, trialID)
+	lt, ok := c.trials[trialID]
+	if !ok {
+		c.mu.Unlock()
+		return
 	}
+	delete(c.trials, trialID)
+	st := lt.st
+	c.finished[lt.key] = st
+	c.counts.add(st.counts)
 	var entry *gt.Entry
-	if ok && st.features != nil && comparedConfigs(st.measured) {
-		// Only trials with comparative evidence (at least two distinct
-		// configurations measured) contribute: a trial that only ever ran
-		// the start configuration knows nothing about what is *best* and
-		// would drown the database in "default is best" votes.
+	if st.features != nil && comparedConfigs(st.measured) && learnedNew(st) {
+		// Only comparative evidence (at least two distinct configurations
+		// measured) contributes: a configuration that only ever ran its
+		// start configuration knows nothing about what is *best* and would
+		// drown the database in "default is best" votes. And only new
+		// evidence: a successor that ran on what its predecessors had
+		// already measured would re-add their entry once per rung.
 		best := st.measured[0]
 		mean := 0.0
 		for _, m := range st.measured {
@@ -310,6 +445,17 @@ func (c *Controller) Finish(trialID int, _ *trainer.Result) {
 func comparedConfigs(measured []probeResult) bool {
 	for _, m := range measured {
 		if m.sys != measured[0].sys {
+			return true
+		}
+	}
+	return false
+}
+
+// learnedNew reports whether the trial measured a system configuration
+// that the state it inherited had not.
+func learnedNew(st *trialState) bool {
+	for _, m := range st.measured[st.inherited:] {
+		if !measuredIn(st.measured[:st.inherited], m.sys) {
 			return true
 		}
 	}
@@ -358,8 +504,15 @@ func (p *PipeTune) RunJob(spec tune.JobSpec) (*tune.JobResult, error) {
 // fed to the ground-truth database (knowledge is kept; the job result is
 // not).
 func (p *PipeTune) RunJobCtx(ctx context.Context, spec tune.JobSpec) (*tune.JobResult, error) {
+	res, _, err := p.RunJobCounts(ctx, spec)
+	return res, err
+}
+
+// RunJobCounts is RunJobCtx that also reports where the job's epochs went
+// (the per-job controller's Counts).
+func (p *PipeTune) RunJobCounts(ctx context.Context, spec tune.JobSpec) (*tune.JobResult, Counts, error) {
 	if p.Runner == nil || p.GT == nil {
-		return nil, errors.New("core: PipeTune not wired")
+		return nil, Counts{}, errors.New("core: PipeTune not wired")
 	}
 	ctrl := NewController(p.GT)
 	ctrl.Probes = p.Probes
@@ -378,7 +531,8 @@ func (p *PipeTune) RunJobCtx(ctx context.Context, spec tune.JobSpec) (*tune.JobR
 			prevDone(trialID, res)
 		}
 	}
-	return p.Runner.RunJobCtx(ctx, spec)
+	res, err := p.Runner.RunJobCtx(ctx, spec)
+	return res, ctrl.Counts(), err
 }
 
 // Bootstrap warm-starts the ground-truth database by profiling each given

@@ -61,7 +61,7 @@ func TestControllerProbesThenSettles(t *testing.T) {
 		{Cores: 4, MemoryGB: 8},
 		{Cores: 16, MemoryGB: 8},
 	}
-	obs := ctrl.ObserverFor(1)
+	obs, _ := ctrl.ObserverFor(1, params.DefaultHyper(), params.DefaultSysConfig())
 	profile := sampleProfile(t, lenetMNIST)
 	base := params.DefaultSysConfig()
 
@@ -97,7 +97,7 @@ func TestControllerMinimizeEnergy(t *testing.T) {
 	ctrl := NewController(db)
 	ctrl.Optimize = MinimizeEnergy
 	ctrl.Probes = []params.SysConfig{{Cores: 4, MemoryGB: 8}}
-	obs := ctrl.ObserverFor(1)
+	obs, _ := ctrl.ObserverFor(1, params.DefaultHyper(), params.DefaultSysConfig())
 	profile := sampleProfile(t, lenetMNIST)
 	base := params.DefaultSysConfig()
 
@@ -117,7 +117,7 @@ func TestControllerGroundTruthHitSkipsProbing(t *testing.T) {
 		_ = db.Add(gt.Entry{Features: featuresOf(t, cnnNews, uint64(i)), BestSys: params.SysConfig{Cores: 16, MemoryGB: 8}, Metric: 70})
 	}
 	ctrl := NewController(db)
-	obs := ctrl.ObserverFor(9)
+	obs, _ := ctrl.ObserverFor(9, params.DefaultHyper(), params.DefaultSysConfig())
 	profile := sampleProfile(t, lenetMNIST)
 	next := obs.OnEpochEnd(0, lenetMNIST, params.DefaultHyper(),
 		makeEpoch(1, params.DefaultSysConfig(), 100, 1000, profile))
@@ -143,7 +143,7 @@ func TestControllerFallsBackWhenGroundTruthRegresses(t *testing.T) {
 	}
 	ctrl := NewController(db)
 	ctrl.Probes = []params.SysConfig{{Cores: 4, MemoryGB: 8}}
-	obs := ctrl.ObserverFor(1)
+	obs, _ := ctrl.ObserverFor(1, params.DefaultHyper(), params.DefaultSysConfig())
 	profile := sampleProfile(t, lenetMNIST)
 	base := params.DefaultSysConfig()
 
@@ -173,7 +173,7 @@ func TestControllerKeepsGroundTruthConfigWhenItHolds(t *testing.T) {
 		_ = db.Add(gt.Entry{Features: featuresOf(t, cnnNews, uint64(i)), BestSys: params.SysConfig{Cores: 16, MemoryGB: 32}, Metric: 10})
 	}
 	ctrl := NewController(db)
-	obs := ctrl.ObserverFor(1)
+	obs, _ := ctrl.ObserverFor(1, params.DefaultHyper(), params.DefaultSysConfig())
 	profile := sampleProfile(t, lenetMNIST)
 	obs.OnEpochEnd(0, lenetMNIST, params.DefaultHyper(), makeEpoch(1, params.DefaultSysConfig(), 100, 1000, profile))
 	// Applied config measures faster: guard stays quiet.
@@ -190,7 +190,7 @@ func TestControllerMaxProbeEpochs(t *testing.T) {
 	ctrl := NewController(db)
 	ctrl.MaxProbeEpochs = 1
 	profile := sampleProfile(t, lenetMNIST)
-	obs := ctrl.ObserverFor(1)
+	obs, _ := ctrl.ObserverFor(1, params.DefaultHyper(), params.DefaultSysConfig())
 	base := params.DefaultSysConfig()
 
 	obs.OnEpochEnd(0, lenetMNIST, params.DefaultHyper(), makeEpoch(1, base, 100, 1000, profile))

@@ -54,11 +54,11 @@ type Trial struct {
 	// never leave the daemon.
 	Observer trainer.EpochObserver
 	// Restart, when non-nil, is invoked before a backend re-runs the
-	// trial body from scratch (a requeued lease): it discards
-	// observer-side per-trial state so the replayed epochs are observed
-	// as a fresh first attempt. It may run under backend locks and must
-	// not call back into the backend. Local backends never re-run and
-	// ignore it.
+	// trial body from scratch (a requeued lease): it resets observer-side
+	// per-trial state to what it was when the trial was built, so the
+	// replayed epochs — starting on Sys again — are observed as the first
+	// attempt's were. It may run under backend locks and must not call
+	// back into the backend. Local backends never re-run and ignore it.
 	Restart func()
 	// Trainer captures the submitting trainer's wire-portable
 	// configuration so fleet backends reproduce the body bit-identically

@@ -147,6 +147,38 @@ func (w *handWorker) expect(t *testing.T, want byte) []byte {
 	return p
 }
 
+// reportEpoch streams one epoch observation and returns its directive.
+func (w *handWorker) reportEpoch(t *testing.T, asg Assignment, st trainer.EpochStats) EpochDirective {
+	t.Helper()
+	wb := getWirebuf()
+	encodeEpochFrame(wb, asg.LeaseID, asg.Attempt, &st)
+	err := w.fw.send(frameEpoch, wb.b)
+	putWirebuf(wb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, epoch, dir, err := decodeDirective(w.expect(t, frameDirective))
+	if err != nil || epoch != st.Epoch || dir.Revoked {
+		t.Fatalf("directive for epoch %d: epoch %d, %+v, err %v", st.Epoch, epoch, dir, err)
+	}
+	return dir
+}
+
+// commit sends a finished trial's result and requires the committed ack.
+func (w *handWorker) commit(t *testing.T, asg Assignment, res *trainer.Result) {
+	t.Helper()
+	wb := getWirebuf()
+	encodeComplete(wb, asg.LeaseID, asg.Attempt, completeOK, "", res, asg.Sys)
+	err := w.fw.send(frameComplete, wb.b)
+	putWirebuf(wb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, code, err := decodeAck(w.expect(t, frameAck)); err != nil || code != ackCommitted {
+		t.Fatalf("commit of trial %d: ack %d err %v, want committed", asg.TrialID, code, err)
+	}
+}
+
 // TestCorruptFrameEvictsAndRequeues is the failure-path half of the
 // codec contract (and what FuzzFrameDecode's invariant protects): a
 // worker that sends a torn frame is evicted through the standard
@@ -237,16 +269,7 @@ func TestStreamDrainFailsPendingCommitsInflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb := getWirebuf()
-	encodeComplete(wb, asg.LeaseID, asg.Attempt, completeOK, "", res, asg.Sys)
-	err = w.fw.send(frameComplete, wb.b)
-	putWirebuf(wb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, code, err := decodeAck(w.expect(t, frameAck)); err != nil || code != ackCommitted {
-		t.Fatalf("in-flight commit during drain: ack %d err %v, want committed", code, err)
-	}
+	w.commit(t, asg, res) // in flight when the drain began: still commits
 	<-drained
 
 	out := <-ran

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"pipetune/internal/core"
 	"pipetune/internal/params"
 	"pipetune/internal/stats"
@@ -106,6 +108,8 @@ type Table2Row struct {
 	AccuracyPct  float64 `json:"accuracyPct"`
 	TrainingSecs float64 `json:"trainingSecs"`
 	TuningSecs   float64 `json:"tuningSecs"` // 0 for "Arbitrary"
+	// Epochs says where the PipeTune job's epochs went; nil elsewhere.
+	Epochs *core.Counts `json:"epochs,omitempty"`
 }
 
 // Table2Result holds the four approaches.
@@ -165,7 +169,7 @@ func Table2(cfg Config) (*Table2Result, error) {
 	if err := pt.Bootstrap(workload.OfType(workload.TypeI, workload.TypeII), cfg.Seed+1); err != nil {
 		return nil, err
 	}
-	ptRes, err := pt.RunJob(jobSpec(cfg, w, tune.ModeV1, cfg.Seed, false))
+	ptRes, counts, err := pt.RunJobCounts(context.Background(), jobSpec(cfg, w, tune.ModeV1, cfg.Seed, false))
 	if err != nil {
 		return nil, err
 	}
@@ -174,6 +178,7 @@ func Table2(cfg Config) (*Table2Result, error) {
 		AccuracyPct:  ptRes.Best.Result.Accuracy * 100,
 		TrainingSecs: ptRes.Best.Result.Duration,
 		TuningSecs:   ptRes.TuningTime,
+		Epochs:       &counts,
 	})
 	return res, nil
 }
@@ -202,6 +207,9 @@ func (r *Table2Result) Table() *Table {
 		t.Rows = append(t.Rows, []string{
 			row.Approach, f2(row.AccuracyPct), f1(row.TrainingSecs), tuning,
 		})
+		if row.Epochs != nil {
+			t.Notes = append(t.Notes, epochsNote("LeNet/MNIST", *row.Epochs))
+		}
 	}
 	return t
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"pipetune/internal/core"
@@ -25,6 +26,8 @@ type SingleTenancyRow struct {
 	TrainingSecs float64           `json:"trainingSecs"`
 	TuningSecs   float64           `json:"tuningSecs"`
 	TuningKJ     float64           `json:"tuningKJ"`
+	// Epochs says where a PipeTune job's epochs went; nil for the baselines.
+	Epochs *core.Counts `json:"epochs,omitempty"`
 }
 
 // SingleTenancyResult holds one full figure (11 or 12).
@@ -89,11 +92,13 @@ func singleTenancy(cfg Config, figure string, workloads []workload.Workload, onS
 		}
 		res.Rows = append(res.Rows, rowFrom(w, SystemV2, v2))
 
-		ptRes, err := pt.RunJob(jobSpec(cfg, w, tune.ModeV1, seed, onSingleNode))
+		ptRes, counts, err := pt.RunJobCounts(context.Background(), jobSpec(cfg, w, tune.ModeV1, seed, onSingleNode))
 		if err != nil {
 			return nil, fmt.Errorf("%s %s pipetune: %w", figure, w.Name(), err)
 		}
-		res.Rows = append(res.Rows, rowFrom(w, SystemPipeTune, ptRes))
+		row := rowFrom(w, SystemPipeTune, ptRes)
+		row.Epochs = &counts
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
@@ -120,6 +125,9 @@ func (r *SingleTenancyResult) Table() *Table {
 			row.Workload.Name(), row.System, f2(row.AccuracyPct),
 			f1(row.TrainingSecs), f1(row.TuningSecs), f1(row.TuningKJ),
 		})
+		if row.Epochs != nil {
+			t.Notes = append(t.Notes, epochsNote(row.Workload.Name(), *row.Epochs))
+		}
 	}
 	return t
 }

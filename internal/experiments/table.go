@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
+
+	"pipetune/internal/core"
 )
 
 // Table is a renderable text table: the harness' common output format for
@@ -11,6 +13,8 @@ type Table struct {
 	Title  string
 	Header []string
 	Rows   [][]string
+	// Notes are printed under the rows, one line each.
+	Notes []string
 }
 
 // Render produces an aligned plain-text rendering.
@@ -49,7 +53,18 @@ func (t *Table) Render() string {
 	for _, row := range t.Rows {
 		writeRow(row)
 	}
+	for _, note := range t.Notes {
+		b.WriteString(note)
+		b.WriteByte('\n')
+	}
 	return b.String()
+}
+
+// epochsNote says where one PipeTune job's epochs went, from its
+// controller's counts.
+func epochsNote(job string, c core.Counts) string {
+	return fmt.Sprintf("%s PipeTune: %d trials, %d inheriting; epochs: %d profile, %d probe, %d applied; ground truth: %d lookups, %d hits",
+		job, c.Trials, c.Inheriting, c.ProfileEpochs, c.ProbeEpochs, c.AppliedEpochs, c.Lookups, c.Hits)
 }
 
 // f1 formats a float with one decimal.

@@ -5,6 +5,7 @@ package tune
 // policies, and the monotone-progress regression.
 
 import (
+	"sync"
 	"testing"
 
 	"pipetune/internal/params"
@@ -22,24 +23,82 @@ func hyperbandSpec() JobSpec {
 	return spec
 }
 
+// lineageObserver stands in for PipeTune's controller without importing
+// internal/core: a configuration's first trial switches to `tuned` after
+// its first epoch, and every later trial of the same hyperparameters (the
+// rung's epoch budget aside) starts on it.
+type lineageObserver struct {
+	tuned params.SysConfig
+	mu    sync.Mutex
+	done  map[params.Hyper]bool
+}
+
+func (l *lineageObserver) observerFor(_ int, h params.Hyper, sys params.SysConfig) (trainer.EpochObserver, params.SysConfig) {
+	h.Epochs = 0
+	l.mu.Lock()
+	inherits := l.done[h]
+	l.mu.Unlock()
+	if inherits {
+		sys = l.tuned
+	}
+	return trainer.ObserverFunc(func(_ uint64, _ workload.Workload, _ params.Hyper, s trainer.EpochStats) *params.SysConfig {
+		if inherits || s.Epoch != 1 {
+			return nil
+		}
+		l.mu.Lock()
+		l.done[h] = true
+		l.mu.Unlock()
+		return &l.tuned
+	}), sys
+}
+
 func TestEventSchedulerMatchesBarrierFIFO(t *testing.T) {
+	tuned := params.SysConfig{Cores: 4, MemoryGB: 8}
 	for _, mk := range []struct {
 		name string
-		spec JobSpec
+		spec func() JobSpec
 	}{
-		{"grid-v1", baseSpec(ModeV1, MaximizeAccuracy)},
-		{"grid-v2", baseSpec(ModeV2, MaximizeAccuracyPerTime)},
-		{"hyperband-v1", hyperbandSpec()},
+		{"grid-v1", func() JobSpec { return baseSpec(ModeV1, MaximizeAccuracy) }},
+		{"grid-v2", func() JobSpec { return baseSpec(ModeV2, MaximizeAccuracyPerTime) }},
+		{"hyperband-v1", hyperbandSpec},
+		{"hyperband-inheriting", func() JobSpec {
+			// Both loops build their batches in runBatch, so a promoted
+			// trial starts on what its previous rung handed down in both.
+			spec := hyperbandSpec()
+			spec.BaseHyper.Epochs = 9
+			spec.TrialObserver = (&lineageObserver{tuned: tuned, done: map[params.Hyper]bool{}}).observerFor
+			return spec
+		}},
 	} {
 		t.Run(mk.name, func(t *testing.T) {
 			r := testRunner()
-			event, err := r.RunJob(mk.spec)
+			event, err := r.RunJob(mk.spec())
 			if err != nil {
 				t.Fatal(err)
 			}
-			barrier, err := r.RunJobBarrier(mk.spec)
+			barrier, err := r.RunJobBarrier(mk.spec())
 			if err != nil {
 				t.Fatal(err)
+			}
+			starts := map[int]params.SysConfig{}
+			for _, rec := range barrier.Trials {
+				starts[rec.ID] = rec.StartSys
+			}
+			inherited := 0
+			for _, rec := range event.Trials {
+				if rec.StartSys != starts[rec.ID] {
+					t.Fatalf("trial %d starts on %v, on %v under the barrier", rec.ID, rec.StartSys, starts[rec.ID])
+				}
+				if rec.StartSys == tuned {
+					inherited++
+					if rec.Result.Epochs[1].Sys != tuned || rec.Resizes+rec.ResizesDenied != 0 {
+						t.Fatalf("trial %d inherited %v but ran its first epoch on %v (%d resizes)",
+							rec.ID, tuned, rec.Result.Epochs[1].Sys, rec.Resizes+rec.ResizesDenied)
+					}
+				}
+			}
+			if mk.name == "hyperband-inheriting" && inherited == 0 {
+				t.Fatal("no promoted trial started on the handed-down configuration")
 			}
 			if event.TuningTime != barrier.TuningTime {
 				t.Fatalf("FIFO event TuningTime %v != barrier %v", event.TuningTime, barrier.TuningTime)
@@ -178,7 +237,7 @@ func TestResizeEventsFromEpochLog(t *testing.T) {
 	spec.BaseHyper.Epochs = 3
 	probe := params.SysConfig{Cores: 16, MemoryGB: 16}
 	settle := params.SysConfig{Cores: 4, MemoryGB: 8}
-	spec.TrialObserver = func(trialID int) trainer.EpochObserver {
+	spec.TrialObserver = func(_ int, _ params.Hyper, sys params.SysConfig) (trainer.EpochObserver, params.SysConfig) {
 		return trainer.ObserverFunc(func(_ uint64, _ workload.Workload, _ params.Hyper, s trainer.EpochStats) *params.SysConfig {
 			switch s.Epoch {
 			case 1:
@@ -189,7 +248,7 @@ func TestResizeEventsFromEpochLog(t *testing.T) {
 				return &cfg
 			}
 			return nil
-		})
+		}), sys
 	}
 	res, err := r.RunJob(spec)
 	if err != nil {

@@ -50,7 +50,7 @@ func legacyRunTrial(r *Runner, spec JobSpec, sug search.Suggestion) (TrialRecord
 	}
 	var obs trainer.EpochObserver
 	if spec.TrialObserver != nil {
-		obs = spec.TrialObserver(sug.ID)
+		obs, sys = spec.TrialObserver(sug.ID, h, sys)
 	}
 	trialSeed := spec.Seed ^ (uint64(sug.ID)+1)*0x9e3779b97f4a7c15
 	result, err := r.Trainer.Run(spec.Workload, h, sys, trialSeed, obs)
@@ -243,7 +243,7 @@ type probeObserver struct {
 	epochs map[int]int
 }
 
-func (p *probeObserver) observerFor(trialID int) trainer.EpochObserver {
+func (p *probeObserver) observerFor(trialID int, _ params.Hyper, sys params.SysConfig) (trainer.EpochObserver, params.SysConfig) {
 	return trainer.ObserverFunc(func(_ uint64, _ workload.Workload, _ params.Hyper, s trainer.EpochStats) *params.SysConfig {
 		p.mu.Lock()
 		p.epochs[trialID]++
@@ -257,7 +257,7 @@ func (p *probeObserver) observerFor(trialID int) trainer.EpochObserver {
 		default:
 			return nil
 		}
-	})
+	}), sys
 }
 
 // TestLocalBackendParityCatalog sweeps the Table 3 catalog under the

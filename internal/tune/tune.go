@@ -10,9 +10,11 @@
 //   - V2: "system as hyperparameters" — the system space is concatenated
 //     into the search space and the objective becomes accuracy/duration.
 //
-// PipeTune plugs in through two extension points: a per-trial
-// trainer.EpochObserver factory (system tuning inside the trial) and a
-// trial-completion hook (feeding the ground-truth database).
+// PipeTune plugs in through two extension points: a per-trial factory
+// that is told the trial's hyperparameters and answers with its
+// trainer.EpochObserver and the system configuration it starts on (system
+// tuning inside the trial, carried over from the configuration's earlier
+// trials), and a trial-completion hook (feeding the ground-truth database).
 //
 // Job execution is event-driven: trials flow through the internal/sched
 // discrete-event scheduler, each admitted the moment its system footprint
@@ -137,13 +139,19 @@ type JobSpec struct {
 	// legacy barrier scheduler.
 	Policy sched.Policy
 
-	// TrialObserver, when set, supplies a per-trial epoch observer (this
-	// is PipeTune's hook; nil for the baselines).
-	TrialObserver func(trialID int) trainer.EpochObserver
+	// TrialObserver, when set, is asked once per trial, while its batch is
+	// built, for the trial's epoch observer and the system configuration
+	// its first epoch runs on (this is PipeTune's hook; nil for the
+	// baselines). h is the trial's applied hyperparameters, rung budget
+	// included, and sys the configuration it would start on unobserved.
+	// The answer becomes TrialRecord.StartSys: what the trial body starts
+	// on and the footprint the scheduler admits.
+	TrialObserver func(trialID int, h params.Hyper, sys params.SysConfig) (trainer.EpochObserver, params.SysConfig)
 	// TrialRestart, when set, is called when an execution backend must
 	// re-run a trial body from scratch (a remote lease requeued after
-	// worker eviction): it must discard the trial's observer-side state
-	// so the replayed epochs are observed as a fresh first attempt.
+	// worker eviction): it must reset the trial's observer-side state to
+	// what TrialObserver handed out, so the replayed epochs are observed
+	// as the first attempt's were.
 	TrialRestart func(trialID int)
 	// OnTrialDone, when set, is called as each trial completes, in
 	// simulated completion order (PipeTune's ground-truth feeder). When a
@@ -783,8 +791,9 @@ func (r *Runner) scheduleBatch(records []TrialRecord, clock float64, slots int) 
 // runBatch executes one searcher batch on the execution backend and
 // returns the records in suggestion order (deterministic). The tuning
 // layer resolves each suggestion into a concrete trial body — applied
-// hyperparameters, budget-scaled epochs, validated system footprint,
-// derived trial seed, per-trial observer — and the backend only decides
+// hyperparameters, budget-scaled epochs, per-trial observer and the start
+// configuration it asks for, validated system footprint, derived trial
+// seed — and the backend only decides
 // where that body computes. A cancelled context skips trials that have
 // not started yet; trials already inside a trainer run to completion (a
 // trial body is the cancellation granularity). On error the records
@@ -829,14 +838,14 @@ func (r *Runner) runBatch(ctx context.Context, spec JobSpec, batch []search.Sugg
 		sys := spec.BaseSys
 		if spec.Mode == ModeV2 {
 			sys = sug.Assignment.ApplySys(spec.BaseSys)
-			if !r.Cluster.Fits(sys) {
-				errs[i] = fmt.Errorf("tune: trial config %v does not fit the cluster", sys)
-				continue
-			}
 		}
 		var obs trainer.EpochObserver
 		if spec.TrialObserver != nil {
-			obs = spec.TrialObserver(sug.ID)
+			obs, sys = spec.TrialObserver(sug.ID, h, sys)
+		}
+		if !r.Cluster.Fits(sys) {
+			errs[i] = fmt.Errorf("tune: trial config %v does not fit the cluster", sys)
+			continue
 		}
 		var restart func()
 		if spec.TrialRestart != nil {

@@ -168,24 +168,45 @@ func TestMakespanRespectsParallelism(t *testing.T) {
 func TestTrialObserverHookInvoked(t *testing.T) {
 	r := testRunner()
 	spec := baseSpec(ModeV1, MaximizeAccuracy)
+	start := params.SysConfig{Cores: 4, MemoryGB: 16}
 	target := params.SysConfig{Cores: 16, MemoryGB: 32}
-	spec.TrialObserver = func(trialID int) trainer.EpochObserver {
+	asked := map[int]params.Hyper{}
+	spec.TrialObserver = func(id int, h params.Hyper, sys params.SysConfig) (trainer.EpochObserver, params.SysConfig) {
+		if sys != spec.BaseSys {
+			t.Errorf("trial %d offered %v as its start, want the base configuration", id, sys)
+		}
+		asked[id] = h
 		return trainer.ObserverFunc(func(_ uint64, _ workload.Workload, _ params.Hyper, s trainer.EpochStats) *params.SysConfig {
 			if s.Epoch == 1 {
 				cfg := target
 				return &cfg
 			}
 			return nil
-		})
+		}), start
 	}
 	res, err := r.RunJob(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, rec := range res.Trials {
+		if asked[rec.ID] != rec.Hyper {
+			t.Fatalf("trial %d: hook was told %+v, trial ran %+v", rec.ID, asked[rec.ID], rec.Hyper)
+		}
+		if rec.StartSys != start || rec.Result.Epochs[1].Sys != start {
+			t.Fatalf("trial %d started on %v (first epoch %v), want the hook's %v", rec.ID, rec.StartSys, rec.Result.Epochs[1].Sys, start)
+		}
 		if rec.Result.FinalSys != target {
 			t.Fatalf("observer did not retune trial %d: %v", rec.ID, rec.Result.FinalSys)
 		}
+	}
+
+	// A start configuration no node can host is refused when the batch is
+	// built, as a Tune V2 suggestion's is.
+	spec.TrialObserver = func(int, params.Hyper, params.SysConfig) (trainer.EpochObserver, params.SysConfig) {
+		return nil, params.SysConfig{Cores: 64, MemoryGB: 8}
+	}
+	if _, err := r.RunJob(spec); err == nil {
+		t.Fatal("a start configuration larger than any node was accepted")
 	}
 }
 
