@@ -1,7 +1,7 @@
 package pipetune
 
-// One benchmark per table and figure of the paper's evaluation, plus the
-// scheduler regression bench in scheduler_test.go. Each benchmark
+// One benchmark per table and figure of the paper's evaluation (the
+// scheduler regression bench is internal/tune's). Each benchmark
 // regenerates the artefact end to end and reports its headline quantities
 // via b.ReportMetric, so `go test -bench=. -benchmem` doubles as the
 // reproduction harness (see EXPERIMENTS.md for the paper-vs-measured

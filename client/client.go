@@ -304,8 +304,7 @@ func (c *Client) Fleet(ctx context.Context) (api.FleetStatus, error) {
 }
 
 // Metrics fetches the daemon's metrics registry as a typed snapshot —
-// the JSON twin of the Prometheus text page at /metrics. Daemons running
-// with metrics disabled answer 404.
+// the JSON twin of the Prometheus text page at /metrics.
 func (c *Client) Metrics(ctx context.Context) (api.MetricsSnapshot, error) {
 	var ms api.MetricsSnapshot
 	err := c.do(ctx, http.MethodGet, "/v1/metrics", nil, &ms, true)

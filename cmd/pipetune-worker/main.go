@@ -16,6 +16,9 @@
 // processes (on more machines) to scale the fleet out — the daemon
 // requeues leases from any worker that dies, so workers are fully
 // disposable. -heartbeat 0 adopts the daemon's advertised cadence.
+// Everything else a trial body depends on — corpus sizing, trial cache
+// budget, kernel parallelism — arrives with each lease, so every worker
+// runs a trial exactly as the daemon would.
 //
 // The worker holds no durable state: killing it outright (SIGKILL, a
 // crashed machine) loses nothing — the daemon reassigns its leases
@@ -54,19 +57,17 @@ func run() error {
 		capacityFlag = flag.Int("capacity", 1, "trial bodies computed concurrently")
 		beatFlag     = flag.Duration("heartbeat", 0, "heartbeat cadence (0 = daemon-advertised)")
 		nameFlag     = flag.String("name", "", "worker label in fleet status (default: hostname)")
-		trainParFlag = flag.Int("train-parallelism", 0, "default deterministic kernel parallelism for trial compute when the daemon ships none (bit-identical at every degree; <=1 = serial)")
 	)
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "pipetune-worker: ", log.LstdFlags)
 	agent := exec.NewAgent(exec.AgentConfig{
-		Server:           *serverFlag,
-		Token:            *tokenFlag,
-		Name:             *nameFlag,
-		Capacity:         *capacityFlag,
-		Heartbeat:        *beatFlag,
-		Logf:             logger.Printf,
-		TrainParallelism: *trainParFlag,
+		Server:    *serverFlag,
+		Token:     *tokenFlag,
+		Name:      *nameFlag,
+		Capacity:  *capacityFlag,
+		Heartbeat: *beatFlag,
+		Logf:      logger.Printf,
 	})
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -7,13 +7,14 @@
 // Usage:
 //
 //	pipetuned [-addr :8080] [-workers 2] [-seed 1] [-gt groundtruth.json]
-//	          [-gt-compact-every 256] [-gt-snapshot-interval 0]
-//	          [-queue 64] [-bootstrap]
+//	          [-queue 64] [-bootstrap] [-drain 10s]
 //	          [-scheduler fifo] [-job-policy fifo]
 //	          [-tenant-weight name=w ...]
+//	          [-node-classes ec2] [-spot-fraction 0]
+//	          [-spot-revocations-per-hour 0.5]
+//	          [-trial-cache] [-train-parallelism 0]
 //	          [-exec-backend local] [-worker-token secret]
 //	          [-worker-heartbeat 2s] [-worker-evict-after 3]
-//	          [-metrics-enabled]
 //	          [-pprof-addr localhost:6060]
 //
 // Trial execution is a pluggable plane: the default -exec-backend=local
@@ -35,13 +36,12 @@
 // default) for profiling the live daemon without exposing the profiling
 // surface on the public API port.
 //
-// The observability plane is on by default: every layer (admission
-// queue, job dispatch, ground-truth store and WAL, execution plane,
-// worker fleet) publishes into one shared metrics registry, exposed as
-// Prometheus text at GET /metrics and as typed JSON at GET /v1/metrics.
-// Remote workers ship their local series (trial compute time, epochs,
-// stream codec errors) piggybacked on the heartbeats they already send.
-// -metrics-enabled=false turns the whole plane off.
+// Every layer (admission queue, job dispatch, ground-truth store and
+// WAL, execution plane, worker fleet) publishes into one shared metrics
+// registry, exposed as Prometheus text at GET /metrics and as typed JSON
+// at GET /v1/metrics; /healthz reads the same registry. Remote workers
+// ship their local series (trial compute time, epochs, stream codec
+// errors) piggybacked on the heartbeats they already send.
 //
 // Job dispatch across tenants is policy-driven: the default -job-policy
 // fifo reproduces the classic submission-order schedule exactly;
@@ -61,10 +61,9 @@
 // Ground-truth persistence is write-ahead-logged: every trial's entry is
 // appended and fsynced (to <gt>.wal) the moment it lands — so a job that
 // reports done has its contributions durable — and the log is compacted
-// into the snapshot after jobs, every -gt-compact-every records, on the
-// -gt-snapshot-interval ticker, after an import and at shutdown. A crash
-// loses at most the un-synced tail of one append; a legacy (pre-WAL)
-// groundtruth.json loads unchanged.
+// into the snapshot after jobs, every 256 records, after an import and
+// at shutdown. A crash loses at most the un-synced tail of one append; a
+// legacy (pre-WAL) groundtruth.json loads unchanged.
 //
 // On SIGINT/SIGTERM the HTTP server drains, running jobs are cancelled at
 // their next trial boundary, and the ground truth takes a final snapshot —
@@ -77,7 +76,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -90,7 +88,6 @@ import (
 	"pipetune/internal/cluster"
 	"pipetune/internal/exec"
 	"pipetune/internal/httpserve"
-	"pipetune/internal/metrics"
 	"pipetune/internal/service"
 	"pipetune/internal/trainer"
 )
@@ -122,14 +119,11 @@ func (w weightFlags) Set(s string) error {
 // parseNodeClasses turns the -node-classes flag into cluster node classes.
 // "ec2" selects the paper's three EC2 shapes (one node each); otherwise
 // each comma-separated entry reads name:count:cores:memGB[:speed[:hourlyUSD]].
-// spotFraction > 0 splits every class: round(count*fraction) nodes become a
-// "<name>-spot" class at a 70% discount, revoked at ratePerHour per node.
+// spotFraction > 0 splits every class (cluster.SplitSpot): custom classes
+// buy spot capacity at cluster.SpotPriceFactor of their hourly rate.
 func parseNodeClasses(spec string, spotFraction, ratePerHour float64) ([]pipetune.NodeClass, error) {
 	if spec == "ec2" {
 		return pipetune.EC2Classes(1, spotFraction, ratePerHour)
-	}
-	if spotFraction < 0 || spotFraction > 1 {
-		return nil, fmt.Errorf("spot fraction %v outside [0,1]", spotFraction)
 	}
 	var out []pipetune.NodeClass
 	for _, entry := range strings.Split(spec, ",") {
@@ -157,23 +151,11 @@ func parseNodeClasses(spec string, spotFraction, ratePerHour float64) ([]pipetun
 		if len(nums) > 4 {
 			nc.HourlyUSD = nums[4]
 		}
-		if spot := int(math.Round(float64(nc.Count) * spotFraction)); spot > 0 {
-			sc := nc
-			sc.Name += "-spot"
-			sc.Count = spot
-			sc.HourlyUSD = nc.HourlyUSD * 0.3 // the EC2 fleet's spot discount
-			sc.Spot = true
-			sc.RevocationsPerHour = ratePerHour
-			nc.Count -= spot
-			if nc.Count > 0 {
-				out = append(out, nc)
-			}
-			out = append(out, sc)
-			continue
-		}
 		out = append(out, nc)
 	}
-	return out, nil
+	return cluster.SplitSpot(out, spotFraction, ratePerHour, func(nc cluster.NodeClass) float64 {
+		return nc.HourlyUSD * cluster.SpotPriceFactor
+	})
 }
 
 func main() {
@@ -190,8 +172,6 @@ func run() error {
 		queueFlag     = flag.Int("queue", 64, "max queued jobs")
 		seedFlag      = flag.Uint64("seed", 1, "master seed for jobs that do not set one")
 		gtFlag        = flag.String("gt", "groundtruth.json", "ground-truth snapshot path (empty disables persistence; the WAL lives alongside at <path>.wal)")
-		gtCompactFlag = flag.Int("gt-compact-every", 256, "compact the ground-truth WAL into a snapshot every N records")
-		gtSnapFlag    = flag.Duration("gt-snapshot-interval", 0, "also compact on this interval (0 disables the ticker)")
 		schedFlag     = flag.String("scheduler", pipetune.SchedFIFO, "trial placement policy: fifo, sjf, backfill, cheapest or perf-per-dollar")
 		classesFlag   = flag.String("node-classes", "", "heterogeneous cluster: 'ec2' (the paper's three EC2 shapes, one node each) or a comma-separated list of name:count:cores:memGB[:speed[:hourlyUSD]]")
 		spotFlag      = flag.Float64("spot-fraction", 0, "fraction of each node class bought as revocable spot capacity (only with -node-classes; ec2 applies it per shape)")
@@ -204,9 +184,7 @@ func run() error {
 		beatFlag      = flag.Duration("worker-heartbeat", 2*time.Second, "heartbeat cadence expected from workers")
 		evictFlag     = flag.Int("worker-evict-after", 3, "consecutive missed heartbeats before a worker is evicted and its leases requeued")
 		pprofFlag     = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = off)")
-		metricsFlag   = flag.Bool("metrics-enabled", true, "publish the metrics registry at GET /metrics (Prometheus text) and GET /v1/metrics (typed JSON)")
-		cacheFlag     = flag.Bool("trial-cache", false, "enable the trial prefix cache: trials sharing a training prefix replay or resume cached SGD bit-identically (remote workers keep local caches of the same budget)")
-		cacheBytes    = flag.Int64("trial-cache-bytes", trainer.DefaultCacheBytes, "trial prefix cache byte budget (LRU-evicted; only with -trial-cache)")
+		cacheFlag     = flag.Bool("trial-cache", false, "enable the 64 MiB trial prefix cache: trials sharing a training prefix replay or resume cached SGD bit-identically (remote workers keep local caches of the same budget)")
 		trainParFlag  = flag.Int("train-parallelism", 0, "deterministic intra-trial kernel parallelism: shard each trial's compute across up to N goroutines, bit-identically to serial (<=1 = serial; shipped to remote workers)")
 		weights       = weightFlags{}
 	)
@@ -214,13 +192,6 @@ func run() error {
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "pipetuned: ", log.LstdFlags)
-	// One registry for every layer: the service, the admission queue, the
-	// ground-truth store and the execution plane all publish into it, so
-	// a single /metrics scrape sees the whole daemon.
-	var reg *metrics.Registry
-	if *metricsFlag {
-		reg = metrics.NewRegistry()
-	}
 	var remote *exec.Remote
 	switch *execFlag {
 	case "local":
@@ -229,7 +200,6 @@ func run() error {
 			HeartbeatInterval: *beatFlag,
 			MissedHeartbeats:  *evictFlag,
 			Token:             *tokenFlag,
-			Metrics:           reg,
 			Logf:              logger.Printf,
 		})
 	default:
@@ -247,7 +217,7 @@ func run() error {
 		opts = append(opts, pipetune.WithClusterClasses(classes...))
 	}
 	if *cacheFlag {
-		opts = append(opts, pipetune.WithTrialCache(*cacheBytes))
+		opts = append(opts, pipetune.WithTrialCache(trainer.DefaultCacheBytes))
 	}
 	if *trainParFlag > 1 {
 		opts = append(opts, pipetune.WithTrainParallelism(*trainParFlag))
@@ -257,19 +227,15 @@ func run() error {
 		return err
 	}
 	svc, err := service.New(service.Config{
-		System:           sys,
-		Workers:          *workersFlag,
-		QueueDepth:       *queueFlag,
-		GTPath:           *gtFlag,
-		CompactEvery:     *gtCompactFlag,
-		SnapshotInterval: *gtSnapFlag,
-		JobPolicy:        *jobPolicyFlag,
-		TenantWeights:    weights,
-		Remote:           remote,
-		DrainTimeout:     *drainFlag,
-		Metrics:          reg,
-		DisableMetrics:   !*metricsFlag,
-		Logf:             logger.Printf,
+		System:        sys,
+		Workers:       *workersFlag,
+		QueueDepth:    *queueFlag,
+		GTPath:        *gtFlag,
+		JobPolicy:     *jobPolicyFlag,
+		TenantWeights: weights,
+		Remote:        remote,
+		DrainTimeout:  *drainFlag,
+		Logf:          logger.Printf,
 	})
 	if err != nil {
 		return err

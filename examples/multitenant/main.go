@@ -82,15 +82,19 @@ func run() error {
 	arrivals := cluster.PoissonArrivals(xrand.New(99), numJobs, meanDur/2/0.8)
 
 	simulate := func(durations []float64) (float64, error) {
-		jobs := make([]cluster.Job, numJobs)
-		for i := range jobs {
-			jobs[i] = cluster.Job{ID: i, Arrival: arrivals[i], Duration: durations[i]}
+		tasks := make([]sched.Task, numJobs)
+		for i := range tasks {
+			tasks[i] = sched.Task{ID: i, Arrival: arrivals[i], Duration: durations[i]}
 		}
-		stats, err := cluster.SimulateFIFO(jobs, 2)
+		stats, err := sched.Simulate(tasks, 2, sched.FIFO())
 		if err != nil {
 			return 0, err
 		}
-		return cluster.MeanResponse(stats), nil
+		total := 0.0
+		for _, st := range stats {
+			total += st.Response
+		}
+		return total / numJobs, nil
 	}
 	baseResp, err := simulate(baseDur)
 	if err != nil {

@@ -4,23 +4,7 @@ import (
 	"testing"
 
 	"pipetune/internal/params"
-	"pipetune/internal/xrand"
 )
-
-func BenchmarkSimulateFIFO(b *testing.B) {
-	r := xrand.New(3)
-	arrivals := PoissonArrivals(r, 500, 10)
-	jobs := make([]Job, len(arrivals))
-	for i, a := range arrivals {
-		jobs[i] = Job{ID: i, Arrival: a, Duration: 25 + float64(i%7)*5}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SimulateFIFO(jobs, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 func BenchmarkAllocateRelease(b *testing.B) {
 	c := Paper()

@@ -6,9 +6,8 @@
 // for spot capacity — a revocation rate, seeded from the three ec2
 // instance shapes of Figure 1. It provides the resource allocator used to
 // place training trials; the discrete-event queueing simulation for the
-// multi-tenancy experiments (§7.4) is served by the shared internal/sched
-// engine, for which SimulateFIFO remains as a compatibility wrapper and
-// SchedPool exports the cluster's node shapes and classes.
+// multi-tenancy experiments (§7.4) is the shared internal/sched engine,
+// to which SchedPool exports the cluster's node shapes and classes.
 package cluster
 
 import (
@@ -141,45 +140,61 @@ func NewClasses(classes []NodeClass) (*Cluster, error) {
 }
 
 // EC2Fleet builds the Figure 1 heterogeneous fleet: nodesPerShape nodes of
-// each of the three instance shapes, with spotFraction of each shape
-// (rounded) provisioned from the spot market at its discounted rate and
-// revocationsPerHour per-node revocation rate. spotFraction 0 yields a
-// purely on-demand fleet.
+// each of the three instance shapes, split by SplitSpot at the shape's
+// spot-market rate. spotFraction 0 yields a purely on-demand fleet.
 func EC2Fleet(nodesPerShape int, spotFraction, revocationsPerHour float64) ([]NodeClass, error) {
 	if nodesPerShape < 1 {
 		return nil, fmt.Errorf("cluster: %d nodes per shape invalid", nodesPerShape)
 	}
-	if spotFraction < 0 || spotFraction > 1 {
-		return nil, fmt.Errorf("cluster: spot fraction %v outside [0,1]", spotFraction)
-	}
-	var out []NodeClass
+	var shapes []NodeClass
+	spotUSD := map[string]float64{}
 	for _, it := range ec2.All() {
 		spec, err := ec2.SpecFor(it)
 		if err != nil {
 			return nil, err
 		}
-		shape := NodeSpec{Cores: spec.VCPUs, MemoryGB: spec.MemoryGB}
-		spot := int(math.Round(float64(nodesPerShape) * spotFraction))
-		if onDemand := nodesPerShape - spot; onDemand > 0 {
-			out = append(out, NodeClass{
-				Name:        it.String(),
-				Spec:        shape,
-				Count:       onDemand,
-				SpeedFactor: spec.SpeedFactor,
-				HourlyUSD:   spec.HourlyUSD,
-			})
+		shapes = append(shapes, NodeClass{
+			Name:        it.String(),
+			Spec:        NodeSpec{Cores: spec.VCPUs, MemoryGB: spec.MemoryGB},
+			Count:       nodesPerShape,
+			SpeedFactor: spec.SpeedFactor,
+			HourlyUSD:   spec.HourlyUSD,
+		})
+		spotUSD[it.String()] = spec.SpotHourlyUSD
+	}
+	return SplitSpot(shapes, spotFraction, revocationsPerHour, func(nc NodeClass) float64 { return spotUSD[nc.Name] })
+}
+
+// SpotPriceFactor prices a custom class's spot capacity as a fraction of
+// its on-demand rate: the ≈ 70 % discount of the EC2 table.
+const SpotPriceFactor = 0.3
+
+// SplitSpot buys spotFraction of every class from the spot market:
+// round(Count·spotFraction) of its nodes move into a revocable
+// "<name>-spot" class right after it, priced at spotHourlyUSD(class) and
+// revoked at revocationsPerHour per node. A class left without on-demand
+// nodes is dropped; a class that rounds to no spot node stays as it is.
+func SplitSpot(classes []NodeClass, spotFraction, revocationsPerHour float64, spotHourlyUSD func(NodeClass) float64) ([]NodeClass, error) {
+	if spotFraction < 0 || spotFraction > 1 {
+		return nil, fmt.Errorf("cluster: spot fraction %v outside [0,1]", spotFraction)
+	}
+	out := make([]NodeClass, 0, 2*len(classes))
+	for _, nc := range classes {
+		spot := int(math.Round(float64(nc.Count) * spotFraction))
+		if spot <= 0 {
+			out = append(out, nc)
+			continue
 		}
-		if spot > 0 {
-			out = append(out, NodeClass{
-				Name:               it.String() + "-spot",
-				Spec:               shape,
-				Count:              spot,
-				SpeedFactor:        spec.SpeedFactor,
-				HourlyUSD:          spec.SpotHourlyUSD,
-				Spot:               true,
-				RevocationsPerHour: revocationsPerHour,
-			})
+		sc := nc
+		sc.Name += "-spot"
+		sc.Count = spot
+		sc.HourlyUSD = spotHourlyUSD(nc)
+		sc.Spot = true
+		sc.RevocationsPerHour = revocationsPerHour
+		if nc.Count -= spot; nc.Count > 0 {
+			out = append(out, nc)
 		}
+		out = append(out, sc)
 	}
 	return out, nil
 }
@@ -333,9 +348,6 @@ type Alloc struct {
 	released bool
 }
 
-// Node returns the index of the node hosting the allocation.
-func (a *Alloc) Node() int { return a.node }
-
 // Class returns the node class hosting the allocation.
 func (a *Alloc) Class() NodeClass { return a.c.classes[a.c.nodes[a.node].class] }
 
@@ -436,70 +448,6 @@ func (c *Cluster) FitsErr(sys params.SysConfig) error {
 		}
 	}
 	return &InsufficientError{Requested: sys, FreeCores: maxCores, FreeMemoryGB: maxMem, Capacity: true}
-}
-
-// Job is one unit of work for the FIFO queueing simulation: it arrives at
-// Arrival (seconds) and occupies one job slot for Duration once started.
-type Job struct {
-	ID       int     `json:"id"`
-	Arrival  float64 `json:"arrival"`
-	Duration float64 `json:"duration"`
-}
-
-// JobStats reports one job's queueing outcome.
-type JobStats struct {
-	ID       int     `json:"id"`
-	Arrival  float64 `json:"arrival"`
-	Start    float64 `json:"start"`
-	End      float64 `json:"end"`
-	Wait     float64 `json:"wait"`     // Start - Arrival
-	Response float64 `json:"response"` // End - Arrival
-}
-
-// SimulateFIFO runs the jobs through a FIFO queue with `slots` parallel
-// servers (one HPT job per cluster in the paper's single-tenancy, multiple
-// slots when the cluster is shared) and returns per-job statistics in job
-// order. The paper schedules HPT jobs FIFO (§5.1). The simulation is the
-// shared internal/sched engine under its FIFO policy; use sched.Simulate
-// directly to compare other placement policies.
-func SimulateFIFO(jobs []Job, slots int) ([]JobStats, error) {
-	for _, j := range jobs {
-		if j.Duration < 0 || j.Arrival < 0 {
-			return nil, fmt.Errorf("cluster: job %d has negative time", j.ID)
-		}
-	}
-	tasks := make([]sched.Task, len(jobs))
-	for i, j := range jobs {
-		tasks[i] = sched.Task{ID: j.ID, Arrival: j.Arrival, Duration: j.Duration}
-	}
-	st, err := sched.Simulate(tasks, slots, sched.FIFO())
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	out := make([]JobStats, len(jobs))
-	for i, s := range st {
-		out[i] = JobStats{
-			ID:       s.ID,
-			Arrival:  s.Arrival,
-			Start:    s.Start,
-			End:      s.End,
-			Wait:     s.Wait,
-			Response: s.Response,
-		}
-	}
-	return out, nil
-}
-
-// MeanResponse averages the response times.
-func MeanResponse(stats []JobStats) float64 {
-	if len(stats) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, s := range stats {
-		sum += s.Response
-	}
-	return sum / float64(len(stats))
 }
 
 // PoissonArrivals generates n arrival times with exponentially distributed

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pipetune/internal/params"
+	"pipetune/internal/sched"
 	"pipetune/internal/xrand"
 )
 
@@ -93,7 +94,7 @@ func TestAllocateSpreadsAcrossNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a1.Node() == a2.Node() {
+	if a1.node == a2.node {
 		t.Fatal("two full-node allocations landed on the same node")
 	}
 }
@@ -115,106 +116,28 @@ func TestAllocateValidation(t *testing.T) {
 	}
 }
 
-func TestSimulateFIFOSingleServer(t *testing.T) {
-	jobs := []Job{
-		{ID: 1, Arrival: 0, Duration: 10},
-		{ID: 2, Arrival: 1, Duration: 10},
-		{ID: 3, Arrival: 2, Duration: 10},
-	}
-	stats, err := SimulateFIFO(jobs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// FIFO: job2 waits 9, job3 waits 18.
-	if stats[0].Wait != 0 || stats[0].Response != 10 {
-		t.Fatalf("job1 stats %+v", stats[0])
-	}
-	if stats[1].Wait != 9 || stats[1].Response != 19 {
-		t.Fatalf("job2 stats %+v", stats[1])
-	}
-	if stats[2].Wait != 18 || stats[2].Response != 28 {
-		t.Fatalf("job3 stats %+v", stats[2])
-	}
-}
-
-func TestSimulateFIFOTwoServers(t *testing.T) {
-	jobs := []Job{
-		{ID: 1, Arrival: 0, Duration: 10},
-		{ID: 2, Arrival: 0, Duration: 10},
-		{ID: 3, Arrival: 0, Duration: 10},
-	}
-	stats, err := SimulateFIFO(jobs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats[0].Wait != 0 || stats[1].Wait != 0 {
-		t.Fatalf("first two jobs should start immediately: %+v %+v", stats[0], stats[1])
-	}
-	if stats[2].Wait != 10 {
-		t.Fatalf("third job wait = %v, want 10", stats[2].Wait)
-	}
-}
-
-func TestSimulateFIFOPreservesArrivalOrder(t *testing.T) {
-	// Even if passed out of order, service must follow arrival order.
-	jobs := []Job{
-		{ID: 1, Arrival: 5, Duration: 1},
-		{ID: 2, Arrival: 0, Duration: 10},
-	}
-	stats, err := SimulateFIFO(jobs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats[1].Start != 0 {
-		t.Fatalf("earlier arrival started at %v", stats[1].Start)
-	}
-	if stats[0].Start != 10 {
-		t.Fatalf("later arrival started at %v, want 10", stats[0].Start)
-	}
-}
-
-func TestSimulateFIFOValidation(t *testing.T) {
-	if _, err := SimulateFIFO([]Job{{ID: 1, Duration: 1}}, 0); err == nil {
-		t.Fatal("zero slots accepted")
-	}
-	if _, err := SimulateFIFO([]Job{{ID: 1, Duration: -1}}, 1); err == nil {
-		t.Fatal("negative duration accepted")
-	}
-}
-
-func TestMeanResponse(t *testing.T) {
-	stats := []JobStats{{Response: 10}, {Response: 20}}
-	if got := MeanResponse(stats); got != 15 {
-		t.Fatalf("MeanResponse = %v, want 15", got)
-	}
-	if got := MeanResponse(nil); got != 0 {
-		t.Fatalf("empty MeanResponse = %v, want 0", got)
-	}
-}
-
 func TestShorterJobsLowerResponse(t *testing.T) {
 	// The core claim of Figures 13/14: shortening per-job durations
 	// lowers mean response time under the same arrival process.
 	r := xrand.New(11)
 	arrivals := PoissonArrivals(r, 40, 50)
-	mk := func(dur float64) []Job {
-		jobs := make([]Job, len(arrivals))
+	meanResponse := func(dur float64) float64 {
+		tasks := make([]sched.Task, len(arrivals))
 		for i, a := range arrivals {
-			jobs[i] = Job{ID: i, Arrival: a, Duration: dur}
+			tasks[i] = sched.Task{ID: i, Arrival: a, Duration: dur}
 		}
-		return jobs
+		stats, err := sched.Simulate(tasks, 4, sched.FIFO())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := 0.0
+		for _, s := range stats {
+			sum += s.Response
+		}
+		return sum / float64(len(stats))
 	}
-	slow, err := SimulateFIFO(mk(100), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := SimulateFIFO(mk(70), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if MeanResponse(fast) >= MeanResponse(slow) {
-		t.Fatalf("30%% shorter jobs did not lower mean response: %v vs %v",
-			MeanResponse(fast), MeanResponse(slow))
+	if fast, slow := meanResponse(70), meanResponse(100); fast >= slow {
+		t.Fatalf("30%% shorter jobs did not lower mean response: %v vs %v", fast, slow)
 	}
 }
 

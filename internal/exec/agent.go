@@ -30,13 +30,6 @@ type AgentConfig struct {
 	Wire string
 	// Capacity is how many trial bodies compute concurrently (default 1).
 	Capacity int
-	// TrainParallelism is the worker's default deterministic intra-trial
-	// kernel parallelism degree, applied only when an assignment's
-	// TrainerConfig does not ship its own (the daemon's knob wins, so
-	// mixed fleets stay uniformly configured). 0/1 = serial. Never
-	// changes trial bits — the nn kernels are bit-identical at every
-	// degree.
-	TrainParallelism int
 	// Heartbeat overrides the beat cadence; 0 adopts the daemon's
 	// advertised interval.
 	Heartbeat time.Duration
@@ -145,9 +138,6 @@ func (a *Agent) trainerFor(tc TrainerConfig) *trainer.Runner {
 		return tr
 	}
 	tr := tc.NewRunner()
-	if tr.Parallelism == 0 && a.cfg.TrainParallelism > 0 {
-		tr.Parallelism = a.cfg.TrainParallelism
-	}
 	if st := a.stats.Load(); st != nil {
 		tr.InstrumentKernels(st.trainEpochSeconds, st.evalSeconds)
 	}

@@ -47,12 +47,6 @@ type RemoteConfig struct {
 	Wire string
 	// Logf receives operational log lines (nil = silent).
 	Logf func(format string, args ...any)
-	// Metrics is the registry the execution plane reports into. Nil
-	// creates a private one: the fleet surfaces (FleetStatus, and
-	// through it /healthz) are derived from registry counters, so a
-	// registry always exists. The service adopts a configured Remote's
-	// registry to keep one namespace — see Remote.MetricsRegistry.
-	Metrics *metrics.Registry
 
 	// now is injectable for eviction tests; nil means time.Now.
 	now func() time.Time
@@ -68,9 +62,6 @@ func (c RemoteConfig) withDefaults() RemoteConfig {
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
-	}
-	if c.Metrics == nil {
-		c.Metrics = metrics.NewRegistry()
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -185,9 +176,9 @@ type Remote struct {
 	spotNodes     int
 	onDemandNodes int
 
-	// met holds the resolved metrics handles; completed/requeued counts
-	// live in the registry (the single source FleetStatus and /metrics
-	// both read).
+	// met holds the execution plane's own registry and its resolved
+	// handles; completed/requeued counts live in the registry (the single
+	// source FleetStatus and /metrics both read), so one always exists.
 	met *remoteMetrics
 }
 
@@ -201,14 +192,15 @@ func NewRemote(cfg RemoteConfig) *Remote {
 		reaperDone: make(chan struct{}),
 	}
 	r.cond = sync.NewCond(&r.mu)
-	r.met = newRemoteMetrics(r.cfg.Metrics)
+	r.met = newRemoteMetrics(metrics.NewRegistry())
 	go r.reaper()
 	return r
 }
 
 // MetricsRegistry returns the registry the execution plane reports
-// into, so the embedding service can expose one namespace.
-func (r *Remote) MetricsRegistry() *metrics.Registry { return r.cfg.Metrics }
+// into; the embedding service publishes into it too, so the daemon has
+// one namespace.
+func (r *Remote) MetricsRegistry() *metrics.Registry { return r.met.reg }
 
 // Name implements Backend.
 func (r *Remote) Name() string { return "remote" }

@@ -95,11 +95,9 @@ func (s *workerStats) series() WorkerSeries {
 	}
 }
 
-// remoteMetrics holds the execution plane's resolved registry handles.
-// The Remote always carries one (over a private registry when none is
-// configured): the fleet surfaces — FleetStatus.CompletedTrials,
-// /healthz — read these same counters, so health and /metrics cannot
-// disagree.
+// remoteMetrics holds the execution plane's registry and its resolved
+// handles. The fleet surfaces — FleetStatus.CompletedTrials, /healthz —
+// read these same counters, so health and /metrics cannot disagree.
 type remoteMetrics struct {
 	reg *metrics.Registry
 

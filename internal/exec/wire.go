@@ -32,8 +32,8 @@ type TrainerConfig struct {
 	// parallelism degree, shipped so remote fleets run trials with the
 	// same configuration the daemon would use locally. It never changes
 	// trial bits (the nn kernels are bit-identical at every degree) —
-	// only how many goroutines each trial's compute may use. Zero lets
-	// the worker apply its own -train-parallelism default.
+	// only how many goroutines each trial's compute may use. Zero is
+	// serial.
 	Parallelism int
 }
 

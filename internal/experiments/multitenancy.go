@@ -168,11 +168,11 @@ func multiTenancy(cfg Config, figure string, mix, bootstrapSet []workload.Worklo
 
 	res := &MultiTenancyResult{Figure: figure, Jobs: len(mix)}
 	for _, system := range []string{SystemV1, SystemV2, SystemPipeTune} {
-		jobs := make([]cluster.Job, len(mix))
+		tasks := make([]sched.Task, len(mix))
 		for i := range mix {
-			jobs[i] = cluster.Job{ID: i, Arrival: arrivals[i], Duration: durations[system][i]}
+			tasks[i] = sched.Task{ID: i, Arrival: arrivals[i], Duration: durations[system][i]}
 		}
-		jstats, err := cluster.SimulateFIFO(jobs, slots)
+		jstats, err := sched.Simulate(tasks, slots, sched.FIFO())
 		if err != nil {
 			return nil, err
 		}

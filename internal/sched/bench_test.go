@@ -99,3 +99,14 @@ func BenchmarkSpotRecovery(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSimulateFIFO prices the §7.4 queueing model behind Figures
+// 13/14: 500 slot-only HPT jobs through four servers under FIFO.
+func BenchmarkSimulateFIFO(b *testing.B) {
+	tasks := poissonTasks(3, 500, 10)
+	for i := 0; i < b.N; i++ {
+		if _, err := Simulate(tasks, 4, FIFO()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,8 +1,7 @@
 // Package sched is the discrete-event trial scheduler every execution path
 // shares: the hyperparameter tuner (package tune) places trials through it,
-// the multi-tenancy experiments queue whole HPT jobs through it, and the
-// old cluster.SimulateFIFO queueing simulator is now a thin wrapper over
-// its FIFO policy.
+// and the multi-tenancy experiments queue whole HPT jobs through it
+// (Simulate under FIFO is the §7.4 queueing model).
 //
 // The engine runs on simtime's event queue. Tasks arrive at a simulated
 // instant, wait until the active placement Policy admits them (their
@@ -720,8 +719,8 @@ func (e *Engine) complete(id, gen int) {
 
 // Simulate runs a fixed set of slot-only tasks through the engine under a
 // policy (nil = FIFO) with `slots` parallel servers, returning per-task
-// statistics in input order. This serves the multi-tenancy queueing
-// simulations that cluster.SimulateFIFO used to implement privately.
+// statistics in input order: the multi-tenancy queueing simulations.
+// Negative arrival or duration times are rejected at submit.
 func Simulate(tasks []Task, slots int, policy Policy) ([]TaskStats, error) {
 	if slots < 1 {
 		return nil, fmt.Errorf("sched: %d slots invalid", slots)

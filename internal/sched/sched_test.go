@@ -313,6 +313,51 @@ func TestEngineDeterministic(t *testing.T) {
 	}
 }
 
+// TestSimulateFIFOTwoServers: slot-only tasks arriving together take the
+// free servers in submission order; the next waits for the first to end.
+func TestSimulateFIFOTwoServers(t *testing.T) {
+	stats, err := Simulate([]Task{
+		{ID: 1, Duration: 10},
+		{ID: 2, Duration: 10},
+		{ID: 3, Duration: 10},
+	}, 2, FIFO())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats[0].Wait != 0 || stats[1].Wait != 0 || stats[2].Wait != 10 || stats[2].Response != 20 {
+		t.Fatalf("two servers: %+v", stats)
+	}
+}
+
+// TestSimulateFIFOPreservesArrivalOrder: service follows arrival order
+// while the stats come back in input order.
+func TestSimulateFIFOPreservesArrivalOrder(t *testing.T) {
+	stats, err := Simulate([]Task{
+		{ID: 1, Arrival: 5, Duration: 1},
+		{ID: 2, Arrival: 0, Duration: 10},
+	}, 1, FIFO())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats[0].ID != 1 || stats[0].Start != 10 || stats[1].ID != 2 || stats[1].Start != 0 {
+		t.Fatalf("later arrival must start after the earlier one, stats in input order: %+v", stats)
+	}
+}
+
+// TestSimulateFIFOValidation: the FIFO engine rejects a cluster without
+// servers and tasks with negative times.
+func TestSimulateFIFOValidation(t *testing.T) {
+	if _, err := Simulate([]Task{{ID: 1, Duration: 1}}, 0, FIFO()); err == nil {
+		t.Fatal("zero slots accepted")
+	}
+	if _, err := Simulate([]Task{{ID: 1, Duration: -1}}, 1, FIFO()); err == nil {
+		t.Fatal("negative duration accepted")
+	}
+	if _, err := Simulate([]Task{{ID: 1, Arrival: -1, Duration: 1}}, 1, FIFO()); err == nil {
+		t.Fatal("negative arrival accepted")
+	}
+}
+
 func TestSimulateValidation(t *testing.T) {
 	if _, err := Simulate([]Task{{ID: 1, Duration: 1}}, 0, nil); err == nil {
 		t.Fatal("0 slots accepted")

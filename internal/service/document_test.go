@@ -194,7 +194,7 @@ const retainedPerJobBytes = 11 << 10
 // each.
 func TestFinishedJobRetainsNoGraph(t *testing.T) {
 	sys := newSystem(t, pipetune.WithTrialCache(8<<20))
-	svc, err := New(Config{System: sys, Workers: 1, DisableMetrics: true})
+	svc, err := New(Config{System: sys, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,12 +28,10 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/groundtruth/export", s.handleGroundTruthExport)
 	mux.HandleFunc("POST /v1/groundtruth/import", s.handleGroundTruthImport)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	if !s.cfg.DisableMetrics {
-		// Prometheus text exposition plus the same registry as typed JSON
-		// (the api.MetricsSnapshot surface behind client.Metrics).
-		mux.Handle("GET /metrics", metrics.Handler(s.cfg.Metrics))
-		mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	}
+	// Prometheus text exposition plus the same registry as typed JSON (the
+	// api.MetricsSnapshot surface behind client.Metrics).
+	mux.Handle("GET /metrics", metrics.Handler(s.reg))
+	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	if s.cfg.Remote != nil {
 		wh := s.cfg.Remote.Handler()
 		mux.Handle("POST /v1/stream", wh)
@@ -229,5 +227,5 @@ func (s *Service) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.cfg.Metrics.Snapshot())
+	writeJSON(w, http.StatusOK, s.reg.Snapshot())
 }

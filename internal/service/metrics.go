@@ -1,11 +1,8 @@
 package service
 
-// Service-layer instruments on the shared metrics registry. Everything
-// here is nil-safe by construction: with metrics disabled the registry
-// is nil, every constructor returns nil handles, and every Inc/Add/
-// Observe on them is a no-op — the dispatch hot path carries no
-// conditionals beyond the nil receiver check already inside the
-// instrument methods.
+// Service-layer instruments on the shared metrics registry. The service
+// always has one: /healthz is derived from these instruments, not from a
+// parallel set of counters.
 
 import (
 	"pipetune/api"
@@ -38,8 +35,7 @@ type svcMetrics struct {
 	salvaged    *metrics.Counter    // sched_epochs_salvaged_total
 }
 
-// newSvcMetrics registers the service families. A nil registry yields
-// nil instruments throughout (metrics disabled).
+// newSvcMetrics registers the service families.
 func newSvcMetrics(reg *metrics.Registry) *svcMetrics {
 	return &svcMetrics{
 		submitted:  reg.CounterVec("pipetune_jobs_submitted_total", "Jobs accepted into the queue.", "tenant"),

@@ -309,3 +309,39 @@ func TestHealthReportsFleet(t *testing.T) {
 		t.Fatal("local daemon served /v1/fleet")
 	}
 }
+
+// TestMetricsAlwaysServed: the observability plane has no off switch. A
+// zero-value Config mounts /metrics and /v1/metrics over the registry
+// the service publishes into, and with a Remote that registry is the
+// execution plane's, so one scrape sees the service and the fleet.
+func TestMetricsAlwaysServed(t *testing.T) {
+	families := func(t *testing.T, svc *Service, cl *client.Client) map[string]bool {
+		t.Helper()
+		rec := do(t, svc.Handler(), http.MethodGet, "/metrics")
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "# TYPE pipetune_jobs_rejected_total counter") {
+			t.Fatalf("GET /metrics: HTTP %d body %q", rec.Code, rec.Body)
+		}
+		snap, err := cl.Metrics(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := map[string]bool{}
+		for _, f := range snap.Families {
+			names[f.Name] = true
+		}
+		return names
+	}
+
+	svc, cl := newServer(t, Config{})
+	if got := families(t, svc, cl); !got["pipetune_jobs_rejected_total"] || !got["nn_parallelism"] {
+		t.Fatalf("GET /v1/metrics lacks the service and trainer families: %v", got)
+	}
+
+	svc, cl, remote := newRemoteServer(t, Config{}, 3)
+	if svc.MetricsRegistry() != remote.MetricsRegistry() {
+		t.Fatal("the service publishes into a registry of its own beside the Remote's")
+	}
+	if got := families(t, svc, cl); !got["pipetune_jobs_rejected_total"] || !got["pipetune_exec_lease_grants_total"] {
+		t.Fatalf("GET /v1/metrics lacks the service or execution-plane families: %v", got)
+	}
+}

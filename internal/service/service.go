@@ -67,15 +67,8 @@ type Config struct {
 	// every Add is fsynced to the WAL before it returns, so a job that
 	// reports done has its contributions durable already. The log is
 	// compacted into a fresh snapshot after every job that grew it, when
-	// it passes CompactEvery records, at SnapshotInterval ticks, after an
-	// import and at Shutdown.
+	// it passes compactEvery records, after an import and at Shutdown.
 	GTPath string
-	// CompactEvery folds the write-ahead log into a snapshot once it
-	// holds this many records (default 256; <= 0 uses the default).
-	CompactEvery int
-	// SnapshotInterval, when > 0, also compacts on a periodic ticker —
-	// bounding WAL replay time even while long jobs are mid-flight.
-	SnapshotInterval time.Duration
 	// MaxJobsRetained bounds the registry: when the job count exceeds it,
 	// the oldest terminal jobs (status, result and event log) are evicted
 	// so a long-running daemon's memory stays flat. Queued and running
@@ -103,20 +96,13 @@ type Config struct {
 	// leases still outstanding at the deadline fail their jobs rather
 	// than vanish (default 10s). Ignored on the local backend.
 	DrainTimeout time.Duration
-	// Metrics is the registry every layer publishes into. Nil adopts the
-	// Remote's registry when one is configured (so execution-plane series
-	// land on the same /metrics page) and otherwise creates a private
-	// one. Ignored when DisableMetrics is set.
-	Metrics *metrics.Registry
-	// DisableMetrics turns the observability plane off: no instruments
-	// register, hot paths run their nil-receiver no-op branches, and the
-	// /metrics endpoints are not mounted. /healthz then reports zero
-	// queue/tenant statistics — health is derived from the registry, not
-	// from a parallel set of counters.
-	DisableMetrics bool
 	// Logf receives operational log lines (nil = silent).
 	Logf func(format string, args ...any)
 }
+
+// compactEvery folds the ground-truth write-ahead log into a snapshot
+// once it holds this many records.
+const compactEvery = 256
 
 // subscriber is one live event stream over a job.
 type subscriber struct {
@@ -158,7 +144,8 @@ type Service struct {
 	cfg      Config
 	gt       gt.Store       // the store every job reads and feeds
 	persist  *gt.Persistent // non-nil when GTPath is set; == gt then
-	met      *svcMetrics    // nil-handle instruments when metrics are disabled
+	reg      *metrics.Registry
+	met      *svcMetrics
 	wg       sync.WaitGroup
 	baseCtx  context.Context
 	stop     context.CancelFunc
@@ -215,27 +202,19 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	if cfg.CompactEvery <= 0 {
-		cfg.CompactEvery = 256
-	}
 	if cfg.SubscriberBuffer <= 0 {
 		cfg.SubscriberBuffer = 256
 	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 10 * time.Second
 	}
-	if cfg.DisableMetrics {
-		cfg.Metrics = nil
-	} else if cfg.Metrics == nil {
-		if cfg.Remote != nil {
-			// Share the execution plane's registry so fleet series and
-			// service series land on one /metrics page.
-			cfg.Metrics = cfg.Remote.MetricsRegistry()
-		} else {
-			cfg.Metrics = metrics.NewRegistry()
-		}
-	}
-	if cfg.Remote != nil {
+	// One registry for every layer: the execution plane's when there is
+	// one, so fleet series and service series land on one /metrics page.
+	var reg *metrics.Registry
+	if cfg.Remote == nil {
+		reg = metrics.NewRegistry()
+	} else {
+		reg = cfg.Remote.MetricsRegistry()
 		// Every job's trial bodies now compute on the worker fleet; the
 		// searcher, scheduler and ground-truth middleware stay in-process.
 		cfg.System.SetExecBackend(cfg.Remote)
@@ -250,7 +229,8 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:  cfg,
 		gt:   cfg.System.GroundTruth(),
-		met:  newSvcMetrics(cfg.Metrics),
+		reg:  reg,
+		met:  newSvcMetrics(reg),
 		jobs: make(map[string]*job),
 	}
 	disp, err := newDispatcher(&s.mu, cfg, s.met)
@@ -262,7 +242,7 @@ func New(cfg Config) (*Service, error) {
 	s.baseCtx, s.stop = context.WithCancel(context.Background())
 	if cfg.GTPath != "" {
 		ps, err := gt.OpenPersistent(cfg.GTPath, s.gt, gt.PersistOptions{
-			CompactEvery: cfg.CompactEvery,
+			CompactEvery: compactEvery,
 			Logf:         cfg.Logf,
 		})
 		if err != nil {
@@ -276,43 +256,21 @@ func New(cfg Config) (*Service, error) {
 		if n := ps.Len(); n > 0 {
 			cfg.Logf("service: restored ground truth from %s (%d entries)", cfg.GTPath, n)
 		}
-		if cfg.SnapshotInterval > 0 {
-			s.wg.Add(1)
-			go s.snapshotLoop(cfg.SnapshotInterval)
-		}
 	}
-	if cfg.Metrics != nil {
-		// The ground-truth store (and, through the persistent wrapper, its
-		// WAL) publishes into the same registry.
-		if in, ok := s.gt.(gt.Instrumentable); ok {
-			in.InstrumentMetrics(cfg.Metrics)
-		}
-		// The trainer substrate publishes too: kernel wall times, corpus
-		// bytes and, when the trial prefix cache is enabled, its
-		// hit/miss/residency families.
-		cfg.System.InstrumentTrainer(cfg.Metrics)
+	// The ground-truth store (and, through the persistent wrapper, its
+	// WAL) publishes into the same registry.
+	if in, ok := s.gt.(gt.Instrumentable); ok {
+		in.InstrumentMetrics(reg)
 	}
+	// The trainer substrate publishes too: kernel wall times, corpus bytes
+	// and, when the trial prefix cache is enabled, its hit/miss/residency
+	// families.
+	cfg.System.InstrumentTrainer(reg)
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
 	return s, nil
-}
-
-// snapshotLoop compacts the WAL on a timer so recovery time stays bounded
-// even while long jobs run. Compaction no-ops when nothing changed.
-func (s *Service) snapshotLoop(every time.Duration) {
-	defer s.wg.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.baseCtx.Done():
-			return
-		case <-t.C:
-			s.snapshotGT()
-		}
-	}
 }
 
 // buildSpec translates an API request into a library JobSpec, mirroring
@@ -950,9 +908,9 @@ func (s *Service) Health() api.Health {
 	return h
 }
 
-// MetricsRegistry exposes the registry the service publishes into; nil
-// when metrics are disabled.
-func (s *Service) MetricsRegistry() *metrics.Registry { return s.cfg.Metrics }
+// MetricsRegistry exposes the registry the service publishes into: the
+// Remote's when one is configured.
+func (s *Service) MetricsRegistry() *metrics.Registry { return s.reg }
 
 // Shutdown stops the service: no new submissions, the execution plane
 // drains, running jobs are cancelled at their next trial boundary,
@@ -985,7 +943,7 @@ func (s *Service) Shutdown() {
 			// rest. Jobs blocked on a failed trial finish immediately.
 			s.cfg.Remote.Drain(s.cfg.DrainTimeout)
 		}
-		s.stop()        // interrupt running jobs and the snapshot ticker
+		s.stop()        // interrupt running jobs
 		s.wg.Wait()     // workers finish their current (now cancelled) jobs
 		s.drainQueued() // jobs still queued become cancelled
 		if s.cfg.Remote != nil {

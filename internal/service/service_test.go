@@ -559,19 +559,20 @@ func TestGroundTruthStatsFieldsOverHTTP(t *testing.T) {
 }
 
 // TestServicePersistsWALDuringJob pins that done ⇒ durable does not hang
-// on any compaction cadence: with the record-count trigger and the ticker
-// out of reach, a job that reports done still survives the service being
-// dropped without Shutdown — whatever mix of snapshot and fsynced log
-// records the job left behind, reopening the path recovers every entry.
+// on any compaction cadence: a job adds far fewer entries than the
+// record-count trigger, yet a job that reports done still survives the
+// service being dropped without Shutdown — whatever mix of snapshot and
+// fsynced log records the job left behind, reopening the path recovers
+// every entry.
 func TestServicePersistsWALDuringJob(t *testing.T) {
 	gtPath := filepath.Join(t.TempDir(), "gt.json")
-	svc, cl := newServer(t, Config{GTPath: gtPath, CompactEvery: 1 << 20})
+	svc, cl := newServer(t, Config{GTPath: gtPath})
 	runJobToDone(t, cl)
 	want := gtEntries(t, svc)
-	if len(want) == 0 {
-		t.Fatal("job fed no entries")
+	if len(want) == 0 || len(want) >= compactEvery {
+		t.Fatalf("job fed %d entries, want 1..%d: the record-count trigger must stay out of reach", len(want), compactEvery-1)
 	}
-	reopened, _ := newServer(t, Config{GTPath: gtPath, CompactEvery: 1 << 20})
+	reopened, _ := newServer(t, Config{GTPath: gtPath})
 	if got := gtEntries(t, reopened); !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovery restored %d entries, want the job's %d", len(got), len(want))
 	}

@@ -202,7 +202,7 @@ func (r *Runner) corpus(w workload.Workload) (*corpusPair, error) {
 // InstrumentMetrics registers the trainer's instruments on reg: the kernel
 // wall-time sketches, the resident corpus bytes and, when a trial prefix
 // cache is attached, its hit/miss/residency families. Call before running
-// trials. A nil registry (metrics disabled) keeps every update a no-op.
+// trials. A nil registry keeps every update a no-op.
 func (r *Runner) InstrumentMetrics(reg *metrics.Registry) {
 	r.epochSeconds.Store(reg.Distribution("nn_train_epoch_seconds", "Wall-clock seconds per nn training epoch (real SGD compute, not the simulated epoch duration)."))
 	r.evalSeconds.Store(reg.Distribution("nn_eval_seconds", "Wall-clock seconds per nn test-set evaluation."))

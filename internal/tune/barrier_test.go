@@ -1,0 +1,238 @@
+package tune
+
+// The legacy batch-barrier scheduler, kept as the reference RunJob is
+// compared against: under FIFO the event loop must reproduce its schedule
+// (async_test.go), and on the Table 3 catalog its TuningTime is a ceiling.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sort"
+	"testing"
+
+	"pipetune/internal/cluster"
+	"pipetune/internal/dataset"
+	"pipetune/internal/params"
+	"pipetune/internal/search"
+	"pipetune/internal/trainer"
+	"pipetune/internal/workload"
+)
+
+// RunJobBarrier executes the HPT job under the pre-refactor batch-barrier
+// model: every searcher batch runs to its collective makespan before any
+// result is observed. It is the regression reference the event-driven
+// scheduler is held to — its TuningTime is the ceiling RunJob must stay at
+// or below — and no production path runs it.
+func (r *Runner) RunJobBarrier(spec JobSpec) (*JobResult, error) {
+	searcher, slots, workers, err := r.prepare(spec)
+	if err != nil {
+		return nil, err
+	}
+
+	res := &JobResult{Spec: spec}
+	clock := 0.0 // simulated wall clock; batches are barrier-synchronised
+
+	for {
+		batch := searcher.Next()
+		if len(batch) == 0 {
+			break
+		}
+		records, err := r.runBatch(context.Background(), spec, batch, workers)
+		if err != nil {
+			return nil, err
+		}
+		// Simulated resource-aware scheduling of the batch: trials claim
+		// their actual footprint (V2's oversized trials therefore reduce
+		// effective parallelism, one of the reasons its tuning time grows,
+		// §7.3), bounded additionally by the MaxParallel slot count.
+		end, err := r.scheduleBatch(records, clock, slots)
+		if err != nil {
+			return nil, err
+		}
+		clock = end
+		reports := make([]search.Report, 0, len(records))
+		for i := range records {
+			reports = append(reports, search.Report{ID: records[i].ID, Score: records[i].Score})
+		}
+		searcher.Observe(reports)
+
+		// Fold into the job result, maintaining the progress curve in
+		// completion-time order.
+		res.Trials = append(res.Trials, records...)
+		for i := range records {
+			rec := &records[i]
+			res.TotalEnergy += rec.Result.EnergyJ
+			if spec.OnTrialDone != nil {
+				spec.OnTrialDone(rec.ID, rec.Result)
+			}
+			if res.Best == nil || rec.Score > res.Best.Score {
+				cp := *rec
+				res.Best = &cp
+			}
+		}
+	}
+	if res.Best == nil {
+		return nil, errors.New("tune: searcher proposed no trials")
+	}
+	res.TuningTime = clock
+
+	// Progress curve: trials sorted by simulated completion time.
+	done := make([]TrialRecord, len(res.Trials))
+	copy(done, res.Trials)
+	sort.SliceStable(done, func(i, j int) bool { return done[i].End < done[j].End })
+	bestAcc := 0.0
+	for _, rec := range done {
+		if rec.Result.Accuracy > bestAcc {
+			bestAcc = rec.Result.Accuracy
+		}
+		res.Progress = append(res.Progress, ProgressPoint{
+			Time:          rec.End,
+			BestAccuracy:  bestAcc,
+			TrialDuration: rec.Result.Duration,
+		})
+	}
+	return res, nil
+}
+
+// scheduleBatch assigns simulated start/end times to the batch's records
+// in ID order against a scratch copy of the cluster: each trial waits until
+// its own system footprint fits (FIFO within the batch), with at most
+// `slots` trials in flight. It returns the batch makespan end time.
+func (r *Runner) scheduleBatch(records []TrialRecord, clock float64, slots int) (float64, error) {
+	scratch := r.Cluster.Clone()
+	type running struct {
+		end   float64
+		alloc *cluster.Alloc
+	}
+	var inFlight []running
+	now := clock
+	finishEarliest := func() error {
+		// Pop the earliest-finishing trial and free its resources.
+		idx := 0
+		for i := 1; i < len(inFlight); i++ {
+			if inFlight[i].end < inFlight[idx].end {
+				idx = i
+			}
+		}
+		if inFlight[idx].end > now {
+			now = inFlight[idx].end
+		}
+		if err := inFlight[idx].alloc.Release(); err != nil {
+			return err
+		}
+		inFlight = append(inFlight[:idx], inFlight[idx+1:]...)
+		return nil
+	}
+	for i := range records {
+		rec := &records[i]
+		for {
+			if len(inFlight) < slots {
+				alloc, err := scratch.Allocate(rec.StartSys)
+				if err == nil {
+					rec.Start = now
+					rec.End = now + rec.Result.Duration
+					inFlight = append(inFlight, running{end: rec.End, alloc: alloc})
+					break
+				}
+				if !errors.Is(err, cluster.ErrInsufficient) {
+					return 0, err
+				}
+			}
+			if len(inFlight) == 0 {
+				return 0, fmt.Errorf("tune: trial %d config %v cannot ever fit", rec.ID, rec.StartSys)
+			}
+			if err := finishEarliest(); err != nil {
+				return 0, err
+			}
+		}
+	}
+	end := now
+	for _, f := range inFlight {
+		if f.end > end {
+			end = f.end
+		}
+	}
+	return end, nil
+}
+
+// catalogRunner builds a tuner over the paper testbed with a small corpus
+// (simulated durations derive from Table 3's full sizes, not the corpus).
+func catalogRunner() *Runner {
+	tr := trainer.NewRunner()
+	tr.Data = dataset.Config{TrainSize: 128, TestSize: 64}
+	return NewRunner(tr, cluster.Paper())
+}
+
+// catalogSpec is the standard V1 HyperBand job for a catalog workload.
+func catalogSpec(w workload.Workload) JobSpec {
+	h := params.DefaultHyper()
+	h.Epochs = 4
+	return JobSpec{
+		Workload:    w,
+		Mode:        ModeV1,
+		Objective:   MaximizeAccuracy,
+		HyperSpace:  params.PaperHyperSpace(),
+		SystemSpace: params.PaperSystemSpace(),
+		BaseHyper:   h,
+		BaseSys:     params.DefaultSysConfig(),
+		Seed:        42,
+	}
+}
+
+func TestEventSchedulerNoWorseThanBarrierOnCatalog(t *testing.T) {
+	catalog := workload.Catalog()
+	if testing.Short() {
+		catalog = catalog[:2]
+	}
+	for _, w := range catalog {
+		t.Run(w.Name(), func(t *testing.T) {
+			event, err := catalogRunner().RunJob(catalogSpec(w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			barrier, err := catalogRunner().RunJobBarrier(catalogSpec(w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if event.TuningTime > barrier.TuningTime {
+				t.Fatalf("event TuningTime %v exceeds barrier %v", event.TuningTime, barrier.TuningTime)
+			}
+			if event.Best.ID != barrier.Best.ID || event.Best.Score != barrier.Best.Score {
+				t.Fatalf("best diverged: event %d/%v vs barrier %d/%v",
+					event.Best.ID, event.Best.Score, barrier.Best.ID, barrier.Best.Score)
+			}
+			// Determinism: a second event-driven run reproduces the first.
+			again, err := catalogRunner().RunJob(catalogSpec(w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.TuningTime != event.TuningTime || again.Best.ID != event.Best.ID ||
+				again.Best.Score != event.Best.Score {
+				t.Fatalf("same seed diverged: %v/%d vs %v/%d",
+					again.TuningTime, again.Best.ID, event.TuningTime, event.Best.ID)
+			}
+		})
+	}
+}
+
+func BenchmarkSchedulerVsBarrier(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		var eventTotal, barrierTotal float64
+		for _, w := range workload.Catalog() {
+			event, err := catalogRunner().RunJob(catalogSpec(w))
+			if err != nil {
+				b.Fatal(err)
+			}
+			barrier, err := catalogRunner().RunJobBarrier(catalogSpec(w))
+			if err != nil {
+				b.Fatal(err)
+			}
+			eventTotal += event.TuningTime
+			barrierTotal += barrier.TuningTime
+		}
+		b.ReportMetric(eventTotal, "event-tuning-s")
+		b.ReportMetric(barrierTotal, "barrier-tuning-s")
+		b.ReportMetric(eventTotal/barrierTotal, "event/barrier-ratio")
+	}
+}
