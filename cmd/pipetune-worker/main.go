@@ -16,9 +16,9 @@
 // processes (on more machines) to scale the fleet out — the daemon
 // requeues leases from any worker that dies, so workers are fully
 // disposable. -heartbeat 0 adopts the daemon's advertised cadence.
-// Everything else a trial body depends on — corpus sizing, trial cache
-// budget, kernel parallelism — arrives with each lease, so every worker
-// runs a trial exactly as the daemon would.
+// Everything else a trial body depends on — corpus sizing, contention,
+// trial cache budget — arrives with each lease, so every worker runs a
+// trial exactly as the daemon would.
 //
 // The worker holds no durable state: killing it outright (SIGKILL, a
 // crashed machine) loses nothing — the daemon reassigns its leases

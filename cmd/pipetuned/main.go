@@ -12,7 +12,7 @@
 //	          [-tenant-weight name=w ...]
 //	          [-node-classes ec2] [-spot-fraction 0]
 //	          [-spot-revocations-per-hour 0.5]
-//	          [-trial-cache] [-train-parallelism 0]
+//	          [-trial-cache]
 //	          [-exec-backend local] [-worker-token secret]
 //	          [-worker-heartbeat 2s] [-worker-evict-after 3]
 //	          [-pprof-addr localhost:6060]
@@ -185,7 +185,6 @@ func run() error {
 		evictFlag     = flag.Int("worker-evict-after", 3, "consecutive missed heartbeats before a worker is evicted and its leases requeued")
 		pprofFlag     = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 		cacheFlag     = flag.Bool("trial-cache", false, "enable the 64 MiB trial prefix cache: trials sharing a training prefix replay or resume cached SGD bit-identically (remote workers keep local caches of the same budget)")
-		trainParFlag  = flag.Int("train-parallelism", 0, "deterministic intra-trial kernel parallelism: shard each trial's compute across up to N goroutines, bit-identically to serial (<=1 = serial; shipped to remote workers)")
 		weights       = weightFlags{}
 	)
 	flag.Var(weights, "tenant-weight", "fair-share weight as name=w (repeatable; unlisted tenants weigh 1)")
@@ -218,9 +217,6 @@ func run() error {
 	}
 	if *cacheFlag {
 		opts = append(opts, pipetune.WithTrialCache(trainer.DefaultCacheBytes))
-	}
-	if *trainParFlag > 1 {
-		opts = append(opts, pipetune.WithTrainParallelism(*trainParFlag))
 	}
 	sys, err := pipetune.New(opts...)
 	if err != nil {

@@ -181,16 +181,3 @@ func TestAgentSurvivesEvictionAndReRegisters(t *testing.T) {
 		t.Fatalf("fleet after recovery: %+v", fs)
 	}
 }
-
-// TestAgentRunsTheShippedParallelism: a worker has no parallelism knob of
-// its own. It trains at the degree the lease's TrainerConfig ships, and a
-// config that ships 0 trains serially (trainer.Runner: 0 and 1 both mean
-// serial).
-func TestAgentRunsTheShippedParallelism(t *testing.T) {
-	a := NewAgent(AgentConfig{})
-	for _, par := range []int{0, 4} {
-		if got := a.trainerFor(TrainerConfig{Parallelism: par}).Parallelism; got != par {
-			t.Errorf("TrainerConfig.Parallelism %d: the worker trains at degree %d", par, got)
-		}
-	}
-}

@@ -306,9 +306,9 @@ func (r *wireReader) finish() error {
 
 // codecVersion is the stream codec layout version, carried in Hello.
 // Version 2 added the trainer cache budget and the prefix-cache key hint
-// to assignments; version 3 the preferred node class; version 4 the
-// trainer's kernel parallelism degree — all incompatible grant layout
-// changes.
+// to assignments; version 3 the preferred node class; version 4 a
+// trainer kernel parallelism degree, since retired in place (see
+// appendAssignment) — all incompatible grant layout changes.
 const codecVersion = 4
 
 func encodeHello(w *wirebuf, name string, capacity int) {
@@ -351,7 +351,10 @@ const asgStreamEpochs = 1 << 0
 
 // appendAssignment encodes one lease grant. Called by the daemon's
 // granter under the backend lock; reads only fields that are immutable
-// while the lease is assigned.
+// while the lease is assigned. The uvarint after CacheBytes was the
+// trainer's intra-trial kernel parallelism degree, retired with the
+// kernel pool: written 0, read and discarded, so the layout (and
+// codecVersion) did not move when it went.
 func appendAssignment(w *wirebuf, leaseID string, attempt int, t *Trial) {
 	w.str(leaseID)
 	w.uvarint(uint64(attempt))
@@ -371,7 +374,7 @@ func appendAssignment(w *wirebuf, leaseID string, attempt int, t *Trial) {
 	w.f64(t.Trainer.Load)
 	w.u64(t.Trainer.DataSeed)
 	w.uvarint(uint64(t.Trainer.CacheBytes))
-	w.uvarint(uint64(t.Trainer.Parallelism))
+	w.uvarint(0)
 	w.str(t.CacheKey)
 	w.str(t.Class)
 }
@@ -392,7 +395,7 @@ func readAssignment(r *wireReader, asg *Assignment) {
 		DataSeed:  r.u64(),
 	}
 	asg.Trainer.CacheBytes = int64(r.uvarint())
-	asg.Trainer.Parallelism = int(r.uvarint())
+	_ = r.uvarint()
 	asg.CacheKey = r.str()
 	asg.Class = r.str()
 }

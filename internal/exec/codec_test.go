@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -26,10 +27,28 @@ func sampleAssignment() Assignment {
 		Sys:          params.DefaultSysConfig(),
 		Seed:         0xdeadbeefcafe,
 		StreamEpochs: true,
-		Trainer:      TrainerConfig{TrainSize: 96, TestSize: 48, Load: 1.5, DataSeed: 0x0da7a5eed, CacheBytes: 32 << 20, Parallelism: 4},
+		Trainer:      TrainerConfig{TrainSize: 96, TestSize: 48, Load: 1.5, DataSeed: 0x0da7a5eed, CacheBytes: 32 << 20},
 		CacheKey:     "v2|1/0|229351022/96/48|32/3fa999999999999a/3fc999999999999a/64|2a",
 		Class:        "m5.12xlarge-spot",
 	}
+}
+
+// trialOf is the daemon-side trial a grant of asg is encoded from.
+func trialOf(asg Assignment) Trial {
+	tr := Trial{
+		ID:       asg.TrialID,
+		Workload: asg.Workload,
+		Hyper:    asg.Hyper,
+		Sys:      asg.Sys,
+		Seed:     asg.Seed,
+		Trainer:  asg.Trainer,
+		CacheKey: asg.CacheKey,
+		Class:    asg.Class,
+	}
+	if asg.StreamEpochs {
+		tr.Observer = trainer.ObserverFunc(func(uint64, workload.Workload, params.Hyper, trainer.EpochStats) *params.SysConfig { return nil })
+	}
+	return tr
 }
 
 // sampleResult builds a result that satisfies the trainer's accumulation
@@ -152,21 +171,8 @@ func TestAssignmentRoundTrip(t *testing.T) {
 	wb := getWirebuf()
 	defer putWirebuf(wb)
 	wb.uvarint(uint64(len(want)))
-	for i := range want {
-		asg := want[i]
-		tr := Trial{
-			ID:       asg.TrialID,
-			Workload: asg.Workload,
-			Hyper:    asg.Hyper,
-			Sys:      asg.Sys,
-			Seed:     asg.Seed,
-			Trainer:  asg.Trainer,
-			CacheKey: asg.CacheKey,
-			Class:    asg.Class,
-		}
-		if asg.StreamEpochs {
-			tr.Observer = trainer.ObserverFunc(func(uint64, workload.Workload, params.Hyper, trainer.EpochStats) *params.SysConfig { return nil })
-		}
+	for _, asg := range want {
+		tr := trialOf(asg)
 		appendAssignment(wb, asg.LeaseID, asg.Attempt, &tr)
 	}
 	got, err := decodeGrant(wb.b)
@@ -175,6 +181,40 @@ func TestAssignmentRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("grant round trip:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestGrantIgnoresRetiredDegreeSlot: the uvarint after CacheBytes once
+// carried the trainer's kernel parallelism degree, and a daemon that
+// still sets one sends it non-zero. Such a grant decodes to the same
+// Assignment as one carrying the 0 this codec writes.
+func TestGrantIgnoresRetiredDegreeSlot(t *testing.T) {
+	asg := sampleAssignment()
+	tr := trialOf(asg)
+	wb := getWirebuf()
+	defer putWirebuf(wb)
+	wb.uvarint(1)
+	appendAssignment(wb, asg.LeaseID, asg.Attempt, &tr)
+	// The slot is the last field before the CacheKey and Class strings.
+	tail := getWirebuf()
+	defer putWirebuf(tail)
+	tail.str(asg.CacheKey)
+	tail.str(asg.Class)
+	slot := len(wb.b) - len(tail.b) - 1
+	if wb.b[slot] != 0 || !bytes.Equal(wb.b[slot+1:], tail.b) {
+		t.Fatalf("retired slot not found as a 0 before the tail strings")
+	}
+	for _, degree := range []uint64{0, 1, 4, 300} {
+		p := append([]byte(nil), wb.b[:slot]...)
+		p = binary.AppendUvarint(p, degree)
+		p = append(p, tail.b...)
+		got, err := decodeGrant(p)
+		if err != nil {
+			t.Fatalf("degree %d: %v", degree, err)
+		}
+		if !reflect.DeepEqual(got, []Assignment{asg}) {
+			t.Fatalf("degree %d: grant decoded to\n %+v\nwant %+v", degree, got, asg)
+		}
 	}
 }
 
@@ -274,6 +314,10 @@ func fuzzSeedFrames(t testing.TB) [][]byte {
 	res := sampleResult(3, 3, asg.Sys)
 	st := res.Epochs[1]
 	sw := params.SysConfig{Cores: 16, MemoryGB: 32}
+	stats := newWorkerStats()
+	stats.observeTrial(0.25, 3)
+	stats.observeTrial(2, 1)
+	stats.decodeError()
 	return [][]byte{
 		encodeFrameBytes(t, frameHello, func(w *wirebuf) { encodeHello(w, "worker-a", 4) }),
 		encodeFrameBytes(t, frameWelcome, func(w *wirebuf) {
@@ -282,7 +326,7 @@ func fuzzSeedFrames(t testing.TB) [][]byte {
 		encodeFrameBytes(t, frameHeartbeat, func(*wirebuf) {}),
 		encodeFrameBytes(t, frameGrant, func(w *wirebuf) {
 			w.uvarint(1)
-			tr := Trial{ID: asg.TrialID, Workload: asg.Workload, Hyper: asg.Hyper, Sys: asg.Sys, Seed: asg.Seed, Trainer: asg.Trainer}
+			tr := trialOf(asg)
 			appendAssignment(w, asg.LeaseID, asg.Attempt, &tr)
 		}),
 		encodeFrameBytes(t, frameEpoch, func(w *wirebuf) { encodeEpochFrame(w, asg.LeaseID, asg.Attempt, &st) }),
@@ -296,6 +340,7 @@ func fuzzSeedFrames(t testing.TB) [][]byte {
 			encodeComplete(w, asg.LeaseID, asg.Attempt, completeError, "trial body panicked", nil, asg.Sys)
 		}),
 		encodeFrameBytes(t, frameAck, func(w *wirebuf) { encodeAck(w, []byte(asg.LeaseID), asg.Attempt, ackCommitted) }),
+		encodeFrameBytes(t, frameStats, func(w *wirebuf) { encodeStats(w, stats.series()) }),
 	}
 }
 
@@ -327,6 +372,7 @@ func FuzzFrameDecode(f *testing.F) {
 		_, _, _, _, _ = decodeDirective(p)
 		_, _, _, _, _, _ = decodeComplete(p, workload.Workload{}, params.Hyper{}, params.SysConfig{})
 		_, _, _, _ = decodeAck(p)
+		_, _ = decodeStats(p)
 		switch ft {
 		case frameHello:
 			if name, capacity, err := decodeHello(p); err == nil && capacity < 0 {

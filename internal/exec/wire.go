@@ -28,24 +28,16 @@ type TrainerConfig struct {
 	// cache of that byte budget, mirroring the daemon's. Zero disables
 	// caching on the worker.
 	CacheBytes int64
-	// Parallelism is the submitter's deterministic intra-trial kernel
-	// parallelism degree, shipped so remote fleets run trials with the
-	// same configuration the daemon would use locally. It never changes
-	// trial bits (the nn kernels are bit-identical at every degree) —
-	// only how many goroutines each trial's compute may use. Zero is
-	// serial.
-	Parallelism int
 }
 
 // CaptureTrainerConfig extracts the wire-portable configuration of a
 // trainer.
 func CaptureTrainerConfig(tr *trainer.Runner) TrainerConfig {
 	tc := TrainerConfig{
-		TrainSize:   tr.Data.TrainSize,
-		TestSize:    tr.Data.TestSize,
-		Load:        tr.Load,
-		DataSeed:    tr.DataSeed,
-		Parallelism: tr.Parallelism,
+		TrainSize: tr.Data.TrainSize,
+		TestSize:  tr.Data.TestSize,
+		Load:      tr.Load,
+		DataSeed:  tr.DataSeed,
 	}
 	if tr.Cache != nil {
 		tc.CacheBytes = tr.Cache.Cap()
@@ -68,9 +60,6 @@ func (tc TrainerConfig) NewRunner() *trainer.Runner {
 	}
 	if tc.CacheBytes > 0 {
 		tr.Cache = trainer.NewTrialCache(tc.CacheBytes)
-	}
-	if tc.Parallelism > 0 {
-		tr.Parallelism = tc.Parallelism
 	}
 	return tr
 }

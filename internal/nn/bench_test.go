@@ -112,39 +112,35 @@ func BenchmarkKernels(b *testing.B) {
 }
 
 // TestTrainHotPathAllocs pins the tentpole claim: once arenas are sized
-// (one warm-up pass), TrainBatch allocates nothing — serial or parallel.
+// (one warm-up pass), TrainBatch allocates nothing.
 func TestTrainHotPathAllocs(t *testing.T) {
-	for _, p := range []int{1, 2} {
-		w := workload.Workload{Model: workload.LeNet5, Dataset: workload.MNIST}
-		train, _, err := dataset.Generate(w, 1, dataset.Config{TrainSize: 64, TestSize: 16})
-		if err != nil {
+	w := workload.Workload{Model: workload.LeNet5, Dataset: workload.MNIST}
+	train, _, err := dataset.Generate(w, 1, dataset.Config{TrainSize: 64, TestSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := Build(w.Model, train.Dim, train.NumClasses, params.DefaultHyper(), xrand.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := &Batch{Data: make([]float64, 32*train.Dim), Rows: 32, Cols: train.Dim}
+	labels := make([]int, 32)
+	for i := range labels {
+		train.Row(i, x.Row(i))
+		labels[i] = train.Label(i)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := net.TrainBatch(x, labels, 0.01); err != nil {
 			t.Fatal(err)
 		}
-		net, err := Build(w.Model, train.Dim, train.NumClasses, params.DefaultHyper(), xrand.New(1))
-		if err != nil {
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := net.TrainBatch(x, labels, 0.01); err != nil {
 			t.Fatal(err)
 		}
-		net.SetParallelism(p)
-		x := &Batch{Data: make([]float64, 32*train.Dim), Rows: 32, Cols: train.Dim}
-		labels := make([]int, 32)
-		for i := range labels {
-			train.Row(i, x.Row(i))
-			labels[i] = train.Label(i)
-		}
-		// Warm up: first calls bind kernel closures and start the pool.
-		for i := 0; i < 3; i++ {
-			if _, err := net.TrainBatch(x, labels, 0.01); err != nil {
-				t.Fatal(err)
-			}
-		}
-		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := net.TrainBatch(x, labels, 0.01); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Fatalf("TrainBatch steady state allocates %.1f/op at parallelism %d, want 0", allocs, p)
-		}
+	})
+	if allocs != 0 {
+		t.Fatalf("TrainBatch steady state allocates %.1f/op, want 0", allocs)
 	}
 }
 

@@ -23,9 +23,8 @@
 // as the naive reference implementation produced it (see
 // reference_test.go), because downstream planes — the trial prefix
 // cache, the binary delta codec, spot salvage — all rely on bit-identical
-// trial results. For the same reason intra-trial parallelism (see
-// pool.go) only shards per-sample-independent work; cross-sample
-// accumulations stay serial in sample order.
+// trial results. A trial's kernels run serially on its own goroutine;
+// parallelism is across trials, never inside one.
 package nn
 
 import (
@@ -156,13 +155,9 @@ type Dense struct {
 	// entirely. Weight/bias gradients are unaffected.
 	noDx bool
 
-	k    *kern
-	x    *Batch // cached input (aliases the upstream layer's arena)
-	g    *Batch // pending upstream gradient during Backward
-	out  Batch  // forward arena
-	dx   Batch  // backward arena
-	fwd  func(lo, hi int)
-	bwdx func(lo, hi int)
+	x   *Batch // cached input (aliases the upstream layer's arena)
+	out Batch  // forward arena
+	dx  Batch  // backward arena
 }
 
 // NewDense creates a dense layer with He-uniform initial weights drawn from r.
@@ -182,35 +177,24 @@ func NewDense(in, out int, r *xrand.Source) *Dense {
 	return d
 }
 
-func (d *Dense) setKernel(k *kern) { d.k = k }
-
 func (d *Dense) prealloc(rows, _ int) int {
 	d.out.resize(rows, d.Out)
 	d.dx.resize(rows, d.In)
 	return d.Out
 }
 
-// Forward implements Layer.
-func (d *Dense) Forward(x *Batch, _ bool) *Batch {
-	d.x = x
-	d.out.resize(x.Rows, d.Out)
-	if d.fwd == nil {
-		d.fwd = d.forwardRows
-	}
-	d.k.rows(x.Rows, d.fwd)
-	return &d.out
-}
-
-// forwardRows computes o[s] = b + x[s]·w for samples [lo, hi): per output
+// Forward implements Layer. It computes o[s] = b + x[s]·w: per output
 // element the additions run in ascending input order starting from the
 // bias, exactly as the reference did. Zero inputs are skipped (the text
 // workloads are sparse).
-func (d *Dense) forwardRows(lo, hi int) {
-	for s := lo; s < hi; s++ {
+func (d *Dense) Forward(x *Batch, _ bool) *Batch {
+	d.x = x
+	d.out.resize(x.Rows, d.Out)
+	for s := 0; s < x.Rows; s++ {
 		copy(d.out.Row(s), d.b)
 	}
-	cols := d.x.Cols
-	accumRows(d.out.Data, d.Out, d.Out, d.x.Data, cols, 1, cols, d.w, d.Out, lo, hi)
+	accumRows(d.out.Data, d.Out, d.Out, x.Data, x.Cols, 1, x.Cols, d.w, d.Out, 0, x.Rows)
+	return &d.out
 }
 
 // Backward implements Layer.
@@ -231,7 +215,6 @@ func (d *Dense) Backward(grad *Batch) *Batch {
 	for j := range d.gb {
 		d.gb[j] = 0
 	}
-	d.g = grad
 	if !d.noDx {
 		// Refresh the weight transpose the dx kernel streams (w moved
 		// last Update): O(In*Out) once per batch against the kernel's
@@ -243,16 +226,15 @@ func (d *Dense) Backward(grad *Batch) *Batch {
 				d.wt[j*in+i] = v
 			}
 		}
+		// dx[s][i] = w[i]·g[s], computed as dx[s] = Σ_j g[s][j]·wt[j] over
+		// the transposed weights, so each dx[s][i] sums its terms in
+		// exactly the reference's single-accumulator order — on the
+		// throughput-bound kernel instead of a latency-bound dot chain,
+		// and skipping the (post-ReLU, frequently zero) gradient entries.
+		// Input rows narrower than In contribute zeros.
 		d.dx.resize(grad.Rows, in)
-		if d.bwdx == nil {
-			d.bwdx = d.backwardRows
-		}
-		// dx rows are per-sample independent: shardable. The parameter
-		// gradients are cross-sample sums and float addition is not
-		// associative, so they stay serial in sample order below — this
-		// is the boundary that keeps results bit-identical at any
-		// parallelism degree.
-		d.k.rows(grad.Rows, d.bwdx)
+		clear(d.dx.Data)
+		accumRows(d.dx.Data, in, min(d.x.Cols, in), grad.Data, grad.Cols, 1, grad.Cols, d.wt, in, 0, grad.Rows)
 	}
 	// gw[i] = Σ_s x[s][i]·g[s]: the same nest with x read by column, so a
 	// gradient row is written once per sample chunk, not once per sample.
@@ -264,18 +246,6 @@ func (d *Dense) Backward(grad *Batch) *Batch {
 		}
 	}
 	return &d.dx
-}
-
-// backwardRows computes dx[s][i] = w[i]·g[s] for samples [lo, hi) as
-// dx[s] = Σ_j g[s][j]·wt[j] over the transposed weights, so each dx[s][i]
-// sums its terms in exactly the reference's single-accumulator order —
-// on the throughput-bound kernel instead of a latency-bound dot chain,
-// and skipping the (post-ReLU, frequently zero) gradient entries.
-func (d *Dense) backwardRows(lo, hi int) {
-	in := d.In
-	active := min(d.x.Cols, in) // input rows narrower than In contribute zeros
-	clear(d.dx.Data[lo*in : hi*in])
-	accumRows(d.dx.Data, in, active, d.g.Data, d.g.Cols, 1, d.g.Cols, d.wt, in, lo, hi)
 }
 
 // Update implements Layer. w[i] -= lr*gw[i] is computed as
@@ -292,16 +262,9 @@ func (d *Dense) Update(lr float64) {
 // separate mask buffer — and with it the stale-columns edge case an empty
 // batch used to leave behind.
 type ReLU struct {
-	k   *kern
-	x   *Batch
-	g   *Batch
-	y   Batch
-	dx  Batch
-	fwd func(lo, hi int)
-	bwd func(lo, hi int)
+	y  Batch
+	dx Batch
 }
-
-func (a *ReLU) setKernel(k *kern) { a.k = k }
 
 func (a *ReLU) prealloc(rows, cols int) int {
 	a.y.resize(rows, cols)
@@ -311,34 +274,16 @@ func (a *ReLU) prealloc(rows, cols int) int {
 
 // Forward implements Layer.
 func (a *ReLU) Forward(x *Batch, _ bool) *Batch {
-	a.x = x
 	a.y.resize(x.Rows, x.Cols)
-	if a.fwd == nil {
-		a.fwd = a.forwardRows
-	}
-	a.k.rows(x.Rows, a.fwd)
+	reluFwd(a.y.Data, x.Data)
 	return &a.y
-}
-
-func (a *ReLU) forwardRows(lo, hi int) {
-	cols := a.y.Cols
-	reluFwd(a.y.Data[lo*cols:hi*cols], a.x.Data[lo*cols:hi*cols])
 }
 
 // Backward implements Layer.
 func (a *ReLU) Backward(grad *Batch) *Batch {
-	a.g = grad
 	a.dx.resize(grad.Rows, grad.Cols)
-	if a.bwd == nil {
-		a.bwd = a.backwardRows
-	}
-	a.k.rows(grad.Rows, a.bwd)
+	reluBwd(a.dx.Data, a.y.Data, grad.Data)
 	return &a.dx
-}
-
-func (a *ReLU) backwardRows(lo, hi int) {
-	cols := a.dx.Cols
-	reluBwd(a.dx.Data[lo*cols:hi*cols], a.y.Data[lo*cols:hi*cols], a.g.Data[lo*cols:hi*cols])
 }
 
 // Update implements Layer (no parameters).
@@ -346,16 +291,9 @@ func (a *ReLU) Update(float64) {}
 
 // Tanh is the hyperbolic-tangent activation (used by the LSTM stand-in).
 type Tanh struct {
-	k   *kern
-	x   *Batch
-	g   *Batch
-	y   Batch
-	dx  Batch
-	fwd func(lo, hi int)
-	bwd func(lo, hi int)
+	y  Batch
+	dx Batch
 }
-
-func (a *Tanh) setKernel(k *kern) { a.k = k }
 
 func (a *Tanh) prealloc(rows, cols int) int {
 	a.y.resize(rows, cols)
@@ -365,41 +303,23 @@ func (a *Tanh) prealloc(rows, cols int) int {
 
 // Forward implements Layer.
 func (a *Tanh) Forward(x *Batch, _ bool) *Batch {
-	a.x = x
 	a.y.resize(x.Rows, x.Cols)
-	if a.fwd == nil {
-		a.fwd = a.forwardRows
+	out := a.y.Data
+	for i, v := range x.Data[:len(out)] {
+		out[i] = math.Tanh(v)
 	}
-	a.k.rows(x.Rows, a.fwd)
 	return &a.y
-}
-
-func (a *Tanh) forwardRows(lo, hi int) {
-	cols := a.y.Cols
-	in, out := a.x.Data, a.y.Data
-	for i := lo * cols; i < hi*cols; i++ {
-		out[i] = math.Tanh(in[i])
-	}
 }
 
 // Backward implements Layer.
 func (a *Tanh) Backward(grad *Batch) *Batch {
-	a.g = grad
 	a.dx.resize(grad.Rows, grad.Cols)
-	if a.bwd == nil {
-		a.bwd = a.backwardRows
-	}
-	a.k.rows(grad.Rows, a.bwd)
-	return &a.dx
-}
-
-func (a *Tanh) backwardRows(lo, hi int) {
-	cols := a.dx.Cols
-	yd, g, o := a.y.Data, a.g.Data, a.dx.Data
-	for i := lo * cols; i < hi*cols; i++ {
+	o, yd := a.dx.Data, a.y.Data
+	for i, g := range grad.Data[:len(o)] {
 		y := yd[i]
-		o[i] = g[i] * (1 - y*y)
+		o[i] = g * (1 - y*y)
 	}
+	return &a.dx
 }
 
 // Update implements Layer (no parameters).
@@ -412,21 +332,16 @@ type Dropout struct {
 	Rate float64
 	r    *xrand.Source
 
-	k      *kern
 	active bool // a mask was drawn by the last Forward
-	g      *Batch
 	mask   Batch
 	out    Batch
 	dx     Batch
-	bwd    func(lo, hi int)
 }
 
 // NewDropout creates a dropout layer with its own random stream.
 func NewDropout(rate float64, r *xrand.Source) *Dropout {
 	return &Dropout{Rate: rate, r: r}
 }
-
-func (d *Dropout) setKernel(k *kern) { d.k = k }
 
 func (d *Dropout) prealloc(rows, cols int) int {
 	d.mask.resize(rows, cols)
@@ -436,9 +351,8 @@ func (d *Dropout) prealloc(rows, cols int) int {
 }
 
 // Forward implements Layer. The mask draw is one RNG call per element in
-// row-major order and runs serially regardless of the parallelism degree:
-// the dropout stream's draw sequence is part of a trial's identity, so it
-// must not depend on scheduling.
+// row-major order: the dropout stream's draw sequence is part of a
+// trial's identity.
 func (d *Dropout) Forward(x *Batch, train bool) *Batch {
 	if !train || d.Rate <= 0 {
 		d.active = false
@@ -466,21 +380,12 @@ func (d *Dropout) Backward(grad *Batch) *Batch {
 	if !d.active {
 		return grad
 	}
-	d.g = grad
 	d.dx.resize(grad.Rows, grad.Cols)
-	if d.bwd == nil {
-		d.bwd = d.backwardRows
+	o, m := d.dx.Data, d.mask.Data
+	for i, g := range grad.Data[:len(o)] {
+		o[i] = g * m[i]
 	}
-	d.k.rows(grad.Rows, d.bwd)
 	return &d.dx
-}
-
-func (d *Dropout) backwardRows(lo, hi int) {
-	cols := d.dx.Cols
-	m, g, o := d.mask.Data, d.g.Data, d.dx.Data
-	for i := lo * cols; i < hi*cols; i++ {
-		o[i] = g[i] * m[i]
-	}
 }
 
 // Update implements Layer (no parameters).
@@ -488,34 +393,21 @@ func (d *Dropout) Update(float64) {}
 
 // Network is a sequential stack of layers with a softmax cross-entropy head.
 // It owns the cross-layer scratch (gathered minibatch, shuffle
-// permutation, softmax gradients, argmax buffer) so a trial's steady
-// state allocates nothing.
+// permutation, softmax gradients) so a trial's steady state allocates
+// nothing.
 type Network struct {
 	layers []Layer
-	k      kern
 
 	in     Batch // gathered minibatch features
 	labels []int // gathered minibatch labels
 	perm   []int // epoch shuffle permutation
 
-	smx     Batch // softmax probabilities / gradient arena
-	lossBuf []float64
-	best    []int // per-sample argmax scratch for Evaluate
-
-	curLogits *Batch
-	curLabels []int
-	smxFn     func(lo, hi int)
-	argmaxFn  func(lo, hi int)
+	smx Batch // softmax probabilities / gradient arena
 }
 
 // NewNetwork builds a network from the given layers.
 func NewNetwork(layers ...Layer) *Network {
-	n := &Network{layers: layers, k: kern{par: 1}}
-	for _, l := range layers {
-		if ku, ok := l.(kernelUser); ok {
-			ku.setKernel(&n.k)
-		}
-	}
+	n := &Network{layers: layers}
 	// Nothing consumes the first layer's input gradient, so a Dense head
 	// can skip its dx matmul — usually the widest in the stack. The
 	// produced loss, parameter gradients and state are unchanged.
@@ -527,33 +419,12 @@ func NewNetwork(layers ...Layer) *Network {
 	return n
 }
 
-// SetParallelism bounds the network's deterministic intra-trial
-// parallelism: the number of goroutines sharding per-sample-independent
-// kernel work (forward rows, dx rows, softmax, argmax). Degrees < 2 mean
-// serial. Results are bit-identical at every degree — see pool.go for
-// why.
-func (n *Network) SetParallelism(p int) {
-	if p < 1 {
-		p = 1
-	}
-	n.k.par = p
-}
-
-// Parallelism reports the effective configured degree (>= 1).
-func (n *Network) Parallelism() int { return n.k.degree() }
-
 // prealloc sizes every arena in the stack for batches of up to rows
 // samples, so steady-state training and evaluation never allocate.
 func (n *Network) prealloc(rows, cols int) {
 	n.in.resize(rows, cols)
 	if cap(n.labels) < rows {
 		n.labels = make([]int, rows)
-	}
-	if cap(n.lossBuf) < rows {
-		n.lossBuf = make([]float64, rows)
-	}
-	if cap(n.best) < rows {
-		n.best = make([]int, rows)
 	}
 	for _, l := range n.layers {
 		if al, ok := l.(arenaLayer); ok {
@@ -574,30 +445,13 @@ func (n *Network) Forward(x *Batch, train bool) *Batch {
 
 // softmaxXE computes per-sample softmax probabilities, the mean
 // cross-entropy loss, and dLoss/dLogits (already divided by batch size).
-// Per-sample work is shardable; the loss sum stays serial in sample order.
+// The loss sums in sample order, as the reference did.
 func (n *Network) softmaxXE(logits *Batch, labels []int) (float64, *Batch) {
 	n.smx.resize(logits.Rows, logits.Cols)
-	if cap(n.lossBuf) < logits.Rows {
-		n.lossBuf = make([]float64, logits.Rows)
-	}
-	n.lossBuf = n.lossBuf[:logits.Rows]
-	n.curLogits, n.curLabels = logits, labels
-	if n.smxFn == nil {
-		n.smxFn = n.softmaxRows
-	}
-	n.k.rows(logits.Rows, n.smxFn)
+	inv := 1 / float64(logits.Rows)
 	loss := 0.0
-	for _, l := range n.lossBuf {
-		loss += l
-	}
-	loss /= float64(logits.Rows)
-	return loss, &n.smx
-}
-
-func (n *Network) softmaxRows(lo, hi int) {
-	inv := 1 / float64(n.curLogits.Rows)
-	for s := lo; s < hi; s++ {
-		row := n.curLogits.Row(s)
+	for s, label := range labels[:logits.Rows] {
+		row := logits.Row(s)
 		probs := n.smx.Row(s)
 		maxV := row[0]
 		for _, v := range row[1:] {
@@ -613,16 +467,17 @@ func (n *Network) softmaxRows(lo, hi int) {
 		for i := range probs {
 			probs[i] /= sum
 		}
-		p := probs[n.curLabels[s]]
+		p := probs[label]
 		if p < 1e-12 {
 			p = 1e-12
 		}
-		n.lossBuf[s] = -math.Log(p)
-		probs[n.curLabels[s]] -= 1
+		loss += -math.Log(p)
+		probs[label] -= 1
 		for i := range probs {
 			probs[i] *= inv
 		}
 	}
+	return loss / float64(logits.Rows), &n.smx
 }
 
 // TrainBatch runs one forward+backward pass over the minibatch and applies
@@ -722,43 +577,28 @@ func (n *Network) Evaluate(set *dataset.Set) (accuracy, loss float64, err error)
 		logits := n.Forward(&n.in, false)
 		l, _ := n.softmaxXE(logits, n.labels)
 		totalLoss += l * float64(end-start)
-		correct += n.countCorrect(logits, n.labels)
+		correct += countCorrect(logits, n.labels)
 	}
 	return float64(correct) / float64(set.Len()), totalLoss / float64(set.Len()), nil
 }
 
-// countCorrect computes per-sample argmax (shardable) and tallies matches
-// against labels (serial).
-func (n *Network) countCorrect(logits *Batch, labels []int) int {
-	if cap(n.best) < logits.Rows {
-		n.best = make([]int, logits.Rows)
-	}
-	n.best = n.best[:logits.Rows]
-	n.curLogits = logits
-	if n.argmaxFn == nil {
-		n.argmaxFn = n.argmaxRows
-	}
-	n.k.rows(logits.Rows, n.argmaxFn)
+// countCorrect counts the samples whose argmax logit is their label (the
+// first maximum wins ties).
+func countCorrect(logits *Batch, labels []int) int {
 	c := 0
 	for s, l := range labels {
-		if n.best[s] == l {
-			c++
-		}
-	}
-	return c
-}
-
-func (n *Network) argmaxRows(lo, hi int) {
-	for s := lo; s < hi; s++ {
-		row := n.curLogits.Row(s)
+		row := logits.Row(s)
 		best := 0
 		for i, v := range row {
 			if v > row[best] {
 				best = i
 			}
 		}
-		n.best[s] = best
+		if best == l {
+			c++
+		}
 	}
+	return c
 }
 
 // Arch names a layer stack Build can construct. Several models may share

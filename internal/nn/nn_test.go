@@ -61,15 +61,13 @@ func evalLoss(net *Network, x *Batch, labels []int) float64 {
 	return loss
 }
 
-// gradientCheck verifies the blocked kernels' analytic gradients against
-// central differences at the given parallelism degree.
-func gradientCheck(t *testing.T, parallelism int) {
-	t.Helper()
+// TestGradientCheck verifies the blocked kernels' analytic gradients
+// against central differences.
+func TestGradientCheck(t *testing.T) {
 	r := xrand.New(7)
 	d1 := NewDense(4, 5, r)
 	d2 := NewDense(5, 3, r)
 	net := NewNetwork(d1, &Tanh{}, d2)
-	net.SetParallelism(parallelism)
 
 	x := fromRows([][]float64{{0.5, -0.2, 0.8, 0.1}, {-0.4, 0.9, -0.1, 0.3}})
 	labels := []int{0, 2}
@@ -96,12 +94,6 @@ func gradientCheck(t *testing.T, parallelism int) {
 	check("d1.b", d1.b, d1.gb)
 	check("d2.w", d2.w, d2.gw)
 	check("d2.b", d2.b, d2.gb)
-}
-
-func TestGradientCheck(t *testing.T) {
-	for _, p := range []int{1, 2, 8} {
-		gradientCheck(t, p)
-	}
 }
 
 func TestReLUForwardBackward(t *testing.T) {
@@ -356,22 +348,6 @@ func TestTrainingIsDeterministic(t *testing.T) {
 	b := trainOn(t, w, h, 5, 3)
 	if a != b {
 		t.Fatalf("same seed produced different accuracies: %v vs %v", a, b)
-	}
-}
-
-func TestSetParallelismClampsToSerial(t *testing.T) {
-	net := NewNetwork(NewDense(2, 2, xrand.New(1)))
-	net.SetParallelism(0)
-	if net.Parallelism() != 1 {
-		t.Fatalf("Parallelism() = %d after SetParallelism(0), want 1", net.Parallelism())
-	}
-	net.SetParallelism(-3)
-	if net.Parallelism() != 1 {
-		t.Fatalf("Parallelism() = %d after SetParallelism(-3), want 1", net.Parallelism())
-	}
-	net.SetParallelism(4)
-	if net.Parallelism() != 4 {
-		t.Fatalf("Parallelism() = %d, want 4", net.Parallelism())
 	}
 }
 

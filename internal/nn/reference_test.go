@@ -4,11 +4,11 @@ package nn
 // ref* renames and the slice-of-slices batch type they used) as the
 // executable specification of the blocked kernels. Every kernel result —
 // forward logits, training losses, evolved weights, dropout RNG streams —
-// must match these reference implementations bit for bit, at every
-// parallelism degree: the trial prefix cache, the binary delta codec and
-// spot salvage all assume a trial's floats are a pure function of its
-// inputs. The parity tests below exercise odd shapes (dims not a multiple
-// of the unroll/block widths, batch of 1) and parallelism 1/2/8.
+// must match these reference implementations bit for bit: the trial
+// prefix cache, the binary delta codec and spot salvage all assume a
+// trial's floats are a pure function of its inputs. The parity tests
+// below exercise odd shapes (dims not a multiple of the unroll/block
+// widths, batch of 1).
 
 import (
 	"bytes"
@@ -535,21 +535,16 @@ var parityShapes = []struct {
 	}},
 }
 
-var parityDegrees = []int{1, 2, 8}
-
 func TestKernelForwardParity(t *testing.T) {
 	for _, sh := range parityShapes {
-		for _, p := range parityDegrees {
-			ref, net := buildPair(11, sh.specs)
-			net.SetParallelism(p)
-			x := randomBatch(xrand.New(99), sh.rows, sh.specs[0].in)
-			want := ref.Forward(x, false)
-			got := net.Forward(fromRows(x), false)
-			for s := range want {
-				for j, w := range want[s] {
-					if g := got.Row(s)[j]; g != w {
-						t.Fatalf("%s p=%d logits[%d][%d] = %v, want %v", sh.name, p, s, j, g, w)
-					}
+		ref, net := buildPair(11, sh.specs)
+		x := randomBatch(xrand.New(99), sh.rows, sh.specs[0].in)
+		want := ref.Forward(x, false)
+		got := net.Forward(fromRows(x), false)
+		for s := range want {
+			for j, w := range want[s] {
+				if g := got.Row(s)[j]; g != w {
+					t.Fatalf("%s logits[%d][%d] = %v, want %v", sh.name, s, j, g, w)
 				}
 			}
 		}
@@ -558,111 +553,70 @@ func TestKernelForwardParity(t *testing.T) {
 
 func TestKernelTrainingParity(t *testing.T) {
 	for _, sh := range parityShapes {
-		for _, p := range parityDegrees {
-			ref, net := buildPair(23, sh.specs)
-			net.SetParallelism(p)
-			data := xrand.New(7)
-			classes := sh.specs[len(sh.specs)-1].out
-			for step := 0; step < 8; step++ {
-				x := randomBatch(data, sh.rows, sh.specs[0].in)
-				labels := randomLabels(data, sh.rows, classes)
-				want, _ := ref.TrainBatch(x, labels, 0.05)
-				got, err := net.TrainBatch(fromRows(x), labels, 0.05)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Fatalf("%s p=%d step %d loss = %v, want %v (bitwise)", sh.name, p, step, got, want)
-				}
+		ref, net := buildPair(23, sh.specs)
+		data := xrand.New(7)
+		classes := sh.specs[len(sh.specs)-1].out
+		for step := 0; step < 8; step++ {
+			x := randomBatch(data, sh.rows, sh.specs[0].in)
+			labels := randomLabels(data, sh.rows, classes)
+			want, _ := ref.TrainBatch(x, labels, 0.05)
+			got, err := net.TrainBatch(fromRows(x), labels, 0.05)
+			if err != nil {
+				t.Fatal(err)
 			}
-			wantState := ref.CaptureState(nil)
-			gotState := net.CaptureState(nil)
-			if !bytes.Equal(wantState, gotState) {
-				t.Fatalf("%s p=%d: trained state diverged from reference", sh.name, p)
+			if got != want {
+				t.Fatalf("%s step %d loss = %v, want %v (bitwise)", sh.name, step, got, want)
 			}
+		}
+		wantState := ref.CaptureState(nil)
+		gotState := net.CaptureState(nil)
+		if !bytes.Equal(wantState, gotState) {
+			t.Fatalf("%s: trained state diverged from reference", sh.name)
 		}
 	}
 }
 
 // TestKernelEpochParity pins the full train-epoch/evaluate pipeline —
 // shuffling, gathering, chunked evaluation, argmax — against the
-// reference at every parallelism degree, on an odd-sized set so the last
-// batch and last eval chunk are short.
+// reference, on an odd-sized set so the last batch and last eval chunk
+// are short.
 func TestKernelEpochParity(t *testing.T) {
 	w := workload.Workload{Model: workload.LeNet5, Dataset: workload.MNIST}
 	train, test, err := dataset.Generate(w, 3, dataset.Config{TrainSize: 403, TestSize: 301})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range parityDegrees {
-		specs := []layerSpec{
-			{kind: "dense", in: train.Dim, out: 48}, {kind: "relu"},
-			{kind: "dropout", rate: 0.25},
-			{kind: "dense", in: 48, out: 24}, {kind: "relu"},
-			{kind: "dense", in: 24, out: train.NumClasses},
-		}
-		ref, net := buildPair(5, specs)
-		net.SetParallelism(p)
-		shRef, shNew := xrand.New(77), xrand.New(77)
-		for e := 0; e < 3; e++ {
-			want, err := ref.TrainEpoch(train, 32, 0.05, shRef)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := net.TrainEpoch(train, 32, 0.05, shNew)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("p=%d epoch %d loss = %v, want %v (bitwise)", p, e, got, want)
-			}
-		}
-		wantAcc, wantLoss := ref.Evaluate(test)
-		gotAcc, gotLoss, err := net.Evaluate(test)
+	specs := []layerSpec{
+		{kind: "dense", in: train.Dim, out: 48}, {kind: "relu"},
+		{kind: "dropout", rate: 0.25},
+		{kind: "dense", in: 48, out: 24}, {kind: "relu"},
+		{kind: "dense", in: 24, out: train.NumClasses},
+	}
+	ref, net := buildPair(5, specs)
+	shRef, shNew := xrand.New(77), xrand.New(77)
+	for e := 0; e < 3; e++ {
+		want, err := ref.TrainEpoch(train, 32, 0.05, shRef)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gotAcc != wantAcc || gotLoss != wantLoss {
-			t.Fatalf("p=%d eval = (%v, %v), want (%v, %v)", p, gotAcc, gotLoss, wantAcc, wantLoss)
+		got, err := net.TrainEpoch(train, 32, 0.05, shNew)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(ref.CaptureState(nil), net.CaptureState(nil)) {
-			t.Fatalf("p=%d: epoch-trained state diverged from reference", p)
+		if got != want {
+			t.Fatalf("epoch %d loss = %v, want %v (bitwise)", e, got, want)
 		}
 	}
-}
-
-// TestParallelismDoesNotChangeResults is the degree-invariance half of
-// the claim: the same seed at different degrees must evolve the same
-// bits, not just agree with the reference.
-func TestParallelismDoesNotChangeResults(t *testing.T) {
-	for _, sh := range []struct{ rows, in, hidden, classes int }{
-		{21, 19, 11, 5},
-		{maxTerms + 9, 2*maxTerms + 1, maxTerms + 3, 5}, // shards and k-chunks both split
-	} {
-		specs := []layerSpec{
-			{kind: "dense", in: sh.in, out: sh.hidden}, {kind: "relu"},
-			{kind: "dropout", rate: 0.4},
-			{kind: "dense", in: sh.hidden, out: sh.classes},
-		}
-		var states [][]byte
-		for _, p := range []int{1, 2, 3, 8} {
-			_, net := buildPair(31, specs)
-			net.SetParallelism(p)
-			data := xrand.New(13)
-			for step := 0; step < 6; step++ {
-				x := randomBatch(data, sh.rows, sh.in)
-				labels := randomLabels(data, sh.rows, sh.classes)
-				if _, err := net.TrainBatch(fromRows(x), labels, 0.1); err != nil {
-					t.Fatal(err)
-				}
-			}
-			states = append(states, net.CaptureState(nil))
-		}
-		for i := 1; i < len(states); i++ {
-			if !bytes.Equal(states[0], states[i]) {
-				t.Fatalf("rows=%d in=%d: parallelism degree changed trained state bits (degree set %d)", sh.rows, sh.in, i)
-			}
-		}
+	wantAcc, wantLoss := ref.Evaluate(test)
+	gotAcc, gotLoss, err := net.Evaluate(test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotAcc != wantAcc || gotLoss != wantLoss {
+		t.Fatalf("eval = (%v, %v), want (%v, %v)", gotAcc, gotLoss, wantAcc, wantLoss)
+	}
+	if !bytes.Equal(ref.CaptureState(nil), net.CaptureState(nil)) {
+		t.Fatal("epoch-trained state diverged from reference")
 	}
 }
 
@@ -680,35 +634,32 @@ func TestDenseMatchesReference(t *testing.T) {
 		{33, 100, 128, 301},                                // short chunks, x.Cols < In
 		{2*maxTerms + 1, 50, 64, 48},                       // long chunks, x.Cols < In
 	} {
-		for _, p := range parityDegrees {
-			ref := newRefDense(sh.in, sh.out, xrand.New(17))
-			d := NewDense(sh.in, sh.out, xrand.New(17))
-			d.setKernel(&kern{par: p})
-			data := xrand.New(5)
-			x := randomBatch(data, sh.rows, sh.cols)
-			g := randomBatch(data, sh.rows, sh.out)
-			wantOut := ref.Forward(x, true)
-			gotOut := d.Forward(fromRows(x), true)
-			wantDx := ref.Backward(g)
-			gotDx := d.Backward(fromRows(g))
-			same := func(what string, got, want []float64) {
-				t.Helper()
-				if len(got) != len(want) {
-					t.Fatalf("%+v p=%d %s: %d values, want %d", sh, p, what, len(got), len(want))
-				}
-				for i := range want {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%+v p=%d %s[%d] = %v, want %v (bitwise)", sh, p, what, i, got[i], want[i])
-					}
+		ref := newRefDense(sh.in, sh.out, xrand.New(17))
+		d := NewDense(sh.in, sh.out, xrand.New(17))
+		data := xrand.New(5)
+		x := randomBatch(data, sh.rows, sh.cols)
+		g := randomBatch(data, sh.rows, sh.out)
+		wantOut := ref.Forward(x, true)
+		gotOut := d.Forward(fromRows(x), true)
+		wantDx := ref.Backward(g)
+		gotDx := d.Backward(fromRows(g))
+		same := func(what string, got, want []float64) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("%+v %s: %d values, want %d", sh, what, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%+v %s[%d] = %v, want %v (bitwise)", sh, what, i, got[i], want[i])
 				}
 			}
-			for s := 0; s < sh.rows; s++ {
-				same("out", gotOut.Row(s), wantOut[s])
-				same("dx", gotDx.Row(s), wantDx[s])
-			}
-			same("gw", d.gw, ref.gw)
-			same("gb", d.gb, ref.gb)
 		}
+		for s := 0; s < sh.rows; s++ {
+			same("out", gotOut.Row(s), wantOut[s])
+			same("dx", gotDx.Row(s), wantDx[s])
+		}
+		same("gw", d.gw, ref.gw)
+		same("gb", d.gb, ref.gb)
 	}
 }
 

@@ -217,26 +217,21 @@ func TestRetiredWorkerRoutes(t *testing.T) {
 // come out of Shutdown as failed-with-reason, not silently lost or
 // forever running.
 func TestShutdownFailsUndrainedRemoteJobs(t *testing.T) {
-	svc, cl, _ := newRemoteServer(t, Config{Workers: 1, DrainTimeout: 300 * time.Millisecond}, 20)
+	svc, cl, remote := newRemoteServer(t, Config{Workers: 1, DrainTimeout: 300 * time.Millisecond}, 20)
 
 	ctx := context.Background()
 	st, err := cl.Submit(ctx, smallReq("lenet/mnist"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Let the job reach running: its first batch is now pending leases
-	// that no worker will ever take.
+	// Wait until the job's first batch is pending leases that no worker
+	// will ever take. StateRunning is not enough: it is set before the
+	// batch reaches the Remote, and a Shutdown in that gap cancels the
+	// job instead of failing it on the drain.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		cur, err := cl.Job(ctx, st.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cur.State == api.StateRunning {
-			break
-		}
+	for remote.Fleet().PendingTrials == 0 {
 		if !time.Now().Before(deadline) {
-			t.Fatalf("job never started (state %v)", cur.State)
+			t.Fatal("the job's first batch never reached the Remote")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -333,7 +328,7 @@ func TestMetricsAlwaysServed(t *testing.T) {
 	}
 
 	svc, cl := newServer(t, Config{})
-	if got := families(t, svc, cl); !got["pipetune_jobs_rejected_total"] || !got["nn_parallelism"] {
+	if got := families(t, svc, cl); !got["pipetune_jobs_rejected_total"] || !got["nn_train_epoch_seconds"] {
 		t.Fatalf("GET /v1/metrics lacks the service and trainer families: %v", got)
 	}
 

@@ -118,14 +118,6 @@ type Runner struct {
 	// running trials; share one cache across all trials of a process.
 	Cache *TrialCache
 
-	// Parallelism bounds deterministic intra-trial parallelism in the nn
-	// compute kernels: up to this many goroutines shard per-sample-
-	// independent work inside each epoch. 0 and 1 both mean serial.
-	// Results are bit-identical at every degree (see nn's pool.go), which
-	// is why Parallelism is deliberately excluded from PrefixKey: a
-	// cached trajectory trained at one degree is valid at any other.
-	Parallelism int
-
 	mu            sync.Mutex
 	cache         map[string]*corpusPair
 	corpusBytes   int64          // sum of Set.Bytes over cache
@@ -206,11 +198,6 @@ func (r *Runner) corpus(w workload.Workload) (*corpusPair, error) {
 func (r *Runner) InstrumentMetrics(reg *metrics.Registry) {
 	r.epochSeconds.Store(reg.Distribution("nn_train_epoch_seconds", "Wall-clock seconds per nn training epoch (real SGD compute, not the simulated epoch duration)."))
 	r.evalSeconds.Store(reg.Distribution("nn_eval_seconds", "Wall-clock seconds per nn test-set evaluation."))
-	p := r.Parallelism
-	if p < 1 {
-		p = 1
-	}
-	reg.Gauge("nn_parallelism", "Configured deterministic intra-trial kernel parallelism degree.").Set(float64(p))
 	r.mu.Lock()
 	r.corpusGauge = reg.Gauge("trainer_corpus_bytes", "Bytes resident in the generated corpora, derived from the parts each split stores.")
 	r.corpusGauge.Set(float64(r.corpusBytes))
@@ -262,18 +249,6 @@ func (r *Runner) PrefixKey(w workload.Workload, h params.Hyper, seed uint64) str
 	b = append(b, '|')
 	b = strconv.AppendUint(b, seed, 16)
 	return string(b)
-}
-
-// buildNet constructs the trial network and applies the runner's kernel
-// parallelism degree (a pure scheduling knob: the trained bits do not
-// depend on it).
-func (r *Runner) buildNet(w workload.Workload, cp *corpusPair, h params.Hyper, netRng *xrand.Source) (*nn.Network, error) {
-	net, err := nn.Build(w.Model, cp.train.Dim, cp.train.NumClasses, h, netRng)
-	if err != nil {
-		return nil, fmt.Errorf("trainer: %w", err)
-	}
-	net.SetParallelism(r.Parallelism)
-	return net, nil
 }
 
 // trainEpoch runs one real SGD epoch, observing its wall time into the
@@ -341,9 +316,9 @@ func (r *Runner) RunWithCacheKey(w workload.Workload, h params.Hyper, sys params
 	// runs only on a miss; the simulation loop below reads the resolved
 	// trajectory either way.
 	train := func() ([]TrajPoint, error) {
-		net, err := r.buildNet(w, cp, h, netRng)
+		net, err := nn.Build(w.Model, cp.train.Dim, cp.train.NumClasses, h, netRng)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("trainer: %w", err)
 		}
 		pts := make([]TrajPoint, 0, h.Epochs)
 		for epoch := 1; epoch <= h.Epochs; epoch++ {

@@ -121,38 +121,6 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelismIsBitIdentical pins the kernel-parallelism contract at
-// the trainer level: the complete trial result — accuracy, per-epoch
-// losses, durations, energy, profiles — is identical at every degree,
-// so Parallelism can stay out of the trial prefix cache key.
-func TestParallelismIsBitIdentical(t *testing.T) {
-	h := fastHyper()
-	run := func(par int) *Result {
-		r := fastRunner()
-		r.Parallelism = par
-		res, err := r.Run(lenetMNIST, h, params.DefaultSysConfig(), 11, nil)
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
-		}
-		return res
-	}
-	want := run(0)
-	for _, par := range []int{2, 8} {
-		got := run(par)
-		if got.Accuracy != want.Accuracy || got.Duration != want.Duration || got.EnergyJ != want.EnergyJ {
-			t.Fatalf("parallelism %d diverged from serial: %+v vs %+v", par, got, want)
-		}
-		if len(got.Epochs) != len(want.Epochs) {
-			t.Fatalf("parallelism %d epoch count %d, want %d", par, len(got.Epochs), len(want.Epochs))
-		}
-		for i := range got.Epochs {
-			if got.Epochs[i].TrainLoss != want.Epochs[i].TrainLoss || got.Epochs[i].Accuracy != want.Epochs[i].Accuracy {
-				t.Fatalf("parallelism %d epoch %d diverged: %+v vs %+v", par, i, got.Epochs[i], want.Epochs[i])
-			}
-		}
-	}
-}
-
 func TestObserverCanRetuneSystem(t *testing.T) {
 	r := fastRunner()
 	h := fastHyper()

@@ -289,18 +289,6 @@ func WithTrialCache(maxBytes int64) Option {
 	return func(s *System) { s.trainer.Cache = trainer.NewTrialCache(maxBytes) }
 }
 
-// WithTrainParallelism bounds the deterministic intra-trial kernel
-// parallelism: each trial's forward/backward compute may shard
-// per-sample-independent work across up to n goroutines. Results are
-// bit-identical at every degree — cross-sample accumulations stay
-// serial in sample order — so the knob trades wall-clock for cores
-// without perturbing trials or cache keys. n <= 1 keeps the hot loop
-// single-threaded. Remote execution backends ship the degree to workers
-// with each assignment.
-func WithTrainParallelism(n int) Option {
-	return func(s *System) { s.trainer.Parallelism = n }
-}
-
 // WithProbes replaces the system-configuration probe grid (§5.6).
 func WithProbes(probes []SysConfig) Option {
 	return func(s *System) {
