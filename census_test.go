@@ -32,26 +32,26 @@ import (
 var censusAllow = map[string]string{
 	// (a) Methods that satisfy an interface: the caller holds the
 	// interface, so no file that imports the declaring package names them.
-	"internal/simtime.eventQueue.Less":          "container/heap (sort.Interface)",
-	"internal/simtime.eventQueue.Swap":          "container/heap (sort.Interface)",
-	"internal/simtime.eventQueue.Len":           "container/heap (sort.Interface)",
-	"internal/cluster.InsufficientError.Unwrap": "errors.Is / errors.As",
-	"internal/cluster.InsufficientError.Error":  "error",
-	"internal/energy.PDU.ServeHTTP":             "http.Handler",
-	"internal/xrand.Source.Int63":               "math/rand.Source",
-	"internal/ec2.SpotProcess.NextAfter":        "sched.RevocationSource",
-	"internal/ec2.SpotProcess.OutageSeconds":    "sched.RevocationSource",
+	"internal/simtime.eventQueue.Less":       "container/heap (sort.Interface)",
+	"internal/simtime.eventQueue.Swap":       "container/heap (sort.Interface)",
+	"internal/simtime.eventQueue.Len":        "container/heap (sort.Interface)",
+	"internal/simtime.eventQueue.Push":       "container/heap (heap.Interface)",
+	"internal/simtime.eventQueue.Pop":        "container/heap (heap.Interface)",
+	"internal/energy.PDU.ServeHTTP":          "http.Handler",
+	"internal/xrand.Source.Int63":            "math/rand.Source",
+	"internal/ec2.SpotProcess.NextAfter":     "sched.RevocationSource",
+	"internal/ec2.SpotProcess.OutageSeconds": "sched.RevocationSource",
 
 	// (b) What the frozen cmd/bench compiles against. (The three Clones
 	// its test calls need no entry: other Clone methods share the name.)
-	"internal/tsdb.*": "cmd/bench/probes.go times a Write (tsdb.write_us); the package goes when that probe does",
+	"internal/tsdb.*":              "cmd/bench/probes.go times a Write (tsdb.write_us); the package goes when that probe does",
+	"internal/service.Service.Job": "cmd/bench/probes.go reads a result through r.d.svc, a field whose type the file does not import",
 
 	// (c) Reference implementations, and what test-side references are
 	// built from: the production path is held to them.
-	"internal/perf.Sampler.Sample":   "EpochProfile is the mean of consecutive Samples, bit for bit (perf/parity_test.go)",
-	"internal/cluster.Alloc.Release": "tune/barrier_test.go's batch-barrier scheduler frees what it placed",
-	"internal/xrand.Source.Perm":     "nn/reference_test.go's naive shuffle the kernels' epoch order is held to",
-	"internal/xrand.Source.State":    "nn/reference_test.go fingerprints dropout streams with it",
+	"internal/perf.Sampler.Sample": "EpochProfile is the mean of consecutive Samples, bit for bit (perf/parity_test.go)",
+	"internal/xrand.Source.Perm":   "nn/reference_test.go's naive shuffle the kernels' epoch order is held to",
+	"internal/xrand.Source.State":  "nn/reference_test.go fingerprints dropout streams with it",
 
 	// (d) Deterministic test hooks with no production equivalent.
 	"internal/service.Service.Pause":  "holds the dispatcher so a test can order the queue",
@@ -166,7 +166,9 @@ func TestNoTestOnlyExports(t *testing.T) {
 	// to bare inside its package and as pkg.Name from a file that imports
 	// it; a method or field by name through a selector or literal key,
 	// inside its package or in a file that imports it (no type
-	// information, so a shared name keeps every bearer it could reach).
+	// information, so a shared name keeps every bearer it could reach). A
+	// selector on an import's local name — stdlib included — is pkg.Name,
+	// not a member reference.
 	type ref struct {
 		dir      string
 		pos      token.Pos
@@ -179,20 +181,22 @@ func TestNoTestOnlyExports(t *testing.T) {
 		if f.test {
 			continue
 		}
-		imports := map[string]string{} // local name → dir
+		imports := map[string]string{} // local name → module dir ("" outside the module)
 		imported := map[string]bool{}
 		for _, im := range f.ast.Imports {
 			p, _ := strconv.Unquote(im.Path.Value)
-			if !strings.HasPrefix(p, module+"/") {
-				continue
-			}
-			dir := strings.TrimPrefix(p, module+"/")
-			local := path.Base(dir)
+			local := path.Base(p)
 			if im.Name != nil {
 				local = im.Name.Name
 			}
+			dir, ok := strings.CutPrefix(p, module+"/")
+			if !ok {
+				dir = ""
+			}
 			imports[local] = dir
-			imported[dir] = true
+			if dir != "" {
+				imported[dir] = true
+			}
 		}
 		// Idents that name a member where it is declared or selected, and
 		// receiver types, are not references to a package-level name.
@@ -214,12 +218,16 @@ func TestNoTestOnlyExports(t *testing.T) {
 					notBare[id] = true
 				}
 			case *ast.SelectorExpr:
+				notBare[n.Sel] = true
+				// pkg.Name names a package-level identifier, never a member.
 				if x, ok := n.X.(*ast.Ident); ok {
 					if dir, ok := imports[x.Name]; ok {
-						qualified[dir+"."+n.Sel.Name] = true
+						if dir != "" {
+							qualified[dir+"."+n.Sel.Name] = true
+						}
+						break
 					}
 				}
-				notBare[n.Sel] = true
 				members[n.Sel.Name] = append(members[n.Sel.Name], ref{f.dir, n.Sel.Pos(), imported})
 			case *ast.KeyValueExpr:
 				if id, ok := n.Key.(*ast.Ident); ok {

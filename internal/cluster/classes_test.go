@@ -1,69 +1,35 @@
 package cluster
 
 import (
-	"errors"
 	"math"
-	"strings"
 	"testing"
 
 	"pipetune/internal/params"
 )
 
-// TestAllocateNamesShortfall: a failed allocation must say what was
-// requested and the best any free node offers — not a bare "insufficient
-// resources" — while errors.Is(err, ErrInsufficient) keeps working.
-func TestAllocateNamesShortfall(t *testing.T) {
-	c, err := New(2, NodeSpec{Cores: 16, MemoryGB: 32})
+// TestFitsErrNamesLargestShape: the largest node shape bounds what Fits
+// accepts, on the paper testbed and on a mixed fleet where only the big
+// class can hold the footprint.
+func TestFitsErrNamesLargestShape(t *testing.T) {
+	c := Paper() // 4 nodes of 32c/64GB
+	if c.Fits(params.SysConfig{Cores: 48, MemoryGB: 8}) {
+		t.Fatal("48 cores cannot fit any 32-core node")
+	}
+	if !c.Fits(params.SysConfig{Cores: 32, MemoryGB: 64}) {
+		t.Fatal("full-node footprint rejected")
+	}
+	mixed, err := NewClasses([]NodeClass{
+		{Name: "small", Spec: NodeSpec{Cores: 4, MemoryGB: 8}, Count: 3},
+		{Name: "big", Spec: NodeSpec{Cores: 16, MemoryGB: 32}, Count: 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Allocate(params.SysConfig{Cores: 12, MemoryGB: 8}); err != nil {
-		t.Fatal(err)
+	if !mixed.Fits(params.SysConfig{Cores: 16, MemoryGB: 32}) {
+		t.Fatal("footprint of the largest shape rejected")
 	}
-	if _, err := c.Allocate(params.SysConfig{Cores: 10, MemoryGB: 8}); err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.Allocate(params.SysConfig{Cores: 8, MemoryGB: 16})
-	if !errors.Is(err, ErrInsufficient) {
-		t.Fatalf("error %v does not unwrap to ErrInsufficient", err)
-	}
-	var ins *InsufficientError
-	if !errors.As(err, &ins) {
-		t.Fatalf("error %T is not an *InsufficientError", err)
-	}
-	if ins.Requested != (params.SysConfig{Cores: 8, MemoryGB: 16}) || ins.Capacity {
-		t.Fatalf("wrong failure recorded: %+v", ins)
-	}
-	// Node 0 has 4 free cores, node 1 has 6; both have 24 GB free.
-	if ins.FreeCores != 6 || ins.FreeMemoryGB != 24 {
-		t.Fatalf("best-free = %dc/%dGB, want 6c/24GB", ins.FreeCores, ins.FreeMemoryGB)
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "requested 8c/16GB") || !strings.Contains(msg, "6c/24GB") {
-		t.Fatalf("message does not name the shortfall: %q", msg)
-	}
-}
-
-// TestFitsErrNamesLargestShape: shape failures (the footprint exceeds
-// every node even empty) are marked Capacity and name the largest node.
-func TestFitsErrNamesLargestShape(t *testing.T) {
-	c := Paper() // 4 nodes of 32c/64GB
-	err := c.FitsErr(params.SysConfig{Cores: 48, MemoryGB: 8})
-	if !errors.Is(err, ErrInsufficient) {
-		t.Fatalf("error %v does not unwrap to ErrInsufficient", err)
-	}
-	var ins *InsufficientError
-	if !errors.As(err, &ins) || !ins.Capacity {
-		t.Fatalf("shape failure not marked Capacity: %+v", err)
-	}
-	if ins.FreeCores != 32 || ins.FreeMemoryGB != 64 {
-		t.Fatalf("largest shape = %dc/%dGB, want 32c/64GB", ins.FreeCores, ins.FreeMemoryGB)
-	}
-	if !strings.Contains(err.Error(), "exceeds every node shape") {
-		t.Fatalf("message does not mark the shape failure: %q", err)
-	}
-	if got := c.FitsErr(params.SysConfig{Cores: 32, MemoryGB: 64}); got != nil {
-		t.Fatalf("full-node footprint rejected: %v", got)
+	if mixed.Fits(params.SysConfig{Cores: 17, MemoryGB: 8}) || mixed.Fits(params.SysConfig{Cores: 4, MemoryGB: 33}) {
+		t.Fatal("footprint beyond the largest shape accepted")
 	}
 }
 
@@ -192,14 +158,5 @@ func TestStatusReportsClasses(t *testing.T) {
 	}
 	if s, od := legacy.SpotCounts(); s != 0 || od != 4 {
 		t.Fatalf("legacy spot counts %d/%d, want 0/4", s, od)
-	}
-
-	// Allocations name their hosting class.
-	a, err := c.Allocate(params.SysConfig{Cores: 32, MemoryGB: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Class().Name != "b" {
-		t.Fatalf("allocation attributed to class %q, want b", a.Class().Name)
 	}
 }

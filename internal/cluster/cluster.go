@@ -4,10 +4,9 @@
 // single-class special case; NewClasses builds heterogeneous fleets whose
 // classes carry distinct core/memory shapes, relative speed, pricing and —
 // for spot capacity — a revocation rate, seeded from the three ec2
-// instance shapes of Figure 1. It provides the resource allocator used to
-// place training trials; the discrete-event queueing simulation for the
-// multi-tenancy experiments (§7.4) is the shared internal/sched engine,
-// to which SchedPool exports the cluster's node shapes and classes.
+// instance shapes of Figure 1. A Cluster only describes its nodes and
+// holds no occupancy: trials are placed by the internal/sched engine, to
+// which SchedPool exports the node shapes and classes.
 package cluster
 
 import (
@@ -16,16 +15,10 @@ import (
 	"math"
 
 	"pipetune/internal/ec2"
-	"pipetune/internal/energy"
 	"pipetune/internal/params"
 	"pipetune/internal/sched"
 	"pipetune/internal/xrand"
 )
-
-// ErrInsufficient is returned when no node can satisfy an allocation.
-// Failures carry an *InsufficientError wrapping it, so errors.Is keeps
-// working while the message names what did not fit.
-var ErrInsufficient = errors.New("cluster: insufficient resources")
 
 // NodeSpec describes one node's capacity.
 type NodeSpec struct {
@@ -55,22 +48,6 @@ type NodeClass struct {
 	// Poisson revocation rate in simulated hours.
 	Spot               bool    `json:"spot,omitempty"`
 	RevocationsPerHour float64 `json:"revocationsPerHour,omitempty"`
-	// PerfScale scales PMU profile rates relative to the reference node —
-	// reporting metadata for per-class performance accounting. 0 is
-	// normalised to 1.
-	PerfScale float64 `json:"perfScale,omitempty"`
-	// Power is the class's power model; the zero value selects
-	// energy.DefaultPowerModel at use sites (experiments' fleet-energy
-	// accounting).
-	Power energy.PowerModel `json:"-"`
-}
-
-// PowerModel returns the class's power model, defaulting when unset.
-func (nc NodeClass) PowerModel() energy.PowerModel {
-	if nc.Power == (energy.PowerModel{}) {
-		return energy.DefaultPowerModel()
-	}
-	return nc.Power
 }
 
 // ClassStatus is one class's row in fleet/health reporting: the node-class
@@ -86,18 +63,14 @@ type ClassStatus struct {
 	RevocationsPerHour float64 `json:"revocationsPerHour,omitempty"`
 }
 
-// node tracks live usage against its spec.
+// node is one node's shape and class.
 type node struct {
-	spec      NodeSpec
-	class     int // index into classes
-	usedCores int
-	usedMemGB int
+	spec  NodeSpec
+	class int // index into classes
 }
 
-// Cluster is a fixed set of nodes with first-fit allocation, grouped into
-// classes. Node order is class declaration order, which makes first-fit
-// placement on a single-class cluster identical to the pre-class
-// allocator.
+// Cluster is a fixed set of nodes grouped into classes, immutable after
+// construction. Node order is class declaration order.
 type Cluster struct {
 	nodes   []node
 	classes []NodeClass
@@ -127,9 +100,6 @@ func NewClasses(classes []NodeClass) (*Cluster, error) {
 		}
 		if nc.SpeedFactor == 0 {
 			nc.SpeedFactor = 1
-		}
-		if nc.PerfScale == 0 {
-			nc.PerfScale = 1
 		}
 		c.classes[ci] = nc
 		for i := 0; i < nc.Count; i++ {
@@ -220,13 +190,6 @@ func SingleNode() *Cluster {
 	return c
 }
 
-// Classes returns the cluster's node classes in declaration order.
-func (c *Cluster) Classes() []NodeClass {
-	out := make([]NodeClass, len(c.classes))
-	copy(out, c.classes)
-	return out
-}
-
 // Status reports the node-class composition for health/fleet surfaces.
 func (c *Cluster) Status() []ClassStatus {
 	out := make([]ClassStatus, len(c.classes))
@@ -286,121 +249,11 @@ func (c *Cluster) HourlyUSD() float64 {
 	return total
 }
 
-// Clone returns an empty (fully free) cluster with the same node shapes
-// and classes — used by schedulers that need a scratch occupancy model.
-func (c *Cluster) Clone() *Cluster {
-	out := &Cluster{
-		nodes:   make([]node, len(c.nodes)),
-		classes: make([]NodeClass, len(c.classes)),
-	}
-	copy(out.classes, c.classes)
-	for i := range c.nodes {
-		out.nodes[i].spec = c.nodes[i].spec
-		out.nodes[i].class = c.nodes[i].class
-	}
-	return out
-}
-
-// FreeCores returns currently unallocated cores across the cluster.
-func (c *Cluster) FreeCores() int {
-	total := 0
-	for _, n := range c.nodes {
-		total += n.spec.Cores - n.usedCores
-	}
-	return total
-}
-
-// InsufficientError is a failed allocation or fit check: it names what was
-// requested and the best any node could offer, so the operator sees the
-// shortfall instead of a bare "insufficient resources". It wraps
-// ErrInsufficient, keeping errors.Is checks working.
-type InsufficientError struct {
-	// Requested is the footprint that did not fit.
-	Requested params.SysConfig
-	// FreeCores/FreeMemoryGB are the most free cores and memory any single
-	// node offers right now (for Allocate failures), or the largest node
-	// shape (for Fits failures, where Capacity is true).
-	FreeCores    int
-	FreeMemoryGB int
-	// Capacity marks a shape failure: the footprint exceeds every node
-	// even on an empty cluster.
-	Capacity bool
-}
-
-// Error implements error.
-func (e *InsufficientError) Error() string {
-	if e.Capacity {
-		return fmt.Sprintf("cluster: insufficient resources: %dc/%dGB exceeds every node shape (largest node %dc/%dGB)",
-			e.Requested.Cores, e.Requested.MemoryGB, e.FreeCores, e.FreeMemoryGB)
-	}
-	return fmt.Sprintf("cluster: insufficient resources: requested %dc/%dGB, best free node offers %dc/%dGB",
-		e.Requested.Cores, e.Requested.MemoryGB, e.FreeCores, e.FreeMemoryGB)
-}
-
-// Unwrap links the failure to ErrInsufficient.
-func (e *InsufficientError) Unwrap() error { return ErrInsufficient }
-
-// Alloc is a granted reservation. Release it exactly once.
-type Alloc struct {
-	c        *Cluster
-	node     int
-	sys      params.SysConfig
-	released bool
-}
-
-// Class returns the node class hosting the allocation.
-func (a *Alloc) Class() NodeClass { return a.c.classes[a.c.nodes[a.node].class] }
-
-// Sys returns the reserved resources.
-func (a *Alloc) Sys() params.SysConfig { return a.sys }
-
-// Release returns the resources to the cluster. Releasing twice is an
-// error (a lifecycle bug in the caller).
-func (a *Alloc) Release() error {
-	if a.released {
-		return errors.New("cluster: double release")
-	}
-	a.released = true
-	n := &a.c.nodes[a.node]
-	n.usedCores -= a.sys.Cores
-	n.usedMemGB -= a.sys.MemoryGB
-	return nil
-}
-
-// Allocate reserves sys on the first node with enough free capacity.
-// Trials never span nodes (BigDL pins each trial's executors together).
-// Node order is class declaration order, so on a single-class cluster
-// this is exactly the pre-class first-fit. Failure returns an
-// *InsufficientError naming the requested footprint against the best free
-// node.
-func (c *Cluster) Allocate(sys params.SysConfig) (*Alloc, error) {
-	if err := sys.Validate(); err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	bestCores, bestMem := 0, 0
-	for i := range c.nodes {
-		n := &c.nodes[i]
-		freeCores, freeMem := n.spec.Cores-n.usedCores, n.spec.MemoryGB-n.usedMemGB
-		if freeCores >= sys.Cores && freeMem >= sys.MemoryGB {
-			n.usedCores += sys.Cores
-			n.usedMemGB += sys.MemoryGB
-			return &Alloc{c: c, node: i, sys: sys}, nil
-		}
-		if freeCores > bestCores {
-			bestCores = freeCores
-		}
-		if freeMem > bestMem {
-			bestMem = freeMem
-		}
-	}
-	return nil, &InsufficientError{Requested: sys, FreeCores: bestCores, FreeMemoryGB: bestMem}
-}
-
 // SchedPool exports the cluster's node shapes and classes as an empty
-// internal/sched occupancy pool — the occupancy model the event-driven
-// trial scheduler places footprints on (first-fit, never spanning nodes,
-// exactly like Allocate), with per-node class metadata for cost-aware
-// placement and spot revocation.
+// internal/sched occupancy pool — the one occupancy model, on which the
+// event-driven trial scheduler places footprints (first-fit, never
+// spanning nodes), with per-node class metadata for cost-aware placement
+// and spot revocation.
 func (c *Cluster) SchedPool() *sched.Pool {
 	caps := make([]sched.NodeCap, len(c.nodes))
 	nodeClass := make([]int, len(c.nodes))
@@ -426,28 +279,27 @@ func (c *Cluster) SchedPool() *sched.Pool {
 	return p
 }
 
-// Fits reports whether sys could ever be allocated on an empty cluster.
+// Fits reports whether sys fits some node shape: whether a trial of that
+// footprint could ever be placed on the empty cluster.
 func (c *Cluster) Fits(sys params.SysConfig) bool {
-	return c.FitsErr(sys) == nil
-}
-
-// FitsErr is Fits with a structured failure: nil when sys fits some node
-// shape, otherwise an *InsufficientError naming the request against the
-// largest node.
-func (c *Cluster) FitsErr(sys params.SysConfig) error {
-	maxCores, maxMem := 0, 0
 	for _, n := range c.nodes {
 		if n.spec.Cores >= sys.Cores && n.spec.MemoryGB >= sys.MemoryGB {
-			return nil
-		}
-		if n.spec.Cores > maxCores {
-			maxCores = n.spec.Cores
-		}
-		if n.spec.MemoryGB > maxMem {
-			maxMem = n.spec.MemoryGB
+			return true
 		}
 	}
-	return &InsufficientError{Requested: sys, FreeCores: maxCores, FreeMemoryGB: maxMem, Capacity: true}
+	return false
+}
+
+// Slots is how many trials of footprint fp the empty cluster holds side by
+// side: the sum over nodes of min(cores/fp.Cores, mem/fp.MemoryGB), which
+// is what first-fit placement of identical footprints reaches. fp must be
+// a valid (positive) footprint.
+func (c *Cluster) Slots(fp params.SysConfig) int {
+	total := 0
+	for _, n := range c.nodes {
+		total += min(n.spec.Cores/fp.Cores, n.spec.MemoryGB/fp.MemoryGB)
+	}
+	return total
 }
 
 // PoissonArrivals generates n arrival times with exponentially distributed

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -20,85 +19,18 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestPaperClusters(t *testing.T) {
+	core := params.SysConfig{Cores: 1, MemoryGB: 1}
 	p := Paper()
-	if len(p.nodes) != 4 || p.FreeCores() != 128 {
-		t.Fatalf("paper cluster = %d nodes, %d cores; want 4 nodes, 128 cores", len(p.nodes), p.FreeCores())
+	if len(p.nodes) != 4 || p.Slots(core) != 128 {
+		t.Fatalf("paper cluster = %d nodes, %d cores; want 4 nodes, 128 cores", len(p.nodes), p.Slots(core))
 	}
 	s := SingleNode()
-	if len(s.nodes) != 1 || s.FreeCores() != 8 {
-		t.Fatalf("single node = %d nodes, %d cores", len(s.nodes), s.FreeCores())
+	if len(s.nodes) != 1 || s.Slots(core) != 8 {
+		t.Fatalf("single node = %d nodes, %d cores", len(s.nodes), s.Slots(core))
 	}
 }
 
-func TestAllocateAndRelease(t *testing.T) {
-	c, err := New(1, NodeSpec{Cores: 16, MemoryGB: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, err := c.Allocate(params.SysConfig{Cores: 8, MemoryGB: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.FreeCores() != 8 {
-		t.Fatalf("free cores = %d, want 8", c.FreeCores())
-	}
-	a2, err := c.Allocate(params.SysConfig{Cores: 8, MemoryGB: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Allocate(params.SysConfig{Cores: 1, MemoryGB: 1}); !errors.Is(err, ErrInsufficient) {
-		t.Fatalf("over-allocation error = %v, want ErrInsufficient", err)
-	}
-	if err := a1.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a2.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if c.FreeCores() != 16 {
-		t.Fatalf("free cores after release = %d, want 16", c.FreeCores())
-	}
-}
-
-func TestDoubleReleaseRejected(t *testing.T) {
-	c, _ := New(1, NodeSpec{Cores: 8, MemoryGB: 8})
-	a, err := c.Allocate(params.SysConfig{Cores: 4, MemoryGB: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Release(); err == nil {
-		t.Fatal("double release accepted")
-	}
-	if c.FreeCores() != 8 {
-		t.Fatalf("double release corrupted accounting: %d free", c.FreeCores())
-	}
-}
-
-func TestAllocateMemoryBound(t *testing.T) {
-	c, _ := New(1, NodeSpec{Cores: 32, MemoryGB: 8})
-	if _, err := c.Allocate(params.SysConfig{Cores: 4, MemoryGB: 16}); !errors.Is(err, ErrInsufficient) {
-		t.Fatalf("memory over-allocation error = %v", err)
-	}
-}
-
-func TestAllocateSpreadsAcrossNodes(t *testing.T) {
-	c, _ := New(2, NodeSpec{Cores: 8, MemoryGB: 16})
-	a1, err := c.Allocate(params.SysConfig{Cores: 8, MemoryGB: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := c.Allocate(params.SysConfig{Cores: 8, MemoryGB: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1.node == a2.node {
-		t.Fatal("two full-node allocations landed on the same node")
-	}
-}
-
+// TestFits: a footprint fits when some node shape holds it on both axes.
 func TestFits(t *testing.T) {
 	c := SingleNode()
 	if !c.Fits(params.SysConfig{Cores: 8, MemoryGB: 24}) {
@@ -107,12 +39,8 @@ func TestFits(t *testing.T) {
 	if c.Fits(params.SysConfig{Cores: 16, MemoryGB: 8}) {
 		t.Fatal("16 cores cannot fit an 8-core node")
 	}
-}
-
-func TestAllocateValidation(t *testing.T) {
-	c := Paper()
-	if _, err := c.Allocate(params.SysConfig{}); err == nil {
-		t.Fatal("invalid sysconfig accepted")
+	if c.Fits(params.SysConfig{Cores: 4, MemoryGB: 32}) {
+		t.Fatal("32 GB cannot fit a 24 GB node")
 	}
 }
 

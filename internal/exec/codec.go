@@ -306,9 +306,9 @@ func (r *wireReader) finish() error {
 
 // codecVersion is the stream codec layout version, carried in Hello.
 // Version 2 added the trainer cache budget and the prefix-cache key hint
-// to assignments; version 3 the preferred node class; version 4 a
-// trainer kernel parallelism degree, since retired in place (see
-// appendAssignment) — all incompatible grant layout changes.
+// to assignments; version 3 a node-class string; version 4 a trainer
+// kernel parallelism degree. The last two are retired in place (see
+// appendAssignment) — all were incompatible grant layout changes.
 const codecVersion = 4
 
 func encodeHello(w *wirebuf, name string, capacity int) {
@@ -351,10 +351,12 @@ const asgStreamEpochs = 1 << 0
 
 // appendAssignment encodes one lease grant. Called by the daemon's
 // granter under the backend lock; reads only fields that are immutable
-// while the lease is assigned. The uvarint after CacheBytes was the
-// trainer's intra-trial kernel parallelism degree, retired with the
-// kernel pool: written 0, read and discarded, so the layout (and
-// codecVersion) did not move when it went.
+// while the lease is assigned. Two slots are retired: the uvarint after
+// CacheBytes was the trainer's intra-trial kernel parallelism degree,
+// retired with the kernel pool, and the final string was a node-class
+// placement hint no worker read. Each is written zero (0, ""), read and
+// discarded, so the layout (and codecVersion) did not move when they
+// went.
 func appendAssignment(w *wirebuf, leaseID string, attempt int, t *Trial) {
 	w.str(leaseID)
 	w.uvarint(uint64(attempt))
@@ -376,7 +378,7 @@ func appendAssignment(w *wirebuf, leaseID string, attempt int, t *Trial) {
 	w.uvarint(uint64(t.Trainer.CacheBytes))
 	w.uvarint(0)
 	w.str(t.CacheKey)
-	w.str(t.Class)
+	w.str("")
 }
 
 func readAssignment(r *wireReader, asg *Assignment) {
@@ -397,7 +399,7 @@ func readAssignment(r *wireReader, asg *Assignment) {
 	asg.Trainer.CacheBytes = int64(r.uvarint())
 	_ = r.uvarint()
 	asg.CacheKey = r.str()
-	asg.Class = r.str()
+	_ = r.str()
 }
 
 // decodeGrant decodes a batch of assignments.

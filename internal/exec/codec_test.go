@@ -29,7 +29,6 @@ func sampleAssignment() Assignment {
 		StreamEpochs: true,
 		Trainer:      TrainerConfig{TrainSize: 96, TestSize: 48, Load: 1.5, DataSeed: 0x0da7a5eed, CacheBytes: 32 << 20},
 		CacheKey:     "v2|1/0|229351022/96/48|32/3fa999999999999a/3fc999999999999a/64|2a",
-		Class:        "m5.12xlarge-spot",
 	}
 }
 
@@ -43,7 +42,6 @@ func trialOf(asg Assignment) Trial {
 		Seed:     asg.Seed,
 		Trainer:  asg.Trainer,
 		CacheKey: asg.CacheKey,
-		Class:    asg.Class,
 	}
 	if asg.StreamEpochs {
 		tr.Observer = trainer.ObserverFunc(func(uint64, workload.Workload, params.Hyper, trainer.EpochStats) *params.SysConfig { return nil })
@@ -185,9 +183,10 @@ func TestAssignmentRoundTrip(t *testing.T) {
 }
 
 // TestGrantIgnoresRetiredDegreeSlot: the uvarint after CacheBytes once
-// carried the trainer's kernel parallelism degree, and a daemon that
-// still sets one sends it non-zero. Such a grant decodes to the same
-// Assignment as one carrying the 0 this codec writes.
+// carried the trainer's kernel parallelism degree, and the final string a
+// node-class placement hint; a daemon that still sets them sends a
+// non-zero degree and a non-empty class. Such a grant decodes to the same
+// Assignment as one carrying the 0 and "" this codec writes.
 func TestGrantIgnoresRetiredDegreeSlot(t *testing.T) {
 	asg := sampleAssignment()
 	tr := trialOf(asg)
@@ -195,25 +194,32 @@ func TestGrantIgnoresRetiredDegreeSlot(t *testing.T) {
 	defer putWirebuf(wb)
 	wb.uvarint(1)
 	appendAssignment(wb, asg.LeaseID, asg.Attempt, &tr)
-	// The slot is the last field before the CacheKey and Class strings.
+	// The degree slot is the last field before the CacheKey and class
+	// strings, and the class string closes the assignment.
 	tail := getWirebuf()
 	defer putWirebuf(tail)
 	tail.str(asg.CacheKey)
-	tail.str(asg.Class)
+	tail.str("")
 	slot := len(wb.b) - len(tail.b) - 1
 	if wb.b[slot] != 0 || !bytes.Equal(wb.b[slot+1:], tail.b) {
-		t.Fatalf("retired slot not found as a 0 before the tail strings")
+		t.Fatalf("retired slots not found as a 0 and an empty string around the cache key")
 	}
 	for _, degree := range []uint64{0, 1, 4, 300} {
-		p := append([]byte(nil), wb.b[:slot]...)
-		p = binary.AppendUvarint(p, degree)
-		p = append(p, tail.b...)
-		got, err := decodeGrant(p)
-		if err != nil {
-			t.Fatalf("degree %d: %v", degree, err)
-		}
-		if !reflect.DeepEqual(got, []Assignment{asg}) {
-			t.Fatalf("degree %d: grant decoded to\n %+v\nwant %+v", degree, got, asg)
+		for _, class := range []string{"", "m5.12xlarge-spot"} {
+			p := append([]byte(nil), wb.b[:slot]...)
+			p = binary.AppendUvarint(p, degree)
+			rest := getWirebuf()
+			rest.str(asg.CacheKey)
+			rest.str(class)
+			p = append(p, rest.b...)
+			putWirebuf(rest)
+			got, err := decodeGrant(p)
+			if err != nil {
+				t.Fatalf("degree %d class %q: %v", degree, class, err)
+			}
+			if !reflect.DeepEqual(got, []Assignment{asg}) {
+				t.Fatalf("degree %d class %q: grant decoded to\n %+v\nwant %+v", degree, class, got, asg)
+			}
 		}
 	}
 }

@@ -70,12 +70,6 @@ type Trial struct {
 	// it through to the executing trainer so worker-local caches use
 	// exactly the daemon's key; empty means derive locally (or no cache).
 	CacheKey string
-	// Class, when non-empty, is the node class the placement policy would
-	// choose for this trial on an idle heterogeneous cluster — a routing
-	// hint for fleet backends (a worker fleet can map classes to real
-	// instance shapes). The simulated schedule re-decides actual placement
-	// against live occupancy; empty on single-class clusters.
-	Class string
 }
 
 // Backend executes trial bodies. Implementations must be safe for

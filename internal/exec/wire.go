@@ -90,10 +90,6 @@ type Assignment struct {
 	// CacheKey is the daemon-derived trial prefix cache key hint for the
 	// worker's local cache; empty when the daemon runs uncached.
 	CacheKey string
-	// Class is the daemon's preferred node class for the trial (cost-aware
-	// placement hint on heterogeneous clusters); empty on single-class
-	// clusters.
-	Class string
 }
 
 // EpochDirective is the daemon's reply to an epoch report.

@@ -3,8 +3,6 @@ package sched
 import (
 	"fmt"
 	"math"
-
-	"pipetune/internal/params"
 )
 
 // Policy names accepted by ByName (and re-exported by the pipetune facade).
@@ -46,8 +44,8 @@ type PickContext struct {
 	// task could never fit (which Submit already rejects).
 	EarliestStart func(i int) float64
 
-	// The cost-aware placement axis. Classes is empty on classless pools,
-	// in which case the per-class closures are nil.
+	// The cost-aware placement axis. Classes is empty on slot-only
+	// engines (no pool), in which case the per-class closures are nil.
 	//
 	// Classes lists the pool's node classes with live free capacity.
 	Classes []ClassInfo
@@ -71,9 +69,8 @@ type Policy interface {
 
 // ClassChooser is the optional second placement axis: a Policy that also
 // chooses *which node class* the picked task lands on. The engine consults
-// it after Pick on pools with classes; returning -1 (or not implementing
-// the interface) falls back to global first-fit across all nodes, the
-// classless behaviour.
+// it after Pick; returning -1 (or not implementing the interface) falls
+// back to global first-fit across all nodes.
 type ClassChooser interface {
 	ChooseClass(ctx *PickContext, i int) int
 }
@@ -185,7 +182,7 @@ func (backfillPolicy) Pick(ctx *PickContext) int {
 // FIFO), but lands on the node class with the lowest predicted dollar cost
 // for it — duration/speed × hourly rate — among the classes with room
 // right now. Ties resolve to the first class in declaration order. On a
-// single-class (or classless) pool this is exactly FIFO.
+// single-class pool this is exactly FIFO.
 func Cheapest() Policy { return cheapestPolicy{} }
 
 type cheapestPolicy struct{}
@@ -247,24 +244,6 @@ func (perfPerDollarPolicy) ChooseClass(ctx *PickContext, i int) int {
 		}
 	}
 	return best
-}
-
-// PreferredClass evaluates a ClassChooser for one footprint on an idle
-// pool: the class it would choose with every node free. The tuning layer
-// stamps this deterministic pre-compute hint on exec assignments; actual
-// placement is re-decided at simulated dispatch against live occupancy.
-// Returns "" on classless pools or when nothing fits.
-func PreferredClass(pool *Pool, ch ClassChooser, fp params.SysConfig, duration float64) string {
-	if pool == nil || pool.NumClasses() == 0 {
-		return ""
-	}
-	e := New(pool.clone(), nil, 0)
-	e.queue = []*queued{{task: Task{Sys: fp, Duration: duration}, attempt: 1}}
-	c := ch.ChooseClass(e.pickContext(), 0)
-	if c < 0 {
-		return ""
-	}
-	return pool.classes[c].Name
 }
 
 // Compile-time interface checks.

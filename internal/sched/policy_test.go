@@ -221,28 +221,3 @@ func TestPerfPerDollarPrefersBestRatio(t *testing.T) {
 		t.Fatalf("perf-per-dollar placed %+v, want budget class", stats[0])
 	}
 }
-
-// TestPreferredClass covers the pre-compute hint: the class a chooser
-// would pick with every node free, or "" on classless pools and
-// impossible footprints.
-func TestPreferredClass(t *testing.T) {
-	p := classPool(t)
-	if got := PreferredClass(p, Cheapest().(ClassChooser), sys(16, 32), 3600); got != "budget" {
-		t.Fatalf("cheapest hint = %q, want budget", got)
-	}
-	if got := PreferredClass(p, PerfPerDollar().(ClassChooser), sys(16, 32), 3600); got != "budget" {
-		t.Fatalf("perf-per-dollar hint = %q, want budget", got)
-	}
-	// A footprint only the big node can host must hint turbo.
-	if got := PreferredClass(p, Cheapest().(ClassChooser), sys(32, 64), 3600); got != "turbo" {
-		t.Fatalf("turbo-only footprint hint = %q, want turbo", got)
-	}
-	// Nothing fits: no hint.
-	if got := PreferredClass(p, Cheapest().(ClassChooser), sys(64, 64), 3600); got != "" {
-		t.Fatalf("impossible footprint hint = %q, want empty", got)
-	}
-	// Classless pools carry no class axis at all.
-	if got := PreferredClass(testPool(t, 1, 8, 16), Cheapest().(ClassChooser), sys(4, 4), 10); got != "" {
-		t.Fatalf("classless hint = %q, want empty", got)
-	}
-}

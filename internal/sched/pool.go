@@ -13,8 +13,7 @@ type NodeCap struct {
 }
 
 // ClassCap is one node class's scheduling-relevant metadata: the axes the
-// cost-aware policies price placements on. A classless pool behaves as one
-// anonymous class with speed 1 and price 0.
+// cost-aware policies price placements on.
 type ClassCap struct {
 	Name string `json:"name"`
 	// Spot marks revocable capacity subject to the engine's revocation
@@ -31,22 +30,20 @@ type ClassCap struct {
 // Pool is the scheduler's occupancy model: a fixed set of nodes on which
 // task footprints are placed first-fit. Footprints never span nodes (the
 // training framework pins each trial's executors together), so placement is
-// per-node bin packing, exactly the model tune's barrier scheduler used for
-// its scratch cluster. Nodes may carry class metadata (speed, price, spot)
+// per-node bin packing. Every node belongs to a class (speed, price, spot)
 // and may be transiently down while a revoked spot node awaits its
 // replacement.
 type Pool struct {
 	caps      []NodeCap
 	usedCores []int
 	usedMem   []int
-	classes   []ClassCap // nil = classless
-	nodeClass []int      // per-node class index; nil when classless
-	down      []bool     // revoked spot nodes awaiting replacement
+	classes   []ClassCap
+	nodeClass []int  // per-node class index
+	down      []bool // revoked spot nodes awaiting replacement
 }
 
 // NewPoolClasses builds an empty pool with per-node class membership:
-// nodeClass[i] indexes classes for node i. Both may be nil for a classless
-// pool.
+// nodeClass[i] indexes classes for node i.
 func NewPoolClasses(caps []NodeCap, nodeClass []int, classes []ClassCap) (*Pool, error) {
 	if len(caps) == 0 {
 		return nil, fmt.Errorf("sched: pool needs at least one node")
@@ -56,84 +53,46 @@ func NewPoolClasses(caps []NodeCap, nodeClass []int, classes []ClassCap) (*Pool,
 			return nil, fmt.Errorf("sched: node %d has invalid capacity %+v", i, c)
 		}
 	}
-	if (nodeClass == nil) != (classes == nil) {
-		return nil, fmt.Errorf("sched: node-class map and class list must both be set or both nil")
+	if len(classes) == 0 {
+		return nil, fmt.Errorf("sched: pool needs at least one node class")
 	}
-	if nodeClass != nil {
-		if len(nodeClass) != len(caps) {
-			return nil, fmt.Errorf("sched: %d nodes but %d class assignments", len(caps), len(nodeClass))
-		}
-		for i, ci := range nodeClass {
-			if ci < 0 || ci >= len(classes) {
-				return nil, fmt.Errorf("sched: node %d assigned to unknown class %d", i, ci)
-			}
-		}
-		for i, cc := range classes {
-			if cc.SpeedFactor <= 0 {
-				return nil, fmt.Errorf("sched: class %d (%q) has non-positive speed factor", i, cc.Name)
-			}
+	if len(nodeClass) != len(caps) {
+		return nil, fmt.Errorf("sched: %d nodes but %d class assignments", len(caps), len(nodeClass))
+	}
+	for i, ci := range nodeClass {
+		if ci < 0 || ci >= len(classes) {
+			return nil, fmt.Errorf("sched: node %d assigned to unknown class %d", i, ci)
 		}
 	}
-	cp := make([]NodeCap, len(caps))
-	copy(cp, caps)
-	p := &Pool{
-		caps:      cp,
-		usedCores: make([]int, len(cp)),
-		usedMem:   make([]int, len(cp)),
-		down:      make([]bool, len(cp)),
+	for i, cc := range classes {
+		if cc.SpeedFactor <= 0 {
+			return nil, fmt.Errorf("sched: class %d (%q) has non-positive speed factor", i, cc.Name)
+		}
 	}
-	if nodeClass != nil {
-		p.classes = append([]ClassCap(nil), classes...)
-		p.nodeClass = append([]int(nil), nodeClass...)
-	}
-	return p, nil
+	return &Pool{
+		caps:      append([]NodeCap(nil), caps...),
+		usedCores: make([]int, len(caps)),
+		usedMem:   make([]int, len(caps)),
+		classes:   append([]ClassCap(nil), classes...),
+		nodeClass: append([]int(nil), nodeClass...),
+		down:      make([]bool, len(caps)),
+	}, nil
 }
 
-// NumClasses returns the class count (0 for classless pools).
-func (p *Pool) NumClasses() int { return len(p.classes) }
+// class returns node n's class metadata.
+func (p *Pool) class(n int) ClassCap { return p.classes[p.nodeClass[n]] }
 
-// Class returns class c's metadata.
-func (p *Pool) Class(c int) ClassCap { return p.classes[c] }
+// speedOf returns node n's duration divisor.
+func (p *Pool) speedOf(n int) float64 { return p.class(n).SpeedFactor }
 
-// classOf returns node n's class index, or -1 on a classless pool.
-func (p *Pool) classOf(n int) int {
-	if p.nodeClass == nil {
-		return -1
-	}
-	return p.nodeClass[n]
-}
+// rateOf returns node n's hourly price.
+func (p *Pool) rateOf(n int) float64 { return p.class(n).HourlyUSD }
 
-// speedOf returns node n's duration divisor (1 on classless pools).
-func (p *Pool) speedOf(n int) float64 {
-	if c := p.classOf(n); c >= 0 {
-		return p.classes[c].SpeedFactor
-	}
-	return 1
-}
-
-// rateOf returns node n's hourly price (0 on classless pools).
-func (p *Pool) rateOf(n int) float64 {
-	if c := p.classOf(n); c >= 0 {
-		return p.classes[c].HourlyUSD
-	}
-	return 0
-}
-
-// classNameOf returns node n's class name ("" on classless pools).
-func (p *Pool) classNameOf(n int) string {
-	if c := p.classOf(n); c >= 0 {
-		return p.classes[c].Name
-	}
-	return ""
-}
+// classNameOf returns node n's class name.
+func (p *Pool) classNameOf(n int) string { return p.class(n).Name }
 
 // isSpot reports whether node n is revocable spot capacity.
-func (p *Pool) isSpot(n int) bool {
-	if c := p.classOf(n); c >= 0 {
-		return p.classes[c].Spot
-	}
-	return false
-}
+func (p *Pool) isSpot(n int) bool { return p.class(n).Spot }
 
 // setDown marks node n down (a revoked spot node) or back up.
 func (p *Pool) setDown(n int, down bool) { p.down[n] = down }

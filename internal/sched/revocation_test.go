@@ -241,7 +241,7 @@ func TestInfiniteRevocationStreamDrains(t *testing.T) {
 }
 
 // TestNoSpotScheduleUntouchedBySource: arming a revocation source on a
-// classless pool (no spot nodes) must not perturb the schedule at all.
+// pool without spot nodes must not perturb the schedule at all.
 func TestNoSpotScheduleUntouchedBySource(t *testing.T) {
 	tasks := []Task{
 		{ID: 0, Sys: sys(8, 8), Duration: 100},

@@ -92,7 +92,7 @@ type TaskStats struct {
 	Node           int     `json:"node"`     // final hosting node; -1 for slot-only
 	ResizesGranted int     `json:"resizesGranted"`
 	ResizesDenied  int     `json:"resizesDenied"`
-	// Class names the final hosting node's class ("" on classless pools
+	// Class names the final hosting node's class ("" for slot-only tasks
 	// and the legacy single-class clusters); Spot marks it revocable.
 	Class string `json:"class,omitempty"`
 	Spot  bool   `json:"spot,omitempty"`
@@ -429,7 +429,7 @@ func (e *Engine) earliestStart(i int) float64 {
 }
 
 // pickContext assembles the policy's read-only view, including the
-// cost-aware class axis on pools with classes.
+// cost-aware class axis whenever the engine has a pool.
 func (e *Engine) pickContext() *PickContext {
 	ctx := &PickContext{
 		Now:           e.Now(),
@@ -441,10 +441,10 @@ func (e *Engine) pickContext() *PickContext {
 		ctx.Queue[i] = q.task
 	}
 	p := e.pool
-	if p == nil || p.NumClasses() == 0 {
+	if p == nil {
 		return ctx
 	}
-	ctx.Classes = make([]ClassInfo, p.NumClasses())
+	ctx.Classes = make([]ClassInfo, len(p.classes))
 	for c := range ctx.Classes {
 		ci := ClassInfo{ClassCap: p.classes[c]}
 		for n := range p.caps {

@@ -10,13 +10,14 @@ import (
 	"pipetune/internal/xrand"
 )
 
+// testPool builds a homogeneous pool: one anonymous class, speed 1, free.
 func testPool(t *testing.T, nodes, cores, mem int) *Pool {
 	t.Helper()
 	caps := make([]NodeCap, nodes)
 	for i := range caps {
 		caps[i] = NodeCap{Cores: cores, MemoryGB: mem}
 	}
-	p, err := NewPoolClasses(caps, nil, nil)
+	p, err := NewPoolClasses(caps, make([]int, nodes), []ClassCap{{SpeedFactor: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,18 +137,6 @@ func (c *TrialCache) Stats() CacheStats {
 	return s
 }
 
-// Depth returns how many epochs of trajectory are cached for a key (0
-// when absent). The spot-recovery path uses it to decide how many epochs
-// a revoked trial's replacement attempt can skip.
-func (c *TrialCache) Depth(key string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e := c.entries[key]; e != nil {
-		return len(e.traj)
-	}
-	return 0
-}
-
 // InstrumentMetrics registers the cache's families on reg and starts
 // publishing. Call before concurrent use (the service wires it at
 // construction). A nil registry yields nil handles: every update stays a

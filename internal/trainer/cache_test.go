@@ -161,31 +161,6 @@ func TestDeeperRequestRetrainsAndExtends(t *testing.T) {
 	}
 }
 
-// TestDepthIsTrajectoryDepth pins spot salvage's input: Depth is the
-// deepest budget ever trained under a key, and 0 once the entry is gone.
-func TestDepthIsTrajectoryDepth(t *testing.T) {
-	cr := cachedRunner(0)
-	sys := params.DefaultSysConfig()
-	h := fastHyper()
-	key := cr.PrefixKey(lenetMNIST, h, 5)
-	if d := cr.Cache.Depth(key); d != 0 {
-		t.Fatalf("depth of an absent key = %d, want 0", d)
-	}
-	for _, step := range []struct{ epochs, want int }{{2, 2}, {4, 4}, {1, 4}, {3, 4}} {
-		h.Epochs = step.epochs
-		mustRun(t, cr, lenetMNIST, h, sys, 5, nil)
-		if d := cr.Cache.Depth(key); d != step.want {
-			t.Fatalf("after a %d-epoch run: depth %d, want %d", step.epochs, d, step.want)
-		}
-	}
-	small := cachedRunner(1) // evicts every entry on insert
-	h.Epochs = 2
-	mustRun(t, small, lenetMNIST, h, sys, 5, nil)
-	if d := small.Cache.Depth(key); d != 0 {
-		t.Fatalf("depth after eviction = %d, want 0", d)
-	}
-}
-
 // heapAlloc reads the live heap after a full collection.
 func heapAlloc() uint64 {
 	runtime.GC()

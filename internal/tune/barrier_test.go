@@ -96,18 +96,36 @@ func (r *Runner) RunJobBarrier(spec JobSpec) (*JobResult, error) {
 }
 
 // scheduleBatch assigns simulated start/end times to the batch's records
-// in ID order against a scratch copy of the cluster: each trial waits until
+// in ID order against an empty copy of the cluster: each trial waits until
 // its own system footprint fits (FIFO within the batch), with at most
 // `slots` trials in flight. It returns the batch makespan end time.
 func (r *Runner) scheduleBatch(records []TrialRecord, clock float64, slots int) (float64, error) {
-	scratch := r.Cluster.Clone()
+	// The reference's own first-fit occupancy model, independent of
+	// internal/sched: every node's free cores and memory, in node order.
+	var free []cluster.NodeSpec
+	for _, cs := range r.Cluster.Status() {
+		for i := 0; i < cs.Count; i++ {
+			free = append(free, cluster.NodeSpec{Cores: cs.Cores, MemoryGB: cs.MemoryGB})
+		}
+	}
+	place := func(sys params.SysConfig) int {
+		for n := range free {
+			if free[n].Cores >= sys.Cores && free[n].MemoryGB >= sys.MemoryGB {
+				free[n].Cores -= sys.Cores
+				free[n].MemoryGB -= sys.MemoryGB
+				return n
+			}
+		}
+		return -1
+	}
 	type running struct {
-		end   float64
-		alloc *cluster.Alloc
+		end  float64
+		node int
+		sys  params.SysConfig
 	}
 	var inFlight []running
 	now := clock
-	finishEarliest := func() error {
+	finishEarliest := func() {
 		// Pop the earliest-finishing trial and free its resources.
 		idx := 0
 		for i := 1; i < len(inFlight); i++ {
@@ -118,33 +136,26 @@ func (r *Runner) scheduleBatch(records []TrialRecord, clock float64, slots int) 
 		if inFlight[idx].end > now {
 			now = inFlight[idx].end
 		}
-		if err := inFlight[idx].alloc.Release(); err != nil {
-			return err
-		}
+		f := inFlight[idx]
+		free[f.node].Cores += f.sys.Cores
+		free[f.node].MemoryGB += f.sys.MemoryGB
 		inFlight = append(inFlight[:idx], inFlight[idx+1:]...)
-		return nil
 	}
 	for i := range records {
 		rec := &records[i]
 		for {
 			if len(inFlight) < slots {
-				alloc, err := scratch.Allocate(rec.StartSys)
-				if err == nil {
+				if n := place(rec.StartSys); n >= 0 {
 					rec.Start = now
 					rec.End = now + rec.Result.Duration
-					inFlight = append(inFlight, running{end: rec.End, alloc: alloc})
+					inFlight = append(inFlight, running{end: rec.End, node: n, sys: rec.StartSys})
 					break
-				}
-				if !errors.Is(err, cluster.ErrInsufficient) {
-					return 0, err
 				}
 			}
 			if len(inFlight) == 0 {
 				return 0, fmt.Errorf("tune: trial %d config %v cannot ever fit", rec.ID, rec.StartSys)
 			}
-			if err := finishEarliest(); err != nil {
-				return 0, err
-			}
+			finishEarliest()
 		}
 	}
 	end := now

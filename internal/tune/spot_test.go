@@ -7,6 +7,7 @@ import (
 
 	"pipetune/internal/cluster"
 	"pipetune/internal/dataset"
+	"pipetune/internal/exec"
 	"pipetune/internal/trainer"
 	"pipetune/internal/workload"
 )
@@ -19,7 +20,7 @@ import (
 // contract from the outside: a job on a revocation-riddled spot fleet
 // must report exactly the training results, scores and best trial of the
 // same job on an undisturbed fleet, while the schedule itself shows real
-// interruptions and (with the trial cache) salvaged epochs.
+// interruptions and salvaged epochs.
 
 // spotFleet builds a 2-node single-shape cluster; spot makes both nodes
 // revocable at a rate aggressive enough that a small tuning job sees
@@ -95,11 +96,10 @@ func assertSameSearch(t *testing.T, disturbed, base *JobResult) {
 	}
 }
 
-// TestSpotRecoveryMatchesUndisturbedRun is the tentpole's e2e acceptance:
-// mid-trial spot revocations must not change any trial's outcome, and —
-// with the trial cache holding checkpoints — revoked trials resume from
-// their deepest checkpoint, retraining strictly fewer epochs than a
-// from-scratch retry.
+// TestSpotRecoveryMatchesUndisturbedRun is the cluster plane's e2e
+// acceptance: mid-trial spot revocations must not change any trial's
+// outcome, and revoked trials resume from their per-epoch checkpoint,
+// retraining strictly fewer epochs than a from-scratch retry.
 func TestSpotRecoveryMatchesUndisturbedRun(t *testing.T) {
 	w := workload.Workload{Model: workload.LeNet5, Dataset: workload.MNIST}
 	spec := paritySpec(w, ModeV1, 42)
@@ -135,7 +135,7 @@ func TestSpotRecoveryMatchesUndisturbedRun(t *testing.T) {
 		t.Fatal("no trial was revoked; the recovery path went unexercised")
 	}
 	if salvaged == 0 {
-		t.Fatal("no epochs salvaged despite the trial cache holding checkpoints")
+		t.Fatal("no epochs salvaged despite per-epoch checkpoints")
 	}
 
 	// The undisturbed fleet must show zero revocation activity.
@@ -146,34 +146,43 @@ func TestSpotRecoveryMatchesUndisturbedRun(t *testing.T) {
 	}
 }
 
-// TestSpotRecoveryWithoutCacheRetrainsFromScratch: with no trial cache
-// there are no checkpoints, so every revoked attempt retries from scratch
-// — zero salvage — yet the search outcome still matches the undisturbed
-// run.
-func TestSpotRecoveryWithoutCacheRetrainsFromScratch(t *testing.T) {
+// TestSpotScheduleIndependentOfCacheAndBackend: the spot schedule —
+// revocations, salvage, cost, every Start/End — is a function of the job
+// spec alone. Bodies trained on the runner's own cached trainer, on a
+// second cached trainer (what a worker is), or with no cache at all give
+// the same JobResult bytes.
+func TestSpotScheduleIndependentOfCacheAndBackend(t *testing.T) {
 	w := workload.Workload{Model: workload.LeNet5, Dataset: workload.MNIST}
 	spec := paritySpec(w, ModeV1, 42)
 
-	base, err := spotRunner(t, false, false).RunJob(spec)
+	own, err := spotRunner(t, true, true).RunJob(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	disturbed, err := spotRunner(t, true, false).RunJob(spec)
+	worker := spotRunner(t, true, true)
+	worker.Exec = exec.NewLocal(spotRunner(t, true, true).Trainer)
+	elsewhere, err := worker.RunJob(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameSearch(t, disturbed, base)
-
-	revocations := 0
-	for i := range disturbed.Trials {
-		d := &disturbed.Trials[i]
-		revocations += d.Revocations
-		if d.SalvagedEpochs != 0 {
-			t.Fatalf("trial %d salvaged %d epochs with no cache to checkpoint into", d.ID, d.SalvagedEpochs)
-		}
+	uncached, err := spotRunner(t, true, false).RunJob(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if revocations == 0 {
-		t.Fatal("no trial was revoked; the from-scratch path went unexercised")
+	want := mustJSON(t, own)
+	if mustJSON(t, elsewhere) != want {
+		t.Fatal("bodies on another trainer moved the spot schedule")
+	}
+	if mustJSON(t, uncached) != want {
+		t.Fatal("turning the trial cache off moved the spot schedule")
+	}
+	revocations, salvaged := 0, 0
+	for i := range own.Trials {
+		revocations += own.Trials[i].Revocations
+		salvaged += own.Trials[i].SalvagedEpochs
+	}
+	if revocations == 0 || salvaged == 0 {
+		t.Fatalf("%d revocations, %d salvaged epochs: the resume path went unexercised", revocations, salvaged)
 	}
 }
 

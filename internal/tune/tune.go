@@ -298,24 +298,12 @@ func budgetIterations(ratio int) int {
 }
 
 // slotCount derives the simulated parallelism: how many BaseSys-sized
-// trials the cluster fits, bounded by spec.MaxParallel. The count is taken
-// against a scratch clone of the cluster — never the live one — so
-// concurrent jobs sharing a Runner (the pipetuned service) cannot observe
-// each other's transient allocations.
+// trials the empty cluster holds side by side, bounded by spec.MaxParallel.
 func (r *Runner) slotCount(spec JobSpec) (int, error) {
 	if !r.Cluster.Fits(spec.BaseSys) {
 		return 0, fmt.Errorf("tune: base config %v does not fit any node", spec.BaseSys)
 	}
-	// Count allocations until the scratch cluster is full; the clone is
-	// discarded, so nothing needs releasing.
-	scratch := r.Cluster.Clone()
-	slots := 0
-	for {
-		if _, err := scratch.Allocate(spec.BaseSys); err != nil {
-			break
-		}
-		slots++
-	}
+	slots := r.Cluster.Slots(spec.BaseSys)
 	if spec.MaxParallel > 0 && spec.MaxParallel < slots {
 		slots = spec.MaxParallel
 	}
@@ -425,7 +413,7 @@ func trialSeed(jobSeed uint64, id int) uint64 {
 const spotSeedSalt uint64 = 0x5b0f5eedc0ffee11
 
 // resumeSpec shapes a revoked trial's replacement attempt: resume from the
-// deepest checkpoint at or below the last epoch the interrupted attempt
+// checkpoint of epoch salv, the last one the interrupted attempt
 // completed. res.Epochs[0] is the init phase and epoch k lives at index k,
 // so a resume-after-epoch-salv attempt replays init and then epochs
 // salv+1..N: its duration is init + the original tail past epoch salv, its
@@ -457,14 +445,14 @@ func resumeSpec(res *trainer.Result, startSys params.SysConfig, salv int) sched.
 	return out
 }
 
-// evictHandler builds one trial's sched.EvictHandler. The closure tracks
-// the attempt's current resume point so a second revocation measures
-// progress on the shortened timeline, and consults the trainer's prefix
-// cache for the depth trained under the trial's key. The simulated cluster
-// checkpoints every epoch; the compute-then-simulate split means the body
-// is already trained when the simulated revocation fires, so the binding
-// constraint is the epoch the interrupted attempt had actually reached.
-func (r *Runner) evictHandler(rec *TrialRecord, key string) sched.EvictHandler {
+// evictHandler builds one trial's sched.EvictHandler. The simulated
+// cluster checkpoints every epoch, so a revoked attempt resumes after the
+// last epoch it completed; the closure tracks the attempt's resume point so
+// a second revocation measures progress on the shortened timeline. The
+// body is already trained when the simulated revocation fires (compute
+// first, then simulate), so the salvage depends on the schedule alone,
+// whichever backend or trial cache trained the body.
+func evictHandler(rec *TrialRecord) sched.EvictHandler {
 	res := rec.Result
 	salvaged := 0 // current attempt's resume point (epochs skipped)
 	return func(_ int, elapsed float64) sched.ResumeSpec {
@@ -483,16 +471,8 @@ func (r *Runner) evictHandler(rec *TrialRecord, key string) sched.EvictHandler {
 			}
 			completed = e
 		}
-		depth := 0
-		if key != "" && r.Trainer.Cache != nil {
-			depth = r.Trainer.Cache.Depth(key)
-		}
-		salv := completed
-		if depth < salv {
-			salv = depth
-		}
-		salvaged = salv
-		return resumeSpec(res, rec.StartSys, salv)
+		salvaged = completed
+		return resumeSpec(res, rec.StartSys, completed)
 	}
 }
 
@@ -598,11 +578,7 @@ func (r *Runner) RunJobCtx(ctx context.Context, spec JobSpec) (*JobResult, error
 			}
 			var onEvict sched.EvictHandler
 			if eng.HasRevocations() {
-				var key string
-				if r.Trainer.Cache != nil {
-					key = r.Trainer.PrefixKey(spec.Workload, rec.Hyper, trialSeed(spec.Seed, rec.ID))
-				}
-				onEvict = r.evictHandler(rec, key)
+				onEvict = evictHandler(rec)
 			}
 			err := eng.SubmitRevocable(task, onEvict, func(_ sched.Task, st sched.TaskStats) {
 				rec.Start, rec.End = st.Start, st.End
@@ -666,18 +642,6 @@ func (r *Runner) runBatch(ctx context.Context, spec JobSpec, batch []search.Sugg
 	trials := make([]exec.Trial, 0, len(batch))
 	idx := make([]int, 0, len(batch)) // trial position -> record index
 	tc := exec.CaptureTrainerConfig(r.Trainer)
-	// Cost-aware policies on heterogeneous clusters get a deterministic
-	// preferred-class hint stamped on each assignment: the class the policy
-	// would choose on an idle cluster, priced from the cost model's
-	// predicted duration. Actual placement is re-decided at simulated
-	// dispatch against live occupancy; the hint only routes the compute.
-	chooser, _ := r.policyFor(spec).(sched.ClassChooser)
-	var hintPool *sched.Pool
-	if chooser != nil {
-		if p := r.Cluster.SchedPool(); p.NumClasses() > 0 {
-			hintPool = p
-		}
-	}
 	for i, sug := range batch {
 		// Cancellation outranks per-trial validation, as it did when the
 		// pre-refactor pool checked the context before each trial body: a
@@ -728,12 +692,6 @@ func (r *Runner) runBatch(ctx context.Context, spec JobSpec, batch []search.Sugg
 			// submitting trainer's key, not a locally re-derived one.
 			cacheKey = r.Trainer.PrefixKey(spec.Workload, h, seed)
 		}
-		var classHint string
-		if hintPool != nil {
-			if d, err := r.Trainer.PredictDuration(spec.Workload, h, sys); err == nil {
-				classHint = sched.PreferredClass(hintPool, chooser, sys, d)
-			}
-		}
 		trials = append(trials, exec.Trial{
 			ID:       sug.ID,
 			Workload: spec.Workload,
@@ -744,7 +702,6 @@ func (r *Runner) runBatch(ctx context.Context, spec JobSpec, batch []search.Sugg
 			Restart:  restart,
 			Trainer:  tc,
 			CacheKey: cacheKey,
-			Class:    classHint,
 		})
 		idx = append(idx, i)
 	}
