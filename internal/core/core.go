@@ -47,7 +47,6 @@ import (
 
 	"pipetune/internal/gt"
 	"pipetune/internal/params"
-	"pipetune/internal/sched"
 	"pipetune/internal/trainer"
 	"pipetune/internal/tune"
 	"pipetune/internal/workload"
@@ -73,6 +72,14 @@ func (o OptimizeFor) String() string {
 	default:
 		return fmt.Sprintf("optimize(%d)", int(o))
 	}
+}
+
+// metric extracts the optimisation value from a measurement.
+func (o OptimizeFor) metric(p probeResult) float64 {
+	if o == MinimizeEnergy {
+		return p.energyJ
+	}
+	return p.duration
 }
 
 // DefaultProbeConfigs returns the §5.6 probing grid over the §7.1.4 system
@@ -206,14 +213,6 @@ func NewController(store gt.Store) *Controller {
 	}
 }
 
-// metric extracts the optimisation value from a measurement.
-func (c *Controller) metric(p probeResult) float64 {
-	if c.Optimize == MinimizeEnergy {
-		return p.energyJ
-	}
-	return p.duration
-}
-
 // Counts returns the totals over the trials finished so far.
 func (c *Controller) Counts() Counts {
 	c.mu.Lock()
@@ -318,7 +317,7 @@ func (c *Controller) advanceLocked(st *trialState, s trainer.EpochStats) *params
 		// function.
 		st.counts.ProfileEpochs++
 		st.features = s.Profile.Features()
-		st.baseline = c.metric(st.measured[0])
+		st.baseline = c.Optimize.metric(st.measured[0])
 		if cfg, ok := c.lookupLocked(st); ok {
 			// Line 9-10: within the confidence threshold — apply the
 			// known-best configuration, no probing needed.
@@ -348,7 +347,7 @@ func (c *Controller) advanceLocked(st *trialState, s trainer.EpochStats) *params
 		// predictions, applied online.
 		if st.fromGT && !st.validated {
 			st.validated = true
-			if c.metric(st.measured[len(st.measured)-1]) > st.baseline*1.10 {
+			if c.Optimize.metric(st.measured[len(st.measured)-1]) > st.baseline*1.10 {
 				st.phase = phaseProbing
 				st.fromGT = false
 				return c.probeOrSettleLocked(st)
@@ -386,7 +385,7 @@ func (c *Controller) settleLocked(st *trialState) *params.SysConfig {
 	st.phase = phaseApplied
 	best := st.measured[0]
 	for _, m := range st.measured[1:] {
-		if c.metric(m) < c.metric(best) {
+		if c.Optimize.metric(m) < c.Optimize.metric(best) {
 			best = m
 		}
 	}
@@ -417,20 +416,8 @@ func (c *Controller) Finish(trialID int, _ *trainer.Result) {
 		// drown the database in "default is best" votes. And only new
 		// evidence: a successor that ran on what its predecessors had
 		// already measured would re-add their entry once per rung.
-		best := st.measured[0]
-		mean := 0.0
-		for _, m := range st.measured {
-			mean += c.metric(m)
-			if c.metric(m) < c.metric(best) {
-				best = m
-			}
-		}
-		mean /= float64(len(st.measured))
-		advantage := 1.0
-		if mean > 0 {
-			advantage = c.metric(best) / mean
-		}
-		entry = &gt.Entry{Features: st.features, BestSys: best.sys, Metric: advantage}
+		e := gtEntry(st.features, st.measured, c.Optimize)
+		entry = &e
 	}
 	c.mu.Unlock()
 	if entry != nil {
@@ -451,6 +438,26 @@ func comparedConfigs(measured []probeResult) bool {
 	return false
 }
 
+// gtEntry is the one rule for a ground-truth entry: the profile features,
+// the best of the (non-empty) measurements — the first of equals — and its
+// advantage, best ÷ mean (1 when the mean is not positive).
+func gtEntry(features []float64, measured []probeResult, o OptimizeFor) gt.Entry {
+	best := measured[0]
+	mean := 0.0
+	for _, m := range measured {
+		mean += o.metric(m)
+		if o.metric(m) < o.metric(best) {
+			best = m
+		}
+	}
+	mean /= float64(len(measured))
+	advantage := 1.0
+	if mean > 0 {
+		advantage = o.metric(best) / mean
+	}
+	return gt.Entry{Features: features, BestSys: best.sys, Metric: advantage}
+}
+
 // learnedNew reports whether the trial measured a system configuration
 // that the state it inherited had not.
 func learnedNew(st *trialState) bool {
@@ -465,18 +472,18 @@ func learnedNew(st *trialState) bool {
 // PipeTune wraps a tune.Runner with the pipelined system-tuning middleware.
 // One PipeTune instance holds one persistent ground-truth database shared
 // by every job it runs — the cross-job learning of §7.4.
+//
+// A PipeTune job is placed under its Runner's policy (tune.Runner.Policy),
+// the same runner and policy the baselines use. PipeTune trials change
+// their system configuration mid-flight, and the scheduler re-negotiates
+// each trial's cluster allocation at the matching epoch boundary (§5.6
+// dynamic reconfiguration) — the policy decides which waiting trial claims
+// capacity those reconfigurations free.
 type PipeTune struct {
 	Runner   *tune.Runner
 	GT       gt.Store
 	Probes   []params.SysConfig
 	Optimize OptimizeFor
-	// Policy, when set, overrides the trial placement policy for PipeTune
-	// jobs (FIFO, SJF or backfill from internal/sched). PipeTune trials
-	// change their system configuration mid-flight, and the scheduler
-	// re-negotiates each trial's cluster allocation at the matching epoch
-	// boundary (§5.6 dynamic reconfiguration) — the policy decides which
-	// waiting trial claims capacity those reconfigurations free.
-	Policy sched.Policy
 }
 
 // New creates a PipeTune middleware with an empty ground-truth database:
@@ -519,9 +526,6 @@ func (p *PipeTune) RunJobCounts(ctx context.Context, spec tune.JobSpec) (*tune.J
 	ctrl.Optimize = p.Optimize
 
 	spec.Mode = tune.ModeV1 // hyper space only; system handled by the pipeline
-	if p.Policy != nil {
-		spec.Policy = p.Policy
-	}
 	spec.TrialObserver = ctrl.ObserverFor
 	spec.TrialRestart = ctrl.Restart
 	prevDone := spec.OnTrialDone
@@ -557,9 +561,7 @@ func (p *PipeTune) Bootstrap(workloads []workload.Workload, seed uint64) error {
 				features = s.Profile.Features()
 				return nil
 			})
-			best := probeResult{}
-			haveBest := false
-			mean := 0.0
+			measured := make([]probeResult, 0, len(p.Probes))
 			for ci, sys := range p.Probes {
 				var obs trainer.EpochObserver
 				if ci == 0 {
@@ -570,31 +572,14 @@ func (p *PipeTune) Bootstrap(workloads []workload.Workload, seed uint64) error {
 					return fmt.Errorf("core: bootstrap %s at %v: %w", w.Name(), sys, err)
 				}
 				epoch := res.Epochs[len(res.Epochs)-1]
-				m := probeResult{sys: sys, duration: epoch.Duration, energyJ: epoch.EnergyJ}
-				mean += p.metricOf(m)
-				if !haveBest || p.metricOf(m) < p.metricOf(best) {
-					best = m
-					haveBest = true
-				}
+				measured = append(measured, probeResult{sys: sys, duration: epoch.Duration, energyJ: epoch.EnergyJ})
 			}
-			if haveBest {
-				mean /= float64(len(p.Probes))
-				advantage := 1.0
-				if mean > 0 {
-					advantage = p.metricOf(best) / mean
-				}
-				if err := p.GT.Add(gt.Entry{Features: features, BestSys: best.sys, Metric: advantage}); err != nil {
+			if len(measured) > 0 {
+				if err := p.GT.Add(gtEntry(features, measured, p.Optimize)); err != nil {
 					return err
 				}
 			}
 		}
 	}
 	return nil
-}
-
-func (p *PipeTune) metricOf(m probeResult) float64 {
-	if p.Optimize == MinimizeEnergy {
-		return m.energyJ
-	}
-	return m.duration
 }

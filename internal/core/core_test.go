@@ -324,15 +324,36 @@ func TestPipeTuneReconfiguresThroughScheduler(t *testing.T) {
 	}
 }
 
+// countingPolicy is a placement policy that counts the engine's Pick calls.
+type countingPolicy struct {
+	sched.Policy
+	picks int
+}
+
+func (p *countingPolicy) Pick(ctx *sched.PickContext) int {
+	p.picks++
+	return p.Policy.Pick(ctx)
+}
+
+// TestPipeTunePolicyForwarded: the Runner's policy is the one placement
+// setting — a baseline job and a PipeTune job on the same runner are both
+// placed by it.
 func TestPipeTunePolicyForwarded(t *testing.T) {
-	pt := New(testTuneRunner(), 7)
-	pt.Policy = sched.SJF()
-	res, err := pt.RunJob(smallJob(lenetMNIST, 13))
-	if err != nil {
+	runner := testTuneRunner()
+	policy := &countingPolicy{Policy: sched.SJF()}
+	runner.Policy = policy
+	if _, err := runner.RunJob(smallJob(lenetMNIST, 13)); err != nil {
 		t.Fatal(err)
 	}
-	if res.Spec.Policy == nil || res.Spec.Policy.Name() != sched.NameSJF {
-		t.Fatal("PipeTune policy not forwarded to the job spec")
+	baseline := policy.picks
+	if baseline == 0 {
+		t.Fatal("the baseline job was not placed by the runner's policy")
+	}
+	if _, err := New(runner, 7).RunJob(smallJob(lenetMNIST, 13)); err != nil {
+		t.Fatal(err)
+	}
+	if policy.picks == baseline {
+		t.Fatal("the PipeTune job was not placed by the runner's policy")
 	}
 }
 

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
 
+	"pipetune/internal/exec"
 	"pipetune/internal/gt"
 	"pipetune/internal/params"
 	"pipetune/internal/search"
@@ -281,8 +283,6 @@ type twinSearcher struct {
 	nextID int
 }
 
-func (s *twinSearcher) Name() string { return "twins" }
-
 func (s *twinSearcher) Next() []search.Suggestion {
 	if s.rung == 2 {
 		return nil
@@ -301,6 +301,17 @@ func (s *twinSearcher) Next() []search.Suggestion {
 
 func (s *twinSearcher) Observe([]search.Report) {}
 
+// fixedParallel is the local backend with every batch's real parallelism
+// fixed at n, whatever the job's slot count.
+type fixedParallel struct {
+	exec.Backend
+	n int
+}
+
+func (f fixedParallel) Run(ctx context.Context, trials []exec.Trial, _ int) ([]*trainer.Result, []error) {
+	return f.Backend.Run(ctx, trials, f.n)
+}
+
 func TestTwinsShareAStartAndWorkersDoNotMatter(t *testing.T) {
 	spec := smallJob(lenetMNIST, 42)
 	spec.Searcher = func(params.Space, *xrand.Source) (search.Searcher, error) {
@@ -312,7 +323,7 @@ func TestTwinsShareAStartAndWorkersDoNotMatter(t *testing.T) {
 	var want []byte
 	for _, workers := range []int{1, 2, 8} {
 		runner := testTuneRunner()
-		runner.Workers = workers
+		runner.Exec = fixedParallel{Backend: exec.NewLocal(runner.Trainer), n: workers}
 		res, counts, err := New(runner, 7).RunJobCounts(t.Context(), spec)
 		if err != nil {
 			t.Fatal(err)

@@ -51,13 +51,13 @@ func TestCacheRemoteCatalogParity(t *testing.T) {
 		}
 		return out
 	}
-	run := func(b Backend, tr *trainer.Runner) []string {
+	run := func(name string, b Backend, tr *trainer.Runner) []string {
 		trials := trialsFor(tr)
 		res, errs := b.Run(context.Background(), trials, 2)
 		out := make([]string, len(res))
 		for i, err := range errs {
 			if err != nil {
-				t.Fatalf("%s trial %d (%s): %v", b.Name(), i, trials[i].Workload.Name(), err)
+				t.Fatalf("%s trial %d (%s): %v", name, i, trials[i].Workload.Name(), err)
 			}
 			bts, err := json.Marshal(res[i])
 			if err != nil {
@@ -68,13 +68,13 @@ func TestCacheRemoteCatalogParity(t *testing.T) {
 		return out
 	}
 
-	plain := run(NewLocal(smallTrainer()), smallTrainer())
+	plain := run("local", NewLocal(smallTrainer()), smallTrainer())
 
 	localCached := cachedSmallTrainer()
-	gotLocal := run(NewLocal(localCached), localCached)
+	gotLocal := run("cached local", NewLocal(localCached), localCached)
 
 	fleet, _ := startFleet(t, 2, RemoteConfig{})
-	gotFleet := run(fleet, cachedSmallTrainer())
+	gotFleet := run("cached fleet", fleet, cachedSmallTrainer())
 
 	for i := range plain {
 		w := cat[i/2%len(cat)]

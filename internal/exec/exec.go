@@ -76,10 +76,6 @@ type Trial struct {
 // concurrent Run calls: the tuning service runs many jobs over one
 // backend.
 type Backend interface {
-	// Name identifies the backend ("local", "remote") for health and
-	// logging surfaces.
-	Name() string
-
 	// Run executes the batch and returns results positionally:
 	// results[i] is non-nil exactly when errs[i] is nil. maxParallel
 	// bounds how many trial bodies compute concurrently on pool-style

@@ -20,9 +20,6 @@ type Local struct {
 // NewLocal wires a local backend to a trainer.
 func NewLocal(tr *trainer.Runner) *Local { return &Local{Trainer: tr} }
 
-// Name implements Backend.
-func (l *Local) Name() string { return "local" }
-
 // Run implements Backend: every trial gets a goroutine, at most
 // maxParallel of which hold the semaphore (and therefore compute) at
 // once. A context cancelled mid-batch skips trials that have not started

@@ -202,9 +202,6 @@ func NewRemote(cfg RemoteConfig) *Remote {
 // one namespace.
 func (r *Remote) MetricsRegistry() *metrics.Registry { return r.met.reg }
 
-// Name implements Backend.
-func (r *Remote) Name() string { return "remote" }
-
 // Run implements Backend: each trial becomes a lease, workers compute
 // them, and Run returns once every trial is terminal. maxParallel is
 // ignored — aggregate worker capacity bounds fleet concurrency. With no

@@ -58,8 +58,9 @@ func benchTasks(n int) []Task {
 
 // BenchmarkCostAwarePlacement prices one full discrete-event simulation
 // of 500 trials over the 6-node heterogeneous fleet under each placement
-// policy — the per-dispatch cost of building the class axis (per-class
-// free-capacity aggregation) and the chooser's class scan.
+// policy — the per-dispatch cost of the policy's view (queue copy, fit
+// probes, the class axis over the pool's own class list) and the
+// chooser's class scan.
 func BenchmarkCostAwarePlacement(b *testing.B) {
 	tasks := benchTasks(500)
 	for _, policy := range []Policy{FIFO(), Cheapest(), PerfPerDollar()} {
@@ -101,7 +102,8 @@ func BenchmarkSpotRecovery(b *testing.B) {
 }
 
 // BenchmarkSimulateFIFO prices the §7.4 queueing model behind Figures
-// 13/14: 500 slot-only HPT jobs through four servers under FIFO.
+// 13/14: 500 HPT jobs through four one-core, one-GB servers of a pool
+// under FIFO.
 func BenchmarkSimulateFIFO(b *testing.B) {
 	tasks := poissonTasks(3, 500, 10)
 	for i := 0; i < b.N; i++ {

@@ -14,22 +14,10 @@ const (
 	NamePerfPerDollar = "perf-per-dollar"
 )
 
-// ClassInfo is one node class's live view inside a PickContext.
-type ClassInfo struct {
-	ClassCap
-	// Nodes is the class's node count; UpNodes excludes revoked spot nodes
-	// awaiting replacement.
-	Nodes   int
-	UpNodes int
-	// FreeCores/FreeMemoryGB aggregate the class's currently unreserved
-	// capacity across its up nodes.
-	FreeCores    int
-	FreeMemoryGB int
-}
-
-// PickContext is the read-only view a Policy decides from. The engine calls
-// Pick only when at least one admission slot is free; the policy chooses
-// which queued task (by index) starts next, or -1 to admit nothing yet.
+// PickContext is the read-only view a Policy decides from: only what the
+// built-in policies read. The engine calls Pick only when at least one
+// admission slot is free; the policy chooses which queued task (by index)
+// starts next, or -1 to admit nothing yet.
 type PickContext struct {
 	// Now is the current simulated time.
 	Now float64
@@ -44,18 +32,15 @@ type PickContext struct {
 	// task could never fit (which Submit already rejects).
 	EarliestStart func(i int) float64
 
-	// The cost-aware placement axis. Classes is empty on slot-only
-	// engines (no pool), in which case the per-class closures are nil.
+	// The cost-aware placement axis, read by ClassChooser policies.
 	//
-	// Classes lists the pool's node classes with live free capacity.
-	Classes []ClassInfo
+	// Classes is the pool's own node-class list in declaration order,
+	// shared with the engine: policies must not modify it.
+	Classes []ClassCap
 	// ClassFits reports whether Queue[i] currently fits a node of class c.
 	ClassFits func(i, c int) bool
-	// ClassDuration is Queue[i]'s predicted runtime on class c: its
-	// costmodel-derived Duration divided by the class speed factor.
-	ClassDuration func(i, c int) float64
-	// ClassCost prices Queue[i] on class c in dollars:
-	// ClassDuration(i,c)/3600 × the class's hourly rate.
+	// ClassCost prices Queue[i] on class c in dollars: its Duration
+	// divided by the class speed factor, /3600 × the class's hourly rate.
 	ClassCost func(i, c int) float64
 }
 
@@ -234,7 +219,7 @@ func (perfPerDollarPolicy) ChooseClass(ctx *PickContext, i int) int {
 		if !ctx.ClassFits(i, c) {
 			continue
 		}
-		cc := ctx.Classes[c].ClassCap
+		cc := ctx.Classes[c]
 		val := math.Inf(1)
 		if cc.HourlyUSD > 0 {
 			val = cc.SpeedFactor / cc.HourlyUSD

@@ -59,13 +59,9 @@ func TestPickTieBreakTables(t *testing.T) {
 // cost[c] describe class c. PerfPerDollar reads speed/price from the
 // ClassCap itself, so callers pass real caps.
 func classCtxOf(caps []ClassCap, fits []bool, cost []float64) *PickContext {
-	classes := make([]ClassInfo, len(caps))
-	for i, cc := range caps {
-		classes[i] = ClassInfo{ClassCap: cc}
-	}
 	return &PickContext{
 		Queue:     []Task{{Duration: 100}},
-		Classes:   classes,
+		Classes:   caps,
 		ClassFits: func(_, c int) bool { return fits[c] },
 		ClassCost: func(_, c int) float64 { return cost[c] },
 	}
@@ -150,8 +146,7 @@ func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 // TestPickContextClassView checks the live class axis the engine hands
 // policies under asymmetric occupancy: one budget node partly occupied,
-// the other down, must show up in the per-class aggregates, fits, and
-// prices.
+// the other down, must show up in the fits and prices.
 func TestPickContextClassView(t *testing.T) {
 	e := New(classPool(t), Cheapest(), 0)
 	e.pool.placeOn(0, sys(12, 8))
@@ -159,12 +154,8 @@ func TestPickContextClassView(t *testing.T) {
 	e.queue = []*queued{{task: Task{Sys: sys(8, 8), Duration: 7200}, attempt: 1}}
 
 	ctx := e.pickContext()
-	budget, turbo := ctx.Classes[0], ctx.Classes[1]
-	if budget.Nodes != 2 || budget.UpNodes != 1 || budget.FreeCores != 4 || budget.FreeMemoryGB != 24 {
-		t.Fatalf("budget class view %+v", budget)
-	}
-	if turbo.Nodes != 1 || turbo.UpNodes != 1 || turbo.FreeCores != 32 || turbo.FreeMemoryGB != 64 {
-		t.Fatalf("turbo class view %+v", turbo)
+	if ctx.Classes[0].Name != "budget" || ctx.Classes[1].Name != "turbo" {
+		t.Fatalf("class list %+v, want the pool's classes in declaration order", ctx.Classes)
 	}
 	if ctx.ClassFits(0, 0) {
 		t.Fatal("8 cores reported fitting a class with 4 free on its only up node")
@@ -172,11 +163,8 @@ func TestPickContextClassView(t *testing.T) {
 	if !ctx.ClassFits(0, 1) {
 		t.Fatal("idle turbo node reported full")
 	}
-	if got := ctx.ClassDuration(0, 1); !almost(got, 3600) {
-		t.Fatalf("turbo duration %v, want 3600 (speed 2)", got)
-	}
 	if got := ctx.ClassCost(0, 1); !almost(got, 2.4) {
-		t.Fatalf("turbo cost %v, want 2.4", got)
+		t.Fatalf("turbo cost %v, want 2.4 (7200 s at speed 2, $2.4/h)", got)
 	}
 	// The budget class would be 6x cheaper (0.4$) but has no room: the
 	// chooser must spill to turbo rather than stall.

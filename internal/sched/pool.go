@@ -121,35 +121,22 @@ func (p *Pool) fitsOn(n int, fp params.SysConfig) bool {
 		p.caps[n].MemoryGB-p.usedMem[n] >= fp.MemoryGB
 }
 
-// place reserves fp on the first node with enough free capacity and returns
-// the node index, or -1 when no node currently fits.
-func (p *Pool) place(fp params.SysConfig) int {
-	for n := range p.caps {
-		if p.fitsOn(n, fp) {
-			p.usedCores[n] += fp.Cores
-			p.usedMem[n] += fp.MemoryGB
-			return n
-		}
-	}
-	return -1
-}
-
-// placeClass reserves fp on the first fitting node of class c, or -1.
+// placeClass reserves fp on the first fitting node of class c — of any
+// class when c < 0 — and returns the node index, or -1 when none fits now.
 func (p *Pool) placeClass(c int, fp params.SysConfig) int {
 	for n := range p.caps {
-		if p.nodeClass[n] == c && p.fitsOn(n, fp) {
-			p.usedCores[n] += fp.Cores
-			p.usedMem[n] += fp.MemoryGB
+		if (c < 0 || p.nodeClass[n] == c) && p.placeOn(n, fp) {
 			return n
 		}
 	}
 	return -1
 }
 
-// fitsClass reports whether fp could be placed on class c right now.
+// fitsClass reports whether fp could be placed on class c (any class when
+// c < 0) right now, without reserving it.
 func (p *Pool) fitsClass(c int, fp params.SysConfig) bool {
 	for n := range p.caps {
-		if p.nodeClass[n] == c && p.fitsOn(n, fp) {
+		if (c < 0 || p.nodeClass[n] == c) && p.fitsOn(n, fp) {
 			return true
 		}
 	}
@@ -178,16 +165,6 @@ func (p *Pool) free(n int, fp params.SysConfig) {
 func (p *Pool) canEverFit(fp params.SysConfig) bool {
 	for _, c := range p.caps {
 		if c.Cores >= fp.Cores && c.MemoryGB >= fp.MemoryGB {
-			return true
-		}
-	}
-	return false
-}
-
-// probe reports whether fp could be placed right now without reserving it.
-func (p *Pool) probe(fp params.SysConfig) bool {
-	for n := range p.caps {
-		if p.fitsOn(n, fp) {
 			return true
 		}
 	}

@@ -3,10 +3,11 @@
 // and the multi-tenancy experiments queue whole HPT jobs through it
 // (Simulate under FIFO is the §7.4 queueing model).
 //
-// The engine runs on simtime's event queue. Tasks arrive at a simulated
-// instant, wait until the active placement Policy admits them (their
-// resource footprint must fit the Pool, and at most Slots tasks may run),
-// execute for their known simulated duration, and complete — at which point
+// The engine runs on simtime's event queue. Every engine has a Pool and
+// every task a footprint on it. Tasks arrive at a simulated instant, wait
+// until the active placement Policy admits them (their footprint must fit a
+// node of the pool, and at most Slots tasks may run), execute for their
+// known simulated duration, and complete — at which point
 // the caller's completion hook fires *immediately*, in simulated completion
 // order. That hook is what makes the surrounding search incremental: the
 // tuner reports each trial to the searcher the moment it finishes instead
@@ -63,9 +64,9 @@ type Resize struct {
 	Sys    params.SysConfig `json:"sys"`
 }
 
-// Task is one schedulable unit of simulated work. A zero Sys footprint
-// makes the task slot-only: it consumes an admission slot but no modelled
-// resources (the whole-job queueing simulations use this).
+// Task is one schedulable unit of simulated work. Its Sys footprint — at
+// least one core and one GB — is reserved on one node of the pool while it
+// runs (Simulate gives each whole job a one-core, one-GB footprint).
 type Task struct {
 	ID       int
 	Arrival  float64
@@ -73,9 +74,6 @@ type Task struct {
 	Duration float64
 	Resizes  []Resize
 }
-
-// slotOnly reports whether the task claims no modelled resources.
-func (t Task) slotOnly() bool { return t.Sys == (params.SysConfig{}) }
 
 // TaskStats is one task's scheduling outcome. For a task interrupted by
 // spot revocations, Start is the final (successful) attempt's admission
@@ -89,11 +87,11 @@ type TaskStats struct {
 	End            float64 `json:"end"`
 	Wait           float64 `json:"wait"`     // Start - Arrival
 	Response       float64 `json:"response"` // End - Arrival
-	Node           int     `json:"node"`     // final hosting node; -1 for slot-only
+	Node           int     `json:"node"`     // final hosting node
 	ResizesGranted int     `json:"resizesGranted"`
 	ResizesDenied  int     `json:"resizesDenied"`
-	// Class names the final hosting node's class ("" for slot-only tasks
-	// and the legacy single-class clusters); Spot marks it revocable.
+	// Class names the final hosting node's class ("" for the anonymous
+	// class of legacy single-class clusters); Spot marks it revocable.
 	Class string `json:"class,omitempty"`
 	Spot  bool   `json:"spot,omitempty"`
 	// Revocations counts spot interruptions the task survived;
@@ -168,7 +166,7 @@ type runningTask struct {
 	gen     int     // q.gen at admission; stale events carry older values
 	start   float64
 	end     float64
-	node    int              // -1 when slot-only
+	node    int              // hosting node
 	speed   float64          // hosting class's duration divisor
 	sys     params.SysConfig // current (possibly resized) footprint
 	pending []timedResize    // scheduled resizes not yet applied, time order
@@ -181,7 +179,7 @@ type runningTask struct {
 // simtime's single-threaded model.
 type Engine struct {
 	sim     *simtime.Engine
-	pool    *Pool // nil = slot-only scheduling
+	pool    *Pool
 	policy  Policy
 	slots   int // max concurrent tasks; 0 = bounded by the pool alone
 	queue   []*queued
@@ -192,13 +190,12 @@ type Engine struct {
 	halted  bool
 	err     error // first internal failure; surfaced by Run
 
-	rev         RevocationSource
-	pendingRev  map[int]float64 // node -> armed revocation instant
-	revocations int             // fired revocations that evicted work
+	rev        RevocationSource
+	pendingRev map[int]float64 // node -> armed revocation instant
 }
 
-// New creates an engine over a pool (nil for slot-only queueing) with a
-// placement policy (nil defaults to FIFO) and an admission slot cap
+// New creates an engine over a pool (non-nil: every task is placed on it)
+// with a placement policy (nil defaults to FIFO) and an admission slot cap
 // (0 = unbounded, the pool's capacity is then the only brake).
 func New(pool *Pool, policy Policy, slots int) *Engine {
 	if policy == nil {
@@ -217,9 +214,6 @@ func New(pool *Pool, policy Policy, slots int) *Engine {
 // Now returns the current simulated time.
 func (e *Engine) Now() float64 { return e.sim.Now() }
 
-// Policy returns the active placement policy.
-func (e *Engine) Policy() Policy { return e.policy }
-
 // SetRevocations arms spot revocations: src yields each node's revocation
 // instants, consumed lazily — a node's next event is scheduled only while
 // it hosts work, so a drained simulation never spins on an infinite
@@ -234,10 +228,6 @@ func (e *Engine) SetRevocations(src RevocationSource) {
 // HasRevocations reports whether a revocation source is armed.
 func (e *Engine) HasRevocations() bool { return e.rev != nil }
 
-// Revocations counts the fired revocations that evicted at least one
-// running task.
-func (e *Engine) Revocations() int { return e.revocations }
-
 // Halt stops the simulation before the next event; Run returns
 // simtime.ErrStopped. Callers use it to abort from a completion hook.
 func (e *Engine) Halt() {
@@ -247,9 +237,10 @@ func (e *Engine) Halt() {
 
 // Submit registers a task. Its arrival event fires at max(Arrival, Now);
 // onDone (optional) fires at the task's simulated completion, before any
-// same-instant arrivals are processed. Tasks whose footprint cannot fit an
-// idle pool are rejected with ErrNeverFits — the caller finds out at submit
-// time, not after the queue deadlocks.
+// same-instant arrivals are processed. A footprint below one core or one GB
+// is rejected (it would fit a full node without occupying it), and one that
+// cannot fit an idle pool is rejected with ErrNeverFits — the caller finds
+// out at submit time, not after the queue deadlocks.
 func (e *Engine) Submit(t Task, onDone func(Task, TaskStats)) error {
 	return e.SubmitRevocable(t, nil, onDone)
 }
@@ -262,17 +253,15 @@ func (e *Engine) SubmitRevocable(t Task, onEvict EvictHandler, onDone func(Task,
 	if t.Duration < 0 || t.Arrival < 0 {
 		return fmt.Errorf("sched: task %d has negative time", t.ID)
 	}
-	if !t.slotOnly() {
-		if e.pool == nil {
-			return fmt.Errorf("sched: task %d has footprint %v but the engine is slot-only", t.ID, t.Sys)
-		}
-		if !e.pool.canEverFit(t.Sys) {
-			return fmt.Errorf("sched: task %d footprint %v: %w", t.ID, t.Sys, ErrNeverFits)
-		}
-		for _, rz := range t.Resizes {
-			if !e.pool.canEverFit(rz.Sys) {
-				return fmt.Errorf("sched: task %d resize to %v: %w", t.ID, rz.Sys, ErrNeverFits)
-			}
+	if t.Sys.Cores < 1 || t.Sys.MemoryGB < 1 {
+		return fmt.Errorf("sched: task %d footprint %v is below one core and one GB", t.ID, t.Sys)
+	}
+	if !e.pool.canEverFit(t.Sys) {
+		return fmt.Errorf("sched: task %d footprint %v: %w", t.ID, t.Sys, ErrNeverFits)
+	}
+	for _, rz := range t.Resizes {
+		if !e.pool.canEverFit(rz.Sys) {
+			return fmt.Errorf("sched: task %d resize to %v: %w", t.ID, rz.Sys, ErrNeverFits)
 		}
 	}
 	q := &queued{task: t, onDone: onDone, onEvict: onEvict, attempt: 1}
@@ -308,13 +297,7 @@ func (e *Engine) Run() error {
 func (e *Engine) Stats() []TaskStats { return e.done }
 
 // fitsNow reports whether the queued task at index i could start.
-func (e *Engine) fitsNow(i int) bool {
-	t := e.queue[i].task
-	if t.slotOnly() || e.pool == nil {
-		return true // slot availability is checked before the policy runs
-	}
-	return e.pool.probe(t.Sys)
-}
+func (e *Engine) fitsNow(i int) bool { return e.pool.fitsClass(-1, e.queue[i].task.Sys) }
 
 // runningByEnd returns the running set ordered by (end, admission order) —
 // the deterministic release sequence used for shadow-time computation.
@@ -342,19 +325,9 @@ func (e *Engine) runningByEnd() []*runningTask {
 func (e *Engine) earliestStart(i int) float64 {
 	t := e.queue[i].task
 	slotsBusy := len(e.running)
-	slotFree := func() bool { return e.slots <= 0 || slotsBusy < e.slots }
-	var scratch *Pool
-	if e.pool != nil {
-		scratch = e.pool.clone()
-	}
+	scratch := e.pool.clone()
 	fits := func() bool {
-		if !slotFree() {
-			return false
-		}
-		if t.slotOnly() || scratch == nil {
-			return true
-		}
-		return scratch.probe(t.Sys)
+		return (e.slots <= 0 || slotsBusy < e.slots) && scratch.fitsClass(-1, t.Sys)
 	}
 	if fits() {
 		return e.Now()
@@ -402,13 +375,13 @@ func (e *Engine) earliestStart(i int) float64 {
 		}
 		switch ev.prio {
 		case 0: // resize, same in-place/elsewhere/keep logic as resize()
-			if scratch == nil || st.node < 0 || st.sys == ev.resizeTo {
+			if st.sys == ev.resizeTo {
 				break
 			}
 			scratch.free(st.node, st.sys)
 			if scratch.placeOn(st.node, ev.resizeTo) {
 				st.sys = ev.resizeTo
-			} else if n := scratch.place(ev.resizeTo); n >= 0 {
+			} else if n := scratch.placeClass(-1, ev.resizeTo); n >= 0 {
 				st.node = n
 				st.sys = ev.resizeTo
 			} else {
@@ -417,9 +390,7 @@ func (e *Engine) earliestStart(i int) float64 {
 		case 1: // completion
 			st.done = true
 			slotsBusy--
-			if scratch != nil && st.node >= 0 {
-				scratch.free(st.node, st.sys)
-			}
+			scratch.free(st.node, st.sys)
 		}
 		if fits() {
 			return ev.at
@@ -428,43 +399,24 @@ func (e *Engine) earliestStart(i int) float64 {
 	return math.Inf(1)
 }
 
-// pickContext assembles the policy's read-only view, including the
-// cost-aware class axis whenever the engine has a pool.
+// pickContext assembles the policy's read-only view: the queue, the fit
+// and shadow-time probes, and the cost-aware class axis over the pool's
+// own class list.
 func (e *Engine) pickContext() *PickContext {
+	p := e.pool
 	ctx := &PickContext{
 		Now:           e.Now(),
 		Queue:         make([]Task, len(e.queue)),
 		FitsNow:       e.fitsNow,
 		EarliestStart: e.earliestStart,
+		Classes:       p.classes,
+		ClassFits:     func(i, c int) bool { return p.fitsClass(c, e.queue[i].task.Sys) },
+		ClassCost: func(i, c int) float64 {
+			return e.queue[i].task.Duration / p.classes[c].SpeedFactor / 3600 * p.classes[c].HourlyUSD
+		},
 	}
 	for i, q := range e.queue {
 		ctx.Queue[i] = q.task
-	}
-	p := e.pool
-	if p == nil {
-		return ctx
-	}
-	ctx.Classes = make([]ClassInfo, len(p.classes))
-	for c := range ctx.Classes {
-		ci := ClassInfo{ClassCap: p.classes[c]}
-		for n := range p.caps {
-			if p.nodeClass[n] != c {
-				continue
-			}
-			ci.Nodes++
-			if p.down[n] {
-				continue
-			}
-			ci.UpNodes++
-			ci.FreeCores += p.caps[n].Cores - p.usedCores[n]
-			ci.FreeMemoryGB += p.caps[n].MemoryGB - p.usedMem[n]
-		}
-		ctx.Classes[c] = ci
-	}
-	ctx.ClassFits = func(i, c int) bool { return p.fitsClass(c, e.queue[i].task.Sys) }
-	ctx.ClassDuration = func(i, c int) float64 { return e.queue[i].task.Duration / p.classes[c].SpeedFactor }
-	ctx.ClassCost = func(i, c int) float64 {
-		return e.queue[i].task.Duration / p.classes[c].SpeedFactor / 3600 * p.classes[c].HourlyUSD
 	}
 	return ctx
 }
@@ -481,7 +433,7 @@ func (e *Engine) dispatch() {
 			return
 		}
 		class := -1
-		if ch, ok := e.policy.(ClassChooser); ok && len(ctx.Classes) > 0 {
+		if ch, ok := e.policy.(ClassChooser); ok {
 			class = ch.ChooseClass(ctx, idx)
 		}
 		e.start(idx, class)
@@ -496,26 +448,16 @@ func (e *Engine) start(idx, class int) {
 	q := e.queue[idx]
 	e.queue = append(e.queue[:idx], e.queue[idx+1:]...)
 	t := q.task
-	node := -1
-	if !t.slotOnly() && e.pool != nil {
-		if class >= 0 {
-			node = e.pool.placeClass(class, t.Sys)
-		} else {
-			node = e.pool.place(t.Sys)
-		}
-		if node < 0 {
-			// The policy picked a task that does not fit — a policy bug.
-			// Fail loudly rather than corrupting occupancy.
-			e.fail(fmt.Errorf("sched: policy %s picked task %d whose footprint %v does not currently fit",
-				e.policy.Name(), t.ID, t.Sys))
-			return
-		}
+	node := e.pool.placeClass(class, t.Sys)
+	if node < 0 {
+		// The policy picked a task that does not fit — a policy bug. Fail
+		// loudly rather than corrupting occupancy.
+		e.fail(fmt.Errorf("sched: policy %s picked task %d whose footprint %v does not currently fit",
+			e.policy.Name(), t.ID, t.Sys))
+		return
 	}
 	now := e.Now()
-	speed := 1.0
-	if node >= 0 {
-		speed = e.pool.speedOf(node)
-	}
+	speed := e.pool.speedOf(node)
 	rt := &runningTask{
 		task: t, q: q, gen: q.gen,
 		start: now, end: now + t.Duration/speed,
@@ -540,7 +482,7 @@ func (e *Engine) start(idx, class int) {
 	// reality agree.
 	sort.SliceStable(rt.pending, func(i, j int) bool { return rt.pending[i].at < rt.pending[j].at })
 	e.sim.ScheduleAtPrio(rt.end, prioCompletion, func() { e.complete(t.ID, gen) })
-	if node >= 0 && e.rev != nil && e.pool.isSpot(node) {
+	if e.rev != nil && e.pool.isSpot(node) {
 		e.armRevocation(node)
 	}
 }
@@ -579,9 +521,6 @@ func (e *Engine) revoke(n int, at float64) {
 	sort.Slice(victims, func(i, j int) bool {
 		return e.order[victims[i].task.ID] < e.order[victims[j].task.ID]
 	})
-	if len(victims) > 0 {
-		e.revocations++
-	}
 	requeued := make([]*queued, 0, len(victims))
 	for _, rt := range victims {
 		requeued = append(requeued, e.evict(rt, at))
@@ -608,16 +547,12 @@ func (e *Engine) evict(rt *runningTask, at float64) *queued {
 	q := rt.q
 	delete(e.running, rt.task.ID)
 	delete(e.order, rt.task.ID)
-	if rt.node >= 0 {
-		e.pool.free(rt.node, rt.sys)
-	}
+	e.pool.free(rt.node, rt.sys)
 	elapsed := at - rt.start // node-local seconds the attempt consumed
 	q.gen++
 	q.attempt++
 	q.wasted += elapsed
-	if rt.node >= 0 {
-		q.cost += elapsed / 3600 * e.pool.rateOf(rt.node)
-	}
+	q.cost += elapsed / 3600 * e.pool.rateOf(rt.node)
 	if q.onEvict != nil {
 		rs := q.onEvict(q.attempt, elapsed*rt.speed)
 		q.task.Duration = rs.Duration
@@ -649,14 +584,14 @@ func (e *Engine) resize(id, gen int, to params.SysConfig) {
 	if len(rt.pending) > 0 {
 		rt.pending = rt.pending[1:] // this event is no longer pending
 	}
-	if rt.node < 0 || rt.sys == to {
+	if rt.sys == to {
 		return
 	}
 	e.pool.free(rt.node, rt.sys)
 	if e.pool.placeOn(rt.node, to) {
 		rt.sys = to
 		rt.granted++
-	} else if n := e.pool.place(to); n >= 0 {
+	} else if n := e.pool.placeClass(-1, to); n >= 0 {
 		rt.node = n
 		rt.sys = to
 		rt.granted++
@@ -683,14 +618,8 @@ func (e *Engine) complete(id, gen int) {
 	}
 	delete(e.running, id)
 	delete(e.order, id)
-	if rt.node >= 0 {
-		e.pool.free(rt.node, rt.sys)
-	}
+	e.pool.free(rt.node, rt.sys)
 	q := rt.q
-	cost := q.cost
-	if rt.node >= 0 {
-		cost += (rt.end - rt.start) / 3600 * e.pool.rateOf(rt.node)
-	}
 	st := TaskStats{
 		ID:             rt.task.ID,
 		Arrival:        rt.task.Arrival,
@@ -701,14 +630,12 @@ func (e *Engine) complete(id, gen int) {
 		Node:           rt.node,
 		ResizesGranted: rt.granted,
 		ResizesDenied:  rt.denied,
+		Class:          e.pool.classNameOf(rt.node),
+		Spot:           e.pool.isSpot(rt.node),
 		Revocations:    q.attempt - 1,
 		SalvagedEpochs: q.salv,
 		WastedSeconds:  q.wasted,
-		CostUSD:        cost,
-	}
-	if rt.node >= 0 && e.pool != nil {
-		st.Class = e.pool.classNameOf(rt.node)
-		st.Spot = e.pool.isSpot(rt.node)
+		CostUSD:        q.cost + (rt.end-rt.start)/3600*e.pool.rateOf(rt.node),
 	}
 	e.done = append(e.done, st)
 	if q.onDone != nil {
@@ -717,18 +644,35 @@ func (e *Engine) complete(id, gen int) {
 	e.dispatch()
 }
 
-// Simulate runs a fixed set of slot-only tasks through the engine under a
-// policy (nil = FIFO) with `slots` parallel servers, returning per-task
-// statistics in input order: the multi-tenancy queueing simulations.
-// Negative arrival or duration times are rejected at submit.
+// Simulate runs a fixed set of whole jobs through the engine under a policy
+// (nil = FIFO) with `slots` parallel servers, returning per-task statistics
+// in input order: the multi-tenancy queueing simulations. Each server is a
+// one-core, one-GB node of one free, speed-1 class and each job a
+// one-core, one-GB footprint on it; jobs carry no footprint of their own
+// (one is rejected), and negative arrival or duration times are rejected at
+// submit. The slot cap equals the server count, so dispatch stops asking
+// the policy once every server is busy.
 func Simulate(tasks []Task, slots int, policy Policy) ([]TaskStats, error) {
 	if slots < 1 {
 		return nil, fmt.Errorf("sched: %d slots invalid", slots)
 	}
-	eng := New(nil, policy, slots)
+	unit := NodeCap{Cores: 1, MemoryGB: 1}
+	caps := make([]NodeCap, slots)
+	for i := range caps {
+		caps[i] = unit
+	}
+	pool, err := NewPoolClasses(caps, make([]int, slots), []ClassCap{{SpeedFactor: 1}})
+	if err != nil {
+		return nil, err
+	}
+	eng := New(pool, policy, slots)
 	out := make([]TaskStats, len(tasks))
 	for i, t := range tasks {
 		i := i
+		if t.Sys != (params.SysConfig{}) {
+			return nil, fmt.Errorf("sched: Simulate job %d carries footprint %v; each job occupies one server", t.ID, t.Sys)
+		}
+		t.Sys = params.SysConfig{Cores: unit.Cores, MemoryGB: unit.MemoryGB}
 		if err := eng.Submit(t, func(_ Task, st TaskStats) { out[i] = st }); err != nil {
 			return nil, err
 		}

@@ -101,6 +101,17 @@ func TestSlotCapRespected(t *testing.T) {
 	}
 }
 
+func TestZeroFootprintRejectedAtSubmit(t *testing.T) {
+	// A footprint below one core or one GB would fit a full node without
+	// occupying it.
+	eng := New(testPool(t, 1, 8, 16), FIFO(), 4)
+	for _, fp := range []params.SysConfig{{}, sys(0, 4), sys(4, 0)} {
+		if err := eng.Submit(Task{ID: 0, Sys: fp, Duration: 10}, nil); err == nil {
+			t.Fatalf("footprint %v accepted", fp)
+		}
+	}
+}
+
 func TestNeverFitsRejectedAtSubmit(t *testing.T) {
 	eng := New(testPool(t, 1, 8, 16), FIFO(), 4)
 	err := eng.Submit(Task{ID: 0, Sys: sys(16, 8), Duration: 10}, nil)
@@ -116,11 +127,11 @@ func TestNeverFitsRejectedAtSubmit(t *testing.T) {
 }
 
 func TestArrivalsQueueFIFO(t *testing.T) {
-	eng := New(nil, FIFO(), 1)
+	eng := New(testPool(t, 1, 16, 32), FIFO(), 1)
 	stats := run(t, eng, []Task{
-		{ID: 0, Arrival: 0, Duration: 100},
-		{ID: 1, Arrival: 10, Duration: 10},
-		{ID: 2, Arrival: 5, Duration: 10},
+		{ID: 0, Arrival: 0, Sys: sys(4, 4), Duration: 100},
+		{ID: 1, Arrival: 10, Sys: sys(4, 4), Duration: 10},
+		{ID: 2, Arrival: 5, Sys: sys(4, 4), Duration: 10},
 	})
 	if stats[2].Start != 100 || stats[1].Start != 110 {
 		t.Fatalf("arrival order not respected: %v, %v", stats[2].Start, stats[1].Start)
@@ -174,12 +185,12 @@ func TestGrowthResizeGrantedWhenFree(t *testing.T) {
 
 func TestSJFPicksShortestThatFits(t *testing.T) {
 	// One slot: after the first task, SJF runs 3 (shortest), then 2, then 1.
-	eng := New(nil, SJF(), 1)
+	eng := New(testPool(t, 1, 16, 32), SJF(), 1)
 	stats := run(t, eng, []Task{
-		{ID: 0, Duration: 50},
-		{ID: 1, Duration: 30},
-		{ID: 2, Duration: 20},
-		{ID: 3, Duration: 10},
+		{ID: 0, Sys: sys(4, 4), Duration: 50},
+		{ID: 1, Sys: sys(4, 4), Duration: 30},
+		{ID: 2, Sys: sys(4, 4), Duration: 20},
+		{ID: 3, Sys: sys(4, 4), Duration: 10},
 	})
 	if stats[3].Start != 50 || stats[2].Start != 60 || stats[1].Start != 80 {
 		t.Fatalf("SJF order wrong: %v %v %v", stats[3].Start, stats[2].Start, stats[1].Start)
@@ -257,10 +268,10 @@ func TestPolicyComparisonOnPoissonStream(t *testing.T) {
 		t.Fatalf("SJF mean response %.1f not below FIFO %.1f",
 			byPolicy[NameSJF], byPolicy[NameFIFO])
 	}
-	// Slot-only streams give backfill no hole to fill: it must degrade to
-	// exactly FIFO.
+	// One-server-per-job streams give backfill no hole to fill: it must
+	// degrade to exactly FIFO.
 	if byPolicy[NameBackfill] != byPolicy[NameFIFO] {
-		t.Fatalf("slot-only backfill %.1f diverged from FIFO %.1f",
+		t.Fatalf("unit-footprint backfill %.1f diverged from FIFO %.1f",
 			byPolicy[NameBackfill], byPolicy[NameFIFO])
 	}
 }
@@ -314,8 +325,8 @@ func TestEngineDeterministic(t *testing.T) {
 	}
 }
 
-// TestSimulateFIFOTwoServers: slot-only tasks arriving together take the
-// free servers in submission order; the next waits for the first to end.
+// TestSimulateFIFOTwoServers: jobs arriving together take the free servers
+// in submission order; the next waits for the first to end.
 func TestSimulateFIFOTwoServers(t *testing.T) {
 	stats, err := Simulate([]Task{
 		{ID: 1, Duration: 10},
@@ -367,7 +378,7 @@ func TestSimulateValidation(t *testing.T) {
 		t.Fatal("negative duration accepted")
 	}
 	if _, err := Simulate([]Task{{ID: 1, Duration: 1, Sys: sys(4, 4)}}, 1, nil); err == nil {
-		t.Fatal("footprint task accepted by a slot-only engine")
+		t.Fatal("job with its own footprint accepted by Simulate")
 	}
 }
 

@@ -41,7 +41,6 @@ type Report struct {
 // Implementations are not safe for concurrent use; the HPT runner
 // serialises Next/Observe and parallelises only the evaluations.
 type Searcher interface {
-	Name() string
 	Next() []Suggestion
 	Observe([]Report)
 }
@@ -72,9 +71,6 @@ func NewGrid(space params.Space, maxTrials, batchSize int) (*Grid, error) {
 	}
 	return &Grid{space: space, max: maxTrials, batch: batchSize}, nil
 }
-
-// Name implements Searcher.
-func (g *Grid) Name() string { return "grid" }
 
 // Next implements Searcher.
 func (g *Grid) Next() []Suggestion {
@@ -123,9 +119,6 @@ func NewRandom(space params.Space, n, batchSize int, r *xrand.Source) (*Random, 
 	}
 	return &Random{space: space, n: n, r: r, seen: make(map[string]bool, n), batch: batchSize}, nil
 }
-
-// Name implements Searcher.
-func (s *Random) Name() string { return "random" }
 
 // Next implements Searcher.
 func (s *Random) Next() []Suggestion {
@@ -230,9 +223,6 @@ func NewHyperBandIterations(space params.Space, maxResource int, eta float64, it
 	}
 	return hb, nil
 }
-
-// Name implements Searcher.
-func (hb *HyperBand) Name() string { return "hyperband" }
 
 // Next implements Searcher.
 func (hb *HyperBand) Next() []Suggestion {
@@ -369,9 +359,6 @@ func NewGenetic(space params.Space, popSize, generations int, r *xrand.Source) (
 	}, nil
 }
 
-// Name implements Searcher.
-func (g *Genetic) Name() string { return "genetic" }
-
 // Next implements Searcher.
 func (g *Genetic) Next() []Suggestion {
 	if g.gen >= g.generations {
@@ -480,9 +467,6 @@ func NewBayesian(space params.Space, n int, r *xrand.Source) (*Bayesian, error) 
 	return &Bayesian{space: space, r: r, n: n, warmup: warmup, batch: 2,
 		pending: make(map[int]params.Assignment)}, nil
 }
-
-// Name implements Searcher.
-func (b *Bayesian) Name() string { return "bayesian" }
 
 // normPoint converts an assignment to a vector of per-dimension value
 // indices normalised to [0,1], the surrogate's feature space.

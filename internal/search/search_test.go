@@ -248,21 +248,24 @@ func TestBayesianValidation(t *testing.T) {
 }
 
 func TestAllSearchersTerminate(t *testing.T) {
-	mk := []func() Searcher{
-		func() Searcher { s, _ := NewGrid(testSpace(), 0, 2); return s },
-		func() Searcher { s, _ := NewRandom(testSpace(), 5, 2, xrand.New(1)); return s },
-		func() Searcher { s, _ := NewHyperBand(testSpace(), 9, 3, xrand.New(1)); return s },
-		func() Searcher { s, _ := NewGenetic(testSpace(), 4, 3, xrand.New(1)); return s },
-		func() Searcher { s, _ := NewBayesian(testSpace(), 7, xrand.New(1)); return s },
+	cases := []struct {
+		name string
+		mk   func() Searcher
+	}{
+		{"grid", func() Searcher { s, _ := NewGrid(testSpace(), 0, 2); return s }},
+		{"random", func() Searcher { s, _ := NewRandom(testSpace(), 5, 2, xrand.New(1)); return s }},
+		{"hyperband", func() Searcher { s, _ := NewHyperBand(testSpace(), 9, 3, xrand.New(1)); return s }},
+		{"genetic", func() Searcher { s, _ := NewGenetic(testSpace(), 4, 3, xrand.New(1)); return s }},
+		{"bayesian", func() Searcher { s, _ := NewBayesian(testSpace(), 7, xrand.New(1)); return s }},
 	}
-	for _, f := range mk {
-		s := f()
+	for _, tc := range cases {
+		s := tc.mk()
 		got := drain(t, s, peaky)
 		if len(got) == 0 {
-			t.Fatalf("%s evaluated nothing", s.Name())
+			t.Fatalf("%s evaluated nothing", tc.name)
 		}
 		if s.Next() != nil {
-			t.Fatalf("%s returned work after exhaustion", s.Name())
+			t.Fatalf("%s returned work after exhaustion", tc.name)
 		}
 	}
 }

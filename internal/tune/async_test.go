@@ -123,9 +123,8 @@ func TestEventSchedulerDeterministic(t *testing.T) {
 	for _, policy := range []sched.Policy{sched.FIFO(), sched.SJF(), sched.Backfill()} {
 		run := func() *JobResult {
 			r := testRunner()
-			spec := hyperbandSpec()
-			spec.Policy = policy
-			res, err := r.RunJob(spec)
+			r.Policy = policy
+			res, err := r.RunJob(hyperbandSpec())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -213,20 +212,6 @@ func (s *observeSpy) Observe(reports []search.Report) {
 	copy(cp, reports)
 	*s.calls = append(*s.calls, cp)
 	s.Searcher.Observe(reports)
-}
-
-func TestPolicyPrecedence(t *testing.T) {
-	r := testRunner()
-	if got := r.policyFor(JobSpec{}); got.Name() != sched.NameFIFO {
-		t.Fatalf("default policy %s, want fifo", got.Name())
-	}
-	r.Policy = sched.SJF()
-	if got := r.policyFor(JobSpec{}); got.Name() != sched.NameSJF {
-		t.Fatalf("runner policy not honoured: %s", got.Name())
-	}
-	if got := r.policyFor(JobSpec{Policy: sched.Backfill()}); got.Name() != sched.NameBackfill {
-		t.Fatalf("spec policy not honoured: %s", got.Name())
-	}
 }
 
 func TestResizeEventsFromEpochLog(t *testing.T) {

@@ -25,7 +25,7 @@ import (
 // scheduler is held to — its TuningTime is the ceiling RunJob must stay at
 // or below — and no production path runs it.
 func (r *Runner) RunJobBarrier(spec JobSpec) (*JobResult, error) {
-	searcher, slots, workers, err := r.prepare(spec)
+	searcher, slots, err := r.prepare(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -38,7 +38,7 @@ func (r *Runner) RunJobBarrier(spec JobSpec) (*JobResult, error) {
 		if len(batch) == 0 {
 			break
 		}
-		records, err := r.runBatch(context.Background(), spec, batch, workers)
+		records, err := r.runBatch(context.Background(), spec, batch, slots)
 		if err != nil {
 			return nil, err
 		}

@@ -102,11 +102,11 @@ func legacyRunBatch(r *Runner, ctx context.Context, spec JobSpec, batch []search
 // legacyRunBatch — the complete pre-exec execution path.
 func legacyRunJob(r *Runner, spec JobSpec) (*JobResult, error) {
 	ctx := context.Background()
-	searcher, slots, workers, err := r.prepare(spec)
+	searcher, slots, err := r.prepare(spec)
 	if err != nil {
 		return nil, err
 	}
-	eng := sched.New(r.Cluster.SchedPool(), r.policyFor(spec), slots)
+	eng := sched.New(r.Cluster.SchedPool(), r.Policy, slots)
 	res := &JobResult{Spec: spec}
 	outstanding := 0
 	bestAcc := 0.0
@@ -141,7 +141,7 @@ func legacyRunJob(r *Runner, spec JobSpec) (*JobResult, error) {
 		}
 	}
 	submit = func(batch []search.Suggestion) {
-		records, err := legacyRunBatch(r, ctx, spec, batch, workers)
+		records, err := legacyRunBatch(r, ctx, spec, batch, slots)
 		if err != nil {
 			loopErr = err
 			eng.Halt()
@@ -295,21 +295,14 @@ func TestLocalBackendParityPoliciesAndModes(t *testing.T) {
 	w := workload.Workload{Model: workload.LeNet5, Dataset: workload.MNIST}
 
 	cases := []struct {
-		name string
-		spec func() JobSpec
+		name   string
+		policy sched.Policy // the runner's; nil is FIFO
+		spec   func() JobSpec
 	}{
-		{"v2-fifo", func() JobSpec { return paritySpec(w, ModeV2, 7) }},
-		{"v1-sjf", func() JobSpec {
-			s := paritySpec(w, ModeV1, 7)
-			s.Policy = sched.SJF()
-			return s
-		}},
-		{"v1-backfill", func() JobSpec {
-			s := paritySpec(w, ModeV1, 7)
-			s.Policy = sched.Backfill()
-			return s
-		}},
-		{"v1-observed", func() JobSpec {
+		{"v2-fifo", nil, func() JobSpec { return paritySpec(w, ModeV2, 7) }},
+		{"v1-sjf", sched.SJF(), func() JobSpec { return paritySpec(w, ModeV1, 7) }},
+		{"v1-backfill", sched.Backfill(), func() JobSpec { return paritySpec(w, ModeV1, 7) }},
+		{"v1-observed", nil, func() JobSpec {
 			s := paritySpec(w, ModeV1, 7)
 			obs := &probeObserver{epochs: make(map[int]int)}
 			s.TrialObserver = obs.observerFor
@@ -318,11 +311,16 @@ func TestLocalBackendParityPoliciesAndModes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := legacyRunJob(parityRunner(), tc.spec())
+			runner := func() *Runner {
+				r := parityRunner()
+				r.Policy = tc.policy
+				return r
+			}
+			want, err := legacyRunJob(runner(), tc.spec())
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := parityRunner().RunJob(tc.spec())
+			got, err := runner().RunJob(tc.spec())
 			if err != nil {
 				t.Fatal(err)
 			}

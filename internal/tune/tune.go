@@ -18,7 +18,7 @@
 //
 // Job execution is event-driven: trials flow through the internal/sched
 // discrete-event scheduler, each admitted the moment its system footprint
-// fits the cluster (under the configured placement policy) and reported to
+// fits the cluster (under the Runner's placement policy) and reported to
 // the searcher the instant it completes — there is no batch barrier. Trials
 // whose epoch log shows a mid-trial system reconfiguration (PipeTune's
 // pipelined tuning) re-negotiate their cluster allocation at the matching
@@ -117,6 +117,8 @@ func (m Mode) String() string {
 type SearcherFactory func(space params.Space, r *xrand.Source) (search.Searcher, error)
 
 // JobSpec describes one HPT job (Figure 6's "hyperparameter tuning input").
+// Where its trials are placed is not part of the job: every job of a Runner
+// is scheduled under Runner.Policy.
 type JobSpec struct {
 	Workload    workload.Workload
 	Mode        Mode
@@ -130,12 +132,6 @@ type JobSpec struct {
 	// capacity under BaseSys.
 	MaxParallel int
 	Searcher    SearcherFactory
-
-	// Policy selects the trial placement policy (FIFO, SJF, backfill);
-	// nil falls back to the Runner's policy, then to FIFO — the order the
-	// paper's cluster uses and the one whose makespan exactly matches the
-	// legacy barrier scheduler.
-	Policy sched.Policy
 
 	// TrialObserver, when set, is asked once per trial, while its batch is
 	// built, for the trial's epoch observer and the system configuration
@@ -251,15 +247,15 @@ func (r *JobResult) Clone() *JobResult {
 	return &cp
 }
 
-// Runner executes HPT jobs.
+// Runner executes HPT jobs. A batch's trial bodies compute with as much
+// real parallelism as the job has simulated slots.
 type Runner struct {
 	Trainer *trainer.Runner
 	Cluster *cluster.Cluster
-	// Workers bounds the local backend's real goroutine pool (not the
-	// simulated slots); 0 means one worker per simulated slot.
-	Workers int
-	// Policy is the default trial placement policy for jobs that do not
-	// set JobSpec.Policy; nil means FIFO.
+	// Policy is the trial placement policy every job of the runner — Tune
+	// V1/V2 and PipeTune alike — is scheduled under; nil means FIFO, the
+	// order the paper's cluster uses and the one whose makespan exactly
+	// matches the legacy barrier scheduler.
 	Policy sched.Policy
 	// Exec is the execution backend trial bodies run on; nil means the
 	// local in-process pool over Trainer (the pre-refactor behaviour,
@@ -315,28 +311,28 @@ func (r *Runner) slotCount(spec JobSpec) (int, error) {
 
 // prepare validates the spec and constructs the job machinery shared by the
 // event-driven and barrier execution paths.
-func (r *Runner) prepare(spec JobSpec) (searcher search.Searcher, slots, workers int, err error) {
+func (r *Runner) prepare(spec JobSpec) (searcher search.Searcher, slots int, err error) {
 	if r.Trainer == nil || r.Cluster == nil {
-		return nil, 0, 0, errors.New("tune: runner not wired")
+		return nil, 0, errors.New("tune: runner not wired")
 	}
 	if spec.Mode != ModeV1 && spec.Mode != ModeV2 {
-		return nil, 0, 0, fmt.Errorf("tune: invalid mode %v", spec.Mode)
+		return nil, 0, fmt.Errorf("tune: invalid mode %v", spec.Mode)
 	}
 	if spec.Objective != MaximizeAccuracy && spec.Objective != MaximizeAccuracyPerTime {
-		return nil, 0, 0, fmt.Errorf("tune: invalid objective %v", spec.Objective)
+		return nil, 0, fmt.Errorf("tune: invalid objective %v", spec.Objective)
 	}
 	if err := spec.BaseHyper.Validate(); err != nil {
-		return nil, 0, 0, fmt.Errorf("tune: %w", err)
+		return nil, 0, fmt.Errorf("tune: %w", err)
 	}
 	if err := spec.BaseSys.Validate(); err != nil {
-		return nil, 0, 0, fmt.Errorf("tune: %w", err)
+		return nil, 0, fmt.Errorf("tune: %w", err)
 	}
 	space := spec.HyperSpace
 	if spec.Mode == ModeV2 {
 		space = params.Concat(spec.HyperSpace, spec.SystemSpace)
 	}
 	if err := space.Validate(); err != nil {
-		return nil, 0, 0, fmt.Errorf("tune: %w", err)
+		return nil, 0, fmt.Errorf("tune: %w", err)
 	}
 	factory := spec.Searcher
 	if factory == nil {
@@ -357,28 +353,13 @@ func (r *Runner) prepare(spec JobSpec) (searcher search.Searcher, slots, workers
 	rng := xrand.New(spec.Seed)
 	searcher, err = factory(space, rng.Split())
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("tune: build searcher: %w", err)
+		return nil, 0, fmt.Errorf("tune: build searcher: %w", err)
 	}
 	slots, err = r.slotCount(spec)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
-	workers = r.Workers
-	if workers <= 0 {
-		workers = slots
-	}
-	return searcher, slots, workers, nil
-}
-
-// policyFor resolves the placement policy precedence: spec, runner, FIFO.
-func (r *Runner) policyFor(spec JobSpec) sched.Policy {
-	if spec.Policy != nil {
-		return spec.Policy
-	}
-	if r.Policy != nil {
-		return r.Policy
-	}
-	return sched.FIFO()
+	return searcher, slots, nil
 }
 
 // resizeEvents converts a trial's epoch log into scheduler resize events:
@@ -494,11 +475,11 @@ func (r *Runner) RunJob(spec JobSpec) (*JobResult, error) {
 // error satisfying errors.Is(err, ctx.Err()); the job's partial results
 // are discarded — a tuning job is only meaningful complete.
 func (r *Runner) RunJobCtx(ctx context.Context, spec JobSpec) (*JobResult, error) {
-	searcher, slots, workers, err := r.prepare(spec)
+	searcher, slots, err := r.prepare(spec)
 	if err != nil {
 		return nil, err
 	}
-	eng := sched.New(r.Cluster.SchedPool(), r.policyFor(spec), slots)
+	eng := sched.New(r.Cluster.SchedPool(), r.Policy, slots)
 	if rates := r.Cluster.SpotRevocationRates(); rates != nil {
 		// The revocation process is seeded from the job seed (salted so it
 		// never correlates with trial seeds), making the whole spot
@@ -546,7 +527,7 @@ func (r *Runner) RunJobCtx(ctx context.Context, spec JobSpec) (*JobResult, error
 			eng.Halt()
 			return
 		}
-		records, err := r.runBatch(ctx, spec, batch, workers)
+		records, err := r.runBatch(ctx, spec, batch, slots)
 		if err != nil {
 			// Trials of this batch that finished before the cancellation
 			// landed have paid their full compute; deliver them to
@@ -630,13 +611,14 @@ func (r *Runner) RunJobCtx(ctx context.Context, spec JobSpec) (*JobResult, error
 // layer resolves each suggestion into a concrete trial body — applied
 // hyperparameters, budget-scaled epochs, per-trial observer and the start
 // configuration it asks for, validated system footprint, derived trial
-// seed — and the backend only decides
-// where that body computes. A cancelled context skips trials that have
+// seed — and the backend only decides where that body computes, at most
+// `parallel` at a time (the job's slot count: real parallelism mirrors the
+// simulated one). A cancelled context skips trials that have
 // not started yet; trials already inside a trainer run to completion (a
 // trial body is the cancellation granularity). On error the records
 // completed so far are still returned (their Result is non-nil) so the
 // caller can salvage their knowledge.
-func (r *Runner) runBatch(ctx context.Context, spec JobSpec, batch []search.Suggestion, workers int) ([]TrialRecord, error) {
+func (r *Runner) runBatch(ctx context.Context, spec JobSpec, batch []search.Suggestion, parallel int) ([]TrialRecord, error) {
 	records := make([]TrialRecord, len(batch))
 	errs := make([]error, len(batch))
 	trials := make([]exec.Trial, 0, len(batch))
@@ -705,7 +687,7 @@ func (r *Runner) runBatch(ctx context.Context, spec JobSpec, batch []search.Sugg
 		})
 		idx = append(idx, i)
 	}
-	results, runErrs := r.backend().Run(ctx, trials, workers)
+	results, runErrs := r.backend().Run(ctx, trials, parallel)
 	for k, i := range idx {
 		if err := runErrs[k]; err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

@@ -240,9 +240,10 @@ const (
 )
 
 // WithScheduler selects the trial placement policy of the event-driven
-// scheduler for both the baselines and PipeTune: SchedFIFO (the paper's
-// order, default), SchedSJF (shortest job first) or SchedBackfill
-// (conservative EASY backfill). An unknown name fails pipetune.New.
+// scheduler, set once on the tuning runner that both the baselines and
+// PipeTune run on: SchedFIFO (the paper's order, default), SchedSJF
+// (shortest job first) or SchedBackfill (conservative EASY backfill). An
+// unknown name fails pipetune.New.
 func WithScheduler(policy string) Option {
 	return func(s *System) {
 		p, err := sched.ByName(policy)
@@ -251,7 +252,6 @@ func WithScheduler(policy string) Option {
 			return
 		}
 		s.tuner.Policy = p
-		s.pipetune.Policy = p
 	}
 }
 
