@@ -274,7 +274,6 @@ func BenchmarkReuse(b *testing.B) {
 		if !res.Identical {
 			b.Fatal("cached results diverged from uncached")
 		}
-		b.ReportMetric(res.Speedup, "sweep-speedup-x")
 		b.ReportMetric(float64(res.Rows[1].EpochsSaved), "epochs-saved")
 	}
 }

@@ -48,7 +48,7 @@ func registry() []renderer {
 		{"sched-policies", wrap(tableOf(experiments.SchedulingPolicies)), "placement policies under contention"},
 		{"fair-share", wrap(tableOf(experiments.FairShare)), "weighted fair job dispatch across tenants"},
 		{"scale-out", wrap(tableOf(experiments.ScaleOut)), "trial throughput vs pipetune-worker fleet size"},
-		{"reuse", wrap(tableOf(experiments.Reuse)), "trial prefix cache: sys-sweep throughput, cache on/off"},
+		{"reuse", wrap(tableOf(experiments.Reuse)), "trial prefix cache: sys-sweep epochs trained and saved, cache on/off"},
 		{"spot-savings", wrap(tableOf(experiments.SpotSavings)), "spot fleet + checkpointed recovery vs all on-demand"},
 		{"ablation-gt", wrap(tableOf(experiments.AblationNoGroundTruth)), "ground truth on/off"},
 		{"ablation-searchers", wrap(tableOf(experiments.AblationSearchers)), "search algorithms"},

@@ -140,7 +140,7 @@ func TestSimTuningRatioGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the catalog at the daemon's default corpus size")
 	}
-	const wantCold, wantWarm = 0.8639, 0.8506
+	const wantCold, wantWarm = 0.8608, 0.8395
 	runs, err := catalogRuns()
 	if err != nil {
 		t.Fatal(err)

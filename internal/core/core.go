@@ -7,8 +7,8 @@
 //	train(...)            -> tune.Runner executes the trial; the trainer
 //	                         invokes the Controller at each epoch boundary
 //	                         (the asynchronous tuneSystem call).
-//	getProfile(job)       -> the 58-event PMU profile of the first epoch the
-//	                         configuration runs, on the base configuration.
+//	getProfile(job)       -> the 58-event PMU profile of the first epoch a
+//	                         system-cost key runs, on the base configuration.
 //	getSimilarity(profile)-> GroundTruth.Lookup: k-means over historical
 //	                         profiles; a hit within the inertia-derived
 //	                         radius returns that cluster's known-best
@@ -19,18 +19,22 @@
 //	                         of configurations, §5.2) and applies it for
 //	                         the remaining epochs.
 //
-// The state machine belongs to a hyperparameter configuration, not to a
-// trial. On the paper's substrate a configuration HyperBand promotes is
-// the same trial resumed; here it is a new trial with a new ID, so the
-// per-job Controller keeps every finished trial's tuning under the
-// hyperparameters it trained (epoch budget aside) and a later trial of
-// the same job with the same hyperparameters continues it: it starts on
-// the configuration the predecessor's next epoch would have run on,
-// neither profiles nor looks up again, validates a ground-truth answer
-// the predecessor never ran against the predecessor's baseline, and
-// resumes an unfinished probe sequence at the next unmeasured
-// configuration (after asking the ground truth once more). A requeued
-// trial (Restart) is reset to the state it started from, not to blank.
+// The state machine belongs to a system-cost key, not to a trial. On the
+// paper's substrate a configuration HyperBand promotes is the same trial
+// resumed; here it is a new trial with a new ID. And the simulated cost of
+// an epoch reads only the workload, the system configuration and the
+// hyperparameters costmodel.SysKey keeps (batch size, embedding width),
+// never the learning rate, dropout or epoch budget. So the per-job
+// Controller keeps every finished trial's tuning under the trial's
+// system-cost key, and a later trial of the same job with the same key —
+// a promoted survivor, or a cost twin that trains other hyperparameters at
+// the same cost — continues it: it starts on the configuration the
+// predecessor's next epoch would have run on, neither profiles nor looks
+// up again, validates a ground-truth answer the predecessor never ran
+// against the predecessor's baseline, and resumes an unfinished probe
+// sequence at the next unmeasured configuration (after asking the ground
+// truth once more). A requeued trial (Restart) is reset to the state it
+// started from, not to blank.
 //
 // Completed trials feed their profile and winning configuration back into
 // the ground-truth database, which re-clusters — so later jobs with
@@ -45,6 +49,7 @@ import (
 	"fmt"
 	"sync"
 
+	"pipetune/internal/costmodel"
 	"pipetune/internal/gt"
 	"pipetune/internal/params"
 	"pipetune/internal/trainer"
@@ -112,17 +117,16 @@ type probeResult struct {
 	energyJ  float64
 }
 
-// trialState is the pipelined tuning of one hyperparameter configuration.
-// It starts blank with the configuration's first trial and is handed on,
-// by Finish and ObserverFor, to every later trial of the same job that
-// trains the same hyperparameters.
+// trialState is the pipelined tuning of one system-cost key. It starts
+// blank with the key's first trial and is handed on, by Finish and
+// ObserverFor, to every later trial of the same job with the same key.
 type trialState struct {
 	phase trialPhase
-	// features is the profile of the first epoch the configuration ever
-	// ran, on the job's base system configuration — the distribution every
+	// features is the profile of the first epoch the key ever ran, on
+	// the job's base system configuration — the distribution every
 	// stored ground-truth entry was sampled on. Successors never re-profile.
 	features []float64
-	// measured holds every epoch the configuration has run, oldest first;
+	// measured holds every epoch the key has run, oldest first;
 	// the first `inherited` of them were measured by earlier trials.
 	measured  []probeResult
 	inherited int
@@ -130,12 +134,16 @@ type trialState struct {
 	fromGT    bool
 	validated bool
 	baseline  float64 // metric of the profiling epoch
-	// probeEpochs counts the epochs the configuration has spent probing,
-	// over all its trials (MaxProbeEpochs bounds it).
+	// probeEpochs counts the epochs the key has spent probing, over all
+	// its trials (MaxProbeEpochs bounds it).
 	probeEpochs int
 	// next is the system configuration the next epoch runs on: a
 	// successor's start configuration.
 	next params.SysConfig
+	// hyper is the hyperparameters, Epochs zeroed, of the trial advancing
+	// this copy — once filed, of the trial that filed it: a successor that
+	// trains others is a cost twin.
+	hyper params.Hyper
 	// counts is the share of the Counts of the trial advancing this copy.
 	counts Counts
 }
@@ -153,6 +161,7 @@ func (st *trialState) clone() *trialState {
 type Counts struct {
 	Trials        int `json:"trials"`
 	Inheriting    int `json:"inheriting"`    // trials that continued an earlier trial's tuning
+	CostTwins     int `json:"costTwins"`     // inheriting trials whose state a trial of other hyperparameters filed
 	ProfileEpochs int `json:"profileEpochs"` // first epochs on the base configuration
 	ProbeEpochs   int `json:"probeEpochs"`
 	AppliedEpochs int `json:"appliedEpochs"` // epochs on a settled or ground-truth configuration
@@ -163,6 +172,7 @@ type Counts struct {
 func (c *Counts) add(o Counts) {
 	c.Trials += o.Trials
 	c.Inheriting += o.Inheriting
+	c.CostTwins += o.CostTwins
 	c.ProfileEpochs += o.ProfileEpochs
 	c.ProbeEpochs += o.ProbeEpochs
 	c.AppliedEpochs += o.AppliedEpochs
@@ -170,8 +180,8 @@ func (c *Counts) add(o Counts) {
 	c.Hits += o.Hits
 }
 
-// liveTrial is one running trial: the immutable state it started from
-// (what Restart replays) and the copy its epochs advance.
+// liveTrial is one running trial: its system-cost key, the immutable state
+// it started from (what Restart replays) and the copy its epochs advance.
 type liveTrial struct {
 	key   params.Hyper
 	start *trialState
@@ -181,9 +191,10 @@ type liveTrial struct {
 // Controller coordinates pipelined system-parameter tuning for the trials
 // of one HPT job. It implements the paper's tuneSystem (Algorithm 1, lines
 // 6-17) as a trainer.EpochObserver per trial, and keeps every finished
-// trial's tuning under the hyperparameters it trained, so a configuration
-// HyperBand promotes to a longer rung — a new trial with a new ID —
-// continues where its previous rung stopped.
+// trial's tuning under its system-cost key, so a configuration HyperBand
+// promotes to a longer rung — a new trial with a new ID — continues where
+// its previous rung stopped, and a trial that costs what a finished one
+// cost starts where that one stopped.
 type Controller struct {
 	GT       gt.Store
 	Probes   []params.SysConfig
@@ -195,9 +206,11 @@ type Controller struct {
 
 	mu     sync.Mutex
 	trials map[int]*liveTrial
-	// finished is keyed by what a HyperBand survivor shares with its
-	// previous rung: the applied hyperparameters with Epochs, the rung's
-	// budget, zeroed. Values are immutable.
+	// finished is keyed by costmodel.SysKey of the applied hyperparameters:
+	// what a HyperBand survivor shares with its previous rung (Epochs, the
+	// rung's budget, is zeroed) and a cost twin with the trial it costs the
+	// same as (LearningRate and Dropout are zeroed too). Values are
+	// immutable.
 	finished map[params.Hyper]*trialState
 	counts   Counts
 }
@@ -240,29 +253,34 @@ func (c *Controller) Restart(trialID int) {
 
 // ObserverFor registers one trial and returns its epoch observer and the
 // system configuration its first epoch runs on; pass this to
-// tune.JobSpec.TrialObserver. A trial whose hyperparameters no finished
-// trial of the job trained starts blank on sys. Any other continues that
-// trial's state machine: it starts on the configuration the predecessor's
-// next epoch would have run on and neither profiles nor looks up again —
-// except after a predecessor that ended still probing, where the ground
-// truth (which has learned from the job's other trials since) is asked
-// once more, here, with the inherited features.
+// tune.JobSpec.TrialObserver. A trial whose system-cost key no finished
+// trial of the job had starts blank on sys. Any other continues the state
+// machine last filed under the key: it starts on the configuration the
+// predecessor's next epoch would have run on and neither profiles nor
+// looks up again — except after a predecessor that ended still probing,
+// where the ground truth (which has learned from the job's other trials
+// since) is asked once more, here, with the inherited features.
 func (c *Controller) ObserverFor(trialID int, h params.Hyper, sys params.SysConfig) (trainer.EpochObserver, params.SysConfig) {
+	key := costmodel.SysKey(h)
 	h.Epochs = 0
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	start := &trialState{phase: phaseProfiling, next: sys, counts: Counts{Trials: 1}}
-	if prev, ok := c.finished[h]; ok {
+	if prev, ok := c.finished[key]; ok {
 		start = prev.clone()
 		start.inherited = len(start.measured)
 		start.counts = Counts{Trials: 1, Inheriting: 1}
+		if prev.hyper != h {
+			start.counts.CostTwins = 1
+		}
 		if start.phase == phaseProbing {
 			if cfg, ok := c.lookupLocked(start); ok {
 				start.applyGT(cfg)
 			}
 		}
 	}
-	c.trials[trialID] = &liveTrial{key: h, start: start, st: start.clone()}
+	start.hyper = h
+	c.trials[trialID] = &liveTrial{key: key, start: start, st: start.clone()}
 	obs := trainer.ObserverFunc(func(_ uint64, _ workload.Workload, _ params.Hyper, s trainer.EpochStats) *params.SysConfig {
 		return c.onEpoch(trialID, s)
 	})
@@ -339,12 +357,12 @@ func (c *Controller) advanceLocked(st *trialState, s trainer.EpochStats) *params
 		// Reliability guard on ground-truth reuse: the first epoch after
 		// applying a cluster's configuration validates it against the
 		// configuration's own baseline (for a successor, the predecessor's
-		// profiling epoch: same workload, same hyperparameters). Cluster-
-		// level configurations are hyperparameter-agnostic, so a config
-		// that was best for the cluster's typical trials can regress an
-		// atypical one (e.g. a much larger batch size); in that case fall
-		// back to probing — the §5.6 rule of distrusting low-reliability
-		// predictions, applied online.
+		// profiling epoch: same workload, same system-cost key, so the same
+		// cost on every configuration). Cluster-level configurations are
+		// hyperparameter-agnostic, so a config that was best for the
+		// cluster's typical trials can regress an atypical one (e.g. a much
+		// larger batch size); in that case fall back to probing — the §5.6
+		// rule of distrusting low-reliability predictions, applied online.
 		if st.fromGT && !st.validated {
 			st.validated = true
 			if c.Optimize.metric(st.measured[len(st.measured)-1]) > st.baseline*1.10 {
@@ -395,7 +413,7 @@ func (c *Controller) settleLocked(st *trialState) *params.SysConfig {
 
 // Finish must be called when a trial completes (wire it to
 // tune.JobSpec.OnTrialDone). It keeps the trial's tuning for the job's
-// later trials of the same hyperparameters and feeds the ground-truth
+// later trials of the same system-cost key and feeds the ground-truth
 // database what the trial learned.
 func (c *Controller) Finish(trialID int, _ *trainer.Result) {
 	c.mu.Lock()

@@ -82,15 +82,30 @@ func drive(t *testing.T, id, epochs int, obs trainer.EpochObserver, start params
 	return a
 }
 
-// trial registers, drives and finishes one trial of `epochs` epochs.
+// trial registers, drives and finishes one trial of the default
+// hyperparameters for `epochs` epochs.
 func trial(t *testing.T, ctrl *Controller, id, epochs int, cost map[params.SysConfig]float64) attempt {
 	t.Helper()
 	h := params.DefaultHyper()
 	h.Epochs = epochs // a rung's budget: not part of the configuration's key
+	return trialOf(t, ctrl, id, h, cost)
+}
+
+// trialOf registers, drives and finishes one trial of h for h.Epochs epochs.
+func trialOf(t *testing.T, ctrl *Controller, id int, h params.Hyper, cost map[params.SysConfig]float64) attempt {
+	t.Helper()
 	obs, start := ctrl.ObserverFor(id, h, sysBase)
-	a := drive(t, id, epochs, obs, start, cost)
+	a := drive(t, id, h.Epochs, obs, start, cost)
 	ctrl.Finish(id, nil)
 	return a
+}
+
+// twinOf returns a cost twin of the default hyperparameters: another
+// learning rate and dropout, the same batch size and embedding width.
+func twinOf(epochs int) params.Hyper {
+	h := params.DefaultHyper()
+	h.LearningRate, h.Dropout, h.Epochs = 0.1, 0.5, epochs
+	return h
 }
 
 var gridCost = map[params.SysConfig]float64{sysBase: 100, sysA: 60, sysB: 150, sysC: 70, sysD: 90, sysG: 80}
@@ -274,6 +289,114 @@ func TestRestartReplaysTheStartSnapshot(t *testing.T) {
 	}
 }
 
+// TestCostTwinInALaterBatchStartsOnItsPredecessorsNext: a trial that
+// trains other hyperparameters at the same cost as a finished one
+// (costmodel.SysKey) continues its tuning as a promoted survivor would —
+// no profile epoch, no lookup, no ground-truth entry for what it did not
+// learn — and a trial of another batch size or embedding width does not.
+func TestCostTwinInALaterBatchStartsOnItsPredecessorsNext(t *testing.T) {
+	store := newScriptStore(nil)
+	ctrl := NewController(store)
+	ctrl.Probes = []params.SysConfig{sysA, sysB}
+
+	trial(t, ctrl, 1, 4, gridCost) // base, A, B, then settled on A
+	twin := trialOf(t, ctrl, 2, twinOf(3), gridCost)
+	if twin.start != sysA || !reflect.DeepEqual(twin.ran, []params.SysConfig{sysA, sysA, sysA}) {
+		t.Fatalf("cost twin started on %v and ran on %v, want the settled %v throughout", twin.start, twin.ran, sysA)
+	}
+	if c := ctrl.Counts(); c.ProfileEpochs != 1 || c.Lookups != 1 || store.lookups != 1 {
+		t.Fatalf("cost twin profiled or asked: %+v, %d store lookups", c, store.lookups)
+	}
+	// The twin's survivor continues what the twin filed: it inherits but is
+	// no twin. The default hyperparameters after it are a twin again.
+	trialOf(t, ctrl, 3, twinOf(5), gridCost)
+	trial(t, ctrl, 4, 2, gridCost)
+
+	larger := twinOf(2)
+	larger.BatchSize = 256
+	wider := params.DefaultHyper()
+	wider.EmbeddingDim, wider.Epochs = 300, 2
+	for i, h := range []params.Hyper{larger, wider} {
+		a := trialOf(t, ctrl, 5+i, h, gridCost)
+		if a.start != sysBase || *a.directives[0] != sysA {
+			t.Fatalf("%v started on %v with first directive %v, want a profile epoch on the base, then probing", h, a.start, a.directives[0])
+		}
+	}
+	want := Counts{Trials: 6, Inheriting: 3, CostTwins: 2, ProfileEpochs: 3, ProbeEpochs: 4, AppliedEpochs: 11, Lookups: 3}
+	if got := ctrl.Counts(); got != want {
+		t.Fatalf("counts %+v, want %+v", got, want)
+	}
+	if len(store.adds) != 3 {
+		t.Fatalf("%d ground-truth adds, want 3: one per trial that profiled and compared", len(store.adds))
+	}
+}
+
+// TestSameKeyTrialsInOneBatchStartBlank: trials of one system-cost key
+// registered before any of them finishes all start from what finished
+// before their batch — here nothing — and the key keeps the later
+// completion for the next batch.
+func TestSameKeyTrialsInOneBatchStartBlank(t *testing.T) {
+	store := newScriptStore(nil)
+	ctrl := NewController(store)
+	ctrl.Probes = []params.SysConfig{sysA, sysB, sysC}
+
+	h := params.DefaultHyper()
+	h.Epochs = 3
+	obs1, start1 := ctrl.ObserverFor(1, twinOf(2), sysBase)
+	obs2, start2 := ctrl.ObserverFor(2, h, sysBase)
+	if start1 != sysBase || start2 != sysBase {
+		t.Fatalf("same-batch trials started on %v and %v, want the base", start1, start2)
+	}
+	drive(t, 1, 2, obs1, start1, gridCost) // base, A; B next
+	drive(t, 2, 3, obs2, start2, gridCost) // base, A, B; C next
+	ctrl.Finish(2, nil)
+	ctrl.Finish(1, nil)
+	if c := ctrl.Counts(); c.ProfileEpochs != 2 || c.Lookups != 2 || c.Inheriting != 0 || c.CostTwins != 0 {
+		t.Fatalf("counts %+v, want two blank trials that each profiled and asked", c)
+	}
+	// The next batch continues trial 1's state, the later completion: after
+	// asking again it probes B, which trial 2 measured and trial 1 did not.
+	next := trial(t, ctrl, 3, 1, gridCost)
+	if next.start != sysB {
+		t.Fatalf("next batch started on %v, want %v from the later completion", next.start, sysB)
+	}
+	if c := ctrl.Counts(); c.CostTwins != 1 || c.Lookups != 3 {
+		t.Fatalf("counts %+v, want one cost twin that asked again", c)
+	}
+}
+
+// TestRestartReplaysACostTwinsStart: a requeued cost twin's second attempt
+// is handed the first attempt's directives, whatever another twin and the
+// store did in between, and counts as one twin, not two.
+func TestRestartReplaysACostTwinsStart(t *testing.T) {
+	store := newScriptStore(nil)
+	ctrl := NewController(store)
+	ctrl.Probes = []params.SysConfig{sysA, sysB, sysC, sysD}
+	trial(t, ctrl, 1, 2, gridCost) // base, A; B next
+
+	obs, start := ctrl.ObserverFor(2, twinOf(5), sysBase)
+	if start != sysB {
+		t.Fatalf("mid-probe cost twin started on %v, want %v", start, sysB)
+	}
+	first := drive(t, 2, 3, obs, start, gridCost) // dies after 3 epochs
+	trialOf(t, ctrl, 3, twinOf(5), gridCost)
+	store.answer = &sysG
+	lookups := store.lookups
+
+	ctrl.Restart(2)
+	second := drive(t, 2, 5, obs, start, gridCost)
+	ctrl.Finish(2, nil)
+	if !reflect.DeepEqual(second.ran[:3], first.ran) || !reflect.DeepEqual(second.directives[:3], first.directives) {
+		t.Fatalf("replay diverged: ran %v then %v", first.ran, second.ran)
+	}
+	if store.lookups != lookups {
+		t.Fatalf("replay looked up %d more times", store.lookups-lookups)
+	}
+	if c := ctrl.Counts(); c.Trials != 3 || c.Inheriting != 2 || c.CostTwins != 2 {
+		t.Fatalf("counts %+v, want 3 trials of which 2 cost twins", c)
+	}
+}
+
 // twinSearcher proposes every point of a tiny grid twice per batch — two
 // trials with one configuration key — first at a third of the budget, then
 // at the full budget: successive halving in which everyone survives.
@@ -312,12 +435,18 @@ func (f fixedParallel) Run(ctx context.Context, trials []exec.Trial, _ int) ([]*
 	return f.Backend.Run(ctx, trials, f.n)
 }
 
+// TestTwinsShareAStartAndWorkersDoNotMatter runs a job whose batches hold
+// exact twins (one point twice) and cost twins (the first and third points
+// differ only in learning rate): every twin of a batch starts where its
+// siblings do, the second rung's four batch-32 trials all continue one
+// state, and the JobResult is the same bytes whatever the parallelism.
 func TestTwinsShareAStartAndWorkersDoNotMatter(t *testing.T) {
 	spec := smallJob(lenetMNIST, 42)
 	spec.Searcher = func(params.Space, *xrand.Source) (search.Searcher, error) {
 		return &twinSearcher{points: []params.Assignment{
 			{params.KeyBatchSize: 32, params.KeyLearningRate: 0.01},
 			{params.KeyBatchSize: 256, params.KeyLearningRate: 0.05},
+			{params.KeyBatchSize: 32, params.KeyLearningRate: 0.05},
 		}}, nil
 	}
 	var want []byte
@@ -328,22 +457,28 @@ func TestTwinsShareAStartAndWorkersDoNotMatter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if counts.Trials != 8 || counts.Inheriting != 4 || counts.ProfileEpochs != 4 {
-			t.Fatalf("workers %d: counts %+v, want 8 trials of which the 4 second-rung ones inherit", workers, counts)
+		// Of the second rung's four batch-32 trials, the two whose learning
+		// rate differs from the last first-rung batch-32 completion's are
+		// cost twins, whichever point that completion trained.
+		if counts.Trials != 12 || counts.Inheriting != 6 || counts.CostTwins != 2 || counts.ProfileEpochs != 6 {
+			t.Fatalf("workers %d: counts %+v, want 12 trials of which the 6 second-rung ones inherit, 2 as cost twins", workers, counts)
 		}
 		byID := map[int]tune.TrialRecord{}
 		for _, rec := range res.Trials {
 			byID[rec.ID] = rec
 		}
-		for id := 0; id < 8; id += 2 {
+		if a, b := byID[6], byID[10]; a.StartSys != b.StartSys {
+			t.Fatalf("second-rung cost twins 6/10 started on %v and %v", a.StartSys, b.StartSys)
+		}
+		for id := 0; id < 12; id += 2 {
 			a, b := byID[id], byID[id+1]
 			if a.StartSys != b.StartSys {
 				t.Fatalf("twins %d/%d started on %v and %v", id, id+1, a.StartSys, b.StartSys)
 			}
-			if id < 4 && a.StartSys != spec.BaseSys {
+			if id < 6 && a.StartSys != spec.BaseSys {
 				t.Fatalf("first-rung trial %d started on %v, want the base", id, a.StartSys)
 			}
-			if id >= 4 {
+			if id >= 6 {
 				if a.StartSys == spec.BaseSys {
 					t.Fatalf("promoted trial %d started on the base configuration", id)
 				}

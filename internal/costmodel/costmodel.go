@@ -91,6 +91,20 @@ func (m Model) vecEff(b int) float64 {
 	return float64(b) / (float64(b) + m.VecEffHalfBatch)
 }
 
+// SysKey returns what the simulated side of a trial reads of h: h with
+// Epochs, LearningRate and Dropout zeroed. BatchSize and EmbeddingDim stay —
+// capacityFactor, vecEff, the iteration count and MemoryRequiredGB read
+// them (the last reads EmbeddingDim on every workload), and so do the PMU
+// profile's locality and spill terms. Two trials of one workload whose
+// keys are equal cost the same per epoch on every system configuration;
+// the energy model reads only the configuration and the breakdown. The key
+// names a cost class and is not itself a runnable Hyper (Validate rejects
+// its zero learning rate).
+func SysKey(h params.Hyper) params.Hyper {
+	h.Epochs, h.LearningRate, h.Dropout = 0, 0, 0
+	return h
+}
+
 // capacityFactor scales per-sample work with the embedding width for
 // models that use it (EmbedSensitivity > 0).
 func capacityFactor(tr workload.Traits, h params.Hyper) float64 {

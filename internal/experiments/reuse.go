@@ -3,7 +3,6 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"pipetune/internal/params"
 	"pipetune/internal/trainer"
@@ -20,10 +19,6 @@ type ReuseRow struct {
 	Trials        int    `json:"trials"`
 	EpochsTrained uint64 `json:"epochsTrained"`
 	EpochsSaved   uint64 `json:"epochsSaved"`
-	// TrialsPerSec is measured wall-clock throughput — the one
-	// non-footprinted column (hardware-dependent; cmd/bench reports the
-	// reference figures as trainer.trial_hit_ms and trials_per_s).
-	TrialsPerSec float64 `json:"trialsPerSec"`
 }
 
 // ReuseResult is the memoisation trace: the same training prefix swept
@@ -36,8 +31,6 @@ type ReuseResult struct {
 	// tuning job's Best score and TuningTime, are byte-identical with
 	// the cache on and off.
 	Identical bool `json:"identical"`
-	// Speedup is the wall-clock throughput ratio on / off.
-	Speedup float64 `json:"speedup"`
 	// BestScore and TuningTime are the (cache-invariant) tuning-job
 	// outcomes that prove reuse never changes a decision.
 	BestScore  float64    `json:"bestScore"`
@@ -50,16 +43,14 @@ func (r *ReuseResult) Table() *Table {
 	t := &Table{
 		Title: fmt.Sprintf("Trial prefix cache: %d-config sys sweep on %s (%d epochs), identical results = %v",
 			r.SysConfigs, r.Workload, r.Epochs, r.Identical),
-		Header: []string{"cache", "trials", "epochs trained", "epochs saved", "trials/sec"},
+		Header: []string{"cache", "trials", "epochs trained", "epochs saved"},
 	}
 	for _, row := range r.Rows {
 		t.Rows = append(t.Rows, []string{
 			row.Cache, fmt.Sprintf("%d", row.Trials),
 			fmt.Sprintf("%d", row.EpochsTrained), fmt.Sprintf("%d", row.EpochsSaved),
-			fmt.Sprintf("%.1f", row.TrialsPerSec),
 		})
 	}
-	t.Rows = append(t.Rows, []string{"speedup", fmt.Sprintf("%.1fx", r.Speedup), "", "", ""})
 	return t
 }
 
@@ -73,7 +64,8 @@ func (r *ReuseResult) Table() *Table {
 // through their JSON serialisation), with the cached sweep training the
 // prefix once and replaying it SysConfigs-1 times. A full tuning job run
 // both ways seals the end-to-end claim: same Best, same TuningTime. The
-// epochs-trained/saved columns are exact; only trials/sec is wall-clock.
+// table holds only exact quantities, so it renders the same on any
+// machine; BenchmarkTrialCache (internal/trainer) prices the throughput.
 func Reuse(cfg Config) (*ReuseResult, error) {
 	w := workload.Workload{Model: workload.LeNet5, Dataset: workload.MNIST}
 	h := params.DefaultHyper()
@@ -86,31 +78,29 @@ func Reuse(cfg Config) (*ReuseResult, error) {
 	}
 	seed := cfg.Seed
 
-	runSweep := func(tr *trainer.Runner) ([]string, float64, error) {
+	runSweep := func(tr *trainer.Runner) ([]string, error) {
 		out := make([]string, len(sweep))
-		start := time.Now()
 		for i, sys := range sweep {
 			res, err := tr.Run(w, h, sys, seed, nil)
 			if err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 			b, err := json.Marshal(res)
 			if err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 			out[i] = string(b)
 		}
-		return out, float64(len(sweep)) / time.Since(start).Seconds(), nil
+		return out, nil
 	}
 
-	off := newTrainer(cfg)
-	offRes, offRate, err := runSweep(off)
+	offRes, err := runSweep(newTrainer(cfg))
 	if err != nil {
 		return nil, err
 	}
 	on := newTrainer(cfg)
 	on.Cache = trainer.NewTrialCache(0)
-	onRes, onRate, err := runSweep(on)
+	onRes, err := runSweep(on)
 	if err != nil {
 		return nil, err
 	}
@@ -147,12 +137,11 @@ func Reuse(cfg Config) (*ReuseResult, error) {
 		SysConfigs: len(sweep),
 		Epochs:     h.Epochs,
 		Identical:  identical,
-		Speedup:    onRate / offRate,
 		BestScore:  jobOn.Best.Score,
 		TuningTime: jobOn.TuningTime,
 		Rows: []ReuseRow{
-			{Cache: "off", Trials: len(sweep), EpochsTrained: uint64(len(sweep) * h.Epochs), EpochsSaved: 0, TrialsPerSec: offRate},
-			{Cache: "on", Trials: len(sweep), EpochsTrained: st.EpochsTrained, EpochsSaved: st.EpochsSaved, TrialsPerSec: onRate},
+			{Cache: "off", Trials: len(sweep), EpochsTrained: uint64(len(sweep) * h.Epochs), EpochsSaved: 0},
+			{Cache: "on", Trials: len(sweep), EpochsTrained: st.EpochsTrained, EpochsSaved: st.EpochsSaved},
 		},
 	}, nil
 }

@@ -63,8 +63,8 @@ func (t *Table) Render() string {
 // epochsNote says where one PipeTune job's epochs went, from its
 // controller's counts.
 func epochsNote(job string, c core.Counts) string {
-	return fmt.Sprintf("%s PipeTune: %d trials, %d inheriting; epochs: %d profile, %d probe, %d applied; ground truth: %d lookups, %d hits",
-		job, c.Trials, c.Inheriting, c.ProfileEpochs, c.ProbeEpochs, c.AppliedEpochs, c.Lookups, c.Hits)
+	return fmt.Sprintf("%s PipeTune: %d trials, %d inheriting (%d cost twins); epochs: %d profile, %d probe, %d applied; ground truth: %d lookups, %d hits",
+		job, c.Trials, c.Inheriting, c.CostTwins, c.ProfileEpochs, c.ProbeEpochs, c.AppliedEpochs, c.Lookups, c.Hits)
 }
 
 // f1 formats a float with one decimal.

@@ -151,6 +151,57 @@ func TestObserverCanRetuneSystem(t *testing.T) {
 	}
 }
 
+// TestSimulationIgnoresLearningRateAndDropout is costmodel.SysKey's
+// contract seen from a trial: two observed trials with one seed whose
+// hyperparameters differ only in learning rate and dropout train
+// differently but are simulated identically — every epoch's duration, end
+// time, energy and PMU profile features, through the same mid-trial system
+// switches. The controller hands one's system tuning to the other on it.
+func TestSimulationIgnoresLearningRateAndDropout(t *testing.T) {
+	type sim struct {
+		sys                      params.SysConfig
+		duration, endTime, joule float64
+		features                 []float64
+	}
+	run := func(h params.Hyper) (*Result, []sim) {
+		var seen []sim
+		obs := ObserverFunc(func(_ uint64, _ workload.Workload, _ params.Hyper, s EpochStats) *params.SysConfig {
+			seen = append(seen, sim{s.Sys, s.Duration, s.EndTime, s.EnergyJ, s.Profile.Features()})
+			if s.Epoch == 1 {
+				return &params.SysConfig{Cores: 16, MemoryGB: 8}
+			}
+			return nil
+		})
+		res, err := fastRunner().Run(lenetMNIST, h, params.DefaultSysConfig(), 11, obs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, seen
+	}
+	a := fastHyper()
+	b := a
+	b.LearningRate, b.Dropout = 0.001, 0.5
+	resA, simA := run(a)
+	resB, simB := run(b)
+	if resA.Accuracy == resB.Accuracy && resA.Epochs[1].TrainLoss == resB.Epochs[1].TrainLoss {
+		t.Fatal("the pair trained identically: the test compares nothing")
+	}
+	if len(simA) != len(simB) {
+		t.Fatalf("observed %d and %d epochs", len(simA), len(simB))
+	}
+	for i := range simA {
+		if !reflect.DeepEqual(simA[i], simB[i]) {
+			t.Fatalf("epoch %d: learning rate and dropout moved its duration, end time, energy or profile", i+1)
+		}
+	}
+	for i := range resA.Epochs {
+		ea, eb := resA.Epochs[i], resB.Epochs[i]
+		if ea.Sys != eb.Sys || ea.Duration != eb.Duration || ea.EndTime != eb.EndTime || ea.EnergyJ != eb.EnergyJ {
+			t.Fatalf("phase %d simulated differently: %+v vs %+v", i, ea, eb)
+		}
+	}
+}
+
 func TestObserverInvalidConfigRejected(t *testing.T) {
 	r := fastRunner()
 	obs := ObserverFunc(func(uint64, workload.Workload, params.Hyper, EpochStats) *params.SysConfig {
