@@ -37,7 +37,6 @@ var censusAllow = map[string]string{
 	"internal/simtime.eventQueue.Len":        "container/heap (sort.Interface)",
 	"internal/simtime.eventQueue.Push":       "container/heap (heap.Interface)",
 	"internal/simtime.eventQueue.Pop":        "container/heap (heap.Interface)",
-	"internal/energy.PDU.ServeHTTP":          "http.Handler",
 	"internal/xrand.Source.Int63":            "math/rand.Source",
 	"internal/ec2.SpotProcess.NextAfter":     "sched.RevocationSource",
 	"internal/ec2.SpotProcess.OutageSeconds": "sched.RevocationSource",
@@ -57,11 +56,7 @@ var censusAllow = map[string]string{
 	"internal/service.Service.Pause":  "holds the dispatcher so a test can order the queue",
 	"internal/service.Service.Resume": "Pause's other half",
 
-	// (e) The experiment results' lookup API: experiments_test.go and the
-	// root bench_test.go read 40 rows by key through it.
-	"internal/experiments.*.Row": "results are read by key in two test packages; one lookup per result type",
-
-	// (f) Reached through a value whose type the calling file does not
+	// (e) Reached through a value whose type the calling file does not
 	// import, which a census without type information cannot follow.
 	"internal/admission.Queue.Position": "service.go calls s.disp.q.Position; the field is declared in dispatch.go",
 	"internal/admission.Queue.Remove":   "service.go calls s.disp.q.Remove; the field is declared in dispatch.go",

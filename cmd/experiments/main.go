@@ -5,9 +5,8 @@
 //
 //	experiments [-seed N] [-only fig1,table2,...] [-list]
 //
-// Experiment ids: fig1 fig2 fig3a fig3bc fig5 table2 fig8 fig9 fig11 fig12
-// fig13 fig14 ablation-gt ablation-searchers ablation-threshold
-// ablation-probe. Default runs everything.
+// -list prints every experiment id with a one-line description. Default
+// runs everything.
 package main
 
 import (
@@ -18,60 +17,6 @@ import (
 
 	"pipetune/internal/experiments"
 )
-
-// renderer produces one experiment's table.
-type renderer struct {
-	id  string
-	fn  func(experiments.Config) (interface{ Render() string }, error)
-	doc string
-}
-
-func registry() []renderer {
-	wrap := func(f func(experiments.Config) (*experiments.Table, error)) func(experiments.Config) (interface{ Render() string }, error) {
-		return func(cfg experiments.Config) (interface{ Render() string }, error) {
-			return f(cfg)
-		}
-	}
-	return []renderer{
-		{"fig1", wrap(tableOf(experiments.Figure1)), "exhaustive tuning cost on EC2"},
-		{"fig2", wrap(tableOf(experiments.Figure2)), "58-event per-epoch profile heatmap"},
-		{"fig3a", wrap(tableOf(experiments.Figure3a)), "batch-size impact"},
-		{"fig3bc", wrap(tableOf(experiments.Figure3bc)), "cores impact per batch size"},
-		{"fig5", wrap(tableOf(experiments.Figure5)), "Tune V2 under system conditions"},
-		{"table2", wrap(tableOf(experiments.Table2)), "approach comparison on LeNet/MNIST"},
-		{"fig8", wrap(tableOf(experiments.Figure8)), "workload-profile clustering"},
-		{"fig9", wrap(tableOf(experiments.Figure9and10)), "convergence curves (figs 9+10)"},
-		{"fig11", wrap(tableOf(experiments.Figure11)), "single tenancy, Type-I/II"},
-		{"fig12", wrap(tableOf(experiments.Figure12)), "single tenancy, Type-III"},
-		{"fig13", wrap(tableOf(experiments.Figure13)), "multi tenancy, Type-I/II"},
-		{"fig14", wrap(tableOf(experiments.Figure14)), "multi tenancy, Type-III"},
-		{"sched-policies", wrap(tableOf(experiments.SchedulingPolicies)), "placement policies under contention"},
-		{"fair-share", wrap(tableOf(experiments.FairShare)), "weighted fair job dispatch across tenants"},
-		{"scale-out", wrap(tableOf(experiments.ScaleOut)), "trial throughput vs pipetune-worker fleet size"},
-		{"reuse", wrap(tableOf(experiments.Reuse)), "trial prefix cache: sys-sweep epochs trained and saved, cache on/off"},
-		{"spot-savings", wrap(tableOf(experiments.SpotSavings)), "spot fleet + checkpointed recovery vs all on-demand"},
-		{"ablation-gt", wrap(tableOf(experiments.AblationNoGroundTruth)), "ground truth on/off"},
-		{"ablation-searchers", wrap(tableOf(experiments.AblationSearchers)), "search algorithms"},
-		{"ablation-threshold", wrap(tableOf(experiments.AblationThreshold)), "similarity threshold sweep"},
-		{"ablation-probe", wrap(tableOf(experiments.AblationProbeBudget)), "probing budget sweep"},
-	}
-}
-
-// tabler is any experiment result that renders to a Table.
-type tabler interface {
-	Table() *experiments.Table
-}
-
-// tableOf adapts a typed experiment function to the common signature.
-func tableOf[T tabler](f func(experiments.Config) (T, error)) func(experiments.Config) (*experiments.Table, error) {
-	return func(cfg experiments.Config) (*experiments.Table, error) {
-		res, err := f(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return res.Table(), nil
-	}
-}
 
 func main() {
 	if err := run(); err != nil {
@@ -88,10 +33,9 @@ func run() error {
 	)
 	flag.Parse()
 
-	regs := registry()
 	if *listFlag {
-		for _, r := range regs {
-			fmt.Printf("%-20s %s\n", r.id, r.doc)
+		for _, e := range experiments.Experiments {
+			fmt.Printf("%-20s %s\n", e.ID, e.Doc)
 		}
 		return nil
 	}
@@ -106,15 +50,15 @@ func run() error {
 	cfg := experiments.DefaultConfig()
 	cfg.Seed = *seedFlag
 	ran := 0
-	for _, r := range regs {
-		if len(want) > 0 && !want[r.id] {
+	for _, e := range experiments.Experiments {
+		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
-		out, err := r.fn(cfg)
+		res, err := e.Run(cfg)
 		if err != nil {
-			return fmt.Errorf("%s: %w", r.id, err)
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		fmt.Printf("== %s ==\n%s\n", r.id, out.Render())
+		fmt.Printf("== %s ==\n%s\n", e.ID, res.Table().Render())
 		ran++
 	}
 	if ran == 0 {

@@ -12,7 +12,6 @@
 //	          [-tenant-weight name=w ...]
 //	          [-node-classes ec2] [-spot-fraction 0]
 //	          [-spot-revocations-per-hour 0.5]
-//	          [-trial-cache]
 //	          [-exec-backend local] [-worker-token secret]
 //	          [-worker-heartbeat 2s] [-worker-evict-after 3]
 //	          [-pprof-addr localhost:6060]
@@ -31,6 +30,10 @@
 //	pipetuned -exec-backend=remote -worker-token s3cret
 //	pipetune-worker -server http://localhost:8080 -token s3cret -capacity 4
 //	pipetune-worker -server http://localhost:8080 -token s3cret -capacity 4
+//
+// Trials run through a 64 MiB trial prefix cache: trials that share a
+// training prefix replay cached SGD bit-identically, and remote workers
+// keep local caches of the same budget.
 //
 // -pprof-addr serves net/http/pprof on a separate listener (off by
 // default) for profiling the live daemon without exposing the profiling
@@ -184,7 +187,6 @@ func run() error {
 		beatFlag      = flag.Duration("worker-heartbeat", 2*time.Second, "heartbeat cadence expected from workers")
 		evictFlag     = flag.Int("worker-evict-after", 3, "consecutive missed heartbeats before a worker is evicted and its leases requeued")
 		pprofFlag     = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = off)")
-		cacheFlag     = flag.Bool("trial-cache", false, "enable the 64 MiB trial prefix cache: trials sharing a training prefix replay or resume cached SGD bit-identically (remote workers keep local caches of the same budget)")
 		weights       = weightFlags{}
 	)
 	flag.Var(weights, "tenant-weight", "fair-share weight as name=w (repeatable; unlisted tenants weigh 1)")
@@ -207,6 +209,7 @@ func run() error {
 	opts := []pipetune.Option{
 		pipetune.WithSeed(*seedFlag),
 		pipetune.WithScheduler(*schedFlag),
+		pipetune.WithTrialCache(trainer.DefaultCacheBytes),
 	}
 	if *classesFlag != "" {
 		classes, err := parseNodeClasses(*classesFlag, *spotFlag, *revRateFlag)
@@ -214,9 +217,6 @@ func run() error {
 			return fmt.Errorf("-node-classes: %w", err)
 		}
 		opts = append(opts, pipetune.WithClusterClasses(classes...))
-	}
-	if *cacheFlag {
-		opts = append(opts, pipetune.WithTrialCache(trainer.DefaultCacheBytes))
 	}
 	sys, err := pipetune.New(opts...)
 	if err != nil {

@@ -13,7 +13,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 
 	"pipetune"
@@ -24,12 +26,12 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(out io.Writer) error {
 	sys, err := pipetune.New(
 		pipetune.WithSeed(5),
 		pipetune.WithCorpusSize(96, 48), // response time depends only on simulated durations
@@ -105,18 +107,18 @@ func run() error {
 		return err
 	}
 
-	fmt.Printf("jobs: %d, slots: 2, mean inter-arrival: %.0f s\n\n", numJobs, meanDur/2/0.8)
-	fmt.Printf("%-10s  %-22s\n", "system", "mean response time [s]")
-	fmt.Printf("%-10s  %-22.1f\n", "Tune V1", baseResp)
-	fmt.Printf("%-10s  %-22.1f\n", "PipeTune", ptResp)
-	fmt.Printf("\nresponse-time reduction: %.1f%%\n\n", (1-ptResp/baseResp)*100)
+	fmt.Fprintf(out, "jobs: %d, slots: 2, mean inter-arrival: %.0f s\n\n", numJobs, meanDur/2/0.8)
+	fmt.Fprintf(out, "%-10s  %-22s\n", "system", "mean response time [s]")
+	fmt.Fprintf(out, "%-10s  %-22.1f\n", "Tune V1", baseResp)
+	fmt.Fprintf(out, "%-10s  %-22.1f\n", "PipeTune", ptResp)
+	fmt.Fprintf(out, "\nresponse-time reduction: %.1f%%\n\n", (1-ptResp/baseResp)*100)
 
 	// Same jobs under burst arrivals, with real footprints: Type-II jobs
 	// claim a whole node, Type-I half of one, and admission is driven by
 	// whether the footprint fits — the placement policy decides who fills
 	// the holes that blocked large jobs leave behind.
 	polArrivals := cluster.PoissonArrivals(xrand.New(101), numJobs, meanDur/8)
-	fmt.Printf("%-10s  %-22s  %s\n", "policy", "mean response time [s]", "makespan [s]")
+	fmt.Fprintf(out, "%-10s  %-22s  %s\n", "policy", "mean response time [s]", "makespan [s]")
 	for _, name := range []string{pipetune.SchedFIFO, pipetune.SchedSJF, pipetune.SchedBackfill} {
 		policy, err := sched.ByName(name)
 		if err != nil {
@@ -140,14 +142,14 @@ func run() error {
 		for _, st := range eng.Stats() {
 			total += st.Response
 		}
-		fmt.Printf("%-10s  %-22.1f  %.1f\n", name, total/numJobs, eng.Now())
+		fmt.Fprintf(out, "%-10s  %-22.1f  %.1f\n", name, total/numJobs, eng.Now())
 	}
 
 	// Fair-share job dispatch: the pipetuned daemon's admission queue
 	// (-job-policy fair) arbitrates whole tuning jobs between tenants.
 	// Two tenants dump equal backlogs; weight 2 earns twice the dispatch
 	// share, whatever the submission interleaving.
-	fmt.Printf("\nfair dispatch, weights research=2 interns=1, equal backlogs:\n")
+	fmt.Fprintf(out, "\nfair dispatch, weights research=2 interns=1, equal backlogs:\n")
 	q, err := admission.New(admission.Config{
 		Policy:  admission.PolicyFair,
 		Weights: map[string]int{"research": 2, "interns": 1},
@@ -169,6 +171,6 @@ func run() error {
 		j, _ := q.Pop()
 		order = append(order, j.Tenant[:1]) // r / i
 	}
-	fmt.Printf("dispatch order: %s\n", strings.Join(order, " "))
+	fmt.Fprintf(out, "dispatch order: %s\n", strings.Join(order, " "))
 	return nil
 }

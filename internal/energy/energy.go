@@ -4,20 +4,15 @@
 // every second, and energy is the trapezoidal integral of the samples
 // (§3.2).
 //
-// The package provides the power model (idle + per-active-core dynamic +
-// memory draw, with lower draw during synchronisation phases), a 1 Hz
-// sample-series generator, and an HTTP PDU simulator (cmd/pdusim serves
-// it) reporting at the unit's 1 W quantisation.
+// The package models that pipeline instead of polling a unit: the power
+// model (idle + per-active-core dynamic + memory draw, with lower draw
+// during synchronisation phases) and a 1 Hz sample-series generator whose
+// trapezoid the trainer integrates.
 package energy
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
-	"net/http"
-	"strconv"
-	"sync"
 
 	"pipetune/internal/params"
 	"pipetune/internal/stats"
@@ -101,95 +96,4 @@ func (pm PowerModel) TrialEnergy(sys params.SysConfig, computeFrac, duration flo
 		return 0, err
 	}
 	return avg * duration, nil
-}
-
-// PDU simulates a LINDY iPower Control 2x6M power distribution unit: 12
-// outlets across 2 banks, 1 W reporting resolution, 1.5% measurement
-// precision, queried over HTTP.
-type PDU struct {
-	mu      sync.Mutex
-	outlets [12]float64
-	noise   *xrand.Source
-}
-
-// NewPDU returns a PDU with all outlets at 0 W.
-func NewPDU(seed uint64) *PDU {
-	return &PDU{noise: xrand.New(seed)}
-}
-
-// NumOutlets is the outlet count of the 2x6M model.
-const NumOutlets = 12
-
-// SetPower sets the true draw on an outlet (what the attached node pulls).
-func (p *PDU) SetPower(outlet int, watts float64) error {
-	if outlet < 0 || outlet >= NumOutlets {
-		return fmt.Errorf("energy: outlet %d out of range [0,%d)", outlet, NumOutlets)
-	}
-	if watts < 0 {
-		return errors.New("energy: negative power")
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.outlets[outlet] = watts
-	return nil
-}
-
-// Read returns the measured power on an outlet: true power disturbed by the
-// 1.5% precision and quantised to 1 W, as the real unit reports.
-func (p *PDU) Read(outlet int) (int, error) {
-	if outlet < 0 || outlet >= NumOutlets {
-		return 0, fmt.Errorf("energy: outlet %d out of range [0,%d)", outlet, NumOutlets)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return int(p.noise.Jitter(p.outlets[outlet], 0.015) + 0.5), nil
-}
-
-// readTotal returns the measured sum over all outlets.
-func (p *PDU) readTotal() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	total := 0.0
-	for _, w := range p.outlets {
-		total += p.noise.Jitter(w, 0.015)
-	}
-	return int(total + 0.5)
-}
-
-// powerResponse is the PDU's JSON wire format.
-type powerResponse struct {
-	Outlet int `json:"outlet"` // -1 for the aggregate reading
-	Watts  int `json:"watts"`
-}
-
-// ServeHTTP implements the PDU's HTTP interface:
-//
-//	GET /power            -> aggregate active power
-//	GET /power?outlet=N   -> one outlet's active power
-func (p *PDU) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet || r.URL.Path != "/power" {
-		http.NotFound(w, r)
-		return
-	}
-	resp := powerResponse{Outlet: -1}
-	if q := r.URL.Query().Get("outlet"); q != "" {
-		outlet, err := strconv.Atoi(q)
-		if err != nil {
-			http.Error(w, "bad outlet", http.StatusBadRequest)
-			return
-		}
-		watts, err := p.Read(outlet)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		resp = powerResponse{Outlet: outlet, Watts: watts}
-	} else {
-		resp.Watts = p.readTotal()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		// Connection-level failure; nothing further to do.
-		return
-	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // cachedSmallTrainer is smallTrainer with a trial prefix cache attached —
-// the daemon-side shape when pipetuned runs with -trial-cache.
+// the daemon-side shape pipetuned always runs.
 func cachedSmallTrainer() *trainer.Runner {
 	tr := smallTrainer()
 	tr.Cache = trainer.NewTrialCache(0)

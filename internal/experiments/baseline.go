@@ -183,8 +183,8 @@ func Table2(cfg Config) (*Table2Result, error) {
 	return res, nil
 }
 
-// Row returns the named approach's row.
-func (r *Table2Result) Row(approach string) (Table2Row, bool) {
+// row returns the named approach's row.
+func (r *Table2Result) row(approach string) (Table2Row, bool) {
 	for _, row := range r.Rows {
 		if row.Approach == approach {
 			return row, true

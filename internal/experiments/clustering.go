@@ -106,8 +106,8 @@ func Figure8(cfg Config) (*Figure8Result, error) {
 	return res, nil
 }
 
-// Row returns the summary for a workload.
-func (r *Figure8Result) Row(w workload.Workload) (Figure8Row, error) {
+// row returns the summary for a workload.
+func (r *Figure8Result) row(w workload.Workload) (Figure8Row, error) {
 	for _, row := range r.Rows {
 		if row.Workload == w {
 			return row, nil

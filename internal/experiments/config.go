@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§3, §4, §7). Each FigureN/TableN function returns structured
-// rows plus a renderable text table; the root bench_test.go exposes one
-// benchmark per experiment and cmd/experiments prints them all.
+// rows plus a renderable text table; Experiments lists them by id.
+// cmd/experiments prints them at DefaultConfig, and the package's tests
+// hold each table at the quick sizing to testdata/<id>.txt.
 //
 // All experiments run on simulated time with a fixed master seed, so the
 // numbers are reproducible to the bit. See EXPERIMENTS.md for the
@@ -41,7 +42,7 @@ func DefaultConfig() Config {
 	}
 }
 
-// quickConfig shrinks everything for unit tests.
+// quickConfig shrinks everything for unit tests; testdata/ pins it.
 func quickConfig() Config {
 	return Config{
 		Seed:            42,

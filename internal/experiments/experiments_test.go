@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"pipetune/internal/dataset"
@@ -13,16 +12,25 @@ import (
 )
 
 // The experiment tests assert the *shapes* the paper reports (who wins, in
-// which direction) on the scaled-down quick configuration.
+// which direction) on the scaled-down quick configuration; TestGoldens
+// holds the rendered tables still. Both read one run per experiment.
 
-// testCfg honours -short: the corpus, epoch budget and trace length shrink
-// further so `go test -short ./...` finishes in a few seconds while the
-// full run keeps the quick configuration for CI. The asserted shapes derive
-// from simulated durations (Table 3 full sizes), so they survive the
-// smaller corpus.
-func testCfg() Config {
+// unshrunk lists the experiments that keep the quick configuration under
+// -short, because they cost next to nothing at it (fig1, fig2 and fig3bc
+// read none of the sizes -short shrinks).
+var unshrunk = map[string]bool{
+	"fig1": true, "fig2": true, "fig3a": true, "fig3bc": true, "fig8": true,
+	"fair-share": true, "scale-out": true, "reuse": true, "spot-savings": true,
+}
+
+// testCfg is experiment id's configuration. -short shrinks the corpus,
+// epoch budget and trace length further so `go test -short ./...`
+// finishes in a few seconds. The asserted shapes derive from simulated
+// durations (Table 3 full sizes), so they survive the smaller corpus; the
+// goldens pin the quick sizing and are skipped where it shrank.
+func testCfg(id string) Config {
 	cfg := quickConfig()
-	if testing.Short() {
+	if testing.Short() && !unshrunk[id] {
 		cfg.Data = dataset.Config{TrainSize: 64, TestSize: 32}
 		cfg.Epochs = 3
 		cfg.MultiTenantJobs = 4
@@ -30,11 +38,34 @@ func testCfg() Config {
 	return cfg
 }
 
-func TestFigure1Shapes(t *testing.T) {
-	res, err := Figure1(testCfg())
-	if err != nil {
-		t.Fatal(err)
+// runs holds each experiment's one run per test binary.
+var runs = map[string]struct {
+	res Result
+	err error
+}{}
+
+// result returns experiment id's result at testCfg(id), running it on
+// first use, so its shape test and its golden read the same run.
+func result[R Result](t *testing.T, id string) R {
+	t.Helper()
+	r, ok := runs[id]
+	for _, e := range Experiments {
+		if !ok && e.ID == id {
+			r.res, r.err = e.Run(testCfg(id))
+			runs[id], ok = r, true
+		}
 	}
+	if !ok {
+		t.Fatalf("no experiment %q", id)
+	}
+	if r.err != nil {
+		t.Fatalf("%s: %v", id, r.err)
+	}
+	return r.res.(R)
+}
+
+func TestFigure1Shapes(t *testing.T) {
+	res := result[*Figure1Result](t, "fig1")
 	if len(res.Rows) != 18 { // 3 instances x 6 parameter counts
 		t.Fatalf("figure 1 has %d rows, want 18", len(res.Rows))
 	}
@@ -54,16 +85,10 @@ func TestFigure1Shapes(t *testing.T) {
 			}
 		}
 	}
-	if res.Table().Render() == "" {
-		t.Fatal("empty render")
-	}
 }
 
 func TestFigure2RepetitiveEpochs(t *testing.T) {
-	res, err := Figure2(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[*Figure2Result](t, "fig2")
 	if len(res.Events) != perf.NumEvents || len(res.Cells) != perf.NumEvents {
 		t.Fatalf("figure 2 has %d events", len(res.Events))
 	}
@@ -102,10 +127,7 @@ func TestFigure2RepetitiveEpochs(t *testing.T) {
 }
 
 func TestFigure3aShapes(t *testing.T) {
-	res, err := Figure3a(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[*Figure3aResult](t, "fig3a")
 	if len(res.Rows) != 3 {
 		t.Fatalf("figure 3a has %d rows", len(res.Rows))
 	}
@@ -134,23 +156,20 @@ func TestFigure3aShapes(t *testing.T) {
 }
 
 func TestFigure3bcShapes(t *testing.T) {
-	res, err := Figure3bc(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[*Figure3bcResult](t, "fig3bc")
 	if len(res.Rows) != 9 {
 		t.Fatalf("figure 3b/c has %d rows, want 9", len(res.Rows))
 	}
 	// Paper's envelope: batch 64 slows down at 8 cores, batch 1024 speeds
 	// up, and energy follows runtime.
-	small, err := res.Row(64, 8)
+	small, err := res.row(64, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if small.DurationPct <= 0 {
 		t.Fatalf("batch 64 at 8 cores should slow down, got %+.1f%%", small.DurationPct)
 	}
-	large, err := res.Row(1024, 8)
+	large, err := res.row(1024, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +181,8 @@ func TestFigure3bcShapes(t *testing.T) {
 	}
 	// Scaling ratio ordered by batch size at every core count.
 	for _, cores := range []int{2, 4, 8} {
-		r64, _ := res.Row(64, cores)
-		r1024, _ := res.Row(1024, cores)
+		r64, _ := res.row(64, cores)
+		r1024, _ := res.row(1024, cores)
 		if r1024.DurationPct >= r64.DurationPct {
 			t.Fatalf("at %d cores batch 1024 (%v%%) should scale better than batch 64 (%v%%)",
 				cores, r1024.DurationPct, r64.DurationPct)
@@ -172,10 +191,7 @@ func TestFigure3bcShapes(t *testing.T) {
 }
 
 func TestFigure5Grid(t *testing.T) {
-	res, err := Figure5(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[*Figure5Result](t, "fig5")
 	if len(res.Rows) != 12 { // 4 core levels x 3 job counts
 		t.Fatalf("figure 5 has %d rows, want 12", len(res.Rows))
 	}
@@ -202,17 +218,14 @@ func TestFigure5Grid(t *testing.T) {
 }
 
 func TestTable2Shapes(t *testing.T) {
-	res, err := Table2(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[*Table2Result](t, "table2")
 	if len(res.Rows) != 4 {
 		t.Fatalf("table 2 has %d rows", len(res.Rows))
 	}
-	arb, _ := res.Row("Arbitrary")
-	v1, _ := res.Row("Tune V1")
-	v2, _ := res.Row("Tune V2")
-	pt, _ := res.Row("PipeTune")
+	arb, _ := res.row("Arbitrary")
+	v1, _ := res.row("Tune V1")
+	v2, _ := res.row("Tune V2")
+	pt, _ := res.row("PipeTune")
 
 	// Tuning beats arbitrary configuration on accuracy.
 	if v1.AccuracyPct <= arb.AccuracyPct {
@@ -239,15 +252,12 @@ func TestTable2Shapes(t *testing.T) {
 }
 
 func TestFigure8FamiliesSeparate(t *testing.T) {
-	res, err := Figure8(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[*Figure8Result](t, "fig8")
 	if len(res.Rows) != 4 {
 		t.Fatalf("figure 8 has %d rows", len(res.Rows))
 	}
 	get := func(m workload.Model, ds workload.Dataset) Figure8Row {
-		row, err := res.Row(workload.Workload{Model: m, Dataset: ds})
+		row, err := res.row(workload.Workload{Model: m, Dataset: ds})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,10 +293,7 @@ func TestFigure8FamiliesSeparate(t *testing.T) {
 }
 
 func TestFigures9And10Convergence(t *testing.T) {
-	res, err := Figure9and10(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[*ConvergenceResult](t, "fig9")
 	if len(res.Curves) != 3 || res.Curves[0].System != "Tune V1" || res.Curves[1].System != "Tune V2" || res.Curves[2].System != "PipeTune" {
 		t.Fatalf("curves = %+v, want Tune V1, Tune V2, PipeTune", res.Curves)
 	}
@@ -334,20 +341,17 @@ func minF(vals ...float64) float64 {
 }
 
 func TestFigure11Shapes(t *testing.T) {
-	res, err := Figure11(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[*SingleTenancyResult](t, "fig11")
 	workloads := workload.OfType(workload.TypeI, workload.TypeII)
 	if len(res.Rows) != len(workloads)*3 {
 		t.Fatalf("figure 11 has %d rows, want %d", len(res.Rows), len(workloads)*3)
 	}
 	for _, w := range workloads {
-		v1, err := res.Row(w, SystemV1)
+		v1, err := res.row(w, SystemV1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pt, err := res.Row(w, SystemPipeTune)
+		pt, err := res.row(w, SystemPipeTune)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,10 +369,7 @@ func TestFigure11Shapes(t *testing.T) {
 }
 
 func TestFigure12Shapes(t *testing.T) {
-	res, err := Figure12(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[*SingleTenancyResult](t, "fig12")
 	workloads := workload.OfType(workload.TypeIII)
 	if len(res.Rows) != len(workloads)*3 {
 		t.Fatalf("figure 12 has %d rows, want %d", len(res.Rows), len(workloads)*3)
@@ -378,11 +379,11 @@ func TestFigure12Shapes(t *testing.T) {
 	// challenging setup).
 	var v1Total, ptTotal float64
 	for _, w := range workloads {
-		v1, err := res.Row(w, SystemV1)
+		v1, err := res.row(w, SystemV1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pt, err := res.Row(w, SystemPipeTune)
+		pt, err := res.row(w, SystemPipeTune)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,19 +399,16 @@ func TestFigure12Shapes(t *testing.T) {
 }
 
 func TestFigure13ResponseTimes(t *testing.T) {
-	res, err := Figure13(testCfg())
+	res := result[*MultiTenancyResult](t, "fig13")
+	ptAll, err := res.row("all", SystemPipeTune)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ptAll, err := res.Row("all", SystemPipeTune)
+	v1All, err := res.row("all", SystemV1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1All, err := res.Row("all", SystemV1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2All, err := res.Row("all", SystemV2)
+	v2All, err := res.row("all", SystemV2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,24 +419,21 @@ func TestFigure13ResponseTimes(t *testing.T) {
 		t.Fatalf("PipeTune response %.0f s not below V2 %.0f s", ptAll.MeanResponse, v2All.MeanResponse)
 	}
 	// Per-type rows exist.
-	if _, err := res.Row("Type-I", SystemPipeTune); err != nil {
+	if _, err := res.row("Type-I", SystemPipeTune); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := res.Row("Type-II", SystemPipeTune); err != nil {
+	if _, err := res.row("Type-II", SystemPipeTune); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestFigure14ResponseTimes(t *testing.T) {
-	res, err := Figure14(testCfg())
+	res := result[*MultiTenancyResult](t, "fig14")
+	ptAll, err := res.row("all", SystemPipeTune)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ptAll, err := res.Row("all", SystemPipeTune)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1All, err := res.Row("all", SystemV1)
+	v1All, err := res.row("all", SystemV1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,10 +443,7 @@ func TestFigure14ResponseTimes(t *testing.T) {
 }
 
 func TestAblationGroundTruth(t *testing.T) {
-	res, err := AblationNoGroundTruth(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[*AblationGTResult](t, "ablation-gt")
 	warm, cold := res.Rows[0], res.Rows[1]
 	if warm.MeanTuningS >= cold.MeanTuningS {
 		t.Fatalf("warm ground truth (%.0f s) not faster than probing-only (%.0f s)",
@@ -466,10 +458,7 @@ func TestAblationGroundTruth(t *testing.T) {
 }
 
 func TestAblationSearchers(t *testing.T) {
-	res, err := AblationSearchers(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[*AblationSearcherResult](t, "ablation-searchers")
 	if len(res.Rows) != 5 {
 		t.Fatalf("searcher ablation has %d rows", len(res.Rows))
 	}
@@ -483,10 +472,7 @@ func TestAblationSearchers(t *testing.T) {
 }
 
 func TestAblationThreshold(t *testing.T) {
-	res, err := AblationThreshold(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[*AblationThresholdResult](t, "ablation-threshold")
 	if len(res.Rows) != 4 {
 		t.Fatalf("threshold ablation has %d rows", len(res.Rows))
 	}
@@ -498,10 +484,7 @@ func TestAblationThreshold(t *testing.T) {
 }
 
 func TestAblationProbeBudget(t *testing.T) {
-	res, err := AblationProbeBudget(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[*AblationProbeResult](t, "ablation-probe")
 	if len(res.Rows) != 4 {
 		t.Fatalf("probe ablation has %d rows", len(res.Rows))
 	}
@@ -512,42 +495,20 @@ func TestAblationProbeBudget(t *testing.T) {
 	}
 }
 
-func TestTablesRender(t *testing.T) {
-	cfg := testCfg()
-	f1Res, err := Figure1(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := f1Res.Table().Render()
-	if !strings.Contains(out, "m4.4xlarge") {
-		t.Fatalf("figure 1 render missing instance name:\n%s", out)
-	}
-	f3, err := Figure3bc(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(f3.Table().Render(), "cores") {
-		t.Fatal("figure 3bc render missing header")
-	}
-}
-
 // TestFairShareThroughput is the dispatcher's acceptance experiment: on a
 // deterministic saturated two-tenant trace, deficit round robin gives the
 // weight-2 tenant ~2x the weight-1 tenant's completed-job throughput at
 // the horizon, while FIFO splits the same trace 1:1.
 func TestFairShareThroughput(t *testing.T) {
-	res, err := FairShare(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[*FairShareResult](t, "fair-share")
 	if len(res.Rows) != 4 {
 		t.Fatalf("fair share has %d rows, want 4", len(res.Rows))
 	}
-	gold, err := res.Row("fair", "gold")
+	gold, err := res.row("fair", "gold")
 	if err != nil {
 		t.Fatal(err)
 	}
-	free, err := res.Row("fair", "free")
+	free, err := res.row("fair", "free")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,11 +527,11 @@ func TestFairShareThroughput(t *testing.T) {
 	}
 
 	// FIFO on the identical trace ignores weights: a 1:1 split.
-	fifoGold, err := res.Row("fifo", "gold")
+	fifoGold, err := res.row("fifo", "gold")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fifoFree, err := res.Row("fifo", "free")
+	fifoFree, err := res.row("fifo", "free")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,31 +540,14 @@ func TestFairShareThroughput(t *testing.T) {
 		t.Fatalf("fifo throughput ratio %.2f (gold %d, free %d), want ~1.0",
 			fifoRatio, fifoGold.Completed, fifoFree.Completed)
 	}
-	if res.Table().Render() == "" {
-		t.Fatal("empty render")
-	}
-
-	// Determinism: an identical run reproduces every row exactly.
-	again, err := FairShare(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res.Rows {
-		if res.Rows[i] != again.Rows[i] {
-			t.Fatalf("fair share not deterministic: row %d %+v vs %+v", i, res.Rows[i], again.Rows[i])
-		}
-	}
 }
 
 func TestSchedulingPoliciesContention(t *testing.T) {
-	res, err := SchedulingPolicies(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[*PolicyResult](t, "sched-policies")
 	if len(res.Rows) != 3 {
 		t.Fatalf("policy comparison has %d rows, want 3", len(res.Rows))
 	}
-	fifo, err := res.Row(sched.NameFIFO)
+	fifo, err := res.row(sched.NameFIFO)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,15 +560,12 @@ func TestSchedulingPoliciesContention(t *testing.T) {
 	// deeper queue positions can shift, so mean response is not bounded by
 	// FIFO's in general. On this fixed, deterministic trace it must not
 	// materially degrade it (empirical regression bound, not a theorem).
-	backfill, err := res.Row(sched.NameBackfill)
+	backfill, err := res.row(sched.NameBackfill)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if backfill.MeanResponse > fifo.MeanResponse*1.05 {
 		t.Fatalf("backfill mean response %.1f well above FIFO %.1f",
 			backfill.MeanResponse, fifo.MeanResponse)
-	}
-	if res.Table().Render() == "" {
-		t.Fatal("empty render")
 	}
 }

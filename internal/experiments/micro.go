@@ -292,8 +292,8 @@ func Figure3bc(cfg Config) (*Figure3bcResult, error) {
 	return res, nil
 }
 
-// Row returns the cell for (batch, cores), or an error if absent.
-func (r *Figure3bcResult) Row(batch, cores int) (Figure3bcRow, error) {
+// row returns the cell for (batch, cores), or an error if absent.
+func (r *Figure3bcResult) row(batch, cores int) (Figure3bcRow, error) {
 	for _, row := range r.Rows {
 		if row.BatchSize == batch && row.Cores == cores {
 			return row, nil

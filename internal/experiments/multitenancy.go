@@ -32,8 +32,8 @@ type MultiTenancyResult struct {
 	Rows   []MultiTenancyRow `json:"rows"`
 }
 
-// Row returns the (group, system) mean response.
-func (r *MultiTenancyResult) Row(group, system string) (MultiTenancyRow, error) {
+// row returns the (group, system) mean response.
+func (r *MultiTenancyResult) row(group, system string) (MultiTenancyRow, error) {
 	for _, row := range r.Rows {
 		if row.Group == group && row.System == system {
 			return row, nil
@@ -226,8 +226,8 @@ type PolicyResult struct {
 	Rows []PolicyRow `json:"rows"`
 }
 
-// Row returns the named policy's row.
-func (r *PolicyResult) Row(policy string) (PolicyRow, error) {
+// row returns the named policy's row.
+func (r *PolicyResult) row(policy string) (PolicyRow, error) {
 	for _, row := range r.Rows {
 		if row.Policy == policy {
 			return row, nil
@@ -270,8 +270,8 @@ type FairShareResult struct {
 	Rows          []FairShareRow `json:"rows"`
 }
 
-// Row returns the (policy, tenant) row.
-func (r *FairShareResult) Row(policy, tenant string) (FairShareRow, error) {
+// row returns the (policy, tenant) row.
+func (r *FairShareResult) row(policy, tenant string) (FairShareRow, error) {
 	for _, row := range r.Rows {
 		if row.Policy == policy && row.Tenant == tenant {
 			return row, nil

@@ -6,10 +6,7 @@ import "testing"
 // sweep produces identical results while training the prefix exactly
 // once, and the tuning job agrees on Best/TuningTime cache on and off.
 func TestReuseIdenticalAndSaving(t *testing.T) {
-	res, err := Reuse(quickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[*ReuseResult](t, "reuse")
 	if !res.Identical {
 		t.Fatal("cached sweep or tuning job diverged from uncached")
 	}

@@ -31,8 +31,8 @@ type ScaleOutResult struct {
 	Rows          []ScaleOutRow `json:"rows"`
 }
 
-// Row returns the N-worker row.
-func (r *ScaleOutResult) Row(workers int) (ScaleOutRow, error) {
+// row returns the N-worker row.
+func (r *ScaleOutResult) row(workers int) (ScaleOutRow, error) {
 	for _, row := range r.Rows {
 		if row.Workers == workers {
 			return row, nil

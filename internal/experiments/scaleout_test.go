@@ -6,11 +6,8 @@ import "testing"
 // drain the footprinted trial backlog ~N× faster, exactly, because the
 // trace is a deterministic schedule.
 func TestScaleOutLinearThroughput(t *testing.T) {
-	res, err := ScaleOut(quickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := res.Row(1)
+	res := result[*ScaleOutResult](t, "scale-out")
+	one, err := res.row(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +15,7 @@ func TestScaleOutLinearThroughput(t *testing.T) {
 		t.Fatalf("1-worker baseline speedup %v efficiency %v, want 1", one.Speedup, one.Efficiency)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		row, err := res.Row(workers)
+		row, err := res.row(workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,16 +26,6 @@ func TestScaleOutLinearThroughput(t *testing.T) {
 		}
 		if row.Makespan >= one.Makespan {
 			t.Fatalf("%d workers no faster than 1: %v >= %v", workers, row.Makespan, one.Makespan)
-		}
-	}
-	// Determinism: the whole table reproduces bit for bit.
-	again, err := ScaleOut(quickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res.Rows {
-		if res.Rows[i] != again.Rows[i] {
-			t.Fatalf("row %d not reproducible: %+v vs %+v", i, res.Rows[i], again.Rows[i])
 		}
 	}
 }

@@ -36,8 +36,8 @@ type SingleTenancyResult struct {
 	Rows   []SingleTenancyRow `json:"rows"`
 }
 
-// Row returns the measurement for (workload, system).
-func (r *SingleTenancyResult) Row(w workload.Workload, system string) (SingleTenancyRow, error) {
+// row returns the measurement for (workload, system).
+func (r *SingleTenancyResult) row(w workload.Workload, system string) (SingleTenancyRow, error) {
 	for _, row := range r.Rows {
 		if row.Workload == w && row.System == system {
 			return row, nil

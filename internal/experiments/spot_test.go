@@ -8,10 +8,7 @@ import "testing"
 // tuning-time inflation — and the revocations must be real (the spot run
 // survives interruptions, it doesn't dodge them).
 func TestSpotSavings(t *testing.T) {
-	res, err := SpotSavings(quickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[*SpotSavingsResult](t, "spot-savings")
 	if len(res.Rows) != 2 {
 		t.Fatalf("want 2 rows, got %d", len(res.Rows))
 	}
@@ -36,16 +33,5 @@ func TestSpotSavings(t *testing.T) {
 	}
 	if spot.BestAccuracy != od.BestAccuracy {
 		t.Fatalf("fleets disagree on best accuracy: %v vs %v", spot.BestAccuracy, od.BestAccuracy)
-	}
-	// Reproducibility: the whole comparison is a deterministic function of
-	// the config.
-	again, err := SpotSavings(quickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res.Rows {
-		if again.Rows[i] != res.Rows[i] {
-			t.Fatalf("row %d not reproducible: %+v vs %+v", i, again.Rows[i], res.Rows[i])
-		}
 	}
 }

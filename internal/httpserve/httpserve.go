@@ -1,9 +1,7 @@
-// Package httpserve is the shared HTTP daemon lifecycle used by
-// cmd/pipetuned and cmd/pdusim: serve until the context is cancelled or
-// SIGINT/SIGTERM arrives, then drain in-flight requests through
-// http.Server.Shutdown with a bounded timeout. Keeping both daemons on
-// this one helper means they stop identically under an orchestrator's
-// signal, instead of each hand-rolling (or skipping) shutdown handling.
+// Package httpserve is cmd/pipetuned's HTTP lifecycle: serve until the
+// context is cancelled or SIGINT/SIGTERM arrives, run the application's
+// drain, then drain in-flight requests through http.Server.Shutdown with
+// a bounded timeout.
 package httpserve
 
 import (

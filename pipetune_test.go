@@ -60,7 +60,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 // TestTrialCacheJobParity pins the facade-level guarantee behind
-// -trial-cache: a whole tuning job — baseline and PipeTune, searcher and
+// pipetuned's always-on trial cache: a whole tuning job — baseline and PipeTune, searcher and
 // scheduler included — produces byte-identical JobResult JSON with the
 // trial prefix cache on and off. The cached system also proves reuse
 // actually happened: the PipeTune job's trials share prefixes with the
