@@ -46,18 +46,6 @@ func startFleet(t *testing.T, n int, cfg RemoteConfig) (*Remote, context.CancelF
 	return r, cancel
 }
 
-// waitFor polls cond until it holds, failing the test after 5s.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if !time.Now().Before(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 // TestAgentTokenAuth pins the agent's side of the shared-token gate: a
 // rejected token is terminal (Run returns ErrBadToken instead of
 // retrying forever), the right one is admitted.
@@ -77,7 +65,7 @@ func TestAgentTokenAuth(t *testing.T) {
 	good := NewAgent(AgentConfig{Server: srv.URL, Token: "s3cret"})
 	done := make(chan error, 1)
 	go func() { done <- good.Run(ctx) }()
-	waitFor(t, "the correctly-tokened agent to register", func() bool { return len(r.Fleet().Workers) == 1 })
+	waitFor(t, r, "the correctly-tokened agent to register", func() bool { return len(r.workers) == 1 })
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("agent exit: %v, want context.Canceled", err)
@@ -85,12 +73,13 @@ func TestAgentTokenAuth(t *testing.T) {
 }
 
 // partitionListener hands out connections whose inbound side the test
-// can freeze: bytes that arrive while frozen are held, not delivered,
-// until the connection is closed — a worker that is connected but
-// partitioned. Outbound (daemon → worker) traffic is untouched.
+// can freeze: bytes that arrive on a frozen connection are read and
+// dropped — a worker that is connected but partitioned. The underlying
+// Read keeps running, so the daemon's read deadline still fires.
+// Outbound (daemon → worker) traffic is untouched.
 type partitionListener struct {
 	net.Listener
-	frozen atomic.Bool
+	last atomic.Pointer[partitionConn] // the most recently accepted
 }
 
 func (l *partitionListener) Accept() (net.Conn, error) {
@@ -98,41 +87,36 @@ func (l *partitionListener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &partitionConn{Conn: c, l: l, closed: make(chan struct{})}, nil
+	pc := &partitionConn{Conn: c}
+	l.last.Store(pc)
+	return pc, nil
 }
 
 type partitionConn struct {
 	net.Conn
-	l         *partitionListener
-	closed    chan struct{}
-	closeOnce sync.Once
+	frozen atomic.Bool
 }
 
 func (c *partitionConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	if c.l.frozen.Load() {
-		<-c.closed
+	for {
+		n, err := c.Conn.Read(p)
+		if err != nil || !c.frozen.Load() {
+			return n, err
+		}
 	}
-	return n, err
-}
-
-func (c *partitionConn) Close() error {
-	c.closeOnce.Do(func() { close(c.closed) })
-	return c.Conn.Close()
 }
 
 // TestAgentSurvivesEvictionAndReRegisters is the partition story end to
-// end: the reaper evicts a connected-but-silent worker holding a lease
-// (on the injected clock), eviction severs its stream, the agent
-// reconnects under a new worker id, and the requeued lease completes on
-// its second attempt with the bits a direct run produces.
+// end: a connected worker holding a lease stops being heard, the
+// daemon's read deadline ends its session and evicts it, eviction severs
+// its stream, the agent reconnects under a new worker id, and the
+// requeued lease completes on its second attempt with the bits a direct
+// run produces.
 func TestAgentSurvivesEvictionAndReRegisters(t *testing.T) {
-	clock := newTestClock()
 	r := NewRemote(RemoteConfig{
 		HeartbeatInterval: 50 * time.Millisecond,
-		MissedHeartbeats:  2,
+		MissedHeartbeats:  3,
 		Logf:              t.Logf,
-		now:               clock.Now,
 	})
 	t.Cleanup(r.Close)
 	srv := httptest.NewUnstartedServer(r.Handler())
@@ -145,23 +129,22 @@ func TestAgentSurvivesEvictionAndReRegisters(t *testing.T) {
 	defer cancel()
 	agent := NewAgent(AgentConfig{Server: srv.URL, Capacity: 1})
 	go func() { _ = agent.Run(ctx) }()
-	waitFor(t, "registration", func() bool { return len(r.Fleet().Workers) == 1 })
+	waitFor(t, r, "registration", func() bool { return len(r.workers) == 1 })
 
-	// Partition, then submit: the grant reaches the worker, but nothing
-	// it sends back — heartbeats, the commit — reaches the daemon, so
-	// the lease cannot complete on this registration.
-	ln.frozen.Store(true)
+	// Partition the worker's connection, then submit: the grant reaches
+	// the worker, but nothing it sends back — heartbeats, the commit —
+	// reaches the daemon, so the lease cannot complete on this
+	// registration. Its reconnect is a new connection, not partitioned.
+	ln.last.Load().frozen.Store(true)
 	tr := smallTrainer()
 	trials := realTrials(tr, 1)
 	ran := runAsync(context.Background(), r, trials)
-	waitFor(t, "the partitioned worker to hold the lease", func() bool { return r.Fleet().LeasedTrials == 1 })
-
-	clock.Advance(time.Second)
-	r.evictStale()
-	if fs := r.Fleet(); fs.RequeuedTrials != 1 || fs.PendingTrials != 1 || fs.Workers[0].State != "evicted" {
-		t.Fatalf("after the reaper scan: %+v", fs)
+	waitFor(t, r, "the silent worker's eviction to requeue its lease", func() bool {
+		return r.met.requeues.Value() == 1
+	})
+	if fs := r.Fleet(); fs.Workers[0].State != "evicted" {
+		t.Fatalf("after the read deadline: %+v", fs)
 	}
-	ln.frozen.Store(false) // heal: the agent's reconnect gets through
 
 	out := <-ran
 	if out.errs[0] != nil {

@@ -36,8 +36,10 @@ type RemoteConfig struct {
 	// HeartbeatInterval is the beat cadence advertised to workers
 	// (default 2s).
 	HeartbeatInterval time.Duration
-	// MissedHeartbeats is K: a worker silent for K consecutive intervals
-	// is evicted and its leases requeued (default 3).
+	// MissedHeartbeats is K: the stream's read deadline is K intervals,
+	// renewed by every frame the worker sends, so a worker silent for K
+	// intervals ends its session and is evicted, its leases requeued
+	// (default 3).
 	MissedHeartbeats int
 	// Token, when non-empty, is the bearer token the stream upgrade
 	// must present (Authorization: Bearer <token>).
@@ -47,9 +49,6 @@ type RemoteConfig struct {
 	Wire string
 	// Logf receives operational log lines (nil = silent).
 	Logf func(format string, args ...any)
-
-	// now is injectable for eviction tests; nil means time.Now.
-	now func() time.Time
 }
 
 // withDefaults fills unset fields.
@@ -62,9 +61,6 @@ func (c RemoteConfig) withDefaults() RemoteConfig {
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
-	}
-	if c.now == nil {
-		c.now = time.Now
 	}
 	return c
 }
@@ -128,13 +124,13 @@ type workerEntry struct {
 	name     string
 	capacity int
 	state    workerState
-	lastBeat time.Time
+	lastBeat time.Time // when the stream last heard from it
 	inflight map[string]*lease
 	done     int
 	// closeStream, when set, severs the worker's stream connection.
-	// Eviction calls it so a worker evicted by the reaper (alive but
-	// partitioned) does not keep a half-dead stream open; the stream's
-	// reader unblocks and the session ends.
+	// Eviction calls it so a worker evicted off its own reader (a failed
+	// grant write, a test) does not keep a half-dead stream open; the
+	// stream's reader unblocks and the session ends.
 	closeStream func()
 	// series is the last heartbeat-shipped cumulative telemetry
 	// snapshot from this registration; the next snapshot is diffed
@@ -145,11 +141,15 @@ type workerEntry struct {
 // Remote is the fleet execution backend: trials submitted by Run are
 // queued as leases; registered pipetune-worker processes are granted
 // them over their stream, report epoch observations back, and commit
-// results exactly once. A worker that stops heartbeating is evicted and
+// results exactly once. A worker whose stream falls silent is evicted and
 // its leases requeued, so a job survives losing workers mid-trial.
 //
 // Remote is the daemon-side half of the protocol; the worker-side half
-// is Agent. All methods are safe for concurrent use.
+// is Agent. All methods are safe for concurrent use. The lease manager
+// starts no goroutine and reads the clock only for Drain's deadline: its
+// state moves only under r.mu, through the *Locked methods and the few
+// that take the lock around one of them, so a test can drive any
+// interleaving from one goroutine.
 type Remote struct {
 	cfg RemoteConfig
 
@@ -167,8 +167,6 @@ type Remote struct {
 	nextLease    int
 	draining     bool
 	closed       bool
-	stopReaper   chan struct{}
-	reaperDone   chan struct{}
 
 	// Cluster composition for health surfaces, set once at service wiring
 	// (SetClusterStatus) and copied into every Fleet snapshot.
@@ -182,18 +180,15 @@ type Remote struct {
 	met *remoteMetrics
 }
 
-// NewRemote builds the backend and starts its heartbeat reaper.
+// NewRemote builds the backend.
 func NewRemote(cfg RemoteConfig) *Remote {
 	r := &Remote{
-		cfg:        cfg.withDefaults(),
-		workers:    make(map[string]*workerEntry),
-		leases:     make(map[string]*lease),
-		stopReaper: make(chan struct{}),
-		reaperDone: make(chan struct{}),
+		cfg:     cfg.withDefaults(),
+		workers: make(map[string]*workerEntry),
+		leases:  make(map[string]*lease),
 	}
 	r.cond = sync.NewCond(&r.mu)
 	r.met = newRemoteMetrics(metrics.NewRegistry())
-	go r.reaper()
 	return r
 }
 
@@ -209,34 +204,8 @@ func (r *Remote) MetricsRegistry() *metrics.Registry { return r.met.reg }
 // the context is cancelled); fleet emptiness is a health condition, not
 // an error.
 func (r *Remote) Run(ctx context.Context, trials []Trial, _ int) ([]*trainer.Result, []error) {
-	results := make([]*trainer.Result, len(trials))
-	errs := make([]error, len(trials))
-
 	r.mu.Lock()
-	if r.closed || r.draining {
-		r.mu.Unlock()
-		for i := range errs {
-			errs[i] = ErrDraining
-		}
-		return results, errs
-	}
-	batch := make([]*lease, len(trials))
-	slab := make([]lease, len(trials)) // one allocation per batch, not one per trial
-	for i, t := range trials {
-		r.nextLease++
-		l := &slab[i]
-		*l = lease{
-			id:      leaseName(r.nextLease),
-			trial:   t,
-			attempt: 1,
-			state:   leasePending,
-			done:    make(chan struct{}),
-		}
-		r.leases[l.id] = l
-		r.pending = append(r.pending, l)
-		batch[i] = l
-	}
-	r.cond.Broadcast()
+	batch := r.enqueueLocked(trials)
 	r.mu.Unlock()
 
 	for _, l := range batch {
@@ -250,26 +219,58 @@ func (r *Remote) Run(ctx context.Context, trials []Trial, _ int) ([]*trainer.Res
 			// so the caller can salvage their knowledge. A computing
 			// trial that can no longer finish (worker dies) fails
 			// instead of requeueing.
-			r.abandon(batch, ctx.Err())
+			r.mu.Lock()
+			r.abandonLocked(batch, ctx.Err())
+			r.mu.Unlock()
 			<-l.done
 		}
 	}
 
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.collectLocked(batch)
+}
+
+// enqueueLocked turns a batch of trials into pending leases, in order.
+// A draining or closed plane takes none: every lease it returns is
+// already failed with ErrDraining. Callers hold r.mu.
+func (r *Remote) enqueueLocked(trials []Trial) []*lease {
+	batch := make([]*lease, len(trials))
+	slab := make([]lease, len(trials)) // one allocation per batch, not one per trial
+	for i, t := range trials {
+		l := &slab[i]
+		*l = lease{trial: t, attempt: 1, state: leasePending, done: make(chan struct{})}
+		batch[i] = l
+		if r.closed || r.draining {
+			r.terminalizeLocked(l, nil, ErrDraining)
+			continue
+		}
+		r.nextLease++
+		l.id = leaseName(r.nextLease)
+		r.leases[l.id] = l
+		r.pending = append(r.pending, l)
+	}
+	r.cond.Broadcast()
+	return batch
+}
+
+// collectLocked reads a terminal batch's outcomes and forgets its leases:
+// a late commit for one of them is rejected as unknown. Callers hold r.mu.
+func (r *Remote) collectLocked(batch []*lease) ([]*trainer.Result, []error) {
+	results := make([]*trainer.Result, len(batch))
+	errs := make([]error, len(batch))
 	for i, l := range batch {
 		results[i], errs[i] = l.result, l.err
-		delete(r.leases, l.id) // forget terminal leases; late commits are rejected as unknown
+		delete(r.leases, l.id)
 	}
-	r.mu.Unlock()
 	return results, errs
 }
 
-// abandon handles a cancelled Run: pending leases fail now (they never
-// started computing), leased ones are marked cancelled — the worker may
-// finish and commit them, but requeue paths fail them with err.
-func (r *Remote) abandon(batch []*lease, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// abandonLocked handles a cancelled Run: pending leases fail now (they
+// never started computing), leased ones are marked cancelled — the worker
+// may finish and commit them, but requeue paths fail them with err.
+// Callers hold r.mu.
+func (r *Remote) abandonLocked(batch []*lease, err error) {
 	for _, l := range batch {
 		if l.terminal() {
 			continue
@@ -282,6 +283,7 @@ func (r *Remote) abandon(batch []*lease, err error) {
 		l.cancelled = true
 		l.cancelErr = err
 	}
+	r.cond.Broadcast()
 }
 
 // removePendingLocked drops a lease from the pending queue. Callers hold
@@ -343,10 +345,10 @@ func (r *Remote) terminalizeLocked(l *lease, res *trainer.Result, err error) {
 	r.cond.Broadcast()
 }
 
-// Register admits a worker to the fleet and assigns its id. Workers may
+// register admits a worker to the fleet and assigns its id. Workers may
 // register while the backend drains — they will simply receive no
 // leases.
-func (r *Remote) Register(name string, capacity int) (workerID string, err error) {
+func (r *Remote) register(name string, capacity int) (workerID string, err error) {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -361,26 +363,12 @@ func (r *Remote) Register(name string, capacity int) (workerID string, err error
 		name:     name,
 		capacity: capacity,
 		state:    workerActive,
-		lastBeat: r.cfg.now(),
 		inflight: make(map[string]*lease),
 	}
 	r.workers[w.id] = w
+	r.cond.Broadcast()
 	r.cfg.Logf("exec: worker %s (%q, capacity %d) registered", w.id, w.name, w.capacity)
 	return w.id, nil
-}
-
-// Heartbeat records worker liveness. An unknown or evicted worker gets
-// ErrUnknownWorker and must re-register (its previous leases are already
-// requeued).
-func (r *Remote) Heartbeat(workerID string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w := r.workers[workerID]
-	if w == nil || w.state != workerActive {
-		return ErrUnknownWorker
-	}
-	w.lastBeat = r.cfg.now()
-	return nil
 }
 
 // claimLocked moves up to limit pending leases, bounded by the worker's
@@ -404,13 +392,13 @@ func (r *Remote) claimLocked(w *workerEntry, limit int) []*lease {
 	return claim
 }
 
-// ReportEpoch relays one epoch-boundary observation to the trial's
+// reportEpoch relays one epoch-boundary observation to the trial's
 // observer (PipeTune's pipelined controller, running daemon-side) and
 // returns its directive. A revoked directive tells the worker to abandon
 // the trial. The lease id arrives as a view into the frame buffer, and
 // indexing the map through string(leaseID) lets the compiler skip the
 // string allocation.
-func (r *Remote) ReportEpoch(workerID string, leaseID []byte, attempt int, s trainer.EpochStats) (EpochDirective, error) {
+func (r *Remote) reportEpoch(workerID string, leaseID []byte, attempt int, s trainer.EpochStats) (EpochDirective, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	l := r.leases[string(leaseID)]
@@ -418,7 +406,6 @@ func (r *Remote) ReportEpoch(workerID string, leaseID []byte, attempt int, s tra
 	if w == nil || w.state != workerActive {
 		return EpochDirective{Revoked: true}, ErrUnknownWorker
 	}
-	w.lastBeat = r.cfg.now()
 	if l == nil || l.state != leaseLeased || l.worker != workerID || l.attempt != attempt {
 		return EpochDirective{Revoked: true}, nil
 	}
@@ -451,12 +438,12 @@ func (r *Remote) ReportEpoch(workerID string, leaseID []byte, attempt int, s tra
 	return l.lastDirective, nil
 }
 
-// Complete commits a finished trial body — at most once: the lease must
+// complete commits a finished trial body — at most once: the lease must
 // still be assigned to this worker at this attempt. Evicted-and-requeued
 // leases, cancelled jobs and duplicate commits all land in
 // ErrLeaseRevoked, and the stale result is discarded. leaseID is a frame
-// view, as in ReportEpoch.
-func (r *Remote) Complete(workerID string, leaseID []byte, attempt int, res *trainer.Result, errMsg string, abandoned bool) error {
+// view, as in reportEpoch.
+func (r *Remote) complete(workerID string, leaseID []byte, attempt int, res *trainer.Result, errMsg string, abandoned bool) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	l := r.leases[string(leaseID)]
@@ -464,7 +451,6 @@ func (r *Remote) Complete(workerID string, leaseID []byte, attempt int, res *tra
 	if w == nil || w.state != workerActive {
 		return ErrUnknownWorker
 	}
-	w.lastBeat = r.cfg.now()
 	if l == nil || l.state != leaseLeased || l.worker != workerID || l.attempt != attempt {
 		return ErrLeaseRevoked
 	}
@@ -536,37 +522,6 @@ func (r *Remote) requeueLocked(l *lease) {
 // it is declared poison and failed.
 const maxLeaseAttempts = 5
 
-// reaper evicts workers that miss MissedHeartbeats consecutive
-// intervals, requeueing their leases at the head of the queue (attempt
-// bumped, so the evicted worker's late reports are void).
-func (r *Remote) reaper() {
-	defer close(r.reaperDone)
-	t := time.NewTicker(r.cfg.HeartbeatInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.stopReaper:
-			return
-		case <-t.C:
-			r.evictStale()
-		}
-	}
-}
-
-// evictStale scans the registry once; split out for tests.
-func (r *Remote) evictStale() {
-	horizon := time.Duration(r.cfg.MissedHeartbeats) * r.cfg.HeartbeatInterval
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	now := r.cfg.now()
-	for _, w := range r.workers {
-		if w.state != workerActive || now.Sub(w.lastBeat) <= horizon {
-			continue
-		}
-		r.evictLocked(w, fmt.Sprintf("missed %d heartbeats", r.cfg.MissedHeartbeats))
-	}
-}
-
 // evictLocked removes a worker from duty and requeues its in-flight
 // leases via requeueLocked (attempt bumped — late reports from the
 // evicted worker no longer match and are rejected; cancelled or
@@ -619,41 +574,57 @@ const maxEvictedRetained = 32
 func (r *Remote) Drain(timeout time.Duration) {
 	r.mu.Lock()
 	if !r.draining {
-		r.draining = true
-		for _, l := range r.pending {
-			r.terminalizeLocked(l, nil, ErrDraining)
-		}
-		r.pending = nil
-		r.cond.Broadcast()
 		r.cfg.Logf("exec: draining (timeout %v): %d in-flight lease(s)", timeout, r.leasedCountLocked())
+		r.drainLocked()
+	}
+	var inflight []*lease
+	for _, l := range r.leases {
+		if !l.terminal() {
+			inflight = append(inflight, l)
+		}
 	}
 	r.mu.Unlock()
 
-	deadline := time.Now().Add(timeout)
-	for {
-		r.mu.Lock()
-		outstanding := 0
-		for _, l := range r.leases {
-			if !l.terminal() {
-				outstanding++
-			}
+	// No lease turns pending again while draining (requeues fail), so
+	// waiting on the in-flight set is waiting on everything.
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+wait:
+	for _, l := range inflight {
+		select {
+		case <-l.done:
+		case <-deadline.C:
+			break wait
 		}
-		r.mu.Unlock()
-		if outstanding == 0 || !time.Now().Before(deadline) {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 
-	// Whatever is still live — in-flight past the deadline, or requeued
-	// by an eviction that raced the drain — fails now.
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.failOutstandingLocked()
+}
+
+// drainLocked stops lease issuance: queued leases fail with ErrDraining
+// (no worker will ever be granted them) and the granters wake to tell
+// their workers. Callers hold r.mu.
+func (r *Remote) drainLocked() {
+	r.draining = true
+	for _, l := range r.pending {
+		r.terminalizeLocked(l, nil, ErrDraining)
+	}
+	r.pending = nil
+	r.cond.Broadcast()
+}
+
+// failOutstandingLocked fails every lease that is not yet terminal —
+// in flight past the drain deadline, or still live at Close — with
+// ErrDraining. Callers hold r.mu.
+func (r *Remote) failOutstandingLocked() {
 	for _, l := range r.leases {
 		if !l.terminal() {
 			r.terminalizeLocked(l, nil, ErrDraining)
 		}
 	}
+	r.pending = nil
 }
 
 // leasedCountLocked counts leases currently on workers. Callers hold
@@ -668,31 +639,28 @@ func (r *Remote) leasedCountLocked() int {
 	return n
 }
 
-// Close stops the reaper and fails anything still outstanding. Call
-// after Drain (or alone, for an abrupt stop).
+// Close fails anything still outstanding and severs every stream. Call
+// after Drain (or alone, for an abrupt stop). Idempotent.
 func (r *Remote) Close() {
 	r.mu.Lock()
-	if !r.closed {
-		r.closed = true
-		for _, l := range r.leases {
-			if !l.terminal() {
-				r.terminalizeLocked(l, nil, ErrDraining)
-			}
-		}
-		r.pending = nil
-		// Sever every stream so blocked session readers unwind;
-		// their workers' reconnect attempts are refused while closed.
-		for _, w := range r.workers {
-			if w.closeStream != nil {
-				w.closeStream()
-				w.closeStream = nil
-			}
-		}
-		r.cond.Broadcast()
-		close(r.stopReaper)
+	defer r.mu.Unlock()
+	if r.closed {
+		return
 	}
-	r.mu.Unlock()
-	<-r.reaperDone
+	r.closed = true
+	r.failOutstandingLocked()
+	// Sever every stream so blocked session readers unwind; their
+	// workers' reconnect attempts are refused while closed. The workers
+	// are evicted already, so an unwinding reader's eviction is a no-op:
+	// nothing is logged after Close.
+	for _, w := range r.workers {
+		w.state = workerEvicted
+		if w.closeStream != nil {
+			w.closeStream()
+			w.closeStream = nil
+		}
+	}
+	r.cond.Broadcast()
 }
 
 // SetClusterStatus records the simulated cluster's node-class composition

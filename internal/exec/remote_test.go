@@ -15,39 +15,36 @@ import (
 	"pipetune/internal/workload"
 )
 
-// testClock is an injectable clock so eviction tests need no sleeping.
-type testClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func newTestClock() *testClock { return &testClock{now: time.Unix(1000, 0)} }
-
-func (c *testClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *testClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
-}
-
-// newTestRemote builds a backend on a fake clock with a fast reaper.
-func newTestRemote(t *testing.T, clock *testClock) *Remote {
+// newTestRemote builds a backend for tests that drive the lease manager
+// directly: with no stream there is no read deadline, so a worker leaves
+// only when the test evicts it.
+func newTestRemote(t *testing.T) *Remote {
 	t.Helper()
-	cfg := RemoteConfig{
-		HeartbeatInterval: 50 * time.Millisecond,
-		MissedHeartbeats:  3,
-	}
-	if clock != nil {
-		cfg.now = clock.Now
-	}
-	r := NewRemote(cfg)
+	r := NewRemote(RemoteConfig{})
 	t.Cleanup(r.Close)
 	return r
+}
+
+// waitFor parks on r.cond until cond — called with r.mu held — holds,
+// failing the test after 5s.
+func waitFor(t *testing.T, r *Remote, what string, cond func() bool) {
+	t.Helper()
+	expired := false
+	wake := time.AfterFunc(5*time.Second, func() {
+		r.mu.Lock()
+		expired = true
+		r.cond.Broadcast()
+		r.mu.Unlock()
+	})
+	defer wake.Stop()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for !cond() {
+		if expired {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		r.cond.Wait()
+	}
 }
 
 // fakeResult fabricates a completed trial body.
@@ -122,35 +119,21 @@ func tryLeaseLocked(r *Remote, workerID string) (*Assignment, error) {
 // test on error or after 5s.
 func leaseOne(t *testing.T, r *Remote, workerID string) *Assignment {
 	t.Helper()
-	expired := false
-	wake := time.AfterFunc(5*time.Second, func() {
-		r.mu.Lock()
-		expired = true
-		r.cond.Broadcast()
-		r.mu.Unlock()
-	})
-	defer wake.Stop()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for {
-		asg, err := tryLeaseLocked(r, workerID)
-		if err != nil {
+	var asg *Assignment
+	waitFor(t, r, "a lease for "+workerID, func() bool {
+		var err error
+		if asg, err = tryLeaseLocked(r, workerID); err != nil {
 			t.Fatalf("lease for %s: %v", workerID, err)
 		}
-		if asg != nil {
-			return asg
-		}
-		if expired {
-			t.Fatalf("lease for %s: no assignment before deadline", workerID)
-		}
-		r.cond.Wait()
-	}
+		return asg != nil
+	})
+	return asg
 }
 
 // register admits a worker and returns its id.
 func register(t *testing.T, r *Remote, name string, capacity int) string {
 	t.Helper()
-	id, err := r.Register(name, capacity)
+	id, err := r.register(name, capacity)
 	if err != nil {
 		t.Fatalf("register %s: %v", name, err)
 	}
@@ -160,15 +143,15 @@ func register(t *testing.T, r *Remote, name string, capacity int) string {
 // commit and reportEpoch drive the two inbound lease operations with the
 // frame-view lease id the stream dispatcher passes.
 func commit(r *Remote, workerID string, asg *Assignment, attempt int, res *trainer.Result) error {
-	return r.Complete(workerID, []byte(asg.LeaseID), attempt, res, "", false)
+	return r.complete(workerID, []byte(asg.LeaseID), attempt, res, "", false)
 }
 
 func reportEpoch(r *Remote, workerID string, asg *Assignment, attempt, epoch int) (EpochDirective, error) {
-	return r.ReportEpoch(workerID, []byte(asg.LeaseID), attempt, trainer.EpochStats{Epoch: epoch})
+	return r.reportEpoch(workerID, []byte(asg.LeaseID), attempt, trainer.EpochStats{Epoch: epoch})
 }
 
 func TestRemoteLeaseLifecycle(t *testing.T) {
-	r := newTestRemote(t, nil)
+	r := newTestRemote(t)
 	done := runAsync(context.Background(), r, mkTrials(2))
 
 	w := register(t, r, "w1", 1)
@@ -201,7 +184,7 @@ func TestRemoteLeaseLifecycle(t *testing.T) {
 // TestRemoteCapacityBound pins that a worker never holds more leases
 // than its capacity.
 func TestRemoteCapacityBound(t *testing.T) {
-	r := newTestRemote(t, nil)
+	r := newTestRemote(t)
 	done := runAsync(context.Background(), r, mkTrials(3))
 
 	w := register(t, r, "w1", 2)
@@ -223,13 +206,12 @@ func TestRemoteCapacityBound(t *testing.T) {
 }
 
 // TestRemoteEvictionRequeuesMidTrial is the worker-crash regression: a
-// worker leases a trial, goes silent mid-trial, is evicted after K
-// missed heartbeats, the lease is requeued (observer state reset), a
-// second worker completes it, and the job gets the right result. The
-// dead worker's late commit is rejected — at-most-once.
+// worker leases a trial and is evicted mid-trial, the lease is requeued
+// (observer state reset), a second worker completes it, and the job gets
+// the right result. The dead worker's late commit is rejected —
+// at-most-once.
 func TestRemoteEvictionRequeuesMidTrial(t *testing.T) {
-	clock := newTestClock()
-	r := newTestRemote(t, clock)
+	r := newTestRemote(t)
 
 	resets := 0
 	trials := mkTrials(1)
@@ -239,10 +221,9 @@ func TestRemoteEvictionRequeuesMidTrial(t *testing.T) {
 	w1 := register(t, r, "dies", 1)
 	asg1 := leaseOne(t, r, w1)
 
-	// w1 goes silent: three missed 50ms heartbeats pass on the fake
-	// clock, and the next reaper scan evicts it.
-	clock.Advance(200 * time.Millisecond)
-	r.evictStale()
+	// w1's stream ends (TestStreamSilenceEvicts drives that over a real
+	// socket).
+	r.evictWorker(w1, "stream closed")
 	fs := r.Fleet()
 	if len(fs.Workers) != 1 || fs.Workers[0].State != "evicted" {
 		t.Fatalf("worker not evicted: %+v", fs.Workers)
@@ -286,7 +267,7 @@ func TestRemoteEvictionRequeuesMidTrial(t *testing.T) {
 // cannot double-apply: the first wins, the second is rejected, the
 // result is unchanged.
 func TestRemoteDuplicateCommit(t *testing.T) {
-	r := newTestRemote(t, nil)
+	r := newTestRemote(t)
 	done := runAsync(context.Background(), r, mkTrials(1))
 	w := register(t, r, "w1", 1)
 	asg := leaseOne(t, r, w)
@@ -305,7 +286,7 @@ func TestRemoteDuplicateCommit(t *testing.T) {
 // TestRemoteObserverStreaming pins the pipelined-tuning path: epoch
 // reports reach the trial's observer and its directives flow back.
 func TestRemoteObserverStreaming(t *testing.T) {
-	r := newTestRemote(t, nil)
+	r := newTestRemote(t)
 	var observed []int
 	next := params.SysConfig{Cores: 16, MemoryGB: 32}
 	trials := mkTrials(1)
@@ -358,14 +339,12 @@ func TestRemoteObserverStreaming(t *testing.T) {
 // whatever outlives it fails with ErrDraining, and new batches are
 // refused.
 func TestRemoteDrain(t *testing.T) {
-	// The fake clock keeps the reaper quiet: no surprise eviction while
-	// the test deliberately lets a lease dangle through the drain window.
-	r := newTestRemote(t, newTestClock())
+	r := newTestRemote(t)
 	done := runAsync(context.Background(), r, mkTrials(3))
 
 	w := register(t, r, "w1", 2)
 	asgA := leaseOne(t, r, w)
-	asgB := leaseOne(t, r, w) // trial 2 stays pending
+	leaseOne(t, r, w) // trial 2 stays pending
 
 	drained := make(chan struct{})
 	go func() {
@@ -374,17 +353,11 @@ func TestRemoteDrain(t *testing.T) {
 	}()
 
 	// In-flight work may still commit during the drain window...
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if err := commit(r, w, asgA, 1, fakeResult(1)); err == nil {
-			break
-		} else if !time.Now().Before(deadline) {
-			t.Fatalf("in-flight commit during drain never succeeded: %v", err)
-		}
-		time.Sleep(5 * time.Millisecond)
+	waitFor(t, r, "the drain to start", func() bool { return r.draining })
+	if err := commit(r, w, asgA, 1, fakeResult(1)); err != nil {
+		t.Fatalf("in-flight commit during drain: %v", err)
 	}
-	// ...while asgB is abandoned (the worker never commits it).
-	_ = asgB
+	// ...while the second lease is abandoned (the worker never commits it).
 	<-drained
 
 	out := <-done
@@ -414,7 +387,7 @@ func TestRemoteDrain(t *testing.T) {
 // and its commit is salvaged — exactly the knowledge-preservation path
 // tune's OnTrialDone relies on.
 func TestRemoteRunCancellation(t *testing.T) {
-	r := newTestRemote(t, newTestClock())
+	r := newTestRemote(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := runAsync(ctx, r, mkTrials(2))
 
@@ -442,8 +415,7 @@ func TestRemoteRunCancellation(t *testing.T) {
 // abandons) must fail with the job's error — requeueing it would burn a
 // worker on a job nobody is waiting for.
 func TestRemoteCancelledLeaseFailsInsteadOfRequeueing(t *testing.T) {
-	clock := newTestClock()
-	r := newTestRemote(t, clock)
+	r := newTestRemote(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := runAsync(ctx, r, mkTrials(1))
 
@@ -454,22 +426,11 @@ func TestRemoteCancelledLeaseFailsInsteadOfRequeueing(t *testing.T) {
 	// eviction racing ahead of the cancellation requeues first and the
 	// abandon then fails the pending lease — same outcome, but this test
 	// pins the direct fail-instead-of-requeue path.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		r.mu.Lock()
+	waitFor(t, r, "the cancellation to mark the lease", func() bool {
 		l := r.leases[asg.LeaseID]
-		marked := l != nil && l.cancelled
-		r.mu.Unlock()
-		if marked {
-			break
-		}
-		if !time.Now().Before(deadline) {
-			t.Fatal("cancellation never marked the lease")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	clock.Advance(time.Second)
-	r.evictStale()
+		return l != nil && l.cancelled
+	})
+	r.evictWorker(w, "stream closed")
 	out := <-done
 	if !errors.Is(out.errs[0], context.Canceled) {
 		t.Fatalf("cancelled lease after eviction: %v, want context.Canceled", out.errs[0])
@@ -485,7 +446,7 @@ func TestRemoteCancelledLeaseFailsInsteadOfRequeueing(t *testing.T) {
 // bumped), and another worker finishes the trial — no waiting for the
 // abandoning worker's eviction.
 func TestRemoteAbandonedCommitRequeues(t *testing.T) {
-	r := newTestRemote(t, newTestClock())
+	r := newTestRemote(t)
 	resets := 0
 	trials := mkTrials(1)
 	trials[0].Restart = func() { resets++ }
@@ -493,7 +454,7 @@ func TestRemoteAbandonedCommitRequeues(t *testing.T) {
 
 	w1 := register(t, r, "gives-up", 1)
 	asg1 := leaseOne(t, r, w1)
-	if err := r.Complete(w1, []byte(asg1.LeaseID), 1, nil, "", true); err != nil {
+	if err := r.complete(w1, []byte(asg1.LeaseID), 1, nil, "", true); err != nil {
 		t.Fatalf("abandon commit: %v", err)
 	}
 	if resets != 1 {
@@ -522,11 +483,11 @@ func TestRemoteAbandonedCommitRequeues(t *testing.T) {
 // TestRemoteWorkerError pins that a worker-side trial failure fails the
 // trial (and with it the job), rather than hanging the batch.
 func TestRemoteWorkerError(t *testing.T) {
-	r := newTestRemote(t, nil)
+	r := newTestRemote(t)
 	done := runAsync(context.Background(), r, mkTrials(1))
 	w := register(t, r, "w1", 1)
 	asg := leaseOne(t, r, w)
-	if err := r.Complete(w, []byte(asg.LeaseID), 1, nil, "boom", false); err != nil {
+	if err := r.complete(w, []byte(asg.LeaseID), 1, nil, "boom", false); err != nil {
 		t.Fatal(err)
 	}
 	out := <-done
@@ -535,13 +496,13 @@ func TestRemoteWorkerError(t *testing.T) {
 	}
 }
 
-// TestRemoteConcurrentLeaseCompleteHeartbeat is the -race exercise the
-// acceptance criteria ask for: many workers lease, report, complete and
-// heartbeat concurrently while batches run, workers get evicted and the
-// fleet is snapshotted.
+// TestRemoteConcurrentLeaseCompleteHeartbeat is the -race exercise of
+// the lease manager: many workers lease, report and complete
+// concurrently while batches run, workers get evicted and the fleet is
+// snapshotted. TestLeaseSchedules checks the invariants of the same
+// operations over seeded interleavings; this test is for the detector.
 func TestRemoteConcurrentLeaseCompleteHeartbeat(t *testing.T) {
-	clock := newTestClock()
-	r := newTestRemote(t, clock)
+	r := newTestRemote(t)
 
 	const (
 		batches        = 4
@@ -551,13 +512,18 @@ func TestRemoteConcurrentLeaseCompleteHeartbeat(t *testing.T) {
 	var committed atomic.Int64
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	// Each commit offers its worker to the churn goroutine, which evicts
+	// every workers-th one it is offered: evictions race live lease
+	// traffic, paced by progress instead of a clock, and stay too rare
+	// for any trial to reach the attempt cap.
+	churn := make(chan string, workers)
 
-	// Worker fleet: lease/report/complete loops plus heartbeats.
+	// Worker fleet: lease/report/complete loops.
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			reg, err := r.Register(fmt.Sprintf("w%d", i), 2)
+			reg, err := r.register(fmt.Sprintf("w%d", i), 2)
 			if err != nil {
 				return
 			}
@@ -570,13 +536,12 @@ func TestRemoteConcurrentLeaseCompleteHeartbeat(t *testing.T) {
 				asg, err := tryLease(r, reg)
 				if err != nil {
 					// Evicted by the churn goroutine: re-register.
-					reg, err = r.Register(fmt.Sprintf("w%d", i), 2)
+					reg, err = r.register(fmt.Sprintf("w%d", i), 2)
 					if err != nil {
 						return
 					}
 					continue
 				}
-				_ = r.Heartbeat(reg)
 				if asg == nil {
 					continue
 				}
@@ -585,24 +550,28 @@ func TestRemoteConcurrentLeaseCompleteHeartbeat(t *testing.T) {
 				}
 				if err := commit(r, reg, asg, asg.Attempt, fakeResult(1)); err == nil {
 					committed.Add(1)
+					select {
+					case churn <- reg:
+					default:
+					}
 				}
 			}
 		}(i)
 	}
-	// Churn: advance the clock and reap, racing eviction against live
-	// lease traffic; snapshot the fleet concurrently.
+	// Churn: evict, racing eviction against live lease traffic, and
+	// snapshot the fleet concurrently.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for {
+		for n := 0; ; n++ {
 			select {
 			case <-stop:
 				return
-			default:
-				clock.Advance(120 * time.Millisecond)
-				r.evictStale()
+			case reg := <-churn:
+				if n%workers == 0 {
+					r.evictWorker(reg, "churn")
+				}
 				_ = r.Fleet()
-				time.Sleep(2 * time.Millisecond)
 			}
 		}
 	}()
@@ -632,13 +601,11 @@ func TestRemoteConcurrentLeaseCompleteHeartbeat(t *testing.T) {
 // flapping worker mints a new id per re-registration, so only the most
 // recent evicted entries may be retained for the fleet surfaces.
 func TestRemoteEvictedRegistryBounded(t *testing.T) {
-	clock := newTestClock()
-	r := newTestRemote(t, clock)
+	r := newTestRemote(t)
 	for i := 0; i < maxEvictedRetained+8; i++ {
 		reg := register(t, r, fmt.Sprintf("flappy-%d", i), 1)
-		clock.Advance(time.Second)
-		r.evictStale()
-		if err := r.Heartbeat(reg); !errors.Is(err, ErrUnknownWorker) {
+		r.evictWorker(reg, "stream closed")
+		if _, err := tryLease(r, reg); !errors.Is(err, ErrUnknownWorker) {
 			t.Fatalf("worker %d not evicted: %v", i, err)
 		}
 	}
@@ -653,8 +620,7 @@ func TestRemoteEvictedRegistryBounded(t *testing.T) {
 // worker processes) is failed after maxLeaseAttempts requeues instead
 // of consuming the fleet forever.
 func TestRemotePoisonTrialFailsAfterAttemptCap(t *testing.T) {
-	clock := newTestClock()
-	r := newTestRemote(t, clock)
+	r := newTestRemote(t)
 	done := runAsync(context.Background(), r, mkTrials(1))
 
 	for i := 0; ; i++ {
@@ -680,8 +646,7 @@ func TestRemotePoisonTrialFailsAfterAttemptCap(t *testing.T) {
 		if asg.Attempt != i+1 {
 			t.Fatalf("eviction %d: attempt %d, want %d", i, asg.Attempt, i+1)
 		}
-		clock.Advance(time.Second)
-		r.evictStale()
+		r.evictWorker(w, "stream closed")
 	}
 	out := <-done
 	if out.errs[0] == nil || !strings.Contains(out.errs[0].Error(), "lost its worker") {
@@ -693,7 +658,7 @@ func TestRemotePoisonTrialFailsAfterAttemptCap(t *testing.T) {
 // network-delayed report for an older epoch (its retry was already
 // processed) must not reach the observer again.
 func TestRemoteStaleEpochReportIgnored(t *testing.T) {
-	r := newTestRemote(t, newTestClock())
+	r := newTestRemote(t)
 	var observed []int
 	trials := mkTrials(1)
 	trials[0].Observer = trainer.ObserverFunc(func(_ uint64, _ workload.Workload, _ params.Hyper, s trainer.EpochStats) *params.SysConfig {

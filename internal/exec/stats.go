@@ -187,16 +187,16 @@ func (r *Remote) ingestSeriesLocked(w *workerEntry, cur WorkerSeries) {
 	w.series = cur
 }
 
-// IngestWorkerSeries records a heartbeat-shipped snapshot (a Stats
+// ingestWorkerSeries records a heartbeat-shipped snapshot (a Stats
 // frame) from an active worker.
-func (r *Remote) IngestWorkerSeries(workerID string, s WorkerSeries) error {
+func (r *Remote) ingestWorkerSeries(workerID string, s WorkerSeries) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	w := r.workers[workerID]
 	if w == nil || w.state != workerActive {
 		return ErrUnknownWorker
 	}
-	w.lastBeat = r.cfg.now()
 	r.ingestSeriesLocked(w, s)
+	r.cond.Broadcast()
 	return nil
 }

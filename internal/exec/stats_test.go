@@ -75,7 +75,7 @@ func sumSummaryCount(t *testing.T, reg *metrics.Registry, name string) uint64 {
 // re-registered worker restarts from a zero baseline without double
 // counting, and stale (regressed) snapshots are ignored.
 func TestIngestWorkerSeriesDeltas(t *testing.T) {
-	r := newTestRemote(t, nil)
+	r := newTestRemote(t)
 	reg := r.MetricsRegistry()
 	w1 := register(t, r, "w1", 1)
 
@@ -87,10 +87,10 @@ func TestIngestWorkerSeriesDeltas(t *testing.T) {
 		return WorkerSeries{Trials: trials, Epochs: epochs, TrialSeconds: d.Snapshot()}
 	}
 
-	if err := r.IngestWorkerSeries(w1, snap(2, 4, 0.1, 0.2)); err != nil {
+	if err := r.ingestWorkerSeries(w1, snap(2, 4, 0.1, 0.2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.IngestWorkerSeries(w1, snap(3, 6, 0.1, 0.2, 0.3)); err != nil {
+	if err := r.ingestWorkerSeries(w1, snap(3, 6, 0.1, 0.2, 0.3)); err != nil {
 		t.Fatal(err)
 	}
 	if got := sumCounterFamily(t, reg, "pipetune_worker_trials_total"); got != 3 {
@@ -105,7 +105,7 @@ func TestIngestWorkerSeriesDeltas(t *testing.T) {
 
 	// A regressed snapshot (e.g. duplicated delivery of an older beat)
 	// must not subtract or re-add.
-	if err := r.IngestWorkerSeries(w1, snap(1, 2, 0.1)); err != nil {
+	if err := r.ingestWorkerSeries(w1, snap(1, 2, 0.1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := sumCounterFamily(t, reg, "pipetune_worker_trials_total"); got != 3 {
@@ -115,7 +115,7 @@ func TestIngestWorkerSeriesDeltas(t *testing.T) {
 	// Re-registration: same name, fresh session, cumulative restart at
 	// zero. The fleet aggregate must only grow by the new session's work.
 	r.evictWorker(w1, "test")
-	if err := r.IngestWorkerSeries(register(t, r, "w1", 1), snap(2, 4, 0.5, 0.6)); err != nil {
+	if err := r.ingestWorkerSeries(register(t, r, "w1", 1), snap(2, 4, 0.5, 0.6)); err != nil {
 		t.Fatal(err)
 	}
 	if got := sumCounterFamily(t, reg, "pipetune_worker_trials_total"); got != 5 {
@@ -123,7 +123,7 @@ func TestIngestWorkerSeriesDeltas(t *testing.T) {
 	}
 
 	// Unknown workers are rejected.
-	if err := r.IngestWorkerSeries("nope", snap(1, 1)); err == nil {
+	if err := r.ingestWorkerSeries("nope", snap(1, 1)); err == nil {
 		t.Fatal("unknown worker must be rejected")
 	}
 }
@@ -135,7 +135,7 @@ func TestIngestWorkerSeriesDeltas(t *testing.T) {
 // torn read that let a scraper using trials as its "all delivered"
 // barrier see epochs arrive late.
 func TestIngestIsAtomicToScrapes(t *testing.T) {
-	r := newTestRemote(t, nil)
+	r := newTestRemote(t)
 	reg := r.MetricsRegistry()
 	w1 := register(t, r, "w1", 1)
 	const beats = 3000
@@ -145,7 +145,7 @@ func TestIngestIsAtomicToScrapes(t *testing.T) {
 		for n := uint64(1); n <= beats; n++ {
 			epochs.Observe(0.01)
 			s := WorkerSeries{Trials: n, Epochs: n, TrainEpochSeconds: epochs.Snapshot()}
-			if err := r.IngestWorkerSeries(w1, s); err != nil {
+			if err := r.ingestWorkerSeries(w1, s); err != nil {
 				done <- err
 				return
 			}
@@ -215,7 +215,7 @@ func TestWorkerSeriesShipOverStream(t *testing.T) {
 		}
 	}
 	reg := r.MetricsRegistry()
-	waitFor(t, "the fleet aggregates to converge", func() bool {
+	waitFor(t, r, "the fleet aggregates to converge", func() bool {
 		return sumCounterFamily(t, reg, "pipetune_worker_trials_total") == 4 &&
 			sumSummaryCount(t, reg, "pipetune_worker_trial_seconds") == 4
 	})

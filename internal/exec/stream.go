@@ -7,22 +7,25 @@ package exec
 //   - the *granter* goroutine pushes lease batches the moment the worker
 //     has free slots and the queue has work, and one Grant frame carries
 //     up to (capacity − inflight) assignments;
-//   - the session *reader* dispatches the worker's frames: Heartbeat
-//     refreshes liveness, Epoch observations go to the trial's observer
-//     (whose Directive is written straight back, keeping pipelined
-//     mid-trial tuning at stream latency), Complete commits results
-//     at-most-once and is answered with an Ack.
+//   - the session *reader* dispatches the worker's frames: Epoch
+//     observations go to the trial's observer (whose Directive is
+//     written straight back, keeping pipelined mid-trial tuning at
+//     stream latency), Complete commits results at-most-once and is
+//     answered with an Ack, Stats fold into the fleet series.
 //
 // Backpressure is implicit in the lease accounting: the daemon never has
 // more than `capacity` assignments outstanding per worker, so the worker
 // needs no receive-window machinery — a Grant frame always fits the
 // slots it already advertised.
 //
-// Failure semantics: a dead connection, a torn frame, or a CRC mismatch
-// all end the session and evict the worker through the same requeue
-// path a missed-heartbeat eviction takes; and when the reaper evicts a
-// worker (alive but partitioned), eviction severs the connection so the
-// session cannot linger half-dead.
+// Liveness is the stream's: the reader's read deadline is
+// MissedHeartbeats × HeartbeatInterval, renewed by every frame the worker
+// sends (Heartbeat frames exist only to keep an idle worker talking). A
+// silent worker, a dead connection, a torn frame and a CRC mismatch all
+// end the session the same way — the reader returns and evicts the
+// worker, requeueing its leases. An eviction from elsewhere (a failed
+// grant write, Close) severs the connection so the session cannot linger
+// half-dead.
 
 import (
 	"bufio"
@@ -31,6 +34,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"time"
 
 	"pipetune/internal/params"
@@ -60,8 +64,8 @@ func (r *Remote) handleStream(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	// The server's read/write deadlines (if any) outlive the hijack;
-	// clear them — the stream manages its own handshake deadline, and
-	// liveness afterwards is the heartbeat/eviction protocol's job.
+	// clear them — the stream sets its own, for the handshake and then
+	// for liveness.
 	_ = conn.SetDeadline(time.Time{})
 	fmt.Fprintf(rw.Writer, "HTTP/1.1 101 Switching Protocols\r\nUpgrade: %s\r\nConnection: Upgrade\r\n\r\n", streamUpgradeProto)
 	if err := rw.Writer.Flush(); err != nil {
@@ -92,9 +96,8 @@ func (r *Remote) serveStream(conn net.Conn, br *bufio.Reader) {
 	if err != nil {
 		return
 	}
-	_ = conn.SetReadDeadline(time.Time{})
 
-	workerID, err := r.Register(name, capacity)
+	workerID, err := r.register(name, capacity)
 	if err != nil {
 		return // closed: the dropped conn tells the worker to back off
 	}
@@ -113,11 +116,18 @@ func (r *Remote) serveStream(conn net.Conn, br *bufio.Reader) {
 
 	go r.grantLoop(fw, workerID)
 
+	horizon := time.Duration(r.cfg.MissedHeartbeats) * r.cfg.HeartbeatInterval
 	why := "stream closed"
 	for {
+		now := time.Now()
+		r.heardFrom(workerID, now)
+		_ = conn.SetReadDeadline(now.Add(horizon))
 		ft, p, err := readFrame(br, &scratch)
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+			switch {
+			case errors.Is(err, os.ErrDeadlineExceeded):
+				why = fmt.Sprintf("silent for %d heartbeat intervals", r.cfg.MissedHeartbeats)
+			case !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed):
 				why = fmt.Sprintf("stream read: %v", err)
 			}
 			break
@@ -129,10 +139,9 @@ func (r *Remote) serveStream(conn net.Conn, br *bufio.Reader) {
 			break
 		}
 	}
-	// However the session ended — clean close, transport death, corrupt
-	// frame — the worker is gone as far as this registration is
-	// concerned: evict it so its leases requeue NOW (the stream is a
-	// faster liveness signal than waiting out missed heartbeats).
+	// However the session ended — silence, clean close, transport death,
+	// corrupt frame — the worker is gone as far as this registration is
+	// concerned: evict it so its leases requeue now.
 	r.evictWorker(workerID, why)
 }
 
@@ -141,17 +150,14 @@ func (r *Remote) serveStream(conn net.Conn, br *bufio.Reader) {
 func (r *Remote) dispatchFrame(fw *frameWriter, workerID string, ft byte, p []byte) error {
 	switch ft {
 	case frameHeartbeat:
-		if err := r.Heartbeat(workerID); err != nil {
-			return fmt.Errorf("heartbeat rejected: %v", err)
-		}
-		return nil
+		return nil // its arrival renewed the read deadline; that is all it is for
 
 	case frameStats:
 		s, err := decodeStats(p)
 		if err != nil {
 			return fmt.Errorf("corrupt stats frame: %v", err)
 		}
-		if err := r.IngestWorkerSeries(workerID, s); err != nil {
+		if err := r.ingestWorkerSeries(workerID, s); err != nil {
 			return fmt.Errorf("stats rejected: %v", err)
 		}
 		return nil
@@ -161,7 +167,7 @@ func (r *Remote) dispatchFrame(fw *frameWriter, workerID string, ft byte, p []by
 		if err != nil {
 			return fmt.Errorf("corrupt epoch frame: %v", err)
 		}
-		dir, err := r.ReportEpoch(workerID, leaseID, attempt, stats)
+		dir, err := r.reportEpoch(workerID, leaseID, attempt, stats)
 		if err != nil {
 			return fmt.Errorf("epoch report rejected: %v", err)
 		}
@@ -192,7 +198,7 @@ func (r *Remote) dispatchFrame(fw *frameWriter, workerID string, ft byte, p []by
 			// or post-cancellation commit.
 			code = ackSuperseded
 		} else {
-			switch err := r.Complete(workerID, leaseID, attempt, res, errMsg, status == completeAbandoned); {
+			switch err := r.complete(workerID, leaseID, attempt, res, errMsg, status == completeAbandoned); {
 			case errors.Is(err, ErrLeaseRevoked):
 				code = ackSuperseded
 			case errors.Is(err, ErrUnknownWorker):
@@ -286,9 +292,19 @@ func (r *Remote) bindStream(workerID string, closeFn func()) bool {
 	return true
 }
 
+// heardFrom stamps when the stream last heard from the worker, for the
+// fleet surfaces' LastHeartbeat.
+func (r *Remote) heardFrom(workerID string, now time.Time) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if w := r.workers[workerID]; w != nil {
+		w.lastBeat = now
+	}
+}
+
 // evictWorker evicts by id — the stream session's exit path. Idempotent:
-// a worker already evicted (reaper, Close, a racing session error) is
-// left as is.
+// a worker already evicted (Close, a failed grant write, a racing
+// session error) is left as is.
 func (r *Remote) evictWorker(workerID, why string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

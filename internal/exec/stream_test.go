@@ -179,14 +179,65 @@ func (w *handWorker) commit(t *testing.T, asg Assignment, res *trainer.Result) {
 	}
 }
 
+// TestStreamSilenceEvicts pins liveness at the stream: a worker that
+// holds a lease and stops sending is evicted once MissedHeartbeats ×
+// HeartbeatInterval has passed without a frame — not before — and its
+// lease is granted to the next worker at attempt 2.
+func TestStreamSilenceEvicts(t *testing.T) {
+	const beat, missed = 50 * time.Millisecond, 3
+	r := NewRemote(RemoteConfig{HeartbeatInterval: beat, MissedHeartbeats: missed, Logf: t.Logf})
+	t.Cleanup(r.Close)
+	srv := httptest.NewServer(r.Handler())
+	t.Cleanup(srv.Close)
+
+	start := time.Now()
+	silent := dialHandWorker(t, srv.URL, "silent", 1)
+	runAsync(context.Background(), r, mkTrials(1)) // Close fails it at cleanup
+	silent.expect(t, frameGrant)
+	waitFor(t, r, "the silent worker's eviction", func() bool { return r.met.evictions.Value() == 1 })
+	if waited := time.Since(start); waited < missed*beat {
+		t.Fatalf("evicted after %v, before the %v horizon", waited, missed*beat)
+	}
+
+	next := dialHandWorker(t, srv.URL, "next", 1)
+	asgs, err := decodeGrant(next.expect(t, frameGrant))
+	if err != nil || len(asgs) != 1 || asgs[0].Attempt != 2 {
+		t.Fatalf("grant after the eviction: %+v err %v, want the lease at attempt 2", asgs, err)
+	}
+}
+
+// TestStreamBeatingWorkerSurvives is the other side: a worker that only
+// heartbeats, never sending anything else, stays registered for ten
+// eviction horizons.
+func TestStreamBeatingWorkerSurvives(t *testing.T) {
+	const beat, missed = 20 * time.Millisecond, 5
+	r := NewRemote(RemoteConfig{HeartbeatInterval: beat, MissedHeartbeats: missed, Logf: t.Logf})
+	t.Cleanup(r.Close)
+	srv := httptest.NewServer(r.Handler())
+	t.Cleanup(srv.Close)
+
+	w := dialHandWorker(t, srv.URL, "beating", 1)
+	ticks := time.NewTicker(beat)
+	defer ticks.Stop()
+	for end := time.Now().Add(10 * missed * beat); time.Now().Before(end); {
+		<-ticks.C
+		if err := w.fw.send(frameHeartbeat, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fs := r.Fleet(); len(fs.Workers) != 1 || fs.Workers[0].State != "active" {
+		t.Fatalf("heartbeating worker after ten horizons: %+v", fs.Workers)
+	}
+}
+
 // TestCorruptFrameEvictsAndRequeues is the failure-path half of the
 // codec contract (and what FuzzFrameDecode's invariant protects): a
 // worker that sends a torn frame is evicted through the standard
 // requeue path, and its lease completes on a healthy worker — the job
 // never sees the corruption.
 func TestCorruptFrameEvictsAndRequeues(t *testing.T) {
-	// A huge missed-heartbeat budget: the corrupt frame, not the reaper,
-	// must be what evicts the misbehaving worker.
+	// A huge missed-heartbeat budget: the corrupt frame, not the read
+	// deadline, must be what evicts the misbehaving worker.
 	r := NewRemote(RemoteConfig{HeartbeatInterval: 50 * time.Millisecond, MissedHeartbeats: 100, Logf: t.Logf})
 	t.Cleanup(r.Close)
 	srv := httptest.NewServer(r.Handler())
@@ -207,9 +258,8 @@ func TestCorruptFrameEvictsAndRequeues(t *testing.T) {
 	}
 
 	// The daemon must evict the corrupt worker and requeue its lease...
-	waitFor(t, "the corrupt worker's eviction", func() bool {
-		fs := r.Fleet()
-		return fs.Workers[0].State == "evicted" && fs.RequeuedTrials >= 1
+	waitFor(t, r, "the corrupt worker's eviction", func() bool {
+		return r.met.evictions.Value() == 1 && r.met.requeues.Value() >= 1
 	})
 
 	// ...and a healthy worker picks it up and completes the job.

@@ -947,7 +947,7 @@ func (s *Service) Shutdown() {
 		s.wg.Wait()     // workers finish their current (now cancelled) jobs
 		s.drainQueued() // jobs still queued become cancelled
 		if s.cfg.Remote != nil {
-			s.cfg.Remote.Close() // stop the reaper; late worker calls get errors
+			s.cfg.Remote.Close() // sever the streams; late worker calls get errors
 		}
 		if s.persist != nil {
 			// Final compaction + WAL close. Knowledge cancelled jobs
