@@ -5,7 +5,8 @@ package pipetune
 // TestNoTestOnlyExports is the reachability census: production code that
 // no production path reads is deleted, and this test keeps it deleted. It
 // parses every Go file in the module and fails on any exported identifier
-// declared in internal/... that no non-test file refers to.
+// declared in internal/..., and on any option (With*) or *System method of
+// the root package, that no non-test file refers to.
 //
 // TestCIRunPatternsMatch holds the CI workflow to the suite: `go test
 // -run` on a pattern that matches nothing exits 0, so a renamed test would
@@ -121,17 +122,32 @@ func TestNoTestOnlyExports(t *testing.T) {
 		if !id.IsExported() {
 			return
 		}
-		key := f.dir + "." + id.Name
-		if owner != "" {
-			key = f.dir + "." + owner + "." + id.Name
+		key := f.dir
+		if key == "." {
+			key = module
 		}
+		if owner != "" {
+			key += "." + owner
+		}
+		key += "." + id.Name
 		decls = append(decls, censusDecl{key, f.dir, id.Name, owner != "", n.Pos(), n.End()})
 	}
 	for _, f := range files {
-		if f.test || !strings.HasPrefix(f.dir, "internal/") {
+		root := f.dir == "."
+		if f.test || !root && !strings.HasPrefix(f.dir, "internal/") {
 			continue
 		}
 		for _, d := range f.ast.Decls {
+			if root {
+				// The root package's settable surface: its options and
+				// the methods on *System.
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					if owner := receiverName(fd); owner == "System" || owner == "" && strings.HasPrefix(fd.Name.Name, "With") {
+						add(f, owner, fd.Name, fd)
+					}
+				}
+				continue
+			}
 			switch d := d.(type) {
 			case *ast.FuncDecl:
 				add(f, receiverName(d), d.Name, d)
@@ -185,7 +201,10 @@ func TestNoTestOnlyExports(t *testing.T) {
 				local = im.Name.Name
 			}
 			dir, ok := strings.CutPrefix(p, module+"/")
-			if !ok {
+			switch {
+			case p == module:
+				dir = "."
+			case !ok:
 				dir = ""
 			}
 			imports[local] = dir

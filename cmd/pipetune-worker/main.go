@@ -10,15 +10,15 @@
 // Usage:
 //
 //	pipetune-worker -server http://daemon:8080 [-token secret]
-//	                [-capacity 1] [-heartbeat 0] [-name host]
+//	                [-capacity 1] [-name host]
 //
 // Capacity is how many trial bodies compute concurrently; start more
 // processes (on more machines) to scale the fleet out — the daemon
 // requeues leases from any worker that dies, so workers are fully
-// disposable. -heartbeat 0 adopts the daemon's advertised cadence.
-// Everything else a trial body depends on — corpus sizing, contention,
-// trial cache budget — arrives with each lease, so every worker runs a
-// trial exactly as the daemon would.
+// disposable. The worker heartbeats at the cadence the daemon advertises
+// (pipetuned -worker-heartbeat). Everything else a trial body depends
+// on — corpus sizing, contention, trial cache budget — arrives with each
+// lease, so every worker runs a trial exactly as the daemon would.
 //
 // The worker holds no durable state: killing it outright (SIGKILL, a
 // crashed machine) loses nothing — the daemon reassigns its leases
@@ -55,19 +55,17 @@ func run() error {
 		serverFlag   = flag.String("server", "http://localhost:8080", "pipetuned base URL")
 		tokenFlag    = flag.String("token", "", "shared worker token (must match the daemon's -worker-token)")
 		capacityFlag = flag.Int("capacity", 1, "trial bodies computed concurrently")
-		beatFlag     = flag.Duration("heartbeat", 0, "heartbeat cadence (0 = daemon-advertised)")
 		nameFlag     = flag.String("name", "", "worker label in fleet status (default: hostname)")
 	)
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "pipetune-worker: ", log.LstdFlags)
 	agent := exec.NewAgent(exec.AgentConfig{
-		Server:    *serverFlag,
-		Token:     *tokenFlag,
-		Name:      *nameFlag,
-		Capacity:  *capacityFlag,
-		Heartbeat: *beatFlag,
-		Logf:      logger.Printf,
+		Server:   *serverFlag,
+		Token:    *tokenFlag,
+		Name:     *nameFlag,
+		Capacity: *capacityFlag,
+		Logf:     logger.Printf,
 	})
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

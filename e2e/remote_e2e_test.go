@@ -78,12 +78,13 @@ func startDaemon(t *testing.T, bin string, args ...string) (string, *exec.Cmd) {
 	}
 }
 
-// startWorker launches one pipetune-worker against the daemon.
+// startWorker launches one pipetune-worker against the daemon; it beats
+// at the cadence the daemon advertises.
 func startWorker(t *testing.T, bin, serverURL, token string) *exec.Cmd {
 	t.Helper()
 	cmd := exec.Command(bin,
 		"-server", serverURL, "-token", token,
-		"-capacity", "2", "-heartbeat", "50ms")
+		"-capacity", "2")
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)

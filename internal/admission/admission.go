@@ -18,8 +18,8 @@
 //     regardless of how many jobs either submits.
 //   - sjf — shortest job first over predicted cost, with a starvation
 //     guard: the globally oldest job is never bypassed more than
-//     Config.StarveLimit times, bounding its extra wait the way EASY
-//     backfill bounds the queue head's.
+//     starveLimit times, bounding its extra wait the way EASY backfill
+//     bounds the queue head's.
 //
 // Within a tenant, higher Priority dispatches first; ties preserve
 // submission order. The queue is deterministic: identical push/pop
@@ -90,11 +90,12 @@ type Config struct {
 	Weights map[string]int
 	// Capacity bounds the queued-job count (<= 0 means unbounded).
 	Capacity int
-	// StarveLimit bounds how many times PolicySJF may dispatch past the
-	// globally oldest job before dispatching it regardless of cost or
-	// priority (default 8; < 0 disables the guard).
-	StarveLimit int
 }
+
+// starveLimit bounds how many times PolicySJF may dispatch past the
+// globally oldest job before dispatching it regardless of cost or
+// priority.
+const starveLimit = 8
 
 // item is one queued job plus its submission sequence number.
 type item struct {
@@ -151,9 +152,6 @@ func New(cfg Config) (*Queue, error) {
 		return nil, err
 	}
 	cfg.Policy = p
-	if cfg.StarveLimit == 0 {
-		cfg.StarveLimit = 8
-	}
 	return &Queue{cfg: cfg, tenants: make(map[string]*tenantQueue)}, nil
 }
 
@@ -274,7 +272,7 @@ func (q *Queue) maxQueuedCost() float64 {
 
 // popSJF removes the cheapest queued job (priority first, then cost, then
 // age), unless the globally oldest job has already been bypassed
-// StarveLimit times — then the oldest dispatches unconditionally.
+// starveLimit times — then the oldest dispatches unconditionally.
 func (q *Queue) popSJF() item {
 	var bestTQ, oldTQ *tenantQueue
 	bestI, oldI := -1, -1
@@ -288,7 +286,7 @@ func (q *Queue) popSJF() item {
 			}
 		}
 	}
-	if q.cfg.StarveLimit >= 0 && q.oldestSkips >= q.cfg.StarveLimit {
+	if q.oldestSkips >= starveLimit {
 		q.oldestSkips = 0
 		return q.removeAt(oldTQ, oldI)
 	}

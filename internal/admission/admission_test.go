@@ -177,24 +177,24 @@ func TestSJFOrdersByCost(t *testing.T) {
 }
 
 // TestSJFStarvationGuard proves the oldest job is bypassed at most
-// StarveLimit times: an endless stream of cheap jobs cannot starve the
+// starveLimit times: an endless stream of cheap jobs cannot starve the
 // expensive head forever.
 func TestSJFStarvationGuard(t *testing.T) {
-	q := mustNew(t, Config{Policy: PolicySJF, StarveLimit: 3})
+	q := mustNew(t, Config{Policy: PolicySJF})
 	push(t, q, Job{ID: "whale", Cost: 1000})
-	for i := 0; i < 10; i++ {
+	for i := 0; i < starveLimit+2; i++ {
 		push(t, q, Job{ID: fmt.Sprintf("minnow%d", i), Cost: 1})
 	}
 	var order []string
-	for i := 0; i < 5; i++ {
+	for i := 0; i < starveLimit+2; i++ {
 		j, _ := q.Pop()
 		order = append(order, j.ID)
 		// Keep the queue saturated with cheap work.
 		push(t, q, Job{ID: fmt.Sprintf("late%d", i), Cost: 1})
 	}
-	// The whale is bypassed exactly 3 times, then dispatched 4th.
-	if order[3] != "whale" {
-		t.Fatalf("whale not dispatched after StarveLimit bypasses: %v", order)
+	// The whale is bypassed exactly starveLimit times, then dispatched.
+	if order[starveLimit] != "whale" {
+		t.Fatalf("whale not dispatched after %d bypasses: %v", starveLimit, order)
 	}
 }
 

@@ -14,8 +14,8 @@
 //	                         radius returns that cluster's known-best
 //	                         system configuration (§5.4, §5.6).
 //	probing loop          -> on a miss, each subsequent epoch runs one
-//	                         candidate configuration; the optimisation
-//	                         function picks the best (O(n) in the number
+//	                         candidate configuration; the shortest epoch
+//	                         picks the best (runtime, O(n) in the number
 //	                         of configurations, §5.2) and applies it for
 //	                         the remaining epochs.
 //
@@ -57,36 +57,6 @@ import (
 	"pipetune/internal/workload"
 )
 
-// OptimizeFor selects the probing optimisation function (§5.2: "e.g.,
-// shortest runtime, lowest energy consumption").
-type OptimizeFor int
-
-// Optimisation functions.
-const (
-	MinimizeDuration OptimizeFor = iota + 1
-	MinimizeEnergy
-)
-
-// String implements fmt.Stringer.
-func (o OptimizeFor) String() string {
-	switch o {
-	case MinimizeDuration:
-		return "min-duration"
-	case MinimizeEnergy:
-		return "min-energy"
-	default:
-		return fmt.Sprintf("optimize(%d)", int(o))
-	}
-}
-
-// metric extracts the optimisation value from a measurement.
-func (o OptimizeFor) metric(p probeResult) float64 {
-	if o == MinimizeEnergy {
-		return p.energyJ
-	}
-	return p.duration
-}
-
 // DefaultProbeConfigs returns the §5.6 probing grid over the §7.1.4 system
 // ranges: cores × memory at power-of-two steps. Kept small because each
 // probe consumes one epoch.
@@ -110,11 +80,11 @@ const (
 	phaseApplied
 )
 
-// probeResult is one epoch-level measurement of a configuration.
+// probeResult is one epoch-level measurement of a configuration. Probing
+// compares epoch durations, the paper's runtime objective (§5.2).
 type probeResult struct {
 	sys      params.SysConfig
 	duration float64
-	energyJ  float64
 }
 
 // trialState is the pipelined tuning of one system-cost key. It starts
@@ -133,7 +103,7 @@ type trialState struct {
 	applied   params.SysConfig
 	fromGT    bool
 	validated bool
-	baseline  float64 // metric of the profiling epoch
+	baseline  float64 // duration of the profiling epoch
 	// probeEpochs counts the epochs the key has spent probing, over all
 	// its trials (MaxProbeEpochs bounds it).
 	probeEpochs int
@@ -196,9 +166,8 @@ type liveTrial struct {
 // its previous rung stopped, and a trial that costs what a finished one
 // cost starts where that one stopped.
 type Controller struct {
-	GT       gt.Store
-	Probes   []params.SysConfig
-	Optimize OptimizeFor
+	GT     gt.Store
+	Probes []params.SysConfig
 
 	// MaxProbeEpochs bounds how many epochs a single configuration may
 	// spend probing (0 = no bound beyond the probe list length).
@@ -220,7 +189,6 @@ func NewController(store gt.Store) *Controller {
 	return &Controller{
 		GT:       store,
 		Probes:   DefaultProbeConfigs(),
-		Optimize: MinimizeDuration,
 		trials:   make(map[int]*liveTrial),
 		finished: make(map[params.Hyper]*trialState),
 	}
@@ -317,7 +285,7 @@ func (c *Controller) onEpoch(trialID int, s trainer.EpochStats) *params.SysConfi
 		return nil // already finished: nothing left to steer
 	}
 	st := lt.st
-	st.measured = append(st.measured, probeResult{sys: s.Sys, duration: s.Duration, energyJ: s.EnergyJ})
+	st.measured = append(st.measured, probeResult{sys: s.Sys, duration: s.Duration})
 	next := c.advanceLocked(st, s)
 	st.next = s.Sys
 	if next != nil {
@@ -335,7 +303,7 @@ func (c *Controller) advanceLocked(st *trialState, s trainer.EpochStats) *params
 		// function.
 		st.counts.ProfileEpochs++
 		st.features = s.Profile.Features()
-		st.baseline = c.Optimize.metric(st.measured[0])
+		st.baseline = st.measured[0].duration
 		if cfg, ok := c.lookupLocked(st); ok {
 			// Line 9-10: within the confidence threshold — apply the
 			// known-best configuration, no probing needed.
@@ -365,7 +333,7 @@ func (c *Controller) advanceLocked(st *trialState, s trainer.EpochStats) *params
 		// rule of distrusting low-reliability predictions, applied online.
 		if st.fromGT && !st.validated {
 			st.validated = true
-			if c.Optimize.metric(st.measured[len(st.measured)-1]) > st.baseline*1.10 {
+			if st.measured[len(st.measured)-1].duration > st.baseline*1.10 {
 				st.phase = phaseProbing
 				st.fromGT = false
 				return c.probeOrSettleLocked(st)
@@ -403,7 +371,7 @@ func (c *Controller) settleLocked(st *trialState) *params.SysConfig {
 	st.phase = phaseApplied
 	best := st.measured[0]
 	for _, m := range st.measured[1:] {
-		if c.Optimize.metric(m) < c.Optimize.metric(best) {
+		if m.duration < best.duration {
 			best = m
 		}
 	}
@@ -434,7 +402,7 @@ func (c *Controller) Finish(trialID int, _ *trainer.Result) {
 		// drown the database in "default is best" votes. And only new
 		// evidence: a successor that ran on what its predecessors had
 		// already measured would re-add their entry once per rung.
-		e := gtEntry(st.features, st.measured, c.Optimize)
+		e := gtEntry(st.features, st.measured)
 		entry = &e
 	}
 	c.mu.Unlock()
@@ -457,21 +425,21 @@ func comparedConfigs(measured []probeResult) bool {
 }
 
 // gtEntry is the one rule for a ground-truth entry: the profile features,
-// the best of the (non-empty) measurements — the first of equals — and its
-// advantage, best ÷ mean (1 when the mean is not positive).
-func gtEntry(features []float64, measured []probeResult, o OptimizeFor) gt.Entry {
+// the shortest of the (non-empty) measurements — the first of equals — and
+// its advantage, best ÷ mean duration (1 when the mean is not positive).
+func gtEntry(features []float64, measured []probeResult) gt.Entry {
 	best := measured[0]
 	mean := 0.0
 	for _, m := range measured {
-		mean += o.metric(m)
-		if o.metric(m) < o.metric(best) {
+		mean += m.duration
+		if m.duration < best.duration {
 			best = m
 		}
 	}
 	mean /= float64(len(measured))
 	advantage := 1.0
 	if mean > 0 {
-		advantage = o.metric(best) / mean
+		advantage = best.duration / mean
 	}
 	return gt.Entry{Features: features, BestSys: best.sys, Metric: advantage}
 }
@@ -498,10 +466,9 @@ func learnedNew(st *trialState) bool {
 // dynamic reconfiguration) — the policy decides which waiting trial claims
 // capacity those reconfigurations free.
 type PipeTune struct {
-	Runner   *tune.Runner
-	GT       gt.Store
-	Probes   []params.SysConfig
-	Optimize OptimizeFor
+	Runner *tune.Runner
+	GT     gt.Store
+	Probes []params.SysConfig
 }
 
 // New creates a PipeTune middleware with an empty ground-truth database:
@@ -509,10 +476,9 @@ type PipeTune struct {
 // (internal/gt documents the design).
 func New(runner *tune.Runner, seed uint64) *PipeTune {
 	return &PipeTune{
-		Runner:   runner,
-		GT:       gt.NewSharded(gt.DefaultConfig(), seed),
-		Probes:   DefaultProbeConfigs(),
-		Optimize: MinimizeDuration,
+		Runner: runner,
+		GT:     gt.NewSharded(gt.DefaultConfig(), seed),
+		Probes: DefaultProbeConfigs(),
 	}
 }
 
@@ -541,7 +507,6 @@ func (p *PipeTune) RunJobCounts(ctx context.Context, spec tune.JobSpec) (*tune.J
 	}
 	ctrl := NewController(p.GT)
 	ctrl.Probes = p.Probes
-	ctrl.Optimize = p.Optimize
 
 	spec.Mode = tune.ModeV1 // hyper space only; system handled by the pipeline
 	spec.TrialObserver = ctrl.ObserverFor
@@ -590,10 +555,10 @@ func (p *PipeTune) Bootstrap(workloads []workload.Workload, seed uint64) error {
 					return fmt.Errorf("core: bootstrap %s at %v: %w", w.Name(), sys, err)
 				}
 				epoch := res.Epochs[len(res.Epochs)-1]
-				measured = append(measured, probeResult{sys: sys, duration: epoch.Duration, energyJ: epoch.EnergyJ})
+				measured = append(measured, probeResult{sys: sys, duration: epoch.Duration})
 			}
 			if len(measured) > 0 {
-				if err := p.GT.Add(gtEntry(features, measured, p.Optimize)); err != nil {
+				if err := p.GT.Add(gtEntry(features, measured)); err != nil {
 					return err
 				}
 			}

@@ -30,8 +30,8 @@ type AgentConfig struct {
 	Wire string
 	// Capacity is how many trial bodies compute concurrently (default 1).
 	Capacity int
-	// Heartbeat overrides the beat cadence; 0 adopts the daemon's
-	// advertised interval.
+	// Heartbeat shortens the beat cadence below the interval the daemon
+	// advertises; 0, or anything slower, adopts the advertised interval.
 	Heartbeat time.Duration
 	// Logf receives operational log lines (nil = silent).
 	Logf func(format string, args ...any)

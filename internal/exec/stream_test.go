@@ -230,6 +230,42 @@ func TestStreamBeatingWorkerSurvives(t *testing.T) {
 	}
 }
 
+// TestSlowBeatingAgentStaysRegistered is the regression test for a worker
+// configured to beat slower than the daemon advertises: idle, only its
+// heartbeats renew the daemon's read deadline, so a cadence beyond the
+// eviction horizon got it evicted (and re-registered) every horizon. The
+// agent clamps its cadence to the advertised interval, so a real Agent
+// set to ten times the daemon's beat stays idle for ten horizons without
+// one eviction.
+func TestSlowBeatingAgentStaysRegistered(t *testing.T) {
+	const beat, missed = 20 * time.Millisecond, 5
+	r := NewRemote(RemoteConfig{HeartbeatInterval: beat, MissedHeartbeats: missed, Logf: t.Logf})
+	t.Cleanup(r.Close)
+	srv := httptest.NewServer(r.Handler())
+	t.Cleanup(srv.Close)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+	agent := NewAgent(AgentConfig{Server: srv.URL, Name: "slow", Capacity: 1, Heartbeat: 10 * beat})
+	go func() {
+		defer close(done)
+		_ = agent.Run(ctx)
+	}()
+	waitFor(t, r, "the agent's registration", func() bool { return len(r.workers) == 1 })
+
+	<-time.After(10 * missed * beat)
+	if n := r.met.evictions.Value(); n != 0 {
+		t.Fatalf("idle agent beating at 10x the daemon's interval: %v evictions in ten horizons, want 0", n)
+	}
+	if fs := r.Fleet(); len(fs.Workers) != 1 || fs.Workers[0].State != "active" {
+		t.Fatalf("slow-beating agent after ten horizons: %+v", fs.Workers)
+	}
+}
+
 // TestCorruptFrameEvictsAndRequeues is the failure-path half of the
 // codec contract (and what FuzzFrameDecode's invariant protects): a
 // worker that sends a torn frame is evicted through the standard

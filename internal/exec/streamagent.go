@@ -120,12 +120,15 @@ func (a *Agent) streamSession(ctx context.Context) error {
 	_ = conn.SetDeadline(time.Time{})
 	a.cfg.Logf("worker: registered as %s with %s (capacity %d)", workerID, a.cfg.Server, a.cfg.Capacity)
 
-	hb := a.cfg.Heartbeat
-	if hb <= 0 {
-		hb = time.Duration(beatSeconds * float64(time.Second))
-	}
+	hb := time.Duration(beatSeconds * float64(time.Second))
 	if hb <= 0 {
 		hb = 2 * time.Second
+	}
+	// An idle worker's beats are all that renew the daemon's read
+	// deadline, so a cadence slower than advertised would get it evicted
+	// every horizon: only a faster one is honoured.
+	if a.cfg.Heartbeat > 0 && a.cfg.Heartbeat < hb {
+		hb = a.cfg.Heartbeat
 	}
 
 	// The daemon never grants beyond this registration's capacity, so a

@@ -60,10 +60,10 @@ func AblationNoGroundTruth(cfg Config) (*AblationGTResult, error) {
 			}
 			total += res.TuningTime
 		}
-		hits, misses := pt.GT.Stats()
+		info := pt.GT.Info()
 		hitRate := 0.0
-		if hits+misses > 0 {
-			hitRate = float64(hits) / float64(hits+misses)
+		if info.Hits+info.Misses > 0 {
+			hitRate = float64(info.Hits) / float64(info.Hits+info.Misses)
 		}
 		return AblationGTRow{
 			Variant:     variant,
@@ -200,10 +200,10 @@ func AblationThreshold(cfg Config) (*AblationThresholdResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		hits, misses := pt.GT.Stats()
+		info := pt.GT.Info()
 		hitRate := 0.0
-		if hits+misses > 0 {
-			hitRate = float64(hits) / float64(hits+misses)
+		if info.Hits+info.Misses > 0 {
+			hitRate = float64(info.Hits) / float64(info.Hits+info.Misses)
 		}
 		res.Rows = append(res.Rows, AblationThresholdRow{
 			Threshold:  th,

@@ -5,8 +5,8 @@
 //
 // Sharded, the Store implementation, partitions the database by profile
 // cluster: entries route to the shard whose centroid is nearest (a shard
-// splits in two by 2-means once it outgrows Config.SplitSize), each shard
-// maintains an independently fitted similarity model behind an atomic
+// splits in two by 2-means once it outgrows splitSize), each shard
+// maintains an independently fitted k-means model behind an atomic
 // copy-on-write snapshot, and model refits are deferred behind a revision
 // watermark — Add is O(1) append, and the first Lookup that observes a
 // stale watermark pays the refit. Lookups on the epoch hot path take no
@@ -31,7 +31,6 @@ import (
 	"sort"
 	"strconv"
 
-	"pipetune/internal/kmeans"
 	"pipetune/internal/params"
 )
 
@@ -68,42 +67,21 @@ func (e Entry) clone() Entry {
 	}
 }
 
-// Config tunes the similarity machinery. The zero value is not usable;
-// start from DefaultConfig.
+// Config tunes the similarity machinery: each shard fits the paper's
+// k-means (kmeans.DefaultConfig, k=2: one cluster per workload family,
+// §5.4). The zero value is not usable; start from DefaultConfig.
 type Config struct {
-	// KMeans is the clustering configuration; the paper fixes k=2 (one
-	// cluster per workload family, §5.4).
-	KMeans kmeans.Config
 	// Threshold scales the cluster's RMS radius when deciding whether a
 	// new profile is "similar enough" to reuse (§5.6).
 	Threshold float64
-	// MinEntries is the history size (per shard, for the sharded store)
-	// below which every lookup misses (no reliable model yet).
+	// MinEntries is the per-shard history size below which every lookup
+	// misses (no reliable model yet).
 	MinEntries int
-	// NewSimilarity, when set, constructs a fresh similarity instance per
-	// model refit (the sharded store fits each snapshot on a new instance
-	// so readers of the previous snapshot are never disturbed). seed is
-	// derived deterministically from the store seed, the shard and the
-	// revision being fitted, so a deferred refit produces the same model an
-	// eager refit at the same revision would.
-	NewSimilarity func(seed uint64) Similarity
-	// SplitSize is the shard occupancy (in entries) at which the sharded
-	// store attempts to split a shard in two by 2-means. Larger values mean
-	// coarser shards and behaviour closer to a single global model.
-	SplitSize int
-	// MaxShards bounds the shard count; once reached, shards only grow.
-	MaxShards int
 }
 
 // DefaultConfig mirrors the paper's settings.
 func DefaultConfig() Config {
-	return Config{
-		KMeans:     kmeans.DefaultConfig(),
-		Threshold:  2.0,
-		MinEntries: 4,
-		SplitSize:  32,
-		MaxShards:  64,
-	}
+	return Config{Threshold: 2.0, MinEntries: 4}
 }
 
 // Info is a rich snapshot of a store's state, for stats endpoints.
@@ -111,7 +89,7 @@ type Info struct {
 	// Store names the implementation ("sharded"; the persistence layer
 	// passes its inner store's name through).
 	Store string
-	// Entries, Hits and Misses mirror Len and Stats.
+	// Entries is the stored entry count; Hits and Misses count lookups.
 	Entries int
 	Hits    int
 	Misses  int
@@ -142,25 +120,26 @@ type Store interface {
 	// Lookup returns the known-best configuration for a profile if the
 	// similarity function matches it confidently (§5.6).
 	Lookup(features []float64) (params.SysConfig, bool)
-	// Len returns the number of stored entries.
-	Len() int
-	// Stats returns lookup hit/miss counters.
-	Stats() (hits, misses int)
-	// Rev returns a revision counter that increases on every mutation.
-	Rev() uint64
-	// Info reports the store's full state for stats endpoints.
-	Info() Info
-	// SimilarityName reports the active technique.
-	SimilarityName() string
 	// Entries returns a copy of all entries in insertion order.
 	Entries() []Entry
 	// Replace swaps the database contents for the given entries (the warm
 	// start of §5.4). Lookup counters are preserved.
 	Replace(entries []Entry) error
-	// Save persists the entries as JSON (the model is refit on load).
-	Save(w io.Writer) error
-	// Load replaces the database contents from a Save stream.
-	Load(r io.Reader) error
+	// Info reports the store's state: size, lookup counters, revision.
+	Info() Info
+}
+
+// Save writes the store's entries as a JSON snapshot (the model is refit
+// on load).
+func Save(w io.Writer, s Store) error { return saveEntries(w, s.Entries(), 0) }
+
+// Load replaces the store's contents with a Save stream's entries.
+func Load(r io.Reader, s Store) error {
+	snap, err := loadSnapshot(r)
+	if err != nil {
+		return err
+	}
+	return s.Replace(snap.Entries)
 }
 
 // snapshot is the JSON persistence format. Seq is the write-ahead-log
@@ -243,8 +222,8 @@ func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
 // groupBest computes, per similarity group, the configuration that won
 // most often among the group's members (ties broken towards the lower mean
 // relative-advantage metric, then lexicographically for determinism).
-func groupBest(entries []Entry, sim Similarity) []params.SysConfig {
-	best := make([]params.SysConfig, sim.Groups())
+func groupBest(entries []Entry, sim *kmeansSimilarity) []params.SysConfig {
+	best := make([]params.SysConfig, sim.groups())
 	for c := range best {
 		type agg struct {
 			sys    params.SysConfig
@@ -253,7 +232,7 @@ func groupBest(entries []Entry, sim Similarity) []params.SysConfig {
 		}
 		byKey := make(map[string]*agg)
 		for i, e := range entries {
-			if sim.GroupOf(i) != c {
+			if sim.groupOf(i) != c {
 				continue
 			}
 			key := e.BestSys.String()

@@ -25,7 +25,7 @@ type PersistOptions struct {
 
 // Persistent wraps any Store with durable state: an append-only
 // write-ahead log records every Add as it happens, and a compacted
-// snapshot (the same JSON format the stores Save — so legacy
+// snapshot (the same JSON format Save writes — so legacy
 // groundtruth.json files load unchanged) is rewritten atomically when the
 // log grows past PersistOptions.CompactEvery, on explicit Compact calls
 // and at Close.
@@ -33,7 +33,7 @@ type PersistOptions struct {
 // Recovery (OpenPersistent) loads the snapshot, replays the log's records
 // with sequence numbers beyond the snapshot watermark, and — when the log
 // tail is torn or corrupted — truncates the damage, keeping the snapshot
-// plus the valid log prefix. Crash-safety invariant: Load(snapshot)+replay
+// plus the valid log prefix. Crash-safety invariant: snapshot + replay
 // ≡ the in-memory state at the moment of the last synced append.
 //
 // Lookup and every other read passes straight through to the inner store —
@@ -47,7 +47,7 @@ type Persistent struct {
 	mu         sync.Mutex // serialises Add/Replace/Compact/Close
 	wal        *wal
 	nextSeq    uint64 // sequence of the next WAL record
-	compactRev uint64 // inner.Rev() at the last compaction
+	compactRev uint64 // inner.Info().Rev at the last compaction
 	closed     bool
 	met        *walInstruments
 }
@@ -146,10 +146,11 @@ func OpenPersistent(path string, inner Store, opt PersistOptions) (*Persistent, 
 	p.nextSeq = lastSeq + 1
 	// The durable state equals memory right now; the first compaction
 	// should wait for an actual change (or fold a replayed log).
-	p.compactRev = inner.Rev()
+	info := inner.Info()
+	p.compactRev = info.Rev
 	if len(base) > 0 || len(replayed) > 0 {
 		opt.Logf("gt: restored %d entries (%d from snapshot, %d replayed from WAL)",
-			inner.Len(), len(snapEntries), len(replayed))
+			info.Entries, len(snapEntries), len(replayed))
 	}
 	return p, nil
 }
@@ -249,7 +250,7 @@ func (p *Persistent) Compact() error {
 // the log. Callers hold p.mu. No-ops when nothing changed since the last
 // compaction, so periodic tickers are free on an idle service.
 func (p *Persistent) compactLocked() error {
-	rev := p.inner.Rev()
+	rev := p.inner.Info().Rev
 	if rev == p.compactRev && p.wal.records == 0 {
 		return nil
 	}
@@ -288,13 +289,6 @@ func (p *Persistent) Close() error {
 	return err
 }
 
-// WALRecords reports the number of un-compacted log records.
-func (p *Persistent) WALRecords() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.wal.records
-}
-
 // Replace implements Store: the new contents replace both the in-memory
 // state and the durable state (log reset + fresh snapshot).
 func (p *Persistent) Replace(entries []Entry) error {
@@ -313,15 +307,6 @@ func (p *Persistent) Replace(entries []Entry) error {
 	return p.compactLocked()
 }
 
-// Load implements Store (see Replace).
-func (p *Persistent) Load(r io.Reader) error {
-	snap, err := loadSnapshot(r)
-	if err != nil {
-		return err
-	}
-	return p.Replace(snap.Entries)
-}
-
 // Pass-through reads: persistence must add nothing to the hot path.
 
 // Lookup implements Store.
@@ -329,23 +314,8 @@ func (p *Persistent) Lookup(features []float64) (params.SysConfig, bool) {
 	return p.inner.Lookup(features)
 }
 
-// Len implements Store.
-func (p *Persistent) Len() int { return p.inner.Len() }
-
-// Stats implements Store.
-func (p *Persistent) Stats() (hits, misses int) { return p.inner.Stats() }
-
-// Rev implements Store.
-func (p *Persistent) Rev() uint64 { return p.inner.Rev() }
-
-// SimilarityName implements Store.
-func (p *Persistent) SimilarityName() string { return p.inner.SimilarityName() }
-
 // Entries implements Store.
 func (p *Persistent) Entries() []Entry { return p.inner.Entries() }
-
-// Save implements Store.
-func (p *Persistent) Save(w io.Writer) error { return p.inner.Save(w) }
 
 // Info implements Store, adding the WAL depth to the inner store's view.
 func (p *Persistent) Info() Info {

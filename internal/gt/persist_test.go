@@ -42,7 +42,7 @@ func TestPersistentRecoversFromWALAlone(t *testing.T) {
 	p2 := openTestPersistent(t, path, PersistOptions{})
 	defer p2.Close()
 	if !reflect.DeepEqual(p2.Entries(), want) {
-		t.Fatalf("WAL replay lost entries: got %d, want %d", p2.Len(), len(want))
+		t.Fatalf("WAL replay lost entries: got %d, want %d", p2.Info().Entries, len(want))
 	}
 }
 
@@ -58,7 +58,7 @@ func TestPersistentCompaction(t *testing.T) {
 		}
 	}
 	// 12 adds with CompactEvery=5: two compactions, 2 records left.
-	if got := p.WALRecords(); got != 2 {
+	if got := p.Info().WALRecords; got != 2 {
 		t.Fatalf("WAL holds %d records, want 2", got)
 	}
 	if _, err := os.Stat(path); err != nil {
@@ -73,7 +73,7 @@ func TestPersistentCompaction(t *testing.T) {
 	if !reflect.DeepEqual(p2.Entries(), want) {
 		t.Fatal("snapshot+WAL recovery diverged from pre-restart state")
 	}
-	if got := p2.WALRecords(); got != 0 {
+	if got := p2.Info().WALRecords; got != 0 {
 		t.Fatalf("Close left %d WAL records uncompacted", got)
 	}
 }
@@ -108,8 +108,8 @@ func TestPersistentLoadsLegacySnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if p.Len() != 10 {
-		t.Fatalf("adds after migration: len=%d, want 10", p.Len())
+	if n := p.Info().Entries; n != 10 {
+		t.Fatalf("adds after migration: len=%d, want 10", n)
 	}
 }
 
@@ -137,8 +137,8 @@ func TestPersistentSkipsRecordsBelowSnapshotSeq(t *testing.T) {
 
 	p2 := openTestPersistent(t, path, PersistOptions{})
 	defer p2.Close()
-	if p2.Len() != len(want) {
-		t.Fatalf("replay duplicated snapshot records: len=%d, want %d", p2.Len(), len(want))
+	if n := p2.Info().Entries; n != len(want) {
+		t.Fatalf("replay duplicated snapshot records: len=%d, want %d", n, len(want))
 	}
 	if !reflect.DeepEqual(p2.Entries(), want) {
 		t.Fatal("recovered entries diverged")
@@ -287,8 +287,8 @@ func TestPersistentRecoveryTruncatesDamagedTail(t *testing.T) {
 	}
 
 	p2 := openTestPersistent(t, path, PersistOptions{})
-	if p2.Len() != 5 {
-		t.Fatalf("recovered %d entries, want 5 (torn 6th dropped)", p2.Len())
+	if n := p2.Info().Entries; n != 5 {
+		t.Fatalf("recovered %d entries, want 5 (torn 6th dropped)", n)
 	}
 	if err := p2.Add(gtEntry(100)); err != nil {
 		t.Fatal(err)
@@ -297,8 +297,8 @@ func TestPersistentRecoveryTruncatesDamagedTail(t *testing.T) {
 
 	p3 := openTestPersistent(t, path, PersistOptions{})
 	defer p3.Close()
-	if p3.Len() != 6 {
-		t.Fatalf("appends after repair not recovered: %d, want 6", p3.Len())
+	if n := p3.Info().Entries; n != 6 {
+		t.Fatalf("appends after repair not recovered: %d, want 6", n)
 	}
 	got := p3.Entries()
 	if got[5].Features[0] != 100 {
@@ -322,8 +322,8 @@ func TestOpenPersistentKeepsPrewarmedInnerOnFirstBoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if p.Len() != 5 {
-		t.Fatalf("first boot wiped the pre-warmed store: %d entries, want 5", p.Len())
+	if n := p.Info().Entries; n != 5 {
+		t.Fatalf("first boot wiped the pre-warmed store: %d entries, want 5", n)
 	}
 }
 
@@ -341,7 +341,7 @@ func TestPersistentAddAllBatches(t *testing.T) {
 	if err != nil || n != 12 {
 		t.Fatalf("AddAll = (%d, %v), want (12, nil)", n, err)
 	}
-	if got := p.WALRecords(); got != 12 {
+	if got := p.Info().WALRecords; got != 12 {
 		t.Fatalf("WAL holds %d records, want 12", got)
 	}
 	_ = p.wal.close() // crash, no compaction

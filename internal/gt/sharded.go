@@ -1,7 +1,6 @@
 package gt
 
 import (
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,10 +12,19 @@ import (
 	"pipetune/internal/xrand"
 )
 
+// The shard map's two sizes. A shard attempts a 2-means split each time
+// its occupancy reaches a multiple of splitSize entries (larger values
+// mean coarser shards, closer to one global model); once maxShards exist,
+// shards only grow.
+const (
+	splitSize = 32
+	maxShards = 64
+)
+
 // Sharded is the ground-truth store built for the tuning service's
 // concurrency profile. Entries are partitioned into shards by profile
 // cluster: an entry routes to the shard whose centroid is nearest, and a
-// shard that outgrows Config.SplitSize is split in two by 2-means over its
+// shard that outgrows splitSize is split in two by 2-means over its
 // own entries — so shards converge onto workload families (HetPipe-style
 // partitioned state) without any a-priori labelling.
 //
@@ -84,7 +92,7 @@ type shard struct {
 	// splitTried is the entry count at the last failed split attempt; the
 	// next attempt waits until the shard doubles, so a cohesive shard
 	// (one family, nothing to split) pays amortised O(1) split checks
-	// instead of a 2-means fit every SplitSize appends.
+	// instead of a 2-means fit every splitSize appends.
 	splitTried int
 	// centroid is the running mean of member features, kept behind an
 	// atomic pointer so lock-free routing can read it mid-Add.
@@ -100,18 +108,12 @@ type shard struct {
 type shardModel struct {
 	rev    uint64 // shard revision this model covers
 	fitted bool
-	sim    Similarity
+	sim    *kmeansSimilarity
 	best   []params.SysConfig
 }
 
 // NewSharded creates an empty sharded store.
 func NewSharded(cfg Config, seed uint64) *Sharded {
-	if cfg.SplitSize <= 0 {
-		cfg.SplitSize = DefaultConfig().SplitSize
-	}
-	if cfg.MaxShards <= 0 {
-		cfg.MaxShards = DefaultConfig().MaxShards
-	}
 	if cfg.MinEntries <= 0 {
 		cfg.MinEntries = DefaultConfig().MinEntries
 	}
@@ -257,7 +259,7 @@ func meanFeatures(entries []Entry) []float64 {
 
 // appendTo appends the entry to the shard, updating its centroid and
 // revision. Returns false if the shard was retired by a concurrent split
-// (the caller must re-route). Splits are attempted at SplitSize multiples.
+// (the caller must re-route). Splits are attempted at splitSize multiples.
 func (s *Sharded) appendTo(sh *shard, cp Entry) bool {
 	sh.mu.Lock()
 	if sh.retired {
@@ -287,7 +289,7 @@ func (s *Sharded) appendTo(sh *shard, cp Entry) bool {
 	s.rev.Add(1)
 	sh.mu.Unlock()
 
-	if n > 0 && s.cfg.SplitSize > 0 && n%s.cfg.SplitSize == 0 {
+	if n%splitSize == 0 {
 		s.split(sh)
 	}
 	return true
@@ -302,7 +304,7 @@ func (s *Sharded) split(sh *shard) {
 	defer s.mu.Unlock()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.retired || len(sh.entries) < 2 || len(s.shards()) >= s.cfg.MaxShards {
+	if sh.retired || len(sh.entries) < 2 || len(s.shards()) >= maxShards {
 		return
 	}
 	if sh.splitTried > 0 && len(sh.entries) < 2*sh.splitTried {
@@ -406,7 +408,7 @@ func (s *Sharded) lookup(features []float64) (params.SysConfig, bool) {
 		s.misses.Add(1)
 		return params.SysConfig{}, false
 	}
-	group, ok := m.sim.Match(features)
+	group, ok := m.sim.match(features)
 	if !ok || group < 0 || group >= len(m.best) {
 		s.misses.Add(1)
 		return params.SysConfig{}, false
@@ -416,9 +418,10 @@ func (s *Sharded) lookup(features []float64) (params.SysConfig, bool) {
 }
 
 // refit builds a fresh model snapshot for the shard at its current
-// revision. The similarity instance is new per refit and seeded from
-// (store seed, shard id, revision) only, so the outcome is independent of
-// how many intermediate revisions went unfitted.
+// revision. The model is new per refit (so readers of the previous
+// snapshot are never disturbed) and seeded from (store seed, shard id,
+// revision) only, so the outcome is independent of how many intermediate
+// revisions went unfitted.
 func (s *Sharded) refit(sh *shard) *shardModel {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -427,13 +430,18 @@ func (s *Sharded) refit(sh *shard) *shardModel {
 		return m // raced with another refitter
 	}
 	m := &shardModel{rev: rev}
-	if len(sh.entries) >= s.cfg.MinEntries {
-		sim := s.newSimilarity(sh.id, rev, len(sh.entries))
-		points := make([][]float64, len(sh.entries))
+	if n := len(sh.entries); n >= s.cfg.MinEntries {
+		// Clamp K so a small shard still fits (kmeans refuses n < K).
+		kcfg := kmeans.DefaultConfig()
+		if kcfg.K > n {
+			kcfg.K = n
+		}
+		sim := newKMeansSimilarity(kcfg, s.cfg.Threshold, mix64(s.seed^mix64(sh.id<<32^rev)))
+		points := make([][]float64, n)
 		for i, e := range sh.entries {
 			points[i] = e.Features
 		}
-		if err := sim.Fit(points); err == nil {
+		if err := sim.fit(points); err == nil {
 			m.fitted = true
 			m.sim = sim
 			m.best = groupBest(sh.entries, sim)
@@ -441,36 +449,6 @@ func (s *Sharded) refit(sh *shard) *shardModel {
 	}
 	sh.model.Store(m)
 	return m
-}
-
-// newSimilarity constructs the per-refit similarity instance.
-func (s *Sharded) newSimilarity(shardID, rev uint64, n int) Similarity {
-	seed := mix64(s.seed ^ mix64(shardID<<32^rev))
-	if s.cfg.NewSimilarity != nil {
-		return s.cfg.NewSimilarity(seed)
-	}
-	// Clamp K so a small shard still fits (kmeans refuses n < K).
-	cfg := s.cfg.KMeans
-	if cfg.K > n {
-		cfg.K = n
-	}
-	return NewKMeansSimilarity(cfg, s.cfg.Threshold, seed)
-}
-
-// Len implements Store.
-func (s *Sharded) Len() int { return int(s.count.Load()) }
-
-// Stats implements Store.
-func (s *Sharded) Stats() (hits, misses int) {
-	return int(s.hits.Load()), int(s.misses.Load())
-}
-
-// Rev implements Store.
-func (s *Sharded) Rev() uint64 { return s.rev.Load() }
-
-// SimilarityName implements Store.
-func (s *Sharded) SimilarityName() string {
-	return s.newSimilarity(0, 0, s.cfg.MinEntries).Name()
 }
 
 // Info implements Store. ModelRev sums the shard model watermarks (plus
@@ -485,16 +463,15 @@ func (s *Sharded) Info() Info {
 			modelRev += m.rev
 		}
 	}
-	hits, misses := s.Stats()
 	return Info{
 		Store:      "sharded",
-		Entries:    s.Len(),
-		Hits:       hits,
-		Misses:     misses,
-		Rev:        s.Rev(),
+		Entries:    int(s.count.Load()),
+		Hits:       int(s.hits.Load()),
+		Misses:     int(s.misses.Load()),
+		Rev:        s.rev.Load(),
 		ModelRev:   modelRev,
 		Shards:     shards,
-		Similarity: s.SimilarityName(),
+		Similarity: "kmeans",
 	}
 }
 
@@ -560,20 +537,6 @@ func (s *Sharded) Replace(entries []Entry) error {
 	s.revBase.Store(newRev - count)
 	s.mu.Unlock()
 	return nil
-}
-
-// Save implements Store.
-func (s *Sharded) Save(w io.Writer) error {
-	return saveEntries(w, s.Entries(), 0)
-}
-
-// Load implements Store.
-func (s *Sharded) Load(r io.Reader) error {
-	snap, err := loadSnapshot(r)
-	if err != nil {
-		return err
-	}
-	return s.Replace(snap.Entries)
 }
 
 var _ Store = (*Sharded)(nil)

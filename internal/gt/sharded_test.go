@@ -6,14 +6,12 @@ import (
 	"time"
 )
 
-// TestShardedSplitsIntoFamilies grows the store past SplitSize with
+// TestShardedSplitsIntoFamilies grows the store past splitSize with
 // well-separated families and checks the shard map partitions them:
 // lookups still resolve to per-family configurations, and the store
 // reports more than one shard.
 func TestShardedSplitsIntoFamilies(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SplitSize = 8
-	s := NewSharded(cfg, 1)
+	s := NewSharded(DefaultConfig(), 1)
 	const families, perFamily = 4, 16
 	for i := 0; i < perFamily; i++ {
 		for f := 0; f < families; f++ {
@@ -22,8 +20,9 @@ func TestShardedSplitsIntoFamilies(t *testing.T) {
 			}
 		}
 	}
-	if got := s.Info().Shards; got < 2 {
-		t.Fatalf("store never sharded: %d shards after %d entries", got, s.Len())
+	info := s.Info()
+	if info.Shards < 2 {
+		t.Fatalf("store never sharded: %d shards after %d entries", info.Shards, info.Entries)
 	}
 	for f := 0; f < families; f++ {
 		q := familyEntry(f, 99, families).Features
@@ -39,8 +38,8 @@ func TestShardedSplitsIntoFamilies(t *testing.T) {
 			t.Fatalf("family %d resolved to %v, want %v", f, cfgGot, want)
 		}
 	}
-	if s.Len() != families*perFamily {
-		t.Fatalf("splits lost entries: %d, want %d", s.Len(), families*perFamily)
+	if info.Entries != families*perFamily {
+		t.Fatalf("splits lost entries: %d, want %d", info.Entries, families*perFamily)
 	}
 	// Insertion order must survive the splits.
 	entries := s.Entries()
@@ -60,11 +59,9 @@ func TestShardedSplitsIntoFamilies(t *testing.T) {
 // on a different shard and on the locked shard itself (whose model
 // snapshot is current) — and every lookup must complete.
 func TestLookupProceedsDuringInflightAdd(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SplitSize = 8
-	s := NewSharded(cfg, 1)
+	s := NewSharded(DefaultConfig(), 1)
 	const families = 2
-	for i := 0; i < 12; i++ {
+	for i := 0; i < splitSize/families; i++ { // the last add splits the families apart
 		for f := 0; f < families; f++ {
 			if err := s.Add(familyEntry(f, i, families)); err != nil {
 				t.Fatal(err)
@@ -112,9 +109,7 @@ func TestLookupProceedsDuringInflightAdd(t *testing.T) {
 // lookups across distinct families concurrently; the store must keep
 // every entry, stay race-free (run under -race) and keep serving hits.
 func TestShardedConcurrentAddsDontContendAcrossFamilies(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SplitSize = 16
-	s := NewSharded(cfg, 1)
+	s := NewSharded(DefaultConfig(), 1)
 	const families, perFamily = 4, 50
 	// Seed each family so lookups during the storm can hit.
 	for f := 0; f < families; f++ {
@@ -144,21 +139,20 @@ func TestShardedConcurrentAddsDontContendAcrossFamilies(t *testing.T) {
 		}(f)
 	}
 	wg.Wait()
-	if s.Len() != families*perFamily {
-		t.Fatalf("concurrent adds lost entries: %d, want %d", s.Len(), families*perFamily)
+	info := s.Info()
+	if info.Entries != families*perFamily {
+		t.Fatalf("concurrent adds lost entries: %d, want %d", info.Entries, families*perFamily)
 	}
-	hits, _ := s.Stats()
-	if hits == 0 {
+	if info.Hits == 0 {
 		t.Fatal("no hits during the concurrent storm")
 	}
 }
 
 // TestNewShardedDefendsConfig pins the constructor trap: a zero
-// MinEntries must not leave the store unable to ever fit (it defaults
-// like SplitSize/MaxShards do).
+// MinEntries must not leave the store unable to ever fit (it defaults to
+// DefaultConfig's).
 func TestNewShardedDefendsConfig(t *testing.T) {
-	cfg := Config{KMeans: DefaultConfig().KMeans, Threshold: 2.0} // MinEntries 0
-	s := NewSharded(cfg, 1)
+	s := NewSharded(Config{Threshold: 2.0}, 1) // MinEntries 0
 	for i := 0; i < 8; i++ {
 		if err := s.Add(familyEntry(0, i, 1)); err != nil {
 			t.Fatal(err)

@@ -1,61 +1,34 @@
 package gt
 
 import (
-	"errors"
 	"fmt"
-	"math"
 
 	"pipetune/internal/kmeans"
 	"pipetune/internal/stats"
 	"pipetune/internal/xrand"
 )
 
-// Similarity is the pluggable similarity function of §5.4: the paper's
-// design "allows the similarity function to be pluggable, and while we do
-// settle on k-means in the current implementation, PipeTune allows to
-// easily switch to alternative techniques".
-//
-// A Similarity groups historical profiles and answers, for a new profile,
-// which group it belongs to and whether the match is confident enough to
-// reuse that group's configuration (an unconfident match triggers probing,
-// §5.6).
-type Similarity interface {
-	// Name identifies the technique in logs and stats.
-	Name() string
-	// Fit rebuilds the model from the training features. Implementations
-	// must tolerate being refit repeatedly as the database grows.
-	Fit(features [][]float64) error
-	// Groups returns the number of groups after the last Fit.
-	Groups() int
-	// GroupOf returns the fitted group of training point i.
-	GroupOf(i int) int
-	// Match returns the group of a query and whether the match is within
-	// the technique's confidence region.
-	Match(query []float64) (group int, ok bool)
-}
-
-// ------------------------------------------------------------- k-means ---
-
-// KMeansSimilarity is the paper's default: k-means clustering with an
-// inertia-derived accept radius (§5.4, §5.6).
-type KMeansSimilarity struct {
+// kmeansSimilarity is a shard's similarity model, the paper's k-means
+// (§5.4: "we do settle on k-means in the current implementation"): it
+// groups historical profiles into clusters and answers, for a new
+// profile, which cluster it belongs to and whether the match is confident
+// enough to reuse that cluster's configuration (an unconfident match
+// triggers probing, §5.6).
+type kmeansSimilarity struct {
 	cfg       kmeans.Config
 	threshold float64
 	rng       *xrand.Source
 	model     *kmeans.Model
 }
 
-// NewKMeansSimilarity builds the default technique. threshold scales each
+// newKMeansSimilarity builds an unfitted model. threshold scales each
 // cluster's RMS radius when deciding confidence.
-func NewKMeansSimilarity(cfg kmeans.Config, threshold float64, seed uint64) *KMeansSimilarity {
-	return &KMeansSimilarity{cfg: cfg, threshold: threshold, rng: xrand.New(seed)}
+func newKMeansSimilarity(cfg kmeans.Config, threshold float64, seed uint64) *kmeansSimilarity {
+	return &kmeansSimilarity{cfg: cfg, threshold: threshold, rng: xrand.New(seed)}
 }
 
-// Name implements Similarity.
-func (s *KMeansSimilarity) Name() string { return "kmeans" }
-
-// Fit implements Similarity.
-func (s *KMeansSimilarity) Fit(features [][]float64) error {
+// fit rebuilds the model from the training features.
+func (s *kmeansSimilarity) fit(features [][]float64) error {
 	if len(features) < s.cfg.K {
 		s.model = nil
 		return fmt.Errorf("gt: %d profiles < k=%d", len(features), s.cfg.K)
@@ -69,26 +42,26 @@ func (s *KMeansSimilarity) Fit(features [][]float64) error {
 	return nil
 }
 
-// Groups implements Similarity.
-func (s *KMeansSimilarity) Groups() int {
+// groups returns the number of clusters after the last fit.
+func (s *kmeansSimilarity) groups() int {
 	if s.model == nil {
 		return 0
 	}
 	return s.model.K
 }
 
-// GroupOf implements Similarity.
-func (s *KMeansSimilarity) GroupOf(i int) int {
+// groupOf returns the fitted cluster of training point i.
+func (s *kmeansSimilarity) groupOf(i int) int {
 	if s.model == nil || i < 0 || i >= len(s.model.Labels) {
 		return 0
 	}
 	return s.model.Labels[i]
 }
 
-// Match implements Similarity: nearest centroid, confident when the
+// match returns the nearest centroid's cluster, confident when the
 // distance is within threshold × the cluster's RMS radius (with a fallback
 // radius for degenerate single-member clusters).
-func (s *KMeansSimilarity) Match(query []float64) (int, bool) {
+func (s *kmeansSimilarity) match(query []float64) (int, bool) {
 	if s.model == nil {
 		return 0, false
 	}
@@ -110,7 +83,7 @@ func (s *KMeansSimilarity) Match(query []float64) (int, bool) {
 }
 
 // centroidScale returns the mean pairwise centroid distance.
-func (s *KMeansSimilarity) centroidScale() float64 {
+func (s *kmeansSimilarity) centroidScale() float64 {
 	cs := s.model.Centroids
 	total, n := 0.0, 0
 	for i := 0; i < len(cs); i++ {
@@ -128,95 +101,3 @@ func (s *KMeansSimilarity) centroidScale() float64 {
 	}
 	return total / float64(n)
 }
-
-// -------------------------------------------------- nearest neighbour ---
-
-// NearestNeighborSimilarity is an alternative technique: every historical
-// profile is its own group, and a query matches its nearest neighbour when
-// the distance is within threshold × the mean nearest-neighbour distance of
-// the training set. Finer-grained than k-means (per-trial rather than
-// per-family configuration reuse) at the cost of a larger model.
-type NearestNeighborSimilarity struct {
-	threshold float64
-	points    [][]float64
-	meanNN    float64
-}
-
-// NewNearestNeighborSimilarity builds the k-NN technique.
-func NewNearestNeighborSimilarity(threshold float64) *NearestNeighborSimilarity {
-	return &NearestNeighborSimilarity{threshold: threshold}
-}
-
-// Name implements Similarity.
-func (s *NearestNeighborSimilarity) Name() string { return "nearest-neighbor" }
-
-// Fit implements Similarity.
-func (s *NearestNeighborSimilarity) Fit(features [][]float64) error {
-	if len(features) == 0 {
-		s.points = nil
-		return errors.New("gt: no profiles to fit")
-	}
-	pts := make([][]float64, len(features))
-	for i, f := range features {
-		pts[i] = append([]float64(nil), f...)
-	}
-	s.points = pts
-	// Mean nearest-neighbour distance defines the confidence scale.
-	if len(pts) < 2 {
-		s.meanNN = 0
-		return nil
-	}
-	total := 0.0
-	for i := range pts {
-		nearest := math.Inf(1)
-		for j := range pts {
-			if i == j {
-				continue
-			}
-			d, err := stats.EuclideanDistance(pts[i], pts[j])
-			if err != nil {
-				return err
-			}
-			if d < nearest {
-				nearest = d
-			}
-		}
-		total += nearest
-	}
-	s.meanNN = total / float64(len(pts))
-	return nil
-}
-
-// Groups implements Similarity.
-func (s *NearestNeighborSimilarity) Groups() int { return len(s.points) }
-
-// GroupOf implements Similarity.
-func (s *NearestNeighborSimilarity) GroupOf(i int) int { return i }
-
-// Match implements Similarity.
-func (s *NearestNeighborSimilarity) Match(query []float64) (int, bool) {
-	if len(s.points) == 0 {
-		return 0, false
-	}
-	best, bestD := 0, math.Inf(1)
-	for i, p := range s.points {
-		d, err := stats.EuclideanDistance(query, p)
-		if err != nil {
-			return 0, false
-		}
-		if d < bestD {
-			best, bestD = i, d
-		}
-	}
-	scale := s.meanNN
-	if scale == 0 || bestD > s.threshold*scale {
-		return best, false
-	}
-	return best, true
-}
-
-// Compile-time interface checks.
-var (
-	_ Similarity = (*KMeansSimilarity)(nil)
-	_ Similarity = (*NearestNeighborSimilarity)(nil)
-)

@@ -35,7 +35,7 @@ func TestStoreConcurrentAddSaveLoad(t *testing.T) {
 					// Interleave the operations concurrent jobs perform.
 					s.Lookup([]float64{float64(i), 1, 2, 3})
 					if i%5 == 0 {
-						if err := s.Save(io.Discard); err != nil {
+						if err := Save(io.Discard, s); err != nil {
 							t.Errorf("Save: %v", err)
 							return
 						}
@@ -44,20 +44,20 @@ func TestStoreConcurrentAddSaveLoad(t *testing.T) {
 			}(a)
 		}
 		wg.Wait()
-		if got := s.Len(); got != adders*perAdder {
+		if got := s.Info().Entries; got != adders*perAdder {
 			t.Fatalf("lost entries under concurrency: %d, want %d", got, adders*perAdder)
 		}
 
 		var buf bytes.Buffer
-		if err := s.Save(&buf); err != nil {
+		if err := Save(&buf, s); err != nil {
 			t.Fatal(err)
 		}
 		restored := NewSharded(DefaultConfig(), 1)
-		if err := restored.Load(&buf); err != nil {
+		if err := Load(&buf, restored); err != nil {
 			t.Fatal(err)
 		}
-		if restored.Len() != s.Len() {
-			t.Fatalf("round-trip lost entries: %d, want %d", restored.Len(), s.Len())
+		if got, want := restored.Info().Entries, s.Info().Entries; got != want {
+			t.Fatalf("round-trip lost entries: %d, want %d", got, want)
 		}
 		if !reflect.DeepEqual(restored.Entries(), s.Entries()) {
 			t.Error("restored database differs from the original")
@@ -178,8 +178,8 @@ func TestLoadFileMissing(t *testing.T) {
 			t.Fatalf("missing snapshot: %v", err)
 		}
 		defer p.Close()
-		if p.Len() != 0 {
-			t.Fatalf("empty boot has %d entries", p.Len())
+		if n := p.Info().Entries; n != 0 {
+			t.Fatalf("empty boot has %d entries", n)
 		}
 	})
 }

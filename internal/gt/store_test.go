@@ -15,9 +15,8 @@ func TestStoreMissesWhenEmpty(t *testing.T) {
 		if _, ok := s.Lookup(featuresOf(t, lenetMNIST, 1)); ok {
 			t.Fatal("empty database returned a hit")
 		}
-		hits, misses := s.Stats()
-		if hits != 0 || misses != 1 {
-			t.Fatalf("stats = %d/%d, want 0/1", hits, misses)
+		if info := s.Info(); info.Hits != 0 || info.Misses != 1 {
+			t.Fatalf("stats = %d/%d, want 0/1", info.Hits, info.Misses)
 		}
 	})
 }
@@ -60,8 +59,8 @@ func TestStoreAddValidation(t *testing.T) {
 		if err := s.Add(Entry{Features: []float64{1}, BestSys: params.SysConfig{}}); err == nil {
 			t.Fatal("invalid config accepted")
 		}
-		if s.Len() != 0 || s.Rev() != 0 {
-			t.Fatalf("rejected entries mutated the store: len=%d rev=%d", s.Len(), s.Rev())
+		if info := s.Info(); info.Entries != 0 || info.Rev != 0 {
+			t.Fatalf("rejected entries mutated the store: len=%d rev=%d", info.Entries, info.Rev)
 		}
 	})
 }
@@ -73,15 +72,15 @@ func TestStoreSaveLoad(t *testing.T) {
 			_ = s.Add(Entry{Features: featuresOf(t, cnnNews, uint64(i)), BestSys: params.SysConfig{Cores: 16, MemoryGB: 32}, Metric: 1})
 		}
 		var buf bytes.Buffer
-		if err := s.Save(&buf); err != nil {
+		if err := Save(&buf, s); err != nil {
 			t.Fatal(err)
 		}
 		restored := NewSharded(DefaultConfig(), 2)
-		if err := restored.Load(&buf); err != nil {
+		if err := Load(&buf, restored); err != nil {
 			t.Fatal(err)
 		}
-		if restored.Len() != s.Len() {
-			t.Fatalf("restored %d entries, want %d", restored.Len(), s.Len())
+		if got, want := restored.Info().Entries, s.Info().Entries; got != want {
+			t.Fatalf("restored %d entries, want %d", got, want)
 		}
 		if !reflect.DeepEqual(restored.Entries(), s.Entries()) {
 			t.Fatal("restored entries differ (or lost insertion order)")
@@ -90,7 +89,7 @@ func TestStoreSaveLoad(t *testing.T) {
 		if _, ok := restored.Lookup(featuresOf(t, lenetMNIST, 50)); !ok {
 			t.Fatal("warm-started database missed")
 		}
-		if err := restored.Load(bytes.NewBufferString("junk")); err == nil {
+		if err := Load(bytes.NewBufferString("junk"), restored); err == nil {
 			t.Fatal("garbage accepted")
 		}
 	})
@@ -103,11 +102,11 @@ func TestStoreLoadLegacyFormat(t *testing.T) {
 		`{"features":[1,2,3],"bestSys":{"cores":4,"memoryGB":8},"metric":0.9},` +
 		`{"features":[10,20,30],"bestSys":{"cores":16,"memoryGB":32},"metric":0.7}]}` + "\n"
 	eachStore(t, func(t *testing.T, s Store) {
-		if err := s.Load(strings.NewReader(legacy)); err != nil {
+		if err := Load(strings.NewReader(legacy), s); err != nil {
 			t.Fatalf("legacy snapshot rejected: %v", err)
 		}
-		if s.Len() != 2 {
-			t.Fatalf("legacy snapshot loaded %d entries, want 2", s.Len())
+		if n := s.Info().Entries; n != 2 {
+			t.Fatalf("legacy snapshot loaded %d entries, want 2", n)
 		}
 		got := s.Entries()
 		if got[0].Metric != 0.9 || got[1].BestSys != (params.SysConfig{Cores: 16, MemoryGB: 32}) {
@@ -125,7 +124,7 @@ func TestStoreSaveIsLegacyCompatible(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := s.Save(&buf); err != nil {
+		if err := Save(&buf, s); err != nil {
 			t.Fatal(err)
 		}
 		var raw map[string]json.RawMessage
@@ -189,30 +188,31 @@ func TestDeferredRefitMatchesEager(t *testing.T) {
 
 func TestStoreRev(t *testing.T) {
 	eachStore(t, func(t *testing.T, s Store) {
-		if s.Rev() != 0 {
-			t.Fatalf("fresh rev = %d", s.Rev())
+		rev := func() uint64 { return s.Info().Rev }
+		if rev() != 0 {
+			t.Fatalf("fresh rev = %d", rev())
 		}
 		for i := 1; i <= 3; i++ {
 			if err := s.Add(gtEntry(i)); err != nil {
 				t.Fatal(err)
 			}
-			if s.Rev() != uint64(i) {
-				t.Fatalf("rev after %d adds = %d", i, s.Rev())
+			if rev() != uint64(i) {
+				t.Fatalf("rev after %d adds = %d", i, rev())
 			}
 		}
 		var buf strings.Builder
-		if err := s.Save(&buf); err != nil {
+		if err := Save(&buf, s); err != nil {
 			t.Fatal(err)
 		}
-		if s.Rev() != 3 {
-			t.Errorf("Save mutated rev to %d", s.Rev())
+		if rev() != 3 {
+			t.Errorf("Save mutated rev to %d", rev())
 		}
-		before := s.Rev()
-		if err := s.Load(strings.NewReader(buf.String())); err != nil {
+		before := rev()
+		if err := Load(strings.NewReader(buf.String()), s); err != nil {
 			t.Fatal(err)
 		}
-		if s.Rev() <= before {
-			t.Errorf("rev after Load = %d, want > %d", s.Rev(), before)
+		if rev() <= before {
+			t.Errorf("rev after Load = %d, want > %d", rev(), before)
 		}
 	})
 }

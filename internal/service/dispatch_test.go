@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -351,16 +352,14 @@ func TestLaggedSubscriberObservesDrop(t *testing.T) {
 	}
 }
 
-// failingStore wraps a real store but tears every Save mid-write.
+// failingStore wraps a real store but hands out an entry JSON cannot
+// encode (a NaN feature), so every export fails mid-write.
 type failingStore struct {
 	gt.Store
 }
 
-func (f *failingStore) Save(w io.Writer) error {
-	if _, err := io.WriteString(w, `{"entries":[{"feat`); err != nil {
-		return err
-	}
-	return errors.New("disk on fire")
+func (f *failingStore) Entries() []gt.Entry {
+	return []gt.Entry{{Features: []float64{math.NaN()}, BestSys: pipetune.DefaultSysConfig()}}
 }
 
 // TestExportFailureIsNotA200 is the regression test for the truncated-200

@@ -253,7 +253,7 @@ func New(cfg Config) (*Service, error) {
 		cfg.System.SetGroundTruthStore(ps)
 		s.persist = ps
 		s.gt = ps
-		if n := ps.Len(); n > 0 {
+		if n := ps.Info().Entries; n > 0 {
 			cfg.Logf("service: restored ground truth from %s (%d entries)", cfg.GTPath, n)
 		}
 	}
@@ -829,7 +829,7 @@ func (s *Service) GroundTruthStats() api.GroundTruthStats {
 // (legacy-compatible: the export loads back via ImportGroundTruth, the
 // -gt flag, or a pre-refactor deployment).
 func (s *Service) ExportGroundTruth(w io.Writer) error {
-	return s.gt.Save(w)
+	return gt.Save(w, s.gt)
 }
 
 // ImportGroundTruth merges entries into the shared database (it does not

@@ -153,8 +153,7 @@ type System struct {
 	tuner    *tune.Runner
 	pipetune *core.PipeTune
 	seed     uint64
-	gtConfig gt.Config // of the default store New builds when no option supplies one
-	err      error     // first option error; surfaced by New
+	err      error // first option error; surfaced by New
 }
 
 // Option customises a System.
@@ -165,31 +164,17 @@ func WithSeed(seed uint64) Option {
 	return func(s *System) { s.seed = seed }
 }
 
-// WithCluster replaces the default 4-node testbed cluster. An invalid node
-// specification fails pipetune.New rather than silently keeping the
-// default cluster.
-func WithCluster(numNodes, coresPerNode, memGBPerNode int) Option {
-	return func(s *System) {
-		c, err := cluster.New(numNodes, cluster.NodeSpec{Cores: coresPerNode, MemoryGB: memGBPerNode})
-		if err != nil {
-			s.fail(fmt.Errorf("pipetune: WithCluster: %w", err))
-			return
-		}
-		s.cluster = c
-	}
-}
-
 // NodeClass describes one homogeneous group of cluster nodes — shape,
 // count, relative speed, pricing and spot revocability. Re-exported from
 // internal/cluster for WithClusterClasses.
 type NodeClass = cluster.NodeClass
 
-// WithClusterClasses replaces the cluster with a heterogeneous one built
-// from node classes (shapes, speeds, prices, spot capacity). Cost-aware
-// placement policies (SchedCheapest, SchedPerfPerDollar) price trials
-// against these classes, and spot classes with a revocation rate feed the
-// scheduler's deterministic revocation process. An invalid class set
-// fails pipetune.New.
+// WithClusterClasses replaces the default 4-node testbed with a cluster
+// built from node classes (shapes, speeds, prices, spot capacity).
+// Cost-aware placement policies (SchedCheapest, SchedPerfPerDollar) price
+// trials against these classes, and spot classes with a revocation rate
+// feed the scheduler's deterministic revocation process. An invalid class
+// set fails pipetune.New rather than silently keeping the default cluster.
 func WithClusterClasses(classes ...NodeClass) Option {
 	return func(s *System) {
 		c, err := cluster.NewClasses(classes)
@@ -271,11 +256,6 @@ func WithCorpusSize(train, test int) Option {
 	}
 }
 
-// WithLoad sets the contention multiplier (co-located jobs).
-func WithLoad(load float64) Option {
-	return func(s *System) { s.trainer.Load = load }
-}
-
 // WithTrialCache attaches a trial prefix cache to the System's trainer:
 // trials sharing a training prefix — same workload, corpus, training-
 // relevant hyperparameters and seed; the system configuration never
@@ -287,37 +267,6 @@ func WithLoad(load float64) Option {
 // the same keys.
 func WithTrialCache(maxBytes int64) Option {
 	return func(s *System) { s.trainer.Cache = trainer.NewTrialCache(maxBytes) }
-}
-
-// WithProbes replaces the system-configuration probe grid (§5.6).
-func WithProbes(probes []SysConfig) Option {
-	return func(s *System) {
-		if len(probes) > 0 {
-			cp := make([]SysConfig, len(probes))
-			copy(cp, probes)
-			s.pipetune.Probes = cp
-		}
-	}
-}
-
-// WithEnergyObjective makes PipeTune's probing minimise energy instead of
-// epoch runtime.
-func WithEnergyObjective() Option {
-	return func(s *System) { s.pipetune.Optimize = core.MinimizeEnergy }
-}
-
-// WithNearestNeighborSimilarity swaps the ground truth's similarity
-// function from the paper's default k-means to per-profile nearest
-// neighbour (§5.4 notes the function is pluggable). threshold scales the
-// mean nearest-neighbour distance that bounds confident matches. It
-// configures the store New builds; a store handed in through
-// WithGroundTruthStore keeps its own technique.
-func WithNearestNeighborSimilarity(threshold float64) Option {
-	return func(s *System) {
-		s.gtConfig.NewSimilarity = func(uint64) gt.Similarity {
-			return gt.NewNearestNeighborSimilarity(threshold)
-		}
-	}
 }
 
 // ExecBackend is the pluggable execution plane trial bodies compute on:
@@ -352,10 +301,9 @@ func WithGroundTruthStore(store GroundTruthStore) Option {
 // New builds a wired System.
 func New(opts ...Option) (*System, error) {
 	s := &System{
-		trainer:  trainer.NewRunner(),
-		cluster:  cluster.Paper(),
-		seed:     1,
-		gtConfig: gt.DefaultConfig(),
+		trainer: trainer.NewRunner(),
+		cluster: cluster.Paper(),
+		seed:    1,
 	}
 	s.tuner = tune.NewRunner(s.trainer, s.cluster)
 	s.pipetune = core.New(s.tuner, s.seed)
@@ -369,7 +317,7 @@ func New(opts ...Option) (*System, error) {
 	// Re-wire in case the cluster was swapped by an option.
 	s.tuner.Cluster = s.cluster
 	if s.pipetune.GT == nil {
-		s.pipetune.GT = gt.NewSharded(s.gtConfig, s.seed)
+		s.pipetune.GT = gt.NewSharded(gt.DefaultConfig(), s.seed)
 	}
 	return s, nil
 }
@@ -427,15 +375,15 @@ func (s *System) Bootstrap(workloads []Workload) error {
 // GroundTruthStats reports the similarity database's size and hit/miss
 // counters.
 func (s *System) GroundTruthStats() (entries, hits, misses int) {
-	hits, misses = s.pipetune.GT.Stats()
-	return s.pipetune.GT.Len(), hits, misses
+	info := s.pipetune.GT.Info()
+	return info.Entries, info.Hits, info.Misses
 }
 
 // SaveGroundTruth persists the similarity database as JSON.
-func (s *System) SaveGroundTruth(w io.Writer) error { return s.pipetune.GT.Save(w) }
+func (s *System) SaveGroundTruth(w io.Writer) error { return gt.Save(w, s.pipetune.GT) }
 
 // LoadGroundTruth restores a previously saved similarity database.
-func (s *System) LoadGroundTruth(r io.Reader) error { return s.pipetune.GT.Load(r) }
+func (s *System) LoadGroundTruth(r io.Reader) error { return gt.Load(r, s.pipetune.GT) }
 
 // GroundTruth exposes the System's similarity database for sharing with
 // service layers (snapshotting, revision tracking, cross-job statistics).
@@ -457,15 +405,6 @@ func (s *System) SetGroundTruthStore(store GroundTruthStore) {
 // layer wires this when metrics are enabled; library callers may too.
 // Call before running jobs.
 func (s *System) InstrumentTrainer(reg *metrics.Registry) { s.trainer.InstrumentMetrics(reg) }
-
-// TrainerCacheStats snapshots the trial prefix cache's counters; the zero
-// value when WithTrialCache is not enabled.
-func (s *System) TrainerCacheStats() trainer.CacheStats {
-	if s.trainer.Cache == nil {
-		return trainer.CacheStats{}
-	}
-	return s.trainer.Cache.Stats()
-}
 
 // PredictTrialDuration estimates a trial's simulated duration without
 // running it (used for capacity planning and the multi-tenant examples).

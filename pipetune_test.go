@@ -97,7 +97,7 @@ func TestTrialCacheJobParity(t *testing.T) {
 	if gotPT != wantPT {
 		t.Error("PipeTune JobResult JSON differs with the trial cache enabled")
 	}
-	st := cached.TrainerCacheStats()
+	st := cached.trainer.Cache.Stats()
 	if st.TrajectoryHits+st.FlightHits == 0 {
 		t.Fatalf("cache recorded no reuse across the two jobs: %+v", st)
 	}
@@ -127,7 +127,7 @@ func TestRecurringSpecsStayTiny(t *testing.T) {
 			}
 		}
 	}
-	st := s.TrainerCacheStats()
+	st := s.trainer.Cache.Stats()
 	if st.Entries != 220 || st.Evictions != 0 {
 		t.Fatalf("stats = %+v, want 220 resident prefixes and no evictions", st)
 	}
@@ -209,27 +209,8 @@ func TestFacadeGroundTruthPersistence(t *testing.T) {
 	}
 }
 
-func TestFacadeOptions(t *testing.T) {
-	s := fastSystem(t,
-		WithCluster(1, 8, 24), // the paper's single-node Type-III testbed
-		WithProbes([]SysConfig{{Cores: 2, MemoryGB: 8}, {Cores: 8, MemoryGB: 16}}),
-		WithEnergyObjective(),
-		WithLoad(2),
-	)
-	w := Workload{Model: Jacobi, Dataset: Rodinia}
-	spec := fastSpec(s, w)
-	spec.BaseSys = SysConfig{Cores: 8, MemoryGB: 16}
-	res, err := s.RunPipeTune(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Best == nil {
-		t.Fatal("no result on single node")
-	}
-}
-
 // TestWithSeedSeedsDefaultGroundTruth: the store New builds takes the
-// seed the options end on, wherever WithSeed stands among them.
+// seed the options fix.
 func TestWithSeedSeedsDefaultGroundTruth(t *testing.T) {
 	storeSeed := func(opts ...Option) uint64 {
 		t.Helper()
@@ -251,11 +232,6 @@ func TestWithSeedSeedsDefaultGroundTruth(t *testing.T) {
 	}
 	if got := storeSeed(WithSeed(8)); got != 8 {
 		t.Errorf("WithSeed(8): store seeded %d", got)
-	}
-	before := storeSeed(WithSeed(7), WithNearestNeighborSimilarity(3))
-	after := storeSeed(WithNearestNeighborSimilarity(3), WithSeed(7))
-	if before != 7 || after != 7 {
-		t.Errorf("WithSeed(7) before/after WithNearestNeighborSimilarity: store seeded %d/%d", before, after)
 	}
 }
 
@@ -285,40 +261,22 @@ func TestFacadePredictDuration(t *testing.T) {
 	}
 }
 
-func TestFacadeNearestNeighborSimilarity(t *testing.T) {
-	s := fastSystem(t, WithNearestNeighborSimilarity(3.0))
-	if err := s.Bootstrap(WorkloadsOfType(TypeI)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.RunPipeTune(fastSpec(s, Workload{Model: LeNet5, Dataset: MNIST}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Best == nil {
-		t.Fatal("no best trial under k-NN similarity")
-	}
-	_, hits, _ := s.GroundTruthStats()
-	if hits == 0 {
-		t.Fatal("k-NN similarity never hit after bootstrap")
-	}
-}
-
-func TestFacadeCustomCluster(t *testing.T) {
-	s := fastSystem(t, WithCluster(2, 16, 32))
-	spec := fastSpec(s, Workload{Model: LeNet5, Dataset: MNIST})
-	if _, err := s.RunBaseline(spec); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFacadeInvalidClusterRejected(t *testing.T) {
-	// Regression: WithCluster used to swallow the cluster.New error and
-	// silently fall back to the default testbed.
-	if _, err := New(WithCluster(0, 16, 32)); err == nil {
-		t.Fatal("zero-node cluster accepted")
+	// Regression: an invalid cluster option used to be swallowed, silently
+	// keeping the default testbed.
+	spec := NodeClass{Count: 2}
+	spec.Spec.Cores, spec.Spec.MemoryGB = 16, 32
+	zero, negative := spec, spec
+	zero.Count = 0
+	negative.Spec.Cores = -1
+	if _, err := New(WithClusterClasses(zero)); err == nil {
+		t.Fatal("zero-node class accepted")
 	}
-	if _, err := New(WithCluster(2, -1, 32)); err == nil {
-		t.Fatal("negative-core cluster accepted")
+	if _, err := New(WithClusterClasses(negative)); err == nil {
+		t.Fatal("negative-core class accepted")
+	}
+	if _, err := New(WithClusterClasses(spec)); err != nil {
+		t.Fatalf("valid class rejected: %v", err)
 	}
 }
 
