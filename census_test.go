@@ -53,14 +53,9 @@ var censusAllow = map[string]string{
 	"internal/xrand.Source.Perm":   "nn/reference_test.go's naive shuffle the kernels' epoch order is held to",
 	"internal/xrand.Source.State":  "nn/reference_test.go fingerprints dropout streams with it",
 
-	// (d) Deterministic test hooks with no production equivalent.
-	"internal/service.Service.Pause":  "holds the dispatcher so a test can order the queue",
-	"internal/service.Service.Resume": "Pause's other half",
-
-	// (e) Reached through a value whose type the calling file does not
+	// (d) Reached through a value whose type the calling file does not
 	// import, which a census without type information cannot follow.
 	"internal/admission.Queue.Position": "service.go calls s.disp.q.Position; the field is declared in dispatch.go",
-	"internal/admission.Queue.Remove":   "service.go calls s.disp.q.Remove; the field is declared in dispatch.go",
 }
 
 // censusFile is one parsed file of the module.

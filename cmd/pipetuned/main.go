@@ -1,6 +1,6 @@
 // Command pipetuned is the multi-tenant PipeTune tuning daemon: an
 // HTTP/JSON job API (package api documents the surface) in front of one
-// shared pipetune.System, with a bounded worker pool executing jobs and a
+// shared pipetune.System, running up to -workers jobs at once, and a
 // single ground-truth similarity database shared across every job and
 // persisted atomically to disk.
 //
@@ -48,7 +48,7 @@
 //
 // Job dispatch across tenants is policy-driven: the default -job-policy
 // fifo reproduces the classic submission-order schedule exactly;
-// -job-policy fair shares the worker pool by weighted deficit round robin
+// -job-policy fair shares the job slots by weighted deficit round robin
 // over per-tenant queues (weights from repeatable -tenant-weight flags,
 // e.g. -tenant-weight research=2 -tenant-weight interns=1); -job-policy
 // sjf dispatches the job with the smallest cost-model estimate first,

@@ -2,7 +2,7 @@
 // trial placement policies: a tenant-aware admission queue deciding which
 // *tuning job* a shared cluster middleware dispatches next. Where
 // internal/sched places trials of one job onto nodes, admission arbitrates
-// between whole jobs competing for the service's worker pool — the
+// between whole jobs competing for the service's job slots — the
 // cluster-level scheduling that makes a shared DL cluster usable for more
 // than one tenant at a time (§5, §7.1.2).
 //

@@ -2,7 +2,6 @@ package service
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"pipetune/api"
@@ -10,13 +9,13 @@ import (
 	"pipetune/internal/metrics"
 )
 
-// dispatcher replaces the legacy FIFO `chan *job` worker pipeline: a
-// tenant-aware admission queue (internal/admission) plus a condition
-// variable waking workers and per-tenant wait accounting. It owns no lock
-// of its own — every method requires Service.mu held, which is also what
-// cond is bound to; a single critical section therefore spans the
-// capacity check, the job-ID allocation and the enqueue, closing the
-// ID-burn and lost-wakeup races a separate lock would reopen.
+// dispatcher is the service's job queue: a tenant-aware admission queue
+// (internal/admission) and per-tenant accounting. It owns no lock of its
+// own — every method requires Service.mu held, so a single critical
+// section spans the capacity check, the job-ID allocation and the
+// enqueue, closing the ID-burn race a separate lock would reopen. It owns
+// queue membership: a job leaves the queue by dispatch (Service's
+// dispatchLocked pops it) or by turning terminal while queued.
 //
 // Per-tenant accounting lives in the metrics registry, not in a parallel
 // set of ints: the dispatcher caches one tenantMetrics row per tenant
@@ -24,9 +23,8 @@ import (
 // and /healthz read those same instruments — the two surfaces cannot
 // disagree.
 type dispatcher struct {
-	q    *admission.Queue
-	cond *sync.Cond
-	met  *svcMetrics
+	q   *admission.Queue
+	met *svcMetrics
 
 	// byTenant maps every raw tenant name ever seen to its row; rows maps
 	// the bounded set of label values (real tenants up to the cap, plus
@@ -36,7 +34,7 @@ type dispatcher struct {
 }
 
 // newDispatcher validates the job policy and tenant weights from cfg.
-func newDispatcher(mu *sync.Mutex, cfg Config, met *svcMetrics) (*dispatcher, error) {
+func newDispatcher(cfg Config, met *svcMetrics) (*dispatcher, error) {
 	q, err := admission.New(admission.Config{
 		Policy:   admission.Policy(cfg.JobPolicy),
 		Weights:  cfg.TenantWeights,
@@ -47,7 +45,6 @@ func newDispatcher(mu *sync.Mutex, cfg Config, met *svcMetrics) (*dispatcher, er
 	}
 	return &dispatcher{
 		q:        q,
-		cond:     sync.NewCond(mu),
 		met:      met,
 		byTenant: make(map[string]*tenantMetrics),
 		rows:     make(map[string]*tenantMetrics),
@@ -74,8 +71,8 @@ func (d *dispatcher) tenant(name string) *tenantMetrics {
 	return tm
 }
 
-// pushLocked admits a job into the queue and wakes one worker. The caller
-// has already verified capacity via q.Full() under the same lock.
+// pushLocked admits a job into the queue. The caller has already verified
+// capacity via q.Full() under the same lock.
 func (d *dispatcher) pushLocked(jb *job) error {
 	err := d.q.Push(admission.Job{
 		ID:       jb.id,
@@ -89,7 +86,6 @@ func (d *dispatcher) pushLocked(jb *job) error {
 	tm := d.tenant(jb.tenant)
 	tm.submitted.Inc()
 	tm.queued.Add(1)
-	d.cond.Signal()
 	return nil
 }
 
@@ -102,12 +98,14 @@ func (d *dispatcher) onDispatchLocked(tenant string, wait time.Duration) {
 	tm.wait.Observe(wait.Seconds())
 }
 
-// onFinishLocked records a transition from prev into the terminal state
-// next.
-func (d *dispatcher) onFinishLocked(tenant string, prev, next api.JobState) {
-	tm := d.tenant(tenant)
-	switch prev {
+// onFinishLocked records jb's transition from its current state into the
+// terminal state next; a job cancelled while queued leaves the queue, so
+// it can never dispatch.
+func (d *dispatcher) onFinishLocked(jb *job, next api.JobState) {
+	tm := d.tenant(jb.tenant)
+	switch jb.state {
 	case api.StateQueued:
+		d.q.Remove(jb.id)
 		tm.queued.Add(-1)
 	case api.StateRunning:
 		tm.running.Add(-1)

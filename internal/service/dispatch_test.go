@@ -34,30 +34,40 @@ func waitAll(t *testing.T, cl *client.Client, ids []string) []api.JobStatus {
 	return out
 }
 
-// TestPauseResume pins the dispatch-hold control the deterministic
-// scheduling tests below rely on: a paused service accepts and queues
-// submissions but starts nothing until Resume.
-func TestPauseResume(t *testing.T) {
-	svc, cl := newServer(t, Config{Workers: 2})
-	ctx := context.Background()
-	svc.Pause()
-	st, err := cl.Submit(ctx, smallReq("lenet/mnist"))
-	if err != nil {
-		t.Fatal(err)
+// holder takes over a service's start seam: every job dispatched while it
+// holds stays running with its body unstarted, so a test forms a backlog
+// behind it deterministically.
+type holder struct {
+	svc  *Service
+	run  func(ctx context.Context, jb *job) // the seam it replaced
+	held []heldJob
+}
+
+type heldJob struct {
+	ctx context.Context
+	jb  *job
+}
+
+// hold installs a holder on svc; call it before the first Submit.
+func hold(svc *Service) *holder {
+	h := &holder{svc: svc}
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	h.run = svc.start
+	svc.start = func(ctx context.Context, jb *job) { h.held = append(h.held, heldJob{ctx, jb}) }
+	return h
+}
+
+// release restores the seam and starts every held job's real body.
+func (h *holder) release() {
+	s := h.svc
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.start = h.run
+	for _, hj := range h.held {
+		s.start(hj.ctx, hj.jb)
 	}
-	time.Sleep(20 * time.Millisecond)
-	cur, err := cl.Job(ctx, st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cur.State != api.StateQueued {
-		t.Fatalf("job dispatched while paused: %v", cur.State)
-	}
-	svc.Resume()
-	final, err := cl.Wait(ctx, st.ID, 10*time.Millisecond)
-	if err != nil || final.State != api.StateDone {
-		t.Fatalf("after resume: %v state %v", err, final.State)
-	}
+	h.held = nil
 }
 
 // TestFIFOParitySchedule is the dispatcher's behaviour-preservation
@@ -109,10 +119,10 @@ func TestWeightedFairDispatch(t *testing.T) {
 	})
 	ctx := context.Background()
 
-	// Pause dispatch while the backlog forms: every scheduling decision
-	// below is then made over a complete, saturated queue — deterministic
-	// DRR, no submission/completion races.
-	svc.Pause()
+	// Hold the first job running while the backlog forms behind it: every
+	// later scheduling decision is then made over a complete, saturated
+	// queue — deterministic DRR, no submission/completion races.
+	held := hold(svc)
 	var ids []string
 	for i := 0; i < 8; i++ {
 		for _, tenant := range []string{"gold", "free"} {
@@ -126,7 +136,7 @@ func TestWeightedFairDispatch(t *testing.T) {
 			ids = append(ids, st.ID)
 		}
 	}
-	svc.Resume()
+	held.release()
 	backlog := waitAll(t, cl, ids)
 	sort.Slice(backlog, func(i, j int) bool { return backlog[i].Started.Before(*backlog[j].Started) })
 	gold := 0
@@ -174,7 +184,7 @@ func TestQueueFullDoesNotBurnIDs(t *testing.T) {
 	svc, cl := newServer(t, Config{Workers: 1, QueueDepth: 1})
 	ctx := context.Background()
 
-	svc.Pause() // keep j1 in the queue so it occupies the single slot
+	held := hold(svc) // j1 holds the one worker slot, so j2 occupies the one queue slot
 	j1, err := cl.Submit(ctx, smallReq("lenet/mnist"))
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +192,8 @@ func TestQueueFullDoesNotBurnIDs(t *testing.T) {
 	if j1.ID != "job-000001" {
 		t.Fatalf("first job ID %s", j1.ID)
 	}
-	// j1 is the queued head: the status surface must say so and carry the
+	// Submit answers with the admitted status: j1 was the queued head when
+	// it was accepted, and the status surface must say so and carry the
 	// cost model's estimate.
 	if j1.State != api.StateQueued || j1.QueuePosition == nil || *j1.QueuePosition != 0 {
 		t.Fatalf("queued j1 status = %+v, want queuePosition 0", j1)
@@ -193,6 +204,13 @@ func TestQueueFullDoesNotBurnIDs(t *testing.T) {
 	if j1.Tenant != DefaultTenant {
 		t.Fatalf("tenant-less submission resolved to %q", j1.Tenant)
 	}
+	j2, err := cl.Submit(ctx, smallReq("lenet/mnist"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j2.ID != "job-000002" || j2.State != api.StateQueued {
+		t.Fatalf("second job %s %v, want job-000002 queued", j2.ID, j2.State)
+	}
 
 	// Queue full: these rejections must leave no gap in the sequence.
 	for i := 0; i < 3; i++ {
@@ -202,20 +220,22 @@ func TestQueueFullDoesNotBurnIDs(t *testing.T) {
 			t.Fatalf("queue-full error = %v, want HTTP 503", err)
 		}
 	}
-	// Free the slot and submit again: the ID continues from 000001.
-	if _, err := cl.Cancel(ctx, j1.ID); err != nil {
+	// Free the queue slot and submit again: the ID continues from 000002.
+	if _, err := cl.Cancel(ctx, j2.ID); err != nil {
 		t.Fatal(err)
 	}
-	j2, err := cl.Submit(ctx, smallReq("lenet/mnist"))
+	j3, err := cl.Submit(ctx, smallReq("lenet/mnist"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j2.ID != "job-000002" {
-		t.Fatalf("post-rejection job ID %s, want job-000002 (rejections burned IDs)", j2.ID)
+	if j3.ID != "job-000003" {
+		t.Fatalf("post-rejection job ID %s, want job-000003 (rejections burned IDs)", j3.ID)
 	}
-	svc.Resume()
-	if final := waitAll(t, cl, []string{j2.ID})[0]; final.State != api.StateDone {
-		t.Fatalf("j2 ended %v", final.State)
+	held.release()
+	for _, final := range waitAll(t, cl, []string{j1.ID, j3.ID}) {
+		if final.State != api.StateDone {
+			t.Fatalf("%s ended %v", final.ID, final.State)
+		}
 	}
 }
 
@@ -281,9 +301,9 @@ func TestLaggedSubscriberObservesDrop(t *testing.T) {
 	svc, cl := newServer(t, Config{Workers: 1, SubscriberBuffer: 1})
 	ctx := context.Background()
 
-	// Pause dispatch so the subscription attaches while the watched job is
-	// still queued — before any of its events exist.
-	svc.Pause()
+	// Hold the watched job at dispatch so the subscription attaches before
+	// any of its events exist.
+	held := hold(svc)
 	watched, err := cl.Submit(ctx, smallReq("cnn/mnist"))
 	if err != nil {
 		t.Fatal(err)
@@ -293,11 +313,11 @@ func TestLaggedSubscriberObservesDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(su.Replay) != 0 {
-		t.Fatalf("queued job already has %d events", len(su.Replay))
+		t.Fatalf("held job already has %d events", len(su.Replay))
 	}
 	// Stall: never read su.Events while the job runs to completion. Every
 	// event past the 1-slot buffer overflows and evicts the subscriber.
-	svc.Resume()
+	held.release()
 	final := waitAll(t, cl, []string{watched.ID})[0]
 	if final.State != api.StateDone {
 		t.Fatalf("watched job ended %v", final.State)
@@ -433,7 +453,11 @@ func TestSJFDispatchOrder(t *testing.T) {
 	svc, cl := newServer(t, Config{Workers: 1, JobPolicy: pipetune.JobPolicySJF})
 	ctx := context.Background()
 
-	svc.Pause()
+	// A held first job keeps the one slot busy while the two queue.
+	held := hold(svc)
+	if _, err := cl.Submit(ctx, smallReq("lenet/mnist")); err != nil {
+		t.Fatal(err)
+	}
 	costlyReq := smallReq("lenet/mnist")
 	costlyReq.Epochs = 6
 	costly, err := cl.Submit(ctx, costlyReq)
@@ -451,7 +475,8 @@ func TestSJFDispatchOrder(t *testing.T) {
 			costly.PredictedDuration, cheap.PredictedDuration)
 	}
 	// The cheap job, submitted second, must rank ahead of the expensive
-	// one in the nominal dispatch order, and start first once resumed.
+	// one in the nominal dispatch order, and start first once the slot
+	// frees.
 	c1, err := cl.Job(ctx, costly.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -463,7 +488,7 @@ func TestSJFDispatchOrder(t *testing.T) {
 	if c1.QueuePosition == nil || c2.QueuePosition == nil || *c2.QueuePosition != 0 || *c1.QueuePosition != 1 {
 		t.Fatalf("sjf queue positions: costly %v, cheap %v (want 1, 0)", c1.QueuePosition, c2.QueuePosition)
 	}
-	svc.Resume()
+	held.release()
 	finals := waitAll(t, cl, []string{costly.ID, cheap.ID})
 	if finals[1].Started.After(*finals[0].Started) {
 		t.Fatalf("sjf dispatched the expensive job first (cheap started %v, costly %v)",

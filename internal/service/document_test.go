@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -153,16 +154,13 @@ func TestNonDoneBodiesUnchanged(t *testing.T) {
 	su.Cancel()
 	done := st.ID
 
-	svc.Pause()
+	// Failed: a job held at dispatch finishes through the terminal step
+	// with an error; behind it, a queued job is cancelled.
+	held := hold(svc)
 	failed, err := svc.Submit(smallReq("lenet/mnist"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.mu.Lock()
-	svc.finishLocked(svc.jobs[failed.ID], api.StateFailed, "boom")
-	svc.mu.Unlock()
-	check("failed", failed.ID, api.StateFailed)
-
 	cancelled, err := svc.Submit(smallReq("lenet/mnist"))
 	if err != nil {
 		t.Fatal(err)
@@ -172,6 +170,8 @@ func TestNonDoneBodiesUnchanged(t *testing.T) {
 		t.Errorf("DELETE queued: HTTP %d body %q", rec.Code, rec.Body)
 	}
 	check("cancelled", cancelled.ID, api.StateCancelled)
+	svc.finish(held.held[0].jb, nil, errors.New("boom"))
+	check("failed", failed.ID, api.StateFailed)
 
 	rec = do(t, h, http.MethodDelete, "/v1/jobs/"+done)
 	if want := "{\"error\":\"service: job already finished\"}\n"; rec.Code != http.StatusConflict || rec.Body.String() != want {

@@ -10,8 +10,10 @@
 // submitted today skips probing because of a job another tenant ran
 // yesterday.
 //
-// Lifecycle: Submit validates the request and enqueues the job (queued);
-// a worker picks it up (running); the run ends in done, failed or
+// Lifecycle: Submit validates the request and enqueues the job (queued).
+// Dispatch is a step, not a thread: while fewer than Config.Workers jobs
+// run, the end of Submit and the end of every finishing job pop the next
+// queued job and start it (running); the run ends in done, failed or
 // cancelled. Cancel aborts a queued job immediately and interrupts a
 // running one at its next trial boundary via context cancellation.
 //
@@ -162,30 +164,15 @@ type Service struct {
 	jobs   map[string]*job
 	order  []string // submission order, for stable listing
 	nextID int
-	paused bool
 	closed bool
+	// start runs a dispatched job's body, called under mu; it must not
+	// block. New points it at a goroutine that runs the job and then takes
+	// its terminal step.
+	start func(ctx context.Context, jb *job)
 }
 
-// Pause holds dispatch: submissions are still accepted and queued, but no
-// new job starts until Resume. Running jobs are unaffected. Operators use
-// it to drain workers before maintenance; tests use it to form a
-// deterministic backlog.
-func (s *Service) Pause() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.paused = true
-}
-
-// Resume releases a Pause; queued jobs dispatch in policy order.
-func (s *Service) Resume() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.paused = false
-	s.disp.cond.Broadcast()
-}
-
-// New builds the service, restores the ground-truth snapshot from
-// Config.GTPath if one exists, and starts the worker pool.
+// New builds the service and restores the ground-truth snapshot from
+// Config.GTPath if one exists.
 func New(cfg Config) (*Service, error) {
 	if cfg.System == nil {
 		return nil, errors.New("service: Config.System is required")
@@ -233,7 +220,7 @@ func New(cfg Config) (*Service, error) {
 		met:  newSvcMetrics(reg),
 		jobs: make(map[string]*job),
 	}
-	disp, err := newDispatcher(&s.mu, cfg, s.met)
+	disp, err := newDispatcher(cfg, s.met)
 	if err != nil {
 		return nil, err
 	}
@@ -266,9 +253,13 @@ func New(cfg Config) (*Service, error) {
 	// and, when the trial prefix cache is enabled, its hit/miss/residency
 	// families.
 	cfg.System.InstrumentTrainer(reg)
-	for i := 0; i < cfg.Workers; i++ {
+	s.start = func(ctx context.Context, jb *job) {
 		s.wg.Add(1)
-		go s.worker()
+		go func() {
+			defer s.wg.Done()
+			doc, err := s.runJob(ctx, jb)
+			s.finish(jb, doc, err)
+		}()
 	}
 	return s, nil
 }
@@ -370,48 +361,40 @@ func (s *Service) Submit(req api.JobRequest) (api.JobStatus, error) {
 	}
 	s.jobs[jb.id] = jb
 	s.order = append(s.order, jb.id)
-	st := s.statusLocked(jb)
+	st := s.statusLocked(jb) // the admitted status, whether or not it dispatches now
+	s.dispatchLocked()
 	s.mu.Unlock()
 	s.cfg.Logf("service: %s queued (%s %s tenant=%s)", jb.id, mode, req.Workload, tenant)
 	return st, nil
 }
 
-// worker dispatches jobs in policy order until Shutdown.
-func (s *Service) worker() {
-	defer s.wg.Done()
-	for {
-		s.mu.Lock()
-		for !s.closed && (s.paused || s.disp.q.Len() == 0) {
-			s.disp.cond.Wait()
-		}
-		if s.closed {
-			s.mu.Unlock()
+// dispatchLocked starts queued jobs in policy order while a slot is free
+// and the service is open. The pop and the flip to running share one
+// critical section, so no Cancel can land between them. It runs at the end
+// of Submit and of every running job's terminal step. Callers hold s.mu.
+func (s *Service) dispatchLocked() {
+	for !s.closed {
+		if _, running := s.disp.countsLocked(); running >= s.cfg.Workers {
 			return
 		}
-		next, _ := s.disp.q.Pop()
+		next, ok := s.disp.q.Pop()
+		if !ok {
+			return
+		}
 		jb := s.jobs[next.ID]
-		s.mu.Unlock()
-		s.runJob(jb)
+		ctx, cancel := context.WithCancel(s.baseCtx)
+		jb.state = api.StateRunning
+		jb.started = time.Now().UTC()
+		jb.cancel = cancel
+		s.disp.onDispatchLocked(jb.tenant, jb.started.Sub(jb.submitted))
+		s.start(ctx, jb)
 	}
 }
 
-// runJob executes one job through the shared System, driving the state
-// machine and the event stream.
-func (s *Service) runJob(jb *job) {
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	s.mu.Lock()
-	if jb.state != api.StateQueued { // cancelled while waiting
-		s.mu.Unlock()
-		cancel()
-		return
-	}
-	jb.state = api.StateRunning
-	jb.started = time.Now().UTC()
-	jb.cancel = cancel
-	s.disp.onDispatchLocked(jb.tenant, jb.started.Sub(jb.submitted))
+// runJob is a dispatched job's one call outside s.mu: the tuning run
+// through the shared System, then its result rendered to a document.
+func (s *Service) runJob(ctx context.Context, jb *job) ([]byte, error) {
 	spec := jb.spec
-	s.mu.Unlock()
-
 	spec.OnTrialDone = func(trialID int, res *trainer.Result) {
 		s.publishTrial(jb, trialID, res)
 	}
@@ -424,19 +407,23 @@ func (s *Service) runJob(jb *job) {
 	} else {
 		res, err = s.cfg.System.RunBaselineCtx(ctx, spec)
 	}
-	cancel()
 	// Fold the job's log records into the snapshot before it turns
 	// terminal. Not for durability — every Add was fsynced to the WAL
 	// before it returned, so "done" already implies durable — but so that
 	// recovery never replays more than the running jobs' records.
 	s.snapshotGT()
-	var doc []byte
-	if err == nil && res != nil {
-		s.recordSched(res)
-		doc, err = s.render(res)
+	if err != nil || res == nil {
+		return nil, err
 	}
+	s.recordSched(res)
+	return s.render(res)
+}
 
+// finish is a running job's terminal step: the run's outcome becomes the
+// job's terminal state, and the freed slot dispatches the next job.
+func (s *Service) finish(jb *job, doc []byte, err error) {
 	s.mu.Lock()
+	jb.cancel()
 	jb.cancel = nil
 	switch {
 	case err == nil:
@@ -447,6 +434,7 @@ func (s *Service) runJob(jb *job) {
 	default:
 		s.finishLocked(jb, api.StateFailed, err.Error())
 	}
+	s.dispatchLocked()
 	state := jb.state
 	s.mu.Unlock()
 
@@ -583,12 +571,7 @@ func (s *Service) publishTrial(jb *job, trialID int, res *trainer.Result) {
 // critical section, so a Subscribe can never observe a terminal job whose
 // replay lacks the terminal event. Callers hold s.mu.
 func (s *Service) finishLocked(jb *job, state api.JobState, errMsg string) {
-	if jb.state == api.StateQueued {
-		// A job cancelled before dispatch must never pop (the worker's
-		// state check is only a backstop for the pop-vs-cancel race).
-		s.disp.q.Remove(jb.id)
-	}
-	s.disp.onFinishLocked(jb.tenant, jb.state, state)
+	s.disp.onFinishLocked(jb, state)
 	jb.state = state
 	jb.errMsg = errMsg
 	jb.finished = time.Now().UTC()
@@ -800,9 +783,7 @@ func (s *Service) Cancel(id string) (api.JobStatus, error) {
 		s.cfg.Logf("service: %s cancelled while queued", id)
 		return st, nil
 	default: // running
-		if jb.cancel != nil {
-			jb.cancel()
-		}
+		jb.cancel()
 		st := s.statusLocked(jb)
 		s.mu.Unlock()
 		return st, nil
@@ -912,9 +893,10 @@ func (s *Service) Health() api.Health {
 // Remote's when one is configured.
 func (s *Service) MetricsRegistry() *metrics.Registry { return s.reg }
 
-// Shutdown stops the service: no new submissions, the execution plane
-// drains, running jobs are cancelled at their next trial boundary,
-// workers drain, and the shared ground truth takes its final snapshot.
+// Shutdown stops the service: no new submissions or dispatches, the
+// execution plane drains, running jobs are cancelled at their next trial
+// boundary and finish, queued jobs are cancelled, and the shared ground
+// truth takes its final snapshot.
 // Knowledge that cancelled jobs already contributed to the database
 // survives in that snapshot.
 //
@@ -934,7 +916,6 @@ func (s *Service) Shutdown() {
 	s.shutdown.Do(func() {
 		s.mu.Lock()
 		s.closed = true
-		s.disp.cond.Broadcast() // wake idle workers so they observe closed
 		s.mu.Unlock()
 
 		if s.cfg.Remote != nil {
@@ -944,7 +925,7 @@ func (s *Service) Shutdown() {
 			s.cfg.Remote.Drain(s.cfg.DrainTimeout)
 		}
 		s.stop()        // interrupt running jobs
-		s.wg.Wait()     // workers finish their current (now cancelled) jobs
+		s.wg.Wait()     // running jobs finish, now cancelled
 		s.drainQueued() // jobs still queued become cancelled
 		if s.cfg.Remote != nil {
 			s.cfg.Remote.Close() // sever the streams; late worker calls get errors
@@ -959,13 +940,16 @@ func (s *Service) Shutdown() {
 	})
 }
 
-// drainQueued marks never-started jobs cancelled after the workers exit.
+// drainQueued cancels the never-started jobs in the order they would have
+// dispatched, so a shutdown replays exactly.
 func (s *Service) drainQueued() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, jb := range s.jobs {
-		if jb.state == api.StateQueued {
-			s.finishLocked(jb, api.StateCancelled, "")
+	for {
+		next, ok := s.disp.q.Pop()
+		if !ok {
+			return
 		}
+		s.finishLocked(s.jobs[next.ID], api.StateCancelled, "")
 	}
 }

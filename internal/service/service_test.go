@@ -236,9 +236,10 @@ func TestEventStream(t *testing.T) {
 	}
 }
 
-// TestCancelRunning interrupts a job mid-run: the full-size corpus keeps
-// the first HyperBand batch busy long enough that a cancel lands before
-// the job can finish, and the job must end cancelled, not done.
+// TestCancelRunning interrupts a job mid-run: a job submitted to a free
+// slot is running when Submit returns, the full-size corpus keeps its
+// first HyperBand batch busy long enough that a cancel lands before the
+// job can finish, and the job must end cancelled, not done.
 func TestCancelRunning(t *testing.T) {
 	sys, err := pipetune.New(pipetune.WithSeed(42)) // default (large) corpus
 	if err != nil {
@@ -251,22 +252,10 @@ func TestCancelRunning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		cur, err := cl.Job(ctx, st.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cur.State == api.StateRunning {
-			break
-		}
-		if cur.State.Terminal() {
-			t.Fatalf("job reached %v before it could be cancelled", cur.State)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never started running")
-		}
-		time.Sleep(time.Millisecond)
+	if cur, err := cl.Job(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	} else if cur.State != api.StateRunning || cur.Started == nil {
+		t.Fatalf("job submitted to a free slot is %v, want running", cur.State)
 	}
 	if _, err := cl.Cancel(ctx, st.ID); err != nil {
 		t.Fatal(err)
@@ -303,8 +292,8 @@ func TestCancelQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The worker is busy with the first job (or about to be); cancelling
-	// the second must work regardless of whether it is still queued.
+	// The first job holds the one slot unless it has already finished;
+	// cancelling the second must work whether or not it is still queued.
 	st, err := cl.Cancel(ctx, second.ID)
 	if err != nil {
 		t.Fatal(err)
