@@ -20,6 +20,10 @@
 // on — corpus sizing, contention, trial cache budget — arrives with each
 // lease, so every worker runs a trial exactly as the daemon would.
 //
+// The worker and the daemon must come from the same tree: a daemon
+// speaking another stream protocol version refuses the upgrade (426),
+// and the worker exits 1 naming both versions instead of reconnecting.
+//
 // The worker holds no durable state: killing it outright (SIGKILL, a
 // crashed machine) loses nothing — the daemon reassigns its leases
 // after the eviction window. SIGINT/SIGTERM stops leasing at once and

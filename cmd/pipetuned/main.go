@@ -43,8 +43,8 @@
 // WAL, execution plane, worker fleet) publishes into one shared metrics
 // registry, exposed as Prometheus text at GET /metrics and as typed JSON
 // at GET /v1/metrics; /healthz reads the same registry. Remote workers
-// ship their local series (trial compute time, epochs, stream codec
-// errors) piggybacked on the heartbeats they already send.
+// ship their local series (trial compute time, epochs) as the heartbeat
+// they already send.
 //
 // Job dispatch across tenants is policy-driven: the default -job-policy
 // fifo reproduces the classic submission-order schedule exactly;

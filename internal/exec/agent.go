@@ -16,6 +16,11 @@ import (
 // would never succeed.
 var ErrBadToken = errors.New("exec: worker token rejected by the daemon")
 
+// errStreamVersion aborts an agent whose stream protocol version the
+// daemon refuses (426 at the upgrade): the pair must upgrade together,
+// and retrying would never succeed either.
+var errStreamVersion = errors.New("exec: stream protocol version refused by the daemon")
+
 // AgentConfig wires a worker-side agent.
 type AgentConfig struct {
 	// Server is the pipetuned base URL, e.g. "http://localhost:8080".
@@ -75,16 +80,16 @@ func NewAgent(cfg AgentConfig) *Agent {
 }
 
 // Run serves until the context is cancelled (the normal exit, returning
-// ctx.Err()) or the daemon rejects the token. Everything else — the
-// daemon not up yet, restarts, transport failures, evictions — is
-// absorbed by reconnecting.
+// ctx.Err()) or the daemon rejects the token or the protocol version.
+// Everything else — the daemon not up yet, restarts, transport
+// failures, evictions — is absorbed by reconnecting.
 func (a *Agent) Run(ctx context.Context) error {
 	for {
 		err := a.streamSession(ctx)
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		if errors.Is(err, ErrBadToken) {
+		if errors.Is(err, ErrBadToken) || errors.Is(err, errStreamVersion) {
 			return err
 		}
 		if err != nil {

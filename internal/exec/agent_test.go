@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,6 +71,30 @@ func TestAgentTokenAuth(t *testing.T) {
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("agent exit: %v, want context.Canceled", err)
+	}
+}
+
+// TestAgentStopsOnVersionRefusal: a daemon that answers the upgrade with
+// 426 speaks another protocol version, which no reconnect can fix, so
+// Run returns after one attempt with an error naming both tokens rather
+// than retrying forever.
+func TestAgentStopsOnVersionRefusal(t *testing.T) {
+	var attempts atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		attempts.Add(1)
+		w.Header().Set("Upgrade", "pipetune-stream/6")
+		w.WriteHeader(http.StatusUpgradeRequired)
+	}))
+	t.Cleanup(srv.Close)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	err := NewAgent(AgentConfig{Server: srv.URL}).Run(ctx)
+	if !errors.Is(err, errStreamVersion) || !strings.Contains(err.Error(), "pipetune-stream/6") || !strings.Contains(err.Error(), streamUpgradeProto) {
+		t.Fatalf("Run against a 426: %v, want the version refusal naming both tokens", err)
+	}
+	if n := attempts.Load(); n != 1 {
+		t.Fatalf("%d upgrade attempts, want 1", n)
 	}
 }
 

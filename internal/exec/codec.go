@@ -60,8 +60,11 @@ import (
 const WireBinary = "binary"
 
 // streamUpgradeProto names the protocol in the HTTP Upgrade handshake
-// that turns POST /v1/stream into a raw framed stream.
-const streamUpgradeProto = "pipetune-stream/1"
+// that turns POST /v1/stream into a raw framed stream. It is the only
+// version on the wire: the daemon and its workers upgrade together, any
+// change to a frame layout bumps it, and a daemon answers any other
+// token with 426 before a frame is exchanged.
+const streamUpgradeProto = "pipetune-stream/5"
 
 // streamMagic opens the stream right after the HTTP 101: a peer that is
 // not speaking this protocol is detected before the first frame.
@@ -72,14 +75,12 @@ const streamMagic = "PTEXSTR1"
 const (
 	frameHello     byte = iota + 1 // worker → daemon: name, capacity
 	frameWelcome                   // daemon → worker: worker id, heartbeat cadence
-	frameHeartbeat                 // worker → daemon: liveness (empty payload)
+	frameStats                     // worker → daemon: the heartbeat, a cumulative telemetry snapshot
 	frameGrant                     // daemon → worker: batch of lease assignments
 	frameEpoch                     // worker → daemon: one epoch-boundary observation
 	frameDirective                 // daemon → worker: the observer's reply to an epoch
 	frameComplete                  // worker → daemon: at-most-once result commit
 	frameAck                       // daemon → worker: commit outcome
-	frameDrain                     // daemon → worker: plane draining, no further grants
-	frameStats                     // worker → daemon: cumulative telemetry snapshot (piggybacks heartbeats)
 )
 
 // Ack codes.
@@ -251,6 +252,17 @@ func (r *wireReader) uvarint() uint64 {
 	return v
 }
 
+// int reads a uvarint that must fit an int: a larger value is corrupt,
+// never a wrapped negative count or size.
+func (r *wireReader) int() int {
+	v := r.uvarint()
+	if v > math.MaxInt {
+		r.fail("uvarint overflows int")
+		return 0
+	}
+	return int(v)
+}
+
 func (r *wireReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
 // strView returns the string's bytes as a view into the payload — no
@@ -304,43 +316,27 @@ func (r *wireReader) finish() error {
 
 // --- Hello / Welcome -------------------------------------------------
 
-// codecVersion is the stream codec layout version, carried in Hello.
-// Version 2 added the trainer cache budget and the prefix-cache key hint
-// to assignments; version 3 a node-class string; version 4 a trainer
-// kernel parallelism degree. The last two are retired in place (see
-// appendAssignment) — all were incompatible grant layout changes.
-const codecVersion = 4
-
 func encodeHello(w *wirebuf, name string, capacity int) {
-	w.u8(codecVersion) // bumped only on incompatible layout changes
 	w.str(name)
 	w.uvarint(uint64(capacity))
 }
 
 func decodeHello(p []byte) (name string, capacity int, err error) {
 	r := wireReader{b: p}
-	if v := r.u8(); v != codecVersion && r.err == nil {
-		return "", 0, fmt.Errorf("%w: unsupported codec version %d", errFrameCorrupt, v)
-	}
 	name = r.str()
-	capacity = int(r.uvarint())
+	capacity = r.int()
 	return name, capacity, r.finish()
 }
 
-// The Welcome frame's third f64 was the long-poll bound of a retired
-// wire: written 0, read and discarded, so the layout (and codecVersion)
-// did not move when it went.
 func encodeWelcome(w *wirebuf, workerID string, heartbeatSeconds float64) {
 	w.str(workerID)
 	w.f64(heartbeatSeconds)
-	w.f64(0)
 }
 
 func decodeWelcome(p []byte) (workerID string, heartbeatSeconds float64, err error) {
 	r := wireReader{b: p}
 	workerID = r.str()
 	heartbeatSeconds = r.f64()
-	_ = r.f64()
 	return workerID, heartbeatSeconds, r.finish()
 }
 
@@ -351,16 +347,10 @@ const asgStreamEpochs = 1 << 0
 
 // appendAssignment encodes one lease grant. Called by the daemon's
 // granter under the backend lock; reads only fields that are immutable
-// while the lease is assigned. Two slots are retired: the uvarint after
-// CacheBytes was the trainer's intra-trial kernel parallelism degree,
-// retired with the kernel pool, and the final string was a node-class
-// placement hint no worker read. Each is written zero (0, ""), read and
-// discarded, so the layout (and codecVersion) did not move when they
-// went.
+// while the lease is assigned.
 func appendAssignment(w *wirebuf, leaseID string, attempt int, t *Trial) {
 	w.str(leaseID)
 	w.uvarint(uint64(attempt))
-	w.uvarint(uint64(t.ID))
 	w.u8(byte(t.Workload.Model))
 	w.u8(byte(t.Workload.Dataset))
 	appendHyper(w, t.Hyper)
@@ -376,30 +366,25 @@ func appendAssignment(w *wirebuf, leaseID string, attempt int, t *Trial) {
 	w.f64(t.Trainer.Load)
 	w.u64(t.Trainer.DataSeed)
 	w.uvarint(uint64(t.Trainer.CacheBytes))
-	w.uvarint(0)
 	w.str(t.CacheKey)
-	w.str("")
 }
 
 func readAssignment(r *wireReader, asg *Assignment) {
 	asg.LeaseID = r.str()
-	asg.Attempt = int(r.uvarint())
-	asg.TrialID = int(r.uvarint())
+	asg.Attempt = r.int()
 	asg.Workload = workload.Workload{Model: workload.Model(r.u8()), Dataset: workload.Dataset(r.u8())}
 	asg.Hyper = readHyper(r)
 	asg.Sys = readSys(r)
 	asg.Seed = r.u64()
 	asg.StreamEpochs = r.u8()&asgStreamEpochs != 0
 	asg.Trainer = TrainerConfig{
-		TrainSize: int(r.uvarint()),
-		TestSize:  int(r.uvarint()),
-		Load:      r.f64(),
-		DataSeed:  r.u64(),
+		TrainSize:  r.int(),
+		TestSize:   r.int(),
+		Load:       r.f64(),
+		DataSeed:   r.u64(),
+		CacheBytes: int64(r.int()),
 	}
-	asg.Trainer.CacheBytes = int64(r.uvarint())
-	_ = r.uvarint()
 	asg.CacheKey = r.str()
-	_ = r.str()
 }
 
 // decodeGrant decodes a batch of assignments.
@@ -426,11 +411,11 @@ func appendHyper(w *wirebuf, h params.Hyper) {
 
 func readHyper(r *wireReader) params.Hyper {
 	return params.Hyper{
-		BatchSize:    int(r.uvarint()),
+		BatchSize:    r.int(),
 		LearningRate: r.f64(),
 		Dropout:      r.f64(),
-		EmbeddingDim: int(r.uvarint()),
-		Epochs:       int(r.uvarint()),
+		EmbeddingDim: r.int(),
+		Epochs:       r.int(),
 	}
 }
 
@@ -440,7 +425,7 @@ func appendSys(w *wirebuf, s params.SysConfig) {
 }
 
 func readSys(r *wireReader) params.SysConfig {
-	return params.SysConfig{Cores: int(r.uvarint()), MemoryGB: int(r.uvarint())}
+	return params.SysConfig{Cores: r.int(), MemoryGB: r.int()}
 }
 
 // --- Epoch / Directive -----------------------------------------------
@@ -480,8 +465,8 @@ func encodeEpochFrame(w *wirebuf, leaseID string, attempt int, s *trainer.EpochS
 func decodeEpochFrame(p []byte) (leaseID []byte, attempt int, s trainer.EpochStats, err error) {
 	r := wireReader{b: p}
 	leaseID = r.strView()
-	attempt = int(r.uvarint())
-	s.Epoch = int(r.uvarint())
+	attempt = r.int()
+	s.Epoch = r.int()
 	s.Init = r.u8()&epInit != 0
 	s.Sys = readSys(&r)
 	s.Duration = r.f64()
@@ -539,8 +524,8 @@ func encodeDirective(w *wirebuf, leaseID []byte, attempt, epoch int, d EpochDire
 func decodeDirective(p []byte) (leaseID []byte, attempt, epoch int, d EpochDirective, err error) {
 	r := wireReader{b: p}
 	leaseID = r.strView()
-	attempt = int(r.uvarint())
-	epoch = int(r.uvarint())
+	attempt = r.int()
+	epoch = r.int()
 	flags := r.u8()
 	d.Revoked = flags&dirRevoked != 0
 	if flags&dirHasSys != 0 {
@@ -573,7 +558,7 @@ func encodeComplete(w *wirebuf, leaseID string, attempt int, status byte, errMsg
 func decodeComplete(p []byte, wl workload.Workload, hy params.Hyper, baseSys params.SysConfig) (leaseID []byte, attempt int, status byte, errMsg string, res *trainer.Result, err error) {
 	r := wireReader{b: p}
 	leaseID = r.strView()
-	attempt = int(r.uvarint())
+	attempt = r.int()
 	status = r.u8()
 	switch status {
 	case completeError:
@@ -599,9 +584,9 @@ func completeHeader(p []byte) (leaseID []byte, err error) {
 // FinalSys, and per epoch the flags, a sys config when it changed,
 // duration, loss, accuracy and energy. Workload, Hyper, EndTime, total
 // Duration, total EnergyJ and final Accuracy are all reconstructed from
-// the lease and the epoch stream (see file comment). The per-epoch profile
-// slot is kept for codec v4 compatibility and is zero-length: a result
-// carries no PMU profile (Epoch frames do).
+// the lease and the epoch stream (see file comment). A result carries no
+// PMU profile: the trainer records none in a Result's epochs, and the
+// observer already had each one from its Epoch frame.
 func appendResultDelta(w *wirebuf, res *trainer.Result, baseSys params.SysConfig) {
 	appendSys(w, res.FinalSys)
 	w.uvarint(uint64(len(res.Epochs)))
@@ -625,7 +610,6 @@ func appendResultDelta(w *wirebuf, res *trainer.Result, baseSys params.SysConfig
 		w.f64(e.TrainLoss)
 		w.f64(e.Accuracy)
 		w.f64(e.EnergyJ)
-		appendProfile(w, e.Profile)
 	}
 }
 
@@ -636,7 +620,7 @@ func appendResultDelta(w *wirebuf, res *trainer.Result, baseSys params.SysConfig
 // to the worker's.
 func readResultDelta(r *wireReader, wl workload.Workload, hy params.Hyper, baseSys params.SysConfig) *trainer.Result {
 	res := &trainer.Result{Workload: wl, Hyper: hy, FinalSys: readSys(r)}
-	n := r.count(30) // a minimal epoch (no sys, empty profile) is ~40 bytes
+	n := r.count(34) // a minimal epoch (no sys switch) is 34 bytes
 	if n == 0 {
 		return res
 	}
@@ -647,7 +631,7 @@ func readResultDelta(r *wireReader, wl workload.Workload, hy params.Hyper, baseS
 		e := &res.Epochs[i]
 		flags := r.u8()
 		e.Init = flags&epInit != 0
-		e.Epoch = int(r.uvarint())
+		e.Epoch = r.int()
 		if flags&epSysChanged != 0 {
 			prev = readSys(r)
 		}
@@ -658,7 +642,6 @@ func readResultDelta(r *wireReader, wl workload.Workload, hy params.Hyper, baseS
 		e.TrainLoss = r.f64()
 		e.Accuracy = r.f64()
 		e.EnergyJ = r.f64()
-		e.Profile = readProfile(r)
 		res.EnergyJ += e.EnergyJ
 		if !e.Init {
 			res.Accuracy = e.Accuracy
@@ -678,21 +661,18 @@ func encodeAck(w *wirebuf, leaseID []byte, attempt int, code byte) {
 func decodeAck(p []byte) (leaseID []byte, attempt int, code byte, err error) {
 	r := wireReader{b: p}
 	leaseID = r.strView()
-	attempt = int(r.uvarint())
+	attempt = r.int()
 	code = r.u8()
 	return leaseID, attempt, code, r.finish()
 }
 
-// --- Stats (heartbeat-piggybacked worker telemetry) ------------------
+// --- Stats (the heartbeat: worker telemetry) --------------------------
 //
-// The payload is a cumulative WorkerSeries snapshot: four counters, then
+// The payload is a cumulative WorkerSeries snapshot: two counters, then
 // three sketches (trial seconds, train-epoch seconds, eval seconds),
 // each as count/sum/min/max plus only its occupied buckets as (index,
 // count) pairs. A worker's sketches span a handful of octaves in
-// practice, so the frame stays within tens of bytes. Version 2 added the
-// kernel latency sketches.
-
-const statsCodecVersion = 2
+// practice, so the frame stays within tens of bytes.
 
 func appendSketch(w *wirebuf, s metrics.DistSnapshot) {
 	w.uvarint(s.Count)
@@ -714,18 +694,15 @@ func readSketch(r *wireReader, s *metrics.DistSnapshot) {
 	n := r.count(2)
 	for i := 0; i < n && r.err == nil; i++ {
 		s.Buckets = append(s.Buckets, metrics.BucketCount{
-			Index: int(r.uvarint()),
+			Index: r.int(),
 			Count: r.uvarint(),
 		})
 	}
 }
 
 func encodeStats(w *wirebuf, s WorkerSeries) {
-	w.u8(statsCodecVersion)
 	w.uvarint(s.Trials)
 	w.uvarint(s.Epochs)
-	w.uvarint(s.EncodeErrors)
-	w.uvarint(s.DecodeErrors)
 	appendSketch(w, s.TrialSeconds)
 	appendSketch(w, s.TrainEpochSeconds)
 	appendSketch(w, s.EvalSeconds)
@@ -733,14 +710,9 @@ func encodeStats(w *wirebuf, s WorkerSeries) {
 
 func decodeStats(p []byte) (WorkerSeries, error) {
 	r := wireReader{b: p}
-	if v := r.u8(); r.err == nil && v != statsCodecVersion {
-		return WorkerSeries{}, fmt.Errorf("%w: unsupported stats version %d", errFrameCorrupt, v)
-	}
 	var s WorkerSeries
 	s.Trials = r.uvarint()
 	s.Epochs = r.uvarint()
-	s.EncodeErrors = r.uvarint()
-	s.DecodeErrors = r.uvarint()
 	readSketch(&r, &s.TrialSeconds)
 	readSketch(&r, &s.TrainEpochSeconds)
 	readSketch(&r, &s.EvalSeconds)

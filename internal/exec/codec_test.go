@@ -2,7 +2,6 @@ package exec
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -21,7 +20,6 @@ func sampleAssignment() Assignment {
 	return Assignment{
 		LeaseID:      "ls-000042",
 		Attempt:      2,
-		TrialID:      7,
 		Workload:     workload.Workload{Model: workload.LeNet5, Dataset: workload.MNIST},
 		Hyper:        h,
 		Sys:          params.DefaultSysConfig(),
@@ -35,7 +33,6 @@ func sampleAssignment() Assignment {
 // trialOf is the daemon-side trial a grant of asg is encoded from.
 func trialOf(asg Assignment) Trial {
 	tr := Trial{
-		ID:       asg.TrialID,
 		Workload: asg.Workload,
 		Hyper:    asg.Hyper,
 		Sys:      asg.Sys,
@@ -51,8 +48,9 @@ func trialOf(asg Assignment) Trial {
 
 // sampleResult builds a result that satisfies the trainer's accumulation
 // invariants (EndTime = running duration sum, EnergyJ = epoch sum,
-// Accuracy = last train epoch, Duration = final clock) — the contract
-// the delta codec replays. Seeded so fuzzing can vary it.
+// Accuracy = last train epoch, Duration = final clock, no per-epoch
+// profile) — the contract the delta codec replays. Seeded so fuzzing
+// can vary it.
 func sampleResult(seed uint64, nEpochs int, baseSys params.SysConfig) *trainer.Result {
 	rng := xrand.New(seed)
 	res := &trainer.Result{
@@ -73,12 +71,6 @@ func sampleResult(seed uint64, nEpochs int, baseSys params.SysConfig) *trainer.R
 			TrainLoss: rng.Float64(),
 			Accuracy:  rng.Float64(),
 			EnergyJ:   rng.Float64() * 1e4,
-		}
-		if pl := int(rng.Uint64() % 4); pl > 0 {
-			e.Profile = make(perf.Profile, pl*16)
-			for j := range e.Profile {
-				e.Profile[j] = rng.Float64() * 1e6
-			}
 		}
 		clock += e.Duration
 		e.EndTime = clock
@@ -182,48 +174,6 @@ func TestAssignmentRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGrantIgnoresRetiredDegreeSlot: the uvarint after CacheBytes once
-// carried the trainer's kernel parallelism degree, and the final string a
-// node-class placement hint; a daemon that still sets them sends a
-// non-zero degree and a non-empty class. Such a grant decodes to the same
-// Assignment as one carrying the 0 and "" this codec writes.
-func TestGrantIgnoresRetiredDegreeSlot(t *testing.T) {
-	asg := sampleAssignment()
-	tr := trialOf(asg)
-	wb := getWirebuf()
-	defer putWirebuf(wb)
-	wb.uvarint(1)
-	appendAssignment(wb, asg.LeaseID, asg.Attempt, &tr)
-	// The degree slot is the last field before the CacheKey and class
-	// strings, and the class string closes the assignment.
-	tail := getWirebuf()
-	defer putWirebuf(tail)
-	tail.str(asg.CacheKey)
-	tail.str("")
-	slot := len(wb.b) - len(tail.b) - 1
-	if wb.b[slot] != 0 || !bytes.Equal(wb.b[slot+1:], tail.b) {
-		t.Fatalf("retired slots not found as a 0 and an empty string around the cache key")
-	}
-	for _, degree := range []uint64{0, 1, 4, 300} {
-		for _, class := range []string{"", "m5.12xlarge-spot"} {
-			p := append([]byte(nil), wb.b[:slot]...)
-			p = binary.AppendUvarint(p, degree)
-			rest := getWirebuf()
-			rest.str(asg.CacheKey)
-			rest.str(class)
-			p = append(p, rest.b...)
-			putWirebuf(rest)
-			got, err := decodeGrant(p)
-			if err != nil {
-				t.Fatalf("degree %d class %q: %v", degree, class, err)
-			}
-			if !reflect.DeepEqual(got, []Assignment{asg}) {
-				t.Fatalf("degree %d class %q: grant decoded to\n %+v\nwant %+v", degree, class, got, asg)
-			}
-		}
-	}
-}
-
 // TestEpochFrameRoundTrip pins the observation codec, profile included.
 func TestEpochFrameRoundTrip(t *testing.T) {
 	want := trainer.EpochStats{
@@ -313,23 +263,26 @@ func TestResultDeltaRealTrial(t *testing.T) {
 	}
 }
 
-// fuzzSeedFrames captures one real frame of every type — the corpus the
-// fuzzers start from.
+// fuzzSeedFrames captures one real frame of every type — the corpus
+// FuzzFrameDecode starts from — plus a Hello whose capacity overflows
+// int, which random mutation would almost never get past the CRC.
 func fuzzSeedFrames(t testing.TB) [][]byte {
 	asg := sampleAssignment()
 	res := sampleResult(3, 3, asg.Sys)
-	st := res.Epochs[1]
+	st := trainer.EpochStats{Epoch: 1, Sys: asg.Sys, Duration: 2, EndTime: 3, Profile: perf.Profile{1, 2.5, math.Pi}}
 	sw := params.SysConfig{Cores: 16, MemoryGB: 32}
 	stats := newWorkerStats()
 	stats.observeTrial(0.25, 3)
 	stats.observeTrial(2, 1)
-	stats.decodeError()
 	return [][]byte{
 		encodeFrameBytes(t, frameHello, func(w *wirebuf) { encodeHello(w, "worker-a", 4) }),
+		encodeFrameBytes(t, frameHello, func(w *wirebuf) {
+			w.str("")
+			w.uvarint(1 << 63)
+		}),
 		encodeFrameBytes(t, frameWelcome, func(w *wirebuf) {
 			encodeWelcome(w, "w-000001", 2)
 		}),
-		encodeFrameBytes(t, frameHeartbeat, func(*wirebuf) {}),
 		encodeFrameBytes(t, frameGrant, func(w *wirebuf) {
 			w.uvarint(1)
 			tr := trialOf(asg)
@@ -388,10 +341,25 @@ func FuzzFrameDecode(f *testing.F) {
 	})
 }
 
+// TestFuzzSeedsCoverEveryFrameType holds fuzzSeedFrames to the frame
+// constants: a new frame type cannot ship without a seed, so it cannot
+// ship unfuzzed.
+func TestFuzzSeedsCoverEveryFrameType(t *testing.T) {
+	seeded := map[byte]bool{}
+	for _, frame := range fuzzSeedFrames(t) {
+		seeded[frame[0]] = true
+	}
+	for ft := frameHello; ft <= frameAck; ft++ {
+		if !seeded[ft] {
+			t.Errorf("frame type %d has no fuzz seed", ft)
+		}
+	}
+}
+
 // FuzzResultRoundTrip generates invariant-respecting results and
 // requires the delta codec to reproduce them bit for bit — the fuzzing
 // twin of TestResultDeltaRoundTrip, exploring epoch counts, sys-switch
-// chains and profile shapes the hand-picked seeds miss.
+// chains and base configurations the hand-picked seeds miss.
 func FuzzResultRoundTrip(f *testing.F) {
 	f.Add(uint64(1), uint8(1), uint8(8), uint8(4))
 	f.Add(uint64(42), uint8(5), uint8(1), uint8(1))

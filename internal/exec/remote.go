@@ -604,8 +604,8 @@ wait:
 }
 
 // drainLocked stops lease issuance: queued leases fail with ErrDraining
-// (no worker will ever be granted them) and the granters wake to tell
-// their workers. Callers hold r.mu.
+// (no worker will ever be granted them) and the granters stop claiming.
+// Callers hold r.mu.
 func (r *Remote) drainLocked() {
 	r.draining = true
 	for _, l := range r.pending {

@@ -112,7 +112,7 @@ func tryLeaseLocked(r *Remote, workerID string) (*Assignment, error) {
 		return nil, nil
 	}
 	l := claim[0]
-	return &Assignment{LeaseID: l.id, Attempt: l.attempt, TrialID: l.trial.ID, StreamEpochs: l.trial.Observer != nil}, nil
+	return &Assignment{LeaseID: l.id, Attempt: l.attempt, Seed: l.trial.Seed, StreamEpochs: l.trial.Observer != nil}, nil
 }
 
 // leaseOne is tryLease parked on r.cond until work arrives, failing the
@@ -160,7 +160,7 @@ func TestRemoteLeaseLifecycle(t *testing.T) {
 		if asg.Attempt != 1 {
 			t.Fatalf("fresh lease attempt = %d, want 1", asg.Attempt)
 		}
-		if err := commit(r, w, asg, asg.Attempt, fakeResult(float64(asg.TrialID+1))); err != nil {
+		if err := commit(r, w, asg, asg.Attempt, fakeResult(float64(asg.Seed))); err != nil {
 			t.Fatalf("complete %s: %v", asg.LeaseID, err)
 		}
 	}

@@ -6,14 +6,13 @@ import (
 	"pipetune/internal/metrics"
 )
 
-// WorkerSeries is a worker's cumulative local telemetry, piggybacked
-// on existing heartbeat traffic rather than scraped: the worker appends
-// a Stats frame after each heartbeat frame. Values are cumulative per
-// worker session — the daemon diffs consecutive snapshots from one
-// registration and folds the delta into its own registry, so fleet-wide
-// aggregates survive re-registration without double counting. The tail
-// between a worker's last heartbeat and its death is lost by design (at
-// most one beat interval of telemetry).
+// WorkerSeries is a worker's cumulative local telemetry, shipped on the
+// heartbeat rather than scraped: the Stats frame is the beat. Values
+// are cumulative per worker session — the daemon diffs consecutive
+// snapshots from one registration and folds the delta into its own
+// registry, so fleet-wide aggregates survive re-registration without
+// double counting. The tail between a worker's last heartbeat and its
+// death is lost by design (at most one beat interval of telemetry).
 type WorkerSeries struct {
 	// Trials counts trial bodies computed (successfully or not);
 	// Epochs counts the epoch records those bodies produced.
@@ -30,10 +29,6 @@ type WorkerSeries struct {
 	// exposes.
 	TrainEpochSeconds metrics.DistSnapshot
 	EvalSeconds       metrics.DistSnapshot
-	// EncodeErrors / DecodeErrors count codec and transport failures
-	// observed worker-side (frame encode/send vs decode/receive).
-	EncodeErrors uint64
-	DecodeErrors uint64
 }
 
 // workerStats is the worker-side collector behind WorkerSeries: one
@@ -42,8 +37,6 @@ type WorkerSeries struct {
 type workerStats struct {
 	trials            atomic.Uint64
 	epochs            atomic.Uint64
-	encodeErrs        atomic.Uint64
-	decodeErrs        atomic.Uint64
 	trialSeconds      *metrics.Distribution
 	trainEpochSeconds *metrics.Distribution
 	evalSeconds       *metrics.Distribution
@@ -67,18 +60,6 @@ func (s *workerStats) observeTrial(seconds float64, epochs int) {
 	s.trialSeconds.Observe(seconds)
 }
 
-func (s *workerStats) encodeError() {
-	if s != nil {
-		s.encodeErrs.Add(1)
-	}
-}
-
-func (s *workerStats) decodeError() {
-	if s != nil {
-		s.decodeErrs.Add(1)
-	}
-}
-
 // series snapshots the cumulative state for shipping.
 func (s *workerStats) series() WorkerSeries {
 	if s == nil {
@@ -90,8 +71,6 @@ func (s *workerStats) series() WorkerSeries {
 		TrialSeconds:      s.trialSeconds.Snapshot(),
 		TrainEpochSeconds: s.trainEpochSeconds.Snapshot(),
 		EvalSeconds:       s.evalSeconds.Snapshot(),
-		EncodeErrors:      s.encodeErrs.Load(),
-		DecodeErrors:      s.decodeErrs.Load(),
 	}
 }
 
@@ -114,7 +93,6 @@ type remoteMetrics struct {
 	// Fleet-wide worker series, labelled by worker name.
 	workerTrials            *metrics.CounterVec
 	workerEpochs            *metrics.CounterVec
-	workerErrors            *metrics.CounterVec // worker, kind: encode|decode
 	workerTrialSeconds      *metrics.DistributionVec
 	workerTrainEpochSeconds *metrics.DistributionVec
 	workerEvalSeconds       *metrics.DistributionVec
@@ -137,8 +115,6 @@ func newRemoteMetrics(reg *metrics.Registry) *remoteMetrics {
 			"Trial bodies computed, by worker (heartbeat-shipped).", "worker"),
 		workerEpochs: reg.CounterVec("pipetune_worker_epochs_total",
 			"Epoch records computed, by worker (heartbeat-shipped).", "worker"),
-		workerErrors: reg.CounterVec("pipetune_worker_stream_errors_total",
-			"Worker-observed wire errors, by worker and kind.", "worker", "kind"),
 		workerTrialSeconds: reg.DistributionVec("pipetune_worker_trial_seconds",
 			"Per-trial wall compute time, by worker (heartbeat-shipped sketch).", "worker"),
 		workerTrainEpochSeconds: reg.DistributionVec("pipetune_worker_train_epoch_seconds",
@@ -174,12 +150,6 @@ func (r *Remote) ingestSeriesLocked(w *workerEntry, cur WorkerSeries) {
 		if d := cur.Epochs - prev.Epochs; cur.Epochs > prev.Epochs {
 			r.met.workerEpochs.With(name).Add(d)
 		}
-		if d := cur.EncodeErrors - prev.EncodeErrors; cur.EncodeErrors > prev.EncodeErrors {
-			r.met.workerErrors.With(name, "encode").Add(d)
-		}
-		if d := cur.DecodeErrors - prev.DecodeErrors; cur.DecodeErrors > prev.DecodeErrors {
-			r.met.workerErrors.With(name, "decode").Add(d)
-		}
 		r.met.workerTrialSeconds.With(name).Merge(cur.TrialSeconds.Delta(prev.TrialSeconds))
 		r.met.workerTrainEpochSeconds.With(name).Merge(cur.TrainEpochSeconds.Delta(prev.TrainEpochSeconds))
 		r.met.workerEvalSeconds.With(name).Merge(cur.EvalSeconds.Delta(prev.EvalSeconds))
@@ -187,8 +157,8 @@ func (r *Remote) ingestSeriesLocked(w *workerEntry, cur WorkerSeries) {
 	w.series = cur
 }
 
-// ingestWorkerSeries records a heartbeat-shipped snapshot (a Stats
-// frame) from an active worker.
+// ingestWorkerSeries records a heartbeat (a Stats frame) from an active
+// worker.
 func (r *Remote) ingestWorkerSeries(workerID string, s WorkerSeries) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

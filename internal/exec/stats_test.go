@@ -17,9 +17,6 @@ func TestStatsFrameRoundTrip(t *testing.T) {
 	st := newWorkerStats()
 	st.observeTrial(0.125, 3)
 	st.observeTrial(1.5, 2)
-	st.encodeError()
-	st.decodeError()
-	st.decodeError()
 	want := st.series()
 
 	wb := getWirebuf()
@@ -34,9 +31,6 @@ func TestStatsFrameRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeStats(wb.b[:len(wb.b)-1]); err == nil {
 		t.Fatal("truncated stats frame must not decode")
-	}
-	if _, err := decodeStats([]byte{99}); err == nil {
-		t.Fatal("unknown stats version must not decode")
 	}
 }
 

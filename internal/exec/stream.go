@@ -11,7 +11,8 @@ package exec
 //     observations go to the trial's observer (whose Directive is
 //     written straight back, keeping pipelined mid-trial tuning at
 //     stream latency), Complete commits results at-most-once and is
-//     answered with an Ack, Stats fold into the fleet series.
+//     answered with an Ack, Stats (the worker's heartbeat) fold into
+//     the fleet series.
 //
 // Backpressure is implicit in the lease accounting: the daemon never has
 // more than `capacity` assignments outstanding per worker, so the worker
@@ -20,7 +21,7 @@ package exec
 //
 // Liveness is the stream's: the reader's read deadline is
 // MissedHeartbeats × HeartbeatInterval, renewed by every frame the worker
-// sends (Heartbeat frames exist only to keep an idle worker talking). A
+// sends (an idle worker still sends its Stats frame every beat). A
 // silent worker, a dead connection, a torn frame and a CRC mismatch all
 // end the session the same way — the reader returns and evicts the
 // worker, requeueing its leases. An eviction from elsewhere (a failed
@@ -47,10 +48,12 @@ const streamHandshakeTimeout = 10 * time.Second
 
 // handleStream upgrades POST /v1/stream into a framed stream.
 // Token auth ran in the authed wrapper, over plain HTTP, before the
-// upgrade — a worker with a bad token gets an ordinary 401.
+// upgrade — a worker with a bad token gets an ordinary 401, and one
+// speaking another protocol version a 426 naming this one.
 func (r *Remote) handleStream(w http.ResponseWriter, req *http.Request) {
-	if req.Header.Get("Upgrade") != streamUpgradeProto {
-		writeJSON(w, http.StatusBadRequest, wireError{Error: "exec: stream requires Upgrade: " + streamUpgradeProto})
+	if got := req.Header.Get("Upgrade"); got != streamUpgradeProto {
+		w.Header().Set("Upgrade", streamUpgradeProto)
+		writeJSON(w, http.StatusUpgradeRequired, wireError{Error: fmt.Sprintf("exec: stream requires Upgrade: %s, got %q", streamUpgradeProto, got)})
 		return
 	}
 	hj, ok := w.(http.Hijacker)
@@ -83,17 +86,10 @@ func (r *Remote) serveStream(conn net.Conn, br *bufio.Reader) {
 	// Handshake: magic, then a Hello frame, under a deadline so a stuck
 	// peer cannot park an anonymous connection forever.
 	_ = conn.SetReadDeadline(time.Now().Add(streamHandshakeTimeout))
-	var magic [len(streamMagic)]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != streamMagic {
-		return
-	}
 	var scratch []byte
-	ft, p, err := readFrame(br, &scratch)
-	if err != nil || ft != frameHello {
-		return
-	}
-	name, capacity, err := decodeHello(p)
+	name, capacity, err := readHandshake(br, &scratch)
 	if err != nil {
+		r.cfg.Logf("exec: stream from %s dropped in the handshake: %v", conn.RemoteAddr(), err)
 		return
 	}
 
@@ -145,13 +141,29 @@ func (r *Remote) serveStream(conn net.Conn, br *bufio.Reader) {
 	r.evictWorker(workerID, why)
 }
 
+// readHandshake reads the magic and the Hello frame that open a stream.
+func readHandshake(br *bufio.Reader, scratch *[]byte) (name string, capacity int, err error) {
+	var magic [len(streamMagic)]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return "", 0, fmt.Errorf("magic: %w", err)
+	}
+	if string(magic[:]) != streamMagic {
+		return "", 0, fmt.Errorf("bad magic %q", magic[:])
+	}
+	ft, p, err := readFrame(br, scratch)
+	switch {
+	case err != nil:
+		return "", 0, err
+	case ft != frameHello:
+		return "", 0, fmt.Errorf("first frame has type %d, want hello", ft)
+	}
+	return decodeHello(p)
+}
+
 // dispatchFrame handles one worker frame; a returned error ends the
 // session (and names the eviction reason).
 func (r *Remote) dispatchFrame(fw *frameWriter, workerID string, ft byte, p []byte) error {
 	switch ft {
-	case frameHeartbeat:
-		return nil // its arrival renewed the read deadline; that is all it is for
-
 	case frameStats:
 		s, err := decodeStats(p)
 		if err != nil {
@@ -231,7 +243,6 @@ func (r *Remote) dispatchFrame(fw *frameWriter, workerID string, ft byte, p []by
 // under the lock — trial fields are immutable while leased — written
 // outside it).
 func (r *Remote) grantLoop(fw *frameWriter, workerID string) {
-	drainSent := false
 	r.mu.Lock()
 	for {
 		w := r.workers[workerID]
@@ -239,23 +250,12 @@ func (r *Remote) grantLoop(fw *frameWriter, workerID string) {
 			r.mu.Unlock()
 			return
 		}
-		if r.draining {
-			// One Drain frame tells the worker no further grants are
-			// coming; the session stays up so in-flight trials commit.
-			if drainSent {
-				r.cond.Wait()
-				continue
-			}
-			drainSent = true
-			r.mu.Unlock()
-			if fw.send(frameDrain, nil) != nil {
-				r.evictWorker(workerID, "drain write failed")
-				return
-			}
-			r.mu.Lock()
-			continue
+		// A draining plane grants nothing more; the session stays up so
+		// in-flight trials still commit.
+		var claim []*lease
+		if !r.draining {
+			claim = r.claimLocked(w, w.capacity)
 		}
-		claim := r.claimLocked(w, w.capacity)
 		if len(claim) == 0 {
 			r.cond.Wait()
 			continue

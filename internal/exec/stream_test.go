@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -78,14 +80,14 @@ func TestStreamFleetBitIdentical(t *testing.T) {
 
 // TestStreamTokenAuth pins auth on the upgrade path: the 401 happens in
 // plain HTTP, before any hijack. A request with the right token gets as
-// far as the upgrade check (400: no Upgrade header), a request without
+// far as the upgrade check (426: no Upgrade header), a request without
 // it does not.
 func TestStreamTokenAuth(t *testing.T) {
 	r := NewRemote(RemoteConfig{Token: "s3cret"})
 	t.Cleanup(r.Close)
 	srv := httptest.NewServer(r.Handler())
 	t.Cleanup(srv.Close)
-	for token, want := range map[string]int{"": http.StatusUnauthorized, "wrong": http.StatusUnauthorized, "s3cret": http.StatusBadRequest} {
+	for token, want := range map[string]int{"": http.StatusUnauthorized, "wrong": http.StatusUnauthorized, "s3cret": http.StatusUpgradeRequired} {
 		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/stream", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -101,6 +103,71 @@ func TestStreamTokenAuth(t *testing.T) {
 		if resp.StatusCode != want {
 			t.Fatalf("POST /v1/stream with token %q: %d, want %d", token, resp.StatusCode, want)
 		}
+	}
+}
+
+// TestStreamUpgradeRefusesOtherVersions pins the one version check: a
+// stream upgrade naming any token but pipetune-stream/5 is answered 426
+// Upgrade Required with the token the daemon speaks, before a hijack.
+func TestStreamUpgradeRefusesOtherVersions(t *testing.T) {
+	r := NewRemote(RemoteConfig{})
+	t.Cleanup(r.Close)
+	srv := httptest.NewServer(r.Handler())
+	t.Cleanup(srv.Close)
+	for _, proto := range []string{"", "pipetune-stream/1", "pipetune-stream/4", "pipetune-stream/6", "websocket"} {
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/stream", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if proto != "" {
+			req.Header.Set("Connection", "Upgrade")
+			req.Header.Set("Upgrade", proto)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != "pipetune-stream/5" {
+			t.Fatalf("Upgrade %q: %d with Upgrade %q, want 426 with pipetune-stream/5", proto, resp.StatusCode, resp.Header.Get("Upgrade"))
+		}
+	}
+	if fs := r.Fleet(); len(fs.Workers) != 0 {
+		t.Fatalf("a refused upgrade registered a worker: %+v", fs.Workers)
+	}
+}
+
+// TestStreamHandshakeFailureIsLogged: a connection that upgrades but
+// then opens with the wrong magic is dropped with one log line naming
+// its remote address and the cause, not silently.
+func TestStreamHandshakeFailureIsLogged(t *testing.T) {
+	var mu sync.Mutex
+	var logged []string
+	r := NewRemote(RemoteConfig{Logf: func(format string, args ...any) {
+		mu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
+	t.Cleanup(r.Close)
+	srv := httptest.NewServer(r.Handler())
+	t.Cleanup(srv.Close)
+
+	conn, br, err := NewAgent(AgentConfig{Server: srv.URL}).dialStream(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("NOTMAGIC")); err != nil {
+		t.Fatal(err)
+	}
+	// The daemon closes the connection once it has logged the drop.
+	if _, err := br.ReadByte(); err == nil {
+		t.Fatal("daemon kept a connection with a bad magic open")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(logged) != 1 || !strings.Contains(logged[0], conn.LocalAddr().String()) || !strings.Contains(logged[0], `bad magic "NOTMAGIC"`) {
+		t.Fatalf("handshake drop logged %q, want one line naming %s and the bad magic", logged, conn.LocalAddr())
 	}
 }
 
@@ -175,7 +242,7 @@ func (w *handWorker) commit(t *testing.T, asg Assignment, res *trainer.Result) {
 		t.Fatal(err)
 	}
 	if _, _, code, err := decodeAck(w.expect(t, frameAck)); err != nil || code != ackCommitted {
-		t.Fatalf("commit of trial %d: ack %d err %v, want committed", asg.TrialID, code, err)
+		t.Fatalf("commit of lease %s: ack %d err %v, want committed", asg.LeaseID, code, err)
 	}
 }
 
@@ -207,8 +274,8 @@ func TestStreamSilenceEvicts(t *testing.T) {
 }
 
 // TestStreamBeatingWorkerSurvives is the other side: a worker that only
-// heartbeats, never sending anything else, stays registered for ten
-// eviction horizons.
+// heartbeats (sends its Stats frame), never anything else, stays
+// registered for ten eviction horizons.
 func TestStreamBeatingWorkerSurvives(t *testing.T) {
 	const beat, missed = 20 * time.Millisecond, 5
 	r := NewRemote(RemoteConfig{HeartbeatInterval: beat, MissedHeartbeats: missed, Logf: t.Logf})
@@ -217,11 +284,14 @@ func TestStreamBeatingWorkerSurvives(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	w := dialHandWorker(t, srv.URL, "beating", 1)
+	wb := getWirebuf()
+	defer putWirebuf(wb)
+	encodeStats(wb, WorkerSeries{})
 	ticks := time.NewTicker(beat)
 	defer ticks.Stop()
 	for end := time.Now().Add(10 * missed * beat); time.Now().Before(end); {
 		<-ticks.C
-		if err := w.fw.send(frameHeartbeat, nil); err != nil {
+		if err := w.fw.send(frameStats, wb.b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -321,10 +391,10 @@ func TestCorruptFrameEvictsAndRequeues(t *testing.T) {
 }
 
 // TestStreamDrainFailsPendingCommitsInflight pins drain semantics: at
-// drain start, pending leases fail instantly with ErrDraining, the
-// worker is told once (a Drain frame), and the in-flight lease gets its
-// drain window to commit. The worker is hand-driven so the lease is
-// held exactly across the drain — no real trial can finish early.
+// drain start, pending leases fail instantly with ErrDraining and the
+// in-flight lease gets its drain window to commit. The worker is
+// hand-driven so the lease is held exactly across the drain — no real
+// trial can finish early.
 func TestStreamDrainFailsPendingCommitsInflight(t *testing.T) {
 	r := NewRemote(RemoteConfig{HeartbeatInterval: 50 * time.Millisecond, MissedHeartbeats: 100, Logf: t.Logf})
 	t.Cleanup(r.Close)
@@ -349,7 +419,7 @@ func TestStreamDrainFailsPendingCommitsInflight(t *testing.T) {
 		r.Drain(30 * time.Second)
 		close(drained)
 	}()
-	w.expect(t, frameDrain)
+	waitFor(t, r, "the drain to start", func() bool { return r.draining })
 
 	res, err := runBody(tr, asg, nil)
 	if err != nil {
@@ -361,7 +431,7 @@ func TestStreamDrainFailsPendingCommitsInflight(t *testing.T) {
 	out := <-ran
 	for i := range trials {
 		switch {
-		case i == asg.TrialID:
+		case trials[i].Seed == asg.Seed:
 			if out.errs[i] != nil || !reflect.DeepEqual(out.results[i], res) {
 				t.Fatalf("in-flight trial %d: res=%v err=%v, want the committed result", i, out.results[i], out.errs[i])
 			}

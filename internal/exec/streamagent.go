@@ -9,7 +9,8 @@ package exec
 //     them;
 //   - `capacity` *slot* goroutines compute trial bodies (runBody, on the
 //     agent's cached trainers);
-//   - a *heartbeat* goroutine ticks liveness frames.
+//   - a *heartbeat* goroutine ticks Stats frames, the worker's telemetry
+//     and its liveness in one.
 //
 // A torn connection ends the session: Agent.Run reconnects under a new
 // worker id, and the daemon has already requeued whatever this
@@ -55,9 +56,9 @@ type streamSession struct {
 	mu      sync.Mutex
 	waiters map[string]*streamWaiter // lease id -> the slot's parked RPC
 
-	// stats is this session's cumulative telemetry, shipped as a Stats
-	// frame alongside every heartbeat. Per-session (not per-agent) so
-	// the daemon's per-registration delta baseline of zero is exact.
+	// stats is this session's cumulative telemetry, shipped as the Stats
+	// frame every heartbeat is. Per-session (not per-agent) so the
+	// daemon's per-registration delta baseline of zero is exact.
 	stats *workerStats
 
 	dead     chan struct{}
@@ -211,6 +212,9 @@ func (a *Agent) dialStream(ctx context.Context) (net.Conn, *bufio.Reader, error)
 	case http.StatusUnauthorized:
 		conn.Close()
 		return nil, nil, ErrBadToken
+	case http.StatusUpgradeRequired:
+		conn.Close()
+		return nil, nil, fmt.Errorf("%w: the daemon speaks %q, this worker %q", errStreamVersion, resp.Header.Get("Upgrade"), streamUpgradeProto)
 	default:
 		conn.Close()
 		return nil, nil, fmt.Errorf("exec: stream upgrade refused: %s", resp.Status)
@@ -224,9 +228,6 @@ func (s *streamSession) readLoop(br *bufio.Reader, scratch []byte, work chan Ass
 	for {
 		ft, p, err := readFrame(br, &scratch)
 		if err != nil {
-			if errors.Is(err, errFrameCorrupt) {
-				s.stats.decodeError()
-			}
 			s.kill(err)
 			return
 		}
@@ -234,7 +235,6 @@ func (s *streamSession) readLoop(br *bufio.Reader, scratch []byte, work chan Ass
 		case frameGrant:
 			asgs, err := decodeGrant(p)
 			if err != nil {
-				s.stats.decodeError()
 				s.kill(err)
 				return
 			}
@@ -276,9 +276,6 @@ func (s *streamSession) readLoop(br *bufio.Reader, scratch []byte, work chan Ass
 			}
 			s.mu.Unlock()
 
-		case frameDrain:
-			s.a.cfg.Logf("worker: daemon draining; finishing in-flight trials")
-
 		default:
 			s.kill(fmt.Errorf("%w: unexpected frame type %d", errFrameCorrupt, ft))
 			return
@@ -286,8 +283,10 @@ func (s *streamSession) readLoop(br *bufio.Reader, scratch []byte, work chan Ass
 	}
 }
 
-// heartbeatLoop ticks liveness frames; a failed write means the
-// connection is dead and the session ends.
+// heartbeatLoop ticks the beat: each one is a Stats frame carrying the
+// cumulative telemetry snapshot, which the daemon diffs against the
+// previous one, so losing a frame only delays aggregation by a beat. A
+// failed write means the connection is dead and the session ends.
 func (s *streamSession) heartbeatLoop(hb time.Duration) {
 	t := time.NewTicker(hb)
 	defer t.Stop()
@@ -296,14 +295,6 @@ func (s *streamSession) heartbeatLoop(hb time.Duration) {
 		case <-s.dead:
 			return
 		case <-t.C:
-			if err := s.fw.send(frameHeartbeat, nil); err != nil {
-				s.stats.encodeError()
-				s.kill(err)
-				return
-			}
-			// Piggyback the cumulative telemetry snapshot on the beat:
-			// the daemon diffs it against the previous one, so losing
-			// any individual frame only delays aggregation by a beat.
 			wb := getWirebuf()
 			encodeStats(wb, s.stats.series())
 			err := s.fw.send(frameStats, wb.b)
@@ -388,7 +379,6 @@ func (s *streamSession) reportEpoch(asg Assignment, st trainer.EpochStats) (Epoc
 	err := s.fw.send(frameEpoch, wb.b)
 	putWirebuf(wb)
 	if err != nil {
-		s.stats.encodeError()
 		s.kill(err)
 		return EpochDirective{}, false
 	}
@@ -416,7 +406,6 @@ func (s *streamSession) commit(ctx context.Context, asg Assignment, status byte,
 	err := s.fw.send(frameComplete, wb.b)
 	putWirebuf(wb)
 	if err != nil {
-		s.stats.encodeError()
 		s.kill(err)
 		return
 	}

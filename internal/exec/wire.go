@@ -72,10 +72,8 @@ type Assignment struct {
 	// Both must be echoed on epoch reports and completion — a mismatch
 	// means the lease was requeued to another worker and this worker's
 	// copy is void (at-most-once commit).
-	LeaseID string
-	Attempt int
-	// TrialID is the searcher's trial id (diagnostic only on the worker).
-	TrialID  int
+	LeaseID  string
+	Attempt  int
 	Workload workload.Workload
 	Hyper    params.Hyper
 	Sys      params.SysConfig
