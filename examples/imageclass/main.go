@@ -13,18 +13,20 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"pipetune"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(out io.Writer) error {
 	fashion := pipetune.Workload{Model: pipetune.LeNet5, Dataset: pipetune.FashionMNIST}
 	mnist := pipetune.Workload{Model: pipetune.LeNet5, Dataset: pipetune.MNIST}
 
@@ -51,14 +53,14 @@ func run() error {
 		return err
 	}
 
-	fmt.Printf("%-28s  %-12s  %-12s\n", "fashion-mnist job", "accuracy", "tuning [s]")
-	fmt.Printf("%-28s  %-12.2f  %-12.1f\n", "cold (no history)", cold.Best.Result.Accuracy*100, cold.TuningTime)
-	fmt.Printf("%-28s  %-12.2f  %-12.1f\n", "warm (after mnist job)", warm.Best.Result.Accuracy*100, warm.TuningTime)
+	fmt.Fprintf(out, "%-28s  %-12s  %-12s\n", "fashion-mnist job", "accuracy", "tuning [s]")
+	fmt.Fprintf(out, "%-28s  %-12.2f  %-12.1f\n", "cold (no history)", cold.Best.Result.Accuracy*100, cold.TuningTime)
+	fmt.Fprintf(out, "%-28s  %-12.2f  %-12.1f\n", "warm (after mnist job)", warm.Best.Result.Accuracy*100, warm.TuningTime)
 
 	entries, hits, misses := warmSys.GroundTruthStats()
-	fmt.Printf("\nwarm system ground truth: %d entries, %d hits, %d misses\n", entries, hits, misses)
-	fmt.Printf("tuning-time reduction from history: %.1f%%\n", (1-warm.TuningTime/cold.TuningTime)*100)
-	fmt.Println("\nSame model + new dataset lands in the same profile cluster (Type-I,")
-	fmt.Println("Figure 4a/4b of the paper), so the warm run skips most probing.")
+	fmt.Fprintf(out, "\nwarm system ground truth: %d entries, %d hits, %d misses\n", entries, hits, misses)
+	fmt.Fprintf(out, "tuning-time reduction from history: %.1f%%\n", (1-warm.TuningTime/cold.TuningTime)*100)
+	fmt.Fprintln(out, "\nSame model + new dataset lands in the same profile cluster (Type-I,")
+	fmt.Fprintln(out, "Figure 4a/4b of the paper), so the warm run skips most probing.")
 	return nil
 }

@@ -140,7 +140,7 @@ func TestSimTuningRatioGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the catalog at the daemon's default corpus size")
 	}
-	const wantCold, wantWarm = 0.8608, 0.8395
+	const wantCold, wantWarm = 0.8521, 0.8335
 	runs, err := catalogRuns()
 	if err != nil {
 		t.Fatal(err)

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -47,15 +48,54 @@ type Entry struct {
 	Metric float64 `json:"metric"`
 }
 
-// validate rejects malformed entries before they reach any store.
-func (e Entry) validate() error {
+// validate rejects malformed entries before they reach any store: no
+// features, a feature width other than the store's (width 0: the store
+// is empty, any width starts it), a NaN or ±Inf feature or metric, or an
+// invalid configuration. A store of mixed widths could never refit.
+func (e Entry) validate(width int) error {
 	if len(e.Features) == 0 {
 		return errors.New("gt: entry without features")
+	}
+	if width != 0 && len(e.Features) != width {
+		return fmt.Errorf("gt: entry has %d features, the store holds %d", len(e.Features), width)
+	}
+	for _, f := range e.Features {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return fmt.Errorf("gt: entry holds the feature %v", f)
+		}
+	}
+	if math.IsNaN(e.Metric) || math.IsInf(e.Metric, 0) {
+		return fmt.Errorf("gt: entry holds the metric %v", e.Metric)
 	}
 	if err := e.BestSys.Validate(); err != nil {
 		return fmt.Errorf("gt: %w", err)
 	}
 	return nil
+}
+
+// Validate reports, by index, the first of entries that an Add to s
+// would refuse, so a batch can be refused before any of it applies.
+func Validate(s Store, entries []Entry) error {
+	width := widthOf(s)
+	for i, e := range entries {
+		if err := e.validate(width); err != nil {
+			return fmt.Errorf("entry %d: %w", i, err)
+		}
+		width = len(e.Features)
+	}
+	return nil
+}
+
+// widthOf is the feature width s holds: 0 when s is empty, and when it is
+// a wrapper this package cannot see through (whose own Add still checks).
+func widthOf(s Store) int {
+	switch st := s.(type) {
+	case *Persistent:
+		return widthOf(st.inner)
+	case *Sharded:
+		return st.width()
+	}
+	return 0
 }
 
 // clone deep-copies the entry so stores never alias caller memory.
@@ -219,56 +259,48 @@ func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
 	return os.Rename(tmp.Name(), path)
 }
 
-// groupBest computes, per similarity group, the configuration that won
-// most often among the group's members (ties broken towards the lower mean
-// relative-advantage metric, then lexicographically for determinism).
-func groupBest(entries []Entry, sim *kmeansSimilarity) []params.SysConfig {
-	best := make([]params.SysConfig, sim.groups())
-	for c := range best {
-		type agg struct {
-			sys    params.SysConfig
-			count  int
-			metric float64
-		}
-		byKey := make(map[string]*agg)
-		for i, e := range entries {
-			if sim.groupOf(i) != c {
-				continue
-			}
-			key := e.BestSys.String()
-			a, ok := byKey[key]
-			if !ok {
-				a = &agg{sys: e.BestSys}
-				byKey[key] = a
-			}
-			a.count++
-			a.metric += e.Metric
-		}
-		keys := make([]string, 0, len(byKey))
-		for k := range byKey {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		bestKey := ""
-		for _, k := range keys {
-			if bestKey == "" {
-				bestKey = k
-				continue
-			}
-			a, b := byKey[k], byKey[bestKey]
-			// Prefer higher vote count, then lower mean metric.
-			if a.count > b.count ||
-				(a.count == b.count && a.metric/float64(a.count) < b.metric/float64(b.count)) {
-				bestKey = k
+// groupMembers lays the fitted entries out per similarity group, each
+// group ordered by configuration (lexicographically by its String, in
+// insertion order within one configuration): the layout vote tallies in
+// one pass.
+func groupMembers(entries []Entry, sim *kmeansSimilarity) [][]Entry {
+	keys := make([]string, len(entries))
+	order := make([]int, len(entries))
+	for i, e := range entries {
+		keys[i], order[i] = e.BestSys.String(), i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+	members := make([][]Entry, sim.groups())
+	for _, i := range order {
+		g := sim.groupOf(i)
+		members[g] = append(members[g], entries[i])
+	}
+	return members
+}
+
+// vote returns the configuration that won most often among the members
+// whose squared distance to query is below bound (a nil query with an
+// infinite bound counts them all), ties going to the lower mean
+// relative-advantage metric, then to the lexicographically first
+// configuration. members must be laid out as groupMembers lays them out,
+// so each configuration is one run and the tally needs no map. ok is
+// false when no member counts.
+func vote(members []Entry, query []float64, bound float64) (best params.SysConfig, ok bool) {
+	bestN, bestSum := 0, 0.0
+	for i := 0; i < len(members); {
+		sys := members[i].BestSys
+		n, sum := 0, 0.0
+		for ; i < len(members) && members[i].BestSys == sys; i++ {
+			if _, near := sqDistWithin(query, members[i].Features, bound); near {
+				n++
+				sum += members[i].Metric
 			}
 		}
-		if bestKey != "" {
-			best[c] = byKey[bestKey].sys
-		} else {
-			best[c] = params.DefaultSysConfig()
+		if n > bestN || (n > 0 && n == bestN && sum/float64(n) < bestSum/float64(bestN)) {
+			best, bestN, bestSum = sys, n, sum
 		}
 	}
-	return best
+	return best, bestN > 0
 }
 
 // mix64 is a splitmix64 finaliser: it derives well-distributed seeds from

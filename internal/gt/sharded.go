@@ -1,6 +1,9 @@
 package gt
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -95,7 +98,8 @@ type shard struct {
 	// instead of a 2-means fit every splitSize appends.
 	splitTried int
 	// centroid is the running mean of member features, kept behind an
-	// atomic pointer so lock-free routing can read it mid-Add.
+	// atomic pointer so lock-free routing can read it mid-Add. A shard
+	// is published holding an entry, so it is never nil in a table.
 	centroid atomic.Pointer[[]float64]
 	// rev counts this shard's entries; the model watermark compares
 	// against it.
@@ -109,7 +113,12 @@ type shardModel struct {
 	rev    uint64 // shard revision this model covers
 	fitted bool
 	sim    *kmeansSimilarity
-	best   []params.SysConfig
+	// members holds, per similarity group, the entries the model was
+	// fitted on, laid out for vote (groupMembers).
+	members [][]Entry
+	// best is each group's vote over all its members: the answer when no
+	// member lies nearer to the query than the group's centroid.
+	best []params.SysConfig
 }
 
 // NewSharded creates an empty sharded store.
@@ -135,6 +144,15 @@ func sqDist(a, b []float64) float64 {
 	return sum
 }
 
+// width is the feature width every entry in the store has, 0 when it is
+// empty. Every shard in a published table holds at least one entry.
+func (s *Sharded) width() int {
+	if table := s.shards(); len(table) > 0 {
+		return len(*table[0].centroid.Load())
+	}
+	return 0
+}
+
 // shards returns the current copy-on-write shard table (never nil).
 func (s *Sharded) shards() []*shard {
 	if t := s.table.Load(); t != nil {
@@ -152,9 +170,6 @@ func (s *Sharded) nearest(features []float64) *shard {
 	bestD := 0.0
 	for _, sh := range s.shards() {
 		c := sh.centroid.Load()
-		if c == nil {
-			continue
-		}
 		if best == nil {
 			best, bestD = sh, sqDist(features, *c)
 			continue
@@ -185,61 +200,61 @@ func sqDistWithin(a, b []float64, bound float64) (float64, bool) {
 }
 
 // Add implements Store: route to the nearest shard, append under that
-// shard's lock only, and leave the model refit to the next lookup.
+// shard's lock only, and leave the model refit to the next lookup. The
+// entry is validated against the width of the shard it lands in, under
+// that shard's lock, so no race with another Add or a Replace can mix
+// widths.
 func (s *Sharded) Add(e Entry) error {
 	if m := s.met.Load(); m != nil {
 		start := time.Now()
 		defer func() { m.addSeconds.Observe(time.Since(start).Seconds()) }()
 	}
-	if err := e.validate(); err != nil {
-		return err
-	}
 	cp := e.clone()
 	for {
 		sh := s.nearest(cp.Features)
 		if sh == nil {
-			s.addFirst(cp)
-			return nil
+			if done, err := s.addFirst(cp); done {
+				return err
+			}
+			continue // another Add created the first shard
 		}
-		if s.appendTo(sh, cp) {
-			return nil
+		if err := s.appendTo(sh, cp); err != errRetired {
+			return err
 		}
 		// The shard was retired by a concurrent split; re-route.
 	}
 }
 
-// addFirst creates the first shard. Racing callers fall back to appendTo.
-func (s *Sharded) addFirst(cp Entry) {
+// errRetired tells Add that the shard it routed to was retired by a
+// concurrent split or Replace, so the entry must be routed again.
+var errRetired = errors.New("gt: shard retired")
+
+// addFirst creates the first shard, holding the entry. It reports false
+// when a racing Add created it first.
+func (s *Sharded) addFirst(cp Entry) (bool, error) {
 	s.mu.Lock()
-	if sh := s.nearest(cp.Features); sh != nil {
-		s.mu.Unlock()
-		if s.appendTo(sh, cp) {
-			return
-		}
-		// Retired already (extraordinarily unlikely on a fresh store);
-		// start over through the normal route.
-		_ = s.Add(cp)
-		return
+	defer s.mu.Unlock()
+	if len(s.shards()) > 0 {
+		return false, nil
 	}
-	sh := s.newShardLocked(nil, nil)
-	next := append(append([]*shard(nil), s.shards()...), sh)
-	s.table.Store(&next)
-	s.mu.Unlock()
-	if !s.appendTo(sh, cp) {
-		_ = s.Add(cp)
+	if err := cp.validate(0); err != nil {
+		return true, err
 	}
+	sh := s.newShardLocked([]Entry{cp}, []uint64{s.ord.Add(1)})
+	s.count.Add(1)
+	s.rev.Add(1)
+	s.table.Store(&[]*shard{sh})
+	return true, nil
 }
 
-// newShardLocked allocates a shard seeded with the given members. Callers
-// hold s.mu in write mode.
+// newShardLocked allocates a shard seeded with the given members, at
+// least one. Callers hold s.mu in write mode.
 func (s *Sharded) newShardLocked(entries []Entry, ords []uint64) *shard {
 	sh := &shard{id: s.shardSeq, entries: entries, ords: ords}
 	s.shardSeq++
 	sh.rev.Store(uint64(len(entries)))
-	if len(entries) > 0 {
-		c := meanFeatures(entries)
-		sh.centroid.Store(&c)
-	}
+	c := meanFeatures(entries)
+	sh.centroid.Store(&c)
 	return sh
 }
 
@@ -247,8 +262,8 @@ func (s *Sharded) newShardLocked(entries []Entry, ords []uint64) *shard {
 func meanFeatures(entries []Entry) []float64 {
 	c := make([]float64, len(entries[0].Features))
 	for _, e := range entries {
-		for i := 0; i < len(c) && i < len(e.Features); i++ {
-			c[i] += e.Features[i]
+		for i, f := range e.Features {
+			c[i] += f
 		}
 	}
 	for i := range c {
@@ -257,27 +272,29 @@ func meanFeatures(entries []Entry) []float64 {
 	return c
 }
 
-// appendTo appends the entry to the shard, updating its centroid and
-// revision. Returns false if the shard was retired by a concurrent split
-// (the caller must re-route). Splits are attempted at splitSize multiples.
-func (s *Sharded) appendTo(sh *shard, cp Entry) bool {
+// appendTo validates the entry against the shard's width and appends it,
+// updating the shard's centroid and revision. It returns errRetired if
+// the shard was retired by a concurrent split (the caller must re-route).
+// Splits are attempted at splitSize multiples.
+func (s *Sharded) appendTo(sh *shard, cp Entry) error {
 	sh.mu.Lock()
 	if sh.retired {
 		sh.mu.Unlock()
-		return false
+		return errRetired
+	}
+	prev := *sh.centroid.Load()
+	if err := cp.validate(len(prev)); err != nil {
+		sh.mu.Unlock()
+		return err
 	}
 	sh.entries = append(sh.entries, cp)
 	sh.ords = append(sh.ords, s.ord.Add(1))
 	n := len(sh.entries)
 	// Recompute the centroid incrementally into a fresh slice so routing
 	// readers are never disturbed mid-update.
-	next := make([]float64, len(cp.Features))
-	if prev := sh.centroid.Load(); prev != nil {
-		for i := 0; i < len(next) && i < len(*prev); i++ {
-			next[i] = (*prev)[i] + (cp.Features[i]-(*prev)[i])/float64(n)
-		}
-	} else {
-		copy(next, cp.Features)
+	next := make([]float64, len(prev))
+	for i := range next {
+		next[i] = prev[i] + (cp.Features[i]-prev[i])/float64(n)
 	}
 	sh.centroid.Store(&next)
 	sh.rev.Add(1)
@@ -292,7 +309,7 @@ func (s *Sharded) appendTo(sh *shard, cp Entry) bool {
 	if n%splitSize == 0 {
 		s.split(sh)
 	}
-	return true
+	return nil
 }
 
 // split partitions an over-full shard in two by 2-means over its own
@@ -350,10 +367,9 @@ func (s *Sharded) split(sh *shard) {
 	// inside a single family barely moves it. 0.9 admits recursive
 	// family splits while rejecting noise splits.
 	parentSSQ := 0.0
-	if c := sh.centroid.Load(); c != nil {
-		for _, p := range points {
-			parentSSQ += sqDist(p, *c)
-		}
+	c := *sh.centroid.Load()
+	for _, p := range points {
+		parentSSQ += sqDist(p, c)
 	}
 	if parentSSQ == 0 || model.Inertia > 0.9*parentSSQ {
 		sh.splitTried = len(sh.entries)
@@ -408,12 +424,19 @@ func (s *Sharded) lookup(features []float64) (params.SysConfig, bool) {
 		s.misses.Add(1)
 		return params.SysConfig{}, false
 	}
-	group, ok := m.sim.match(features)
+	group, dist, ok := m.sim.match(features)
 	if !ok || group < 0 || group >= len(m.best) {
 		s.misses.Add(1)
 		return params.SysConfig{}, false
 	}
 	s.hits.Add(1)
+	// The answer is the vote of the query's neighbourhood: the group's
+	// members nearer to it than the group's centroid is (§5.4: the best
+	// configuration of *similar* jobs). With none that near, the whole
+	// group votes.
+	if sys, ok := vote(m.members[group], features, dist*dist); ok {
+		return sys, true
+	}
 	return m.best[group], true
 }
 
@@ -444,7 +467,15 @@ func (s *Sharded) refit(sh *shard) *shardModel {
 		if err := sim.fit(points); err == nil {
 			m.fitted = true
 			m.sim = sim
-			m.best = groupBest(sh.entries, sim)
+			m.members = groupMembers(sh.entries, sim)
+			m.best = make([]params.SysConfig, len(m.members))
+			for g, members := range m.members {
+				sys, ok := vote(members, nil, math.Inf(1))
+				if !ok {
+					sys = params.DefaultSysConfig() // a group left empty by the fit
+				}
+				m.best[g] = sys
+			}
 		}
 	}
 	sh.model.Store(m)
@@ -504,15 +535,10 @@ func (s *Sharded) Entries() []Entry {
 // it — and is discarded with the rest of the old contents — or observes
 // its shard retired and re-routes into the new table.
 func (s *Sharded) Replace(entries []Entry) error {
-	for _, e := range entries {
-		if err := e.validate(); err != nil {
-			return err
-		}
-	}
 	tmp := NewSharded(s.cfg, s.seed)
-	for _, e := range entries {
+	for i, e := range entries {
 		if err := tmp.Add(e); err != nil {
-			return err
+			return fmt.Errorf("entry %d: %w", i, err)
 		}
 	}
 	s.mu.Lock()

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pipetune/internal/params"
 )
 
 // TestShardedSplitsIntoFamilies grows the store past splitSize with
@@ -160,5 +162,67 @@ func TestNewShardedDefendsConfig(t *testing.T) {
 	}
 	if _, ok := s.Lookup(familyEntry(0, 1, 1).Features); !ok {
 		t.Fatal("zero MinEntries left the store permanently unfitted")
+	}
+}
+
+// neighbourhoodStore fits one shard on two families: the given members
+// near the origin, and four entries of a third configuration far away, so
+// k-means gives the near members a cluster of their own.
+func neighbourhoodStore(t *testing.T, near []Entry) *Sharded {
+	t.Helper()
+	s := NewSharded(DefaultConfig(), 1)
+	far := params.SysConfig{Cores: 16, MemoryGB: 32}
+	for i := 0; i < 4; i++ {
+		near = append(near, Entry{Features: []float64{1000 + float64(i), 1000, 0, 1}, BestSys: far, Metric: 0.5})
+	}
+	for _, e := range near {
+		if err := s.Add(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := s.Info().Shards; n != 1 {
+		t.Fatalf("%d shards, want the one cluster pair", n)
+	}
+	return s
+}
+
+var (
+	voteP = params.SysConfig{Cores: 4, MemoryGB: 8}
+	voteQ = params.SysConfig{Cores: 8, MemoryGB: 32}
+)
+
+func entryAt(x, y float64, sys params.SysConfig) Entry {
+	return Entry{Features: []float64{x, y, 0, 1}, BestSys: sys, Metric: 0.5}
+}
+
+// TestLookupAnswersFromTheNeighbourhood: three members at the origin won
+// with P, two at x = 10 with Q. The cluster votes P, but a query at x = 10
+// is 6 from the centroid (x = 4): the Q members (distance 0) are nearer,
+// the P members (distance 10) are not, so its neighbourhood answers Q.
+func TestLookupAnswersFromTheNeighbourhood(t *testing.T) {
+	s := neighbourhoodStore(t, []Entry{
+		entryAt(0, 0, voteP), entryAt(0, 0, voteP), entryAt(0, 0, voteP),
+		entryAt(10, 0, voteQ), entryAt(10, 0, voteQ),
+	})
+	if got, ok := s.Lookup([]float64{0, 0, 0, 1}); !ok || got != voteP {
+		t.Fatalf("query at the P members: (%v, %v), want (%v, true)", got, ok, voteP)
+	}
+	if got, ok := s.Lookup([]float64{10, 0, 0, 1}); !ok || got != voteQ {
+		t.Fatalf("query at the Q members: (%v, %v), want the neighbourhood's (%v, true)", got, ok, voteQ)
+	}
+}
+
+// TestLookupFallsBackToTheClusterVote: the members ring the centroid at
+// the origin, two Q members 3 away and three P members 9.4–10 away. A query
+// at (0.5, 0) is 0.5 from the centroid and at least 3 from every member,
+// so no member is in its neighbourhood and the whole cluster votes: P,
+// although the member nearest to the query holds Q.
+func TestLookupFallsBackToTheClusterVote(t *testing.T) {
+	s := neighbourhoodStore(t, []Entry{
+		entryAt(0, 3, voteQ), entryAt(0, -3, voteQ),
+		entryAt(10, 0, voteP), entryAt(-5, 8, voteP), entryAt(-5, -8, voteP),
+	})
+	if got, ok := s.Lookup([]float64{0.5, 0, 0, 1}); !ok || got != voteP {
+		t.Fatalf("query beside the centroid: (%v, %v), want the cluster's (%v, true)", got, ok, voteP)
 	}
 }

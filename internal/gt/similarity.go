@@ -58,28 +58,26 @@ func (s *kmeansSimilarity) groupOf(i int) int {
 	return s.model.Labels[i]
 }
 
-// match returns the nearest centroid's cluster, confident when the
-// distance is within threshold × the cluster's RMS radius (with a fallback
-// radius for degenerate single-member clusters).
-func (s *kmeansSimilarity) match(query []float64) (int, bool) {
+// match returns the nearest centroid's cluster and the query's distance
+// to that centroid, confident when the distance is within threshold × the
+// cluster's RMS radius (with a fallback radius for degenerate
+// single-member clusters).
+func (s *kmeansSimilarity) match(query []float64) (cluster int, dist float64, ok bool) {
 	if s.model == nil {
-		return 0, false
+		return 0, 0, false
 	}
 	cluster, dist, err := s.model.Predict(query)
 	if err != nil {
-		return 0, false
+		return 0, 0, false
 	}
 	radius, err := s.model.Radius(cluster)
 	if err != nil {
-		return 0, false
+		return 0, 0, false
 	}
 	if radius == 0 {
 		radius = s.centroidScale() * 0.05
 	}
-	if radius == 0 || dist > s.threshold*radius {
-		return cluster, false
-	}
-	return cluster, true
+	return cluster, dist, radius != 0 && dist <= s.threshold*radius
 }
 
 // centroidScale returns the mean pairwise centroid distance.

@@ -27,7 +27,7 @@ func TestKMeansSimilarityGroupsFamilies(t *testing.T) {
 		t.Fatal("families collapsed")
 	}
 	// A new lenet profile matches the lenet group confidently.
-	group, ok := s.match(featuresOf(t, lenetMNIST, 99))
+	group, _, ok := s.match(featuresOf(t, lenetMNIST, 99))
 	if !ok || group != s.groupOf(0) {
 		t.Fatalf("match = (%d, %v), want lenet group %d", group, ok, s.groupOf(0))
 	}
@@ -35,7 +35,7 @@ func TestKMeansSimilarityGroupsFamilies(t *testing.T) {
 
 func TestKMeansSimilarityUnfit(t *testing.T) {
 	s := newKMeansSimilarity(kmeans.DefaultConfig(), 2.0, 1)
-	if _, ok := s.match([]float64{1, 2}); ok {
+	if _, _, ok := s.match([]float64{1, 2}); ok {
 		t.Fatal("unfit model matched")
 	}
 	if s.groups() != 0 {

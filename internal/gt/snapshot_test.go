@@ -183,3 +183,36 @@ func TestLoadFileMissing(t *testing.T) {
 		}
 	})
 }
+
+// FuzzGTLoad feeds Load the bytes of a snapshot it did not write — a file
+// on disk, a -gt flag's path — into a fresh store, then looks up one
+// profile: it must load or return an error, and never panic. Seeds: a
+// legacy snapshot, an empty document, an entry of another width and a
+// seq-bearing snapshot.
+func FuzzGTLoad(f *testing.F) {
+	f.Add([]byte(`{"entries":[{"features":[1,2,3],"bestSys":{"cores":4,"memoryGB":8},"metric":0.9},` +
+		`{"features":[10,20,30],"bestSys":{"cores":16,"memoryGB":32},"metric":0.7}]}`))
+	f.Add([]byte(``))
+	f.Add([]byte(`{"entries":[{"features":[1,2,3],"bestSys":{"cores":4,"memoryGB":8},"metric":0.9},` +
+		`{"features":[1,2],"bestSys":{"cores":4,"memoryGB":8},"metric":0.9}]}`))
+	var seq bytes.Buffer
+	entries := make([]Entry, 12)
+	for i := range entries {
+		entries[i] = gtEntry(i)
+	}
+	if err := saveEntries(&seq, entries, 7); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seq.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := NewSharded(DefaultConfig(), 1)
+		if err := Load(bytes.NewReader(data), s); err != nil {
+			return
+		}
+		query := []float64{1, 2, 3}
+		if loaded := s.Entries(); len(loaded) > 0 {
+			query = loaded[0].Features
+		}
+		s.Lookup(query)
+	})
+}

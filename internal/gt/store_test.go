@@ -3,6 +3,7 @@ package gt
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -63,6 +64,60 @@ func TestStoreAddValidation(t *testing.T) {
 			t.Fatalf("rejected entries mutated the store: len=%d rev=%d", info.Entries, info.Rev)
 		}
 	})
+}
+
+// TestEntryOfAnotherWidthIsRejected holds the store to one feature width:
+// an entry of another width, or one holding NaN or ±Inf, is refused by
+// Add, Replace and Load alike, and the store goes on answering. Accepted,
+// one odd entry would make every refit of its shard fail, and so every
+// lookup routed there miss.
+func TestEntryOfAnotherWidthIsRejected(t *testing.T) {
+	s := NewSharded(DefaultConfig(), 1)
+	for i := 0; i < 20; i++ {
+		if err := s.Add(benchEntry(i%2, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query := benchFeatures(0, 99)
+	want, ok := s.Lookup(query)
+	if !ok {
+		t.Fatal("the 58-wide store missed before the odd entry")
+	}
+	odd := []Entry{
+		{Features: []float64{1, 2, 3}, BestSys: params.DefaultSysConfig()},
+		{Features: append(benchFeatures(0, 1)[:57], math.NaN()), BestSys: params.DefaultSysConfig()},
+		{Features: append(benchFeatures(0, 1)[:57], math.Inf(-1)), BestSys: params.DefaultSysConfig()},
+		{Features: benchFeatures(0, 1), BestSys: params.DefaultSysConfig(), Metric: math.Inf(1)},
+	}
+	for _, e := range odd {
+		if err := s.Add(e); err == nil {
+			t.Fatalf("Add accepted %d features ending %v, metric %v", len(e.Features), e.Features[len(e.Features)-1], e.Metric)
+		}
+	}
+	if got, ok := s.Lookup(query); !ok || got != want {
+		t.Fatalf("after the refused adds: (%v, %v), want (%v, true)", got, ok, want)
+	}
+	if n := s.Info().Entries; n != 20 {
+		t.Fatalf("refused adds left %d entries, want 20", n)
+	}
+
+	mixed := append(s.Entries(), odd[0])
+	if err := s.Replace(mixed); err == nil || !strings.Contains(err.Error(), "entry 20") {
+		t.Fatalf("Replace of a mixed batch = %v, want an error naming entry 20", err)
+	}
+	var buf bytes.Buffer
+	if err := saveEntries(&buf, mixed, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := Load(&buf, s); err == nil {
+		t.Fatal("Load accepted a snapshot of mixed widths")
+	}
+	if err := Validate(s, odd[:1]); err == nil || !strings.Contains(err.Error(), "entry 0") {
+		t.Fatalf("Validate against the 58-wide store = %v, want an error naming entry 0", err)
+	}
+	if got, ok := s.Lookup(query); !ok || got != want || s.Info().Entries != 20 {
+		t.Fatalf("after the refused Replace and Load: (%v, %v), %d entries", got, ok, s.Info().Entries)
+	}
 }
 
 func TestStoreSaveLoad(t *testing.T) {

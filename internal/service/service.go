@@ -819,13 +819,8 @@ func (s *Service) ExportGroundTruth(w io.Writer) error {
 // a store failure mid-apply is a server-side error (HTTP 500) reported
 // with the count that did land — the applied prefix stays live.
 func (s *Service) ImportGroundTruth(entries []gt.Entry) (int, error) {
-	for i, e := range entries {
-		if len(e.Features) == 0 {
-			return 0, fmt.Errorf("%w: entry %d has no features", ErrBadRequest, i)
-		}
-		if err := e.BestSys.Validate(); err != nil {
-			return 0, fmt.Errorf("%w: entry %d: %v", ErrBadRequest, i, err)
-		}
+	if err := gt.Validate(s.gt, entries); err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	added, err := s.addAll(entries)
 	if err != nil {

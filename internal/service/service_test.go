@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -517,6 +519,38 @@ func TestGroundTruthExportImport(t *testing.T) {
 	if after := svc2.GroundTruthStats(); after.Entries != res.Stats.Entries {
 		t.Fatalf("failed import mutated the database: %d -> %d entries", res.Stats.Entries, after.Entries)
 	}
+}
+
+// TestGroundTruthImportRefusesAnotherWidth: an import holding an entry
+// whose feature width differs from the batch's or the store's is refused
+// with HTTP 400 naming the entry's index, and none of the batch lands.
+// Accepted, it would turn every lookup routed to its shard into a miss.
+func TestGroundTruthImportRefusesAnotherWidth(t *testing.T) {
+	svc, cl := newServer(t, Config{})
+	ctx := context.Background()
+	entry := func(width int) api.GroundTruthEntry {
+		f := make([]float64, width)
+		for i := range f {
+			f[i] = float64(i)
+		}
+		return api.GroundTruthEntry{Features: f, BestSys: pipetune.DefaultSysConfig(), Metric: 0.5}
+	}
+	refused := func(entries []api.GroundTruthEntry, index string, wantEntries int) {
+		t.Helper()
+		_, err := cl.ImportGroundTruth(ctx, api.GroundTruthDump{Entries: entries})
+		apiErr := new(api.Error)
+		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Message, index) {
+			t.Fatalf("import = %v, want HTTP 400 naming %s", err, index)
+		}
+		if n := svc.GroundTruthStats().Entries; n != wantEntries {
+			t.Fatalf("refused import left %d entries, want %d", n, wantEntries)
+		}
+	}
+	refused([]api.GroundTruthEntry{entry(58), entry(3)}, "entry 1", 0)
+	if _, err := cl.ImportGroundTruth(ctx, api.GroundTruthDump{Entries: []api.GroundTruthEntry{entry(58), entry(58)}}); err != nil {
+		t.Fatal(err)
+	}
+	refused([]api.GroundTruthEntry{entry(3)}, "entry 0", 2)
 }
 
 // TestGroundTruthStatsFieldsOverHTTP pins the enriched stats surface:
