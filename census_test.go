@@ -1,6 +1,6 @@
 package pipetune
 
-// Two gates over the repository itself, standard library only.
+// Three gates over the repository itself, standard library only.
 //
 // TestNoTestOnlyExports is the reachability census: production code that
 // no production path reads is deleted, and this test keeps it deleted. It
@@ -11,6 +11,9 @@ package pipetune
 // TestCIRunPatternsMatch holds the CI workflow to the suite: `go test
 // -run` on a pattern that matches nothing exits 0, so a renamed test would
 // silently empty its gate.
+//
+// TestEveryExampleIsPinned holds every runnable example to a test: an
+// example whose output nothing checks drifts from the code it shows.
 
 import (
 	"go/ast"
@@ -382,5 +385,27 @@ func TestCIRunPatternsMatch(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("found no -run pattern in ci.yml: the parser no longer reads the workflow")
+	}
+}
+
+// TestEveryExampleIsPinned fails on a directory under examples/ without a
+// _test.go file. Each example's test holds its stdout to
+// testdata/output.txt (`go test ./examples/<name> -update` re-records).
+func TestEveryExampleIsPinned(t *testing.T) {
+	dirs, err := os.ReadDir("examples")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if !d.IsDir() {
+			continue
+		}
+		tests, err := filepath.Glob(filepath.Join("examples", d.Name(), "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tests) == 0 {
+			t.Errorf("examples/%s has no test: pin its stdout, or delete it", d.Name())
+		}
 	}
 }

@@ -134,31 +134,39 @@ func parseNodeClasses(spec string, spotFraction, ratePerHour float64) ([]pipetun
 		if len(parts) < 4 || len(parts) > 6 {
 			return nil, fmt.Errorf("entry %q: want name:count:cores:memGB[:speed[:hourlyUSD]]", entry)
 		}
-		nums := make([]float64, 0, len(parts)-1)
-		for _, p := range parts[1:] {
-			v, err := strconv.ParseFloat(p, 64)
-			if err != nil {
-				return nil, fmt.Errorf("entry %q: %w", entry, err)
-			}
-			nums = append(nums, v)
-		}
+		// count, cores and memGB are whole numbers; speed and price are not.
+		count, err1 := strconv.Atoi(parts[1])
+		cores, err2 := strconv.Atoi(parts[2])
+		mem, err3 := strconv.Atoi(parts[3])
+		err := errors.Join(err1, err2, err3)
 		nc := pipetune.NodeClass{
 			Name:        parts[0],
-			Count:       int(nums[0]),
-			Spec:        cluster.NodeSpec{Cores: int(nums[1]), MemoryGB: int(nums[2])},
+			Count:       count,
+			Spec:        cluster.NodeSpec{Cores: cores, MemoryGB: mem},
 			SpeedFactor: 1,
 		}
-		if len(nums) > 3 {
-			nc.SpeedFactor = nums[3]
+		if err == nil && len(parts) > 4 {
+			nc.SpeedFactor, err = strconv.ParseFloat(parts[4], 64)
 		}
-		if len(nums) > 4 {
-			nc.HourlyUSD = nums[4]
+		if err == nil && len(parts) > 5 {
+			nc.HourlyUSD, err = strconv.ParseFloat(parts[5], 64)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("entry %q: %w", entry, err)
 		}
 		out = append(out, nc)
 	}
-	return cluster.SplitSpot(out, spotFraction, ratePerHour, func(nc cluster.NodeClass) float64 {
+	out, err := cluster.SplitSpot(out, spotFraction, ratePerHour, func(nc cluster.NodeClass) float64 {
 		return nc.HourlyUSD * cluster.SpotPriceFactor
 	})
+	if err != nil {
+		return nil, err
+	}
+	// The checks the daemon's cluster runs, here, so a bad flag is named.
+	if _, err := cluster.NewClasses(out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func main() {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -10,7 +11,9 @@ import (
 // TestParseNodeClassesSplit pins -node-classes × -spot-fraction to the
 // classes the daemon has always built: the ec2 shapes take their spot
 // rate from the EC2 table, a custom class from SpotPriceFactor — which is
-// why big-spot and m5.24xlarge-spot differ in the last bit.
+// why big-spot and m5.24xlarge-spot differ in the last bit. A fractional
+// count or shape, and a NaN or infinite speed, price, fraction or rate,
+// are refused, not truncated or carried into the cluster.
 func TestParseNodeClassesSplit(t *testing.T) {
 	shape := func(name string, count, cores, mem int, speed, usd float64) cluster.NodeClass {
 		return cluster.NodeClass{Name: name, Spec: cluster.NodeSpec{Cores: cores, MemoryGB: mem}, Count: count, SpeedFactor: speed, HourlyUSD: usd}
@@ -47,9 +50,19 @@ func TestParseNodeClassesSplit(t *testing.T) {
 			t.Errorf("%s at %v:\n got %+v\nwant %+v", tc.spec, tc.fraction, got, tc.want)
 		}
 	}
-	for _, spec := range []string{"ec2", custom} {
-		if _, err := parseNodeClasses(spec, 1.5, 2); err == nil {
-			t.Errorf("%s: spot fraction 1.5 accepted", spec)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		spec           string
+		fraction, rate float64
+	}{
+		{"ec2", 1.5, 2}, {custom, 1.5, 2},
+		{"ec2", nan, 2}, {custom, nan, 2},
+		{"ec2", 0.5, nan}, {custom, 0.5, inf},
+		{"a:2:16:64:1:NaN", 0, 2}, {"a:2:16:64:Inf", 0, 2}, {"a:2:16:64:+Inf:1", 0, 2},
+		{"a:2.7:8:16", 0, 2}, {"a:2:16.9:64", 0, 2}, {"a:2:16:64.5", 0, 2}, {"a:NaN:16:64", 0, 2},
+	} {
+		if got, err := parseNodeClasses(tc.spec, tc.fraction, tc.rate); err == nil {
+			t.Errorf("%s at fraction %v, rate %v: accepted as %+v", tc.spec, tc.fraction, tc.rate, got)
 		}
 	}
 }

@@ -56,6 +56,33 @@ func TestNewClassesValidation(t *testing.T) {
 	}
 }
 
+// TestNewClassesRejectsNonFinite: a NaN or +Inf speed, price or rate
+// passes a sign check, and then a job renders a NaN cost its result JSON
+// cannot carry, or runs at infinite speed in zero time. NewClasses and
+// SplitSpot refuse them instead.
+func TestNewClassesRejectsNonFinite(t *testing.T) {
+	good := NodeClass{Name: "a", Spec: NodeSpec{Cores: 8, MemoryGB: 16}, Count: 2}
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		for name, set := range map[string]func(*NodeClass){
+			"speed": func(c *NodeClass) { c.SpeedFactor = bad },
+			"price": func(c *NodeClass) { c.HourlyUSD = bad },
+			"rate":  func(c *NodeClass) { c.RevocationsPerHour = bad },
+		} {
+			c := good
+			set(&c)
+			if _, err := NewClasses([]NodeClass{c}); err == nil {
+				t.Errorf("NewClasses accepted %s %v", name, bad)
+			}
+		}
+		if _, err := SplitSpot([]NodeClass{good}, bad, 1, func(NodeClass) float64 { return 0 }); err == nil {
+			t.Errorf("SplitSpot accepted spot fraction %v", bad)
+		}
+		if _, err := SplitSpot([]NodeClass{good}, 0.5, bad, func(NodeClass) float64 { return 0 }); err == nil {
+			t.Errorf("SplitSpot accepted revocation rate %v", bad)
+		}
+	}
+}
+
 // TestEC2FleetComposition: the Figure 1 fleet splits each shape into
 // on-demand and spot classes, prices them at their market rates, and
 // exposes per-node revocation rates for the spot process.

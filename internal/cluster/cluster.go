@@ -95,8 +95,8 @@ func NewClasses(classes []NodeClass) (*Cluster, error) {
 		if nc.Spec.Cores < 1 || nc.Spec.MemoryGB < 1 {
 			return nil, fmt.Errorf("cluster: class %q: invalid node spec %+v", nc.Name, nc.Spec)
 		}
-		if nc.SpeedFactor < 0 || nc.RevocationsPerHour < 0 || nc.HourlyUSD < 0 {
-			return nil, fmt.Errorf("cluster: class %q: negative speed, rate or price", nc.Name)
+		if !finiteNonNegative(nc.SpeedFactor) || !finiteNonNegative(nc.RevocationsPerHour) || !finiteNonNegative(nc.HourlyUSD) {
+			return nil, fmt.Errorf("cluster: class %q: speed, rate and price must be finite and non-negative", nc.Name)
 		}
 		if nc.SpeedFactor == 0 {
 			nc.SpeedFactor = 1
@@ -108,6 +108,10 @@ func NewClasses(classes []NodeClass) (*Cluster, error) {
 	}
 	return c, nil
 }
+
+// finiteNonNegative reports whether x is a real number ≥ 0: NaN and +Inf
+// fail it, as a negative does.
+func finiteNonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // EC2Fleet builds the Figure 1 heterogeneous fleet: nodesPerShape nodes of
 // each of the three instance shapes, split by SplitSpot at the shape's
@@ -145,8 +149,11 @@ const SpotPriceFactor = 0.3
 // revoked at revocationsPerHour per node. A class left without on-demand
 // nodes is dropped; a class that rounds to no spot node stays as it is.
 func SplitSpot(classes []NodeClass, spotFraction, revocationsPerHour float64, spotHourlyUSD func(NodeClass) float64) ([]NodeClass, error) {
-	if spotFraction < 0 || spotFraction > 1 {
+	if !(spotFraction >= 0 && spotFraction <= 1) {
 		return nil, fmt.Errorf("cluster: spot fraction %v outside [0,1]", spotFraction)
+	}
+	if !finiteNonNegative(revocationsPerHour) {
+		return nil, fmt.Errorf("cluster: spot revocation rate %v is not finite and non-negative", revocationsPerHour)
 	}
 	out := make([]NodeClass, 0, 2*len(classes))
 	for _, nc := range classes {

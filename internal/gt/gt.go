@@ -169,18 +169,9 @@ type Store interface {
 	Info() Info
 }
 
-// Save writes the store's entries as a JSON snapshot (the model is refit
-// on load).
+// Save writes the store's entries as a JSON snapshot. OpenPersistent is
+// what reads one back (the model is refit on load).
 func Save(w io.Writer, s Store) error { return saveEntries(w, s.Entries(), 0) }
-
-// Load replaces the store's contents with a Save stream's entries.
-func Load(r io.Reader, s Store) error {
-	snap, err := loadSnapshot(r)
-	if err != nil {
-		return err
-	}
-	return s.Replace(snap.Entries)
-}
 
 // snapshot is the JSON persistence format. Seq is the write-ahead-log
 // sequence number the snapshot covers; legacy (pre-WAL) files simply lack

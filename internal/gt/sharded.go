@@ -529,9 +529,9 @@ func (s *Sharded) Entries() []Entry {
 }
 
 // Replace implements Store: the new shard map is rebuilt offline by
-// re-routing the entries in order (so a Load reproduces the layout the
-// same insertion sequence would have produced live) and then swapped in
-// under the write lock. An Add racing with the swap either lands before
+// re-routing the entries in order (so a restored snapshot has the layout
+// the same insertion sequence would have produced live) and then swapped
+// in under the write lock. An Add racing with the swap either lands before
 // it — and is discarded with the rest of the old contents — or observes
 // its shard retired and re-routes into the new table.
 func (s *Sharded) Replace(entries []Entry) error {

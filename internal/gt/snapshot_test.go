@@ -53,7 +53,7 @@ func TestStoreConcurrentAddSaveLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 		restored := NewSharded(DefaultConfig(), 1)
-		if err := Load(&buf, restored); err != nil {
+		if err := loadInto(&buf, restored); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := restored.Info().Entries, s.Info().Entries; got != want {
@@ -184,11 +184,11 @@ func TestLoadFileMissing(t *testing.T) {
 	})
 }
 
-// FuzzGTLoad feeds Load the bytes of a snapshot it did not write — a file
-// on disk, a -gt flag's path — into a fresh store, then looks up one
-// profile: it must load or return an error, and never panic. Seeds: a
-// legacy snapshot, an empty document, an entry of another width and a
-// seq-bearing snapshot.
+// FuzzGTLoad feeds the daemon's snapshot decode path (loadInto, what
+// OpenPersistent runs on the -gt file) bytes it did not write, into a
+// fresh store, then looks up one profile: it must load or return an
+// error, and never panic. Seeds: a legacy snapshot, an empty document,
+// an entry of another width and a seq-bearing snapshot.
 func FuzzGTLoad(f *testing.F) {
 	f.Add([]byte(`{"entries":[{"features":[1,2,3],"bestSys":{"cores":4,"memoryGB":8},"metric":0.9},` +
 		`{"features":[10,20,30],"bestSys":{"cores":16,"memoryGB":32},"metric":0.7}]}`))
@@ -206,7 +206,7 @@ func FuzzGTLoad(f *testing.F) {
 	f.Add(seq.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := NewSharded(DefaultConfig(), 1)
-		if err := Load(bytes.NewReader(data), s); err != nil {
+		if err := loadInto(bytes.NewReader(data), s); err != nil {
 			return
 		}
 		query := []float64{1, 2, 3}

@@ -3,6 +3,7 @@ package gt
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -68,9 +69,9 @@ func TestStoreAddValidation(t *testing.T) {
 
 // TestEntryOfAnotherWidthIsRejected holds the store to one feature width:
 // an entry of another width, or one holding NaN or ±Inf, is refused by
-// Add, Replace and Load alike, and the store goes on answering. Accepted,
-// one odd entry would make every refit of its shard fail, and so every
-// lookup routed there miss.
+// Add, Replace and a snapshot load alike, and the store goes on
+// answering. Accepted, one odd entry would make every refit of its shard
+// fail, and so every lookup routed there miss.
 func TestEntryOfAnotherWidthIsRejected(t *testing.T) {
 	s := NewSharded(DefaultConfig(), 1)
 	for i := 0; i < 20; i++ {
@@ -109,15 +110,25 @@ func TestEntryOfAnotherWidthIsRejected(t *testing.T) {
 	if err := saveEntries(&buf, mixed, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := Load(&buf, s); err == nil {
-		t.Fatal("Load accepted a snapshot of mixed widths")
+	if err := loadInto(&buf, s); err == nil {
+		t.Fatal("a snapshot of mixed widths loaded")
 	}
 	if err := Validate(s, odd[:1]); err == nil || !strings.Contains(err.Error(), "entry 0") {
 		t.Fatalf("Validate against the 58-wide store = %v, want an error naming entry 0", err)
 	}
 	if got, ok := s.Lookup(query); !ok || got != want || s.Info().Entries != 20 {
-		t.Fatalf("after the refused Replace and Load: (%v, %v), %d entries", got, ok, s.Info().Entries)
+		t.Fatalf("after the refused Replace and load: (%v, %v), %d entries", got, ok, s.Info().Entries)
 	}
+}
+
+// loadInto restores a Save stream into s the way OpenPersistent restores
+// its snapshot: decode, then one Replace.
+func loadInto(r io.Reader, s Store) error {
+	snap, err := loadSnapshot(r)
+	if err != nil {
+		return err
+	}
+	return s.Replace(snap.Entries)
 }
 
 func TestStoreSaveLoad(t *testing.T) {
@@ -131,7 +142,7 @@ func TestStoreSaveLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 		restored := NewSharded(DefaultConfig(), 2)
-		if err := Load(&buf, restored); err != nil {
+		if err := loadInto(&buf, restored); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := restored.Info().Entries, s.Info().Entries; got != want {
@@ -144,7 +155,7 @@ func TestStoreSaveLoad(t *testing.T) {
 		if _, ok := restored.Lookup(featuresOf(t, lenetMNIST, 50)); !ok {
 			t.Fatal("warm-started database missed")
 		}
-		if err := Load(bytes.NewBufferString("junk"), restored); err == nil {
+		if err := loadInto(bytes.NewBufferString("junk"), restored); err == nil {
 			t.Fatal("garbage accepted")
 		}
 	})
@@ -157,7 +168,7 @@ func TestStoreLoadLegacyFormat(t *testing.T) {
 		`{"features":[1,2,3],"bestSys":{"cores":4,"memoryGB":8},"metric":0.9},` +
 		`{"features":[10,20,30],"bestSys":{"cores":16,"memoryGB":32},"metric":0.7}]}` + "\n"
 	eachStore(t, func(t *testing.T, s Store) {
-		if err := Load(strings.NewReader(legacy), s); err != nil {
+		if err := loadInto(strings.NewReader(legacy), s); err != nil {
 			t.Fatalf("legacy snapshot rejected: %v", err)
 		}
 		if n := s.Info().Entries; n != 2 {
@@ -263,11 +274,11 @@ func TestStoreRev(t *testing.T) {
 			t.Errorf("Save mutated rev to %d", rev())
 		}
 		before := rev()
-		if err := Load(strings.NewReader(buf.String()), s); err != nil {
+		if err := loadInto(strings.NewReader(buf.String()), s); err != nil {
 			t.Fatal(err)
 		}
 		if rev() <= before {
-			t.Errorf("rev after Load = %d, want > %d", rev(), before)
+			t.Errorf("rev after a load = %d, want > %d", rev(), before)
 		}
 	})
 }

@@ -307,6 +307,11 @@ func (s *Service) buildSpec(req api.JobRequest) (tune.JobSpec, string, error) {
 	if req.MaxParallel > 0 {
 		spec.MaxParallel = req.MaxParallel
 	}
+	// The range tune would refuse at run time is refused here, before the
+	// job takes an ID and a queue slot.
+	if err := spec.BaseHyper.Validate(); err != nil {
+		return tune.JobSpec{}, "", fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
 	return spec, mode, nil
 }
 

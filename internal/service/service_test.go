@@ -348,6 +348,28 @@ func TestAPIErrors(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeEpochsRefusedBeforeAnID: a job tune would refuse at run
+// time (epochs over the params range) is answered 400 at submission, and
+// takes no job ID: the next accepted job is job-000001.
+func TestOutOfRangeEpochsRefusedBeforeAnID(t *testing.T) {
+	_, cl := newServer(t, Config{})
+	ctx := context.Background()
+	_, err := cl.Submit(ctx, api.JobRequest{Workload: "lenet/mnist", Epochs: 5000})
+	if apiErr := new(api.Error); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
+		t.Fatalf("Submit with 5000 epochs = %v, want HTTP 400", err)
+	}
+	j, err := cl.Submit(ctx, smallReq("lenet/mnist"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.ID != "job-000001" {
+		t.Fatalf("first accepted job is %s, want job-000001 (the refused one burned an ID)", j.ID)
+	}
+	if final := waitAll(t, cl, []string{j.ID})[0]; final.State != api.StateDone {
+		t.Fatalf("%s ended %v", final.ID, final.State)
+	}
+}
+
 // gtEntries returns the service's ground-truth entries as a sorted list of
 // their JSON forms, so two stores compare as multisets whatever their
 // internal (shard) order.

@@ -29,7 +29,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 
 	"pipetune/internal/admission"
 	"pipetune/internal/cluster"
@@ -378,12 +377,6 @@ func (s *System) GroundTruthStats() (entries, hits, misses int) {
 	info := s.pipetune.GT.Info()
 	return info.Entries, info.Hits, info.Misses
 }
-
-// SaveGroundTruth persists the similarity database as JSON.
-func (s *System) SaveGroundTruth(w io.Writer) error { return gt.Save(w, s.pipetune.GT) }
-
-// LoadGroundTruth restores a previously saved similarity database.
-func (s *System) LoadGroundTruth(r io.Reader) error { return gt.Load(r, s.pipetune.GT) }
 
 // GroundTruth exposes the System's similarity database for sharing with
 // service layers (snapshotting, revision tracking, cross-job statistics).

@@ -1,7 +1,6 @@
 package pipetune
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -186,26 +185,6 @@ func TestFacadeV2Mode(t *testing.T) {
 	}
 	if res.Best == nil {
 		t.Fatal("no best trial")
-	}
-}
-
-func TestFacadeGroundTruthPersistence(t *testing.T) {
-	s := fastSystem(t)
-	if err := s.Bootstrap(WorkloadsOfType(TypeI, TypeII)); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := s.SaveGroundTruth(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s2 := fastSystem(t)
-	if err := s2.LoadGroundTruth(&buf); err != nil {
-		t.Fatal(err)
-	}
-	e1, _, _ := s.GroundTruthStats()
-	e2, _, _ := s2.GroundTruthStats()
-	if e1 != e2 || e2 == 0 {
-		t.Fatalf("round trip lost entries: %d vs %d", e1, e2)
 	}
 }
 
