@@ -27,6 +27,11 @@
 //
 // The upgrade requires "Authorization: Bearer <token>" when the daemon
 // was started with -worker-token; /v1/fleet stays open like /healthz.
+// The fleet reports the execution plane only — workers and leases. The
+// cluster the trials are placed on is reported once, in Health.Cluster.
+//
+// A queued job's QueuePosition is its dispatch rank if nothing else
+// arrives: the dispatcher's own pop order under the active job policy.
 //
 // Job results are the library's own tune.JobResult serialisation, so a
 // result fetched over HTTP is bit-identical to one produced by calling
@@ -140,8 +145,8 @@ type JobStatus struct {
 	Finished   *time.Time `json:"finished,omitempty"`
 	TrialsDone int        `json:"trialsDone"`
 	Error      string     `json:"error,omitempty"`
-	// QueuePosition is the job's 0-based rank in the dispatcher's nominal
-	// dispatch order, set only while the job is queued.
+	// QueuePosition is the job's 0-based dispatch rank if nothing else
+	// arrives, set only while the job is queued.
 	QueuePosition *int `json:"queuePosition,omitempty"`
 	// PredictedDuration is the cost model's service-time estimate for one
 	// full-budget trial of this job (simulated seconds) — the relative
@@ -192,26 +197,6 @@ type TrialEvent struct {
 	Epochs   int     `json:"epochs"`
 }
 
-// GroundTruthStats reports the service-wide shared similarity database.
-type GroundTruthStats struct {
-	Entries int `json:"entries"`
-	Hits    int `json:"hits"`
-	Misses  int `json:"misses"`
-	// Rev is the data revision (advances on every mutation); ModelRev is
-	// the revision the fitted similarity models cover. ModelRev == Rev
-	// means no refits are pending behind the store's watermark.
-	Rev      uint64 `json:"rev"`
-	ModelRev uint64 `json:"modelRev"`
-	// Shards is the number of profile-cluster partitions.
-	Shards int `json:"shards"`
-	// Store names the backing implementation ("sharded").
-	Store string `json:"store,omitempty"`
-	// WALRecords is the depth of the un-compacted write-ahead log (0 when
-	// persistence is disabled or freshly compacted).
-	WALRecords int    `json:"walRecords,omitempty"`
-	Similarity string `json:"similarity"`
-}
-
 // GroundTruthEntry aliases the store's entry record: one historical
 // profile with its known-best system configuration.
 type GroundTruthEntry = gt.Entry
@@ -234,6 +219,9 @@ type ImportResult struct {
 // Aliases of other layers' own definitions, so each surface has one
 // owner.
 type (
+	// GroundTruthStats is the GET /v1/groundtruth body: the shared
+	// similarity database's size, lookup counters and revisions.
+	GroundTruthStats = gt.Info
 	// FleetStatus is the execution plane's health surface (GET /v1/fleet
 	// and Health.Fleet).
 	FleetStatus = exec.FleetStatus
@@ -248,20 +236,13 @@ type (
 	MetricsFamily = metrics.Family
 	// MetricsSample is one labelled series within a family.
 	MetricsSample = metrics.Sample
-	// NodeClassStatus is one node class's row in ClusterStatus and
-	// FleetStatus — the simulated heterogeneous cluster's composition.
+	// ClusterStatus is the simulated cluster's node-class composition in
+	// the Health body: total nodes split into spot and on-demand, plus the
+	// per-class rows.
+	ClusterStatus = cluster.Composition
+	// NodeClassStatus is one node class's row in ClusterStatus.
 	NodeClassStatus = cluster.ClassStatus
 )
-
-// ClusterStatus reports the simulated cluster's node-class composition in
-// the Health body: total node count split into spot and on-demand, plus
-// the per-class rows. Classes is empty on legacy single-class clusters.
-type ClusterStatus struct {
-	Nodes         int               `json:"nodes"`
-	SpotNodes     int               `json:"spotNodes"`
-	OnDemandNodes int               `json:"onDemandNodes"`
-	Classes       []NodeClassStatus `json:"classes,omitempty"`
-}
 
 // Health is the GET /healthz body.
 type Health struct {

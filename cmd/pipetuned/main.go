@@ -249,8 +249,7 @@ func run() error {
 		if err := sys.Bootstrap(pipetune.Catalog()); err != nil {
 			return err
 		}
-		entries, _, _ := sys.GroundTruthStats()
-		logger.Printf("bootstrap: %d ground-truth entries in %v", entries, time.Since(start).Round(time.Millisecond))
+		logger.Printf("bootstrap: %d ground-truth entries in %v", sys.GroundTruth().Info().Entries, time.Since(start).Round(time.Millisecond))
 	}
 
 	// The profiling endpoints live on their own listener (and their own

@@ -57,8 +57,8 @@ func run(out io.Writer) error {
 	fmt.Fprintf(out, "%-28s  %-12.2f  %-12.1f\n", "cold (no history)", cold.Best.Result.Accuracy*100, cold.TuningTime)
 	fmt.Fprintf(out, "%-28s  %-12.2f  %-12.1f\n", "warm (after mnist job)", warm.Best.Result.Accuracy*100, warm.TuningTime)
 
-	entries, hits, misses := warmSys.GroundTruthStats()
-	fmt.Fprintf(out, "\nwarm system ground truth: %d entries, %d hits, %d misses\n", entries, hits, misses)
+	info := warmSys.GroundTruth().Info()
+	fmt.Fprintf(out, "\nwarm system ground truth: %d entries, %d hits, %d misses\n", info.Entries, info.Hits, info.Misses)
 	fmt.Fprintf(out, "tuning-time reduction from history: %.1f%%\n", (1-warm.TuningTime/cold.TuningTime)*100)
 	fmt.Fprintln(out, "\nSame model + new dataset lands in the same profile cluster (Type-I,")
 	fmt.Fprintln(out, "Figure 4a/4b of the paper), so the warm run skips most probing.")

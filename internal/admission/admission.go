@@ -25,7 +25,8 @@
 // submission order. The queue is deterministic: identical push/pop
 // sequences yield identical dispatch orders (no clocks, no randomness),
 // which is what makes the service's FIFO-parity and fairness guarantees
-// testable to the bit.
+// testable to the bit. Position, the queue rank a tenant sees, is read
+// off that same Pop sequence, so it has no ranking rule of its own.
 //
 // The queue is not safe for concurrent use; callers (internal/service)
 // guard it with their own mutex.
@@ -34,6 +35,7 @@ package admission
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -358,12 +360,10 @@ func (q *Queue) Remove(id string) bool {
 	return false
 }
 
-// Position returns a job's 0-based rank in the queue's nominal dispatch
-// order, or -1 when the job is not queued. The order is exact for fifo and
-// sjf (modulo the starvation guard); for fair it is the weighted
-// virtual-finish-time order — each tenant's k-th job finishes at
-// (cumulative cost through k)/weight — which tracks the DRR dispatch
-// sequence without simulating credit state.
+// Position returns a job's 0-based dispatch rank if nothing else
+// arrives, or -1 when the job is not queued. The ranks come from Pop
+// itself, run on a copy of the queue, so they are exact under every
+// policy: the fair ring's credit and the sjf starvation guard included.
 func (q *Queue) Position(id string) int {
 	if q.cachedRev != q.rev || q.cachedPos == nil {
 		q.cachedPos = q.buildPositions()
@@ -375,43 +375,17 @@ func (q *Queue) Position(id string) int {
 	return -1
 }
 
-// buildPositions materialises the nominal dispatch order.
+// buildPositions drains a copy of the queue, recording the pop order.
 func (q *Queue) buildPositions() map[string]int {
-	type ranked struct {
-		id  string
-		key float64 // policy-specific primary key
-		pri int
-		seq int
+	c := *q
+	c.tenants = make(map[string]*tenantQueue, len(q.tenants))
+	for name, tq := range q.tenants {
+		c.tenants[name] = &tenantQueue{name: name, items: slices.Clone(tq.items), deficit: tq.deficit}
 	}
-	all := make([]ranked, 0, q.size)
-	for _, tq := range q.tenants {
-		cum := 0.0
-		w := float64(q.Weight(tq.name))
-		for _, it := range tq.items {
-			r := ranked{id: it.job.ID, pri: it.job.Priority, seq: it.seq}
-			switch q.cfg.Policy {
-			case PolicyFair:
-				cum += it.job.Cost
-				r.key = cum / w
-			case PolicySJF:
-				r.key = it.job.Cost
-			}
-			all = append(all, r)
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if q.cfg.Policy != PolicyFair && a.pri != b.pri {
-			return a.pri > b.pri
-		}
-		if a.key != b.key {
-			return a.key < b.key
-		}
-		return a.seq < b.seq
-	})
-	pos := make(map[string]int, len(all))
-	for i, r := range all {
-		pos[r.id] = i
+	c.ring = slices.Clone(q.ring)
+	pos := make(map[string]int, q.size)
+	for j, ok := c.Pop(); ok; j, ok = c.Pop() {
+		pos[j.ID] = len(pos)
 	}
 	return pos
 }

@@ -2,6 +2,8 @@ package admission
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -323,6 +325,58 @@ func TestDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("non-deterministic dispatch at %d: %s vs %s", i, a[i], b[i])
+		}
+	}
+}
+
+// TestPositionIsDispatchRank holds Position to what a tenant reads it as:
+// with nothing else arriving, a queued job's position is its rank in the
+// Pop sequence that follows. Each policy runs 500 seeded queues of 3–22
+// jobs over three weighted tenants, priorities 0–1 and costs 1–5, with
+// pops interleaved so the fair ring's credit and the sjf starvation count
+// are mid-flight when the positions are read. TestJobSchedules cannot
+// catch a position that disagrees with Pop: its model queue answers the
+// same Position it checks the service against.
+func TestPositionIsDispatchRank(t *testing.T) {
+	weights := map[string]int{"a": 1, "b": 2, "c": 3}
+	tenants := []string{"a", "b", "c"}
+	for _, policy := range []Policy{PolicyFIFO, PolicyFair, PolicySJF} {
+		wrong := 0
+		for seed := uint64(1); seed <= 500; seed++ {
+			rng := rand.New(rand.NewPCG(seed, uint64(len(policy))))
+			q := mustNew(t, Config{Policy: policy, Weights: weights})
+			var queued []string
+			n := 3 + rng.IntN(20)
+			for i := 0; i < n; i++ {
+				id := fmt.Sprintf("j%02d", i)
+				push(t, q, Job{
+					ID:       id,
+					Tenant:   tenants[rng.IntN(len(tenants))],
+					Priority: rng.IntN(2),
+					Cost:     float64(1 + rng.IntN(5)),
+				})
+				queued = append(queued, id)
+				if rng.IntN(3) == 0 {
+					j, _ := q.Pop()
+					queued = slices.DeleteFunc(queued, func(id string) bool { return id == j.ID })
+				}
+			}
+			pos := make(map[string]int, len(queued))
+			for _, id := range queued {
+				pos[id] = q.Position(id)
+			}
+			for rank, id := range drain(q) {
+				if pos[id] != rank {
+					wrong++
+					if wrong == 1 {
+						t.Errorf("%s seed %d: %s at position %d, dispatch rank %d", policy, seed, id, pos[id], rank)
+					}
+					break
+				}
+			}
+		}
+		if wrong > 0 {
+			t.Errorf("%s: position differs from the dispatch rank in %d of 500 queues", policy, wrong)
 		}
 	}
 }

@@ -50,8 +50,7 @@ type NodeClass struct {
 	RevocationsPerHour float64 `json:"revocationsPerHour,omitempty"`
 }
 
-// ClassStatus is one class's row in fleet/health reporting: the node-class
-// composition surfaced by /healthz and GET /v1/fleet.
+// ClassStatus is one class's row in a Composition.
 type ClassStatus struct {
 	Name               string  `json:"name"`
 	Count              int     `json:"count"`
@@ -61,6 +60,16 @@ type ClassStatus struct {
 	SpeedFactor        float64 `json:"speedFactor,omitempty"`
 	HourlyUSD          float64 `json:"hourlyUSD,omitempty"`
 	RevocationsPerHour float64 `json:"revocationsPerHour,omitempty"`
+}
+
+// Composition is the cluster's node-class composition as /healthz
+// reports it: the node count split into spot and on-demand, plus one row
+// per class.
+type Composition struct {
+	Nodes         int           `json:"nodes"`
+	SpotNodes     int           `json:"spotNodes"`
+	OnDemandNodes int           `json:"onDemandNodes"`
+	Classes       []ClassStatus `json:"classes,omitempty"`
 }
 
 // node is one node's shape and class.
@@ -197,7 +206,18 @@ func SingleNode() *Cluster {
 	return c
 }
 
-// Status reports the node-class composition for health/fleet surfaces.
+// Composition reports the node-class composition, or nil for the
+// anonymous single class of New, Paper and SingleNode, which carries
+// nothing worth reporting.
+func (c *Cluster) Composition() *Composition {
+	if len(c.classes) == 1 && c.classes[0].Name == "" {
+		return nil
+	}
+	spot, onDemand := c.SpotCounts()
+	return &Composition{Nodes: len(c.nodes), SpotNodes: spot, OnDemandNodes: onDemand, Classes: c.Status()}
+}
+
+// Status returns one row per class, in declaration order.
 func (c *Cluster) Status() []ClassStatus {
 	out := make([]ClassStatus, len(c.classes))
 	for i, nc := range c.classes {

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"pipetune/internal/cluster"
 	"pipetune/internal/metrics"
 	"pipetune/internal/trainer"
 )
@@ -167,12 +166,6 @@ type Remote struct {
 	nextLease    int
 	draining     bool
 	closed       bool
-
-	// Cluster composition for health surfaces, set once at service wiring
-	// (SetClusterStatus) and copied into every Fleet snapshot.
-	classes       []cluster.ClassStatus
-	spotNodes     int
-	onDemandNodes int
 
 	// met holds the execution plane's own registry and its resolved
 	// handles; completed/requeued counts live in the registry (the single
@@ -663,16 +656,6 @@ func (r *Remote) Close() {
 	r.cond.Broadcast()
 }
 
-// SetClusterStatus records the simulated cluster's node-class composition
-// for health surfaces (GET /healthz and GET /v1/fleet). The embedding
-// service wires it once at startup, before the backend serves requests.
-func (r *Remote) SetClusterStatus(classes []cluster.ClassStatus, spot, onDemand int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.classes = append([]cluster.ClassStatus(nil), classes...)
-	r.spotNodes, r.onDemandNodes = spot, onDemand
-}
-
 // Fleet snapshots the execution plane for health surfaces, workers
 // sorted by id (evicted entries included — an operator debugging a lost
 // worker wants to see it).
@@ -680,15 +663,11 @@ func (r *Remote) Fleet() FleetStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	fs := FleetStatus{
-		Backend:         "remote",
 		Draining:        r.draining,
 		PendingTrials:   len(r.pending),
 		LeasedTrials:    r.leasedCountLocked(),
 		CompletedTrials: int(r.met.completed.Value()),
 		RequeuedTrials:  int(r.met.requeues.Value()),
-		Classes:         append([]cluster.ClassStatus(nil), r.classes...),
-		SpotNodes:       r.spotNodes,
-		OnDemandNodes:   r.onDemandNodes,
 	}
 	for _, w := range r.workers {
 		fs.Workers = append(fs.Workers, WorkerStatus{

@@ -3,7 +3,6 @@ package exec
 import (
 	"time"
 
-	"pipetune/internal/cluster"
 	"pipetune/internal/dataset"
 	"pipetune/internal/params"
 	"pipetune/internal/trainer"
@@ -117,8 +116,6 @@ type WorkerStatus struct {
 // FleetStatus is the execution plane's health surface: embedded in
 // GET /healthz and served standalone at GET /v1/fleet.
 type FleetStatus struct {
-	// Backend names the active execution backend ("local", "remote").
-	Backend string `json:"backend"`
 	// Draining is true once shutdown stopped lease issuance.
 	Draining bool `json:"draining,omitempty"`
 	// PendingTrials are queued unleased; LeasedTrials are on workers now.
@@ -129,9 +126,4 @@ type FleetStatus struct {
 	CompletedTrials int            `json:"completedTrials"`
 	RequeuedTrials  int            `json:"requeuedTrials"`
 	Workers         []WorkerStatus `json:"workers,omitempty"`
-	// Cluster composition: the simulated node classes trials are placed on,
-	// with spot/on-demand counts. Empty on legacy single-class clusters.
-	Classes       []cluster.ClassStatus `json:"classes,omitempty"`
-	SpotNodes     int                   `json:"spotNodes,omitempty"`
-	OnDemandNodes int                   `json:"onDemandNodes,omitempty"`
 }

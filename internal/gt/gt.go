@@ -124,29 +124,30 @@ func DefaultConfig() Config {
 	return Config{Threshold: 2.0, MinEntries: 4}
 }
 
-// Info is a rich snapshot of a store's state, for stats endpoints.
+// Info is a rich snapshot of a store's state: the body of the daemon's
+// GET /v1/groundtruth, so its JSON is a wire format.
 type Info struct {
-	// Store names the implementation ("sharded"; the persistence layer
-	// passes its inner store's name through).
-	Store string
 	// Entries is the stored entry count; Hits and Misses count lookups.
-	Entries int
-	Hits    int
-	Misses  int
+	Entries int `json:"entries"`
+	Hits    int `json:"hits"`
+	Misses  int `json:"misses"`
 	// Rev is the data revision: it advances on every mutation.
-	Rev uint64
+	Rev uint64 `json:"rev"`
 	// ModelRev is the revision the fitted similarity model(s) cover. When
 	// ModelRev == Rev every lookup is served by a model that has seen all
 	// entries; a lower value means refits are pending behind the watermark
 	// (the sharded store defers them until a lookup needs the shard).
-	ModelRev uint64
+	ModelRev uint64 `json:"modelRev"`
 	// Shards is the shard count.
-	Shards int
-	// Similarity names the active technique.
-	Similarity string
+	Shards int `json:"shards"`
+	// Store names the implementation ("sharded"; the persistence layer
+	// passes its inner store's name through).
+	Store string `json:"store,omitempty"`
 	// WALRecords is the number of un-compacted write-ahead-log records
 	// (only set by the persistence layer).
-	WALRecords int
+	WALRecords int `json:"walRecords,omitempty"`
+	// Similarity names the active technique.
+	Similarity string `json:"similarity"`
 }
 
 // Store is the ground-truth database contract: Sharded implements it and

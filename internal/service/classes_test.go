@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,9 +15,10 @@ import (
 )
 
 // TestHealthAndFleetReportClusterComposition: on a heterogeneous system,
-// /healthz and GET /v1/fleet must both surface the node-class composition
-// and the spot/on-demand split; legacy single-class systems keep both
-// surfaces free of cluster fields.
+// /healthz must surface the node-class composition and the spot/on-demand
+// split, listing each class row exactly once; GET /v1/fleet reports the
+// execution plane only and carries none of it. Legacy single-class
+// systems keep /healthz free of the cluster section.
 func TestHealthAndFleetReportClusterComposition(t *testing.T) {
 	classes, err := pipetune.EC2Classes(2, 0.5, 2)
 	if err != nil {
@@ -26,7 +28,7 @@ func TestHealthAndFleetReportClusterComposition(t *testing.T) {
 		pipetune.WithClusterClasses(classes...),
 		pipetune.WithScheduler(pipetune.SchedCheapest))
 	// GET /v1/fleet is the remote execution plane's surface, so mount one.
-	_, cl, _ := newRemoteServer(t, Config{System: sys}, 3)
+	svc, cl, _ := newRemoteServer(t, Config{System: sys}, 3)
 	ctx := context.Background()
 
 	h, err := cl.Health(ctx)
@@ -55,12 +57,17 @@ func TestHealthAndFleetReportClusterComposition(t *testing.T) {
 		t.Fatalf("%d spot classes reported, want 3", spotRows)
 	}
 
-	fs, err := cl.Fleet(ctx)
-	if err != nil {
-		t.Fatal(err)
+	health := serve(t, svc, "GET", "/healthz", nil, http.StatusOK)
+	for _, c := range classes {
+		if n := strings.Count(health, fmt.Sprintf(`"name":%q`, c.Name)); n != 1 {
+			t.Errorf("/healthz lists class %s %d times, want once", c.Name, n)
+		}
 	}
-	if fs.SpotNodes != 3 || fs.OnDemandNodes != 3 || len(fs.Classes) != 6 {
-		t.Fatalf("fleet composition %+v, want 6 classes split 3/3", fs)
+	fleet := serve(t, svc, "GET", "/v1/fleet", nil, http.StatusOK)
+	for _, field := range []string{`"classes"`, `"spotNodes"`, `"onDemandNodes"`, `"name"`} {
+		if strings.Contains(fleet, field) {
+			t.Errorf("/v1/fleet carries cluster field %s: %s", field, fleet)
+		}
 	}
 
 	// A legacy system reports no cluster composition at all.
@@ -71,13 +78,6 @@ func TestHealthAndFleetReportClusterComposition(t *testing.T) {
 	}
 	if lh.Cluster != nil {
 		t.Fatalf("legacy health grew a cluster section: %+v", lh.Cluster)
-	}
-	lf, err := legacy.Fleet(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lf.Classes) != 0 || lf.SpotNodes != 0 || lf.OnDemandNodes != 0 {
-		t.Fatalf("legacy fleet grew class fields: %+v", lf)
 	}
 }
 

@@ -288,7 +288,7 @@ func TestHealthReportsFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.Backend != "remote" || len(fs.Workers) != 1 {
+	if len(fs.Workers) != 1 {
 		t.Fatalf("fleet endpoint = %+v", fs)
 	}
 

@@ -205,13 +205,6 @@ func New(cfg Config) (*Service, error) {
 		// Every job's trial bodies now compute on the worker fleet; the
 		// searcher, scheduler and ground-truth middleware stay in-process.
 		cfg.System.SetExecBackend(cfg.Remote)
-		// Surface the simulated cluster's composition on the fleet status
-		// (GET /v1/fleet and Health.Fleet). Legacy single-class systems
-		// report nothing, keeping their fleet bodies unchanged.
-		if classes := cfg.System.ClusterClasses(); len(classes) > 0 {
-			spot, onDemand := cfg.System.SpotCounts()
-			cfg.Remote.SetClusterStatus(classes, spot, onDemand)
-		}
 	}
 	s := &Service{
 		cfg:  cfg,
@@ -796,20 +789,7 @@ func (s *Service) Cancel(id string) (api.JobStatus, error) {
 }
 
 // GroundTruthStats reports the shared similarity database.
-func (s *Service) GroundTruthStats() api.GroundTruthStats {
-	info := s.gt.Info()
-	return api.GroundTruthStats{
-		Entries:    info.Entries,
-		Hits:       info.Hits,
-		Misses:     info.Misses,
-		Rev:        info.Rev,
-		ModelRev:   info.ModelRev,
-		Shards:     info.Shards,
-		Store:      info.Store,
-		WALRecords: info.WALRecords,
-		Similarity: info.Similarity,
-	}
-}
+func (s *Service) GroundTruthStats() api.GroundTruthStats { return s.gt.Info() }
 
 // ExportGroundTruth streams the full database in the snapshot wire format
 // (legacy-compatible: the export loads back via ImportGroundTruth, the
@@ -871,20 +851,12 @@ func (s *Service) Health() api.Health {
 		JobPolicy:   string(s.disp.q.Policy()),
 		ExecBackend: "local",
 		Tenants:     s.disp.healthLocked(),
+		Cluster:     s.cfg.System.ClusterComposition(),
 	}
 	if s.cfg.Remote != nil {
 		fs := s.cfg.Remote.Fleet()
-		h.ExecBackend = fs.Backend
+		h.ExecBackend = "remote"
 		h.Fleet = &fs
-	}
-	if classes := s.cfg.System.ClusterClasses(); len(classes) > 0 {
-		spot, onDemand := s.cfg.System.SpotCounts()
-		h.Cluster = &api.ClusterStatus{
-			Nodes:         spot + onDemand,
-			SpotNodes:     spot,
-			OnDemandNodes: onDemand,
-			Classes:       classes,
-		}
 	}
 	return h
 }

@@ -371,13 +371,6 @@ func (s *System) Bootstrap(workloads []Workload) error {
 	return s.pipetune.Bootstrap(workloads, s.seed+0x9e37)
 }
 
-// GroundTruthStats reports the similarity database's size and hit/miss
-// counters.
-func (s *System) GroundTruthStats() (entries, hits, misses int) {
-	info := s.pipetune.GT.Info()
-	return info.Entries, info.Hits, info.Misses
-}
-
 // GroundTruth exposes the System's similarity database for sharing with
 // service layers (snapshotting, revision tracking, cross-job statistics).
 func (s *System) GroundTruth() GroundTruthStore { return s.pipetune.GT }
@@ -405,19 +398,9 @@ func (s *System) PredictTrialDuration(w Workload, h Hyper, sys SysConfig) (float
 	return s.trainer.PredictDuration(w, h, sys)
 }
 
-// ClusterClasses reports the cluster's node-class composition for health
-// surfaces; empty (nil) on legacy single-class clusters, whose anonymous
-// class carries no metadata worth reporting.
-func (s *System) ClusterClasses() []cluster.ClassStatus {
-	st := s.cluster.Status()
-	if len(st) == 1 && st[0].Name == "" {
-		return nil
-	}
-	return st
-}
-
-// SpotCounts splits the cluster's nodes into spot and on-demand counts.
-func (s *System) SpotCounts() (spot, onDemand int) { return s.cluster.SpotCounts() }
+// ClusterComposition reports the cluster's node-class composition for
+// health surfaces, or nil on the legacy single-class cluster.
+func (s *System) ClusterComposition() *cluster.Composition { return s.cluster.Composition() }
 
 // PlacementPolicyName names the trial placement policy in force
 // (WithScheduler; "fifo" by default).

@@ -49,11 +49,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if pt.TuningTime >= base.TuningTime {
 		t.Fatalf("PipeTune tuning %v not below baseline %v", pt.TuningTime, base.TuningTime)
 	}
-	entries, hits, _ := s.GroundTruthStats()
-	if entries == 0 {
+	info := s.GroundTruth().Info()
+	if info.Entries == 0 {
 		t.Fatal("ground truth empty after bootstrap")
 	}
-	if hits == 0 {
+	if info.Hits == 0 {
 		t.Fatal("no ground-truth hits")
 	}
 }
@@ -167,8 +167,7 @@ func TestFacadeConcurrentRuns(t *testing.T) {
 			t.Errorf("concurrent job %d (%s): %v", i, workloads[i].Name(), err)
 		}
 	}
-	entries, _, _ := s.GroundTruthStats()
-	if entries == 0 {
+	if s.GroundTruth().Info().Entries == 0 {
 		t.Fatal("concurrent jobs fed nothing into the shared ground truth")
 	}
 }
