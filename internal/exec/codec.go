@@ -686,11 +686,17 @@ func appendSketch(w *wirebuf, s metrics.DistSnapshot) {
 	}
 }
 
+// readSketch refuses a sum, min or max that is not finite and
+// non-negative: sketches hold seconds, and a merged +Inf or NaN would
+// make the registry's JSON snapshot unencodable for good.
 func readSketch(r *wireReader, s *metrics.DistSnapshot) {
 	s.Count = r.uvarint()
 	s.Sum = r.f64()
 	s.Min = r.f64()
 	s.Max = r.f64()
+	if !finiteSeconds(s.Sum) || !finiteSeconds(s.Min) || !finiteSeconds(s.Max) {
+		r.fail("sketch sum/min/max not finite and non-negative")
+	}
 	n := r.count(2)
 	for i := 0; i < n && r.err == nil; i++ {
 		s.Buckets = append(s.Buckets, metrics.BucketCount{
@@ -699,6 +705,8 @@ func readSketch(r *wireReader, s *metrics.DistSnapshot) {
 		})
 	}
 }
+
+func finiteSeconds(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 func encodeStats(w *wirebuf, s WorkerSeries) {
 	w.uvarint(s.Trials)

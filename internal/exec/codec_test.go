@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pipetune/internal/metrics"
 	"pipetune/internal/params"
 	"pipetune/internal/perf"
 	"pipetune/internal/trainer"
@@ -265,7 +266,8 @@ func TestResultDeltaRealTrial(t *testing.T) {
 
 // fuzzSeedFrames captures one real frame of every type — the corpus
 // FuzzFrameDecode starts from — plus a Hello whose capacity overflows
-// int, which random mutation would almost never get past the CRC.
+// int and a Stats frame whose trial sketch sums to +Inf, which random
+// mutation would almost never get past the CRC.
 func fuzzSeedFrames(t testing.TB) [][]byte {
 	asg := sampleAssignment()
 	res := sampleResult(3, 3, asg.Sys)
@@ -300,6 +302,11 @@ func fuzzSeedFrames(t testing.TB) [][]byte {
 		}),
 		encodeFrameBytes(t, frameAck, func(w *wirebuf) { encodeAck(w, []byte(asg.LeaseID), asg.Attempt, ackCommitted) }),
 		encodeFrameBytes(t, frameStats, func(w *wirebuf) { encodeStats(w, stats.series()) }),
+		encodeFrameBytes(t, frameStats, func(w *wirebuf) {
+			s := stats.series()
+			s.TrialSeconds.Sum = math.Inf(1)
+			encodeStats(w, s)
+		}),
 	}
 }
 
@@ -308,7 +315,9 @@ func fuzzSeedFrames(t testing.TB) [][]byte {
 // hang, and never accept a frame that fails the length/CRC/structure
 // discipline — a corrupt frame must surface as an error, because the
 // stream reacts by evicting the worker (the requeue path), and silent
-// acceptance would corrupt trial results instead.
+// acceptance would corrupt trial results instead. A Stats payload that
+// decodes carries only finite, non-negative sketch sums and extremes:
+// anything else would poison the daemon's registry.
 func FuzzFrameDecode(f *testing.F) {
 	for _, frame := range fuzzSeedFrames(f) {
 		f.Add(frame)
@@ -331,11 +340,19 @@ func FuzzFrameDecode(f *testing.F) {
 		_, _, _, _, _ = decodeDirective(p)
 		_, _, _, _, _, _ = decodeComplete(p, workload.Workload{}, params.Hyper{}, params.SysConfig{})
 		_, _, _, _ = decodeAck(p)
-		_, _ = decodeStats(p)
 		switch ft {
 		case frameHello:
 			if name, capacity, err := decodeHello(p); err == nil && capacity < 0 {
 				t.Fatalf("hello decoded negative capacity %d (name %q)", capacity, name)
+			}
+		}
+		if s, err := decodeStats(p); err == nil {
+			for _, d := range []metrics.DistSnapshot{s.TrialSeconds, s.TrainEpochSeconds, s.EvalSeconds} {
+				for _, v := range []float64{d.Sum, d.Min, d.Max} {
+					if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+						t.Fatalf("stats decoded a sketch with sum/min/max %v: %+v", v, d)
+					}
+				}
 			}
 		}
 	})

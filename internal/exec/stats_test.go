@@ -3,6 +3,8 @@ package exec
 import (
 	"bytes"
 	"context"
+	"errors"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
@@ -12,7 +14,8 @@ import (
 )
 
 // TestStatsFrameRoundTrip pins the Stats frame codec: a populated
-// snapshot (sketch buckets included) survives encode/decode exactly.
+// snapshot (sketch buckets included) survives encode/decode exactly,
+// and a truncated one, or one with a non-finite sketch, is refused.
 func TestStatsFrameRoundTrip(t *testing.T) {
 	st := newWorkerStats()
 	st.observeTrial(0.125, 3)
@@ -31,6 +34,23 @@ func TestStatsFrameRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeStats(wb.b[:len(wb.b)-1]); err == nil {
 		t.Fatal("truncated stats frame must not decode")
+	}
+
+	// A sketch sum, min or max that is not finite and non-negative is a
+	// corrupt frame: merged into the registry, a +Inf or NaN would make
+	// the JSON snapshot at GET /v1/metrics unencodable for good.
+	for name, corrupt := range map[string]func(*WorkerSeries){
+		"+Inf sum":     func(s *WorkerSeries) { s.TrialSeconds.Sum = math.Inf(1) },
+		"NaN min":      func(s *WorkerSeries) { s.TrainEpochSeconds.Min = math.NaN() },
+		"negative max": func(s *WorkerSeries) { s.EvalSeconds.Max = -1 },
+	} {
+		bad := st.series()
+		corrupt(&bad)
+		wb.b = wb.b[:0]
+		encodeStats(wb, bad)
+		if _, err := decodeStats(wb.b); !errors.Is(err, errFrameCorrupt) {
+			t.Errorf("%s: decodeStats err = %v, want a corrupt frame", name, err)
+		}
 	}
 }
 

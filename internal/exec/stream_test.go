@@ -178,6 +178,7 @@ type handWorker struct {
 	br      *bufio.Reader
 	fw      *frameWriter
 	scratch []byte
+	grants  [][]byte // Grant payloads that arrived ahead of a commit's Ack
 }
 
 func dialHandWorker(t *testing.T, serverURL, name string, capacity int) *handWorker {
@@ -207,6 +208,11 @@ func dialHandWorker(t *testing.T, serverURL, name string, capacity int) *handWor
 // valid until the next call.
 func (w *handWorker) expect(t *testing.T, want byte) []byte {
 	t.Helper()
+	if want == frameGrant && len(w.grants) > 0 {
+		p := w.grants[0]
+		w.grants = w.grants[1:]
+		return p
+	}
 	ft, p, err := readFrame(w.br, &w.scratch)
 	if err != nil || ft != want {
 		t.Fatalf("frame type %d err %v, want type %d", ft, err, want)
@@ -241,7 +247,17 @@ func (w *handWorker) commit(t *testing.T, asg Assignment, res *trainer.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, code, err := decodeAck(w.expect(t, frameAck)); err != nil || code != ackCommitted {
+	// The commit frees the lease's slot, so the daemon's grant loop may
+	// send the next Grant before this Ack; keep it for the next expect.
+	ft, p, err := readFrame(w.br, &w.scratch)
+	for err == nil && ft == frameGrant {
+		w.grants = append(w.grants, append([]byte(nil), p...))
+		ft, p, err = readFrame(w.br, &w.scratch)
+	}
+	if err != nil || ft != frameAck {
+		t.Fatalf("frame type %d err %v, want type %d", ft, err, frameAck)
+	}
+	if _, _, code, err := decodeAck(p); err != nil || code != ackCommitted {
 		t.Fatalf("commit of lease %s: ack %d err %v, want committed", asg.LeaseID, code, err)
 	}
 }

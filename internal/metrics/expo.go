@@ -80,17 +80,14 @@ func writeFloat(w *bytes.Buffer, v float64) {
 // format (version 0.0.4): families sorted by name, each with HELP and
 // TYPE lines; series within a family sorted by label values;
 // distributions as summaries with quantile/_sum/_count series. The
-// text is rendered in memory first: a pass torn by a multi-series
-// Update is discarded and redone (see consistent), never half-sent.
+// text is rendered in memory with Updates held off (see consistent) and
+// written after, so a slow reader never delays an Update.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
 	var bw bytes.Buffer
-	r.consistent(func() {
-		bw.Reset()
-		r.writePrometheus(&bw)
-	})
+	r.consistent(func() { r.writePrometheus(&bw) })
 	_, err := w.Write(bw.Bytes())
 	return err
 }

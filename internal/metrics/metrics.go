@@ -1,5 +1,5 @@
 // Package metrics is pipetune's operational telemetry plane: a
-// sharded, lock-cheap registry of counters, gauges and distributions
+// lock-cheap registry of counters, gauges and distributions
 // that every layer of the daemon (admission, dispatch, ground-truth
 // store, execution plane) instruments through.
 //
@@ -10,10 +10,9 @@
 //     pre-resolved handles; callers resolve label sets once (per
 //     tenant, per worker) and cache the returned instrument, never
 //     calling Vec.With per event.
-//   - Writers never share a cache line when they can avoid it: each
-//     instrument stripes its state across padded cells indexed by a
-//     per-thread random source, and readers merge the stripes. A
-//     scrape is wait-free with respect to writers.
+//   - Each instrument is one cell of atomics: single-series writes
+//     take no lock, and a scrape holds off only Registry.Update, so a
+//     multi-series update is never half-visible in it.
 //   - Distributions retain no samples. Observations land in a fixed
 //     log-spaced bucket sketch (quarter-powers-of-two bounds) that is
 //     mergeable across processes by bucket-wise addition — workers
@@ -33,8 +32,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -50,30 +47,11 @@ const OverflowLabel = "__other__"
 // registry admits before routing new sets to the overflow series.
 const DefaultMaxCardinality = 256
 
-// nstripes is the number of padded cells each instrument spreads its
-// writes over. Kept small: reads merge all stripes, and the value only
-// needs to exceed the handful of cores contending on one instrument.
-const nstripes = 8
-
-const stripeMask = nstripes - 1
-
-// stripe picks a cell for this write. math/rand/v2's top-level source
-// is per-thread and allocation-free, so concurrent writers scatter
-// across cells without coordinating.
-func stripe() int { return int(rand.Uint32() & stripeMask) }
-
-// cell is one padded counter stripe; the padding keeps neighbouring
-// stripes out of each other's cache line.
-type cell struct {
-	n atomic.Uint64
-	_ [56]byte
-}
-
 // Counter is a monotonically increasing uint64. All methods are safe
 // on a nil receiver (no-ops / zero), so an uninstrumented component
 // can hold nil handles and pay only a predictable branch.
 type Counter struct {
-	cells [nstripes]cell
+	n atomic.Uint64
 }
 
 // Inc adds one.
@@ -85,19 +63,15 @@ func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return
 	}
-	c.cells[stripe()].n.Add(n)
+	c.n.Add(n)
 }
 
-// Value merges the stripes.
+// Value loads the count.
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	var sum uint64
-	for i := range c.cells {
-		sum += c.cells[i].n.Load()
-	}
-	return sum
+	return c.n.Load()
 }
 
 // Gauge is an instantaneous float64 value (queue depth, subscriber
@@ -166,19 +140,15 @@ func (k Kind) String() string {
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
-	maxCard  int
 
-	// seq is odd while an Update is in flight and updMu serialises
-	// Updates; together they make a multi-series update atomic with
-	// respect to a scrape (see Update and consistent).
-	seq   atomic.Uint64
+	// updMu is held by an Update and by a scrape's walk, so a
+	// multi-series update is atomic with respect to a scrape.
 	updMu sync.Mutex
 }
 
-// NewRegistry returns an empty registry with the default cardinality
-// budget.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family), maxCard: DefaultMaxCardinality}
+	return &Registry{families: make(map[string]*family)}
 }
 
 // Update runs fn, a group of writes to several series that a scrape
@@ -193,32 +163,13 @@ func (r *Registry) Update(fn func()) {
 	}
 	r.updMu.Lock()
 	defer r.updMu.Unlock()
-	r.seq.Add(1)
-	defer r.seq.Add(1)
 	fn()
 }
 
-// tornWalks is how many times a scrape retries optimistically before it
-// makes Updates wait for it.
-const tornWalks = 3
-
-// consistent runs walk — one scrape's pass over every series, which must
-// start its output afresh each time it is called — so that no Update
-// overlaps the pass it keeps. It first walks without a lock and keeps
-// the pass if the sequence counter was even and unchanged around it, so
-// a scrape never delays the execution plane's heartbeat ingest; only
-// after tornWalks overlapped passes (ingests arriving faster than a walk
-// takes) does it hold Updates off for one walk.
+// consistent runs walk — one scrape's pass over every series — with
+// Updates held off, so no Update is half-visible in the pass. Writes to
+// a single series take no lock and carry on during the walk.
 func (r *Registry) consistent(walk func()) {
-	for i := 0; i < tornWalks; i++ {
-		if v := r.seq.Load(); v&1 == 0 {
-			walk()
-			if r.seq.Load() == v {
-				return
-			}
-		}
-		runtime.Gosched()
-	}
 	r.updMu.Lock()
 	defer r.updMu.Unlock()
 	walk()
@@ -236,7 +187,6 @@ type family struct {
 	mu       sync.RWMutex
 	children map[string]*child
 	overflow *child // set once the cardinality budget is spent
-	maxCard  int
 }
 
 // child is one series: its label values plus exactly one live
@@ -269,7 +219,6 @@ func (r *Registry) family(name, help string, kind Kind, labels []string) *family
 				kind:     kind,
 				labels:   labels,
 				children: make(map[string]*child),
-				maxCard:  r.maxCard,
 			}
 			r.families[name] = f
 		}
@@ -300,7 +249,7 @@ func (f *family) with(values []string) *child {
 	if c = f.children[key]; c != nil {
 		return c
 	}
-	if len(f.labels) > 0 && len(f.children) >= f.maxCard {
+	if len(f.labels) > 0 && len(f.children) >= DefaultMaxCardinality {
 		if f.overflow == nil {
 			ov := make([]string, len(f.labels))
 			for i := range ov {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestCounter(t *testing.T) {
@@ -22,11 +23,11 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestCounterStripesMerge(t *testing.T) {
+func TestCounterConcurrentIncrements(t *testing.T) {
 	// Hammer from many goroutines: every increment must land exactly
-	// once regardless of which stripe the scheduler picks.
+	// once.
 	r := NewRegistry()
-	c := r.Counter("test_striped_total", "x")
+	c := r.Counter("test_concurrent_total", "x")
 	const workers, per = 8, 10000
 	var wg sync.WaitGroup
 	for range workers {
@@ -41,6 +42,18 @@ func TestCounterStripesMerge(t *testing.T) {
 	wg.Wait()
 	if got := c.Value(); got != workers*per {
 		t.Fatalf("Value = %d, want %d", got, workers*per)
+	}
+}
+
+// TestInstrumentFootprint pins each instrument to one cell: a counter
+// is one uint64, and a distribution is one sketch plus its count, sum
+// and extremes. Every series of every family carries one of them.
+func TestInstrumentFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(Counter{}); got != 8 {
+		t.Errorf("Counter is %d B, want 8", got)
+	}
+	if got := unsafe.Sizeof(Distribution{}); got > 1536 {
+		t.Errorf("Distribution is %d B, want at most 1536", got)
 	}
 }
 
@@ -303,8 +316,8 @@ func BenchmarkWritePrometheus(b *testing.B) {
 }
 
 // TestUpdateIsAtomicToScrapes pins Update's contract in the registry
-// itself, with writers so dense that scrapes mostly end in the
-// pessimistic fallback: two series that only ever move together inside
+// itself, with writers so dense that every scrape contends with an
+// Update for the lock: two series that only ever move together inside
 // an Update never differ in a snapshot or an exposition, while a
 // single-series writer outside any Update is neither blocked nor lost.
 func TestUpdateIsAtomicToScrapes(t *testing.T) {

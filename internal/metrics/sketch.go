@@ -61,31 +61,15 @@ func bucketIndex(v float64) int {
 	return idx
 }
 
-// distStripe is one writer stripe: bucket counts plus running
-// count/sum. Stripes are merged at read time.
-type distStripe struct {
+// Distribution records observations into the sketch. Observe is
+// lock-free and allocation-free; Quantile/Sum/Count/Max read without
+// blocking writers. Nil-safe like Counter.
+type Distribution struct {
 	counts [sketchBuckets]atomic.Uint64
 	count  atomic.Uint64
 	sumBit atomic.Uint64
-}
-
-func (s *distStripe) addSum(v float64) {
-	for {
-		old := s.sumBit.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if s.sumBit.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Distribution records observations into the sketch. Observe is
-// lock-free and allocation-free; Quantile/Sum/Count/Max merge the
-// stripes without blocking writers. Nil-safe like Counter.
-type Distribution struct {
-	stripes [nstripes]distStripe
 	// minBit/maxBit track exact observed extremes (the sketch alone
-	// would quantise them); maxInit latches whether any observation
+	// would quantise them); nonzero latches whether any observation
 	// happened so Min of an empty distribution reads 0.
 	minBit  atomic.Uint64
 	maxBit  atomic.Uint64
@@ -107,20 +91,30 @@ func (d *Distribution) Observe(v float64) {
 	if d == nil {
 		return
 	}
-	s := &d.stripes[stripe()]
-	s.counts[bucketIndex(v)].Add(1)
-	s.count.Add(1)
-	s.addSum(v)
+	d.counts[bucketIndex(v)].Add(1)
+	d.count.Add(1)
+	d.record(v, v, v)
+}
+
+// record adds sum to the running sum and widens min/max to cover lo
+// and hi.
+func (d *Distribution) record(sum, lo, hi float64) {
+	for {
+		old := d.sumBit.Load()
+		if d.sumBit.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+sum)) {
+			break
+		}
+	}
 	d.nonzero.Store(true)
 	for {
 		old := d.minBit.Load()
-		if v >= math.Float64frombits(old) || d.minBit.CompareAndSwap(old, math.Float64bits(v)) {
+		if lo >= math.Float64frombits(old) || d.minBit.CompareAndSwap(old, math.Float64bits(lo)) {
 			break
 		}
 	}
 	for {
 		old := d.maxBit.Load()
-		if v <= math.Float64frombits(old) || d.maxBit.CompareAndSwap(old, math.Float64bits(v)) {
+		if hi <= math.Float64frombits(old) || d.maxBit.CompareAndSwap(old, math.Float64bits(hi)) {
 			break
 		}
 	}
@@ -131,11 +125,7 @@ func (d *Distribution) Count() uint64 {
 	if d == nil {
 		return 0
 	}
-	var n uint64
-	for i := range d.stripes {
-		n += d.stripes[i].count.Load()
-	}
-	return n
+	return d.count.Load()
 }
 
 // Sum returns the sum of observed values.
@@ -143,11 +133,7 @@ func (d *Distribution) Sum() float64 {
 	if d == nil {
 		return 0
 	}
-	var s float64
-	for i := range d.stripes {
-		s += math.Float64frombits(d.stripes[i].sumBit.Load())
-	}
-	return s
+	return math.Float64frombits(d.sumBit.Load())
 }
 
 // Min returns the smallest observed value (0 when empty).
@@ -166,19 +152,14 @@ func (d *Distribution) Max() float64 {
 	return math.Float64frombits(d.maxBit.Load())
 }
 
-// buckets merges the stripes into one count array, returning the
-// total.
-func (d *Distribution) buckets() (merged [sketchBuckets]uint64, total uint64) {
-	for i := range d.stripes {
-		s := &d.stripes[i]
-		for b := range s.counts {
-			if n := s.counts[b].Load(); n != 0 {
-				merged[b] += n
-				total += n
-			}
-		}
+// buckets loads the bucket counts, returning their total.
+func (d *Distribution) buckets() (counts [sketchBuckets]uint64, total uint64) {
+	for b := range d.counts {
+		n := d.counts[b].Load()
+		counts[b] = n
+		total += n
 	}
-	return merged, total
+	return counts, total
 }
 
 // Quantile estimates the q-quantile (q in [0,1]) from the sketch,
@@ -234,8 +215,8 @@ func quantileFromBuckets(counts []uint64, total uint64, q float64, min, max floa
 // bucket index. The wire carries only occupied buckets — sketches in
 // practice touch a handful of octaves.
 type BucketCount struct {
-	Index int    `json:"i"`
-	Count uint64 `json:"n"`
+	Index int
+	Count uint64
 }
 
 // DistSnapshot is a point-in-time copy of a distribution, the unit of
@@ -243,11 +224,11 @@ type BucketCount struct {
 // heartbeats, the daemon diffs consecutive snapshots and merges the
 // delta into its own registry.
 type DistSnapshot struct {
-	Count   uint64        `json:"count"`
-	Sum     float64       `json:"sum"`
-	Min     float64       `json:"min,omitempty"`
-	Max     float64       `json:"max,omitempty"`
-	Buckets []BucketCount `json:"buckets,omitempty"`
+	Count   uint64
+	Sum     float64
+	Min     float64
+	Max     float64
+	Buckets []BucketCount
 }
 
 // Snapshot captures the distribution's current state.
@@ -263,21 +244,6 @@ func (d *Distribution) Snapshot() DistSnapshot {
 		}
 	}
 	return snap
-}
-
-// Quantile estimates the q-quantile of a snapshot (used for
-// snapshots merged or shipped independently of a live Distribution).
-func (s DistSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	var counts [sketchBuckets]uint64
-	for _, b := range s.Buckets {
-		if b.Index >= 0 && b.Index < sketchBuckets {
-			counts[b.Index] += b.Count
-		}
-	}
-	return quantileFromBuckets(counts[:], s.Count, q, s.Min, s.Max)
 }
 
 // Delta returns the per-bucket difference cur - prev, clamped at zero
@@ -302,31 +268,17 @@ func (s DistSnapshot) Delta(prev DistSnapshot) DistSnapshot {
 	return d
 }
 
-// Merge folds a snapshot (typically a delta) into the distribution.
-// Counts land in stripe 0; min/max widen to cover the snapshot's.
+// Merge folds a snapshot (typically a delta) into the distribution;
+// min/max widen to cover the snapshot's.
 func (d *Distribution) Merge(s DistSnapshot) {
 	if d == nil || s.Count == 0 {
 		return
 	}
-	st := &d.stripes[0]
 	for _, b := range s.Buckets {
 		if b.Index >= 0 && b.Index < sketchBuckets {
-			st.counts[b.Index].Add(b.Count)
+			d.counts[b.Index].Add(b.Count)
 		}
 	}
-	st.count.Add(s.Count)
-	st.addSum(s.Sum)
-	d.nonzero.Store(true)
-	for {
-		old := d.minBit.Load()
-		if s.Min >= math.Float64frombits(old) || d.minBit.CompareAndSwap(old, math.Float64bits(s.Min)) {
-			break
-		}
-	}
-	for {
-		old := d.maxBit.Load()
-		if s.Max <= math.Float64frombits(old) || d.maxBit.CompareAndSwap(old, math.Float64bits(s.Max)) {
-			break
-		}
-	}
+	d.count.Add(s.Count)
+	d.record(s.Sum, s.Min, s.Max)
 }
