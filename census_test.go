@@ -36,11 +36,6 @@ import (
 var censusAllow = map[string]string{
 	// (a) Methods that satisfy an interface: the caller holds the
 	// interface, so no file that imports the declaring package names them.
-	"internal/simtime.eventQueue.Less":       "container/heap (sort.Interface)",
-	"internal/simtime.eventQueue.Swap":       "container/heap (sort.Interface)",
-	"internal/simtime.eventQueue.Len":        "container/heap (sort.Interface)",
-	"internal/simtime.eventQueue.Push":       "container/heap (heap.Interface)",
-	"internal/simtime.eventQueue.Pop":        "container/heap (heap.Interface)",
 	"internal/xrand.Source.Int63":            "math/rand.Source",
 	"internal/ec2.SpotProcess.NextAfter":     "sched.RevocationSource",
 	"internal/ec2.SpotProcess.OutageSeconds": "sched.RevocationSource",

@@ -27,9 +27,9 @@ type PickContext struct {
 	// immediately (on any up node of any class).
 	FitsNow func(i int) bool
 	// EarliestStart returns the earliest time Queue[i] could start if no
-	// further tasks were admitted, assuming the running set releases its
-	// resources at the known completion times. It returns +Inf only if the
-	// task could never fit (which Submit already rejects).
+	// further tasks were admitted, replaying the running set's scheduled
+	// resizes and completions. It returns +Inf only if the task could
+	// never fit (which Submit already rejects).
 	EarliestStart func(i int) float64
 
 	// The cost-aware placement axis, read by ClassChooser policies.

@@ -153,6 +153,25 @@ func (p *Pool) placeOn(n int, fp params.SysConfig) bool {
 	return true
 }
 
+// reserve re-negotiates the footprint `from` held on node n to `to`: in
+// place when it fits (a shrink always does), else on the first node that
+// fits, else denied and `from` restored on n. It returns the hosting node
+// and whether `to` was granted; a denial that cannot restore `from`
+// returns -1.
+func (p *Pool) reserve(n int, from, to params.SysConfig) (int, bool) {
+	p.free(n, from)
+	if p.placeOn(n, to) {
+		return n, true
+	}
+	if m := p.placeClass(-1, to); m >= 0 {
+		return m, true
+	}
+	if !p.placeOn(n, from) {
+		return -1, false
+	}
+	return n, false
+}
+
 // free releases fp from node n.
 func (p *Pool) free(n int, fp params.SysConfig) {
 	p.usedCores[n] -= fp.Cores

@@ -122,8 +122,8 @@ func TestCompletionBeatsSameInstantRevocation(t *testing.T) {
 
 // TestStaleEventsDroppedAfterEviction: the interrupted attempt's
 // scheduled resize and completion events must not leak into the
-// replacement attempt (generation guard). The replay re-schedules its
-// own copies on its own timeline.
+// replacement attempt (each event names its attempt). The replay
+// re-schedules its own copies on its own timeline.
 func TestStaleEventsDroppedAfterEviction(t *testing.T) {
 	eng := New(spotPool(t, 1, 16, 32, 1), FIFO(), 0)
 	eng.SetRevocations(fixedRevocations{times: map[int][]float64{0: {40}}, outage: 10})

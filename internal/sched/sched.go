@@ -3,8 +3,8 @@
 // and the multi-tenancy experiments queue whole HPT jobs through it
 // (Simulate under FIFO is the §7.4 queueing model).
 //
-// The engine runs on simtime's event queue. Every engine has a Pool and
-// every task a footprint on it. Tasks arrive at a simulated instant, wait
+// The engine owns its clock and its event queue. Every engine has a Pool
+// and every task a footprint on it. Tasks arrive at a simulated instant, wait
 // until the active placement Policy admits them (their footprint must fit a
 // node of the pool, and at most Slots tasks may run), execute for their
 // known simulated duration, and complete — at which point
@@ -28,7 +28,7 @@
 //
 // Everything is single-threaded and deterministic: identical task sets,
 // policies and pools produce identical schedules, with same-instant events
-// ordered completions-then-arrivals (see simtime.ScheduleAtPrio).
+// ordered resizes, completions, revocations, then arrivals (see eventKind).
 package sched
 
 import (
@@ -38,25 +38,14 @@ import (
 	"sort"
 
 	"pipetune/internal/params"
-	"pipetune/internal/simtime"
 )
 
 // ErrNeverFits is returned by Submit when a task's footprint exceeds every
 // node of the pool — it could not start even on an idle cluster.
 var ErrNeverFits = errors.New("sched: footprint can never fit the pool")
 
-// Same-instant dispatch classes: resizes free/claim capacity first,
-// completions release next, spot revocations reclaim nodes after both (a
-// task completing at the same instant its node is revoked keeps its
-// result), and arrivals observe the settled state last. The relative
-// order of resize/completion/arrival is unchanged from the pre-revocation
-// engine, so schedules without spot capacity are bit-identical.
-const (
-	prioResize     = -3
-	prioCompletion = -2
-	prioRevocation = -1
-	prioArrival    = 0
-)
+// errHalted is Run's answer after Halt.
+var errHalted = errors.New("sched: engine halted")
 
 // Resize is a mid-task footprint change at a fixed offset from task start.
 type Resize struct {
@@ -147,51 +136,123 @@ type queued struct {
 	onDone  func(Task, TaskStats)
 	onEvict EvictHandler
 	attempt int // 1 on first admission
-	gen     int // bumped on eviction; stale events check it
 	salv    int // cumulative salvaged epochs
 	wasted  float64
 	cost    float64 // accumulated cost of interrupted attempts
 }
 
-// timedResize is a not-yet-applied resize at an absolute simulated time.
-type timedResize struct {
-	at  float64
-	sys params.SysConfig
-}
-
-// runningTask is an admitted task occupying resources until its end time.
+// runningTask is one admitted attempt of a task, occupying resources
+// until its end time. Its events point at it, so an event of an attempt
+// a revocation interrupted finds another (or no) attempt running.
 type runningTask struct {
 	task    Task
 	q       *queued // origin entry: eviction state and completion hook
-	gen     int     // q.gen at admission; stale events carry older values
+	rank    int     // admission order
 	start   float64
 	end     float64
 	node    int              // hosting node
 	speed   float64          // hosting class's duration divisor
 	sys     params.SysConfig // current (possibly resized) footprint
-	pending []timedResize    // scheduled resizes not yet applied, time order
 	granted int
 	denied  int
 }
 
+// eventKind is an event's type and, up to evArrival, its same-instant
+// class: resizes free or claim capacity first, completions release next,
+// spot revocations reclaim nodes after both (a task completing at the
+// instant its node is revoked keeps its result), and arrivals observe the
+// settled state last. A revoked node's re-join dispatches as an arrival.
+// Within one instant and class, events dispatch in scheduling order.
+type eventKind uint8
+
+const (
+	evResize eventKind = iota
+	evCompletion
+	evRevocation
+	evArrival
+	evRejoin
+)
+
+// event is one scheduled state change; each kind sets only the fields its
+// handler reads.
+type event struct {
+	at   float64
+	seq  uint64 // scheduling order
+	kind eventKind
+	rt   *runningTask     // resize, completion
+	sys  params.SysConfig // resize: the new footprint
+	q    *queued          // arrival
+	node int              // revocation, re-join
+}
+
+// before is the dispatch order: time, then class, then scheduling order.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if ca, cb := min(a.kind, evArrival), min(b.kind, evArrival); ca != cb {
+		return ca < cb
+	}
+	return a.seq < b.seq
+}
+
+// eventQueue is a binary min-heap of events in dispatch order.
+type eventQueue []event
+
+func (h *eventQueue) push(ev event) {
+	q := append(*h, ev)
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].before(&q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+	*h = q
+}
+
+func (h *eventQueue) pop() event {
+	q := *h
+	top, n := q[0], len(q)-1
+	q[0], q[n] = q[n], event{}
+	q = q[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
+		}
+		if !q[c].before(&q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return top
+}
+
 // Engine is the event-driven scheduler. It is not safe for concurrent use:
-// Submit may be called before Run or from within completion hooks, mirroring
-// simtime's single-threaded model.
+// Submit may be called before Run or from within completion hooks.
 type Engine struct {
-	sim     *simtime.Engine
-	pool    *Pool
-	policy  Policy
-	slots   int // max concurrent tasks; 0 = bounded by the pool alone
-	queue   []*queued
-	running map[int]*runningTask
-	seq     int // running-task insertion order for deterministic iteration
-	order   map[int]int
-	done    []TaskStats
-	halted  bool
-	err     error // first internal failure; surfaced by Run
+	pool     *Pool
+	policy   Policy
+	slots    int // max concurrent tasks; 0 = bounded by the pool alone
+	now      float64
+	events   eventQueue
+	nextSeq  uint64 // events scheduled so far
+	queue    []*queued
+	running  map[int]*runningTask
+	admitted int // tasks admitted so far: the next rank
+	done     []TaskStats
+	halted   bool
+	err      error // first internal failure; surfaced by Run
 
 	rev        RevocationSource
-	pendingRev map[int]float64 // node -> armed revocation instant
+	pendingRev map[int]bool // nodes with an armed revocation
 }
 
 // New creates an engine over a pool (non-nil: every task is placed on it)
@@ -202,17 +263,23 @@ func New(pool *Pool, policy Policy, slots int) *Engine {
 		policy = FIFO()
 	}
 	return &Engine{
-		sim:     simtime.NewEngine(),
 		pool:    pool,
 		policy:  policy,
 		slots:   slots,
 		running: make(map[int]*runningTask),
-		order:   make(map[int]int),
 	}
 }
 
 // Now returns the current simulated time.
-func (e *Engine) Now() float64 { return e.sim.Now() }
+func (e *Engine) Now() float64 { return e.now }
+
+// schedule queues ev at instant at; an instant in the past is now.
+func (e *Engine) schedule(at float64, ev event) {
+	ev.at = max(at, e.now)
+	ev.seq = e.nextSeq
+	e.nextSeq++
+	e.events.push(ev)
+}
 
 // SetRevocations arms spot revocations: src yields each node's revocation
 // instants, consumed lazily — a node's next event is scheduled only while
@@ -221,19 +288,16 @@ func (e *Engine) Now() float64 { return e.sim.Now() }
 func (e *Engine) SetRevocations(src RevocationSource) {
 	e.rev = src
 	if src != nil && e.pendingRev == nil {
-		e.pendingRev = make(map[int]float64)
+		e.pendingRev = make(map[int]bool)
 	}
 }
 
 // HasRevocations reports whether a revocation source is armed.
 func (e *Engine) HasRevocations() bool { return e.rev != nil }
 
-// Halt stops the simulation before the next event; Run returns
-// simtime.ErrStopped. Callers use it to abort from a completion hook.
-func (e *Engine) Halt() {
-	e.halted = true
-	e.sim.Stop()
-}
+// Halt stops the simulation before the next event; Run then returns an
+// error. Callers use it to abort from a completion hook.
+func (e *Engine) Halt() { e.halted = true }
 
 // Submit registers a task. Its arrival event fires at max(Arrival, Now);
 // onDone (optional) fires at the task's simulated completion, before any
@@ -264,27 +328,45 @@ func (e *Engine) SubmitRevocable(t Task, onEvict EvictHandler, onDone func(Task,
 			return fmt.Errorf("sched: task %d resize to %v: %w", t.ID, rz.Sys, ErrNeverFits)
 		}
 	}
-	q := &queued{task: t, onDone: onDone, onEvict: onEvict, attempt: 1}
-	e.sim.ScheduleAtPrio(t.Arrival, prioArrival, func() {
-		e.queue = append(e.queue, q)
-		e.dispatch()
-	})
+	e.schedule(t.Arrival, event{kind: evArrival,
+		q: &queued{task: t, onDone: onDone, onEvict: onEvict, attempt: 1}})
 	return nil
 }
 
-// Run dispatches events until the queue drains. It returns the engine's
-// internal error if one occurred (e.g. a custom policy picked a
-// non-fitting task), simtime.ErrStopped if Halt was called by the caller,
-// or an error if tasks remain waiting with nothing running (a policy
-// admitted nothing — cannot happen with the built-in policies, but a
-// custom one could livelock).
+// Run dispatches events until the queue drains or Halt is called. It
+// returns the engine's internal error if one occurred (e.g. a custom
+// policy picked a non-fitting task), an error if Halt was called by the
+// caller, or an error if tasks remain waiting with nothing running (a
+// policy admitted nothing — cannot happen with the built-in policies, but
+// a custom one could livelock).
 func (e *Engine) Run() error {
-	simErr := e.sim.RunAll()
+	for !e.halted && len(e.events) > 0 {
+		ev := e.events.pop()
+		e.now = ev.at
+		switch ev.kind {
+		case evArrival:
+			e.queue = append(e.queue, ev.q)
+			e.dispatch()
+		case evResize:
+			if e.running[ev.rt.task.ID] == ev.rt {
+				e.resize(ev.rt, ev.sys)
+			}
+		case evCompletion:
+			if e.running[ev.rt.task.ID] == ev.rt {
+				e.complete(ev.rt)
+			}
+		case evRevocation:
+			e.revoke(ev.node)
+		case evRejoin:
+			e.pool.setDown(ev.node, false)
+			e.dispatch()
+		}
+	}
 	if e.err != nil {
 		return e.err
 	}
-	if simErr != nil {
-		return simErr
+	if e.halted {
+		return errHalted
 	}
 	if len(e.queue) > 0 {
 		return fmt.Errorf("sched: %d tasks never admitted (policy %s starved the queue)",
@@ -299,26 +381,10 @@ func (e *Engine) Stats() []TaskStats { return e.done }
 // fitsNow reports whether the queued task at index i could start.
 func (e *Engine) fitsNow(i int) bool { return e.pool.fitsClass(-1, e.queue[i].task.Sys) }
 
-// runningByEnd returns the running set ordered by (end, admission order) —
-// the deterministic release sequence used for shadow-time computation.
-func (e *Engine) runningByEnd() []*runningTask {
-	out := make([]*runningTask, 0, len(e.running))
-	for _, rt := range e.running {
-		out = append(out, rt)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].end != out[j].end {
-			return out[i].end < out[j].end
-		}
-		return e.order[out[i].task.ID] < e.order[out[j].task.ID]
-	})
-	return out
-}
-
 // earliestStart computes when queue[i] could start assuming no further
-// admissions: the running set's completions AND its already-scheduled
-// resize events are replayed chronologically on a scratch pool, mirroring
-// the engine's own resize semantics. Modelling the resizes matters for
+// admissions: a copy of the engine's own pending resize and completion
+// events is replayed in dispatch order on a scratch pool, each resize
+// through the engine's own reserve step. Modelling the resizes matters for
 // backfill's no-delay guarantee — a pending shrink can let the head start
 // long before any task completes, and an overestimated shadow would admit
 // backfill candidates that then delay the head.
@@ -330,67 +396,39 @@ func (e *Engine) earliestStart(i int) float64 {
 		return (e.slots <= 0 || slotsBusy < e.slots) && scratch.fitsClass(-1, t.Sys)
 	}
 	if fits() {
-		return e.Now()
+		return e.now
 	}
-
-	// Replay events in the engine's dispatch order: (time, resizes before
-	// completions, admission order).
-	type replayEvent struct {
-		at       float64
-		prio     int // 0 = resize, 1 = completion
-		seq      int
-		rt       *runningTask
-		resizeTo params.SysConfig
-	}
-	type replayState struct {
+	type placement struct {
 		node int
 		sys  params.SysConfig
-		done bool
 	}
-	var events []replayEvent
-	state := make(map[int]*replayState, len(e.running))
-	for _, rt := range e.runningByEnd() {
-		state[rt.task.ID] = &replayState{node: rt.node, sys: rt.sys}
-		for _, rz := range rt.pending {
-			events = append(events, replayEvent{at: rz.at, prio: 0, rt: rt, resizeTo: rz.sys})
-		}
-		events = append(events, replayEvent{at: rt.end, prio: 1, rt: rt})
+	where := make(map[*runningTask]placement, len(e.running))
+	for _, rt := range e.running {
+		where[rt] = placement{rt.node, rt.sys}
 	}
-	for i := range events {
-		events[i].seq = i
+	var future eventQueue
+	for _, ev := range e.events {
+		if ev.kind == evResize || ev.kind == evCompletion {
+			future.push(ev)
+		}
 	}
-	sort.Slice(events, func(a, b int) bool {
-		if events[a].at != events[b].at {
-			return events[a].at < events[b].at
+	for len(future) > 0 {
+		ev := future.pop()
+		p, ok := where[ev.rt]
+		if !ok {
+			continue // an event of an attempt a revocation interrupted
 		}
-		if events[a].prio != events[b].prio {
-			return events[a].prio < events[b].prio
-		}
-		return events[a].seq < events[b].seq
-	})
-	for _, ev := range events {
-		st := state[ev.rt.task.ID]
-		if st.done {
-			continue
-		}
-		switch ev.prio {
-		case 0: // resize, same in-place/elsewhere/keep logic as resize()
-			if st.sys == ev.resizeTo {
-				break
+		switch ev.kind {
+		case evResize:
+			if p.sys != ev.sys {
+				if n, granted := scratch.reserve(p.node, p.sys, ev.sys); granted {
+					where[ev.rt] = placement{n, ev.sys}
+				}
 			}
-			scratch.free(st.node, st.sys)
-			if scratch.placeOn(st.node, ev.resizeTo) {
-				st.sys = ev.resizeTo
-			} else if n := scratch.placeClass(-1, ev.resizeTo); n >= 0 {
-				st.node = n
-				st.sys = ev.resizeTo
-			} else {
-				scratch.placeOn(st.node, st.sys) // denied: keep reservation
-			}
-		case 1: // completion
-			st.done = true
+		case evCompletion:
+			delete(where, ev.rt)
 			slotsBusy--
-			scratch.free(st.node, st.sys)
+			scratch.free(p.node, p.sys)
 		}
 		if fits() {
 			return ev.at
@@ -405,7 +443,7 @@ func (e *Engine) earliestStart(i int) float64 {
 func (e *Engine) pickContext() *PickContext {
 	p := e.pool
 	ctx := &PickContext{
-		Now:           e.Now(),
+		Now:           e.now,
 		Queue:         make([]Task, len(e.queue)),
 		FitsNow:       e.fitsNow,
 		EarliestStart: e.earliestStart,
@@ -456,32 +494,22 @@ func (e *Engine) start(idx, class int) {
 			e.policy.Name(), t.ID, t.Sys))
 		return
 	}
-	now := e.Now()
+	now := e.now
 	speed := e.pool.speedOf(node)
 	rt := &runningTask{
-		task: t, q: q, gen: q.gen,
+		task: t, q: q, rank: e.admitted,
 		start: now, end: now + t.Duration/speed,
 		node: node, speed: speed, sys: t.Sys,
 	}
+	e.admitted++
 	e.running[t.ID] = rt
-	e.order[t.ID] = e.seq
-	e.seq++
-
-	gen := q.gen
 	for _, rz := range t.Resizes {
-		rz := rz
 		if rz.Offset <= 0 || rz.Offset >= t.Duration {
 			continue // outside the task's lifetime: nothing to re-negotiate
 		}
-		at := now + rz.Offset/speed
-		rt.pending = append(rt.pending, timedResize{at: at, sys: rz.Sys})
-		e.sim.ScheduleAtPrio(at, prioResize, func() { e.resize(t.ID, gen, rz.Sys) })
+		e.schedule(now+rz.Offset/speed, event{kind: evResize, rt: rt, sys: rz.Sys})
 	}
-	// Resize events fire in time order with submission order breaking ties
-	// (simtime seq); keep the pending list in the same order so replay and
-	// reality agree.
-	sort.SliceStable(rt.pending, func(i, j int) bool { return rt.pending[i].at < rt.pending[j].at })
-	e.sim.ScheduleAtPrio(rt.end, prioCompletion, func() { e.complete(t.ID, gen) })
+	e.schedule(rt.end, event{kind: evCompletion, rt: rt})
 	if e.rev != nil && e.pool.isSpot(node) {
 		e.armRevocation(node)
 	}
@@ -492,64 +520,49 @@ func (e *Engine) start(idx, class int) {
 // event re-arms lazily via the next start() on that node, so the event
 // queue always drains.
 func (e *Engine) armRevocation(n int) {
-	if _, ok := e.pendingRev[n]; ok {
+	if e.pendingRev[n] {
 		return
 	}
-	at := e.rev.NextAfter(n, e.Now())
+	at := e.rev.NextAfter(n, e.now)
 	if math.IsInf(at, 1) {
 		return
 	}
-	e.pendingRev[n] = at
-	e.sim.ScheduleAtPrio(at, prioRevocation, func() { e.revoke(n, at) })
+	e.pendingRev[n] = true
+	e.schedule(at, event{kind: evRevocation, node: n})
 }
 
 // revoke fires node n's spot revocation: every task running on it is
 // evicted and requeued at the queue head (admission order preserved,
 // attempt bumped), the node goes down for the source's outage window, and
 // its replacement re-joins with the same shape.
-func (e *Engine) revoke(n int, at float64) {
+func (e *Engine) revoke(n int) {
 	delete(e.pendingRev, n)
-	if e.halted {
-		return
-	}
 	var victims []*runningTask
 	for _, rt := range e.running {
 		if rt.node == n {
 			victims = append(victims, rt)
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool {
-		return e.order[victims[i].task.ID] < e.order[victims[j].task.ID]
-	})
+	sort.Slice(victims, func(i, j int) bool { return victims[i].rank < victims[j].rank })
 	requeued := make([]*queued, 0, len(victims))
 	for _, rt := range victims {
-		requeued = append(requeued, e.evict(rt, at))
+		requeued = append(requeued, e.evict(rt))
 	}
 	e.queue = append(requeued, e.queue...)
 	e.pool.setDown(n, true)
-	e.sim.ScheduleAtPrio(at+e.rev.OutageSeconds(), prioArrival, func() {
-		e.pool.setDown(n, false)
-		if !e.halted {
-			e.dispatch()
-		}
-	})
-	if !e.halted {
-		e.dispatch() // evicted tasks may restart elsewhere immediately
-	}
+	e.schedule(e.now+e.rev.OutageSeconds(), event{kind: evRejoin, node: n})
+	e.dispatch() // evicted tasks may restart elsewhere immediately
 }
 
-// evict interrupts a running task for a revocation at instant `at`: frees
-// its reservation, invalidates its scheduled completion/resize events via
-// the generation counter, consults its eviction handler for the
-// replacement attempt's shape (checkpoint resume), and returns its queue
-// entry for requeueing.
-func (e *Engine) evict(rt *runningTask, at float64) *queued {
+// evict interrupts a running task for a revocation now: frees its
+// reservation (its scheduled completion and resize events now find it
+// gone), consults its eviction handler for the replacement attempt's
+// shape (checkpoint resume), and returns its queue entry for requeueing.
+func (e *Engine) evict(rt *runningTask) *queued {
 	q := rt.q
 	delete(e.running, rt.task.ID)
-	delete(e.order, rt.task.ID)
 	e.pool.free(rt.node, rt.sys)
-	elapsed := at - rt.start // node-local seconds the attempt consumed
-	q.gen++
+	elapsed := e.now - rt.start // node-local seconds the attempt consumed
 	q.attempt++
 	q.wasted += elapsed
 	q.cost += elapsed / 3600 * e.pool.rateOf(rt.node)
@@ -573,36 +586,22 @@ func (e *Engine) fail(err error) {
 	e.Halt()
 }
 
-// resize re-negotiates a running task's reservation: in-place on its node
-// when possible, otherwise on any other node, otherwise denied (the task
-// keeps its previous footprint). Shrinking always succeeds in place.
-func (e *Engine) resize(id, gen int, to params.SysConfig) {
-	rt, ok := e.running[id]
-	if !ok || rt.gen != gen || e.halted {
-		return // stale event from an attempt a revocation interrupted
-	}
-	if len(rt.pending) > 0 {
-		rt.pending = rt.pending[1:] // this event is no longer pending
-	}
+// resize re-negotiates a running task's reservation through the pool's
+// reserve step; a denied growth keeps the previous footprint.
+func (e *Engine) resize(rt *runningTask, to params.SysConfig) {
 	if rt.sys == to {
 		return
 	}
-	e.pool.free(rt.node, rt.sys)
-	if e.pool.placeOn(rt.node, to) {
-		rt.sys = to
+	n, granted := e.pool.reserve(rt.node, rt.sys, to)
+	switch {
+	case granted:
+		rt.node, rt.sys = n, to
 		rt.granted++
-	} else if n := e.pool.placeClass(-1, to); n >= 0 {
-		rt.node = n
-		rt.sys = to
-		rt.granted++
-	} else {
-		// Denied: restore the old reservation (guaranteed to fit — it was
-		// just released from that node).
-		if !e.pool.placeOn(rt.node, rt.sys) {
-			e.fail(fmt.Errorf("sched: task %d lost its reservation %v on node %d during a denied resize",
-				id, rt.sys, rt.node)) // unreachable unless the pool is corrupted
-			return
-		}
+	case n < 0:
+		e.fail(fmt.Errorf("sched: task %d lost its reservation %v on node %d during a denied resize",
+			rt.task.ID, rt.sys, rt.node)) // unreachable unless the pool is corrupted
+		return
+	default:
 		rt.denied++
 	}
 	// A shrink may have freed capacity a waiting task can use.
@@ -611,13 +610,8 @@ func (e *Engine) resize(id, gen int, to params.SysConfig) {
 
 // complete releases the task's resources, records its stats, fires the
 // caller's hook and re-runs admission.
-func (e *Engine) complete(id, gen int) {
-	rt, ok := e.running[id]
-	if !ok || rt.gen != gen || e.halted {
-		return // stale event from an attempt a revocation interrupted
-	}
-	delete(e.running, id)
-	delete(e.order, id)
+func (e *Engine) complete(rt *runningTask) {
+	delete(e.running, rt.task.ID)
 	e.pool.free(rt.node, rt.sys)
 	q := rt.q
 	st := TaskStats{

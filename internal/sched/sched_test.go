@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -456,4 +457,119 @@ type pickLastPolicy struct{}
 func (pickLastPolicy) Name() string { return "pick-last" }
 func (pickLastPolicy) Pick(ctx *PickContext) int {
 	return len(ctx.Queue) - 1
+}
+
+func TestBackfillNeverDelaysTheHead(t *testing.T) {
+	// One 28-core node. At t=10 task 0 asks to grow 8 → 16 cores and task
+	// 1 shrinks 16 → 8. The engine dispatches task 0's resize first (it
+	// was admitted first), so the growth is denied and the 20-core head
+	// starts when task 1 ends at 50. A shadow that replayed the shrink
+	// first would grant the growth, put the head at 100 and let task 3
+	// (80 s) backfill, which then holds the head to 82.
+	tasks := []Task{
+		{ID: 0, Sys: sys(8, 8), Duration: 100, Resizes: []Resize{{Offset: 10, Sys: sys(16, 8)}}},
+		{ID: 1, Sys: sys(16, 8), Duration: 50, Resizes: []Resize{{Offset: 10, Sys: sys(8, 8)}}},
+		{ID: 2, Arrival: 1, Sys: sys(20, 8), Duration: 5},
+		{ID: 3, Arrival: 2, Sys: sys(4, 4), Duration: 80},
+	}
+	headStart := func(p Policy) float64 {
+		return run(t, New(testPool(t, 1, 28, 64), p, 0), tasks)[2].Start
+	}
+	fifo, backfill := headStart(FIFO()), headStart(Backfill())
+	if fifo != 50 {
+		t.Fatalf("FIFO head start %v, want 50", fifo)
+	}
+	if backfill > fifo {
+		t.Fatalf("backfill delayed the head from %v (FIFO) to %v", fifo, backfill)
+	}
+}
+
+// shadowSpy is a policy that records, whenever the queue's head does not
+// fit, the head and the engine's shadow time for it.
+type shadowSpy struct {
+	Policy
+	probes []shadowProbe
+}
+
+type shadowProbe struct {
+	id          int
+	now, shadow float64
+}
+
+func (s *shadowSpy) Pick(ctx *PickContext) int {
+	if len(ctx.Queue) > 0 && !ctx.FitsNow(0) {
+		s.probes = append(s.probes, shadowProbe{ctx.Queue[0].ID, ctx.Now, ctx.EarliestStart(0)})
+	}
+	return s.Policy.Pick(ctx)
+}
+
+type shadowCase struct {
+	name  string
+	pool  *Pool
+	slots int
+	tasks []Task
+}
+
+// randomShadowCase draws a non-spot pool of one or two nodes and a task
+// set on integer times: arrivals on three instants, and every resize 10 or
+// 20 s into its task, so that tasks admitted together resize at the same
+// instant. Core counts are multiples of four, so those resizes contend.
+func randomShadowCase(t *testing.T, seed uint64) shadowCase {
+	r := xrand.New(seed)
+	caps := make([]NodeCap, 1+r.Intn(2))
+	for i := range caps {
+		caps[i] = NodeCap{Cores: 24 + 8*r.Intn(2), MemoryGB: 32}
+	}
+	pool, err := NewPoolClasses(caps, make([]int, len(caps)), []ClassCap{{SpeedFactor: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	footprint := func() params.SysConfig {
+		return sys(4*(1+r.Intn(caps[r.Intn(len(caps))].Cores/4)), 1+r.Intn(8))
+	}
+	tasks := make([]Task, 6+r.Intn(6))
+	for i := range tasks {
+		dur := 10 * (2 + r.Intn(9))
+		tasks[i] = Task{ID: i, Arrival: float64(r.Intn(3)), Sys: footprint(), Duration: float64(dur)}
+		for k := 1 + r.Intn(2); k > 0; k-- {
+			off := 10 * (1 + r.Intn(min(2, dur/10-1)))
+			tasks[i].Resizes = append(tasks[i].Resizes, Resize{Offset: float64(off), Sys: footprint()})
+		}
+	}
+	return shadowCase{name: "seed " + strconv.FormatUint(seed, 10), pool: pool, slots: r.Intn(4), tasks: tasks}
+}
+
+// TestShadowIsTheSchedule: under FIFO nothing is admitted while the head
+// waits, so the head's shadow time must be exactly when it starts.
+func TestShadowIsTheSchedule(t *testing.T) {
+	cases := []shadowCase{{
+		// Both running tasks ask to grow to 16 cores at t=10: the first
+		// admitted gets it and keeps the node busy until 100.
+		name: "two growths at one instant",
+		pool: testPool(t, 1, 24, 64),
+		tasks: []Task{
+			{ID: 0, Sys: sys(8, 8), Duration: 100, Resizes: []Resize{{Offset: 10, Sys: sys(16, 8)}}},
+			{ID: 1, Sys: sys(8, 8), Duration: 50, Resizes: []Resize{{Offset: 10, Sys: sys(16, 8)}}},
+			{ID: 2, Arrival: 1, Sys: sys(16, 8), Duration: 10},
+		},
+	}}
+	for seed := uint64(1); seed <= 2000; seed++ {
+		cases = append(cases, randomShadowCase(t, seed))
+	}
+	probes := 0
+	for _, c := range cases {
+		spy := &shadowSpy{Policy: FIFO()}
+		stats := run(t, New(c.pool, spy, c.slots), c.tasks)
+		for _, p := range spy.probes {
+			if start := stats[p.id].Start; p.shadow != start {
+				t.Errorf("%s: at t=%v the shadow put head %d at %v; it started at %v",
+					c.name, p.now, p.id, p.shadow, start)
+				break
+			}
+		}
+		probes += len(spy.probes)
+	}
+	if probes < len(cases) {
+		t.Fatalf("%d probes over %d cases: too few blocked heads to test the shadow", probes, len(cases))
+	}
 }
