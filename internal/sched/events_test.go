@@ -101,9 +101,33 @@ func TestHaltStopsBeforeTheNextEvent(t *testing.T) {
 	}
 }
 
-// TestManyEventsDeterministic: 500 events over every kind and many shared
-// instants pop in dispatch order, identically on every run.
-func TestManyEventsDeterministic(t *testing.T) {
+// TestEventsDispatchInTimeOrder: tasks submitted out of time order run in
+// time order, and the clock ends at the last event's instant.
+func TestEventsDispatchInTimeOrder(t *testing.T) {
+	eng := New(testPool(t, 1, 8, 16), FIFO(), 0)
+	var order []int
+	for _, at := range []float64{3, 1, 2} {
+		err := eng.Submit(Task{ID: int(at), Arrival: at, Sys: sys(4, 4)}, func(tk Task, _ TaskStats) {
+			order = append(order, tk.ID)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
+		t.Fatalf("dispatch order = %v, want [1 2 3]", order)
+	}
+	if eng.Now() != 3 {
+		t.Fatalf("final time = %v, want 3", eng.Now())
+	}
+}
+
+// TestManyEventsPopInDispatchOrder: 500 events over every kind and many
+// shared instants pop in dispatch order, identically on every run.
+func TestManyEventsPopInDispatchOrder(t *testing.T) {
 	runOnce := func() []event {
 		e := New(testPool(t, 1, 8, 16), nil, 0)
 		for i := 0; i < 500; i++ {
