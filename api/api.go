@@ -220,7 +220,7 @@ type ImportResult struct {
 // owner.
 type (
 	// GroundTruthStats is the GET /v1/groundtruth body: the shared
-	// similarity database's size, lookup counters and revisions.
+	// similarity database's size, lookup counters and data revision.
 	GroundTruthStats = gt.Info
 	// FleetStatus is the execution plane's health surface (GET /v1/fleet
 	// and Health.Fleet).

@@ -153,8 +153,8 @@ func TestSimTuningRatioGate(t *testing.T) {
 		runs               func() ([]catalogRun, error)
 		wantCold, wantWarm float64
 	}{
-		{1, catalogRuns, 0.8521, 0.8335},
-		{3, func() ([]catalogRun, error) { return runCatalog(3) }, 0.8649, 0.8376},
+		{1, catalogRuns, 0.8378, 0.8303},
+		{3, func() ([]catalogRun, error) { return runCatalog(3) }, 0.8482, 0.8375},
 	} {
 		runs, err := pin.runs()
 		if err != nil {

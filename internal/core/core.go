@@ -9,10 +9,10 @@
 //	                         (the asynchronous tuneSystem call).
 //	getProfile(job)       -> the 58-event PMU profile of the first epoch a
 //	                         system-cost key runs, on the base configuration.
-//	getSimilarity(profile)-> GroundTruth.Lookup: k-means over historical
-//	                         profiles; a hit within the inertia-derived
-//	                         radius returns that cluster's known-best
-//	                         system configuration (§5.4, §5.6).
+//	getSimilarity(profile)-> GroundTruth.Lookup: the nearest historical
+//	                         profiles; a hit within Threshold × the
+//	                         store's spread returns the configuration its
+//	                         neighbourhood won most (§5.4, §5.6).
 //	probing loop          -> on a miss, each subsequent epoch runs one
 //	                         candidate configuration; the shortest epoch
 //	                         picks the best (runtime, O(n) in the number
@@ -471,13 +471,13 @@ type PipeTune struct {
 	Probes []params.SysConfig
 }
 
-// New creates a PipeTune middleware with an empty ground-truth database:
-// the sharded store, safe for the service's shared cross-job use
-// (internal/gt documents the design).
-func New(runner *tune.Runner, seed uint64) *PipeTune {
+// New creates a PipeTune middleware with an empty ground-truth database,
+// safe for the service's shared cross-job use (internal/gt documents the
+// store).
+func New(runner *tune.Runner) *PipeTune {
 	return &PipeTune{
 		Runner: runner,
-		GT:     gt.NewSharded(gt.DefaultConfig(), seed),
+		GT:     gt.NewMemory(gt.DefaultConfig()),
 		Probes: DefaultProbeConfigs(),
 	}
 }

@@ -55,7 +55,7 @@ func sampleProfile(t *testing.T, w workload.Workload) perf.Profile {
 }
 
 func TestControllerProbesThenSettles(t *testing.T) {
-	db := gt.NewSharded(gt.DefaultConfig(), 1)
+	db := gt.NewMemory(gt.DefaultConfig())
 	ctrl := NewController(db)
 	ctrl.Probes = []params.SysConfig{
 		{Cores: 4, MemoryGB: 8},
@@ -93,7 +93,7 @@ func TestControllerProbesThenSettles(t *testing.T) {
 }
 
 func TestControllerGroundTruthHitSkipsProbing(t *testing.T) {
-	db := gt.NewSharded(gt.DefaultConfig(), 1)
+	db := gt.NewMemory(gt.DefaultConfig())
 	known := params.SysConfig{Cores: 4, MemoryGB: 32}
 	for i := 0; i < 4; i++ {
 		_ = db.Add(gt.Entry{Features: featuresOf(t, lenetMNIST, uint64(i)), BestSys: known, Metric: 50})
@@ -117,7 +117,7 @@ func TestControllerGroundTruthHitSkipsProbing(t *testing.T) {
 }
 
 func TestControllerFallsBackWhenGroundTruthRegresses(t *testing.T) {
-	db := gt.NewSharded(gt.DefaultConfig(), 1)
+	db := gt.NewMemory(gt.DefaultConfig())
 	badConfig := params.SysConfig{Cores: 16, MemoryGB: 4}
 	for i := 0; i < 4; i++ {
 		_ = db.Add(gt.Entry{Features: featuresOf(t, lenetMNIST, uint64(i)), BestSys: badConfig, Metric: 10})
@@ -148,7 +148,7 @@ func TestControllerFallsBackWhenGroundTruthRegresses(t *testing.T) {
 }
 
 func TestControllerKeepsGroundTruthConfigWhenItHolds(t *testing.T) {
-	db := gt.NewSharded(gt.DefaultConfig(), 1)
+	db := gt.NewMemory(gt.DefaultConfig())
 	good := params.SysConfig{Cores: 4, MemoryGB: 8}
 	for i := 0; i < 4; i++ {
 		_ = db.Add(gt.Entry{Features: featuresOf(t, lenetMNIST, uint64(i)), BestSys: good, Metric: 10})
@@ -168,7 +168,7 @@ func TestControllerKeepsGroundTruthConfigWhenItHolds(t *testing.T) {
 }
 
 func TestControllerMaxProbeEpochs(t *testing.T) {
-	db := gt.NewSharded(gt.DefaultConfig(), 1)
+	db := gt.NewMemory(gt.DefaultConfig())
 	ctrl := NewController(db)
 	ctrl.MaxProbeEpochs = 1
 	profile := sampleProfile(t, lenetMNIST)
@@ -225,7 +225,7 @@ func TestPipeTuneReducesTuningTimeVsV1(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pt := New(testTuneRunner(), 7)
+	pt := New(testTuneRunner())
 	if err := pt.Bootstrap(workload.Catalog(), 99); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestPipeTuneReducesTuningTimeVsV1(t *testing.T) {
 }
 
 func TestPipeTuneColdStartStillCompletes(t *testing.T) {
-	pt := New(testTuneRunner(), 7)
+	pt := New(testTuneRunner())
 	res, err := pt.RunJob(smallJob(lenetMNIST, 13))
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func TestPipeTuneColdStartStillCompletes(t *testing.T) {
 }
 
 func TestPipeTuneForcesV1Semantics(t *testing.T) {
-	pt := New(testTuneRunner(), 7)
+	pt := New(testTuneRunner())
 	spec := smallJob(lenetMNIST, 5)
 	spec.Mode = tune.ModeV2 // must be overridden to V1
 	res, err := pt.RunJob(spec)
@@ -291,7 +291,7 @@ func TestPipeTuneReconfiguresThroughScheduler(t *testing.T) {
 	// Cold-start PipeTune probes configurations epoch by epoch, so its
 	// trials must re-negotiate their cluster allocation mid-flight — the
 	// scheduler records those as granted/denied resizes on each record.
-	pt := New(testTuneRunner(), 7)
+	pt := New(testTuneRunner())
 	res, err := pt.RunJob(smallJob(lenetMNIST, 13))
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +330,7 @@ func TestPipeTunePolicyForwarded(t *testing.T) {
 	if baseline == 0 {
 		t.Fatal("the baseline job was not placed by the runner's policy")
 	}
-	if _, err := New(runner, 7).RunJob(smallJob(lenetMNIST, 13)); err != nil {
+	if _, err := New(runner).RunJob(smallJob(lenetMNIST, 13)); err != nil {
 		t.Fatal(err)
 	}
 	if policy.picks == baseline {

@@ -26,7 +26,7 @@ type scriptStore struct {
 }
 
 func newScriptStore(answer *params.SysConfig) *scriptStore {
-	return &scriptStore{Store: gt.NewSharded(gt.DefaultConfig(), 1), answer: answer}
+	return &scriptStore{Store: gt.NewMemory(gt.DefaultConfig()), answer: answer}
 }
 
 func (s *scriptStore) Lookup([]float64) (params.SysConfig, bool) {
@@ -453,7 +453,7 @@ func TestTwinsShareAStartAndWorkersDoNotMatter(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		runner := testTuneRunner()
 		runner.Exec = fixedParallel{Backend: exec.NewLocal(runner.Trainer), n: workers}
-		res, counts, err := New(runner, 7).RunJobCounts(t.Context(), spec)
+		res, counts, err := New(runner).RunJobCounts(t.Context(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,7 +53,7 @@ func TestRequeuedPromotedTrialMatchesLocal(t *testing.T) {
 		}
 		return string(data)
 	}
-	want := mustJSON(core.New(newRunner(), 7).RunJob(spec))
+	want := mustJSON(core.New(newRunner()).RunJob(spec))
 
 	r := exec.NewRemote(exec.RemoteConfig{HeartbeatInterval: time.Second, MissedHeartbeats: 100, Logf: t.Logf})
 	t.Cleanup(r.Close)
@@ -67,7 +67,7 @@ func TestRequeuedPromotedTrialMatchesLocal(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := core.New(runner, 7).RunJob(spec)
+		res, err := core.New(runner).RunJob(spec)
 		done <- outcome{res, err}
 	}()
 

@@ -43,12 +43,12 @@ func AblationNoGroundTruth(cfg Config) (*AblationGTResult, error) {
 		{Model: workload.CNN, Dataset: workload.News20},
 	}
 	run := func(variant string, disableGT bool) (AblationGTRow, error) {
-		pt := core.New(tune.NewRunner(newTrainer(cfg), paperCluster()), cfg.Seed)
+		pt := core.New(tune.NewRunner(newTrainer(cfg), paperCluster()))
 		if disableGT {
 			// A database that never accumulates enough entries never hits.
 			gtCfg := gt.DefaultConfig()
 			gtCfg.MinEntries = 1 << 30
-			pt.GT = gt.NewSharded(gtCfg, cfg.Seed)
+			pt.GT = gt.NewMemory(gtCfg)
 		} else if err := pt.Bootstrap(workload.OfType(workload.TypeI, workload.TypeII), cfg.Seed+1); err != nil {
 			return AblationGTRow{}, err
 		}
@@ -191,8 +191,8 @@ func AblationThreshold(cfg Config) (*AblationThresholdResult, error) {
 	for _, th := range []float64{0.1, 0.5, 1.5, 3.0} {
 		gtCfg := gt.DefaultConfig()
 		gtCfg.Threshold = th
-		pt := core.New(tune.NewRunner(newTrainer(cfg), paperCluster()), cfg.Seed)
-		pt.GT = gt.NewSharded(gtCfg, cfg.Seed)
+		pt := core.New(tune.NewRunner(newTrainer(cfg), paperCluster()))
+		pt.GT = gt.NewMemory(gtCfg)
 		if err := pt.Bootstrap(workload.OfType(workload.TypeI, workload.TypeII), cfg.Seed+1); err != nil {
 			return nil, err
 		}
@@ -248,10 +248,10 @@ func AblationProbeBudget(cfg Config) (*AblationProbeResult, error) {
 	res := &AblationProbeResult{}
 	for _, budget := range []int{1, 2, 4, 6} {
 		runner := tune.NewRunner(newTrainer(cfg), paperCluster())
-		pt := core.New(runner, cfg.Seed) // cold: every trial probes
+		pt := core.New(runner) // cold: every trial probes
 		gtCfg := gt.DefaultConfig()
 		gtCfg.MinEntries = 1 << 30
-		pt.GT = gt.NewSharded(gtCfg, cfg.Seed)
+		pt.GT = gt.NewMemory(gtCfg)
 
 		ctrl := core.NewController(pt.GT)
 		ctrl.MaxProbeEpochs = budget

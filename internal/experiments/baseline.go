@@ -165,7 +165,7 @@ func Table2(cfg Config) (*Table2Result, error) {
 	})
 
 	// PipeTune, warm-started per §7.2's initial similarity model.
-	pt := core.New(tune.NewRunner(newTrainer(cfg), paperCluster()), cfg.Seed)
+	pt := core.New(tune.NewRunner(newTrainer(cfg), paperCluster()))
 	if err := pt.Bootstrap(workload.OfType(workload.TypeI, workload.TypeII), cfg.Seed+1); err != nil {
 		return nil, err
 	}

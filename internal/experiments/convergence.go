@@ -45,7 +45,7 @@ func Figure9and10(cfg Config) (*ConvergenceResult, error) {
 		TuningTime: v2.TuningTime, BestAccuracy: maxProgressAccuracy(v2.Progress),
 	})
 
-	pt := core.New(tune.NewRunner(newTrainer(cfg), paperCluster()), cfg.Seed)
+	pt := core.New(tune.NewRunner(newTrainer(cfg), paperCluster()))
 	if err := pt.Bootstrap(workload.OfType(workload.TypeI, workload.TypeII), cfg.Seed+1); err != nil {
 		return nil, err
 	}

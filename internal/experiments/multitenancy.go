@@ -144,7 +144,7 @@ func multiTenancy(cfg Config, figure string, mix, bootstrapSet []workload.Worklo
 		return nil, fmt.Errorf("%s v2: %w", figure, err)
 	}
 
-	pt := core.New(tune.NewRunner(mkTrainer(), mkCluster()), cfg.Seed)
+	pt := core.New(tune.NewRunner(mkTrainer(), mkCluster()))
 	if onSingleNode {
 		pt.Probes = singleNodeProbes()
 	}

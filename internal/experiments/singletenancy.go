@@ -69,7 +69,7 @@ func singleTenancy(cfg Config, figure string, workloads []workload.Workload, onS
 
 	// PipeTune shares one warm-started ground truth across the whole
 	// workload sequence (§7.2).
-	pt := core.New(tune.NewRunner(newTrainer(cfg), mkCluster()), cfg.Seed)
+	pt := core.New(tune.NewRunner(newTrainer(cfg), mkCluster()))
 	if onSingleNode {
 		pt.Probes = singleNodeProbes()
 	}

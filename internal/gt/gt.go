@@ -1,17 +1,12 @@
 // Package gt is the ground-truth similarity database of §5.4 — the
 // cross-job economy that lets a tuning job skip probing because a similar
-// job already ran (§7.4) — carved out of internal/core and rebuilt for the
-// tuning service's concurrency profile.
+// job already ran (§7.4) — carved out of internal/core for the tuning
+// service's shared use.
 //
-// Sharded, the Store implementation, partitions the database by profile
-// cluster: entries route to the shard whose centroid is nearest (a shard
-// splits in two by 2-means once it outgrows splitSize), each shard
-// maintains an independently fitted k-means model behind an atomic
-// copy-on-write snapshot, and model refits are deferred behind a revision
-// watermark — Add is O(1) append, and the first Lookup that observes a
-// stale watermark pays the refit. Lookups on the epoch hot path take no
-// exclusive lock, so concurrent jobs on different workload families never
-// contend.
+// Memory, the Store implementation, is one list of entries in insertion
+// order behind one mutex. A lookup is a nearest-neighbour vote over the
+// whole list (Memory.Lookup states the rule), so there is no model to fit
+// and nothing to route or refit.
 //
 // Persistence is layered on top by Persistent: an append-only WAL plus a
 // periodically compacted snapshot replace the old whole-file JSON rewrites,
@@ -29,7 +24,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 
 	"pipetune/internal/params"
@@ -51,7 +45,7 @@ type Entry struct {
 // validate rejects malformed entries before they reach any store: no
 // features, a feature width other than the store's (width 0: the store
 // is empty, any width starts it), a NaN or ±Inf feature or metric, or an
-// invalid configuration. A store of mixed widths could never refit.
+// invalid configuration. A store of mixed widths could measure no distance.
 func (e Entry) validate(width int) error {
 	if len(e.Features) == 0 {
 		return errors.New("gt: entry without features")
@@ -92,7 +86,7 @@ func widthOf(s Store) int {
 	switch st := s.(type) {
 	case *Persistent:
 		return widthOf(st.inner)
-	case *Sharded:
+	case *Memory:
 		return st.width()
 	}
 	return 0
@@ -107,15 +101,13 @@ func (e Entry) clone() Entry {
 	}
 }
 
-// Config tunes the similarity machinery: each shard fits the paper's
-// k-means (kmeans.DefaultConfig, k=2: one cluster per workload family,
-// §5.4). The zero value is not usable; start from DefaultConfig.
+// Config tunes the lookup rule. The zero value is not usable; start from
+// DefaultConfig.
 type Config struct {
-	// Threshold scales the cluster's RMS radius when deciding whether a
-	// new profile is "similar enough" to reuse (§5.6).
+	// Threshold scales the store's spread when deciding whether a new
+	// profile is "similar enough" to reuse (§5.6).
 	Threshold float64
-	// MinEntries is the per-shard history size below which every lookup
-	// misses (no reliable model yet).
+	// MinEntries is the store size below which every lookup misses.
 	MinEntries int
 }
 
@@ -133,30 +125,16 @@ type Info struct {
 	Misses  int `json:"misses"`
 	// Rev is the data revision: it advances on every mutation.
 	Rev uint64 `json:"rev"`
-	// ModelRev is the revision the fitted similarity model(s) cover. When
-	// ModelRev == Rev every lookup is served by a model that has seen all
-	// entries; a lower value means refits are pending behind the watermark
-	// (the sharded store defers them until a lookup needs the shard).
-	ModelRev uint64 `json:"modelRev"`
-	// Shards is the shard count.
-	Shards int `json:"shards"`
-	// Store names the implementation ("sharded"; the persistence layer
-	// passes its inner store's name through).
-	Store string `json:"store,omitempty"`
 	// WALRecords is the number of un-compacted write-ahead-log records
 	// (only set by the persistence layer).
 	WALRecords int `json:"walRecords,omitempty"`
-	// Similarity names the active technique.
-	Similarity string `json:"similarity"`
 }
 
-// Store is the ground-truth database contract: Sharded implements it and
+// Store is the ground-truth database contract: Memory implements it and
 // Persistent wraps any implementation of it. Implementations must be safe
 // for concurrent use.
 type Store interface {
-	// Add stores an entry. Implementations may defer model maintenance;
-	// a subsequent Lookup must observe a model at least as new as this
-	// entry's revision.
+	// Add stores an entry; a subsequent Lookup sees it.
 	Add(e Entry) error
 	// Lookup returns the known-best configuration for a profile if the
 	// similarity function matches it confidently (§5.6).
@@ -171,7 +149,7 @@ type Store interface {
 }
 
 // Save writes the store's entries as a JSON snapshot. OpenPersistent is
-// what reads one back (the model is refit on load).
+// what reads one back.
 func Save(w io.Writer, s Store) error { return saveEntries(w, s.Entries(), 0) }
 
 // snapshot is the JSON persistence format. Seq is the write-ahead-log
@@ -249,61 +227,4 @@ func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
-}
-
-// groupMembers lays the fitted entries out per similarity group, each
-// group ordered by configuration (lexicographically by its String, in
-// insertion order within one configuration): the layout vote tallies in
-// one pass.
-func groupMembers(entries []Entry, sim *kmeansSimilarity) [][]Entry {
-	keys := make([]string, len(entries))
-	order := make([]int, len(entries))
-	for i, e := range entries {
-		keys[i], order[i] = e.BestSys.String(), i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
-	members := make([][]Entry, sim.groups())
-	for _, i := range order {
-		g := sim.groupOf(i)
-		members[g] = append(members[g], entries[i])
-	}
-	return members
-}
-
-// vote returns the configuration that won most often among the members
-// whose squared distance to query is below bound (a nil query with an
-// infinite bound counts them all), ties going to the lower mean
-// relative-advantage metric, then to the lexicographically first
-// configuration. members must be laid out as groupMembers lays them out,
-// so each configuration is one run and the tally needs no map. ok is
-// false when no member counts.
-func vote(members []Entry, query []float64, bound float64) (best params.SysConfig, ok bool) {
-	bestN, bestSum := 0, 0.0
-	for i := 0; i < len(members); {
-		sys := members[i].BestSys
-		n, sum := 0, 0.0
-		for ; i < len(members) && members[i].BestSys == sys; i++ {
-			if _, near := sqDistWithin(query, members[i].Features, bound); near {
-				n++
-				sum += members[i].Metric
-			}
-		}
-		if n > bestN || (n > 0 && n == bestN && sum/float64(n) < bestSum/float64(bestN)) {
-			best, bestN, bestSum = sys, n, sum
-		}
-	}
-	return best, bestN > 0
-}
-
-// mix64 is a splitmix64 finaliser: it derives well-distributed seeds from
-// (store seed, shard, revision) tuples so deferred refits are reproducible
-// regardless of how many refits actually ran in between.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }

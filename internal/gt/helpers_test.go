@@ -49,7 +49,7 @@ func gtEntry(i int) Entry {
 
 // familyEntry fabricates an entry whose features sit in one of nFamilies
 // well-separated clusters — the synthetic analogue of distinct workload
-// families, for routing and sharding tests.
+// families.
 func familyEntry(family, i, nFamilies int) Entry {
 	base := float64(family * 100)
 	jitter := float64(i%5) * 0.2
@@ -61,8 +61,32 @@ func familyEntry(family, i, nFamilies int) Entry {
 }
 
 // eachStore runs the Store contract suite's subtest against a fresh
-// instance of the implementation.
+// store. The subtest is named for NewSharded, the constructor the
+// end-to-end benchmark builds its store with, which it goes through.
 func eachStore(t *testing.T, fn func(t *testing.T, s Store)) {
 	t.Helper()
 	t.Run("sharded", func(t *testing.T) { fn(t, NewSharded(DefaultConfig(), 1)) })
+}
+
+// benchFeatures fabricates a 58-dimension profile (the PMU feature width
+// real trials produce) for one of several well-separated families.
+func benchFeatures(family, i int) []float64 {
+	f := make([]float64, 58)
+	for j := range f {
+		f[j] = float64((family*37+j*13)%97) * 10
+	}
+	// Per-sample jitter on a few dimensions, like seed-to-seed profile
+	// noise within one workload family.
+	for _, j := range []int{3, 17, 29, 41} {
+		f[j] += float64(i%7) * 0.3
+	}
+	return f
+}
+
+func benchEntry(family, i int) Entry {
+	return Entry{
+		Features: benchFeatures(family, i),
+		BestSys:  probeGrid()[family%len(probeGrid())],
+		Metric:   0.5,
+	}
 }

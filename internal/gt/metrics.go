@@ -15,16 +15,14 @@ type Instrumentable interface {
 	InstrumentMetrics(reg *metrics.Registry)
 }
 
-// storeInstruments are the registry handles shared by the in-memory
-// store implementations. All fields are nil-safe: an uninstrumented
-// store carries a nil pointer and the hot paths skip even the
-// time.Now calls.
+// storeInstruments are the in-memory store's registry handles. An
+// uninstrumented store carries a nil pointer and the hot paths skip even
+// the time.Now calls.
 type storeInstruments struct {
 	lookupSeconds *metrics.Distribution
 	addSeconds    *metrics.Distribution
 	hits          *metrics.Counter
 	misses        *metrics.Counter
-	shardSplits   *metrics.Counter
 }
 
 func newStoreInstruments(reg *metrics.Registry) *storeInstruments {
@@ -40,8 +38,6 @@ func newStoreInstruments(reg *metrics.Registry) *storeInstruments {
 			"Ground-truth lookups that returned a configuration."),
 		misses: reg.Counter("pipetune_gt_lookup_misses_total",
 			"Ground-truth lookups that found no match."),
-		shardSplits: reg.Counter("pipetune_gt_shard_splits_total",
-			"Completed shard splits in the sharded ground-truth store."),
 	}
 }
 

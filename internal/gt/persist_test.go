@@ -11,10 +11,11 @@ import (
 	"testing"
 )
 
-// openTestPersistent opens a persistent store over a fresh sharded inner.
+// openTestPersistent opens a persistent store over a fresh in-memory
+// inner store.
 func openTestPersistent(t testing.TB, path string, opt PersistOptions) *Persistent {
 	t.Helper()
-	p, err := OpenPersistent(path, NewSharded(DefaultConfig(), 1), opt)
+	p, err := OpenPersistent(path, NewMemory(DefaultConfig()), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestPersistentCrashSafetyProperty(t *testing.T) {
 		}
 	}
 	check := func(t *testing.T, tag string) {
-		p2, err := OpenPersistent(path, NewSharded(DefaultConfig(), 1), PersistOptions{})
+		p2, err := OpenPersistent(path, NewMemory(DefaultConfig()), PersistOptions{})
 		if err != nil {
 			t.Fatalf("%s: recovery refused: %v", tag, err)
 		}
@@ -311,7 +312,7 @@ func TestPersistentRecoveryTruncatesDamagedTail(t *testing.T) {
 // entries the caller already loaded (e.g. Bootstrap before service
 // start).
 func TestOpenPersistentKeepsPrewarmedInnerOnFirstBoot(t *testing.T) {
-	inner := NewSharded(DefaultConfig(), 1)
+	inner := NewMemory(DefaultConfig())
 	for i := 0; i < 5; i++ {
 		if err := inner.Add(gtEntry(i)); err != nil {
 			t.Fatal(err)

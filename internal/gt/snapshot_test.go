@@ -52,7 +52,7 @@ func TestStoreConcurrentAddSaveLoad(t *testing.T) {
 		if err := Save(&buf, s); err != nil {
 			t.Fatal(err)
 		}
-		restored := NewSharded(DefaultConfig(), 1)
+		restored := NewMemory(DefaultConfig())
 		if err := loadInto(&buf, restored); err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func FuzzGTLoad(f *testing.F) {
 	}
 	f.Add(seq.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := NewSharded(DefaultConfig(), 1)
+		s := NewMemory(DefaultConfig())
 		if err := loadInto(bytes.NewReader(data), s); err != nil {
 			return
 		}

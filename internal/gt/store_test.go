@@ -70,10 +70,10 @@ func TestStoreAddValidation(t *testing.T) {
 // TestEntryOfAnotherWidthIsRejected holds the store to one feature width:
 // an entry of another width, or one holding NaN or ±Inf, is refused by
 // Add, Replace and a snapshot load alike, and the store goes on
-// answering. Accepted, one odd entry would make every refit of its shard
-// fail, and so every lookup routed there miss.
+// answering. Accepted, one odd entry would leave every lookup a distance
+// the store cannot measure.
 func TestEntryOfAnotherWidthIsRejected(t *testing.T) {
-	s := NewSharded(DefaultConfig(), 1)
+	s := NewMemory(DefaultConfig())
 	for i := 0; i < 20; i++ {
 		if err := s.Add(benchEntry(i%2, i)); err != nil {
 			t.Fatal(err)
@@ -141,7 +141,7 @@ func TestStoreSaveLoad(t *testing.T) {
 		if err := Save(&buf, s); err != nil {
 			t.Fatal(err)
 		}
-		restored := NewSharded(DefaultConfig(), 2)
+		restored := NewMemory(DefaultConfig())
 		if err := loadInto(&buf, restored); err != nil {
 			t.Fatal(err)
 		}
@@ -206,52 +206,6 @@ func TestStoreSaveIsLegacyCompatible(t *testing.T) {
 	})
 }
 
-// TestDeferredRefitMatchesEager is the incremental-maintenance
-// equivalence proof: a store whose model is refit lazily (lookups only at
-// the end) must answer every probe exactly like one that was forced to
-// refit after every single Add — the revision watermark changes when the
-// refit happens, never its outcome.
-func TestDeferredRefitMatchesEager(t *testing.T) {
-	const families, perFamily = 3, 12
-	build := func(eager bool) *Sharded {
-		s := NewSharded(DefaultConfig(), 7)
-		for i := 0; i < perFamily; i++ {
-			for f := 0; f < families; f++ {
-				if err := s.Add(familyEntry(f, i, families)); err != nil {
-					t.Fatal(err)
-				}
-				if eager {
-					// Force the refit immediately, as the old design did.
-					s.Lookup(familyEntry(f, i, families).Features)
-				}
-			}
-		}
-		return s
-	}
-	eager, deferred := build(true), build(false)
-
-	for f := 0; f < families; f++ {
-		for i := 0; i < perFamily+5; i++ {
-			q := familyEntry(f, i, families).Features
-			ec, eok := eager.Lookup(q)
-			dc, dok := deferred.Lookup(q)
-			if eok != dok || ec != dc {
-				t.Fatalf("family %d query %d: eager=(%v,%v) deferred=(%v,%v)",
-					f, i, ec, eok, dc, dok)
-			}
-		}
-	}
-	// After the probes both stores' models cover every entry.
-	ei, di := eager.Info(), deferred.Info()
-	if ei.Shards != di.Shards {
-		t.Fatalf("shard layouts diverged: eager %d, deferred %d", ei.Shards, di.Shards)
-	}
-	if di.ModelRev != di.Rev {
-		t.Fatalf("deferred store left stale models behind the watermark: model %d, rev %d",
-			di.ModelRev, di.Rev)
-	}
-}
-
 func TestStoreRev(t *testing.T) {
 	eachStore(t, func(t *testing.T, s Store) {
 		rev := func() uint64 { return s.Info().Rev }
@@ -281,41 +235,4 @@ func TestStoreRev(t *testing.T) {
 			t.Errorf("rev after a load = %d, want > %d", rev(), before)
 		}
 	})
-}
-
-// TestShardedReplaceKeepsWatermarkInvariant pins the Rev/ModelRev
-// contract across Replace: after restoring a snapshot and warming every
-// shard's model, ModelRev must equal Rev exactly (and never exceed it in
-// between) — the watermark comparison stats consumers rely on.
-func TestShardedReplaceKeepsWatermarkInvariant(t *testing.T) {
-	s := NewSharded(DefaultConfig(), 1)
-	var entries []Entry
-	for i := 0; i < 10; i++ {
-		e := gtEntry(i)
-		entries = append(entries, e)
-		if err := s.Add(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Replace(entries); err != nil {
-		t.Fatal(err)
-	}
-	if info := s.Info(); info.ModelRev > info.Rev {
-		t.Fatalf("after Replace: modelRev %d > rev %d", info.ModelRev, info.Rev)
-	}
-	// Warm every shard model.
-	for _, e := range entries {
-		s.Lookup(e.Features)
-	}
-	if info := s.Info(); info.ModelRev != info.Rev {
-		t.Fatalf("after warming: modelRev %d != rev %d", info.ModelRev, info.Rev)
-	}
-	// Adds after a Replace keep the invariant moving in lockstep.
-	if err := s.Add(gtEntry(100)); err != nil {
-		t.Fatal(err)
-	}
-	s.Lookup(gtEntry(100).Features)
-	if info := s.Info(); info.ModelRev != info.Rev {
-		t.Fatalf("after post-Replace add: modelRev %d != rev %d", info.ModelRev, info.Rev)
-	}
 }

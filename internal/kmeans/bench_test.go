@@ -31,19 +31,3 @@ func BenchmarkFit384x58(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkPredict(b *testing.B) {
-	points := benchPoints(256, 58)
-	r := xrand.New(1)
-	m, err := Fit(points, DefaultConfig(), r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	query := points[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := m.Predict(query); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -1,18 +1,17 @@
-// Package kmeans implements Lloyd's algorithm with k-means++ seeding — the
-// similarity function PipeTune's ground-truth phase uses (§5.4): historical
-// per-epoch profiles are clustered (k=2 in the paper, one cluster per
-// workload family), and a new profile is "similar" when its distance to the
-// nearest centroid is within the cluster's inertia-derived radius (§5.6).
+// Package kmeans implements Lloyd's algorithm with k-means++ seeding, the
+// clustering of Figure 8: per-epoch profiles of the catalog's workloads
+// grouped into k=2 clusters, as the paper's ground-truth phase clusters
+// them (§5.4). The ground-truth store itself answers by nearest neighbour
+// (internal/gt).
 //
 // The implementation mirrors scikit-learn's KMeans at the feature level:
-// inertia (within-cluster sum of squared distances), per-cluster membership
-// and centroid-distance prediction.
+// inertia (within-cluster sum of squared distances) and per-point
+// cluster labels.
 package kmeans
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"pipetune/internal/xrand"
 )
@@ -26,10 +25,6 @@ type Model struct {
 	Labels []int `json:"labels"`
 	// Inertia is the total within-cluster sum of squared distances.
 	Inertia float64 `json:"inertia"`
-	// ClusterInertia is the per-cluster share of Inertia.
-	ClusterInertia []float64 `json:"clusterInertia"`
-	// ClusterSize is the number of training points per cluster.
-	ClusterSize []int `json:"clusterSize"`
 }
 
 // Config controls fitting.
@@ -137,18 +132,9 @@ func fitOnce(points [][]float64, cfg Config, r *xrand.Source) *Model {
 		}
 	}
 
-	m := &Model{
-		K:              cfg.K,
-		Centroids:      centroids,
-		Labels:         labels,
-		ClusterInertia: make([]float64, cfg.K),
-		ClusterSize:    make([]int, cfg.K),
-	}
+	m := &Model{K: cfg.K, Centroids: centroids, Labels: labels}
 	for i, p := range points {
-		d := sqDist(p, centroids[labels[i]])
-		m.Inertia += d
-		m.ClusterInertia[labels[i]] += d
-		m.ClusterSize[labels[i]]++
+		m.Inertia += sqDist(p, centroids[labels[i]])
 	}
 	return m
 }
@@ -192,36 +178,4 @@ func seedPlusPlus(points [][]float64, k int, r *xrand.Source) [][]float64 {
 		centroids = append(centroids, next)
 	}
 	return centroids
-}
-
-// Predict returns the nearest cluster and the Euclidean distance to its
-// centroid.
-func (m *Model) Predict(p []float64) (cluster int, distance float64, err error) {
-	if len(m.Centroids) == 0 {
-		return 0, 0, errors.New("kmeans: empty model")
-	}
-	if len(p) != len(m.Centroids[0]) {
-		return 0, 0, fmt.Errorf("kmeans: point dim %d, model dim %d", len(p), len(m.Centroids[0]))
-	}
-	best, bestD := 0, sqDist(p, m.Centroids[0])
-	for c := 1; c < len(m.Centroids); c++ {
-		if d := sqDist(p, m.Centroids[c]); d < bestD {
-			best, bestD = c, d
-		}
-	}
-	return best, math.Sqrt(bestD), nil
-}
-
-// Radius returns the similarity radius of a cluster: the RMS distance of
-// its members to the centroid (√(cluster inertia / size)). §5.6 compares a
-// new point's centroid distance against this inertia-derived scale to
-// decide between reuse and re-probing.
-func (m *Model) Radius(cluster int) (float64, error) {
-	if cluster < 0 || cluster >= m.K {
-		return 0, fmt.Errorf("kmeans: cluster %d out of range", cluster)
-	}
-	if m.ClusterSize[cluster] == 0 {
-		return 0, nil
-	}
-	return math.Sqrt(m.ClusterInertia[cluster] / float64(m.ClusterSize[cluster])), nil
 }

@@ -58,64 +58,6 @@ func TestInertiaDecreasesWithBetterK(t *testing.T) {
 	}
 }
 
-func TestPredictNearestCentroid(t *testing.T) {
-	r := xrand.New(5)
-	points, _ := twoBlobs(r, 100)
-	m, err := Fit(points, DefaultConfig(), r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A point at one blob centre must be predicted into the cluster whose
-	// centroid is nearest, with a small distance.
-	c, d, err := m.Predict([]float64{0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := 1 - c
-	dOther := math.Hypot(m.Centroids[other][0], m.Centroids[other][1])
-	if d >= dOther {
-		t.Fatalf("predicted distance %v not below other centroid distance %v", d, dOther)
-	}
-}
-
-func TestPredictValidation(t *testing.T) {
-	r := xrand.New(5)
-	points, _ := twoBlobs(r, 50)
-	m, err := Fit(points, DefaultConfig(), r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := m.Predict([]float64{1, 2, 3}); err == nil {
-		t.Fatal("dimension mismatch accepted")
-	}
-	empty := &Model{}
-	if _, _, err := empty.Predict([]float64{1}); err == nil {
-		t.Fatal("empty model accepted")
-	}
-}
-
-func TestRadius(t *testing.T) {
-	r := xrand.New(7)
-	points, _ := twoBlobs(r, 200)
-	m, err := Fit(points, DefaultConfig(), r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < m.K; c++ {
-		rad, err := m.Radius(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Unit-variance 2D Gaussian: RMS distance ~ sqrt(2) ≈ 1.41.
-		if rad < 0.8 || rad > 2.5 {
-			t.Fatalf("cluster %d radius %v implausible for unit blobs", c, rad)
-		}
-	}
-	if _, err := m.Radius(99); err == nil {
-		t.Fatal("out-of-range cluster accepted")
-	}
-}
-
 func TestMembersWithinFewRadii(t *testing.T) {
 	r := xrand.New(9)
 	points, _ := twoBlobs(r, 300)
@@ -123,14 +65,17 @@ func TestMembersWithinFewRadii(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A cluster's radius is the RMS distance of its members to its
+	// centroid.
+	ssq, size := make([]float64, m.K), make([]int, m.K)
+	for i, p := range points {
+		ssq[m.Labels[i]] += sqDist(p, m.Centroids[m.Labels[i]])
+		size[m.Labels[i]]++
+	}
 	outliers := 0
 	for i, p := range points {
-		rad, _ := m.Radius(m.Labels[i])
-		_, d, err := m.Predict(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d > 3*rad {
+		c := m.Labels[i]
+		if sqDist(p, m.Centroids[c]) > 9*ssq[c]/float64(size[c]) {
 			outliers++
 		}
 	}
@@ -206,8 +151,8 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	}
 }
 
-// Property: every label is in range, cluster sizes sum to n, and inertia
-// equals the sum of per-cluster inertias.
+// Property: every point has a label in range, and inertia equals the sum
+// of the points' squared distances to their clusters' centroids.
 func TestQuickModelInvariants(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw)%80 + 4
@@ -217,26 +162,17 @@ func TestQuickModelInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		total := 0
-		for _, s := range m.ClusterSize {
-			total += s
-		}
-		if total != n {
+		if len(m.Labels) != n {
 			return false
 		}
 		sum := 0.0
-		for _, ci := range m.ClusterInertia {
-			sum += ci
-		}
-		if math.Abs(sum-m.Inertia) > 1e-6*(1+m.Inertia) {
-			return false
-		}
-		for _, l := range m.Labels {
-			if l < 0 || l >= 2 {
+		for i, p := range points {
+			if l := m.Labels[i]; l < 0 || l >= 2 {
 				return false
 			}
+			sum += sqDist(p, m.Centroids[m.Labels[i]])
 		}
-		return true
+		return math.Abs(sum-m.Inertia) <= 1e-6*(1+m.Inertia)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

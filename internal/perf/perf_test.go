@@ -89,18 +89,12 @@ func TestWorkloadFamiliesAreSeparable(t *testing.T) {
 	lenet := workload.Workload{Model: workload.LeNet5, Dataset: workload.MNIST}
 	lstm := workload.Workload{Model: workload.LSTM, Dataset: workload.News20}
 
-	intra, err := stats.EuclideanDistance(
+	intra := distance(
 		profileFor(t, lenet, params.DefaultHyper(), params.DefaultSysConfig(), 1).Features(),
 		profileFor(t, lenet, params.DefaultHyper(), params.DefaultSysConfig(), 2).Features())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inter, err := stats.EuclideanDistance(
+	inter := distance(
 		profileFor(t, lenet, params.DefaultHyper(), params.DefaultSysConfig(), 1).Features(),
 		profileFor(t, lstm, params.DefaultHyper(), params.DefaultSysConfig(), 1).Features())
-	if err != nil {
-		t.Fatal(err)
-	}
 	if inter < intra*3 {
 		t.Fatalf("inter-family distance %v not well above intra-workload %v", inter, intra)
 	}
@@ -118,10 +112,7 @@ func TestInitPhaseDiffersFromTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := stats.EuclideanDistance(train.Features(), initP.Features())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := distance(train.Features(), initP.Features())
 	if d < 1 {
 		t.Fatalf("init phase indistinguishable from training (distance %v)", d)
 	}
@@ -257,18 +248,22 @@ func TestFeaturesScaleInvariantAcrossCores(t *testing.T) {
 	w := workload.Workload{Model: workload.LeNet5, Dataset: workload.MNIST}
 	at4 := profileFor(t, w, params.DefaultHyper(), params.SysConfig{Cores: 4, MemoryGB: 16}, 3)
 	at16 := profileFor(t, w, params.DefaultHyper(), params.SysConfig{Cores: 16, MemoryGB: 16}, 3)
-	sameWorkload, err := stats.EuclideanDistance(at4.Features(), at16.Features())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sameWorkload := distance(at4.Features(), at16.Features())
 	other := workload.Workload{Model: workload.LSTM, Dataset: workload.News20}
-	cross, err := stats.EuclideanDistance(
+	cross := distance(
 		at4.Features(),
 		profileFor(t, other, params.DefaultHyper(), params.SysConfig{Cores: 4, MemoryGB: 16}, 3).Features())
-	if err != nil {
-		t.Fatal(err)
-	}
 	if sameWorkload*2 > cross {
 		t.Fatalf("core-count change (%v) not well below workload change (%v)", sameWorkload, cross)
 	}
+}
+
+// distance is the Euclidean distance between two profiles' features.
+func distance(a, b []float64) float64 {
+	sum := 0.0
+	for i := range a {
+		d := a[i] - b[i]
+		sum += d * d
+	}
+	return math.Sqrt(sum)
 }

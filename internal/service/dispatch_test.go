@@ -386,7 +386,7 @@ func (f *failingStore) Entries() []gt.Entry {
 // export: a store failure mid-export must surface as HTTP 500, never as a
 // 200 whose truncated body the importer cannot tell from a complete dump.
 func TestExportFailureIsNotA200(t *testing.T) {
-	failing := &failingStore{Store: gt.NewSharded(gt.DefaultConfig(), 42)}
+	failing := &failingStore{Store: gt.NewMemory(gt.DefaultConfig())}
 	sys := newSystem(t, pipetune.WithGroundTruthStore(failing))
 	_, cl := newServer(t, Config{System: sys})
 

@@ -65,19 +65,6 @@ func TrapezoidUniform(y []float64, dx float64) float64 {
 	return total
 }
 
-// EuclideanDistance returns the L2 distance between equal-length vectors.
-func EuclideanDistance(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, errors.New("stats: vectors have different lengths")
-	}
-	sum := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum), nil
-}
-
 // Log1pScale maps each value through log1p, compressing the many-orders-of-
 // magnitude spread of hardware-counter readings (Figure 2 spans 1e2..1e8)
 // before clustering.

@@ -90,16 +90,6 @@ func TestTrapezoidConstantPower(t *testing.T) {
 	}
 }
 
-func TestEuclideanDistance(t *testing.T) {
-	d, err := EuclideanDistance([]float64{0, 0}, []float64{3, 4})
-	if err != nil || !almostEqual(d, 5, 1e-12) {
-		t.Fatalf("distance = %v, %v; want 5", d, err)
-	}
-	if _, err := EuclideanDistance([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch not rejected")
-	}
-}
-
 func TestLog1pScale(t *testing.T) {
 	out := Log1pScale([]float64{0, math.E - 1, -5})
 	if !almostEqual(out[0], 0, 1e-12) || !almostEqual(out[1], 1, 1e-12) {

@@ -280,7 +280,7 @@ type ExecBackend = exec.Backend
 func (s *System) SetExecBackend(b ExecBackend) { s.tuner.Exec = b }
 
 // GroundTruthStore is the pluggable ground-truth database behind
-// PipeTune's cross-job reuse (§5.4): the default sharded store or the
+// PipeTune's cross-job reuse (§5.4): the default in-memory store or the
 // daemon's WAL-backed persistent wrapper around it.
 type GroundTruthStore = gt.Store
 
@@ -305,8 +305,7 @@ func New(opts ...Option) (*System, error) {
 		seed:    1,
 	}
 	s.tuner = tune.NewRunner(s.trainer, s.cluster)
-	s.pipetune = core.New(s.tuner, s.seed)
-	s.pipetune.GT = nil // built below, once the options have fixed the seed
+	s.pipetune = core.New(s.tuner)
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -315,9 +314,6 @@ func New(opts ...Option) (*System, error) {
 	}
 	// Re-wire in case the cluster was swapped by an option.
 	s.tuner.Cluster = s.cluster
-	if s.pipetune.GT == nil {
-		s.pipetune.GT = gt.NewSharded(gt.DefaultConfig(), s.seed)
-	}
 	return s, nil
 }
 

@@ -3,7 +3,6 @@ package pipetune
 import (
 	"encoding/json"
 	"errors"
-	"reflect"
 	"sync"
 	"testing"
 )
@@ -184,32 +183,6 @@ func TestFacadeV2Mode(t *testing.T) {
 	}
 	if res.Best == nil {
 		t.Fatal("no best trial")
-	}
-}
-
-// TestWithSeedSeedsDefaultGroundTruth: the store New builds takes the
-// seed the options fix.
-func TestWithSeedSeedsDefaultGroundTruth(t *testing.T) {
-	storeSeed := func(opts ...Option) uint64 {
-		t.Helper()
-		s, err := New(opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The store's seed is unexported and shows in no result a test
-		// could pin (k-means over two separated families converges alike
-		// from most seeds), so read the field.
-		f := reflect.ValueOf(s.GroundTruth()).Elem().FieldByName("seed")
-		if !f.IsValid() {
-			t.Fatalf("%T has no seed field", s.GroundTruth())
-		}
-		return f.Uint()
-	}
-	if got := storeSeed(WithSeed(7)); got != 7 {
-		t.Errorf("WithSeed(7): store seeded %d", got)
-	}
-	if got := storeSeed(WithSeed(8)); got != 8 {
-		t.Errorf("WithSeed(8): store seeded %d", got)
 	}
 }
 
