@@ -68,9 +68,9 @@ func eachStore(t *testing.T, fn func(t *testing.T, s Store)) {
 	t.Run("sharded", func(t *testing.T) { fn(t, NewSharded(DefaultConfig(), 1)) })
 }
 
-// benchFeatures fabricates a 58-dimension profile (the PMU feature width
+// wideFeatures fabricates a 58-dimension profile (the PMU feature width
 // real trials produce) for one of several well-separated families.
-func benchFeatures(family, i int) []float64 {
+func wideFeatures(family, i int) []float64 {
 	f := make([]float64, 58)
 	for j := range f {
 		f[j] = float64((family*37+j*13)%97) * 10
@@ -83,9 +83,9 @@ func benchFeatures(family, i int) []float64 {
 	return f
 }
 
-func benchEntry(family, i int) Entry {
+func wideEntry(family, i int) Entry {
 	return Entry{
-		Features: benchFeatures(family, i),
+		Features: wideFeatures(family, i),
 		BestSys:  probeGrid()[family%len(probeGrid())],
 		Metric:   0.5,
 	}

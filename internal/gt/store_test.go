@@ -75,20 +75,20 @@ func TestStoreAddValidation(t *testing.T) {
 func TestEntryOfAnotherWidthIsRejected(t *testing.T) {
 	s := NewMemory(DefaultConfig())
 	for i := 0; i < 20; i++ {
-		if err := s.Add(benchEntry(i%2, i)); err != nil {
+		if err := s.Add(wideEntry(i%2, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	query := benchFeatures(0, 99)
+	query := wideFeatures(0, 99)
 	want, ok := s.Lookup(query)
 	if !ok {
 		t.Fatal("the 58-wide store missed before the odd entry")
 	}
 	odd := []Entry{
 		{Features: []float64{1, 2, 3}, BestSys: params.DefaultSysConfig()},
-		{Features: append(benchFeatures(0, 1)[:57], math.NaN()), BestSys: params.DefaultSysConfig()},
-		{Features: append(benchFeatures(0, 1)[:57], math.Inf(-1)), BestSys: params.DefaultSysConfig()},
-		{Features: benchFeatures(0, 1), BestSys: params.DefaultSysConfig(), Metric: math.Inf(1)},
+		{Features: append(wideFeatures(0, 1)[:57], math.NaN()), BestSys: params.DefaultSysConfig()},
+		{Features: append(wideFeatures(0, 1)[:57], math.Inf(-1)), BestSys: params.DefaultSysConfig()},
+		{Features: wideFeatures(0, 1), BestSys: params.DefaultSysConfig(), Metric: math.Inf(1)},
 	}
 	for _, e := range odd {
 		if err := s.Add(e); err == nil {
