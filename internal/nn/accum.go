@@ -2,18 +2,17 @@ package nn
 
 import "math"
 
-// term is one non-zero contribution to an accumulate call: the scalar v
-// and the element offset of the row of w it scales. The layout (16
-// bytes, v first) is read by accumAsm.
+// term is one non-zero contribution to an accumGeneric call: the scalar
+// v and the element offset of the row of w it scales.
 type term struct {
 	v   float64
 	off int
 }
 
 const (
-	// maxTerms bounds one accumulate call's term list, which lives in a
-	// fixed-size stack scratch (1 KiB). A power of two: the compaction
-	// loop masks its write index with maxTerms-1.
+	// maxTerms bounds a k-chunk, and so one row's term list, which lives
+	// in a fixed-size stack scratch (1 KiB, the assembly's frame). A
+	// power of two: compact masks its write index with maxTerms-1.
 	maxTerms = 64
 	// panelElems sizes the k-chunk: the rows of w one chunk touches
 	// (chunk × row stride float64s, 24 KiB) stay in L1 while every
@@ -26,7 +25,8 @@ const (
 // it is the straight loop's sequence of one rounded multiply and one
 // rounded add per term — the float64 conversion forbids the fused
 // multiply-add some targets would otherwise emit — so it is the
-// reference accumAsm is compared with, and the only path off amd64.
+// reference the assembly is compared with, and with compact the only
+// path without AVX2.
 func accumGeneric(o, w []float64, ts []term) {
 	j := 0
 	for ; j+4 <= len(o); j += 4 {
@@ -50,8 +50,8 @@ func accumGeneric(o, w []float64, ts []term) {
 }
 
 // compact writes the non-zero ones of the cnt values a[0], a[ak],
-// a[2·ak], … to ts in order, each with the offset of its row of w (off,
-// off+ws, …), and returns how many it kept. It always writes and
+// a[2·ak], … to ts in order, each with the offset of its row of w (0,
+// ws, 2·ws, …), and returns how many it kept. It always writes and
 // advances only past a non-zero: bits<<1 is zero exactly for ±0, and
 // (b|-b)>>63 is its "non-zero" bit without a data-dependent branch —
 // post-ReLU and dropped-out rows are 50–75 % zeros, unpredictably placed.
@@ -63,9 +63,9 @@ func accumGeneric(o, w []float64, ts []term) {
 // doubled the loop's cost on sparse rows.
 //
 //go:noinline
-func compact(ts []term, a []float64, ak, cnt, off, ws int) int {
+func compact(ts []term, a []float64, ak, cnt, ws int) int {
 	ts = ts[:maxTerms]
-	nt := 0
+	nt, off := 0, 0
 	for i := 0; cnt > 0; cnt-- {
 		v := a[i]
 		i += ak
@@ -84,23 +84,30 @@ func compact(ts []term, a []float64, ak, cnt, off, ws int) int {
 //
 // skipping the terms whose a is ±0 (NaN is kept — the rule the straight
 // loops' `== 0 → continue` had; see Dense.Backward for why skipping is
-// bit-exact). The k range is cut into chunks whose w panel fits L1; per
-// (chunk, row) the non-zero terms are compacted once, branch-free, into
-// a stack list and handed to accum, which keeps o's columns in
-// registers across the list. Chunks ascend, so every o element still
-// sees its terms in ascending k: the result is bit-identical to the
-// per-term axpy nests this replaces, at any chunk size.
+// bit-exact). The k range is cut into chunks whose w panel fits L1, and
+// accumChunk runs one chunk over all the rows: per row it compacts the
+// chunk's non-zero terms once, branch-free, into a stack list and
+// accumulates the list with o's columns held in registers. Chunks
+// ascend, so every o element still sees its terms in ascending k: the
+// result is bit-identical to the per-term axpy nests this replaces, at
+// any chunk size.
 func accumRows(o []float64, os, n int, a []float64, ar, ak, kn int, w []float64, ws, lo, hi int) {
-	if n == 0 {
+	if n == 0 || lo >= hi {
 		return
 	}
 	kc := min(max(panelElems/ws, 8), maxTerms)
-	var ts [maxTerms]term
 	for k0 := 0; k0 < kn; k0 += kc {
 		k1 := min(k0+kc, kn)
-		for r := lo; r < hi; r++ {
-			nt := compact(ts[:], a[r*ar+k0*ak:], ak, k1-k0, k0*ws, ws)
-			accum(o[r*os:r*os+n], w, ts[:nt])
-		}
+		accumChunk(o[lo*os:], os, n, a[lo*ar+k0*ak:], ar, ak, k1-k0, w[k0*ws:], ws, hi-lo)
+	}
+}
+
+// accumChunkGeneric is accumChunk's portable twin, the path without
+// AVX2: per row, compact the chunk's terms, then accumGeneric.
+func accumChunkGeneric(o []float64, os, n int, a []float64, ar, ak, cnt int, w []float64, ws, rows int) {
+	var ts [maxTerms]term
+	for r := 0; r < rows; r++ {
+		nt := compact(ts[:], a[r*ar:], ak, cnt, ws)
+		accumGeneric(o[r*os:r*os+n], w, ts[:nt])
 	}
 }

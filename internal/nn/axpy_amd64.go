@@ -2,14 +2,15 @@
 
 package nn
 
-// useAVX selects the 4-lane axpy path and the register-accumulating
-// accum kernel when the CPU and OS support YMM state; the amd64 baseline
-// guarantees the 2-lane SSE2 axpy and the portable accumGeneric. Read by
-// the assembly dispatch in axpy_amd64.s.
-var useAVX = cpuHasAVX()
+// useAVX2 selects the 4-lane axpy path and the fused accumulate kernel
+// when the CPU has AVX2 and the OS saves YMM state; otherwise axpy takes
+// the 2-lane SSE2 path the amd64 baseline guarantees and accumRows the
+// portable accumChunkGeneric. Read by the assembly dispatch in
+// axpy_amd64.s.
+var useAVX2 = cpuHasAVX2()
 
-// cpuHasAVX is implemented in axpy_amd64.s (CPUID + XGETBV).
-func cpuHasAVX() bool
+// cpuHasAVX2 is implemented in axpy_amd64.s (CPUID + XGETBV).
+func cpuHasAVX2() bool
 
 //go:noescape
 func axpyAsm(o, w *float64, n int, a float64)
@@ -21,22 +22,48 @@ func reluFwdAsm(dst, src *float64, n int)
 func reluBwdAsm(dst, y, grad *float64, n int)
 
 //go:noescape
-func accumAsm(o *float64, n int, w *float64, ts *term, nt int)
+func accumChunkAsm(o *float64, os, n int, a *float64, ar, ak, cnt int, w *float64, ws, rows int)
 
-// accum computes o[j] += Σ_t ts[t].v·w[ts[t].off+j], t ascending — the
-// one hot kernel behind Dense forward, dx and gw (accum_amd64.s). Term
-// offsets must ascend, as accumRows builds them: the assembly reads w
-// unchecked, so the last term's row is bounds-checked here for all.
-func accum(o, w []float64, ts []term) {
-	if len(o) == 0 || len(ts) == 0 {
+// compactTab is the accumulate kernel's compaction table (accum_amd64.s):
+// for each 4-bit mask of the non-zero lanes among four float64s, the
+// VPERMD dword indices that move those lanes to the front in order, and
+// how many there are; then the lane numbers 0–3.
+var compactTab = func() (t struct {
+	perm  [16][8]uint32
+	count [16]uint8
+	lane  [4]uint64
+}) {
+	for m := range t.perm {
+		n := 0
+		for l := uint32(0); l < 4; l++ {
+			if m>>l&1 != 0 {
+				t.perm[m][2*n], t.perm[m][2*n+1] = 2*l, 2*l+1
+				n++
+			}
+		}
+		t.count[m] = uint8(n)
+	}
+	t.lane = [4]uint64{0, 1, 2, 3}
+	return t
+}()
+
+// accumChunk is accumRows' body for one k-chunk of cnt ≤ maxTerms terms:
+// for each of rows output rows r it adds Σ_k a[r·ar+k·ak]·w[k·ws+j] to
+// o[r·os+j], j < n, skipping ±0 terms — one assembly call for all rows
+// (accum_amd64.s). The assembly reads and writes unchecked, so the last
+// element of each operand is bounds-checked here for all.
+func accumChunk(o []float64, os, n int, a []float64, ar, ak, cnt int, w []float64, ws, rows int) {
+	if !useAVX2 {
+		accumChunkGeneric(o, os, n, a, ar, ak, cnt, w, ws, rows)
 		return
 	}
-	if !useAVX {
-		accumGeneric(o, w, ts)
-		return
+	if cnt < 1 || cnt > maxTerms {
+		panic("nn: accumulate chunk out of range")
 	}
-	_ = w[ts[len(ts)-1].off+len(o)-1]
-	accumAsm(&o[0], len(o), &w[0], &ts[0], len(ts))
+	_ = o[(rows-1)*os+n-1]
+	_ = a[(rows-1)*ar+(cnt-1)*ak]
+	_ = w[(cnt-1)*ws+n-1]
+	accumChunkAsm(&o[0], os, n, &a[0], ar, ak, cnt, &w[0], ws, rows)
 }
 
 // axpy computes o[j] += a*w[j] for all j — the SGD update's kernel. The

@@ -11,14 +11,14 @@
 
 // func axpyAsm(o, w *float64, n int, a float64)
 //
-// o[j] += a*w[j]. Dispatches on ·useAVX: 4-lane VEX path with a
+// o[j] += a*w[j]. Dispatches on ·useAVX2: 4-lane VEX path with a
 // 16-element main loop and 8/4/2/1 tails, or the baseline-SSE2 2-lane
 // path with an 8-element main loop and 4/2/1 tails.
 TEXT ·axpyAsm(SB), NOSPLIT, $0-32
 	MOVQ o+0(FP), DI
 	MOVQ w+8(FP), SI
 	MOVQ n+16(FP), CX
-	CMPB ·useAVX(SB), $0
+	CMPB ·useAVX2(SB), $0
 	JNE  avx
 
 	MOVSD    a+24(FP), X0
@@ -252,25 +252,33 @@ rbtail:
 rbdone:
 	RET
 
-// func cpuHasAVX() bool
-TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
+// func cpuHasAVX2() bool
+TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
+	// Require CPUID leaf 7, OSXSAVE (leaf 1 ECX bit 27) and AVX (bit
+	// 28), that the OS enabled XMM+YMM state (XCR0 bits 1 and 2), and
+	// AVX2 (leaf 7 EBX bit 5).
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JLT  noavx2
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
-
-	// Require OSXSAVE (ECX bit 27) and AVX (ECX bit 28), then confirm
-	// the OS enabled XMM+YMM state (XCR0 bits 1 and 2).
-	MOVL CX, DX
-	ANDL $0x18000000, DX
-	CMPL DX, $0x18000000
-	JNE  noavx
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE  noavx2
 	XORL CX, CX
 	XGETBV
 	ANDL $6, AX
 	CMPL AX, $6
-	JNE  noavx
+	JNE  noavx2
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	TESTL $0x20, BX
+	JZ    noavx2
 	MOVB $1, ret+0(FP)
 	RET
-noavx:
+noavx2:
 	MOVB $0, ret+0(FP)
 	RET

@@ -6,7 +6,9 @@ package nn
 // suites over this file), the kernels are the portable loops —
 // bit-identical to the assembly by construction.
 
-func accum(o, w []float64, ts []term) { accumGeneric(o, w, ts) }
+func accumChunk(o []float64, os, n int, a []float64, ar, ak, cnt int, w []float64, ws, rows int) {
+	accumChunkGeneric(o, os, n, a, ar, ak, cnt, w, ws, rows)
+}
 
 func axpy(o, w []float64, a float64) { axpyGeneric(o, w, a) }
 

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"pipetune/internal/dataset"
@@ -52,29 +53,46 @@ func BenchmarkEvaluate(b *testing.B) {
 // dominant shapes: the LeNet first layer, the widest CNN embedding
 // layer, the text models' first layer on real News20 rows (bag-of-words
 // counts, ≈ 97 % zeros: compaction, not arithmetic, is what it costs),
-// and a batch-1024 backward, the top of the batch-size grid, where g no
-// longer fits L1 and gw depends on the k-tiling.
+// a batch-1024 backward, the top of the batch-size grid, where g no
+// longer fits L1 and gw depends on the k-tiling; then LSTM's 300→151
+// layer over tanh output (every term non-zero), the 48→20 and 24→10
+// heads over ReLU output (all column tails), and a batch-1024 layer over
+// ReLU + dropout output, whose gw compacts a strided, 62 %-zero column.
 func BenchmarkKernels(b *testing.B) {
 	news, _, err := dataset.Generate(workload.Workload{Model: workload.CNN, Dataset: workload.News20}, 1,
 		dataset.Config{TrainSize: 256, TestSize: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	relu := func(v float64, _ *xrand.Source) float64 { return max(v, 0) }
 	shapes := []struct {
 		name          string
 		rows, in, out int
-		set           *dataset.Set // input rows; nil draws them dense from [-1, 1)
+		set           *dataset.Set // input rows; nil draws them from [-1, 1)
+		act           func(v float64, r *xrand.Source) float64
 	}{
-		{"dense-fwd-32x64x48", 32, 64, 48, nil},
-		{"dense-fwd-32x128x300", 32, 128, 300, nil},
-		{"dense-fwd-256x128x100-news20", 256, news.Dim, 100, news},
-		{"dense-fwd-1024x64x48", 1024, 64, 48, nil},
+		{"dense-fwd-32x64x48", 32, 64, 48, nil, nil},
+		{"dense-fwd-32x128x300", 32, 128, 300, nil, nil},
+		{"dense-fwd-256x128x100-news20", 256, news.Dim, 100, news, nil},
+		{"dense-fwd-1024x64x48", 1024, 64, 48, nil, nil},
+		{"dense-fwd-32x300x151-tanh", 32, 300, 151, nil, func(v float64, _ *xrand.Source) float64 { return math.Tanh(v) }},
+		{"dense-fwd-32x48x20-relu", 32, 48, 20, nil, relu},
+		{"dense-fwd-32x24x10-relu", 32, 24, 10, nil, relu},
+		{"dense-fwd-1024x48x24-relu-dropout", 1024, 48, 24, nil, func(v float64, r *xrand.Source) float64 {
+			if v <= 0 || r.Float64() < 0.25 {
+				return 0
+			}
+			return v / 0.75
+		}},
 	}
 	for _, sh := range shapes {
 		input := func(r *xrand.Source) *Batch {
 			x := &Batch{Data: make([]float64, sh.rows*sh.in), Rows: sh.rows, Cols: sh.in}
 			for i := range x.Data {
 				x.Data[i] = r.Range(-1, 1)
+				if sh.act != nil {
+					x.Data[i] = sh.act(x.Data[i], r)
+				}
 			}
 			if sh.set != nil {
 				for s := 0; s < sh.rows; s++ {
@@ -106,6 +124,34 @@ func BenchmarkKernels(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d.Backward(g)
+			}
+		})
+	}
+}
+
+// BenchmarkDropoutForward times the training-mode mask draw at the
+// layer's two catalog positions: after CNN/LSTM's widest embedding and
+// after LeNet's 48-wide layer at the largest batch.
+func BenchmarkDropoutForward(b *testing.B) {
+	for _, sh := range []struct {
+		name       string
+		rows, cols int
+		rate       float64
+	}{
+		{"32x300-rate0.5", 32, 300, 0.5},
+		{"1024x48-rate0.25", 1024, 48, 0.25},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			r := xrand.New(1)
+			x := &Batch{Data: make([]float64, sh.rows*sh.cols), Rows: sh.rows, Cols: sh.cols}
+			for i := range x.Data {
+				x.Data[i] = r.Range(-1, 1)
+			}
+			d := NewDropout(sh.rate, r.Split())
+			d.prealloc(sh.rows, sh.cols)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.Forward(x, true)
 			}
 		})
 	}

@@ -350,9 +350,20 @@ func (d *Dropout) prealloc(rows, cols int) int {
 	return cols
 }
 
-// Forward implements Layer. The mask draw is one RNG call per element in
-// row-major order: the dropout stream's draw sequence is part of a
-// trial's identity.
+// dropBlock is how many mask draws Dropout.Forward takes from its source
+// at a time, into a stack block.
+const dropBlock = 256
+
+// Forward implements Layer. The mask draw is one RNG output per element
+// in row-major order, the dropout stream's draw sequence being part of a
+// trial's identity; the outputs come dropBlock at a time from
+// xrand.Fill. An element is kept when its draw's Float64 is below keep.
+// That float is u>>11 scaled by the exact power of two 2⁻⁵³, so the test
+// is u>>11 < keep·2⁵³ — against an integer, u>>11 < ⌈keep·2⁵³⌉ — and its
+// outcome becomes an all-ones or all-zeros word: a kept element is
+// v/keep with mask 1/keep, as the reference computes them, and a dropped
+// one is +0 in both, without the branch a draw taken with probability
+// keep would mispredict.
 func (d *Dropout) Forward(x *Batch, train bool) *Batch {
 	if !train || d.Rate <= 0 {
 		d.active = false
@@ -360,19 +371,36 @@ func (d *Dropout) Forward(x *Batch, train bool) *Batch {
 	}
 	d.active = true
 	keep := 1 - d.Rate
+	inv := math.Float64bits(1 / keep)
+	var below uint64 // draws u>>11 < below are kept; none when keep ≤ 0 or NaN
+	if keep > 0 {
+		below = uint64(math.Ceil(keep * (1 << 53)))
+	}
 	d.mask.resize(x.Rows, x.Cols)
 	d.out.resize(x.Rows, x.Cols)
-	m, o, in := d.mask.Data, d.out.Data, x.Data
-	for i, v := range in {
-		if d.r.Float64() < keep {
-			m[i] = 1 / keep
-			o[i] = v / keep
-		} else {
-			m[i] = 0
-			o[i] = 0
-		}
+	m, o, in := d.mask.Data, d.out.Data, x.Data[:len(d.out.Data)]
+	var u [dropBlock]uint64
+	for len(in) > 0 {
+		blk := u[:min(dropBlock, len(in))]
+		d.r.Fill(blk)
+		dropBlockMask(m[:len(blk)], o[:len(blk)], in[:len(blk)], blk, below, inv, keep)
+		m, o, in = m[len(blk):], o[len(blk):], in[len(blk):]
 	}
 	return &d.out
+}
+
+// dropBlockMask applies one block of draws u to x, writing mask and
+// output. Its own function so the loop's few live values stay in
+// registers.
+func dropBlockMask(m, o, x []float64, u []uint64, below, inv uint64, keep float64) {
+	m, o, x = m[:len(u)], o[:len(u)], x[:len(u)]
+	for j, b := range u {
+		// u>>11 and below are at most 2⁵³: the difference's sign bit
+		// is set exactly when the draw is below.
+		kept := -((b>>11 - below) >> 63)
+		m[j] = math.Float64frombits(inv & kept)
+		o[j] = math.Float64frombits(math.Float64bits(x[j]/keep) & kept)
+	}
 }
 
 // Backward implements Layer.

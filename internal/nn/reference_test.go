@@ -708,16 +708,17 @@ func TestAxpyMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestAccumMatchesGeneric pins the accumulate kernel — the assembly on
-// amd64, and its portable twin everywhere — bit for bit against the
-// straight term-by-term loop the kernel replaced, over every width that
-// hits a column-block tail, every term count up to past a full chunk,
-// packed and padded row strides, unaligned row offsets, and terms that
-// are ±0, NaN, ±Inf or denormal (the kernel itself skips nothing: the
-// zero-skip is accumRows' business). Where both sides are NaN the
-// payload is not compared: which operand's payload an SSE add or
-// multiply of two NaNs keeps depends on operand order, which Go does not
-// fix for the portable loops.
+// TestAccumMatchesGeneric pins the accumulate path — accumRows over the
+// assembly on amd64, and accumGeneric, its portable twin, everywhere —
+// bit for bit against the straight term-by-term loop the kernel
+// replaced, over every width that hits a column-block tail, every term
+// count up to past a full chunk, packed and padded row strides,
+// unaligned row offsets, and terms that are ±0, NaN, ±Inf or denormal.
+// accumGeneric is handed every term; accumRows drops the ±0 ones, which
+// the straight loop's finite w and non-zero accumulators make exact.
+// Where both sides are NaN the payload is not compared: which operand's
+// payload an SSE add or multiply of two NaNs keeps depends on operand
+// order, which Go does not fix for the portable loops.
 func TestAccumMatchesGeneric(t *testing.T) {
 	r := xrand.New(7)
 	special := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, -2.7e-310, 1.9e280}
@@ -733,31 +734,93 @@ func TestAccumMatchesGeneric(t *testing.T) {
 				for i := range w {
 					w[i] = r.Range(-2, 2)
 				}
+				v := make([]float64, nt)
 				ts := make([]term, nt)
 				for k := range ts {
-					ts[k] = term{v: r.Range(-2, 2), off: lead + k*stride}
+					v[k] = r.Range(-2, 2)
 					if r.Float64() < 0.15 {
-						ts[k].v = special[r.Intn(len(special))]
+						v[k] = special[r.Intn(len(special))]
 					}
+					ts[k] = term{v: v[k], off: lead + k*stride}
 				}
 				want := make([]float64, n)
 				for i := range want {
 					want[i] = r.Range(-2, 2)
 				}
-				gotAsm := append([]float64(nil), want...)
+				gotRows := append([]float64(nil), want...)
 				gotGen := append([]float64(nil), want...)
 				for _, tm := range ts {
 					for j := range want {
 						want[j] += float64(tm.v * w[tm.off+j])
 					}
 				}
-				accum(gotAsm, w, ts)
+				accumRows(gotRows, n, n, v, 0, 1, nt, w[lead:], stride, 0, 1)
 				accumGeneric(gotGen, w, ts)
-				for name, got := range map[string][]float64{"accum": gotAsm, "accumGeneric": gotGen} {
+				for name, got := range map[string][]float64{"accumRows": gotRows, "accumGeneric": gotGen} {
 					for j, g := range got {
 						if math.Float64bits(g) != math.Float64bits(want[j]) && !(math.IsNaN(g) && math.IsNaN(want[j])) {
 							t.Fatalf("n=%d stride=%d terms=%d: %s[%d] = %x, straight loop %x", n, stride, nt, name, j, math.Float64bits(g), math.Float64bits(want[j]))
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAccumChunkMatchesGeneric pins the fused kernel — one assembly call
+// per k-chunk on amd64, compacting and accumulating every row — bit for
+// bit against compact + accumGeneric per row, through accumRows: chunk
+// lengths 0–64 (every residue of the compaction's groups of four),
+// contiguous (ak 1, forward and dx) and strided (ak 7, gw's column
+// reads) terms, 1–5 rows at padded row strides, widths that hit every
+// column tail, and terms that are ±0, NaN, ±Inf or denormal among half
+// zeros. Both-NaN elements skip the payload compare, as in
+// TestAccumMatchesGeneric; a NaN term dropped or a zero kept still
+// shows.
+func TestAccumChunkMatchesGeneric(t *testing.T) {
+	r := xrand.New(11)
+	special := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, -2.7e-310, 1.9e280}
+	widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 17, 20, 24, 28, 31, 32, 33, 47, 48, 63, 64, 65, 100, 151, 300}
+	for cnt := 0; cnt <= maxTerms; cnt++ {
+		for _, ak := range []int{1, 7} {
+			for wi, n := range widths {
+				rows := 1 + (cnt+wi)%5
+				pad := (cnt + wi + ak) % 3
+				os, ws := n+pad, n+2*pad
+				ar := cnt + pad // row r's terms: a[r*ar + k], packed or padded
+				if ak > 1 {
+					ar = 1 // gw's layout: row r is column r of a 7-wide x
+				}
+				a := make([]float64, max((rows-1)*ar+cnt*ak, 1))
+				for i := range a {
+					switch u := r.Float64(); {
+					case u < 0.5:
+						a[i] = 0
+					case u < 0.65:
+						a[i] = special[r.Intn(len(special))]
+					default:
+						a[i] = r.Range(-2, 2)
+					}
+				}
+				w := make([]float64, cnt*ws+n)
+				for i := range w {
+					w[i] = r.Range(-2, 2)
+				}
+				want := make([]float64, (rows-1)*os+n)
+				for i := range want {
+					want[i] = r.Range(-2, 2)
+				}
+				got := append([]float64(nil), want...)
+				var ts [maxTerms]term
+				for row := 0; row < rows; row++ {
+					nt := compact(ts[:], a[row*ar:], ak, cnt, ws)
+					accumGeneric(want[row*os:row*os+n], w, ts[:nt])
+				}
+				accumRows(got, os, n, a, ar, ak, cnt, w, ws, 0, rows)
+				for j, g := range got {
+					if math.Float64bits(g) != math.Float64bits(want[j]) && !(math.IsNaN(g) && math.IsNaN(want[j])) {
+						t.Fatalf("cnt=%d ak=%d n=%d rows=%d pad=%d: o[%d] = %x, compact+accumGeneric %x", cnt, ak, n, rows, pad, j, math.Float64bits(g), math.Float64bits(want[j]))
 					}
 				}
 			}
@@ -777,11 +840,11 @@ func TestCompactKeepsNaNDropsZeros(t *testing.T) {
 			a[i*ak] = v
 		}
 		var ts [maxTerms]term
-		nt := compact(ts[:], a, ak, len(vals), 100, 7)
+		nt := compact(ts[:], a, ak, len(vals), 7)
 		var want []term
 		for i, v := range vals {
 			if v != 0 {
-				want = append(want, term{v, 100 + 7*i})
+				want = append(want, term{v, 7 * i})
 			}
 		}
 		if nt != len(want) {
@@ -829,6 +892,52 @@ func TestReluKernelsMatchGeneric(t *testing.T) {
 			}
 			if math.Float64bits(gotB[i]) != math.Float64bits(wantB[i]) {
 				t.Fatalf("n=%d bwd[%d]: asm %x, generic %x (y %v)", n, i, math.Float64bits(gotB[i]), math.Float64bits(wantB[i]), y[i])
+			}
+		}
+	}
+}
+
+// TestDropoutMatchesReferenceStream pins the bulk-drawn, branch-free
+// dropout mask against the reference's one draw and one branch per
+// element: mask and output bit for bit, and the source's state after,
+// over two consecutive batches, at rates from 0.1 to 1.0, at widths that
+// end a batch one below, at and one above the draw block and a batch of
+// 1 024 × 300, with inputs that are NaN, ±Inf, ±0 or denormal.
+func TestDropoutMatchesReferenceStream(t *testing.T) {
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 5e-324}
+	shapes := [][2]int{{1, 1}, {1, 7}, {1, dropBlock - 1}, {1, dropBlock}, {1, dropBlock + 1}, {3, 7}, {2, dropBlock + 1}, {1024, 300}}
+	for _, rate := range []float64{0.1, 0.3, 0.75, 0.9, 1.0} {
+		for _, sh := range shapes {
+			rows, cols := sh[0], sh[1]
+			in := xrand.New(uint64(rows*cols) + 1)
+			got := NewDropout(rate, xrand.New(77))
+			ref := newRefDropout(rate, xrand.New(77))
+			for pass := 0; pass < 2; pass++ {
+				x := make(refBatch, rows)
+				for s := range x {
+					x[s] = make([]float64, cols)
+					for i := range x[s] {
+						x[s][i] = in.Range(-3, 3)
+						if in.Float64() < 0.2 {
+							x[s][i] = special[in.Intn(len(special))]
+						}
+					}
+				}
+				out := got.Forward(fromRows(x), true)
+				want := ref.Forward(x, true)
+				for s := 0; s < rows; s++ {
+					for i := 0; i < cols; i++ {
+						g, w := out.Row(s)[i], want[s][i]
+						gm, wm := got.mask.Row(s)[i], ref.mask[s][i]
+						if math.Float64bits(g) != math.Float64bits(w) || math.Float64bits(gm) != math.Float64bits(wm) {
+							t.Fatalf("rate %v, %dx%d, pass %d, [%d][%d] (x = %v): out %x mask %x, reference out %x mask %x",
+								rate, rows, cols, pass, s, i, x[s][i], math.Float64bits(g), math.Float64bits(gm), math.Float64bits(w), math.Float64bits(wm))
+						}
+					}
+				}
+				if got.r.State() != ref.r.State() {
+					t.Fatalf("rate %v, %dx%d, pass %d: source state %v, reference %v", rate, rows, cols, pass, got.r.State(), ref.r.State())
+				}
 			}
 		}
 	}

@@ -60,6 +60,25 @@ func (r *Source) Uint64() uint64 {
 	return result
 }
 
+// Fill sets dst to the next len(dst) outputs of Uint64, in order, and
+// advances the source past them. The state stays in locals for the
+// whole block, so a bulk draw costs the generator's arithmetic, not a
+// load and store of the state per output.
+func (r *Source) Fill(dst []uint64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range dst {
+		dst[i] = rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
 // Split derives an independent child source. The child's stream is a pure
 // function of the parent's state at the time of the call, so a fixed
 // sequence of Split calls always yields the same family of streams.

@@ -15,6 +15,25 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestFillMatchesUint64 pins the bulk draw to the one-at-a-time stream:
+// the same outputs in the same order, and the same state afterwards, at
+// every block length including 0.
+func TestFillMatchesUint64(t *testing.T) {
+	a, b := New(5), New(5)
+	for n := 0; n <= 70; n++ {
+		got := make([]uint64, n)
+		a.Fill(got)
+		for i, g := range got {
+			if want := b.Uint64(); g != want {
+				t.Fatalf("block %d, draw %d: Fill %d, Uint64 %d", n, i, g, want)
+			}
+		}
+		if a.State() != b.State() {
+			t.Fatalf("block %d: state %v after Fill, %v after Uint64", n, a.State(), b.State())
+		}
+	}
+}
+
 func TestDifferentSeedsDiffer(t *testing.T) {
 	a, b := New(1), New(2)
 	same := 0
