@@ -28,14 +28,14 @@
 // come out as they always did. Columns go in blocks of 32 (eight
 // accumulators: sixteen independent multiply/add per term keep the FP
 // ports busy and hide the add latency), then the remaining n%32 columns
-// — a 16-, an 8- and a 4-column block as n's bits say, and a lane-masked
-// last vector for n%4 — in one more pass over the term list. The blocks
-// a row does not have are skipped by branches that go the same way for
-// every term of the call.
+// — up to seven full vectors and a lane-masked last one for n%4 — in one
+// more pass over the term list, through the term loop written for that
+// many vectors, so the narrow layers' tails cost one pass, not one per
+// power-of-two block.
 //
-// Every instruction is VEX-encoded and the kernel ends with VZEROUPPER:
-// one legacy-SSE instruction among them costs an SSE/AVX state
-// transition per call. AVX2 only — the caller falls back to
+// Every vector instruction is VEX-encoded and the kernel ends with
+// VZEROUPPER: one legacy-SSE instruction among them costs an SSE/AVX
+// state transition per call. AVX2 only — the caller falls back to
 // accumChunkGeneric without it.
 
 #include "textflag.h"
