@@ -6,13 +6,16 @@
 //	experiments [-seed N] [-only fig1,table2,...] [-list]
 //
 // -list prints every experiment id with a one-line description. Default
-// runs everything.
+// runs everything; an -only id that names no experiment is an error
+// before anything runs.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 
 	"pipetune/internal/experiments"
@@ -40,29 +43,43 @@ func run() error {
 		return nil
 	}
 
-	want := map[string]bool{}
-	if *onlyFlag != "" {
-		for _, id := range strings.Split(*onlyFlag, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
+	selected, err := selectExperiments(*onlyFlag)
+	if err != nil {
+		return err
 	}
-
 	cfg := experiments.DefaultConfig()
 	cfg.Seed = *seedFlag
-	ran := 0
-	for _, e := range experiments.Experiments {
-		if len(want) > 0 && !want[e.ID] {
-			continue
-		}
+	for _, e := range selected {
 		res, err := e.Run(cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		fmt.Printf("== %s ==\n%s\n", e.ID, res.Table().Render())
-		ran++
-	}
-	if ran == 0 {
-		return fmt.Errorf("no experiments matched %q (use -list)", *onlyFlag)
 	}
 	return nil
+}
+
+// selectExperiments returns the experiments a comma-separated -only list
+// names, in registry order; an empty list selects every one. An id that
+// names no experiment is an error before anything runs, so a typo never
+// silently runs part of what was asked.
+func selectExperiments(only string) ([]experiments.Experiment, error) {
+	if only == "" {
+		return experiments.Experiments, nil
+	}
+	want := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		want[strings.TrimSpace(id)] = true
+	}
+	var selected []experiments.Experiment
+	for _, e := range experiments.Experiments {
+		if want[e.ID] {
+			selected = append(selected, e)
+			delete(want, e.ID)
+		}
+	}
+	if len(want) > 0 {
+		return nil, fmt.Errorf("no experiment %q (use -list)", slices.Sorted(maps.Keys(want)))
+	}
+	return selected, nil
 }

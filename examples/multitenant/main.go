@@ -2,11 +2,9 @@
 // exponentially distributed inter-arrival times and are placed by the
 // event-driven scheduler. The example measures mean response time under the
 // baseline and under PipeTune, whose shorter per-job tuning compounds
-// through the queue — then replays the same trace under the three
-// placement policies (FIFO, shortest-job-first, EASY backfill) with each
-// job claiming a real resource footprint on the 4-node cluster — and
-// finally shows the pipetuned daemon's job dispatcher sharing one worker
-// pool between two tenants by weighted deficit round robin.
+// through the queue — and then shows the pipetuned daemon's job
+// dispatcher sharing one worker pool between two tenants by weighted
+// deficit round robin.
 //
 //	go run ./examples/multitenant
 package main
@@ -111,39 +109,7 @@ func run(out io.Writer) error {
 	fmt.Fprintf(out, "%-10s  %-22s\n", "system", "mean response time [s]")
 	fmt.Fprintf(out, "%-10s  %-22.1f\n", "Tune V1", baseResp)
 	fmt.Fprintf(out, "%-10s  %-22.1f\n", "PipeTune", ptResp)
-	fmt.Fprintf(out, "\nresponse-time reduction: %.1f%%\n\n", (1-ptResp/baseResp)*100)
-
-	// Same jobs under burst arrivals, with real footprints: Type-II jobs
-	// claim a whole node, Type-I half of one, and admission is driven by
-	// whether the footprint fits — the placement policy decides who fills
-	// the holes that blocked large jobs leave behind.
-	polArrivals := cluster.PoissonArrivals(xrand.New(101), numJobs, meanDur/8)
-	fmt.Fprintf(out, "%-10s  %-22s  %s\n", "policy", "mean response time [s]", "makespan [s]")
-	for _, name := range []string{pipetune.SchedFIFO, pipetune.SchedSJF, pipetune.SchedBackfill} {
-		policy, err := sched.ByName(name)
-		if err != nil {
-			return err
-		}
-		eng := sched.New(cluster.Paper().SchedPool(), policy, 0)
-		for i, w := range mix {
-			fp := pipetune.SysConfig{Cores: 16, MemoryGB: 32}
-			if w.Type() == pipetune.TypeII {
-				fp = pipetune.SysConfig{Cores: 32, MemoryGB: 64}
-			}
-			task := sched.Task{ID: i, Arrival: polArrivals[i], Sys: fp, Duration: ptDur[i]}
-			if err := eng.Submit(task, nil); err != nil {
-				return err
-			}
-		}
-		if err := eng.Run(); err != nil {
-			return err
-		}
-		total := 0.0
-		for _, st := range eng.Stats() {
-			total += st.Response
-		}
-		fmt.Fprintf(out, "%-10s  %-22.1f  %.1f\n", name, total/numJobs, eng.Now())
-	}
+	fmt.Fprintf(out, "\nresponse-time reduction: %.1f%%\n", (1-ptResp/baseResp)*100)
 
 	// Fair-share job dispatch: the pipetuned daemon's admission queue
 	// (-job-policy fair) arbitrates whole tuning jobs between tenants.

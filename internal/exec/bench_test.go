@@ -53,11 +53,10 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // batch of real lenet/mnist bodies (2 epochs, 96/48 corpus) computed on
 // the local in-process pool versus remote fleets of 1, 2 and 4
 // in-process agents. On a single-CPU box the remote rows measure
-// protocol overhead (grant + epoch + commit traffic per trial); the
-// throughput *scaling* claim is the deterministic experiments.ScaleOut
-// trace, which is CPU-independent. Each remote row also reports
-// bytes-on-the-wire per trial, counted at the accepted-connection level
-// so the upgrade and frame headers are included.
+// protocol overhead (grant + epoch + commit traffic per trial). Each
+// remote row also reports bytes-on-the-wire per trial, counted at the
+// accepted-connection level so the upgrade and frame headers are
+// included.
 func BenchmarkExecBackends(b *testing.B) {
 	b.Run("local", func(b *testing.B) {
 		benchBackend(b, NewLocal(smallTrainer()), nil)

@@ -230,8 +230,11 @@ func (r *AblationThresholdResult) Table() *Table {
 
 // AblationProbeRow is one probing-budget setting.
 type AblationProbeRow struct {
-	MaxProbeEpochs int     `json:"maxProbeEpochs"`
-	TuningSecs     float64 `json:"tuningSecs"`
+	MaxProbeEpochs int `json:"maxProbeEpochs"`
+	// ProbeEpochs is how many epochs the job's trials spent probing in
+	// all, the quantity the budget bounds.
+	ProbeEpochs int     `json:"probeEpochs"`
+	TuningSecs  float64 `json:"tuningSecs"`
 }
 
 // AblationProbeResult holds the sweep.
@@ -264,6 +267,7 @@ func AblationProbeBudget(cfg Config) (*AblationProbeResult, error) {
 		}
 		res.Rows = append(res.Rows, AblationProbeRow{
 			MaxProbeEpochs: budget,
+			ProbeEpochs:    ctrl.Counts().ProbeEpochs,
 			TuningSecs:     jres.TuningTime,
 		})
 	}
@@ -274,10 +278,10 @@ func AblationProbeBudget(cfg Config) (*AblationProbeResult, error) {
 func (r *AblationProbeResult) Table() *Table {
 	t := &Table{
 		Title:  "Ablation: probing budget (epochs spent probing per cold trial)",
-		Header: []string{"max probe epochs", "tuning [s]"},
+		Header: []string{"max probe epochs", "probe epochs", "tuning [s]"},
 	}
 	for _, row := range r.Rows {
-		t.Rows = append(t.Rows, []string{d(row.MaxProbeEpochs), f1(row.TuningSecs)})
+		t.Rows = append(t.Rows, []string{d(row.MaxProbeEpochs), d(row.ProbeEpochs), f1(row.TuningSecs)})
 	}
 	return t
 }

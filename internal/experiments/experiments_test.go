@@ -6,7 +6,6 @@ import (
 
 	"pipetune/internal/dataset"
 	"pipetune/internal/perf"
-	"pipetune/internal/sched"
 	"pipetune/internal/stats"
 	"pipetune/internal/workload"
 )
@@ -20,7 +19,7 @@ import (
 // read none of the sizes -short shrinks).
 var unshrunk = map[string]bool{
 	"fig1": true, "fig2": true, "fig3a": true, "fig3bc": true, "fig8": true,
-	"fair-share": true, "scale-out": true, "reuse": true, "spot-savings": true,
+	"fair-share": true, "reuse": true, "spot-savings": true,
 }
 
 // testCfg is experiment id's configuration. -short shrinks the corpus,
@@ -476,10 +475,12 @@ func TestAblationThreshold(t *testing.T) {
 	if len(res.Rows) != 4 {
 		t.Fatalf("threshold ablation has %d rows", len(res.Rows))
 	}
-	// A strict threshold must hit no more often than a loose one.
+	// The strictest threshold must hit strictly less often than the
+	// loosest: a sweep whose rows all read the same has not reached the
+	// lookup.
 	strict, loose := res.Rows[0], res.Rows[len(res.Rows)-1]
-	if strict.HitRate > loose.HitRate {
-		t.Fatalf("strict threshold hit rate %v above loose %v", strict.HitRate, loose.HitRate)
+	if strict.HitRate >= loose.HitRate {
+		t.Fatalf("strict threshold hit rate %v not below loose %v", strict.HitRate, loose.HitRate)
 	}
 }
 
@@ -488,10 +489,20 @@ func TestAblationProbeBudget(t *testing.T) {
 	if len(res.Rows) != 4 {
 		t.Fatalf("probe ablation has %d rows", len(res.Rows))
 	}
-	for _, row := range res.Rows {
+	for i, row := range res.Rows {
 		if row.TuningSecs <= 0 {
 			t.Fatalf("budget %d degenerate: %+v", row.MaxProbeEpochs, row)
 		}
+		// A larger budget never probes less. (The tuning column's
+		// direction is not asserted: the probe rule is still open.)
+		if i > 0 && row.ProbeEpochs < res.Rows[i-1].ProbeEpochs {
+			t.Fatalf("budget %d probed %d epochs, fewer than budget %d's %d",
+				row.MaxProbeEpochs, row.ProbeEpochs, res.Rows[i-1].MaxProbeEpochs, res.Rows[i-1].ProbeEpochs)
+		}
+	}
+	if first, last := res.Rows[0], res.Rows[len(res.Rows)-1]; last.ProbeEpochs <= first.ProbeEpochs {
+		t.Fatalf("budget %d probed %d epochs, no more than budget %d's %d",
+			last.MaxProbeEpochs, last.ProbeEpochs, first.MaxProbeEpochs, first.ProbeEpochs)
 	}
 }
 
@@ -539,33 +550,5 @@ func TestFairShareThroughput(t *testing.T) {
 	if fifoRatio < 0.9 || fifoRatio > 1.1 {
 		t.Fatalf("fifo throughput ratio %.2f (gold %d, free %d), want ~1.0",
 			fifoRatio, fifoGold.Completed, fifoFree.Completed)
-	}
-}
-
-func TestSchedulingPoliciesContention(t *testing.T) {
-	res := result[*PolicyResult](t, "sched-policies")
-	if len(res.Rows) != 3 {
-		t.Fatalf("policy comparison has %d rows, want 3", len(res.Rows))
-	}
-	fifo, err := res.row(sched.NameFIFO)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range res.Rows {
-		if row.MeanResponse <= 0 || row.Makespan <= 0 {
-			t.Fatalf("policy %s degenerate: %+v", row.Policy, row)
-		}
-	}
-	// EASY backfill only guarantees the queue head is never delayed;
-	// deeper queue positions can shift, so mean response is not bounded by
-	// FIFO's in general. On this fixed, deterministic trace it must not
-	// materially degrade it (empirical regression bound, not a theorem).
-	backfill, err := res.row(sched.NameBackfill)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if backfill.MeanResponse > fifo.MeanResponse*1.05 {
-		t.Fatalf("backfill mean response %.1f well above FIFO %.1f",
-			backfill.MeanResponse, fifo.MeanResponse)
 	}
 }

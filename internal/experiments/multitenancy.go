@@ -212,42 +212,6 @@ func (r *MultiTenancyResult) Table() *Table {
 	return t
 }
 
-// PolicyRow is one placement policy's outcome on the shared-cluster trace.
-type PolicyRow struct {
-	Policy       string  `json:"policy"`
-	MeanResponse float64 `json:"meanResponse"`
-	MeanWait     float64 `json:"meanWait"`
-	Makespan     float64 `json:"makespan"`
-}
-
-// PolicyResult compares trial placement policies on one job trace.
-type PolicyResult struct {
-	Jobs int         `json:"jobs"`
-	Rows []PolicyRow `json:"rows"`
-}
-
-// row returns the named policy's row.
-func (r *PolicyResult) row(policy string) (PolicyRow, error) {
-	for _, row := range r.Rows {
-		if row.Policy == policy {
-			return row, nil
-		}
-	}
-	return PolicyRow{}, fmt.Errorf("experiments: no row for policy %s", policy)
-}
-
-// Table renders the comparison.
-func (r *PolicyResult) Table() *Table {
-	t := &Table{
-		Title:  "Placement policies: Poisson HPT-job stream on the shared 4-node cluster",
-		Header: []string{"policy", "mean response [s]", "mean wait [s]", "makespan [s]"},
-	}
-	for _, row := range r.Rows {
-		t.Rows = append(t.Rows, []string{row.Policy, f1(row.MeanResponse), f1(row.MeanWait), f1(row.Makespan)})
-	}
-	return t
-}
-
 // FairShareRow is one (policy, tenant) outcome of the fair-share trace.
 type FairShareRow struct {
 	Policy string `json:"policy"`
@@ -317,8 +281,8 @@ func FairShare(cfg Config) (*FairShareResult, error) {
 	perTenant := cfg.MultiTenantJobs * 4
 
 	// All jobs are the same Type-I workload: identical cost-model duration
-	// and the half-node footprint of the SchedulingPolicies trace, so
-	// completed-job counts directly measure throughput share.
+	// and a half-node footprint, so completed-job counts directly measure
+	// throughput share.
 	w := workload.Workload{Model: workload.LeNet5, Dataset: workload.MNIST}
 	h := params.DefaultHyper()
 	h.Epochs = cfg.Epochs
@@ -402,75 +366,6 @@ func FairShare(cfg Config) (*FairShareResult, error) {
 			}
 			res.Rows = append(res.Rows, row)
 		}
-	}
-	return res, nil
-}
-
-// SchedulingPolicies exercises real multi-job contention on the shared
-// 4-node cluster: the Figure 13 job mix arrives as a Poisson stream, each
-// HPT job claiming a resource footprint sized by its workload type (Type-II
-// text models need a full node; Type-I image models half of one), and the
-// internal/sched engine places jobs under FIFO, shortest-job-first and
-// EASY backfill. Admission is driven purely by whether the footprint fits —
-// there is no fixed server count — so the policies differ exactly where
-// bin-packing lets a small job slip into capacity a blocked large job
-// cannot use.
-func SchedulingPolicies(cfg Config) (*PolicyResult, error) {
-	mix, _ := figure13Mix(cfg)
-	tinyCfg := cfg
-	tinyCfg.Data = dataset.Config{TrainSize: 96, TestSize: 48}
-	runner := tune.NewRunner(newTrainer(tinyCfg), paperCluster())
-	durations := make([]float64, len(mix))
-	for i, w := range mix {
-		res, err := runner.RunJob(jobSpec(tinyCfg, w, tune.ModeV1, cfg.Seed+uint64(i)*13, false))
-		if err != nil {
-			return nil, fmt.Errorf("scheduling policies: %w", err)
-		}
-		durations[i] = res.TuningTime
-	}
-	// A job's footprint follows its workload type: Type-II (LSTM/CNN over
-	// News20) jobs monopolise a node, Type-I jobs co-locate two per node.
-	footprint := func(w workload.Workload) params.SysConfig {
-		if w.Type() == workload.TypeII {
-			return params.SysConfig{Cores: 32, MemoryGB: 64}
-		}
-		return params.SysConfig{Cores: 16, MemoryGB: 32}
-	}
-	// Saturating load: jobs arrive faster than the four nodes drain them,
-	// so a queue forms and the policies genuinely differ — FIFO blocks on
-	// large jobs, SJF and backfill exploit the holes. (The figures use
-	// ~80% load; here under-load would make every policy trivially equal.)
-	meanDur := stats.Mean(durations)
-	arrivals := cluster.PoissonArrivals(xrand.New(cfg.Seed+7), len(mix), meanDur/10)
-
-	res := &PolicyResult{Jobs: len(mix)}
-	for _, policy := range []sched.Policy{sched.FIFO(), sched.SJF(), sched.Backfill()} {
-		eng := sched.New(paperCluster().SchedPool(), policy, 0)
-		for i := range mix {
-			task := sched.Task{
-				ID:       i,
-				Arrival:  arrivals[i],
-				Sys:      footprint(mix[i]),
-				Duration: durations[i],
-			}
-			if err := eng.Submit(task, nil); err != nil {
-				return nil, fmt.Errorf("scheduling policies: %w", err)
-			}
-		}
-		if err := eng.Run(); err != nil {
-			return nil, fmt.Errorf("scheduling policies (%s): %w", policy.Name(), err)
-		}
-		var resp, wait []float64
-		for _, st := range eng.Stats() {
-			resp = append(resp, st.Response)
-			wait = append(wait, st.Wait)
-		}
-		res.Rows = append(res.Rows, PolicyRow{
-			Policy:       policy.Name(),
-			MeanResponse: stats.Mean(resp),
-			MeanWait:     stats.Mean(wait),
-			Makespan:     eng.Now(),
-		})
 	}
 	return res, nil
 }

@@ -27,9 +27,7 @@ var Experiments = []Experiment{
 	{"fig12", "single tenancy, Type-III", erase(Figure12)},
 	{"fig13", "multi tenancy, Type-I/II", erase(Figure13)},
 	{"fig14", "multi tenancy, Type-III", erase(Figure14)},
-	{"sched-policies", "placement policies under contention", erase(SchedulingPolicies)},
 	{"fair-share", "weighted fair job dispatch across tenants", erase(FairShare)},
-	{"scale-out", "trial throughput vs pipetune-worker fleet size", erase(ScaleOut)},
 	{"reuse", "trial prefix cache: sys-sweep epochs trained and saved, cache on/off", erase(Reuse)},
 	{"spot-savings", "spot fleet + checkpointed recovery vs all on-demand", erase(SpotSavings)},
 	{"ablation-gt", "ground truth on/off", erase(AblationNoGroundTruth)},
