@@ -80,34 +80,62 @@ func compact(ts []term, a []float64, ak, cnt, ws int) int {
 // accumRows is the one loop nest behind Dense forward, dx and gw. For
 // every output row r in [lo, hi) it computes
 //
-//	o[r*os+j] += Σ_k a[r*ar+k*ak] · w[k*ws+j]    j in [0, n), k in [0, kn) ascending
+//	o[r*os+j] = b[r*bs+j] + Σ_k a[r*ar+k*ak] · w[k*ws+j]    j in [0, n), k in [0, kn) ascending
 //
-// skipping the terms whose a is ±0 (NaN is kept — the rule the straight
-// loops' `== 0 → continue` had; see Dense.Backward for why skipping is
-// bit-exact). The k range is cut into chunks whose w panel fits L1, and
-// accumChunk runs one chunk over all the rows: per row it compacts the
-// chunk's non-zero terms once, branch-free, into a stack list and
-// accumulates the list with o's columns held in registers. Chunks
-// ascend, so every o element still sees its terms in ascending k: the
-// result is bit-identical to the per-term axpy nests this replaces, at
-// any chunk size.
-func accumRows(o []float64, os, n int, a []float64, ar, ak, kn int, w []float64, ws, lo, hi int) {
+// where the start b is o itself (bs = os: add to what o holds), a bias
+// row (bs = 0) or nil (+0), skipping the terms whose a is ±0 (NaN is
+// kept — the rule the straight loops' `== 0 → continue` had; see
+// Dense.Backward for why skipping is bit-exact). The k range is cut
+// into chunks whose w panel fits L1, and accumChunk runs one chunk over
+// all the rows: per row it compacts the chunk's non-zero terms once,
+// branch-free, into a stack list and accumulates the list with o's
+// columns held in registers, the first chunk starting them from b and
+// every later one from o. Chunks ascend, so every o element still sees
+// its terms in ascending k: the result is bit-identical to the per-term
+// axpy nests this replaces, at any chunk size.
+func accumRows(o []float64, os, n int, b []float64, bs int, a []float64, ar, ak, kn int, w []float64, ws, lo, hi int) {
 	if n == 0 || lo >= hi {
+		return
+	}
+	if b != nil {
+		b = b[lo*bs:]
+	} else {
+		bs = 0 // the kernel steps its start pointer by bs, nil or not
+	}
+	o = o[lo*os:]
+	if kn == 0 {
+		for r := 0; r < hi-lo; r++ {
+			start(o[r*os:r*os+n], b, r*bs)
+		}
 		return
 	}
 	kc := min(max(panelElems/ws, 8), maxTerms)
 	for k0 := 0; k0 < kn; k0 += kc {
 		k1 := min(k0+kc, kn)
-		accumChunk(o[lo*os:], os, n, a[lo*ar+k0*ak:], ar, ak, k1-k0, w[k0*ws:], ws, hi-lo)
+		accumChunk(o, os, n, b, bs, a[lo*ar+k0*ak:], ar, ak, k1-k0, w[k0*ws:], ws, hi-lo)
+		b, bs = o, os
+	}
+}
+
+// start sets o to its start: b[off:] (a no-op when that is o), or +0
+// when b is nil.
+func start(o, b []float64, off int) {
+	if b == nil {
+		clear(o)
+	} else if &b[off] != &o[0] {
+		copy(o, b[off:off+len(o)])
 	}
 }
 
 // accumChunkGeneric is accumChunk's portable twin, the path without
-// AVX2: per row, compact the chunk's terms, then accumGeneric.
-func accumChunkGeneric(o []float64, os, n int, a []float64, ar, ak, cnt int, w []float64, ws, rows int) {
+// AVX2: per row, set the start, compact the chunk's terms, then
+// accumGeneric.
+func accumChunkGeneric(o []float64, os, n int, b []float64, bs int, a []float64, ar, ak, cnt int, w []float64, ws, rows int) {
 	var ts [maxTerms]term
 	for r := 0; r < rows; r++ {
+		row := o[r*os : r*os+n]
+		start(row, b, r*bs)
 		nt := compact(ts[:], a[r*ar:], ak, cnt, ws)
-		accumGeneric(o[r*os:r*os+n], w, ts[:nt])
+		accumGeneric(row, w, ts[:nt])
 	}
 }

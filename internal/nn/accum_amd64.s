@@ -2,9 +2,11 @@
 
 // The fused accumulate kernel: for each of rows output rows r,
 //
-//	o[r·os + j] += Σ_k a[r·ar + k·ak] · w[k·ws + j]    j < n, k < cnt ascending
+//	o[r·os + j] = b[r·bs + j] + Σ_k a[r·ar + k·ak] · w[k·ws + j]    j < n, k < cnt ascending
 //
-// over one k-chunk, skipping the terms whose a is ±0 (NaN is kept).
+// over one k-chunk, skipping the terms whose a is ±0 (NaN is kept). The
+// start b is o itself (bs = os: accumulate), a bias row (bs = 0), or
+// nil for +0 — so a fresh output needs no copy or clear pass first.
 //
 // Per row, the chunk's non-zero terms are first compacted into a term
 // list on this function's stack: the value in vs, the element offset of
@@ -19,8 +21,9 @@
 // past it only if its bits shifted left by one — the sign dropped — are
 // non-zero (NEGQ sets the carry exactly then).
 //
-// The term list is then accumulated into the row: a block of o's
-// columns is loaded into YMM accumulators once, every term is multiplied
+// The term list is then accumulated into the row: a block of the row's
+// start (b's columns, or zeroed registers) is loaded into YMM
+// accumulators once, every term is multiplied
 // in and added — one rounded VMULPD, one rounded VADDPD, never FMA, the
 // same two operations per element and term as accumGeneric — and the
 // block is stored once. Operand order matches axpyAsm (w is the
@@ -40,11 +43,13 @@
 
 #include "textflag.h"
 
-// The stack frame: the term list's values (vs) and row offsets (offs).
-// A compaction step stores four lanes at the list's end, so a chunk of
-// at most maxTerms values never writes past either array.
+// The stack frame: the term list's values (vs) and row offsets (offs),
+// then the current row's start pointer. A compaction step stores four
+// lanes at the list's end, so a chunk of at most maxTerms values never
+// writes past either array.
 #define VS 0
 #define OFFS 512
+#define BROW 1024
 
 // Offsets into ·compactTab: the permutations (32 bytes per mask) at 0.
 #define TAB_COUNT 512
@@ -99,17 +104,30 @@
 	CMPQ R10, R8;  \
 	JNE  top
 
-// func accumChunkAsm(o *float64, os, n int, a *float64, ar, ak, cnt int, w *float64, ws, rows int)
+// ZERO8 zeroes the eight accumulators: the start of a block or tail
+// when there is no start row (R14 nil).
+#define ZERO8 \
+	VXORPD  Y0, Y0, Y0;   \
+	VXORPD  Y1, Y1, Y1;   \
+	VXORPD  Y2, Y2, Y2;   \
+	VXORPD  Y3, Y3, Y3;   \
+	VXORPD  Y4, Y4, Y4;   \
+	VXORPD  Y5, Y5, Y5;   \
+	VXORPD  Y6, Y6, Y6;   \
+	VXORPD  Y7, Y7, Y7
+
+// func accumChunkAsm(o *float64, os, n int, b *float64, bs int, a *float64, ar, ak, cnt int, w *float64, ws, rows int)
 //
 // Requires n > 0, 0 < cnt ≤ maxTerms, rows > 0. Across rows: R9 = o's
-// row, R11 = a's row, R13 = rows left, R12 = &compactTab; Y11 = the four
-// lanes' row offsets (0, ws, 2ws, 3ws) and Y12 their step 4ws, Y13 = 0,
-// Y14 = the lane mask of the last n%4 columns, Y15 = that of the last
-// cnt%4 values.
-TEXT ·accumChunkAsm(SB), 0, $1024-80
+// row, R11 = a's row, R13 = rows left, R12 = &compactTab, BROW(SP) = b's
+// row (nil throughout for a +0 start); Y11 = the four lanes' row
+// offsets (0, ws, 2ws, 3ws) and Y12 their step 4ws, Y13 = 0, Y14 = the
+// lane mask of the last n%4 columns, Y15 = that of the last cnt%4
+// values. Within a row R14 walks the start beside DI on o.
+TEXT ·accumChunkAsm(SB), 0, $1032-96
 	LEAQ         ·compactTab(SB), R12
 	VMOVDQU      TAB_LANE(R12), Y9
-	MOVQ         ws+64(FP), AX
+	MOVQ         ws+80(FP), AX
 	VMOVQ        AX, X11
 	VPBROADCASTQ X11, Y11
 	VPSLLQ       $2, Y11, Y12
@@ -120,24 +138,26 @@ TEXT ·accumChunkAsm(SB), 0, $1024-80
 	VMOVQ        AX, X14
 	VPBROADCASTQ X14, Y14
 	VPCMPGTQ     Y9, Y14, Y14
-	MOVQ         cnt+48(FP), AX
+	MOVQ         cnt+64(FP), AX
 	ANDQ         $3, AX
 	VMOVQ        AX, X15
 	VPBROADCASTQ X15, Y15
 	VPCMPGTQ     Y9, Y15, Y15
 
 	MOVQ o+0(FP), R9
-	MOVQ a+24(FP), R11
-	MOVQ rows+72(FP), R13
+	MOVQ b+24(FP), AX
+	MOVQ AX, BROW(SP)
+	MOVQ a+40(FP), R11
+	MOVQ rows+88(FP), R13
 
 row:
 	// Compact the row's chunk into the term list.
 	MOVQ    R11, R10
 	XORQ    R8, R8
 	VMOVDQA Y11, Y0
-	MOVQ    cnt+48(FP), BX
+	MOVQ    cnt+64(FP), BX
 	SHRQ    $2, BX
-	CMPQ    ak+40(FP), $1
+	CMPQ    ak+56(FP), $1
 	JNE     strided
 	TESTQ   BX, BX
 	JZ      crest
@@ -148,17 +168,17 @@ cgroup:
 	DECQ    BX
 	JNZ     cgroup
 crest:
-	TESTQ      $3, cnt+48(FP)
+	TESTQ      $3, cnt+64(FP)
 	JZ         listed
 	VMASKMOVPD (R10), Y15, Y1
 	COMPACT4
 	JMP        listed
 
 strided:
-	MOVQ ak+40(FP), CX
+	MOVQ ak+56(FP), CX
 	SHLQ $3, CX
-	MOVQ ws+64(FP), SI
-	MOVQ cnt+48(FP), BX
+	MOVQ ws+80(FP), SI
+	MOVQ cnt+64(FP), BX
 	XORQ DX, DX
 sloop:
 	MOVQ (R10), AX
@@ -174,24 +194,38 @@ sloop:
 
 listed:
 	// Accumulate the R8 terms: R10 walks the list, R8 becomes its end.
+	// A row without terms is left alone when it accumulates, and set to
+	// its start otherwise.
+	MOVQ  BROW(SP), R14
 	TESTQ R8, R8
-	JZ    next
+	JNZ   terms
+	CMPQ  R14, R9
+	JEQ   next
+	JMP   fill
+terms:
 	LEAQ  (SP)(R8*8), R8
 	MOVQ  R9, DI
-	MOVQ  w+56(FP), SI
+	MOVQ  w+72(FP), SI
 	MOVQ  n+16(FP), CX
 	MOVQ  CX, BX
 	SHRQ  $5, BX
 	JZ    tail
 b32:
-	VMOVUPD (DI), Y0
-	VMOVUPD 32(DI), Y1
-	VMOVUPD 64(DI), Y2
-	VMOVUPD 96(DI), Y3
-	VMOVUPD 128(DI), Y4
-	VMOVUPD 160(DI), Y5
-	VMOVUPD 192(DI), Y6
-	VMOVUPD 224(DI), Y7
+	TESTQ   R14, R14
+	JNZ     b32load
+	ZERO8
+	JMP     b32go
+b32load:
+	VMOVUPD (R14), Y0
+	VMOVUPD 32(R14), Y1
+	VMOVUPD 64(R14), Y2
+	VMOVUPD 96(R14), Y3
+	VMOVUPD 128(R14), Y4
+	VMOVUPD 160(R14), Y5
+	VMOVUPD 192(R14), Y6
+	VMOVUPD 224(R14), Y7
+	ADDQ    $256, R14
+b32go:
 	MOVQ    SP, R10
 t32:
 	TERM
@@ -226,34 +260,42 @@ tail:
 	JZ   next
 	MOVQ CX, DX
 	SHRQ $2, DX
+	TESTQ   R14, R14
+	JNZ     tload
+	ZERO8
+	JMP     lmask
+tload:
 	CMPQ    DX, $1
 	JLT     lmask
-	VMOVUPD 0(DI), Y0
+	VMOVUPD 0(R14), Y0
 	CMPQ    DX, $2
 	JLT     lmask
-	VMOVUPD 32(DI), Y1
+	VMOVUPD 32(R14), Y1
 	CMPQ    DX, $3
 	JLT     lmask
-	VMOVUPD 64(DI), Y2
+	VMOVUPD 64(R14), Y2
 	CMPQ    DX, $4
 	JLT     lmask
-	VMOVUPD 96(DI), Y3
+	VMOVUPD 96(R14), Y3
 	CMPQ    DX, $5
 	JLT     lmask
-	VMOVUPD 128(DI), Y4
+	VMOVUPD 128(R14), Y4
 	CMPQ    DX, $6
 	JLT     lmask
-	VMOVUPD 160(DI), Y5
+	VMOVUPD 160(R14), Y5
 	CMPQ    DX, $7
 	JLT     lmask
-	VMOVUPD 192(DI), Y6
+	VMOVUPD 192(R14), Y6
 lmask:
 	MOVQ  SP, R10
 	TESTQ $3, CX
 	JZ    tplain
+	TESTQ R14, R14
+	JZ    qdispatch
 	MOVQ       DX, BX
 	SHLQ       $5, BX
-	VMASKMOVPD (DI)(BX*1), Y14, Y7
+	VMASKMOVPD (R14)(BX*1), Y14, Y7
+qdispatch:
 	CMPQ DX, $0
 	JEQ  q0m
 	CMPQ DX, $1
@@ -409,12 +451,44 @@ smask:
 	MOVQ       DX, BX
 	SHLQ       $5, BX
 	VMASKMOVPD Y7, Y14, (DI)(BX*1)
+	JMP        next
+
+fill:
+	// No terms and a start that is not o: copy the start's n columns
+	// (or +0) to the row, four at a time, the last n%4 through Y14.
+	MOVQ   R9, DI
+	MOVQ   n+16(FP), CX
+	VXORPD Y0, Y0, Y0
+	MOVQ   CX, BX
+	SHRQ   $2, BX
+	JZ     ftail
+floop:
+	TESTQ   R14, R14
+	JZ      fstore
+	VMOVUPD (R14), Y0
+	ADDQ    $32, R14
+fstore:
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	DECQ    BX
+	JNZ     floop
+ftail:
+	TESTQ      $3, CX
+	JZ         next
+	TESTQ      R14, R14
+	JZ         fmask
+	VMASKMOVPD (R14), Y14, Y0
+fmask:
+	VMASKMOVPD Y0, Y14, (DI)
 
 next:
 	MOVQ os+8(FP), AX
 	LEAQ (R9)(AX*8), R9
-	MOVQ ar+32(FP), AX
+	MOVQ ar+48(FP), AX
 	LEAQ (R11)(AX*8), R11
+	MOVQ bs+32(FP), AX
+	SHLQ $3, AX
+	ADDQ AX, BROW(SP)
 	DECQ R13
 	JNZ  row
 	VZEROUPPER

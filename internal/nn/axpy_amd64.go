@@ -22,7 +22,7 @@ func reluFwdAsm(dst, src *float64, n int)
 func reluBwdAsm(dst, y, grad *float64, n int)
 
 //go:noescape
-func accumChunkAsm(o *float64, os, n int, a *float64, ar, ak, cnt int, w *float64, ws, rows int)
+func accumChunkAsm(o *float64, os, n int, b *float64, bs int, a *float64, ar, ak, cnt int, w *float64, ws, rows int)
 
 // compactTab is the accumulate kernel's compaction table (accum_amd64.s):
 // for each 4-bit mask of the non-zero lanes among four float64s, the
@@ -48,13 +48,14 @@ var compactTab = func() (t struct {
 }()
 
 // accumChunk is accumRows' body for one k-chunk of cnt ≤ maxTerms terms:
-// for each of rows output rows r it adds Σ_k a[r·ar+k·ak]·w[k·ws+j] to
-// o[r·os+j], j < n, skipping ±0 terms — one assembly call for all rows
-// (accum_amd64.s). The assembly reads and writes unchecked, so the last
-// element of each operand is bounds-checked here for all.
-func accumChunk(o []float64, os, n int, a []float64, ar, ak, cnt int, w []float64, ws, rows int) {
+// for each of rows output rows r it sets o[r·os+j], j < n, to
+// b[r·bs+j] (+0 for a nil b) plus Σ_k a[r·ar+k·ak]·w[k·ws+j], skipping
+// ±0 terms — one assembly call for all rows (accum_amd64.s). The
+// assembly reads and writes unchecked, so the last element of each
+// operand is bounds-checked here for all.
+func accumChunk(o []float64, os, n int, b []float64, bs int, a []float64, ar, ak, cnt int, w []float64, ws, rows int) {
 	if !useAVX2 {
-		accumChunkGeneric(o, os, n, a, ar, ak, cnt, w, ws, rows)
+		accumChunkGeneric(o, os, n, b, bs, a, ar, ak, cnt, w, ws, rows)
 		return
 	}
 	if cnt < 1 || cnt > maxTerms {
@@ -63,7 +64,12 @@ func accumChunk(o []float64, os, n int, a []float64, ar, ak, cnt int, w []float6
 	_ = o[(rows-1)*os+n-1]
 	_ = a[(rows-1)*ar+(cnt-1)*ak]
 	_ = w[(cnt-1)*ws+n-1]
-	accumChunkAsm(&o[0], os, n, &a[0], ar, ak, cnt, &w[0], ws, rows)
+	var bp *float64
+	if b != nil {
+		_ = b[(rows-1)*bs+n-1]
+		bp = &b[0]
+	}
+	accumChunkAsm(&o[0], os, n, bp, bs, &a[0], ar, ak, cnt, &w[0], ws, rows)
 }
 
 // axpy computes o[j] += a*w[j] for all j — the SGD update's kernel. The

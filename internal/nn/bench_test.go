@@ -43,7 +43,7 @@ func BenchmarkEvaluate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := net.Evaluate(test); err != nil {
+		if _, err := net.Evaluate(test); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,6 +58,8 @@ func BenchmarkEvaluate(b *testing.B) {
 // layer over tanh output (every term non-zero), the 48→20 and 24→10
 // heads over ReLU output (all column tails), and a batch-1024 layer over
 // ReLU + dropout output, whose gw compacts a strided, 62 %-zero column.
+// Last, the elementwise kernels: tanh forward and backward, softmax and
+// dropout backward.
 func BenchmarkKernels(b *testing.B) {
 	news, _, err := dataset.Generate(workload.Workload{Model: workload.CNN, Dataset: workload.News20}, 1,
 		dataset.Config{TrainSize: 256, TestSize: 1})
@@ -127,6 +129,50 @@ func BenchmarkKernels(b *testing.B) {
 			}
 		})
 	}
+
+	// The elementwise passes at the catalog's widest shapes: tanh over
+	// LSTM's 300-wide embedding, the softmax cross-entropy over News20's
+	// 20 classes, and dropout's backward behind a 300-wide embedding.
+	// The tanh inputs are as small as the LSTM's activations: nearly
+	// every group of four has no lane at 0.625 or beyond, where tanh
+	// needs exp.
+	r := xrand.New(1)
+	batch := func(rows, cols int, lo, hi float64) *Batch {
+		x := &Batch{Data: make([]float64, rows*cols), Rows: rows, Cols: cols}
+		for i := range x.Data {
+			x.Data[i] = r.Range(lo, hi)
+		}
+		return x
+	}
+	x, g := batch(32, 300, -0.64, 0.64), batch(32, 300, -1, 1)
+	th := &Tanh{}
+	th.Forward(x, true)
+	b.Run("tanh-fwd-32x300", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			th.Forward(x, true)
+		}
+	})
+	b.Run("tanh-bwd-32x300", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			th.Backward(g)
+		}
+	})
+	logits, labels := batch(32, 20, -4, 4), randomLabels(r, 32, 20)
+	net := NewNetwork()
+	net.softmaxXE(logits, labels, 1.0/32, 0)
+	b.Run("softmax-32x20", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			net.softmaxXE(logits, labels, 1.0/32, 0)
+		}
+	})
+	drop := NewDropout(0.5, r.Split())
+	drop.Forward(x, true)
+	drop.Backward(g)
+	b.Run("dropout-bwd-32x300", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			drop.Backward(g)
+		}
+	})
 }
 
 // BenchmarkDropoutForward times the training-mode mask draw at the
@@ -148,7 +194,7 @@ func BenchmarkDropoutForward(b *testing.B) {
 				x.Data[i] = r.Range(-1, 1)
 			}
 			d := NewDropout(sh.rate, r.Split())
-			d.prealloc(sh.rows, sh.cols)
+			d.prealloc(sh.rows, sh.rows, sh.cols)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d.Forward(x, true)
@@ -158,62 +204,72 @@ func BenchmarkDropoutForward(b *testing.B) {
 }
 
 // TestTrainHotPathAllocs pins the tentpole claim: once arenas are sized
-// (one warm-up pass), TrainBatch allocates nothing.
+// (one warm-up pass), trainBatch allocates nothing — also for a batch of
+// 1 024, which runs through evalChunk-row slices.
 func TestTrainHotPathAllocs(t *testing.T) {
 	w := workload.Workload{Model: workload.LeNet5, Dataset: workload.MNIST}
-	train, _, err := dataset.Generate(w, 1, dataset.Config{TrainSize: 64, TestSize: 16})
+	train, _, err := dataset.Generate(w, 1, dataset.Config{TrainSize: 1024, TestSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := Build(w.Model, train.Dim, train.NumClasses, params.DefaultHyper(), xrand.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := &Batch{Data: make([]float64, 32*train.Dim), Rows: 32, Cols: train.Dim}
-	labels := make([]int, 32)
-	for i := range labels {
-		train.Row(i, x.Row(i))
-		labels[i] = train.Label(i)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := net.TrainBatch(x, labels, 0.01); err != nil {
+	for _, rows := range []int{32, 1024} {
+		h := params.DefaultHyper()
+		h.BatchSize = rows
+		net, err := Build(w.Model, train.Dim, train.NumClasses, h, xrand.New(1))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := net.TrainBatch(x, labels, 0.01); err != nil {
-			t.Fatal(err)
+		x := &Batch{Data: make([]float64, rows*train.Dim), Rows: rows, Cols: train.Dim}
+		labels := make([]int, rows)
+		for i := range labels {
+			train.Row(i, x.Row(i))
+			labels[i] = train.Label(i)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("TrainBatch steady state allocates %.1f/op, want 0", allocs)
+		for i := 0; i < 3; i++ {
+			if _, err := net.trainBatch(x, labels, 0.01); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := net.trainBatch(x, labels, 0.01); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("batch %d: trainBatch steady state allocates %.1f/op, want 0", rows, allocs)
+		}
 	}
 }
 
 // TestEpochHotPathAllocs extends the claim to the full epoch loop —
-// shuffle, gather, batches — which reuses the network's own arenas.
+// shuffle, gather, batches, and at batch 1 024 the per-slice gathers —
+// which reuses the network's own arenas.
 func TestEpochHotPathAllocs(t *testing.T) {
 	w := workload.Workload{Model: workload.LeNet5, Dataset: workload.MNIST}
-	train, _, err := dataset.Generate(w, 1, dataset.Config{TrainSize: 128, TestSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := Build(w.Model, train.Dim, train.NumClasses, params.DefaultHyper(), xrand.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := xrand.New(2)
-	for i := 0; i < 2; i++ {
-		if _, err := net.TrainEpoch(train, 32, 0.01, sh); err != nil {
+	for _, sz := range []struct{ set, batch int }{{128, 32}, {2048, 1024}} {
+		set, _, err := dataset.Generate(w, 1, dataset.Config{TrainSize: sz.set, TestSize: 16})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := net.TrainEpoch(train, 32, 0.01, sh); err != nil {
+		h := params.DefaultHyper()
+		h.BatchSize = sz.batch
+		net, err := Build(w.Model, set.Dim, set.NumClasses, h, xrand.New(1))
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("TrainEpoch steady state allocates %.1f/op, want 0", allocs)
+		sh := xrand.New(2)
+		for i := 0; i < 2; i++ {
+			if _, err := net.TrainEpoch(set, sz.batch, 0.01, sh); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := net.TrainEpoch(set, sz.batch, 0.01, sh); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("batch %d: TrainEpoch steady state allocates %.1f/op, want 0", sz.batch, allocs)
+		}
 	}
 }

@@ -65,9 +65,10 @@ func (b *Batch) resize(rows, cols int) {
 	b.Rows, b.Cols = rows, cols
 }
 
-// evalChunk is the evaluation minibatch size (bounded so eval arenas stay
-// modest regardless of test-set size) and the floor for arena
-// preallocation in Build.
+// evalChunk is the tallest batch any layer sees: evaluation runs the
+// test set in chunks of it, and a larger training batch runs through
+// slices of it that accumulate one gradient. Every arena is at most this
+// many rows.
 const evalChunk = 256
 
 // axpyGeneric computes o[j] += xi * w[j] for all j, unrolled 4-wide.
@@ -122,7 +123,9 @@ func reluBwdGeneric(dst, y, g []float64) {
 // needs for the subsequent Backward; Update applies accumulated gradients.
 // Returned batches alias layer-owned arenas and are valid until the
 // layer's next Forward/Backward. Layers are not safe for concurrent use:
-// one network per trial.
+// one network per trial. A training batch taller than evalChunk rows
+// reaches the layers as consecutive slices, each one Forward and one
+// Backward, before a single Update.
 type Layer interface {
 	// Forward maps inputs to outputs. train toggles training-only
 	// behaviour (dropout masks).
@@ -134,11 +137,12 @@ type Layer interface {
 	Update(lr float64)
 }
 
-// arenaLayer lets Build pre-size a layer's arenas for the largest batch
-// so the steady state never grows them. It returns the layer's output
-// width given its input width.
+// arenaLayer lets Build pre-size a layer's arenas so the steady state
+// never grows them: fwd rows for what evaluation touches, bwd rows for
+// what only training does. It returns the layer's output width given
+// its input width.
 type arenaLayer interface {
-	prealloc(rows, cols int) int
+	prealloc(fwd, bwd, cols int) int
 }
 
 // Dense is a fully connected layer with bias.
@@ -148,12 +152,16 @@ type Dense struct {
 	b       []float64
 	gw      []float64
 	gb      []float64
-	wt      []float64 // Out*In transpose of w, refreshed per Backward for the dx kernel
+	wt      []float64 // Out*In transpose of w for the dx kernel, made by the first Backward
 
 	// noDx marks the network's first layer: nothing consumes dLoss/dInput
 	// there, so Backward skips the dx matmul (often the widest one)
-	// entirely. Weight/bias gradients are unaffected.
+	// entirely, and neither wt nor the dx arena exists. Weight/bias
+	// gradients are unaffected.
 	noDx bool
+	// accum marks the second and later slices of a batch: Backward adds
+	// to gw and gb instead of starting them from +0, and reuses wt.
+	accum bool
 
 	x   *Batch // cached input (aliases the upstream layer's arena)
 	out Batch  // forward arena
@@ -168,7 +176,6 @@ func NewDense(in, out int, r *xrand.Source) *Dense {
 		b:  make([]float64, out),
 		gw: make([]float64, in*out),
 		gb: make([]float64, out),
-		wt: make([]float64, in*out),
 	}
 	limit := math.Sqrt(6.0 / float64(in))
 	for i := range d.w {
@@ -177,23 +184,23 @@ func NewDense(in, out int, r *xrand.Source) *Dense {
 	return d
 }
 
-func (d *Dense) prealloc(rows, _ int) int {
-	d.out.resize(rows, d.Out)
-	d.dx.resize(rows, d.In)
+func (d *Dense) prealloc(fwd, bwd, _ int) int {
+	d.out.resize(fwd, d.Out)
+	if !d.noDx {
+		d.dx.resize(bwd, d.In)
+	}
 	return d.Out
 }
 
 // Forward implements Layer. It computes o[s] = b + x[s]·w: per output
 // element the additions run in ascending input order starting from the
-// bias, exactly as the reference did. Zero inputs are skipped (the text
-// workloads are sparse).
+// bias, exactly as the reference did — the kernel starts each row's
+// accumulators from b. Zero inputs are skipped (the text workloads are
+// sparse).
 func (d *Dense) Forward(x *Batch, _ bool) *Batch {
 	d.x = x
 	d.out.resize(x.Rows, d.Out)
-	for s := 0; s < x.Rows; s++ {
-		copy(d.out.Row(s), d.b)
-	}
-	accumRows(d.out.Data, d.Out, d.Out, x.Data, x.Cols, 1, x.Cols, d.w, d.Out, 0, x.Rows)
+	accumRows(d.out.Data, d.Out, d.Out, d.b, 0, x.Data, x.Cols, 1, x.Cols, d.w, d.Out, 0, x.Rows)
 	return &d.out
 }
 
@@ -209,41 +216,45 @@ func (d *Dense) Forward(x *Batch, _ bool) *Batch {
 // since the seed; the parity suites and the end-to-end golden digest
 // pin both empirically.
 func (d *Dense) Backward(grad *Batch) *Batch {
-	for i := range d.gw {
-		d.gw[i] = 0
-	}
-	for j := range d.gb {
-		d.gb[j] = 0
-	}
+	in, out, cols := d.In, d.Out, d.x.Cols
 	if !d.noDx {
 		// Refresh the weight transpose the dx kernel streams (w moved
 		// last Update): O(In*Out) once per batch against the kernel's
 		// O(rows*In*Out).
-		in, out := d.In, d.Out
-		for i := 0; i < in; i++ {
-			wRow := d.w[i*out : (i+1)*out]
-			for j, v := range wRow {
-				d.wt[j*in+i] = v
+		if !d.accum {
+			if d.wt == nil {
+				d.wt = make([]float64, in*out)
 			}
+			transpose(d.wt, d.w, in, out)
 		}
 		// dx[s][i] = w[i]·g[s], computed as dx[s] = Σ_j g[s][j]·wt[j] over
-		// the transposed weights, so each dx[s][i] sums its terms in
-		// exactly the reference's single-accumulator order — on the
+		// the transposed weights from +0, so each dx[s][i] sums its terms
+		// in exactly the reference's single-accumulator order — on the
 		// throughput-bound kernel instead of a latency-bound dot chain,
 		// and skipping the (post-ReLU, frequently zero) gradient entries.
 		// Input rows narrower than In contribute zeros.
 		d.dx.resize(grad.Rows, in)
-		clear(d.dx.Data)
-		accumRows(d.dx.Data, in, min(d.x.Cols, in), grad.Data, grad.Cols, 1, grad.Cols, d.wt, in, 0, grad.Rows)
+		n := min(cols, in)
+		accumRows(d.dx.Data, in, n, nil, 0, grad.Data, grad.Cols, 1, grad.Cols, d.wt, in, 0, grad.Rows)
+		if n < in {
+			for s := 0; s < grad.Rows; s++ {
+				clear(d.dx.Row(s)[n:])
+			}
+		}
 	}
 	// gw[i] = Σ_s x[s][i]·g[s]: the same nest with x read by column, so a
 	// gradient row is written once per sample chunk, not once per sample.
-	cols := d.x.Cols
-	accumRows(d.gw, d.Out, d.Out, d.x.Data, 1, cols, grad.Rows, grad.Data, grad.Cols, 0, cols)
+	// A batch's first slice starts gw and gb from +0, later ones add.
+	var from []float64
+	if d.accum {
+		from = d.gw
+	} else {
+		clear(d.gw[cols*out:])
+		clear(d.gb)
+	}
+	accumRows(d.gw, out, out, from, out, d.x.Data, 1, cols, grad.Rows, grad.Data, grad.Cols, 0, cols)
 	for s := 0; s < grad.Rows; s++ {
-		for j, gj := range grad.Row(s) {
-			d.gb[j] += gj
-		}
+		axpy(d.gb, grad.Row(s), 1)
 	}
 	return &d.dx
 }
@@ -266,9 +277,9 @@ type ReLU struct {
 	dx Batch
 }
 
-func (a *ReLU) prealloc(rows, cols int) int {
-	a.y.resize(rows, cols)
-	a.dx.resize(rows, cols)
+func (a *ReLU) prealloc(fwd, bwd, cols int) int {
+	a.y.resize(fwd, cols)
+	a.dx.resize(bwd, cols)
 	return cols
 }
 
@@ -295,30 +306,23 @@ type Tanh struct {
 	dx Batch
 }
 
-func (a *Tanh) prealloc(rows, cols int) int {
-	a.y.resize(rows, cols)
-	a.dx.resize(rows, cols)
+func (a *Tanh) prealloc(fwd, bwd, cols int) int {
+	a.y.resize(fwd, cols)
+	a.dx.resize(bwd, cols)
 	return cols
 }
 
 // Forward implements Layer.
 func (a *Tanh) Forward(x *Batch, _ bool) *Batch {
 	a.y.resize(x.Rows, x.Cols)
-	out := a.y.Data
-	for i, v := range x.Data[:len(out)] {
-		out[i] = math.Tanh(v)
-	}
+	tanhFwd(a.y.Data, x.Data)
 	return &a.y
 }
 
-// Backward implements Layer.
+// Backward implements Layer: dx = g·(1 − y²).
 func (a *Tanh) Backward(grad *Batch) *Batch {
 	a.dx.resize(grad.Rows, grad.Cols)
-	o, yd := a.dx.Data, a.y.Data
-	for i, g := range grad.Data[:len(o)] {
-		y := yd[i]
-		o[i] = g * (1 - y*y)
-	}
+	tanhBwd(a.dx.Data, a.y.Data, grad.Data)
 	return &a.dx
 }
 
@@ -343,10 +347,12 @@ func NewDropout(rate float64, r *xrand.Source) *Dropout {
 	return &Dropout{Rate: rate, r: r}
 }
 
-func (d *Dropout) prealloc(rows, cols int) int {
-	d.mask.resize(rows, cols)
-	d.out.resize(rows, cols)
-	d.dx.resize(rows, cols)
+func (d *Dropout) prealloc(_, bwd, cols int) int {
+	if d.Rate > 0 { // at rate 0 Forward passes x through and Backward grad
+		d.mask.resize(bwd, cols)
+		d.out.resize(bwd, cols)
+		d.dx.resize(bwd, cols)
+	}
 	return cols
 }
 
@@ -360,10 +366,9 @@ const dropBlock = 256
 // xrand.Fill. An element is kept when its draw's Float64 is below keep.
 // That float is u>>11 scaled by the exact power of two 2⁻⁵³, so the test
 // is u>>11 < keep·2⁵³ — against an integer, u>>11 < ⌈keep·2⁵³⌉ — and its
-// outcome becomes an all-ones or all-zeros word: a kept element is
-// v/keep with mask 1/keep, as the reference computes them, and a dropped
-// one is +0 in both, without the branch a draw taken with probability
-// keep would mispredict.
+// outcome masks both results (dropMask): a kept element is v/keep with
+// mask 1/keep, as the reference computes them, and a dropped one is +0
+// in both.
 func (d *Dropout) Forward(x *Batch, train bool) *Batch {
 	if !train || d.Rate <= 0 {
 		d.active = false
@@ -383,36 +388,19 @@ func (d *Dropout) Forward(x *Batch, train bool) *Batch {
 	for len(in) > 0 {
 		blk := u[:min(dropBlock, len(in))]
 		d.r.Fill(blk)
-		dropBlockMask(m[:len(blk)], o[:len(blk)], in[:len(blk)], blk, below, inv, keep)
+		dropMask(m[:len(blk)], o[:len(blk)], in[:len(blk)], blk, below, inv, keep)
 		m, o, in = m[len(blk):], o[len(blk):], in[len(blk):]
 	}
 	return &d.out
 }
 
-// dropBlockMask applies one block of draws u to x, writing mask and
-// output. Its own function so the loop's few live values stay in
-// registers.
-func dropBlockMask(m, o, x []float64, u []uint64, below, inv uint64, keep float64) {
-	m, o, x = m[:len(u)], o[:len(u)], x[:len(u)]
-	for j, b := range u {
-		// u>>11 and below are at most 2⁵³: the difference's sign bit
-		// is set exactly when the draw is below.
-		kept := -((b>>11 - below) >> 63)
-		m[j] = math.Float64frombits(inv & kept)
-		o[j] = math.Float64frombits(math.Float64bits(x[j]/keep) & kept)
-	}
-}
-
-// Backward implements Layer.
+// Backward implements Layer: dx = g·mask.
 func (d *Dropout) Backward(grad *Batch) *Batch {
 	if !d.active {
 		return grad
 	}
 	d.dx.resize(grad.Rows, grad.Cols)
-	o, m := d.dx.Data, d.mask.Data
-	for i, g := range grad.Data[:len(o)] {
-		o[i] = g * m[i]
-	}
+	mul(d.dx.Data, grad.Data, d.mask.Data)
 	return &d.dx
 }
 
@@ -429,8 +417,9 @@ type Network struct {
 	in     Batch // gathered minibatch features
 	labels []int // gathered minibatch labels
 	perm   []int // epoch shuffle permutation
+	view   Batch // trainBatch's current slice of its caller's batch
 
-	smx Batch // softmax probabilities / gradient arena
+	smx Batch // softmax gradient arena
 }
 
 // NewNetwork builds a network from the given layers.
@@ -447,19 +436,18 @@ func NewNetwork(layers ...Layer) *Network {
 	return n
 }
 
-// prealloc sizes every arena in the stack for batches of up to rows
-// samples, so steady-state training and evaluation never allocate.
-func (n *Network) prealloc(rows, cols int) {
-	n.in.resize(rows, cols)
-	if cap(n.labels) < rows {
-		n.labels = make([]int, rows)
-	}
+// prealloc sizes every arena in the stack: what evaluation's forward
+// pass touches for evalChunk rows, what only training touches for bwd,
+// so steady-state training and evaluation never allocate.
+func (n *Network) prealloc(bwd, cols int) {
+	n.in.resize(evalChunk, cols)
+	n.labels = make([]int, evalChunk)
 	for _, l := range n.layers {
 		if al, ok := l.(arenaLayer); ok {
-			cols = al.prealloc(rows, cols)
+			cols = al.prealloc(evalChunk, bwd, cols)
 		}
 	}
-	n.smx.resize(rows, cols)
+	n.smx.resize(bwd, cols)
 }
 
 // Forward runs the stack and returns the logits. The result aliases the
@@ -471,13 +459,12 @@ func (n *Network) Forward(x *Batch, train bool) *Batch {
 	return x
 }
 
-// softmaxXE computes per-sample softmax probabilities, the mean
-// cross-entropy loss, and dLoss/dLogits (already divided by batch size).
-// The loss sums in sample order, as the reference did.
-func (n *Network) softmaxXE(logits *Batch, labels []int) (float64, *Batch) {
+// softmaxXE writes dLoss/dLogits for the rows of logits to n.smx — the
+// softmax probabilities less the one-hot label, times inv, the batch's
+// 1/rows — and returns loss plus the rows' cross-entropies, added in
+// row order as the reference summed a whole batch.
+func (n *Network) softmaxXE(logits *Batch, labels []int, inv, loss float64) float64 {
 	n.smx.resize(logits.Rows, logits.Cols)
-	inv := 1 / float64(logits.Rows)
-	loss := 0.0
 	for s, label := range labels[:logits.Rows] {
 		row := logits.Row(s)
 		probs := n.smx.Row(s)
@@ -487,10 +474,10 @@ func (n *Network) softmaxXE(logits *Batch, labels []int) (float64, *Batch) {
 				maxV = v
 			}
 		}
+		expShift(probs, row, maxV)
 		sum := 0.0
-		for i, v := range row {
-			probs[i] = math.Exp(v - maxV)
-			sum += probs[i]
+		for _, p := range probs {
+			sum += p
 		}
 		for i := range probs {
 			probs[i] /= sum
@@ -499,30 +486,52 @@ func (n *Network) softmaxXE(logits *Batch, labels []int) (float64, *Batch) {
 		if p < 1e-12 {
 			p = 1e-12
 		}
-		loss += -math.Log(p)
+		loss += -log(p)
 		probs[label] -= 1
 		for i := range probs {
 			probs[i] *= inv
 		}
 	}
-	return loss / float64(logits.Rows), &n.smx
+	return loss
 }
 
-// TrainBatch runs one forward+backward pass over the minibatch and applies
+// trainBatch runs one forward+backward pass over the minibatch and applies
 // one SGD update. It returns the pre-update mean cross-entropy loss.
-func (n *Network) TrainBatch(x *Batch, labels []int, lr float64) (float64, error) {
+func (n *Network) trainBatch(x *Batch, labels []int, lr float64) (float64, error) {
 	if x == nil || x.Rows == 0 || x.Rows != len(labels) {
 		return 0, errors.New("nn: batch and labels must be non-empty and equal length")
 	}
-	logits := n.Forward(x, true)
-	loss, grad := n.softmaxXE(logits, labels)
-	for i := len(n.layers) - 1; i >= 0; i-- {
-		grad = n.layers[i].Backward(grad)
+	return n.step(x.Rows, lr, func(lo, hi int) (*Batch, []int) {
+		n.view = Batch{Data: x.Data[lo*x.Cols : hi*x.Cols], Rows: hi - lo, Cols: x.Cols}
+		return &n.view, labels[lo:hi]
+	}), nil
+}
+
+// step is one SGD step over a batch of rows samples. The batch runs
+// through the stack in slices of at most evalChunk rows, which
+// load(lo, hi) supplies, and whose gradients add up in the Dense layers
+// before one Update. That is exact: rows are independent, gw and gb
+// still see the samples in ascending order, the dropout masks are drawn
+// in the same row-major order, and the loss sum and the 1/rows gradient
+// scale span the whole batch. It returns the batch's mean loss.
+func (n *Network) step(rows int, lr float64, load func(lo, hi int) (*Batch, []int)) float64 {
+	inv := 1 / float64(rows)
+	loss := 0.0
+	for lo := 0; lo < rows; lo += evalChunk {
+		x, labels := load(lo, min(lo+evalChunk, rows))
+		loss = n.softmaxXE(n.Forward(x, true), labels, inv, loss)
+		grad := &n.smx
+		for i := len(n.layers) - 1; i >= 0; i-- {
+			if d, ok := n.layers[i].(*Dense); ok {
+				d.accum = lo > 0
+			}
+			grad = n.layers[i].Backward(grad)
+		}
 	}
 	for _, l := range n.layers {
 		l.Update(lr)
 	}
-	return loss, nil
+	return loss / float64(rows)
 }
 
 // gather expands the indexed samples into the network's input arena.
@@ -574,12 +583,10 @@ func (n *Network) TrainEpoch(set *dataset.Set, batchSize int, lr float64, r *xra
 	r.Shuffle(size, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 	total, batches := 0.0, 0
 	err := dataset.EachBatch(size, batchSize, perm, func(idx []int) error {
-		n.gather(set, idx)
-		loss, err := n.TrainBatch(&n.in, n.labels, lr)
-		if err != nil {
-			return err
-		}
-		total += loss
+		total += n.step(len(idx), lr, func(lo, hi int) (*Batch, []int) {
+			n.gather(set, idx[lo:hi])
+			return &n.in, n.labels
+		})
 		batches++
 		return nil
 	})
@@ -589,25 +596,18 @@ func (n *Network) TrainEpoch(set *dataset.Set, batchSize int, lr float64, r *xra
 	return total / float64(batches), nil
 }
 
-// Evaluate returns classification accuracy in [0,1] and the mean loss on set.
-func (n *Network) Evaluate(set *dataset.Set) (accuracy, loss float64, err error) {
+// Evaluate returns classification accuracy in [0,1] on set.
+func (n *Network) Evaluate(set *dataset.Set) (float64, error) {
 	if set.Len() == 0 {
-		return 0, 0, errors.New("nn: empty evaluation set")
+		return 0, errors.New("nn: empty evaluation set")
 	}
 	correct := 0
-	totalLoss := 0.0
 	for start := 0; start < set.Len(); start += evalChunk {
-		end := start + evalChunk
-		if end > set.Len() {
-			end = set.Len()
-		}
+		end := min(start+evalChunk, set.Len())
 		n.gatherRange(set, start, end)
-		logits := n.Forward(&n.in, false)
-		l, _ := n.softmaxXE(logits, n.labels)
-		totalLoss += l * float64(end-start)
-		correct += countCorrect(logits, n.labels)
+		correct += countCorrect(n.Forward(&n.in, false), n.labels)
 	}
-	return float64(correct) / float64(set.Len()), totalLoss / float64(set.Len()), nil
+	return float64(correct) / float64(set.Len()), nil
 }
 
 // countCorrect counts the samples whose argmax logit is their label (the
@@ -663,8 +663,9 @@ func ArchOf(m workload.Model) Arch {
 // zoo: LeNet5 (compact CNN stand-in), CNN and LSTM text classifiers whose
 // first hidden width is the tunable embedding dimension (§7.1.3 item 3),
 // and small classifiers for the Rodinia Type-III kernels. Every arena in
-// the stack is pre-sized here for the larger of the training batch and
-// the evaluation chunk, so trial steady state allocates nothing.
+// the stack is pre-sized here — evalChunk rows for the forward pass, the
+// training batch up to evalChunk rows for what only training touches —
+// so trial steady state allocates nothing.
 func Build(m workload.Model, inputDim, classes int, h params.Hyper, r *xrand.Source) (*Network, error) {
 	if inputDim <= 0 || classes <= 1 {
 		return nil, fmt.Errorf("nn: invalid shape in=%d classes=%d", inputDim, classes)
@@ -711,10 +712,6 @@ func Build(m workload.Model, inputDim, classes int, h params.Hyper, r *xrand.Sou
 	default:
 		return nil, fmt.Errorf("nn: unknown model %v", m)
 	}
-	rows := h.BatchSize
-	if rows < evalChunk {
-		rows = evalChunk
-	}
-	net.prealloc(rows, inputDim)
+	net.prealloc(min(h.BatchSize, evalChunk), inputDim)
 	return net, nil
 }

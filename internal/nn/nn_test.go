@@ -57,8 +57,7 @@ func numericalGrad(net *Network, x *Batch, labels []int, w *float64) float64 {
 
 func evalLoss(net *Network, x *Batch, labels []int) float64 {
 	logits := net.Forward(x, false)
-	loss, _ := net.softmaxXE(logits, labels)
-	return loss
+	return net.softmaxXE(logits, labels, 1/float64(len(labels)), 0) / float64(len(labels))
 }
 
 // TestGradientCheck verifies the blocked kernels' analytic gradients
@@ -74,7 +73,8 @@ func TestGradientCheck(t *testing.T) {
 
 	// Compute analytic gradients without updating.
 	logits := net.Forward(x, true)
-	_, grad := net.softmaxXE(logits, labels)
+	net.softmaxXE(logits, labels, 1/float64(len(labels)), 0)
+	grad := &net.smx
 	for i := len(net.layers) - 1; i >= 0; i-- {
 		grad = net.layers[i].Backward(grad)
 	}
@@ -172,7 +172,8 @@ func TestDropoutExpectationPreserved(t *testing.T) {
 func TestSoftmaxXEKnownValues(t *testing.T) {
 	// Uniform logits over 4 classes: loss = ln(4).
 	n := NewNetwork()
-	loss, grad := n.softmaxXE(fromRows([][]float64{{0, 0, 0, 0}}), []int{1})
+	loss := n.softmaxXE(fromRows([][]float64{{0, 0, 0, 0}}), []int{1}, 1, 0)
+	grad := &n.smx
 	if math.Abs(loss-math.Log(4)) > 1e-9 {
 		t.Fatalf("loss = %v, want ln4", loss)
 	}
@@ -194,13 +195,13 @@ func TestTrainBatchReducesLossOnFixedBatch(t *testing.T) {
 	net := NewNetwork(NewDense(4, 8, r), &ReLU{}, NewDense(8, 2, r))
 	x := fromRows([][]float64{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1}})
 	labels := []int{0, 0, 1, 1}
-	first, err := net.TrainBatch(x, labels, 0.5)
+	first, err := net.trainBatch(x, labels, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var last float64
 	for i := 0; i < 100; i++ {
-		last, err = net.TrainBatch(x, labels, 0.5)
+		last, err = net.trainBatch(x, labels, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,10 +216,10 @@ func TestTrainBatchReducesLossOnFixedBatch(t *testing.T) {
 
 func TestTrainBatchRejectsBadInput(t *testing.T) {
 	net := NewNetwork(NewDense(2, 2, xrand.New(1)))
-	if _, err := net.TrainBatch(nil, nil, 0.1); err == nil {
+	if _, err := net.trainBatch(nil, nil, 0.1); err == nil {
 		t.Fatal("empty batch accepted")
 	}
-	if _, err := net.TrainBatch(fromRows([][]float64{{1, 2}}), []int{0, 1}, 0.1); err == nil {
+	if _, err := net.trainBatch(fromRows([][]float64{{1, 2}}), []int{0, 1}, 0.1); err == nil {
 		t.Fatal("mismatched labels accepted")
 	}
 }
@@ -240,7 +241,7 @@ func trainOn(t *testing.T, w workload.Workload, h params.Hyper, seed uint64, epo
 			t.Fatal(err)
 		}
 	}
-	acc, _, err := net.Evaluate(test)
+	acc, err := net.Evaluate(test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +354,7 @@ func TestTrainingIsDeterministic(t *testing.T) {
 
 func TestEvaluateRejectsEmpty(t *testing.T) {
 	net := NewNetwork(NewDense(2, 2, xrand.New(1)))
-	if _, _, err := net.Evaluate(&dataset.Set{}); err == nil {
+	if _, err := net.Evaluate(&dataset.Set{}); err == nil {
 		t.Fatal("empty evaluation set accepted")
 	}
 }

@@ -325,10 +325,9 @@ func (n *refNetwork) TrainEpoch(set *dataset.Set, batchSize int, lr float64, r *
 	return total / float64(batches), nil
 }
 
-func (n *refNetwork) Evaluate(set *dataset.Set) (accuracy, loss float64) {
+func (n *refNetwork) Evaluate(set *dataset.Set) (accuracy float64) {
 	const chunk = 256
 	correct := 0
-	totalLoss := 0.0
 	for start := 0; start < set.Len(); start += chunk {
 		end := start + chunk
 		if end > set.Len() {
@@ -341,8 +340,6 @@ func (n *refNetwork) Evaluate(set *dataset.Set) (accuracy, loss float64) {
 			labels[i-start] = set.Label(i)
 		}
 		logits := n.Forward(x, false)
-		l, _ := refSoftmaxXE(logits, labels)
-		totalLoss += l * float64(end-start)
 		for s, row := range logits {
 			best := 0
 			for i, v := range row {
@@ -355,7 +352,7 @@ func (n *refNetwork) Evaluate(set *dataset.Set) (accuracy, loss float64) {
 			}
 		}
 	}
-	return float64(correct) / float64(set.Len()), totalLoss / float64(set.Len())
+	return float64(correct) / float64(set.Len())
 }
 
 // The parity tests' weight fingerprint: the state SGD evolves — Dense
@@ -560,7 +557,7 @@ func TestKernelTrainingParity(t *testing.T) {
 			x := randomBatch(data, sh.rows, sh.specs[0].in)
 			labels := randomLabels(data, sh.rows, classes)
 			want, _ := ref.TrainBatch(x, labels, 0.05)
-			got, err := net.TrainBatch(fromRows(x), labels, 0.05)
+			got, err := net.trainBatch(fromRows(x), labels, 0.05)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -607,16 +604,79 @@ func TestKernelEpochParity(t *testing.T) {
 			t.Fatalf("epoch %d loss = %v, want %v (bitwise)", e, got, want)
 		}
 	}
-	wantAcc, wantLoss := ref.Evaluate(test)
-	gotAcc, gotLoss, err := net.Evaluate(test)
+	wantAcc := ref.Evaluate(test)
+	gotAcc, err := net.Evaluate(test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotAcc != wantAcc || gotLoss != wantLoss {
-		t.Fatalf("eval = (%v, %v), want (%v, %v)", gotAcc, gotLoss, wantAcc, wantLoss)
+	if gotAcc != wantAcc {
+		t.Fatalf("eval accuracy = %v, want %v", gotAcc, wantAcc)
 	}
 	if !bytes.Equal(ref.CaptureState(nil), net.CaptureState(nil)) {
 		t.Fatal("epoch-trained state diverged from reference")
+	}
+}
+
+// TestSlicedBatchMatchesReference pins the slicing of batches taller
+// than evalChunk to the reference's one pass over the whole batch —
+// losses, trained weights and dropout streams bit for bit: trainBatch at
+// 1 024 rows (four whole slices) and 600 (a short last slice), and
+// TrainEpoch at batch 1 024, which gathers each slice itself, over 2 500
+// samples (a short last batch of 452: one whole slice and one short).
+func TestSlicedBatchMatchesReference(t *testing.T) {
+	specs := []layerSpec{
+		{kind: "dense", in: 40, out: 33}, {kind: "relu"},
+		{kind: "dropout", rate: 0.3},
+		{kind: "dense", in: 33, out: 21}, {kind: "tanh"},
+		{kind: "dense", in: 21, out: 5},
+	}
+	for _, rows := range []int{1024, 600} {
+		ref, net := buildPair(29, specs)
+		data := xrand.New(31)
+		for step := 0; step < 3; step++ {
+			x := randomBatch(data, rows, 40)
+			labels := randomLabels(data, rows, 5)
+			want, _ := ref.TrainBatch(x, labels, 0.05)
+			got, err := net.trainBatch(fromRows(x), labels, 0.05)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%d rows, step %d: loss = %v, want %v (bitwise)", rows, step, got, want)
+			}
+		}
+		if !bytes.Equal(ref.CaptureState(nil), net.CaptureState(nil)) {
+			t.Fatalf("%d rows: trained state diverged from reference", rows)
+		}
+	}
+
+	w := workload.Workload{Model: workload.LeNet5, Dataset: workload.MNIST}
+	train, _, err := dataset.Generate(w, 3, dataset.Config{TrainSize: 2500, TestSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, net := buildPair(5, []layerSpec{
+		{kind: "dense", in: train.Dim, out: 48}, {kind: "relu"},
+		{kind: "dropout", rate: 0.25},
+		{kind: "dense", in: 48, out: 24}, {kind: "relu"},
+		{kind: "dense", in: 24, out: train.NumClasses},
+	})
+	shRef, shNew := xrand.New(77), xrand.New(77)
+	for e := 0; e < 2; e++ {
+		want, err := ref.TrainEpoch(train, 1024, 0.05, shRef)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := net.TrainEpoch(train, 1024, 0.05, shNew)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("batch 1024, epoch %d: loss = %v, want %v (bitwise)", e, got, want)
+		}
+	}
+	if !bytes.Equal(ref.CaptureState(nil), net.CaptureState(nil)) {
+		t.Fatal("batch 1024: epoch-trained state diverged from reference")
 	}
 }
 
@@ -674,7 +734,7 @@ func TestEmptyBatchThenNonEmpty(t *testing.T) {
 	empty := &Batch{}
 	net.Forward(empty, false) // must not panic or corrupt layer scratch
 	x := fromRows(refBatch{{1, -2, 3, 0.5}, {0, 1, -1, 2}})
-	if _, err := net.TrainBatch(x, []int{0, 2}, 0.1); err != nil {
+	if _, err := net.trainBatch(x, []int{0, 2}, 0.1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -754,7 +814,7 @@ func TestAccumMatchesGeneric(t *testing.T) {
 						want[j] += float64(tm.v * w[tm.off+j])
 					}
 				}
-				accumRows(gotRows, n, n, v, 0, 1, nt, w[lead:], stride, 0, 1)
+				accumRows(gotRows, n, n, gotRows, n, v, 0, 1, nt, w[lead:], stride, 0, 1)
 				accumGeneric(gotGen, w, ts)
 				for name, got := range map[string][]float64{"accumRows": gotRows, "accumGeneric": gotGen} {
 					for j, g := range got {
@@ -774,10 +834,11 @@ func TestAccumMatchesGeneric(t *testing.T) {
 // lengths 0–64 (every residue of the compaction's groups of four),
 // contiguous (ak 1, forward and dx) and strided (ak 7, gw's column
 // reads) terms, 1–5 rows at padded row strides, widths that hit every
-// column tail, and terms that are ±0, NaN, ±Inf or denormal among half
-// zeros. Both-NaN elements skip the payload compare, as in
-// TestAccumMatchesGeneric; a NaN term dropped or a zero kept still
-// shows.
+// column tail, rows that start from themselves, from one bias row or
+// from +0 (a row without terms must still be set), and terms that are
+// ±0, NaN, ±Inf or denormal among half zeros. Both-NaN elements skip
+// the payload compare, as in TestAccumMatchesGeneric; a NaN term
+// dropped or a zero kept still shows.
 func TestAccumChunkMatchesGeneric(t *testing.T) {
 	r := xrand.New(11)
 	special := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, -2.7e-310, 1.9e280}
@@ -812,15 +873,38 @@ func TestAccumChunkMatchesGeneric(t *testing.T) {
 					want[i] = r.Range(-2, 2)
 				}
 				got := append([]float64(nil), want...)
+				bias := make([]float64, n)
+				for i := range bias {
+					bias[i] = r.Range(-2, 2)
+				}
+				if n > 1 {
+					bias[1] = math.Copysign(0, -1)
+				}
+				mode := (cnt + wi) % 3
+				var b []float64
 				var ts [maxTerms]term
 				for row := 0; row < rows; row++ {
+					o := want[row*os : row*os+n]
+					switch mode {
+					case 1:
+						copy(o, bias)
+					case 2:
+						clear(o)
+					}
 					nt := compact(ts[:], a[row*ar:], ak, cnt, ws)
-					accumGeneric(want[row*os:row*os+n], w, ts[:nt])
+					accumGeneric(o, w, ts[:nt])
 				}
-				accumRows(got, os, n, a, ar, ak, cnt, w, ws, 0, rows)
+				switch mode {
+				case 0:
+					accumRows(got, os, n, got, os, a, ar, ak, cnt, w, ws, 0, rows)
+				case 1:
+					accumRows(got, os, n, bias, 0, a, ar, ak, cnt, w, ws, 0, rows)
+				case 2:
+					accumRows(got, os, n, b, 0, a, ar, ak, cnt, w, ws, 0, rows)
+				}
 				for j, g := range got {
 					if math.Float64bits(g) != math.Float64bits(want[j]) && !(math.IsNaN(g) && math.IsNaN(want[j])) {
-						t.Fatalf("cnt=%d ak=%d n=%d rows=%d pad=%d: o[%d] = %x, compact+accumGeneric %x", cnt, ak, n, rows, pad, j, math.Float64bits(g), math.Float64bits(want[j]))
+						t.Fatalf("cnt=%d ak=%d n=%d rows=%d pad=%d start=%d: o[%d] = %x, compact+accumGeneric %x", cnt, ak, n, rows, pad, mode, j, math.Float64bits(g), math.Float64bits(want[j]))
 					}
 				}
 			}

@@ -261,12 +261,12 @@ func (r *Runner) trainEpoch(net *nn.Network, set *dataset.Set, h params.Hyper, r
 }
 
 // evaluate runs a test-set evaluation, observing its wall time into the
-// nn_eval_seconds sketch.
-func (r *Runner) evaluate(net *nn.Network, set *dataset.Set) (float64, float64, error) {
+// nn_eval_seconds sketch, and returns the accuracy.
+func (r *Runner) evaluate(net *nn.Network, set *dataset.Set) (float64, error) {
 	t0 := time.Now()
-	acc, loss, err := net.Evaluate(set)
+	acc, err := net.Evaluate(set)
 	r.evalSeconds.Load().Observe(time.Since(t0).Seconds())
-	return acc, loss, err
+	return acc, err
 }
 
 // Run executes one trial of w with hyperparameters h, starting from system
@@ -326,7 +326,7 @@ func (r *Runner) RunWithCacheKey(w workload.Workload, h params.Hyper, sys params
 			if err != nil {
 				return nil, fmt.Errorf("trainer: epoch %d: %w", epoch, err)
 			}
-			acc, _, err := r.evaluate(net, cp.test)
+			acc, err := r.evaluate(net, cp.test)
 			if err != nil {
 				return nil, fmt.Errorf("trainer: epoch %d eval: %w", epoch, err)
 			}
