@@ -230,7 +230,7 @@ func TestTrainHotPathAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		allocs := testing.AllocsPerRun(20, func() {
+		allocs := testing.AllocsPerRun(50, func() {
 			if _, err := net.trainBatch(x, labels, 0.01); err != nil {
 				t.Fatal(err)
 			}
@@ -263,7 +263,7 @@ func TestEpochHotPathAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		allocs := testing.AllocsPerRun(5, func() {
+		allocs := testing.AllocsPerRun(20, func() {
 			if _, err := net.TrainEpoch(set, sz.batch, 0.01, sh); err != nil {
 				t.Fatal(err)
 			}
