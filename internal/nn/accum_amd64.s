@@ -23,10 +23,10 @@
 //
 // The term list is then accumulated into the row: a block of the row's
 // start (b's columns, or zeroed registers) is loaded into YMM
-// accumulators once, every term is multiplied
-// in and added — one rounded VMULPD, one rounded VADDPD, never FMA, the
-// same two operations per element and term as accumGeneric — and the
-// block is stored once. Operand order matches axpyAsm (w is the
+// accumulators once, every term is multiplied in and added — one
+// rounded VMULPD, one rounded VADDPD, never FMA, the same two
+// operations per element and term as accumGeneric — and the block is
+// stored once. Operand order matches axpyAsm (w is the
 // multiply's first source, the product the add's), so even NaN payloads
 // come out as they always did. Columns go in blocks of 32 (eight
 // accumulators: sixteen independent multiply/add per term keep the FP
