@@ -36,9 +36,7 @@ import (
 var censusAllow = map[string]string{
 	// (a) Methods that satisfy an interface: the caller holds the
 	// interface, so no file that imports the declaring package names them.
-	"internal/xrand.Source.Int63":            "math/rand.Source",
-	"internal/ec2.SpotProcess.NextAfter":     "sched.RevocationSource",
-	"internal/ec2.SpotProcess.OutageSeconds": "sched.RevocationSource",
+	"internal/xrand.Source.Int63": "math/rand.Source",
 
 	// (b) What the frozen cmd/bench compiles against. (The three Clones
 	// its test calls need no entry: other Clone methods share the name.)

@@ -10,9 +10,7 @@
 //	          [-queue 64] [-bootstrap] [-drain 10s]
 //	          [-scheduler fifo] [-job-policy fifo]
 //	          [-tenant-weight name=w ...]
-//	          [-node-classes ec2] [-spot-fraction 0]
-//	          [-spot-revocations-per-hour 0.5]
-//	          [-exec-backend local] [-worker-token secret]
+//	          [-node-classes ec2] [-exec-backend local] [-worker-token secret]
 //	          [-worker-heartbeat 2s] [-worker-evict-after 3]
 //	          [-pprof-addr localhost:6060]
 //
@@ -122,11 +120,9 @@ func (w weightFlags) Set(s string) error {
 // parseNodeClasses turns the -node-classes flag into cluster node classes.
 // "ec2" selects the paper's three EC2 shapes (one node each); otherwise
 // each comma-separated entry reads name:count:cores:memGB[:speed[:hourlyUSD]].
-// spotFraction > 0 splits every class (cluster.SplitSpot): custom classes
-// buy spot capacity at cluster.SpotPriceFactor of their hourly rate.
-func parseNodeClasses(spec string, spotFraction, ratePerHour float64) ([]pipetune.NodeClass, error) {
+func parseNodeClasses(spec string) ([]pipetune.NodeClass, error) {
 	if spec == "ec2" {
-		return pipetune.EC2Classes(1, spotFraction, ratePerHour)
+		return pipetune.EC2Classes(1)
 	}
 	var out []pipetune.NodeClass
 	for _, entry := range strings.Split(spec, ",") {
@@ -156,12 +152,6 @@ func parseNodeClasses(spec string, spotFraction, ratePerHour float64) ([]pipetun
 		}
 		out = append(out, nc)
 	}
-	out, err := cluster.SplitSpot(out, spotFraction, ratePerHour, func(nc cluster.NodeClass) float64 {
-		return nc.HourlyUSD * cluster.SpotPriceFactor
-	})
-	if err != nil {
-		return nil, err
-	}
 	// The checks the daemon's cluster runs, here, so a bad flag is named.
 	if _, err := cluster.NewClasses(out); err != nil {
 		return nil, err
@@ -185,8 +175,6 @@ func run() error {
 		gtFlag        = flag.String("gt", "groundtruth.json", "ground-truth snapshot path (empty disables persistence; the WAL lives alongside at <path>.wal)")
 		schedFlag     = flag.String("scheduler", pipetune.SchedFIFO, "trial placement policy: fifo, sjf, backfill, cheapest or perf-per-dollar")
 		classesFlag   = flag.String("node-classes", "", "heterogeneous cluster: 'ec2' (the paper's three EC2 shapes, one node each) or a comma-separated list of name:count:cores:memGB[:speed[:hourlyUSD]]")
-		spotFlag      = flag.Float64("spot-fraction", 0, "fraction of each node class bought as revocable spot capacity (only with -node-classes; ec2 applies it per shape)")
-		revRateFlag   = flag.Float64("spot-revocations-per-hour", 0.5, "per-node Poisson revocation rate for spot capacity")
 		jobPolicyFlag = flag.String("job-policy", pipetune.JobPolicyFIFO, "job dispatch policy across tenants: fifo, fair or sjf")
 		bootstrapFlag = flag.Bool("bootstrap", false, "warm-start the ground truth by profiling the Table 3 catalog")
 		drainFlag     = flag.Duration("drain", httpserve.DefaultShutdownTimeout, "graceful-shutdown drain timeout (HTTP and in-flight remote trials)")
@@ -220,7 +208,7 @@ func run() error {
 		pipetune.WithTrialCache(trainer.DefaultCacheBytes),
 	}
 	if *classesFlag != "" {
-		classes, err := parseNodeClasses(*classesFlag, *spotFlag, *revRateFlag)
+		classes, err := parseNodeClasses(*classesFlag)
 		if err != nil {
 			return fmt.Errorf("-node-classes: %w", err)
 		}

@@ -85,7 +85,7 @@ func TestNewClassesRejectsNonFinite(t *testing.T) {
 
 // TestEC2FleetComposition: the Figure 1 fleet splits each shape into
 // on-demand and spot classes, prices them at their market rates, and
-// exposes per-node revocation rates for the spot process.
+// quotes the spot market's revocation rate on the spot classes only.
 func TestEC2FleetComposition(t *testing.T) {
 	classes, err := EC2Fleet(2, 0.5, 4)
 	if err != nil {
@@ -102,17 +102,13 @@ func TestEC2FleetComposition(t *testing.T) {
 	if spot != 3 || onDemand != 3 {
 		t.Fatalf("spot/on-demand = %d/%d, want 3/3", spot, onDemand)
 	}
-	rates := c.SpotRevocationRates()
-	if len(rates) != len(c.nodes) {
-		t.Fatalf("%d rates for %d nodes", len(rates), len(c.nodes))
-	}
-	for i, r := range rates {
+	for i, nc := range classes {
 		want := 0.0
-		if i%2 == 1 { // each shape contributes one on-demand then one spot node
+		if i%2 == 1 { // each shape contributes one on-demand then one spot class
 			want = 4
 		}
-		if r != want {
-			t.Fatalf("node %d rate %v, want %v", i, r, want)
+		if nc.RevocationsPerHour != want {
+			t.Fatalf("class %q rate %v, want %v", nc.Name, nc.RevocationsPerHour, want)
 		}
 	}
 	// 0.80+0.24 + 2.304+0.6912 + 4.608+1.3824 $/h across the six nodes.
@@ -137,12 +133,10 @@ func TestEC2FleetComposition(t *testing.T) {
 	if len(allOD) != 3 {
 		t.Fatalf("all-on-demand fleet has %d classes, want 3", len(allOD))
 	}
-	cOD, err := NewClasses(allOD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rates := cOD.SpotRevocationRates(); rates != nil {
-		t.Fatalf("on-demand fleet reports revocation rates: %v", rates)
+	for _, nc := range allOD {
+		if nc.Spot || nc.RevocationsPerHour != 0 {
+			t.Fatalf("on-demand fleet has a spot class: %+v", nc)
+		}
 	}
 
 	if _, err := EC2Fleet(0, 0, 0); err == nil {

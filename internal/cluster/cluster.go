@@ -2,9 +2,8 @@
 // typed node plane on which HPT jobs are scheduled. The homogeneous
 // testbed of the paper (N nodes with C cores and M GB each) is the
 // single-class special case; NewClasses builds heterogeneous fleets whose
-// classes carry distinct core/memory shapes, relative speed, pricing and —
-// for spot capacity — a revocation rate, seeded from the three ec2
-// instance shapes of Figure 1. A Cluster only describes its nodes and
+// classes carry distinct core/memory shapes, relative speed and pricing,
+// seeded from the three ec2 instance shapes of Figure 1. A Cluster only describes its nodes and
 // holds no occupancy: trials are placed by the internal/sched engine, to
 // which SchedPool exports the node shapes and classes.
 package cluster
@@ -27,8 +26,7 @@ type NodeSpec struct {
 }
 
 // NodeClass is one class of a (possibly heterogeneous) cluster: Count
-// nodes sharing a shape, a relative speed, a price and — when Spot — a
-// revocation process.
+// nodes sharing a shape, a relative speed and a price.
 type NodeClass struct {
 	// Name labels the class in placement decisions, metrics and the API.
 	// The legacy homogeneous constructors use the empty name, which keeps
@@ -44,8 +42,10 @@ type NodeClass struct {
 	// HourlyUSD is the class's per-node rate — on-demand or spot,
 	// whichever market the class is provisioned from.
 	HourlyUSD float64 `json:"hourlyUSD,omitempty"`
-	// Spot marks revocable capacity; RevocationsPerHour is each node's
-	// Poisson revocation rate in simulated hours.
+	// Spot marks capacity bought on the spot market, and
+	// RevocationsPerHour is that market's quoted per-node interruption
+	// rate. Both are price-tier data that /healthz reports: the scheduler
+	// never revokes a node, so a placed trial runs to completion.
 	Spot               bool    `json:"spot,omitempty"`
 	RevocationsPerHour float64 `json:"revocationsPerHour,omitempty"`
 }
@@ -148,15 +148,11 @@ func EC2Fleet(nodesPerShape int, spotFraction, revocationsPerHour float64) ([]No
 	return SplitSpot(shapes, spotFraction, revocationsPerHour, func(nc NodeClass) float64 { return spotUSD[nc.Name] })
 }
 
-// SpotPriceFactor prices a custom class's spot capacity as a fraction of
-// its on-demand rate: the ≈ 70 % discount of the EC2 table.
-const SpotPriceFactor = 0.3
-
 // SplitSpot buys spotFraction of every class from the spot market:
-// round(Count·spotFraction) of its nodes move into a revocable
-// "<name>-spot" class right after it, priced at spotHourlyUSD(class) and
-// revoked at revocationsPerHour per node. A class left without on-demand
-// nodes is dropped; a class that rounds to no spot node stays as it is.
+// round(Count·spotFraction) of its nodes move into a "<name>-spot" class
+// right after it, priced at spotHourlyUSD(class) and quoted at
+// revocationsPerHour per node. A class left without on-demand nodes is
+// dropped; a class that rounds to no spot node stays as it is.
 func SplitSpot(classes []NodeClass, spotFraction, revocationsPerHour float64, spotHourlyUSD func(NodeClass) float64) ([]NodeClass, error) {
 	if !(spotFraction >= 0 && spotFraction <= 1) {
 		return nil, fmt.Errorf("cluster: spot fraction %v outside [0,1]", spotFraction)
@@ -247,25 +243,6 @@ func (c *Cluster) SpotCounts() (spot, onDemand int) {
 	return spot, onDemand
 }
 
-// SpotRevocationRates returns every node's revocation rate (per simulated
-// hour; 0 for on-demand nodes) in node order, or nil when the cluster has
-// no revocable capacity — the input to an ec2.SpotProcess.
-func (c *Cluster) SpotRevocationRates() []float64 {
-	any := false
-	rates := make([]float64, len(c.nodes))
-	for i, n := range c.nodes {
-		nc := c.classes[n.class]
-		if nc.Spot && nc.RevocationsPerHour > 0 {
-			rates[i] = nc.RevocationsPerHour
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
-	return rates
-}
-
 // HourlyUSD is the fleet's aggregate per-hour price: what keeping every
 // node provisioned for one hour costs.
 func (c *Cluster) HourlyUSD() float64 {
@@ -279,8 +256,7 @@ func (c *Cluster) HourlyUSD() float64 {
 // SchedPool exports the cluster's node shapes and classes as an empty
 // internal/sched occupancy pool — the one occupancy model, on which the
 // event-driven trial scheduler places footprints (first-fit, never
-// spanning nodes), with per-node class metadata for cost-aware placement
-// and spot revocation.
+// spanning nodes), with per-node class metadata for cost-aware placement.
 func (c *Cluster) SchedPool() *sched.Pool {
 	caps := make([]sched.NodeCap, len(c.nodes))
 	nodeClass := make([]int, len(c.nodes))
@@ -291,11 +267,9 @@ func (c *Cluster) SchedPool() *sched.Pool {
 	classes := make([]sched.ClassCap, len(c.classes))
 	for i, nc := range c.classes {
 		classes[i] = sched.ClassCap{
-			Name:               nc.Name,
-			Spot:               nc.Spot,
-			SpeedFactor:        nc.SpeedFactor,
-			HourlyUSD:          nc.HourlyUSD,
-			RevocationsPerHour: nc.RevocationsPerHour,
+			Name:        nc.Name,
+			SpeedFactor: nc.SpeedFactor,
+			HourlyUSD:   nc.HourlyUSD,
 		}
 	}
 	p, err := sched.NewPoolClasses(caps, nodeClass, classes)

@@ -229,7 +229,7 @@ func (g *prototypeGenerator) shape() (dim, classes int) { return g.dim, g.classe
 func (g *prototypeGenerator) fill(r *xrand.Source, f []float64, label int) {
 	proto := g.prototypes[label]
 	for d := range f {
-		f[d] = proto[d] + r.NormFloat64()*g.noise
+		f[d] = proto[d] + float64(r.NormFloat64()*g.noise)
 	}
 }
 
@@ -299,7 +299,7 @@ func newKernelStateGenerator(r *xrand.Source, classes, dim int) *kernelStateGene
 	for c := range g.centers {
 		center := make([]float64, dim)
 		for i := range center {
-			center[i] = float64(c)*0.9 + r.NormFloat64()*0.4
+			center[i] = float64(float64(c)*0.9) + float64(r.NormFloat64()*0.4)
 		}
 		g.centers[c] = center
 	}
@@ -310,7 +310,7 @@ func (g *kernelStateGenerator) shape() (dim, classes int) { return g.dim, g.clas
 
 func (g *kernelStateGenerator) fill(r *xrand.Source, f []float64, label int) {
 	for d := range f {
-		f[d] = g.centers[label][d] + r.NormFloat64()*0.6
+		f[d] = g.centers[label][d] + float64(r.NormFloat64()*0.6)
 	}
 }
 

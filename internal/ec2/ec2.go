@@ -44,8 +44,7 @@ type Spec struct {
 	// (2020).
 	HourlyUSD float64
 	// SpotHourlyUSD is the corresponding spot-market rate (~70% below
-	// on-demand, the era's typical discount). Spot capacity is revocable:
-	// see SpotProcess.
+	// on-demand, the era's typical discount).
 	SpotHourlyUSD float64
 	// SpeedFactor scales trial throughput relative to m4.4xlarge = 1:
 	// larger instances run more trials concurrently.

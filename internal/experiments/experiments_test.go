@@ -19,7 +19,7 @@ import (
 // read none of the sizes -short shrinks).
 var unshrunk = map[string]bool{
 	"fig1": true, "fig2": true, "fig3a": true, "fig3bc": true, "fig8": true,
-	"fair-share": true, "reuse": true, "spot-savings": true,
+	"fair-share": true, "reuse": true,
 }
 
 // testCfg is experiment id's configuration. -short shrinks the corpus,

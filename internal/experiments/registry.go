@@ -29,7 +29,6 @@ var Experiments = []Experiment{
 	{"fig14", "multi tenancy, Type-III", erase(Figure14)},
 	{"fair-share", "weighted fair job dispatch across tenants", erase(FairShare)},
 	{"reuse", "trial prefix cache: sys-sweep epochs trained and saved, cache on/off", erase(Reuse)},
-	{"spot-savings", "spot fleet + checkpointed recovery vs all on-demand", erase(SpotSavings)},
 	{"ablation-gt", "ground truth on/off", erase(AblationNoGroundTruth)},
 	{"ablation-searchers", "search algorithms", erase(AblationSearchers)},
 	{"ablation-threshold", "similarity threshold sweep", erase(AblationThreshold)},

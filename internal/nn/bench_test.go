@@ -53,11 +53,12 @@ func BenchmarkEvaluate(b *testing.B) {
 // dominant shapes: the LeNet first layer, the widest CNN embedding
 // layer, the text models' first layer on real News20 rows (bag-of-words
 // counts, ≈ 97 % zeros: compaction, not arithmetic, is what it costs),
-// a batch-1024 backward, the top of the batch-size grid, where g no
-// longer fits L1 and gw depends on the k-tiling; then LSTM's 300→151
-// layer over tanh output (every term non-zero), the 48→20 and 24→10
-// heads over ReLU output (all column tails), and a batch-1024 layer over
-// ReLU + dropout output, whose gw compacts a strided, 62 %-zero column.
+// a 256-row backward — the tallest slice a layer sees, at batch 256 and
+// in each slice of batch 1024 — where g no longer fits L1 and gw depends
+// on the k-tiling; then LSTM's 300→151 layer over tanh output (every
+// term non-zero), the 48→20 and 24→10 heads over ReLU output (all column
+// tails), and a 256-row layer over ReLU + dropout output, whose gw
+// compacts a strided, 62 %-zero column.
 // Last, the elementwise kernels: tanh forward and backward, softmax and
 // dropout backward.
 func BenchmarkKernels(b *testing.B) {
@@ -76,11 +77,11 @@ func BenchmarkKernels(b *testing.B) {
 		{"dense-fwd-32x64x48", 32, 64, 48, nil, nil},
 		{"dense-fwd-32x128x300", 32, 128, 300, nil, nil},
 		{"dense-fwd-256x128x100-news20", 256, news.Dim, 100, news, nil},
-		{"dense-fwd-1024x64x48", 1024, 64, 48, nil, nil},
+		{"dense-fwd-256x64x48", 256, 64, 48, nil, nil},
 		{"dense-fwd-32x300x151-tanh", 32, 300, 151, nil, func(v float64, _ *xrand.Source) float64 { return math.Tanh(v) }},
 		{"dense-fwd-32x48x20-relu", 32, 48, 20, nil, relu},
 		{"dense-fwd-32x24x10-relu", 32, 24, 10, nil, relu},
-		{"dense-fwd-1024x48x24-relu-dropout", 1024, 48, 24, nil, func(v float64, r *xrand.Source) float64 {
+		{"dense-fwd-256x48x24-relu-dropout", 256, 48, 24, nil, func(v float64, r *xrand.Source) float64 {
 			if v <= 0 || r.Float64() < 0.25 {
 				return 0
 			}
@@ -177,7 +178,7 @@ func BenchmarkKernels(b *testing.B) {
 
 // BenchmarkDropoutForward times the training-mode mask draw at the
 // layer's two catalog positions: after CNN/LSTM's widest embedding and
-// after LeNet's 48-wide layer at the largest batch.
+// after LeNet's 48-wide layer in the tallest slice a layer sees.
 func BenchmarkDropoutForward(b *testing.B) {
 	for _, sh := range []struct {
 		name       string
@@ -185,7 +186,7 @@ func BenchmarkDropoutForward(b *testing.B) {
 		rate       float64
 	}{
 		{"32x300-rate0.5", 32, 300, 0.5},
-		{"1024x48-rate0.25", 1024, 48, 0.25},
+		{"256x48-rate0.25", 256, 48, 0.25},
 	} {
 		b.Run(sh.name, func(b *testing.B) {
 			r := xrand.New(1)
@@ -194,7 +195,7 @@ func BenchmarkDropoutForward(b *testing.B) {
 				x.Data[i] = r.Range(-1, 1)
 			}
 			d := NewDropout(sh.rate, r.Split())
-			d.prealloc(sh.rows, sh.rows, sh.cols)
+			d.prealloc(sh.rows, sh.cols)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d.Forward(x, true)

@@ -22,8 +22,8 @@
 // The float64 operation sequence of every result element is kept exactly
 // as the naive reference implementation produced it (see
 // reference_test.go), because downstream planes — the trial prefix
-// cache, the binary delta codec, spot salvage — all rely on bit-identical
-// trial results. A trial's kernels run serially on its own goroutine;
+// cache and the binary delta codec — rely on bit-identical trial
+// results. A trial's kernels run serially on its own goroutine;
 // parallelism is across trials, never inside one.
 package nn
 
@@ -65,10 +65,10 @@ func (b *Batch) resize(rows, cols int) {
 	b.Rows, b.Cols = rows, cols
 }
 
-// evalChunk is the tallest batch any layer sees: evaluation runs the
-// test set in chunks of it, and a larger training batch runs through
-// slices of it that accumulate one gradient. Every arena is at most this
-// many rows.
+// evalChunk is the tallest batch any layer sees. A network runs its
+// training batches and its evaluation in chunks of min(batch, evalChunk)
+// rows — a taller training batch as slices that accumulate one gradient
+// — and every arena is that many rows.
 const evalChunk = 256
 
 // axpyGeneric computes o[j] += xi * w[j] for all j, unrolled 4-wide.
@@ -123,7 +123,7 @@ func reluBwdGeneric(dst, y, g []float64) {
 // needs for the subsequent Backward; Update applies accumulated gradients.
 // Returned batches alias layer-owned arenas and are valid until the
 // layer's next Forward/Backward. Layers are not safe for concurrent use:
-// one network per trial. A training batch taller than evalChunk rows
+// one network per trial. A training batch taller than the network's chunk
 // reaches the layers as consecutive slices, each one Forward and one
 // Backward, before a single Update.
 type Layer interface {
@@ -137,12 +137,11 @@ type Layer interface {
 	Update(lr float64)
 }
 
-// arenaLayer lets Build pre-size a layer's arenas so the steady state
-// never grows them: fwd rows for what evaluation touches, bwd rows for
-// what only training does. It returns the layer's output width given
-// its input width.
+// arenaLayer lets Build pre-size a layer's arenas to the network's chunk
+// of rows so the steady state never grows them. It returns the layer's
+// output width given its input width.
 type arenaLayer interface {
-	prealloc(fwd, bwd, cols int) int
+	prealloc(rows, cols int) int
 }
 
 // Dense is a fully connected layer with bias.
@@ -184,10 +183,10 @@ func NewDense(in, out int, r *xrand.Source) *Dense {
 	return d
 }
 
-func (d *Dense) prealloc(fwd, bwd, _ int) int {
-	d.out.resize(fwd, d.Out)
+func (d *Dense) prealloc(rows, _ int) int {
+	d.out.resize(rows, d.Out)
 	if !d.noDx {
-		d.dx.resize(bwd, d.In)
+		d.dx.resize(rows, d.In)
 	}
 	return d.Out
 }
@@ -277,9 +276,9 @@ type ReLU struct {
 	dx Batch
 }
 
-func (a *ReLU) prealloc(fwd, bwd, cols int) int {
-	a.y.resize(fwd, cols)
-	a.dx.resize(bwd, cols)
+func (a *ReLU) prealloc(rows, cols int) int {
+	a.y.resize(rows, cols)
+	a.dx.resize(rows, cols)
 	return cols
 }
 
@@ -306,9 +305,9 @@ type Tanh struct {
 	dx Batch
 }
 
-func (a *Tanh) prealloc(fwd, bwd, cols int) int {
-	a.y.resize(fwd, cols)
-	a.dx.resize(bwd, cols)
+func (a *Tanh) prealloc(rows, cols int) int {
+	a.y.resize(rows, cols)
+	a.dx.resize(rows, cols)
 	return cols
 }
 
@@ -347,11 +346,11 @@ func NewDropout(rate float64, r *xrand.Source) *Dropout {
 	return &Dropout{Rate: rate, r: r}
 }
 
-func (d *Dropout) prealloc(_, bwd, cols int) int {
+func (d *Dropout) prealloc(rows, cols int) int {
 	if d.Rate > 0 { // at rate 0 Forward passes x through and Backward grad
-		d.mask.resize(bwd, cols)
-		d.out.resize(bwd, cols)
-		d.dx.resize(bwd, cols)
+		d.mask.resize(rows, cols)
+		d.out.resize(rows, cols)
+		d.dx.resize(rows, cols)
 	}
 	return cols
 }
@@ -413,6 +412,7 @@ func (d *Dropout) Update(float64) {}
 // nothing.
 type Network struct {
 	layers []Layer
+	chunk  int // rows per pass through the stack: min(batch, evalChunk)
 
 	in     Batch // gathered minibatch features
 	labels []int // gathered minibatch labels
@@ -424,7 +424,7 @@ type Network struct {
 
 // NewNetwork builds a network from the given layers.
 func NewNetwork(layers ...Layer) *Network {
-	n := &Network{layers: layers}
+	n := &Network{layers: layers, chunk: evalChunk}
 	// Nothing consumes the first layer's input gradient, so a Dense head
 	// can skip its dx matmul — usually the widest in the stack. The
 	// produced loss, parameter gradients and state are unchanged.
@@ -436,18 +436,18 @@ func NewNetwork(layers ...Layer) *Network {
 	return n
 }
 
-// prealloc sizes every arena in the stack: what evaluation's forward
-// pass touches for evalChunk rows, what only training touches for bwd,
-// so steady-state training and evaluation never allocate.
-func (n *Network) prealloc(bwd, cols int) {
-	n.in.resize(evalChunk, cols)
-	n.labels = make([]int, evalChunk)
+// prealloc makes rows the network's chunk and sizes every arena in the
+// stack to it, so steady-state training and evaluation never allocate.
+func (n *Network) prealloc(rows, cols int) {
+	n.chunk = rows
+	n.in.resize(rows, cols)
+	n.labels = make([]int, rows)
 	for _, l := range n.layers {
 		if al, ok := l.(arenaLayer); ok {
-			cols = al.prealloc(evalChunk, bwd, cols)
+			cols = al.prealloc(rows, cols)
 		}
 	}
-	n.smx.resize(bwd, cols)
+	n.smx.resize(rows, cols)
 }
 
 // Forward runs the stack and returns the logits. The result aliases the
@@ -508,7 +508,7 @@ func (n *Network) trainBatch(x *Batch, labels []int, lr float64) (float64, error
 }
 
 // step is one SGD step over a batch of rows samples. The batch runs
-// through the stack in slices of at most evalChunk rows, which
+// through the stack in slices of at most n.chunk rows, which
 // load(lo, hi) supplies, and whose gradients add up in the Dense layers
 // before one Update. That is exact: rows are independent, gw and gb
 // still see the samples in ascending order, the dropout masks are drawn
@@ -517,8 +517,8 @@ func (n *Network) trainBatch(x *Batch, labels []int, lr float64) (float64, error
 func (n *Network) step(rows int, lr float64, load func(lo, hi int) (*Batch, []int)) float64 {
 	inv := 1 / float64(rows)
 	loss := 0.0
-	for lo := 0; lo < rows; lo += evalChunk {
-		x, labels := load(lo, min(lo+evalChunk, rows))
+	for lo := 0; lo < rows; lo += n.chunk {
+		x, labels := load(lo, min(lo+n.chunk, rows))
 		loss = n.softmaxXE(n.Forward(x, true), labels, inv, loss)
 		grad := &n.smx
 		for i := len(n.layers) - 1; i >= 0; i-- {
@@ -602,8 +602,8 @@ func (n *Network) Evaluate(set *dataset.Set) (float64, error) {
 		return 0, errors.New("nn: empty evaluation set")
 	}
 	correct := 0
-	for start := 0; start < set.Len(); start += evalChunk {
-		end := min(start+evalChunk, set.Len())
+	for start := 0; start < set.Len(); start += n.chunk {
+		end := min(start+n.chunk, set.Len())
 		n.gatherRange(set, start, end)
 		correct += countCorrect(n.Forward(&n.in, false), n.labels)
 	}
@@ -663,9 +663,8 @@ func ArchOf(m workload.Model) Arch {
 // zoo: LeNet5 (compact CNN stand-in), CNN and LSTM text classifiers whose
 // first hidden width is the tunable embedding dimension (§7.1.3 item 3),
 // and small classifiers for the Rodinia Type-III kernels. Every arena in
-// the stack is pre-sized here — evalChunk rows for the forward pass, the
-// training batch up to evalChunk rows for what only training touches —
-// so trial steady state allocates nothing.
+// the stack is pre-sized here to the network's chunk, the training batch
+// up to evalChunk rows, so trial steady state allocates nothing.
 func Build(m workload.Model, inputDim, classes int, h params.Hyper, r *xrand.Source) (*Network, error) {
 	if inputDim <= 0 || classes <= 1 {
 		return nil, fmt.Errorf("nn: invalid shape in=%d classes=%d", inputDim, classes)

@@ -3,13 +3,12 @@ package sched
 import (
 	"testing"
 
-	"pipetune/internal/ec2"
 	"pipetune/internal/xrand"
 )
 
 // ec2BenchPool builds the Figure 1 half-spot fleet shape: per instance
-// shape one on-demand and one spot class node.
-func ec2BenchPool(b *testing.B) (*Pool, []float64) {
+// shape one node at the on-demand rate and one at the spot rate.
+func ec2BenchPool(b *testing.B) *Pool {
 	b.Helper()
 	shapes := []struct {
 		cores, mem int
@@ -23,20 +22,18 @@ func ec2BenchPool(b *testing.B) (*Pool, []float64) {
 	var caps []NodeCap
 	var nodeClass []int
 	var classes []ClassCap
-	var rates []float64
 	for _, s := range shapes {
 		classes = append(classes,
 			ClassCap{Name: "od", SpeedFactor: s.speed, HourlyUSD: s.od},
-			ClassCap{Name: "spot", Spot: true, RevocationsPerHour: 2, SpeedFactor: s.speed, HourlyUSD: s.spot})
+			ClassCap{Name: "spot", SpeedFactor: s.speed, HourlyUSD: s.spot})
 		caps = append(caps, NodeCap{Cores: s.cores, MemoryGB: s.mem}, NodeCap{Cores: s.cores, MemoryGB: s.mem})
 		nodeClass = append(nodeClass, len(classes)-2, len(classes)-1)
-		rates = append(rates, 0, 2)
 	}
 	p, err := NewPoolClasses(caps, nodeClass, classes)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return p, rates
+	return p
 }
 
 // benchTasks builds a Poisson-arrival stream of mixed footprints.
@@ -66,7 +63,7 @@ func BenchmarkCostAwarePlacement(b *testing.B) {
 	for _, policy := range []Policy{FIFO(), Cheapest(), PerfPerDollar()} {
 		b.Run(policy.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				pool, _ := ec2BenchPool(b)
+				pool := ec2BenchPool(b)
 				eng := New(pool, policy, 0)
 				for _, t := range tasks {
 					if err := eng.Submit(t, nil); err != nil {
@@ -78,26 +75,6 @@ func BenchmarkCostAwarePlacement(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkSpotRecovery adds the revocation plane: the same stream with
-// every spot node revoked ~2x/hour, from-scratch retries. Measures
-// eviction, requeue and node-outage handling on top of placement.
-func BenchmarkSpotRecovery(b *testing.B) {
-	tasks := benchTasks(500)
-	for i := 0; i < b.N; i++ {
-		pool, rates := ec2BenchPool(b)
-		eng := New(pool, Cheapest(), 0)
-		eng.SetRevocations(ec2.NewSpotProcess(7, rates, 120))
-		for _, t := range tasks {
-			if err := eng.Submit(t, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := eng.Run(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -12,18 +12,18 @@ func drain(e *Engine) []event {
 }
 
 // TestSameInstantClassOrder: events of one instant dispatch resizes, then
-// completions, then revocations, then arrivals — a node re-join counting
-// as an arrival — each class in scheduling order.
+// completions, then arrivals, each class in scheduling order (an event's
+// seq is its scheduling index).
 func TestSameInstantClassOrder(t *testing.T) {
 	e := New(testPool(t, 1, 8, 16), nil, 0)
-	kinds := []eventKind{evArrival, evCompletion, evRejoin, evResize, evCompletion, evRevocation, evArrival}
-	for i, k := range kinds {
-		e.schedule(10, event{kind: k, node: i})
+	kinds := []eventKind{evArrival, evCompletion, evResize, evCompletion, evArrival, evResize}
+	for _, k := range kinds {
+		e.schedule(10, event{kind: k})
 	}
-	want := []int{3, 1, 4, 5, 0, 2, 6}
+	want := []uint64{2, 5, 1, 3, 0, 4}
 	for i, ev := range drain(e) {
-		if ev.node != want[i] {
-			t.Fatalf("dispatch %d is event %d (%v), want event %d", i, ev.node, ev.kind, want[i])
+		if ev.seq != want[i] {
+			t.Fatalf("dispatch %d is event %d (%v), want event %d", i, ev.seq, ev.kind, want[i])
 		}
 	}
 }
@@ -33,11 +33,11 @@ func TestSameInstantClassOrder(t *testing.T) {
 func TestSameClassDispatchesInSchedulingOrder(t *testing.T) {
 	e := New(testPool(t, 1, 8, 16), nil, 0)
 	for i := 0; i < 64; i++ {
-		e.schedule(1, event{kind: evCompletion, node: i})
+		e.schedule(1, event{kind: evCompletion})
 	}
 	for i, ev := range drain(e) {
-		if ev.node != i {
-			t.Fatalf("dispatch %d is event %d, want scheduling order", i, ev.node)
+		if ev.seq != uint64(i) {
+			t.Fatalf("dispatch %d is event %d, want scheduling order", i, ev.seq)
 		}
 	}
 }
@@ -131,7 +131,7 @@ func TestManyEventsPopInDispatchOrder(t *testing.T) {
 	runOnce := func() []event {
 		e := New(testPool(t, 1, 8, 16), nil, 0)
 		for i := 0; i < 500; i++ {
-			e.schedule(float64((i*7919)%101), event{kind: eventKind(i % 5), node: i})
+			e.schedule(float64((i*7919)%101), event{kind: eventKind(i % 3)})
 		}
 		return drain(e)
 	}

@@ -146,19 +146,19 @@ func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 // TestPickContextClassView checks the live class axis the engine hands
 // policies under asymmetric occupancy: one budget node partly occupied,
-// the other down, must show up in the fits and prices.
+// the other full, must show up in the fits and prices.
 func TestPickContextClassView(t *testing.T) {
 	e := New(classPool(t), Cheapest(), 0)
 	e.pool.placeOn(0, sys(12, 8))
-	e.pool.setDown(1, true)
-	e.queue = []*queued{{task: Task{Sys: sys(8, 8), Duration: 7200}, attempt: 1}}
+	e.pool.placeOn(1, sys(16, 32))
+	e.queue = []*queued{{task: Task{Sys: sys(8, 8), Duration: 7200}}}
 
 	ctx := e.pickContext()
 	if ctx.Classes[0].Name != "budget" || ctx.Classes[1].Name != "turbo" {
 		t.Fatalf("class list %+v, want the pool's classes in declaration order", ctx.Classes)
 	}
 	if ctx.ClassFits(0, 0) {
-		t.Fatal("8 cores reported fitting a class with 4 free on its only up node")
+		t.Fatal("8 cores reported fitting a class with 4 free on its only open node")
 	}
 	if !ctx.ClassFits(0, 1) {
 		t.Fatal("idle turbo node reported full")

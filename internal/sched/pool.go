@@ -16,10 +16,6 @@ type NodeCap struct {
 // cost-aware policies price placements on.
 type ClassCap struct {
 	Name string `json:"name"`
-	// Spot marks revocable capacity subject to the engine's revocation
-	// source; RevocationsPerHour is each node's Poisson rate.
-	Spot               bool    `json:"spot,omitempty"`
-	RevocationsPerHour float64 `json:"revocationsPerHour,omitempty"`
 	// SpeedFactor divides task durations on the class's nodes (reference
 	// node = 1). Must be > 0.
 	SpeedFactor float64 `json:"speedFactor,omitempty"`
@@ -30,16 +26,13 @@ type ClassCap struct {
 // Pool is the scheduler's occupancy model: a fixed set of nodes on which
 // task footprints are placed first-fit. Footprints never span nodes (the
 // training framework pins each trial's executors together), so placement is
-// per-node bin packing. Every node belongs to a class (speed, price, spot)
-// and may be transiently down while a revoked spot node awaits its
-// replacement.
+// per-node bin packing. Every node belongs to a class (speed, price).
 type Pool struct {
 	caps      []NodeCap
 	usedCores []int
 	usedMem   []int
 	classes   []ClassCap
-	nodeClass []int  // per-node class index
-	down      []bool // revoked spot nodes awaiting replacement
+	nodeClass []int // per-node class index
 }
 
 // NewPoolClasses builds an empty pool with per-node class membership:
@@ -75,7 +68,6 @@ func NewPoolClasses(caps []NodeCap, nodeClass []int, classes []ClassCap) (*Pool,
 		usedMem:   make([]int, len(caps)),
 		classes:   append([]ClassCap(nil), classes...),
 		nodeClass: append([]int(nil), nodeClass...),
-		down:      make([]bool, len(caps)),
 	}, nil
 }
 
@@ -91,14 +83,8 @@ func (p *Pool) rateOf(n int) float64 { return p.class(n).HourlyUSD }
 // classNameOf returns node n's class name.
 func (p *Pool) classNameOf(n int) string { return p.class(n).Name }
 
-// isSpot reports whether node n is revocable spot capacity.
-func (p *Pool) isSpot(n int) bool { return p.class(n).Spot }
-
-// setDown marks node n down (a revoked spot node) or back up.
-func (p *Pool) setDown(n int, down bool) { p.down[n] = down }
-
-// clone copies the pool including its current occupancy and down set
-// (used for what-if probes such as backfill shadow times).
+// clone copies the pool including its current occupancy (used for
+// what-if probes such as backfill shadow times).
 func (p *Pool) clone() *Pool {
 	out := &Pool{
 		caps:      p.caps, // immutable after construction
@@ -106,18 +92,15 @@ func (p *Pool) clone() *Pool {
 		usedMem:   make([]int, len(p.usedMem)),
 		classes:   p.classes, // immutable after construction
 		nodeClass: p.nodeClass,
-		down:      make([]bool, len(p.down)),
 	}
 	copy(out.usedCores, p.usedCores)
 	copy(out.usedMem, p.usedMem)
-	copy(out.down, p.down)
 	return out
 }
 
 // fitsOn reports whether fp fits node n right now.
 func (p *Pool) fitsOn(n int, fp params.SysConfig) bool {
-	return !p.down[n] &&
-		p.caps[n].Cores-p.usedCores[n] >= fp.Cores &&
+	return p.caps[n].Cores-p.usedCores[n] >= fp.Cores &&
 		p.caps[n].MemoryGB-p.usedMem[n] >= fp.MemoryGB
 }
 
@@ -179,8 +162,6 @@ func (p *Pool) free(n int, fp params.SysConfig) {
 }
 
 // canEverFit reports whether fp would fit some node of an empty pool.
-// Down nodes count: a revoked spot node's replacement re-joins with the
-// same shape, so down-ness is transient and never grounds for rejection.
 func (p *Pool) canEverFit(fp params.SysConfig) bool {
 	for _, c := range p.caps {
 		if c.Cores >= fp.Cores && c.MemoryGB >= fp.MemoryGB {

@@ -28,14 +28,14 @@
 //
 // Everything is single-threaded and deterministic: identical task sets,
 // policies and pools produce identical schedules, with same-instant events
-// ordered resizes, completions, revocations, then arrivals (see eventKind).
+// ordered resizes, completions, then arrivals (see eventKind). A placed
+// task runs to completion on the node that admitted it.
 package sched
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"pipetune/internal/params"
 )
@@ -64,11 +64,7 @@ type Task struct {
 	Resizes  []Resize
 }
 
-// TaskStats is one task's scheduling outcome. For a task interrupted by
-// spot revocations, Start is the final (successful) attempt's admission
-// instant and the revocation fields account for the interrupted attempts;
-// every revocation field is zero — and absent from JSON — on clusters
-// without spot capacity.
+// TaskStats is one task's scheduling outcome.
 type TaskStats struct {
 	ID             int     `json:"id"`
 	Arrival        float64 `json:"arrival"`
@@ -76,78 +72,28 @@ type TaskStats struct {
 	End            float64 `json:"end"`
 	Wait           float64 `json:"wait"`     // Start - Arrival
 	Response       float64 `json:"response"` // End - Arrival
-	Node           int     `json:"node"`     // final hosting node
+	Node           int     `json:"node"`     // hosting node
 	ResizesGranted int     `json:"resizesGranted"`
 	ResizesDenied  int     `json:"resizesDenied"`
-	// Class names the final hosting node's class ("" for the anonymous
-	// class of legacy single-class clusters); Spot marks it revocable.
+	// Class names the hosting node's class ("" for the anonymous class of
+	// legacy single-class clusters).
 	Class string `json:"class,omitempty"`
-	Spot  bool   `json:"spot,omitempty"`
-	// Revocations counts spot interruptions the task survived;
-	// SalvagedEpochs the epochs of work its checkpoints rescued across
-	// them (0 = every retry was from scratch); WastedSeconds the simulated
-	// node-time the interrupted attempts consumed.
-	Revocations    int     `json:"revocations,omitempty"`
-	SalvagedEpochs int     `json:"salvagedEpochs,omitempty"`
-	WastedSeconds  float64 `json:"wastedSeconds,omitempty"`
-	// CostUSD prices the task's node occupancy (all attempts) at the
-	// hosting classes' hourly rates; 0 on unpriced pools.
+	// CostUSD prices the task's node occupancy at the hosting class's
+	// hourly rate; 0 on unpriced pools.
 	CostUSD float64 `json:"costUSD,omitempty"`
 }
 
-// ResumeSpec is an EvictHandler's answer: the shape of the replacement
-// attempt after a revocation.
-type ResumeSpec struct {
-	// Duration is the replacement attempt's reference-speed runtime.
-	Duration float64
-	// Sys, when non-zero, is the replacement attempt's starting footprint
-	// (the configuration the trial had settled on by the checkpoint);
-	// zero keeps the task's current footprint.
-	Sys params.SysConfig
-	// Resizes replaces the task's resize schedule, re-based to the
-	// replacement attempt's timeline.
-	Resizes []Resize
-	// SalvagedEpochs counts the epochs the checkpoint rescued: epochs
-	// completed before the revocation that the replacement attempt will
-	// not retrain. 0 means a from-scratch retry.
-	SalvagedEpochs int
-}
-
-// EvictHandler is consulted when a spot revocation interrupts a running
-// task: given the retry ordinal (2 for the first retry) and the
-// reference-speed seconds the interrupted attempt had executed, it
-// returns the replacement attempt's shape. A nil handler replays the task
-// unchanged from scratch.
-type EvictHandler func(attempt int, elapsed float64) ResumeSpec
-
-// RevocationSource feeds the engine per-node spot revocation instants
-// (ec2.SpotProcess in production). NextAfter must be deterministic and
-// independent of query order; OutageSeconds is how long a revoked node
-// stays down before its replacement joins.
-type RevocationSource interface {
-	NextAfter(node int, t float64) float64
-	OutageSeconds() float64
-}
-
-// queued is a task waiting for admission, carrying its across-attempt
-// revocation accounting.
+// queued is a task waiting for admission.
 type queued struct {
-	task    Task
-	onDone  func(Task, TaskStats)
-	onEvict EvictHandler
-	attempt int // 1 on first admission
-	salv    int // cumulative salvaged epochs
-	wasted  float64
-	cost    float64 // accumulated cost of interrupted attempts
+	task   Task
+	onDone func(Task, TaskStats)
 }
 
-// runningTask is one admitted attempt of a task, occupying resources
-// until its end time. Its events point at it, so an event of an attempt
-// a revocation interrupted finds another (or no) attempt running.
+// runningTask is one admitted task, occupying resources until its end
+// time. Its resize and completion events point at it.
 type runningTask struct {
 	task    Task
-	q       *queued // origin entry: eviction state and completion hook
-	rank    int     // admission order
+	onDone  func(Task, TaskStats)
 	start   float64
 	end     float64
 	node    int              // hosting node
@@ -157,20 +103,16 @@ type runningTask struct {
 	denied  int
 }
 
-// eventKind is an event's type and, up to evArrival, its same-instant
-// class: resizes free or claim capacity first, completions release next,
-// spot revocations reclaim nodes after both (a task completing at the
-// instant its node is revoked keeps its result), and arrivals observe the
-// settled state last. A revoked node's re-join dispatches as an arrival.
-// Within one instant and class, events dispatch in scheduling order.
+// eventKind is an event's type and its same-instant class: resizes free
+// or claim capacity first, completions release next, and arrivals observe
+// the settled state last. Within one instant and class, events dispatch in
+// scheduling order.
 type eventKind uint8
 
 const (
 	evResize eventKind = iota
 	evCompletion
-	evRevocation
 	evArrival
-	evRejoin
 )
 
 // event is one scheduled state change; each kind sets only the fields its
@@ -182,7 +124,6 @@ type event struct {
 	rt   *runningTask     // resize, completion
 	sys  params.SysConfig // resize: the new footprint
 	q    *queued          // arrival
-	node int              // revocation, re-join
 }
 
 // before is the dispatch order: time, then class, then scheduling order.
@@ -190,8 +131,8 @@ func (a *event) before(b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	if ca, cb := min(a.kind, evArrival), min(b.kind, evArrival); ca != cb {
-		return ca < cb
+	if a.kind != b.kind {
+		return a.kind < b.kind
 	}
 	return a.seq < b.seq
 }
@@ -238,21 +179,17 @@ func (h *eventQueue) pop() event {
 // Engine is the event-driven scheduler. It is not safe for concurrent use:
 // Submit may be called before Run or from within completion hooks.
 type Engine struct {
-	pool     *Pool
-	policy   Policy
-	slots    int // max concurrent tasks; 0 = bounded by the pool alone
-	now      float64
-	events   eventQueue
-	nextSeq  uint64 // events scheduled so far
-	queue    []*queued
-	running  map[int]*runningTask
-	admitted int // tasks admitted so far: the next rank
-	done     []TaskStats
-	halted   bool
-	err      error // first internal failure; surfaced by Run
-
-	rev        RevocationSource
-	pendingRev map[int]bool // nodes with an armed revocation
+	pool    *Pool
+	policy  Policy
+	slots   int // max concurrent tasks; 0 = bounded by the pool alone
+	now     float64
+	events  eventQueue
+	nextSeq uint64 // events scheduled so far
+	queue   []*queued
+	running map[int]*runningTask
+	done    []TaskStats
+	halted  bool
+	err     error // first internal failure; surfaced by Run
 }
 
 // New creates an engine over a pool (non-nil: every task is placed on it)
@@ -281,20 +218,6 @@ func (e *Engine) schedule(at float64, ev event) {
 	e.events.push(ev)
 }
 
-// SetRevocations arms spot revocations: src yields each node's revocation
-// instants, consumed lazily — a node's next event is scheduled only while
-// it hosts work, so a drained simulation never spins on an infinite
-// revocation stream. Call before Run.
-func (e *Engine) SetRevocations(src RevocationSource) {
-	e.rev = src
-	if src != nil && e.pendingRev == nil {
-		e.pendingRev = make(map[int]bool)
-	}
-}
-
-// HasRevocations reports whether a revocation source is armed.
-func (e *Engine) HasRevocations() bool { return e.rev != nil }
-
 // Halt stops the simulation before the next event; Run then returns an
 // error. Callers use it to abort from a completion hook.
 func (e *Engine) Halt() { e.halted = true }
@@ -306,14 +229,6 @@ func (e *Engine) Halt() { e.halted = true }
 // cannot fit an idle pool is rejected with ErrNeverFits — the caller finds
 // out at submit time, not after the queue deadlocks.
 func (e *Engine) Submit(t Task, onDone func(Task, TaskStats)) error {
-	return e.SubmitRevocable(t, nil, onDone)
-}
-
-// SubmitRevocable is Submit with an eviction handler: when a spot
-// revocation interrupts the task, onEvict shapes the replacement attempt
-// (checkpoint resume); nil replays the task from scratch. The handler is
-// never called on clusters without spot capacity.
-func (e *Engine) SubmitRevocable(t Task, onEvict EvictHandler, onDone func(Task, TaskStats)) error {
 	if t.Duration < 0 || t.Arrival < 0 {
 		return fmt.Errorf("sched: task %d has negative time", t.ID)
 	}
@@ -328,8 +243,7 @@ func (e *Engine) SubmitRevocable(t Task, onEvict EvictHandler, onDone func(Task,
 			return fmt.Errorf("sched: task %d resize to %v: %w", t.ID, rz.Sys, ErrNeverFits)
 		}
 	}
-	e.schedule(t.Arrival, event{kind: evArrival,
-		q: &queued{task: t, onDone: onDone, onEvict: onEvict, attempt: 1}})
+	e.schedule(t.Arrival, event{kind: evArrival, q: &queued{task: t, onDone: onDone}})
 	return nil
 }
 
@@ -348,18 +262,9 @@ func (e *Engine) Run() error {
 			e.queue = append(e.queue, ev.q)
 			e.dispatch()
 		case evResize:
-			if e.running[ev.rt.task.ID] == ev.rt {
-				e.resize(ev.rt, ev.sys)
-			}
+			e.resize(ev.rt, ev.sys)
 		case evCompletion:
-			if e.running[ev.rt.task.ID] == ev.rt {
-				e.complete(ev.rt)
-			}
-		case evRevocation:
-			e.revoke(ev.node)
-		case evRejoin:
-			e.pool.setDown(ev.node, false)
-			e.dispatch()
+			e.complete(ev.rt)
 		}
 	}
 	if e.err != nil {
@@ -414,10 +319,7 @@ func (e *Engine) earliestStart(i int) float64 {
 	}
 	for len(future) > 0 {
 		ev := future.pop()
-		p, ok := where[ev.rt]
-		if !ok {
-			continue // an event of an attempt a revocation interrupted
-		}
+		p := where[ev.rt]
 		switch ev.kind {
 		case evResize:
 			if p.sys != ev.sys {
@@ -479,9 +381,8 @@ func (e *Engine) dispatch() {
 }
 
 // start admits queue[idx]: reserves its footprint (on the chosen class
-// when the policy picked one, first-fit across all nodes otherwise),
-// schedules its resize and completion events, and — on a spot node — arms
-// the node's next revocation.
+// when the policy picked one, first-fit across all nodes otherwise) and
+// schedules its resize and completion events.
 func (e *Engine) start(idx, class int) {
 	q := e.queue[idx]
 	e.queue = append(e.queue[:idx], e.queue[idx+1:]...)
@@ -497,11 +398,10 @@ func (e *Engine) start(idx, class int) {
 	now := e.now
 	speed := e.pool.speedOf(node)
 	rt := &runningTask{
-		task: t, q: q, rank: e.admitted,
+		task: t, onDone: q.onDone,
 		start: now, end: now + t.Duration/speed,
 		node: node, speed: speed, sys: t.Sys,
 	}
-	e.admitted++
 	e.running[t.ID] = rt
 	for _, rz := range t.Resizes {
 		if rz.Offset <= 0 || rz.Offset >= t.Duration {
@@ -510,72 +410,6 @@ func (e *Engine) start(idx, class int) {
 		e.schedule(now+rz.Offset/speed, event{kind: evResize, rt: rt, sys: rz.Sys})
 	}
 	e.schedule(rt.end, event{kind: evCompletion, rt: rt})
-	if e.rev != nil && e.pool.isSpot(node) {
-		e.armRevocation(node)
-	}
-}
-
-// armRevocation schedules node's next revocation instant if none is
-// pending. Events are armed only while a spot node hosts work; a fired
-// event re-arms lazily via the next start() on that node, so the event
-// queue always drains.
-func (e *Engine) armRevocation(n int) {
-	if e.pendingRev[n] {
-		return
-	}
-	at := e.rev.NextAfter(n, e.now)
-	if math.IsInf(at, 1) {
-		return
-	}
-	e.pendingRev[n] = true
-	e.schedule(at, event{kind: evRevocation, node: n})
-}
-
-// revoke fires node n's spot revocation: every task running on it is
-// evicted and requeued at the queue head (admission order preserved,
-// attempt bumped), the node goes down for the source's outage window, and
-// its replacement re-joins with the same shape.
-func (e *Engine) revoke(n int) {
-	delete(e.pendingRev, n)
-	var victims []*runningTask
-	for _, rt := range e.running {
-		if rt.node == n {
-			victims = append(victims, rt)
-		}
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].rank < victims[j].rank })
-	requeued := make([]*queued, 0, len(victims))
-	for _, rt := range victims {
-		requeued = append(requeued, e.evict(rt))
-	}
-	e.queue = append(requeued, e.queue...)
-	e.pool.setDown(n, true)
-	e.schedule(e.now+e.rev.OutageSeconds(), event{kind: evRejoin, node: n})
-	e.dispatch() // evicted tasks may restart elsewhere immediately
-}
-
-// evict interrupts a running task for a revocation now: frees its
-// reservation (its scheduled completion and resize events now find it
-// gone), consults its eviction handler for the replacement attempt's
-// shape (checkpoint resume), and returns its queue entry for requeueing.
-func (e *Engine) evict(rt *runningTask) *queued {
-	q := rt.q
-	delete(e.running, rt.task.ID)
-	e.pool.free(rt.node, rt.sys)
-	elapsed := e.now - rt.start // node-local seconds the attempt consumed
-	q.attempt++
-	q.wasted += elapsed
-	q.cost += elapsed / 3600 * e.pool.rateOf(rt.node)
-	if q.onEvict != nil {
-		rs := q.onEvict(q.attempt, elapsed*rt.speed)
-		q.task.Duration = rs.Duration
-		q.task.Resizes = rs.Resizes
-		if rs.Sys != (params.SysConfig{}) {
-			q.task.Sys = rs.Sys
-		}
-		q.salv += rs.SalvagedEpochs
-	}
-	return q
 }
 
 // fail records the first internal error and halts the simulation.
@@ -613,7 +447,6 @@ func (e *Engine) resize(rt *runningTask, to params.SysConfig) {
 func (e *Engine) complete(rt *runningTask) {
 	delete(e.running, rt.task.ID)
 	e.pool.free(rt.node, rt.sys)
-	q := rt.q
 	st := TaskStats{
 		ID:             rt.task.ID,
 		Arrival:        rt.task.Arrival,
@@ -625,15 +458,11 @@ func (e *Engine) complete(rt *runningTask) {
 		ResizesGranted: rt.granted,
 		ResizesDenied:  rt.denied,
 		Class:          e.pool.classNameOf(rt.node),
-		Spot:           e.pool.isSpot(rt.node),
-		Revocations:    q.attempt - 1,
-		SalvagedEpochs: q.salv,
-		WastedSeconds:  q.wasted,
-		CostUSD:        q.cost + (rt.end-rt.start)/3600*e.pool.rateOf(rt.node),
+		CostUSD:        (rt.end - rt.start) / 3600 * e.pool.rateOf(rt.node),
 	}
 	e.done = append(e.done, st)
-	if q.onDone != nil {
-		q.onDone(rt.task, st)
+	if rt.onDone != nil {
+		rt.onDone(rt.task, st)
 	}
 	e.dispatch()
 }

@@ -510,7 +510,7 @@ type shadowCase struct {
 	tasks []Task
 }
 
-// randomShadowCase draws a non-spot pool of one or two nodes and a task
+// randomShadowCase draws a pool of one or two nodes and a task
 // set on integer times: arrivals on three instants, and every resize 10 or
 // 20 s into its task, so that tasks admitted together resize at the same
 // instant. Core counts are multiples of four, so those resizes contend.
@@ -571,5 +571,31 @@ func TestShadowIsTheSchedule(t *testing.T) {
 	}
 	if probes < len(cases) {
 		t.Fatalf("%d probes over %d cases: too few blocked heads to test the shadow", probes, len(cases))
+	}
+}
+
+// TestClassSpeedScalesEverything: on a speed-4 node, durations and resize
+// offsets divide by the class speed, and billing follows the scaled
+// occupancy.
+func TestClassSpeedScalesEverything(t *testing.T) {
+	p, err := NewPoolClasses(
+		[]NodeCap{{Cores: 16, MemoryGB: 32}},
+		[]int{0},
+		[]ClassCap{{Name: "fast", SpeedFactor: 4, HourlyUSD: 3600}}) // $1/node-second
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(p, FIFO(), 0)
+	stats := run(t, eng, []Task{
+		// Shrinks at reference offset 60 → node-local t=15, freeing room
+		// for the waiter.
+		{ID: 0, Sys: sys(16, 32), Duration: 100, Resizes: []Resize{{Offset: 60, Sys: sys(4, 4)}}},
+		{ID: 1, Sys: sys(8, 16), Duration: 10},
+	})
+	if st := stats[0]; st.End != 25 || !almost(st.CostUSD, 25) {
+		t.Fatalf("speed-4 task %+v, want end 25 at $25", st)
+	}
+	if st := stats[1]; st.Start != 15 || st.End != 17.5 {
+		t.Fatalf("waiter ran %v..%v, want 15..17.5 (admitted at the scaled shrink)", st.Start, st.End)
 	}
 }

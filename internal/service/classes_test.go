@@ -12,6 +12,7 @@ import (
 
 	"pipetune"
 	"pipetune/client"
+	"pipetune/internal/cluster"
 )
 
 // TestHealthAndFleetReportClusterComposition: on a heterogeneous system,
@@ -20,7 +21,7 @@ import (
 // execution plane only and carries none of it. Legacy single-class
 // systems keep /healthz free of the cluster section.
 func TestHealthAndFleetReportClusterComposition(t *testing.T) {
-	classes, err := pipetune.EC2Classes(2, 0.5, 2)
+	classes, err := cluster.EC2Fleet(2, 0.5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestHealthAndFleetReportClusterComposition(t *testing.T) {
 // publish sched_placements_total series labelled with the hosting class
 // and the placement policy in force.
 func TestSchedMetricsRecorded(t *testing.T) {
-	classes, err := pipetune.EC2Classes(1, 0, 0) // all on-demand: deterministic, no outage stalls
+	classes, err := pipetune.EC2Classes(1)
 	if err != nil {
 		t.Fatal(err)
 	}

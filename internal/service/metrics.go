@@ -28,11 +28,9 @@ type svcMetrics struct {
 	sseEvents  *metrics.Counter         // pipetune_sse_events_total
 	sseLagged  *metrics.Counter         // pipetune_sse_lagged_subscribers_total
 	sseSubs    *metrics.Gauge           // pipetune_sse_subscribers
-	// Heterogeneous-cluster placement and spot-recovery families, recorded
-	// from each finished job's trial records.
-	placements  *metrics.CounterVec // sched_placements_total{class,policy}
-	revocations *metrics.Counter    // sched_revocations_total
-	salvaged    *metrics.Counter    // sched_epochs_salvaged_total
+	// Heterogeneous-cluster placements, recorded from each finished job's
+	// trial records.
+	placements *metrics.CounterVec // sched_placements_total{class,policy}
 }
 
 // newSvcMetrics registers the service families.
@@ -50,10 +48,6 @@ func newSvcMetrics(reg *metrics.Registry) *svcMetrics {
 		sseSubs:    reg.Gauge("pipetune_sse_subscribers", "Live event subscribers."),
 		placements: reg.CounterVec("sched_placements_total",
 			"Trial placements by hosting node class and placement policy.", "class", "policy"),
-		revocations: reg.Counter("sched_revocations_total",
-			"Spot revocations that interrupted a running trial."),
-		salvaged: reg.Counter("sched_epochs_salvaged_total",
-			"Epochs the simulated cluster's per-epoch checkpoints spared revoked trials from retraining (bounded by the depth the trial cache holds)."),
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"pipetune"
 	"pipetune/api"
+	"pipetune/internal/cluster"
 )
 
 // serve runs one request through the service's handler and returns the
@@ -64,7 +65,7 @@ func TestReportBodiesPinned(t *testing.T) {
 		}
 	}
 
-	classes, err := pipetune.EC2Classes(2, 0.5, 2)
+	classes, err := cluster.EC2Fleet(2, 0.5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -389,6 +389,13 @@ func (js *jobSchedule) shutdown() {
 		js.s.Shutdown()
 	}()
 	<-js.s.baseCtx.Done() // Shutdown closes the service before it cancels the jobs
+	// A parent context closes its Done channel before it cancels its
+	// children, so wait until every running body has seen the
+	// cancellation: whether a body ends cancelled must not depend on
+	// which goroutine got there first.
+	for _, sj := range js.running {
+		<-sj.ctx.Done()
+	}
 	js.closed = true
 	for js.violation == nil && len(js.running) > 0 {
 		switch js.rng.IntN(4) {

@@ -507,10 +507,9 @@ func withResult(st api.JobStatus, doc []byte) (api.JobStatus, error) {
 	return st, nil
 }
 
-// recordSched publishes a finished job's placement and spot-recovery
-// outcomes: one sched_placements_total increment per trial (labelled by
-// hosting class and placement policy), plus the job's revocation and
-// salvaged-epoch totals. Runs outside s.mu — it only touches the
+// recordSched publishes a finished job's placements: one
+// sched_placements_total increment per trial, labelled by hosting class
+// and placement policy. Runs outside s.mu — it only touches the
 // lock-free metrics instruments and the (now immutable) result.
 func (s *Service) recordSched(res *tune.JobResult) {
 	policy := s.cfg.System.PlacementPolicyName()
@@ -521,12 +520,6 @@ func (s *Service) recordSched(res *tune.JobResult) {
 			class = "default" // legacy single-class cluster
 		}
 		s.met.placements.With(class, policy).Inc()
-		if t.Revocations > 0 {
-			s.met.revocations.Add(uint64(t.Revocations))
-		}
-		if t.SalvagedEpochs > 0 {
-			s.met.salvaged.Add(uint64(t.SalvagedEpochs))
-		}
 	}
 }
 

@@ -38,7 +38,6 @@ import (
 	"math"
 
 	"pipetune/internal/cluster"
-	"pipetune/internal/ec2"
 	"pipetune/internal/exec"
 	"pipetune/internal/params"
 	"pipetune/internal/sched"
@@ -179,20 +178,11 @@ type TrialRecord struct {
 	// whose system configuration is fixed for the whole trial.
 	Resizes       int `json:"resizes,omitempty"`
 	ResizesDenied int `json:"resizesDenied,omitempty"`
-	// Class names the node class the trial's final attempt ran on and Spot
-	// marks it revocable; both are empty on legacy single-class clusters.
-	Class string `json:"class,omitempty"`
-	Spot  bool   `json:"spot,omitempty"`
-	// Revocations counts the spot interruptions the trial survived;
-	// SalvagedEpochs sums, over those interruptions, the epochs each
-	// checkpoint resume skipped retraining (0 = every retry from scratch);
-	// WastedSeconds is the simulated node-time the interrupted attempts
-	// burned. CostUSD prices all attempts at the hosting classes' hourly
-	// rates. All zero — and absent from JSON — on non-spot clusters.
-	Revocations    int     `json:"revocations,omitempty"`
-	SalvagedEpochs int     `json:"salvagedEpochs,omitempty"`
-	WastedSeconds  float64 `json:"wastedSeconds,omitempty"`
-	CostUSD        float64 `json:"costUSD,omitempty"`
+	// Class names the node class the trial ran on, and CostUSD prices its
+	// occupancy at that class's hourly rate; both are empty on legacy
+	// single-class clusters.
+	Class   string  `json:"class,omitempty"`
+	CostUSD float64 `json:"costUSD,omitempty"`
 }
 
 // ProgressPoint supports the convergence plots (Figures 9 and 10): the
@@ -389,74 +379,6 @@ func trialSeed(jobSeed uint64, id int) uint64 {
 	return jobSeed ^ (uint64(id)+1)*0x9e3779b97f4a7c15
 }
 
-// spotSeedSalt decorrelates the spot-revocation process from every other
-// consumer of the job seed (trial seeds, searcher RNG).
-const spotSeedSalt uint64 = 0x5b0f5eedc0ffee11
-
-// resumeSpec shapes a revoked trial's replacement attempt: resume from the
-// checkpoint of epoch salv, the last one the interrupted attempt
-// completed. res.Epochs[0] is the init phase and epoch k lives at index k,
-// so a resume-after-epoch-salv attempt replays init and then epochs
-// salv+1..N: its duration is init + the original tail past epoch salv, its
-// starting footprint is epoch salv+1's configuration, and the resize
-// schedule is the original one re-based to the shortened timeline.
-func resumeSpec(res *trainer.Result, startSys params.SysConfig, salv int) sched.ResumeSpec {
-	if salv <= 0 || len(res.Epochs) < 2 {
-		return sched.ResumeSpec{
-			Duration: res.Duration,
-			Sys:      startSys,
-			Resizes:  resizeEvents(res),
-		}
-	}
-	// base maps original-timeline instants to the resumed attempt's clock:
-	// resumed time of epoch e's end = init + (EndTime[e] - EndTime[salv]).
-	base := res.Epochs[salv].EndTime - res.Epochs[0].Duration
-	out := sched.ResumeSpec{
-		Duration:       res.Duration - base,
-		Sys:            res.Epochs[salv+1].Sys,
-		SalvagedEpochs: salv,
-	}
-	cur := out.Sys
-	for _, ep := range res.Epochs[salv+2:] {
-		if ep.Sys != cur {
-			out.Resizes = append(out.Resizes, sched.Resize{Offset: ep.EndTime - ep.Duration - base, Sys: ep.Sys})
-			cur = ep.Sys
-		}
-	}
-	return out
-}
-
-// evictHandler builds one trial's sched.EvictHandler. The simulated
-// cluster checkpoints every epoch, so a revoked attempt resumes after the
-// last epoch it completed; the closure tracks the attempt's resume point so
-// a second revocation measures progress on the shortened timeline. The
-// body is already trained when the simulated revocation fires (compute
-// first, then simulate), so the salvage depends on the schedule alone,
-// whichever backend or trial cache trained the body.
-func evictHandler(rec *TrialRecord) sched.EvictHandler {
-	res := rec.Result
-	salvaged := 0 // current attempt's resume point (epochs skipped)
-	return func(_ int, elapsed float64) sched.ResumeSpec {
-		if len(res.Epochs) < 2 {
-			return sched.ResumeSpec{Duration: res.Duration, Sys: rec.StartSys}
-		}
-		// Attempt-local completion instant of epoch e: init duration plus
-		// the original gap from the resume point's end to e's end.
-		base := res.Epochs[salvaged].EndTime - res.Epochs[0].Duration
-		// The restored state already sits at epoch `salvaged` when the
-		// attempt begins, so progress never regresses below it.
-		completed := salvaged
-		for e := salvaged + 1; e < len(res.Epochs); e++ {
-			if res.Epochs[e].EndTime-base > elapsed {
-				break
-			}
-			completed = e
-		}
-		salvaged = completed
-		return resumeSpec(res, rec.StartSys, completed)
-	}
-}
-
 // RunJob executes the HPT job to completion on the event-driven scheduler:
 // every trial is admitted the moment its footprint fits the cluster under
 // the placement policy, and the searcher observes each result at the
@@ -480,12 +402,6 @@ func (r *Runner) RunJobCtx(ctx context.Context, spec JobSpec) (*JobResult, error
 		return nil, err
 	}
 	eng := sched.New(r.Cluster.SchedPool(), r.Policy, slots)
-	if rates := r.Cluster.SpotRevocationRates(); rates != nil {
-		// The revocation process is seeded from the job seed (salted so it
-		// never correlates with trial seeds), making the whole spot
-		// schedule a deterministic function of the job spec.
-		eng.SetRevocations(ec2.NewSpotProcess(spec.Seed^spotSeedSalt, rates, ec2.DefaultOutageSeconds))
-	}
 	res := &JobResult{Spec: spec}
 	outstanding := 0
 	bestAcc := 0.0
@@ -557,16 +473,10 @@ func (r *Runner) RunJobCtx(ctx context.Context, spec JobSpec) (*JobResult, error
 				Duration: rec.Result.Duration,
 				Resizes:  resizeEvents(rec.Result),
 			}
-			var onEvict sched.EvictHandler
-			if eng.HasRevocations() {
-				onEvict = evictHandler(rec)
-			}
-			err := eng.SubmitRevocable(task, onEvict, func(_ sched.Task, st sched.TaskStats) {
+			err := eng.Submit(task, func(_ sched.Task, st sched.TaskStats) {
 				rec.Start, rec.End = st.Start, st.End
 				rec.Resizes, rec.ResizesDenied = st.ResizesGranted, st.ResizesDenied
-				rec.Class, rec.Spot = st.Class, st.Spot
-				rec.Revocations, rec.SalvagedEpochs = st.Revocations, st.SalvagedEpochs
-				rec.WastedSeconds, rec.CostUSD = st.WastedSeconds, st.CostUSD
+				rec.Class, rec.CostUSD = st.Class, st.CostUSD
 				complete(rec)
 			})
 			if err != nil {
@@ -594,15 +504,8 @@ func (r *Runner) RunJobCtx(ctx context.Context, spec JobSpec) (*JobResult, error
 	if res.Best == nil {
 		return nil, errors.New("tune: searcher proposed no trials")
 	}
-	// The makespan is the last trial completion, not eng.Now(): a revoked
-	// spot node's replacement arrival may trail the final completion.
-	// Without spot capacity the two coincide, keeping legacy output
-	// bit-identical.
-	for i := range res.Trials {
-		if res.Trials[i].End > res.TuningTime {
-			res.TuningTime = res.Trials[i].End
-		}
-	}
+	// The last event the engine ran is the last trial completion.
+	res.TuningTime = eng.Now()
 	return res, nil
 }
 

@@ -109,16 +109,22 @@ func (r *Source) Intn(n int) int {
 }
 
 // Float64 returns a uniform float64 in [0, 1).
+//
+// The draws below wrap every product that feeds an add or subtract in
+// float64(), which rounds it, so no target fuses the pair into one
+// multiply-add (arm64 does, amd64 does not) and every architecture draws
+// the same bits. Here the scaling is exact, but once inlined a caller
+// would fuse it into its next add all the same.
 func (r *Source) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // NormFloat64 returns a standard normal variate (Marsaglia polar method).
 func (r *Source) NormFloat64() float64 {
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		u := float64(2*r.Float64()) - 1
+		v := float64(2*r.Float64()) - 1
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
@@ -156,11 +162,11 @@ func (r *Source) Shuffle(n int, swap func(i, j int)) {
 
 // Range returns a uniform float64 in [lo, hi).
 func (r *Source) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // Jitter returns v scaled by a uniform factor in [1-eps, 1+eps]. It is the
 // standard way the simulators add bounded measurement noise.
 func (r *Source) Jitter(v, eps float64) float64 {
-	return v * (1 + eps*(2*r.Float64()-1))
+	return v * (1 + float64(eps*(float64(2*r.Float64())-1)))
 }

@@ -164,16 +164,15 @@ func WithSeed(seed uint64) Option {
 }
 
 // NodeClass describes one homogeneous group of cluster nodes — shape,
-// count, relative speed, pricing and spot revocability. Re-exported from
-// internal/cluster for WithClusterClasses.
+// count, relative speed and pricing. Re-exported from internal/cluster for
+// WithClusterClasses.
 type NodeClass = cluster.NodeClass
 
 // WithClusterClasses replaces the default 4-node testbed with a cluster
-// built from node classes (shapes, speeds, prices, spot capacity).
-// Cost-aware placement policies (SchedCheapest, SchedPerfPerDollar) price
-// trials against these classes, and spot classes with a revocation rate
-// feed the scheduler's deterministic revocation process. An invalid class
-// set fails pipetune.New rather than silently keeping the default cluster.
+// built from node classes (shapes, speeds, prices). Cost-aware placement
+// policies (SchedCheapest, SchedPerfPerDollar) price trials against these
+// classes. An invalid class set fails pipetune.New rather than silently
+// keeping the default cluster.
 func WithClusterClasses(classes ...NodeClass) Option {
 	return func(s *System) {
 		c, err := cluster.NewClasses(classes)
@@ -186,12 +185,9 @@ func WithClusterClasses(classes ...NodeClass) Option {
 }
 
 // EC2Classes builds the paper's Figure 1 EC2 fleet as node classes:
-// nodesPerShape nodes of each of the three instance shapes, with
-// spotFraction of each shape's nodes (rounded) bought on the spot market
-// at the spot discount and revoked at revocationsPerHour per node.
-// spotFraction 0 is an all-on-demand fleet.
-func EC2Classes(nodesPerShape int, spotFraction, revocationsPerHour float64) ([]NodeClass, error) {
-	return cluster.EC2Fleet(nodesPerShape, spotFraction, revocationsPerHour)
+// nodesPerShape on-demand nodes of each of the three instance shapes.
+func EC2Classes(nodesPerShape int) ([]NodeClass, error) {
+	return cluster.EC2Fleet(nodesPerShape, 0, 0)
 }
 
 // Trial placement policies accepted by WithScheduler.
