@@ -27,8 +27,7 @@
 //
 // The upgrade requires "Authorization: Bearer <token>" when the daemon
 // was started with -worker-token; /v1/fleet stays open like /healthz.
-// The fleet reports the execution plane only — workers and leases. The
-// cluster the trials are placed on is reported once, in Health.Cluster.
+// The fleet reports the execution plane only — workers and leases.
 //
 // A queued job's QueuePosition is its dispatch rank if nothing else
 // arrives: the dispatcher's own pop order under the active job policy.
@@ -47,7 +46,6 @@ import (
 	"fmt"
 	"time"
 
-	"pipetune/internal/cluster"
 	"pipetune/internal/exec"
 	"pipetune/internal/gt"
 	"pipetune/internal/metrics"
@@ -236,12 +234,6 @@ type (
 	MetricsFamily = metrics.Family
 	// MetricsSample is one labelled series within a family.
 	MetricsSample = metrics.Sample
-	// ClusterStatus is the simulated cluster's node-class composition in
-	// the Health body: total nodes split into spot and on-demand, plus the
-	// per-class rows.
-	ClusterStatus = cluster.Composition
-	// NodeClassStatus is one node class's row in ClusterStatus.
-	NodeClassStatus = cluster.ClassStatus
 )
 
 // Health is the GET /healthz body.
@@ -262,9 +254,6 @@ type Health struct {
 	// Fleet reports the remote execution plane — registered workers,
 	// lease depths, drain state. Absent on the local backend.
 	Fleet *FleetStatus `json:"fleet,omitempty"`
-	// Cluster reports the simulated cluster's node-class composition.
-	// Absent when the service runs the legacy single-class cluster.
-	Cluster *ClusterStatus `json:"cluster,omitempty"`
 }
 
 // TenantHealth is one tenant's slice of the service in the Health body.

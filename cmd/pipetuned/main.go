@@ -10,7 +10,7 @@
 //	          [-queue 64] [-bootstrap] [-drain 10s]
 //	          [-scheduler fifo] [-job-policy fifo]
 //	          [-tenant-weight name=w ...]
-//	          [-node-classes ec2] [-exec-backend local] [-worker-token secret]
+//	          [-exec-backend local] [-worker-token secret]
 //	          [-worker-heartbeat 2s] [-worker-evict-after 3]
 //	          [-pprof-addr localhost:6060]
 //
@@ -86,7 +86,6 @@ import (
 	"time"
 
 	"pipetune"
-	"pipetune/internal/cluster"
 	"pipetune/internal/exec"
 	"pipetune/internal/httpserve"
 	"pipetune/internal/service"
@@ -117,48 +116,6 @@ func (w weightFlags) Set(s string) error {
 	return nil
 }
 
-// parseNodeClasses turns the -node-classes flag into cluster node classes.
-// "ec2" selects the paper's three EC2 shapes (one node each); otherwise
-// each comma-separated entry reads name:count:cores:memGB[:speed[:hourlyUSD]].
-func parseNodeClasses(spec string) ([]pipetune.NodeClass, error) {
-	if spec == "ec2" {
-		return pipetune.EC2Classes(1)
-	}
-	var out []pipetune.NodeClass
-	for _, entry := range strings.Split(spec, ",") {
-		parts := strings.Split(strings.TrimSpace(entry), ":")
-		if len(parts) < 4 || len(parts) > 6 {
-			return nil, fmt.Errorf("entry %q: want name:count:cores:memGB[:speed[:hourlyUSD]]", entry)
-		}
-		// count, cores and memGB are whole numbers; speed and price are not.
-		count, err1 := strconv.Atoi(parts[1])
-		cores, err2 := strconv.Atoi(parts[2])
-		mem, err3 := strconv.Atoi(parts[3])
-		err := errors.Join(err1, err2, err3)
-		nc := pipetune.NodeClass{
-			Name:        parts[0],
-			Count:       count,
-			Spec:        cluster.NodeSpec{Cores: cores, MemoryGB: mem},
-			SpeedFactor: 1,
-		}
-		if err == nil && len(parts) > 4 {
-			nc.SpeedFactor, err = strconv.ParseFloat(parts[4], 64)
-		}
-		if err == nil && len(parts) > 5 {
-			nc.HourlyUSD, err = strconv.ParseFloat(parts[5], 64)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("entry %q: %w", entry, err)
-		}
-		out = append(out, nc)
-	}
-	// The checks the daemon's cluster runs, here, so a bad flag is named.
-	if _, err := cluster.NewClasses(out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "pipetuned:", err)
@@ -173,8 +130,7 @@ func run() error {
 		queueFlag     = flag.Int("queue", 64, "max queued jobs")
 		seedFlag      = flag.Uint64("seed", 1, "master seed for jobs that do not set one")
 		gtFlag        = flag.String("gt", "groundtruth.json", "ground-truth snapshot path (empty disables persistence; the WAL lives alongside at <path>.wal)")
-		schedFlag     = flag.String("scheduler", pipetune.SchedFIFO, "trial placement policy: fifo, sjf, backfill, cheapest or perf-per-dollar")
-		classesFlag   = flag.String("node-classes", "", "heterogeneous cluster: 'ec2' (the paper's three EC2 shapes, one node each) or a comma-separated list of name:count:cores:memGB[:speed[:hourlyUSD]]")
+		schedFlag     = flag.String("scheduler", pipetune.SchedFIFO, "trial placement policy: fifo, sjf or backfill")
 		jobPolicyFlag = flag.String("job-policy", pipetune.JobPolicyFIFO, "job dispatch policy across tenants: fifo, fair or sjf")
 		bootstrapFlag = flag.Bool("bootstrap", false, "warm-start the ground truth by profiling the Table 3 catalog")
 		drainFlag     = flag.Duration("drain", httpserve.DefaultShutdownTimeout, "graceful-shutdown drain timeout (HTTP and in-flight remote trials)")
@@ -202,19 +158,11 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown -exec-backend %q (want local or remote)", *execFlag)
 	}
-	opts := []pipetune.Option{
+	sys, err := pipetune.New(
 		pipetune.WithSeed(*seedFlag),
 		pipetune.WithScheduler(*schedFlag),
 		pipetune.WithTrialCache(trainer.DefaultCacheBytes),
-	}
-	if *classesFlag != "" {
-		classes, err := parseNodeClasses(*classesFlag)
-		if err != nil {
-			return fmt.Errorf("-node-classes: %w", err)
-		}
-		opts = append(opts, pipetune.WithClusterClasses(classes...))
-	}
-	sys, err := pipetune.New(opts...)
+	)
 	if err != nil {
 		return err
 	}

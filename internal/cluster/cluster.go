@@ -1,11 +1,9 @@
-// Package cluster models the deep-learning cluster of §5.1 and §7.1.1: a
-// typed node plane on which HPT jobs are scheduled. The homogeneous
-// testbed of the paper (N nodes with C cores and M GB each) is the
-// single-class special case; NewClasses builds heterogeneous fleets whose
-// classes carry distinct core/memory shapes, relative speed and pricing,
-// seeded from the three ec2 instance shapes of Figure 1. A Cluster only describes its nodes and
-// holds no occupancy: trials are placed by the internal/sched engine, to
-// which SchedPool exports the node shapes and classes.
+// Package cluster models the deep-learning cluster of §5.1 and §7.1.1:
+// the nodes on which HPT jobs are scheduled. The paper's testbeds are N
+// nodes with C cores and M GB each; NewClasses concatenates groups of
+// differently shaped nodes. A Cluster only describes its node shapes and
+// holds no occupancy: trials are placed first-fit by the internal/sched
+// engine, to which SchedPool exports the shapes.
 package cluster
 
 import (
@@ -25,97 +23,62 @@ type NodeSpec struct {
 	MemoryGB int `json:"memoryGB"`
 }
 
-// NodeClass is one class of a (possibly heterogeneous) cluster: Count
-// nodes sharing a shape, a relative speed and a price.
+// NodeClass is a group of Count nodes sharing a shape. Name, SpeedFactor,
+// HourlyUSD, Spot and RevocationsPerHour describe the EC2 instance and
+// market the group is bought from (EC2Fleet, SplitSpot); the cluster keeps
+// only the shape and count, so a trial's duration and placement never
+// depend on them.
 type NodeClass struct {
-	// Name labels the class in placement decisions, metrics and the API.
-	// The legacy homogeneous constructors use the empty name, which keeps
-	// their records and wire bodies byte-identical to the pre-class era.
-	Name string   `json:"name"`
-	Spec NodeSpec `json:"spec"`
-	// Count is the number of nodes of this class.
-	Count int `json:"count"`
-	// SpeedFactor scales trial throughput relative to the reference node
-	// (m4.4xlarge = 1): a trial's simulated duration divides by it. 0 is
-	// normalised to 1 at construction.
-	SpeedFactor float64 `json:"speedFactor,omitempty"`
-	// HourlyUSD is the class's per-node rate — on-demand or spot,
-	// whichever market the class is provisioned from.
-	HourlyUSD float64 `json:"hourlyUSD,omitempty"`
-	// Spot marks capacity bought on the spot market, and
-	// RevocationsPerHour is that market's quoted per-node interruption
-	// rate. Both are price-tier data that /healthz reports: the scheduler
-	// never revokes a node, so a placed trial runs to completion.
-	Spot               bool    `json:"spot,omitempty"`
-	RevocationsPerHour float64 `json:"revocationsPerHour,omitempty"`
+	Name               string
+	Spec               NodeSpec
+	Count              int
+	SpeedFactor        float64
+	HourlyUSD          float64
+	Spot               bool
+	RevocationsPerHour float64
 }
 
-// ClassStatus is one class's row in a Composition.
-type ClassStatus struct {
-	Name               string  `json:"name"`
-	Count              int     `json:"count"`
-	Cores              int     `json:"cores"`
-	MemoryGB           int     `json:"memoryGB"`
-	Spot               bool    `json:"spot,omitempty"`
-	SpeedFactor        float64 `json:"speedFactor,omitempty"`
-	HourlyUSD          float64 `json:"hourlyUSD,omitempty"`
-	RevocationsPerHour float64 `json:"revocationsPerHour,omitempty"`
-}
-
-// Composition is the cluster's node-class composition as /healthz
-// reports it: the node count split into spot and on-demand, plus one row
-// per class.
-type Composition struct {
-	Nodes         int           `json:"nodes"`
-	SpotNodes     int           `json:"spotNodes"`
-	OnDemandNodes int           `json:"onDemandNodes"`
-	Classes       []ClassStatus `json:"classes,omitempty"`
-}
-
-// node is one node's shape and class.
-type node struct {
-	spec  NodeSpec
-	class int // index into classes
-}
-
-// Cluster is a fixed set of nodes grouped into classes, immutable after
-// construction. Node order is class declaration order.
+// Cluster is a fixed set of node shapes, immutable after construction.
 type Cluster struct {
-	nodes   []node
-	classes []NodeClass
+	nodes []NodeSpec
 }
 
-// New builds a homogeneous cluster: one unnamed class, speed 1, free —
-// the pre-class behaviour, bit-identical in every record and wire body.
+// New builds a cluster of numNodes identical nodes.
 func New(numNodes int, spec NodeSpec) (*Cluster, error) {
-	return NewClasses([]NodeClass{{Spec: spec, Count: numNodes}})
+	c := &Cluster{}
+	if err := c.add(numNodes, spec); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	return c, nil
 }
 
-// NewClasses builds a cluster from node classes, in declaration order.
+// NewClasses builds a cluster from node classes, their nodes in
+// declaration order.
 func NewClasses(classes []NodeClass) (*Cluster, error) {
 	if len(classes) == 0 {
 		return nil, errors.New("cluster: no node classes")
 	}
-	c := &Cluster{classes: make([]NodeClass, len(classes))}
-	for ci, nc := range classes {
-		if nc.Count < 1 {
-			return nil, fmt.Errorf("cluster: class %q: %d nodes invalid", nc.Name, nc.Count)
-		}
-		if nc.Spec.Cores < 1 || nc.Spec.MemoryGB < 1 {
-			return nil, fmt.Errorf("cluster: class %q: invalid node spec %+v", nc.Name, nc.Spec)
-		}
-		if !finiteNonNegative(nc.SpeedFactor) || !finiteNonNegative(nc.RevocationsPerHour) || !finiteNonNegative(nc.HourlyUSD) {
-			return nil, fmt.Errorf("cluster: class %q: speed, rate and price must be finite and non-negative", nc.Name)
-		}
-		if nc.SpeedFactor == 0 {
-			nc.SpeedFactor = 1
-		}
-		c.classes[ci] = nc
-		for i := 0; i < nc.Count; i++ {
-			c.nodes = append(c.nodes, node{spec: nc.Spec, class: ci})
+	c := &Cluster{}
+	for _, nc := range classes {
+		if err := c.add(nc.Count, nc.Spec); err != nil {
+			return nil, fmt.Errorf("cluster: class %q: %w", nc.Name, err)
 		}
 	}
 	return c, nil
+}
+
+// add appends count nodes of shape spec.
+func (c *Cluster) add(count int, spec NodeSpec) error {
+	if count < 1 {
+		return fmt.Errorf("%d nodes invalid", count)
+	}
+	if spec.Cores < 1 || spec.MemoryGB < 1 {
+		return fmt.Errorf("invalid node spec %+v", spec)
+	}
+	for range count {
+		c.nodes = append(c.nodes, spec)
+	}
+	return nil
 }
 
 // finiteNonNegative reports whether x is a real number ≥ 0: NaN and +Inf
@@ -202,77 +165,15 @@ func SingleNode() *Cluster {
 	return c
 }
 
-// Composition reports the node-class composition, or nil for the
-// anonymous single class of New, Paper and SingleNode, which carries
-// nothing worth reporting.
-func (c *Cluster) Composition() *Composition {
-	if len(c.classes) == 1 && c.classes[0].Name == "" {
-		return nil
-	}
-	spot, onDemand := c.SpotCounts()
-	return &Composition{Nodes: len(c.nodes), SpotNodes: spot, OnDemandNodes: onDemand, Classes: c.Status()}
-}
-
-// Status returns one row per class, in declaration order.
-func (c *Cluster) Status() []ClassStatus {
-	out := make([]ClassStatus, len(c.classes))
-	for i, nc := range c.classes {
-		out[i] = ClassStatus{
-			Name:               nc.Name,
-			Count:              nc.Count,
-			Cores:              nc.Spec.Cores,
-			MemoryGB:           nc.Spec.MemoryGB,
-			Spot:               nc.Spot,
-			SpeedFactor:        nc.SpeedFactor,
-			HourlyUSD:          nc.HourlyUSD,
-			RevocationsPerHour: nc.RevocationsPerHour,
-		}
-	}
-	return out
-}
-
-// SpotCounts returns the spot and on-demand node counts.
-func (c *Cluster) SpotCounts() (spot, onDemand int) {
-	for _, nc := range c.classes {
-		if nc.Spot {
-			spot += nc.Count
-		} else {
-			onDemand += nc.Count
-		}
-	}
-	return spot, onDemand
-}
-
-// HourlyUSD is the fleet's aggregate per-hour price: what keeping every
-// node provisioned for one hour costs.
-func (c *Cluster) HourlyUSD() float64 {
-	total := 0.0
-	for _, nc := range c.classes {
-		total += float64(nc.Count) * nc.HourlyUSD
-	}
-	return total
-}
-
-// SchedPool exports the cluster's node shapes and classes as an empty
-// internal/sched occupancy pool — the one occupancy model, on which the
-// event-driven trial scheduler places footprints (first-fit, never
-// spanning nodes), with per-node class metadata for cost-aware placement.
+// SchedPool exports the cluster's node shapes as an empty internal/sched
+// occupancy pool — the one occupancy model, on which the event-driven
+// trial scheduler places footprints first-fit, never spanning nodes.
 func (c *Cluster) SchedPool() *sched.Pool {
 	caps := make([]sched.NodeCap, len(c.nodes))
-	nodeClass := make([]int, len(c.nodes))
 	for i, n := range c.nodes {
-		caps[i] = sched.NodeCap{Cores: n.spec.Cores, MemoryGB: n.spec.MemoryGB}
-		nodeClass[i] = n.class
+		caps[i] = sched.NodeCap{Cores: n.Cores, MemoryGB: n.MemoryGB}
 	}
-	classes := make([]sched.ClassCap, len(c.classes))
-	for i, nc := range c.classes {
-		classes[i] = sched.ClassCap{
-			Name:        nc.Name,
-			SpeedFactor: nc.SpeedFactor,
-			HourlyUSD:   nc.HourlyUSD,
-		}
-	}
-	p, err := sched.NewPoolClasses(caps, nodeClass, classes)
+	p, err := sched.NewPool(caps)
 	if err != nil {
 		// Cluster construction already validated the shapes.
 		panic(err)
@@ -284,7 +185,7 @@ func (c *Cluster) SchedPool() *sched.Pool {
 // footprint could ever be placed on the empty cluster.
 func (c *Cluster) Fits(sys params.SysConfig) bool {
 	for _, n := range c.nodes {
-		if n.spec.Cores >= sys.Cores && n.spec.MemoryGB >= sys.MemoryGB {
+		if n.Cores >= sys.Cores && n.MemoryGB >= sys.MemoryGB {
 			return true
 		}
 	}
@@ -298,7 +199,7 @@ func (c *Cluster) Fits(sys params.SysConfig) bool {
 func (c *Cluster) Slots(fp params.SysConfig) int {
 	total := 0
 	for _, n := range c.nodes {
-		total += min(n.spec.Cores/fp.Cores, n.spec.MemoryGB/fp.MemoryGB)
+		total += min(n.Cores/fp.Cores, n.MemoryGB/fp.MemoryGB)
 	}
 	return total
 }

@@ -9,15 +9,21 @@ import (
 	"pipetune/internal/params"
 )
 
-// firstFitCount packs identical footprints first-fit onto the empty
-// cluster, node by node in declaration order, until one no longer fits.
-func firstFitCount(c *cluster.Cluster, fp params.SysConfig) int {
-	var free []cluster.NodeSpec
-	for _, cs := range c.Status() {
-		for i := 0; i < cs.Count; i++ {
-			free = append(free, cluster.NodeSpec{Cores: cs.Cores, MemoryGB: cs.MemoryGB})
+// nodesOf lists the node shapes NewClasses builds from classes, in order.
+func nodesOf(classes []cluster.NodeClass) []cluster.NodeSpec {
+	var nodes []cluster.NodeSpec
+	for _, nc := range classes {
+		for range nc.Count {
+			nodes = append(nodes, nc.Spec)
 		}
 	}
+	return nodes
+}
+
+// firstFitCount packs identical footprints first-fit onto empty nodes,
+// node by node in order, until one no longer fits.
+func firstFitCount(nodes []cluster.NodeSpec, fp params.SysConfig) int {
+	free := append([]cluster.NodeSpec(nil), nodes...)
 	placed := 0
 	for {
 		n := 0
@@ -42,27 +48,34 @@ func TestSlotsMatchesFirstFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	asymClasses := []cluster.NodeClass{
+		{Name: "wide", Spec: cluster.NodeSpec{Cores: 48, MemoryGB: 16}, Count: 1},
+		{Name: "deep", Spec: cluster.NodeSpec{Cores: 8, MemoryGB: 128}, Count: 3},
+		{Name: "odd", Spec: cluster.NodeSpec{Cores: 20, MemoryGB: 36}, Count: 2},
+	}
 	ec2, err := cluster.NewClasses(ec2Classes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	asym, err := cluster.NewClasses([]cluster.NodeClass{
-		{Name: "wide", Spec: cluster.NodeSpec{Cores: 48, MemoryGB: 16}, Count: 1},
-		{Name: "deep", Spec: cluster.NodeSpec{Cores: 8, MemoryGB: 128}, Count: 3},
-		{Name: "odd", Spec: cluster.NodeSpec{Cores: 20, MemoryGB: 36}, Count: 2},
-	})
+	asym, err := cluster.NewClasses(asymClasses)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fleets := []struct {
-		name string
-		c    *cluster.Cluster
-	}{{"paper", cluster.Paper()}, {"single-node", cluster.SingleNode()}, {"ec2", ec2}, {"asymmetric", asym}}
+		name    string
+		c       *cluster.Cluster
+		classes []cluster.NodeClass // what c was built from
+	}{
+		{"paper", cluster.Paper(), []cluster.NodeClass{{Spec: cluster.NodeSpec{Cores: 32, MemoryGB: 64}, Count: 4}}},
+		{"single-node", cluster.SingleNode(), []cluster.NodeClass{{Spec: cluster.NodeSpec{Cores: 8, MemoryGB: 24}, Count: 1}}},
+		{"ec2", ec2, ec2Classes},
+		{"asymmetric", asym, asymClasses},
+	}
 	footprints := append(core.DefaultProbeConfigs(), params.DefaultSysConfig())
 	for _, f := range fleets {
 		for _, fp := range footprints {
 			t.Run(fmt.Sprintf("%s/%v", f.name, fp), func(t *testing.T) {
-				if got, want := f.c.Slots(fp), firstFitCount(f.c, fp); got != want {
+				if got, want := f.c.Slots(fp), firstFitCount(nodesOf(f.classes), fp); got != want {
 					t.Fatalf("Slots = %d, first-fit places %d", got, want)
 				}
 			})

@@ -7,11 +7,9 @@ import (
 
 // Policy names accepted by ByName (and re-exported by the pipetune facade).
 const (
-	NameFIFO          = "fifo"
-	NameSJF           = "sjf"
-	NameBackfill      = "backfill"
-	NameCheapest      = "cheapest"
-	NamePerfPerDollar = "perf-per-dollar"
+	NameFIFO     = "fifo"
+	NameSJF      = "sjf"
+	NameBackfill = "backfill"
 )
 
 // PickContext is the read-only view a Policy decides from: only what the
@@ -24,24 +22,13 @@ type PickContext struct {
 	// Queue holds the waiting tasks in submission order.
 	Queue []Task
 	// FitsNow reports whether Queue[i]'s footprint could be placed
-	// immediately (on any up node of any class).
+	// immediately (on some node).
 	FitsNow func(i int) bool
 	// EarliestStart returns the earliest time Queue[i] could start if no
 	// further tasks were admitted, replaying the running set's scheduled
 	// resizes and completions. It returns +Inf only if the task could
 	// never fit (which Submit already rejects).
 	EarliestStart func(i int) float64
-
-	// The cost-aware placement axis, read by ClassChooser policies.
-	//
-	// Classes is the pool's own node-class list in declaration order,
-	// shared with the engine: policies must not modify it.
-	Classes []ClassCap
-	// ClassFits reports whether Queue[i] currently fits a node of class c.
-	ClassFits func(i, c int) bool
-	// ClassCost prices Queue[i] on class c in dollars: its Duration
-	// divided by the class speed factor, /3600 × the class's hourly rate.
-	ClassCost func(i, c int) float64
 }
 
 // Policy selects the next queued task to place on the cluster.
@@ -50,14 +37,6 @@ type PickContext struct {
 type Policy interface {
 	Name() string
 	Pick(ctx *PickContext) int
-}
-
-// ClassChooser is the optional second placement axis: a Policy that also
-// chooses *which node class* the picked task lands on. The engine consults
-// it after Pick; returning -1 (or not implementing the interface) falls
-// back to global first-fit across all nodes.
-type ClassChooser interface {
-	ChooseClass(ctx *PickContext, i int) int
 }
 
 // ByName resolves a policy from its name.
@@ -69,13 +48,9 @@ func ByName(name string) (Policy, error) {
 		return SJF(), nil
 	case NameBackfill:
 		return Backfill(), nil
-	case NameCheapest:
-		return Cheapest(), nil
-	case NamePerfPerDollar:
-		return PerfPerDollar(), nil
 	default:
-		return nil, fmt.Errorf("sched: unknown policy %q (want %s, %s, %s, %s or %s)",
-			name, NameFIFO, NameSJF, NameBackfill, NameCheapest, NamePerfPerDollar)
+		return nil, fmt.Errorf("sched: unknown policy %q (want %s, %s or %s)",
+			name, NameFIFO, NameSJF, NameBackfill)
 	}
 }
 
@@ -160,84 +135,9 @@ func (backfillPolicy) Pick(ctx *PickContext) int {
 	return -1
 }
 
-// -------------------------------------------------- cost-aware placement ---
-
-// Cheapest returns FIFO admission with cost-aware class choice: the oldest
-// task starts as soon as it fits anywhere (head-of-line blocking, like
-// FIFO), but lands on the node class with the lowest predicted dollar cost
-// for it — duration/speed × hourly rate — among the classes with room
-// right now. Ties resolve to the first class in declaration order. On a
-// single-class pool this is exactly FIFO.
-func Cheapest() Policy { return cheapestPolicy{} }
-
-type cheapestPolicy struct{}
-
-func (cheapestPolicy) Name() string { return NameCheapest }
-
-func (cheapestPolicy) Pick(ctx *PickContext) int {
-	if len(ctx.Queue) == 0 || !ctx.FitsNow(0) {
-		return -1
-	}
-	return 0
-}
-
-func (cheapestPolicy) ChooseClass(ctx *PickContext, i int) int {
-	best, bestCost := -1, 0.0
-	for c := range ctx.Classes {
-		if !ctx.ClassFits(i, c) {
-			continue
-		}
-		cost := ctx.ClassCost(i, c)
-		if best < 0 || cost < bestCost {
-			best, bestCost = c, cost
-		}
-	}
-	return best
-}
-
-// PerfPerDollar returns FIFO admission with throughput-per-dollar class
-// choice: among the classes with room, the picked task lands on the one
-// maximising SpeedFactor/HourlyUSD (a free class — hourly rate 0 — is
-// infinitely good and always preferred). Ties resolve to the first class
-// in declaration order; single-class pools degrade to FIFO.
-func PerfPerDollar() Policy { return perfPerDollarPolicy{} }
-
-type perfPerDollarPolicy struct{}
-
-func (perfPerDollarPolicy) Name() string { return NamePerfPerDollar }
-
-func (perfPerDollarPolicy) Pick(ctx *PickContext) int {
-	if len(ctx.Queue) == 0 || !ctx.FitsNow(0) {
-		return -1
-	}
-	return 0
-}
-
-func (perfPerDollarPolicy) ChooseClass(ctx *PickContext, i int) int {
-	best, bestVal := -1, 0.0
-	for c := range ctx.Classes {
-		if !ctx.ClassFits(i, c) {
-			continue
-		}
-		cc := ctx.Classes[c]
-		val := math.Inf(1)
-		if cc.HourlyUSD > 0 {
-			val = cc.SpeedFactor / cc.HourlyUSD
-		}
-		if best < 0 || val > bestVal {
-			best, bestVal = c, val
-		}
-	}
-	return best
-}
-
 // Compile-time interface checks.
 var (
-	_ Policy       = fifoPolicy{}
-	_ Policy       = sjfPolicy{}
-	_ Policy       = backfillPolicy{}
-	_ Policy       = cheapestPolicy{}
-	_ Policy       = perfPerDollarPolicy{}
-	_ ClassChooser = cheapestPolicy{}
-	_ ClassChooser = perfPerDollarPolicy{}
+	_ Policy = fifoPolicy{}
+	_ Policy = sjfPolicy{}
+	_ Policy = backfillPolicy{}
 )

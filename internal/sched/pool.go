@@ -12,32 +12,18 @@ type NodeCap struct {
 	MemoryGB int `json:"memoryGB"`
 }
 
-// ClassCap is one node class's scheduling-relevant metadata: the axes the
-// cost-aware policies price placements on.
-type ClassCap struct {
-	Name string `json:"name"`
-	// SpeedFactor divides task durations on the class's nodes (reference
-	// node = 1). Must be > 0.
-	SpeedFactor float64 `json:"speedFactor,omitempty"`
-	// HourlyUSD prices one node-hour of the class.
-	HourlyUSD float64 `json:"hourlyUSD,omitempty"`
-}
-
 // Pool is the scheduler's occupancy model: a fixed set of nodes on which
 // task footprints are placed first-fit. Footprints never span nodes (the
 // training framework pins each trial's executors together), so placement is
-// per-node bin packing. Every node belongs to a class (speed, price).
+// per-node bin packing.
 type Pool struct {
 	caps      []NodeCap
 	usedCores []int
 	usedMem   []int
-	classes   []ClassCap
-	nodeClass []int // per-node class index
 }
 
-// NewPoolClasses builds an empty pool with per-node class membership:
-// nodeClass[i] indexes classes for node i.
-func NewPoolClasses(caps []NodeCap, nodeClass []int, classes []ClassCap) (*Pool, error) {
+// NewPool builds an empty pool over the given node capacities.
+func NewPool(caps []NodeCap) (*Pool, error) {
 	if len(caps) == 0 {
 		return nil, fmt.Errorf("sched: pool needs at least one node")
 	}
@@ -46,42 +32,12 @@ func NewPoolClasses(caps []NodeCap, nodeClass []int, classes []ClassCap) (*Pool,
 			return nil, fmt.Errorf("sched: node %d has invalid capacity %+v", i, c)
 		}
 	}
-	if len(classes) == 0 {
-		return nil, fmt.Errorf("sched: pool needs at least one node class")
-	}
-	if len(nodeClass) != len(caps) {
-		return nil, fmt.Errorf("sched: %d nodes but %d class assignments", len(caps), len(nodeClass))
-	}
-	for i, ci := range nodeClass {
-		if ci < 0 || ci >= len(classes) {
-			return nil, fmt.Errorf("sched: node %d assigned to unknown class %d", i, ci)
-		}
-	}
-	for i, cc := range classes {
-		if cc.SpeedFactor <= 0 {
-			return nil, fmt.Errorf("sched: class %d (%q) has non-positive speed factor", i, cc.Name)
-		}
-	}
 	return &Pool{
 		caps:      append([]NodeCap(nil), caps...),
 		usedCores: make([]int, len(caps)),
 		usedMem:   make([]int, len(caps)),
-		classes:   append([]ClassCap(nil), classes...),
-		nodeClass: append([]int(nil), nodeClass...),
 	}, nil
 }
-
-// class returns node n's class metadata.
-func (p *Pool) class(n int) ClassCap { return p.classes[p.nodeClass[n]] }
-
-// speedOf returns node n's duration divisor.
-func (p *Pool) speedOf(n int) float64 { return p.class(n).SpeedFactor }
-
-// rateOf returns node n's hourly price.
-func (p *Pool) rateOf(n int) float64 { return p.class(n).HourlyUSD }
-
-// classNameOf returns node n's class name.
-func (p *Pool) classNameOf(n int) string { return p.class(n).Name }
 
 // clone copies the pool including its current occupancy (used for
 // what-if probes such as backfill shadow times).
@@ -90,8 +46,6 @@ func (p *Pool) clone() *Pool {
 		caps:      p.caps, // immutable after construction
 		usedCores: make([]int, len(p.usedCores)),
 		usedMem:   make([]int, len(p.usedMem)),
-		classes:   p.classes, // immutable after construction
-		nodeClass: p.nodeClass,
 	}
 	copy(out.usedCores, p.usedCores)
 	copy(out.usedMem, p.usedMem)
@@ -104,22 +58,21 @@ func (p *Pool) fitsOn(n int, fp params.SysConfig) bool {
 		p.caps[n].MemoryGB-p.usedMem[n] >= fp.MemoryGB
 }
 
-// placeClass reserves fp on the first fitting node of class c — of any
-// class when c < 0 — and returns the node index, or -1 when none fits now.
-func (p *Pool) placeClass(c int, fp params.SysConfig) int {
+// place reserves fp on the first fitting node and returns its index, or
+// -1 when none fits now.
+func (p *Pool) place(fp params.SysConfig) int {
 	for n := range p.caps {
-		if (c < 0 || p.nodeClass[n] == c) && p.placeOn(n, fp) {
+		if p.placeOn(n, fp) {
 			return n
 		}
 	}
 	return -1
 }
 
-// fitsClass reports whether fp could be placed on class c (any class when
-// c < 0) right now, without reserving it.
-func (p *Pool) fitsClass(c int, fp params.SysConfig) bool {
+// fits reports whether fp could be placed right now, without reserving it.
+func (p *Pool) fits(fp params.SysConfig) bool {
 	for n := range p.caps {
-		if (c < 0 || p.nodeClass[n] == c) && p.fitsOn(n, fp) {
+		if p.fitsOn(n, fp) {
 			return true
 		}
 	}
@@ -146,7 +99,7 @@ func (p *Pool) reserve(n int, from, to params.SysConfig) (int, bool) {
 	if p.placeOn(n, to) {
 		return n, true
 	}
-	if m := p.placeClass(-1, to); m >= 0 {
+	if m := p.place(to); m >= 0 {
 		return m, true
 	}
 	if !p.placeOn(n, from) {

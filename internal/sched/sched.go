@@ -75,12 +75,6 @@ type TaskStats struct {
 	Node           int     `json:"node"`     // hosting node
 	ResizesGranted int     `json:"resizesGranted"`
 	ResizesDenied  int     `json:"resizesDenied"`
-	// Class names the hosting node's class ("" for the anonymous class of
-	// legacy single-class clusters).
-	Class string `json:"class,omitempty"`
-	// CostUSD prices the task's node occupancy at the hosting class's
-	// hourly rate; 0 on unpriced pools.
-	CostUSD float64 `json:"costUSD,omitempty"`
 }
 
 // queued is a task waiting for admission.
@@ -97,7 +91,6 @@ type runningTask struct {
 	start   float64
 	end     float64
 	node    int              // hosting node
-	speed   float64          // hosting class's duration divisor
 	sys     params.SysConfig // current (possibly resized) footprint
 	granted int
 	denied  int
@@ -284,7 +277,7 @@ func (e *Engine) Run() error {
 func (e *Engine) Stats() []TaskStats { return e.done }
 
 // fitsNow reports whether the queued task at index i could start.
-func (e *Engine) fitsNow(i int) bool { return e.pool.fitsClass(-1, e.queue[i].task.Sys) }
+func (e *Engine) fitsNow(i int) bool { return e.pool.fits(e.queue[i].task.Sys) }
 
 // earliestStart computes when queue[i] could start assuming no further
 // admissions: a copy of the engine's own pending resize and completion
@@ -298,7 +291,7 @@ func (e *Engine) earliestStart(i int) float64 {
 	slotsBusy := len(e.running)
 	scratch := e.pool.clone()
 	fits := func() bool {
-		return (e.slots <= 0 || slotsBusy < e.slots) && scratch.fitsClass(-1, t.Sys)
+		return (e.slots <= 0 || slotsBusy < e.slots) && scratch.fits(t.Sys)
 	}
 	if fits() {
 		return e.now
@@ -339,21 +332,14 @@ func (e *Engine) earliestStart(i int) float64 {
 	return math.Inf(1)
 }
 
-// pickContext assembles the policy's read-only view: the queue, the fit
-// and shadow-time probes, and the cost-aware class axis over the pool's
-// own class list.
+// pickContext assembles the policy's read-only view: the queue and the
+// fit and shadow-time probes.
 func (e *Engine) pickContext() *PickContext {
-	p := e.pool
 	ctx := &PickContext{
 		Now:           e.now,
 		Queue:         make([]Task, len(e.queue)),
 		FitsNow:       e.fitsNow,
 		EarliestStart: e.earliestStart,
-		Classes:       p.classes,
-		ClassFits:     func(i, c int) bool { return p.fitsClass(c, e.queue[i].task.Sys) },
-		ClassCost: func(i, c int) float64 {
-			return e.queue[i].task.Duration / p.classes[c].SpeedFactor / 3600 * p.classes[c].HourlyUSD
-		},
 	}
 	for i, q := range e.queue {
 		ctx.Queue[i] = q.task
@@ -367,27 +353,21 @@ func (e *Engine) dispatch() {
 		if e.slots > 0 && len(e.running) >= e.slots {
 			return
 		}
-		ctx := e.pickContext()
-		idx := e.policy.Pick(ctx)
+		idx := e.policy.Pick(e.pickContext())
 		if idx < 0 || idx >= len(e.queue) {
 			return
 		}
-		class := -1
-		if ch, ok := e.policy.(ClassChooser); ok {
-			class = ch.ChooseClass(ctx, idx)
-		}
-		e.start(idx, class)
+		e.start(idx)
 	}
 }
 
-// start admits queue[idx]: reserves its footprint (on the chosen class
-// when the policy picked one, first-fit across all nodes otherwise) and
-// schedules its resize and completion events.
-func (e *Engine) start(idx, class int) {
+// start admits queue[idx]: reserves its footprint first-fit and schedules
+// its resize and completion events.
+func (e *Engine) start(idx int) {
 	q := e.queue[idx]
 	e.queue = append(e.queue[:idx], e.queue[idx+1:]...)
 	t := q.task
-	node := e.pool.placeClass(class, t.Sys)
+	node := e.pool.place(t.Sys)
 	if node < 0 {
 		// The policy picked a task that does not fit — a policy bug. Fail
 		// loudly rather than corrupting occupancy.
@@ -396,18 +376,17 @@ func (e *Engine) start(idx, class int) {
 		return
 	}
 	now := e.now
-	speed := e.pool.speedOf(node)
 	rt := &runningTask{
 		task: t, onDone: q.onDone,
-		start: now, end: now + t.Duration/speed,
-		node: node, speed: speed, sys: t.Sys,
+		start: now, end: now + t.Duration,
+		node: node, sys: t.Sys,
 	}
 	e.running[t.ID] = rt
 	for _, rz := range t.Resizes {
 		if rz.Offset <= 0 || rz.Offset >= t.Duration {
 			continue // outside the task's lifetime: nothing to re-negotiate
 		}
-		e.schedule(now+rz.Offset/speed, event{kind: evResize, rt: rt, sys: rz.Sys})
+		e.schedule(now+rz.Offset, event{kind: evResize, rt: rt, sys: rz.Sys})
 	}
 	e.schedule(rt.end, event{kind: evCompletion, rt: rt})
 }
@@ -457,8 +436,6 @@ func (e *Engine) complete(rt *runningTask) {
 		Node:           rt.node,
 		ResizesGranted: rt.granted,
 		ResizesDenied:  rt.denied,
-		Class:          e.pool.classNameOf(rt.node),
-		CostUSD:        (rt.end - rt.start) / 3600 * e.pool.rateOf(rt.node),
 	}
 	e.done = append(e.done, st)
 	if rt.onDone != nil {
@@ -470,8 +447,7 @@ func (e *Engine) complete(rt *runningTask) {
 // Simulate runs a fixed set of whole jobs through the engine under a policy
 // (nil = FIFO) with `slots` parallel servers, returning per-task statistics
 // in input order: the multi-tenancy queueing simulations. Each server is a
-// one-core, one-GB node of one free, speed-1 class and each job a
-// one-core, one-GB footprint on it; jobs carry no footprint of their own
+// one-core, one-GB node and each job a one-core, one-GB footprint on it; jobs carry no footprint of their own
 // (one is rejected), and negative arrival or duration times are rejected at
 // submit. The slot cap equals the server count, so dispatch stops asking
 // the policy once every server is busy.
@@ -484,7 +460,7 @@ func Simulate(tasks []Task, slots int, policy Policy) ([]TaskStats, error) {
 	for i := range caps {
 		caps[i] = unit
 	}
-	pool, err := NewPoolClasses(caps, make([]int, slots), []ClassCap{{SpeedFactor: 1}})
+	pool, err := NewPool(caps)
 	if err != nil {
 		return nil, err
 	}

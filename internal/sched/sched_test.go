@@ -11,14 +11,14 @@ import (
 	"pipetune/internal/xrand"
 )
 
-// testPool builds a homogeneous pool: one anonymous class, speed 1, free.
+// testPool builds a pool of identical nodes.
 func testPool(t *testing.T, nodes, cores, mem int) *Pool {
 	t.Helper()
 	caps := make([]NodeCap, nodes)
 	for i := range caps {
 		caps[i] = NodeCap{Cores: cores, MemoryGB: mem}
 	}
-	p, err := NewPoolClasses(caps, make([]int, nodes), []ClassCap{{SpeedFactor: 1}})
+	p, err := NewPool(caps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,14 +384,23 @@ func TestSimulateValidation(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{NameFIFO, NameSJF, NameBackfill, NameCheapest, NamePerfPerDollar} {
+	for _, name := range []string{NameFIFO, NameSJF, NameBackfill} {
 		p, err := ByName(name)
 		if err != nil || p.Name() != name {
 			t.Fatalf("ByName(%q) = %v, %v", name, p, err)
 		}
 	}
-	if _, err := ByName("lifo"); err == nil {
-		t.Fatal("unknown policy accepted")
+	// An unknown name is refused, and the error lists the three policies.
+	for _, name := range []string{"lifo", "cheapest", "perf-per-dollar"} {
+		_, err := ByName(name)
+		if err == nil {
+			t.Fatalf("unknown policy %q accepted", name)
+		}
+		for _, want := range []string{NameFIFO, NameSJF, NameBackfill} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("ByName(%q) error %q does not name %s", name, err, want)
+			}
+		}
 	}
 }
 
@@ -520,7 +529,7 @@ func randomShadowCase(t *testing.T, seed uint64) shadowCase {
 	for i := range caps {
 		caps[i] = NodeCap{Cores: 24 + 8*r.Intn(2), MemoryGB: 32}
 	}
-	pool, err := NewPoolClasses(caps, make([]int, len(caps)), []ClassCap{{SpeedFactor: 1}})
+	pool, err := NewPool(caps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,31 +580,5 @@ func TestShadowIsTheSchedule(t *testing.T) {
 	}
 	if probes < len(cases) {
 		t.Fatalf("%d probes over %d cases: too few blocked heads to test the shadow", probes, len(cases))
-	}
-}
-
-// TestClassSpeedScalesEverything: on a speed-4 node, durations and resize
-// offsets divide by the class speed, and billing follows the scaled
-// occupancy.
-func TestClassSpeedScalesEverything(t *testing.T) {
-	p, err := NewPoolClasses(
-		[]NodeCap{{Cores: 16, MemoryGB: 32}},
-		[]int{0},
-		[]ClassCap{{Name: "fast", SpeedFactor: 4, HourlyUSD: 3600}}) // $1/node-second
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := New(p, FIFO(), 0)
-	stats := run(t, eng, []Task{
-		// Shrinks at reference offset 60 → node-local t=15, freeing room
-		// for the waiter.
-		{ID: 0, Sys: sys(16, 32), Duration: 100, Resizes: []Resize{{Offset: 60, Sys: sys(4, 4)}}},
-		{ID: 1, Sys: sys(8, 16), Duration: 10},
-	})
-	if st := stats[0]; st.End != 25 || !almost(st.CostUSD, 25) {
-		t.Fatalf("speed-4 task %+v, want end 25 at $25", st)
-	}
-	if st := stats[1]; st.Start != 15 || st.End != 17.5 {
-		t.Fatalf("waiter ran %v..%v, want 15..17.5 (admitted at the scaled shrink)", st.Start, st.End)
 	}
 }

@@ -28,9 +28,6 @@ type svcMetrics struct {
 	sseEvents  *metrics.Counter         // pipetune_sse_events_total
 	sseLagged  *metrics.Counter         // pipetune_sse_lagged_subscribers_total
 	sseSubs    *metrics.Gauge           // pipetune_sse_subscribers
-	// Heterogeneous-cluster placements, recorded from each finished job's
-	// trial records.
-	placements *metrics.CounterVec // sched_placements_total{class,policy}
 }
 
 // newSvcMetrics registers the service families.
@@ -46,8 +43,6 @@ func newSvcMetrics(reg *metrics.Registry) *svcMetrics {
 		sseEvents:  reg.Counter("pipetune_sse_events_total", "Events appended to job logs and fanned out."),
 		sseLagged:  reg.Counter("pipetune_sse_lagged_subscribers_total", "Event subscribers dropped for falling behind."),
 		sseSubs:    reg.Gauge("pipetune_sse_subscribers", "Live event subscribers."),
-		placements: reg.CounterVec("sched_placements_total",
-			"Trial placements by hosting node class and placement policy.", "class", "policy"),
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"pipetune"
 	"pipetune/api"
-	"pipetune/internal/cluster"
 )
 
 // serve runs one request through the service's handler and returns the
@@ -44,7 +43,7 @@ func pinDump() api.GroundTruthDump {
 // TestReportBodiesPinned holds the tenant-visible reports to literals
 // recorded before their types became aliases of the owning layers' own:
 // GET /v1/groundtruth fresh and after an import, the import response,
-// and /healthz of a classed System on the local backend.
+// and /healthz on the local backend.
 func TestReportBodiesPinned(t *testing.T) {
 	svc, _ := newServer(t, Config{})
 	dump, err := json.Marshal(pinDump())
@@ -65,20 +64,8 @@ func TestReportBodiesPinned(t *testing.T) {
 		}
 	}
 
-	classes, err := cluster.EC2Fleet(2, 0.5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	classed, _ := newServer(t, Config{System: newSystem(t, pipetune.WithClusterClasses(classes...))})
-	const wantHealth = `{"status":"ok","queued":0,"running":0,"workers":2,"jobPolicy":"fifo","execBackend":"local",` +
-		`"cluster":{"nodes":6,"spotNodes":3,"onDemandNodes":3,"classes":[` +
-		`{"name":"m4.4xlarge","count":1,"cores":16,"memoryGB":64,"speedFactor":1,"hourlyUSD":0.8},` +
-		`{"name":"m4.4xlarge-spot","count":1,"cores":16,"memoryGB":64,"spot":true,"speedFactor":1,"hourlyUSD":0.24,"revocationsPerHour":2},` +
-		`{"name":"m5.12xlarge","count":1,"cores":48,"memoryGB":192,"speedFactor":2.6,"hourlyUSD":2.304},` +
-		`{"name":"m5.12xlarge-spot","count":1,"cores":48,"memoryGB":192,"spot":true,"speedFactor":2.6,"hourlyUSD":0.6912,"revocationsPerHour":2},` +
-		`{"name":"m5.24xlarge","count":1,"cores":96,"memoryGB":384,"speedFactor":4.8,"hourlyUSD":4.608},` +
-		`{"name":"m5.24xlarge-spot","count":1,"cores":96,"memoryGB":384,"spot":true,"speedFactor":4.8,"hourlyUSD":1.3824,"revocationsPerHour":2}]}}`
-	if got := strings.TrimSpace(serve(t, classed, "GET", "/healthz", nil, http.StatusOK)); got != wantHealth {
-		t.Errorf("classed local /healthz body\n got %s\nwant %s", got, wantHealth)
+	const wantHealth = `{"status":"ok","queued":0,"running":0,"workers":2,"jobPolicy":"fifo","execBackend":"local"}`
+	if got := strings.TrimSpace(serve(t, svc, "GET", "/healthz", nil, http.StatusOK)); got != wantHealth {
+		t.Errorf("local /healthz body\n got %s\nwant %s", got, wantHealth)
 	}
 }

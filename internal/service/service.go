@@ -413,7 +413,6 @@ func (s *Service) runJob(ctx context.Context, jb *job) ([]byte, error) {
 	if err != nil || res == nil {
 		return nil, err
 	}
-	s.recordSched(res)
 	return s.render(res)
 }
 
@@ -505,22 +504,6 @@ func withResult(st api.JobStatus, doc []byte) (api.JobStatus, error) {
 	}
 	st.Result = res
 	return st, nil
-}
-
-// recordSched publishes a finished job's placements: one
-// sched_placements_total increment per trial, labelled by hosting class
-// and placement policy. Runs outside s.mu — it only touches the
-// lock-free metrics instruments and the (now immutable) result.
-func (s *Service) recordSched(res *tune.JobResult) {
-	policy := s.cfg.System.PlacementPolicyName()
-	for i := range res.Trials {
-		t := &res.Trials[i]
-		class := t.Class
-		if class == "" {
-			class = "default" // legacy single-class cluster
-		}
-		s.met.placements.With(class, policy).Inc()
-	}
 }
 
 // snapshotGT compacts the write-ahead log into a snapshot if anything
@@ -844,7 +827,6 @@ func (s *Service) Health() api.Health {
 		JobPolicy:   string(s.disp.q.Policy()),
 		ExecBackend: "local",
 		Tenants:     s.disp.healthLocked(),
-		Cluster:     s.cfg.System.ClusterComposition(),
 	}
 	if s.cfg.Remote != nil {
 		fs := s.cfg.Remote.Fleet()

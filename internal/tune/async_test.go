@@ -76,7 +76,7 @@ func TestEventSchedulerMatchesBarrierFIFO(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			barrier, err := r.RunJobBarrier(mk.spec())
+			barrier, err := r.RunJobBarrier(mk.spec(), paperNodes)
 			if err != nil {
 				t.Fatal(err)
 			}

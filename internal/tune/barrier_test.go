@@ -20,11 +20,12 @@ import (
 )
 
 // RunJobBarrier executes the HPT job under the pre-refactor batch-barrier
-// model: every searcher batch runs to its collective makespan before any
-// result is observed. It is the regression reference the event-driven
-// scheduler is held to — its TuningTime is the ceiling RunJob must stay at
-// or below — and no production path runs it.
-func (r *Runner) RunJobBarrier(spec JobSpec) (*JobResult, error) {
+// model on nodes, which must be the shapes r.Cluster was built from: every
+// searcher batch runs to its collective makespan before any result is
+// observed. It is the regression reference the event-driven scheduler is
+// held to — its TuningTime is the ceiling RunJob must stay at or below —
+// and no production path runs it.
+func (r *Runner) RunJobBarrier(spec JobSpec, nodes []cluster.NodeSpec) (*JobResult, error) {
 	searcher, slots, err := r.prepare(spec)
 	if err != nil {
 		return nil, err
@@ -46,7 +47,7 @@ func (r *Runner) RunJobBarrier(spec JobSpec) (*JobResult, error) {
 		// their actual footprint (V2's oversized trials therefore reduce
 		// effective parallelism, one of the reasons its tuning time grows,
 		// §7.3), bounded additionally by the MaxParallel slot count.
-		end, err := r.scheduleBatch(records, clock, slots)
+		end, err := scheduleBatch(records, nodes, clock, slots)
 		if err != nil {
 			return nil, err
 		}
@@ -96,18 +97,13 @@ func (r *Runner) RunJobBarrier(spec JobSpec) (*JobResult, error) {
 }
 
 // scheduleBatch assigns simulated start/end times to the batch's records
-// in ID order against an empty copy of the cluster: each trial waits until
-// its own system footprint fits (FIFO within the batch), with at most
-// `slots` trials in flight. It returns the batch makespan end time.
-func (r *Runner) scheduleBatch(records []TrialRecord, clock float64, slots int) (float64, error) {
+// in ID order against empty nodes: each trial waits until its own system
+// footprint fits (FIFO within the batch), with at most `slots` trials in
+// flight. It returns the batch makespan end time.
+func scheduleBatch(records []TrialRecord, nodes []cluster.NodeSpec, clock float64, slots int) (float64, error) {
 	// The reference's own first-fit occupancy model, independent of
 	// internal/sched: every node's free cores and memory, in node order.
-	var free []cluster.NodeSpec
-	for _, cs := range r.Cluster.Status() {
-		for i := 0; i < cs.Count; i++ {
-			free = append(free, cluster.NodeSpec{Cores: cs.Cores, MemoryGB: cs.MemoryGB})
-		}
-	}
+	free := append([]cluster.NodeSpec(nil), nodes...)
 	place := func(sys params.SysConfig) int {
 		for n := range free {
 			if free[n].Cores >= sys.Cores && free[n].MemoryGB >= sys.MemoryGB {
@@ -167,6 +163,10 @@ func (r *Runner) scheduleBatch(records []TrialRecord, clock float64, slots int) 
 	return end, nil
 }
 
+// paperNodes are the node shapes of cluster.Paper(), the testbed every
+// barrier comparison runs on.
+var paperNodes = uniformNodes(4, 32, 64)
+
 // catalogRunner builds a tuner over the paper testbed with a small corpus
 // (simulated durations derive from Table 3's full sizes, not the corpus).
 func catalogRunner() *Runner {
@@ -202,7 +202,7 @@ func TestEventSchedulerNoWorseThanBarrierOnCatalog(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			barrier, err := catalogRunner().RunJobBarrier(catalogSpec(w))
+			barrier, err := catalogRunner().RunJobBarrier(catalogSpec(w), paperNodes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -235,7 +235,7 @@ func BenchmarkSchedulerVsBarrier(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			barrier, err := catalogRunner().RunJobBarrier(catalogSpec(w))
+			barrier, err := catalogRunner().RunJobBarrier(catalogSpec(w), paperNodes)
 			if err != nil {
 				b.Fatal(err)
 			}

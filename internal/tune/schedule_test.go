@@ -21,24 +21,24 @@ func mkRecord(id int, sys params.SysConfig, duration float64) TrialRecord {
 	}
 }
 
-func schedRunner(t *testing.T, nodes, cores, mem int) *Runner {
-	t.Helper()
-	c, err := cluster.New(nodes, cluster.NodeSpec{Cores: cores, MemoryGB: mem})
-	if err != nil {
-		t.Fatal(err)
+// uniformNodes lists n nodes of cores and mem each.
+func uniformNodes(n, cores, mem int) []cluster.NodeSpec {
+	out := make([]cluster.NodeSpec, n)
+	for i := range out {
+		out[i] = cluster.NodeSpec{Cores: cores, MemoryGB: mem}
 	}
-	return NewRunner(trainer.NewRunner(), c)
+	return out
 }
 
 func TestScheduleBatchFullyParallelWhenFits(t *testing.T) {
-	r := schedRunner(t, 2, 16, 32)
+	ns := uniformNodes(2, 16, 32)
 	records := []TrialRecord{
 		mkRecord(0, params.SysConfig{Cores: 8, MemoryGB: 8}, 100),
 		mkRecord(1, params.SysConfig{Cores: 8, MemoryGB: 8}, 100),
 		mkRecord(2, params.SysConfig{Cores: 8, MemoryGB: 8}, 100),
 		mkRecord(3, params.SysConfig{Cores: 8, MemoryGB: 8}, 100),
 	}
-	end, err := r.scheduleBatch(records, 0, 8)
+	end, err := scheduleBatch(records, ns, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,12 +55,12 @@ func TestScheduleBatchFullyParallelWhenFits(t *testing.T) {
 func TestScheduleBatchOversizedTrialsSerialise(t *testing.T) {
 	// One node, 16 cores: two 16-core trials must run back to back even
 	// though slot count would allow both.
-	r := schedRunner(t, 1, 16, 32)
+	ns := uniformNodes(1, 16, 32)
 	records := []TrialRecord{
 		mkRecord(0, params.SysConfig{Cores: 16, MemoryGB: 16}, 100),
 		mkRecord(1, params.SysConfig{Cores: 16, MemoryGB: 16}, 100),
 	}
-	end, err := r.scheduleBatch(records, 0, 8)
+	end, err := scheduleBatch(records, ns, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,13 +75,13 @@ func TestScheduleBatchOversizedTrialsSerialise(t *testing.T) {
 func TestScheduleBatchMixedFootprints(t *testing.T) {
 	// A big trial and two small ones on one 16-core node: the big one
 	// occupies the node; the small ones co-run after it.
-	r := schedRunner(t, 1, 16, 32)
+	ns := uniformNodes(1, 16, 32)
 	records := []TrialRecord{
 		mkRecord(0, params.SysConfig{Cores: 16, MemoryGB: 16}, 50),
 		mkRecord(1, params.SysConfig{Cores: 8, MemoryGB: 8}, 60),
 		mkRecord(2, params.SysConfig{Cores: 8, MemoryGB: 8}, 60),
 	}
-	end, err := r.scheduleBatch(records, 0, 8)
+	end, err := scheduleBatch(records, ns, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +96,13 @@ func TestScheduleBatchMixedFootprints(t *testing.T) {
 
 func TestScheduleBatchRespectsSlotCap(t *testing.T) {
 	// Plenty of resources but only 1 slot: strictly serial.
-	r := schedRunner(t, 4, 32, 64)
+	ns := uniformNodes(4, 32, 64)
 	records := []TrialRecord{
 		mkRecord(0, params.SysConfig{Cores: 4, MemoryGB: 4}, 10),
 		mkRecord(1, params.SysConfig{Cores: 4, MemoryGB: 4}, 10),
 		mkRecord(2, params.SysConfig{Cores: 4, MemoryGB: 4}, 10),
 	}
-	end, err := r.scheduleBatch(records, 0, 1)
+	end, err := scheduleBatch(records, ns, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +112,9 @@ func TestScheduleBatchRespectsSlotCap(t *testing.T) {
 }
 
 func TestScheduleBatchStartsFromClock(t *testing.T) {
-	r := schedRunner(t, 1, 16, 32)
+	ns := uniformNodes(1, 16, 32)
 	records := []TrialRecord{mkRecord(0, params.SysConfig{Cores: 8, MemoryGB: 8}, 10)}
-	end, err := r.scheduleBatch(records, 500, 4)
+	end, err := scheduleBatch(records, ns, 500, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +124,9 @@ func TestScheduleBatchStartsFromClock(t *testing.T) {
 }
 
 func TestScheduleBatchUnfittableConfig(t *testing.T) {
-	r := schedRunner(t, 1, 8, 16)
+	ns := uniformNodes(1, 8, 16)
 	records := []TrialRecord{mkRecord(0, params.SysConfig{Cores: 16, MemoryGB: 8}, 10)}
-	if _, err := r.scheduleBatch(records, 0, 4); err == nil {
+	if _, err := scheduleBatch(records, ns, 0, 4); err == nil {
 		t.Fatal("unfittable trial accepted")
 	}
 }

@@ -178,11 +178,6 @@ type TrialRecord struct {
 	// whose system configuration is fixed for the whole trial.
 	Resizes       int `json:"resizes,omitempty"`
 	ResizesDenied int `json:"resizesDenied,omitempty"`
-	// Class names the node class the trial ran on, and CostUSD prices its
-	// occupancy at that class's hourly rate; both are empty on legacy
-	// single-class clusters.
-	Class   string  `json:"class,omitempty"`
-	CostUSD float64 `json:"costUSD,omitempty"`
 }
 
 // ProgressPoint supports the convergence plots (Figures 9 and 10): the
@@ -476,7 +471,6 @@ func (r *Runner) RunJobCtx(ctx context.Context, spec JobSpec) (*JobResult, error
 			err := eng.Submit(task, func(_ sched.Task, st sched.TaskStats) {
 				rec.Start, rec.End = st.Start, st.End
 				rec.Resizes, rec.ResizesDenied = st.ResizesGranted, st.ResizesDenied
-				rec.Class, rec.CostUSD = st.Class, st.CostUSD
 				complete(rec)
 			})
 			if err != nil {

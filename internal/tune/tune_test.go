@@ -163,6 +163,15 @@ func TestMakespanRespectsParallelism(t *testing.T) {
 	if diff := sres.TuningTime - sum; diff > 1e-6 || diff < -1e-6 {
 		t.Fatalf("serial makespan %v != trial-duration sum %v", sres.TuningTime, sum)
 	}
+	// A placed trial runs to completion: it occupies its whole simulated
+	// body from the instant it starts.
+	for _, res := range []*JobResult{sres, pres} {
+		for _, tr := range res.Trials {
+			if tr.End != tr.Start+tr.Result.Duration {
+				t.Fatalf("trial %d ran %v..%v, want its whole %vs body from its start", tr.ID, tr.Start, tr.End, tr.Result.Duration)
+			}
+		}
+	}
 }
 
 func TestTrialObserverHookInvoked(t *testing.T) {

@@ -136,9 +136,9 @@ func PaperHyperSpace() Space { return params.PaperHyperSpace() }
 // PaperSystemSpace returns the paper's system-parameter grid.
 func PaperSystemSpace() Space { return params.PaperSystemSpace() }
 
-// System is a fully wired PipeTune deployment: the training substrate, a
-// cluster, the baseline tuner and the PipeTune middleware with its
-// persistent ground-truth database.
+// System is a fully wired PipeTune deployment: the training substrate, the
+// paper's four-node testbed, the baseline tuner and the PipeTune
+// middleware with its persistent ground-truth database.
 //
 // A System is safe for concurrent use after New returns: RunPipeTune,
 // RunBaseline and their context variants may be called from multiple
@@ -148,7 +148,6 @@ func PaperSystemSpace() Space { return params.PaperSystemSpace() }
 // concurrently with runs.
 type System struct {
 	trainer  *trainer.Runner
-	cluster  *cluster.Cluster
 	tuner    *tune.Runner
 	pipetune *core.PipeTune
 	seed     uint64
@@ -163,44 +162,11 @@ func WithSeed(seed uint64) Option {
 	return func(s *System) { s.seed = seed }
 }
 
-// NodeClass describes one homogeneous group of cluster nodes — shape,
-// count, relative speed and pricing. Re-exported from internal/cluster for
-// WithClusterClasses.
-type NodeClass = cluster.NodeClass
-
-// WithClusterClasses replaces the default 4-node testbed with a cluster
-// built from node classes (shapes, speeds, prices). Cost-aware placement
-// policies (SchedCheapest, SchedPerfPerDollar) price trials against these
-// classes. An invalid class set fails pipetune.New rather than silently
-// keeping the default cluster.
-func WithClusterClasses(classes ...NodeClass) Option {
-	return func(s *System) {
-		c, err := cluster.NewClasses(classes)
-		if err != nil {
-			s.fail(fmt.Errorf("pipetune: WithClusterClasses: %w", err))
-			return
-		}
-		s.cluster = c
-	}
-}
-
-// EC2Classes builds the paper's Figure 1 EC2 fleet as node classes:
-// nodesPerShape on-demand nodes of each of the three instance shapes.
-func EC2Classes(nodesPerShape int) ([]NodeClass, error) {
-	return cluster.EC2Fleet(nodesPerShape, 0, 0)
-}
-
 // Trial placement policies accepted by WithScheduler.
 const (
 	SchedFIFO     = sched.NameFIFO
 	SchedSJF      = sched.NameSJF
 	SchedBackfill = sched.NameBackfill
-	// SchedCheapest and SchedPerfPerDollar are FIFO admission with a
-	// cost-aware class choice on heterogeneous clusters: lowest predicted
-	// dollar cost, or best speed per dollar. On single-class clusters both
-	// degrade to exact FIFO.
-	SchedCheapest      = sched.NameCheapest
-	SchedPerfPerDollar = sched.NamePerfPerDollar
 )
 
 // Job dispatch policies of the pipetuned service (internal/admission):
@@ -297,10 +263,9 @@ func WithGroundTruthStore(store GroundTruthStore) Option {
 func New(opts ...Option) (*System, error) {
 	s := &System{
 		trainer: trainer.NewRunner(),
-		cluster: cluster.Paper(),
 		seed:    1,
 	}
-	s.tuner = tune.NewRunner(s.trainer, s.cluster)
+	s.tuner = tune.NewRunner(s.trainer, cluster.Paper())
 	s.pipetune = core.New(s.tuner)
 	for _, opt := range opts {
 		opt(s)
@@ -308,8 +273,6 @@ func New(opts ...Option) (*System, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	// Re-wire in case the cluster was swapped by an option.
-	s.tuner.Cluster = s.cluster
 	return s, nil
 }
 
@@ -388,17 +351,4 @@ func (s *System) InstrumentTrainer(reg *metrics.Registry) { s.trainer.Instrument
 // running it (used for capacity planning and the multi-tenant examples).
 func (s *System) PredictTrialDuration(w Workload, h Hyper, sys SysConfig) (float64, error) {
 	return s.trainer.PredictDuration(w, h, sys)
-}
-
-// ClusterComposition reports the cluster's node-class composition for
-// health surfaces, or nil on the legacy single-class cluster.
-func (s *System) ClusterComposition() *cluster.Composition { return s.cluster.Composition() }
-
-// PlacementPolicyName names the trial placement policy in force
-// (WithScheduler; "fifo" by default).
-func (s *System) PlacementPolicyName() string {
-	if s.tuner.Policy == nil {
-		return sched.NameFIFO
-	}
-	return s.tuner.Policy.Name()
 }

@@ -212,25 +212,6 @@ func TestFacadePredictDuration(t *testing.T) {
 	}
 }
 
-func TestFacadeInvalidClusterRejected(t *testing.T) {
-	// Regression: an invalid cluster option used to be swallowed, silently
-	// keeping the default testbed.
-	spec := NodeClass{Count: 2}
-	spec.Spec.Cores, spec.Spec.MemoryGB = 16, 32
-	zero, negative := spec, spec
-	zero.Count = 0
-	negative.Spec.Cores = -1
-	if _, err := New(WithClusterClasses(zero)); err == nil {
-		t.Fatal("zero-node class accepted")
-	}
-	if _, err := New(WithClusterClasses(negative)); err == nil {
-		t.Fatal("negative-core class accepted")
-	}
-	if _, err := New(WithClusterClasses(spec)); err != nil {
-		t.Fatalf("valid class rejected: %v", err)
-	}
-}
-
 func TestFacadeScheduler(t *testing.T) {
 	if _, err := New(WithScheduler("lifo")); err == nil {
 		t.Fatal("unknown scheduler policy accepted")
