@@ -108,7 +108,7 @@ type JobRequest struct {
 	Objective string `json:"objective,omitempty"`
 	// Tenant names the fair-share accounting principal the job bills to.
 	// Empty maps to "default". Tenancy only changes *when* a job
-	// dispatches (under the service's fair or sjf job policies), never how
+	// dispatches (under the service's fair job policy), never how
 	// it runs.
 	Tenant string `json:"tenant,omitempty"`
 	// Priority orders jobs within a tenant: higher dispatches first, ties
@@ -148,7 +148,7 @@ type JobStatus struct {
 	QueuePosition *int `json:"queuePosition,omitempty"`
 	// PredictedDuration is the cost model's service-time estimate for one
 	// full-budget trial of this job (simulated seconds) — the relative
-	// cost the sjf and fair job policies schedule on. 0 when the model
+	// cost the fair job policy schedules on. 0 when the model
 	// cannot price the workload.
 	PredictedDuration float64 `json:"predictedDuration,omitempty"`
 	// Result is set once State is "done" — on single-job surfaces (GET
@@ -242,8 +242,7 @@ type Health struct {
 	Queued  int    `json:"queued"`
 	Running int    `json:"running"`
 	Workers int    `json:"workers"`
-	// JobPolicy names the active job dispatch policy ("fifo", "fair",
-	// "sjf").
+	// JobPolicy names the active job dispatch policy ("fifo" or "fair").
 	JobPolicy string `json:"jobPolicy"`
 	// ExecBackend names the active trial execution backend ("local",
 	// "remote").

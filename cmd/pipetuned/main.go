@@ -8,8 +8,7 @@
 //
 //	pipetuned [-addr :8080] [-workers 2] [-seed 1] [-gt groundtruth.json]
 //	          [-queue 64] [-bootstrap] [-drain 10s]
-//	          [-scheduler fifo] [-job-policy fifo]
-//	          [-tenant-weight name=w ...]
+//	          [-job-policy fifo] [-tenant-weight name=w ...]
 //	          [-exec-backend local] [-worker-token secret]
 //	          [-worker-heartbeat 2s] [-worker-evict-after 3]
 //	          [-pprof-addr localhost:6060]
@@ -48,10 +47,8 @@
 // fifo reproduces the classic submission-order schedule exactly;
 // -job-policy fair shares the job slots by weighted deficit round robin
 // over per-tenant queues (weights from repeatable -tenant-weight flags,
-// e.g. -tenant-weight research=2 -tenant-weight interns=1); -job-policy
-// sjf dispatches the job with the smallest cost-model estimate first,
-// with a starvation guard. Submissions bill to the tenant named in the
-// request body ("default" when absent).
+// e.g. -tenant-weight research=2 -tenant-weight interns=1). Submissions
+// bill to the tenant named in the request body ("default" when absent).
 //
 // Submit a job and watch it:
 //
@@ -130,8 +127,7 @@ func run() error {
 		queueFlag     = flag.Int("queue", 64, "max queued jobs")
 		seedFlag      = flag.Uint64("seed", 1, "master seed for jobs that do not set one")
 		gtFlag        = flag.String("gt", "groundtruth.json", "ground-truth snapshot path (empty disables persistence; the WAL lives alongside at <path>.wal)")
-		schedFlag     = flag.String("scheduler", pipetune.SchedFIFO, "trial placement policy: fifo, sjf or backfill")
-		jobPolicyFlag = flag.String("job-policy", pipetune.JobPolicyFIFO, "job dispatch policy across tenants: fifo, fair or sjf")
+		jobPolicyFlag = flag.String("job-policy", pipetune.JobPolicyFIFO, "job dispatch policy across tenants: fifo or fair")
 		bootstrapFlag = flag.Bool("bootstrap", false, "warm-start the ground truth by profiling the Table 3 catalog")
 		drainFlag     = flag.Duration("drain", httpserve.DefaultShutdownTimeout, "graceful-shutdown drain timeout (HTTP and in-flight remote trials)")
 		execFlag      = flag.String("exec-backend", "local", "trial execution backend: local (in-process pool) or remote (pipetune-worker fleet)")
@@ -160,7 +156,6 @@ func run() error {
 	}
 	sys, err := pipetune.New(
 		pipetune.WithSeed(*seedFlag),
-		pipetune.WithScheduler(*schedFlag),
 		pipetune.WithTrialCache(trainer.DefaultCacheBytes),
 	)
 	if err != nil {

@@ -86,7 +86,7 @@ func run(out io.Writer) error {
 		for i := range tasks {
 			tasks[i] = sched.Task{ID: i, Arrival: arrivals[i], Duration: durations[i]}
 		}
-		stats, err := sched.Simulate(tasks, 2, sched.FIFO())
+		stats, err := sched.Simulate(tasks, 2)
 		if err != nil {
 			return 0, err
 		}

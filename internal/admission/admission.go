@@ -1,12 +1,12 @@
 // Package admission is the job-granularity analogue of internal/sched's
-// trial placement policies: a tenant-aware admission queue deciding which
+// trial placement: a tenant-aware admission queue deciding which
 // *tuning job* a shared cluster middleware dispatches next. Where
 // internal/sched places trials of one job onto nodes, admission arbitrates
 // between whole jobs competing for the service's job slots — the
 // cluster-level scheduling that makes a shared DL cluster usable for more
 // than one tenant at a time (§5, §7.1.2).
 //
-// Three policies share one contract, reusing the sched vocabulary:
+// Two policies share one contract:
 //
 //   - fifo — strict submission order across all tenants (the historical
 //     single-channel behaviour, byte-for-byte: with default priorities the
@@ -16,10 +16,6 @@
 //     and spends it on its jobs' costs, so over any backlogged interval a
 //     weight-2 tenant dispatches ~2x the work of a weight-1 tenant,
 //     regardless of how many jobs either submits.
-//   - sjf — shortest job first over predicted cost, with a starvation
-//     guard: the globally oldest job is never bypassed more than
-//     starveLimit times, bounding its extra wait the way EASY backfill
-//     bounds the queue head's.
 //
 // Within a tenant, higher Priority dispatches first; ties preserve
 // submission order. The queue is deterministic: identical push/pop
@@ -46,7 +42,6 @@ type Policy string
 const (
 	PolicyFIFO Policy = "fifo"
 	PolicyFair Policy = "fair"
-	PolicySJF  Policy = "sjf"
 )
 
 // ParsePolicy resolves a policy name; the empty string means PolicyFIFO.
@@ -56,11 +51,9 @@ func ParsePolicy(name string) (Policy, error) {
 		return PolicyFIFO, nil
 	case PolicyFair:
 		return PolicyFair, nil
-	case PolicySJF:
-		return PolicySJF, nil
 	default:
-		return "", fmt.Errorf("admission: unknown policy %q (want %s, %s or %s)",
-			name, PolicyFIFO, PolicyFair, PolicySJF)
+		return "", fmt.Errorf("admission: unknown policy %q (want %s or %s)",
+			name, PolicyFIFO, PolicyFair)
 	}
 }
 
@@ -78,7 +71,7 @@ type Job struct {
 	// preserve submission order. Zero is the default.
 	Priority int
 	// Cost is the job's predicted service time (any consistent unit): the
-	// deficit-round-robin spend and the SJF key. Values <= 0 are treated
+	// deficit-round-robin spend. Values <= 0 are treated
 	// as 1, degrading fair mode to weighted job-count sharing.
 	Cost float64
 }
@@ -93,11 +86,6 @@ type Config struct {
 	// Capacity bounds the queued-job count (<= 0 means unbounded).
 	Capacity int
 }
-
-// starveLimit bounds how many times PolicySJF may dispatch past the
-// globally oldest job before dispatching it regardless of cost or
-// priority.
-const starveLimit = 8
 
 // item is one queued job plus its submission sequence number.
 type item struct {
@@ -139,8 +127,6 @@ type Queue struct {
 	tenants map[string]*tenantQueue
 	ring    []string // active tenants in activation order (fair mode)
 	cur     int      // current ring position (fair mode)
-
-	oldestSkips int // SJF starvation guard: times the oldest job was bypassed
 
 	rev       uint64 // bumped on every mutation; invalidates the order cache
 	cachedRev uint64
@@ -207,12 +193,9 @@ func (q *Queue) Pop() (Job, bool) {
 		return Job{}, false
 	}
 	var it item
-	switch q.cfg.Policy {
-	case PolicyFair:
+	if q.cfg.Policy == PolicyFair {
 		it = q.popFair()
-	case PolicySJF:
-		it = q.popSJF()
-	default:
+	} else {
 		it = q.popFIFO()
 	}
 	q.rev++
@@ -272,46 +255,6 @@ func (q *Queue) maxQueuedCost() float64 {
 	return m
 }
 
-// popSJF removes the cheapest queued job (priority first, then cost, then
-// age), unless the globally oldest job has already been bypassed
-// starveLimit times — then the oldest dispatches unconditionally.
-func (q *Queue) popSJF() item {
-	var bestTQ, oldTQ *tenantQueue
-	bestI, oldI := -1, -1
-	for _, tq := range q.tenants {
-		for i, it := range tq.items {
-			if bestI < 0 || sjfBefore(it, bestTQ.items[bestI]) {
-				bestTQ, bestI = tq, i
-			}
-			if oldI < 0 || it.seq < oldTQ.items[oldI].seq {
-				oldTQ, oldI = tq, i
-			}
-		}
-	}
-	if q.oldestSkips >= starveLimit {
-		q.oldestSkips = 0
-		return q.removeAt(oldTQ, oldI)
-	}
-	if bestTQ == oldTQ && bestI == oldI {
-		q.oldestSkips = 0
-	} else {
-		q.oldestSkips++
-	}
-	return q.removeAt(bestTQ, bestI)
-}
-
-// sjfBefore orders jobs for popSJF: priority, then predicted cost, then
-// submission order.
-func sjfBefore(a, b item) bool {
-	if a.job.Priority != b.job.Priority {
-		return a.job.Priority > b.job.Priority
-	}
-	if a.job.Cost != b.job.Cost {
-		return a.job.Cost < b.job.Cost
-	}
-	return a.seq < b.seq
-}
-
 // removeAt deletes tq.items[i], maintaining ring membership and size.
 func (q *Queue) removeAt(tq *tenantQueue, i int) item {
 	it := tq.items[i]
@@ -351,7 +294,6 @@ func (q *Queue) Remove(id string) bool {
 		for i, it := range tq.items {
 			if it.job.ID == id {
 				q.removeAt(tq, i)
-				q.oldestSkips = 0 // the oldest may have changed; restart the guard
 				q.rev++
 				return true
 			}
@@ -363,7 +305,7 @@ func (q *Queue) Remove(id string) bool {
 // Position returns a job's 0-based dispatch rank if nothing else
 // arrives, or -1 when the job is not queued. The ranks come from Pop
 // itself, run on a copy of the queue, so they are exact under every
-// policy: the fair ring's credit and the sjf starvation guard included.
+// policy, the fair ring's credit included.
 func (q *Queue) Position(id string) int {
 	if q.cachedRev != q.rev || q.cachedPos == nil {
 		q.cachedPos = q.buildPositions()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -162,44 +163,6 @@ func TestFairServesLoneTenant(t *testing.T) {
 	}
 }
 
-// TestSJFOrdersByCost verifies the SJF key and its tie-breaks.
-func TestSJFOrdersByCost(t *testing.T) {
-	q := mustNew(t, Config{Policy: PolicySJF})
-	push(t, q, Job{ID: "slow", Cost: 100})
-	push(t, q, Job{ID: "quick", Cost: 1})
-	push(t, q, Job{ID: "mid", Cost: 50})
-	push(t, q, Job{ID: "quick2", Cost: 1})
-	want := []string{"quick", "quick2", "mid", "slow"}
-	got := drain(q)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sjf order %v, want %v", got, want)
-		}
-	}
-}
-
-// TestSJFStarvationGuard proves the oldest job is bypassed at most
-// starveLimit times: an endless stream of cheap jobs cannot starve the
-// expensive head forever.
-func TestSJFStarvationGuard(t *testing.T) {
-	q := mustNew(t, Config{Policy: PolicySJF})
-	push(t, q, Job{ID: "whale", Cost: 1000})
-	for i := 0; i < starveLimit+2; i++ {
-		push(t, q, Job{ID: fmt.Sprintf("minnow%d", i), Cost: 1})
-	}
-	var order []string
-	for i := 0; i < starveLimit+2; i++ {
-		j, _ := q.Pop()
-		order = append(order, j.ID)
-		// Keep the queue saturated with cheap work.
-		push(t, q, Job{ID: fmt.Sprintf("late%d", i), Cost: 1})
-	}
-	// The whale is bypassed exactly starveLimit times, then dispatched.
-	if order[starveLimit] != "whale" {
-		t.Fatalf("whale not dispatched after %d bypasses: %v", starveLimit, order)
-	}
-}
-
 // TestCapacity verifies ErrFull and that a rejected push leaves no trace.
 func TestCapacity(t *testing.T) {
 	q := mustNew(t, Config{Capacity: 2})
@@ -270,14 +233,6 @@ func TestPositions(t *testing.T) {
 		t.Fatalf("b not promoted after pop: %d", q.Position("b"))
 	}
 
-	// SJF: rank by cost.
-	qs := mustNew(t, Config{Policy: PolicySJF})
-	push(t, qs, Job{ID: "slow", Cost: 9})
-	push(t, qs, Job{ID: "fast", Cost: 1})
-	if qs.Position("fast") != 0 || qs.Position("slow") != 1 {
-		t.Fatalf("sjf positions fast=%d slow=%d", qs.Position("fast"), qs.Position("slow"))
-	}
-
 	// Fair: virtual finish time — the weight-2 tenant's second job ranks
 	// ahead of the weight-1 tenant's second job.
 	qf := mustNew(t, Config{Policy: PolicyFair, Weights: map[string]int{"gold": 2}})
@@ -293,13 +248,20 @@ func TestPositions(t *testing.T) {
 
 // TestParsePolicy pins the accepted vocabulary.
 func TestParsePolicy(t *testing.T) {
-	for _, ok := range []string{"", "fifo", "fair", "sjf"} {
+	for _, ok := range []string{"", "fifo", "fair"} {
 		if _, err := ParsePolicy(ok); err != nil {
 			t.Errorf("ParsePolicy(%q): %v", ok, err)
 		}
 	}
-	if _, err := ParsePolicy("wfq"); err == nil {
-		t.Error("ParsePolicy accepted an unknown name")
+	for _, bad := range []string{"wfq", "sjf"} {
+		_, err := ParsePolicy(bad)
+		if err == nil {
+			t.Errorf("ParsePolicy accepted %q", bad)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "fifo") || !strings.Contains(msg, "fair") {
+			t.Errorf("ParsePolicy(%q) error %q does not name fifo and fair", bad, msg)
+		}
 	}
 	if _, err := New(Config{Policy: "wfq"}); err == nil {
 		t.Error("New accepted an unknown policy")
@@ -333,14 +295,14 @@ func TestDeterminism(t *testing.T) {
 // with nothing else arriving, a queued job's position is its rank in the
 // Pop sequence that follows. Each policy runs 500 seeded queues of 3–22
 // jobs over three weighted tenants, priorities 0–1 and costs 1–5, with
-// pops interleaved so the fair ring's credit and the sjf starvation count
-// are mid-flight when the positions are read. TestJobSchedules cannot
+// pops interleaved so the fair ring's credit is mid-flight when the
+// positions are read. TestJobSchedules cannot
 // catch a position that disagrees with Pop: its model queue answers the
 // same Position it checks the service against.
 func TestPositionIsDispatchRank(t *testing.T) {
 	weights := map[string]int{"a": 1, "b": 2, "c": 3}
 	tenants := []string{"a", "b", "c"}
-	for _, policy := range []Policy{PolicyFIFO, PolicyFair, PolicySJF} {
+	for _, policy := range []Policy{PolicyFIFO, PolicyFair} {
 		wrong := 0
 		for seed := uint64(1); seed <= 500; seed++ {
 			rng := rand.New(rand.NewPCG(seed, uint64(len(policy))))

@@ -54,7 +54,7 @@ func TestShorterJobsLowerResponse(t *testing.T) {
 		for i, a := range arrivals {
 			tasks[i] = sched.Task{ID: i, Arrival: a, Duration: dur}
 		}
-		stats, err := sched.Simulate(tasks, 4, sched.FIFO())
+		stats, err := sched.Simulate(tasks, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -459,12 +459,12 @@ func learnedNew(st *trialState) bool {
 // One PipeTune instance holds one persistent ground-truth database shared
 // by every job it runs — the cross-job learning of §7.4.
 //
-// A PipeTune job is placed under its Runner's policy (tune.Runner.Policy),
-// the same runner and policy the baselines use. PipeTune trials change
-// their system configuration mid-flight, and the scheduler re-negotiates
-// each trial's cluster allocation at the matching epoch boundary (§5.6
-// dynamic reconfiguration) — the policy decides which waiting trial claims
-// capacity those reconfigurations free.
+// A PipeTune job is placed like the baselines, first come, first served
+// on its Runner's cluster. PipeTune trials change their system
+// configuration mid-flight, and the scheduler re-negotiates each trial's
+// cluster allocation at the matching epoch boundary (§5.6 dynamic
+// reconfiguration) — capacity those reconfigurations free goes to the
+// oldest waiting trial.
 type PipeTune struct {
 	Runner *tune.Runner
 	GT     gt.Store

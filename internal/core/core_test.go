@@ -8,7 +8,6 @@ import (
 	"pipetune/internal/gt"
 	"pipetune/internal/params"
 	"pipetune/internal/perf"
-	"pipetune/internal/sched"
 	"pipetune/internal/search"
 	"pipetune/internal/trainer"
 	"pipetune/internal/tune"
@@ -302,38 +301,5 @@ func TestPipeTuneReconfiguresThroughScheduler(t *testing.T) {
 	}
 	if reconfigs == 0 {
 		t.Fatal("probing trials never reconfigured their allocation")
-	}
-}
-
-// countingPolicy is a placement policy that counts the engine's Pick calls.
-type countingPolicy struct {
-	sched.Policy
-	picks int
-}
-
-func (p *countingPolicy) Pick(ctx *sched.PickContext) int {
-	p.picks++
-	return p.Policy.Pick(ctx)
-}
-
-// TestPipeTunePolicyForwarded: the Runner's policy is the one placement
-// setting — a baseline job and a PipeTune job on the same runner are both
-// placed by it.
-func TestPipeTunePolicyForwarded(t *testing.T) {
-	runner := testTuneRunner()
-	policy := &countingPolicy{Policy: sched.SJF()}
-	runner.Policy = policy
-	if _, err := runner.RunJob(smallJob(lenetMNIST, 13)); err != nil {
-		t.Fatal(err)
-	}
-	baseline := policy.picks
-	if baseline == 0 {
-		t.Fatal("the baseline job was not placed by the runner's policy")
-	}
-	if _, err := New(runner).RunJob(smallJob(lenetMNIST, 13)); err != nil {
-		t.Fatal(err)
-	}
-	if policy.picks == baseline {
-		t.Fatal("the PipeTune job was not placed by the runner's policy")
 	}
 }

@@ -172,7 +172,7 @@ func multiTenancy(cfg Config, figure string, mix, bootstrapSet []workload.Worklo
 		for i := range mix {
 			tasks[i] = sched.Task{ID: i, Arrival: arrivals[i], Duration: durations[system][i]}
 		}
-		jstats, err := sched.Simulate(tasks, slots, sched.FIFO())
+		jstats, err := sched.Simulate(tasks, slots)
 		if err != nil {
 			return nil, err
 		}
@@ -320,7 +320,7 @@ func FairShare(cfg Config) (*FairShareResult, error) {
 		}
 		// The queue fixes the dispatch order; the engine's head-of-line
 		// FIFO preserves it while packing footprints onto the pool.
-		eng := sched.New(paperCluster().SchedPool(), sched.FIFO(), 0)
+		eng := sched.New(paperCluster().SchedPool(), nil, 0)
 		dispatchIdx := make(map[int]int, 2*perTenant)
 		for dispatch := 0; q.Len() > 0; dispatch++ {
 			j, _ := q.Pop()

@@ -125,10 +125,13 @@ func OpenPersistent(path string, inner Store, opt PersistOptions) (*Persistent, 
 	// Collect the log's records first and fold base+replay into ONE
 	// Replace, so the inner store rebuilds its layout once instead of
 	// once per replayed record.
+	width := 0
+	if len(base) > 0 {
+		width = len(base[0].Features)
+	}
 	var replayed []Entry
-	w, lastSeq, tailErr, err := openWAL(WALPath(path), snapSeq, func(rec walRecord) error {
+	w, lastSeq, tailErr, err := openWAL(WALPath(path), snapSeq, width, func(rec walRecord) {
 		replayed = append(replayed, rec.Entry)
-		return nil
 	})
 	if err != nil {
 		return nil, err

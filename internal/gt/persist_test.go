@@ -3,11 +3,13 @@ package gt
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -307,6 +309,62 @@ func TestPersistentRecoveryTruncatesDamagedTail(t *testing.T) {
 	}
 }
 
+// TestPersistentRecoveryDropsRecordOfAnotherWidth: a checksum-valid
+// record the store refuses — here an entry of another feature width,
+// appended after a snapshot and three good records — ends the log's
+// valid prefix like a damaged frame. The store opens with the snapshot
+// and the three records, the log is cut before the refused one, and a
+// second reopen finds nothing to repair.
+func TestPersistentRecoveryDropsRecordOfAnotherWidth(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gt.json")
+	p := openTestPersistent(t, path, PersistOptions{})
+	for i := 0; i < 6; i++ {
+		if i == 3 {
+			if err := p.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Add(gtEntry(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := p.Entries()
+	narrow := gtEntry(9)
+	narrow.Features = narrow.Features[:2]
+	if err := p.wal.append(walRecord{Seq: p.nextSeq, Entry: narrow}); err != nil {
+		t.Fatal(err)
+	}
+	_ = p.wal.close() // crash, no compaction
+
+	reopen := func() (*Persistent, []string) {
+		var logs []string
+		p := openTestPersistent(t, path, PersistOptions{Logf: func(format string, args ...any) {
+			logs = append(logs, fmt.Sprintf(format, args...))
+		}})
+		return p, logs
+	}
+	p2, logs := reopen()
+	if got := p2.Entries(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %d entries, want the snapshot's 3 and the log's 3", len(got))
+	}
+	if info := p2.Info(); info.WALRecords != 3 {
+		t.Fatalf("log keeps %d records, want 3", info.WALRecords)
+	}
+	if !strings.Contains(strings.Join(logs, "\n"), ErrWALCorrupt.Error()) {
+		t.Fatalf("refused record not reported as a damaged tail: %q", logs)
+	}
+	_ = p2.wal.close()
+
+	p3, logs := reopen()
+	defer p3.Close()
+	if got := p3.Entries(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("second reopen gave %d entries, want %d", len(got), len(want))
+	}
+	if strings.Contains(strings.Join(logs, "\n"), ErrWALCorrupt.Error()) {
+		t.Fatalf("second reopen found damage again: %q", logs)
+	}
+}
+
 // TestOpenPersistentKeepsPrewarmedInnerOnFirstBoot verifies first-boot
 // semantics with a warm store: no snapshot on disk must not wipe the
 // entries the caller already loaded (e.g. Bootstrap before service
@@ -356,7 +414,7 @@ func TestPersistentAddAllBatches(t *testing.T) {
 // walSeedLog returns the bytes a log holds after one appendBatch of recs.
 func walSeedLog(f *testing.F, recs []walRecord) []byte {
 	path := filepath.Join(f.TempDir(), "seed.wal")
-	w, _, _, err := openWAL(path, 0, func(walRecord) error { return nil })
+	w, _, _, err := openWAL(path, 0, 0, func(walRecord) {})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -373,10 +431,11 @@ func walSeedLog(f *testing.F, recs []walRecord) []byte {
 	return log
 }
 
-// FuzzWALReplay feeds arbitrary bytes to recovery as <snapshot>.wal, with
-// no snapshot beside it. OpenPersistent must never panic; when it opens,
-// Close (which compacts the log into a snapshot) followed by a reopen
-// must give the same entries.
+// FuzzWALReplay feeds arbitrary bytes to recovery as <snapshot>.wal, once
+// with no snapshot beside it and once beside a valid snapshot of two
+// entries at sequence 1. OpenPersistent must open both (the log's valid
+// prefix), and Close (which compacts the log into a snapshot) followed by
+// a reopen must give the same entries.
 func FuzzWALReplay(f *testing.F) {
 	recs := make([]walRecord, 4)
 	for i := range recs {
@@ -397,36 +456,46 @@ func FuzzWALReplay(f *testing.F) {
 		f.Add(flipped)
 	}
 	// Frames that pass the checksum but not the store: a narrower entry
-	// after wider ones, an invalid configuration, and sequence numbers out
-	// of order.
+	// after wider ones, one before them (the snapshot's width differs), an
+	// invalid configuration, and sequence numbers out of order.
 	narrow := gtEntry(9)
 	narrow.Features = narrow.Features[:2]
 	bad := gtEntry(10)
 	bad.BestSys.Cores = 0
 	f.Add(walSeedLog(f, append(recs[:2:2], walRecord{Seq: 3, Entry: narrow})))
+	f.Add(walSeedLog(f, []walRecord{{Seq: 2, Entry: narrow}, recs[2]}))
 	f.Add(walSeedLog(f, []walRecord{{Seq: 1, Entry: bad}}))
 	f.Add(walSeedLog(f, []walRecord{recs[3], recs[0], recs[3]}))
 
+	snapshot := []Entry{gtEntry(20), gtEntry(21)}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "gt.json")
-		if err := os.WriteFile(WALPath(path), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		p, err := OpenPersistent(path, NewMemory(DefaultConfig()), PersistOptions{})
-		if err != nil {
-			return
-		}
-		want := p.Entries()
-		if err := p.Close(); err != nil {
-			t.Fatalf("close after a successful open: %v", err)
-		}
-		again, err := OpenPersistent(path, NewMemory(DefaultConfig()), PersistOptions{})
-		if err != nil {
-			t.Fatalf("reopen after close: %v", err)
-		}
-		defer again.Close()
-		if got := again.Entries(); (len(got) != 0 || len(want) != 0) && !reflect.DeepEqual(got, want) {
-			t.Fatalf("reopen gave %d entries %v, want %d %v", len(got), got, len(want), want)
+		for _, snap := range [][]Entry{nil, snapshot} {
+			path := filepath.Join(t.TempDir(), "gt.json")
+			if snap != nil {
+				if err := writeFileAtomic(path, func(w io.Writer) error { return saveEntries(w, snap, 1) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := os.WriteFile(WALPath(path), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			p, err := OpenPersistent(path, NewMemory(DefaultConfig()), PersistOptions{})
+			if err != nil {
+				t.Fatalf("open (snapshot entries %d): %v", len(snap), err)
+			}
+			want := p.Entries()
+			if err := p.Close(); err != nil {
+				t.Fatalf("close after a successful open: %v", err)
+			}
+			again, err := OpenPersistent(path, NewMemory(DefaultConfig()), PersistOptions{})
+			if err != nil {
+				t.Fatalf("reopen after close: %v", err)
+			}
+			got := again.Entries()
+			again.Close()
+			if (len(got) != 0 || len(want) != 0) && !reflect.DeepEqual(got, want) {
+				t.Fatalf("reopen gave %d entries %v, want %d %v", len(got), got, len(want), want)
+			}
 		}
 	})
 }

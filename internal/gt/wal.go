@@ -19,8 +19,10 @@ import (
 //
 // Records are applied on top of the last compacted snapshot at recovery.
 // A torn append (crash mid-write) or a corrupted tail is detected by the
-// length/CRC frame; replay stops at the first damaged record and recovery
-// keeps everything before it — the snapshot plus the valid prefix.
+// length/CRC frame, and a record the store would refuse (another feature
+// width, a non-finite value, an invalid configuration) by the same check
+// Add runs; replay stops at the first damaged or refused record and
+// recovery keeps everything before it — the snapshot plus the valid prefix.
 const walMagic = "PTGTWAL1"
 
 // walMaxRecord bounds a single record so a corrupted length prefix cannot
@@ -35,7 +37,8 @@ type walRecord struct {
 	Entry Entry  `json:"entry"`
 }
 
-// ErrWALCorrupt reports a damaged (truncated or bit-flipped) log tail.
+// ErrWALCorrupt reports a damaged (truncated or bit-flipped) log tail, or
+// one whose first bad record is an entry the store refuses.
 // Recovery treats it as a signal to truncate the log at the last good
 // record, not as a fatal error.
 var ErrWALCorrupt = errors.New("gt: corrupt WAL tail")
@@ -54,16 +57,18 @@ type wal struct {
 
 // openWAL opens (creating if needed) the log at path for appending and
 // replays existing records through apply, in order. Records with
-// seq <= afterSeq are skipped. On a damaged tail the file is truncated at
+// seq <= afterSeq are skipped; the rest must validate against width, the
+// feature width of the state they replay onto (0: empty), which the first
+// replayed record sets when it is 0. On a damaged tail the file is truncated at
 // the last good record so subsequent appends extend the valid prefix; the
 // damage is reported through the returned tailErr (an ErrWALCorrupt
 // wrapper) while the wal itself is still usable.
-func openWAL(path string, afterSeq uint64, apply func(walRecord) error) (w *wal, lastSeq uint64, tailErr error, err error) {
+func openWAL(path string, afterSeq uint64, width int, apply func(walRecord)) (w *wal, lastSeq uint64, tailErr error, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("gt: open WAL: %w", err)
 	}
-	goodOff, lastSeq, nRecords, tailErr, err := replayWAL(f, afterSeq, apply)
+	goodOff, lastSeq, nRecords, tailErr, err := replayWAL(f, afterSeq, width, apply)
 	if err != nil {
 		f.Close()
 		return nil, 0, nil, err
@@ -84,8 +89,9 @@ func openWAL(path string, afterSeq uint64, apply func(walRecord) error) (w *wal,
 // replayWAL scans the log from the start, applying valid records with
 // seq > afterSeq. It returns the offset just past the last good record,
 // the highest sequence seen, the number of valid records, and a non-nil
-// tailErr when the tail is damaged.
-func replayWAL(f *os.File, afterSeq uint64, apply func(walRecord) error) (goodOff int64, lastSeq uint64, nRecords int, tailErr error, err error) {
+// tailErr when the tail is damaged or holds an entry of another width
+// than the running one (or one validate refuses otherwise).
+func replayWAL(f *os.File, afterSeq uint64, width int, apply func(walRecord)) (goodOff int64, lastSeq uint64, nRecords int, tailErr error, err error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, 0, 0, nil, fmt.Errorf("gt: seek WAL: %w", err)
 	}
@@ -132,9 +138,11 @@ func replayWAL(f *os.File, afterSeq uint64, apply func(walRecord) error) (goodOf
 			return goodOff, lastSeq, nRecords, fmt.Errorf("%w: undecodable record: %v", ErrWALCorrupt, err), nil
 		}
 		if rec.Seq > afterSeq {
-			if err := apply(rec); err != nil {
-				return 0, 0, 0, nil, fmt.Errorf("gt: replay WAL: %w", err)
+			if err := rec.Entry.validate(width); err != nil {
+				return goodOff, lastSeq, nRecords, fmt.Errorf("%w: record %d refused: %v", ErrWALCorrupt, rec.Seq, err), nil
 			}
+			width = len(rec.Entry.Features)
+			apply(rec)
 		}
 		if rec.Seq > lastSeq {
 			lastSeq = rec.Seq

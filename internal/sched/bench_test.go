@@ -8,7 +8,7 @@ import "testing"
 func BenchmarkSimulateFIFO(b *testing.B) {
 	tasks := poissonTasks(3, 500, 10)
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(tasks, 4, FIFO()); err != nil {
+		if _, err := Simulate(tasks, 4); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -45,7 +45,7 @@ func TestSameClassDispatchesInSchedulingOrder(t *testing.T) {
 // TestPastArrivalIsClampedToNow: a hook at t=30 submitting a task that
 // arrived at t=10 queues it at 30; the clock never runs backwards.
 func TestPastArrivalIsClampedToNow(t *testing.T) {
-	eng := New(testPool(t, 1, 8, 16), FIFO(), 0)
+	eng := New(testPool(t, 1, 8, 16), nil, 0)
 	err := eng.Submit(Task{ID: 0, Sys: sys(8, 8), Duration: 30}, func(Task, TaskStats) {
 		if err := eng.Submit(Task{ID: 1, Arrival: 10, Sys: sys(8, 8), Duration: 5}, nil); err != nil {
 			t.Error(err)
@@ -66,7 +66,7 @@ func TestPastArrivalIsClampedToNow(t *testing.T) {
 // TestHookSubmitsIntoTheFuture: a completion hook may schedule work at a
 // later instant, and the engine runs it then.
 func TestHookSubmitsIntoTheFuture(t *testing.T) {
-	eng := New(testPool(t, 1, 8, 16), FIFO(), 0)
+	eng := New(testPool(t, 1, 8, 16), nil, 0)
 	err := eng.Submit(Task{ID: 0, Arrival: 1, Sys: sys(4, 4)}, func(Task, TaskStats) {
 		if err := eng.Submit(Task{ID: 1, Arrival: eng.Now() + 2, Sys: sys(4, 4)}, nil); err != nil {
 			t.Error(err)
@@ -86,7 +86,7 @@ func TestHookSubmitsIntoTheFuture(t *testing.T) {
 // TestHaltStopsBeforeTheNextEvent: Halt from a hook ends Run with an error
 // before any later event dispatches.
 func TestHaltStopsBeforeTheNextEvent(t *testing.T) {
-	eng := New(testPool(t, 1, 8, 16), FIFO(), 0)
+	eng := New(testPool(t, 1, 8, 16), nil, 0)
 	if err := eng.Submit(Task{ID: 0, Sys: sys(4, 4), Duration: 1}, func(Task, TaskStats) { eng.Halt() }); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestHaltStopsBeforeTheNextEvent(t *testing.T) {
 // TestEventsDispatchInTimeOrder: tasks submitted out of time order run in
 // time order, and the clock ends at the last event's instant.
 func TestEventsDispatchInTimeOrder(t *testing.T) {
-	eng := New(testPool(t, 1, 8, 16), FIFO(), 0)
+	eng := New(testPool(t, 1, 8, 16), nil, 0)
 	var order []int
 	for _, at := range []float64{3, 1, 2} {
 		err := eng.Submit(Task{ID: int(at), Arrival: at, Sys: sys(4, 4)}, func(tk Task, _ TaskStats) {

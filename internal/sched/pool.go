@@ -39,19 +39,6 @@ func NewPool(caps []NodeCap) (*Pool, error) {
 	}, nil
 }
 
-// clone copies the pool including its current occupancy (used for
-// what-if probes such as backfill shadow times).
-func (p *Pool) clone() *Pool {
-	out := &Pool{
-		caps:      p.caps, // immutable after construction
-		usedCores: make([]int, len(p.usedCores)),
-		usedMem:   make([]int, len(p.usedMem)),
-	}
-	copy(out.usedCores, p.usedCores)
-	copy(out.usedMem, p.usedMem)
-	return out
-}
-
 // fitsOn reports whether fp fits node n right now.
 func (p *Pool) fitsOn(n int, fp params.SysConfig) bool {
 	return p.caps[n].Cores-p.usedCores[n] >= fp.Cores &&
@@ -67,16 +54,6 @@ func (p *Pool) place(fp params.SysConfig) int {
 		}
 	}
 	return -1
-}
-
-// fits reports whether fp could be placed right now, without reserving it.
-func (p *Pool) fits(fp params.SysConfig) bool {
-	for n := range p.caps {
-		if p.fitsOn(n, fp) {
-			return true
-		}
-	}
-	return false
 }
 
 // placeOn reserves fp on node n specifically, reporting success.

@@ -1,13 +1,15 @@
 // Package sched is the discrete-event trial scheduler every execution path
 // shares: the hyperparameter tuner (package tune) places trials through it,
 // and the multi-tenancy experiments queue whole HPT jobs through it
-// (Simulate under FIFO is the §7.4 queueing model).
+// (Simulate is the §7.4 queueing model).
 //
 // The engine owns its clock and its event queue. Every engine has a Pool
-// and every task a footprint on it. Tasks arrive at a simulated instant, wait
-// until the active placement Policy admits them (their footprint must fit a
-// node of the pool, and at most Slots tasks may run), execute for their
-// known simulated duration, and complete — at which point
+// and every task a footprint on it. Tasks arrive at a simulated instant,
+// wait in first-come-first-served order — the paper's §5.1 order, as in
+// Ray Tune: the queue's head starts once its footprint fits a node of the
+// pool and a slot under the engine's cap is free, and nothing overtakes
+// it — execute for their known simulated duration, and complete — at
+// which point
 // the caller's completion hook fires *immediately*, in simulated completion
 // order. That hook is what makes the surrounding search incremental: the
 // tuner reports each trial to the searcher the moment it finishes instead
@@ -26,8 +28,8 @@
 // saturated regime, a deliberate trade for precomputed, deterministic
 // durations. ResizesDenied in TaskStats makes the approximation visible.
 //
-// Everything is single-threaded and deterministic: identical task sets,
-// policies and pools produce identical schedules, with same-instant events
+// Everything is single-threaded and deterministic: identical task sets
+// and pools produce identical schedules, with same-instant events
 // ordered resizes, completions, then arrivals (see eventKind). A placed
 // task runs to completion on the node that admitted it.
 package sched
@@ -35,7 +37,6 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"pipetune/internal/params"
 )
@@ -173,7 +174,6 @@ func (h *eventQueue) pop() event {
 // Submit may be called before Run or from within completion hooks.
 type Engine struct {
 	pool    *Pool
-	policy  Policy
 	slots   int // max concurrent tasks; 0 = bounded by the pool alone
 	now     float64
 	events  eventQueue
@@ -186,15 +186,11 @@ type Engine struct {
 }
 
 // New creates an engine over a pool (non-nil: every task is placed on it)
-// with a placement policy (nil defaults to FIFO) and an admission slot cap
-// (0 = unbounded, the pool's capacity is then the only brake).
-func New(pool *Pool, policy Policy, slots int) *Engine {
-	if policy == nil {
-		policy = FIFO()
-	}
+// with an admission slot cap (0 = unbounded, the pool's capacity is then
+// the only brake). The Policy argument is ignored (see Policy).
+func New(pool *Pool, _ Policy, slots int) *Engine {
 	return &Engine{
 		pool:    pool,
-		policy:  policy,
 		slots:   slots,
 		running: make(map[int]*runningTask),
 	}
@@ -241,11 +237,10 @@ func (e *Engine) Submit(t Task, onDone func(Task, TaskStats)) error {
 }
 
 // Run dispatches events until the queue drains or Halt is called. It
-// returns the engine's internal error if one occurred (e.g. a custom
-// policy picked a non-fitting task), an error if Halt was called by the
-// caller, or an error if tasks remain waiting with nothing running (a
-// policy admitted nothing — cannot happen with the built-in policies, but
-// a custom one could livelock).
+// returns the engine's internal error if one occurred, or an error if
+// Halt was called. No task is left waiting: Submit rejects a footprint an
+// idle pool cannot hold, so the queue's head always starts once the
+// running set drains.
 func (e *Engine) Run() error {
 	for !e.halted && len(e.events) > 0 {
 		ev := e.events.pop()
@@ -266,129 +261,40 @@ func (e *Engine) Run() error {
 	if e.halted {
 		return errHalted
 	}
-	if len(e.queue) > 0 {
-		return fmt.Errorf("sched: %d tasks never admitted (policy %s starved the queue)",
-			len(e.queue), e.policy.Name())
-	}
 	return nil
 }
 
 // Stats returns the completed tasks' statistics in completion order.
 func (e *Engine) Stats() []TaskStats { return e.done }
 
-// fitsNow reports whether the queued task at index i could start.
-func (e *Engine) fitsNow(i int) bool { return e.pool.fits(e.queue[i].task.Sys) }
-
-// earliestStart computes when queue[i] could start assuming no further
-// admissions: a copy of the engine's own pending resize and completion
-// events is replayed in dispatch order on a scratch pool, each resize
-// through the engine's own reserve step. Modelling the resizes matters for
-// backfill's no-delay guarantee — a pending shrink can let the head start
-// long before any task completes, and an overestimated shadow would admit
-// backfill candidates that then delay the head.
-func (e *Engine) earliestStart(i int) float64 {
-	t := e.queue[i].task
-	slotsBusy := len(e.running)
-	scratch := e.pool.clone()
-	fits := func() bool {
-		return (e.slots <= 0 || slotsBusy < e.slots) && scratch.fits(t.Sys)
-	}
-	if fits() {
-		return e.now
-	}
-	type placement struct {
-		node int
-		sys  params.SysConfig
-	}
-	where := make(map[*runningTask]placement, len(e.running))
-	for _, rt := range e.running {
-		where[rt] = placement{rt.node, rt.sys}
-	}
-	var future eventQueue
-	for _, ev := range e.events {
-		if ev.kind == evResize || ev.kind == evCompletion {
-			future.push(ev)
-		}
-	}
-	for len(future) > 0 {
-		ev := future.pop()
-		p := where[ev.rt]
-		switch ev.kind {
-		case evResize:
-			if p.sys != ev.sys {
-				if n, granted := scratch.reserve(p.node, p.sys, ev.sys); granted {
-					where[ev.rt] = placement{n, ev.sys}
-				}
-			}
-		case evCompletion:
-			delete(where, ev.rt)
-			slotsBusy--
-			scratch.free(p.node, p.sys)
-		}
-		if fits() {
-			return ev.at
-		}
-	}
-	return math.Inf(1)
-}
-
-// pickContext assembles the policy's read-only view: the queue and the
-// fit and shadow-time probes.
-func (e *Engine) pickContext() *PickContext {
-	ctx := &PickContext{
-		Now:           e.now,
-		Queue:         make([]Task, len(e.queue)),
-		FitsNow:       e.fitsNow,
-		EarliestStart: e.earliestStart,
-	}
-	for i, q := range e.queue {
-		ctx.Queue[i] = q.task
-	}
-	return ctx
-}
-
-// dispatch starts queued tasks while the policy keeps admitting them.
+// dispatch starts the queue's head while a slot is free and its
+// footprint fits: the first-fit node is reserved and its resize and
+// completion events are scheduled.
 func (e *Engine) dispatch() {
-	for !e.halted && len(e.queue) > 0 {
-		if e.slots > 0 && len(e.running) >= e.slots {
+	for !e.halted && len(e.queue) > 0 && (e.slots <= 0 || len(e.running) < e.slots) {
+		q := e.queue[0]
+		t := q.task
+		node := e.pool.place(t.Sys)
+		if node < 0 {
 			return
 		}
-		idx := e.policy.Pick(e.pickContext())
-		if idx < 0 || idx >= len(e.queue) {
-			return
+		e.queue[0] = nil
+		e.queue = e.queue[1:]
+		now := e.now
+		rt := &runningTask{
+			task: t, onDone: q.onDone,
+			start: now, end: now + t.Duration,
+			node: node, sys: t.Sys,
 		}
-		e.start(idx)
-	}
-}
-
-// start admits queue[idx]: reserves its footprint first-fit and schedules
-// its resize and completion events.
-func (e *Engine) start(idx int) {
-	q := e.queue[idx]
-	e.queue = append(e.queue[:idx], e.queue[idx+1:]...)
-	t := q.task
-	node := e.pool.place(t.Sys)
-	if node < 0 {
-		// The policy picked a task that does not fit — a policy bug. Fail
-		// loudly rather than corrupting occupancy.
-		e.fail(fmt.Errorf("sched: policy %s picked task %d whose footprint %v does not currently fit",
-			e.policy.Name(), t.ID, t.Sys))
-		return
-	}
-	now := e.now
-	rt := &runningTask{
-		task: t, onDone: q.onDone,
-		start: now, end: now + t.Duration,
-		node: node, sys: t.Sys,
-	}
-	e.running[t.ID] = rt
-	for _, rz := range t.Resizes {
-		if rz.Offset <= 0 || rz.Offset >= t.Duration {
-			continue // outside the task's lifetime: nothing to re-negotiate
+		e.running[t.ID] = rt
+		for _, rz := range t.Resizes {
+			if rz.Offset <= 0 || rz.Offset >= t.Duration {
+				continue // outside the task's lifetime: nothing to re-negotiate
+			}
+			e.schedule(now+rz.Offset, event{kind: evResize, rt: rt, sys: rz.Sys})
 		}
-		e.schedule(now+rz.Offset, event{kind: evResize, rt: rt, sys: rz.Sys})
+		e.schedule(rt.end, event{kind: evCompletion, rt: rt})
 	}
-	e.schedule(rt.end, event{kind: evCompletion, rt: rt})
 }
 
 // fail records the first internal error and halts the simulation.
@@ -444,14 +350,14 @@ func (e *Engine) complete(rt *runningTask) {
 	e.dispatch()
 }
 
-// Simulate runs a fixed set of whole jobs through the engine under a policy
-// (nil = FIFO) with `slots` parallel servers, returning per-task statistics
-// in input order: the multi-tenancy queueing simulations. Each server is a
-// one-core, one-GB node and each job a one-core, one-GB footprint on it; jobs carry no footprint of their own
-// (one is rejected), and negative arrival or duration times are rejected at
-// submit. The slot cap equals the server count, so dispatch stops asking
-// the policy once every server is busy.
-func Simulate(tasks []Task, slots int, policy Policy) ([]TaskStats, error) {
+// Simulate runs a fixed set of whole jobs through the engine with `slots`
+// parallel servers, returning per-task statistics in input order: the
+// multi-tenancy queueing simulations. Each server is a one-core, one-GB
+// node and each job a one-core, one-GB footprint on it; jobs carry no
+// footprint of their own (one is rejected), and negative arrival or
+// duration times are rejected at submit. The slot cap equals the server
+// count.
+func Simulate(tasks []Task, slots int) ([]TaskStats, error) {
 	if slots < 1 {
 		return nil, fmt.Errorf("sched: %d slots invalid", slots)
 	}
@@ -464,7 +370,7 @@ func Simulate(tasks []Task, slots int, policy Policy) ([]TaskStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := New(pool, policy, slots)
+	eng := New(pool, nil, slots)
 	out := make([]TaskStats, len(tasks))
 	for i, t := range tasks {
 		i := i

@@ -2,9 +2,6 @@ package sched
 
 import (
 	"errors"
-	"math"
-	"strconv"
-	"strings"
 	"testing"
 
 	"pipetune/internal/params"
@@ -46,7 +43,7 @@ func run(t *testing.T, eng *Engine, tasks []Task) map[int]TaskStats {
 func sys(cores, mem int) params.SysConfig { return params.SysConfig{Cores: cores, MemoryGB: mem} }
 
 func TestFIFOFullyParallelWhenFits(t *testing.T) {
-	eng := New(testPool(t, 2, 16, 32), FIFO(), 8)
+	eng := New(testPool(t, 2, 16, 32), nil, 8)
 	var tasks []Task
 	for i := 0; i < 4; i++ {
 		tasks = append(tasks, Task{ID: i, Sys: sys(8, 8), Duration: 100})
@@ -63,7 +60,7 @@ func TestFIFOFullyParallelWhenFits(t *testing.T) {
 }
 
 func TestFIFOOversizedTasksSerialise(t *testing.T) {
-	eng := New(testPool(t, 1, 16, 32), FIFO(), 8)
+	eng := New(testPool(t, 1, 16, 32), nil, 8)
 	stats := run(t, eng, []Task{
 		{ID: 0, Sys: sys(16, 16), Duration: 100},
 		{ID: 1, Sys: sys(16, 16), Duration: 100},
@@ -76,7 +73,7 @@ func TestFIFOOversizedTasksSerialise(t *testing.T) {
 
 func TestFIFOHeadOfLineBlocks(t *testing.T) {
 	// FIFO must not let the small task overtake the blocked big one.
-	eng := New(testPool(t, 1, 16, 32), FIFO(), 8)
+	eng := New(testPool(t, 1, 16, 32), nil, 8)
 	stats := run(t, eng, []Task{
 		{ID: 0, Sys: sys(16, 16), Duration: 50},
 		{ID: 1, Sys: sys(16, 16), Duration: 60},
@@ -87,8 +84,47 @@ func TestFIFOHeadOfLineBlocks(t *testing.T) {
 	}
 }
 
+// TestPickTieBreakTables pins FIFO admission on small queues: the head
+// starts first even when a shorter task waits behind it, a blocked head
+// holds back a younger task that would fit, and an empty queue runs
+// nothing.
+func TestPickTieBreakTables(t *testing.T) {
+	cases := []struct {
+		name   string
+		slots  int
+		tasks  []Task
+		starts []float64 // by task ID
+	}{
+		{"fifo/head-fits", 1, []Task{
+			{ID: 0, Sys: sys(4, 4), Duration: 10},
+			{ID: 1, Arrival: 1, Sys: sys(4, 4), Duration: 50},
+			{ID: 2, Arrival: 2, Sys: sys(4, 4), Duration: 10},
+		}, []float64{0, 10, 60}},
+		{"fifo/head-blocked-blocks-all", 0, []Task{
+			{ID: 0, Sys: sys(12, 8), Duration: 100},
+			{ID: 1, Arrival: 1, Sys: sys(16, 16), Duration: 50},
+			{ID: 2, Arrival: 2, Sys: sys(4, 4), Duration: 10},
+		}, []float64{0, 100, 150}},
+		{"fifo/empty-queue", 0, nil, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := New(testPool(t, 1, 16, 32), nil, tc.slots)
+			stats := run(t, eng, tc.tasks)
+			if len(stats) != len(tc.starts) {
+				t.Fatalf("%d tasks ran, want %d", len(stats), len(tc.starts))
+			}
+			for id, want := range tc.starts {
+				if got := stats[id].Start; got != want {
+					t.Fatalf("task %d started at %v, want %v", id, got, want)
+				}
+			}
+		})
+	}
+}
+
 func TestSlotCapRespected(t *testing.T) {
-	eng := New(testPool(t, 4, 32, 64), FIFO(), 1)
+	eng := New(testPool(t, 4, 32, 64), nil, 1)
 	stats := run(t, eng, []Task{
 		{ID: 0, Sys: sys(4, 4), Duration: 10},
 		{ID: 1, Sys: sys(4, 4), Duration: 10},
@@ -105,7 +141,7 @@ func TestSlotCapRespected(t *testing.T) {
 func TestZeroFootprintRejectedAtSubmit(t *testing.T) {
 	// A footprint below one core or one GB would fit a full node without
 	// occupying it.
-	eng := New(testPool(t, 1, 8, 16), FIFO(), 4)
+	eng := New(testPool(t, 1, 8, 16), nil, 4)
 	for _, fp := range []params.SysConfig{{}, sys(0, 4), sys(4, 0)} {
 		if err := eng.Submit(Task{ID: 0, Sys: fp, Duration: 10}, nil); err == nil {
 			t.Fatalf("footprint %v accepted", fp)
@@ -114,7 +150,7 @@ func TestZeroFootprintRejectedAtSubmit(t *testing.T) {
 }
 
 func TestNeverFitsRejectedAtSubmit(t *testing.T) {
-	eng := New(testPool(t, 1, 8, 16), FIFO(), 4)
+	eng := New(testPool(t, 1, 8, 16), nil, 4)
 	err := eng.Submit(Task{ID: 0, Sys: sys(16, 8), Duration: 10}, nil)
 	if !errors.Is(err, ErrNeverFits) {
 		t.Fatalf("oversize footprint accepted: %v", err)
@@ -128,7 +164,7 @@ func TestNeverFitsRejectedAtSubmit(t *testing.T) {
 }
 
 func TestArrivalsQueueFIFO(t *testing.T) {
-	eng := New(testPool(t, 1, 16, 32), FIFO(), 1)
+	eng := New(testPool(t, 1, 16, 32), nil, 1)
 	stats := run(t, eng, []Task{
 		{ID: 0, Arrival: 0, Sys: sys(4, 4), Duration: 100},
 		{ID: 1, Arrival: 10, Sys: sys(4, 4), Duration: 10},
@@ -145,7 +181,7 @@ func TestArrivalsQueueFIFO(t *testing.T) {
 func TestShrinkResizeAdmitsWaiter(t *testing.T) {
 	// Task 0 shrinks from a full node to a quarter at t=40; task 1 (half a
 	// node) must start exactly then, not at task 0's end.
-	eng := New(testPool(t, 1, 16, 32), FIFO(), 8)
+	eng := New(testPool(t, 1, 16, 32), nil, 8)
 	stats := run(t, eng, []Task{
 		{ID: 0, Sys: sys(16, 32), Duration: 100, Resizes: []Resize{{Offset: 40, Sys: sys(4, 8)}}},
 		{ID: 1, Sys: sys(8, 16), Duration: 10},
@@ -161,7 +197,7 @@ func TestShrinkResizeAdmitsWaiter(t *testing.T) {
 func TestGrowthResizeDeniedUnderContention(t *testing.T) {
 	// Two half-node tasks fill the node; task 0's attempt to grow to the
 	// full node must be denied and the task keeps its reservation.
-	eng := New(testPool(t, 1, 16, 32), FIFO(), 8)
+	eng := New(testPool(t, 1, 16, 32), nil, 8)
 	stats := run(t, eng, []Task{
 		{ID: 0, Sys: sys(8, 16), Duration: 100, Resizes: []Resize{{Offset: 10, Sys: sys(16, 32)}}},
 		{ID: 1, Sys: sys(8, 16), Duration: 100},
@@ -175,49 +211,12 @@ func TestGrowthResizeDeniedUnderContention(t *testing.T) {
 }
 
 func TestGrowthResizeGrantedWhenFree(t *testing.T) {
-	eng := New(testPool(t, 1, 16, 32), FIFO(), 8)
+	eng := New(testPool(t, 1, 16, 32), nil, 8)
 	stats := run(t, eng, []Task{
 		{ID: 0, Sys: sys(4, 8), Duration: 100, Resizes: []Resize{{Offset: 10, Sys: sys(16, 32)}}},
 	})
 	if stats[0].ResizesGranted != 1 {
 		t.Fatalf("growth on an idle node denied: %+v", stats[0])
-	}
-}
-
-func TestSJFPicksShortestThatFits(t *testing.T) {
-	// One slot: after the first task, SJF runs 3 (shortest), then 2, then 1.
-	eng := New(testPool(t, 1, 16, 32), SJF(), 1)
-	stats := run(t, eng, []Task{
-		{ID: 0, Sys: sys(4, 4), Duration: 50},
-		{ID: 1, Sys: sys(4, 4), Duration: 30},
-		{ID: 2, Sys: sys(4, 4), Duration: 20},
-		{ID: 3, Sys: sys(4, 4), Duration: 10},
-	})
-	if stats[3].Start != 50 || stats[2].Start != 60 || stats[1].Start != 80 {
-		t.Fatalf("SJF order wrong: %v %v %v", stats[3].Start, stats[2].Start, stats[1].Start)
-	}
-}
-
-func TestBackfillFillsHoleWithoutDelayingHead(t *testing.T) {
-	// Node 16 cores. Task 0 takes 12 cores until t=100. Head of queue
-	// (task 1) needs 16 cores → shadow = 100. Task 2 (4 cores, 50 s) fits
-	// in the hole and ends at 50 ≤ 100, so it backfills; task 3 (4 cores,
-	// 200 s) would overrun the shadow and must not.
-	eng := New(testPool(t, 1, 16, 32), Backfill(), 8)
-	stats := run(t, eng, []Task{
-		{ID: 0, Sys: sys(12, 8), Duration: 100},
-		{ID: 1, Sys: sys(16, 16), Duration: 10},
-		{ID: 2, Sys: sys(4, 4), Duration: 50},
-		{ID: 3, Sys: sys(4, 4), Duration: 200},
-	})
-	if stats[2].Start != 0 {
-		t.Fatalf("backfill candidate idled: start %v, want 0", stats[2].Start)
-	}
-	if stats[1].Start != 100 {
-		t.Fatalf("head delayed by backfill: start %v, want 100", stats[1].Start)
-	}
-	if stats[3].Start < 100 {
-		t.Fatalf("shadow-overrunning task backfilled at %v", stats[3].Start)
 	}
 }
 
@@ -237,91 +236,18 @@ func poissonTasks(seed uint64, n int, meanGap float64) []Task {
 	return tasks
 }
 
-func meanResponse(stats []TaskStats) float64 {
-	sum := 0.0
-	for _, s := range stats {
-		sum += s.Response
-	}
-	return sum / float64(len(stats))
-}
-
-func TestPolicyComparisonOnPoissonStream(t *testing.T) {
-	// On a contended stream with heavy-tailed service times, SJF must beat
-	// FIFO on mean response; every policy serves every job.
-	tasks := poissonTasks(7, 60, 25)
-	byPolicy := map[string]float64{}
-	for _, p := range []Policy{FIFO(), SJF(), Backfill()} {
-		stats, err := Simulate(tasks, 2, p)
+func TestEngineDeterministic(t *testing.T) {
+	runOnce := func() []TaskStats {
+		stats, err := Simulate(poissonTasks(3, 50, 20), 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(stats) != len(tasks) {
-			t.Fatalf("%s served %d/%d jobs", p.Name(), len(stats), len(tasks))
-		}
-		for i, st := range stats {
-			if st.End <= 0 {
-				t.Fatalf("%s: job %d never finished", p.Name(), i)
-			}
-		}
-		byPolicy[p.Name()] = meanResponse(stats)
+		return stats
 	}
-	if byPolicy[NameSJF] >= byPolicy[NameFIFO] {
-		t.Fatalf("SJF mean response %.1f not below FIFO %.1f",
-			byPolicy[NameSJF], byPolicy[NameFIFO])
-	}
-	// One-server-per-job streams give backfill no hole to fill: it must
-	// degrade to exactly FIFO.
-	if byPolicy[NameBackfill] != byPolicy[NameFIFO] {
-		t.Fatalf("unit-footprint backfill %.1f diverged from FIFO %.1f",
-			byPolicy[NameBackfill], byPolicy[NameFIFO])
-	}
-}
-
-func TestBackfillBeatsFIFOWithFootprints(t *testing.T) {
-	// One 16-core node. A 12-core task holds it while a full-node task
-	// blocks the FIFO head; the 4-core tasks behind fit the hole and end
-	// before the head's shadow time, so backfill runs them early while
-	// FIFO makes them queue — strictly better mean response, same head
-	// start time.
-	tasks := []Task{
-		{ID: 0, Arrival: 0, Sys: sys(12, 8), Duration: 100},
-		{ID: 1, Arrival: 1, Sys: sys(16, 16), Duration: 10},
-		{ID: 2, Arrival: 2, Sys: sys(4, 4), Duration: 20},
-		{ID: 3, Arrival: 3, Sys: sys(4, 4), Duration: 20},
-		{ID: 4, Arrival: 4, Sys: sys(4, 4), Duration: 20},
-	}
-	mean := func(p Policy) (float64, map[int]TaskStats) {
-		eng := New(testPool(t, 1, 16, 32), p, 0)
-		st := run(t, eng, tasks)
-		return meanResponse(eng.Stats()), st
-	}
-	fifo, _ := mean(FIFO())
-	backfill, st := mean(Backfill())
-	if backfill >= fifo {
-		t.Fatalf("backfill mean response %.1f not below FIFO %.1f", backfill, fifo)
-	}
-	if st[1].Start != 100 {
-		t.Fatalf("backfill delayed the blocked head: start %v, want 100", st[1].Start)
-	}
-	if st[2].Start != 2 {
-		t.Fatalf("first backfill candidate queued: start %v, want 2", st[2].Start)
-	}
-}
-
-func TestEngineDeterministic(t *testing.T) {
-	for _, p := range []Policy{FIFO(), SJF(), Backfill()} {
-		runOnce := func() []TaskStats {
-			stats, err := Simulate(poissonTasks(3, 50, 20), 3, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return stats
-		}
-		a, b := runOnce(), runOnce()
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: run diverged at job %d: %+v vs %+v", p.Name(), i, a[i], b[i])
-			}
+	a, b := runOnce(), runOnce()
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("run diverged at job %d: %+v vs %+v", i, a[i], b[i])
 		}
 	}
 }
@@ -333,7 +259,7 @@ func TestSimulateFIFOTwoServers(t *testing.T) {
 		{ID: 1, Duration: 10},
 		{ID: 2, Duration: 10},
 		{ID: 3, Duration: 10},
-	}, 2, FIFO())
+	}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +274,7 @@ func TestSimulateFIFOPreservesArrivalOrder(t *testing.T) {
 	stats, err := Simulate([]Task{
 		{ID: 1, Arrival: 5, Duration: 1},
 		{ID: 2, Arrival: 0, Duration: 10},
-	}, 1, FIFO())
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,225 +286,25 @@ func TestSimulateFIFOPreservesArrivalOrder(t *testing.T) {
 // TestSimulateFIFOValidation: the FIFO engine rejects a cluster without
 // servers and tasks with negative times.
 func TestSimulateFIFOValidation(t *testing.T) {
-	if _, err := Simulate([]Task{{ID: 1, Duration: 1}}, 0, FIFO()); err == nil {
+	if _, err := Simulate([]Task{{ID: 1, Duration: 1}}, 0); err == nil {
 		t.Fatal("zero slots accepted")
 	}
-	if _, err := Simulate([]Task{{ID: 1, Duration: -1}}, 1, FIFO()); err == nil {
+	if _, err := Simulate([]Task{{ID: 1, Duration: -1}}, 1); err == nil {
 		t.Fatal("negative duration accepted")
 	}
-	if _, err := Simulate([]Task{{ID: 1, Arrival: -1, Duration: 1}}, 1, FIFO()); err == nil {
+	if _, err := Simulate([]Task{{ID: 1, Arrival: -1, Duration: 1}}, 1); err == nil {
 		t.Fatal("negative arrival accepted")
 	}
 }
 
 func TestSimulateValidation(t *testing.T) {
-	if _, err := Simulate([]Task{{ID: 1, Duration: 1}}, 0, nil); err == nil {
+	if _, err := Simulate([]Task{{ID: 1, Duration: 1}}, 0); err == nil {
 		t.Fatal("0 slots accepted")
 	}
-	if _, err := Simulate([]Task{{ID: 1, Duration: -1}}, 1, nil); err == nil {
+	if _, err := Simulate([]Task{{ID: 1, Duration: -1}}, 1); err == nil {
 		t.Fatal("negative duration accepted")
 	}
-	if _, err := Simulate([]Task{{ID: 1, Duration: 1, Sys: sys(4, 4)}}, 1, nil); err == nil {
+	if _, err := Simulate([]Task{{ID: 1, Duration: 1, Sys: sys(4, 4)}}, 1); err == nil {
 		t.Fatal("job with its own footprint accepted by Simulate")
-	}
-}
-
-func TestByName(t *testing.T) {
-	for _, name := range []string{NameFIFO, NameSJF, NameBackfill} {
-		p, err := ByName(name)
-		if err != nil || p.Name() != name {
-			t.Fatalf("ByName(%q) = %v, %v", name, p, err)
-		}
-	}
-	// An unknown name is refused, and the error lists the three policies.
-	for _, name := range []string{"lifo", "cheapest", "perf-per-dollar"} {
-		_, err := ByName(name)
-		if err == nil {
-			t.Fatalf("unknown policy %q accepted", name)
-		}
-		for _, want := range []string{NameFIFO, NameSJF, NameBackfill} {
-			if !strings.Contains(err.Error(), want) {
-				t.Fatalf("ByName(%q) error %q does not name %s", name, err, want)
-			}
-		}
-	}
-}
-
-func TestEarliestStartInf(t *testing.T) {
-	// Defensive: EarliestStart on an impossible footprint is +Inf (Submit
-	// rejects these, so construct the context by hand).
-	eng := New(testPool(t, 1, 8, 16), FIFO(), 4)
-	eng.queue = append(eng.queue, &queued{task: Task{ID: 0, Sys: sys(32, 8), Duration: 1}})
-	if got := eng.earliestStart(0); !math.IsInf(got, 1) {
-		t.Fatalf("earliestStart = %v, want +Inf", got)
-	}
-}
-
-func TestBackfillShadowAccountsForPendingShrink(t *testing.T) {
-	// One 16-core node. Task 0 (12 cores) runs to t=100 but shrinks to 4
-	// cores at t=40, so the 12-core head (task 1) truly starts at t=40 —
-	// the shadow must be 40, not 100. Candidate 2 (4 cores, 80 s) would
-	// end at 82 > 40: backfilling it would delay the head to 82, so it
-	// must wait. Candidate 3 (4 cores, 30 s) ends at 33 <= 40 and may
-	// backfill. The head then starts exactly at the shrink.
-	eng := New(testPool(t, 1, 16, 32), Backfill(), 8)
-	stats := run(t, eng, []Task{
-		{ID: 0, Arrival: 0, Sys: sys(12, 8), Duration: 100,
-			Resizes: []Resize{{Offset: 40, Sys: sys(4, 4)}}},
-		{ID: 1, Arrival: 1, Sys: sys(12, 8), Duration: 10},
-		{ID: 2, Arrival: 2, Sys: sys(4, 4), Duration: 80},
-		{ID: 3, Arrival: 3, Sys: sys(4, 4), Duration: 30},
-	})
-	if stats[1].Start != 40 {
-		t.Fatalf("head start %v, want 40 (at the shrink); shadow ignored the pending resize",
-			stats[1].Start)
-	}
-	if stats[3].Start != 3 {
-		t.Fatalf("short candidate did not backfill: start %v, want 3", stats[3].Start)
-	}
-	if stats[2].Start < 40 {
-		t.Fatalf("long candidate backfilled at %v and delayed the head", stats[2].Start)
-	}
-}
-
-func TestPolicyBugSurfacesError(t *testing.T) {
-	// A custom policy that picks a non-fitting task must produce a
-	// descriptive error from Run, not a silent halt.
-	eng := New(testPool(t, 1, 8, 16), pickLastPolicy{}, 8)
-	if err := eng.Submit(Task{ID: 0, Sys: sys(8, 8), Duration: 100}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Submit(Task{ID: 1, Sys: sys(8, 8), Duration: 10}, nil); err != nil {
-		t.Fatal(err)
-	}
-	err := eng.Run()
-	if err == nil {
-		t.Fatal("policy bug went unreported")
-	}
-	if !strings.Contains(err.Error(), "pick-last") || !strings.Contains(err.Error(), "task 1") {
-		t.Fatalf("error does not identify the policy bug: %v", err)
-	}
-}
-
-// pickLastPolicy always picks the newest queued task without checking fit.
-type pickLastPolicy struct{}
-
-func (pickLastPolicy) Name() string { return "pick-last" }
-func (pickLastPolicy) Pick(ctx *PickContext) int {
-	return len(ctx.Queue) - 1
-}
-
-func TestBackfillNeverDelaysTheHead(t *testing.T) {
-	// One 28-core node. At t=10 task 0 asks to grow 8 → 16 cores and task
-	// 1 shrinks 16 → 8. The engine dispatches task 0's resize first (it
-	// was admitted first), so the growth is denied and the 20-core head
-	// starts when task 1 ends at 50. A shadow that replayed the shrink
-	// first would grant the growth, put the head at 100 and let task 3
-	// (80 s) backfill, which then holds the head to 82.
-	tasks := []Task{
-		{ID: 0, Sys: sys(8, 8), Duration: 100, Resizes: []Resize{{Offset: 10, Sys: sys(16, 8)}}},
-		{ID: 1, Sys: sys(16, 8), Duration: 50, Resizes: []Resize{{Offset: 10, Sys: sys(8, 8)}}},
-		{ID: 2, Arrival: 1, Sys: sys(20, 8), Duration: 5},
-		{ID: 3, Arrival: 2, Sys: sys(4, 4), Duration: 80},
-	}
-	headStart := func(p Policy) float64 {
-		return run(t, New(testPool(t, 1, 28, 64), p, 0), tasks)[2].Start
-	}
-	fifo, backfill := headStart(FIFO()), headStart(Backfill())
-	if fifo != 50 {
-		t.Fatalf("FIFO head start %v, want 50", fifo)
-	}
-	if backfill > fifo {
-		t.Fatalf("backfill delayed the head from %v (FIFO) to %v", fifo, backfill)
-	}
-}
-
-// shadowSpy is a policy that records, whenever the queue's head does not
-// fit, the head and the engine's shadow time for it.
-type shadowSpy struct {
-	Policy
-	probes []shadowProbe
-}
-
-type shadowProbe struct {
-	id          int
-	now, shadow float64
-}
-
-func (s *shadowSpy) Pick(ctx *PickContext) int {
-	if len(ctx.Queue) > 0 && !ctx.FitsNow(0) {
-		s.probes = append(s.probes, shadowProbe{ctx.Queue[0].ID, ctx.Now, ctx.EarliestStart(0)})
-	}
-	return s.Policy.Pick(ctx)
-}
-
-type shadowCase struct {
-	name  string
-	pool  *Pool
-	slots int
-	tasks []Task
-}
-
-// randomShadowCase draws a pool of one or two nodes and a task
-// set on integer times: arrivals on three instants, and every resize 10 or
-// 20 s into its task, so that tasks admitted together resize at the same
-// instant. Core counts are multiples of four, so those resizes contend.
-func randomShadowCase(t *testing.T, seed uint64) shadowCase {
-	r := xrand.New(seed)
-	caps := make([]NodeCap, 1+r.Intn(2))
-	for i := range caps {
-		caps[i] = NodeCap{Cores: 24 + 8*r.Intn(2), MemoryGB: 32}
-	}
-	pool, err := NewPool(caps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	footprint := func() params.SysConfig {
-		return sys(4*(1+r.Intn(caps[r.Intn(len(caps))].Cores/4)), 1+r.Intn(8))
-	}
-	tasks := make([]Task, 6+r.Intn(6))
-	for i := range tasks {
-		dur := 10 * (2 + r.Intn(9))
-		tasks[i] = Task{ID: i, Arrival: float64(r.Intn(3)), Sys: footprint(), Duration: float64(dur)}
-		for k := 1 + r.Intn(2); k > 0; k-- {
-			off := 10 * (1 + r.Intn(min(2, dur/10-1)))
-			tasks[i].Resizes = append(tasks[i].Resizes, Resize{Offset: float64(off), Sys: footprint()})
-		}
-	}
-	return shadowCase{name: "seed " + strconv.FormatUint(seed, 10), pool: pool, slots: r.Intn(4), tasks: tasks}
-}
-
-// TestShadowIsTheSchedule: under FIFO nothing is admitted while the head
-// waits, so the head's shadow time must be exactly when it starts.
-func TestShadowIsTheSchedule(t *testing.T) {
-	cases := []shadowCase{{
-		// Both running tasks ask to grow to 16 cores at t=10: the first
-		// admitted gets it and keeps the node busy until 100.
-		name: "two growths at one instant",
-		pool: testPool(t, 1, 24, 64),
-		tasks: []Task{
-			{ID: 0, Sys: sys(8, 8), Duration: 100, Resizes: []Resize{{Offset: 10, Sys: sys(16, 8)}}},
-			{ID: 1, Sys: sys(8, 8), Duration: 50, Resizes: []Resize{{Offset: 10, Sys: sys(16, 8)}}},
-			{ID: 2, Arrival: 1, Sys: sys(16, 8), Duration: 10},
-		},
-	}}
-	for seed := uint64(1); seed <= 2000; seed++ {
-		cases = append(cases, randomShadowCase(t, seed))
-	}
-	probes := 0
-	for _, c := range cases {
-		spy := &shadowSpy{Policy: FIFO()}
-		stats := run(t, New(c.pool, spy, c.slots), c.tasks)
-		for _, p := range spy.probes {
-			if start := stats[p.id].Start; p.shadow != start {
-				t.Errorf("%s: at t=%v the shadow put head %d at %v; it started at %v",
-					c.name, p.now, p.id, p.shadow, start)
-				break
-			}
-		}
-		probes += len(spy.probes)
-	}
-	if probes < len(cases) {
-		t.Fatalf("%d probes over %d cases: too few blocked heads to test the shadow", probes, len(cases))
 	}
 }

@@ -445,53 +445,3 @@ func TestExportCarriesContentLength(t *testing.T) {
 		t.Fatalf("truncated import status %d, want 400", resp2.StatusCode)
 	}
 }
-
-// TestSJFDispatchOrder verifies the sjf job policy dispatches the
-// cheapest predicted job first on the live service: an expensive
-// (6-epoch) job submitted *before* a cheap (1-epoch) one is overtaken.
-func TestSJFDispatchOrder(t *testing.T) {
-	svc, cl := newServer(t, Config{Workers: 1, JobPolicy: pipetune.JobPolicySJF})
-	ctx := context.Background()
-
-	// A held first job keeps the one slot busy while the two queue.
-	held := hold(svc)
-	if _, err := cl.Submit(ctx, smallReq("lenet/mnist")); err != nil {
-		t.Fatal(err)
-	}
-	costlyReq := smallReq("lenet/mnist")
-	costlyReq.Epochs = 6
-	costly, err := cl.Submit(ctx, costlyReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cheapReq := smallReq("lenet/mnist")
-	cheapReq.Epochs = 1
-	cheap, err := cl.Submit(ctx, cheapReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if costly.PredictedDuration <= cheap.PredictedDuration {
-		t.Fatalf("cost model inverted: 6-epoch %v <= 1-epoch %v",
-			costly.PredictedDuration, cheap.PredictedDuration)
-	}
-	// The cheap job, submitted second, must rank ahead of the expensive
-	// one in the nominal dispatch order, and start first once the slot
-	// frees.
-	c1, err := cl.Job(ctx, costly.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := cl.Job(ctx, cheap.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1.QueuePosition == nil || c2.QueuePosition == nil || *c2.QueuePosition != 0 || *c1.QueuePosition != 1 {
-		t.Fatalf("sjf queue positions: costly %v, cheap %v (want 1, 0)", c1.QueuePosition, c2.QueuePosition)
-	}
-	held.release()
-	finals := waitAll(t, cl, []string{costly.ID, cheap.ID})
-	if finals[1].Started.After(*finals[0].Started) {
-		t.Fatalf("sjf dispatched the expensive job first (cheap started %v, costly %v)",
-			finals[1].Started, finals[0].Started)
-	}
-}

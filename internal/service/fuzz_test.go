@@ -78,8 +78,8 @@ func FuzzGroundTruthImport(f *testing.F) {
 // body into a job, requests no client was written to send. It either
 // refuses one with ErrBadRequest, or returns a spec whose base
 // hyperparameters and system configuration validate and which the cost
-// model prices at a finite positive duration — the price sjf and fair
-// dispatch read. Seeds: the catalog's first workload at the test sizing,
+// model prices at a finite positive duration — the price fair dispatch
+// reads. Seeds: the catalog's first workload at the test sizing,
 // each mode and objective, an off-catalog pairing, epochs past the
 // range, and names nothing parses.
 func FuzzJobRequest(f *testing.F) {

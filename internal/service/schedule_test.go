@@ -64,7 +64,7 @@ func TestJobScheduleReplays(t *testing.T) {
 var (
 	scheduleWorkloads = []string{"lenet/mnist", "cnn/mnist", "lstm/news20"}
 	scheduleTenants   = []string{"", "gold", "free"}
-	schedulePolicies  = []string{pipetune.JobPolicyFIFO, pipetune.JobPolicyFair, pipetune.JobPolicySJF}
+	schedulePolicies  = []string{pipetune.JobPolicyFIFO, pipetune.JobPolicyFair}
 )
 
 // simJob is the model of one accepted job.

@@ -20,9 +20,8 @@
 // Dispatch order is policy-driven (internal/admission): the default
 // "fifo" policy reproduces the legacy single-queue submission-order
 // schedule exactly; "fair" runs deficit round robin over per-tenant
-// queues weighted by Config.TenantWeights; "sjf" dispatches the job with
-// the smallest cost-model estimate first, with a starvation guard. Job
-// costs come from the cost model's trial-duration prediction.
+// queues weighted by Config.TenantWeights. Job costs come from the cost
+// model's trial-duration prediction.
 package service
 
 import (
@@ -77,9 +76,8 @@ type Config struct {
 	// jobs are never evicted. Default 1024.
 	MaxJobsRetained int
 	// JobPolicy selects the dispatch order across queued jobs: "fifo"
-	// (default — the legacy submission-order schedule, exactly), "fair"
-	// (weighted deficit round robin across tenants) or "sjf" (shortest
-	// predicted job first, starvation-guarded).
+	// (default — the legacy submission-order schedule, exactly) or "fair"
+	// (weighted deficit round robin across tenants).
 	JobPolicy string
 	// TenantWeights maps tenant name to fair-share weight (default 1).
 	// Only the "fair" policy consults it.
@@ -321,7 +319,7 @@ func (s *Service) Submit(req api.JobRequest) (api.JobStatus, error) {
 	if tenant == "" {
 		tenant = DefaultTenant
 	}
-	// The cost model prices the job for sjf/fair dispatch (and the status
+	// The cost model prices the job for fair dispatch (and the status
 	// surface). A workload it cannot price dispatches at unit cost.
 	predicted, err := s.cfg.System.PredictTrialDuration(spec.Workload, spec.BaseHyper, spec.BaseSys)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"pipetune/internal/params"
-	"pipetune/internal/sched"
 	"pipetune/internal/search"
 	"pipetune/internal/trainer"
 	"pipetune/internal/workload"
@@ -120,25 +119,21 @@ func TestEventSchedulerMatchesBarrierFIFO(t *testing.T) {
 }
 
 func TestEventSchedulerDeterministic(t *testing.T) {
-	for _, policy := range []sched.Policy{sched.FIFO(), sched.SJF(), sched.Backfill()} {
-		run := func() *JobResult {
-			r := testRunner()
-			r.Policy = policy
-			res, err := r.RunJob(hyperbandSpec())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
+	run := func() *JobResult {
+		res, err := testRunner().RunJob(hyperbandSpec())
+		if err != nil {
+			t.Fatal(err)
 		}
-		a, b := run(), run()
-		if a.TuningTime != b.TuningTime || a.Best.ID != b.Best.ID || a.Best.Score != b.Best.Score {
-			t.Fatalf("%s: same seed diverged: %v/%d vs %v/%d",
-				policy.Name(), a.TuningTime, a.Best.ID, b.TuningTime, b.Best.ID)
-		}
-		for i := range a.Trials {
-			if a.Trials[i].ID != b.Trials[i].ID || a.Trials[i].Start != b.Trials[i].Start {
-				t.Fatalf("%s: trial schedule diverged at %d", policy.Name(), i)
-			}
+		return res
+	}
+	a, b := run(), run()
+	if a.TuningTime != b.TuningTime || a.Best.ID != b.Best.ID || a.Best.Score != b.Best.Score {
+		t.Fatalf("same seed diverged: %v/%d vs %v/%d",
+			a.TuningTime, a.Best.ID, b.TuningTime, b.Best.ID)
+	}
+	for i := range a.Trials {
+		if a.Trials[i].ID != b.Trials[i].ID || a.Trials[i].Start != b.Trials[i].Start {
+			t.Fatalf("trial schedule diverged at %d", i)
 		}
 	}
 }

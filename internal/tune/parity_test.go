@@ -25,9 +25,8 @@ import (
 // below VERBATIM as legacyRunTrial/legacyRunBatch/legacyRunJob, and
 // every workload of the Table 3 catalog must produce a bit-identical
 // JobResult (JSON serialisation compared byte for byte) on the new
-// exec.Local backend. Placement-policy coverage: FIFO (the default and
-// the paper's order) across the whole catalog, SJF and backfill on a
-// spot-check workload. The job-dispatch "fair" policy lives a layer up
+// exec.Local backend. Trials are placed FIFO, the paper's order, across
+// the whole catalog. The job-dispatch "fair" policy lives a layer up
 // (internal/admission); its parity guarantee is pinned by the service
 // suite (TestFIFOParitySchedule and the remote-backend equality tests).
 
@@ -106,7 +105,7 @@ func legacyRunJob(r *Runner, spec JobSpec) (*JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := sched.New(r.Cluster.SchedPool(), r.Policy, slots)
+	eng := sched.New(r.Cluster.SchedPool(), nil, slots)
 	res := &JobResult{Spec: spec}
 	outstanding := 0
 	bestAcc := 0.0
@@ -288,21 +287,17 @@ func TestLocalBackendParityCatalog(t *testing.T) {
 }
 
 // TestLocalBackendParityPoliciesAndModes spot-checks the non-default
-// axes: ModeV2 (system space folded in), SJF and backfill placement, and
-// the TrialObserver path (mid-trial system switches driving scheduler
-// resizes).
+// axes: ModeV2 (system space folded in) and the TrialObserver path
+// (mid-trial system switches driving scheduler resizes).
 func TestLocalBackendParityPoliciesAndModes(t *testing.T) {
 	w := workload.Workload{Model: workload.LeNet5, Dataset: workload.MNIST}
 
 	cases := []struct {
-		name   string
-		policy sched.Policy // the runner's; nil is FIFO
-		spec   func() JobSpec
+		name string
+		spec func() JobSpec
 	}{
-		{"v2-fifo", nil, func() JobSpec { return paritySpec(w, ModeV2, 7) }},
-		{"v1-sjf", sched.SJF(), func() JobSpec { return paritySpec(w, ModeV1, 7) }},
-		{"v1-backfill", sched.Backfill(), func() JobSpec { return paritySpec(w, ModeV1, 7) }},
-		{"v1-observed", nil, func() JobSpec {
+		{"v2-fifo", func() JobSpec { return paritySpec(w, ModeV2, 7) }},
+		{"v1-observed", func() JobSpec {
 			s := paritySpec(w, ModeV1, 7)
 			obs := &probeObserver{epochs: make(map[int]int)}
 			s.TrialObserver = obs.observerFor
@@ -311,16 +306,11 @@ func TestLocalBackendParityPoliciesAndModes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			runner := func() *Runner {
-				r := parityRunner()
-				r.Policy = tc.policy
-				return r
-			}
-			want, err := legacyRunJob(runner(), tc.spec())
+			want, err := legacyRunJob(parityRunner(), tc.spec())
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := runner().RunJob(tc.spec())
+			got, err := parityRunner().RunJob(tc.spec())
 			if err != nil {
 				t.Fatal(err)
 			}

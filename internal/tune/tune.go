@@ -116,8 +116,8 @@ func (m Mode) String() string {
 type SearcherFactory func(space params.Space, r *xrand.Source) (search.Searcher, error)
 
 // JobSpec describes one HPT job (Figure 6's "hyperparameter tuning input").
-// Where its trials are placed is not part of the job: every job of a Runner
-// is scheduled under Runner.Policy.
+// Where its trials are placed is not part of the job: every job's trials
+// are placed first come, first served (package sched).
 type JobSpec struct {
 	Workload    workload.Workload
 	Mode        Mode
@@ -237,11 +237,6 @@ func (r *JobResult) Clone() *JobResult {
 type Runner struct {
 	Trainer *trainer.Runner
 	Cluster *cluster.Cluster
-	// Policy is the trial placement policy every job of the runner — Tune
-	// V1/V2 and PipeTune alike — is scheduled under; nil means FIFO, the
-	// order the paper's cluster uses and the one whose makespan exactly
-	// matches the legacy barrier scheduler.
-	Policy sched.Policy
 	// Exec is the execution backend trial bodies run on; nil means the
 	// local in-process pool over Trainer (the pre-refactor behaviour,
 	// bit-identical). The pipetuned daemon swaps in exec.Remote to fan
@@ -396,7 +391,7 @@ func (r *Runner) RunJobCtx(ctx context.Context, spec JobSpec) (*JobResult, error
 	if err != nil {
 		return nil, err
 	}
-	eng := sched.New(r.Cluster.SchedPool(), r.Policy, slots)
+	eng := sched.New(r.Cluster.SchedPool(), nil, slots)
 	res := &JobResult{Spec: spec}
 	outstanding := 0
 	bestAcc := 0.0

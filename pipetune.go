@@ -20,15 +20,14 @@
 // Baselines (Tune V1/V2 of the paper's §4) run through the same facade via
 // RunBaseline. Everything is deterministic under a fixed seed and runs on
 // simulated time: trials flow through an event-driven discrete-event
-// scheduler (internal/sched) whose placement policy is selectable with
-// WithScheduler. See DESIGN.md for the scheduler architecture and
+// scheduler (internal/sched) that places them first come, first served,
+// the paper's order. See DESIGN.md for the scheduler architecture and
 // EXPERIMENTS.md for the paper-versus-measured comparison.
 package pipetune
 
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"pipetune/internal/admission"
 	"pipetune/internal/cluster"
@@ -38,7 +37,6 @@ import (
 	"pipetune/internal/gt"
 	"pipetune/internal/metrics"
 	"pipetune/internal/params"
-	"pipetune/internal/sched"
 	"pipetune/internal/trainer"
 	"pipetune/internal/tune"
 	"pipetune/internal/workload"
@@ -162,17 +160,9 @@ func WithSeed(seed uint64) Option {
 	return func(s *System) { s.seed = seed }
 }
 
-// Trial placement policies accepted by WithScheduler.
-const (
-	SchedFIFO     = sched.NameFIFO
-	SchedSJF      = sched.NameSJF
-	SchedBackfill = sched.NameBackfill
-)
-
 // Job dispatch policies of the pipetuned service (internal/admission):
-// how the daemon arbitrates *whole tuning jobs* across tenants, the
-// job-granularity analogue of the trial policies above. Accepted by
-// service.Config.JobPolicy and the pipetuned -job-policy flag.
+// how the daemon arbitrates *whole tuning jobs* across tenants. Accepted
+// by service.Config.JobPolicy and the pipetuned -job-policy flag.
 const (
 	// JobPolicyFIFO dispatches in global submission order (default; exact
 	// legacy single-queue schedule).
@@ -180,26 +170,7 @@ const (
 	// JobPolicyFair shares workers by weighted deficit round robin over
 	// per-tenant queues.
 	JobPolicyFair = string(admission.PolicyFair)
-	// JobPolicySJF dispatches the smallest cost-model estimate first,
-	// with a starvation guard.
-	JobPolicySJF = string(admission.PolicySJF)
 )
-
-// WithScheduler selects the trial placement policy of the event-driven
-// scheduler, set once on the tuning runner that both the baselines and
-// PipeTune run on: SchedFIFO (the paper's order, default), SchedSJF
-// (shortest job first) or SchedBackfill (conservative EASY backfill). An
-// unknown name fails pipetune.New.
-func WithScheduler(policy string) Option {
-	return func(s *System) {
-		p, err := sched.ByName(policy)
-		if err != nil {
-			s.fail(fmt.Errorf("pipetune: WithScheduler: %w", err))
-			return
-		}
-		s.tuner.Policy = p
-	}
-}
 
 // fail records the first option error.
 func (s *System) fail(err error) {

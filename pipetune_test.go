@@ -3,6 +3,7 @@ package pipetune
 import (
 	"encoding/json"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -201,6 +202,28 @@ func TestFacadeCatalog(t *testing.T) {
 	}
 }
 
+// TestFacadeScheduler: the facade places trials first come, first
+// served, so no trial starts before one the searcher submitted ahead of
+// it (trial IDs follow submission order). 32-core trials leave fewer
+// slots than a rung has trials, so several wait at once.
+func TestFacadeScheduler(t *testing.T) {
+	s := fastSystem(t)
+	spec := fastSpec(s, Workload{Model: LeNet5, Dataset: MNIST})
+	spec.BaseSys.Cores = 32
+	res, err := s.RunBaseline(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trials := slices.Clone(res.Trials)
+	slices.SortFunc(trials, func(a, b TrialRecord) int { return a.ID - b.ID })
+	for i := 1; i < len(trials); i++ {
+		if trials[i].Start < trials[i-1].Start {
+			t.Fatalf("trial %d started at %v, before trial %d submitted ahead of it (%v)",
+				trials[i].ID, trials[i].Start, trials[i-1].ID, trials[i-1].Start)
+		}
+	}
+}
+
 func TestFacadePredictDuration(t *testing.T) {
 	s := fastSystem(t)
 	d, err := s.PredictTrialDuration(Workload{Model: LeNet5, Dataset: MNIST}, DefaultHyper(), DefaultSysConfig())
@@ -209,21 +232,5 @@ func TestFacadePredictDuration(t *testing.T) {
 	}
 	if d <= 0 {
 		t.Fatalf("predicted duration %v", d)
-	}
-}
-
-func TestFacadeScheduler(t *testing.T) {
-	if _, err := New(WithScheduler("lifo")); err == nil {
-		t.Fatal("unknown scheduler policy accepted")
-	}
-	for _, policy := range []string{SchedFIFO, SchedSJF, SchedBackfill} {
-		s := fastSystem(t, WithScheduler(policy))
-		res, err := s.RunBaseline(fastSpec(s, Workload{Model: LeNet5, Dataset: MNIST}))
-		if err != nil {
-			t.Fatalf("%s: %v", policy, err)
-		}
-		if res.Best == nil {
-			t.Fatalf("%s: no best trial", policy)
-		}
 	}
 }
