@@ -33,8 +33,9 @@
 // up again, validates a ground-truth answer the predecessor never ran
 // against the predecessor's baseline, and resumes an unfinished probe
 // sequence at the next unmeasured configuration (after asking the ground
-// truth once more). A requeued trial (Restart) is reset to the state it
-// started from, not to blank.
+// truth once more). A trial's observer sees each of its epochs once,
+// whatever the backend: a requeued remote lease replays its epochs from
+// the lease's log of directives, never through the Controller.
 //
 // Completed trials feed their profile and winning configuration back into
 // the ground-truth database, which re-clusters — so later jobs with
@@ -150,12 +151,11 @@ func (c *Counts) add(o Counts) {
 	c.Hits += o.Hits
 }
 
-// liveTrial is one running trial: its system-cost key, the immutable state
-// it started from (what Restart replays) and the copy its epochs advance.
+// liveTrial is one running trial: its system-cost key and the state its
+// epochs advance.
 type liveTrial struct {
-	key   params.Hyper
-	start *trialState
-	st    *trialState
+	key params.Hyper
+	st  *trialState
 }
 
 // Controller coordinates pipelined system-parameter tuning for the trials
@@ -201,24 +201,6 @@ func (c *Controller) Counts() Counts {
 	return c.counts
 }
 
-// Restart resets a trial to the state it started from so its body can be
-// re-run from epoch one (a remote lease requeued after worker eviction).
-// That state — blank, or the predecessor's finished tuning, including the
-// answer to a mid-probe successor's renewed ground-truth question — was
-// fixed with the start configuration when the batch was built, so an
-// inheriting replay is handed the same directives as the first attempt.
-// A blank trial's replay asks the ground truth again after its profile
-// epoch: within one job the answer is the same (this job adds only
-// between batches), beside a concurrent job on the shared store it may
-// not be, and the replay then follows the newer answer.
-func (c *Controller) Restart(trialID int) {
-	c.mu.Lock()
-	if lt, ok := c.trials[trialID]; ok {
-		lt.st = lt.start.clone()
-	}
-	c.mu.Unlock()
-}
-
 // ObserverFor registers one trial and returns its epoch observer and the
 // system configuration its first epoch runs on; pass this to
 // tune.JobSpec.TrialObserver. A trial whose system-cost key no finished
@@ -248,7 +230,7 @@ func (c *Controller) ObserverFor(trialID int, h params.Hyper, sys params.SysConf
 		}
 	}
 	start.hyper = h
-	c.trials[trialID] = &liveTrial{key: key, start: start, st: start.clone()}
+	c.trials[trialID] = &liveTrial{key: key, st: start}
 	obs := trainer.ObserverFunc(func(_ uint64, _ workload.Workload, _ params.Hyper, s trainer.EpochStats) *params.SysConfig {
 		return c.onEpoch(trialID, s)
 	})
@@ -510,7 +492,6 @@ func (p *PipeTune) RunJobCounts(ctx context.Context, spec tune.JobSpec) (*tune.J
 
 	spec.Mode = tune.ModeV1 // hyper space only; system handled by the pipeline
 	spec.TrialObserver = ctrl.ObserverFor
-	spec.TrialRestart = ctrl.Restart
 	prevDone := spec.OnTrialDone
 	spec.OnTrialDone = func(trialID int, res *trainer.Result) {
 		ctrl.Finish(trialID, res)

@@ -245,50 +245,6 @@ func TestMaxProbeEpochsCountsTheConfiguration(t *testing.T) {
 	}
 }
 
-// TestRestartReplaysTheStartSnapshot: a requeued lease's second attempt is
-// handed exactly the first attempt's directives, without a second renewed
-// lookup, whatever happened to the configuration's kept state in between.
-func TestRestartReplaysTheStartSnapshot(t *testing.T) {
-	store := newScriptStore(nil)
-	ctrl := NewController(store)
-	ctrl.Probes = []params.SysConfig{sysA, sysB, sysC, sysD}
-	trial(t, ctrl, 1, 2, gridCost) // mid-probe predecessor
-
-	h := params.DefaultHyper()
-	obs, start := ctrl.ObserverFor(2, h, sysBase)
-	first := drive(t, 2, 3, obs, start, gridCost) // dies after 3 epochs
-	// A twin of the same configuration finishes meanwhile and the store
-	// changes its mind; neither may reach the replay.
-	trial(t, ctrl, 3, 5, gridCost)
-	store.answer = &sysG
-	lookups := store.lookups
-
-	ctrl.Restart(2)
-	second := drive(t, 2, 5, obs, start, gridCost)
-	if !reflect.DeepEqual(second.ran[:3], first.ran) || !reflect.DeepEqual(second.directives[:3], first.directives) {
-		t.Fatalf("replay diverged: ran %v then %v", first.ran, second.ran)
-	}
-	if store.lookups != lookups {
-		t.Fatalf("replay looked up %d more times", store.lookups-lookups)
-	}
-	before := ctrl.Counts()
-	ctrl.Finish(2, nil)
-	got := ctrl.Counts()
-	if got.ProbeEpochs-before.ProbeEpochs != 3 || got.AppliedEpochs-before.AppliedEpochs != 2 {
-		t.Fatalf("counts include the abandoned attempt: %+v after %+v", got, before)
-	}
-
-	// A blank trial replays as a blank trial: it profiles and asks again.
-	obs, start = ctrl.ObserverFor(4, params.Hyper{BatchSize: 1024}, sysBase)
-	drive(t, 4, 2, obs, start, gridCost)
-	ctrl.Restart(4)
-	lookups = store.lookups
-	replay := drive(t, 4, 1, obs, start, gridCost)
-	if store.lookups != lookups+1 || *replay.directives[0] != sysG {
-		t.Fatalf("blank replay: %d new lookups, directive %v", store.lookups-lookups, replay.directives[0])
-	}
-}
-
 // TestCostTwinInALaterBatchStartsOnItsPredecessorsNext: a trial that
 // trains other hyperparameters at the same cost as a finished one
 // (costmodel.SysKey) continues its tuning as a promoted survivor would —
@@ -362,38 +318,6 @@ func TestSameKeyTrialsInOneBatchStartBlank(t *testing.T) {
 	}
 	if c := ctrl.Counts(); c.CostTwins != 1 || c.Lookups != 3 {
 		t.Fatalf("counts %+v, want one cost twin that asked again", c)
-	}
-}
-
-// TestRestartReplaysACostTwinsStart: a requeued cost twin's second attempt
-// is handed the first attempt's directives, whatever another twin and the
-// store did in between, and counts as one twin, not two.
-func TestRestartReplaysACostTwinsStart(t *testing.T) {
-	store := newScriptStore(nil)
-	ctrl := NewController(store)
-	ctrl.Probes = []params.SysConfig{sysA, sysB, sysC, sysD}
-	trial(t, ctrl, 1, 2, gridCost) // base, A; B next
-
-	obs, start := ctrl.ObserverFor(2, twinOf(5), sysBase)
-	if start != sysB {
-		t.Fatalf("mid-probe cost twin started on %v, want %v", start, sysB)
-	}
-	first := drive(t, 2, 3, obs, start, gridCost) // dies after 3 epochs
-	trialOf(t, ctrl, 3, twinOf(5), gridCost)
-	store.answer = &sysG
-	lookups := store.lookups
-
-	ctrl.Restart(2)
-	second := drive(t, 2, 5, obs, start, gridCost)
-	ctrl.Finish(2, nil)
-	if !reflect.DeepEqual(second.ran[:3], first.ran) || !reflect.DeepEqual(second.directives[:3], first.directives) {
-		t.Fatalf("replay diverged: ran %v then %v", first.ran, second.ran)
-	}
-	if store.lookups != lookups {
-		t.Fatalf("replay looked up %d more times", store.lookups-lookups)
-	}
-	if c := ctrl.Counts(); c.Trials != 3 || c.Inheriting != 2 || c.CostTwins != 2 {
-		t.Fatalf("counts %+v, want 3 trials of which 2 cost twins", c)
 	}
 }
 

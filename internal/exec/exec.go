@@ -47,18 +47,15 @@ type Trial struct {
 	Sys      params.SysConfig
 	Seed     uint64
 	// Observer, when non-nil, receives the trial's epoch-boundary
-	// callbacks (PipeTune's pipelined system tuning). It always runs in
-	// the submitting process: remote backends stream epoch observations
-	// back over the wire and relay the observer's configuration switches
-	// to the worker, so the ground-truth database and controller state
-	// never leave the daemon.
+	// callbacks (PipeTune's pipelined system tuning), each epoch exactly
+	// once. It always runs in the submitting process: remote backends
+	// stream epoch observations back over the wire and relay the
+	// observer's configuration switches to the worker, so the
+	// ground-truth database and controller state never leave the daemon.
+	// A backend that re-runs a trial body (a requeued lease) answers the
+	// epochs the observer already saw with what it said then.
 	Observer trainer.EpochObserver
-	// Restart, when non-nil, is invoked before a backend re-runs the
-	// trial body from scratch (a requeued lease): it resets observer-side
-	// per-trial state to what it was when the trial was built, so the
-	// replayed epochs — starting on Sys again — are observed as the first
-	// attempt's were. It may run under backend locks and must not call
-	// back into the backend. Local backends never re-run and ignore it.
+	// Restart is accepted and ignored; delete with the next benchmark PR.
 	Restart func()
 	// Trainer captures the submitting trainer's wire-portable
 	// configuration so fleet backends reproduce the body bit-identically

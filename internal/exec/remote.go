@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pipetune/internal/metrics"
+	"pipetune/internal/params"
 	"pipetune/internal/trainer"
 )
 
@@ -86,12 +87,12 @@ type lease struct {
 	result  *trainer.Result
 	err     error
 	done    chan struct{} // closed when the lease turns terminal
-	// lastEpoch/lastDirective dedupe the epoch stream: a peer may
-	// redeliver a report, and the observer must see each epoch exactly
-	// once or its state machine diverges from an in-process run. Reset
-	// on requeue (a new attempt replays from epoch one).
-	lastEpoch     int
-	lastDirective EpochDirective
+	// log holds what the observer answered, log[e-1] for epoch e, over
+	// every attempt: the observer must see each epoch of the trial
+	// exactly once or its state machine diverges from an in-process
+	// run, so a redelivered report and a requeued attempt's replay are
+	// answered from here. Nil for a trial without an observer.
+	log []*params.SysConfig
 	// cancelled marks a leased trial whose job gave up: the worker may
 	// still finish and commit it (the salvage semantics of the local
 	// pool), but any path that would otherwise requeue it — eviction,
@@ -405,30 +406,31 @@ func (r *Remote) reportEpoch(workerID string, leaseID []byte, attempt int, s tra
 	if l.trial.Observer == nil {
 		return EpochDirective{}, nil
 	}
-	// These are checks on bytes a remote peer controls. A redelivered
-	// report is answered from the cache instead of advancing the
-	// observer twice. A report OLDER than the last delivered epoch is a
-	// straggler — dropped entirely (empty directive, no observer call):
+	// These are checks on bytes a remote peer controls. An epoch the log
+	// holds — redelivered, or replayed by a requeued attempt, which runs
+	// the same body on the same Sys and so reproduces it bit for bit — is
+	// answered from the log. The next epoch goes to the observer. Any
+	// other report is dropped (empty directive, no observer call):
 	// delivering it would feed the controller an out-of-order
 	// observation.
-	if s.Epoch == l.lastEpoch {
-		return l.lastDirective, nil
+	if s.Epoch >= 1 && s.Epoch <= len(l.log) {
+		return EpochDirective{Sys: l.log[s.Epoch-1]}, nil
 	}
-	if s.Epoch < l.lastEpoch {
+	if s.Epoch != len(l.log)+1 {
 		return EpochDirective{}, nil
 	}
-	// The observer runs UNDER the backend lock, deliberately: validation
-	// and delivery must be atomic with eviction, or a stale report that
-	// passed the check could land in the controller after an eviction's
-	// Restart wiped the trial's state — corrupting the replacement
-	// attempt's fresh replay. Observers are contractually cheap (the
-	// OnTrialDone/observer hooks already run inside the scheduling loop
-	// on the local path) and never call back into the backend, so the
-	// lock ordering stays one-directional.
+	// The observer runs UNDER the backend lock, deliberately: the check,
+	// the delivery and the append must be atomic with requeue, or a
+	// replay could reach the observer a second time. Observers are
+	// contractually cheap (the OnTrialDone/observer hooks already run
+	// inside the scheduling loop on the local path) and never call back
+	// into the backend, so the lock ordering stays one-directional.
 	next := l.trial.Observer.OnEpochEnd(l.trial.Seed, l.trial.Workload, l.trial.Hyper, s)
-	l.lastEpoch = s.Epoch
-	l.lastDirective = EpochDirective{Sys: next}
-	return l.lastDirective, nil
+	if l.log == nil {
+		l.log = make([]*params.SysConfig, 0, max(l.trial.Hyper.Epochs, 1))
+	}
+	l.log = append(l.log, next)
+	return EpochDirective{Sys: next}, nil
 }
 
 // complete commits a finished trial body — at most once: the lease must
@@ -475,10 +477,10 @@ func (r *Remote) complete(workerID string, leaseID []byte, attempt int, res *tra
 // requeueLocked gives a leased trial a fresh attempt at the head of the
 // queue — unless its job already gave up (fail with the job's error) or
 // the plane is draining (fail with ErrDraining; no lease will ever be
-// issued again). The trial's Restart hook runs before the lease
-// re-enters the queue, so no replacement worker can observe stale
-// observer state. Callers hold r.mu and have already detached the lease
-// from its worker's inflight set.
+// issued again). The lease keeps its log, so the replacement attempt's
+// replayed epochs are answered as the first attempt's were. Callers hold
+// r.mu and have already detached the lease from its worker's inflight
+// set.
 func (r *Remote) requeueLocked(l *lease) {
 	l.worker = ""
 	switch {
@@ -499,13 +501,8 @@ func (r *Remote) requeueLocked(l *lease) {
 			l.trial.ID, l.attempt))
 		return
 	}
-	if l.trial.Restart != nil {
-		l.trial.Restart()
-	}
 	l.attempt++
 	l.state = leasePending
-	l.lastEpoch = 0 // the new attempt replays from epoch one
-	l.lastDirective = EpochDirective{}
 	r.pending = append([]*lease{l}, r.pending...)
 	r.met.requeues.Inc()
 	r.cond.Broadcast()
@@ -518,9 +515,7 @@ const maxLeaseAttempts = 5
 // evictLocked removes a worker from duty and requeues its in-flight
 // leases via requeueLocked (attempt bumped — late reports from the
 // evicted worker no longer match and are rejected; cancelled or
-// draining trials fail instead of requeueing). The Restart hook is
-// restricted to observer-side cleanup (it must not call back into the
-// backend), which makes running it under r.mu safe. Callers hold r.mu.
+// draining trials fail instead of requeueing). Callers hold r.mu.
 func (r *Remote) evictLocked(w *workerEntry, why string) {
 	w.state = workerEvicted
 	r.met.evictions.Inc()

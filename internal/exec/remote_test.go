@@ -150,6 +150,28 @@ func reportEpoch(r *Remote, workerID string, asg *Assignment, attempt, epoch int
 	return r.reportEpoch(workerID, []byte(asg.LeaseID), attempt, trainer.EpochStats{Epoch: epoch})
 }
 
+// epochObserver records the epochs it is fed and answers epoch e with a
+// configuration of e cores, so a directive names the epoch that earned it.
+func epochObserver(observed *[]int) trainer.EpochObserver {
+	return trainer.ObserverFunc(func(_ uint64, _ workload.Workload, _ params.Hyper, s trainer.EpochStats) *params.SysConfig {
+		*observed = append(*observed, s.Epoch)
+		return &params.SysConfig{Cores: s.Epoch, MemoryGB: 8}
+	})
+}
+
+// reportEpochs reports epochs from..to of asg at its attempt and requires
+// each to be answered with the directive epochObserver gave that epoch.
+func reportEpochs(t *testing.T, r *Remote, workerID string, asg *Assignment, from, to int) {
+	t.Helper()
+	for ep := from; ep <= to; ep++ {
+		dir, err := reportEpoch(r, workerID, asg, asg.Attempt, ep)
+		if err != nil || dir.Revoked || dir.Sys == nil || dir.Sys.Cores != ep {
+			t.Fatalf("attempt %d, epoch %d: dir=%+v err=%v, want the directive the observer gave epoch %d",
+				asg.Attempt, ep, dir, err, ep)
+		}
+	}
+}
+
 func TestRemoteLeaseLifecycle(t *testing.T) {
 	r := newTestRemote(t)
 	done := runAsync(context.Background(), r, mkTrials(2))
@@ -206,20 +228,22 @@ func TestRemoteCapacityBound(t *testing.T) {
 }
 
 // TestRemoteEvictionRequeuesMidTrial is the worker-crash regression: a
-// worker leases a trial and is evicted mid-trial, the lease is requeued
-// (observer state reset), a second worker completes it, and the job gets
-// the right result. The dead worker's late commit is rejected —
+// worker leases a trial and is evicted mid-trial, the lease is requeued,
+// a second worker replays the trial and the job gets the right result.
+// The replayed epochs are answered from the lease's log without reaching
+// the observer again; the dead worker's late commit is rejected —
 // at-most-once.
 func TestRemoteEvictionRequeuesMidTrial(t *testing.T) {
 	r := newTestRemote(t)
 
-	resets := 0
+	var observed []int
 	trials := mkTrials(1)
-	trials[0].Restart = func() { resets++ }
+	trials[0].Observer = epochObserver(&observed)
 	done := runAsync(context.Background(), r, trials)
 
 	w1 := register(t, r, "dies", 1)
 	asg1 := leaseOne(t, r, w1)
+	reportEpochs(t, r, w1, asg1, 1, 2)
 
 	// w1's stream ends (TestStreamSilenceEvicts drives that over a real
 	// socket).
@@ -231,15 +255,17 @@ func TestRemoteEvictionRequeuesMidTrial(t *testing.T) {
 	if fs.RequeuedTrials != 1 || fs.PendingTrials != 1 {
 		t.Fatalf("lease not requeued: %+v", fs)
 	}
-	if resets != 1 {
-		t.Fatalf("observer restart hooks run %d times, want 1", resets)
-	}
 
-	// The replacement picks the lease up at the next attempt.
+	// The replacement picks the lease up at the next attempt, replays
+	// epochs 1 and 2 from the log and goes on to epoch 3.
 	w2 := register(t, r, "survives", 1)
 	asg2 := leaseOne(t, r, w2)
 	if asg2.LeaseID != asg1.LeaseID || asg2.Attempt != 2 {
 		t.Fatalf("requeued lease = %s attempt %d, want %s attempt 2", asg2.LeaseID, asg2.Attempt, asg1.LeaseID)
+	}
+	reportEpochs(t, r, w2, asg2, 1, 3)
+	if fmt.Sprint(observed) != "[1 2 3]" {
+		t.Fatalf("observer saw %v, want [1 2 3]: each epoch once across attempts", observed)
 	}
 
 	// The dead worker wakes up and tries to commit its stale copy.
@@ -312,10 +338,10 @@ func TestRemoteObserverStreaming(t *testing.T) {
 		t.Fatalf("epoch 1 directive = %+v, want switch to %v", dir.Sys, next)
 	}
 	// A redelivered report (the agent retries when a response is lost)
-	// answers from the cache: the observer must not advance twice.
+	// is answered from the log: the observer must not advance twice.
 	dup, err := reportEpoch(r, w, asg, 1, 1)
 	if err != nil || dup.Sys == nil || *dup.Sys != next {
-		t.Fatalf("duplicate epoch 1 report: dir=%+v err=%v, want cached directive", dup, err)
+		t.Fatalf("duplicate epoch 1 report: dir=%+v err=%v, want the logged directive", dup, err)
 	}
 	dir, err = reportEpoch(r, w, asg, 1, 2)
 	if err != nil || dir.Revoked || dir.Sys != nil {
@@ -442,23 +468,21 @@ func TestRemoteCancelledLeaseFailsInsteadOfRequeueing(t *testing.T) {
 
 // TestRemoteAbandonedCommitRequeues pins the worker-side give-up path:
 // a worker whose epoch stream tore commits {abandoned}, the daemon
-// requeues the lease immediately (observer state reset, attempt
-// bumped), and another worker finishes the trial — no waiting for the
-// abandoning worker's eviction.
+// requeues the lease immediately (attempt bumped, log kept), and another
+// worker finishes the trial — no waiting for the abandoning worker's
+// eviction, and no epoch reaches the observer twice.
 func TestRemoteAbandonedCommitRequeues(t *testing.T) {
 	r := newTestRemote(t)
-	resets := 0
+	var observed []int
 	trials := mkTrials(1)
-	trials[0].Restart = func() { resets++ }
+	trials[0].Observer = epochObserver(&observed)
 	done := runAsync(context.Background(), r, trials)
 
 	w1 := register(t, r, "gives-up", 1)
 	asg1 := leaseOne(t, r, w1)
+	reportEpochs(t, r, w1, asg1, 1, 1)
 	if err := r.complete(w1, []byte(asg1.LeaseID), 1, nil, "", true); err != nil {
 		t.Fatalf("abandon commit: %v", err)
-	}
-	if resets != 1 {
-		t.Fatalf("restart hooks after abandonment: %d, want 1", resets)
 	}
 	fs := r.Fleet()
 	if fs.RequeuedTrials != 1 || fs.PendingTrials != 1 {
@@ -470,6 +494,10 @@ func TestRemoteAbandonedCommitRequeues(t *testing.T) {
 	asg2 := leaseOne(t, r, w2)
 	if asg2.LeaseID != asg1.LeaseID || asg2.Attempt != 2 {
 		t.Fatalf("requeued lease = %s attempt %d, want %s attempt 2", asg2.LeaseID, asg2.Attempt, asg1.LeaseID)
+	}
+	reportEpochs(t, r, w2, asg2, 1, 2)
+	if fmt.Sprint(observed) != "[1 2]" {
+		t.Fatalf("observer saw %v, want [1 2]: the replayed epoch 1 answered from the log", observed)
 	}
 	if err := commit(r, w2, asg2, 2, fakeResult(3)); err != nil {
 		t.Fatal(err)
@@ -656,34 +684,30 @@ func TestRemotePoisonTrialFailsAfterAttemptCap(t *testing.T) {
 
 // TestRemoteStaleEpochReportIgnored pins the out-of-order guard: a
 // network-delayed report for an older epoch (its retry was already
-// processed) must not reach the observer again.
+// processed) is answered from the lease's log and never reaches the
+// observer again, and a report that skips an epoch is dropped.
 func TestRemoteStaleEpochReportIgnored(t *testing.T) {
 	r := newTestRemote(t)
 	var observed []int
 	trials := mkTrials(1)
-	trials[0].Observer = trainer.ObserverFunc(func(_ uint64, _ workload.Workload, _ params.Hyper, s trainer.EpochStats) *params.SysConfig {
-		observed = append(observed, s.Epoch)
-		return nil
-	})
+	trials[0].Observer = epochObserver(&observed)
 	done := runAsync(context.Background(), r, trials)
 	w := register(t, r, "w1", 1)
 	asg := leaseOne(t, r, w)
-	for _, ep := range []int{1, 2} {
-		if _, err := reportEpoch(r, w, asg, 1, ep); err != nil {
-			t.Fatal(err)
-		}
-	}
+	reportEpochs(t, r, w, asg, 1, 2)
 	// The delayed straggler for epoch 1 arrives after epoch 2 was
-	// processed: dropped, empty directive, observer untouched.
-	dir, err := reportEpoch(r, w, asg, 1, 1)
+	// processed: the log answers, the observer is untouched.
+	reportEpochs(t, r, w, asg, 1, 1)
+	// Epoch 4 before epoch 3: empty directive, not delivered.
+	dir, err := reportEpoch(r, w, asg, 1, 4)
 	if err != nil || dir.Revoked || dir.Sys != nil {
-		t.Fatalf("stale epoch report: dir=%+v err=%v, want empty directive", dir, err)
+		t.Fatalf("out-of-order epoch report: dir=%+v err=%v, want empty directive", dir, err)
 	}
 	if err := commit(r, w, asg, 1, fakeResult(1)); err != nil {
 		t.Fatal(err)
 	}
 	<-done
-	if len(observed) != 2 || observed[0] != 1 || observed[1] != 2 {
+	if fmt.Sprint(observed) != "[1 2]" {
 		t.Fatalf("observer saw %v, want [1 2]", observed)
 	}
 }

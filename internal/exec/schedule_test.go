@@ -22,7 +22,9 @@ const scheduleSeeds = 10_000
 // evictions, batch cancellations, and a drain before or after each
 // enqueue — all from this one goroutine, through the same locked methods
 // the stream and Run call. After every step it checks the invariants the
-// fleet's failure paths promise; a violation names its seed, and
+// fleet's failure paths promise — among them that a trial's observer sees
+// each epoch once across all its attempts, and that every epoch it saw is
+// answered with what it said then; a violation names its seed, and
 // `go test -run TestLeaseSchedules ./internal/exec/` replays it.
 func TestLeaseSchedules(t *testing.T) {
 	for seed := uint64(1); seed <= scheduleSeeds; seed++ {
@@ -47,10 +49,16 @@ type simTicket struct {
 
 // simTrial is the test's model of one trial.
 type simTrial struct {
-	l        *lease
-	batch    *simBatch
-	restarts int
-	seen     int // last epoch the observer saw in the current attempt
+	l     *lease
+	batch *simBatch
+	// requeues counts the times the model expects the trial to have gone
+	// back to the queue; its lease's attempt is one more. poisoned marks
+	// a trial that lost its worker on its last attempt.
+	requeues int
+	poisoned bool
+	// said holds what the observer answered, said[e-1] for epoch e, over
+	// every attempt.
+	said []*params.SysConfig
 	// commits counts accepted ok and error commits; wantRes or wantErr
 	// is what the accepted one carried.
 	commits int
@@ -182,10 +190,9 @@ func (s *schedule) enqueue() {
 		trials[i] = Trial{
 			ID:       len(s.trials) + i,
 			Workload: workload.Workload{Model: workload.LeNet5, Dataset: workload.MNIST},
-			Restart:  func() { st.restarts++; st.seen = 0 },
+			Hyper:    params.Hyper{Epochs: 3}, // reports may run past it: the log grows
 			Observer: trainer.ObserverFunc(func(_ uint64, _ workload.Workload, _ params.Hyper, e trainer.EpochStats) *params.SysConfig {
-				s.observe(st, e.Epoch)
-				return nil
+				return s.observe(st, e.Epoch)
 			}),
 		}
 	}
@@ -207,8 +214,10 @@ func (s *schedule) enqueue() {
 }
 
 // observe is every trial's observer: only the lease's current attempt,
-// on its current worker, may feed it, once per epoch and in order.
-func (s *schedule) observe(st *simTrial, epoch int) {
+// on its current worker, may feed it, each epoch of the trial once and in
+// order, whichever attempt reports it. It answers with a configuration
+// no other epoch of any trial gets.
+func (s *schedule) observe(st *simTrial, epoch int) *params.SysConfig {
 	tk := s.reporting
 	switch {
 	case tk == nil || tk.lease != st.l.id:
@@ -216,10 +225,12 @@ func (s *schedule) observe(st *simTrial, epoch int) {
 	case tk.attempt != st.l.attempt || tk.worker != st.l.worker:
 		s.fail("observer of %s fed by %s attempt %d; the lease is on %s at attempt %d",
 			st.l.id, tk.worker, tk.attempt, st.l.worker, st.l.attempt)
-	case epoch <= st.seen:
-		s.fail("observer of %s saw epoch %d after epoch %d in attempt %d", st.l.id, epoch, st.seen, st.l.attempt)
+	case epoch != len(st.said)+1:
+		s.fail("observer of %s saw epoch %d after epoch %d (attempt %d)", st.l.id, epoch, len(st.said), st.l.attempt)
 	}
-	st.seen = epoch
+	sys := &params.SysConfig{Cores: epoch, MemoryGB: st.l.trial.ID}
+	st.said = append(st.said, sys)
+	return sys
 }
 
 // claim is a granter's claim: an active worker of a plane that is not
@@ -242,8 +253,8 @@ func (s *schedule) claim() {
 	}
 	for _, l := range r.claimLocked(w, limit) {
 		st := s.byID[l.id]
-		if l.attempt != st.restarts+1 || l.attempt > maxLeaseAttempts {
-			s.fail("%s granted at attempt %d after %d restarts (cap %d)", l.id, l.attempt, st.restarts, maxLeaseAttempts)
+		if l.attempt != st.requeues+1 || l.attempt > maxLeaseAttempts {
+			s.fail("%s granted at attempt %d after %d requeues (cap %d)", l.id, l.attempt, st.requeues, maxLeaseAttempts)
 		}
 		s.tickets = append(s.tickets, &simTicket{worker: id, lease: l.id, attempt: l.attempt})
 	}
@@ -257,7 +268,8 @@ func (s *schedule) ticket() *simTicket {
 }
 
 // report sends the next epoch, a duplicate of the last one, or a stale
-// earlier one.
+// earlier one. An answer that is not a revocation carries what the
+// observer said for that epoch, or nothing for an epoch it never saw.
 func (s *schedule) report() {
 	tk := s.ticket()
 	if tk == nil {
@@ -272,9 +284,20 @@ func (s *schedule) report() {
 	}
 	epoch = max(epoch, 1) // trainers number epochs from 1
 	s.reporting = tk
-	_, _ = s.r.reportEpoch(tk.worker, []byte(tk.lease), tk.attempt, trainer.EpochStats{Epoch: epoch})
+	dir, err := s.r.reportEpoch(tk.worker, []byte(tk.lease), tk.attempt, trainer.EpochStats{Epoch: epoch})
 	s.reporting = nil
 	tk.epoch = max(tk.epoch, epoch)
+	if err != nil || dir.Revoked {
+		return
+	}
+	st := s.byID[tk.lease]
+	var want *params.SysConfig
+	if epoch <= len(st.said) {
+		want = st.said[epoch-1]
+	}
+	if dir.Sys != want {
+		s.fail("%s attempt %d, epoch %d answered %v; the observer said %v", tk.lease, tk.attempt, epoch, dir.Sys, want)
+	}
 }
 
 // commit sends an ok, error or abandoned commit for a ticket, current or
@@ -299,6 +322,9 @@ func (s *schedule) commit() {
 		res = &trainer.Result{Duration: float64(s.results)}
 	}
 	err := s.r.complete(tk.worker, []byte(tk.lease), tk.attempt, res, errMsg, abandoned)
+	if err == nil && abandoned {
+		s.lostWorker([]*simTrial{s.byID[tk.lease]})
+	}
 	if err == nil && !abandoned {
 		st := s.byID[tk.lease]
 		if st.commits++; st.commits > 1 {
@@ -317,8 +343,39 @@ func (s *schedule) commit() {
 }
 
 func (s *schedule) evict() {
-	if len(s.workers) > 0 {
-		s.r.evictWorker(s.workers[s.rng.IntN(len(s.workers))], "sim")
+	if len(s.workers) == 0 {
+		return
+	}
+	id := s.workers[s.rng.IntN(len(s.workers))]
+	var held []*simTrial
+	s.r.mu.Lock()
+	for _, st := range s.trials {
+		if st.l.state == leaseLeased && st.l.worker == id {
+			held = append(held, st)
+		}
+	}
+	s.r.mu.Unlock()
+	s.r.evictWorker(id, "sim")
+	s.lostWorker(held)
+}
+
+// lostWorker is the model's rule for leased trials that just lost their
+// worker: each goes back to the queue at the next attempt unless its job
+// gave up, the plane drains, or it has used its last attempt — then it
+// fails.
+func (s *schedule) lostWorker(held []*simTrial) {
+	s.r.mu.Lock()
+	defer s.r.mu.Unlock()
+	for _, st := range held {
+		requeue := !st.batch.cancelled && !s.drained && st.requeues+1 < maxLeaseAttempts
+		if requeue {
+			st.requeues++
+		}
+		st.poisoned = !st.batch.cancelled && !s.drained && !requeue
+		if got := st.l.state == leasePending; got != requeue || !got && st.l.state != leaseFailed {
+			s.fail("%s lost its worker at attempt %d and is in state %d; requeue expected: %v",
+				st.l.id, st.requeues+1, st.l.state, requeue)
+		}
 	}
 }
 
@@ -387,7 +444,9 @@ func (s *schedule) collect() {
 				s.fail("%s ended with %v / %v, not the accepted commit's result", st.l.id, res, err)
 			case st.commits == 1 && st.wantErr != "" && (err == nil || !strings.HasSuffix(err.Error(), ": "+st.wantErr)):
 				s.fail("%s ended with %v, not the accepted commit's error %q", st.l.id, err, st.wantErr)
-			case st.commits == 0 && b.cancelled && !errors.Is(err, errSimCancelled) && !errors.Is(err, ErrDraining):
+			case st.poisoned && (err == nil || !strings.Contains(err.Error(), "poison trial")):
+				s.fail("%s lost its worker on its last attempt and ended with %v", st.l.id, err)
+			case st.commits == 0 && b.cancelled && !st.poisoned && !errors.Is(err, errSimCancelled) && !errors.Is(err, ErrDraining):
 				s.fail("%s of a cancelled batch failed with %v", st.l.id, err)
 			}
 		}
@@ -444,8 +503,8 @@ func (s *schedule) check() {
 				s.fail("%s of a cancelled batch was requeued", l.id)
 			}
 		}
-		if l.attempt != st.restarts+1 || l.attempt > maxLeaseAttempts {
-			s.fail("%s at attempt %d after %d restarts (cap %d)", l.id, l.attempt, st.restarts, maxLeaseAttempts)
+		if l.attempt != st.requeues+1 || l.attempt > maxLeaseAttempts {
+			s.fail("%s at attempt %d after %d requeues (cap %d)", l.id, l.attempt, st.requeues, maxLeaseAttempts)
 		}
 	}
 }

@@ -60,6 +60,13 @@ func TestEventSchedulerMatchesBarrierFIFO(t *testing.T) {
 		{"grid-v1", func() JobSpec { return baseSpec(ModeV1, MaximizeAccuracy) }},
 		{"grid-v2", func() JobSpec { return baseSpec(ModeV2, MaximizeAccuracyPerTime) }},
 		{"hyperband-v1", hyperbandSpec},
+		{"hyperband-contended", func() JobSpec {
+			// Two slots: trials wait, so the admission order decides
+			// when each one runs.
+			spec := hyperbandSpec()
+			spec.MaxParallel = 2
+			return spec
+		}},
 		{"hyperband-inheriting", func() JobSpec {
 			// Both loops build their batches in runBatch, so a promoted
 			// trial starts on what its previous rung handed down in both.
@@ -79,14 +86,18 @@ func TestEventSchedulerMatchesBarrierFIFO(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			starts := map[int]params.SysConfig{}
+			ref := map[int]TrialRecord{}
 			for _, rec := range barrier.Trials {
-				starts[rec.ID] = rec.StartSys
+				ref[rec.ID] = rec
 			}
 			inherited := 0
 			for _, rec := range event.Trials {
-				if rec.StartSys != starts[rec.ID] {
-					t.Fatalf("trial %d starts on %v, on %v under the barrier", rec.ID, rec.StartSys, starts[rec.ID])
+				want := ref[rec.ID]
+				if rec.StartSys != want.StartSys {
+					t.Fatalf("trial %d starts on %v, on %v under the barrier", rec.ID, rec.StartSys, want.StartSys)
+				}
+				if rec.Start != want.Start || rec.End != want.End {
+					t.Fatalf("trial %d runs %v–%v, %v–%v under the barrier", rec.ID, rec.Start, rec.End, want.Start, want.End)
 				}
 				if rec.StartSys == tuned {
 					inherited++

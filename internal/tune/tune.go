@@ -138,14 +138,10 @@ type JobSpec struct {
 	// baselines). h is the trial's applied hyperparameters, rung budget
 	// included, and sys the configuration it would start on unobserved.
 	// The answer becomes TrialRecord.StartSys: what the trial body starts
-	// on and the footprint the scheduler admits.
+	// on and the footprint the scheduler admits. The observer sees each
+	// epoch of its trial once, on every backend: one that re-runs a body
+	// (a requeued remote lease) answers the replayed epochs itself.
 	TrialObserver func(trialID int, h params.Hyper, sys params.SysConfig) (trainer.EpochObserver, params.SysConfig)
-	// TrialRestart, when set, is called when an execution backend must
-	// re-run a trial body from scratch (a remote lease requeued after
-	// worker eviction): it must reset the trial's observer-side state to
-	// what TrialObserver handed out, so the replayed epochs are observed
-	// as the first attempt's were.
-	TrialRestart func(trialID int)
 	// OnTrialDone, when set, is called as each trial completes, in
 	// simulated completion order (PipeTune's ground-truth feeder). When a
 	// job is cancelled, trials of the interrupted batch that had already
@@ -546,11 +542,6 @@ func (r *Runner) runBatch(ctx context.Context, spec JobSpec, batch []search.Sugg
 			errs[i] = fmt.Errorf("tune: trial config %v does not fit the cluster", sys)
 			continue
 		}
-		var restart func()
-		if spec.TrialRestart != nil {
-			id := sug.ID
-			restart = func() { spec.TrialRestart(id) }
-		}
 		records[i] = TrialRecord{
 			ID:         sug.ID,
 			Assignment: sug.Assignment.Clone(),
@@ -573,7 +564,6 @@ func (r *Runner) runBatch(ctx context.Context, spec JobSpec, batch []search.Sugg
 			Sys:      sys,
 			Seed:     seed,
 			Observer: obs,
-			Restart:  restart,
 			Trainer:  tc,
 			CacheKey: cacheKey,
 		})
