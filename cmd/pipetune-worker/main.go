@@ -5,7 +5,7 @@
 // configuration (so results are bit-identical to an in-process run),
 // streams per-epoch observations back — which is how PipeTune's
 // pipelined system tuning keeps firing mid-trial — commits
-// delta-encoded results and heartbeats.
+// results as its trainer computed them and heartbeats.
 //
 // Usage:
 //

@@ -19,7 +19,7 @@
 // pipetune-worker processes that each hold one persistent framed stream
 // to this daemon (POST /v1/stream, upgraded): lease grants arrive in
 // batches, per-epoch observations stream back (so PipeTune's pipelined
-// system tuning still fires mid-trial), results are delta-encoded, and
+// system tuning still fires mid-trial), results come back as computed, and
 // the worker heartbeats. A worker silent for -worker-evict-after heartbeats is
 // evicted and its leases requeued; results commit at most once. Scale
 // out by simply starting more workers:

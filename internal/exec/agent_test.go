@@ -82,7 +82,7 @@ func TestAgentStopsOnVersionRefusal(t *testing.T) {
 	var attempts atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		attempts.Add(1)
-		w.Header().Set("Upgrade", "pipetune-stream/6")
+		w.Header().Set("Upgrade", "pipetune-stream/7")
 		w.WriteHeader(http.StatusUpgradeRequired)
 	}))
 	t.Cleanup(srv.Close)
@@ -90,7 +90,7 @@ func TestAgentStopsOnVersionRefusal(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	err := NewAgent(AgentConfig{Server: srv.URL}).Run(ctx)
-	if !errors.Is(err, errStreamVersion) || !strings.Contains(err.Error(), "pipetune-stream/6") || !strings.Contains(err.Error(), streamUpgradeProto) {
+	if !errors.Is(err, errStreamVersion) || !strings.Contains(err.Error(), "pipetune-stream/7") || !strings.Contains(err.Error(), streamUpgradeProto) {
 		t.Fatalf("Run against a 426: %v, want the version refusal naming both tokens", err)
 	}
 	if n := attempts.Load(); n != 1 {

@@ -118,7 +118,7 @@ func benchBackend(b *testing.B, backend Backend, wireBytes *atomic.Int64) {
 }
 
 // BenchmarkCodec prices the zero-allocation claim directly: encode and
-// decode of the two hot frame types (epoch observation and delta-encoded
+// decode of the two hot frame types (epoch observation and committed
 // result) without any transport. Encode must not allocate at steady
 // state (pooled buffers); decode allocates only the decoded result's own
 // storage.
@@ -153,20 +153,20 @@ func BenchmarkCodec(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			w := getWirebuf()
-			encodeComplete(w, asg.LeaseID, asg.Attempt, completeOK, "", res, asg.Sys)
+			encodeComplete(w, asg.LeaseID, asg.Attempt, completeOK, "", res)
 			putWirebuf(w)
 		}
 	})
 	resultPayload := func() []byte {
 		w := getWirebuf()
 		defer putWirebuf(w)
-		encodeComplete(w, asg.LeaseID, asg.Attempt, completeOK, "", res, asg.Sys)
+		encodeComplete(w, asg.LeaseID, asg.Attempt, completeOK, "", res)
 		return append([]byte(nil), w.b...)
 	}()
 	b.Run("result-decode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, _, _, _, err := decodeComplete(resultPayload, res.Workload, res.Hyper, asg.Sys); err != nil {
+			if _, _, _, _, _, err := decodeComplete(resultPayload); err != nil {
 				b.Fatal(err)
 			}
 		}

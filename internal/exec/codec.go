@@ -25,17 +25,11 @@ package exec
 // Floats travel as raw bit patterns, so a decoded value is the encoded
 // value, bit for bit — remote-equals-local bit-identity depends on it.
 //
-// Results are delta-encoded against state both ends already share. The
-// daemon holds the lease's trial (workload, hyperparameters, starting
-// system configuration), so a committed result ships none of them; and
-// the trainer's own arithmetic is replayed instead of shipped where it is
-// exactly reproducible: per-epoch EndTime is the running sum of
-// durations, the result's Duration is the final clock, EnergyJ the sum of
-// epoch energies, Accuracy the last train epoch's accuracy — all
-// recomputed on decode with the same float64 operations in the same
-// order, hence bit-identical. Each epoch's system configuration is
-// encoded only when it differs from the previous epoch's (a mid-trial
-// switch by the pipelined tuner), one flag bit otherwise.
+// Every frame decodes on its own, with no state from the receiver's
+// side. A Complete frame carries the trainer.Result the worker's trainer
+// returned — workload, hyperparameters, totals and every epoch — as the
+// trainer computed it, so how a trial's totals are computed is decided
+// in internal/trainer alone.
 
 import (
 	"encoding/binary"
@@ -64,7 +58,7 @@ const WireBinary = "binary"
 // version on the wire: the daemon and its workers upgrade together, any
 // change to a frame layout bumps it, and a daemon answers any other
 // token with 426 before a frame is exchanged.
-const streamUpgradeProto = "pipetune-stream/5"
+const streamUpgradeProto = "pipetune-stream/6"
 
 // streamMagic opens the stream right after the HTTP 101: a peer that is
 // not speaking this protocol is detected before the first frame.
@@ -92,7 +86,7 @@ const (
 
 // Complete statuses.
 const (
-	completeOK        byte = iota // payload carries a delta-encoded result
+	completeOK        byte = iota // payload carries the trial's result
 	completeError                 // payload carries the trial's error string
 	completeAbandoned             // worker cannot finish; requeue now
 )
@@ -351,8 +345,7 @@ const asgStreamEpochs = 1 << 0
 func appendAssignment(w *wirebuf, leaseID string, attempt int, t *Trial) {
 	w.str(leaseID)
 	w.uvarint(uint64(attempt))
-	w.u8(byte(t.Workload.Model))
-	w.u8(byte(t.Workload.Dataset))
+	appendWorkload(w, t.Workload)
 	appendHyper(w, t.Hyper)
 	appendSys(w, t.Sys)
 	w.u64(t.Seed)
@@ -372,7 +365,7 @@ func appendAssignment(w *wirebuf, leaseID string, attempt int, t *Trial) {
 func readAssignment(r *wireReader, asg *Assignment) {
 	asg.LeaseID = r.str()
 	asg.Attempt = r.int()
-	asg.Workload = workload.Workload{Model: workload.Model(r.u8()), Dataset: workload.Dataset(r.u8())}
+	asg.Workload = readWorkload(r)
 	asg.Hyper = readHyper(r)
 	asg.Sys = readSys(r)
 	asg.Seed = r.u64()
@@ -399,6 +392,15 @@ func decodeGrant(p []byte) ([]Assignment, error) {
 		return nil, err
 	}
 	return asgs, nil
+}
+
+func appendWorkload(w *wirebuf, wl workload.Workload) {
+	w.u8(byte(wl.Model))
+	w.u8(byte(wl.Dataset))
+}
+
+func readWorkload(r *wireReader) workload.Workload {
+	return workload.Workload{Model: workload.Model(r.u8()), Dataset: workload.Dataset(r.u8())}
 }
 
 func appendHyper(w *wirebuf, h params.Hyper) {
@@ -431,18 +433,11 @@ func readSys(r *wireReader) params.SysConfig {
 // --- Epoch / Directive -----------------------------------------------
 
 // epoch flag bits.
-const (
-	epInit       = 1 << 0
-	epSysChanged = 1 << 1 // result delta only: sys differs from previous epoch
-)
+const epInit = 1 << 0
 
-// encodeEpochFrame encodes one standalone epoch-boundary observation
-// (pipelined tuning's mid-trial feedback). Unlike epochs inside a result
-// delta, a standalone observation carries its fields in full — it is the
-// first news the daemon has of this epoch.
-func encodeEpochFrame(w *wirebuf, leaseID string, attempt int, s *trainer.EpochStats) {
-	w.str(leaseID)
-	w.uvarint(uint64(attempt))
+// appendEpoch encodes one epoch's stats but its profile: the body of an
+// Epoch frame and of each epoch in a Complete frame.
+func appendEpoch(w *wirebuf, s *trainer.EpochStats) {
 	w.uvarint(uint64(s.Epoch))
 	var flags byte
 	if s.Init {
@@ -455,6 +450,29 @@ func encodeEpochFrame(w *wirebuf, leaseID string, attempt int, s *trainer.EpochS
 	w.f64(s.TrainLoss)
 	w.f64(s.Accuracy)
 	w.f64(s.EnergyJ)
+}
+
+// epochMinLen is the smallest encoded epoch: one-byte epoch number,
+// flags and sys fields, and five floats.
+const epochMinLen = 1 + 1 + 2 + 5*8
+
+func readEpoch(r *wireReader, s *trainer.EpochStats) {
+	s.Epoch = r.int()
+	s.Init = r.u8()&epInit != 0
+	s.Sys = readSys(r)
+	s.Duration = r.f64()
+	s.EndTime = r.f64()
+	s.TrainLoss = r.f64()
+	s.Accuracy = r.f64()
+	s.EnergyJ = r.f64()
+}
+
+// encodeEpochFrame encodes one epoch-boundary observation (pipelined
+// tuning's mid-trial feedback), PMU profile included.
+func encodeEpochFrame(w *wirebuf, leaseID string, attempt int, s *trainer.EpochStats) {
+	w.str(leaseID)
+	w.uvarint(uint64(attempt))
+	appendEpoch(w, s)
 	appendProfile(w, s.Profile)
 }
 
@@ -466,14 +484,7 @@ func decodeEpochFrame(p []byte) (leaseID []byte, attempt int, s trainer.EpochSta
 	r := wireReader{b: p}
 	leaseID = r.strView()
 	attempt = r.int()
-	s.Epoch = r.int()
-	s.Init = r.u8()&epInit != 0
-	s.Sys = readSys(&r)
-	s.Duration = r.f64()
-	s.EndTime = r.f64()
-	s.TrainLoss = r.f64()
-	s.Accuracy = r.f64()
-	s.EnergyJ = r.f64()
+	readEpoch(&r, &s)
 	s.Profile = readProfile(&r)
 	return leaseID, attempt, s, r.finish()
 }
@@ -537,10 +548,8 @@ func decodeDirective(p []byte) (leaseID []byte, attempt, epoch int, d EpochDirec
 
 // --- Complete / Ack --------------------------------------------------
 
-// encodeComplete encodes the at-most-once result commit. baseSys is the
-// assignment's starting system configuration — the delta baseline both
-// ends share.
-func encodeComplete(w *wirebuf, leaseID string, attempt int, status byte, errMsg string, res *trainer.Result, baseSys params.SysConfig) {
+// encodeComplete encodes the at-most-once result commit.
+func encodeComplete(w *wirebuf, leaseID string, attempt int, status byte, errMsg string, res *trainer.Result) {
 	w.str(leaseID)
 	w.uvarint(uint64(attempt))
 	w.u8(status)
@@ -548,14 +557,12 @@ func encodeComplete(w *wirebuf, leaseID string, attempt int, status byte, errMsg
 	case completeError:
 		w.str(errMsg)
 	case completeOK:
-		appendResultDelta(w, res, baseSys)
+		appendResult(w, res)
 	}
 }
 
-// decodeComplete decodes a commit. For completeOK the result is
-// reconstructed against the lease's trial (wl, hy, baseSys) — see
-// decodeResultDelta for the replayed arithmetic.
-func decodeComplete(p []byte, wl workload.Workload, hy params.Hyper, baseSys params.SysConfig) (leaseID []byte, attempt int, status byte, errMsg string, res *trainer.Result, err error) {
+// decodeComplete decodes a commit.
+func decodeComplete(p []byte) (leaseID []byte, attempt int, status byte, errMsg string, res *trainer.Result, err error) {
 	r := wireReader{b: p}
 	leaseID = r.strView()
 	attempt = r.int()
@@ -564,7 +571,7 @@ func decodeComplete(p []byte, wl workload.Workload, hy params.Hyper, baseSys par
 	case completeError:
 		errMsg = r.str()
 	case completeOK:
-		res = readResultDelta(&r, wl, hy, baseSys)
+		res = readResult(&r)
 	case completeAbandoned:
 	default:
 		r.fail("unknown complete status")
@@ -572,82 +579,40 @@ func decodeComplete(p []byte, wl workload.Workload, hy params.Hyper, baseSys par
 	return leaseID, attempt, status, errMsg, res, r.finish()
 }
 
-// completeHeader peeks just the lease id of a complete frame so the
-// daemon can look the lease's trial up before the full decode.
-func completeHeader(p []byte) (leaseID []byte, err error) {
-	r := wireReader{b: p}
-	leaseID = r.strView()
-	return leaseID, r.err
-}
-
-// appendResultDelta ships only what the daemon cannot recompute:
-// FinalSys, and per epoch the flags, a sys config when it changed,
-// duration, loss, accuracy and energy. Workload, Hyper, EndTime, total
-// Duration, total EnergyJ and final Accuracy are all reconstructed from
-// the lease and the epoch stream (see file comment). A result carries no
-// PMU profile: the trainer records none in a Result's epochs, and the
-// observer already had each one from its Epoch frame.
-func appendResultDelta(w *wirebuf, res *trainer.Result, baseSys params.SysConfig) {
+// appendResult encodes a trainer.Result field for field, floats as raw
+// bits. It carries no PMU profile: the trainer records none in a
+// Result's epochs, and the observer already had each one from its Epoch
+// frame.
+func appendResult(w *wirebuf, res *trainer.Result) {
+	appendWorkload(w, res.Workload)
+	appendHyper(w, res.Hyper)
 	appendSys(w, res.FinalSys)
+	w.f64(res.Accuracy)
+	w.f64(res.Duration)
+	w.f64(res.EnergyJ)
 	w.uvarint(uint64(len(res.Epochs)))
-	prev := baseSys
 	for i := range res.Epochs {
-		e := &res.Epochs[i]
-		var flags byte
-		if e.Init {
-			flags |= epInit
-		}
-		if e.Sys != prev {
-			flags |= epSysChanged
-		}
-		w.u8(flags)
-		w.uvarint(uint64(e.Epoch))
-		if e.Sys != prev {
-			appendSys(w, e.Sys)
-			prev = e.Sys
-		}
-		w.f64(e.Duration)
-		w.f64(e.TrainLoss)
-		w.f64(e.Accuracy)
-		w.f64(e.EnergyJ)
+		appendEpoch(w, &res.Epochs[i])
 	}
 }
 
-// readResultDelta rebuilds the full trainer.Result, replaying the
-// trainer's own accumulation arithmetic (clock += duration; energy +=
-// epoch energy; accuracy = last train epoch's) with the same float64
-// operations in the same order, so the decoded result is bit-identical
-// to the worker's.
-func readResultDelta(r *wireReader, wl workload.Workload, hy params.Hyper, baseSys params.SysConfig) *trainer.Result {
-	res := &trainer.Result{Workload: wl, Hyper: hy, FinalSys: readSys(r)}
-	n := r.count(34) // a minimal epoch (no sys switch) is 34 bytes
+func readResult(r *wireReader) *trainer.Result {
+	res := &trainer.Result{
+		Workload: readWorkload(r),
+		Hyper:    readHyper(r),
+		FinalSys: readSys(r),
+		Accuracy: r.f64(),
+		Duration: r.f64(),
+		EnergyJ:  r.f64(),
+	}
+	n := r.count(epochMinLen)
 	if n == 0 {
-		return res
+		return res // preserve nil-ness, as Result.Clone does
 	}
 	res.Epochs = make([]trainer.EpochStats, n)
-	prev := baseSys
-	clock := 0.0
 	for i := 0; i < n && r.err == nil; i++ {
-		e := &res.Epochs[i]
-		flags := r.u8()
-		e.Init = flags&epInit != 0
-		e.Epoch = r.int()
-		if flags&epSysChanged != 0 {
-			prev = readSys(r)
-		}
-		e.Sys = prev
-		e.Duration = r.f64()
-		clock += e.Duration
-		e.EndTime = clock
-		e.TrainLoss = r.f64()
-		e.Accuracy = r.f64()
-		e.EnergyJ = r.f64()
-		res.EnergyJ += e.EnergyJ
-		if !e.Init {
-			res.Accuracy = e.Accuracy
-		}
+		readEpoch(r, &res.Epochs[i])
 	}
-	res.Duration = clock
 	return res
 }
 

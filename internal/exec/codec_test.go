@@ -47,11 +47,9 @@ func trialOf(asg Assignment) Trial {
 	return tr
 }
 
-// sampleResult builds a result that satisfies the trainer's accumulation
-// invariants (EndTime = running duration sum, EnergyJ = epoch sum,
-// Accuracy = last train epoch, Duration = final clock, no per-epoch
-// profile) — the contract the delta codec replays. Seeded so fuzzing
-// can vary it.
+// sampleResult builds a result shaped like a trainer's — an init epoch,
+// then train epochs with occasional mid-trial system switches. Seeded so
+// fuzzing can vary it.
 func sampleResult(seed uint64, nEpochs int, baseSys params.SysConfig) *trainer.Result {
 	rng := xrand.New(seed)
 	res := &trainer.Result{
@@ -197,36 +195,67 @@ func TestEpochFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResultDeltaRoundTrip is the codec half of the parity guarantee: a
-// delta-encoded result decodes bit-identical — including the recomputed
-// EndTime/Duration/EnergyJ/Accuracy and the per-epoch sys chain.
-func TestResultDeltaRoundTrip(t *testing.T) {
-	base := params.DefaultSysConfig()
+// roundTripResult encodes res in a Complete frame and decodes it back,
+// checking the frame's lease coordinates on the way.
+func roundTripResult(t *testing.T, res *trainer.Result) *trainer.Result {
+	t.Helper()
+	wb := getWirebuf()
+	defer putWirebuf(wb)
+	encodeComplete(wb, "ls-000009", 2, completeOK, "", res)
+	leaseID, attempt, status, errMsg, got, err := decodeComplete(wb.b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(leaseID) != "ls-000009" || attempt != 2 || status != completeOK || errMsg != "" {
+		t.Fatalf("header %q/%d/%d/%q", leaseID, attempt, status, errMsg)
+	}
+	return got
+}
+
+// TestResultRoundTrip is the codec half of the parity guarantee: a
+// result, per-epoch sys chain included, decodes bit-identical.
+func TestResultRoundTrip(t *testing.T) {
 	for seed := uint64(1); seed <= 16; seed++ {
-		want := sampleResult(seed, 1+int(seed%5), base)
-		wb := getWirebuf()
-		encodeComplete(wb, "ls-000009", 1, completeOK, "", want, base)
-		leaseID, attempt, status, errMsg, got, err := decodeComplete(wb.b, want.Workload, want.Hyper, base)
-		putWirebuf(wb)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if string(leaseID) != "ls-000009" || attempt != 1 || status != completeOK || errMsg != "" {
-			t.Fatalf("seed %d: header %q/%d/%d/%q", seed, leaseID, attempt, status, errMsg)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: delta round trip diverged:\n got %+v\nwant %+v", seed, got, want)
+		want := sampleResult(seed, 1+int(seed%5), params.DefaultSysConfig())
+		if got := roundTripResult(t, want); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: round trip diverged:\n got %+v\nwant %+v", seed, got, want)
 		}
 	}
 }
 
-// TestResultDeltaRealTrial round-trips an actual trainer.Run result —
-// the invariants the codec replays must be the trainer's, not just the
-// test generator's. The trial is observed, as a streamed PipeTune trial
-// is: every epoch's profile travels in its Epoch frame, and the Complete
-// frame of the 9-epoch result carries none — it is smaller than the
-// profiles alone would have been.
-func TestResultDeltaRealTrial(t *testing.T) {
+// TestResultTravelsAsComputed: the frame carries a result's clocks and
+// totals as the trainer computed them and derives none of them from its
+// epochs. This result follows no such derivation — its epochs' EndTimes
+// start after a resumed prefix instead of summing their durations,
+// Duration and EnergyJ are not the epochs' sums, and Accuracy is not the
+// last train epoch's — and must come back field for field.
+func TestResultTravelsAsComputed(t *testing.T) {
+	sys := params.SysConfig{Cores: 8, MemoryGB: 16}
+	final := params.SysConfig{Cores: 4, MemoryGB: 8}
+	want := &trainer.Result{
+		Workload: workload.Workload{Model: workload.LSTM, Dataset: workload.News20},
+		Hyper:    params.Hyper{BatchSize: 64, LearningRate: 0.05, Dropout: 0.2, EmbeddingDim: 32, Epochs: 5},
+		FinalSys: final,
+		Accuracy: 0.75,
+		Duration: 100.5,
+		EnergyJ:  9000,
+		Epochs: []trainer.EpochStats{
+			{Epoch: 0, Init: true, Sys: sys, Duration: 5, EndTime: 65, TrainLoss: 2.3, Accuracy: 0.1, EnergyJ: 250},
+			{Epoch: 3, Sys: sys, Duration: 10, EndTime: 75, TrainLoss: 0.9, Accuracy: 0.6, EnergyJ: 500},
+			{Epoch: 4, Sys: final, Duration: 10, EndTime: 85.5, TrainLoss: 0.7, Accuracy: 0.62, EnergyJ: 400},
+		},
+	}
+	if got := roundTripResult(t, want); !reflect.DeepEqual(got, want) {
+		t.Fatalf("result rewritten in transit:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestResultRealTrial round-trips an actual trainer.Run result. The
+// trial is observed, as a streamed PipeTune trial is: every epoch's
+// profile travels in its Epoch frame, and the Complete frame of the
+// 9-epoch result carries none — it is smaller than the profiles alone
+// would have been.
+func TestResultRealTrial(t *testing.T) {
 	tr := smallTrainer()
 	asg := realTrials(tr, 1)[0]
 	asg.Hyper.Epochs = 9
@@ -251,16 +280,12 @@ func TestResultDeltaRealTrial(t *testing.T) {
 	}
 	wb := getWirebuf()
 	defer putWirebuf(wb)
-	encodeComplete(wb, "ls-000001", 1, completeOK, "", want, asg.Sys)
+	encodeComplete(wb, "ls-000001", 1, completeOK, "", want)
 	if limit := asg.Hyper.Epochs * perf.NumEvents * 8; len(wb.b) >= limit {
 		t.Fatalf("complete frame is %d B; the profiles it must not carry are %d B", len(wb.b), limit)
 	}
-	_, _, _, _, got, err := decodeComplete(wb.b, asg.Workload, asg.Hyper, asg.Sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("real trial result diverged through the delta codec")
+	if got := roundTripResult(t, want); !reflect.DeepEqual(got, want) {
+		t.Fatal("real trial result diverged through the codec")
 	}
 }
 
@@ -295,10 +320,10 @@ func fuzzSeedFrames(t testing.TB) [][]byte {
 			encodeDirective(w, []byte(asg.LeaseID), asg.Attempt, 2, EpochDirective{Sys: &sw})
 		}),
 		encodeFrameBytes(t, frameComplete, func(w *wirebuf) {
-			encodeComplete(w, asg.LeaseID, asg.Attempt, completeOK, "", res, asg.Sys)
+			encodeComplete(w, asg.LeaseID, asg.Attempt, completeOK, "", res)
 		}),
 		encodeFrameBytes(t, frameComplete, func(w *wirebuf) {
-			encodeComplete(w, asg.LeaseID, asg.Attempt, completeError, "trial body panicked", nil, asg.Sys)
+			encodeComplete(w, asg.LeaseID, asg.Attempt, completeError, "trial body panicked", nil)
 		}),
 		encodeFrameBytes(t, frameAck, func(w *wirebuf) { encodeAck(w, []byte(asg.LeaseID), asg.Attempt, ackCommitted) }),
 		encodeFrameBytes(t, frameStats, func(w *wirebuf) { encodeStats(w, stats.series()) }),
@@ -338,7 +363,7 @@ func FuzzFrameDecode(f *testing.F) {
 		_, _ = decodeGrant(p)
 		_, _, _, _ = decodeEpochFrame(p)
 		_, _, _, _, _ = decodeDirective(p)
-		_, _, _, _, _, _ = decodeComplete(p, workload.Workload{}, params.Hyper{}, params.SysConfig{})
+		_, _, _, _, _, _ = decodeComplete(p)
 		_, _, _, _ = decodeAck(p)
 		switch ft {
 		case frameHello:
@@ -373,26 +398,26 @@ func TestFuzzSeedsCoverEveryFrameType(t *testing.T) {
 	}
 }
 
-// FuzzResultRoundTrip generates invariant-respecting results and
-// requires the delta codec to reproduce them bit for bit — the fuzzing
-// twin of TestResultDeltaRoundTrip, exploring epoch counts, sys-switch
-// chains and base configurations the hand-picked seeds miss.
+// FuzzResultRoundTrip requires the codec to reproduce generated results
+// bit for bit — the fuzzing twin of TestResultRoundTrip, exploring epoch
+// counts, sys-switch chains and starting configurations the hand-picked
+// seeds miss. skew moves the totals off their epochs' sums, which the
+// codec must carry as readily as a trainer-shaped result.
 func FuzzResultRoundTrip(f *testing.F) {
-	f.Add(uint64(1), uint8(1), uint8(8), uint8(4))
-	f.Add(uint64(42), uint8(5), uint8(1), uint8(1))
-	f.Add(uint64(7), uint8(12), uint8(64), uint8(255))
-	f.Fuzz(func(t *testing.T, seed uint64, nEpochs, cores, mem uint8) {
+	f.Add(uint64(1), uint8(1), uint8(8), uint8(4), 0.0)
+	f.Add(uint64(42), uint8(5), uint8(1), uint8(1), 0.5)
+	f.Add(uint64(7), uint8(12), uint8(64), uint8(255), -3e9)
+	f.Fuzz(func(t *testing.T, seed uint64, nEpochs, cores, mem uint8, skew float64) {
+		if math.IsNaN(skew) {
+			t.Skip("NaN never equals itself under reflect.DeepEqual")
+		}
 		base := params.SysConfig{Cores: 1 + int(cores%64), MemoryGB: 1 + int(mem)}
 		want := sampleResult(seed, int(nEpochs%16), base)
-		wb := getWirebuf()
-		defer putWirebuf(wb)
-		encodeComplete(wb, "ls-000123", 3, completeOK, "", want, base)
-		_, _, _, _, got, err := decodeComplete(wb.b, want.Workload, want.Hyper, base)
-		if err != nil {
-			t.Fatalf("own encoding rejected: %v", err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round trip diverged for seed %d epochs %d", seed, nEpochs)
+		want.Duration += skew
+		want.EnergyJ -= skew
+		want.Accuracy -= skew
+		if got := roundTripResult(t, want); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip diverged for seed %d epochs %d skew %v", seed, nEpochs, skew)
 		}
 	})
 }

@@ -249,7 +249,7 @@ func (r *Remote) enqueueLocked(trials []Trial) []*lease {
 }
 
 // collectLocked reads a terminal batch's outcomes and forgets its leases:
-// a late commit for one of them is rejected as unknown. Callers hold r.mu.
+// a late commit for one of them is acked as superseded. Callers hold r.mu.
 func (r *Remote) collectLocked(batch []*lease) ([]*trainer.Result, []error) {
 	results := make([]*trainer.Result, len(batch))
 	errs := make([]error, len(batch))
@@ -434,19 +434,23 @@ func (r *Remote) reportEpoch(workerID string, leaseID []byte, attempt int, s tra
 }
 
 // complete commits a finished trial body — at most once: the lease must
-// still be assigned to this worker at this attempt. Evicted-and-requeued
-// leases, cancelled jobs and duplicate commits all land in
-// ErrLeaseRevoked, and the stale result is discarded. leaseID is a frame
-// view, as in reportEpoch.
+// still be assigned to this worker at this attempt. A lease already
+// terminal and forgotten, evicted-and-requeued leases, cancelled jobs
+// and duplicate commits all land in ErrLeaseRevoked, and the stale
+// result is discarded; a known lease committed by an evicted worker is
+// ErrUnknownWorker. leaseID is a frame view, as in reportEpoch.
 func (r *Remote) complete(workerID string, leaseID []byte, attempt int, res *trainer.Result, errMsg string, abandoned bool) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	l := r.leases[string(leaseID)]
+	if l == nil {
+		return ErrLeaseRevoked
+	}
 	w := r.workers[workerID]
 	if w == nil || w.state != workerActive {
 		return ErrUnknownWorker
 	}
-	if l == nil || l.state != leaseLeased || l.worker != workerID || l.attempt != attempt {
+	if l.state != leaseLeased || l.worker != workerID || l.attempt != attempt {
 		return ErrLeaseRevoked
 	}
 	switch {

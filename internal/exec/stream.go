@@ -37,9 +37,6 @@ import (
 	"net/http"
 	"os"
 	"time"
-
-	"pipetune/internal/params"
-	"pipetune/internal/workload"
 )
 
 // streamHandshakeTimeout bounds how long an upgraded connection may take
@@ -193,31 +190,16 @@ func (r *Remote) dispatchFrame(fw *frameWriter, workerID string, ft byte, p []by
 		return nil
 
 	case frameComplete:
-		// Two-phase decode: peek the lease id, fetch the trial the lease
-		// was cut from (the delta baseline), then reconstruct the result.
-		leaseID, err := completeHeader(p)
-		if err != nil {
-			return fmt.Errorf("corrupt complete frame: %v", err)
-		}
-		wl, hy, baseSys, known := r.leaseInfo(leaseID)
-		_, attempt, status, errMsg, res, err := decodeComplete(p, wl, hy, baseSys)
+		leaseID, attempt, status, errMsg, res, err := decodeComplete(p)
 		if err != nil {
 			return fmt.Errorf("corrupt complete frame: %v", err)
 		}
 		code := ackCommitted
-		if !known {
-			// The lease is already terminal and forgotten — a duplicate
-			// or post-cancellation commit.
+		switch err := r.complete(workerID, leaseID, attempt, res, errMsg, status == completeAbandoned); {
+		case errors.Is(err, ErrUnknownWorker):
+			code = ackUnknown
+		case err != nil:
 			code = ackSuperseded
-		} else {
-			switch err := r.complete(workerID, leaseID, attempt, res, errMsg, status == completeAbandoned); {
-			case errors.Is(err, ErrLeaseRevoked):
-				code = ackSuperseded
-			case errors.Is(err, ErrUnknownWorker):
-				code = ackUnknown
-			case err != nil:
-				code = ackSuperseded
-			}
 		}
 		wb := getWirebuf()
 		encodeAck(wb, leaseID, attempt, code)
@@ -313,18 +295,4 @@ func (r *Remote) evictWorker(workerID, why string) {
 		return
 	}
 	r.evictLocked(w, why)
-}
-
-// leaseInfo fetches the immutable trial identity a delta-encoded result
-// is reconstructed against. ok is false for unknown (already forgotten)
-// leases — the commit will be acked as superseded, but the frame must
-// still decode cleanly to keep the stream consistent.
-func (r *Remote) leaseInfo(leaseID []byte) (wl workload.Workload, hy params.Hyper, baseSys params.SysConfig, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	l := r.leases[string(leaseID)]
-	if l == nil {
-		return wl, hy, baseSys, false
-	}
-	return l.trial.Workload, l.trial.Hyper, l.trial.Sys, true
 }

@@ -21,7 +21,7 @@ import (
 
 // TestStreamFleetBitIdentical runs real trial bodies through the full
 // stack — handshake, batched grants, epoch frames, directive relays,
-// delta-encoded commits — and requires them to reproduce the local
+// result commits — and requires them to reproduce the local
 // backend exactly, including a mid-trial system switch by the observer.
 func TestStreamFleetBitIdentical(t *testing.T) {
 	r, _ := startFleet(t, 2, RemoteConfig{})
@@ -107,14 +107,14 @@ func TestStreamTokenAuth(t *testing.T) {
 }
 
 // TestStreamUpgradeRefusesOtherVersions pins the one version check: a
-// stream upgrade naming any token but pipetune-stream/5 is answered 426
+// stream upgrade naming any token but pipetune-stream/6 is answered 426
 // Upgrade Required with the token the daemon speaks, before a hijack.
 func TestStreamUpgradeRefusesOtherVersions(t *testing.T) {
 	r := NewRemote(RemoteConfig{})
 	t.Cleanup(r.Close)
 	srv := httptest.NewServer(r.Handler())
 	t.Cleanup(srv.Close)
-	for _, proto := range []string{"", "pipetune-stream/1", "pipetune-stream/4", "pipetune-stream/6", "websocket"} {
+	for _, proto := range []string{"", "pipetune-stream/1", "pipetune-stream/5", "pipetune-stream/7", "websocket"} {
 		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/stream", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -128,8 +128,8 @@ func TestStreamUpgradeRefusesOtherVersions(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != "pipetune-stream/5" {
-			t.Fatalf("Upgrade %q: %d with Upgrade %q, want 426 with pipetune-stream/5", proto, resp.StatusCode, resp.Header.Get("Upgrade"))
+		if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != "pipetune-stream/6" {
+			t.Fatalf("Upgrade %q: %d with Upgrade %q, want 426 with pipetune-stream/6", proto, resp.StatusCode, resp.Header.Get("Upgrade"))
 		}
 	}
 	if fs := r.Fleet(); len(fs.Workers) != 0 {
@@ -240,8 +240,16 @@ func (w *handWorker) reportEpoch(t *testing.T, asg Assignment, st trainer.EpochS
 // commit sends a finished trial's result and requires the committed ack.
 func (w *handWorker) commit(t *testing.T, asg Assignment, res *trainer.Result) {
 	t.Helper()
+	if code := w.commitAck(t, asg, res); code != ackCommitted {
+		t.Fatalf("commit of lease %s: ack %d, want committed", asg.LeaseID, code)
+	}
+}
+
+// commitAck sends a finished trial's result and returns the ack code.
+func (w *handWorker) commitAck(t *testing.T, asg Assignment, res *trainer.Result) byte {
+	t.Helper()
 	wb := getWirebuf()
-	encodeComplete(wb, asg.LeaseID, asg.Attempt, completeOK, "", res, asg.Sys)
+	encodeComplete(wb, asg.LeaseID, asg.Attempt, completeOK, "", res)
 	err := w.fw.send(frameComplete, wb.b)
 	putWirebuf(wb)
 	if err != nil {
@@ -257,8 +265,55 @@ func (w *handWorker) commit(t *testing.T, asg Assignment, res *trainer.Result) {
 	if err != nil || ft != frameAck {
 		t.Fatalf("frame type %d err %v, want type %d", ft, err, frameAck)
 	}
-	if _, _, code, err := decodeAck(p); err != nil || code != ackCommitted {
-		t.Fatalf("commit of lease %s: ack %d err %v, want committed", asg.LeaseID, code, err)
+	_, _, code, err := decodeAck(p)
+	if err != nil {
+		t.Fatalf("ack for lease %s: %v", asg.LeaseID, err)
+	}
+	return code
+}
+
+// TestStreamAckCodes pins the commit outcomes a worker reads: the first
+// matching commit is committed; a stale attempt, a duplicate and a
+// commit for a lease the daemon has forgotten are all superseded, and
+// the session stays up through each of them.
+func TestStreamAckCodes(t *testing.T) {
+	r := NewRemote(RemoteConfig{HeartbeatInterval: 50 * time.Millisecond, MissedHeartbeats: 100, Logf: t.Logf})
+	t.Cleanup(r.Close)
+	srv := httptest.NewServer(r.Handler())
+	t.Cleanup(srv.Close)
+	w := dialHandWorker(t, srv.URL, "acks", 1)
+
+	tr := smallTrainer()
+	ran := runAsync(context.Background(), r, realTrials(tr, 1))
+	asgs, err := decodeGrant(w.expect(t, frameGrant))
+	if err != nil || len(asgs) != 1 {
+		t.Fatalf("grant: %d assignments, err %v; want 1", len(asgs), err)
+	}
+	asg := asgs[0]
+	res, err := runBody(tr, asg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := asg
+	stale.Attempt++
+	if code := w.commitAck(t, stale, res); code != ackSuperseded {
+		t.Fatalf("stale-attempt commit: ack %d, want superseded", code)
+	}
+	w.commit(t, asg, res)
+	if out := <-ran; out.errs[0] != nil || !reflect.DeepEqual(out.results[0], res) {
+		t.Fatalf("committed trial: res=%v err=%v, want the worker's result", out.results[0], out.errs[0])
+	}
+	// The batch is collected, so the lease is forgotten.
+	if code := w.commitAck(t, asg, res); code != ackSuperseded {
+		t.Fatalf("duplicate commit of a forgotten lease: ack %d, want superseded", code)
+	}
+	unknown := asg
+	unknown.LeaseID = "ls-999999"
+	if code := w.commitAck(t, unknown, res); code != ackSuperseded {
+		t.Fatalf("commit of a lease never issued: ack %d, want superseded", code)
+	}
+	if n := r.met.evictions.Value(); n != 0 {
+		t.Fatalf("%v evictions, want 0: a superseded commit does not end the session", n)
 	}
 }
 

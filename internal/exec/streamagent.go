@@ -402,7 +402,7 @@ func (s *streamSession) commit(ctx context.Context, asg Assignment, status byte,
 	unpark := s.park(asg.LeaseID, w)
 	defer unpark()
 	wb := getWirebuf()
-	encodeComplete(wb, asg.LeaseID, asg.Attempt, status, errMsg, res, asg.Sys)
+	encodeComplete(wb, asg.LeaseID, asg.Attempt, status, errMsg, res)
 	err := s.fw.send(frameComplete, wb.b)
 	putWirebuf(wb)
 	if err != nil {

@@ -22,7 +22,7 @@
 // The float64 operation sequence of every result element is kept exactly
 // as the naive reference implementation produced it (see
 // reference_test.go), because downstream planes — the trial prefix
-// cache and the binary delta codec — rely on bit-identical trial
+// cache and remote workers — rely on bit-identical trial
 // results. A trial's kernels run serially on its own goroutine;
 // parallelism is across trials, never inside one.
 package nn

@@ -5,8 +5,8 @@ package nn
 // executable specification of the blocked kernels. Every kernel result —
 // forward logits, training losses, evolved weights, dropout RNG streams —
 // must match these reference implementations bit for bit: the trial
-// prefix cache and the binary delta codec assume a trial's floats are a
-// pure function of its inputs. The parity tests
+// prefix cache and remote workers assume a trial's floats are a pure
+// function of its inputs. The parity tests
 // below exercise odd shapes (dims not a multiple of the unroll/block
 // widths, batch of 1).
 

@@ -2,8 +2,10 @@ package service
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -108,6 +110,69 @@ func FuzzJobRequest(f *testing.F) {
 		d, err := svc.cfg.System.PredictTrialDuration(spec.Workload, spec.BaseHyper, spec.BaseSys)
 		if err != nil || !(d > 0) || math.IsInf(d, 0) {
 			t.Fatalf("buildSpec(%+v): cost model prices the spec at %v, %v", req, d, err)
+		}
+	})
+}
+
+// FuzzStoredDocument feeds a done job's stored document — deflated
+// result JSON — bytes the service did not render. inflate returns the
+// document's whole JSON, exactly what a fresh flate reader reads to its
+// end, or an error and nothing; withResult attaches a result decoded
+// from that whole JSON, or returns an error and the status as it was.
+// Neither panics, and neither hands back part of a response. The
+// inflater goes back to the pool after every input, so later inputs
+// also read through one that earlier failures left behind. Seeds: a
+// real rendered document, truncated and bit-flipped copies, nothing,
+// and deflated JSON torn mid-array.
+func FuzzStoredDocument(f *testing.F) {
+	svc := fuzzService(f)
+	id := finishJob(f, svc, api.JobRequest{Workload: "lenet/mnist", Mode: api.ModeTuneV1, Seed: 7, Epochs: 1})
+	svc.mu.Lock()
+	doc := bytes.Clone(svc.jobs[id].doc)
+	svc.mu.Unlock()
+	f.Add(doc)
+	for _, n := range []int{len(doc) - 1, len(doc) / 2, 8, 1} {
+		f.Add(doc[:n])
+	}
+	for _, i := range []int{0, len(doc) / 2, len(doc) - 1} {
+		flipped := bytes.Clone(doc)
+		flipped[i] ^= 0x10
+		f.Add(flipped)
+	}
+	f.Add([]byte{})
+	var torn bytes.Buffer
+	fw, _ := flate.NewWriter(&torn, flate.BestSpeed)
+	_, _ = fw.Write([]byte(`{"trials":[`))
+	_ = fw.Close()
+	f.Add(torn.Bytes())
+
+	head := api.JobStatus{ID: id, State: api.StateDone}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		whole, wholeErr := io.ReadAll(flate.NewReader(bytes.NewReader(data)))
+		in := inflaters.Get().(*inflater)
+		got, err := in.inflate(data)
+		switch {
+		case err != nil && got != nil:
+			t.Fatalf("inflate failed (%v) and still returned %d bytes", err, len(got))
+		case err == nil && wholeErr != nil:
+			t.Fatalf("inflate returned %d bytes of a stream flate cannot read to its end (%v)", len(got), wholeErr)
+		case err == nil && !bytes.Equal(got, whole):
+			t.Fatalf("inflate returned %d bytes, the whole stream is %d", len(got), len(whole))
+		}
+		inflaters.Put(in)
+
+		st, err := withResult(head, data)
+		if err != nil {
+			if st.Result != nil || st.ID != head.ID || st.State != head.State {
+				t.Fatalf("withResult failed (%v) and returned %+v", err, st)
+			}
+			return
+		}
+		if st.Result == nil {
+			t.Fatal("withResult succeeded without a result")
+		}
+		if wholeErr != nil || !json.Valid(whole) {
+			t.Fatalf("withResult attached a result from a document that is not whole JSON (flate: %v)", wholeErr)
 		}
 	})
 }

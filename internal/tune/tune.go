@@ -148,11 +148,11 @@ type JobSpec struct {
 	// finished computing are still delivered — in suggestion order, since
 	// no schedule exists for them — so their knowledge is not lost.
 	//
-	// The hook runs synchronously inside the scheduling event loop, so it
-	// must stay cheap: a slow hook delays every waiting trial's dispatch.
-	// PipeTune's feeder satisfies this because internal/gt stores make Add
-	// an O(1) append — model refits are deferred behind the store's
-	// revision watermark and paid by the next lookup, never here.
+	// The hook runs synchronously inside the scheduling event loop, so a
+	// slow hook delays every waiting trial's dispatch. PipeTune's feeder
+	// is not cheap under the daemon with a persisted ground truth: each
+	// Add there is a gt.Persistent WAL append plus an fsync, paid here,
+	// one per trial. Taking that off the loop is ROADMAP item 2.
 	OnTrialDone func(trialID int, res *trainer.Result)
 }
 
