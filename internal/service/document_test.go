@@ -115,6 +115,50 @@ func TestStatusBytesUnchanged(t *testing.T) {
 	}
 }
 
+// TestLateSubscriberReadsLiveStream: a done job keeps no event log, so a
+// subscriber that attaches after the job finished reads a replay derived
+// from the stored document. Its SSE body must be, byte for byte, the one
+// a subscriber attached before dispatch read live.
+func TestLateSubscriberReadsLiveStream(t *testing.T) {
+	svc, err := New(Config{System: newSystem(t), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Shutdown()
+	h := svc.Handler()
+	for _, w := range []string{"lenet/mnist", "cnn/news20"} {
+		for _, mode := range []string{api.ModeTuneV1, api.ModePipeTune} {
+			held := hold(svc)
+			st, err := svc.Submit(api.JobRequest{Workload: w, Mode: mode, Seed: 7, Epochs: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := make(chan *httptest.ResponseRecorder)
+			go func() { live <- do(t, h, http.MethodGet, "/v1/jobs/"+st.ID+"/events") }()
+			for attached := false; !attached; runtime.Gosched() {
+				svc.mu.Lock()
+				attached = len(svc.jobs[st.ID].subs) == 1
+				svc.mu.Unlock()
+			}
+			held.release()
+			early := <-live
+			late := do(t, h, http.MethodGet, "/v1/jobs/"+st.ID+"/events")
+
+			final, err := svc.Job(st.ID)
+			if err != nil || final.State != api.StateDone {
+				t.Fatalf("%s %s: ended %v, %v", w, mode, final.State, err)
+			}
+			frames := strings.Count(early.Body.String(), "\n\n")
+			if early.Code != http.StatusOK || frames != final.TrialsDone+1 || final.TrialsDone == 0 {
+				t.Fatalf("%s %s: live stream HTTP %d with %d frames for %d trials", w, mode, early.Code, frames, final.TrialsDone)
+			}
+			if late.Code != http.StatusOK || late.Body.String() != early.Body.String() {
+				t.Errorf("%s %s: late stream (HTTP %d) differs from the live one\nlate: %.300s\nlive: %.300s", w, mode, late.Code, late.Body, early.Body)
+			}
+		}
+	}
+}
+
 // TestNonDoneBodiesUnchanged: jobs without a document — running, failed,
 // cancelled — are served as before, and cancelling a done job still
 // answers 409 with the same error body.
@@ -183,15 +227,15 @@ func TestNonDoneBodiesUnchanged(t *testing.T) {
 }
 
 // retainedPerJobBytes bounds what one finished 22-trial lenet job may
-// keep alive in the registry: ≈ 25 % above the 8.5–8.9 KB measured
-// (document 4.3 KB, replay log and its trial events 3.1 KB, the job, its
-// spec and its map slots). The parent commit's result graph measured
-// 31.0 KB.
-const retainedPerJobBytes = 11 << 10
+// keep alive in the registry: ≈ 25 % above the 4.9–5.3 KB measured
+// (document 3.8 KB in a 4 KB size class, the job record and its map and
+// order slots). Retaining the replay log, the spec and the subscriber
+// map measured 8.9–9.1 KB; the result graph before documents, 31.0 KB.
+const retainedPerJobBytes = 6750
 
 // TestFinishedJobRetainsNoGraph: a done job keeps its document and no
-// result graph, so N of them cost a small pinned number of heap bytes
-// each.
+// result graph, replay log, spec or subscriber map, so N of them cost a
+// small pinned number of heap bytes each.
 func TestFinishedJobRetainsNoGraph(t *testing.T) {
 	sys := newSystem(t, pipetune.WithTrialCache(8<<20))
 	svc, err := New(Config{System: sys, Workers: 1})
@@ -215,21 +259,26 @@ func TestFinishedJobRetainsNoGraph(t *testing.T) {
 	svc.order = append(make([]string, 0, n+1), svc.order...) // no growth inside the window
 	svc.mu.Unlock()
 	before := heap()
+	docBytes := 0
 	for range n {
 		id := finishJob(t, svc, req)
 		svc.mu.Lock()
 		jb := svc.jobs[id]
-		state, doc, events := jb.state, jb.doc, jb.events
+		state, doc, events, subs, spec := jb.state, jb.doc, jb.events, jb.subs, jb.spec
 		svc.mu.Unlock()
 		if state != api.StateDone || len(doc) == 0 {
 			t.Fatalf("%s: state %v with a %d-byte document", id, state, len(doc))
 		}
-		if cap(events) != len(events) {
-			t.Fatalf("%s: replay log len %d, cap %d: retained append slack", id, len(events), cap(events))
+		docBytes += len(doc)
+		if events != nil || subs != nil {
+			t.Fatalf("%s: a done job keeps a %d-event replay log and a subscriber map %v", id, len(events), subs != nil)
+		}
+		if spec.HyperSpace != nil || spec.SystemSpace != nil {
+			t.Fatalf("%s: a done job keeps its spec's spaces", id)
 		}
 	}
 	perJob := (int64(heap()) - int64(before)) / n
-	t.Logf("%d finished jobs retain %d B each", n, perJob)
+	t.Logf("%d finished jobs retain %d B each, %d B of it the document", n, perJob, docBytes/n)
 	if perJob > retainedPerJobBytes {
 		t.Errorf("a finished job retains %d B, want <= %d", perJob, retainedPerJobBytes)
 	}
@@ -335,8 +384,8 @@ func TestConcurrentReadsWhileFinishing(t *testing.T) {
 }
 
 // TestCorruptDocumentIs500: a stored document that does not inflate or
-// parse is an error on every read surface — never a panic, never half a
-// 200.
+// parse is an error on every read surface — the event stream's replay
+// included — never a panic, never half a 200.
 func TestCorruptDocumentIs500(t *testing.T) {
 	svc, err := New(Config{System: newSystem(t), Workers: 1})
 	if err != nil {
@@ -378,6 +427,14 @@ func TestCorruptDocumentIs500(t *testing.T) {
 		}
 		if _, err := svc.Cancel(id); err == nil || err == ErrTerminal {
 			t.Errorf("%s: Cancel() = %v, want the read error", name, err)
+		}
+		if su, err := svc.Subscribe(id); err == nil || su != nil {
+			t.Errorf("%s: Subscribe() = %v, %v; want the read error", name, su, err)
+		}
+		rec := do(t, h, http.MethodGet, "/v1/jobs/"+id+"/events")
+		var apiErr api.Error
+		if err := json.Unmarshal(rec.Body.Bytes(), &apiErr); rec.Code != http.StatusInternalServerError || err != nil || apiErr.Message == "" {
+			t.Errorf("%s: GET events = HTTP %d body %q, want a 500 error body", name, rec.Code, rec.Body)
 		}
 	}
 

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"pipetune"
@@ -118,15 +119,33 @@ func FuzzJobRequest(f *testing.F) {
 // result JSON — bytes the service did not render. inflate returns the
 // document's whole JSON, exactly what a fresh flate reader reads to its
 // end, or an error and nothing; withResult attaches a result decoded
-// from that whole JSON, or returns an error and the status as it was.
-// Neither panics, and neither hands back part of a response. The
-// inflater goes back to the pool after every input, so later inputs
-// also read through one that earlier failures left behind. Seeds: a
-// real rendered document, truncated and bit-flipped copies, nothing,
-// and deflated JSON torn mid-array.
+// from that whole JSON, or returns an error and the status as it was;
+// replay, the event log a late subscriber reads, derives one trial event
+// per trial of that whole JSON and the done state event, or returns an
+// error and nil — it succeeds only on whole JSON, and wherever withResult
+// reads a result it replays that result's trials; for the rendered
+// document, the log a live subscriber read. None panics,
+// and none hands back part of a response. The inflater goes back to the
+// pool after every input, so later inputs also read through one that
+// earlier failures left behind. Seeds: a real rendered document,
+// truncated and bit-flipped copies, nothing, and deflated JSON torn
+// mid-array.
 func FuzzStoredDocument(f *testing.F) {
 	svc := fuzzService(f)
-	id := finishJob(f, svc, api.JobRequest{Workload: "lenet/mnist", Mode: api.ModeTuneV1, Seed: 7, Epochs: 1})
+	st, err := svc.Submit(api.JobRequest{Workload: "lenet/mnist", Mode: api.ModeTuneV1, Seed: 7, Epochs: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	su, err := svc.Subscribe(st.ID)
+	if err != nil {
+		f.Fatal(err)
+	}
+	live := su.Replay
+	for ev := range su.Events {
+		live = append(live, ev)
+	}
+	su.Cancel()
+	id := st.ID
 	svc.mu.Lock()
 	doc := bytes.Clone(svc.jobs[id].doc)
 	svc.mu.Unlock()
@@ -161,6 +180,18 @@ func FuzzStoredDocument(f *testing.F) {
 		}
 		inflaters.Put(in)
 
+		events, replayErr := replay(id, data)
+		switch {
+		case replayErr != nil && events != nil:
+			t.Fatalf("replay failed (%v) and still returned %d events", replayErr, len(events))
+		case replayErr != nil && bytes.Equal(data, doc):
+			t.Fatalf("the rendered document does not replay: %v", replayErr)
+		case replayErr == nil && bytes.Equal(data, doc) && !reflect.DeepEqual(events, live):
+			t.Fatalf("the rendered document replays %d events, a live subscriber read %d", len(events), len(live))
+		case replayErr == nil && (wholeErr != nil || !json.Valid(whole)):
+			t.Fatalf("replay returned %d events from a document that is not whole JSON (flate: %v)", len(events), wholeErr)
+		}
+
 		st, err := withResult(head, data)
 		if err != nil {
 			if st.Result != nil || st.ID != head.ID || st.State != head.State {
@@ -173,6 +204,24 @@ func FuzzStoredDocument(f *testing.F) {
 		}
 		if wholeErr != nil || !json.Valid(whole) {
 			t.Fatalf("withResult attached a result from a document that is not whole JSON (flate: %v)", wholeErr)
+		}
+		if replayErr != nil {
+			for _, tr := range st.Result.Trials {
+				if tr.Result == nil { // the one whole result replay refuses
+					return
+				}
+			}
+			t.Fatalf("replay failed (%v) on a document withResult reads", replayErr)
+		}
+		n := len(st.Result.Trials)
+		if len(events) != n+1 || events[n] != (api.Event{Type: api.EventState, JobID: id, Seq: n + 1, State: api.StateDone}) {
+			t.Fatalf("replay of %d trials is %d events: %+v", n, len(events), events)
+		}
+		for i, tr := range st.Result.Trials {
+			want := api.TrialEvent{TrialID: tr.ID, Accuracy: tr.Result.Accuracy, Duration: tr.Result.Duration, EnergyJ: tr.Result.EnergyJ, Epochs: len(tr.Result.Epochs)}
+			if ev := events[i]; ev.Type != api.EventTrial || ev.JobID != id || ev.Seq != i+1 || ev.Trial == nil || *ev.Trial != want {
+				t.Fatalf("replay event %d is %+v for trial %d", i, ev, tr.ID)
+			}
 		}
 	})
 }

@@ -74,8 +74,11 @@ type simJob struct {
 	tenant string
 	state  api.JobState // what the service must report
 	errMsg string
-	trials int
-	ctx    context.Context // the body's context, once dispatched
+	trials []api.TrialEvent // what the body published, in order
+	ctx    context.Context  // the body's context, once dispatched
+	// replayed is the log a done job's document derives, read once: the
+	// document never changes.
+	replayed []api.Event
 }
 
 // simStart is one call of the start seam.
@@ -100,7 +103,6 @@ type jobSchedule struct {
 	cfg       Config
 	s         *Service
 	ref       *admission.Queue // the model's copy of the service's queue
-	doc       []byte           // a done job's document
 	jobs      []*simJob
 	byID      map[string]*simJob
 	running   []*simJob   // the model's occupied slots
@@ -148,11 +150,7 @@ func runJobSchedule(sys *pipetune.System, seed uint64) (registry string, err err
 	if err != nil {
 		return "", err
 	}
-	doc, err := svc.render(&tune.JobResult{})
-	if err != nil {
-		return "", err
-	}
-	js := &jobSchedule{rng: rng, cfg: cfg, s: svc, ref: ref, doc: doc, byID: map[string]*simJob{}}
+	js := &jobSchedule{rng: rng, cfg: cfg, s: svc, ref: ref, byID: map[string]*simJob{}}
 	// The seam in production counts the body into wg and starts it; here
 	// the body is whatever the schedule does to the job until finish.
 	svc.start = func(ctx context.Context, jb *job) {
@@ -272,8 +270,40 @@ func (js *jobSchedule) trial() {
 		return
 	}
 	sj := js.running[js.rng.IntN(len(js.running))]
-	sj.trials++
-	js.s.publishTrial(sj.jb, sj.trials, &trainer.Result{Accuracy: js.rng.Float64(), Duration: float64(sj.trials)})
+	ev := api.TrialEvent{TrialID: len(sj.trials) + 1, Accuracy: js.rng.Float64(), Duration: js.rng.Float64(), EnergyJ: js.rng.Float64()}
+	sj.trials = append(sj.trials, ev)
+	js.s.publishTrial(sj.jb, ev.TrialID, &trainer.Result{Accuracy: ev.Accuracy, Duration: ev.Duration, EnergyJ: ev.EnergyJ})
+}
+
+// document renders what a done body returns: a result holding the trials
+// it published, in order.
+func (js *jobSchedule) document(sj *simJob) []byte {
+	res := &tune.JobResult{Trials: make([]tune.TrialRecord, len(sj.trials))}
+	for i, ev := range sj.trials {
+		res.Trials[i] = tune.TrialRecord{ID: ev.TrialID, Result: &trainer.Result{Accuracy: ev.Accuracy, Duration: ev.Duration, EnergyJ: ev.EnergyJ}}
+	}
+	doc, err := js.s.render(res)
+	if err != nil {
+		js.fail("render %s: %v", sj.id, err)
+	}
+	return doc
+}
+
+// logOf is a job's event log as a subscriber replays it: the retained log
+// or, for a done job, the one derived from its document. Callers hold s.mu.
+func (js *jobSchedule) logOf(sj *simJob) []api.Event {
+	jb := sj.jb
+	if jb.doc == nil {
+		return jb.events
+	}
+	if sj.replayed == nil {
+		events, err := replay(jb.id, jb.doc)
+		if err != nil {
+			js.fail("replay of %s: %v", sj.id, err)
+		}
+		sj.replayed = events
+	}
+	return sj.replayed
 }
 
 // finish ends a running body: done, failed, or — once its context is
@@ -291,13 +321,13 @@ func (js *jobSchedule) finish() {
 	)
 	switch js.rng.IntN(3) {
 	case 0:
-		doc, sj.state = js.doc, api.StateDone
+		doc, sj.state = js.document(sj), api.StateDone
 	case 1:
 		err = fmt.Errorf("boom %s", sj.id)
 		sj.state, sj.errMsg = api.StateFailed, err.Error()
 	default:
 		if err = sj.ctx.Err(); err == nil {
-			doc, sj.state = js.doc, api.StateDone // a body only ends cancelled once told to
+			doc, sj.state = js.document(sj), api.StateDone // a body only ends cancelled once told to
 		} else {
 			sj.state = api.StateCancelled
 		}
@@ -486,14 +516,17 @@ func (js *jobSchedule) check() {
 		if (jb.state == api.StateRunning) != (jb.cancel != nil) {
 			js.fail("%v %s has cancel set %v", jb.state, sj.id, jb.cancel != nil)
 		}
-		js.checkLog(sj, jb.events)
+		if jb.state.Terminal() && (jb.subs != nil || jb.spec.HyperSpace != nil || (jb.state == api.StateDone) != (jb.events == nil)) {
+			js.fail("%v %s keeps subscribers %v, spec %v, a %d-event log", jb.state, sj.id, jb.subs != nil, jb.spec.HyperSpace != nil, len(jb.events))
+		}
+		js.checkLog(sj, js.logOf(sj))
 	}
 	s.mu.Unlock()
 
 	for _, st := range s.Jobs() {
 		sj := js.byID[st.ID]
-		if st.TrialsDone != sj.trials {
-			js.fail("%s reports %d trials, want %d", st.ID, st.TrialsDone, sj.trials)
+		if st.TrialsDone != len(sj.trials) {
+			js.fail("%s reports %d trials, want %d", st.ID, st.TrialsDone, len(sj.trials))
 		}
 		want := -1
 		if sj.state == api.StateQueued {
@@ -512,24 +545,24 @@ func (js *jobSchedule) check() {
 	js.checkSubs()
 }
 
-// checkLog: trial events, then — once the job is terminal — exactly one
-// terminal state event, numbered from 1.
+// checkLog: the published trial events, then — once the job is terminal
+// — exactly one terminal state event, numbered from 1.
 func (js *jobSchedule) checkLog(sj *simJob, events []api.Event) {
-	want := sj.trials
+	want := len(sj.trials)
 	if sj.state.Terminal() {
 		want++
 	}
 	if len(events) != want {
-		js.fail("%v %s logged %d events, want %d trials and %v terminal", sj.state, sj.id, len(events), sj.trials, sj.state.Terminal())
+		js.fail("%v %s logged %d events, want %d trials and %v terminal", sj.state, sj.id, len(events), len(sj.trials), sj.state.Terminal())
 		return
 	}
 	for i, ev := range events {
-		terminal := i == sj.trials
+		terminal := i == len(sj.trials)
 		switch {
 		case ev.Seq != i+1 || ev.JobID != sj.id:
 			js.fail("%s event %d is %+v", sj.id, i, ev)
-		case !terminal && (ev.Type != api.EventTrial || ev.Trial == nil || ev.Trial.TrialID != i+1):
-			js.fail("%s event %d is %+v, want trial %d", sj.id, i, ev, i+1)
+		case !terminal && (ev.Type != api.EventTrial || ev.Trial == nil || *ev.Trial != sj.trials[i]):
+			js.fail("%s event %d is %+v, want trial %+v", sj.id, i, ev, sj.trials[i])
 		case terminal && (ev.Type != api.EventState || ev.State != sj.state || ev.Error != sj.errMsg):
 			js.fail("%s ends with %+v, want state %v %q", sj.id, ev, sj.state, sj.errMsg)
 		}
@@ -582,14 +615,14 @@ func (js *jobSchedule) checkSubs() {
 	for _, sub := range js.subs {
 		sj := sub.job
 		js.s.mu.Lock()
-		events := sj.jb.events
+		events := js.logOf(sj)
 		js.s.mu.Unlock()
 		if len(sub.got) > len(events) {
 			js.fail("a subscription to %s delivered %d events, the log holds %d", sj.id, len(sub.got), len(events))
 			continue
 		}
 		for i, ev := range sub.got {
-			if ev != events[i] {
+			if !sameEvent(ev, events[i]) {
 				js.fail("a subscription to %s delivered %+v as event %d, the log holds %+v", sj.id, ev, i+1, events[i])
 			}
 		}
@@ -602,6 +635,16 @@ func (js *jobSchedule) checkSubs() {
 	}
 }
 
+// sameEvent compares two events by value, trial payload included: a
+// replay derived from a document shares no memory with the live log.
+func sameEvent(a, b api.Event) bool {
+	if (a.Trial == nil) != (b.Trial == nil) || a.Trial != nil && *a.Trial != *b.Trial {
+		return false
+	}
+	a.Trial, b.Trial = nil, nil
+	return a == b
+}
+
 // registry renders what the shutdown left: each retained job's state and
 // event log.
 func (js *jobSchedule) registry() string {
@@ -611,7 +654,7 @@ func (js *jobSchedule) registry() string {
 	for _, id := range js.s.order {
 		jb := js.s.jobs[id]
 		fmt.Fprintf(&b, "%s %s %q:", id, jb.state, jb.errMsg)
-		for _, ev := range jb.events {
+		for _, ev := range js.logOf(js.byID[id]) {
 			fmt.Fprintf(&b, " %d/%s/%s", ev.Seq, ev.Type, ev.State)
 		}
 		b.WriteByte('\n')

@@ -119,7 +119,10 @@ type subscriber struct {
 // rendered once, at the terminal transition (deflated json.Marshal bytes,
 // what the API nests in api.JobStatus), in place of a *tune.JobResult
 // graph several times the size. It is never written once set, so readers
-// copy the slice header under Service.mu and inflate outside it.
+// copy the slice header under Service.mu and inflate outside it. A done
+// job keeps nothing else the document holds: its replay log is derived
+// from the document (replay), and spec and subs go at the terminal
+// transition too.
 type job struct {
 	id        string
 	req       api.JobRequest
@@ -134,9 +137,9 @@ type job struct {
 	errMsg    string
 	doc       []byte
 	trials    int
-	cancel    context.CancelFunc // non-nil while running
-	events    []api.Event        // replay log for late subscribers
-	subs      map[*subscriber]struct{}
+	cancel    context.CancelFunc       // non-nil while running
+	events    []api.Event              // replay log for late subscribers; nil once done
+	subs      map[*subscriber]struct{} // nil once terminal
 }
 
 // Service is the job registry and executor.
@@ -483,25 +486,80 @@ func (in *inflater) inflate(doc []byte) ([]byte, error) {
 	return in.out.Bytes(), nil
 }
 
-// withResult attaches a done job's result (doc is nil for any other) by
-// decoding the document into a graph of the caller's own: no two callers
-// share memory, so none can corrupt what a later one reads.
-func withResult(st api.JobStatus, doc []byte) (api.JobStatus, error) {
-	if doc == nil {
-		return st, nil
-	}
+// decode reads a done job's document into v: the pooled inflater yields
+// the whole JSON or an error, and json.Unmarshal checks all of it before
+// it fills v, so v is filled from a whole document or the call fails.
+func decode(doc []byte, v any) error {
 	in := inflaters.Get().(*inflater)
 	defer inflaters.Put(in)
 	raw, err := in.inflate(doc)
 	if err != nil {
-		return st, err
+		return err
+	}
+	if err := json.Unmarshal(raw, v); err != nil {
+		return fmt.Errorf("service: stored result unreadable: %v", err)
+	}
+	return nil
+}
+
+// withResult attaches a done job's result (doc is nil for any other) as a
+// graph of the caller's own: no two callers share memory, so none can
+// corrupt what a later one reads.
+func withResult(st api.JobStatus, doc []byte) (api.JobStatus, error) {
+	if doc == nil {
+		return st, nil
 	}
 	res := new(tune.JobResult)
-	if err := json.Unmarshal(raw, res); err != nil {
-		return st, fmt.Errorf("service: stored result unreadable: %v", err)
+	if err := decode(doc, res); err != nil {
+		return st, err
 	}
 	st.Result = res
 	return st, nil
+}
+
+// replayDoc is what a replay reads of a tune.JobResult document: the
+// JSON names of its fields, the four numbers an event carries and an
+// epoch count, for which every epoch object is skipped, not decoded.
+type replayDoc struct {
+	Trials []struct {
+		ID     int `json:"id"`
+		Result *struct {
+			Accuracy float64    `json:"accuracy"`
+			Duration float64    `json:"duration"`
+			EnergyJ  float64    `json:"energyJ"`
+			Epochs   []struct{} `json:"epochs"`
+		} `json:"result"`
+	} `json:"trials"`
+}
+
+// replay derives a done job's event log from its document — in full or
+// not at all. It is the log publishTrial and finishLocked wrote: tune
+// appends res.Trials in the order it calls OnTrialDone, and JSON round-
+// trips every float64 exactly, so trial i's event carries Seq i+1 and the
+// same bytes, and the done state event follows.
+func replay(id string, doc []byte) ([]api.Event, error) {
+	var res replayDoc
+	if err := decode(doc, &res); err != nil {
+		return nil, err
+	}
+	n := len(res.Trials)
+	trials := make([]api.TrialEvent, n)
+	events := make([]api.Event, n+1)
+	for i, t := range res.Trials {
+		if t.Result == nil {
+			return nil, fmt.Errorf("service: stored result unreadable: trial %d has no result", t.ID)
+		}
+		trials[i] = api.TrialEvent{
+			TrialID:  t.ID,
+			Accuracy: t.Result.Accuracy,
+			Duration: t.Result.Duration,
+			EnergyJ:  t.Result.EnergyJ,
+			Epochs:   len(t.Result.Epochs),
+		}
+		events[i] = api.Event{Type: api.EventTrial, JobID: id, Seq: i + 1, Trial: &trials[i]}
+	}
+	events[n] = api.Event{Type: api.EventState, JobID: id, Seq: n + 1, State: api.StateDone}
+	return events, nil
 }
 
 // snapshotGT compacts the write-ahead log into a snapshot if anything
@@ -539,23 +597,30 @@ func (s *Service) publishTrial(jb *job, trialID int, res *trainer.Result) {
 }
 
 // finishLocked atomically moves a job to a terminal state: the state
-// flip, the terminal event append and the stream closures happen in one
-// critical section, so a Subscribe can never observe a terminal job whose
-// replay lacks the terminal event. Callers hold s.mu.
+// flip, the terminal event's delivery and the stream closures happen in
+// one critical section, so a Subscribe can never observe a terminal job
+// whose replay lacks the terminal event. A done job (its doc set by the
+// caller) drops its log, which replay derives from the document; a failed
+// or cancelled one has no document and keeps an exact-size copy, without
+// the append slack (up to 2×) it would otherwise carry while retained.
+// Nothing reads spec once the job is terminal. Callers hold s.mu.
 func (s *Service) finishLocked(jb *job, state api.JobState, errMsg string) {
 	s.disp.onFinishLocked(jb, state)
 	jb.state = state
 	jb.errMsg = errMsg
 	jb.finished = time.Now().UTC()
 	s.appendEventLocked(jb, api.Event{Type: api.EventState, JobID: jb.id, State: state, Error: errMsg})
-	// The replay log is final: an exact-size copy gives back the append
-	// slack (up to 2×) the job would otherwise carry while it is retained.
-	jb.events = append(make([]api.Event, 0, len(jb.events)), jb.events...)
+	if state == api.StateDone {
+		jb.events = nil
+	} else {
+		jb.events = append(make([]api.Event, 0, len(jb.events)), jb.events...)
+	}
 	for sub := range jb.subs {
 		close(sub.ch)
-		delete(jb.subs, sub)
 		s.met.sseSubs.Add(-1)
 	}
+	jb.subs = nil
+	jb.spec = tune.JobSpec{}
 	s.pruneLocked()
 }
 
@@ -640,28 +705,40 @@ func (su *Subscription) Lagged() bool {
 }
 
 // Subscribe opens an event stream over a job. For already-finished jobs
-// the channel arrives closed and the replay is complete.
+// the channel arrives closed and the replay is complete; a done job's
+// replay is derived from its document outside s.mu, and a document that
+// does not read is an error, never part of a replay.
 func (s *Service) Subscribe(id string) (*Subscription, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	jb, ok := s.jobs[id]
 	if !ok {
+		s.mu.Unlock()
 		return nil, ErrNotFound
 	}
-	sub := &subscriber{ch: make(chan api.Event, s.cfg.SubscriberBuffer)}
-	su := &Subscription{
-		Replay: append([]api.Event(nil), jb.events...),
-		Events: sub.ch,
-		s:      s,
-		jb:     jb,
-		sub:    sub,
+	depth := s.cfg.SubscriberBuffer
+	if jb.state.Terminal() {
+		depth = 0 // closed below, before anything is sent
 	}
+	sub := &subscriber{ch: make(chan api.Event, depth)}
+	su := &Subscription{Events: sub.ch, s: s, jb: jb, sub: sub}
 	if jb.state.Terminal() {
 		close(sub.ch)
+	} else {
+		jb.subs[sub] = struct{}{}
+		s.met.sseSubs.Add(1)
+	}
+	doc := jb.doc
+	if doc == nil {
+		su.Replay = append([]api.Event(nil), jb.events...)
+	}
+	s.mu.Unlock()
+	if doc == nil {
 		return su, nil
 	}
-	jb.subs[sub] = struct{}{}
-	s.met.sseSubs.Add(1)
+	var err error
+	if su.Replay, err = replay(id, doc); err != nil {
+		return nil, err
+	}
 	return su, nil
 }
 
