@@ -114,7 +114,7 @@ func runBody(tr *trainer.Runner, asg Assignment, obs trainer.EpochObserver) (res
 			res, err = nil, fmt.Errorf("exec: trial body panicked: %v", p)
 		}
 	}()
-	return tr.RunWithCacheKey(asg.Workload, asg.Hyper, asg.Sys, asg.Seed, obs, asg.CacheKey)
+	return tr.Run(asg.Workload, asg.Hyper, asg.Sys, asg.Seed, obs)
 }
 
 // newSessionStats starts a fresh per-session collector and re-points

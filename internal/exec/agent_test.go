@@ -17,7 +17,7 @@ import (
 // startFleet boots a Remote behind a real HTTP server plus n in-process
 // Agents speaking the real protocol — the full remote stack in one test
 // binary.
-func startFleet(t *testing.T, n int, cfg RemoteConfig) (*Remote, context.CancelFunc) {
+func startFleet(t *testing.T, n int, cfg RemoteConfig) (*Remote, []*Agent) {
 	t.Helper()
 	if cfg.HeartbeatInterval == 0 {
 		cfg.HeartbeatInterval = 50 * time.Millisecond
@@ -26,13 +26,15 @@ func startFleet(t *testing.T, n int, cfg RemoteConfig) (*Remote, context.CancelF
 	srv := httptest.NewServer(r.Handler())
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	agents := make([]*Agent, n)
+	for i := range agents {
 		agent := NewAgent(AgentConfig{
 			Server:   srv.URL,
 			Token:    cfg.Token,
 			Name:     "test-agent",
 			Capacity: 2,
 		})
+		agents[i] = agent
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -45,7 +47,7 @@ func startFleet(t *testing.T, n int, cfg RemoteConfig) (*Remote, context.CancelF
 		srv.Close()
 		r.Close()
 	})
-	return r, cancel
+	return r, agents
 }
 
 // TestAgentTokenAuth pins the agent's side of the shared-token gate: a
@@ -82,7 +84,7 @@ func TestAgentStopsOnVersionRefusal(t *testing.T) {
 	var attempts atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		attempts.Add(1)
-		w.Header().Set("Upgrade", "pipetune-stream/7")
+		w.Header().Set("Upgrade", "pipetune-stream/8")
 		w.WriteHeader(http.StatusUpgradeRequired)
 	}))
 	t.Cleanup(srv.Close)
@@ -90,7 +92,7 @@ func TestAgentStopsOnVersionRefusal(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	err := NewAgent(AgentConfig{Server: srv.URL}).Run(ctx)
-	if !errors.Is(err, errStreamVersion) || !strings.Contains(err.Error(), "pipetune-stream/7") || !strings.Contains(err.Error(), streamUpgradeProto) {
+	if !errors.Is(err, errStreamVersion) || !strings.Contains(err.Error(), "pipetune-stream/8") || !strings.Contains(err.Error(), streamUpgradeProto) {
 		t.Fatalf("Run against a 426: %v, want the version refusal naming both tokens", err)
 	}
 	if n := attempts.Load(); n != 1 {

@@ -20,13 +20,14 @@ func cachedSmallTrainer() *trainer.Runner {
 
 // TestCacheRemoteCatalogParity is the execution-plane half of the
 // cache's bit-identity guarantee: with the trial prefix cache enabled —
-// daemon-derived CacheKey on every trial, CacheBytes in the shipped
-// TrainerConfig so workers keep warm worker-local caches — the local
-// backend and a worker fleet across the wire must both reproduce the
+// CacheBytes in the shipped TrainerConfig, so the worker's trainer keeps
+// a warm worker-local cache and derives each trial's key itself — the
+// local backend and a worker across the wire must both reproduce the
 // uncached local results byte for byte across the Table 3 catalog. Every
 // workload appears twice (same prefix, different system configuration:
 // the sys-sweep replay shape), so the second trial exercises a cache hit
-// on whichever process trained the first.
+// on whichever process trained the first; with one worker, both caches
+// must record reuse.
 func TestCacheRemoteCatalogParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("catalog parity runs full trial compute; CI races it in the execution-plane step")
@@ -40,9 +41,6 @@ func TestCacheRemoteCatalogParity(t *testing.T) {
 			first := Trial{
 				ID: i, Workload: w, Hyper: h, Sys: params.DefaultSysConfig(),
 				Seed: uint64(7000 + i), Trainer: CaptureTrainerConfig(tr),
-			}
-			if tr.Cache != nil {
-				first.CacheKey = tr.PrefixKey(w, h, first.Seed)
 			}
 			second := first
 			second.ID = i + len(cat)
@@ -73,7 +71,7 @@ func TestCacheRemoteCatalogParity(t *testing.T) {
 	localCached := cachedSmallTrainer()
 	gotLocal := run("cached local", NewLocal(localCached), localCached)
 
-	fleet, _ := startFleet(t, 2, RemoteConfig{})
+	fleet, agents := startFleet(t, 1, RemoteConfig{})
 	gotFleet := run("cached fleet", fleet, cachedSmallTrainer())
 
 	for i := range plain {
@@ -85,10 +83,21 @@ func TestCacheRemoteCatalogParity(t *testing.T) {
 			t.Errorf("trial %d (%s): cached fleet diverges from uncached local", i, w.Name())
 		}
 	}
-	// The local cache must have actually been exercised: each workload's
+	// Both caches must have actually been exercised: each workload's
 	// second trial replays (or waits on) its first.
 	st := localCached.Cache.Stats()
 	if st.TrajectoryHits+st.FlightHits == 0 {
 		t.Fatalf("local cached run recorded no reuse: %+v", st)
+	}
+	a := agents[0]
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	var hits uint64
+	for _, tr := range a.trainers {
+		st := tr.Cache.Stats()
+		hits += st.TrajectoryHits + st.FlightHits
+	}
+	if hits == 0 {
+		t.Fatal("worker cache recorded no reuse")
 	}
 }

@@ -58,7 +58,7 @@ const WireBinary = "binary"
 // version on the wire: the daemon and its workers upgrade together, any
 // change to a frame layout bumps it, and a daemon answers any other
 // token with 426 before a frame is exchanged.
-const streamUpgradeProto = "pipetune-stream/6"
+const streamUpgradeProto = "pipetune-stream/7"
 
 // streamMagic opens the stream right after the HTTP 101: a peer that is
 // not speaking this protocol is detected before the first frame.
@@ -359,7 +359,6 @@ func appendAssignment(w *wirebuf, leaseID string, attempt int, t *Trial) {
 	w.f64(t.Trainer.Load)
 	w.u64(t.Trainer.DataSeed)
 	w.uvarint(uint64(t.Trainer.CacheBytes))
-	w.str(t.CacheKey)
 }
 
 func readAssignment(r *wireReader, asg *Assignment) {
@@ -377,7 +376,6 @@ func readAssignment(r *wireReader, asg *Assignment) {
 		DataSeed:   r.u64(),
 		CacheBytes: int64(r.int()),
 	}
-	asg.CacheKey = r.str()
 }
 
 // decodeGrant decodes a batch of assignments.

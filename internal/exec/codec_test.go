@@ -27,7 +27,6 @@ func sampleAssignment() Assignment {
 		Seed:         0xdeadbeefcafe,
 		StreamEpochs: true,
 		Trainer:      TrainerConfig{TrainSize: 96, TestSize: 48, Load: 1.5, DataSeed: 0x0da7a5eed, CacheBytes: 32 << 20},
-		CacheKey:     "v2|1/0|229351022/96/48|32/3fa999999999999a/3fc999999999999a/64|2a",
 	}
 }
 
@@ -39,7 +38,6 @@ func trialOf(asg Assignment) Trial {
 		Sys:      asg.Sys,
 		Seed:     asg.Seed,
 		Trainer:  asg.Trainer,
-		CacheKey: asg.CacheKey,
 	}
 	if asg.StreamEpochs {
 		tr.Observer = trainer.ObserverFunc(func(uint64, workload.Workload, params.Hyper, trainer.EpochStats) *params.SysConfig { return nil })

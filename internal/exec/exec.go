@@ -62,10 +62,7 @@ type Trial struct {
 	// on another process. Local backends ignore it — they run on the
 	// trainer they were wired to.
 	Trainer TrainerConfig
-	// CacheKey, when non-empty, is the trial prefix cache key the
-	// submitting process derived (trainer.Runner.PrefixKey). Backends pass
-	// it through to the executing trainer so worker-local caches use
-	// exactly the daemon's key; empty means derive locally (or no cache).
+	// CacheKey is accepted and ignored; delete with the next benchmark PR.
 	CacheKey string
 }
 

@@ -44,7 +44,7 @@ func (l *Local) Run(ctx context.Context, trials []Trial, maxParallel int) ([]*tr
 				errs[i] = err
 				return
 			}
-			results[i], errs[i] = l.Trainer.RunWithCacheKey(tr.Workload, tr.Hyper, tr.Sys, tr.Seed, tr.Observer, tr.CacheKey)
+			results[i], errs[i] = l.Trainer.Run(tr.Workload, tr.Hyper, tr.Sys, tr.Seed, tr.Observer)
 		}()
 	}
 	wg.Wait()

@@ -107,14 +107,14 @@ func TestStreamTokenAuth(t *testing.T) {
 }
 
 // TestStreamUpgradeRefusesOtherVersions pins the one version check: a
-// stream upgrade naming any token but pipetune-stream/6 is answered 426
+// stream upgrade naming any token but pipetune-stream/7 is answered 426
 // Upgrade Required with the token the daemon speaks, before a hijack.
 func TestStreamUpgradeRefusesOtherVersions(t *testing.T) {
 	r := NewRemote(RemoteConfig{})
 	t.Cleanup(r.Close)
 	srv := httptest.NewServer(r.Handler())
 	t.Cleanup(srv.Close)
-	for _, proto := range []string{"", "pipetune-stream/1", "pipetune-stream/5", "pipetune-stream/7", "websocket"} {
+	for _, proto := range []string{"", "pipetune-stream/1", "pipetune-stream/6", "pipetune-stream/8", "websocket"} {
 		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/stream", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -128,8 +128,8 @@ func TestStreamUpgradeRefusesOtherVersions(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != "pipetune-stream/6" {
-			t.Fatalf("Upgrade %q: %d with Upgrade %q, want 426 with pipetune-stream/6", proto, resp.StatusCode, resp.Header.Get("Upgrade"))
+		if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != "pipetune-stream/7" {
+			t.Fatalf("Upgrade %q: %d with Upgrade %q, want 426 with pipetune-stream/7", proto, resp.StatusCode, resp.Header.Get("Upgrade"))
 		}
 	}
 	if fs := r.Fleet(); len(fs.Workers) != 0 {

@@ -82,11 +82,10 @@ type Assignment struct {
 	// PipeTune's pipelined system tuning. False for baseline trials,
 	// whose system configuration is fixed.
 	StreamEpochs bool
-	// Trainer reproduces the daemon's trainer substrate on the worker.
+	// Trainer reproduces the daemon's trainer substrate on the worker,
+	// its prefix cache included: the worker's trainer derives each
+	// trial's cache key itself.
 	Trainer TrainerConfig
-	// CacheKey is the daemon-derived trial prefix cache key hint for the
-	// worker's local cache; empty when the daemon runs uncached.
-	CacheKey string
 }
 
 // EpochDirective is the daemon's reply to an epoch report.

@@ -178,7 +178,7 @@ func TestCacheBytesMatchHeap(t *testing.T) {
 	r := fastRunner()
 	h := fastHyper()
 	insert := func(c *TrialCache, i int) {
-		key := r.PrefixKey(lenetMNIST, h, uint64(i)<<32|0x9e3779b9) // realistic key length
+		key := r.prefixKey(lenetMNIST, h, uint64(i)<<32|0x9e3779b9) // realistic key length
 		c.publish(key, make([]TrajPoint, 4))
 	}
 	before := heapAlloc()
@@ -251,12 +251,12 @@ func TestPrefixKeyNamesTheNetwork(t *testing.T) {
 		return workload.Workload{Model: m, Dataset: workload.Rodinia}
 	}
 	jacobi, bfs := rodinia(workload.Jacobi), rodinia(workload.BFS)
-	if a, b := r.PrefixKey(jacobi, h, 3), r.PrefixKey(bfs, h, 3); a != b {
+	if a, b := r.prefixKey(jacobi, h, 3), r.prefixKey(bfs, h, 3); a != b {
 		t.Fatalf("jacobi and bfs keyed apart: %q vs %q", a, b)
 	}
 	cnn := workload.Workload{Model: workload.CNN, Dataset: workload.News20}
 	lstm := workload.Workload{Model: workload.LSTM, Dataset: workload.News20}
-	if a, b := r.PrefixKey(cnn, h, 3), r.PrefixKey(lstm, h, 3); a == b {
+	if a, b := r.prefixKey(cnn, h, 3), r.prefixKey(lstm, h, 3); a == b {
 		t.Fatalf("cnn and lstm share key %q", a)
 	}
 	mustRun(t, r, jacobi, h, sys, 3, nil)

@@ -217,7 +217,7 @@ func (r *Runner) InstrumentKernels(epoch, eval *metrics.Distribution) {
 	r.evalSeconds.Store(eval)
 }
 
-// PrefixKey derives the trial prefix cache key: every input SGD progress
+// prefixKey derives the trial prefix cache key: every input SGD progress
 // depends on — the network nn.Build constructs for the model (its Arch:
 // the three Rodinia kernels train one and the same classifier, so they
 // share a prefix), the dataset, the corpus (sizes and DataSeed), the
@@ -226,7 +226,7 @@ func (r *Runner) InstrumentKernels(epoch, eval *metrics.Distribution) {
 // is deliberately excluded (a shallow request is a prefix of a deep one),
 // and so are SysConfig, Load and the cost/power models — they shape the
 // simulation, never the learning curve.
-func (r *Runner) PrefixKey(w workload.Workload, h params.Hyper, seed uint64) string {
+func (r *Runner) prefixKey(w workload.Workload, h params.Hyper, seed uint64) string {
 	b := make([]byte, 0, 96)
 	b = append(b, "v2|"...)
 	b = strconv.AppendInt(b, int64(nn.ArchOf(w.Model)), 10)
@@ -269,18 +269,17 @@ func (r *Runner) evaluate(net *nn.Network, set *dataset.Set) (float64, error) {
 	return acc, err
 }
 
-// Run executes one trial of w with hyperparameters h, starting from system
-// configuration sys. The observer (optional) can re-configure the system at
-// each epoch boundary. All randomness derives from seed.
-func (r *Runner) Run(w workload.Workload, h params.Hyper, sys params.SysConfig, seed uint64, obs EpochObserver) (*Result, error) {
-	return r.RunWithCacheKey(w, h, sys, seed, obs, "")
+// RunWithCacheKey is Run; its key is accepted and ignored. Delete with the next benchmark PR.
+func (r *Runner) RunWithCacheKey(w workload.Workload, h params.Hyper, sys params.SysConfig, seed uint64, obs EpochObserver, _ string) (*Result, error) {
+	return r.Run(w, h, sys, seed, obs)
 }
 
-// RunWithCacheKey is Run with an explicit prefix-cache key hint: remote
-// workers pass the key the daemon stamped on the lease so key derivation
-// cannot diverge across processes. An empty hint derives the key locally;
-// without an attached Cache the hint is ignored entirely.
-func (r *Runner) RunWithCacheKey(w workload.Workload, h params.Hyper, sys params.SysConfig, seed uint64, obs EpochObserver, cacheKey string) (*Result, error) {
+// Run executes one trial of w with hyperparameters h, starting from system
+// configuration sys. The observer (optional) can re-configure the system at
+// each epoch boundary. All randomness derives from seed. With a Cache
+// attached, the trial's prefix key is derived here, from this trainer's
+// corpus and the trial's inputs, on whichever process runs it.
+func (r *Runner) Run(w workload.Workload, h params.Hyper, sys params.SysConfig, seed uint64, obs EpochObserver) (*Result, error) {
 	if err := h.Validate(); err != nil {
 		return nil, fmt.Errorf("trainer: %w", err)
 	}
@@ -336,10 +335,7 @@ func (r *Runner) RunWithCacheKey(w workload.Workload, h params.Hyper, sys params
 	}
 	var pts []TrajPoint
 	if c := r.Cache; c != nil {
-		if cacheKey == "" {
-			cacheKey = r.PrefixKey(w, h, seed)
-		}
-		pts, err = c.trajectory(cacheKey, h.Epochs, train)
+		pts, err = c.trajectory(r.prefixKey(w, h, seed), h.Epochs, train)
 	} else {
 		pts, err = train()
 	}

@@ -87,15 +87,14 @@ func TestRunProducesEpochs(t *testing.T) {
 
 // TestCacheHitTrialAllocs is the hard gate on the simulation half: a
 // replayed (cache-hit), unobserved trial samples no PMU profile, so what
-// it allocates is the result, the RNG streams and one power series per
-// phase — not a vector per one-second sample.
+// it allocates is its prefix key, the result, the RNG streams and one
+// power series per phase — not a vector per one-second sample.
 func TestCacheHitTrialAllocs(t *testing.T) {
 	r := cachedRunner(0)
 	h := fastHyper()
 	sys := params.DefaultSysConfig()
-	key := r.PrefixKey(lenetMNIST, h, 5)
 	run := func() {
-		if _, err := r.RunWithCacheKey(lenetMNIST, h, sys, 5, nil, key); err != nil {
+		if _, err := r.Run(lenetMNIST, h, sys, 5, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,29 +2,24 @@ package tune
 
 // The legacy batch-barrier scheduler, kept as the reference RunJob is
 // compared against: under FIFO the event loop must reproduce its schedule
-// (async_test.go), and on the Table 3 catalog its TuningTime is a ceiling.
+// (async_test.go).
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"sort"
-	"testing"
 
 	"pipetune/internal/cluster"
-	"pipetune/internal/dataset"
 	"pipetune/internal/params"
 	"pipetune/internal/search"
-	"pipetune/internal/trainer"
-	"pipetune/internal/workload"
 )
 
 // RunJobBarrier executes the HPT job under the pre-refactor batch-barrier
 // model on nodes, which must be the shapes r.Cluster was built from: every
 // searcher batch runs to its collective makespan before any result is
 // observed. It is the regression reference the event-driven scheduler is
-// held to — its TuningTime is the ceiling RunJob must stay at or below —
-// and no production path runs it.
+// held to, and no production path runs it.
 func (r *Runner) RunJobBarrier(spec JobSpec, nodes []cluster.NodeSpec) (*JobResult, error) {
 	searcher, slots, err := r.prepare(spec)
 	if err != nil {
@@ -166,84 +161,3 @@ func scheduleBatch(records []TrialRecord, nodes []cluster.NodeSpec, clock float6
 // paperNodes are the node shapes of cluster.Paper(), the testbed every
 // barrier comparison runs on.
 var paperNodes = uniformNodes(4, 32, 64)
-
-// catalogRunner builds a tuner over the paper testbed with a small corpus
-// (simulated durations derive from Table 3's full sizes, not the corpus).
-func catalogRunner() *Runner {
-	tr := trainer.NewRunner()
-	tr.Data = dataset.Config{TrainSize: 128, TestSize: 64}
-	return NewRunner(tr, cluster.Paper())
-}
-
-// catalogSpec is the standard V1 HyperBand job for a catalog workload.
-func catalogSpec(w workload.Workload) JobSpec {
-	h := params.DefaultHyper()
-	h.Epochs = 4
-	return JobSpec{
-		Workload:    w,
-		Mode:        ModeV1,
-		Objective:   MaximizeAccuracy,
-		HyperSpace:  params.PaperHyperSpace(),
-		SystemSpace: params.PaperSystemSpace(),
-		BaseHyper:   h,
-		BaseSys:     params.DefaultSysConfig(),
-		Seed:        42,
-	}
-}
-
-func TestEventSchedulerNoWorseThanBarrierOnCatalog(t *testing.T) {
-	catalog := workload.Catalog()
-	if testing.Short() {
-		catalog = catalog[:2]
-	}
-	for _, w := range catalog {
-		t.Run(w.Name(), func(t *testing.T) {
-			event, err := catalogRunner().RunJob(catalogSpec(w))
-			if err != nil {
-				t.Fatal(err)
-			}
-			barrier, err := catalogRunner().RunJobBarrier(catalogSpec(w), paperNodes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if event.TuningTime > barrier.TuningTime {
-				t.Fatalf("event TuningTime %v exceeds barrier %v", event.TuningTime, barrier.TuningTime)
-			}
-			if event.Best.ID != barrier.Best.ID || event.Best.Score != barrier.Best.Score {
-				t.Fatalf("best diverged: event %d/%v vs barrier %d/%v",
-					event.Best.ID, event.Best.Score, barrier.Best.ID, barrier.Best.Score)
-			}
-			// Determinism: a second event-driven run reproduces the first.
-			again, err := catalogRunner().RunJob(catalogSpec(w))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if again.TuningTime != event.TuningTime || again.Best.ID != event.Best.ID ||
-				again.Best.Score != event.Best.Score {
-				t.Fatalf("same seed diverged: %v/%d vs %v/%d",
-					again.TuningTime, again.Best.ID, event.TuningTime, event.Best.ID)
-			}
-		})
-	}
-}
-
-func BenchmarkSchedulerVsBarrier(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var eventTotal, barrierTotal float64
-		for _, w := range workload.Catalog() {
-			event, err := catalogRunner().RunJob(catalogSpec(w))
-			if err != nil {
-				b.Fatal(err)
-			}
-			barrier, err := catalogRunner().RunJobBarrier(catalogSpec(w), paperNodes)
-			if err != nil {
-				b.Fatal(err)
-			}
-			eventTotal += event.TuningTime
-			barrierTotal += barrier.TuningTime
-		}
-		b.ReportMetric(eventTotal, "event-tuning-s")
-		b.ReportMetric(barrierTotal, "barrier-tuning-s")
-		b.ReportMetric(eventTotal/barrierTotal, "event/barrier-ratio")
-	}
-}

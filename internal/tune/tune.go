@@ -549,23 +549,14 @@ func (r *Runner) runBatch(ctx context.Context, spec JobSpec, batch []search.Sugg
 			StartSys:   sys,
 			BudgetFrac: sug.BudgetFrac,
 		}
-		seed := trialSeed(spec.Seed, sug.ID)
-		var cacheKey string
-		if r.Trainer.Cache != nil {
-			// Derive the prefix-cache key once here so every backend —
-			// the in-process pool and each remote worker — uses the
-			// submitting trainer's key, not a locally re-derived one.
-			cacheKey = r.Trainer.PrefixKey(spec.Workload, h, seed)
-		}
 		trials = append(trials, exec.Trial{
 			ID:       sug.ID,
 			Workload: spec.Workload,
 			Hyper:    h,
 			Sys:      sys,
-			Seed:     seed,
+			Seed:     trialSeed(spec.Seed, sug.ID),
 			Observer: obs,
 			Trainer:  tc,
-			CacheKey: cacheKey,
 		})
 		idx = append(idx, i)
 	}

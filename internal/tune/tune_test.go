@@ -1,10 +1,13 @@
 package tune
 
 import (
+	"encoding/json"
+	"sort"
 	"testing"
 
 	"pipetune/internal/cluster"
 	"pipetune/internal/dataset"
+	"pipetune/internal/exec"
 	"pipetune/internal/params"
 	"pipetune/internal/search"
 	"pipetune/internal/trainer"
@@ -329,5 +332,50 @@ func TestV2RejectsUnfittableTrialConfig(t *testing.T) {
 	spec.BaseSys = params.SysConfig{Cores: 4, MemoryGB: 8}
 	if _, err := r.RunJob(spec); err == nil {
 		t.Fatal("16-core trial on an 8-core node accepted")
+	}
+}
+
+// TestExplicitLocalBackendIsDefault pins that a Runner with Exec unset
+// and one with an explicit exec.NewLocal produce identical results —
+// the nil default is not a third code path.
+func TestExplicitLocalBackendIsDefault(t *testing.T) {
+	spec := baseSpec(ModeV1, MaximizeAccuracy)
+	spec.Workload = workload.Workload{Model: workload.CNN, Dataset: workload.News20}
+	implicit, err := testRunner().RunJob(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := testRunner()
+	r.Exec = exec.NewLocal(r.Trainer)
+	explicit, err := r.RunJob(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := json.Marshal(implicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(explicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != string(b) {
+		t.Fatal("explicit exec.Local diverges from the nil default")
+	}
+}
+
+// TestParityProgressOrdering holds a ModeV2 job — system space folded in,
+// so trials claim differing footprints — to a progress curve in
+// simulated completion-time order, as the V1 jobs are held by
+// TestProgressCurveMonotone and TestEventSchedulerProgressMonotone.
+func TestParityProgressOrdering(t *testing.T) {
+	res, err := testRunner().RunJob(baseSpec(ModeV2, MaximizeAccuracyPerTime))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sort.SliceIsSorted(res.Progress, func(i, j int) bool {
+		return res.Progress[i].Time < res.Progress[j].Time
+	}) {
+		t.Fatal("progress curve not in completion-time order")
 	}
 }

@@ -6,10 +6,10 @@
 // training framework: while the usual search explores hyperparameters
 // across trials, PipeTune tunes *system* parameters (cores, memory) inside
 // each trial at epoch granularity — profiling the first epoch with hardware
-// performance counters, consulting a k-means ground-truth database of
-// previously seen workloads, and probing configurations epoch-by-epoch on a
-// miss. See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured comparison.
+// performance counters, consulting a ground-truth database of previously
+// seen workloads (a nearest-neighbour vote over one list), and probing
+// configurations epoch-by-epoch on a miss. See DESIGN.md for the system
+// inventory and EXPERIMENTS.md for the paper-versus-measured comparison.
 //
 // The facade wires the substrates together:
 //
