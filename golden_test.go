@@ -52,12 +52,21 @@ type catalogRun struct {
 	v1, cold, warm *JobResult
 }
 
+// benchSystem is the benchmark daemon's System: master seed 1, trial
+// cache on.
+func benchSystem() (*System, error) { return New(WithSeed(1), WithTrialCache(64<<20)) }
+
+// catalogPass is one run of the working set and the System it ran on.
+type catalogPass struct {
+	sys  *System
+	runs []catalogRun
+}
+
 // runCatalog runs the working set on job seeds first and first+1, on a
 // System of its own: only the Tune V1 jobs run SGD, the PipeTune passes
 // replay their prefixes from the trial cache.
-func runCatalog(first uint64) ([]catalogRun, error) {
-	// The benchmark daemon's System: master seed 1, trial cache on.
-	s, err := New(WithSeed(1), WithTrialCache(64<<20))
+func runCatalog(first uint64) (*catalogPass, error) {
+	s, err := benchSystem()
 	if err != nil {
 		return nil, err
 	}
@@ -82,12 +91,44 @@ func runCatalog(first uint64) ([]catalogRun, error) {
 			return nil, err
 		}
 	}
-	return runs, nil
+	return &catalogPass{sys: s, runs: runs}, nil
 }
 
 // catalogRuns is the benchmark's own working set, job seeds 1 and 2,
 // trained once for every test that reads it.
-var catalogRuns = sync.OnceValues(func() ([]catalogRun, error) { return runCatalog(1) })
+var catalogRuns = sync.OnceValues(func() (*catalogPass, error) { return runCatalog(1) })
+
+// benchEntry is one row of cmd/bench/testdata/golden.json.
+type benchEntry struct {
+	Training string `json:"training"`
+	V1Result string `json:"v1Result"`
+}
+
+// benchGolden reads the end-to-end benchmark's golden, keyed "workload|seed".
+func benchGolden(t *testing.T) map[string]benchEntry {
+	t.Helper()
+	data, err := os.ReadFile("cmd/bench/testdata/golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]benchEntry
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	return golden
+}
+
+// resultDigest is the hex SHA-256 of a JobResult's JSON: the bytes a
+// daemon client receives.
+func resultDigest(t *testing.T, res *JobResult) string {
+	t.Helper()
+	body, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(body)
+	return hex.EncodeToString(sum[:])
+}
 
 // TestCatalogMatchesBenchGolden holds the library path to the digests the
 // end-to-end benchmark checks through the daemon: every Tune V1 JobResult
@@ -98,31 +139,17 @@ func TestCatalogMatchesBenchGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the catalog at the daemon's default corpus size")
 	}
-	data, err := os.ReadFile("cmd/bench/testdata/golden.json")
+	golden := benchGolden(t)
+	pass, err := catalogRuns()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var golden map[string]struct {
-		Training string `json:"training"`
-		V1Result string `json:"v1Result"`
-	}
-	if err := json.Unmarshal(data, &golden); err != nil {
-		t.Fatal(err)
-	}
-	runs, err := catalogRuns()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, run := range runs {
+	for _, run := range pass.runs {
 		want, ok := golden[run.key]
 		if !ok {
 			t.Fatalf("golden has no entry %s", run.key)
 		}
-		body, err := json.Marshal(run.v1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sum := sha256.Sum256(body); hex.EncodeToString(sum[:]) != want.V1Result {
+		if resultDigest(t, run.v1) != want.V1Result {
 			t.Errorf("%s: Tune V1 JobResult bytes differ from the golden", run.key)
 		}
 		for system, res := range map[string]*JobResult{"Tune V1": run.v1, "cold PipeTune": run.cold, "warm PipeTune": run.warm} {
@@ -150,18 +177,18 @@ func TestSimTuningRatioGate(t *testing.T) {
 	}
 	for _, pin := range []struct {
 		first              uint64
-		runs               func() ([]catalogRun, error)
+		runs               func() (*catalogPass, error)
 		wantCold, wantWarm float64
 	}{
 		{1, catalogRuns, 0.8378, 0.8303},
-		{3, func() ([]catalogRun, error) { return runCatalog(3) }, 0.8482, 0.8375},
+		{3, func() (*catalogPass, error) { return runCatalog(3) }, 0.8482, 0.8375},
 	} {
-		runs, err := pin.runs()
+		pass, err := pin.runs()
 		if err != nil {
 			t.Fatal(err)
 		}
 		var v1, cold, warm float64
-		for _, run := range runs {
+		for _, run := range pass.runs {
 			v1 += run.v1.TuningTime
 			cold += run.cold.TuningTime
 			warm += run.warm.TuningTime

@@ -17,7 +17,7 @@ import (
 // startFleet boots a Remote behind a real HTTP server plus n in-process
 // Agents speaking the real protocol — the full remote stack in one test
 // binary.
-func startFleet(t *testing.T, n int, cfg RemoteConfig) (*Remote, []*Agent) {
+func startFleet(t *testing.T, n int, cfg RemoteConfig) *Remote {
 	t.Helper()
 	if cfg.HeartbeatInterval == 0 {
 		cfg.HeartbeatInterval = 50 * time.Millisecond
@@ -26,15 +26,13 @@ func startFleet(t *testing.T, n int, cfg RemoteConfig) (*Remote, []*Agent) {
 	srv := httptest.NewServer(r.Handler())
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
-	agents := make([]*Agent, n)
-	for i := range agents {
+	for range n {
 		agent := NewAgent(AgentConfig{
 			Server:   srv.URL,
 			Token:    cfg.Token,
 			Name:     "test-agent",
 			Capacity: 2,
 		})
-		agents[i] = agent
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -47,7 +45,7 @@ func startFleet(t *testing.T, n int, cfg RemoteConfig) (*Remote, []*Agent) {
 		srv.Close()
 		r.Close()
 	})
-	return r, agents
+	return r
 }
 
 // TestAgentTokenAuth pins the agent's side of the shared-token gate: a

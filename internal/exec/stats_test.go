@@ -221,7 +221,7 @@ func TestIngestIsAtomicToScrapes(t *testing.T) {
 // computed: every trial, one compute-time observation per trial, and
 // their epochs.
 func TestWorkerSeriesShipOverStream(t *testing.T) {
-	r, _ := startFleet(t, 2, RemoteConfig{})
+	r := startFleet(t, 2, RemoteConfig{})
 	_, errs := r.Run(context.Background(), realTrials(smallTrainer(), 4), 0)
 	for i, err := range errs {
 		if err != nil {
@@ -241,7 +241,7 @@ func TestWorkerSeriesShipOverStream(t *testing.T) {
 // TestWireTrafficCounters checks that running work lands rx/tx frame and
 // byte counts in the wire="binary" series operators already scrape.
 func TestWireTrafficCounters(t *testing.T) {
-	r, _ := startFleet(t, 1, RemoteConfig{})
+	r := startFleet(t, 1, RemoteConfig{})
 	if _, errs := r.Run(context.Background(), realTrials(smallTrainer(), 2), 0); errs[0] != nil || errs[1] != nil {
 		t.Fatalf("run failed: %v", errs)
 	}
@@ -266,7 +266,7 @@ func TestWireTrafficCounters(t *testing.T) {
 // TestFleetStatusFromRegistry pins the satellite invariant that
 // FleetStatus derives its trial counters from the metrics registry.
 func TestFleetStatusFromRegistry(t *testing.T) {
-	r, _ := startFleet(t, 1, RemoteConfig{})
+	r := startFleet(t, 1, RemoteConfig{})
 	trials := realTrials(smallTrainer(), 2)
 	if _, errs := r.Run(context.Background(), trials, 0); errs[0] != nil || errs[1] != nil {
 		t.Fatalf("run failed: %v", errs)

@@ -14,69 +14,8 @@ import (
 	"testing"
 	"time"
 
-	"pipetune/internal/params"
 	"pipetune/internal/trainer"
-	"pipetune/internal/workload"
 )
-
-// TestStreamFleetBitIdentical runs real trial bodies through the full
-// stack — handshake, batched grants, epoch frames, directive relays,
-// result commits — and requires them to reproduce the local
-// backend exactly, including a mid-trial system switch by the observer.
-func TestStreamFleetBitIdentical(t *testing.T) {
-	r, _ := startFleet(t, 2, RemoteConfig{})
-
-	tr := smallTrainer()
-	trials := realTrials(tr, 4)
-	var obsMu sync.Mutex
-	var remoteSeen []trainer.EpochStats
-	switched := params.SysConfig{Cores: 16, MemoryGB: 32}
-	mkObserver := func(sink *[]trainer.EpochStats) trainer.EpochObserver {
-		return trainer.ObserverFunc(func(_ uint64, _ workload.Workload, _ params.Hyper, s trainer.EpochStats) *params.SysConfig {
-			obsMu.Lock()
-			*sink = append(*sink, s)
-			obsMu.Unlock()
-			if s.Epoch == 1 {
-				return &switched
-			}
-			return nil
-		})
-	}
-	trials[1].Observer = mkObserver(&remoteSeen)
-
-	results, errs := r.Run(context.Background(), trials, 0)
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("stream trial %d: %v", i, err)
-		}
-	}
-
-	var localSeen []trainer.EpochStats
-	localTrials := realTrials(smallTrainer(), 4)
-	localTrials[1].Observer = mkObserver(&localSeen)
-	want, werrs := NewLocal(smallTrainer()).Run(context.Background(), localTrials, 2)
-	for i, err := range werrs {
-		if err != nil {
-			t.Fatalf("local trial %d: %v", i, err)
-		}
-	}
-
-	for i := range trials {
-		if !reflect.DeepEqual(results[i], want[i]) {
-			t.Fatalf("stream trial %d diverges from local backend", i)
-		}
-	}
-	if results[1].FinalSys != switched {
-		t.Fatalf("observer switch lost over the stream: FinalSys %v, want %v", results[1].FinalSys, switched)
-	}
-	if !reflect.DeepEqual(remoteSeen, localSeen) {
-		t.Fatalf("observer saw different epochs over the stream: remote %d, local %d", len(remoteSeen), len(localSeen))
-	}
-	fs := r.Fleet()
-	if fs.CompletedTrials != 4 {
-		t.Fatalf("fleet completed %d trials, want 4", fs.CompletedTrials)
-	}
-}
 
 // TestStreamTokenAuth pins auth on the upgrade path: the 401 happens in
 // plain HTTP, before any hijack. A request with the right token gets as

@@ -1,7 +1,6 @@
 package pipetune
 
 import (
-	"encoding/json"
 	"errors"
 	"slices"
 	"sync"
@@ -55,53 +54,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if info.Hits == 0 {
 		t.Fatal("no ground-truth hits")
-	}
-}
-
-// TestTrialCacheJobParity pins the facade-level guarantee behind
-// pipetuned's always-on trial cache: a whole tuning job — baseline and PipeTune, searcher and
-// scheduler included — produces byte-identical JobResult JSON with the
-// trial prefix cache on and off. The cached system also proves reuse
-// actually happened: the PipeTune job's trials share prefixes with the
-// baseline's (same spec, same derived seeds), so the cache replays them.
-func TestTrialCacheJobParity(t *testing.T) {
-	w := Workload{Model: LeNet5, Dataset: MNIST}
-	runJobs := func(s *System) (string, string) {
-		t.Helper()
-		spec := fastSpec(s, w)
-		base, err := s.RunBaseline(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pt, err := s.RunPipeTune(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bb, err := json.Marshal(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pb, err := json.Marshal(pt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(bb), string(pb)
-	}
-	wantBase, wantPT := runJobs(fastSystem(t))
-	cached := fastSystem(t, WithTrialCache(0))
-	gotBase, gotPT := runJobs(cached)
-	if gotBase != wantBase {
-		t.Error("baseline JobResult JSON differs with the trial cache enabled")
-	}
-	if gotPT != wantPT {
-		t.Error("PipeTune JobResult JSON differs with the trial cache enabled")
-	}
-	st := cached.trainer.Cache.Stats()
-	if st.TrajectoryHits+st.FlightHits == 0 {
-		t.Fatalf("cache recorded no reuse across the two jobs: %+v", st)
-	}
-	if st.EpochsSaved == 0 {
-		t.Fatalf("cache saved no epochs: %+v", st)
 	}
 }
 
