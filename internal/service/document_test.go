@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"pipetune"
 	"pipetune/api"
@@ -214,7 +215,7 @@ func TestNonDoneBodiesUnchanged(t *testing.T) {
 		t.Errorf("DELETE queued: HTTP %d body %q", rec.Code, rec.Body)
 	}
 	check("cancelled", cancelled.ID, api.StateCancelled)
-	svc.finish(held.held[0].jb, nil, errors.New("boom"))
+	svc.finish(held.held[0].jb, "", errors.New("boom"))
 	check("failed", failed.ID, api.StateFailed)
 
 	rec = do(t, h, http.MethodDelete, "/v1/jobs/"+done)
@@ -226,16 +227,19 @@ func TestNonDoneBodiesUnchanged(t *testing.T) {
 	}
 }
 
-// retainedPerJobBytes bounds what one finished 22-trial lenet job may
-// keep alive in the registry: ≈ 25 % above the 4.9–5.3 KB measured
-// (document 3.8 KB in a 4 KB size class, the job record and its map and
-// order slots). Retaining the replay log, the spec and the subscriber
-// map measured 8.9–9.1 KB; the result graph before documents, 31.0 KB.
-const retainedPerJobBytes = 6750
+// retainedPerJobBytes bounds what one more finished 22-trial lenet job
+// whose result another retained job already holds may keep alive in the
+// registry: ≈ 25 % above the 0.9–1.3 KB measured (the job record and its
+// map and order slots; the 3.8 KB document is shared). A document per
+// job measured 4.9–5.3 KB; retaining the replay log, the spec and the
+// subscriber map too, 8.9–9.1 KB; the result graph before documents,
+// 31.0 KB.
+const retainedPerJobBytes = 1625
 
 // TestFinishedJobRetainsNoGraph: a done job keeps its document and no
-// result graph, replay log, spec or subscriber map, so N of them cost a
-// small pinned number of heap bytes each.
+// result graph, replay log, spec or subscriber map, and jobs with one
+// result share one document, so N of them cost a small pinned number of
+// heap bytes each.
 func TestFinishedJobRetainsNoGraph(t *testing.T) {
 	sys := newSystem(t, pipetune.WithTrialCache(8<<20))
 	svc, err := New(Config{System: sys, Workers: 1})
@@ -269,7 +273,7 @@ func TestFinishedJobRetainsNoGraph(t *testing.T) {
 		if state != api.StateDone || len(doc) == 0 {
 			t.Fatalf("%s: state %v with a %d-byte document", id, state, len(doc))
 		}
-		docBytes += len(doc)
+		docBytes = len(doc)
 		if events != nil || subs != nil {
 			t.Fatalf("%s: a done job keeps a %d-event replay log and a subscriber map %v", id, len(events), subs != nil)
 		}
@@ -278,9 +282,113 @@ func TestFinishedJobRetainsNoGraph(t *testing.T) {
 		}
 	}
 	perJob := (int64(heap()) - int64(before)) / n
-	t.Logf("%d finished jobs retain %d B each, %d B of it the document", n, perJob, docBytes/n)
+	t.Logf("%d finished jobs retain %d B each beside the %d B document they share", n, perJob, docBytes)
 	if perJob > retainedPerJobBytes {
 		t.Errorf("a finished job retains %d B, want <= %d", perJob, retainedPerJobBytes)
+	}
+}
+
+// TestIdenticalResultsShareOneDocument: done jobs whose results are the
+// same bytes hold one interned document, however they finished; another
+// result gets a document of its own; every body is still its own job's;
+// and a document goes, with its gauges, when the last job holding it is
+// pruned. Two workers finish the identical pair at once (run under -race
+// in CI).
+func TestIdenticalResultsShareOneDocument(t *testing.T) {
+	req := func(seed uint64) api.JobRequest {
+		return api.JobRequest{Workload: "lenet/mnist", Mode: api.ModeTuneV1, Seed: seed, Epochs: 2}
+	}
+	finishAll := func(svc *Service, reqs ...api.JobRequest) []string {
+		ids := make([]string, len(reqs))
+		for i, r := range reqs {
+			st, err := svc.Submit(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[i] = st.ID
+		}
+		for _, id := range ids {
+			su, err := svc.Subscribe(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range su.Events {
+			}
+			su.Cancel()
+		}
+		return ids
+	}
+	docOf := func(svc *Service, id string) string {
+		svc.mu.Lock()
+		defer svc.mu.Unlock()
+		return svc.jobs[id].doc
+	}
+	gauges := func(svc *Service, docs ...string) {
+		t.Helper()
+		size := 0
+		for _, d := range docs {
+			size += len(d)
+		}
+		n, b := svc.met.resultDocs.Value(), svc.met.resultDocBytes.Value()
+		svc.mu.Lock()
+		held := len(svc.docs)
+		svc.mu.Unlock()
+		if n != float64(len(docs)) || b != float64(size) || held != len(docs) {
+			t.Errorf("%d documents held, gauges read %v documents of %v B; want %d of %d B", held, n, b, len(docs), size)
+		}
+	}
+
+	svc, err := New(Config{System: newSystem(t), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Shutdown()
+	h := svc.Handler()
+	ids := finishAll(svc, req(7), req(7))
+	a, b := docOf(svc, ids[0]), docOf(svc, ids[1])
+	if a == "" || unsafe.StringData(a) != unsafe.StringData(b) {
+		t.Fatalf("two jobs with one request hold %d and %d B at two addresses, want one document", len(a), len(b))
+	}
+	gauges(svc, a)
+	ids = append(ids, finishAll(svc, req(8))...)
+	c := docOf(svc, ids[2])
+	if c == "" || c == a {
+		t.Fatalf("seed 8 holds %d B equal to seed 7's: %v", len(c), c == a)
+	}
+	gauges(svc, a, c)
+	for _, id := range ids {
+		st, err := svc.Job(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc, err := svc.render(st.Result); err != nil || doc != docOf(svc, id) {
+			t.Errorf("%s: its result renders another document (%v)", id, err)
+		}
+		if rec := do(t, h, http.MethodGet, "/v1/jobs/"+id); rec.Body.String() != encoded(t, st) {
+			t.Errorf("%s: GET body is not its own status and result\n got: %.200s…", id, rec.Body)
+		}
+	}
+
+	// One job retained: a repeat keeps the document its predecessor held,
+	// and another result prunes the last holder, taking the document.
+	one, err := New(Config{System: newSystem(t), Workers: 1, MaxJobsRetained: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Shutdown()
+	first := docOf(one, finishAll(one, req(7))[0])
+	again := docOf(one, finishAll(one, req(7))[0])
+	if unsafe.StringData(first) != unsafe.StringData(again) {
+		t.Errorf("a repeat after its predecessor was pruned holds a new copy")
+	}
+	gauges(one, again)
+	other := docOf(one, finishAll(one, req(8))[0])
+	gauges(one, other)
+	one.mu.Lock()
+	stale, retained := one.docs[first], len(one.jobs)
+	one.mu.Unlock()
+	if stale != nil || retained != 1 {
+		t.Errorf("the pruned jobs' document is still interned (%d jobs retained)", retained)
 	}
 }
 
@@ -402,15 +510,15 @@ func TestCorruptDocumentIs500(t *testing.T) {
 	fw, _ := flate.NewWriter(&tornJSON, flate.BestSpeed)
 	_, _ = fw.Write([]byte(`{"trials":[`))
 	_ = fw.Close()
-	flipped := bytes.Clone(good)
+	flipped := []byte(good)
 	for i := range flipped[:64] {
 		flipped[i] ^= 0xff
 	}
-	for name, doc := range map[string][]byte{
+	for name, doc := range map[string]string{
 		"truncated": good[:len(good)/2],
-		"flipped":   flipped,
-		"empty":     {},
-		"torn JSON": tornJSON.Bytes(),
+		"flipped":   string(flipped),
+		"empty":     "",
+		"torn JSON": tornJSON.String(),
 	} {
 		svc.mu.Lock()
 		svc.jobs[id].doc = doc

@@ -147,7 +147,7 @@ func FuzzStoredDocument(f *testing.F) {
 	su.Cancel()
 	id := st.ID
 	svc.mu.Lock()
-	doc := bytes.Clone(svc.jobs[id].doc)
+	doc := []byte(svc.jobs[id].doc)
 	svc.mu.Unlock()
 	f.Add(doc)
 	for _, n := range []int{len(doc) - 1, len(doc) / 2, 8, 1} {
@@ -169,7 +169,7 @@ func FuzzStoredDocument(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		whole, wholeErr := io.ReadAll(flate.NewReader(bytes.NewReader(data)))
 		in := inflaters.Get().(*inflater)
-		got, err := in.inflate(data)
+		got, err := in.inflate(string(data))
 		switch {
 		case err != nil && got != nil:
 			t.Fatalf("inflate failed (%v) and still returned %d bytes", err, len(got))
@@ -180,7 +180,7 @@ func FuzzStoredDocument(f *testing.F) {
 		}
 		inflaters.Put(in)
 
-		events, replayErr := replay(id, data)
+		events, replayErr := replay(id, string(data))
 		switch {
 		case replayErr != nil && events != nil:
 			t.Fatalf("replay failed (%v) and still returned %d events", replayErr, len(events))
@@ -192,7 +192,7 @@ func FuzzStoredDocument(f *testing.F) {
 			t.Fatalf("replay returned %d events from a document that is not whole JSON (flate: %v)", len(events), wholeErr)
 		}
 
-		st, err := withResult(head, data)
+		st, err := withResult(head, string(data))
 		if err != nil {
 			if st.Result != nil || st.ID != head.ID || st.State != head.State {
 				t.Fatalf("withResult failed (%v) and returned %+v", err, st)

@@ -91,7 +91,7 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	if doc == nil {
+	if st.State != api.StateDone {
 		writeJSON(w, http.StatusOK, st)
 		return
 	}

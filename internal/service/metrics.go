@@ -28,6 +28,10 @@ type svcMetrics struct {
 	sseEvents  *metrics.Counter         // pipetune_sse_events_total
 	sseLagged  *metrics.Counter         // pipetune_sse_lagged_subscribers_total
 	sseSubs    *metrics.Gauge           // pipetune_sse_subscribers
+	// The interned result documents (Service.docs), updated exactly at
+	// intern and at release.
+	resultDocs     *metrics.Gauge // pipetune_result_documents
+	resultDocBytes *metrics.Gauge // pipetune_result_document_bytes
 }
 
 // newSvcMetrics registers the service families.
@@ -43,6 +47,9 @@ func newSvcMetrics(reg *metrics.Registry) *svcMetrics {
 		sseEvents:  reg.Counter("pipetune_sse_events_total", "Events appended to job logs and fanned out."),
 		sseLagged:  reg.Counter("pipetune_sse_lagged_subscribers_total", "Event subscribers dropped for falling behind."),
 		sseSubs:    reg.Gauge("pipetune_sse_subscribers", "Live event subscribers."),
+
+		resultDocs:     reg.Gauge("pipetune_result_documents", "Distinct result documents held by retained done jobs."),
+		resultDocBytes: reg.Gauge("pipetune_result_document_bytes", "Bytes of the distinct result documents retained done jobs hold."),
 	}
 }
 

@@ -277,7 +277,7 @@ func (js *jobSchedule) trial() {
 
 // document renders what a done body returns: a result holding the trials
 // it published, in order.
-func (js *jobSchedule) document(sj *simJob) []byte {
+func (js *jobSchedule) document(sj *simJob) string {
 	res := &tune.JobResult{Trials: make([]tune.TrialRecord, len(sj.trials))}
 	for i, ev := range sj.trials {
 		res.Trials[i] = tune.TrialRecord{ID: ev.TrialID, Result: &trainer.Result{Accuracy: ev.Accuracy, Duration: ev.Duration, EnergyJ: ev.EnergyJ}}
@@ -293,7 +293,7 @@ func (js *jobSchedule) document(sj *simJob) []byte {
 // or, for a done job, the one derived from its document. Callers hold s.mu.
 func (js *jobSchedule) logOf(sj *simJob) []api.Event {
 	jb := sj.jb
-	if jb.doc == nil {
+	if jb.state != api.StateDone {
 		return jb.events
 	}
 	if sj.replayed == nil {
@@ -316,7 +316,7 @@ func (js *jobSchedule) finish() {
 	sj := js.running[i]
 	js.running = slices.Delete(js.running, i, i+1)
 	var (
-		doc []byte
+		doc string
 		err error
 	)
 	switch js.rng.IntN(3) {
@@ -338,7 +338,7 @@ func (js *jobSchedule) finish() {
 
 // end takes a held body's terminal step, as the production seam's
 // goroutine does.
-func (js *jobSchedule) end(jb *job, doc []byte, err error) {
+func (js *jobSchedule) end(jb *job, doc string, err error) {
 	for _, st := range js.starts {
 		if st.jb == jb {
 			if st.finished {
@@ -444,7 +444,7 @@ func (js *jobSchedule) shutdown() {
 	// or Shutdown would wait for it forever.
 	for i := 0; i < len(js.starts); i++ {
 		if st := js.starts[i]; !st.finished {
-			js.end(st.jb, nil, context.Canceled)
+			js.end(st.jb, "", context.Canceled)
 		}
 	}
 	<-done

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"time"
 
@@ -118,11 +119,13 @@ type subscriber struct {
 // A finished job is an immutable document: doc is a done job's result
 // rendered once, at the terminal transition (deflated json.Marshal bytes,
 // what the API nests in api.JobStatus), in place of a *tune.JobResult
-// graph several times the size. It is never written once set, so readers
-// copy the slice header under Service.mu and inflate outside it. A done
-// job keeps nothing else the document holds: its replay log is derived
-// from the document (replay), and spec and subs go at the terminal
-// transition too.
+// graph several times the size. It is a string interned in Service.docs,
+// so done jobs with identical results hold one copy, released when the
+// last of them is pruned. It is never written once set, so readers copy
+// the string header under Service.mu and inflate outside it. A done job
+// keeps nothing else the document holds: its replay log is derived from
+// the document (replay), and spec and subs go at the terminal transition
+// too.
 type job struct {
 	id        string
 	req       api.JobRequest
@@ -135,7 +138,7 @@ type job struct {
 	started   time.Time
 	finished  time.Time
 	errMsg    string
-	doc       []byte
+	doc       string // set once done; every other state has none
 	trials    int
 	cancel    context.CancelFunc       // non-nil while running
 	events    []api.Event              // replay log for late subscribers; nil once done
@@ -166,6 +169,9 @@ type Service struct {
 	order  []string // submission order, for stable listing
 	nextID int
 	closed bool
+	// docs interns the documents of retained done jobs by content: one
+	// string per distinct result, however many jobs hold it.
+	docs map[string]*docRef
 	// start runs a dispatched job's body, called under mu; it must not
 	// block. New points it at a goroutine that runs the job and then takes
 	// its terminal step.
@@ -213,6 +219,7 @@ func New(cfg Config) (*Service, error) {
 		reg:  reg,
 		met:  newSvcMetrics(reg),
 		jobs: make(map[string]*job),
+		docs: make(map[string]*docRef),
 	}
 	disp, err := newDispatcher(cfg, s.met)
 	if err != nil {
@@ -392,7 +399,7 @@ func (s *Service) dispatchLocked() {
 
 // runJob is a dispatched job's one call outside s.mu: the tuning run
 // through the shared System, then its result rendered to a document.
-func (s *Service) runJob(ctx context.Context, jb *job) ([]byte, error) {
+func (s *Service) runJob(ctx context.Context, jb *job) (string, error) {
 	spec := jb.spec
 	spec.OnTrialDone = func(trialID int, res *trainer.Result) {
 		s.publishTrial(jb, trialID, res)
@@ -412,20 +419,20 @@ func (s *Service) runJob(ctx context.Context, jb *job) ([]byte, error) {
 	// recovery never replays more than the running jobs' records.
 	s.snapshotGT()
 	if err != nil || res == nil {
-		return nil, err
+		return "", err
 	}
 	return s.render(res)
 }
 
 // finish is a running job's terminal step: the run's outcome becomes the
 // job's terminal state, and the freed slot dispatches the next job.
-func (s *Service) finish(jb *job, doc []byte, err error) {
+func (s *Service) finish(jb *job, doc string, err error) {
 	s.mu.Lock()
 	jb.cancel()
 	jb.cancel = nil
 	switch {
 	case err == nil:
-		jb.doc = doc
+		jb.doc = s.internLocked(doc)
 		s.finishLocked(jb, api.StateDone, "")
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		s.finishLocked(jb, api.StateCancelled, "")
@@ -446,10 +453,10 @@ func (s *Service) finish(jb *job, doc []byte, err error) {
 const resultLevel = flate.DefaultCompression // level 6
 
 // render turns a finished job's result into its document, outside s.mu.
-func (s *Service) render(res *tune.JobResult) ([]byte, error) {
+func (s *Service) render(res *tune.JobResult) (string, error) {
 	raw, err := json.Marshal(res)
 	if err != nil {
-		return nil, fmt.Errorf("service: render result: %w", err)
+		return "", fmt.Errorf("service: render result: %w", err)
 	}
 	s.renderMu.Lock()
 	defer s.renderMu.Unlock()
@@ -457,13 +464,48 @@ func (s *Service) render(res *tune.JobResult) ([]byte, error) {
 	s.deflater.Reset(&s.renderBuf)
 	_, _ = s.deflater.Write(raw) // renderBuf cannot fail a write
 	_ = s.deflater.Close()
-	return bytes.Clone(s.renderBuf.Bytes()), nil
+	return s.renderBuf.String(), nil
+}
+
+// docRef is one interned document and the number of retained jobs that
+// hold it. Service.docs maps to a pointer because assigning to an existing
+// string key stores the assigned copy as the key, which would keep a
+// duplicate alive.
+type docRef struct {
+	doc     string
+	holders int
+}
+
+// internLocked returns the stored copy of doc, storing doc when no job
+// holds an identical one, and counts one more holder. Callers hold s.mu.
+func (s *Service) internLocked(doc string) string {
+	ref, ok := s.docs[doc]
+	if !ok {
+		ref = &docRef{doc: doc}
+		s.docs[doc] = ref
+		s.met.resultDocs.Add(1)
+		s.met.resultDocBytes.Add(float64(len(doc)))
+	}
+	ref.holders++
+	return ref.doc
+}
+
+// releaseLocked drops one holder of doc, and doc itself with its last
+// holder. Callers hold s.mu.
+func (s *Service) releaseLocked(doc string) {
+	ref := s.docs[doc]
+	if ref.holders--; ref.holders > 0 {
+		return
+	}
+	delete(s.docs, doc)
+	s.met.resultDocs.Add(-1)
+	s.met.resultDocBytes.Add(-float64(len(doc)))
 }
 
 // inflater is the pooled read side of a document: a flate reader and the
 // buffer it fills, so a read allocates nothing the size of the result.
 type inflater struct {
-	src bytes.Reader
+	src strings.Reader
 	fr  io.ReadCloser
 	out bytes.Buffer
 }
@@ -476,7 +518,7 @@ var inflaters = sync.Pool{New: func() any {
 
 // inflate returns the JSON of doc, valid until in goes back to the pool —
 // in full or not at all: a corrupt document is never half a response.
-func (in *inflater) inflate(doc []byte) ([]byte, error) {
+func (in *inflater) inflate(doc string) ([]byte, error) {
 	in.src.Reset(doc)
 	in.out.Reset()
 	_ = in.fr.(flate.Resetter).Reset(&in.src, nil) // flate's Reset never fails
@@ -489,7 +531,7 @@ func (in *inflater) inflate(doc []byte) ([]byte, error) {
 // decode reads a done job's document into v: the pooled inflater yields
 // the whole JSON or an error, and json.Unmarshal checks all of it before
 // it fills v, so v is filled from a whole document or the call fails.
-func decode(doc []byte, v any) error {
+func decode(doc string, v any) error {
 	in := inflaters.Get().(*inflater)
 	defer inflaters.Put(in)
 	raw, err := in.inflate(doc)
@@ -502,11 +544,11 @@ func decode(doc []byte, v any) error {
 	return nil
 }
 
-// withResult attaches a done job's result (doc is nil for any other) as a
+// withResult attaches a done job's result, read from its document, as a
 // graph of the caller's own: no two callers share memory, so none can
-// corrupt what a later one reads.
-func withResult(st api.JobStatus, doc []byte) (api.JobStatus, error) {
-	if doc == nil {
+// corrupt what a later one reads. A job in any other state has none.
+func withResult(st api.JobStatus, doc string) (api.JobStatus, error) {
+	if st.State != api.StateDone {
 		return st, nil
 	}
 	res := new(tune.JobResult)
@@ -537,7 +579,7 @@ type replayDoc struct {
 // appends res.Trials in the order it calls OnTrialDone, and JSON round-
 // trips every float64 exactly, so trial i's event carries Seq i+1 and the
 // same bytes, and the done state event follows.
-func replay(id string, doc []byte) ([]api.Event, error) {
+func replay(id, doc string) ([]api.Event, error) {
 	var res replayDoc
 	if err := decode(doc, &res); err != nil {
 		return nil, err
@@ -658,6 +700,9 @@ func (s *Service) pruneLocked() {
 	for i, id := range s.order {
 		jb := s.jobs[id]
 		if len(s.jobs) > s.cfg.MaxJobsRetained && jb.state.Terminal() {
+			if jb.state == api.StateDone {
+				s.releaseLocked(jb.doc)
+			}
 			delete(s.jobs, id)
 			continue
 		}
@@ -727,12 +772,12 @@ func (s *Service) Subscribe(id string) (*Subscription, error) {
 		jb.subs[sub] = struct{}{}
 		s.met.sseSubs.Add(1)
 	}
-	doc := jb.doc
-	if doc == nil {
+	done, doc := jb.state == api.StateDone, jb.doc
+	if !done {
 		su.Replay = append([]api.Event(nil), jb.events...)
 	}
 	s.mu.Unlock()
-	if doc == nil {
+	if !done {
 		return su, nil
 	}
 	var err error
@@ -775,12 +820,12 @@ func (s *Service) statusLocked(jb *job) api.JobStatus {
 }
 
 // lookup returns one job's status and, once it is done, its document.
-func (s *Service) lookup(id string) (api.JobStatus, []byte, error) {
+func (s *Service) lookup(id string) (api.JobStatus, string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	jb, ok := s.jobs[id]
 	if !ok {
-		return api.JobStatus{}, nil, ErrNotFound
+		return api.JobStatus{}, "", ErrNotFound
 	}
 	return s.statusLocked(jb), jb.doc, nil
 }
