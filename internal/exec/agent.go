@@ -53,7 +53,7 @@ type Agent struct {
 	cfg AgentConfig
 
 	mu       sync.Mutex
-	trainers map[TrainerConfig]*trainer.Runner // corpus caches stay warm across trials
+	trainers map[TrainerConfig]*trainer.Runner // one per captured configuration, reused across trials
 
 	// stats is the current session's telemetry collector, swapped per
 	// session so the daemon's per-registration delta baseline of zero is
@@ -134,8 +134,9 @@ func (a *Agent) newSessionStats() *workerStats {
 }
 
 // trainerFor returns (building and caching) the trainer reproducing a
-// captured configuration. Caching keeps the synthetic corpus warm across
-// trials of the same workload family.
+// captured configuration. Caching lets trials of one workload family share
+// a corpus while any of them trains (an idle trainer releases its corpora)
+// and keeps the trial prefix cache across sessions.
 func (a *Agent) trainerFor(tc TrainerConfig) *trainer.Runner {
 	a.mu.Lock()
 	defer a.mu.Unlock()

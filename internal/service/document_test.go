@@ -392,6 +392,50 @@ func TestIdenticalResultsShareOneDocument(t *testing.T) {
 	}
 }
 
+// TestIdleServiceReleasesDeflater: the deflater is a working set. Once
+// the last job has finished and a collection runs, the service holds none,
+// and a later job with the same request renders through a new one into
+// the first job's document: one interned string, one gauge count.
+func TestIdleServiceReleasesDeflater(t *testing.T) {
+	svc, err := New(Config{System: newSystem(t), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Shutdown()
+	req := api.JobRequest{Workload: "lenet/mnist", Mode: api.ModeTuneV1, Seed: 7, Epochs: 2}
+	// doneDoc reads a finished job's document; Job takes the registry
+	// lock, so the terminal step that unpins the deflater has returned.
+	doneDoc := func(id string) string {
+		t.Helper()
+		if st, err := svc.Job(id); err != nil || st.State != api.StateDone {
+			t.Fatalf("%s: %v, %v", id, st.State, err)
+		}
+		svc.mu.Lock()
+		defer svc.mu.Unlock()
+		return svc.jobs[id].doc
+	}
+	held := func() bool {
+		runtime.GC()
+		svc.renderMu.Lock()
+		defer svc.renderMu.Unlock()
+		return svc.deflater.Value() != nil || svc.pinned.Load() != nil
+	}
+	first := doneDoc(finishJob(t, svc, req))
+	if held() {
+		t.Fatal("an idle service still holds its deflater after a collection")
+	}
+	again := doneDoc(finishJob(t, svc, req))
+	if first == "" || unsafe.StringData(first) != unsafe.StringData(again) {
+		t.Fatalf("a repeat rendered by a new deflater holds %d B at another address than the first's %d B", len(again), len(first))
+	}
+	if n := svc.met.resultDocs.Value(); n != 1 {
+		t.Fatalf("pipetune_result_documents reads %v, want 1", n)
+	}
+	if held() {
+		t.Fatal("the second deflater outlived its busy period")
+	}
+}
+
 // TestConcurrentReadsWhileFinishing races every read surface against jobs
 // that are turning terminal (run under -race in CI): each reader sees
 // either a job without a result or a done job with a complete one, and

@@ -34,7 +34,9 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
+	"weak"
 
 	"pipetune"
 	"pipetune/api"
@@ -158,10 +160,14 @@ type Service struct {
 	shutdown sync.Once
 
 	// The daemon's one deflater (≈ 1 MB of tables at any level, so
-	// finishing jobs share it); renderMu is never held together with mu.
+	// finishing jobs share it) is a working set, not state: held weakly,
+	// and pinned from its first render until no job runs, so an idle
+	// service hands it to the collector and the next render makes a new
+	// one. renderMu is never held together with mu; mu clears the pin.
 	renderMu  sync.Mutex
 	renderBuf bytes.Buffer
-	deflater  *flate.Writer
+	deflater  weak.Pointer[flate.Writer]
+	pinned    atomic.Pointer[flate.Writer]
 
 	mu     sync.Mutex
 	disp   *dispatcher // tenant-aware job queue; all methods under mu
@@ -226,7 +232,6 @@ func New(cfg Config) (*Service, error) {
 		return nil, err
 	}
 	s.disp = disp
-	s.deflater, _ = flate.NewWriter(nil, resultLevel) // a valid constant level cannot fail
 	s.baseCtx, s.stop = context.WithCancel(context.Background())
 	if cfg.GTPath != "" {
 		ps, err := gt.OpenPersistent(cfg.GTPath, s.gt, gt.PersistOptions{
@@ -440,6 +445,11 @@ func (s *Service) finish(jb *job, doc string, err error) {
 		s.finishLocked(jb, api.StateFailed, err.Error())
 	}
 	s.dispatchLocked()
+	if _, running := s.disp.countsLocked(); running == 0 {
+		// No job runs, so no render is in flight or can start before
+		// the next dispatch: the deflater is garbage once it is unpinned.
+		s.pinned.Store(nil)
+	}
 	state := jb.state
 	s.mu.Unlock()
 
@@ -460,10 +470,16 @@ func (s *Service) render(res *tune.JobResult) (string, error) {
 	}
 	s.renderMu.Lock()
 	defer s.renderMu.Unlock()
+	zw := s.deflater.Value()
+	if zw == nil {
+		zw, _ = flate.NewWriter(nil, resultLevel) // a valid constant level cannot fail
+		s.deflater = weak.Make(zw)
+	}
+	s.pinned.Store(zw)
 	s.renderBuf.Reset()
-	s.deflater.Reset(&s.renderBuf)
-	_, _ = s.deflater.Write(raw) // renderBuf cannot fail a write
-	_ = s.deflater.Close()
+	zw.Reset(&s.renderBuf)
+	_, _ = zw.Write(raw) // renderBuf cannot fail a write
+	_ = zw.Close()
 	return s.renderBuf.String(), nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pipetune/internal/metrics"
 	"pipetune/internal/params"
@@ -211,7 +212,8 @@ func TestCacheBytesMatchHeap(t *testing.T) {
 // TestCorpusBytesMatchHeap pins the corpus owner's accounting the way
 // TestCacheBytesMatchHeap pins the cache's: generating all four datasets at
 // the default sizes moves the live heap by what the trainer_corpus_bytes
-// gauge — the sum of every split's Bytes() — says it holds.
+// gauge — the sum of every split's Bytes() — says it holds. No trial
+// trains, so the runner holds the corpora weakly; the test keeps them.
 func TestCorpusBytesMatchHeap(t *testing.T) {
 	r := NewRunner()
 	reg := metrics.NewRegistry()
@@ -222,12 +224,14 @@ func TestCorpusBytesMatchHeap(t *testing.T) {
 	}
 	before := heapAlloc()
 	want := int64(0)
+	var pairs []*corpusPair
 	for _, ds := range []workload.Dataset{workload.MNIST, workload.FashionMNIST, workload.News20, workload.Rodinia} {
 		cp, err := r.corpus(workload.Workload{Dataset: ds})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want += cp.train.Bytes() + cp.test.Bytes()
+		pairs = append(pairs, cp)
 	}
 	held := float64(heapAlloc() - before)
 	if got := int64(gauge.Value()); got != want {
@@ -236,7 +240,106 @@ func TestCorpusBytesMatchHeap(t *testing.T) {
 	if ratio := float64(want) / held; ratio < 0.9 || ratio > 1.1 {
 		t.Fatalf("accounted %d bytes for %.0f bytes of heap (ratio %.3f, want within 10%%)", want, held, ratio)
 	}
+	runtime.KeepAlive(pairs)
 	runtime.KeepAlive(r)
+}
+
+// corpusMetrics instruments r and returns its corpus gauge and counter.
+func corpusMetrics(r *Runner) (bytes *metrics.Gauge, gens *metrics.Counter) {
+	reg := metrics.NewRegistry()
+	r.InstrumentMetrics(reg)
+	return reg.Gauge("trainer_corpus_bytes", ""), reg.Counter("trainer_corpus_generations_total", "")
+}
+
+// awaitCorpusBytes collects garbage and waits for the gauge to read want:
+// a collected corpus leaves the gauge in its cleanup, which the runtime
+// runs on its own goroutine after the collection that freed it.
+func awaitCorpusBytes(t *testing.T, g *metrics.Gauge, want float64) {
+	t.Helper()
+	runtime.GC()
+	for deadline := time.Now().Add(10 * time.Second); g.Value() != want; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("trainer_corpus_bytes reads %v, want %v", g.Value(), want)
+		}
+	}
+}
+
+// liveCorpus reports whether r still reaches the corpus of w.
+func liveCorpus(r *Runner, w workload.Workload) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.corpora[r.corpusKey(w)].Value() != nil
+}
+
+// TestIdleTrainerReleasesCorpora pins the hold-while-working rule: a
+// corpus outlives a collection while any trial of its runner trains (an
+// open busy(1) stands for a trial still training), the last training
+// trial's exit hands it to the collector and the gauge back to zero, and
+// the next trial regenerates it and returns the same result bit for bit.
+func TestIdleTrainerReleasesCorpora(t *testing.T) {
+	r := fastRunner()
+	gauge, gens := corpusMetrics(r)
+	h, sys := fastHyper(), params.DefaultSysConfig()
+
+	r.busy(1)
+	first := mustRun(t, r, lenetMNIST, h, sys, 4, nil)
+	runtime.GC()
+	if !liveCorpus(r, lenetMNIST) {
+		t.Fatal("a corpus was collected while a trial of its runner trains")
+	}
+	mustRun(t, r, lenetMNIST, h, sys, 5, nil)
+	if n := r.corpusGens.Load(); n != 1 {
+		t.Fatalf("%d generations while the runner trained throughout, want 1", n)
+	}
+	if v := gauge.Value(); v <= 0 {
+		t.Fatalf("gauge reads %v with a corpus resident", v)
+	}
+	r.busy(-1)
+
+	awaitCorpusBytes(t, gauge, 0)
+	if liveCorpus(r, lenetMNIST) {
+		t.Fatal("an idle runner still holds its corpus after a collection")
+	}
+	again := mustRun(t, r, lenetMNIST, h, sys, 4, nil)
+	if n := r.corpusGens.Load(); n != 2 {
+		t.Fatalf("%d generations, want the released corpus regenerated once (2)", n)
+	}
+	if v := gens.Value(); v != 2 {
+		t.Fatalf("trainer_corpus_generations_total reads %v, want 2", v)
+	}
+	if !reflect.DeepEqual(first, again) {
+		t.Fatal("a trial on the regenerated corpus differs from the first")
+	}
+	awaitCorpusBytes(t, gauge, 0)
+	r.mu.Lock()
+	left := len(r.corpora)
+	r.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d collected corpora still keyed", left)
+	}
+}
+
+// TestReplayBuildsNoCorpus: a trajectory-cache hit reads no corpus, so it
+// builds none on a runner whose corpus was collected.
+func TestReplayBuildsNoCorpus(t *testing.T) {
+	r := cachedRunner(0)
+	gauge, _ := corpusMetrics(r)
+	h, sys := fastHyper(), params.DefaultSysConfig()
+	trained := mustRun(t, r, lenetMNIST, h, sys, 6, nil)
+	awaitCorpusBytes(t, gauge, 0)
+	replayed := mustRun(t, r, lenetMNIST, h, sys, 6, nil)
+	if st := r.Cache.Stats(); st.TrajectoryHits != 1 {
+		t.Fatalf("stats = %+v, want the second trial replayed", st)
+	}
+	if n := r.corpusGens.Load(); n != 1 {
+		t.Fatalf("%d generations, want the replay to build no corpus (1)", n)
+	}
+	if gauge.Value() != 0 || liveCorpus(r, lenetMNIST) {
+		t.Fatal("the replay left a corpus resident")
+	}
+	if !reflect.DeepEqual(trained, replayed) {
+		t.Fatal("the replayed trial differs from the trained one")
+	}
 }
 
 // TestPrefixKeyNamesTheNetwork: the three Rodinia kernels train one and the

@@ -17,10 +17,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+	"weak"
 
 	"pipetune/internal/costmodel"
 	"pipetune/internal/dataset"
@@ -95,7 +97,7 @@ func (f ObserverFunc) OnEpochEnd(seed uint64, w workload.Workload, h params.Hype
 }
 
 // Runner executes trials. It is safe for concurrent use: per-trial state is
-// local, and the dataset cache is lock-protected.
+// local, and the corpora are lock-protected.
 type Runner struct {
 	Cost    costmodel.Model
 	Power   energy.PowerModel
@@ -118,12 +120,19 @@ type Runner struct {
 	// running trials; share one cache across all trials of a process.
 	Cache *TrialCache
 
+	// The corpora are a working set, not state: dataset.Generate rebuilds
+	// one bit for bit. A corpus is held weakly, and strongly (pinned) only
+	// while any trial of this runner trains, so an idle runner hands its
+	// corpora to the collector and the next trial to train regenerates.
 	mu            sync.Mutex
-	cache         map[string]*corpusPair
-	corpusBytes   int64          // sum of Set.Bytes over cache
-	corpusGauge   *metrics.Gauge // trainer_corpus_bytes; mirrors corpusBytes
+	corpora       map[string]weak.Pointer[corpusPair]
+	pinned        map[string]*corpusPair // the corpora of the current busy period
+	training      int                    // trials inside their training closure
+	corpusBytes   int64                  // sum of Set.Bytes over the live corpora
+	corpusGauge   *metrics.Gauge         // trainer_corpus_bytes; mirrors corpusBytes
+	corpusGenCtr  *metrics.Counter       // trainer_corpus_generations_total
 	corpusFlights flightGroup
-	corpusGens    atomic.Uint64 // distinct corpus syntheses (singleflight test hook)
+	corpusGens    atomic.Uint64 // corpus syntheses (test hook)
 	epochSeconds  atomic.Pointer[metrics.Distribution]
 	evalSeconds   atomic.Pointer[metrics.Distribution]
 }
@@ -144,20 +153,19 @@ func NewRunner() *Runner {
 	}
 }
 
-// corpus returns (and caches) the dataset split for a workload. The cache
-// key includes only the dataset and sizes — matching the paper's reality
-// that Type-II workloads share one corpus. Synthesis always uses DataSeed,
+// corpus returns the dataset split for a workload, generating it when no
+// live copy exists, and pins it while any trial of r trains. The key
+// includes only the dataset and sizes — matching the paper's reality that
+// Type-II workloads share one corpus. Synthesis always uses DataSeed,
 // never a trial seed, so concurrent trials cannot race on corpus identity;
 // a singleflight collapses N concurrent first trials of a workload into
-// one generation (still outside r.mu, so cached-corpus trials never wait
-// behind a synthesis).
+// one generation (still outside r.mu, so trials on a live corpus never
+// wait behind a synthesis).
 func (r *Runner) corpus(w workload.Workload) (*corpusPair, error) {
-	key := w.Dataset.String() + "/" + strconv.Itoa(r.Data.TrainSize) + "/" + strconv.Itoa(r.Data.TestSize)
+	key := r.corpusKey(w)
 	r.mu.Lock()
-	if r.cache == nil {
-		r.cache = make(map[string]*corpusPair)
-	}
-	if cp, ok := r.cache[key]; ok {
+	if cp := r.corpora[key].Value(); cp != nil {
+		r.pinLocked(key, cp)
 		r.mu.Unlock()
 		return cp, nil
 	}
@@ -165,11 +173,11 @@ func (r *Runner) corpus(w workload.Workload) (*corpusPair, error) {
 
 	v, err, _ := r.corpusFlights.Do(key, func() (any, error) {
 		// A previous flight may have published while this caller was
-		// between the map check and the flight.
+		// between the lookup and the flight.
 		r.mu.Lock()
-		cp, ok := r.cache[key]
+		cp := r.corpora[key].Value()
 		r.mu.Unlock()
-		if ok {
+		if cp != nil {
 			return cp, nil
 		}
 		r.corpusGens.Add(1)
@@ -178,29 +186,88 @@ func (r *Runner) corpus(w workload.Workload) (*corpusPair, error) {
 			return nil, err
 		}
 		cp = &corpusPair{train: train, test: test}
+		ref := corpusRef{key: key, wp: weak.Make(cp), bytes: train.Bytes() + test.Bytes()}
 		r.mu.Lock()
-		r.cache[key] = cp
-		r.corpusBytes += train.Bytes() + test.Bytes()
+		if r.corpora == nil {
+			r.corpora = make(map[string]weak.Pointer[corpusPair])
+		}
+		r.corpora[key] = ref.wp
+		r.corpusBytes += ref.bytes
 		r.corpusGauge.Set(float64(r.corpusBytes))
+		r.corpusGenCtr.Inc()
 		r.mu.Unlock()
+		runtime.AddCleanup(cp, r.dropCorpus, ref)
 		return cp, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*corpusPair), nil
+	cp := v.(*corpusPair)
+	r.mu.Lock()
+	r.pinLocked(key, cp)
+	r.mu.Unlock()
+	return cp, nil
+}
+
+// corpusKey names the corpus trials of w read.
+func (r *Runner) corpusKey(w workload.Workload) string {
+	return w.Dataset.String() + "/" + strconv.Itoa(r.Data.TrainSize) + "/" + strconv.Itoa(r.Data.TestSize)
+}
+
+// corpusRef is what a corpus's cleanup needs to unaccount it, without
+// the corpus itself (a cleanup referencing it would keep it alive).
+type corpusRef struct {
+	key   string
+	wp    weak.Pointer[corpusPair]
+	bytes int64
+}
+
+// dropCorpus runs once a corpus has been collected: its bytes leave the
+// gauge, and its key leaves the map unless a newer generation holds it.
+func (r *Runner) dropCorpus(ref corpusRef) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.corpora[ref.key] == ref.wp {
+		delete(r.corpora, ref.key)
+	}
+	r.corpusBytes -= ref.bytes
+	r.corpusGauge.Set(float64(r.corpusBytes))
+}
+
+// pinLocked holds cp strongly until the runner's busy period ends. Outside
+// one (a direct call, in tests) it pins nothing. Callers hold r.mu.
+func (r *Runner) pinLocked(key string, cp *corpusPair) {
+	if r.training == 0 {
+		return
+	}
+	if r.pinned == nil {
+		r.pinned = make(map[string]*corpusPair)
+	}
+	r.pinned[key] = cp
+}
+
+// busy counts a trial entering (+1) or leaving (-1) its training
+// closure; the last one out ends the busy period and unpins its corpora.
+func (r *Runner) busy(d int) {
+	r.mu.Lock()
+	if r.training += d; r.training == 0 {
+		clear(r.pinned)
+	}
+	r.mu.Unlock()
 }
 
 // InstrumentMetrics registers the trainer's instruments on reg: the kernel
-// wall-time sketches, the resident corpus bytes and, when a trial prefix
-// cache is attached, its hit/miss/residency families. Call before running
-// trials. A nil registry keeps every update a no-op.
+// wall-time sketches, the resident corpus bytes, the corpus generations
+// and, when a trial prefix cache is attached, its hit/miss/residency
+// families. Call before running trials. A nil registry keeps every update
+// a no-op.
 func (r *Runner) InstrumentMetrics(reg *metrics.Registry) {
 	r.epochSeconds.Store(reg.Distribution("nn_train_epoch_seconds", "Wall-clock seconds per nn training epoch (real SGD compute, not the simulated epoch duration)."))
 	r.evalSeconds.Store(reg.Distribution("nn_eval_seconds", "Wall-clock seconds per nn test-set evaluation."))
 	r.mu.Lock()
-	r.corpusGauge = reg.Gauge("trainer_corpus_bytes", "Bytes resident in the generated corpora, derived from the parts each split stores.")
+	r.corpusGauge = reg.Gauge("trainer_corpus_bytes", "Bytes of the resident generated corpora, derived from the parts each split stores; falls when an idle trainer's corpus is collected.")
 	r.corpusGauge.Set(float64(r.corpusBytes))
+	r.corpusGenCtr = reg.Counter("trainer_corpus_generations_total", "Corpora generated, the first time and again after an idle trainer's copy was collected.")
 	r.mu.Unlock()
 	if r.Cache != nil {
 		r.Cache.InstrumentMetrics(reg)
@@ -294,10 +361,6 @@ func (r *Runner) Run(w workload.Workload, h params.Hyper, sys params.SysConfig, 
 		load = 1
 	}
 	tr := workload.TraitsFor(w)
-	cp, err := r.corpus(w)
-	if err != nil {
-		return nil, fmt.Errorf("trainer: %w", err)
-	}
 
 	// The RNG split order is load-bearing: training streams (netRng,
 	// shuffleRng) come before and are independent of the simulation
@@ -313,8 +376,14 @@ func (r *Runner) Run(w workload.Workload, h params.Hyper, sys params.SysConfig, 
 	// train is the one training path: h.Epochs of real SGD from epoch 0,
 	// each followed by a test-set evaluation. With a cache attached it
 	// runs only on a miss; the simulation loop below reads the resolved
-	// trajectory either way.
+	// trajectory either way, so a replay never builds a corpus.
 	train := func() ([]TrajPoint, error) {
+		r.busy(1)
+		defer r.busy(-1)
+		cp, err := r.corpus(w)
+		if err != nil {
+			return nil, fmt.Errorf("trainer: %w", err)
+		}
 		net, err := nn.Build(w.Model, cp.train.Dim, cp.train.NumClasses, h, netRng)
 		if err != nil {
 			return nil, fmt.Errorf("trainer: %w", err)
@@ -333,7 +402,10 @@ func (r *Runner) Run(w workload.Workload, h params.Hyper, sys params.SysConfig, 
 		}
 		return pts, nil
 	}
-	var pts []TrajPoint
+	var (
+		pts []TrajPoint
+		err error
+	)
 	if c := r.Cache; c != nil {
 		pts, err = c.trajectory(r.prefixKey(w, h, seed), h.Epochs, train)
 	} else {
